@@ -12,11 +12,14 @@
 //!   counter is a little-endian bit-vector of `⌈log₂(cap+1)⌉` bits with a
 //!   `≤ cap` typed-domain clause. The typed models of one `SymState` are
 //!   therefore exactly the states `for_each_typed_state_cap` enumerates.
-//! * **Guards and updates**: transcribed from [`Ir::enabled`] /
-//!   [`Ir::fire`] shape for shape ([`sym_enabled`], [`sym_fire`]); the
-//!   agreement suite checks the two byte-for-byte over the whole cap-2
-//!   domain. Saturated-decrement nondeterminism becomes one fresh *choice*
-//!   literal per action: `post = (at_cap ∧ χ) ? cap : count − 1`.
+//! * **Guards, updates and clauses**: not transcribed — `CnfBuilder`
+//!   implements the value [`Algebra`] the protocol is written over
+//!   ([`crate::protocol`]), so the generic definitions, read with bits for
+//!   booleans and bit-vectors for phases and counters, *are* the circuit.
+//!   The agreement suite still checks the circuit against the concrete
+//!   reading byte-for-byte over the whole cap-2 domain. Saturated-decrement
+//!   nondeterminism becomes one fresh *choice* literal per action:
+//!   `post = (at_cap ∧ χ) ? cap : count − 1`.
 //! * **Step relation** ([`encode_step`]): one *selector* literal per IR
 //!   action, an exactly-one constraint over the selectors, `sel ⇒ guard`,
 //!   and `sel ⇒ (post-field = fired-field)` for every field — so a model
@@ -28,12 +31,10 @@
 //! circuits, which is how [`crate::kinduct`] enumerates counterexamples in
 //! exactly the explicit checker's "simplest first" order.
 
-use crate::induct::Clause;
-use crate::ir::{AbsState, ActionId, Ir, IrConfig};
+use crate::ir::{AbsState, ActionId, Ir};
+use crate::protocol::{self, Algebra};
 use crate::sat::{Lit, Solver};
-use dinefd_core::machines::SubjectMutation;
 use dinefd_dining::DinerPhase;
-use dinefd_explore::ModelMutation;
 use std::collections::HashMap;
 
 /// A propositional value: a constant or a solver literal.
@@ -325,38 +326,10 @@ pub fn counter_width(cap: u8) -> usize {
     (32 - (cap as u32).leading_zeros()) as usize
 }
 
-/// One symbolic [`AbsState`]: every field of the explicit struct as bits.
-#[derive(Clone, Debug)]
-pub struct SymState {
-    /// Phases of `p.w_0`, `p.w_1` (2 bits each).
-    pub w_phase: [Bv; 2],
-    /// Phases of `q.s_0`, `q.s_1`.
-    pub s_phase: [Bv; 2],
-    /// Alg. 1 `switch` (one bit; `true` = instance 1).
-    pub switch: Bit,
-    /// Alg. 1 `haveping_i`.
-    pub haveping: [Bit; 2],
-    /// Alg. 1 `suspect_q`.
-    pub suspect: Bit,
-    /// Alg. 2 `trigger` (one bit).
-    pub trigger: Bit,
-    /// Alg. 2 `ping_i`.
-    pub ping_enabled: [Bit; 2],
-    /// Whether ◇WX's exclusive suffix has begun.
-    pub converged: Bit,
-    /// Whether `q` has crashed.
-    pub crashed: Bit,
-    /// In-flight pings per instance.
-    pub pings: [Bv; 2],
-    /// In-flight acks per instance.
-    pub acks: [Bv; 2],
-    /// The saturation cap the counters were sized for.
-    pub cap: u8,
-}
-
-fn phase_const(b: &CnfBuilder, p: DinerPhase) -> Bv {
-    b.bv_const(p as u64, 2)
-}
+/// One symbolic [`AbsState`]: every field of the explicit struct as bits
+/// (phases and counters little-endian, `switch`/`trigger` one bit each,
+/// `true` = instance 1).
+pub type SymState = AbsState<Bit, Bv, Bit, Bv>;
 
 impl SymState {
     /// Allocates a fresh symbolic state and asserts its typed-domain
@@ -393,21 +366,6 @@ impl SymState {
             crashed: b.fresh(),
             pings,
             acks,
-            cap,
-        }
-    }
-
-    /// `phase = p` as a bit.
-    pub fn phase_is(&self, b: &mut CnfBuilder, phase: &Bv, p: DinerPhase) -> Bit {
-        b.bv_eq_const(phase, p as u64)
-    }
-
-    /// `switch = i` / `trigger = i` helpers.
-    fn bin_is(&self, b: &mut CnfBuilder, bit: Bit, i: usize) -> Bit {
-        if i == 1 {
-            bit
-        } else {
-            b.not(bit)
         }
     }
 
@@ -503,183 +461,78 @@ impl SymState {
     }
 }
 
-/// The guard of `id` on symbolic state `s` — the bit-level transcription of
-/// [`Ir::enabled`], constant-folded against `cfg`.
-pub fn sym_enabled(b: &mut CnfBuilder, cfg: &IrConfig, s: &SymState, id: ActionId) -> Bit {
-    use DinerPhase::{Eating, Hungry, Thinking};
-    let o = |i: usize| 1 - i;
-    let not_crashed = b.not(s.crashed);
-    match id {
-        ActionId::WitnessHungry(i) => {
-            let a = s.phase_is(b, &s.w_phase[i].clone(), Thinking);
-            let c = s.phase_is(b, &s.w_phase[o(i)].clone(), Thinking);
-            let sw = s.bin_is(b, s.switch, i);
-            b.and_many(&[a, c, sw])
-        }
-        ActionId::WitnessExit(i) => s.phase_is(b, &s.w_phase[i].clone(), Eating),
-        ActionId::SubjectHungry(i) => {
-            let thinking = s.phase_is(b, &s.s_phase[i].clone(), Thinking);
-            let trig = if cfg.subject_mutation == SubjectMutation::IgnoreTriggerGuard {
-                TRUE
-            } else {
-                s.bin_is(b, s.trigger, i)
-            };
-            b.and_many(&[not_crashed, thinking, trig])
-        }
-        ActionId::SubjectPing(i) => {
-            let eat = s.phase_is(b, &s.s_phase[i].clone(), Eating);
-            let other_eat = s.phase_is(b, &s.s_phase[o(i)].clone(), Eating);
-            let other_ok = b.not(other_eat);
-            b.and_many(&[not_crashed, eat, other_ok, s.ping_enabled[i]])
-        }
-        ActionId::SubjectExit(i) => {
-            let eat = s.phase_is(b, &s.s_phase[i].clone(), Eating);
-            let other_eat = s.phase_is(b, &s.s_phase[o(i)].clone(), Eating);
-            let trig = s.bin_is(b, s.trigger, o(i));
-            b.and_many(&[not_crashed, eat, other_eat, trig])
-        }
-        ActionId::DeliverPing(i) => b.bv_nonzero(&s.pings[i].clone()),
-        ActionId::DeliverAck(i) => {
-            let some = b.bv_nonzero(&s.acks[i].clone());
-            b.and(not_crashed, some)
-        }
-        ActionId::DeliverStaleAck(i) => {
-            let mode = Bit::Const(cfg.strict_seq);
-            let some = b.bv_nonzero(&s.acks[i].clone());
-            b.and_many(&[mode, not_crashed, some])
-        }
-        ActionId::DuplicateAck(i) => {
-            let mode = Bit::Const(cfg.model_mutation == ModelMutation::StaleAckReplay);
-            let some = b.bv_nonzero(&s.acks[i].clone());
-            b.and_many(&[mode, not_crashed, some])
-        }
-        ActionId::GrantWitness(i) => {
-            let hungry = s.phase_is(b, &s.w_phase[i].clone(), Hungry);
-            let s_eat = s.phase_is(b, &s.s_phase[i].clone(), Eating);
-            let s_not_eat = b.not(s_eat);
-            let nc = b.not(s.converged);
-            let free = b.or_many(&[nc, s.crashed, s_not_eat]);
-            b.and(hungry, free)
-        }
-        ActionId::GrantSubject(i) => {
-            let hungry = s.phase_is(b, &s.s_phase[i].clone(), Hungry);
-            let w_eat = s.phase_is(b, &s.w_phase[i].clone(), Eating);
-            let w_not_eat = b.not(w_eat);
-            let nc = b.not(s.converged);
-            let free = b.or(nc, w_not_eat);
-            b.and_many(&[not_crashed, hungry, free])
-        }
-        ActionId::Converge => {
-            let mut overlap = FALSE;
-            for i in 0..2 {
-                let w_eat = s.phase_is(b, &s.w_phase[i].clone(), Eating);
-                let s_eat = s.phase_is(b, &s.s_phase[i].clone(), Eating);
-                let both = b.and_many(&[not_crashed, w_eat, s_eat]);
-                overlap = b.or(overlap, both);
-            }
-            let nc = b.not(s.converged);
-            let no_overlap = b.not(overlap);
-            b.and(nc, no_overlap)
-        }
-        ActionId::CrashSubject => {
-            let mode = Bit::Const(cfg.allow_crash);
-            b.and(mode, not_crashed)
+/// The circuit interpretation of the protocol's value algebra: every
+/// operation builds (hash-consed, constant-folded) gates in `self`.
+impl Algebra for CnfBuilder {
+    type Bool = Bit;
+    type Phase = Bv;
+    type Sel = Bit;
+    type Count = Bv;
+
+    fn constant(&mut self, v: bool) -> Bit {
+        Bit::Const(v)
+    }
+    fn not(&mut self, x: &Bit) -> Bit {
+        CnfBuilder::not(self, *x)
+    }
+    fn all(&mut self, xs: &[&Bit]) -> Bit {
+        xs.iter().fold(TRUE, |acc, &&x| self.and(acc, x))
+    }
+    fn any(&mut self, xs: &[&Bit]) -> Bit {
+        xs.iter().fold(FALSE, |acc, &&x| self.or(acc, x))
+    }
+    fn for_all(&mut self, mut f: impl FnMut(&mut Self, usize) -> Bit) -> Bit {
+        let (x, y) = (f(self, 0), f(self, 1));
+        self.and(x, y)
+    }
+    fn exists(&mut self, mut f: impl FnMut(&mut Self, usize) -> Bit) -> Bit {
+        let (x, y) = (f(self, 0), f(self, 1));
+        self.or(x, y)
+    }
+    fn phase(&mut self, p: DinerPhase) -> Bv {
+        self.bv_const(p as u64, 2)
+    }
+    fn phase_is(&mut self, x: &Bv, p: DinerPhase) -> Bit {
+        self.bv_eq_const(x, p as u64)
+    }
+    fn side(&mut self, i: usize) -> Bit {
+        Bit::Const(i == 1)
+    }
+    fn sel_is(&mut self, x: &Bit, i: usize) -> Bit {
+        if i == 1 {
+            *x
+        } else {
+            CnfBuilder::not(self, *x)
         }
     }
-}
-
-/// Saturating increment at the state's cap: `a = cap ? cap : a + 1`.
-fn sym_sat_inc(b: &mut CnfBuilder, a: &Bv, cap: u8) -> Bv {
-    let at_cap = b.bv_eq_const(a, cap as u64);
-    let inc = b.bv_inc(a);
-    let cap_v = b.bv_const(cap as u64, a.len());
-    b.bv_mux(at_cap, &cap_v, &inc)
-}
-
-/// Saturating decrement with the abstraction's nondeterministic stay-at-cap
-/// branch driven by the `choice` literal: `(a = cap ∧ χ) ? cap : a − 1`.
-fn sym_sat_dec(b: &mut CnfBuilder, a: &Bv, cap: u8, choice: Bit) -> Bv {
-    let at_cap = b.bv_eq_const(a, cap as u64);
-    let stay = b.and(at_cap, choice);
-    let dec = b.bv_dec(a);
-    let cap_v = b.bv_const(cap as u64, a.len());
-    b.bv_mux(stay, &cap_v, &dec)
-}
-
-/// The post-state expression of firing `id` from `s` — the bit-level
-/// transcription of [`Ir::fire`], with `choice` resolving saturated
-/// decrements. Fields an action leaves alone are the pre-state's own bits,
-/// which is what makes the frame condition exact.
-pub fn sym_fire(
-    b: &mut CnfBuilder,
-    cfg: &IrConfig,
-    s: &SymState,
-    id: ActionId,
-    choice: Bit,
-) -> SymState {
-    use DinerPhase::{Eating, Hungry, Thinking};
-    let o = |i: usize| 1 - i;
-    let cap = s.cap;
-    let mut t = s.clone();
-    match id {
-        ActionId::WitnessHungry(i) => {
-            t.w_phase[i] = phase_const(b, Hungry);
-        }
-        ActionId::WitnessExit(i) => {
-            t.suspect = b.not(s.haveping[i]);
-            t.haveping[i] = FALSE;
-            t.switch = Bit::Const(o(i) == 1);
-            t.w_phase[i] = phase_const(b, Thinking);
-        }
-        ActionId::SubjectHungry(i) => {
-            t.s_phase[i] = phase_const(b, Hungry);
-        }
-        ActionId::SubjectPing(i) => {
-            if cfg.subject_mutation != SubjectMutation::SkipPingDisable {
-                t.ping_enabled[i] = FALSE;
-            }
-            if cfg.model_mutation != ModelMutation::DropPingSend {
-                t.pings[i] = sym_sat_inc(b, &s.pings[i], cap);
-            }
-        }
-        ActionId::SubjectExit(i) => {
-            t.ping_enabled[i] = TRUE;
-            t.s_phase[i] = phase_const(b, Thinking);
-        }
-        ActionId::DeliverPing(i) => {
-            t.haveping[i] = TRUE;
-            let inc = sym_sat_inc(b, &s.acks[i], cap);
-            t.acks[i] = b.bv_mux(s.crashed, &s.acks[i], &inc);
-            t.pings[i] = sym_sat_dec(b, &s.pings[i], cap, choice);
-        }
-        ActionId::DeliverAck(i) => {
-            if cfg.subject_mutation != SubjectMutation::SkipTriggerUpdate {
-                t.trigger = Bit::Const(o(i) == 1);
-            }
-            t.acks[i] = sym_sat_dec(b, &s.acks[i], cap, choice);
-        }
-        ActionId::DeliverStaleAck(i) => {
-            t.acks[i] = sym_sat_dec(b, &s.acks[i], cap, choice);
-        }
-        ActionId::DuplicateAck(i) => {
-            t.acks[i] = sym_sat_inc(b, &s.acks[i], cap);
-        }
-        ActionId::GrantWitness(i) => {
-            t.w_phase[i] = phase_const(b, Eating);
-        }
-        ActionId::GrantSubject(i) => {
-            t.s_phase[i] = phase_const(b, Eating);
-        }
-        ActionId::Converge => {
-            t.converged = TRUE;
-        }
-        ActionId::CrashSubject => {
-            t.crashed = TRUE;
-            let zero = b.bv_const(0, s.acks[0].len());
-            t.acks = [zero.clone(), zero];
-        }
+    fn zero(&mut self, cap: u8) -> Bv {
+        self.bv_const(0, counter_width(cap))
     }
-    t
+    fn nonzero(&mut self, c: &Bv) -> Bit {
+        self.bv_nonzero(c)
+    }
+    fn sum_le(&mut self, a: &Bv, b: &Bv, k: u8) -> Bit {
+        let sum = self.bv_add(a, b);
+        self.bv_le_const(&sum, u64::from(k))
+    }
+    /// `c = cap ? cap : c + 1`.
+    fn sat_inc(&mut self, c: &Bv, cap: u8) -> Bv {
+        let at_cap = self.bv_eq_const(c, cap as u64);
+        let inc = self.bv_inc(c);
+        let cap_v = self.bv_const(cap as u64, c.len());
+        self.bv_mux(at_cap, &cap_v, &inc)
+    }
+    /// `(c = cap ∧ χ) ? cap : c − 1`, `χ` the step's choice literal.
+    fn sat_dec(&mut self, c: &Bv, cap: u8, choice: &Bit) -> Bv {
+        let at_cap = self.bv_eq_const(c, cap as u64);
+        let stay = self.and(at_cap, *choice);
+        let dec = self.bv_dec(c);
+        let cap_v = self.bv_const(cap as u64, c.len());
+        self.bv_mux(stay, &cap_v, &dec)
+    }
+    fn select(&mut self, cond: &Bit, then_c: &Bv, else_c: &Bv) -> Bv {
+        self.bv_mux(*cond, then_c, else_c)
+    }
 }
 
 /// One encoded action of a step: its selector and choice literals.
@@ -721,9 +574,9 @@ pub fn encode_step(b: &mut CnfBuilder, ir: &Ir, pre: &SymState, post: &SymState)
     for a in ir.actions() {
         let select = Lit::pos(b.solver.new_var());
         let choice = Lit::pos(b.solver.new_var());
-        let guard = sym_enabled(b, &cfg, pre, a.id);
+        let guard = protocol::guard(b, &cfg, pre, a.id);
         b.assert_implies(select, guard);
-        let fired = sym_fire(b, &cfg, pre, a.id, Bit::Is(choice));
+        let fired = protocol::update(b, &cfg, pre, a.id, &Bit::Is(choice));
         for i in 0..2 {
             for k in 0..2 {
                 b.assert_eq_under(select, post.w_phase[i][k], fired.w_phase[i][k]);
@@ -756,97 +609,6 @@ pub fn encode_step(b: &mut CnfBuilder, ir: &Ir, pre: &SymState, post: &SymState)
     SymStep { actions }
 }
 
-/// The symbolic value of one invariant clause on `s` — the bit-level twin
-/// of [`Clause::holds`] (which itself delegates to the shared predicates of
-/// `dinefd_explore::invariants`).
-pub fn sym_clause(b: &mut CnfBuilder, s: &SymState, clause: Clause) -> Bit {
-    use DinerPhase::{Eating, Hungry, Thinking};
-    let per_instance = |b: &mut CnfBuilder, f: &mut dyn FnMut(&mut CnfBuilder, usize) -> Bit| {
-        let x = f(b, 0);
-        let y = f(b, 1);
-        b.and(x, y)
-    };
-    let in_flight = |b: &mut CnfBuilder, s: &SymState, i: usize| {
-        let p = b.bv_nonzero(&s.pings[i].clone());
-        let a = b.bv_nonzero(&s.acks[i].clone());
-        b.or(p, a)
-    };
-    match clause {
-        Clause::L2 => per_instance(b, &mut |b, i| {
-            let eat = s.phase_is(b, &s.s_phase[i].clone(), Eating);
-            b.or_many(&[s.crashed, eat, s.ping_enabled[i]])
-        }),
-        Clause::L3 => per_instance(b, &mut |b, i| {
-            let eat = s.phase_is(b, &s.s_phase[i].clone(), Eating);
-            let npe = b.not(s.ping_enabled[i]);
-            let fl = in_flight(b, s, i);
-            let nfl = b.not(fl);
-            b.or_many(&[s.crashed, eat, npe, nfl])
-        }),
-        Clause::L4 => per_instance(b, &mut |b, i| {
-            let hungry = s.phase_is(b, &s.s_phase[i].clone(), Hungry);
-            let nh = b.not(hungry);
-            let trig = s.bin_is(b, s.trigger, i);
-            b.or_many(&[s.crashed, nh, trig])
-        }),
-        Clause::L9 => {
-            let t0 = s.phase_is(b, &s.w_phase[0].clone(), Thinking);
-            let t1 = s.phase_is(b, &s.w_phase[1].clone(), Thinking);
-            b.or(t0, t1)
-        }
-        Clause::Excl => per_instance(b, &mut |b, i| {
-            let w_eat = s.phase_is(b, &s.w_phase[i].clone(), Eating);
-            let s_eat = s.phase_is(b, &s.s_phase[i].clone(), Eating);
-            let both = b.and(w_eat, s_eat);
-            let nboth = b.not(both);
-            let nconv = b.not(s.converged);
-            b.or_many(&[nconv, s.crashed, nboth])
-        }),
-        Clause::WTurn => {
-            // w_{1-switch} thinking: switch=0 ⇒ w_1 thinking, switch=1 ⇒ w_0.
-            let t0 = s.phase_is(b, &s.w_phase[0].clone(), Thinking);
-            let t1 = s.phase_is(b, &s.w_phase[1].clone(), Thinking);
-            b.mux(s.switch, t0, t1)
-        }
-        Clause::R1 => per_instance(b, &mut |b, i| {
-            // pings[i] + acks[i] ≤ 1.
-            let sum = b.bv_add(&s.pings[i].clone(), &s.acks[i].clone());
-            b.bv_le_const(&sum, 1)
-        }),
-        Clause::R2 => per_instance(b, &mut |b, i| {
-            let fl = in_flight(b, s, i);
-            let nfl = b.not(fl);
-            let npe = b.not(s.ping_enabled[i]);
-            b.or(nfl, npe)
-        }),
-        Clause::RegimeTrig => per_instance(b, &mut |b, i| {
-            let fl = in_flight(b, s, i);
-            let nfl = b.not(fl);
-            let trig = s.bin_is(b, s.trigger, i);
-            b.or(nfl, trig)
-        }),
-        Clause::R6 => per_instance(b, &mut |b, i| {
-            let npe = b.not(s.ping_enabled[i]);
-            let eat = s.phase_is(b, &s.s_phase[i].clone(), Eating);
-            let neat = b.not(eat);
-            let trig = s.bin_is(b, s.trigger, i);
-            b.or_many(&[s.crashed, npe, neat, trig])
-        }),
-    }
-}
-
-/// Membership in the Theorem-1 completeness closure, symbolically: `q`
-/// crashed, no pings in flight, no banked ping.
-pub fn sym_in_closure(b: &mut CnfBuilder, s: &SymState) -> Bit {
-    let p0 = b.bv_nonzero(&s.pings[0].clone());
-    let p1 = b.bv_nonzero(&s.pings[1].clone());
-    let np0 = b.not(p0);
-    let np1 = b.not(p1);
-    let nh0 = b.not(s.haveping[0]);
-    let nh1 = b.not(s.haveping[1]);
-    b.and_many(&[s.crashed, np0, np1, nh0, nh1])
-}
-
 /// Total messages in flight (`pings[0] + pings[1] + acks[0] + acks[1]`) —
 /// the first component of the enumerator's CTI simplicity key.
 pub fn wire_sum(b: &mut CnfBuilder, s: &SymState) -> Bv {
@@ -858,13 +620,9 @@ pub fn wire_sum(b: &mut CnfBuilder, s: &SymState) -> Bv {
 /// Count of non-thinking threads — the key's second component.
 pub fn busy_count(b: &mut CnfBuilder, s: &SymState) -> Bv {
     let mut bits = Vec::with_capacity(4);
-    for i in 0..2 {
-        let wt = s.phase_is(b, &s.w_phase[i].clone(), DinerPhase::Thinking);
-        bits.push(b.not(wt));
-    }
-    for i in 0..2 {
-        let st = s.phase_is(b, &s.s_phase[i].clone(), DinerPhase::Thinking);
-        bits.push(b.not(st));
+    for phase in s.w_phase.iter().chain(&s.s_phase) {
+        let thinking = b.phase_is(phase, DinerPhase::Thinking);
+        bits.push(b.not(thinking));
     }
     b.popcount(&bits)
 }
@@ -910,12 +668,9 @@ pub fn pin_bv(v: &Bv, value: u64, out: &mut Vec<Lit>) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::induct::{clause_mask, ALL_CLAUSES};
+    use crate::induct::{clause_mask, Clause, ALL_CLAUSES};
+    use crate::ir::{config_matrix, IrConfig};
     use crate::sat::SolveOutcome;
-
-    fn faithful() -> IrConfig {
-        IrConfig::faithful()
-    }
 
     #[test]
     fn counter_widths_cover_the_cap_range() {
@@ -954,53 +709,65 @@ mod tests {
         assert_eq!(b.solver.solve(&bad), SolveOutcome::Unsat);
     }
 
-    #[test]
-    fn symbolic_clauses_agree_with_explicit_on_sampled_states() {
-        let mut b = CnfBuilder::new();
-        let sym = SymState::fresh(&mut b, 2);
-        let clause_bits: Vec<(Clause, Bit)> =
-            ALL_CLAUSES.iter().map(|&c| (c, sym_clause(&mut b, &sym, c))).collect();
-        // A deterministic scatter of states across the typed domain.
+    /// A deterministic scatter of one in `every` states across the typed
+    /// domain at `cap`.
+    fn scatter(cap: u8, every: u64) -> Vec<AbsState> {
         let mut k = 0u64;
-        let mut checked = 0u64;
-        crate::induct::for_each_typed_state(|s| {
+        let mut out = Vec::new();
+        crate::induct::for_each_typed_state_cap(cap, |s| {
             k = k.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            if !k.is_multiple_of(4096) {
-                return;
-            }
-            checked += 1;
-            let mut assumptions = Vec::new();
-            sym.assumptions_for(s, &mut assumptions);
-            assert_eq!(b.solver.solve(&assumptions), SolveOutcome::Sat);
-            let mask = clause_mask(s);
-            for (j, &(c, bit)) in clause_bits.iter().enumerate() {
-                let sym_val = match bit {
-                    Bit::Const(v) => v,
-                    Bit::Is(l) => b.solver.lit_value(l),
-                };
-                assert_eq!(sym_val, mask >> j & 1 == 1, "clause {c:?} on {s:?}");
+            if k.is_multiple_of(every) {
+                out.push(*s);
             }
         });
-        assert!(checked > 500, "sample too small: {checked}");
+        out
+    }
+
+    #[test]
+    fn symbolic_clauses_agree_with_explicit_on_sampled_states() {
+        // Clauses do not depend on the configuration, only on the cap.
+        for (cap, every) in [(2, 1 << 12), (8, 1 << 19)] {
+            let mut b = CnfBuilder::new();
+            let sym = SymState::fresh(&mut b, cap);
+            let clause_bits: Vec<(Clause, Bit)> =
+                ALL_CLAUSES.iter().map(|&c| (c, protocol::clause(&mut b, &sym, c))).collect();
+            let states = scatter(cap, every);
+            assert!(states.len() > 500, "cap {cap}: sample too small: {}", states.len());
+            for s in &states {
+                let mut assumptions = Vec::new();
+                sym.assumptions_for(s, &mut assumptions);
+                assert_eq!(b.solver.solve(&assumptions), SolveOutcome::Sat);
+                let mask = clause_mask(s);
+                for (j, &(c, bit)) in clause_bits.iter().enumerate() {
+                    let sym_val = match bit {
+                        Bit::Const(v) => v,
+                        Bit::Is(l) => b.solver.lit_value(l),
+                    };
+                    assert_eq!(sym_val, mask >> j & 1 == 1, "clause {c:?} on {s:?}");
+                }
+            }
+        }
     }
 
     #[test]
     fn encoded_step_agrees_with_successors_on_sampled_states() {
-        let cfg = faithful();
+        for (cap, every) in [(2, 1 << 15), (8, 1 << 21)] {
+            let states = scatter(cap, every);
+            assert!(states.len() > 50, "cap {cap}: sample too small: {}", states.len());
+            for cfg in config_matrix() {
+                step_agrees_with_successors(IrConfig { wire_cap: cap, ..cfg }, &states);
+            }
+        }
+    }
+
+    fn step_agrees_with_successors(cfg: IrConfig, states: &[AbsState]) {
         let ir = Ir::new(cfg);
         let mut b = CnfBuilder::new();
         let pre = SymState::fresh(&mut b, cfg.wire_cap);
         let post = SymState::fresh(&mut b, cfg.wire_cap);
         let step = encode_step(&mut b, &ir, &pre, &post);
-        let mut k = 0u64;
-        let mut checked = 0u64;
         let mut succ = Vec::new();
-        crate::induct::for_each_typed_state(|s| {
-            k = k.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            if !k.is_multiple_of(32768) {
-                return;
-            }
-            checked += 1;
+        for s in states {
             succ.clear();
             ir.successors_into(s, &mut succ);
             let expected: std::collections::BTreeSet<String> =
@@ -1030,8 +797,7 @@ mod tests {
                 b.solver.add_clause(&block);
                 assert!(got.len() <= 64, "runaway enumeration");
             }
-            assert_eq!(got, expected, "successor mismatch out of {s:?}");
-        });
-        assert!(checked > 50, "sample too small: {checked}");
+            assert_eq!(got, expected, "{cfg:?}: successor mismatch out of {s:?}");
+        }
     }
 }

@@ -46,8 +46,9 @@
 //! gate in `tests/induction.rs`).
 
 use crate::ir::{AbsState, ActionId, Ir, IrConfig, WIRE_CAP};
+use crate::protocol::{self, Concrete};
 use dinefd_dining::DinerPhase;
-use dinefd_explore::{self as explore, explore_seeded, find_reachable, in_completeness_closure};
+use dinefd_explore::{explore_seeded, find_reachable};
 use std::collections::HashMap;
 
 /// One atomic clause of a candidate invariant.
@@ -106,30 +107,14 @@ impl Clause {
         }
     }
 
-    fn bit(self) -> u16 {
+    pub(crate) fn bit(self) -> u16 {
         1 << ALL_CLAUSES.iter().position(|&c| c == self).expect("clause in table")
     }
 
-    /// Whether the clause holds in `s`.
+    /// Whether the clause holds in `s`: the concrete reading of
+    /// [`protocol::clause`].
     pub fn holds(self, s: &AbsState) -> bool {
-        let in_flight = |i: usize| s.pings[i] > 0 || s.acks[i] > 0;
-        match self {
-            Clause::L2 => explore::lemma2_holds(s),
-            Clause::L3 => explore::lemma3_holds(s),
-            Clause::L4 => explore::lemma4_holds(s),
-            Clause::L9 => explore::lemma9_holds(s),
-            Clause::Excl => explore::exclusion_holds(s),
-            Clause::WTurn => s.w_phase[1 - s.switch as usize] == DinerPhase::Thinking,
-            Clause::R1 => (0..2).all(|i| s.pings[i] + s.acks[i] <= 1),
-            Clause::R2 => (0..2).all(|i| !in_flight(i) || !s.ping_enabled[i]),
-            Clause::RegimeTrig => (0..2).all(|i| !in_flight(i) || s.trigger as usize == i),
-            Clause::R6 => (0..2).all(|i| {
-                s.crashed
-                    || !s.ping_enabled[i]
-                    || s.s_phase[i] != DinerPhase::Eating
-                    || s.trigger as usize == i
-            }),
-        }
+        protocol::clause(&mut Concrete::default(), s, self)
     }
 }
 
@@ -450,7 +435,7 @@ pub fn run_induction(cfg: &IrConfig, opts: &InductOptions) -> InductionRun {
     for_each_typed_state_cap(cfg.wire_cap, |s| {
         states_total += 1;
         let m_pre = clause_mask(s);
-        let in_closure = in_completeness_closure(s);
+        let in_closure = protocol::in_closure(&mut Concrete::default(), s);
         let relevant = (m_pre & union) != 0;
         if !relevant && !in_closure {
             return;
@@ -491,10 +476,13 @@ pub fn run_induction(cfg: &IrConfig, opts: &InductOptions) -> InductionRun {
             closure.closure_states += 1;
             for &(id, ref t) in &succ {
                 closure.steps_checked += 1;
-                if let Some(msg) = explore::check_closure_step(s, t) {
-                    if closure.violations.len() < 16 {
-                        closure.violations.push(format!("{msg} (action {})", ir.name_of(id)));
-                    }
+                let msg = match protocol::closure_step_faults(&mut Concrete::default(), s, t) {
+                    [true, _] => "completeness closure not invariant",
+                    [_, true] => "suspicion of crashed q regressed to trust",
+                    _ => continue,
+                };
+                if closure.violations.len() < 16 {
+                    closure.violations.push(format!("{msg} (action {})", ir.name_of(id)));
                 }
             }
         }

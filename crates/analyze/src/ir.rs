@@ -4,12 +4,15 @@
 //! the subject machine (Alg. 2, any [`SubjectMutation`]), the dining
 //! service, convergence, crash, and the wire — is expressed as a **named
 //! action**: a guard predicate plus an update function over [`AbsState`].
-//! The IR is written *from the paper's pseudocode*, independently of the
-//! executable machines in `dinefd_core::machines`; the conformance suite
-//! (`tests/ir_conformance.rs`) then proves the two agree bit-for-bit on the
-//! machines' packed state bytes. That independence is the point: an IR that
-//! merely called the machines could never catch a transcription bug in
-//! either.
+//! This module holds the state, the configuration and the per-config
+//! action table; the guards and updates themselves are written once, from
+//! the paper's pseudocode, in [`crate::protocol`], and [`Ir::enabled`] /
+//! [`Ir::fire`] are their concrete reading. They are written independently
+//! of the executable machines in `dinefd_core::machines`; the conformance
+//! suite (`tests/ir_conformance.rs`) then proves the two agree bit-for-bit
+//! on the machines' packed state bytes. That independence is the point: an
+//! IR that merely called the machines could never catch a transcription bug
+//! in either.
 //!
 //! ## The abstract wire
 //!
@@ -33,9 +36,10 @@
 //! — see [`crate::induct`] for how those are classified and eliminated by
 //! invariant strengthening.
 
+use crate::protocol::{self, Concrete};
 use dinefd_core::machines::SubjectMutation;
 use dinefd_dining::DinerPhase;
-use dinefd_explore::{ExploreConfig, InvariantView, ModelMutation, PairState};
+use dinefd_explore::{ExploreConfig, ModelMutation, PairState};
 
 /// Default saturation cap of the abstract wire counters: the value
 /// `WIRE_CAP` denotes "at least `WIRE_CAP` messages in flight". `2`
@@ -111,32 +115,36 @@ impl IrConfig {
 }
 
 /// One abstract pair state: the two machines' packed-domain bits, the four
-/// dining phases, the model flags, and the abstract wire. `Copy` and small
-/// (the whole typed domain is enumerated by value in [`crate::induct`]).
+/// dining phases, the model flags, and the abstract wire. The type
+/// parameters are the value types of one [`crate::protocol::Algebra`]
+/// (booleans, phases, selectors, counters); the defaults are the concrete
+/// ones, so plain `AbsState` is the `Copy`, small state the typed domain is
+/// enumerated in by value ([`crate::induct`]), and
+/// [`crate::cnf::SymState`] is the same record over circuit values.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct AbsState {
+pub struct AbsState<B = bool, P = DinerPhase, S = u8, C = u8> {
     /// Phases of `p.w_0`, `p.w_1` (never `Exiting` in the typed domain).
-    pub w_phase: [DinerPhase; 2],
+    pub w_phase: [P; 2],
     /// Phases of `q.s_0`, `q.s_1`.
-    pub s_phase: [DinerPhase; 2],
+    pub s_phase: [P; 2],
     /// Alg. 1 `switch` (whose turn it is).
-    pub switch: u8,
+    pub switch: S,
     /// Alg. 1 `haveping_i`.
-    pub haveping: [bool; 2],
+    pub haveping: [B; 2],
     /// Alg. 1 `suspect_q` — the witness's output.
-    pub suspect: bool,
+    pub suspect: B,
     /// Alg. 2 `trigger`.
-    pub trigger: u8,
+    pub trigger: S,
     /// Alg. 2 `ping_i`.
-    pub ping_enabled: [bool; 2],
+    pub ping_enabled: [B; 2],
     /// Whether ◇WX's exclusive suffix has begun.
-    pub converged: bool,
+    pub converged: B,
     /// Whether `q` has crashed.
-    pub crashed: bool,
-    /// In-flight `DX_i` pings, saturating at [`WIRE_CAP`].
-    pub pings: [u8; 2],
-    /// In-flight `DX_i` acks, saturating at [`WIRE_CAP`].
-    pub acks: [u8; 2],
+    pub crashed: B,
+    /// In-flight `DX_i` pings, saturating at the wire cap.
+    pub pings: [C; 2],
+    /// In-flight `DX_i` acks, saturating at the wire cap.
+    pub acks: [C; 2],
 }
 
 impl AbsState {
@@ -245,39 +253,6 @@ impl AbsState {
             k = k << 4 | u64::from(self.acks[i] & 0xf);
         }
         k
-    }
-}
-
-impl InvariantView for AbsState {
-    fn w_phase(&self, i: usize) -> DinerPhase {
-        self.w_phase[i]
-    }
-    fn s_phase(&self, i: usize) -> DinerPhase {
-        self.s_phase[i]
-    }
-    fn ping_enabled(&self, i: usize) -> bool {
-        self.ping_enabled[i]
-    }
-    fn trigger(&self) -> usize {
-        self.trigger as usize
-    }
-    fn crashed(&self) -> bool {
-        self.crashed
-    }
-    fn converged(&self) -> bool {
-        self.converged
-    }
-    fn dx_in_transit(&self, i: usize) -> bool {
-        self.pings[i] > 0 || self.acks[i] > 0
-    }
-    fn pings_in_transit(&self) -> bool {
-        self.pings[0] > 0 || self.pings[1] > 0
-    }
-    fn haveping(&self, i: usize) -> bool {
-        self.haveping[i]
-    }
-    fn suspects(&self) -> bool {
-        self.suspect
     }
 }
 
@@ -435,174 +410,25 @@ impl Ir {
         self.actions.iter().find(|a| a.id == id).map_or("<unlisted>", |a| a.name)
     }
 
-    /// The guard predicate of `id` on `s`. Transcribed from the pseudocode
-    /// in the module docs of `dinefd_core::machines` and the model rules of
-    /// `dinefd_explore::pair_model` — **not** by calling them.
+    /// The guard predicate of `id` on `s`: the concrete reading of
+    /// [`protocol::guard`].
     pub fn enabled(&self, s: &AbsState, id: ActionId) -> bool {
-        use DinerPhase::{Eating, Hungry, Thinking};
-        let o = |i: usize| 1 - i;
-        match id {
-            // { w_i thinking ∧ w_{1-i} thinking ∧ switch = i }
-            ActionId::WitnessHungry(i) => {
-                s.w_phase[i] == Thinking && s.w_phase[o(i)] == Thinking && s.switch as usize == i
-            }
-            // { w_i eating }
-            ActionId::WitnessExit(i) => s.w_phase[i] == Eating,
-            // { s_i thinking ∧ trigger = i } — IgnoreTriggerGuard drops the
-            // second conjunct.
-            ActionId::SubjectHungry(i) => {
-                !s.crashed
-                    && s.s_phase[i] == Thinking
-                    && (s.trigger as usize == i
-                        || self.cfg.subject_mutation == SubjectMutation::IgnoreTriggerGuard)
-            }
-            // { s_i eating ∧ s_{1-i} not eating ∧ ping_i }
-            ActionId::SubjectPing(i) => {
-                !s.crashed
-                    && s.s_phase[i] == Eating
-                    && s.s_phase[o(i)] != Eating
-                    && s.ping_enabled[i]
-            }
-            // { s_i eating ∧ s_{1-i} eating ∧ trigger = 1-i }
-            ActionId::SubjectExit(i) => {
-                !s.crashed
-                    && s.s_phase[i] == Eating
-                    && s.s_phase[o(i)] == Eating
-                    && s.trigger as usize == o(i)
-            }
-            // a DX_i ping is in flight (the witness is always live).
-            ActionId::DeliverPing(i) => s.pings[i] > 0,
-            // a DX_i ack is in flight and q is live to receive it.
-            ActionId::DeliverAck(i) => !s.crashed && s.acks[i] > 0,
-            // hardened mode only: same delivery, rejected by the receiver.
-            ActionId::DeliverStaleAck(i) => self.cfg.strict_seq && !s.crashed && s.acks[i] > 0,
-            // seeded wire bug only.
-            ActionId::DuplicateAck(i) => {
-                self.cfg.model_mutation == ModelMutation::StaleAckReplay
-                    && !s.crashed
-                    && s.acks[i] > 0
-            }
-            // grants: unconstrained before convergence; exclusive per
-            // instance afterwards; exclusion binds live neighbors only.
-            ActionId::GrantWitness(i) => {
-                s.w_phase[i] == Hungry && (!s.converged || s.crashed || s.s_phase[i] != Eating)
-            }
-            ActionId::GrantSubject(i) => {
-                !s.crashed && s.s_phase[i] == Hungry && (!s.converged || s.w_phase[i] != Eating)
-            }
-            // ◇WX's exclusive suffix cannot begin mid-overlap of live
-            // neighbors.
-            ActionId::Converge => {
-                !s.converged
-                    && !(0..2)
-                        .any(|i| !s.crashed && s.w_phase[i] == Eating && s.s_phase[i] == Eating)
-            }
-            ActionId::CrashSubject => self.cfg.allow_crash && !s.crashed,
-        }
+        protocol::guard(&mut Concrete::default(), &self.cfg, s, id)
     }
 
     /// The update function of `id`: appends every abstract successor of
-    /// firing `id` in `s` to `out`. Most actions are deterministic (one
-    /// successor); deliveries out of a saturated counter and hardened ack
-    /// deliveries are the two sources of abstraction nondeterminism.
+    /// firing `id` in `s` to `out` — the concrete reading of
+    /// [`protocol::update`]. Most actions are deterministic (one
+    /// successor); a delivery out of a saturated counter yields the
+    /// `choice`-resolved pair `cap - 1`, `cap`.
     ///
     /// Must only be called when [`Ir::enabled`] holds (checked in debug).
     pub fn fire(&self, s: &AbsState, id: ActionId, out: &mut Vec<AbsState>) {
-        use DinerPhase::{Eating, Hungry, Thinking};
         debug_assert!(self.enabled(s, id), "firing disabled {id:?}");
-        let o = |i: usize| 1 - i;
-        let mut t = *s;
-        match id {
-            ActionId::WitnessHungry(i) => {
-                // w_i hungry in DX_i (the host applies BecomeHungry).
-                t.w_phase[i] = Hungry;
-                out.push(t);
-            }
-            ActionId::WitnessExit(i) => {
-                // suspect_q ← ¬haveping_i; haveping_i ← false;
-                // switch ← 1-i; w_i exits DX_i.
-                t.suspect = !t.haveping[i];
-                t.haveping[i] = false;
-                t.switch = o(i) as u8;
-                t.w_phase[i] = Thinking;
-                out.push(t);
-            }
-            ActionId::SubjectHungry(i) => {
-                t.s_phase[i] = Hungry;
-                out.push(t);
-            }
-            ActionId::SubjectPing(i) => {
-                // ping to p.w_i; ping_i ← false — SkipPingDisable forgets
-                // the disable, DropPingSend loses the send on the wire.
-                if self.cfg.subject_mutation != SubjectMutation::SkipPingDisable {
-                    t.ping_enabled[i] = false;
-                }
-                if self.cfg.model_mutation != ModelMutation::DropPingSend {
-                    t.pings[i] = sat_inc(t.pings[i], self.cfg.wire_cap);
-                }
-                out.push(t);
-            }
-            ActionId::SubjectExit(i) => {
-                // ping_i ← true; s_i exits DX_i.
-                t.ping_enabled[i] = true;
-                t.s_phase[i] = Thinking;
-                out.push(t);
-            }
-            ActionId::DeliverPing(i) => {
-                // W_p(i): haveping_i ← true; ack to q.s_i — unless q is a
-                // corpse, in which case the ack is dropped on the floor.
-                t.haveping[i] = true;
-                if !t.crashed {
-                    t.acks[i] = sat_inc(t.acks[i], self.cfg.wire_cap);
-                }
-                for dec in sat_dec(s.pings[i], self.cfg.wire_cap) {
-                    let mut u = t;
-                    u.pings[i] = dec;
-                    out.push(u);
-                }
-            }
-            ActionId::DeliverAck(i) => {
-                // S_a(i): trigger ← 1-i — SkipTriggerUpdate forgets it.
-                if self.cfg.subject_mutation != SubjectMutation::SkipTriggerUpdate {
-                    t.trigger = o(i) as u8;
-                }
-                for dec in sat_dec(s.acks[i], self.cfg.wire_cap) {
-                    let mut u = t;
-                    u.acks[i] = dec;
-                    out.push(u);
-                }
-            }
-            ActionId::DeliverStaleAck(i) => {
-                // Hardened S_a(i), sequence mismatch: consumed, ignored.
-                for dec in sat_dec(s.acks[i], self.cfg.wire_cap) {
-                    let mut u = t;
-                    u.acks[i] = dec;
-                    out.push(u);
-                }
-            }
-            ActionId::DuplicateAck(i) => {
-                t.acks[i] = sat_inc(t.acks[i], self.cfg.wire_cap);
-                out.push(t);
-            }
-            ActionId::GrantWitness(i) => {
-                t.w_phase[i] = Eating;
-                out.push(t);
-            }
-            ActionId::GrantSubject(i) => {
-                t.s_phase[i] = Eating;
-                out.push(t);
-            }
-            ActionId::Converge => {
-                t.converged = true;
-                out.push(t);
-            }
-            ActionId::CrashSubject => {
-                // In-flight pings still arrive at the live witness; acks in
-                // flight to q vanish.
-                t.crashed = true;
-                t.acks = [0, 0];
-                out.push(t);
-            }
+        let mut values = Concrete::default();
+        out.push(protocol::update(&mut values, &self.cfg, s, id, &false));
+        if values.saturated {
+            out.push(protocol::update(&mut values, &self.cfg, s, id, &true));
         }
     }
 
@@ -628,20 +454,22 @@ impl Ir {
     }
 }
 
-/// Saturating increment on the abstract wire domain.
-#[inline]
-fn sat_inc(c: u8, cap: u8) -> u8 {
-    (c + 1).min(cap)
-}
-
-/// Abstract decrement: exact below the cap; at the cap the true count is
-/// only known to be `≥ cap`, so the post-count is `cap - 1` *or* still
-/// `cap`.
-#[inline]
-fn sat_dec(c: u8, cap: u8) -> impl Iterator<Item = u8> {
-    debug_assert!(c > 0, "delivering from an empty pool");
-    let second = if c == cap { Some(cap) } else { None };
-    std::iter::once(c - 1).chain(second)
+/// The eight configurations of experiments E11/E13 at the default cap —
+/// faithful, hardened, crash-free and the five seeded mutants — which the
+/// interpretation tests sweep.
+#[cfg(test)]
+pub(crate) fn config_matrix() -> [IrConfig; 8] {
+    let f = IrConfig::faithful();
+    [
+        f,
+        IrConfig { strict_seq: true, ..f },
+        IrConfig { allow_crash: false, ..f },
+        IrConfig { subject_mutation: SubjectMutation::SkipPingDisable, ..f },
+        IrConfig { subject_mutation: SubjectMutation::IgnoreTriggerGuard, ..f },
+        IrConfig { subject_mutation: SubjectMutation::SkipTriggerUpdate, ..f },
+        IrConfig { model_mutation: ModelMutation::DropPingSend, ..f },
+        IrConfig { model_mutation: ModelMutation::StaleAckReplay, ..f },
+    ]
 }
 
 #[cfg(test)]

@@ -35,13 +35,14 @@
 //! seeded explorer reproduces a genuine violation from it.
 
 use crate::cnf::{
-    busy_count, deviation_count, encode_step, pin_bv, sym_clause, sym_in_closure, wire_sum, Bit,
-    Bv, CnfBuilder, SymState, SymStep,
+    busy_count, deviation_count, encode_step, pin_bv, wire_sum, Bit, Bv, CnfBuilder, SymState,
+    SymStep,
 };
 use crate::induct::{
-    clause_mask, insert_capped, Clause, Cti, CtiClassifier, InductOptions, LemmaSpec, LEMMA_SPECS,
+    clause_mask, insert_capped, Cti, CtiClassifier, InductOptions, LemmaSpec, LEMMA_SPECS,
 };
 use crate::ir::{AbsState, Ir, IrConfig};
+use crate::protocol;
 use crate::sat::{Lit, SatStats, SolveOutcome};
 
 /// Knobs of one symbolic run. The classification sub-options are shared
@@ -150,7 +151,8 @@ fn build_frame(b: &mut CnfBuilder, cap: u8) -> Frame {
     let props = LEMMA_SPECS
         .iter()
         .map(|spec| {
-            let bits: Vec<Bit> = spec.clauses.iter().map(|&c| sym_clause(b, &state, c)).collect();
+            let bits: Vec<Bit> =
+                spec.clauses.iter().map(|&c| protocol::clause(b, &state, c)).collect();
             b.and_many(&bits)
         })
         .collect();
@@ -283,15 +285,10 @@ pub fn run_kinduction(cfg: &IrConfig, opts: &KinductOptions) -> KinductRun {
         let pre = SymState::fresh(&mut b, cfg.wire_cap);
         let post = SymState::fresh(&mut b, cfg.wire_cap);
         let step = encode_step(&mut b, &ir, &pre, &post);
-        let pre_in = sym_in_closure(&mut b, &pre);
+        let pre_in = protocol::in_closure(&mut b, &pre);
         b.assert_true(pre_in);
         // Violation: post leaves the closure, or suspicion regresses.
-        let post_in = sym_in_closure(&mut b, &post);
-        let escaped = b.not(post_in);
-        let regressed = {
-            let np = b.not(post.suspect);
-            b.and(pre.suspect, np)
-        };
+        let [escaped, regressed] = protocol::closure_step_faults(&mut b, &pre, &post);
         let bad = b.or(escaped, regressed);
         let outcome = match bad {
             Bit::Const(false) => SolveOutcome::Unsat,
@@ -364,7 +361,7 @@ fn enumerate_ctis(
                     let broken: Vec<&'static str> = spec
                         .clauses
                         .iter()
-                        .filter(|c| m_post & clause_bit(**c) == 0)
+                        .filter(|c| m_post & c.bit() == 0)
                         .map(|c| c.name())
                         .collect();
                     let cti = Cti {
@@ -404,11 +401,6 @@ fn enumerate_ctis(
         }
     }
     verdict.ctis = collected;
-}
-
-fn clause_bit(c: Clause) -> u16 {
-    use crate::induct::ALL_CLAUSES;
-    1 << ALL_CLAUSES.iter().position(|&x| x == c).expect("clause in table")
 }
 
 fn add_stats(a: SatStats, b: SatStats) -> SatStats {

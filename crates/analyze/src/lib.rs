@@ -3,7 +3,9 @@
 //! The explorer (`dinefd-explore`) checks the paper's safety lemmas up to a
 //! depth bound; this crate removes the bound. It re-expresses the whole
 //! closed pair model as a **guarded-command IR** ([`ir`]) over a finite
-//! abstract domain (machine bits + phases + a saturating-counter wire),
+//! abstract domain (machine bits + phases + a saturating-counter wire) —
+//! its guards, updates and invariant clauses written once, generically
+//! ([`protocol`]), and read three ways: executed, bit-blasted, printed —
 //! proves the IR equivalent to the executable machines by differential
 //! property testing (`tests/ir_conformance.rs`), and then checks each lemma
 //! **inductively** ([`induct`]): every action fired from every
@@ -25,8 +27,8 @@
 //! deterministic CDCL solver, and [`run_kinduction`] discharges base and
 //! step cases as (un)satisfiability queries — at cap 2 byte-for-byte
 //! agreeing with the enumerator (verdicts *and* retained CTI sets), at caps
-//! up to 8 reaching domains the enumerator cannot. [`tla`] exports the same
-//! IR as a deterministic TLA+ module for cross-validation with TLC.
+//! up to 8 reaching domains the enumerator cannot. [`tla`] prints the same
+//! definitions as a deterministic TLA+ module for cross-validation with TLC.
 //!
 //! [`lints`] adds five cheap semantic audits of the IR and the machine
 //! codecs (guard disjointness, dead guards, duplicate-delivery idempotence,
@@ -45,6 +47,7 @@ pub mod induct;
 pub mod ir;
 pub mod kinduct;
 pub mod lints;
+pub mod protocol;
 pub mod sat;
 pub mod tla;
 

@@ -432,24 +432,7 @@ mod tests {
 
     #[test]
     fn guard_completeness_is_clean_across_the_config_matrix() {
-        use dinefd_explore::ModelMutation;
-        let configs = [
-            IrConfig::faithful(),
-            IrConfig { strict_seq: true, ..IrConfig::faithful() },
-            IrConfig { allow_crash: false, ..IrConfig::default() },
-            IrConfig { subject_mutation: SubjectMutation::SkipPingDisable, ..IrConfig::faithful() },
-            IrConfig {
-                subject_mutation: SubjectMutation::IgnoreTriggerGuard,
-                ..IrConfig::faithful()
-            },
-            IrConfig {
-                subject_mutation: SubjectMutation::SkipTriggerUpdate,
-                ..IrConfig::faithful()
-            },
-            IrConfig { model_mutation: ModelMutation::DropPingSend, ..IrConfig::faithful() },
-            IrConfig { model_mutation: ModelMutation::StaleAckReplay, ..IrConfig::faithful() },
-        ];
-        for cfg in configs {
+        for cfg in crate::ir::config_matrix() {
             let ir = Ir::new(cfg);
             let (_, _, completeness) = guard_lints(&ir);
             assert!(completeness.is_empty(), "{cfg:?}: {completeness:?}");

@@ -5,11 +5,15 @@
 //! failure-detector specs: flat `VARIABLES`, one definition per guarded
 //! action with an explicit `UNCHANGED` frame, a disjunctive `Next`, and the
 //! strengthened lemma conjunction as a checkable invariant `Inv`. The
-//! module is generated from the *same* per-config guard and update
-//! structure the explicit enumerator and the SAT encoding use, so feeding
-//! it to TLC cross-validates all three against an independent engine:
-//! `TLC -invariant Inv DineFD` explores exactly the typed abstract
-//! reachable set at `WireCap`.
+//! guards, the primed updates, the frames and the clauses are **derived**:
+//! a printer implements the value [`Algebra`] the protocol is written over
+//! ([`crate::protocol`]), so the very definitions the enumerator executes
+//! and the SAT encoding bit-blasts come out as TLA+ text; `Next` lists
+//! [`Ir::actions`] one to one. Only the module scaffolding (header,
+//! `TypeOK`, `Init`, the saturating-arithmetic operators) is literal text.
+//! Feeding the module to TLC therefore cross-validates the one definition
+//! against an independent engine: `TLC -invariant Inv DineFD` explores
+//! exactly the typed abstract reachable set at `WireCap`.
 //!
 //! The rendering is **deterministic** — a pure function of the
 //! configuration, no timestamps, no hash-ordered iteration — and the
@@ -18,16 +22,18 @@
 //! byte-for-byte (checked in the test below and in CI).
 //!
 //! Abstraction nondeterminism carries over: a delivery out of a saturated
-//! counter chooses its post-count from `SatDecs`, exactly mirroring
-//! [`crate::ir`]'s `sat_dec` and the choice literal of [`crate::cnf`].
+//! counter draws its post-count from `SatDecs`, the set-valued spelling of
+//! the `choice` input the other two interpretations resolve it with.
 
-use crate::ir::IrConfig;
-use dinefd_core::machines::SubjectMutation;
-use dinefd_explore::ModelMutation;
-use std::fmt::Write as _;
+use crate::induct::ALL_CLAUSES;
+use crate::ir::{AbsState, ActionId, Ir, IrConfig};
+use crate::protocol::{self, Algebra, StateOf};
+use dinefd_dining::DinerPhase;
+use std::fmt::{self, Write as _};
 
 /// Variable names in declaration order (the order is part of the golden
-/// surface: `vars`, every `UNCHANGED` frame, and `TypeOK` all follow it).
+/// surface: `vars`, every primed conjunct, every `UNCHANGED` frame and
+/// `TypeOK` all follow it).
 const VARS: [&str; 11] = [
     "wPhase",
     "sPhase",
@@ -42,215 +48,249 @@ const VARS: [&str; 11] = [
     "acks",
 ];
 
-/// One rendered action definition: name, optional instance parameter,
-/// guard conjuncts, update conjuncts, and the set of variables updated
-/// (everything else lands in `UNCHANGED`).
-struct TlaAction {
-    name: &'static str,
-    parametric: bool,
-    guard: Vec<String>,
-    updates: Vec<String>,
-    updated: Vec<&'static str>,
+/// How the two dining instances are spelled: the protocol is uniform in the
+/// instance, so rendering instance 0 as the parameter `i` (and instance 1
+/// as `1 - i`) turns one instance's guard and update into the parametric
+/// TLA+ definition, and a quantifier body into its bound form.
+const INSTANCE: [&str; 2] = ["i", "1 - i"];
+
+/// The name a saturated decrement's nondeterministic result is bound to.
+const DRAWN: &str = "d";
+
+/// A TLA+ expression, with just enough structure to negate and
+/// parenthesize idiomatically.
+#[derive(Clone, Debug, PartialEq)]
+enum Tla {
+    Const(bool),
+    /// Binds tighter than every connective: a variable, literal or
+    /// operator application.
+    Atom(String),
+    /// `lhs op rhs` for a relational operator (`=` negates to `#`).
+    Rel(String, &'static str, String),
+    Not(Box<Tla>),
+    And(Vec<Tla>),
+    Or(Vec<Tla>),
+    /// `\A` / `\E` over the instance parameter.
+    Quant(&'static str, Box<Tla>),
 }
 
-fn unchanged_frame(updated: &[&str]) -> String {
-    let rest: Vec<&str> = VARS.iter().copied().filter(|v| !updated.contains(v)).collect();
-    format!("UNCHANGED << {} >>", rest.join(", "))
+impl Tla {
+    fn rel(lhs: &Tla, op: &'static str, rhs: &Tla) -> Tla {
+        Tla::Rel(lhs.to_string(), op, rhs.to_string())
+    }
+
+    /// The n-ary connective whose unit is `unit` (`true`: conjunction):
+    /// units vanish, the absorbing constant wins, a single operand stands
+    /// for itself.
+    fn connect(xs: &[&Tla], unit: bool) -> Tla {
+        let mut kept = Vec::with_capacity(xs.len());
+        for &x in xs {
+            match x {
+                Tla::Const(c) if *c == unit => {}
+                Tla::Const(_) => return Tla::Const(!unit),
+                _ => kept.push(x.clone()),
+            }
+        }
+        match kept.len() {
+            0 => Tla::Const(unit),
+            1 => kept.remove(0),
+            _ if unit => Tla::And(kept),
+            _ => Tla::Or(kept),
+        }
+    }
+
+    /// The top-level conjuncts, for a bulleted `/\` list.
+    fn conjuncts(&self) -> &[Tla] {
+        match self {
+            Tla::And(xs) => xs,
+            Tla::Const(true) => &[],
+            x => std::slice::from_ref(x),
+        }
+    }
 }
 
-fn push_action(out: &mut String, a: &TlaAction) {
-    let head = if a.parametric { format!("{}(i)", a.name) } else { a.name.to_string() };
-    let _ = writeln!(out, "{head} ==");
-    for g in &a.guard {
-        let _ = writeln!(out, "    /\\ {g}");
+impl fmt::Display for Tla {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // `/\` and `\/` do not mix unparenthesized, and a quantifier
+        // extends as far right as it can.
+        let operands = |xs: &[Tla], op: &str| {
+            let shown: Vec<String> = xs
+                .iter()
+                .map(|x| match x {
+                    Tla::And(_) | Tla::Or(_) | Tla::Quant(..) => format!("({x})"),
+                    _ => x.to_string(),
+                })
+                .collect();
+            shown.join(op)
+        };
+        match self {
+            Tla::Const(true) => f.write_str("TRUE"),
+            Tla::Const(false) => f.write_str("FALSE"),
+            Tla::Atom(text) => f.write_str(text),
+            Tla::Rel(lhs, op, rhs) => write!(f, "{lhs} {op} {rhs}"),
+            Tla::Not(x) if matches!(**x, Tla::Atom(_)) => write!(f, "~{x}"),
+            Tla::Not(x) => write!(f, "~({x})"),
+            Tla::And(xs) => f.write_str(&operands(xs, " /\\ ")),
+            Tla::Or(xs) => f.write_str(&operands(xs, " \\/ ")),
+            Tla::Quant(q, body) => write!(f, "{q} i \\in I : {body}"),
+        }
     }
-    for u in &a.updates {
-        let _ = writeln!(out, "    /\\ {u}");
+}
+
+/// The printer interpretation of the protocol's value algebra: every
+/// operation builds TLA+ text.
+#[derive(Debug, Default)]
+struct Printer {
+    /// The binder of [`DRAWN`], once the action has performed its saturated
+    /// decrement.
+    binder: String,
+}
+
+impl Algebra for Printer {
+    type Bool = Tla;
+    type Phase = Tla;
+    type Sel = Tla;
+    type Count = Tla;
+
+    fn constant(&mut self, v: bool) -> Tla {
+        Tla::Const(v)
     }
-    let _ = writeln!(out, "    /\\ {}", unchanged_frame(&a.updated));
+    fn not(&mut self, x: &Tla) -> Tla {
+        match x {
+            Tla::Const(c) => Tla::Const(!c),
+            Tla::Rel(lhs, "=", rhs) => Tla::Rel(lhs.clone(), "#", rhs.clone()),
+            _ => Tla::Not(Box::new(x.clone())),
+        }
+    }
+    fn all(&mut self, xs: &[&Tla]) -> Tla {
+        Tla::connect(xs, true)
+    }
+    fn any(&mut self, xs: &[&Tla]) -> Tla {
+        Tla::connect(xs, false)
+    }
+    fn for_all(&mut self, mut f: impl FnMut(&mut Self, usize) -> Tla) -> Tla {
+        Tla::Quant("\\A", Box::new(f(self, 0)))
+    }
+    fn exists(&mut self, mut f: impl FnMut(&mut Self, usize) -> Tla) -> Tla {
+        Tla::Quant("\\E", Box::new(f(self, 0)))
+    }
+    fn phase(&mut self, p: DinerPhase) -> Tla {
+        Tla::Atom(format!("\"{p}\""))
+    }
+    fn phase_is(&mut self, x: &Tla, p: DinerPhase) -> Tla {
+        Tla::rel(x, "=", &self.phase(p))
+    }
+    fn side(&mut self, i: usize) -> Tla {
+        Tla::Atom(INSTANCE[i].to_string())
+    }
+    fn sel_is(&mut self, x: &Tla, i: usize) -> Tla {
+        Tla::rel(x, "=", &self.side(i))
+    }
+    fn zero(&mut self, _cap: u8) -> Tla {
+        Tla::Atom("0".to_string())
+    }
+    fn nonzero(&mut self, c: &Tla) -> Tla {
+        Tla::Rel(c.to_string(), ">", "0".to_string())
+    }
+    fn sum_le(&mut self, a: &Tla, b: &Tla, k: u8) -> Tla {
+        Tla::Rel(format!("{a} + {b}"), "<=", k.to_string())
+    }
+    fn sat_inc(&mut self, c: &Tla, _cap: u8) -> Tla {
+        Tla::Atom(format!("SatInc({c})"))
+    }
+    /// TLA+ says "either" with a set, not a choice bit: the result is
+    /// [`DRAWN`] from `SatDecs(c)`, bound where the update is printed.
+    fn sat_dec(&mut self, c: &Tla, _cap: u8, _choice: &Tla) -> Tla {
+        self.binder = format!("\\E {DRAWN} \\in SatDecs({c}) : ");
+        Tla::Atom(DRAWN.to_string())
+    }
+    fn select(&mut self, cond: &Tla, then_c: &Tla, else_c: &Tla) -> Tla {
+        Tla::Atom(format!("IF {cond} THEN {then_c} ELSE {else_c}"))
+    }
+}
+
+/// The state the printer reads: every variable by name, arrays cell by
+/// cell under the [`INSTANCE`] spelling.
+fn variables() -> StateOf<Printer> {
+    let scalar = |v: &str| Tla::Atom(v.to_string());
+    let cells = |v: &str| INSTANCE.map(|i| Tla::Atom(format!("{v}[{i}]")));
+    let [w_phase, s_phase, switch, haveping, suspect, trigger, ping, converged, crashed, pings, acks] =
+        VARS;
+    AbsState {
+        w_phase: cells(w_phase),
+        s_phase: cells(s_phase),
+        switch: scalar(switch),
+        haveping: cells(haveping),
+        suspect: scalar(suspect),
+        trigger: scalar(trigger),
+        ping_enabled: cells(ping),
+        converged: scalar(converged),
+        crashed: scalar(crashed),
+        pings: cells(pings),
+        acks: cells(acks),
+    }
+}
+
+/// The cells of every variable of `s`, in [`VARS`] order.
+fn cells(s: &StateOf<Printer>) -> [&[Tla]; 11] {
+    use std::slice::from_ref;
+    [
+        &s.w_phase,
+        &s.s_phase,
+        from_ref(&s.switch),
+        &s.haveping,
+        from_ref(&s.suspect),
+        from_ref(&s.trigger),
+        &s.ping_enabled,
+        from_ref(&s.converged),
+        from_ref(&s.crashed),
+        &s.pings,
+        &s.acks,
+    ]
+}
+
+/// Appends the definition of `id`'s action: the guard's conjuncts, one
+/// primed conjunct per variable whose post-state cells differ from the
+/// pre-state's, and everything else in the `UNCHANGED` frame.
+fn push_action(out: &mut String, cfg: &IrConfig, id: ActionId) {
+    let mut printer = Printer::default();
+    let pre = variables();
+    let guard = protocol::guard(&mut printer, cfg, &pre, id);
+    // The printer resolves a saturated decrement with `SatDecs`, not with
+    // the choice input, so any value will do for it.
+    let post = protocol::update(&mut printer, cfg, &pre, id, &Tla::Const(false));
+    let _ = writeln!(out, "{} ==", format!("{id:?}").replace("(0)", "(i)"));
+    for conjunct in guard.conjuncts() {
+        let _ = writeln!(out, "    /\\ {conjunct}");
+    }
+    let mut unchanged = Vec::new();
+    for ((var, before), after) in VARS.iter().zip(cells(&pre)).zip(cells(&post)) {
+        let changed: Vec<usize> = (0..before.len()).filter(|&k| before[k] != after[k]).collect();
+        if changed.is_empty() {
+            unchanged.push(*var);
+            continue;
+        }
+        let value = if before.len() == 1 {
+            after[0].to_string()
+        } else if changed.len() == 2 && after[0] == after[1] {
+            format!("[i \\in I |-> {}]", after[0])
+        } else {
+            let edits: Vec<String> =
+                changed.iter().map(|&k| format!("![{}] = {}", INSTANCE[k], after[k])).collect();
+            format!("[{var} EXCEPT {}]", edits.join(", "))
+        };
+        let drawn = changed.iter().any(|&k| after[k] == Tla::Atom(DRAWN.to_string()));
+        let binder = if drawn { printer.binder.as_str() } else { "" };
+        let _ = writeln!(out, "    /\\ {binder}{var}' = {value}");
+    }
+    let _ = writeln!(out, "    /\\ UNCHANGED << {} >>", unchanged.join(", "));
     let _ = writeln!(out);
-}
-
-/// Builds the per-config action list, in the IR's table order (families
-/// collapsed to one parametric definition each).
-fn actions_for(cfg: &IrConfig) -> Vec<TlaAction> {
-    let mut acts = Vec::new();
-
-    acts.push(TlaAction {
-        name: "WHungry",
-        parametric: true,
-        guard: vec![
-            r#"wPhase[i] = "thinking""#.into(),
-            r#"wPhase[1 - i] = "thinking""#.into(),
-            "switch = i".into(),
-        ],
-        updates: vec![r#"wPhase' = [wPhase EXCEPT ![i] = "hungry"]"#.into()],
-        updated: vec!["wPhase"],
-    });
-
-    acts.push(TlaAction {
-        name: "WExit",
-        parametric: true,
-        guard: vec![r#"wPhase[i] = "eating""#.into()],
-        updates: vec![
-            "suspect' = ~haveping[i]".into(),
-            "haveping' = [haveping EXCEPT ![i] = FALSE]".into(),
-            "switch' = 1 - i".into(),
-            r#"wPhase' = [wPhase EXCEPT ![i] = "thinking"]"#.into(),
-        ],
-        updated: vec!["wPhase", "switch", "haveping", "suspect"],
-    });
-
-    let mut s_hungry_guard = vec!["~crashed".into(), r#"sPhase[i] = "thinking""#.into()];
-    if cfg.subject_mutation != SubjectMutation::IgnoreTriggerGuard {
-        s_hungry_guard.push("trigger = i".into());
-    }
-    acts.push(TlaAction {
-        name: "SHungry",
-        parametric: true,
-        guard: s_hungry_guard,
-        updates: vec![r#"sPhase' = [sPhase EXCEPT ![i] = "hungry"]"#.into()],
-        updated: vec!["sPhase"],
-    });
-
-    let mut s_ping_updates = Vec::new();
-    let mut s_ping_updated = Vec::new();
-    if cfg.subject_mutation != SubjectMutation::SkipPingDisable {
-        s_ping_updates.push("pingEnabled' = [pingEnabled EXCEPT ![i] = FALSE]".into());
-        s_ping_updated.push("pingEnabled");
-    }
-    if cfg.model_mutation != ModelMutation::DropPingSend {
-        s_ping_updates.push("pings' = [pings EXCEPT ![i] = SatInc(pings[i])]".into());
-        s_ping_updated.push("pings");
-    }
-    acts.push(TlaAction {
-        name: "SPing",
-        parametric: true,
-        guard: vec![
-            "~crashed".into(),
-            r#"sPhase[i] = "eating""#.into(),
-            r#"sPhase[1 - i] # "eating""#.into(),
-            "pingEnabled[i]".into(),
-        ],
-        updates: s_ping_updates,
-        updated: s_ping_updated,
-    });
-
-    acts.push(TlaAction {
-        name: "SExit",
-        parametric: true,
-        guard: vec![
-            "~crashed".into(),
-            r#"sPhase[i] = "eating""#.into(),
-            r#"sPhase[1 - i] = "eating""#.into(),
-            "trigger = 1 - i".into(),
-        ],
-        updates: vec![
-            "pingEnabled' = [pingEnabled EXCEPT ![i] = TRUE]".into(),
-            r#"sPhase' = [sPhase EXCEPT ![i] = "thinking"]"#.into(),
-        ],
-        updated: vec!["sPhase", "pingEnabled"],
-    });
-
-    acts.push(TlaAction {
-        name: "DeliverPing",
-        parametric: true,
-        guard: vec!["pings[i] > 0".into()],
-        updates: vec![
-            "haveping' = [haveping EXCEPT ![i] = TRUE]".into(),
-            "acks' = [acks EXCEPT ![i] = IF crashed THEN acks[i] ELSE SatInc(acks[i])]".into(),
-            "\\E d \\in SatDecs(pings[i]) : pings' = [pings EXCEPT ![i] = d]".into(),
-        ],
-        updated: vec!["haveping", "pings", "acks"],
-    });
-
-    let mut ack_updates = Vec::new();
-    let mut ack_updated = Vec::new();
-    if cfg.subject_mutation != SubjectMutation::SkipTriggerUpdate {
-        ack_updates.push("trigger' = 1 - i".into());
-        ack_updated.push("trigger");
-    }
-    ack_updates.push("\\E d \\in SatDecs(acks[i]) : acks' = [acks EXCEPT ![i] = d]".into());
-    ack_updated.push("acks");
-    acts.push(TlaAction {
-        name: "DeliverAck",
-        parametric: true,
-        guard: vec!["~crashed".into(), "acks[i] > 0".into()],
-        updates: ack_updates,
-        updated: ack_updated,
-    });
-
-    acts.push(TlaAction {
-        name: "GrantW",
-        parametric: true,
-        guard: vec![
-            r#"wPhase[i] = "hungry""#.into(),
-            r#"~converged \/ crashed \/ sPhase[i] # "eating""#.into(),
-        ],
-        updates: vec![r#"wPhase' = [wPhase EXCEPT ![i] = "eating"]"#.into()],
-        updated: vec!["wPhase"],
-    });
-
-    acts.push(TlaAction {
-        name: "GrantS",
-        parametric: true,
-        guard: vec![
-            "~crashed".into(),
-            r#"sPhase[i] = "hungry""#.into(),
-            r#"~converged \/ wPhase[i] # "eating""#.into(),
-        ],
-        updates: vec![r#"sPhase' = [sPhase EXCEPT ![i] = "eating"]"#.into()],
-        updated: vec!["sPhase"],
-    });
-
-    acts.push(TlaAction {
-        name: "Converge",
-        parametric: false,
-        guard: vec![
-            "~converged".into(),
-            r#"\A i \in I : crashed \/ ~(wPhase[i] = "eating" /\ sPhase[i] = "eating")"#.into(),
-        ],
-        updates: vec!["converged' = TRUE".into()],
-        updated: vec!["converged"],
-    });
-
-    if cfg.strict_seq {
-        acts.push(TlaAction {
-            name: "DeliverStaleAck",
-            parametric: true,
-            guard: vec!["~crashed".into(), "acks[i] > 0".into()],
-            updates: vec!["\\E d \\in SatDecs(acks[i]) : acks' = [acks EXCEPT ![i] = d]".into()],
-            updated: vec!["acks"],
-        });
-    }
-
-    if cfg.model_mutation == ModelMutation::StaleAckReplay {
-        acts.push(TlaAction {
-            name: "DuplicateAck",
-            parametric: true,
-            guard: vec!["~crashed".into(), "acks[i] > 0".into()],
-            updates: vec!["acks' = [acks EXCEPT ![i] = SatInc(acks[i])]".into()],
-            updated: vec!["acks"],
-        });
-    }
-
-    if cfg.allow_crash {
-        acts.push(TlaAction {
-            name: "Crash",
-            parametric: false,
-            guard: vec!["~crashed".into()],
-            updates: vec!["crashed' = TRUE".into(), "acks' = [i \\in I |-> 0]".into()],
-            updated: vec!["crashed", "acks"],
-        });
-    }
-
-    acts
 }
 
 /// Renders `cfg`'s action system as the TLA+ module `DineFD`. Pure and
 /// deterministic: identical configurations render identical bytes.
 pub fn render_tla(cfg: &IrConfig) -> String {
-    let acts = actions_for(cfg);
+    let ir = Ir::new(*cfg);
     let mut out = String::new();
     let _ =
         writeln!(out, "---------------------------- MODULE DineFD ----------------------------");
@@ -318,37 +358,27 @@ pub fn render_tla(cfg: &IrConfig) -> String {
     let _ = writeln!(out, "    /\\ pings = [i \\in I |-> 0]");
     let _ = writeln!(out, "    /\\ acks = [i \\in I |-> 0]");
     let _ = writeln!(out);
-    for a in &acts {
-        push_action(&mut out, a);
+    for a in ir.actions() {
+        // Instance 1 of a family shares instance 0's parametric definition.
+        if !format!("{:?}", a.id).ends_with("(1)") {
+            push_action(&mut out, cfg, a.id);
+        }
     }
     let _ = writeln!(out, "Next ==");
-    for a in &acts {
-        if a.parametric {
-            let _ = writeln!(out, "    \\/ \\E i \\in I : {}(i)", a.name);
-        } else {
-            let _ = writeln!(out, "    \\/ {}", a.name);
-        }
+    for a in ir.actions() {
+        let _ = writeln!(out, "    \\/ {:?}", a.id);
     }
     let _ = writeln!(out);
     let _ = writeln!(out, "(* The paper's safety lemmas (Lemmas 2-4, 9, exclusion soundness) and");
     let _ = writeln!(out, "   the strengthening clauses that make them inductive -- the same");
     let _ = writeln!(out, "   conjunction crates/analyze proves by enumeration and by SAT. *)");
-    let _ = writeln!(out, "DxInFlight(i) == pings[i] > 0 \\/ acks[i] > 0");
+    let (mut printer, state) = (Printer::default(), variables());
+    for c in ALL_CLAUSES {
+        let _ = writeln!(out, "{c:?} == {}", protocol::clause(&mut printer, &state, c));
+    }
     let _ = writeln!(out);
-    let _ =
-        writeln!(out, "L2 == \\A i \\in I : crashed \\/ sPhase[i] = \"eating\" \\/ pingEnabled[i]");
-    let _ = writeln!(out, "L3 == \\A i \\in I : crashed \\/ sPhase[i] = \"eating\" \\/ ~pingEnabled[i] \\/ ~DxInFlight(i)");
-    let _ =
-        writeln!(out, "L4 == \\A i \\in I : crashed \\/ sPhase[i] # \"hungry\" \\/ trigger = i");
-    let _ = writeln!(out, "L9 == \\E i \\in I : wPhase[i] = \"thinking\"");
-    let _ = writeln!(out, "Excl == \\A i \\in I : ~converged \\/ crashed \\/ ~(wPhase[i] = \"eating\" /\\ sPhase[i] = \"eating\")");
-    let _ = writeln!(out, "WTurn == wPhase[1 - switch] = \"thinking\"");
-    let _ = writeln!(out, "R1 == \\A i \\in I : pings[i] + acks[i] <= 1");
-    let _ = writeln!(out, "R2 == \\A i \\in I : ~DxInFlight(i) \\/ ~pingEnabled[i]");
-    let _ = writeln!(out, "RegimeTrig == \\A i \\in I : ~DxInFlight(i) \\/ trigger = i");
-    let _ = writeln!(out, "R6 == \\A i \\in I : crashed \\/ ~pingEnabled[i] \\/ sPhase[i] # \"eating\" \\/ trigger = i");
-    let _ = writeln!(out);
-    let _ = writeln!(out, "Inv == TypeOK /\\ L2 /\\ L3 /\\ L4 /\\ L9 /\\ Excl /\\ WTurn /\\ R1 /\\ R2 /\\ RegimeTrig /\\ R6");
+    let names: Vec<String> = ALL_CLAUSES.iter().map(|c| format!("{c:?}")).collect();
+    let _ = writeln!(out, "Inv == TypeOK /\\ {}", names.join(" /\\ "));
     let _ = writeln!(out);
     let _ = writeln!(out, "Spec == Init /\\ [][Next]_vars");
     let _ = writeln!(out);
@@ -381,10 +411,36 @@ mod tests {
         assert_eq!(rendered, GOLDEN, "golden drift: rerun with DINEFD_REGEN_GOLDEN=1");
     }
 
+    /// Every configuration of the test matrix at the smallest and largest
+    /// wire cap.
+    fn matrix() -> impl Iterator<Item = IrConfig> {
+        [2, 8].into_iter().flat_map(|wire_cap| {
+            crate::ir::config_matrix().into_iter().map(move |cfg| IrConfig { wire_cap, ..cfg })
+        })
+    }
+
     #[test]
     fn rendering_is_deterministic() {
-        let cfg = IrConfig::faithful();
-        assert_eq!(render_tla(&cfg), render_tla(&cfg));
+        for cfg in matrix() {
+            assert_eq!(render_tla(&cfg), render_tla(&cfg), "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn next_lists_exactly_the_actions_of_the_ir() {
+        for cfg in matrix() {
+            let module = render_tla(&cfg);
+            let (_, after) = module.split_once("Next ==\n").expect("Next definition");
+            let disjuncts: Vec<&str> =
+                after.lines().map_while(|l| l.strip_prefix("    \\/ ")).collect();
+            let ir = Ir::new(cfg);
+            let actions: Vec<String> = ir.actions().iter().map(|a| format!("{:?}", a.id)).collect();
+            assert_eq!(disjuncts, actions, "{cfg:?}");
+            for name in &actions {
+                let head = name.replace("(0)", "(i)").replace("(1)", "(i)");
+                assert!(module.contains(&format!("\n{head} ==\n")), "{cfg:?}: {head} undefined");
+            }
+        }
     }
 
     #[test]
@@ -408,14 +464,16 @@ mod tests {
     fn every_variable_is_framed_in_every_action() {
         // Each action definition must mention every variable exactly once as
         // either primed or UNCHANGED (a malformed frame is how TLA+ specs rot).
-        let module = render_tla(&IrConfig::faithful());
-        for block in module.split("\n\n").filter(|b| b.contains("UNCHANGED")) {
-            for v in super::VARS {
-                let primed = block.contains(&format!("{v}' ="));
-                let frame_line =
-                    block.lines().find(|l| l.contains("UNCHANGED")).expect("frame line");
-                let framed = frame_line.contains(v);
-                assert!(primed ^ framed, "variable {v} must be primed XOR framed in:\n{block}");
+        for cfg in matrix() {
+            let module = render_tla(&cfg);
+            for block in module.split("\n\n").filter(|b| b.contains("UNCHANGED")) {
+                for v in super::VARS {
+                    let primed = block.contains(&format!("{v}' ="));
+                    let frame_line =
+                        block.lines().find(|l| l.contains("UNCHANGED")).expect("frame line");
+                    let framed = frame_line.contains(v);
+                    assert!(primed ^ framed, "{v} must be primed XOR framed in:\n{block}");
+                }
             }
         }
     }

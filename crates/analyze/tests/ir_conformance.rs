@@ -16,8 +16,12 @@
 //! * **simulation** — along random walks of the *concrete* model, every
 //!   transition is matched by an IR action reproducing the abstracted
 //!   post-state: the abstraction really over-approximates the system, so
-//!   inductive invariants transfer to all reachable concrete states.
+//!   inductive invariants transfer to all reachable concrete states;
+//! * **lemma agreement** — along the same walks, the explorer's lemma
+//!   predicates on the concrete state equal the IR's clauses on its
+//!   abstraction.
 
+use dinefd_analyze::induct::Clause;
 use dinefd_analyze::ir::{AbsState, ActionId, Ir, IrConfig, WIRE_CAP};
 use dinefd_core::machines::{
     SubjectAction, SubjectCmd, SubjectMachine, SubjectMutation, WitnessAction, WitnessCmd,
@@ -306,6 +310,18 @@ proptest! {
             let (label, post) = &succ[(c as usize) % succ.len()];
             let pre_abs = AbsState::abstract_of(&state);
             let post_abs = AbsState::abstract_of(post);
+
+            // The explorer's own lemma oracle on the concrete state and the
+            // IR's clauses on its abstraction are independent definitions.
+            for (clause, concrete) in [
+                (Clause::L2, dinefd_explore::lemma2_holds(&state)),
+                (Clause::L3, dinefd_explore::lemma3_holds(&state)),
+                (Clause::L4, dinefd_explore::lemma4_holds(&state)),
+                (Clause::L9, dinefd_explore::lemma9_holds(&state)),
+                (Clause::Excl, dinefd_explore::exclusion_holds(&state)),
+            ] {
+                prop_assert_eq!(clause.holds(&pre_abs), concrete, "{:?} at {:?}", clause, state);
+            }
 
             // The IR action(s) that may simulate this concrete label.
             let expected: Vec<ActionId> = match *label {

@@ -90,7 +90,6 @@
 //! --streaming               extract through the streaming sink
 //! --batch                   coalesce same-instant sends into envelopes
 //! --queue wheel|heap        event queue backend     (default wheel)
-//! --heap                    deprecated alias for --queue heap
 //! --strict                  sequence-checked acks (hardened subject)
 //! ```
 //!
@@ -127,6 +126,7 @@ use dinefd_core::machines::SubjectMutation;
 use dinefd_explore::ModelMutation;
 use dinefd_fuzz::{FuzzConfig, Fuzzer};
 use dinefd_sim::scenario_dsl::Scenario;
+use std::io::Write as _;
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -151,27 +151,50 @@ fn usage(err: &str) -> ExitCode {
     ExitCode::from(64)
 }
 
-fn help() -> ExitCode {
-    println!("{USAGE}");
-    ExitCode::SUCCESS
+/// Every subcommand's stdout: one locked handle on which a closed pipe
+/// (`dinefd extract … | head -1`) is a quiet, successful end of output
+/// rather than `println!`'s panic. Once the reader is gone the remaining
+/// output is dropped; any other write error still aborts loudly.
+struct Out {
+    pipe: Option<std::io::StdoutLock<'static>>,
+}
+
+impl Out {
+    fn write(&mut self, text: std::fmt::Arguments<'_>) {
+        let Some(pipe) = &mut self.pipe else { return };
+        match pipe.write_fmt(text) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => self.pipe = None,
+            Err(e) => panic!("failed printing to stdout: {e}"),
+        }
+    }
+}
+
+/// `println!` onto an [`Out`].
+macro_rules! outln {
+    ($out:expr, $($arg:tt)*) => {
+        $out.write(format_args!("{}\n", format_args!($($arg)*)))
+    };
 }
 
 fn main() -> ExitCode {
+    let out = &mut Out { pipe: Some(std::io::stdout().lock()) };
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        return help();
+        outln!(out, "{USAGE}");
+        return ExitCode::SUCCESS;
     }
     match args.first().map(String::as_str) {
-        Some("analyze") => analyze(&args[1..]),
-        Some("fuzz") => fuzz(&args[1..]),
-        Some("extract") => extract(&args[1..]),
-        Some("live") => live(&args[1..]),
+        Some("analyze") => analyze(&args[1..], out),
+        Some("fuzz") => fuzz(&args[1..], out),
+        Some("extract") => extract(&args[1..], out),
+        Some("live") => live(&args[1..], out),
         Some(other) => usage(&format!("unknown subcommand `{other}`")),
         None => usage("missing subcommand"),
     }
 }
 
-fn fuzz(args: &[String]) -> ExitCode {
+fn fuzz(args: &[String], out: &mut Out) -> ExitCode {
     let mut doc = Scenario::default();
     let mut time_budget: Option<u64> = None;
     let mut it = args.iter();
@@ -252,7 +275,8 @@ fn fuzz(args: &[String]) -> ExitCode {
     }
     let report = fuzzer.run();
 
-    println!(
+    outln!(
+        out,
         "fuzz: {} executions, {} iterations, {} states covered, {} corpus entries{}",
         report.executions,
         report.iterations_run,
@@ -261,8 +285,9 @@ fn fuzz(args: &[String]) -> ExitCode {
         if report.timed_out { " (time budget expired)" } else { "" },
     );
     for f in &report.findings {
-        println!("FINDING [{}] at iteration {}: {}", f.lemma, f.iteration, f.message);
-        println!(
+        outln!(out, "FINDING [{}] at iteration {}: {}", f.lemma, f.iteration, f.message);
+        outln!(
+            out,
             "  minimized prefix ({} of {} steps): {}",
             f.minimized.len(),
             f.path.len(),
@@ -270,17 +295,17 @@ fn fuzz(args: &[String]) -> ExitCode {
         );
     }
     for (k, v) in report.metrics() {
-        println!("{k} = {v}");
+        outln!(out, "{k} = {v}");
     }
     if report.findings.is_empty() {
-        println!("fuzz: no lemma violations found");
+        outln!(out, "fuzz: no lemma violations found");
         ExitCode::SUCCESS
     } else {
         ExitCode::from(2)
     }
 }
 
-fn extract(args: &[String]) -> ExitCode {
+fn extract(args: &[String], out: &mut Out) -> ExitCode {
     use dinefd_core::{run_extraction, BlackBox};
     use dinefd_sim::{CrashPlan, ProcessId, QueueBackend, Time};
 
@@ -349,10 +374,6 @@ fn extract(args: &[String]) -> ExitCode {
                     other => return usage(&format!("unknown queue backend `{other}`")),
                 };
             }
-            "--heap" => {
-                eprintln!("warning: --heap is deprecated, use --queue heap");
-                queue = QueueBackend::Heap;
-            }
             "--strict" => strict = true,
             other => return usage(&format!("unknown flag `{other}`")),
         }
@@ -375,7 +396,8 @@ fn extract(args: &[String]) -> ExitCode {
     }
     let res = run_extraction(sc);
 
-    println!(
+    outln!(
+        out,
         "extract: n={n} pairs={} horizon={horizon} shards={shards} queue={} \
          streaming={streaming}",
         n * (n - 1),
@@ -384,12 +406,16 @@ fn extract(args: &[String]) -> ExitCode {
             QueueBackend::Heap => "heap",
         },
     );
-    println!(
+    outln!(
+        out,
         "extract: {} steps, {} messages, {} history changes, {} node-resident bytes",
-        res.steps, res.messages_sent, res.history_changes, res.node_resident_bytes,
+        res.steps,
+        res.messages_sent,
+        res.history_changes,
+        res.node_resident_bytes,
     );
     for (k, v) in &res.metrics {
-        println!("{k} = {v}");
+        outln!(out, "{k} = {v}");
     }
     // Wall-clock per-worker accounting is nondeterministic by nature, so it
     // goes to stderr: stdout stays byte-identical across thread counts.
@@ -417,7 +443,7 @@ struct LiveBenchDoc {
     nondet: dinefd_sim::MetricMap,
 }
 
-fn live(args: &[String]) -> ExitCode {
+fn live(args: &[String], out: &mut Out) -> ExitCode {
     use dinefd_live::{run_differential, run_soak, DiffScenario, SoakConfig};
     use dinefd_sim::ProcessId;
 
@@ -494,7 +520,8 @@ fn live(args: &[String]) -> ExitCode {
                 let report = run_differential(&scenario);
                 cells += 1;
                 let ok = report.converged() && report.sim.verdict.eventually_perfect;
-                println!(
+                outln!(
+                    out,
                     "live: matrix cell gst={gst} delay={delay} ramping={ramping} crash={} -> {}",
                     crash.map_or("none".to_string(), |(p, at)| format!("{p}@{at}ms")),
                     if ok { "converged" } else { "DIVERGED" },
@@ -509,7 +536,8 @@ fn live(args: &[String]) -> ExitCode {
     }
 
     let report = run_soak(&cfg);
-    println!(
+    outln!(
+        out,
         "live: soak {} trials of n={} ({}ms each, crash at {}ms): \
          {:.0} msgs/sec, p99 detection {}ms (max {}ms over {} samples)",
         report.trials,
@@ -521,7 +549,8 @@ fn live(args: &[String]) -> ExitCode {
         report.max_detection_ms,
         report.detection_samples,
     );
-    println!(
+    outln!(
+        out,
         "live: gate {}: {} surviving false suspicions, {} missed detections, \
          {} transient mistakes (allowed)",
         if report.gate_ok() { "OK" } else { "FAILED" },
@@ -569,7 +598,7 @@ fn live(args: &[String]) -> ExitCode {
             eprintln!("error: cannot write {path}: {e}");
             return ExitCode::from(2);
         }
-        println!("live: wrote {path}");
+        outln!(out, "live: wrote {path}");
     }
 
     if clean {
@@ -593,7 +622,7 @@ enum Engine {
     Both,
 }
 
-fn analyze(args: &[String]) -> ExitCode {
+fn analyze(args: &[String], out: &mut Out) -> ExitCode {
     let mut cfg = IrConfig::faithful();
     let mut classify = true;
     let mut do_lints = true;
@@ -692,13 +721,13 @@ fn analyze(args: &[String]) -> ExitCode {
             eprintln!("error: cannot write {path}: {e}");
             return ExitCode::from(2);
         }
-        println!("analyze: wrote TLA+ module to {path}");
+        outln!(out, "analyze: wrote TLA+ module to {path}");
     }
 
     let mut clean = true;
     if do_lints {
         let report = run_lints(&cfg);
-        print!("{}", render_lints(&report));
+        out.write(format_args!("{}", render_lints(&report)));
         clean &= report.clean();
     }
     if do_induction {
@@ -706,7 +735,7 @@ fn analyze(args: &[String]) -> ExitCode {
             InductOptions { classify: if classify { 2 } else { 0 }, ..InductOptions::default() };
         let explicit_run = if matches!(resolved, Engine::Explicit | Engine::Both) {
             let run = run_induction(&cfg, &opts);
-            print!("{}", render_summary(&run));
+            out.write(format_args!("{}", render_summary(&run)));
             clean &= run.all_inductive();
             Some(run)
         } else {
@@ -715,11 +744,13 @@ fn analyze(args: &[String]) -> ExitCode {
         if matches!(resolved, Engine::Symbolic | Engine::Both) {
             let kopts = KinductOptions { max_k, classify: opts, ..KinductOptions::default() };
             let run = run_kinduction(&cfg, &kopts);
-            print!("{}", render_kinduct_summary(&run));
+            out.write(format_args!("{}", render_kinduct_summary(&run)));
             clean &= run.all_proved();
             if let Some(exp) = &explicit_run {
                 match agrees_with_explicit(&run, exp) {
-                    Ok(()) => println!("analyze: engines agree (verdicts, CTIs, classifications)"),
+                    Ok(()) => {
+                        outln!(out, "analyze: engines agree (verdicts, CTIs, classifications)")
+                    }
                     Err(diff) => {
                         eprintln!("error: engine disagreement: {diff}");
                         clean = false;

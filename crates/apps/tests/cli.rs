@@ -1,8 +1,8 @@
 //! End-to-end tests of the `dinefd` binary's flag surface: the
-//! `--queue wheel|heap` backend selector (with its deprecated `--heap`
-//! alias) and the `live` subcommand's soak + bench-report path.
+//! `--queue wheel|heap` backend selector, stdout closed early by the
+//! reader, and the `live` subcommand's soak + bench-report path.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn dinefd(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_dinefd")).args(args).output().expect("binary runs")
@@ -35,22 +35,22 @@ fn queue_heap_reproduces_the_wheel_byte_for_byte() {
     assert_eq!(body(&wheel), body(&heap), "queue backends must not diverge");
     assert!(stdout(&wheel).contains("queue=wheel"));
     assert!(stdout(&heap).contains("queue=heap"));
-    assert!(!stderr(&wheel).contains("deprecated"), "--queue must not warn");
-    assert!(!stderr(&heap).contains("deprecated"), "--queue must not warn");
 }
 
 #[test]
-fn deprecated_heap_alias_still_works_but_warns() {
-    let alias = dinefd(&[&EXTRACT_BASE[..], &["7", "--heap"]].concat());
-    let spelled = dinefd(&[&EXTRACT_BASE[..], &["7", "--queue", "heap"]].concat());
-    assert!(alias.status.success(), "--heap run failed: {}", stderr(&alias));
-    assert_eq!(stdout(&alias), stdout(&spelled), "alias must select the same backend");
-    assert!(stdout(&alias).contains("queue=heap"), "alias must report the heap backend");
-    assert!(
-        stderr(&alias).contains("--heap is deprecated"),
-        "alias must warn on stderr: {}",
-        stderr(&alias)
-    );
+fn a_reader_closing_stdout_early_ends_the_output_quietly() {
+    // `dinefd extract … | head -1`: the pipe's read end is gone before the
+    // metric block is written.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_dinefd"))
+        .args(&EXTRACT_BASE[..5])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("binary runs");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("binary exits");
+    assert!(!stderr(&out).contains("panicked"), "closed stdout panicked: {}", stderr(&out));
+    assert_eq!(out.status.code(), Some(0), "a closed stdout is a successful end of output");
 }
 
 #[test]
@@ -61,6 +61,11 @@ fn unknown_queue_backend_is_a_usage_error() {
 
     let missing = dinefd(&["extract", "--queue"]);
     assert_eq!(missing.status.code(), Some(64));
+
+    // The deprecated `--heap` alias is gone: `--queue heap` is the spelling.
+    let alias = dinefd(&["extract", "--heap"]);
+    assert_eq!(alias.status.code(), Some(64));
+    assert!(stderr(&alias).contains("unknown flag `--heap`"));
 }
 
 #[test]

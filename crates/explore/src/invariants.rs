@@ -1,17 +1,14 @@
-//! The paper's safety-lemma predicates, factored out of the concrete
-//! [`PairState`](crate::pair_model::PairState) so that *two* engines can
-//! consume one set of definitions:
+//! The paper's safety-lemma predicates, stated over an [`InvariantView`] of
+//! the concrete [`PairState`](crate::pair_model::PairState): the bounded
+//! explorer ([`crate::search`]) and the schedule fuzzer evaluate them on
+//! states with explicit in-flight message multisets.
 //!
-//! * the bounded explorer ([`crate::search`]) evaluates them on concrete
-//!   states with explicit in-flight message multisets;
-//! * the inductive checker (`dinefd-analyze`) evaluates them on abstract
-//!   guarded-command IR states whose wire is a pair of saturating counters.
-//!
-//! Both views implement [`InvariantView`]; the lemma functions below are the
-//! single source of truth for what "Lemma 4 violated" *means*. The message
-//! strings are part of the repo's stable surface (the seeded-bug suite and
-//! the BENCH baselines grep for them), so they are produced here and nowhere
-//! else.
+//! These are the explorer's *own* oracle. The inductive checker
+//! (`dinefd-analyze`) states the same lemmas independently, as clauses over
+//! its abstract IR, and its conformance suite compares the two along
+//! concrete walks. The message strings are part of the repo's stable
+//! surface (the seeded-bug suite and the BENCH baselines grep for them), so
+//! they are produced here and nowhere else.
 
 use dinefd_dining::DinerPhase;
 
