@@ -103,7 +103,9 @@
 //! soak gate holds, `2` otherwise. With `--bench-out FILE` the soak
 //! numbers are written as a `dinefd-bench/v1` document whose measured
 //! values live in the `nondet`/`wall` sections — wall-clock figures,
-//! excluded from determinism diffs by construction.
+//! excluded from determinism diffs by construction — and whose `metrics`
+//! section carries the gates and the transport's topology
+//! (`soak.listeners`, `soak.worker_threads`).
 //!
 //! ```text
 //! --n N                     system size per trial   (default 4, min 2)
@@ -433,7 +435,8 @@ fn extract(args: &[String], out: &mut Out) -> ExitCode {
 /// `BENCH_live.json` document: same shape as `dinefd-bench/v1` so tooling
 /// can ingest it, but everything measured is wall-clock — the soak numbers
 /// live in `nondet`/`wall` and are never baseline-diffed. Only structural
-/// facts (sizes, and the gates that must always hold) go in `metrics`.
+/// facts (sizes, listener and thread counts, and the gates that must
+/// always hold) go in `metrics`.
 #[derive(Debug, serde::Serialize)]
 struct LiveBenchDoc {
     schema: String,
@@ -570,6 +573,8 @@ fn live(args: &[String], out: &mut Out) -> ExitCode {
         };
         doc.metrics.insert("soak.n".into(), cfg.n as u64);
         doc.metrics.insert("soak.trials".into(), report.trials as u64);
+        doc.metrics.insert("soak.listeners".into(), report.listeners as u64);
+        doc.metrics.insert("soak.worker_threads".into(), report.worker_threads as u64);
         doc.metrics.insert("soak.gate_ok".into(), report.gate_ok() as u64);
         doc.metrics.insert(
             "soak.surviving_false_suspicions".into(),

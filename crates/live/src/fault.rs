@@ -1,17 +1,18 @@
-//! Per-link fault schedules for the proxy layer.
+//! Per-link fault schedules, applied in the link's reader.
 //!
-//! Each ordered link `(i → j)` of a live cluster is fronted by a TCP proxy
-//! that can misbehave until the link's *global stabilization time* and must
-//! behave afterwards — the partial-synchrony contract the heartbeat ◇P is
-//! built for. Faults compose: a frame may be dropped, held back one slot
-//! (reorder), and delayed; after GST every frame is forwarded promptly and
-//! in order.
+//! Each ordered link `(i → j)` of a live cluster is one TCP connection; the
+//! reader thread on `j`'s side passes every frame through the link's
+//! schedule before it reaches `j`'s inbox. The link can misbehave until its
+//! *global stabilization time* and must behave afterwards — the
+//! partial-synchrony contract the heartbeat ◇P is built for. Faults
+//! compose: a frame may be dropped, held back one slot (reorder), and
+//! delayed; after GST every frame is delivered promptly and in order.
 
 use std::time::Duration;
 
 use dinefd_runtime::SplitMix64;
 
-/// What one link's proxy does to frames before GST.
+/// What one link's reader does to frames before GST.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LinkFault {
     /// Global stabilization time of this link, in ms since cluster start.

@@ -9,7 +9,7 @@
 //! * deterministic discrete-event [`World`] with a mirrored
 //!   [`DelayModel`] (fixed or ramping pre-GST delay, bounded after), and
 //! * [`LiveCluster`] over loopback TCP with the matching [`LinkFault`]
-//!   proxy schedule,
+//!   schedule in every link's reader,
 //!
 //! then reduces each run to a timing-free [`Verdict`]: the final suspicion
 //! set of every correct watcher plus the extraction checks (eventual
@@ -27,7 +27,7 @@ use crate::cluster::{LiveCluster, LiveConfig, LiveStats};
 use crate::fault::LinkFault;
 
 /// Post-GST delay bound mirrored on the sim side (the live loopback is
-/// sub-millisecond after its proxies go clean, i.e. ≤ 1 tick).
+/// sub-millisecond after its links go clean, i.e. ≤ 1 tick).
 const POST_GST_BOUND: u64 = 2;
 
 /// One cell of the crash × delay × GST matrix. All times are in virtual
@@ -49,12 +49,12 @@ pub struct DiffScenario {
     /// If true the pre-GST delay ramps down linearly to zero at GST;
     /// otherwise it is fixed until GST.
     pub ramping: bool,
-    /// Pre-GST per-frame drop probability on the live proxies, per mille.
+    /// Pre-GST per-frame drop probability on the live links, per mille.
     /// The simulator's channels are reliable by the paper's model, so this
     /// perturbs only the live side — legitimate pre-GST arbitrariness that
     /// the verdict must be insensitive to (heartbeats are idempotent).
     pub drop_per_mille: u16,
-    /// Pre-GST one-slot reorder probability on the live proxies, per
+    /// Pre-GST one-slot reorder probability on the live links, per
     /// mille. The simulator is already non-FIFO, so no mirror is needed.
     pub reorder_per_mille: u16,
     /// Run length (ticks / ms).

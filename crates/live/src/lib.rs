@@ -3,16 +3,18 @@
 //! The second implementation of the runtime-neutral node boundary from
 //! `dinefd-runtime`: where `dinefd-sim` schedules a [`Node`] inside a
 //! deterministic discrete-event world, this crate runs the *identical*
-//! node on real OS threads with loopback-TCP links, wall-clock timers, and
-//! a fault-injecting proxy per ordered link — crash, fixed or ramping
-//! delay-until-GST, reorder, and drop, the live analogue of the
-//! simulator's `DelayModel`/`CrashPlan`.
+//! node on real OS threads with one loopback-TCP connection per ordered
+//! link, wall-clock timers, and a fault filter in each link's reader —
+//! crash, fixed or ramping delay-until-GST, reorder, and drop, the live
+//! analogue of the simulator's `DelayModel`/`CrashPlan`.
 //!
 //! Offline-safe by construction: every socket is `127.0.0.1`, every port
 //! ephemeral, every thread scoped and joined before a run returns.
 //!
-//! * [`frame`] — length-prefixed framing and the link-opening hello.
-//! * [`fault`] — per-link fault schedules ([`LinkFault`]).
+//! * [`frame`] — length-prefixed framing (one `write` per frame) and the
+//!   link-opening hello.
+//! * [`fault`] — per-link fault schedules ([`LinkFault`]), applied by the
+//!   link's reader between the socket and the receiver's inbox.
 //! * [`cluster`] — [`LiveCluster`], the [`Runtime`] implementation
 //!   (1 virtual tick = 1 ms of wall clock).
 //! * [`harness`] — the differential convergence harness: one scenario run

@@ -74,6 +74,10 @@ pub struct SoakReport {
     pub frames_delivered: u64,
     /// Total wall-clock time spent inside trials, ms.
     pub wall_ms: u64,
+    /// TCP listeners one trial bound (the same in every trial).
+    pub listeners: usize,
+    /// Worker threads one trial spawned and joined (the same in every trial).
+    pub worker_threads: usize,
 }
 
 impl SoakReport {
@@ -102,6 +106,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
     let mut transient = 0usize;
     let mut frames = 0u64;
     let mut wall_ms = 0u64;
+    let (mut listeners, mut worker_threads) = (0, 0);
 
     for t in 0..cfg.trials {
         let crashed = ProcessId::from_index(t % cfg.n);
@@ -120,6 +125,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         let (outcome, stats) = run_live(&scenario);
         frames += stats.frames_delivered;
         wall_ms += stats.wall.as_millis() as u64;
+        (listeners, worker_threads) = (stats.listeners, stats.worker_threads);
         transient += outcome.mistakes;
         let plan = scenario.crash_plan();
         for (watcher, suspected) in &outcome.verdict.final_suspicions {
@@ -144,6 +150,8 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakReport {
         transient_mistakes: transient,
         frames_delivered: frames,
         wall_ms,
+        listeners,
+        worker_threads,
     }
 }
 
