@@ -76,8 +76,10 @@
 //! wall-clock, which is inherently nondeterministic, goes to stderr), so
 //! `diff <(dinefd extract --shards 4 --threads 4) <(dinefd extract
 //! --shards 4 --threads 1)` is a direct determinism check; `--queue heap`
-//! switches the event queue to the reference binary heap, which must
-//! reproduce the timer wheel byte-for-byte.
+//! switches the classic world's event queue to the reference binary heap,
+//! which must reproduce the timer wheel byte-for-byte (the sharded family
+//! always runs per-shard wheels, so `--shards K --queue heap` is a usage
+//! error).
 //!
 //! ```text
 //! --n N                     system size             (default 8, min 2)
@@ -89,7 +91,8 @@
 //! --crash PID@TICK          crash PID at TICK (repeatable)
 //! --streaming               extract through the streaming sink
 //! --batch                   coalesce same-instant sends into envelopes
-//! --queue wheel|heap        event queue backend     (default wheel)
+//! --queue wheel|heap        event queue backend     (default wheel; heap
+//!                           is classic-only: not with --shards)
 //! --strict                  sequence-checked acks (hardened subject)
 //! ```
 //!
@@ -124,12 +127,13 @@ use dinefd_analyze::kinduct::{
     agrees_with_explicit, render_kinduct_summary, run_kinduction, KinductOptions,
 };
 use dinefd_analyze::lints::{render_lints, run_lints};
-use dinefd_core::machines::SubjectMutation;
-use dinefd_explore::ModelMutation;
 use dinefd_fuzz::{FuzzConfig, Fuzzer};
-use dinefd_sim::scenario_dsl::Scenario;
+use dinefd_sim::scenario_dsl::{ModelMutationSpec, ModelSection, Scenario, SubjectMutationSpec};
+use std::fmt::Display;
 use std::io::Write as _;
+use std::ops::RangeInclusive;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 /// The full usage text, shared by `--help` (stdout, exit 0) and usage
@@ -186,88 +190,120 @@ fn main() -> ExitCode {
         outln!(out, "{USAGE}");
         return ExitCode::SUCCESS;
     }
-    match args.first().map(String::as_str) {
-        Some("analyze") => analyze(&args[1..], out),
-        Some("fuzz") => fuzz(&args[1..], out),
-        Some("extract") => extract(&args[1..], out),
-        Some("live") => live(&args[1..], out),
-        Some(other) => usage(&format!("unknown subcommand `{other}`")),
-        None => usage("missing subcommand"),
+    let run = match args.first().map(String::as_str) {
+        Some("analyze") => analyze,
+        Some("fuzz") => fuzz,
+        Some("extract") => extract,
+        Some("live") => live,
+        Some(other) => return usage(&format!("unknown subcommand `{other}`")),
+        None => return usage("missing subcommand"),
+    };
+    // A subcommand returns its exit status, or the usage error to report.
+    run(Flags { rest: args[1..].iter() }, out).unwrap_or_else(|e| usage(&e))
+}
+
+/// Every `u64`, for integer flags without a range.
+const ANY: RangeInclusive<u64> = 0..=u64::MAX;
+
+/// The cursor every subcommand reads its arguments through, so that a
+/// missing value, a non-integer and an out-of-range integer are each
+/// worded once.
+struct Flags<'a> {
+    rest: std::slice::Iter<'a, String>,
+}
+
+impl<'a> Flags<'a> {
+    fn next(&mut self) -> Option<&'a str> {
+        self.rest.next().map(String::as_str)
+    }
+
+    /// The value of flag `name`; `what` names it in the error for its absence.
+    fn value(&mut self, name: &str, what: &str) -> Result<&'a str, String> {
+        self.next().ok_or_else(|| format!("{name} needs {what}"))
+    }
+
+    fn int_in(&mut self, name: &str, range: RangeInclusive<u64>) -> Result<u64, String> {
+        let v = self.value(name, "a value")?;
+        let n = v.parse::<u64>().map_err(|_| format!("{name}: `{v}` is not an integer"))?;
+        let (lo, hi) = (*range.start(), *range.end());
+        match n {
+            n if range.contains(&n) => Ok(n),
+            _ if hi == u64::MAX => Err(format!("{name} must be at least {lo}")),
+            n => Err(format!("{name} {n} out of range [{lo}, {hi}]")),
+        }
+    }
+
+    /// `analyze`'s integer flags: every bad value, a non-integer too, is
+    /// reported as out of range, quoted.
+    fn quoted_in<T: FromStr + PartialOrd + Display>(
+        &mut self,
+        name: &str,
+        range: RangeInclusive<T>,
+    ) -> Result<T, String> {
+        let v = self.value(name, "a value")?;
+        let n = v.parse().ok().filter(|n| range.contains(n));
+        n.ok_or_else(|| format!("{name} `{v}` out of range [{}, {}]", range.start(), range.end()))
+    }
+
+    /// The value of flag `name` (`what`, in the error for its absence) as
+    /// the entry of `table` spelled that way; `noun` names the kind of
+    /// thing in the error for a spelling the table does not have.
+    fn one_of<T: Copy>(
+        &mut self,
+        name: &str,
+        what: &str,
+        noun: &str,
+        table: &[(&'static str, T)],
+    ) -> Result<(&'static str, T), String> {
+        let v = self.value(name, what)?;
+        let found = table.iter().copied().find(|(spelled, _)| *spelled == v);
+        found.ok_or_else(|| format!("unknown {noun} `{v}`"))
     }
 }
 
-fn fuzz(args: &[String], out: &mut Out) -> ExitCode {
+/// The model flags `analyze` and `fuzz` share, parsed into the scenario
+/// DSL's `[model]` section (whose mutation spellings these are; `none` is
+/// the absence of the flag, not a value of it). `Ok(false)`: not one of them.
+fn model_flag(flag: &str, flags: &mut Flags<'_>, model: &mut ModelSection) -> Result<bool, String> {
+    use {ModelMutationSpec as M, SubjectMutationSpec as S};
+    match flag {
+        "--strict" => model.strict_seq = true,
+        "--no-crash" => model.allow_crash = false,
+        "--subject-mutation" => {
+            let table = [S::SkipPingDisable, S::IgnoreTriggerGuard, S::SkipTriggerUpdate];
+            let table = table.map(|m| (m.name(), m));
+            model.subject_mutation = flags.one_of(flag, "a value", "subject mutation", &table)?.1;
+        }
+        "--model-mutation" => {
+            let table = [M::DropPingSend, M::StaleAckReplay].map(|m| (m.name(), m));
+            model.model_mutation = flags.one_of(flag, "a value", "model mutation", &table)?.1;
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+fn fuzz(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
     let mut doc = Scenario::default();
     let mut time_budget: Option<u64> = None;
-    let mut it = args.iter();
-    let parse_u64 = |name: &str, v: Option<&String>| -> Result<u64, String> {
-        let Some(v) = v else { return Err(format!("{name} needs a value")) };
-        v.parse::<u64>().map_err(|_| format!("{name}: `{v}` is not an integer"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    while let Some(flag) = flags.next() {
+        match flag {
             "--scenario" => {
-                let Some(path) = it.next() else {
-                    return usage("--scenario needs a file path");
-                };
-                let text = match std::fs::read_to_string(path) {
-                    Ok(t) => t,
-                    Err(e) => return usage(&format!("cannot read {path}: {e}")),
-                };
-                doc = match Scenario::parse(&text) {
-                    Ok(d) => d,
-                    Err(e) => return usage(&format!("{path}: {e}")),
-                };
+                let path = flags.value(flag, "a file path")?;
+                let text = std::fs::read_to_string(path)
+                    .map_err(|e| format!("cannot read {path}: {e}"))?;
+                doc = Scenario::parse(&text).map_err(|e| format!("{path}: {e}"))?;
             }
-            "--seed" => match parse_u64("--seed", it.next()) {
-                Ok(v) => doc.fuzz.seed = v,
-                Err(e) => return usage(&e),
+            "--seed" => doc.fuzz.seed = flags.int_in(flag, ANY)?,
+            "--iterations" => doc.fuzz.iterations = flags.int_in(flag, 1..=u64::MAX)?,
+            "--max-steps" => doc.fuzz.max_steps = flags.int_in(flag, 1..=100_000)? as u32,
+            "--corpus-seeds" => match flags.int_in(flag, ANY)? {
+                v @ 0..=1_000_000 => doc.fuzz.corpus_seeds = v as u32,
+                v => return Err(format!("--corpus-seeds {v} out of range")),
             },
-            "--iterations" => match parse_u64("--iterations", it.next()) {
-                Ok(0) => return usage("--iterations must be at least 1"),
-                Ok(v) => doc.fuzz.iterations = v,
-                Err(e) => return usage(&e),
-            },
-            "--max-steps" => match parse_u64("--max-steps", it.next()) {
-                Ok(v @ 1..=100_000) => doc.fuzz.max_steps = v as u32,
-                Ok(v) => return usage(&format!("--max-steps {v} out of range [1, 100000]")),
-                Err(e) => return usage(&e),
-            },
-            "--corpus-seeds" => match parse_u64("--corpus-seeds", it.next()) {
-                Ok(v @ 0..=1_000_000) => doc.fuzz.corpus_seeds = v as u32,
-                Ok(v) => return usage(&format!("--corpus-seeds {v} out of range")),
-                Err(e) => return usage(&e),
-            },
-            "--time-budget-secs" => match parse_u64("--time-budget-secs", it.next()) {
-                Ok(v) => time_budget = Some(v),
-                Err(e) => return usage(&e),
-            },
-            "--strict" => doc.model.strict_seq = true,
-            "--no-crash" => doc.model.allow_crash = false,
-            "--subject-mutation" => {
-                let Some(name) = it.next() else {
-                    return usage("--subject-mutation needs a value");
-                };
-                use dinefd_sim::scenario_dsl::SubjectMutationSpec as S;
-                doc.model.subject_mutation = match name.as_str() {
-                    "skip-ping-disable" => S::SkipPingDisable,
-                    "ignore-trigger-guard" => S::IgnoreTriggerGuard,
-                    "skip-trigger-update" => S::SkipTriggerUpdate,
-                    other => return usage(&format!("unknown subject mutation `{other}`")),
-                };
-            }
-            "--model-mutation" => {
-                let Some(name) = it.next() else {
-                    return usage("--model-mutation needs a value");
-                };
-                use dinefd_sim::scenario_dsl::ModelMutationSpec as M;
-                doc.model.model_mutation = match name.as_str() {
-                    "drop-ping-send" => M::DropPingSend,
-                    "stale-ack-replay" => M::StaleAckReplay,
-                    other => return usage(&format!("unknown model mutation `{other}`")),
-                };
-            }
-            other => return usage(&format!("unknown flag `{other}`")),
+            "--time-budget-secs" => time_budget = Some(flags.int_in(flag, ANY)?),
+            _ if model_flag(flag, &mut flags, &mut doc.model)? => {}
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
 
@@ -301,112 +337,67 @@ fn fuzz(args: &[String], out: &mut Out) -> ExitCode {
     }
     if report.findings.is_empty() {
         outln!(out, "fuzz: no lemma violations found");
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
-        ExitCode::from(2)
+        Ok(ExitCode::from(2))
     }
 }
 
-fn extract(args: &[String], out: &mut Out) -> ExitCode {
+fn extract(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
     use dinefd_core::{run_extraction, BlackBox};
-    use dinefd_sim::{CrashPlan, ProcessId, QueueBackend, Time};
+    use dinefd_sim::{ProcessId, QueueBackend, Time};
 
-    let mut n: usize = 8;
-    let mut seed: u64 = 42;
-    let mut horizon: u64 = 5_000;
-    let mut shards: usize = 0;
-    let mut threads: usize = 1;
-    let mut crashes = CrashPlan::none();
-    let mut streaming = false;
-    let mut batch = false;
-    let mut queue = QueueBackend::Wheel;
-    let mut strict = false;
-    let mut it = args.iter();
-    let parse_u64 = |name: &str, v: Option<&String>| -> Result<u64, String> {
-        let Some(v) = v else { return Err(format!("{name} needs a value")) };
-        v.parse::<u64>().map_err(|_| format!("{name}: `{v}` is not an integer"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--n" => match parse_u64("--n", it.next()) {
-                Ok(v @ 2..=4096) => n = v as usize,
-                Ok(v) => return usage(&format!("--n {v} out of range [2, 4096]")),
-                Err(e) => return usage(&e),
-            },
-            "--seed" => match parse_u64("--seed", it.next()) {
-                Ok(v) => seed = v,
-                Err(e) => return usage(&e),
-            },
-            "--horizon" => match parse_u64("--horizon", it.next()) {
-                Ok(0) => return usage("--horizon must be at least 1"),
-                Ok(v) => horizon = v,
-                Err(e) => return usage(&e),
-            },
-            "--shards" => match parse_u64("--shards", it.next()) {
-                Ok(v @ 0..=256) => shards = v as usize,
-                Ok(v) => return usage(&format!("--shards {v} out of range [0, 256]")),
-                Err(e) => return usage(&e),
-            },
-            "--threads" => match parse_u64("--threads", it.next()) {
-                Ok(v @ 1..=64) => threads = v as usize,
-                Ok(v) => return usage(&format!("--threads {v} out of range [1, 64]")),
-                Err(e) => return usage(&e),
-            },
+    let queues = [("wheel", QueueBackend::Wheel), ("heap", QueueBackend::Heap)];
+    // No pair list: the run monitors every ordered pair of the final `--n`.
+    let defaults = dinefd_core::Scenario::pair(BlackBox::WfDx, 42);
+    let mut sc =
+        dinefd_core::Scenario { n: 8, pairs: Vec::new(), horizon: Time(5_000), ..defaults };
+    let mut queue = queues[0].0;
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--n" => sc.n = flags.int_in(flag, 2..=4096)? as usize,
+            "--seed" => sc.seed = flags.int_in(flag, ANY)?,
+            "--horizon" => sc.horizon = Time(flags.int_in(flag, 1..=u64::MAX)?),
+            "--shards" => sc.shards = flags.int_in(flag, 0..=256)? as usize,
+            "--threads" => sc.threads = flags.int_in(flag, 1..=64)? as usize,
             "--crash" => {
-                let Some(spec) = it.next() else {
-                    return usage("--crash needs PID@TICK");
-                };
-                let Some((pid, at)) = spec.split_once('@') else {
-                    return usage(&format!("--crash `{spec}`: expected PID@TICK"));
-                };
-                let (Ok(pid), Ok(at)) = (pid.parse::<u32>(), at.parse::<u64>()) else {
-                    return usage(&format!("--crash `{spec}`: expected PID@TICK"));
-                };
-                crashes.add(ProcessId(pid), Time(at));
+                let spec = flags.value(flag, "PID@TICK")?;
+                let parsed = spec.split_once('@').and_then(|(pid, at)| {
+                    Some((ProcessId(pid.parse().ok()?), Time(at.parse().ok()?)))
+                });
+                let (pid, at) =
+                    parsed.ok_or_else(|| format!("--crash `{spec}`: expected PID@TICK"))?;
+                sc.crashes.add(pid, at);
             }
-            "--streaming" => streaming = true,
-            "--batch" => batch = true,
+            "--streaming" => sc.streaming = true,
+            "--batch" => sc.batch_envelopes = true,
             "--queue" => {
-                let Some(name) = it.next() else {
-                    return usage("--queue needs a value (wheel | heap)");
-                };
-                queue = match name.as_str() {
-                    "wheel" => QueueBackend::Wheel,
-                    "heap" => QueueBackend::Heap,
-                    other => return usage(&format!("unknown queue backend `{other}`")),
-                };
+                let what = "a value (wheel | heap)";
+                (queue, sc.queue) = flags.one_of(flag, what, "queue backend", &queues)?;
             }
-            "--strict" => strict = true,
-            other => return usage(&format!("unknown flag `{other}`")),
+            "--strict" => sc.strict_seq = true,
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    if crashes.crashes().iter().any(|&(p, _)| p.index() >= n) {
-        return usage("--crash PID must be below --n");
+    let (n, horizon, shards, streaming) = (sc.n, sc.horizon.0, sc.shards, sc.streaming);
+    if sc.crashes.crashes().iter().any(|&(p, _)| p.index() >= n) {
+        return Err("--crash PID must be below --n".into());
     }
-
-    let mut sc = dinefd_core::Scenario::all_pairs(n, BlackBox::WfDx, seed);
-    sc.horizon = Time(horizon);
-    sc.crashes = crashes;
-    sc.streaming = streaming;
-    sc.batch_envelopes = batch;
-    sc.shards = shards;
-    sc.queue = queue;
-    sc.strict_seq = strict;
-    sc.threads = threads;
-    if threads > 1 && shards < 2 {
-        return usage("--threads needs --shards >= 2 (the classic world is single-threaded)");
+    if sc.threads > 1 && shards < 2 {
+        return Err("--threads needs --shards >= 2 (the classic world is single-threaded)".into());
+    }
+    if shards > 0 && sc.queue == QueueBackend::Heap {
+        // The sharded family always runs per-shard wheels; echoing
+        // `queue=heap` over such a run would misreport it.
+        return Err("--queue heap applies to the classic world; omit --shards".into());
     }
     let res = run_extraction(sc);
 
     outln!(
         out,
-        "extract: n={n} pairs={} horizon={horizon} shards={shards} queue={} \
+        "extract: n={n} pairs={} horizon={horizon} shards={shards} queue={queue} \
          streaming={streaming}",
         n * (n - 1),
-        match queue {
-            QueueBackend::Wheel => "wheel",
-            QueueBackend::Heap => "heap",
-        },
     );
     outln!(
         out,
@@ -429,7 +420,7 @@ fn extract(args: &[String], out: &mut Out) -> ExitCode {
             stats.barrier_wait_micros.sum(),
         );
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `BENCH_live.json` document: same shape as `dinefd-bench/v1` so tooling
@@ -446,60 +437,28 @@ struct LiveBenchDoc {
     nondet: dinefd_sim::MetricMap,
 }
 
-fn live(args: &[String], out: &mut Out) -> ExitCode {
+fn live(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
     use dinefd_live::{run_differential, run_soak, DiffScenario, SoakConfig};
     use dinefd_sim::ProcessId;
 
     let mut cfg = SoakConfig::quick();
     let mut matrix = true;
-    let mut bench_out: Option<String> = None;
-    let mut it = args.iter();
-    let parse_u64 = |name: &str, v: Option<&String>| -> Result<u64, String> {
-        let Some(v) = v else { return Err(format!("{name} needs a value")) };
-        v.parse::<u64>().map_err(|_| format!("{name}: `{v}` is not an integer"))
-    };
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--n" => match parse_u64("--n", it.next()) {
-                Ok(v @ 2..=16) => cfg.n = v as usize,
-                Ok(v) => return usage(&format!("--n {v} out of range [2, 16]")),
-                Err(e) => return usage(&e),
-            },
-            "--trials" => match parse_u64("--trials", it.next()) {
-                Ok(v @ 1..=100) => cfg.trials = v as usize,
-                Ok(v) => return usage(&format!("--trials {v} out of range [1, 100]")),
-                Err(e) => return usage(&e),
-            },
-            "--seed" => match parse_u64("--seed", it.next()) {
-                Ok(v) => cfg.seed = v,
-                Err(e) => return usage(&e),
-            },
-            "--period-ms" => match parse_u64("--period-ms", it.next()) {
-                Ok(v @ 1..=1_000) => cfg.period_ms = v,
-                Ok(v) => return usage(&format!("--period-ms {v} out of range [1, 1000]")),
-                Err(e) => return usage(&e),
-            },
-            "--crash-at-ms" => match parse_u64("--crash-at-ms", it.next()) {
-                Ok(v) => cfg.crash_at_ms = v,
-                Err(e) => return usage(&e),
-            },
-            "--horizon-ms" => match parse_u64("--horizon-ms", it.next()) {
-                Ok(0) => return usage("--horizon-ms must be at least 1"),
-                Ok(v) => cfg.horizon_ms = v,
-                Err(e) => return usage(&e),
-            },
+    let mut bench_out: Option<&str> = None;
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--n" => cfg.n = flags.int_in(flag, 2..=16)? as usize,
+            "--trials" => cfg.trials = flags.int_in(flag, 1..=100)? as usize,
+            "--seed" => cfg.seed = flags.int_in(flag, ANY)?,
+            "--period-ms" => cfg.period_ms = flags.int_in(flag, 1..=1_000)?,
+            "--crash-at-ms" => cfg.crash_at_ms = flags.int_in(flag, ANY)?,
+            "--horizon-ms" => cfg.horizon_ms = flags.int_in(flag, 1..=u64::MAX)?,
             "--skip-matrix" => matrix = false,
-            "--bench-out" => {
-                let Some(path) = it.next() else {
-                    return usage("--bench-out needs a file path");
-                };
-                bench_out = Some(path.clone());
-            }
-            other => return usage(&format!("unknown flag `{other}`")),
+            "--bench-out" => bench_out = Some(flags.value(flag, "a file path")?),
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
     if cfg.crash_at_ms >= cfg.horizon_ms {
-        return usage("--crash-at-ms must be below --horizon-ms");
+        return Err("--crash-at-ms must be below --horizon-ms".into());
     }
 
     let mut clean = true;
@@ -595,22 +554,18 @@ fn live(args: &[String], out: &mut Out) -> ExitCode {
             Ok(j) => j,
             Err(e) => {
                 eprintln!("error: cannot serialize bench report: {e}");
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         };
         json.push('\n');
-        if let Err(e) = std::fs::write(&path, json) {
+        if let Err(e) = std::fs::write(path, json) {
             eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
         outln!(out, "live: wrote {path}");
     }
 
-    if clean {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
-    }
+    Ok(ExitCode::from(if clean { 0 } else { 2 }))
 }
 
 /// Which invariant-checking engine(s) an `analyze` run uses.
@@ -627,78 +582,38 @@ enum Engine {
     Both,
 }
 
-fn analyze(args: &[String], out: &mut Out) -> ExitCode {
+fn analyze(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
+    let engines = [
+        ("auto", Engine::Auto),
+        ("explicit", Engine::Explicit),
+        ("symbolic", Engine::Symbolic),
+        ("both", Engine::Both),
+    ];
+    let mut doc = Scenario::default();
     let mut cfg = IrConfig::faithful();
     let mut classify = true;
     let mut do_lints = true;
     let mut do_induction = true;
     let mut engine = Engine::Auto;
     let mut max_k: u32 = 1;
-    let mut emit_tla: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--strict" => cfg.strict_seq = true,
-            "--no-crash" => cfg.allow_crash = false,
+    let mut emit_tla: Option<&str> = None;
+    while let Some(flag) = flags.next() {
+        match flag {
             "--no-classify" => classify = false,
             "--skip-lints" => do_lints = false,
             "--skip-induction" => do_induction = false,
-            "--wire-cap" => {
-                let Some(v) = it.next() else { return usage("--wire-cap needs a value") };
-                cfg.wire_cap = match v.parse::<u8>() {
-                    Ok(c) if (MIN_WIRE_CAP..=MAX_WIRE_CAP).contains(&c) => c,
-                    _ => {
-                        return usage(&format!(
-                            "--wire-cap `{v}` out of range [{MIN_WIRE_CAP}, {MAX_WIRE_CAP}]"
-                        ))
-                    }
-                };
-            }
-            "--engine" => {
-                let Some(name) = it.next() else { return usage("--engine needs a value") };
-                engine = match name.as_str() {
-                    "auto" => Engine::Auto,
-                    "explicit" => Engine::Explicit,
-                    "symbolic" => Engine::Symbolic,
-                    "both" => Engine::Both,
-                    other => return usage(&format!("unknown engine `{other}`")),
-                };
-            }
-            "--max-k" => {
-                let Some(v) = it.next() else { return usage("--max-k needs a value") };
-                max_k = match v.parse::<u32>() {
-                    Ok(k @ 1..=8) => k,
-                    _ => return usage(&format!("--max-k `{v}` out of range [1, 8]")),
-                };
-            }
-            "--emit-tla" => {
-                let Some(path) = it.next() else { return usage("--emit-tla needs a file path") };
-                emit_tla = Some(path.clone());
-            }
-            "--subject-mutation" => {
-                let Some(name) = it.next() else {
-                    return usage("--subject-mutation needs a value");
-                };
-                cfg.subject_mutation = match name.as_str() {
-                    "skip-ping-disable" => SubjectMutation::SkipPingDisable,
-                    "ignore-trigger-guard" => SubjectMutation::IgnoreTriggerGuard,
-                    "skip-trigger-update" => SubjectMutation::SkipTriggerUpdate,
-                    other => return usage(&format!("unknown subject mutation `{other}`")),
-                };
-            }
-            "--model-mutation" => {
-                let Some(name) = it.next() else {
-                    return usage("--model-mutation needs a value");
-                };
-                cfg.model_mutation = match name.as_str() {
-                    "drop-ping-send" => ModelMutation::DropPingSend,
-                    "stale-ack-replay" => ModelMutation::StaleAckReplay,
-                    other => return usage(&format!("unknown model mutation `{other}`")),
-                };
-            }
-            other => return usage(&format!("unknown flag `{other}`")),
+            "--wire-cap" => cfg.wire_cap = flags.quoted_in(flag, MIN_WIRE_CAP..=MAX_WIRE_CAP)?,
+            "--engine" => engine = flags.one_of(flag, "a value", "engine", &engines)?.1,
+            "--max-k" => max_k = flags.quoted_in(flag, 1..=8)?,
+            "--emit-tla" => emit_tla = Some(flags.value(flag, "a file path")?),
+            _ if model_flag(flag, &mut flags, &mut doc.model)? => {}
+            other => return Err(format!("unknown flag `{other}`")),
         }
     }
+    // The engine-side spelling of the model flags is the explorer's.
+    let model = dinefd_explore::ExploreConfig::from_scenario(&doc);
+    (cfg.strict_seq, cfg.allow_crash) = (model.strict_seq, model.allow_crash);
+    (cfg.subject_mutation, cfg.model_mutation) = (model.subject_mutation, model.model_mutation);
     // Engine/cap compatibility: the explicit sweep is O((cap+1)^4) states
     // and the both-engines agreement contract is defined at the default cap.
     let resolved = match engine {
@@ -707,24 +622,24 @@ fn analyze(args: &[String], out: &mut Out) -> ExitCode {
         e => e,
     };
     if matches!(resolved, Engine::Explicit | Engine::Both) && cfg.wire_cap > 4 {
-        return usage(&format!(
+        return Err(format!(
             "--engine {} is impractical above --wire-cap 4 (the typed domain has \
              41472*(cap+1)^4 states); use --engine symbolic",
             if resolved == Engine::Both { "both" } else { "explicit" },
         ));
     }
     if resolved == Engine::Both && cfg.wire_cap != MIN_WIRE_CAP {
-        return usage("--engine both compares retained CTI sets, defined at --wire-cap 2 only");
+        return Err("--engine both compares retained CTI sets, defined at --wire-cap 2 only".into());
     }
     if max_k > 1 && matches!(resolved, Engine::Explicit) {
-        return usage("--max-k applies to the symbolic engine (use --engine symbolic or both)");
+        return Err("--max-k applies to the symbolic engine (use --engine symbolic or both)".into());
     }
 
-    if let Some(path) = &emit_tla {
+    if let Some(path) = emit_tla {
         let module = dinefd_analyze::tla::render_tla(&cfg);
         if let Err(e) = std::fs::write(path, module) {
             eprintln!("error: cannot write {path}: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
         outln!(out, "analyze: wrote TLA+ module to {path}");
     }
@@ -764,9 +679,5 @@ fn analyze(args: &[String], out: &mut Out) -> ExitCode {
             }
         }
     }
-    if clean {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(2)
-    }
+    Ok(ExitCode::from(if clean { 0 } else { 2 }))
 }

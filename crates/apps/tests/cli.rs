@@ -62,6 +62,17 @@ fn unknown_queue_backend_is_a_usage_error() {
     let missing = dinefd(&["extract", "--queue"]);
     assert_eq!(missing.status.code(), Some(64));
 
+    // The sharded family always runs per-shard wheels, so a heap request
+    // there is refused rather than echoed as `queue=heap` over a wheel run.
+    let sharded = dinefd(&["extract", "--n", "4", "--shards", "2", "--queue", "heap"]);
+    assert_eq!(sharded.status.code(), Some(64));
+    assert!(stdout(&sharded).is_empty(), "no run summary for a refused combination");
+    let want = "error: --queue heap applies to the classic world; omit --shards";
+    assert_eq!(stderr(&sharded).lines().next(), Some(want));
+    let wheel =
+        dinefd(&["extract", "--n", "4", "--shards", "2", "--queue", "wheel", "--horizon", "100"]);
+    assert!(wheel.status.success(), "an explicit wheel is what sharded runs use");
+
     // The deprecated `--heap` alias is gone: `--queue heap` is the spelling.
     let alias = dinefd(&["extract", "--heap"]);
     assert_eq!(alias.status.code(), Some(64));
@@ -183,4 +194,75 @@ fn analyze_emit_tla_matches_the_committed_golden_byte_for_byte() {
     std::fs::remove_file(&path).ok();
     let golden = include_str!("../../analyze/golden/DineFD.tla");
     assert_eq!(written, golden, "CLI export must match the committed golden");
+}
+
+/// Pins the flag surface's error side: every bad invocation below is exit
+/// 64 with exactly this first stderr line (the usage text follows it).
+#[test]
+fn bad_invocations_keep_their_error_lines() {
+    for (args, line) in [
+        // Missing values.
+        (&["extract", "--n"][..], "--n needs a value"),
+        (&["extract", "--crash"][..], "--crash needs PID@TICK"),
+        (&["extract", "--queue"][..], "--queue needs a value (wheel | heap)"),
+        (&["fuzz", "--scenario"][..], "--scenario needs a file path"),
+        (&["fuzz", "--subject-mutation"][..], "--subject-mutation needs a value"),
+        (&["analyze", "--model-mutation"][..], "--model-mutation needs a value"),
+        (&["analyze", "--max-k"][..], "--max-k needs a value"),
+        (&["analyze", "--engine"][..], "--engine needs a value"),
+        (&["live", "--bench-out"][..], "--bench-out needs a file path"),
+        // Non-integers.
+        (&["extract", "--n", "eight"][..], "--n: `eight` is not an integer"),
+        (&["extract", "--seed", "-1"][..], "--seed: `-1` is not an integer"),
+        (&["fuzz", "--time-budget-secs", "1.5"][..], "--time-budget-secs: `1.5` is not an integer"),
+        (&["live", "--trials", ""][..], "--trials: `` is not an integer"),
+        (&["analyze", "--wire-cap", "two"][..], "--wire-cap `two` out of range [2, 8]"),
+        (&["analyze", "--max-k", "x"][..], "--max-k `x` out of range [1, 8]"),
+        // Below and above range.
+        (&["extract", "--n", "1"][..], "--n 1 out of range [2, 4096]"),
+        (&["extract", "--n", "4097"][..], "--n 4097 out of range [2, 4096]"),
+        (&["extract", "--shards", "257"][..], "--shards 257 out of range [0, 256]"),
+        (&["extract", "--threads", "0"][..], "--threads 0 out of range [1, 64]"),
+        (&["extract", "--threads", "65"][..], "--threads 65 out of range [1, 64]"),
+        (&["extract", "--horizon", "0"][..], "--horizon must be at least 1"),
+        (&["fuzz", "--max-steps", "0"][..], "--max-steps 0 out of range [1, 100000]"),
+        (&["fuzz", "--max-steps", "100001"][..], "--max-steps 100001 out of range [1, 100000]"),
+        (&["fuzz", "--iterations", "0"][..], "--iterations must be at least 1"),
+        (&["fuzz", "--corpus-seeds", "1000001"][..], "--corpus-seeds 1000001 out of range"),
+        (&["analyze", "--wire-cap", "1"][..], "--wire-cap `1` out of range [2, 8]"),
+        (&["analyze", "--wire-cap", "9"][..], "--wire-cap `9` out of range [2, 8]"),
+        (&["analyze", "--wire-cap", "256"][..], "--wire-cap `256` out of range [2, 8]"),
+        (&["analyze", "--max-k", "0"][..], "--max-k `0` out of range [1, 8]"),
+        (&["analyze", "--max-k", "9"][..], "--max-k `9` out of range [1, 8]"),
+        (&["live", "--n", "1"][..], "--n 1 out of range [2, 16]"),
+        (&["live", "--n", "17"][..], "--n 17 out of range [2, 16]"),
+        (&["live", "--trials", "101"][..], "--trials 101 out of range [1, 100]"),
+        (&["live", "--period-ms", "0"][..], "--period-ms 0 out of range [1, 1000]"),
+        (&["live", "--period-ms", "1001"][..], "--period-ms 1001 out of range [1, 1000]"),
+        (&["live", "--horizon-ms", "0"][..], "--horizon-ms must be at least 1"),
+        // Unknown names, flags and subcommands.
+        (&["analyze", "--subject-mutation", "bogus"][..], "unknown subject mutation `bogus`"),
+        (&["analyze", "--subject-mutation", "none"][..], "unknown subject mutation `none`"),
+        (&["analyze", "--model-mutation", "bogus"][..], "unknown model mutation `bogus`"),
+        (&["fuzz", "--subject-mutation", "bogus"][..], "unknown subject mutation `bogus`"),
+        (&["fuzz", "--model-mutation", "none"][..], "unknown model mutation `none`"),
+        (&["analyze", "--engine", "splay"][..], "unknown engine `splay`"),
+        (&["extract", "--queue", "splay"][..], "unknown queue backend `splay`"),
+        (&["extract", "--crash", "3"][..], "--crash `3`: expected PID@TICK"),
+        (&["extract", "--crash", "x@y"][..], "--crash `x@y`: expected PID@TICK"),
+        (&["extract", "--crash", "9@5"][..], "--crash PID must be below --n"),
+        (&["analyze", "--bogus"][..], "unknown flag `--bogus`"),
+        (&["fuzz", "--bogus"][..], "unknown flag `--bogus`"),
+        (&["extract", "--bogus"][..], "unknown flag `--bogus`"),
+        (&["live", "--bogus"][..], "unknown flag `--bogus`"),
+        (&["frobnicate"][..], "unknown subcommand `frobnicate`"),
+        (&[][..], "missing subcommand"),
+    ] {
+        let out = dinefd(args);
+        assert_eq!(out.status.code(), Some(64), "{args:?} must be a usage error");
+        let err = stderr(&out);
+        assert_eq!(err.lines().next(), Some(&*format!("error: {line}")), "{args:?}");
+        assert!(err.lines().nth(1).is_some_and(|l| l.starts_with("usage: dinefd")), "{args:?}");
+        assert!(stdout(&out).is_empty(), "{args:?}: a usage error prints nothing on stdout");
+    }
 }

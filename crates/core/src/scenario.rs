@@ -4,6 +4,7 @@
 //! This is the API the examples, integration tests, and the experiment
 //! harness (`dinefd-bench`) all drive.
 
+use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
@@ -17,8 +18,8 @@ use dinefd_dining::DiningParticipant;
 use dinefd_fd::SuspicionHistory as FdHistory;
 use dinefd_fd::{FdQuery, InjectedOracle, SuspicionHistory};
 use dinefd_sim::{
-    CrashPlan, DelayModel, MetricMap, ObsSink, ProcessId, Profiler, QueueBackend, ShardedWorld,
-    SplitMix64, Time, Trace, WorkerStats, World, WorldConfig,
+    CrashPlan, DelayModel, MetricMap, ProcessId, Profiler, QueueBackend, ShardedWorld, SplitMix64,
+    Time, Trace, WorkerStats, World, WorldConfig,
 };
 
 use crate::detector::{suspicion_history, HistorySink, PairTimelines};
@@ -364,115 +365,93 @@ pub fn run_extraction(sc: Scenario) -> ExtractionResult {
     if batch_envelopes {
         cfg = cfg.batch_envelopes();
     }
-    let mut profiler = Profiler::new();
-    if streaming {
-        // Fold observations into the history as the simulator routes them;
-        // keep the trace free of observation events so the run's resident
-        // footprint is O(pairs + suspicion changes), not O(run length).
-        let cfg = cfg.observation_events_off();
-        let (steps, messages_sent, metrics, trace, worker_stats, history) = if shards >= 2
-            && threads >= 2
-        {
-            // Parallel sharded run: one sink per shard travels with its
-            // worker thread and folds that shard's watcher rows; the
-            // merge afterwards reassembles the sequential history row
-            // for row (see `SuspicionHistory::adopt_watcher_rows`).
-            let handles: Vec<Arc<Mutex<HistorySink>>> =
-                (0..shards).map(|_| Arc::new(Mutex::new(HistorySink::new(n, &pairs)))).collect();
-            let sinks: Vec<Box<dyn ObsSink<RedObs> + Send>> = handles
-                .iter()
-                .map(|h| Box::new(Arc::clone(h)) as Box<dyn ObsSink<RedObs> + Send>)
-                .collect();
-            let mut world = ShardedWorld::try_new_with_shard_sinks(nodes, cfg, shards, sinks)
-                .unwrap_or_else(|e| panic!("{e}"));
-            profiler.time("simulate", || world.run_until(horizon));
-            let stats = world.worker_stats().to_vec();
-            let (steps, sent, metrics, trace) =
-                (world.steps(), world.messages_sent(), world.metrics_map(), world.into_trace());
-            let history = profiler.time("extract", || {
-                let mut merged = FdHistory::new(n, true);
-                merged.restrict_to(&pairs);
-                for (s, handle) in handles.into_iter().enumerate() {
-                    let sink = Arc::try_unwrap(handle)
-                        .expect("world dropped its sink handles")
-                        .into_inner()
-                        .expect("sink lock poisoned");
-                    merged.adopt_watcher_rows(
-                        &sink.finish(),
-                        (s..n).step_by(shards).map(ProcessId::from_index),
-                    );
-                }
-                merged
-            });
-            (steps, sent, metrics, trace, stats, history)
-        } else {
-            let sink = Rc::new(std::cell::RefCell::new(HistorySink::new(n, &pairs)));
-            let handle = Rc::clone(&sink);
-            let (steps, sent, metrics, trace) = if shards > 0 {
-                let mut world = ShardedWorld::new_with_sink(nodes, cfg, shards, Box::new(handle));
-                profiler.time("simulate", || world.run_until(horizon));
-                (world.steps(), world.messages_sent(), world.metrics_map(), world.into_trace())
-            } else {
-                let mut world = World::new_with_sink(nodes, cfg, Box::new(handle));
-                profiler.time("simulate", || world.run_until(horizon));
-                (world.steps(), world.messages_sent(), world.metrics_map(), world.into_trace())
-            };
-            let history = profiler.time("extract", || {
-                Rc::try_unwrap(sink).expect("world dropped its sink handle").into_inner().finish()
-            });
-            (steps, sent, metrics, trace, Vec::new(), history)
-        };
-        let history_changes = history.change_count();
-        ExtractionResult {
-            history,
-            trace,
-            streaming: true,
-            history_changes,
-            crashes,
-            n,
-            horizon,
-            steps,
-            messages_sent,
-            node_resident_bytes,
-            metrics,
-            profiler,
-            worker_stats,
-        }
+    let new_sink = || HistorySink::new(n, &pairs);
+    let fold = if !streaming {
+        Fold::PostHoc
+    } else if shards >= 2 && threads >= 2 {
+        Fold::PerShard((0..shards).map(|_| Arc::new(Mutex::new(new_sink()))).collect())
     } else {
-        let (steps, messages_sent, metrics, trace, worker_stats) = if shards > 0 {
-            let mut world = ShardedWorld::new(nodes, cfg, shards);
-            profiler.time("simulate", || world.run_until(horizon));
-            let stats = world.worker_stats().to_vec();
-            (world.steps(), world.messages_sent(), world.metrics_map(), world.into_trace(), stats)
-        } else {
-            let mut world = World::new(nodes, cfg);
-            profiler.time("simulate", || world.run_until(horizon));
-            (
-                world.steps(),
-                world.messages_sent(),
-                world.metrics_map(),
-                world.into_trace(),
-                Vec::new(),
-            )
-        };
-        let history = profiler.time("extract", || suspicion_history(n, &trace, &pairs));
-        let history_changes = history.change_count();
-        ExtractionResult {
-            history,
-            trace,
-            streaming: false,
-            history_changes,
-            crashes,
-            n,
-            horizon,
-            steps,
-            messages_sent,
-            node_resident_bytes,
-            metrics,
-            profiler,
-            worker_stats,
-        }
+        Fold::Online(Rc::new(RefCell::new(new_sink())))
+    };
+    if streaming {
+        // Keep the trace free of observation events so the run's resident
+        // footprint is O(pairs + suspicion changes), not O(run length).
+        cfg = cfg.observation_events_off();
     }
+    let mut profiler = Profiler::new();
+    let (steps, messages_sent, metrics, trace, worker_stats) = if shards > 0 {
+        let mut world = match &fold {
+            Fold::PostHoc => ShardedWorld::try_new(nodes, cfg, shards),
+            Fold::Online(sink) => {
+                ShardedWorld::try_new_with_sink(nodes, cfg, shards, Box::new(Rc::clone(sink)))
+            }
+            Fold::PerShard(sinks) => {
+                let sinks = sinks.iter().map(|s| Box::new(Arc::clone(s)) as _).collect();
+                ShardedWorld::try_new_with_shard_sinks(nodes, cfg, shards, sinks)
+            }
+        }
+        .unwrap_or_else(|e| panic!("{e}"));
+        profiler.time("simulate", || world.run_until(horizon));
+        let stats = world.worker_stats().to_vec();
+        (world.steps(), world.messages_sent(), world.metrics_map(), world.into_trace(), stats)
+    } else {
+        let mut world = match &fold {
+            Fold::Online(sink) => World::new_with_sink(nodes, cfg, Box::new(Rc::clone(sink))),
+            _ => World::new(nodes, cfg),
+        };
+        profiler.time("simulate", || world.run_until(horizon));
+        (world.steps(), world.messages_sent(), world.metrics_map(), world.into_trace(), Vec::new())
+    };
+    let history = profiler.time("extract", || match fold {
+        Fold::PostHoc => suspicion_history(n, &trace, &pairs),
+        Fold::Online(sink) => {
+            Rc::try_unwrap(sink).expect("world dropped its sink handle").into_inner().finish()
+        }
+        Fold::PerShard(sinks) => {
+            let mut merged = FdHistory::new(n, true);
+            merged.restrict_to(&pairs);
+            for (s, sink) in sinks.into_iter().enumerate() {
+                let sink = Arc::try_unwrap(sink)
+                    .expect("world dropped its sink handles")
+                    .into_inner()
+                    .expect("sink lock poisoned");
+                merged.adopt_watcher_rows(
+                    &sink.finish(),
+                    (s..n).step_by(shards).map(ProcessId::from_index),
+                );
+            }
+            merged
+        }
+    });
+    let history_changes = history.change_count();
+    ExtractionResult {
+        history,
+        trace,
+        streaming,
+        history_changes,
+        crashes,
+        n,
+        horizon,
+        steps,
+        messages_sent,
+        node_resident_bytes,
+        metrics,
+        profiler,
+        worker_stats,
+    }
+}
+
+/// Where a run's observations become the suspicion history.
+enum Fold {
+    /// After the run, from the observation events the trace recorded.
+    PostHoc,
+    /// Online, as the simulator routes them, through one sink on the world.
+    Online(Rc<RefCell<HistorySink>>),
+    /// Online in a parallel sharded run: one sink per shard travels with
+    /// its worker thread and folds that shard's watcher rows; the merge
+    /// afterwards reassembles the sequential history row for row (see
+    /// `SuspicionHistory::adopt_watcher_rows`).
+    PerShard(Vec<Arc<Mutex<HistorySink>>>),
 }
 
 #[cfg(test)]

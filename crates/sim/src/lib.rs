@@ -21,6 +21,14 @@
 //!
 //! * [`world::World`] owns a set of [`node::Node`]s and an event queue keyed
 //!   by virtual [`time::Time`] (the paper's clock `T`);
+//!   [`shard::ShardedWorld`] is the second family, the same semantics over
+//!   `k` shards with a shard-count-invariant schedule;
+//! * the atomic step itself — crash discard, the node's `Context`, every
+//!   per-step counter, send-target and clock-horizon checks, effect routing
+//!   — is stated once, in the crate-private `step` module, and driven by
+//!   both families, which differ only in where a process's state lives,
+//!   where emissions go, which random stream prices a channel and in what
+//!   order scheduled events come back;
 //! * sends are assigned delivery delays by a pluggable [`net::DelayModel`]
 //!   (uniform, heavy-tailed, partially synchronous with a global
 //!   stabilization time, or a scripted adversary) — varying delays make the
@@ -71,6 +79,7 @@ pub mod props;
 pub mod scenario_dsl;
 pub mod shard;
 pub mod stats;
+mod step;
 pub mod trace;
 pub mod wheel;
 pub mod world;

@@ -37,6 +37,13 @@
 //!
 //! ## One engine, two drivers
 //!
+//! What an event does — the atomic step — is the step executor in
+//! `step.rs`, the same one [`crate::world::World`] drives; a shard is that
+//! executor over its slice of the processes plus the wiring this module
+//! adds (per-sender delay streams, canonical-key stamping, the wheel and
+//! the outbox). The dead-from-birth rule for crashes at `Time::ZERO` is
+//! documented there too.
+//!
 //! Every event's *state effects* are confined to the shard that executes it
 //! (a delivery steps the destination, a timer or crash its owner, and all
 //! of a step's metrics, RNG draws, and effect counters belong to that same
@@ -100,9 +107,10 @@ use crate::event::EventKind;
 use crate::id::ProcessId;
 use crate::metrics::{Gauge, MetricMap, SimMetrics, WorkerStats};
 use crate::net::DelayModel;
-use crate::node::{Context, Node, TimerId};
+use crate::node::Node;
 use crate::pool;
 use crate::rng::SplitMix64;
+use crate::step::{Executor, Fabric};
 use crate::time::Time;
 use crate::trace::{Trace, TraceEvent};
 use crate::wheel::TimerWheel;
@@ -161,56 +169,98 @@ impl std::fmt::Display for ShardBuildError {
 
 impl std::error::Error for ShardBuildError {}
 
-/// One shard's complete execution state: its slice of the processes (local
-/// index `pid.index() / k`), their RNGs, delay models, and effect
-/// counters, the shard's event wheel, metrics, optional streaming sink,
-/// and scratch buffers. This is the unit a worker thread owns.
+/// One shard's complete execution state — the unit a worker thread owns:
+/// the step executor over its slice of the processes (slot
+/// `pid.index() / k`) and the sharded family's wiring around it.
 struct ShardState<N: Node> {
+    exec: Executor<N>,
+    wire: Wiring<N>,
+    batch_buf: Vec<Pending<N::Msg>>,
+}
+
+/// What the sharded family decides around the shared step: per-sender delay
+/// streams and effect counters, the shard's event wheel, and its optional
+/// streaming sink.
+struct Wiring<N: Node> {
     idx: usize,
     k: usize,
-    n_total: usize,
-    now: Time,
-    nodes: Vec<N>,
-    crashed: Vec<bool>,
-    node_rngs: Vec<SplitMix64>,
     send_rngs: Vec<SplitMix64>,
     send_delays: Vec<DelayModel>,
     /// Per-process monotone effect counters (the canonical-key `seq`).
     effect_seq: Vec<u64>,
     queue: TimerWheel<Pending<N::Msg>>,
-    metrics: SimMetrics,
     /// Per-shard streaming sink; sees this shard's observations in local
     /// execution order (the sequential stream's projection onto the shard).
     sink: Option<Box<dyn ObsSink<N::Obs> + Send>>,
-    record_messages: bool,
     /// Whether observations must be logged for coordinator replay (trace
     /// recording or a global sink is active).
     log_obs: bool,
-    batch_envelopes: bool,
     /// Canonical key of the event currently executing; tags log entries.
     cur_key: MergeKey,
-    // Reusable buffers, as in `World`.
-    sends_buf: Vec<(ProcessId, N::Msg)>,
-    timers_buf: Vec<(u64, TimerId)>,
-    obs_buf: Vec<N::Obs>,
-    envelope_pool: Vec<Vec<N::Msg>>,
-    groups_buf: Vec<(ProcessId, Vec<N::Msg>)>,
-    batch_buf: Vec<Pending<N::Msg>>,
+}
+
+/// A shard's [`Fabric`] for the span of one event: its wiring plus the
+/// coordinator's emission log and cross-shard outbox.
+struct Lane<'a, N: Node> {
+    wire: &'a mut Wiring<N>,
+    log: &'a mut Vec<LogEntry<N::Msg, N::Obs>>,
+    outbox: &'a mut Vec<OutboxEntry<N::Msg>>,
+}
+
+impl<N: Node> Fabric<N> for Lane<'_, N> {
+    #[inline]
+    fn slot(&self, pid: ProcessId) -> usize {
+        let Wiring { idx, k, .. } = *self.wire;
+        debug_assert_eq!(pid.index() % k, idx, "{pid} does not live on shard {idx}");
+        pid.index() / k
+    }
+
+    #[inline]
+    fn emit(&mut self, ev: TraceEvent<N::Msg, N::Obs>) {
+        self.log.push((self.wire.cur_key, Emit::Trace(ev)));
+    }
+
+    #[inline]
+    fn observe(&mut self, at: Time, pid: ProcessId, obs: N::Obs) {
+        if let Some(sink) = self.wire.sink.as_mut() {
+            sink.on_obs(at, pid, &obs);
+        }
+        if self.wire.log_obs {
+            self.log.push((self.wire.cur_key, Emit::Obs(pid, obs)));
+        }
+    }
+
+    /// The sender's own delay model and stream, so its draws never depend
+    /// on how senders interleave across shards.
+    #[inline]
+    fn delay(&mut self, slot: usize, from: ProcessId, to: ProcessId, now: Time) -> u64 {
+        self.wire.send_delays[slot].sample(from, to, now, &mut self.wire.send_rngs[slot])
+    }
+
+    /// Stamps the effect with its canonical key, then routes it: the own
+    /// wheel when `dest` lives here (timers always do), the outbox otherwise.
+    #[inline]
+    fn schedule(
+        &mut self,
+        slot: usize,
+        source: ProcessId,
+        dest: ProcessId,
+        at: Time,
+        kind: EventKind<N::Msg>,
+    ) {
+        let seq = self.wire.effect_seq[slot];
+        self.wire.effect_seq[slot] = seq + 1;
+        let pending = (CLASS_EFFECT, source.0, seq, kind);
+        let shard = dest.index() % self.wire.k;
+        if shard == self.wire.idx {
+            self.wire.queue.push(at, pending);
+        } else {
+            self.outbox.push((shard, at, pending));
+        }
+    }
 }
 
 impl<N: Node> ShardState<N> {
-    /// Local index of an owned pid.
-    #[inline]
-    fn local(&self, pid: ProcessId) -> usize {
-        debug_assert_eq!(
-            pid.index() % self.k,
-            self.idx,
-            "{pid} does not live on shard {}",
-            self.idx
-        );
-        pid.index() / self.k
-    }
-
     /// Executes every owned event due at instant `t`, in canonical-key
     /// order, appending emissions to `log` and cross-shard effects to
     /// `outbox`. The caller guarantees `t` is this shard's wheel minimum.
@@ -220,300 +270,18 @@ impl<N: Node> ShardState<N> {
         log: &mut Vec<LogEntry<N::Msg, N::Obs>>,
         outbox: &mut Vec<OutboxEntry<N::Msg>>,
     ) {
-        self.now = t;
-        let mut batch = std::mem::take(&mut self.batch_buf);
-        debug_assert!(batch.is_empty());
-        while self.queue.peek_time() == Some(t) {
-            batch.push(self.queue.pop().expect("peeked event exists").1);
+        debug_assert!(self.batch_buf.is_empty());
+        while self.wire.queue.peek_time() == Some(t) {
+            self.batch_buf.push(self.wire.queue.pop().expect("peeked event exists").1);
         }
         // Local slice of the deterministic merge: keys are unique, so
         // shard-by-shard key order composes to the global key order.
-        batch.sort_by_key(|a| (a.0, a.1, a.2));
-        for (class, source, seq, kind) in batch.drain(..) {
-            self.cur_key = (class, source, seq);
-            self.execute(kind, log, outbox);
+        self.batch_buf.sort_by_key(|a| (a.0, a.1, a.2));
+        let mut lane = Lane { wire: &mut self.wire, log, outbox };
+        for (class, source, seq, kind) in self.batch_buf.drain(..) {
+            lane.wire.cur_key = (class, source, seq);
+            self.exec.execute(t, kind, &mut lane);
         }
-        self.batch_buf = batch;
-    }
-
-    fn execute(
-        &mut self,
-        kind: EventKind<N::Msg>,
-        log: &mut Vec<LogEntry<N::Msg, N::Obs>>,
-        outbox: &mut Vec<OutboxEntry<N::Msg>>,
-    ) {
-        match kind {
-            EventKind::Crash { pid } => {
-                let l = self.local(pid);
-                if !self.crashed[l] {
-                    self.crashed[l] = true;
-                    self.metrics.crash_events.inc();
-                    log.push((self.cur_key, Emit::Trace(TraceEvent::Crash { at: self.now, pid })));
-                }
-            }
-            EventKind::Timer { pid, id } => {
-                if !self.crashed[self.local(pid)] {
-                    self.metrics.timer_fires.inc();
-                    self.dispatch_timer(pid, id, log, outbox);
-                }
-            }
-            EventKind::Deliver { from, to, msg } => {
-                if !self.crashed[self.local(to)] {
-                    self.metrics.messages_delivered.inc();
-                    if self.record_messages {
-                        let at = self.now;
-                        log.push((
-                            self.cur_key,
-                            Emit::Trace(TraceEvent::Deliver { at, from, to, msg: msg.clone() }),
-                        ));
-                    }
-                    self.dispatch_message(to, from, msg, log, outbox);
-                } else {
-                    self.metrics.messages_dropped.inc();
-                }
-            }
-            EventKind::Envelope { from, to, mut msgs } => {
-                if !self.crashed[self.local(to)] {
-                    for msg in msgs.drain(..) {
-                        self.metrics.messages_delivered.inc();
-                        if self.record_messages {
-                            let at = self.now;
-                            log.push((
-                                self.cur_key,
-                                Emit::Trace(TraceEvent::Deliver { at, from, to, msg: msg.clone() }),
-                            ));
-                        }
-                        self.dispatch_message(to, from, msg, log, outbox);
-                    }
-                } else {
-                    self.metrics.messages_dropped.add(msgs.len() as u64);
-                    msgs.clear();
-                }
-                self.envelope_pool.push(msgs);
-            }
-        }
-    }
-
-    fn dispatch_start(
-        &mut self,
-        pid: ProcessId,
-        log: &mut Vec<LogEntry<N::Msg, N::Obs>>,
-        outbox: &mut Vec<OutboxEntry<N::Msg>>,
-    ) {
-        let l = self.local(pid);
-        let (sends, timers, obs) = {
-            let mut ctx = Context::new(
-                pid,
-                self.now,
-                &mut self.sends_buf,
-                &mut self.timers_buf,
-                &mut self.obs_buf,
-                &mut self.node_rngs[l],
-            );
-            self.nodes[l].on_start(&mut ctx);
-            (
-                std::mem::take(&mut self.sends_buf),
-                std::mem::take(&mut self.timers_buf),
-                std::mem::take(&mut self.obs_buf),
-            )
-        };
-        self.route_effects(pid, sends, timers, obs, log, outbox);
-    }
-
-    fn dispatch_message(
-        &mut self,
-        pid: ProcessId,
-        from: ProcessId,
-        msg: N::Msg,
-        log: &mut Vec<LogEntry<N::Msg, N::Obs>>,
-        outbox: &mut Vec<OutboxEntry<N::Msg>>,
-    ) {
-        let l = self.local(pid);
-        let (sends, timers, obs) = {
-            let mut ctx = Context::new(
-                pid,
-                self.now,
-                &mut self.sends_buf,
-                &mut self.timers_buf,
-                &mut self.obs_buf,
-                &mut self.node_rngs[l],
-            );
-            self.nodes[l].on_message(&mut ctx, from, msg);
-            (
-                std::mem::take(&mut self.sends_buf),
-                std::mem::take(&mut self.timers_buf),
-                std::mem::take(&mut self.obs_buf),
-            )
-        };
-        self.route_effects(pid, sends, timers, obs, log, outbox);
-    }
-
-    fn dispatch_timer(
-        &mut self,
-        pid: ProcessId,
-        id: TimerId,
-        log: &mut Vec<LogEntry<N::Msg, N::Obs>>,
-        outbox: &mut Vec<OutboxEntry<N::Msg>>,
-    ) {
-        let l = self.local(pid);
-        let (sends, timers, obs) = {
-            let mut ctx = Context::new(
-                pid,
-                self.now,
-                &mut self.sends_buf,
-                &mut self.timers_buf,
-                &mut self.obs_buf,
-                &mut self.node_rngs[l],
-            );
-            self.nodes[l].on_timer(&mut ctx, id);
-            (
-                std::mem::take(&mut self.sends_buf),
-                std::mem::take(&mut self.timers_buf),
-                std::mem::take(&mut self.obs_buf),
-            )
-        };
-        self.route_effects(pid, sends, timers, obs, log, outbox);
-    }
-
-    /// Next canonical-key sequence number for effects of local process `l`.
-    #[inline]
-    fn next_effect_seq(&mut self, l: usize) -> u64 {
-        let seq = self.effect_seq[l];
-        self.effect_seq[l] = seq + 1;
-        seq
-    }
-
-    /// Resolves an effect's absolute instant; overflow past the clock
-    /// horizon is a hard error (see `World::schedule_at`).
-    #[inline]
-    fn schedule_at(now: Time, delay: u64, what: &str) -> Time {
-        match now.checked_add(delay) {
-            Some(at) => at,
-            None => panic!("{what} scheduled past the clock horizon (t{now} + {delay} ticks)"),
-        }
-    }
-
-    /// Routes a stamped effect to its destination: the own wheel when the
-    /// destination pid lives here, the outbox otherwise.
-    #[inline]
-    fn push_effect(
-        &mut self,
-        to: ProcessId,
-        at: Time,
-        pending: Pending<N::Msg>,
-        outbox: &mut Vec<OutboxEntry<N::Msg>>,
-    ) {
-        let dest = to.index() % self.k;
-        if dest == self.idx {
-            self.queue.push(at, pending);
-        } else {
-            outbox.push((dest, at, pending));
-        }
-    }
-
-    fn route_effects(
-        &mut self,
-        pid: ProcessId,
-        mut sends: Vec<(ProcessId, N::Msg)>,
-        mut timers: Vec<(u64, TimerId)>,
-        mut obs: Vec<N::Obs>,
-        log: &mut Vec<LogEntry<N::Msg, N::Obs>>,
-        outbox: &mut Vec<OutboxEntry<N::Msg>>,
-    ) {
-        let l = self.local(pid);
-        self.metrics.steps.inc();
-        for o in obs.drain(..) {
-            self.metrics.observations.inc();
-            if let Some(sink) = self.sink.as_mut() {
-                sink.on_obs(self.now, pid, &o);
-            }
-            if self.log_obs {
-                log.push((self.cur_key, Emit::Obs(pid, o)));
-            }
-        }
-        if self.batch_envelopes {
-            self.route_sends_batched(pid, &mut sends, log, outbox);
-        } else {
-            for (to, msg) in sends.drain(..) {
-                assert!(to.index() < self.n_total, "send to unknown process {to}");
-                if self.record_messages {
-                    let at = self.now;
-                    log.push((
-                        self.cur_key,
-                        Emit::Trace(TraceEvent::Send { at, from: pid, to, msg: msg.clone() }),
-                    ));
-                }
-                let d = self.send_delays[l].sample(pid, to, self.now, &mut self.send_rngs[l]);
-                self.metrics.messages_sent.inc();
-                self.metrics.envelopes_sent.inc();
-                self.metrics.delay_ticks.record(d);
-                let at = Self::schedule_at(self.now, d, "delivery");
-                let seq = self.next_effect_seq(l);
-                self.push_effect(
-                    to,
-                    at,
-                    (CLASS_EFFECT, pid.0, seq, EventKind::Deliver { from: pid, to, msg }),
-                    outbox,
-                );
-            }
-        }
-        for (delay, id) in timers.drain(..) {
-            self.metrics.timers_set.inc();
-            let at = Self::schedule_at(self.now, delay, "timer");
-            let seq = self.next_effect_seq(l);
-            // Timers always land on the owner shard.
-            self.queue.push(at, (CLASS_EFFECT, pid.0, seq, EventKind::Timer { pid, id }));
-        }
-        self.sends_buf = sends;
-        self.timers_buf = timers;
-        self.obs_buf = obs;
-    }
-
-    /// Envelope batching, as in `World::route_sends_batched`, with pooled
-    /// payload vectors and canonical-key stamping.
-    fn route_sends_batched(
-        &mut self,
-        pid: ProcessId,
-        sends: &mut Vec<(ProcessId, N::Msg)>,
-        log: &mut Vec<LogEntry<N::Msg, N::Obs>>,
-        outbox: &mut Vec<OutboxEntry<N::Msg>>,
-    ) {
-        let l = self.local(pid);
-        let mut groups = std::mem::take(&mut self.groups_buf);
-        for (to, msg) in sends.drain(..) {
-            assert!(to.index() < self.n_total, "send to unknown process {to}");
-            self.metrics.messages_sent.inc();
-            if self.record_messages {
-                let at = self.now;
-                log.push((
-                    self.cur_key,
-                    Emit::Trace(TraceEvent::Send { at, from: pid, to, msg: msg.clone() }),
-                ));
-            }
-            match groups.iter_mut().find(|(t, _)| *t == to) {
-                Some((_, msgs)) => msgs.push(msg),
-                None => {
-                    let mut msgs = self.envelope_pool.pop().unwrap_or_default();
-                    msgs.push(msg);
-                    groups.push((to, msgs));
-                }
-            }
-        }
-        for (to, msgs) in groups.drain(..) {
-            let d = self.send_delays[l].sample(pid, to, self.now, &mut self.send_rngs[l]);
-            self.metrics.envelopes_sent.inc();
-            self.metrics.envelope_occupancy.record(msgs.len() as u64);
-            self.metrics.delay_ticks.record(d);
-            let at = Self::schedule_at(self.now, d, "envelope");
-            let seq = self.next_effect_seq(l);
-            self.push_effect(
-                to,
-                at,
-                (CLASS_EFFECT, pid.0, seq, EventKind::Envelope { from: pid, to, msgs }),
-                outbox,
-            );
-        }
-        self.groups_buf = groups;
     }
 }
 
@@ -579,20 +347,20 @@ fn worker_loop<N: Node>(
             let st =
                 &mut owned.iter_mut().find(|(i, _)| *i == s).expect("inbox for an owned shard").1;
             for (at, p) in entries {
-                st.queue.push(at, p);
+                st.wire.queue.push(at, p);
             }
         }
         let mut reports = Vec::with_capacity(owned.len());
         for (s, st) in owned.iter_mut() {
             let mut log = Vec::new();
             let mut outbox = Vec::new();
-            if st.queue.peek_time() == Some(t) {
+            if st.wire.queue.peek_time() == Some(t) {
                 st.run_instant(t, &mut log, &mut outbox);
             }
             reports.push(ShardReport {
                 shard: *s,
-                qlen: st.queue.len(),
-                qmin: st.queue.peek_time(),
+                qlen: st.wire.queue.len(),
+                qmin: st.wire.queue.peek_time(),
                 log,
                 outbox,
             });
@@ -731,48 +499,32 @@ impl<N: Node> ShardedWorld<N> {
         let node_rngs: Vec<SplitMix64> = (0..n).map(|_| rng.fork()).collect();
         let send_rngs: Vec<SplitMix64> = (0..n).map(|_| rng.fork()).collect();
         let log_obs = cfg.record_observations || obs_sink.is_some();
+        let mut sinks = shard_sinks.map(Vec::into_iter);
         let mut states: Vec<ShardState<N>> = (0..k)
             .map(|idx| ShardState {
-                idx,
-                k,
-                n_total: n,
-                now: Time::ZERO,
-                nodes: Vec::new(),
-                crashed: Vec::new(),
-                node_rngs: Vec::new(),
-                send_rngs: Vec::new(),
-                send_delays: Vec::new(),
-                effect_seq: Vec::new(),
-                queue: TimerWheel::new(),
-                metrics: SimMetrics::new(),
-                sink: None,
-                record_messages: cfg.record_messages,
-                log_obs,
-                batch_envelopes: cfg.batch_envelopes,
-                cur_key: (CLASS_EFFECT, 0, 0),
-                sends_buf: Vec::new(),
-                timers_buf: Vec::new(),
-                obs_buf: Vec::new(),
-                envelope_pool: Vec::new(),
-                groups_buf: Vec::new(),
+                exec: Executor::new(n, cfg.record_messages, cfg.batch_envelopes),
+                wire: Wiring {
+                    idx,
+                    k,
+                    send_rngs: Vec::new(),
+                    send_delays: Vec::new(),
+                    effect_seq: Vec::new(),
+                    queue: TimerWheel::new(),
+                    sink: sinks.as_mut().and_then(Iterator::next),
+                    log_obs,
+                    cur_key: (CLASS_EFFECT, 0, 0),
+                },
                 batch_buf: Vec::new(),
             })
             .collect();
-        if let Some(sinks) = shard_sinks {
-            for (st, sink) in states.iter_mut().zip(sinks) {
-                st.sink = Some(sink);
-            }
-        }
         for (i, (node, (nr, sr))) in
             nodes.into_iter().zip(node_rngs.into_iter().zip(send_rngs)).enumerate()
         {
             let st = &mut states[i % k];
-            st.nodes.push(node);
-            st.crashed.push(false);
-            st.node_rngs.push(nr);
-            st.send_rngs.push(sr);
-            st.send_delays.push(cfg.delays.try_clone().expect("cloneability checked above"));
-            st.effect_seq.push(0);
+            st.exec.push(node, nr);
+            st.wire.send_rngs.push(sr);
+            st.wire.send_delays.push(cfg.delays.try_clone().expect("cloneability checked above"));
+            st.wire.effect_seq.push(0);
         }
         let mut world = ShardedWorld {
             shards: states,
@@ -791,52 +543,51 @@ impl<N: Node> ShardedWorld<N> {
         };
         for (plan_idx, &(pid, at)) in cfg.crashes.crashes().iter().enumerate() {
             assert!(pid.index() < n, "crash plan names unknown process {pid}");
-            let s = pid.index() % k;
+            let kind = EventKind::Crash { pid };
             if at == Time::ZERO {
-                // Dead from birth, exactly as in `World` (see its module
-                // docs): effective before start dispatch.
-                let l = pid.index() / k;
-                let st = &mut world.shards[s];
-                if !st.crashed[l] {
-                    st.crashed[l] = true;
-                    st.metrics.crash_events.inc();
-                    world.trace.push(TraceEvent::Crash { at: Time::ZERO, pid });
-                }
+                // Dead from birth: takes effect before the start steps.
+                world.run_at_zero(pid, |exec, lane| exec.execute(at, kind, lane));
             } else {
-                world.shards[s]
-                    .queue
-                    .push(at, (CLASS_CRASH, pid.0, plan_idx as u64, EventKind::Crash { pid }));
+                let pending = (CLASS_CRASH, pid.0, plan_idx as u64, kind);
+                world.shards[pid.index() % k].wire.queue.push(at, pending);
             }
         }
         world.update_depth_gauges();
-        // Start steps in pid order with immediate replay and outbox
-        // routing, reproducing exactly the sequential inline emissions.
-        let mut log = Vec::new();
-        let mut outbox = Vec::new();
+        // Start steps in pid order, each settled at once, reproducing
+        // exactly the emissions of a sequential inline run.
         for i in 0..n {
-            let (s, l) = (i % k, i / k);
-            if world.shards[s].crashed[l] {
-                continue;
-            }
             let pid = ProcessId::from_index(i);
-            world.shards[s].cur_key = (CLASS_EFFECT, pid.0, 0);
-            world.shards[s].dispatch_start(pid, &mut log, &mut outbox);
-            for (dest, at, p) in outbox.drain(..) {
-                world.shards[dest].queue.push(at, p);
-            }
-            for (_, e) in log.drain(..) {
-                replay_entry(
-                    &mut world.trace,
-                    &mut world.obs_sink,
-                    world.record_observations,
-                    Time::ZERO,
-                    e,
-                );
-            }
+            world.run_at_zero(pid, |exec, lane| exec.start(pid, lane));
         }
-        world.log_buf = log;
-        world.outbox_buf = outbox;
         Ok(world)
+    }
+
+    /// Runs one construction-time step of `pid`'s shard at `Time::ZERO`
+    /// (a dead-from-birth crash or a start step) and settles it at once.
+    fn run_at_zero(&mut self, pid: ProcessId, f: impl FnOnce(&mut Executor<N>, &mut Lane<'_, N>)) {
+        let k = self.shards.len();
+        let st = &mut self.shards[pid.index() % k];
+        st.wire.cur_key = (CLASS_EFFECT, pid.0, 0);
+        let mut lane =
+            Lane { wire: &mut st.wire, log: &mut self.log_buf, outbox: &mut self.outbox_buf };
+        f(&mut st.exec, &mut lane);
+        self.settle(Time::ZERO);
+    }
+
+    /// Closes the instant `t` whose shard slices just ran: routes the
+    /// outbox into the destination wheels, then merges and replays the
+    /// emission log.
+    fn settle(&mut self, t: Time) {
+        for (dest, at, p) in self.outbox_buf.drain(..) {
+            self.shards[dest].wire.queue.push(at, p);
+        }
+        // The deterministic merge: stable-sorting the shard-ordered log
+        // concatenation by the unique canonical keys reproduces the order
+        // a single global key-sorted execution would emit.
+        self.log_buf.sort_by_key(|e| e.0);
+        for (_, e) in self.log_buf.drain(..) {
+            replay_entry(&mut self.trace, &mut self.obs_sink, self.record_observations, t, e);
+        }
     }
 
     /// Number of processes.
@@ -866,24 +617,24 @@ impl<N: Node> ShardedWorld<N> {
 
     /// Total atomic steps dispatched, across all shards.
     pub fn steps(&self) -> u64 {
-        self.shards.iter().map(|s| s.metrics.steps.get()).sum()
+        self.shards.iter().map(|s| s.exec.metrics.steps.get()).sum()
     }
 
     /// Total messages sent, across all shards.
     pub fn messages_sent(&self) -> u64 {
-        self.shards.iter().map(|s| s.metrics.messages_sent.get()).sum()
+        self.shards.iter().map(|s| s.exec.metrics.messages_sent.get()).sum()
     }
 
     /// Read access to a node's state.
     pub fn node(&self, pid: ProcessId) -> &N {
         let k = self.shards.len();
-        &self.shards[pid.index() % k].nodes[pid.index() / k]
+        &self.shards[pid.index() % k].exec.nodes()[pid.index() / k]
     }
 
     /// Whether `pid` has crashed already.
     pub fn is_crashed(&self, pid: ProcessId) -> bool {
         let k = self.shards.len();
-        self.shards[pid.index() % k].crashed[pid.index() / k]
+        self.shards[pid.index() % k].exec.crashed()[pid.index() / k]
     }
 
     /// The recorded trace so far.
@@ -903,13 +654,13 @@ impl<N: Node> ShardedWorld<N> {
 
     /// Events still pending, summed across shards.
     pub fn pending_events(&self) -> usize {
-        self.shards.iter().map(|s| s.queue.len()).sum()
+        self.shards.iter().map(|s| s.wire.queue.len()).sum()
     }
 
     /// One shard's metric set (per-shard backlog, sender- and
     /// executor-side counters).
     pub fn shard_metrics(&self, shard: usize) -> &SimMetrics {
-        &self.shards[shard].metrics
+        &self.shards[shard].exec.metrics
     }
 
     /// The shard-count-invariant global backlog gauge (see module docs).
@@ -941,7 +692,7 @@ impl<N: Node> ShardedWorld<N> {
     pub fn metrics_map(&self) -> MetricMap {
         let mut merged = SimMetrics::new();
         for s in &self.shards {
-            merged.absorb(&s.metrics);
+            merged.absorb(&s.exec.metrics);
         }
         merged.queue_depth = self.global_depth;
         merged.export(self.delay_kind)
@@ -950,8 +701,8 @@ impl<N: Node> ShardedWorld<N> {
     fn update_depth_gauges(&mut self) {
         let mut total = 0u64;
         for s in &mut self.shards {
-            let depth = s.queue.len() as u64;
-            s.metrics.queue_depth.set(depth);
+            let depth = s.wire.queue.len() as u64;
+            s.exec.metrics.queue_depth.set(depth);
             total += depth;
         }
         self.global_depth.set(total);
@@ -965,33 +716,20 @@ impl<N: Node> ShardedWorld<N> {
         };
         debug_assert!(t >= self.now, "time must not run backwards");
         self.now = t;
-        let mut log = std::mem::take(&mut self.log_buf);
-        let mut outbox = std::mem::take(&mut self.outbox_buf);
-        debug_assert!(log.is_empty() && outbox.is_empty());
+        debug_assert!(self.log_buf.is_empty() && self.outbox_buf.is_empty());
         for s in &mut self.shards {
-            if s.queue.peek_time() == Some(t) {
-                s.run_instant(t, &mut log, &mut outbox);
+            if s.wire.queue.peek_time() == Some(t) {
+                s.run_instant(t, &mut self.log_buf, &mut self.outbox_buf);
             }
         }
-        for (dest, at, p) in outbox.drain(..) {
-            self.shards[dest].queue.push(at, p);
-        }
-        // The deterministic merge: stable-sorting the shard-ordered log
-        // concatenation by the unique canonical keys reproduces the order
-        // a single global key-sorted execution would emit.
-        log.sort_by_key(|e| e.0);
-        for (_, e) in log.drain(..) {
-            replay_entry(&mut self.trace, &mut self.obs_sink, self.record_observations, t, e);
-        }
-        self.log_buf = log;
-        self.outbox_buf = outbox;
+        self.settle(t);
         self.update_depth_gauges();
         true
     }
 
     /// Earliest pending instant across all shards.
     pub fn peek_time(&self) -> Option<Time> {
-        self.shards.iter().filter_map(|s| s.queue.peek_time()).min()
+        self.shards.iter().filter_map(|s| s.wire.queue.peek_time()).min()
     }
 
     /// Runs until all queues are empty or global time exceeds `deadline`.
@@ -1052,9 +790,9 @@ impl<N: Node> ShardedWorld<N> {
         let mut depth_shadow: Vec<Gauge> = Vec::with_capacity(k);
         let mut states: Vec<Option<ShardState<N>>> = Vec::with_capacity(k);
         for s in self.shards.drain(..) {
-            qmin.push(s.queue.peek_time());
-            qlen.push(s.queue.len());
-            depth_shadow.push(s.metrics.queue_depth);
+            qmin.push(s.wire.queue.peek_time());
+            qlen.push(s.wire.queue.len());
+            depth_shadow.push(s.exec.metrics.queue_depth);
             states.push(Some(s));
         }
         let mut step_txs = Vec::with_capacity(workers);
@@ -1157,11 +895,11 @@ impl<N: Node> ShardedWorld<N> {
         self.shards = slots.into_iter().map(|s| s.expect("workers returned every shard")).collect();
         for (s, entries) in inbox.into_iter().enumerate() {
             for (at, p) in entries {
-                self.shards[s].queue.push(at, p);
+                self.shards[s].wire.queue.push(at, p);
             }
         }
         for (s, g) in depth_shadow.into_iter().enumerate() {
-            self.shards[s].metrics.queue_depth = g;
+            self.shards[s].exec.metrics.queue_depth = g;
         }
         self.global_depth = global_shadow;
     }
@@ -1171,39 +909,7 @@ impl<N: Node> ShardedWorld<N> {
 mod tests {
     use super::*;
     use crate::fault::CrashPlan;
-
-    /// Ring-token nodes (the `World` test workload, reused verbatim).
-    #[derive(Debug)]
-    struct RingNode {
-        n: usize,
-        hops_left: u32,
-        received: u32,
-    }
-
-    impl Node for RingNode {
-        type Msg = u32;
-        type Obs = u32;
-
-        fn on_start(&mut self, ctx: &mut Context<'_, u32, u32>) {
-            if ctx.me() == ProcessId(0) {
-                let next = ProcessId::from_index((ctx.me().index() + 1) % self.n);
-                ctx.send(next, self.hops_left);
-            }
-        }
-
-        fn on_message(&mut self, ctx: &mut Context<'_, u32, u32>, _from: ProcessId, msg: u32) {
-            self.received += 1;
-            ctx.observe(msg);
-            if msg > 0 {
-                let next = ProcessId::from_index((ctx.me().index() + 1) % self.n);
-                ctx.send(next, msg - 1);
-            }
-        }
-    }
-
-    fn ring(n: usize, hops: u32) -> Vec<RingNode> {
-        (0..n).map(|_| RingNode { n, hops_left: hops, received: 0 }).collect()
-    }
+    use crate::world::tests::{ring, FoldSink};
 
     fn cfg(seed: u64, n: usize, batch: bool) -> WorldConfig {
         let cfg = WorldConfig::new(seed)
@@ -1364,16 +1070,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_at_time_zero_suppresses_start_step() {
-        let cfg =
-            WorldConfig::new(3).crashes(CrashPlan::one(ProcessId(0), Time::ZERO)).record_messages();
-        let mut w = ShardedWorld::new(ring(3, 10), cfg, 2);
-        assert!(w.is_crashed(ProcessId(0)));
-        while w.step_instant() {}
-        assert_eq!(w.trace().sent_count(), 0, "a dead-from-birth process must not send");
-    }
-
-    #[test]
     fn run_until_respects_deadline() {
         let mut w = ShardedWorld::new(ring(4, 1000), WorldConfig::new(9), 2);
         w.run_until(Time(50));
@@ -1406,37 +1102,6 @@ mod tests {
             ShardedWorld::try_new(ring(2, 1), cfg, 2).err(),
             Some(ShardBuildError::UncloneableDelayModel)
         );
-    }
-
-    /// A sink observing through the sharded coordinator sees the exact
-    /// trace stream, as with `World`.
-    #[derive(Debug, Default)]
-    struct FoldSink {
-        seen: Vec<(Time, ProcessId, u32)>,
-    }
-
-    impl ObsSink<u32> for FoldSink {
-        fn on_obs(&mut self, at: Time, pid: ProcessId, obs: &u32) {
-            self.seen.push((at, pid, *obs));
-        }
-    }
-
-    #[test]
-    fn obs_sink_streams_exactly_the_trace_observations() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let sink = Rc::new(RefCell::new(FoldSink::default()));
-        let mut w = ShardedWorld::new_with_sink(
-            ring(4, 23),
-            WorldConfig::new(9),
-            3,
-            Box::new(Rc::clone(&sink)),
-        );
-        while w.step_instant() {}
-        let from_trace: Vec<(Time, ProcessId, u32)> =
-            w.trace().observations().map(|(t, p, &o)| (t, p, o)).collect();
-        assert!(!from_trace.is_empty());
-        assert_eq!(sink.borrow().seen, from_trace);
     }
 
     /// Per-shard sinks riding worker threads each see exactly the

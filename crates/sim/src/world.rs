@@ -1,24 +1,20 @@
 //! The simulated world: processes + channels + faults + global clock.
 //!
-//! ## Crash semantics at time zero
-//!
-//! A process whose crash is scheduled at `Time::ZERO` is *dead from
-//! birth*: it takes no steps at all — in particular its `on_start` step is
-//! suppressed, so it can neither send messages nor arm timers. (The event
-//! queue only orders events popped during the run; start steps execute in
-//! `World::new` before the first pop, so a queued t=0 crash used to fire
-//! *after* the starts, letting a dead process speak. The crash plan is now
-//! applied to t=0 entries before start dispatch.) This matches the paper's
-//! model, where a faulty process "ceases execution without warning" — a
-//! process that crashes at the initial instant never executed at all.
+//! [`World`] is the classic simulator family: one global event queue
+//! popped in `(time, scheduling order)`, one global delay stream. What a
+//! popped event *does* — the atomic step, crash discard (including the
+//! dead-from-birth rule for crashes at `Time::ZERO`), counters, routing —
+//! is the step executor in `step.rs`, shared with
+//! [`crate::shard::ShardedWorld`]; this module only wires it up.
 
 use crate::event::{EventKind, EventQueue, QueueBackend};
 use crate::fault::CrashPlan;
 use crate::id::ProcessId;
 use crate::metrics::SimMetrics;
 use crate::net::DelayModel;
-use crate::node::{Context, Node, TimerId};
+use crate::node::Node;
 use crate::rng::SplitMix64;
+use crate::step::{Executor, Fabric};
 use crate::time::Time;
 use crate::trace::{Trace, TraceEvent};
 
@@ -157,39 +153,75 @@ impl WorldConfig {
 /// A complete simulated system executing one run.
 ///
 /// The world advances by draining a deterministic event queue. Each popped
-/// event triggers one atomic step of one node; effects (sends, timers,
-/// observations) are buffered during the step and routed after it returns.
+/// event triggers one atomic step of one node, executed by the step
+/// executor both simulator families share (`step.rs`); this type adds the
+/// classic family's wiring — one global queue, one global delay stream,
+/// emissions straight into the trace and sink.
 pub struct World<N: Node> {
-    nodes: Vec<N>,
-    crashed: Vec<bool>,
+    exec: Executor<N>,
     now: Time,
+    fabric: Classic<N>,
+}
+
+/// The classic family's [`Fabric`]: state of process `p` at slot `p`,
+/// scheduled events ordered by one global [`EventQueue`], every delay drawn
+/// from one global stream in dispatch order, trace events and observations
+/// emitted inline.
+struct Classic<N: Node> {
     queue: EventQueue<N::Msg>,
     delays: DelayModel,
     rng: SplitMix64,
-    node_rngs: Vec<SplitMix64>,
     trace: Trace<N::Msg, N::Obs>,
     record_observations: bool,
-    batch_envelopes: bool,
     obs_sink: Option<Box<dyn ObsSink<N::Obs>>>,
-    // Reusable effect buffers (avoid per-step allocation).
-    sends_buf: Vec<(ProcessId, N::Msg)>,
-    timers_buf: Vec<(u64, TimerId)>,
-    obs_buf: Vec<N::Obs>,
-    // Envelope pooling: payload vectors cycle world → event → world instead
-    // of being allocated per envelope, and the batching group list keeps its
-    // capacity across steps.
-    envelope_pool: Vec<Vec<N::Msg>>,
-    groups_buf: Vec<(ProcessId, Vec<N::Msg>)>,
-    metrics: SimMetrics,
+}
+
+impl<N: Node> Fabric<N> for Classic<N> {
+    #[inline]
+    fn slot(&self, pid: ProcessId) -> usize {
+        pid.index()
+    }
+
+    #[inline]
+    fn emit(&mut self, ev: TraceEvent<N::Msg, N::Obs>) {
+        self.trace.push(ev);
+    }
+
+    #[inline]
+    fn observe(&mut self, at: Time, pid: ProcessId, obs: N::Obs) {
+        if let Some(sink) = self.obs_sink.as_mut() {
+            sink.on_obs(at, pid, &obs);
+        }
+        if self.record_observations {
+            self.trace.push(TraceEvent::Obs { at, pid, obs });
+        }
+    }
+
+    #[inline]
+    fn delay(&mut self, _slot: usize, from: ProcessId, to: ProcessId, now: Time) -> u64 {
+        self.delays.sample(from, to, now, &mut self.rng)
+    }
+
+    #[inline]
+    fn schedule(
+        &mut self,
+        _slot: usize,
+        _source: ProcessId,
+        _dest: ProcessId,
+        at: Time,
+        kind: EventKind<N::Msg>,
+    ) {
+        self.queue.push(at, kind);
+    }
 }
 
 impl<N: Node> std::fmt::Debug for World<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("World")
-            .field("nodes", &self.nodes.len())
-            .field("crashed", &self.crashed)
+            .field("nodes", &self.len())
+            .field("crashed", &self.exec.crashed())
             .field("now", &self.now)
-            .field("queue_len", &self.queue.len())
+            .field("queue_len", &self.fabric.queue.len())
             .finish_non_exhaustive()
     }
 }
@@ -211,58 +243,44 @@ impl<N: Node> World<N> {
     fn build(nodes: Vec<N>, cfg: WorldConfig, obs_sink: Option<Box<dyn ObsSink<N::Obs>>>) -> Self {
         let n = nodes.len();
         let mut rng = SplitMix64::new(cfg.seed);
-        let node_rngs = (0..n).map(|_| rng.fork()).collect();
-        let mut world = World {
-            nodes,
-            crashed: vec![false; n],
-            now: Time::ZERO,
+        let mut exec = Executor::new(n, cfg.record_messages, cfg.batch_envelopes);
+        for node in nodes {
+            exec.push(node, rng.fork());
+        }
+        let fabric = Classic {
             queue: EventQueue::with_backend(cfg.queue),
             delays: cfg.delays,
             rng,
-            node_rngs,
             trace: Trace::new(cfg.record_messages),
             record_observations: cfg.record_observations,
-            batch_envelopes: cfg.batch_envelopes,
             obs_sink,
-            sends_buf: Vec::new(),
-            timers_buf: Vec::new(),
-            obs_buf: Vec::new(),
-            envelope_pool: Vec::new(),
-            groups_buf: Vec::new(),
-            metrics: SimMetrics::new(),
         };
+        let mut world = World { exec, now: Time::ZERO, fabric };
         for &(pid, at) in cfg.crashes.crashes() {
             assert!(pid.index() < n, "crash plan names unknown process {pid}");
             if at == Time::ZERO {
-                // Dead from birth: take effect before start dispatch so the
-                // process never runs `on_start` (see the module docs).
-                if !world.crashed[pid.index()] {
-                    world.crashed[pid.index()] = true;
-                    world.metrics.crash_events.inc();
-                    world.trace.push(TraceEvent::Crash { at: Time::ZERO, pid });
-                }
+                // Dead from birth: takes effect before the start steps.
+                world.exec.execute(at, EventKind::Crash { pid }, &mut world.fabric);
             } else {
-                world.queue.push(at, EventKind::Crash { pid });
+                world.fabric.queue.push(at, EventKind::Crash { pid });
             }
         }
-        world.metrics.queue_depth.set(world.queue.len() as u64);
         // Start steps run immediately, in id order, before any event.
         for i in 0..n {
-            if !world.crashed[i] {
-                world.dispatch_start(ProcessId::from_index(i));
-            }
+            world.exec.start(ProcessId::from_index(i), &mut world.fabric);
         }
+        world.exec.metrics.queue_depth.set(world.fabric.queue.len() as u64);
         world
     }
 
     /// Number of processes.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.exec.nodes().len()
     }
 
     /// Whether the system is empty (it never is in practice).
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.len() == 0
     }
 
     /// Current global time.
@@ -272,138 +290,83 @@ impl<N: Node> World<N> {
 
     /// Total atomic steps dispatched so far.
     pub fn steps(&self) -> u64 {
-        self.metrics.steps.get()
+        self.exec.metrics.steps.get()
     }
 
     /// Total messages sent so far (counted even when the trace does not
     /// record message events).
     pub fn messages_sent(&self) -> u64 {
-        self.metrics.messages_sent.get()
+        self.exec.metrics.messages_sent.get()
     }
 
     /// Total messages delivered to live processes so far.
     pub fn messages_delivered(&self) -> u64 {
-        self.metrics.messages_delivered.get()
+        self.exec.metrics.messages_delivered.get()
     }
 
     /// The full metric set of this run (counters, queue-depth gauge, delay
     /// histogram). All values are logical quantities: reruns of the same
     /// seed produce identical metrics.
     pub fn metrics(&self) -> &SimMetrics {
-        &self.metrics
+        &self.exec.metrics
     }
 
     /// Flattened, key-sorted metric export; the delay histogram is labeled
     /// with this world's [`DelayModel`] variant.
     pub fn metrics_map(&self) -> crate::metrics::MetricMap {
-        self.metrics.export(self.delays.kind())
+        self.exec.metrics.export(self.fabric.delays.kind())
     }
 
     /// Read access to a node's state (for assertions and extraction).
     pub fn node(&self, pid: ProcessId) -> &N {
-        &self.nodes[pid.index()]
+        &self.exec.nodes()[pid.index()]
     }
 
     /// Whether `pid` has crashed already.
     pub fn is_crashed(&self, pid: ProcessId) -> bool {
-        self.crashed[pid.index()]
+        self.exec.crashed()[pid.index()]
     }
 
     /// The recorded trace so far.
     pub fn trace(&self) -> &Trace<N::Msg, N::Obs> {
-        &self.trace
+        &self.fabric.trace
     }
 
     /// Consumes the world, returning the trace. Any attached [`ObsSink`] is
     /// dropped here; keep a shared handle (see the `Rc<RefCell<_>>` blanket
     /// impl) or call [`World::take_obs_sink`] first to recover its state.
     pub fn into_trace(self) -> Trace<N::Msg, N::Obs> {
-        self.trace
+        self.fabric.trace
     }
 
     /// Detaches and returns the streaming sink, if one was attached. Later
     /// observations are no longer streamed anywhere.
     pub fn take_obs_sink(&mut self) -> Option<Box<dyn ObsSink<N::Obs>>> {
-        self.obs_sink.take()
+        self.fabric.obs_sink.take()
     }
 
     /// Number of events still pending.
     pub fn pending_events(&self) -> usize {
-        self.queue.len()
+        self.fabric.queue.len()
     }
 
     /// Executes the next event, if any. Returns `false` when the queue is
     /// exhausted (the system is quiescent).
     pub fn step(&mut self) -> bool {
-        let Some(ev) = self.queue.pop() else {
+        let Some(ev) = self.fabric.queue.pop() else {
             return false;
         };
         debug_assert!(ev.at >= self.now, "time must not run backwards");
         self.now = ev.at;
-        match ev.kind {
-            EventKind::Crash { pid } => {
-                if !self.crashed[pid.index()] {
-                    self.crashed[pid.index()] = true;
-                    self.metrics.crash_events.inc();
-                    self.trace.push(TraceEvent::Crash { at: self.now, pid });
-                }
-            }
-            EventKind::Timer { pid, id } => {
-                if !self.crashed[pid.index()] {
-                    self.metrics.timer_fires.inc();
-                    self.dispatch_timer(pid, id);
-                }
-            }
-            EventKind::Deliver { from, to, msg } => {
-                if !self.crashed[to.index()] {
-                    self.metrics.messages_delivered.inc();
-                    if self.trace.records_messages {
-                        self.trace.push(TraceEvent::Deliver {
-                            at: self.now,
-                            from,
-                            to,
-                            msg: msg.clone(),
-                        });
-                    }
-                    self.dispatch_message(to, from, msg);
-                } else {
-                    // Messages to crashed processes vanish: the reliability
-                    // axiom only covers messages sent to correct processes.
-                    self.metrics.messages_dropped.inc();
-                }
-            }
-            EventKind::Envelope { from, to, mut msgs } => {
-                if !self.crashed[to.index()] {
-                    // FIFO within the envelope: dispatch in send order, one
-                    // atomic step per message (delivering k messages is
-                    // equivalent to k consecutive steps in the model).
-                    for msg in msgs.drain(..) {
-                        self.metrics.messages_delivered.inc();
-                        if self.trace.records_messages {
-                            self.trace.push(TraceEvent::Deliver {
-                                at: self.now,
-                                from,
-                                to,
-                                msg: msg.clone(),
-                            });
-                        }
-                        self.dispatch_message(to, from, msg);
-                    }
-                } else {
-                    self.metrics.messages_dropped.add(msgs.len() as u64);
-                    msgs.clear();
-                }
-                // Recycle the payload vector for a future envelope.
-                self.envelope_pool.push(msgs);
-            }
-        }
-        self.metrics.queue_depth.set(self.queue.len() as u64);
+        self.exec.execute(ev.at, ev.kind, &mut self.fabric);
+        // Executing an event only pushes, so the backlog peaks here.
+        self.exec.metrics.queue_depth.set(self.fabric.queue.len() as u64);
         true
     }
 
     /// Runs until the queue is empty or global time exceeds `deadline`.
     pub fn run_until(&mut self, deadline: Time) {
-        while let Some(t) = self.queue.peek_time() {
+        while let Some(t) = self.fabric.queue.peek_time() {
             if t > deadline {
                 break;
             }
@@ -418,162 +381,6 @@ impl<N: Node> World<N> {
     pub fn run_for(&mut self, d: u64) {
         let deadline = self.now + d;
         self.run_until(deadline);
-    }
-
-    fn dispatch_start(&mut self, pid: ProcessId) {
-        let (sends, timers, obs) = {
-            let mut ctx = Context::new(
-                pid,
-                self.now,
-                &mut self.sends_buf,
-                &mut self.timers_buf,
-                &mut self.obs_buf,
-                &mut self.node_rngs[pid.index()],
-            );
-            self.nodes[pid.index()].on_start(&mut ctx);
-            (
-                std::mem::take(&mut self.sends_buf),
-                std::mem::take(&mut self.timers_buf),
-                std::mem::take(&mut self.obs_buf),
-            )
-        };
-        self.route_effects(pid, sends, timers, obs);
-    }
-
-    fn dispatch_message(&mut self, pid: ProcessId, from: ProcessId, msg: N::Msg) {
-        let (sends, timers, obs) = {
-            let mut ctx = Context::new(
-                pid,
-                self.now,
-                &mut self.sends_buf,
-                &mut self.timers_buf,
-                &mut self.obs_buf,
-                &mut self.node_rngs[pid.index()],
-            );
-            self.nodes[pid.index()].on_message(&mut ctx, from, msg);
-            (
-                std::mem::take(&mut self.sends_buf),
-                std::mem::take(&mut self.timers_buf),
-                std::mem::take(&mut self.obs_buf),
-            )
-        };
-        self.route_effects(pid, sends, timers, obs);
-    }
-
-    fn dispatch_timer(&mut self, pid: ProcessId, id: TimerId) {
-        let (sends, timers, obs) = {
-            let mut ctx = Context::new(
-                pid,
-                self.now,
-                &mut self.sends_buf,
-                &mut self.timers_buf,
-                &mut self.obs_buf,
-                &mut self.node_rngs[pid.index()],
-            );
-            self.nodes[pid.index()].on_timer(&mut ctx, id);
-            (
-                std::mem::take(&mut self.sends_buf),
-                std::mem::take(&mut self.timers_buf),
-                std::mem::take(&mut self.obs_buf),
-            )
-        };
-        self.route_effects(pid, sends, timers, obs);
-    }
-
-    fn route_effects(
-        &mut self,
-        pid: ProcessId,
-        mut sends: Vec<(ProcessId, N::Msg)>,
-        mut timers: Vec<(u64, TimerId)>,
-        mut obs: Vec<N::Obs>,
-    ) {
-        self.metrics.steps.inc();
-        for o in obs.drain(..) {
-            self.metrics.observations.inc();
-            if let Some(sink) = self.obs_sink.as_mut() {
-                sink.on_obs(self.now, pid, &o);
-            }
-            if self.record_observations {
-                self.trace.push(TraceEvent::Obs { at: self.now, pid, obs: o });
-            }
-        }
-        if self.batch_envelopes {
-            self.route_sends_batched(pid, &mut sends);
-        } else {
-            for (to, msg) in sends.drain(..) {
-                assert!(to.index() < self.nodes.len(), "send to unknown process {to}");
-                self.metrics.messages_sent.inc();
-                self.metrics.envelopes_sent.inc();
-                if self.trace.records_messages {
-                    self.trace.push(TraceEvent::Send {
-                        at: self.now,
-                        from: pid,
-                        to,
-                        msg: msg.clone(),
-                    });
-                }
-                let d = self.delays.sample(pid, to, self.now, &mut self.rng);
-                self.metrics.delay_ticks.record(d);
-                let at = Self::schedule_at(self.now, d, "delivery");
-                self.queue.push(at, EventKind::Deliver { from: pid, to, msg });
-            }
-        }
-        for (delay, id) in timers.drain(..) {
-            self.metrics.timers_set.inc();
-            let at = Self::schedule_at(self.now, delay, "timer");
-            self.queue.push(at, EventKind::Timer { pid, id });
-        }
-        self.metrics.queue_depth.set(self.queue.len() as u64);
-        // Return the (now empty) buffers for reuse.
-        self.sends_buf = sends;
-        self.timers_buf = timers;
-        self.obs_buf = obs;
-    }
-
-    /// Resolves the absolute instant of an effect scheduled `delay` ticks
-    /// from `now`, treating clock-horizon overflow as a hard error: a
-    /// saturated instant would park the event at [`Time::INFINITY`] forever
-    /// and livelock `run_until(Time::INFINITY)` (see [`Time::checked_add`]).
-    #[inline]
-    fn schedule_at(now: Time, delay: u64, what: &str) -> Time {
-        match now.checked_add(delay) {
-            Some(at) => at,
-            None => panic!("{what} scheduled past the clock horizon (t{now} + {delay} ticks)"),
-        }
-    }
-
-    /// Envelope batching: coalesce this step's sends by destination —
-    /// first-occurrence destination order, send order within a destination
-    /// (FIFO inside the envelope) — and give each envelope one delay draw.
-    /// The destination count per step is small, so the grouping is a linear
-    /// scan, not a map. Payload vectors come from the envelope pool and
-    /// return to it when the envelope is dispatched.
-    fn route_sends_batched(&mut self, pid: ProcessId, sends: &mut Vec<(ProcessId, N::Msg)>) {
-        let mut groups = std::mem::take(&mut self.groups_buf);
-        for (to, msg) in sends.drain(..) {
-            assert!(to.index() < self.nodes.len(), "send to unknown process {to}");
-            self.metrics.messages_sent.inc();
-            if self.trace.records_messages {
-                self.trace.push(TraceEvent::Send { at: self.now, from: pid, to, msg: msg.clone() });
-            }
-            match groups.iter_mut().find(|(t, _)| *t == to) {
-                Some((_, msgs)) => msgs.push(msg),
-                None => {
-                    let mut msgs = self.envelope_pool.pop().unwrap_or_default();
-                    msgs.push(msg);
-                    groups.push((to, msgs));
-                }
-            }
-        }
-        for (to, msgs) in groups.drain(..) {
-            self.metrics.envelopes_sent.inc();
-            self.metrics.envelope_occupancy.record(msgs.len() as u64);
-            let d = self.delays.sample(pid, to, self.now, &mut self.rng);
-            self.metrics.delay_ticks.record(d);
-            let at = Self::schedule_at(self.now, d, "envelope");
-            self.queue.push(at, EventKind::Envelope { from: pid, to, msgs });
-        }
-        self.groups_buf = groups;
     }
 }
 
@@ -593,12 +400,14 @@ impl<N: Node> dinefd_runtime::Runtime<N> for World<N> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::node::{Context, TimerId};
 
-    /// A node that floods a token around a ring `k` times.
+    /// A node that floods a token around a ring `k` times (also the
+    /// `ShardedWorld` unit tests' workload).
     #[derive(Debug)]
-    struct RingNode {
+    pub(crate) struct RingNode {
         n: usize,
         hops_left: u32,
         received: u32,
@@ -625,7 +434,7 @@ mod tests {
         }
     }
 
-    fn ring(n: usize, hops: u32) -> Vec<RingNode> {
+    pub(crate) fn ring(n: usize, hops: u32) -> Vec<RingNode> {
         (0..n).map(|_| RingNode { n, hops_left: hops, received: 0 }).collect()
     }
 
@@ -665,38 +474,6 @@ mod tests {
         assert_eq!(w.trace().delivered_count(), 0);
         assert!(w.is_crashed(ProcessId(1)));
         assert!(!w.is_crashed(ProcessId(0)));
-    }
-
-    /// Regression (ISSUE 2): a crash scheduled at `Time::ZERO` used to be
-    /// enqueued as an ordinary event, which fires only after the start
-    /// steps — so a dead-from-birth process still ran `on_start` and could
-    /// send messages. It must take no steps at all.
-    #[test]
-    fn crash_at_time_zero_suppresses_start_step() {
-        // p0 is the ring initiator; crashing it at t=0 must kill the run
-        // before any message exists.
-        let cfg =
-            WorldConfig::new(3).crashes(CrashPlan::one(ProcessId(0), Time::ZERO)).record_messages();
-        let mut w = World::new(ring(3, 10), cfg);
-        assert!(w.is_crashed(ProcessId(0)), "t=0 crash must be effective before starts");
-        while w.step() {}
-        assert_eq!(w.trace().sent_count(), 0, "a dead-from-birth process must not send");
-        assert_eq!(w.steps(), 2, "only the two live processes take their start steps");
-        // The crash itself is still visible to the spec checkers.
-        assert!(w
-            .trace()
-            .events()
-            .iter()
-            .any(|e| matches!(e, TraceEvent::Crash { at: Time::ZERO, pid: ProcessId(0) })));
-    }
-
-    #[test]
-    fn crash_at_time_zero_also_silences_timers() {
-        let cfg = WorldConfig::new(2).crashes(CrashPlan::one(ProcessId(0), Time::ZERO));
-        let mut w = World::new(vec![TimerNode { fired: 0, limit: 5 }], cfg);
-        while w.step() {}
-        assert_eq!(w.node(ProcessId(0)).fired, 0);
-        assert_eq!(w.pending_events(), 0);
     }
 
     #[test]
@@ -768,45 +545,16 @@ mod tests {
         assert_eq!(w.now(), Time(35));
     }
 
-    /// A sink that folds observations into a running count + checksum.
+    /// A sink that keeps every observation it is shown.
     #[derive(Debug, Default)]
-    struct FoldSink {
-        seen: Vec<(Time, ProcessId, u32)>,
+    pub(crate) struct FoldSink {
+        pub(crate) seen: Vec<(Time, ProcessId, u32)>,
     }
 
     impl ObsSink<u32> for FoldSink {
         fn on_obs(&mut self, at: Time, pid: ProcessId, obs: &u32) {
             self.seen.push((at, pid, *obs));
         }
-    }
-
-    #[test]
-    fn obs_sink_streams_exactly_the_trace_observations() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let sink = Rc::new(RefCell::new(FoldSink::default()));
-        let mut w =
-            World::new_with_sink(ring(4, 23), WorldConfig::new(9), Box::new(Rc::clone(&sink)));
-        while w.step() {}
-        let from_trace: Vec<(Time, ProcessId, u32)> =
-            w.trace().observations().map(|(t, p, &o)| (t, p, o)).collect();
-        assert!(!from_trace.is_empty());
-        assert_eq!(sink.borrow().seen, from_trace, "sink must mirror the trace stream");
-        assert_eq!(w.metrics().observations.get(), from_trace.len() as u64);
-    }
-
-    #[test]
-    fn observation_events_off_keeps_sink_fed_but_trace_lean() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let sink = Rc::new(RefCell::new(FoldSink::default()));
-        let cfg = WorldConfig::new(9).observation_events_off();
-        let mut w = World::new_with_sink(ring(4, 23), cfg, Box::new(Rc::clone(&sink)));
-        while w.step() {}
-        assert_eq!(w.trace().observations().count(), 0, "trace must not retain observations");
-        assert_eq!(w.trace().len(), 0, "nothing else recorded either (messages off)");
-        assert_eq!(sink.borrow().seen.len() as u64, w.metrics().observations.get());
-        assert!(w.metrics().observations.get() > 0);
     }
 
     #[test]
@@ -880,21 +628,6 @@ mod tests {
     }
 
     #[test]
-    fn envelope_batching_preserves_fifo_within_an_envelope() {
-        let cfg = WorldConfig::new(5).batch_envelopes();
-        let mut w = World::new(burst_nodes(5, 6), cfg);
-        while w.step() {}
-        // Messages of one burst share an envelope, so their receive order is
-        // their send order: within each round, k ascends 0..6.
-        let received = &w.node(ProcessId(1)).received;
-        assert_eq!(received.len(), 36);
-        for chunk in received.chunks(6) {
-            let ks: Vec<u32> = chunk.iter().map(|m| m % 100).collect();
-            assert_eq!(ks, vec![0, 1, 2, 3, 4, 5], "within-envelope order broken: {received:?}");
-        }
-    }
-
-    #[test]
     fn envelope_batching_off_matches_on_under_fixed_delays() {
         // With a deterministic delay model the single envelope draw equals
         // every per-message draw, so the two schedules are identical up to
@@ -908,96 +641,6 @@ mod tests {
             (w.now(), w.node(ProcessId(1)).received.clone())
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn envelopes_to_crashed_receivers_are_dropped_whole() {
-        let cfg = WorldConfig::new(4)
-            .batch_envelopes()
-            .delays(DelayModel::Fixed(10))
-            .crashes(CrashPlan::one(ProcessId(1), Time(1)));
-        let mut w = World::new(burst_nodes(2, 5), cfg);
-        while w.step() {}
-        let m = w.metrics();
-        assert_eq!(m.messages_delivered.get(), 0);
-        assert_eq!(m.messages_dropped.get(), m.messages_sent.get());
-    }
-
-    #[test]
-    fn timers_of_crashed_process_do_not_fire() {
-        let cfg = WorldConfig::new(1).crashes(CrashPlan::one(ProcessId(0), Time(12)));
-        let mut w = World::new(vec![TimerNode { fired: 0, limit: 100 }], cfg);
-        while w.step() {}
-        // Fires at t=5 and t=10; crash at t=12 silences the rest.
-        assert_eq!(w.node(ProcessId(0)).fired, 2);
-    }
-
-    /// A node that jumps to the clock horizon and keeps re-arming there —
-    /// the shape that used to livelock `run_until(Time::INFINITY)`.
-    #[derive(Debug)]
-    struct HorizonNode;
-
-    impl Node for HorizonNode {
-        type Msg = ();
-        type Obs = ();
-
-        fn on_start(&mut self, ctx: &mut Context<'_, (), ()>) {
-            // t=0 + u64::MAX lands exactly on Time::INFINITY — legal.
-            ctx.set_timer(u64::MAX, TimerId(0));
-        }
-
-        fn on_message(&mut self, _ctx: &mut Context<'_, (), ()>, _from: ProcessId, _msg: ()) {}
-
-        fn on_timer(&mut self, ctx: &mut Context<'_, (), ()>, _id: TimerId) {
-            // Re-arming at the horizon used to *saturate* back to
-            // Time::INFINITY, so this timer fired again and again at the
-            // same instant and the run never terminated.
-            ctx.set_timer(1, TimerId(0));
-        }
-    }
-
-    /// Regression (ISSUE 7): `Time`'s saturating `Add` silently pinned
-    /// past-horizon events at `Time::INFINITY`, so a node re-arming a timer
-    /// there livelocked `run_until(Time::INFINITY)` — the queue never
-    /// drained and time never advanced. Past-horizon scheduling is now a
-    /// hard error instead of an infinite loop.
-    #[test]
-    #[should_panic(expected = "timer scheduled past the clock horizon")]
-    fn rearming_at_the_horizon_is_a_hard_error_not_a_livelock() {
-        let mut w = World::new(vec![HorizonNode], WorldConfig::new(1));
-        w.run_until(Time::INFINITY);
-    }
-
-    /// A node that sends one message to a process that does not exist.
-    #[derive(Debug)]
-    struct StraySender;
-
-    impl Node for StraySender {
-        type Msg = ();
-        type Obs = ();
-
-        fn on_start(&mut self, ctx: &mut Context<'_, (), ()>) {
-            ctx.send(ProcessId(99), ());
-        }
-
-        fn on_message(&mut self, _ctx: &mut Context<'_, (), ()>, _from: ProcessId, _msg: ()) {}
-    }
-
-    /// Regression (ISSUE 7): unknown destinations were guarded only by
-    /// `debug_assert!`, so a release build silently enqueued the delivery
-    /// and corrupted routing state downstream. The guard is now an
-    /// `assert!` in every build profile and both routing paths — CI runs
-    /// this test under `--release` to pin the release-mode behavior.
-    #[test]
-    #[should_panic(expected = "send to unknown process p99")]
-    fn sending_to_an_unknown_process_panics_unbatched() {
-        World::new(vec![StraySender], WorldConfig::new(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "send to unknown process p99")]
-    fn sending_to_an_unknown_process_panics_batched() {
-        World::new(vec![StraySender], WorldConfig::new(1).batch_envelopes());
     }
 
     /// Tentpole differential: the timer wheel and the binary heap must
