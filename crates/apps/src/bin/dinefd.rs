@@ -47,9 +47,11 @@
 //! against one model configuration — from a scenario-DSL file, from
 //! flags, or both (flags override the file). Findings are printed with
 //! their ddmin-minimized replayable prefixes, and the `fuzz.*` metric
-//! block is emitted for perf tooling. Exit status is `0` for a clean run,
-//! `2` when any lemma violation was found, `64` for bad usage (including
-//! scenario parse errors, which carry their line number).
+//! block is emitted for perf tooling; elapsed time and executions per
+//! second go to stderr, so stdout is a function of the flags alone. Exit
+//! status is `0` for a clean run, `2` when any lemma violation was found,
+//! `64` for bad usage (including scenario parse errors, which carry their
+//! line number).
 //!
 //! ```text
 //! --scenario FILE           load a scenario-DSL document
@@ -311,7 +313,9 @@ fn fuzz(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
     if let Some(secs) = time_budget {
         fuzzer = fuzzer.with_time_budget(Duration::from_secs(secs));
     }
+    let started = std::time::Instant::now();
     let report = fuzzer.run();
+    let elapsed = started.elapsed().as_secs_f64();
 
     outln!(
         out,
@@ -321,6 +325,11 @@ fn fuzz(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
         report.coverage_states,
         report.corpus_entries,
         if report.timed_out { " (time budget expired)" } else { "" },
+    );
+    // Speed is the host's, not the seed's: stdout stays rerun-identical.
+    eprintln!(
+        "fuzz: {elapsed:.3} s elapsed, {:.0} executions/s",
+        report.executions as f64 / elapsed.max(f64::EPSILON),
     );
     for f in &report.findings {
         outln!(out, "FINDING [{}] at iteration {}: {}", f.lemma, f.iteration, f.message);

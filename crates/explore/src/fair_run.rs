@@ -57,14 +57,9 @@ fn fire_if(
     cfg: &ExploreConfig,
     pred: impl Fn(TransitionLabel) -> bool,
 ) -> Option<TransitionLabel> {
-    let succ = state.successors(cfg);
-    for (label, next) in succ {
-        if pred(label) {
-            *state = next;
-            return Some(label);
-        }
-    }
-    None
+    let label = state.find_label(cfg, pred)?;
+    *state = state.apply(label, cfg);
+    Some(label)
 }
 
 /// Runs the model for `rounds` weakly-fair rounds. `converge_at` injects the

@@ -164,10 +164,34 @@ impl PairState {
         self.w_phase[i] == DinerPhase::Eating && self.s_phase[i] == DinerPhase::Eating
     }
 
-    /// Applies one labelled transition, returning the successor.
-    /// The label must come from [`PairState::successors`].
-    fn apply(&self, label: TransitionLabel, cfg: &ExploreConfig) -> PairState {
+    /// Applies one labelled transition, returning the successor. The label
+    /// must be enabled here ([`PairState::for_each_label`] yields it).
+    pub fn apply(&self, label: TransitionLabel, cfg: &ExploreConfig) -> PairState {
         let mut s = self.clone();
+        s.fire(label, cfg);
+        s
+    }
+
+    /// [`PairState::apply`] into a caller-owned buffer: `next` is
+    /// overwritten field by field, the message pools through
+    /// `Vec::clone_from`, so a walk that swaps two buffers stops allocating
+    /// once both pools have grown to the walk's high-water mark. (The
+    /// derived `Clone::clone_from` would drop and reallocate them.)
+    pub fn apply_into(&self, label: TransitionLabel, cfg: &ExploreConfig, next: &mut PairState) {
+        let PairState { witness, subject, w_phase, s_phase, pings, acks, converged, crashed } =
+            self;
+        next.witness = witness.clone();
+        next.subject = subject.clone();
+        (next.w_phase, next.s_phase) = (*w_phase, *s_phase);
+        next.pings.clone_from(pings);
+        next.acks.clone_from(acks);
+        (next.converged, next.crashed) = (*converged, *crashed);
+        next.fire(label, cfg);
+    }
+
+    /// The transition itself, in place.
+    fn fire(&mut self, label: TransitionLabel, cfg: &ExploreConfig) {
+        let s = self;
         match label {
             TransitionLabel::Witness(a) => {
                 let cmd = s.witness.fire(a, s.w_phase);
@@ -229,18 +253,12 @@ impl PairState {
                 s.acks.clear();
             }
         }
-        s
     }
 
-    /// All enabled transitions with their successors, appended to `out` —
-    /// the allocation-free form the search engines drive with a reused
-    /// scratch buffer.
-    pub fn successors_into(
-        &self,
-        cfg: &ExploreConfig,
-        out: &mut Vec<(TransitionLabel, PairState)>,
-    ) {
-        let mut push = |l: TransitionLabel| out.push((l, self.apply(l, cfg)));
+    /// Yields every enabled transition label, in the model's canonical
+    /// order (the order [`PairState::successors`] lists them in). Builds no
+    /// state: a caller that wants one edge applies only that label.
+    pub fn for_each_label(&self, cfg: &ExploreConfig, mut push: impl FnMut(TransitionLabel)) {
         // Witness actions (p is always correct in this model).
         self.witness.for_each_enabled(self.w_phase, |a| push(TransitionLabel::Witness(a)));
         // Subject actions, if q lives.
@@ -290,6 +308,34 @@ impl PairState {
         if cfg.allow_crash && !self.crashed {
             push(TransitionLabel::CrashSubject);
         }
+    }
+
+    /// The first enabled label, in canonical order, that satisfies `pred`.
+    pub fn find_label(
+        &self,
+        cfg: &ExploreConfig,
+        pred: impl Fn(TransitionLabel) -> bool,
+    ) -> Option<TransitionLabel> {
+        let mut hit = None;
+        self.for_each_label(cfg, |l| {
+            if hit.is_none() && pred(l) {
+                hit = Some(l);
+            }
+        });
+        hit
+    }
+
+    /// All enabled transitions with their successors, appended to `out` —
+    /// what the search engines drive with a reused scratch buffer. The
+    /// buffer's own storage is reused; each successor is still a fresh
+    /// `PairState` clone (two `Vec`s), which is the right cost when every
+    /// successor is kept and the wrong one when only one is.
+    pub fn successors_into(
+        &self,
+        cfg: &ExploreConfig,
+        out: &mut Vec<(TransitionLabel, PairState)>,
+    ) {
+        self.for_each_label(cfg, |l| out.push((l, self.apply(l, cfg))));
     }
 
     /// All enabled transitions with their successors, as a fresh vector

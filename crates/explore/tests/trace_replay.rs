@@ -1,9 +1,9 @@
 //! Trace-prefix regression tests: every violation the explorer reports must
 //! carry a *replayable* counterexample path. Replaying the recorded labels
-//! from the initial state through `PairState::successors` must (a) stay on
-//! enabled transitions the whole way and (b) land on a state that actually
-//! exhibits the reported violation. A diagnostic that cannot be replayed is
-//! a diagnostic that cannot be trusted.
+//! from the initial state, one `find_label` + `apply` edge at a time, must
+//! (a) stay on enabled transitions the whole way and (b) land on a state
+//! that actually exhibits the reported violation. A diagnostic that cannot
+//! be replayed is a diagnostic that cannot be trusted.
 
 use dinefd_explore::{
     explore, fmt_path, ExploreConfig, ModelMutation, PairState, SubjectMutation, TransitionLabel,
@@ -15,13 +15,15 @@ use dinefd_explore::{
 fn replay(cfg: &ExploreConfig, path: &[TransitionLabel]) -> PairState {
     let mut state = PairState::initial(cfg);
     for (step, &label) in path.iter().enumerate() {
-        let (_, next) =
-            state.successors(cfg).into_iter().find(|&(l, _)| l == label).unwrap_or_else(|| {
-                panic!("step {step}: label {label:?} not enabled during replay")
-            });
-        state = next;
+        state = step_by(&state, cfg, label)
+            .unwrap_or_else(|| panic!("step {step}: label {label:?} not enabled during replay"));
     }
     state
+}
+
+/// One edge: the `label` successor of `state`, if `label` is enabled there.
+fn step_by(state: &PairState, cfg: &ExploreConfig, label: TransitionLabel) -> Option<PairState> {
+    state.find_label(cfg, |l| l == label).map(|l| state.apply(l, cfg))
 }
 
 /// Checks that one record reproduces its violation when replayed.
@@ -42,11 +44,8 @@ fn assert_replays(cfg: &ExploreConfig, r: &ViolationRecord<TransitionLabel>) {
         ViolationKind::ClosureStep => {
             let (last, prefix) = r.path.split_last().expect("closure violations follow a step");
             let pre = replay(cfg, prefix);
-            let (_, post) = pre
-                .successors(cfg)
-                .into_iter()
-                .find(|&(l, _)| l == *last)
-                .expect("violating step not enabled at its pre-state");
+            let post =
+                step_by(&pre, cfg, *last).expect("violating step not enabled at its pre-state");
             let found = pre.check_closure_step(&post);
             assert_eq!(
                 found.as_deref(),

@@ -10,9 +10,30 @@
 //! that.
 
 use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::schedule::Schedule;
 use dinefd_sim::codec::hash64;
+
+/// Hasher of the coverage set: a state fingerprint already *is* a 64-bit
+/// hash, so it is its own hash value. Nothing observable depends on this —
+/// the set is probed, never iterated.
+#[derive(Clone, Copy, Debug, Default)]
+struct FingerprintHasher(u64);
+
+impl Hasher for FingerprintHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+    fn write_u64(&mut self, fp: u64) {
+        self.0 = fp;
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// One retained schedule.
 #[derive(Clone, Debug)]
@@ -32,7 +53,9 @@ pub struct CorpusEntry {
 #[derive(Debug, Default)]
 pub struct Corpus {
     entries: Vec<CorpusEntry>,
-    coverage: HashSet<u64>,
+    /// `cumulative[i]` = total pick weight of `entries[..=i]`.
+    cumulative: Vec<u64>,
+    coverage: HashSet<u64, BuildHasherDefault<FingerprintHasher>>,
 }
 
 impl Corpus {
@@ -55,6 +78,8 @@ impl Corpus {
 
     /// Admits a schedule to the corpus.
     pub fn admit(&mut self, schedule: Schedule, novelty: u32, iteration: u64, violating: bool) {
+        let below = self.cumulative.last().copied().unwrap_or(0);
+        self.cumulative.push(below + 1 + u64::from(novelty));
         self.entries.push(CorpusEntry { schedule, novelty, iteration, violating });
     }
 
@@ -82,19 +107,8 @@ impl Corpus {
     /// weight is `1 + novelty`, accumulated in admission order, so the
     /// draw is deterministic in (`corpus contents`, `roll`).
     pub fn pick(&self, roll: u64) -> Option<&CorpusEntry> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        let total: u64 = self.entries.iter().map(|e| 1 + u64::from(e.novelty)).sum();
-        let mut target = roll % total;
-        for e in &self.entries {
-            let w = 1 + u64::from(e.novelty);
-            if target < w {
-                return Some(e);
-            }
-            target -= w;
-        }
-        self.entries.last()
+        let target = roll % self.cumulative.last()?;
+        self.entries.get(self.cumulative.partition_point(|&below| below <= target))
     }
 
     /// Order-sensitive digest of every retained schedule's canonical byte
@@ -121,6 +135,53 @@ mod tests {
         assert_eq!(c.absorb_coverage(&[1, 2, 2, 3]), 3);
         assert_eq!(c.absorb_coverage(&[2, 3, 4]), 1);
         assert_eq!(c.coverage_states(), 4);
+    }
+
+    #[test]
+    fn coverage_matches_a_std_set_when_low_bits_collide() {
+        // The set's hasher passes fingerprints through, so fingerprints
+        // that agree in their low (bucket) or high (control-byte) bits all
+        // collide; membership must still be exact.
+        let fps: Vec<u64> = (0..4_000u64)
+            .map(|k| match k % 4 {
+                0 => k << 32,             // low 32 bits all zero
+                1 => (k << 20) | 0xfffff, // low 20 bits all one
+                2 => k,                   // high bits all zero
+                _ => (k / 8) << 32,       // repeats: each value four times
+            })
+            .collect();
+        let mut corpus = Corpus::new();
+        let mut oracle = std::collections::HashSet::<u64>::new();
+        for batch in fps.chunks(41) {
+            let expect = batch.iter().filter(|&&fp| oracle.insert(fp)).count() as u32;
+            assert_eq!(corpus.absorb_coverage(batch), expect);
+        }
+        assert_eq!(corpus.coverage_states(), oracle.len() as u64);
+    }
+
+    #[test]
+    fn pick_equals_the_linear_scan_for_every_roll() {
+        /// The definition `pick` must keep: walk the entries in admission
+        /// order, subtracting each weight `1 + novelty` from `roll % total`.
+        fn linear_scan(entries: &[CorpusEntry], roll: u64) -> Option<usize> {
+            let total: u64 = entries.iter().map(|e| 1 + u64::from(e.novelty)).sum();
+            let mut target = roll.checked_rem(total)?;
+            entries.iter().position(|e| {
+                let w = 1 + u64::from(e.novelty);
+                let hit = target < w;
+                target = target.wrapping_sub(w);
+                hit
+            })
+        }
+        let mut c = Corpus::new();
+        for (k, novelty) in [0u32, 0, 7, 0, 1, 40, 0, 0, 3, 0].into_iter().enumerate() {
+            c.admit(Schedule { words: vec![k as u64] }, novelty, k as u64, false);
+            let total: u64 = c.entries().iter().map(|e| 1 + u64::from(e.novelty)).sum();
+            for roll in (0..3 * total).chain([u64::MAX]) {
+                let picked = c.pick(roll).map(|e| e.schedule.words[0] as usize);
+                assert_eq!(picked, linear_scan(c.entries(), roll), "roll {roll} of {total}");
+            }
+        }
     }
 
     #[test]

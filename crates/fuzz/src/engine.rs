@@ -19,7 +19,7 @@ use dinefd_sim::scenario_dsl::Scenario;
 use dinefd_sim::{Clock, MetricMap, MonotonicClock, SplitMix64};
 
 use crate::corpus::Corpus;
-use crate::minimize::{lemma_key, minimize};
+use crate::minimize::{lemma_key, shrink};
 use crate::schedule::{execute, Schedule};
 
 /// Everything one fuzzing run depends on.
@@ -190,8 +190,7 @@ impl Fuzzer {
                     report.first_find_iter.get_or_insert(iteration);
                     let lemma = lemma_key(&msg).to_string();
                     if !report.findings.iter().any(|f| f.lemma == lemma) {
-                        let min = minimize(&cfg.explore, &out.path)
-                            .expect("violating execution paths always minimize");
+                        let min = shrink(&cfg.explore, &out.path, msg);
                         report.minimize_tests += min.tests_run;
                         report.findings.push(Finding {
                             lemma,
@@ -222,11 +221,9 @@ impl Fuzzer {
             }
             let child = match corpus.pick(rng.next_u64()) {
                 Some(parent) => {
-                    let donor = corpus
-                        .pick(rng.next_u64())
-                        .map(|e| e.schedule.words.clone())
-                        .unwrap_or_default();
-                    parent.schedule.mutate(&mut rng, &donor, cfg.max_steps)
+                    let donor =
+                        corpus.pick(rng.next_u64()).map_or(&[][..], |e| &e.schedule.words[..]);
+                    parent.schedule.mutate(&mut rng, donor, cfg.max_steps)
                 }
                 // Corpus can be empty only with `corpus_seeds = 0`.
                 None => Schedule::random(&mut rng, cfg.max_steps),

@@ -28,9 +28,11 @@
 //!
 //! A finding's lemma key names the **first** check that trips along the
 //! violating execution, not every lemma the underlying bug can break:
-//! both [`schedule::execute`] and [`minimize::replay`] stop at the first
-//! violated invariant or closure check, and [`engine::FuzzReport`] keeps
-//! one [`engine::Finding`] per distinct key. The exhaustive explorer
+//! [`schedule::execute`] and [`minimize::replay`] are the same walk, one
+//! edge at a time (advance by a label, closure-step check, then state
+//! invariants), both stop at the first check it trips, and
+//! [`engine::FuzzReport`] keeps one [`engine::Finding`] per distinct key.
+//! The exhaustive explorer
 //! (E7) instead enumerates *states*, so it reports every lemma a
 //! mutation reaches. Concretely: `ModelMutation::StaleAckReplay` is
 //! headlined by E7 as a Lemma-4 bug (the stale ack eventually flips the

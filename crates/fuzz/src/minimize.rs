@@ -22,6 +22,8 @@
 
 use dinefd_explore::{ExploreConfig, PairState, TransitionLabel};
 
+use crate::schedule::Walk;
+
 /// The lemma key of a violation message: the text before the first `:`
 /// (e.g. `"Lemma 4 violated"`), which is stable across counterexamples of
 /// the same lemma while the suffix carries state-specific detail.
@@ -40,30 +42,19 @@ pub struct ReplayOutcome {
     pub violation: Option<(usize, String)>,
 }
 
-/// Replays `path` label-by-label through `PairState::successors`. Returns
+/// Replays `path` label-by-label along the crate's one [`Walk`]. Returns
 /// `None` if some label is not enabled where the path says it fired (the
 /// sequence is not a real trace of the model). Stops early at the first
 /// invariant or closure violation.
 pub fn replay(cfg: &ExploreConfig, path: &[TransitionLabel]) -> Option<ReplayOutcome> {
-    let mut state = PairState::initial(cfg);
-    if let Some(msg) = state.check_invariants().into_iter().next() {
-        return Some(ReplayOutcome { end: state, violation: Some((0, msg)) });
+    let (mut walk, mut violation) = Walk::start(cfg);
+    let mut at = 0;
+    while violation.is_none() && at < path.len() {
+        let label = walk.state().find_label(cfg, |l| l == path[at])?;
+        violation = walk.advance(label);
+        at += 1;
     }
-    let mut succ = Vec::new();
-    for (step, &label) in path.iter().enumerate() {
-        succ.clear();
-        state.successors_into(cfg, &mut succ);
-        let pos = succ.iter().position(|&(l, _)| l == label)?;
-        let (_, next) = succ.swap_remove(pos);
-        if let Some(msg) = state.check_closure_step(&next) {
-            return Some(ReplayOutcome { end: next, violation: Some((step + 1, msg)) });
-        }
-        state = next;
-        if let Some(msg) = state.check_invariants().into_iter().next() {
-            return Some(ReplayOutcome { end: state, violation: Some((step + 1, msg)) });
-        }
-    }
-    Some(ReplayOutcome { end: state, violation: None })
+    Some(ReplayOutcome { end: walk.into_state(), violation: violation.map(|msg| (at, msg)) })
 }
 
 /// A minimized counterexample.
@@ -101,14 +92,22 @@ fn reproduces(
 /// prefix with removal-only delta debugging, run to fixpoint. Returns
 /// `None` when the input path does not replay to a violation at all.
 pub fn minimize(cfg: &ExploreConfig, path: &[TransitionLabel]) -> Option<MinimizeResult> {
-    let mut tests_run = 0u64;
-    let initial = replay(cfg, path)?;
-    let (_, original_msg) = initial.violation?;
-    let lemma = lemma_key(&original_msg).to_string();
-
+    let (at, message) = replay(cfg, path)?.violation?;
     // Truncate to the violating step first — everything past it is dead.
-    let (mut best, mut message) =
-        reproduces(cfg, path, &lemma, &mut tests_run).expect("full path replays by construction");
+    Some(shrink(cfg, &path[..at], message))
+}
+
+/// [`minimize`] from a violation already in hand: walking `path` trips
+/// `message` at its last step. That walk — the engine's own execution, or
+/// `minimize`'s replay — was the search's first test and is counted as
+/// such, so a finding costs the same `tests_run` however it arrived.
+pub(crate) fn shrink(
+    cfg: &ExploreConfig,
+    path: &[TransitionLabel],
+    message: String,
+) -> MinimizeResult {
+    let lemma = lemma_key(&message).to_string();
+    let (mut best, mut message, mut tests_run) = (path.to_vec(), message, 1u64);
 
     loop {
         let mut changed = false;
@@ -139,7 +138,7 @@ pub fn minimize(cfg: &ExploreConfig, path: &[TransitionLabel]) -> Option<Minimiz
         }
     }
 
-    Some(MinimizeResult { path: best, message, lemma, tests_run })
+    MinimizeResult { path: best, message, lemma, tests_run }
 }
 
 #[cfg(test)]

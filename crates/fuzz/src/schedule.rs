@@ -120,50 +120,87 @@ pub struct ExecOutcome {
     pub deadlock: bool,
 }
 
+/// The one walk of the pair model this crate makes: start at the initial
+/// state, advance by one label at a time, and after every step run the
+/// closure-step check, then the state invariants. [`execute`] picks each
+/// label with a decision word, [`crate::minimize::replay`] reads it off a
+/// recorded path; what a step *checks* is stated here only. Two state
+/// buffers swap per step, so a warm walk allocates nothing.
+#[derive(Debug)]
+pub(crate) struct Walk<'a> {
+    cfg: &'a ExploreConfig,
+    state: PairState,
+    prev: PairState,
+}
+
+impl<'a> Walk<'a> {
+    /// A walk standing at the initial state, with that state's first
+    /// invariant violation, if it has one.
+    pub(crate) fn start(cfg: &'a ExploreConfig) -> (Self, Option<String>) {
+        let state = PairState::initial(cfg);
+        let violation = state.check_invariants().into_iter().next();
+        (Walk { cfg, prev: state.clone(), state }, violation)
+    }
+
+    /// The state the walk stands at.
+    pub(crate) fn state(&self) -> &PairState {
+        &self.state
+    }
+
+    /// Ends the walk, keeping the state it stands at.
+    pub(crate) fn into_state(self) -> PairState {
+        self.state
+    }
+
+    /// Takes the `label` edge (which must be enabled) and returns the first
+    /// violation the step trips: closure-step check first, then the new
+    /// state's invariants.
+    pub(crate) fn advance(&mut self, label: TransitionLabel) -> Option<String> {
+        std::mem::swap(&mut self.state, &mut self.prev);
+        self.prev.apply_into(label, self.cfg, &mut self.state);
+        self.prev
+            .check_closure_step(&self.state)
+            .or_else(|| self.state.check_invariants().into_iter().next())
+    }
+}
+
 /// Runs `schedule` against the pair model from the initial state. Each
-/// decision word selects `successors()[word % out_degree]`; the walk stops
-/// at the first invariant or closure violation, at a deadlock, or when the
-/// words run out.
+/// decision word selects the `word % out_degree`-th enabled label (in
+/// `PairState::for_each_label` order) and only that transition is applied;
+/// the walk stops at the first invariant or closure violation, at a
+/// deadlock, or when the words run out.
 pub fn execute(cfg: &ExploreConfig, schedule: &Schedule) -> ExecOutcome {
-    let mut state = PairState::initial(cfg);
-    let mut path = Vec::with_capacity(schedule.words.len());
-    let mut fingerprints = Vec::with_capacity(schedule.words.len() + 1);
     let mut scratch = Vec::with_capacity(32);
-    let mut succ = Vec::new();
-
-    let fp = |s: &PairState, scratch: &mut Vec<u8>| {
+    let mut fp = |s: &PairState| {
         scratch.clear();
-        s.encode_into(scratch);
-        fingerprint(scratch)
+        s.encode_into(&mut scratch);
+        fingerprint(&scratch)
     };
-    fingerprints.push(fp(&state, &mut scratch));
-
-    let violations = state.check_invariants();
-    if let Some(first) = violations.into_iter().next() {
-        return ExecOutcome { path, violation: Some(first), fingerprints, deadlock: false };
-    }
-
+    let (mut walk, violation) = Walk::start(cfg);
+    let mut out = ExecOutcome {
+        path: Vec::with_capacity(schedule.words.len()),
+        violation,
+        fingerprints: Vec::with_capacity(schedule.words.len() + 1),
+        deadlock: false,
+    };
+    out.fingerprints.push(fp(walk.state()));
+    let mut labels = Vec::with_capacity(8);
     for &word in &schedule.words {
-        succ.clear();
-        state.successors_into(cfg, &mut succ);
-        if succ.is_empty() {
-            return ExecOutcome { path, violation: None, fingerprints, deadlock: true };
+        if out.violation.is_some() {
+            break;
         }
-        let idx = (word % succ.len() as u64) as usize;
-        let (label, next) = succ.swap_remove(idx);
-        if let Some(msg) = state.check_closure_step(&next) {
-            path.push(label);
-            fingerprints.push(fp(&next, &mut scratch));
-            return ExecOutcome { path, violation: Some(msg), fingerprints, deadlock: false };
+        labels.clear();
+        walk.state().for_each_label(cfg, |l| labels.push(l));
+        if labels.is_empty() {
+            out.deadlock = true;
+            break;
         }
-        state = next;
-        path.push(label);
-        fingerprints.push(fp(&state, &mut scratch));
-        if let Some(first) = state.check_invariants().into_iter().next() {
-            return ExecOutcome { path, violation: Some(first), fingerprints, deadlock: false };
-        }
+        let label = labels[(word % labels.len() as u64) as usize];
+        out.violation = walk.advance(label);
+        out.path.push(label);
+        out.fingerprints.push(fp(walk.state()));
     }
-    ExecOutcome { path, violation: None, fingerprints, deadlock: false }
+    out
 }
 
 #[cfg(test)]

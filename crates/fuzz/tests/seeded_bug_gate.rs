@@ -26,15 +26,15 @@ fn run_gate(mutation_key: &str, mutation: &str) -> FuzzReport {
 }
 
 /// Independent replay harness (the `trace_replay` discipline): walk the
-/// labels through `PairState::successors`, demanding each is enabled, and
-/// return the invariant/closure violation at the end of the walk.
+/// labels one edge at a time (`find_label`, then `apply`), demanding each
+/// is enabled, and return the invariant/closure violation at the end of
+/// the walk.
 fn replay_violation(cfg: &ExploreConfig, path: &[TransitionLabel]) -> Option<String> {
     let mut state = PairState::initial(cfg);
     for (step, &label) in path.iter().enumerate() {
-        let (_, next) =
-            state.successors(cfg).into_iter().find(|&(l, _)| l == label).unwrap_or_else(|| {
-                panic!("step {step}: label {label:?} not enabled during replay")
-            });
+        let enabled = state.find_label(cfg, |l| l == label);
+        assert_eq!(enabled, Some(label), "step {step}: label {label:?} not enabled during replay");
+        let next = state.apply(label, cfg);
         if let Some(msg) = state.check_closure_step(&next) {
             assert_eq!(step, path.len() - 1, "violation before the end of the minimized prefix");
             return Some(msg);
