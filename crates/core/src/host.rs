@@ -109,11 +109,12 @@ pub type DiningFactory<'a> = dyn Fn(DxEndpoint) -> Box<dyn DiningParticipant> + 
 
 /// Effect collector shared by the components of one node invocation.
 ///
-/// The hot loop never allocates one of these per step: [`ReductionNode`]
-/// pools a single `Out` across its [`Node`] handler invocations (and
-/// callers of the context-free `handle_*_into` methods are expected to do
-/// the same), so after warm-up the send/obs vectors only ever reuse their
-/// high-water capacity.
+/// The hot loop never allocates: [`ReductionNode`] pools a single `Out`
+/// across its [`Node`] handler invocations (and callers of the context-free
+/// `handle_*_into` methods are expected to do the same), so after warm-up
+/// the send/obs vectors only ever reuse their high-water capacity, and the
+/// banks pick each action through the machines' `for_each_enabled`, never
+/// through the `Vec`-returning `enabled` (`ci/guards.sh`, guard 4).
 #[derive(Debug, Default)]
 pub struct Out {
     /// Outgoing reduction messages.
@@ -147,15 +148,15 @@ fn emit_phase_chain(
     from: DinerPhase,
     to: DinerPhase,
 ) {
-    if from == to {
-        return;
-    }
-    let cycle = [DinerPhase::Thinking, DinerPhase::Hungry, DinerPhase::Eating, DinerPhase::Exiting];
-    let pos = |ph: DinerPhase| cycle.iter().position(|&c| c == ph).expect("phase");
-    let (mut i, target) = (pos(from), pos(to));
-    while i != target {
-        i = (i + 1) % cycle.len();
-        out.obs.push(RedObs::DxPhase { watcher, subject, role, instance, phase: cycle[i] });
+    let mut phase = from;
+    while phase != to {
+        phase = match phase {
+            DinerPhase::Thinking => DinerPhase::Hungry,
+            DinerPhase::Hungry => DinerPhase::Eating,
+            DinerPhase::Eating => DinerPhase::Exiting,
+            DinerPhase::Exiting => DinerPhase::Thinking,
+        };
+        out.obs.push(RedObs::DxPhase { watcher, subject, role, instance, phase });
     }
 }
 
@@ -163,6 +164,14 @@ fn emit_phase_chain(
 /// parallel vectors indexed by a dense pair slot, so the tick loop walking
 /// every pair streams each field contiguously instead of hopping across
 /// per-pair structs, and one scratch buffer serves every slot.
+///
+/// A tick polls what can move, not every pair. While every participant
+/// promises [`DiningParticipant::ticks_only_while_hungry`], only the
+/// endpoints `last_phase` shows hungry get `on_tick`, and a slot is pumped
+/// only if one of them was ticked or its last pump is still pending: every
+/// handler that touches a slot ends in `pump`, so nothing else can have
+/// become enabled since. One participant that does not promise puts the
+/// whole bank back on ticking and pumping everything.
 pub struct WitnessBank {
     watcher: ProcessId,
     subjects: Vec<ProcessId>,
@@ -170,6 +179,11 @@ pub struct WitnessBank {
     dx: Vec<[Box<dyn DiningParticipant>; 2]>,
     last_phase: Vec<[DinerPhase; 2]>,
     last_suspect: Vec<bool>,
+    /// Whether the slot's last pump stopped on [`PUMP_BUDGET`] instead of on
+    /// "nothing enabled" (or has yet to run), so the next tick must pump.
+    pump_pending: Vec<bool>,
+    /// AND of the participants' `ticks_only_while_hungry`, taken at `push`.
+    skip_idle_ticks: bool,
     // One reused DiningIo send buffer for the whole bank (hot-loop
     // allocation hygiene).
     scratch: Vec<(ProcessId, DiningMsg)>,
@@ -193,6 +207,8 @@ impl WitnessBank {
             dx: Vec::new(),
             last_phase: Vec::new(),
             last_suspect: Vec::new(),
+            pump_pending: Vec::new(),
+            skip_idle_ticks: true,
             scratch: Vec::new(),
         }
     }
@@ -204,9 +220,12 @@ impl WitnessBank {
         };
         self.subjects.push(subject);
         self.machines.push(WitnessMachine::new());
-        self.dx.push([mk(0), mk(1)]);
+        let dx = [mk(0), mk(1)];
+        self.skip_idle_ticks &= dx.iter().all(|p| p.ticks_only_while_hungry());
+        self.dx.push(dx);
         self.last_phase.push([DinerPhase::Thinking; 2]);
         self.last_suspect.push(true);
+        self.pump_pending.push(true);
     }
 
     /// Number of pairs in the bank.
@@ -233,7 +252,7 @@ impl WitnessBank {
                 + size_of::<WitnessMachine>()
                 + size_of::<[usize; 2]>() // the two fat pointers
                 + size_of::<[DinerPhase; 2]>()
-                + size_of::<bool>())
+                + size_of::<[bool; 2]>()) // last_suspect, pump_pending
             + self.dx.iter().flatten().map(|p| size_of_val(&**p)).sum::<usize>()
     }
 
@@ -279,9 +298,13 @@ impl WitnessBank {
 
     /// Fires enabled witness actions (bounded) and applies their commands.
     fn pump(&mut self, slot: usize, now: Time, fd: &dyn FdQuery, out: &mut Out) {
+        self.pump_pending[slot] = true;
         for _ in 0..PUMP_BUDGET {
             let phases = [self.dx[slot][0].phase(), self.dx[slot][1].phase()];
-            let Some(&action) = self.machines[slot].enabled(phases).first() else {
+            let mut first = None;
+            self.machines[slot].for_each_enabled(phases, |a| first = first.or(Some(a)));
+            let Some(action) = first else {
+                self.pump_pending[slot] = false;
                 break;
             };
             match self.machines[slot].fire(action, phases) {
@@ -340,10 +363,16 @@ impl WitnessBank {
     }
 
     fn on_tick(&mut self, slot: usize, now: Time, fd: &dyn FdQuery, out: &mut Out) {
+        let mut pump = self.pump_pending[slot];
         for i in 0..2 {
-            self.invoke_dx(slot, i, now, fd, out, |p, io| p.on_tick(io));
+            if !self.skip_idle_ticks || self.last_phase[slot][i] == DinerPhase::Hungry {
+                self.invoke_dx(slot, i, now, fd, out, |p, io| p.on_tick(io));
+                pump = true;
+            }
         }
-        self.pump(slot, now, fd, out);
+        if pump {
+            self.pump(slot, now, fd, out);
+        }
     }
 }
 
@@ -355,6 +384,10 @@ pub struct SubjectBank {
     machines: Vec<SubjectMachine>,
     dx: Vec<[Box<dyn DiningParticipant>; 2]>,
     last_phase: Vec<[DinerPhase; 2]>,
+    /// As in [`WitnessBank`].
+    pump_pending: Vec<bool>,
+    /// As in [`WitnessBank`].
+    skip_idle_ticks: bool,
     scratch: Vec<(ProcessId, DiningMsg)>,
 }
 
@@ -375,6 +408,8 @@ impl SubjectBank {
             machines: Vec::new(),
             dx: Vec::new(),
             last_phase: Vec::new(),
+            pump_pending: Vec::new(),
+            skip_idle_ticks: true,
             scratch: Vec::new(),
         }
     }
@@ -386,8 +421,11 @@ impl SubjectBank {
         };
         self.watchers.push(watcher);
         self.machines.push(SubjectMachine::new(strict_seq));
-        self.dx.push([mk(0), mk(1)]);
+        let dx = [mk(0), mk(1)];
+        self.skip_idle_ticks &= dx.iter().all(|p| p.ticks_only_while_hungry());
+        self.dx.push(dx);
         self.last_phase.push([DinerPhase::Thinking; 2]);
+        self.pump_pending.push(true);
     }
 
     /// Number of pairs in the bank.
@@ -407,7 +445,8 @@ impl SubjectBank {
             * (size_of::<ProcessId>()
                 + size_of::<SubjectMachine>()
                 + size_of::<[usize; 2]>()
-                + size_of::<[DinerPhase; 2]>())
+                + size_of::<[DinerPhase; 2]>()
+                + size_of::<bool>())
             + self.dx.iter().flatten().map(|p| size_of_val(&**p)).sum::<usize>()
     }
 
@@ -444,16 +483,20 @@ impl SubjectBank {
     }
 
     fn pump(&mut self, slot: usize, now: Time, fd: &dyn FdQuery, out: &mut Out) {
+        self.pump_pending[slot] = true;
         for _ in 0..PUMP_BUDGET {
             let phases = [self.dx[slot][0].phase(), self.dx[slot][1].phase()];
-            let enabled = self.machines[slot].enabled(phases);
             // Prefer pings over hunger so a lone eater's ping is never
             // starved by the other thread's bookkeeping.
-            let Some(&action) = enabled
-                .iter()
-                .find(|a| matches!(a, SubjectAction::Ping(_)))
-                .or_else(|| enabled.first())
-            else {
+            let (mut ping, mut first) = (None, None);
+            self.machines[slot].for_each_enabled(phases, |a| {
+                if matches!(a, SubjectAction::Ping(_)) {
+                    ping = ping.or(Some(a));
+                }
+                first = first.or(Some(a));
+            });
+            let Some(action) = ping.or(first) else {
+                self.pump_pending[slot] = false;
                 break;
             };
             match self.machines[slot].fire(action, phases) {
@@ -509,10 +552,16 @@ impl SubjectBank {
     }
 
     fn on_tick(&mut self, slot: usize, now: Time, fd: &dyn FdQuery, out: &mut Out) {
+        let mut pump = self.pump_pending[slot];
         for i in 0..2 {
-            self.invoke_dx(slot, i, now, fd, out, |p, io| p.on_tick(io));
+            if !self.skip_idle_ticks || self.last_phase[slot][i] == DinerPhase::Hungry {
+                self.invoke_dx(slot, i, now, fd, out, |p, io| p.on_tick(io));
+                pump = true;
+            }
         }
-        self.pump(slot, now, fd, out);
+        if pump {
+            self.pump(slot, now, fd, out);
+        }
     }
 }
 

@@ -16,8 +16,12 @@
 //!   the phase is `Exiting` or already `Thinking`.
 //! * Every message emitted must be delivered to the addressed peer of the
 //!   *same instance* (the host wraps messages with an instance tag).
-//! * `on_tick` must be invoked infinitely often for live processes (it is
-//!   where suspicion-driven protocols re-evaluate their failure detector).
+//! * `on_tick` must be invoked infinitely often for every live participant
+//!   that has not promised otherwise (it is where suspicion-driven protocols
+//!   re-evaluate their failure detector). For a participant whose
+//!   [`DiningParticipant::ticks_only_while_hungry`] is `true`, infinitely
+//!   often *while its phase is `Hungry`* suffices: a host may skip its ticks
+//!   in every other phase.
 //!
 //! Phase changes are the protocol's own doing; hosts detect them by
 //! comparing `phase()` before and after each call.
@@ -153,6 +157,15 @@ pub trait DiningParticipant: fmt::Debug + Send {
 
     /// Periodic re-evaluation hook (failure-detector polling).
     fn on_tick(&mut self, _io: &mut DiningIo<'_>) {}
+
+    /// A promise to the host: `on_tick` in any phase other than `Hungry`
+    /// changes nothing a later call or the host can observe — no message, no
+    /// phase change, no state another method reads — so those ticks may be
+    /// skipped. `false` (the default) promises nothing; an adapter that does
+    /// not forward this method therefore stays correct, only unskipped.
+    fn ticks_only_while_hungry(&self) -> bool {
+        false
+    }
 
     /// Current phase of this diner in this instance.
     fn phase(&self) -> DinerPhase;

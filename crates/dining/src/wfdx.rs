@@ -239,8 +239,8 @@ impl ForkCore {
         self.clock = self.clock.max(c) + 1;
     }
 
-    fn suspicion_satisfies(policy: SuspicionPolicy, e: &Edge, io: &DiningIo<'_>) -> bool {
-        let suspected = io.suspected(e.peer);
+    /// Whether the oracle's answer about `e.peer` stands in for `e`'s fork.
+    fn suspicion_satisfies(policy: SuspicionPolicy, e: &Edge, suspected: bool) -> bool {
         match policy {
             SuspicionPolicy::Direct => suspected,
             SuspicionPolicy::TrustGated => suspected && e.ever_trusted,
@@ -319,13 +319,19 @@ impl ForkCore {
         if self.phase != DinerPhase::Hungry || !self.gate_open {
             return;
         }
-        let policy = self.policy;
-        if self.edges.iter().all(|e| e.has_fork || Self::suspicion_satisfies(policy, e, io)) {
-            if self.edges.iter().any(|e| !e.has_fork) {
-                self.suspicion_eats += 1;
-            }
-            self.phase = DinerPhase::Eating;
+        let satisfied = |e: &Edge| {
+            e.has_fork || Self::suspicion_satisfies(self.policy, e, io.suspected(e.peer))
+        };
+        if self.edges.iter().all(satisfied) {
+            self.start_eating();
         }
+    }
+
+    fn start_eating(&mut self) {
+        if self.edges.iter().any(|e| !e.has_fork) {
+            self.suspicion_eats += 1;
+        }
+        self.phase = DinerPhase::Eating;
     }
 
     pub(crate) fn hungry(&mut self, io: &mut DiningIo<'_>, wrap: impl Fn(WxMsg) -> DiningMsg) {
@@ -447,9 +453,28 @@ impl ForkCore {
         }
     }
 
+    /// The tick-time `refresh_trust` + `try_eat`, asking the oracle once per
+    /// edge and using the answer for both.
+    ///
+    /// Under [`SuspicionPolicy::Direct`] a diner that is not hungry returns
+    /// before touching the oracle: it cannot start eating, and no transition
+    /// of that policy reads the `ever_trusted` bits the queries would refresh
+    /// (they do show in `==` and the packed state, so two endpoints compare
+    /// equal only if ticked alike — the explorer ticks hungry endpoints only).
     pub(crate) fn on_tick(&mut self, io: &mut DiningIo<'_>) {
-        self.refresh_trust(io);
-        self.try_eat(io);
+        let hungry = self.phase == DinerPhase::Hungry;
+        if !hungry && self.policy == SuspicionPolicy::Direct {
+            return;
+        }
+        let mut satisfied = true;
+        for e in &mut self.edges {
+            let suspected = io.suspected(e.peer);
+            e.ever_trusted |= !suspected;
+            satisfied &= e.has_fork || Self::suspicion_satisfies(self.policy, e, suspected);
+        }
+        if hungry && self.gate_open && satisfied {
+            self.start_eating();
+        }
     }
 }
 
@@ -581,6 +606,12 @@ impl DiningParticipant for WfDxDining {
 
     fn on_tick(&mut self, io: &mut DiningIo<'_>) {
         self.core.on_tick(io);
+    }
+
+    // `ForkCore::on_tick` under `SuspicionPolicy::Direct` returns at once
+    // unless hungry.
+    fn ticks_only_while_hungry(&self) -> bool {
+        true
     }
 
     fn phase(&self) -> DinerPhase {
@@ -788,6 +819,41 @@ mod tests {
         let mut io = DiningIo::new(p(1), Time(300), &oracle2);
         core.on_tick(&mut io);
         assert_eq!(core.phase(), DinerPhase::Eating);
+    }
+
+    /// Counts the queries it answers (never suspecting).
+    #[derive(Debug)]
+    struct CountingOracle(std::cell::Cell<u32>);
+
+    impl FdQuery for CountingOracle {
+        fn suspected(&self, _watcher: ProcessId, _subject: ProcessId, _now: Time) -> bool {
+            self.0.set(self.0.get() + 1);
+            false
+        }
+
+        fn len(&self) -> usize {
+            3
+        }
+    }
+
+    #[test]
+    fn a_tick_asks_the_oracle_once_per_edge_and_not_at_all_when_it_cannot_matter() {
+        let fd = CountingOracle(std::cell::Cell::new(0));
+        let queries = |core: &mut ForkCore| {
+            let before = fd.0.get();
+            core.on_tick(&mut DiningIo::new(p(1), Time(1), &fd));
+            fd.0.get() - before
+        };
+        let mut direct = ForkCore::new(p(1), &[p(0), p(2)], SuspicionPolicy::Direct);
+        assert_eq!(queries(&mut direct), 0, "thinking under Direct: nothing to re-check");
+        direct.hungry(&mut DiningIo::new(p(1), Time(0), &fd), wrap);
+        assert_eq!(direct.phase(), DinerPhase::Hungry);
+        assert_eq!(queries(&mut direct), 2, "hungry: one query per edge");
+        // A trust-gated diner reads its trust bits later, so it keeps
+        // refreshing them in every phase — still once per edge.
+        let mut gated = ForkCore::new(p(1), &[p(0), p(2)], SuspicionPolicy::TrustGated);
+        assert_eq!(queries(&mut gated), 2);
+        assert!(gated.edges.iter().all(|e| e.ever_trusted));
     }
 
     #[test]
