@@ -73,4 +73,29 @@ if product_lines crates/core/src/host.rs | grep -nF '.enabled('; then
   fail=1
 fi
 
+# 5. One search loop, on `std`. The explorer had a serial and a
+#    work-stealing engine over stand-ins for `crossbeam` and `parking_lot`;
+#    it is one worker loop now (crates/explore/src/parallel.rs). A manifest
+#    naming either crate, a fifth directory under vendor/, or a second call
+#    of `expand_task(` is that pair growing back.
+hits=$(find . -name Cargo.toml -not -path '*/target/*' -not -path './.bench_build/*' \
+  -exec grep -lE 'crossbeam|parking_lot' {} + || true)
+if [ -n "$hits" ]; then
+  echo "structure guard: manifests name crossbeam/parking_lot (use std::sync and sim::pool):"
+  echo "$hits" | sed 's/^/  /'
+  fail=1
+fi
+vendored=$(ls vendor | tr '\n' ' ')
+if [ "$vendored" != "proptest serde serde_derive serde_json " ]; then
+  echo "structure guard: vendor/ must hold exactly proptest serde serde_derive serde_json, has: $vendored"
+  fail=1
+fi
+calls=$(for f in crates/explore/src/*.rs; do
+  product_lines "$f" | grep -F 'expand_task(' || true
+done | wc -l)
+if [ "$calls" -ne 1 ]; then
+  echo "structure guard: expand_task( is called from $calls product lines under crates/explore/src; one worker loop calls it once"
+  fail=1
+fi
+
 exit "$fail"

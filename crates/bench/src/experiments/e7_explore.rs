@@ -8,7 +8,7 @@ use dinefd_sim::MetricMap;
 use crate::table::{Report, Table};
 use crate::ExperimentConfig;
 
-/// Thread count the cross-check column runs the parallel engine with.
+/// Worker count of the cross-check column.
 const PAR_THREADS: usize = 4;
 
 /// Runs E7 and returns the report.
@@ -48,8 +48,8 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                     ..Default::default()
                 };
                 let report = explore(&base);
-                // Cross-checks: the work-stealing engine and the POR run
-                // must reach the same verdict on the same configuration.
+                // Cross-checks: several workers and the POR run must reach
+                // the same verdict on the same configuration.
                 let par = explore(&ExploreConfig { threads: PAR_THREADS, ..base });
                 let por = explore(&ExploreConfig { por: true, ..base });
                 let agree = par.states_visited == report.states_visited
@@ -192,10 +192,10 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
             .into(),
         tables: vec![safety, composed, liveness],
         notes: vec![format!(
-            "\"par agree\" re-runs each exhaustive row on the work-stealing \
-             engine ({PAR_THREADS} threads, sharded visited table) and \"por \
+            "\"par agree\" re-runs each exhaustive row at {PAR_THREADS} workers \
+             (sharded visited table) and \"por \
              agree\" with sleep-set POR, comparing states/transitions/clean/\
-             deadlocks; \"kstates/s\" is the serial engine's throughput. The \
+             deadlocks; \"kstates/s\" is the one-worker throughput. The \
              faithful pair wire is strictly sequential, so POR only finds \
              skippable interleavings on the composed model's fork traffic \
              (\"por skips\"). See E8 for the thread-scaling sweep and the \

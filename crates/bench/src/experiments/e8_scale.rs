@@ -69,7 +69,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                    history must match the trace-derived one byte for byte. \
                    The parallel-frontier table re-runs the sharded worlds on \
                    the shard-worker pool across thread counts; the fourth table \
-                   sweeps the lemma explorer's work-stealing engine over thread \
+                   sweeps the lemma explorer's search loop over thread \
                    counts on a fixed state space."
             .into(),
         tables: vec![table, sharded, parallel, explorer, frontier],
@@ -103,7 +103,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
              degenerates into a determinism check: states and verdict must stay \
              identical at every thread count."
                 .into(),
-            "The depth frontier sweeps the serial engine to increasing bounds; \
+            "The depth frontier sweeps the one-worker search to increasing bounds; \
              \"arena KiB\" is the resident footprint of the entire visited state \
              set under the compact codec (the figure that used to be a cloned \
              struct per HashMap key)."
@@ -443,7 +443,7 @@ fn explorer_scaling(cfg: &ExperimentConfig, metrics: &mut MetricMap) -> Table {
     table
 }
 
-/// Depth-frontier sweep: how deep the serial engine pushes the pair model
+/// Depth-frontier sweep: how deep the one-worker search pushes the pair model
 /// and what the visited set costs, row per depth bound. States, transitions,
 /// and arena bytes are deterministic; throughput is wall-clock.
 fn depth_frontier(cfg: &ExperimentConfig, metrics: &mut MetricMap) -> Table {

@@ -2,9 +2,9 @@
 //!
 //! Both model states ([`PairState`] here, `ComposedState` in
 //! [`crate::composed`]) implement [`StateCodec`]: a bit-packed, varint-backed
-//! byte encoding plus its exact inverse. The search engines never key a hash
-//! map by a cloned state struct; they encode each state once into a scratch
-//! buffer, fingerprint the bytes with [`fingerprint`], and intern the bytes
+//! byte encoding plus its exact inverse. The search engine never keys a hash
+//! map by a cloned state struct; it encodes each state once into a scratch
+//! buffer, fingerprints the bytes with [`fingerprint`], and interns the bytes
 //! in the visited store's arena ([`crate::visited`]). A fingerprint match is
 //! only trusted after a byte-for-byte comparison against the interned
 //! encoding, so the search stays **exhaustive** — this is compact hashing in
@@ -15,7 +15,7 @@
 //! unbounded counters, so a typical [`PairState`] costs ~10 bytes against
 //! several hundred for the in-memory struct. `decode(encode(s)) == s` holds
 //! exactly (property-tested in `tests/proptest_codec.rs`, and debug-asserted
-//! on every fresh insertion by the engines).
+//! on every fresh insertion by the engine).
 
 use dinefd_dining::DinerPhase;
 use dinefd_sim::codec::{hash64, put_u8, put_varint, take_u8, take_varint};

@@ -30,9 +30,8 @@ use dinefd_dining::{DinerPhase, DiningIo, DiningMsg, DiningParticipant};
 use dinefd_fd::FdQuery;
 use dinefd_sim::{ProcessId, Time};
 
-use crate::parallel::{parallel_search, serial_search, SearchModel, SearchStats, ViolationRecord};
+use crate::parallel::{search, SearchModel, SearchReport};
 use crate::por::DeliveryClass;
-use crate::search::fmt_path;
 
 const P: ProcessId = ProcessId(0); // watcher
 const Q: ProcessId = ProcessId(1); // subject
@@ -87,8 +86,9 @@ pub struct ComposedConfig {
     pub allow_mistakes: bool,
     /// Harden the subject machine (sequence-checked acks).
     pub strict_seq: bool,
-    /// Worker threads: `1` (default) runs the serial DFS, `>= 2` the
-    /// work-stealing parallel engine. Verdicts are schedule-independent.
+    /// Workers running the search loop: `1` (default) is the calling thread
+    /// alone, in a fixed depth-first order; `>= 2` spawns that many, which
+    /// hand each other work. Verdicts are schedule-independent.
     pub threads: usize,
     /// Enable sleep-set partial-order reduction over commuting
     /// dx/ping/ack deliveries ([`crate::por`]). Off by default; every
@@ -571,34 +571,11 @@ fn exclusion_step_violations(state: &ComposedState, next: &ComposedState) -> Vec
     v
 }
 
-/// Result of a composed exploration.
-#[derive(Clone, Debug)]
-pub struct ComposedReport {
-    /// Distinct states.
-    pub states_visited: usize,
-    /// Transitions traversed (see the caveat on
-    /// [`crate::search::ExploreReport::transitions`]).
-    pub transitions: u64,
-    /// Invariant / exclusion violations.
-    pub violations: Vec<String>,
-    /// Structured violations with replayable counterexample paths.
-    pub records: Vec<ViolationRecord<ComposedLabel>>,
-    /// Dead states (no successors).
-    pub deadlocks: usize,
-    /// Whether the state budget truncated the search.
-    pub truncated: bool,
-    /// Throughput and contention counters of this run.
-    pub stats: SearchStats,
-}
+/// Result of a composed exploration (replay `records` with
+/// [`ComposedState::successors`]).
+pub type ComposedReport = SearchReport<ComposedLabel>;
 
-impl ComposedReport {
-    /// All checks passed everywhere explored.
-    pub fn clean(&self) -> bool {
-        self.violations.is_empty() && self.deadlocks == 0
-    }
-}
-
-/// The composed model seen through the engines' eyes.
+/// The composed model seen through the engine's eyes.
 struct ComposedSearch<'a>(&'a ComposedConfig);
 
 impl SearchModel for ComposedSearch<'_> {
@@ -641,30 +618,12 @@ impl SearchModel for ComposedSearch<'_> {
     }
 }
 
-/// Depth-bounded exhaustive exploration of the composed model. Dispatches
-/// on [`ComposedConfig::threads`] exactly like [`crate::explore`], through
-/// the same engines and the same fingerprinted visited store.
+/// Depth-bounded exhaustive exploration of the composed model, through the
+/// same engine and the same fingerprinted visited store as
+/// [`crate::explore`].
 pub fn explore_composed(cfg: &ComposedConfig) -> ComposedReport {
-    let model = ComposedSearch(cfg);
     let initial = ComposedState::initial(cfg);
-    let outcome = if cfg.threads <= 1 {
-        serial_search(&model, initial, cfg.max_depth, cfg.max_states)
-    } else {
-        parallel_search(&model, initial, cfg.max_depth, cfg.max_states, cfg.threads)
-    };
-    ComposedReport {
-        states_visited: outcome.states_visited,
-        transitions: outcome.transitions,
-        violations: outcome
-            .violations
-            .iter()
-            .map(|r| format!("{} (after {})", r.message, fmt_path(&r.path, None)))
-            .collect(),
-        records: outcome.violations,
-        deadlocks: outcome.deadlocks,
-        truncated: outcome.truncated,
-        stats: outcome.stats,
-    }
+    search(&ComposedSearch(cfg), initial, cfg.max_depth, cfg.max_states, cfg.threads)
 }
 
 #[cfg(test)]

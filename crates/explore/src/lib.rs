@@ -33,17 +33,17 @@
 //! ## Parallel search
 //!
 //! Both explorers accept a `threads` knob ([`ExploreConfig::threads`],
-//! [`ComposedConfig::threads`]). `threads: 1` (the default) runs the
-//! original serial DFS byte-for-byte; `threads >= 2` runs the same model on
-//! a work-stealing engine ([`mod@parallel`]): per-worker LIFO deques with
-//! FIFO stealing, a visited table sharded across [`parallel::N_SHARDS`]
-//! mutexes, and a pending-task counter for termination. The visited table
-//! stores, per state, the *maximum remaining depth* it has been queued
-//! with; that map converges to a schedule-independent fixpoint, so
-//! `states_visited`, `clean()`, and `deadlocks` are deterministic across
-//! thread counts and schedules (when the state budget does not truncate the
-//! run). Throughput and contention counters come back in
-//! [`parallel::SearchStats`].
+//! [`ComposedConfig::threads`]) and run on the one engine in
+//! [`mod@parallel`], a worker loop over a LIFO stack. `threads: 1` (the
+//! default) runs it on the calling thread, depth-first in a fixed order,
+//! over one unlocked visited store; `threads >= 2` runs that many copies on
+//! scoped threads that hand each other work, over a store striped across
+//! [`parallel::N_SHARDS`] mutexes. The store keeps, per state, the *maximum
+//! remaining depth* it has been queued with; that map converges to a
+//! schedule-independent fixpoint, so `states_visited`, `clean()`, and
+//! `deadlocks` are deterministic across thread counts and schedules (when
+//! the state budget does not truncate the run). Throughput and contention
+//! counters come back in [`parallel::SearchStats`].
 //!
 //! ## Mutation testing
 //!
@@ -80,7 +80,7 @@ pub use invariants::{
     lemma3_holds, lemma4_holds, lemma9_holds, InvariantView,
 };
 pub use pair_model::{ExploreConfig, ModelMutation, PairState, TransitionLabel};
-pub use parallel::{SearchStats, ViolationKind, ViolationRecord, N_SHARDS};
+pub use parallel::{SearchReport, SearchStats, ViolationKind, ViolationRecord, N_SHARDS};
 pub use por::DeliveryClass;
 pub use search::{explore, explore_seeded, find_reachable, fmt_path, ExploreReport};
 

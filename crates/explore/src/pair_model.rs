@@ -37,8 +37,9 @@ pub struct ExploreConfig {
     pub allow_crash: bool,
     /// Start in the exclusive regime (convergence already reached).
     pub start_converged: bool,
-    /// Worker threads for [`crate::explore`]: `1` (the default) runs the
-    /// serial search; `≥ 2` runs the work-stealing parallel engine.
+    /// Workers running [`crate::explore`]'s search loop: `1` (the default)
+    /// is the calling thread alone, in a fixed depth-first order; `≥ 2`
+    /// spawns that many, which hand each other work.
     pub threads: usize,
     /// Enable sleep-set partial-order reduction over commuting ping/ack
     /// deliveries ([`crate::por`]). Off by default. Sound: every reported

@@ -1,32 +1,34 @@
-//! The search engines behind [`crate::explore`] and
-//! [`crate::explore_composed`] — one serial, one work-stealing parallel,
-//! both driving the same expansion logic over the same fingerprinted
-//! visited store.
+//! The search engine behind [`crate::explore`] and
+//! [`crate::explore_composed`]: one worker loop, run on the calling thread
+//! or on several, over a fingerprinted visited store.
 //!
-//! One engine pair serves both models through the [`SearchModel`] trait.
-//! The design:
+//! One engine serves both models through the [`SearchModel`] trait. The
+//! design:
 //!
 //! * **Fingerprinted visited store** — states are never used as hash-map
 //!   keys. Each state is encoded once ([`crate::codec::StateCodec`]) into a
 //!   per-worker scratch buffer, fingerprinted, and interned in an
 //!   open-addressing arena store ([`crate::visited`]); fingerprint hits are
 //!   confirmed by exact byte comparison, so the search stays exhaustive.
-//!   The parallel engine stripes the store across [`N_SHARDS`] mutexes
-//!   selected by the top fingerprint bits; workers `try_lock` first and
-//!   count the misses ([`SearchStats::shard_conflicts`]).
+//!   With two or more workers the store is striped across [`N_SHARDS`]
+//!   mutexes selected by the top fingerprint bits; workers `try_lock` first
+//!   and count the misses ([`SearchStats::shard_conflicts`]). One worker
+//!   uses a single store and no lock.
 //! * **Parent-chain paths** — tasks carry no path vector. The store records,
 //!   per state, the tree edge that first interned it; violations are held as
 //!   entry references during the search and resolved to label paths once,
 //!   at the end, by walking parent links.
-//! * **Per-worker deques with stealing** — each parallel worker owns a LIFO
-//!   `crossbeam::deque::Worker` (LIFO keeps the search depth-first-ish and
-//!   the frontier small); idle workers steal the *oldest* task from peers or
-//!   from the shared injector, which hands them the widest subtrees. The
-//!   serial engine runs the same expansion over a plain LIFO stack.
-//! * **Termination** — a global pending-task counter is incremented before
-//!   every push and decremented after every task completes; when a worker
-//!   finds every queue empty and the counter at zero, the frontier is
-//!   exhausted everywhere.
+//! * **One LIFO stack per worker** — a plain `Vec` (LIFO keeps the search
+//!   depth-first-ish and the frontier small). A worker that runs dry waits
+//!   on the one shared pool (a `Mutex<Vec<_>>` and a `Condvar`); a busy
+//!   worker that sees someone waiting sets aside the *older* half of its
+//!   stack there, which hands over the widest subtrees. With one worker
+//!   nobody ever waits, so the pool is locked once, at the end.
+//! * **Termination** — the search is over when every worker is waiting on
+//!   the empty pool. A worker that unwinds is counted as waiting for good
+//!   and tells the others to stop expanding, so a panic in a model or a
+//!   codec ends the search and is re-raised by [`dinefd_sim::pool`] instead
+//!   of leaving the other workers waiting for it.
 //! * **Optional sleep-set POR** ([`crate::por`]) — when the model opts in,
 //!   deliveries whose commuted order was already explored skip the
 //!   encode/probe/queue work ([`SearchStats::sleep_skips`]). Successor
@@ -41,38 +43,43 @@
 //! and the final values are properties of the graph, not of the schedule.
 //! Hence, when the search is not truncated by `max_states`:
 //!
-//! * `states_visited` is deterministic and equal across the serial engine,
-//!   the parallel engine at any thread count, and POR on/off;
+//! * `states_visited` is deterministic and equal at every thread count and
+//!   with POR on or off;
 //! * the set of states whose invariants are checked (every visited state,
 //!   checked exactly once, on first insertion) is deterministic, so
 //!   `clean()` and the deduplicated violation *messages* are deterministic;
 //! * `deadlocks` counts *distinct* dead states — deterministic;
 //! * `transitions` counts each state's out-degree exactly once, on its
-//!   first expansion — deterministic and engine-independent.
+//!   first expansion — deterministic and thread-count-independent.
 //!
-//! Only the *representative path* attached to each violation (whichever
-//! worker reached the state first) and the figures in [`SearchStats`] are
-//! schedule-dependent. When the search *is* truncated, the subset of states
-//! visited before the budget tripped depends on expansion order, in both
-//! engines.
+//! With one worker the expansion order itself is fixed (depth-first, last
+//! successor first), so every figure in [`SearchStats`] except the
+//! wall-clock ones repeats exactly. With more, the *representative path*
+//! attached to each violation (whichever worker reached the state first)
+//! and the [`SearchStats`] figures are schedule-dependent. When the search
+//! *is* truncated, the subset of states visited before the budget tripped
+//! depends on expansion order.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use dinefd_sim::metrics::{Counter, MetricMap};
 use dinefd_sim::pool::{self, WorkerFn};
 
 use crate::codec::{fingerprint, StateCodec};
 use crate::por::{child_sleep, DeliveryClass};
-use crate::visited::{path_through, ProbeOutcome, ShardedVisitedStore, VisitedStore, NO_PARENT};
+use crate::search::fmt_path;
+use crate::visited::{
+    path_through, Probe, ProbeOutcome, ShardedVisitedStore, StoreAccess, VisitedStore, NO_PARENT,
+};
 
-/// Number of lock stripes in the parallel visited store. Power of two;
-/// generous relative to any plausible worker count so that
-/// uniformly-fingerprinted states rarely collide on a stripe.
+/// Number of lock stripes in the visited store that two or more workers
+/// share. Power of two; generous relative to any plausible worker count so
+/// that uniformly-fingerprinted states rarely collide on a stripe.
 pub const N_SHARDS: usize = 64;
 
-/// A state graph the engines can search. Implementations must be cheap to
+/// A state graph the engine can search. Implementations must be cheap to
 /// share across threads (`&self` methods are called concurrently).
 pub(crate) trait SearchModel: Sync {
     /// Model state. Identity is its [`StateCodec`] encoding; `PartialEq` is
@@ -82,7 +89,7 @@ pub(crate) trait SearchModel: Sync {
     type Label: Copy + Send + std::fmt::Debug;
 
     /// Appends all enabled transitions out of `s` (with their successors)
-    /// to `out`. The engines clear and reuse `out` across expansions, so
+    /// to `out`. The engine clears and reuses `out` across expansions, so
     /// implementations must only push.
     fn successors_into(&self, s: &Self::State, out: &mut Vec<(Self::Label, Self::State)>);
     /// State-level invariant violations (core messages, no path suffix).
@@ -135,15 +142,16 @@ pub struct ViolationRecord<L> {
 /// through the same observability layer as the simulator.
 #[derive(Clone, Copy, Debug)]
 pub struct SearchStats {
-    /// Worker threads used (1 = the serial engine).
+    /// Workers used (1 = the calling thread alone; nothing is spawned).
     pub threads: usize,
-    /// Visited-store stripes (1 in the serial engine).
+    /// Visited-store stripes (1 with one worker, [`N_SHARDS`] otherwise).
     pub shards: usize,
     /// Wall-clock duration of the search, in seconds.
     pub duration_secs: f64,
     /// Distinct states visited per wall-clock second.
     pub states_per_sec: f64,
-    /// Tasks acquired from a non-local queue (peer deques + injector).
+    /// Tasks a worker that ran dry took over from a busy one (through the
+    /// shared pool; always 0 with one worker).
     pub steals: Counter,
     /// Visited-store `try_lock` misses that had to fall back to a blocking
     /// lock — the contention measure of the sharding.
@@ -198,16 +206,39 @@ impl std::fmt::Display for SearchStats {
     }
 }
 
-/// Everything the engines report back to the model-specific wrappers.
-pub(crate) struct SearchOutcome<L> {
+/// Outcome of one exhaustive search, over either model
+/// ([`crate::ExploreReport`] and [`crate::ComposedReport`] are this type at
+/// the model's label).
+#[derive(Clone, Debug)]
+pub struct SearchReport<L> {
+    /// Distinct states visited.
     pub states_visited: usize,
+    /// Transitions traversed: each visited state's out-degree, counted
+    /// exactly once on the state's first expansion. Deterministic and equal
+    /// at every thread count and with POR on or off.
     pub transitions: u64,
-    pub deadlocks: usize,
-    pub truncated: bool,
+    /// Violations found (empty = every check held in the explored region),
+    /// one line each: the message and the path that leads to it.
     /// Deduplicated by `(kind, message)` and sorted — deterministic up to
     /// the representative paths.
-    pub violations: Vec<ViolationRecord<L>>,
+    pub violations: Vec<String>,
+    /// The same incidents, structured, with replayable counterexample paths
+    /// (replay them through the model's `successors`).
+    pub records: Vec<ViolationRecord<L>>,
+    /// States with no outgoing transition (there should be none).
+    pub deadlocks: usize,
+    /// Whether the search hit its state budget before exhausting the
+    /// depth-bounded region.
+    pub truncated: bool,
+    /// Throughput, contention, and codec counters of this run.
     pub stats: SearchStats,
+}
+
+impl<L> SearchReport<L> {
+    /// True when every checked property held everywhere explored.
+    pub fn clean(&self) -> bool {
+        self.violations.is_empty() && self.deadlocks == 0
+    }
 }
 
 /// A queued unit of work: the state itself (kept decoded so expansion never
@@ -229,8 +260,7 @@ struct PendingViolation<L> {
     extra: Option<L>,
 }
 
-/// Per-worker tallies, merged after the scope joins. The serial engine uses
-/// a single one.
+/// Per-worker tallies, merged once every worker has returned.
 struct Tally<L> {
     transitions: u64,
     deadlocks: usize,
@@ -245,62 +275,7 @@ impl<L> Tally<L> {
     }
 }
 
-/// Store operations the shared expansion logic needs, implemented by both
-/// the single [`VisitedStore`] (serial) and the sharded wrapper (parallel).
-/// Entry references are the packed `(shard, index)` form of
-/// [`crate::visited::entry_ref`]; the serial store is shard 0.
-trait StoreAccess<L: Copy> {
-    fn probe(
-        &mut self,
-        fp: u64,
-        bytes: &[u8],
-        remaining: u32,
-        sleep: u32,
-        parent: u64,
-        label: Option<L>,
-    ) -> (ProbeOutcome, u64, u32, u32);
-    fn mark_expanded(&mut self, entry: u64) -> bool;
-}
-
-impl<L: Copy> StoreAccess<L> for VisitedStore<L> {
-    fn probe(
-        &mut self,
-        fp: u64,
-        bytes: &[u8],
-        remaining: u32,
-        sleep: u32,
-        parent: u64,
-        label: Option<L>,
-    ) -> (ProbeOutcome, u64, u32, u32) {
-        let p = VisitedStore::probe(self, fp, bytes, remaining, sleep, parent, label);
-        (p.outcome, crate::visited::entry_ref(0, p.index), p.remaining, p.sleep)
-    }
-
-    fn mark_expanded(&mut self, entry: u64) -> bool {
-        VisitedStore::mark_expanded(self, entry as u32)
-    }
-}
-
-impl<L: Copy> StoreAccess<L> for &ShardedVisitedStore<L> {
-    fn probe(
-        &mut self,
-        fp: u64,
-        bytes: &[u8],
-        remaining: u32,
-        sleep: u32,
-        parent: u64,
-        label: Option<L>,
-    ) -> (ProbeOutcome, u64, u32, u32) {
-        ShardedVisitedStore::probe(self, fp, bytes, remaining, sleep, parent, label)
-    }
-
-    fn mark_expanded(&mut self, entry: u64) -> bool {
-        ShardedVisitedStore::mark_expanded(self, entry)
-    }
-}
-
-/// Interns and checks the initial state, returning its root task. Shared by
-/// both engines so the seed semantics cannot diverge.
+/// Interns and checks the initial state, returning its root task.
 fn seed_root<M: SearchModel>(
     model: &M,
     initial: M::State,
@@ -311,7 +286,8 @@ fn seed_root<M: SearchModel>(
 ) -> Task<M::State> {
     buf.clear();
     initial.encode_into(buf);
-    let (outcome, entry, _, _) = store.probe(fingerprint(buf), buf, max_depth, 0, NO_PARENT, None);
+    let Probe { outcome, entry, .. } =
+        store.probe(fingerprint(buf), buf, max_depth, 0, NO_PARENT, None);
     debug_assert_eq!(outcome, ProbeOutcome::Fresh, "seeding into a non-empty store");
     for message in model.state_violations(&initial) {
         tally.pending.push(PendingViolation {
@@ -326,10 +302,10 @@ fn seed_root<M: SearchModel>(
 
 /// Expands one task: enumerates successors into the reusable `succ` scratch,
 /// runs the once-per-state checks, probes each child, and hands fresh or
-/// upgraded children to `push(task, is_fresh)`. This single function defines
-/// the expansion semantics of *both* engines — the once-per-state
-/// `transitions`/`deadlocks` figures, the once-per-state closure checks, the
-/// once-per-insertion invariant checks, and the POR skip rule.
+/// upgraded children to `push`. This single function defines the expansion
+/// semantics — the once-per-state `transitions`/`deadlocks` figures, the
+/// once-per-state closure checks, the once-per-insertion invariant checks,
+/// and the POR skip rule.
 fn expand_task<M: SearchModel>(
     model: &M,
     task: &Task<M::State>,
@@ -337,7 +313,7 @@ fn expand_task<M: SearchModel>(
     succ: &mut Vec<(M::Label, M::State)>,
     buf: &mut Vec<u8>,
     tally: &mut Tally<M::Label>,
-    mut push: impl FnMut(Task<M::State>, bool),
+    mut push: impl FnMut(Task<M::State>),
 ) {
     let first_expansion = store.mark_expanded(task.entry);
     succ.clear();
@@ -385,10 +361,11 @@ fn expand_task<M: SearchModel>(
         if let Some(c) = class {
             earlier |= c.bit();
         }
-        let (outcome, entry, up_remaining, up_sleep) =
+        let Probe { outcome, entry, remaining: up_remaining, sleep: up_sleep } =
             store.probe(fingerprint(buf), buf, remaining, sleep, task.entry, Some(label));
         match outcome {
-            ProbeOutcome::Pruned => {}
+            ProbeOutcome::Pruned => continue,
+            ProbeOutcome::Requeue => {}
             ProbeOutcome::Fresh => {
                 debug_assert_eq!(
                     M::State::decode(buf).as_ref(),
@@ -403,182 +380,196 @@ fn expand_task<M: SearchModel>(
                         extra: None,
                     });
                 }
-                push(Task { state: next, entry, remaining: up_remaining, sleep: up_sleep }, true);
             }
-            ProbeOutcome::Requeue => {
-                push(Task { state: next, entry, remaining: up_remaining, sleep: up_sleep }, false);
+        }
+        push(Task { state: next, entry, remaining: up_remaining, sleep: up_sleep });
+    }
+}
+
+/// What the workers of one search share: the pool through which a busy
+/// worker hands tasks to one that ran dry, and the two signals that end the
+/// search.
+struct Frontier<S> {
+    /// Tasks set aside for waiting workers.
+    pool: Mutex<Vec<Task<S>>>,
+    /// Signalled when `pool` gains tasks and when the search is over.
+    wake: Condvar,
+    /// Workers waiting on `pool`; all of them ⇒ the frontier is exhausted
+    /// everywhere. Written only under the pool's lock, which is what orders
+    /// it for the waiters; busy workers read it as a hint, so `Relaxed`.
+    waiting: AtomicUsize,
+    /// Expand nothing more: the state budget tripped, or a worker is
+    /// unwinding (then no report is built — its panic is re-raised).
+    halt: AtomicBool,
+    workers: usize,
+}
+
+impl<S> Frontier<S> {
+    /// The pool is poisoned only by a worker that died holding it; `halt`
+    /// is set by then and whatever the pool holds is dropped unexpanded, so
+    /// the guard is recovered rather than unwrapped.
+    fn lock_pool(&self) -> MutexGuard<'_, Vec<Task<S>>> {
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Hands the older half of `stack` (the widest subtrees) to the waiting
+    /// workers, unless the previous hand-off is still lying in the pool.
+    fn set_aside(&self, stack: &mut Vec<Task<S>>) {
+        let mut pool = self.lock_pool();
+        if pool.is_empty() {
+            pool.extend(stack.drain(..stack.len().div_ceil(2)));
+            drop(pool);
+            self.wake.notify_one();
+        }
+    }
+
+    /// Called by a worker whose stack is empty: blocks until the pool has
+    /// tasks, moves them all into `stack` and returns how many — or returns
+    /// 0 once every worker is waiting, which ends the search.
+    fn refill(&self, stack: &mut Vec<Task<S>>) -> usize {
+        let mut pool = self.lock_pool();
+        self.waiting.fetch_add(1, Ordering::Relaxed);
+        loop {
+            if !pool.is_empty() {
+                self.waiting.fetch_sub(1, Ordering::Relaxed);
+                stack.append(&mut pool);
+                return stack.len();
             }
+            if self.waiting.load(Ordering::Relaxed) >= self.workers {
+                self.wake.notify_all();
+                return 0;
+            }
+            pool = self.wake.wait(pool).unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
 
-/// Depth-bounded exhaustive search, single-threaded: one visited store, one
-/// LIFO stack, the shared [`expand_task`] semantics.
-pub(crate) fn serial_search<M: SearchModel>(
+/// Held by a worker while it runs (and forgotten when it returns): if the
+/// worker unwinds instead, the others stop expanding and count it as
+/// waiting for good, so the search still ends and the panic surfaces.
+struct Unwinding<'a, S>(&'a Frontier<S>);
+
+impl<S> Drop for Unwinding<'_, S> {
+    fn drop(&mut self) {
+        self.0.halt.store(true, Ordering::SeqCst);
+        let _pool = self.0.lock_pool();
+        self.0.waiting.fetch_add(1, Ordering::Relaxed);
+        self.0.wake.notify_all();
+    }
+}
+
+/// The worker loop: pop, test the budget, expand, push the children; hand
+/// tasks over when someone waits, wait when the stack is empty. `root` is
+/// `Some` for exactly one worker, which seeds the store with it.
+fn worker<M: SearchModel>(
     model: &M,
-    initial: M::State,
+    root: Option<M::State>,
     max_depth: u32,
     max_states: usize,
-) -> SearchOutcome<M::Label> {
-    let started = Instant::now();
-    let mut store: VisitedStore<M::Label> = VisitedStore::new();
+    store: &mut impl StoreAccess<M::Label>,
+    frontier: &Frontier<M::State>,
+) -> Tally<M::Label> {
+    let unwinding = Unwinding(frontier);
     let mut tally: Tally<M::Label> = Tally::new();
     let mut buf: Vec<u8> = Vec::with_capacity(64);
     let mut succ: Vec<(M::Label, M::State)> = Vec::new();
     let mut stack: Vec<Task<M::State>> = Vec::new();
-    let mut truncated = false;
-
-    stack.push(seed_root(model, initial, max_depth, &mut store, &mut buf, &mut tally));
-    while let Some(task) = stack.pop() {
-        // Budget semantics shared with the parallel engine: tested when a
-        // state comes up for expansion, so the store may overshoot
-        // `max_states` by at most one expansion's successors.
-        if store.len() >= max_states {
-            truncated = true;
-            break;
+    if let Some(initial) = root {
+        stack.push(seed_root(model, initial, max_depth, store, &mut buf, &mut tally));
+    }
+    loop {
+        let Some(task) = stack.pop() else {
+            match frontier.refill(&mut stack) {
+                0 => break,
+                taken => tally.steals += taken as u64,
+            }
+            continue;
+        };
+        // The budget is tested when a state comes up for expansion, so the
+        // store may overshoot `max_states` by at most one expansion's
+        // successors per worker. Once it trips (or a worker unwinds) queued
+        // tasks drain unexpanded, here and in every other worker.
+        if frontier.halt.load(Ordering::Relaxed) || store.len() >= max_states {
+            frontier.halt.store(true, Ordering::SeqCst);
+            stack.clear();
+            continue;
         }
         if task.remaining == 0 {
             continue;
         }
-        expand_task(model, &task, &mut store, &mut succ, &mut buf, &mut tally, |t, _| {
-            stack.push(t)
-        });
+        if frontier.waiting.load(Ordering::Relaxed) > 0 && !stack.is_empty() {
+            frontier.set_aside(&mut stack);
+        }
+        expand_task(model, &task, store, &mut succ, &mut buf, &mut tally, |t| stack.push(t));
     }
-
-    let states_visited = store.len();
-    let duration_secs = started.elapsed().as_secs_f64();
-    let store_stats = store.stats();
-    let violations = merge_violations(tally.pending.drain(..).map(|p| ViolationRecord {
-        kind: p.kind,
-        message: p.message,
-        path: path_through(p.entry, p.extra, |_| &store),
-    }));
-    SearchOutcome {
-        states_visited,
-        transitions: tally.transitions,
-        deadlocks: tally.deadlocks,
-        truncated,
-        violations,
-        stats: SearchStats {
-            threads: 1,
-            shards: 1,
-            duration_secs,
-            states_per_sec: if duration_secs > 0.0 {
-                states_visited as f64 / duration_secs
-            } else {
-                0.0
-            },
-            steals: Counter::new(),
-            shard_conflicts: Counter::new(),
-            fp_confirms: Counter::from(store_stats.confirms),
-            fp_collisions: Counter::from(store_stats.collisions),
-            sleep_skips: Counter::from(tally.sleep_skips),
-            arena_bytes: store.arena_bytes() as u64,
-        },
-    }
+    std::mem::forget(unwinding);
+    tally
 }
 
-/// Runs the work-stealing search. `threads` must be ≥ 2 (the callers route
-/// `threads <= 1` to [`serial_search`]).
-pub(crate) fn parallel_search<M: SearchModel>(
+/// Depth-bounded exhaustive search from `initial`. `threads <= 1` runs the
+/// worker loop on the calling thread over one unlocked store; `threads >= 2`
+/// runs that many of it through [`dinefd_sim::pool`] over the striped store.
+pub(crate) fn search<M: SearchModel>(
     model: &M,
     initial: M::State,
     max_depth: u32,
     max_states: usize,
     threads: usize,
-) -> SearchOutcome<M::Label> {
-    debug_assert!(threads >= 2, "serial searches bypass the engine");
+) -> SearchReport<M::Label> {
     let started = Instant::now();
+    let threads = threads.max(1);
+    let frontier: Frontier<M::State> = Frontier {
+        pool: Mutex::new(Vec::new()),
+        wake: Condvar::new(),
+        waiting: AtomicUsize::new(0),
+        halt: AtomicBool::new(false),
+        workers: threads,
+    };
+    let (tallies, stores, conflicts) = if threads == 1 {
+        let mut store: VisitedStore<M::Label> = VisitedStore::new();
+        let tally = worker(model, Some(initial), max_depth, max_states, &mut store, &frontier);
+        (vec![tally], vec![store], 0)
+    } else {
+        let visited: ShardedVisitedStore<M::Label> = ShardedVisitedStore::new();
+        let mut root = Some(initial);
+        // The shared pool joins every worker and re-raises the first panic.
+        let workers: Vec<WorkerFn<'_, Tally<M::Label>>> = (0..threads)
+            .map(|_| {
+                let (root, mut store, frontier) = (root.take(), &visited, &frontier);
+                Box::new(move || worker(model, root, max_depth, max_states, &mut store, frontier))
+                    as WorkerFn<'_, Tally<M::Label>>
+            })
+            .collect();
+        let tallies = pool::run_each(workers);
+        let conflicts = visited.conflicts();
+        (tallies, visited.into_stores(), conflicts)
+    };
 
-    let visited: ShardedVisitedStore<M::Label> = ShardedVisitedStore::new();
-    let injector: Injector<Task<M::State>> = Injector::new();
-    let locals: Vec<Worker<Task<M::State>>> = (0..threads).map(|_| Worker::new_lifo()).collect();
-    let stealers: Vec<Stealer<Task<M::State>>> = locals.iter().map(Worker::stealer).collect();
-
-    // Tasks queued but not yet fully processed; 0 ⇒ the frontier is drained.
-    let pending = AtomicUsize::new(0);
-    let fresh_states = AtomicUsize::new(0);
-    let truncated = AtomicBool::new(false);
-
-    // Seed: the initial state is interned and checked up front, through the
-    // same path the serial engine uses.
-    let mut seed_tally: Tally<M::Label> = Tally::new();
-    {
-        let mut buf = Vec::with_capacity(64);
-        let root = seed_root(model, initial, max_depth, &mut (&visited), &mut buf, &mut seed_tally);
-        fresh_states.store(1, Ordering::Relaxed);
-        pending.store(1, Ordering::SeqCst);
-        injector.push(root);
-    }
-
-    // Each worker move-captures its own deque and returns its tally; the
-    // shared pool joins them all and re-raises the first worker panic.
-    let workers: Vec<WorkerFn<'_, Tally<M::Label>>> = locals
-        .into_iter()
-        .map(|local| {
-            let (visited, injector, stealers) = (&visited, &injector, &stealers);
-            let (pending, fresh_states, truncated) = (&pending, &fresh_states, &truncated);
-            Box::new(move || {
-                let mut tally: Tally<M::Label> = Tally::new();
-                let mut buf: Vec<u8> = Vec::with_capacity(64);
-                let mut succ: Vec<(M::Label, M::State)> = Vec::new();
-                loop {
-                    let task = local
-                        .pop()
-                        .or_else(|| steal_task(injector, stealers).inspect(|_| tally.steals += 1));
-                    match task {
-                        Some(task) => {
-                            process_task(
-                                model,
-                                task,
-                                visited,
-                                &local,
-                                pending,
-                                fresh_states,
-                                truncated,
-                                max_states,
-                                &mut buf,
-                                &mut succ,
-                                &mut tally,
-                            );
-                            pending.fetch_sub(1, Ordering::SeqCst);
-                        }
-                        None => {
-                            if pending.load(Ordering::SeqCst) == 0 {
-                                break;
-                            }
-                            std::thread::yield_now();
-                        }
-                    }
-                }
-                tally
-            }) as WorkerFn<'_, Tally<M::Label>>
-        })
-        .collect();
-    let mut tallies = pool::run_each(workers);
-    tallies.push(seed_tally);
-    let states_visited = visited.len();
+    let states_visited: usize = stores.iter().map(|s| s.len()).sum();
     let duration_secs = started.elapsed().as_secs_f64();
-    let (transitions, deadlocks, steals, sleep_skips) =
-        tallies.iter().fold((0u64, 0usize, 0u64, 0u64), |(t, d, s, z), w| {
-            (t + w.transitions, d + w.deadlocks, s + w.steals, z + w.sleep_skips)
-        });
-    let store_stats = visited.stats();
-    let violations =
+    let transitions = tallies.iter().map(|t| t.transitions).sum();
+    let deadlocks = tallies.iter().map(|t| t.deadlocks).sum();
+    let steals: u64 = tallies.iter().map(|t| t.steals).sum();
+    let sleep_skips: u64 = tallies.iter().map(|t| t.sleep_skips).sum();
+    let records =
         merge_violations(tallies.into_iter().flat_map(|t| t.pending).map(|p| ViolationRecord {
             kind: p.kind,
             message: p.message,
-            path: visited.path_to(p.entry, p.extra),
+            path: path_through(p.entry, p.extra, |shard| &stores[shard]),
         }));
-    SearchOutcome {
+    SearchReport {
         states_visited,
         transitions,
+        violations: records
+            .iter()
+            .map(|r| format!("{} (after {})", r.message, fmt_path(&r.path, None)))
+            .collect(),
+        records,
         deadlocks,
-        truncated: truncated.load(Ordering::SeqCst),
-        violations,
+        truncated: frontier.halt.load(Ordering::SeqCst),
         stats: SearchStats {
             threads,
-            shards: N_SHARDS,
+            shards: stores.len(),
             duration_secs,
             states_per_sec: if duration_secs > 0.0 {
                 states_visited as f64 / duration_secs
@@ -586,72 +577,13 @@ pub(crate) fn parallel_search<M: SearchModel>(
                 0.0
             },
             steals: Counter::from(steals),
-            shard_conflicts: Counter::from(visited.conflicts()),
-            fp_confirms: Counter::from(store_stats.confirms),
-            fp_collisions: Counter::from(store_stats.collisions),
+            shard_conflicts: Counter::from(conflicts),
+            fp_confirms: Counter::from(stores.iter().map(|s| s.stats().confirms).sum::<u64>()),
+            fp_collisions: Counter::from(stores.iter().map(|s| s.stats().collisions).sum::<u64>()),
             sleep_skips: Counter::from(sleep_skips),
-            arena_bytes: visited.arena_bytes() as u64,
+            arena_bytes: stores.iter().map(|s| s.arena_bytes() as u64).sum(),
         },
     }
-}
-
-/// Steals one task: the shared injector first (widest subtrees), then peers.
-fn steal_task<S>(injector: &Injector<Task<S>>, stealers: &[Stealer<Task<S>>]) -> Option<Task<S>> {
-    loop {
-        let mut retry = false;
-        match injector.steal() {
-            Steal::Success(t) => return Some(t),
-            Steal::Retry => retry = true,
-            Steal::Empty => {}
-        }
-        for s in stealers {
-            match s.steal() {
-                Steal::Success(t) => return Some(t),
-                Steal::Retry => retry = true,
-                Steal::Empty => {}
-            }
-        }
-        if !retry {
-            return None;
-        }
-        std::hint::spin_loop();
-    }
-}
-
-#[allow(clippy::too_many_arguments)] // engine internals, bundled by role
-fn process_task<M: SearchModel>(
-    model: &M,
-    task: Task<M::State>,
-    visited: &ShardedVisitedStore<M::Label>,
-    local: &Worker<Task<M::State>>,
-    pending: &AtomicUsize,
-    fresh_states: &AtomicUsize,
-    truncated: &AtomicBool,
-    max_states: usize,
-    buf: &mut Vec<u8>,
-    succ: &mut Vec<(M::Label, M::State)>,
-    tally: &mut Tally<M::Label>,
-) {
-    // Budget semantics shared with the serial engine: tested when a state
-    // comes up for expansion, so the store may overshoot `max_states` by at
-    // most one expansion's successors per worker.
-    if truncated.load(Ordering::Relaxed) {
-        return; // drain mode: complete outstanding tasks without expanding
-    }
-    if fresh_states.load(Ordering::Relaxed) >= max_states {
-        truncated.store(true, Ordering::SeqCst);
-        return;
-    }
-    if task.remaining == 0 {
-        return;
-    }
-    expand_task(model, &task, &mut (&*visited), succ, buf, tally, |t, is_fresh| {
-        if is_fresh {
-            fresh_states.fetch_add(1, Ordering::Relaxed);
-        }
-        pending.fetch_add(1, Ordering::SeqCst);
-        local.push(t);
-    });
 }
 
 /// Dedups by `(kind, message)` keeping one representative path, and sorts —
@@ -678,4 +610,159 @@ fn merge_violations<L>(
         }
     }
     by_key.into_values().collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    impl StateCodec for u32 {
+        fn encode_into(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.to_le_bytes());
+        }
+
+        fn decode(input: &[u8]) -> Option<Self> {
+            Some(u32::from_le_bytes(input.try_into().ok()?))
+        }
+    }
+
+    /// A graph over `u32` states given by its successor function (a label is
+    /// the successor's position). Counts the expansions of states 0..8 and
+    /// panics when asked to expand `poison`.
+    struct Toy {
+        edges: fn(u32) -> Vec<u32>,
+        poison: Option<u32>,
+        expansions: [AtomicUsize; 8],
+    }
+
+    impl Toy {
+        fn new(edges: fn(u32) -> Vec<u32>) -> Self {
+            Toy { edges, poison: None, expansions: Default::default() }
+        }
+    }
+
+    impl SearchModel for Toy {
+        type State = u32;
+        type Label = u8;
+
+        fn successors_into(&self, s: &u32, out: &mut Vec<(u8, u32)>) {
+            if self.poison == Some(*s) {
+                panic!("toy model poisoned at {s}");
+            }
+            if let Some(n) = self.expansions.get(*s as usize) {
+                n.fetch_add(1, Ordering::Relaxed);
+            }
+            out.extend((self.edges)(*s).into_iter().enumerate().map(|(i, t)| (i as u8, t)));
+        }
+
+        fn state_violations(&self, _: &u32) -> Vec<String> {
+            Vec::new()
+        }
+
+        fn step_violations(&self, _: &u32, _: u8, _: &u32) -> Vec<String> {
+            Vec::new()
+        }
+    }
+
+    /// The infinite binary tree in heap numbering, cut off well inside `u32`.
+    fn tree(n: u32) -> Vec<u32> {
+        if n < 1 << 24 {
+            vec![2 * n + 1, 2 * n + 2]
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// 0 → {1, 2}, 1 → 4, 2 → 3 → 4, 4 → 5, 5 dead: the search takes the last
+    /// successor first, so one worker reaches 4 over the long side first.
+    fn diamond(n: u32) -> Vec<u32> {
+        match n {
+            0 => vec![1, 2],
+            1 | 3 => vec![4],
+            2 => vec![3],
+            4 => vec![5],
+            _ => Vec::new(),
+        }
+    }
+
+    const THREADS: [usize; 3] = [1, 2, 8];
+
+    /// Runs the search on a thread of its own and returns its report, or the
+    /// message of the panic it raised; a search that does neither in time
+    /// (workers left waiting for one that is gone) fails the test here.
+    fn run(
+        model: &Arc<Toy>,
+        max_depth: u32,
+        max_states: usize,
+        threads: usize,
+    ) -> Result<SearchReport<u8>, String> {
+        let (tx, rx) = mpsc::channel();
+        let model = Arc::clone(model);
+        std::thread::spawn(move || {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                search(&*model, 0, max_depth, max_states, threads)
+            }));
+            let _ =
+                tx.send(outcome.map_err(|payload| {
+                    payload.downcast_ref::<String>().cloned().unwrap_or_default()
+                }));
+        });
+        rx.recv_timeout(Duration::from_secs(60)).unwrap_or_else(|_| {
+            panic!("threads={threads}: the search neither returned nor panicked")
+        })
+    }
+
+    #[test]
+    fn a_model_panic_comes_back_as_that_panic() {
+        // 2^19 states within the bound; the poisoned one is an inner node a
+        // few thousand expansions in.
+        for threads in THREADS {
+            let model = Arc::new(Toy { poison: Some(5000), ..Toy::new(tree) });
+            let message = run(&model, 18, usize::MAX, threads).map(|r| r.states_visited);
+            assert_eq!(message, Err("toy model poisoned at 5000".to_string()), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn more_workers_than_tasks_terminate() {
+        for threads in THREADS {
+            let depth0 = run(&Arc::new(Toy::new(tree)), 0, usize::MAX, threads).unwrap();
+            assert_eq!((depth0.states_visited, depth0.transitions), (1, 0), "threads={threads}");
+            assert!(depth0.clean() && !depth0.truncated, "threads={threads}");
+
+            let one_state = run(&Arc::new(Toy::new(|_| vec![0])), 50, usize::MAX, threads).unwrap();
+            assert_eq!((one_state.states_visited, one_state.transitions), (1, 1));
+            assert!(one_state.clean() && !one_state.truncated, "threads={threads}");
+
+            let budget1 = run(&Arc::new(Toy::new(tree)), 50, 1, threads).unwrap();
+            assert_eq!((budget1.states_visited, budget1.transitions), (1, 0), "threads={threads}");
+            assert!(budget1.truncated, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn a_state_reached_again_with_more_depth_is_re_expanded_but_counted_once() {
+        for threads in THREADS {
+            let model = Arc::new(Toy::new(diamond));
+            let r = run(&model, 5, usize::MAX, threads).unwrap();
+            assert_eq!(r.states_visited, 6, "threads={threads}");
+            assert_eq!(r.transitions, 6, "threads={threads}");
+            assert_eq!(r.deadlocks, 1, "threads={threads}");
+            assert!(r.violations.is_empty() && !r.truncated, "threads={threads}");
+            assert_eq!(r.stats.threads, threads);
+            assert_eq!(r.stats.shards, if threads == 1 { 1 } else { N_SHARDS });
+            let expansions = |s: usize| model.expansions[s].load(Ordering::Relaxed);
+            if threads == 1 {
+                // Over 2 and 3, states 4 and 5 come up with 2 and 1 steps
+                // left; over 1 they come up again with 3 and 2.
+                assert_eq!((expansions(4), expansions(5)), (2, 2));
+                assert_eq!((r.stats.steals.get(), r.stats.shard_conflicts.get()), (0, 0));
+            } else {
+                assert!((1..=2).contains(&expansions(4)) && (1..=2).contains(&expansions(5)));
+            }
+        }
+    }
 }

@@ -1,51 +1,22 @@
 //! Depth-bounded exhaustive search over the pair model.
 //!
-//! [`explore`] dispatches on [`ExploreConfig::threads`]: `1` runs the serial
-//! engine, `≥ 2` the work-stealing parallel engine — both in
-//! [`crate::parallel`], over the same model adapter, same checks, same
-//! fingerprinted visited store, same pruning rule. All deterministic figures
+//! [`explore`] hands the pair model to the one engine in
+//! [`crate::parallel`]; [`ExploreConfig::threads`] is how many workers run
+//! its loop (`1`: the calling thread alone). All deterministic figures
 //! (`states_visited`, `transitions`, `clean()`, `deadlocks`, the violation
-//! message set) agree across engines, thread counts, and
-//! [`ExploreConfig::por`] whenever the search is not truncated (see the
-//! determinism notes on [`crate::parallel`]).
+//! message set) agree across thread counts and [`ExploreConfig::por`]
+//! whenever the search is not truncated (see the determinism notes on
+//! [`crate::parallel`]).
 
 use crate::pair_model::{ExploreConfig, PairState, TransitionLabel};
-use crate::parallel::{parallel_search, serial_search, SearchModel, SearchStats, ViolationRecord};
+use crate::parallel::{search, SearchModel, SearchReport};
 use crate::por::DeliveryClass;
 
-/// Outcome of one exhaustive exploration.
-#[derive(Clone, Debug)]
-pub struct ExploreReport {
-    /// Distinct states visited.
-    pub states_visited: usize,
-    /// Transitions traversed: each visited state's out-degree, counted
-    /// exactly once on the state's first expansion. Deterministic and equal
-    /// across the serial engine, the parallel engine, and POR on/off.
-    pub transitions: u64,
-    /// Invariant violations found (empty = all lemmas hold in the explored
-    /// region). Each entry carries a short trace prefix for diagnosis.
-    pub violations: Vec<String>,
-    /// Structured violations with replayable counterexample paths (same
-    /// incidents as `violations`; replay them with
-    /// [`PairState::successors`]).
-    pub records: Vec<ViolationRecord<TransitionLabel>>,
-    /// States with no outgoing transition (there should be none).
-    pub deadlocks: usize,
-    /// Whether the search hit its state budget before exhausting the
-    /// depth-bounded region.
-    pub truncated: bool,
-    /// Throughput, contention, and codec counters of this run.
-    pub stats: SearchStats,
-}
+/// Outcome of one exhaustive exploration of the pair model (replay
+/// `records` with [`PairState::successors`]).
+pub type ExploreReport = SearchReport<TransitionLabel>;
 
-impl ExploreReport {
-    /// True when every checked property held everywhere explored.
-    pub fn clean(&self) -> bool {
-        self.violations.is_empty() && self.deadlocks == 0
-    }
-}
-
-/// The pair model seen through the engines' eyes.
+/// The pair model seen through the engine's eyes.
 struct PairSearch<'a>(&'a ExploreConfig);
 
 impl SearchModel for PairSearch<'_> {
@@ -93,9 +64,9 @@ impl SearchModel for PairSearch<'_> {
 ///
 /// The visited store remembers the largest remaining depth each state was
 /// expanded with, so re-entering a state with less budget is pruned soundly.
-/// With `cfg.threads >= 2` the search runs on the work-stealing parallel
-/// engine; the verdict (`clean()`, `states_visited`, `transitions`,
-/// `deadlocks`) is schedule-independent.
+/// With `cfg.threads >= 2` that many workers share the search; the verdict
+/// (`clean()`, `states_visited`, `transitions`, `deadlocks`) is
+/// schedule-independent.
 ///
 /// ```
 /// use dinefd_explore::{explore, ExploreConfig};
@@ -118,25 +89,7 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
 /// All engine guarantees (determinism, exhaustiveness up to the depth bound,
 /// budget semantics) are unchanged; only the root differs.
 pub fn explore_seeded(seed: PairState, cfg: &ExploreConfig) -> ExploreReport {
-    let model = PairSearch(cfg);
-    let outcome = if cfg.threads <= 1 {
-        serial_search(&model, seed, cfg.max_depth, cfg.max_states)
-    } else {
-        parallel_search(&model, seed, cfg.max_depth, cfg.max_states, cfg.threads)
-    };
-    ExploreReport {
-        states_visited: outcome.states_visited,
-        transitions: outcome.transitions,
-        violations: outcome.violations.iter().map(|r| render(&r.message, &r.path)).collect(),
-        records: outcome.violations,
-        deadlocks: outcome.deadlocks,
-        truncated: outcome.truncated,
-        stats: outcome.stats,
-    }
-}
-
-fn render(message: &str, path: &[TransitionLabel]) -> String {
-    format!("{message} (after {})", fmt_path(path, None))
+    search(&PairSearch(cfg), seed, cfg.max_depth, cfg.max_states, cfg.threads)
 }
 
 /// Breadth-first reachability probe: searches from the model's initial
@@ -270,9 +223,9 @@ mod tests {
 
     #[test]
     fn minimal_state_budget_is_enforced_in_both_engines() {
-        // `max_states: 1` must truncate before the first expansion in both
-        // engines — the budget is checked when a state comes up for
-        // expansion, not after its successors have been interned.
+        // `max_states: 1` must truncate before the first expansion at one
+        // worker and at several — the budget is checked when a state comes
+        // up for expansion, not after its successors have been interned.
         for threads in [1, 4] {
             let cfg = ExploreConfig { max_depth: 50, max_states: 1, threads, ..Default::default() };
             let report = explore(&cfg);

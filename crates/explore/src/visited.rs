@@ -1,6 +1,6 @@
-//! The fingerprinted, arena-backed visited store behind both search engines.
+//! The fingerprinted, arena-backed visited store behind the search engine.
 //!
-//! The old engines kept `HashMap<State, u32>` — every insertion cloned the
+//! The first engines kept `HashMap<State, u32>` — every insertion cloned the
 //! full state struct (two machines, fork endpoints, several `Vec`s) to use
 //! as a key, and every lookup re-hashed it with SipHash. This store keeps a
 //! state as:
@@ -18,7 +18,7 @@
 //! false "seen" verdict, so the search remains exhaustive rather than a
 //! bitstate approximation.
 //!
-//! Each entry also carries the search metadata the engines need:
+//! Each entry also carries the search metadata the engine needs:
 //!
 //! * `remaining` — the largest remaining depth the state was queued with
 //!   (the classic pruning rule: re-entering with less budget is redundant);
@@ -32,14 +32,13 @@
 //!   out-degree/deadlock contribution (the once-per-state figures).
 //!
 //! Entries are append-only and identified by dense indices, so a parent
-//! reference is stable across table growth. The parallel engine wraps
+//! reference is stable across table growth. Two or more workers share
 //! [`N_SHARDS`] of these stores, selecting a shard by the *top* fingerprint
 //! bits (the index table uses the low bits — independent, so shard striping
 //! does not correlate with probe clustering).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
 
 use crate::parallel::N_SHARDS;
 
@@ -49,8 +48,8 @@ pub(crate) const NO_PARENT: u64 = u64::MAX;
 /// Empty index-table slot.
 const EMPTY: u32 = u32::MAX;
 
-/// Codec observability counters of one store (summed across shards by the
-/// parallel engine; exported through `SearchStats`).
+/// Codec observability counters of one store (summed across shards;
+/// exported through `SearchStats`).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct StoreStats {
     /// Fingerprint hits confirmed equal by exact byte comparison.
@@ -87,14 +86,39 @@ pub(crate) enum ProbeOutcome {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Probe {
     pub outcome: ProbeOutcome,
-    /// Dense entry index within this store.
-    pub index: u32,
+    /// The entry, as an [`entry_ref`].
+    pub entry: u64,
     pub remaining: u32,
     pub sleep: u32,
 }
 
-/// One open-addressing visited store (the serial engine uses one; the
-/// parallel engine stripes [`N_SHARDS`] of them).
+/// What the search loop asks of its visited store: the single
+/// [`VisitedStore`] (one worker; its entry references are shard 0) or the
+/// striped [`ShardedVisitedStore`] (several).
+pub(crate) trait StoreAccess<L: Copy> {
+    /// Distinct states interned so far (what `max_states` bounds).
+    fn len(&self) -> usize;
+
+    /// Looks up `bytes` (pre-fingerprinted as `fp`), arriving with
+    /// `remaining` depth and POR mask `sleep` via `parent --label-->`.
+    /// Interns on miss; upgrades `remaining` (max) and `sleep`
+    /// (intersection) on hit.
+    fn probe(
+        &mut self,
+        fp: u64,
+        bytes: &[u8],
+        remaining: u32,
+        sleep: u32,
+        parent: u64,
+        label: Option<L>,
+    ) -> Probe;
+
+    /// Marks `entry` expanded; true iff this is the first expansion.
+    fn mark_expanded(&mut self, entry: u64) -> bool;
+}
+
+/// One open-addressing visited store (one worker uses one; several share
+/// [`N_SHARDS`] of them, striped).
 pub(crate) struct VisitedStore<L> {
     /// Linear-probe index: slot → entry index (or [`EMPTY`]).
     index: Vec<u32>,
@@ -113,11 +137,6 @@ impl<L: Copy> VisitedStore<L> {
         }
     }
 
-    /// Distinct states interned.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Bytes interned in the arena (a memory figure, not a state count).
     pub fn arena_bytes(&self) -> usize {
         self.arena.len()
@@ -127,11 +146,33 @@ impl<L: Copy> VisitedStore<L> {
         self.stats
     }
 
-    /// Looks up `bytes` (pre-fingerprinted as `fp`), arriving with
-    /// `remaining` depth and POR mask `sleep` via `parent --label-->`.
-    /// Interns on miss; upgrades `remaining` (max) and `sleep`
-    /// (intersection) on hit.
-    pub fn probe(
+    /// The tree edge that first interned entry `index`.
+    pub fn parent_of(&self, index: u32) -> (u64, Option<L>) {
+        let e = &self.entries[index as usize];
+        (e.parent, e.label)
+    }
+
+    fn grow(&mut self) {
+        let new_len = self.index.len() * 2;
+        let mask = new_len - 1;
+        let mut index = vec![EMPTY; new_len];
+        for (id, e) in self.entries.iter().enumerate() {
+            let mut slot = (e.fp as usize) & mask;
+            while index[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            index[slot] = id as u32;
+        }
+        self.index = index;
+    }
+}
+
+impl<L: Copy> StoreAccess<L> for VisitedStore<L> {
+    fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    fn probe(
         &mut self,
         fp: u64,
         bytes: &[u8],
@@ -162,7 +203,8 @@ impl<L: Copy> VisitedStore<L> {
                         expanded: false,
                     });
                     self.index[slot] = index;
-                    return Probe { outcome: ProbeOutcome::Fresh, index, remaining, sleep };
+                    let entry = entry_ref(0, index);
+                    return Probe { outcome: ProbeOutcome::Fresh, entry, remaining, sleep };
                 }
                 id => {
                     let e = &mut self.entries[id as usize];
@@ -181,7 +223,7 @@ impl<L: Copy> VisitedStore<L> {
                             };
                             return Probe {
                                 outcome,
-                                index: id,
+                                entry: entry_ref(0, id),
                                 remaining: up_remaining,
                                 sleep: up_sleep,
                             };
@@ -194,34 +236,14 @@ impl<L: Copy> VisitedStore<L> {
         }
     }
 
-    /// Marks entry `index` expanded; true iff this is the first expansion.
-    pub fn mark_expanded(&mut self, index: u32) -> bool {
-        !std::mem::replace(&mut self.entries[index as usize].expanded, true)
-    }
-
-    /// The tree edge that first interned entry `index`.
-    pub fn parent_of(&self, index: u32) -> (u64, Option<L>) {
-        let e = &self.entries[index as usize];
-        (e.parent, e.label)
-    }
-
-    fn grow(&mut self) {
-        let new_len = self.index.len() * 2;
-        let mask = new_len - 1;
-        let mut index = vec![EMPTY; new_len];
-        for (id, e) in self.entries.iter().enumerate() {
-            let mut slot = (e.fp as usize) & mask;
-            while index[slot] != EMPTY {
-                slot = (slot + 1) & mask;
-            }
-            index[slot] = id as u32;
-        }
-        self.index = index;
+    fn mark_expanded(&mut self, entry: u64) -> bool {
+        let index = split_ref(entry).1 as usize;
+        !std::mem::replace(&mut self.entries[index].expanded, true)
     }
 }
 
-/// Packs a (shard, entry-index) pair into the engines' 64-bit entry
-/// reference. The serial engine always uses shard 0.
+/// Packs a (shard, entry-index) pair into the engine's 64-bit entry
+/// reference. The single store is always shard 0.
 pub(crate) fn entry_ref(shard: usize, index: u32) -> u64 {
     debug_assert!(shard < N_SHARDS);
     ((shard as u64) << 32) | u64::from(index)
@@ -229,6 +251,11 @@ pub(crate) fn entry_ref(shard: usize, index: u32) -> u64 {
 
 fn split_ref(r: u64) -> (usize, u32) {
     ((r >> 32) as usize, r as u32)
+}
+
+/// The stripe a fingerprint lives in: its top bits.
+fn shard_of(fp: u64) -> usize {
+    (fp >> 56) as usize & (N_SHARDS - 1)
 }
 
 /// Reconstructs the label path from the root to entry `r` by walking parent
@@ -252,11 +279,14 @@ pub(crate) fn path_through<'a, L: Copy + 'a>(
     path
 }
 
-/// The lock-striped parallel wrapper: [`N_SHARDS`] independent stores,
-/// selected by the top fingerprint bits. `try_lock` misses are counted as
-/// shard conflicts, exactly like the old sharded hash map.
+/// The lock-striped wrapper several workers share: [`N_SHARDS`] independent
+/// stores, selected by the top fingerprint bits. `try_lock` misses are
+/// counted as shard conflicts.
 pub(crate) struct ShardedVisitedStore<L> {
     shards: Vec<Mutex<VisitedStore<L>>>,
+    /// Distinct states interned across all shards (a statistic the budget
+    /// test reads without taking 64 locks; it publishes nothing).
+    len: AtomicUsize,
     conflicts: AtomicU64,
 }
 
@@ -264,84 +294,64 @@ impl<L: Copy> ShardedVisitedStore<L> {
     pub fn new() -> Self {
         ShardedVisitedStore {
             shards: (0..N_SHARDS).map(|_| Mutex::new(VisitedStore::new())).collect(),
+            len: AtomicUsize::new(0),
             conflicts: AtomicU64::new(0),
         }
     }
 
-    fn shard_of(fp: u64) -> usize {
-        (fp >> 56) as usize & (N_SHARDS - 1)
-    }
-
-    fn lock_counting(&self, shard: usize) -> parking_lot::MutexGuard<'_, VisitedStore<L>> {
+    /// A shard is poisoned only by a worker that panicked inside it. That
+    /// search builds no report (the panic is re-raised once the others have
+    /// drained), so the guard is recovered for them rather than unwrapped.
+    fn lock_counting(&self, shard: usize) -> MutexGuard<'_, VisitedStore<L>> {
         let m = &self.shards[shard];
         match m.try_lock() {
-            Some(g) => g,
-            None => {
+            Ok(g) => g,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => {
                 self.conflicts.fetch_add(1, Ordering::Relaxed);
-                m.lock()
+                m.lock().unwrap_or_else(PoisonError::into_inner)
             }
         }
-    }
-
-    /// As [`VisitedStore::probe`], returning a global entry reference.
-    pub fn probe(
-        &self,
-        fp: u64,
-        bytes: &[u8],
-        remaining: u32,
-        sleep: u32,
-        parent: u64,
-        label: Option<L>,
-    ) -> (ProbeOutcome, u64, u32, u32) {
-        let shard = Self::shard_of(fp);
-        let p = self.lock_counting(shard).probe(fp, bytes, remaining, sleep, parent, label);
-        (p.outcome, entry_ref(shard, p.index), p.remaining, p.sleep)
-    }
-
-    /// Marks the referenced entry expanded; true iff first expansion.
-    pub fn mark_expanded(&self, r: u64) -> bool {
-        let (shard, index) = split_ref(r);
-        self.lock_counting(shard).mark_expanded(index)
-    }
-
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|m| m.lock().len()).sum()
     }
 
     pub fn conflicts(&self) -> u64 {
         self.conflicts.load(Ordering::Relaxed)
     }
 
-    /// Total bytes interned across shards.
-    pub fn arena_bytes(&self) -> usize {
-        self.shards.iter().map(|m| m.lock().arena_bytes()).sum()
+    /// The shards, in entry-reference order, once the workers are done with
+    /// the locks: what [`path_through`] and the final figures read.
+    pub fn into_stores(self) -> Vec<VisitedStore<L>> {
+        self.shards
+            .into_iter()
+            .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect()
+    }
+}
+
+impl<L: Copy> StoreAccess<L> for &ShardedVisitedStore<L> {
+    fn len(&self) -> usize {
+        self.len.load(Ordering::Relaxed)
     }
 
-    /// Summed codec counters across shards.
-    pub fn stats(&self) -> StoreStats {
-        self.shards.iter().map(|m| m.lock().stats()).fold(StoreStats::default(), |a, s| {
-            StoreStats {
-                confirms: a.confirms + s.confirms,
-                collisions: a.collisions + s.collisions,
-            }
-        })
-    }
-
-    /// Reconstructs a violation path (single-threaded post-processing: locks
-    /// shards one hop at a time).
-    pub fn path_to(&self, mut r: u64, extra: Option<L>) -> Vec<L> {
-        let mut path: Vec<L> = Vec::new();
-        while r != NO_PARENT {
-            let (shard, index) = split_ref(r);
-            let (parent, label) = self.shards[shard].lock().parent_of(index);
-            if let Some(l) = label {
-                path.push(l);
-            }
-            r = parent;
+    fn probe(
+        &mut self,
+        fp: u64,
+        bytes: &[u8],
+        remaining: u32,
+        sleep: u32,
+        parent: u64,
+        label: Option<L>,
+    ) -> Probe {
+        let shard = shard_of(fp);
+        let p = self.lock_counting(shard).probe(fp, bytes, remaining, sleep, parent, label);
+        if p.outcome == ProbeOutcome::Fresh {
+            self.len.fetch_add(1, Ordering::Relaxed);
         }
-        path.reverse();
-        path.extend(extra);
-        path
+        Probe { entry: entry_ref(shard, split_ref(p.entry).1), ..p }
+    }
+
+    fn mark_expanded(&mut self, entry: u64) -> bool {
+        self.lock_counting(split_ref(entry).0).mark_expanded(entry)
     }
 }
 
@@ -422,28 +432,33 @@ mod tests {
     fn parent_links_reconstruct_paths() {
         let mut store: VisitedStore<char> = VisitedStore::new();
         let root = store.probe(hash64(b"r"), b"r", 9, 0, NO_PARENT, None);
-        let a = store.probe(hash64(b"a"), b"a", 8, 0, entry_ref(0, root.index), Some('a'));
-        let b = store.probe(hash64(b"b"), b"b", 7, 0, entry_ref(0, a.index), Some('b'));
-        let path = path_through(entry_ref(0, b.index), Some('c'), |_| &store);
+        let a = store.probe(hash64(b"a"), b"a", 8, 0, root.entry, Some('a'));
+        let b = store.probe(hash64(b"b"), b"b", 7, 0, a.entry, Some('b'));
+        let path = path_through(b.entry, Some('c'), |_| &store);
         assert_eq!(path, vec!['a', 'b', 'c']);
-        let root_path = path_through(entry_ref(0, root.index), None, |_| &store);
+        let root_path = path_through(root.entry, None, |_| &store);
         assert!(root_path.is_empty());
     }
 
     #[test]
     fn sharded_store_routes_and_counts() {
-        let store: ShardedVisitedStore<u8> = ShardedVisitedStore::new();
+        let sharded: ShardedVisitedStore<u8> = ShardedVisitedStore::new();
+        let mut store = &sharded;
         for i in 0..500u64 {
             let bytes = i.to_le_bytes();
-            let (o, _, _, _) = store.probe(hash64(&bytes), &bytes, 2, 0, NO_PARENT, None);
-            assert_eq!(o, ProbeOutcome::Fresh);
+            let p = store.probe(hash64(&bytes), &bytes, 2, 0, NO_PARENT, None);
+            assert_eq!(p.outcome, ProbeOutcome::Fresh);
         }
         assert_eq!(store.len(), 500);
-        let (o, r, _, _) =
+        let p =
             store.probe(hash64(&0u64.to_le_bytes()), &0u64.to_le_bytes(), 2, 0, NO_PARENT, None);
-        assert_eq!(o, ProbeOutcome::Pruned);
-        assert!(store.mark_expanded(r));
-        assert!(!store.mark_expanded(r), "second expansion is not first");
-        assert!(store.stats().confirms >= 1);
+        assert_eq!(p.outcome, ProbeOutcome::Pruned);
+        assert!(store.mark_expanded(p.entry));
+        assert!(!store.mark_expanded(p.entry), "second expansion is not first");
+        assert_eq!(store.len(), 500, "a pruned probe interns nothing");
+        let stores = sharded.into_stores();
+        assert_eq!(stores.len(), N_SHARDS);
+        assert_eq!(stores.iter().map(|s| s.len()).sum::<usize>(), 500);
+        assert!(stores.iter().map(|s| s.stats().confirms).sum::<u64>() >= 1);
     }
 }

@@ -2,7 +2,7 @@
 //! panic propagation.
 //!
 //! Three subsystems fan work out over OS threads — the lemma explorer's
-//! work-stealing search (`dinefd-explore`), the experiment harness's
+//! search workers (`dinefd-explore`), the experiment harness's
 //! `parallel_map` sweep driver (`dinefd-bench`), and the parallel
 //! shard-worker loop of [`crate::shard::ShardedWorld`]. They used to spawn
 //! threads three different ways with three panic-handling policies; this
@@ -20,7 +20,7 @@ use std::thread;
 
 /// A boxed per-worker closure: the unit [`run_each`] and
 /// [`run_with_coordinator`] spawn. Boxing (rather than a shared `Fn`)
-/// lets each worker *move-capture* its own state — a work-stealing deque,
+/// lets each worker *move-capture* its own state — a search's root state,
 /// a channel receiver — which a uniform `Fn(usize)` cannot express.
 pub type WorkerFn<'env, R> = Box<dyn FnOnce() -> R + Send + 'env>;
 
