@@ -14,18 +14,18 @@
 
 use std::sync::Arc;
 
-use dinefd_dining::driver::Workload;
+use dinefd_dining::driver::{Client, Workload};
 use dinefd_dining::fair::FairWfDxDining;
 use dinefd_dining::{
-    ConflictGraph, DinerPhase, DiningHistory, DiningIo, DiningMsg, DiningObs, DiningParticipant,
+    ConflictGraph, DiningHistory, DiningIo, DiningMsg, DiningObs, DiningParticipant,
 };
-use dinefd_fd::{FdQuery, SuspicionHistory};
+use dinefd_fd::SuspicionHistory;
 use dinefd_sim::{
-    Context, CrashPlan, DelayModel, Node, ProcessId, SplitMix64, Time, World, WorldConfig,
+    Context, CrashPlan, DelayModel, Node, ProcessId, SplitMix64, Time, TimerId, World, WorldConfig,
 };
 
 use crate::detector::SharedSuspicion;
-use crate::host::{RedMsg, RedObs, ReductionNode};
+use crate::host::{Oracle, Out, RedMsg, RedObs, ReductionNode};
 use crate::scenario::{all_ordered_pairs, factory_for, BlackBox, OracleSpec};
 
 /// Messages of the composed system.
@@ -46,9 +46,7 @@ pub enum FoeObs {
     Dine(DiningObs),
 }
 
-const TICK: dinefd_sim::TimerId = dinefd_sim::TimerId(0);
-const GET_HUNGRY: dinefd_sim::TimerId = dinefd_sim::TimerId(1);
-const STOP_EATING: dinefd_sim::TimerId = dinefd_sim::TimerId(2);
+const TICK: TimerId = TimerId(0);
 
 /// One process of the composed system: reduction + extracted-◇P-driven fair
 /// dining + client workload.
@@ -56,20 +54,18 @@ pub struct FairOverExtractionNode {
     red: ReductionNode,
     cell: SharedSuspicion,
     dining: FairWfDxDining,
-    workload: Workload,
-    last_phase: DinerPhase,
-    meals_eaten: u64,
+    client: Client,
     tick_every: u64,
-    /// Pooled reduction-effect buffer (see [`crate::host::Out`]): reused
-    /// across steps so the composed hot loop stays allocation-free.
-    red_out: crate::host::Out,
+    /// Pooled reduction-effect buffer (see [`Out`]): reused across steps so
+    /// the composed hot loop stays allocation-free.
+    red_out: Out,
 }
 
 impl std::fmt::Debug for FairOverExtractionNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FairOverExtractionNode")
             .field("red", &self.red)
-            .field("meals_eaten", &self.meals_eaten)
+            .field("meals_eaten", &self.client.meals_eaten())
             .finish()
     }
 }
@@ -83,7 +79,7 @@ impl FairOverExtractionNode {
         n: usize,
         graph: &ConflictGraph,
         black_box: BlackBox,
-        oracle: Arc<dyn FdQuery + Send + Sync>,
+        oracle: Oracle,
         workload: Workload,
         strict_seq: bool,
     ) -> Self {
@@ -94,11 +90,9 @@ impl FairOverExtractionNode {
             red,
             cell: SharedSuspicion::new(n),
             dining: FairWfDxDining::new(me, graph.neighbors(me)),
-            workload,
-            last_phase: DinerPhase::Thinking,
-            meals_eaten: 0,
+            client: Client::new(workload),
             tick_every: 4,
-            red_out: crate::host::Out::default(),
+            red_out: Out::default(),
         }
     }
 
@@ -108,7 +102,7 @@ impl FairOverExtractionNode {
     fn step_red(
         &mut self,
         ctx: &mut Context<'_, FoeMsg, FoeObs>,
-        f: impl FnOnce(&mut ReductionNode, &mut crate::host::Out),
+        f: impl FnOnce(&mut ReductionNode, &mut Out),
     ) {
         let mut out = std::mem::take(&mut self.red_out);
         out.clear();
@@ -125,48 +119,19 @@ impl FairOverExtractionNode {
         self.red_out = out;
     }
 
+    /// Runs `f` against the fair diner, whose oracle is the extracted one,
+    /// then routes the sends and lets the client reconcile the phase.
     fn invoke_dining(
         &mut self,
         ctx: &mut Context<'_, FoeMsg, FoeObs>,
-        f: impl FnOnce(&mut FairWfDxDining, &mut DiningIo<'_>),
+        f: impl FnOnce(&mut dyn DiningParticipant, &mut DiningIo<'_>),
     ) {
-        let cell = self.cell.clone();
-        let mut io = DiningIo::new(ctx.me(), ctx.now(), &cell);
+        let mut io = DiningIo::new(ctx.me(), ctx.now(), &self.cell);
         f(&mut self.dining, &mut io);
         for (to, msg) in io.finish().sends {
             ctx.send(to, FoeMsg::Dine(msg));
         }
-        self.sync_phase(ctx);
-    }
-
-    fn sync_phase(&mut self, ctx: &mut Context<'_, FoeMsg, FoeObs>) {
-        let now_phase = self.dining.phase();
-        if now_phase == self.last_phase {
-            return;
-        }
-        let cycle =
-            [DinerPhase::Thinking, DinerPhase::Hungry, DinerPhase::Eating, DinerPhase::Exiting];
-        let pos = |ph: DinerPhase| cycle.iter().position(|&c| c == ph).expect("phase");
-        let (mut i, target) = (pos(self.last_phase), pos(now_phase));
-        while i != target {
-            i = (i + 1) % cycle.len();
-            ctx.observe(FoeObs::Dine(DiningObs { instance: 0, phase: cycle[i] }));
-        }
-        match now_phase {
-            DinerPhase::Eating => {
-                let d = ctx.rng().range(self.workload.eat_lo, self.workload.eat_hi);
-                ctx.set_timer(d, STOP_EATING);
-            }
-            DinerPhase::Thinking => {
-                self.meals_eaten += 1;
-                if self.workload.meals.is_none_or(|m| self.meals_eaten < m) {
-                    let d = ctx.rng().range(self.workload.think_lo, self.workload.think_hi);
-                    ctx.set_timer(d, GET_HUNGRY);
-                }
-            }
-            _ => {}
-        }
-        self.last_phase = now_phase;
+        self.client.sync_phase(ctx, self.dining.phase(), FoeObs::Dine);
     }
 }
 
@@ -178,8 +143,7 @@ impl Node for FairOverExtractionNode {
         let now = ctx.now();
         self.step_red(ctx, |red, out| red.handle_start_into(now, out));
         ctx.set_timer(self.tick_every, TICK);
-        let d = ctx.rng().range(self.workload.think_lo, self.workload.think_hi);
-        ctx.set_timer(d, GET_HUNGRY);
+        self.client.on_start(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, FoeMsg, FoeObs>, from: ProcessId, msg: FoeMsg) {
@@ -188,35 +152,18 @@ impl Node for FairOverExtractionNode {
                 let now = ctx.now();
                 self.step_red(ctx, |red, out| red.handle_message_into(from, m, now, out));
             }
-            FoeMsg::Dine(m) => {
-                self.invoke_dining(ctx, |p, io| {
-                    dinefd_dining::DiningParticipant::on_message(p, io, from, m)
-                });
-            }
+            FoeMsg::Dine(m) => self.invoke_dining(ctx, |p, io| p.on_message(io, from, m)),
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, FoeMsg, FoeObs>, timer: dinefd_sim::TimerId) {
-        match timer {
-            TICK => {
-                let now = ctx.now();
-                self.step_red(ctx, |red, out| red.handle_tick_into(now, out));
-                self.invoke_dining(ctx, DiningParticipant::on_tick);
-                ctx.set_timer(self.tick_every, TICK);
-            }
-            GET_HUNGRY => {
-                if self.dining.phase() == DinerPhase::Thinking {
-                    self.invoke_dining(ctx, DiningParticipant::hungry);
-                } else if self.dining.phase() == DinerPhase::Exiting {
-                    ctx.set_timer(1, GET_HUNGRY);
-                }
-            }
-            STOP_EATING => {
-                if self.dining.phase() == DinerPhase::Eating {
-                    self.invoke_dining(ctx, DiningParticipant::exit_eating);
-                }
-            }
-            other => debug_assert!(false, "unknown timer {other:?}"),
+    fn on_timer(&mut self, ctx: &mut Context<'_, FoeMsg, FoeObs>, timer: TimerId) {
+        if timer == TICK {
+            let now = ctx.now();
+            self.step_red(ctx, |red, out| red.handle_tick_into(now, out));
+            self.invoke_dining(ctx, |p, io| p.on_tick(io));
+            ctx.set_timer(self.tick_every, TICK);
+        } else if let Some(call) = self.client.on_timer(ctx, timer, self.dining.phase()) {
+            self.invoke_dining(ctx, call);
         }
     }
 }
@@ -249,8 +196,7 @@ pub fn run_fair_over_extraction(
 ) -> FairnessResult {
     let n = graph.len();
     let mut rng = SplitMix64::new(seed ^ 0xFA1F);
-    let oracle: Arc<dyn FdQuery + Send + Sync> =
-        Arc::new(oracle.build(n, crashes.clone(), &mut rng));
+    let oracle: Oracle = Arc::new(oracle.build(n, crashes.clone(), &mut rng));
     let nodes: Vec<FairOverExtractionNode> = ProcessId::all(n)
         .map(|me| {
             FairOverExtractionNode::new(

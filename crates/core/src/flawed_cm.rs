@@ -26,168 +26,79 @@
 //! correct process infinitely often: the extracted oracle is **not** ◇P.
 //! The paper's two-instance reduction is immune (its subjects always exit;
 //! the hand-off is what throttles the witness instead).
+//!
+//! The file holds the construction and nothing else: two [`Side`]s at
+//! `K = 1` (one contention-manager instance per pair) on the same
+//! [`PairNode`] host as the paper's reduction, plus the one thing \[8\] has
+//! that the host does not — `q`'s free-running heartbeat timer. A heartbeat
+//! travels as `RedMsg::Ping { instance: 0, seq: 0 }`: it is the subject's
+//! control message to the witness, and the witness never acks it.
 
-use std::rc::Rc;
+use dinefd_dining::DinerPhase;
+use dinefd_sim::{Context, CrashPlan, Node, ProcessId, Time, TimerId};
 
-use dinefd_dining::{DinerPhase, DiningIo, DiningMsg, DiningParticipant};
-use dinefd_fd::FdQuery;
-use dinefd_sim::{Context, Node, ProcessId, Time, TimerId};
+use crate::host::{DiningFactory, Oracle, PairNode, RedMsg, RedObs, Role, Side, Step};
+use crate::scenario::{run_one_pair, BlackBox};
 
-use crate::host::{DxEndpoint, RedObs, Role};
-
-/// Messages of the flawed construction.
-#[derive(Clone, Debug)]
-pub enum CmMsg {
-    /// Contention-manager traffic of pair `(watcher, subject)`.
-    Dx {
-        /// The pair's watcher.
-        watcher: ProcessId,
-        /// The pair's subject.
-        subject: ProcessId,
-        /// The black-box dining message.
-        inner: DiningMsg,
-    },
-    /// `q`'s heartbeat to `p`.
-    Heartbeat {
-        /// The destination watcher.
-        watcher: ProcessId,
-        /// The origin subject.
-        subject: ProcessId,
-    },
-}
-
-struct FlawedWitness {
-    watcher: ProcessId,
-    subject: ProcessId,
-    cm: Box<dyn DiningParticipant>,
+/// `p`'s side: a heartbeat means trust, and a request for the critical
+/// section; once inside, leave at once and suspect `q` (the \[8\] cycle).
+#[derive(Clone, Copy, Debug)]
+pub struct FlawedWitness {
     suspect: bool,
-    last_phase: DinerPhase,
 }
 
-struct FlawedSubject {
-    watcher: ProcessId,
-    subject: ProcessId,
-    cm: Box<dyn DiningParticipant>,
+impl Side<1> for FlawedWitness {
+    const ROLE: Role = Role::Witness;
+
+    fn step(&mut self, [phase]: [DinerPhase; 1]) -> Option<Step> {
+        (phase == DinerPhase::Eating).then(|| {
+            self.suspect = true;
+            Step::Exit(0)
+        })
+    }
+
+    fn on_control(&mut self, i: usize, _seq: u64, [phase]: [DinerPhase; 1]) -> Option<Step> {
+        self.suspect = false;
+        (phase == DinerPhase::Thinking).then_some(Step::Hungry(i))
+    }
+
+    fn suspects(&self) -> Option<bool> {
+        Some(self.suspect)
+    }
+}
+
+/// `q`'s side: request once; once eating, never exit.
+#[derive(Clone, Copy, Debug)]
+pub struct FlawedSubject {
     requested: bool,
-    last_phase: DinerPhase,
 }
 
-#[derive(Default)]
-struct Out {
-    sends: Vec<(ProcessId, CmMsg)>,
-    obs: Vec<RedObs>,
-}
+impl Side<1> for FlawedSubject {
+    const ROLE: Role = Role::Subject;
 
-fn emit_phase(
-    out: &mut Out,
-    watcher: ProcessId,
-    subject: ProcessId,
-    role: Role,
-    last: &mut DinerPhase,
-    now_phase: DinerPhase,
-) {
-    let cycle = [DinerPhase::Thinking, DinerPhase::Hungry, DinerPhase::Eating, DinerPhase::Exiting];
-    let pos = |ph: DinerPhase| cycle.iter().position(|&c| c == ph).expect("phase");
-    let (mut i, target) = (pos(*last), pos(now_phase));
-    while i != target {
-        i = (i + 1) % cycle.len();
-        out.obs.push(RedObs::DxPhase { watcher, subject, role, instance: 0, phase: cycle[i] });
-    }
-    *last = now_phase;
-}
-
-impl FlawedWitness {
-    fn invoke(
-        &mut self,
-        now: Time,
-        fd: &dyn FdQuery,
-        out: &mut Out,
-        f: impl FnOnce(&mut dyn DiningParticipant, &mut DiningIo<'_>),
-    ) {
-        let mut io = DiningIo::new(self.watcher, now, fd);
-        f(&mut *self.cm, &mut io);
-        for (to, msg) in io.finish().sends {
-            out.sends
-                .push((to, CmMsg::Dx { watcher: self.watcher, subject: self.subject, inner: msg }));
-        }
-        let ph = self.cm.phase();
-        emit_phase(out, self.watcher, self.subject, Role::Witness, &mut self.last_phase, ph);
-    }
-
-    fn set_suspect(&mut self, v: bool, out: &mut Out) {
-        if self.suspect != v {
-            self.suspect = v;
-            out.obs.push(RedObs::Suspicion { subject: self.subject, suspected: v });
-        }
-    }
-
-    /// If the CM granted us the critical section, leave immediately and
-    /// suspect `q` (the \[8\] cycle).
-    fn pump(&mut self, now: Time, fd: &dyn FdQuery, out: &mut Out) {
-        if self.cm.phase() == DinerPhase::Eating {
-            self.invoke(now, fd, out, |p, io| p.exit_eating(io));
-            self.set_suspect(true, out);
-        }
-    }
-
-    fn on_heartbeat(&mut self, now: Time, fd: &dyn FdQuery, out: &mut Out) {
-        self.set_suspect(false, out);
-        if self.cm.phase() == DinerPhase::Thinking {
-            self.invoke(now, fd, out, |p, io| p.hungry(io));
-        }
-        self.pump(now, fd, out);
-    }
-}
-
-impl FlawedSubject {
-    fn invoke(
-        &mut self,
-        now: Time,
-        fd: &dyn FdQuery,
-        out: &mut Out,
-        f: impl FnOnce(&mut dyn DiningParticipant, &mut DiningIo<'_>),
-    ) {
-        let mut io = DiningIo::new(self.subject, now, fd);
-        f(&mut *self.cm, &mut io);
-        for (to, msg) in io.finish().sends {
-            out.sends
-                .push((to, CmMsg::Dx { watcher: self.watcher, subject: self.subject, inner: msg }));
-        }
-        let ph = self.cm.phase();
-        emit_phase(out, self.watcher, self.subject, Role::Subject, &mut self.last_phase, ph);
-    }
-
-    /// Request once; once eating, never exit.
-    fn pump(&mut self, now: Time, fd: &dyn FdQuery, out: &mut Out) {
-        if !self.requested && self.cm.phase() == DinerPhase::Thinking {
+    fn step(&mut self, [phase]: [DinerPhase; 1]) -> Option<Step> {
+        (!self.requested && phase == DinerPhase::Thinking).then(|| {
             self.requested = true;
-            self.invoke(now, fd, out, |p, io| p.hungry(io));
-        }
+            Step::Hungry(0)
+        })
+    }
+
+    fn on_control(&mut self, _i: usize, _seq: u64, _phases: [DinerPhase; 1]) -> Option<Step> {
+        None
+    }
+
+    fn suspects(&self) -> Option<bool> {
+        None
     }
 }
 
-const TICK: TimerId = TimerId(0);
 const HEARTBEAT: TimerId = TimerId(1);
+const HEARTBEAT_EVERY: u64 = 16;
 
-/// One physical process of the flawed construction.
-pub struct FlawedCmNode {
-    me: ProcessId,
-    witnesses: Vec<FlawedWitness>,
-    subjects: Vec<FlawedSubject>,
-    fd: Rc<dyn FdQuery>,
-    heartbeat_every: u64,
-    tick_every: u64,
-}
-
-impl std::fmt::Debug for FlawedCmNode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FlawedCmNode")
-            .field("me", &self.me)
-            .field("witnesses", &self.witnesses.len())
-            .field("subjects", &self.subjects.len())
-            .finish()
-    }
-}
+/// One physical process of the flawed construction: the shared host plus
+/// the heartbeat timer of every pair this process is the subject of.
+#[derive(Debug)]
+pub struct FlawedCmNode(PairNode<FlawedWitness, FlawedSubject, 1>);
 
 impl FlawedCmNode {
     /// Builds the node for `me` over the given ordered pairs and CM factory
@@ -195,149 +106,50 @@ impl FlawedCmNode {
     pub fn new(
         me: ProcessId,
         pairs: &[(ProcessId, ProcessId)],
-        factory: &(dyn Fn(DxEndpoint) -> Box<dyn DiningParticipant> + '_),
-        fd: Rc<dyn FdQuery>,
+        factory: &DiningFactory<'_>,
+        fd: Oracle,
     ) -> Self {
-        let witnesses = pairs
-            .iter()
-            .filter(|&&(w, s)| w == me && s != me)
-            .map(|&(w, s)| FlawedWitness {
-                watcher: w,
-                subject: s,
-                cm: factory(DxEndpoint { me: w, peer: s, watcher: w, subject: s, instance: 0 }),
-                suspect: true,
-                last_phase: DinerPhase::Thinking,
-            })
-            .collect();
-        let subjects = pairs
-            .iter()
-            .filter(|&&(w, s)| s == me && w != me)
-            .map(|&(w, s)| FlawedSubject {
-                watcher: w,
-                subject: s,
-                cm: factory(DxEndpoint { me: s, peer: w, watcher: w, subject: s, instance: 0 }),
-                requested: false,
-                last_phase: DinerPhase::Thinking,
-            })
-            .collect();
-        FlawedCmNode { me, witnesses, subjects, fd, heartbeat_every: 16, tick_every: 4 }
-    }
-
-    fn flush(out: Out, ctx: &mut Context<'_, CmMsg, RedObs>) {
-        for (to, msg) in out.sends {
-            ctx.send(to, msg);
-        }
-        for obs in out.obs {
-            ctx.observe(obs);
-        }
+        let sides = (FlawedWitness { suspect: true }, FlawedSubject { requested: false });
+        FlawedCmNode(PairNode::over_pairs(me, pairs, factory, fd, sides))
     }
 }
 
 impl Node for FlawedCmNode {
-    type Msg = CmMsg;
+    type Msg = RedMsg;
     type Obs = RedObs;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, CmMsg, RedObs>) {
-        let mut out = Out::default();
-        let (now, fd) = (ctx.now(), Rc::clone(&self.fd));
-        for s in &mut self.subjects {
-            s.pump(now, &*fd, &mut out);
-        }
-        Self::flush(out, ctx);
-        ctx.set_timer(self.tick_every, TICK);
-        if !self.subjects.is_empty() {
-            ctx.set_timer(self.heartbeat_every, HEARTBEAT);
+    fn on_start(&mut self, ctx: &mut Context<'_, RedMsg, RedObs>) {
+        self.0.on_start(ctx);
+        if !self.0.watched_by().is_empty() {
+            ctx.set_timer(HEARTBEAT_EVERY, HEARTBEAT);
         }
     }
 
-    fn on_message(&mut self, ctx: &mut Context<'_, CmMsg, RedObs>, from: ProcessId, msg: CmMsg) {
-        let mut out = Out::default();
-        let (now, fd) = (ctx.now(), Rc::clone(&self.fd));
-        match msg {
-            CmMsg::Dx { watcher, subject, inner } => {
-                if watcher == self.me {
-                    let w = self
-                        .witnesses
-                        .iter_mut()
-                        .find(|w| w.subject == subject)
-                        .expect("unknown pair");
-                    w.invoke(now, &*fd, &mut out, |p, io| p.on_message(io, from, inner));
-                    w.pump(now, &*fd, &mut out);
-                } else {
-                    let s = self
-                        .subjects
-                        .iter_mut()
-                        .find(|s| s.watcher == watcher)
-                        .expect("unknown pair");
-                    s.invoke(now, &*fd, &mut out, |p, io| p.on_message(io, from, inner));
-                    s.pump(now, &*fd, &mut out);
-                }
-            }
-            CmMsg::Heartbeat { watcher, subject } => {
-                debug_assert_eq!(watcher, self.me);
-                let w =
-                    self.witnesses.iter_mut().find(|w| w.subject == subject).expect("unknown pair");
-                w.on_heartbeat(now, &*fd, &mut out);
-            }
-        }
-        Self::flush(out, ctx);
+    fn on_message(&mut self, ctx: &mut Context<'_, RedMsg, RedObs>, from: ProcessId, msg: RedMsg) {
+        self.0.on_message(ctx, from, msg);
     }
 
-    fn on_timer(&mut self, ctx: &mut Context<'_, CmMsg, RedObs>, timer: TimerId) {
-        let mut out = Out::default();
-        let (now, fd) = (ctx.now(), Rc::clone(&self.fd));
-        match timer {
-            TICK => {
-                for w in &mut self.witnesses {
-                    w.invoke(now, &*fd, &mut out, |p, io| p.on_tick(io));
-                    w.pump(now, &*fd, &mut out);
-                }
-                for s in &mut self.subjects {
-                    s.invoke(now, &*fd, &mut out, |p, io| p.on_tick(io));
-                    s.pump(now, &*fd, &mut out);
-                }
-                ctx.set_timer(self.tick_every, TICK);
-            }
-            HEARTBEAT => {
-                for s in &self.subjects {
-                    out.sends.push((
-                        s.watcher,
-                        CmMsg::Heartbeat { watcher: s.watcher, subject: s.subject },
-                    ));
-                }
-                ctx.set_timer(self.heartbeat_every, HEARTBEAT);
-            }
-            other => debug_assert!(false, "unknown timer {other:?}"),
+    fn on_timer(&mut self, ctx: &mut Context<'_, RedMsg, RedObs>, timer: TimerId) {
+        if timer != HEARTBEAT {
+            return self.0.on_timer(ctx, timer);
         }
-        Self::flush(out, ctx);
+        let subject = ctx.me();
+        for &watcher in self.0.watched_by() {
+            ctx.send(watcher, RedMsg::Ping { watcher, subject, instance: 0, seq: 0 });
+        }
+        ctx.set_timer(HEARTBEAT_EVERY, HEARTBEAT);
     }
 }
 
 /// Runs the flawed construction over one monitored pair `(p0, p1)` on the
 /// given black box; returns the extracted suspicion history.
 pub fn run_flawed_pair(
-    black_box: crate::scenario::BlackBox,
+    black_box: BlackBox,
     seed: u64,
-    crashes: dinefd_sim::CrashPlan,
+    crashes: CrashPlan,
     horizon: Time,
 ) -> dinefd_fd::SuspicionHistory {
-    use dinefd_sim::{World, WorldConfig};
-    let pairs = vec![(ProcessId(0), ProcessId(1))];
-    let mut rng = dinefd_sim::SplitMix64::new(seed ^ 0xBAD);
-    let oracle: Rc<dyn FdQuery> = Rc::new(crate::scenario::OracleSpec::Perfect { lag: 20 }.build(
-        2,
-        crashes.clone(),
-        &mut rng,
-    ));
-    let factory = crate::scenario::factory_for(black_box);
-    let nodes: Vec<FlawedCmNode> = ProcessId::all(2)
-        .map(|me| FlawedCmNode::new(me, &pairs, &factory, Rc::clone(&oracle)))
-        .collect();
-    let cfg = WorldConfig::new(seed).crashes(crashes);
-    let mut world = World::new(nodes, cfg);
-    world.run_until(horizon);
-    let trace = world.into_trace();
-    crate::detector::suspicion_history(2, &trace, &pairs)
+    run_one_pair(black_box, seed, 0xBAD, crashes, horizon, FlawedCmNode::new)
 }
 
 #[cfg(test)]

@@ -1,12 +1,23 @@
-//! Event-driven hosts that run the witness/subject machines over black-box
-//! dining instances inside the simulator.
+//! The event-driven host that runs an extractor over black-box dining
+//! instances inside the simulator.
 //!
-//! For every ordered monitoring pair `(p, q)` the reduction instantiates two
-//! dining instances `DX_0`, `DX_1`, each a 2-diner conflict graph between
-//! `p`'s witness thread `w_i` and `q`'s subject thread `s_i`. A single
-//! physical process may simultaneously host many witness components (one per
-//! process it watches) and many subject components (one per process watching
-//! it); a [`ReductionNode`] bundles them and routes the tagged messages.
+//! For every ordered monitoring pair `(p, q)` an extractor instantiates `K`
+//! dining instances `DX_0 … DX_{K-1}`, each a 2-diner conflict graph between
+//! a thread at the watcher `p` and a thread at the subject `q`. What an
+//! extractor *is* — when a thread goes hungry, when it exits, what it sends
+//! the other side and what it concludes — is a pair of [`Side`]s: one side
+//! of one pair, a pure state machine over its threads' dining phases. The
+//! paper's reduction is [`WitnessMachine`] and [`SubjectMachine`] at
+//! `K = 2`; the two ablations in [`crate::single_dx`] and
+//! [`crate::flawed_cm`] are four small sides at `K = 1`.
+//!
+//! Everything else is stated here once, for all of them. A [`Bank`] holds
+//! every pair one process takes one side of: it calls the black boxes,
+//! tags and forwards what they send, reports the phases they cross and the
+//! output changes of the side, and keeps the tick promise. A [`PairNode`]
+//! is one physical process — a witness bank, a subject bank and the routing
+//! between them; [`ReductionNode`] is that node over the paper's machines.
+//! `K` is fixed by the extractor's type; nothing sets it at run time.
 
 use std::sync::Arc;
 
@@ -107,14 +118,18 @@ pub struct DxEndpoint {
 /// the black box the reduction quantifies over.
 pub type DiningFactory<'a> = dyn Fn(DxEndpoint) -> Box<dyn DiningParticipant> + 'a;
 
+/// The oracle handle a node passes to its black boxes (NOT to the extractor
+/// itself — the reduction is oracle-free, that is the whole point).
+pub type Oracle = Arc<dyn FdQuery + Send + Sync>;
+
 /// Effect collector shared by the components of one node invocation.
 ///
-/// The hot loop never allocates: [`ReductionNode`] pools a single `Out`
+/// The hot loop never allocates: a [`PairNode`] pools a single `Out`
 /// across its [`Node`] handler invocations (and callers of the context-free
 /// `handle_*_into` methods are expected to do the same), so after warm-up
 /// the send/obs vectors only ever reuse their high-water capacity, and the
-/// banks pick each action through the machines' `for_each_enabled`, never
-/// through the `Vec`-returning `enabled` (`ci/guards.sh`, guard 4).
+/// machines pick each action through `for_each_enabled`, never through the
+/// `Vec`-returning `enabled` (`ci/guards.sh`, guard 4).
 #[derive(Debug, Default)]
 pub struct Out {
     /// Outgoing reduction messages.
@@ -131,36 +146,111 @@ impl Out {
     }
 }
 
-/// Maximum machine actions fired per pump. Grant-immediately black boxes can
+/// What a [`Side`] has its host do: one call on the black box of instance
+/// `i`, or one control message to the pair's other side.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// Thread `i` becomes hungry in `DX_i`.
+    Hungry(usize),
+    /// Thread `i` exits its eating session in `DX_i`.
+    Exit(usize),
+    /// Thread `i` sends the other side its control message — a subject's
+    /// ping, a witness's ack — carrying `seq`.
+    Send(usize, u64),
+}
+
+/// One side of one monitoring pair: the `K` threads an extractor runs at the
+/// watcher (or at the subject), as a state machine over their dining phases.
+/// A side changes state only inside these calls, and its enabledness depends
+/// only on its state and the phases — which is what lets a [`Bank`] skip a
+/// slot nothing has touched.
+pub trait Side<const K: usize>: Clone {
+    /// Which side this is: decides which end of the pair the hosting process
+    /// is, and whether [`Step::Send`] is an ack or a ping.
+    const ROLE: Role;
+
+    /// Fires the action a pump takes next, if one is enabled.
+    fn step(&mut self, phases: [DinerPhase; K]) -> Option<Step>;
+
+    /// The other side's control message for thread `i` arrived.
+    fn on_control(&mut self, i: usize, seq: u64, phases: [DinerPhase; K]) -> Option<Step>;
+
+    /// The extracted output, for a side that has one.
+    fn suspects(&self) -> Option<bool>;
+}
+
+impl From<WitnessCmd> for Step {
+    fn from(cmd: WitnessCmd) -> Step {
+        match cmd {
+            WitnessCmd::BecomeHungry(i) => Step::Hungry(i),
+            WitnessCmd::Exit(i) => Step::Exit(i),
+            WitnessCmd::SendAck(i, seq) => Step::Send(i, seq),
+        }
+    }
+}
+
+impl From<SubjectCmd> for Step {
+    fn from(cmd: SubjectCmd) -> Step {
+        match cmd {
+            SubjectCmd::BecomeHungry(i) => Step::Hungry(i),
+            SubjectCmd::Exit(i) => Step::Exit(i),
+            SubjectCmd::SendPing(i, seq) => Step::Send(i, seq),
+        }
+    }
+}
+
+/// Alg. 1: the first enabled action; a ping is acked at once.
+impl Side<2> for WitnessMachine {
+    const ROLE: Role = Role::Witness;
+
+    fn step(&mut self, phases: [DinerPhase; 2]) -> Option<Step> {
+        let mut first = None;
+        self.for_each_enabled(phases, |a| first = first.or(Some(a)));
+        Some(self.fire(first?, phases).into())
+    }
+
+    fn on_control(&mut self, i: usize, seq: u64, _phases: [DinerPhase; 2]) -> Option<Step> {
+        Some(self.on_ping(i, seq).into())
+    }
+
+    fn suspects(&self) -> Option<bool> {
+        Some(WitnessMachine::suspects(self))
+    }
+}
+
+/// Alg. 2: pings before hunger, so a lone eater's ping is never starved by
+/// the other thread's bookkeeping; otherwise the first enabled action.
+impl Side<2> for SubjectMachine {
+    const ROLE: Role = Role::Subject;
+
+    fn step(&mut self, phases: [DinerPhase; 2]) -> Option<Step> {
+        let (mut ping, mut first) = (None, None);
+        self.for_each_enabled(phases, |a| {
+            if matches!(a, SubjectAction::Ping(_)) {
+                ping = ping.or(Some(a));
+            }
+            first = first.or(Some(a));
+        });
+        Some(self.fire(ping.or(first)?, phases).into())
+    }
+
+    fn on_control(&mut self, i: usize, seq: u64, _phases: [DinerPhase; 2]) -> Option<Step> {
+        self.on_ack(i, seq);
+        None
+    }
+
+    fn suspects(&self) -> Option<bool> {
+        None
+    }
+}
+
+/// Maximum side actions fired per pump. Grant-immediately black boxes can
 /// keep a witness cycling hungry→eating→exit endlessly; bounding the pump
 /// turns that cycle into one action per atomic step, exactly as the paper's
 /// interleaving semantics intend.
 const PUMP_BUDGET: usize = 4;
 
-/// Emits the observation chain implied by a phase jump (a participant can
-/// cross several phases inside one invocation).
-fn emit_phase_chain(
-    out: &mut Out,
-    watcher: ProcessId,
-    subject: ProcessId,
-    role: Role,
-    instance: u8,
-    from: DinerPhase,
-    to: DinerPhase,
-) {
-    let mut phase = from;
-    while phase != to {
-        phase = match phase {
-            DinerPhase::Thinking => DinerPhase::Hungry,
-            DinerPhase::Hungry => DinerPhase::Eating,
-            DinerPhase::Eating => DinerPhase::Exiting,
-            DinerPhase::Exiting => DinerPhase::Thinking,
-        };
-        out.obs.push(RedObs::DxPhase { watcher, subject, role, instance, phase });
-    }
-}
-
-/// The watcher-side pair state of one node, laid out struct-of-arrays:
+/// Every pair one process takes side `S` of, laid out struct-of-arrays:
 /// parallel vectors indexed by a dense pair slot, so the tick loop walking
 /// every pair streams each field contiguously instead of hopping across
 /// per-pair structs, and one scratch buffer serves every slot.
@@ -172,13 +262,15 @@ fn emit_phase_chain(
 /// handler that touches a slot ends in `pump`, so nothing else can have
 /// become enabled since. One participant that does not promise puts the
 /// whole bank back on ticking and pumping everything.
-pub struct WitnessBank {
-    watcher: ProcessId,
-    subjects: Vec<ProcessId>,
-    machines: Vec<WitnessMachine>,
-    dx: Vec<[Box<dyn DiningParticipant>; 2]>,
-    last_phase: Vec<[DinerPhase; 2]>,
-    last_suspect: Vec<bool>,
+pub struct Bank<S, const K: usize> {
+    me: ProcessId,
+    /// The other end of each slot's pair.
+    peers: Vec<ProcessId>,
+    sides: Vec<S>,
+    dx: Vec<[Box<dyn DiningParticipant>; K]>,
+    /// Each endpoint's phase as of its last call; a box changes phase
+    /// nowhere else.
+    last_phase: Vec<[DinerPhase; K]>,
     /// Whether the slot's last pump stopped on [`PUMP_BUDGET`] instead of on
     /// "nothing enabled" (or has yet to run), so the next tick must pump.
     pump_pending: Vec<bool>,
@@ -189,267 +281,69 @@ pub struct WitnessBank {
     scratch: Vec<(ProcessId, DiningMsg)>,
 }
 
-impl std::fmt::Debug for WitnessBank {
+impl<S, const K: usize> std::fmt::Debug for Bank<S, K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WitnessBank")
-            .field("watcher", &self.watcher)
-            .field("pairs", &self.subjects.len())
-            .finish()
+        f.debug_struct("Bank").field("me", &self.me).field("pairs", &self.peers.len()).finish()
     }
 }
 
-impl WitnessBank {
-    fn new(watcher: ProcessId) -> Self {
-        WitnessBank {
-            watcher,
-            subjects: Vec::new(),
-            machines: Vec::new(),
+impl<S: Side<K>, const K: usize> Bank<S, K> {
+    fn new(me: ProcessId) -> Self {
+        Bank {
+            me,
+            peers: Vec::new(),
+            sides: Vec::new(),
             dx: Vec::new(),
             last_phase: Vec::new(),
-            last_suspect: Vec::new(),
             pump_pending: Vec::new(),
             skip_idle_ticks: true,
             scratch: Vec::new(),
         }
     }
 
-    fn push(&mut self, subject: ProcessId, factory: &DiningFactory<'_>) {
-        let watcher = self.watcher;
-        let mk = |instance: u8| {
-            factory(DxEndpoint { me: watcher, peer: subject, watcher, subject, instance })
-        };
-        self.subjects.push(subject);
-        self.machines.push(WitnessMachine::new());
-        let dx = [mk(0), mk(1)];
+    /// `(watcher, subject)` of the pair this bank's process forms with `peer`.
+    fn pair(&self, peer: ProcessId) -> (ProcessId, ProcessId) {
+        match S::ROLE {
+            Role::Witness => (self.me, peer),
+            Role::Subject => (peer, self.me),
+        }
+    }
+
+    fn push(&mut self, peer: ProcessId, side: S, factory: &DiningFactory<'_>) {
+        debug_assert_ne!(peer, self.me, "self-pairs must be pre-filtered");
+        let (me, (watcher, subject)) = (self.me, self.pair(peer));
+        let dx: [Box<dyn DiningParticipant>; K] = std::array::from_fn(|i| {
+            factory(DxEndpoint { me, peer, watcher, subject, instance: i as u8 })
+        });
         self.skip_idle_ticks &= dx.iter().all(|p| p.ticks_only_while_hungry());
+        self.peers.push(peer);
+        self.sides.push(side);
         self.dx.push(dx);
-        self.last_phase.push([DinerPhase::Thinking; 2]);
-        self.last_suspect.push(true);
+        self.last_phase.push([DinerPhase::Thinking; K]);
         self.pump_pending.push(true);
     }
 
     /// Number of pairs in the bank.
-    pub fn len(&self) -> usize {
-        self.subjects.len()
-    }
-
-    /// Whether the bank holds no pairs.
-    pub fn is_empty(&self) -> bool {
-        self.subjects.is_empty()
-    }
-
-    /// Current extracted output for pair slot `slot`.
-    pub fn suspects(&self, slot: usize) -> bool {
-        self.machines[slot].suspects()
+    fn len(&self) -> usize {
+        self.peers.len()
     }
 
     /// Estimated resident bytes of this bank's pair state (SoA vectors +
     /// the boxed dining participants behind them).
-    pub fn resident_bytes(&self) -> usize {
+    fn resident_bytes(&self) -> usize {
         use std::mem::{size_of, size_of_val};
-        self.subjects.len()
+        self.peers.len()
             * (size_of::<ProcessId>()
-                + size_of::<WitnessMachine>()
-                + size_of::<[usize; 2]>() // the two fat pointers
-                + size_of::<[DinerPhase; 2]>()
-                + size_of::<[bool; 2]>()) // last_suspect, pump_pending
-            + self.dx.iter().flatten().map(|p| size_of_val(&**p)).sum::<usize>()
-    }
-
-    fn invoke_dx(
-        &mut self,
-        slot: usize,
-        i: usize,
-        now: Time,
-        fd: &dyn FdQuery,
-        out: &mut Out,
-        f: impl FnOnce(&mut dyn DiningParticipant, &mut DiningIo<'_>),
-    ) {
-        let mut io =
-            DiningIo::with_scratch(self.watcher, now, fd, std::mem::take(&mut self.scratch));
-        f(&mut *self.dx[slot][i], &mut io);
-        let (watcher, subject) = (self.watcher, self.subjects[slot]);
-        let mut fx = io.finish();
-        for (to, msg) in fx.sends.drain(..) {
-            debug_assert_eq!(to, subject);
-            out.sends.push((to, RedMsg::Dx { watcher, subject, instance: i as u8, inner: msg }));
-        }
-        self.scratch = fx.sends;
-        let ph = self.dx[slot][i].phase();
-        emit_phase_chain(
-            out,
-            watcher,
-            subject,
-            Role::Witness,
-            i as u8,
-            self.last_phase[slot][i],
-            ph,
-        );
-        self.last_phase[slot][i] = ph;
-    }
-
-    fn note_suspicion(&mut self, slot: usize, out: &mut Out) {
-        let s = self.machines[slot].suspects();
-        if s != self.last_suspect[slot] {
-            self.last_suspect[slot] = s;
-            out.obs.push(RedObs::Suspicion { subject: self.subjects[slot], suspected: s });
-        }
-    }
-
-    /// Fires enabled witness actions (bounded) and applies their commands.
-    fn pump(&mut self, slot: usize, now: Time, fd: &dyn FdQuery, out: &mut Out) {
-        self.pump_pending[slot] = true;
-        for _ in 0..PUMP_BUDGET {
-            let phases = [self.dx[slot][0].phase(), self.dx[slot][1].phase()];
-            let mut first = None;
-            self.machines[slot].for_each_enabled(phases, |a| first = first.or(Some(a)));
-            let Some(action) = first else {
-                self.pump_pending[slot] = false;
-                break;
-            };
-            match self.machines[slot].fire(action, phases) {
-                WitnessCmd::BecomeHungry(i) => {
-                    self.invoke_dx(slot, i, now, fd, out, |p, io| p.hungry(io));
-                }
-                WitnessCmd::Exit(i) => {
-                    self.invoke_dx(slot, i, now, fd, out, |p, io| p.exit_eating(io));
-                }
-                WitnessCmd::SendAck(..) => unreachable!("acks are message-triggered"),
-            }
-            self.note_suspicion(slot, out);
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)] // slot-addressed bank entry point
-    fn on_dx_message(
-        &mut self,
-        slot: usize,
-        instance: u8,
-        from: ProcessId,
-        inner: DiningMsg,
-        now: Time,
-        fd: &dyn FdQuery,
-        out: &mut Out,
-    ) {
-        let f =
-            |p: &mut dyn DiningParticipant, io: &mut DiningIo<'_>| p.on_message(io, from, inner);
-        self.invoke_dx(slot, instance as usize, now, fd, out, f);
-        self.pump(slot, now, fd, out);
-    }
-
-    fn on_ping(
-        &mut self,
-        slot: usize,
-        instance: u8,
-        seq: u64,
-        now: Time,
-        fd: &dyn FdQuery,
-        out: &mut Out,
-    ) {
-        let WitnessCmd::SendAck(i, seq) = self.machines[slot].on_ping(instance as usize, seq)
-        else {
-            unreachable!()
-        };
-        out.sends.push((
-            self.subjects[slot],
-            RedMsg::Ack {
-                watcher: self.watcher,
-                subject: self.subjects[slot],
-                instance: i as u8,
-                seq,
-            },
-        ));
-        self.pump(slot, now, fd, out);
-    }
-
-    fn on_tick(&mut self, slot: usize, now: Time, fd: &dyn FdQuery, out: &mut Out) {
-        let mut pump = self.pump_pending[slot];
-        for i in 0..2 {
-            if !self.skip_idle_ticks || self.last_phase[slot][i] == DinerPhase::Hungry {
-                self.invoke_dx(slot, i, now, fd, out, |p, io| p.on_tick(io));
-                pump = true;
-            }
-        }
-        if pump {
-            self.pump(slot, now, fd, out);
-        }
-    }
-}
-
-/// The monitored-side pair state of one node, struct-of-arrays like
-/// [`WitnessBank`].
-pub struct SubjectBank {
-    subject: ProcessId,
-    watchers: Vec<ProcessId>,
-    machines: Vec<SubjectMachine>,
-    dx: Vec<[Box<dyn DiningParticipant>; 2]>,
-    last_phase: Vec<[DinerPhase; 2]>,
-    /// As in [`WitnessBank`].
-    pump_pending: Vec<bool>,
-    /// As in [`WitnessBank`].
-    skip_idle_ticks: bool,
-    scratch: Vec<(ProcessId, DiningMsg)>,
-}
-
-impl std::fmt::Debug for SubjectBank {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SubjectBank")
-            .field("subject", &self.subject)
-            .field("pairs", &self.watchers.len())
-            .finish()
-    }
-}
-
-impl SubjectBank {
-    fn new(subject: ProcessId) -> Self {
-        SubjectBank {
-            subject,
-            watchers: Vec::new(),
-            machines: Vec::new(),
-            dx: Vec::new(),
-            last_phase: Vec::new(),
-            pump_pending: Vec::new(),
-            skip_idle_ticks: true,
-            scratch: Vec::new(),
-        }
-    }
-
-    fn push(&mut self, watcher: ProcessId, strict_seq: bool, factory: &DiningFactory<'_>) {
-        let subject = self.subject;
-        let mk = |instance: u8| {
-            factory(DxEndpoint { me: subject, peer: watcher, watcher, subject, instance })
-        };
-        self.watchers.push(watcher);
-        self.machines.push(SubjectMachine::new(strict_seq));
-        let dx = [mk(0), mk(1)];
-        self.skip_idle_ticks &= dx.iter().all(|p| p.ticks_only_while_hungry());
-        self.dx.push(dx);
-        self.last_phase.push([DinerPhase::Thinking; 2]);
-        self.pump_pending.push(true);
-    }
-
-    /// Number of pairs in the bank.
-    pub fn len(&self) -> usize {
-        self.watchers.len()
-    }
-
-    /// Whether the bank holds no pairs.
-    pub fn is_empty(&self) -> bool {
-        self.watchers.is_empty()
-    }
-
-    /// Estimated resident bytes of this bank's pair state.
-    pub fn resident_bytes(&self) -> usize {
-        use std::mem::{size_of, size_of_val};
-        self.watchers.len()
-            * (size_of::<ProcessId>()
-                + size_of::<SubjectMachine>()
-                + size_of::<[usize; 2]>()
-                + size_of::<[DinerPhase; 2]>()
+                + size_of::<S>()
+                + size_of::<[Box<dyn DiningParticipant>; K]>()
+                + size_of::<[DinerPhase; K]>()
                 + size_of::<bool>())
             + self.dx.iter().flatten().map(|p| size_of_val(&**p)).sum::<usize>()
     }
 
+    /// The one place a black box is called: runs `f` on endpoint `i` of
+    /// `slot`, tags and forwards what it sent, and reports each phase it
+    /// crossed (a participant can cross several inside one invocation).
     fn invoke_dx(
         &mut self,
         slot: usize,
@@ -459,64 +353,65 @@ impl SubjectBank {
         out: &mut Out,
         f: impl FnOnce(&mut dyn DiningParticipant, &mut DiningIo<'_>),
     ) {
-        let mut io =
-            DiningIo::with_scratch(self.subject, now, fd, std::mem::take(&mut self.scratch));
+        let mut io = DiningIo::with_scratch(self.me, now, fd, std::mem::take(&mut self.scratch));
         f(&mut *self.dx[slot][i], &mut io);
-        let (watcher, subject) = (self.watchers[slot], self.subject);
+        let peer = self.peers[slot];
+        let ((watcher, subject), instance) = (self.pair(peer), i as u8);
         let mut fx = io.finish();
-        for (to, msg) in fx.sends.drain(..) {
-            debug_assert_eq!(to, watcher);
-            out.sends.push((to, RedMsg::Dx { watcher, subject, instance: i as u8, inner: msg }));
+        for (to, inner) in fx.sends.drain(..) {
+            debug_assert_eq!(to, peer);
+            out.sends.push((to, RedMsg::Dx { watcher, subject, instance, inner }));
         }
         self.scratch = fx.sends;
-        let ph = self.dx[slot][i].phase();
-        emit_phase_chain(
-            out,
-            watcher,
-            subject,
-            Role::Subject,
-            i as u8,
-            self.last_phase[slot][i],
-            ph,
-        );
-        self.last_phase[slot][i] = ph;
+        let (role, now_phase) = (S::ROLE, self.dx[slot][i].phase());
+        let last = &mut self.last_phase[slot][i];
+        while *last != now_phase {
+            *last = last.next();
+            out.obs.push(RedObs::DxPhase { watcher, subject, role, instance, phase: *last });
+        }
     }
 
+    /// One call into the slot's side: applies the step it asks for, then
+    /// reports its output if the call changed it. Whether it asked for one.
+    fn fire(
+        &mut self,
+        slot: usize,
+        now: Time,
+        fd: &dyn FdQuery,
+        out: &mut Out,
+        call: impl FnOnce(&mut S, [DinerPhase; K]) -> Option<Step>,
+    ) -> bool {
+        let side = &mut self.sides[slot];
+        let before = side.suspects();
+        let step = call(side, self.last_phase[slot]);
+        let after = side.suspects();
+        let peer = self.peers[slot];
+        match step {
+            Some(Step::Hungry(i)) => self.invoke_dx(slot, i, now, fd, out, |p, io| p.hungry(io)),
+            Some(Step::Exit(i)) => self.invoke_dx(slot, i, now, fd, out, |p, io| p.exit_eating(io)),
+            Some(Step::Send(i, seq)) => {
+                let ((watcher, subject), instance) = (self.pair(peer), i as u8);
+                let msg = match S::ROLE {
+                    Role::Witness => RedMsg::Ack { watcher, subject, instance, seq },
+                    Role::Subject => RedMsg::Ping { watcher, subject, instance, seq },
+                };
+                out.sends.push((peer, msg));
+            }
+            None => {}
+        }
+        if let (true, Some(suspected)) = (after != before, after) {
+            out.obs.push(RedObs::Suspicion { subject: peer, suspected });
+        }
+        step.is_some()
+    }
+
+    /// Fires enabled actions of the slot's side (bounded).
     fn pump(&mut self, slot: usize, now: Time, fd: &dyn FdQuery, out: &mut Out) {
         self.pump_pending[slot] = true;
         for _ in 0..PUMP_BUDGET {
-            let phases = [self.dx[slot][0].phase(), self.dx[slot][1].phase()];
-            // Prefer pings over hunger so a lone eater's ping is never
-            // starved by the other thread's bookkeeping.
-            let (mut ping, mut first) = (None, None);
-            self.machines[slot].for_each_enabled(phases, |a| {
-                if matches!(a, SubjectAction::Ping(_)) {
-                    ping = ping.or(Some(a));
-                }
-                first = first.or(Some(a));
-            });
-            let Some(action) = ping.or(first) else {
+            if !self.fire(slot, now, fd, out, S::step) {
                 self.pump_pending[slot] = false;
                 break;
-            };
-            match self.machines[slot].fire(action, phases) {
-                SubjectCmd::BecomeHungry(i) => {
-                    self.invoke_dx(slot, i, now, fd, out, |p, io| p.hungry(io));
-                }
-                SubjectCmd::Exit(i) => {
-                    self.invoke_dx(slot, i, now, fd, out, |p, io| p.exit_eating(io));
-                }
-                SubjectCmd::SendPing(i, seq) => {
-                    out.sends.push((
-                        self.watchers[slot],
-                        RedMsg::Ping {
-                            watcher: self.watchers[slot],
-                            subject: self.subject,
-                            instance: i as u8,
-                            seq,
-                        },
-                    ));
-                }
             }
         }
     }
@@ -525,35 +420,33 @@ impl SubjectBank {
     fn on_dx_message(
         &mut self,
         slot: usize,
-        instance: u8,
+        i: usize,
         from: ProcessId,
         inner: DiningMsg,
         now: Time,
         fd: &dyn FdQuery,
         out: &mut Out,
     ) {
-        let f =
-            |p: &mut dyn DiningParticipant, io: &mut DiningIo<'_>| p.on_message(io, from, inner);
-        self.invoke_dx(slot, instance as usize, now, fd, out, f);
+        self.invoke_dx(slot, i, now, fd, out, |p, io| p.on_message(io, from, inner));
         self.pump(slot, now, fd, out);
     }
 
-    fn on_ack(
+    fn on_control(
         &mut self,
         slot: usize,
-        instance: u8,
+        i: usize,
         seq: u64,
         now: Time,
         fd: &dyn FdQuery,
         out: &mut Out,
     ) {
-        self.machines[slot].on_ack(instance as usize, seq);
+        self.fire(slot, now, fd, out, |side, phases| side.on_control(i, seq, phases));
         self.pump(slot, now, fd, out);
     }
 
     fn on_tick(&mut self, slot: usize, now: Time, fd: &dyn FdQuery, out: &mut Out) {
         let mut pump = self.pump_pending[slot];
-        for i in 0..2 {
+        for i in 0..K {
             if !self.skip_idle_ticks || self.last_phase[slot][i] == DinerPhase::Hungry {
                 self.invoke_dx(slot, i, now, fd, out, |p, io| p.on_tick(io));
                 pump = true;
@@ -570,44 +463,62 @@ const TICK: TimerId = TimerId(0);
 /// Sentinel for "this node hosts no component for that peer".
 const NO_COMPONENT: u32 = u32::MAX;
 
-/// One physical process of the reduction: all of its witness and subject
-/// pair state (struct-of-arrays banks) plus message routing.
+/// The slot `table` holds for `peer`, if any.
+fn slot_of(table: &[u32], peer: ProcessId) -> Option<usize> {
+    table.get(peer.index()).filter(|&&i| i != NO_COMPONENT).map(|&i| i as usize)
+}
+
+/// One physical process of an extractor with witness side `W`, subject side
+/// `S` and `K` dining instances per pair: all of its pair state (two
+/// struct-of-arrays banks) plus message routing.
 ///
 /// Routing is O(1) per message: two peer-indexed tables map a message's
 /// pair tag straight to the owning bank slot, so a node watching (or being
 /// watched by) hundreds of peers never scans its pair lists on the hot
 /// path.
-pub struct ReductionNode {
+pub struct PairNode<W, S, const K: usize> {
     me: ProcessId,
-    witnesses: WitnessBank,
-    subjects: SubjectBank,
+    witnesses: Bank<W, K>,
+    subjects: Bank<S, K>,
     /// `witness_by_subject[q]` = slot in `witnesses` of the pair watching
     /// `q`, or [`NO_COMPONENT`].
     witness_by_subject: Vec<u32>,
     /// `subject_by_watcher[w]` = slot in `subjects` of the pair monitored
     /// by `w`, or [`NO_COMPONENT`].
     subject_by_watcher: Vec<u32>,
-    fd: Arc<dyn FdQuery + Send + Sync>,
+    fd: Oracle,
     tick_every: u64,
     /// Pooled effect buffers for the [`Node`] handlers (see [`Out`]).
     out_buf: Out,
 }
 
-impl std::fmt::Debug for ReductionNode {
+/// One physical process of the paper's reduction: Alg. 1 and Alg. 2 over
+/// two dining instances per pair.
+pub type ReductionNode = PairNode<WitnessMachine, SubjectMachine, 2>;
+
+impl<W, S, const K: usize> std::fmt::Debug for PairNode<W, S, K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReductionNode")
+        f.debug_struct("PairNode")
             .field("me", &self.me)
-            .field("witnesses", &self.witnesses.len())
-            .field("subjects", &self.subjects.len())
+            .field("witnesses", &self.witnesses.peers.len())
+            .field("subjects", &self.subjects.peers.len())
             .finish()
     }
+}
+
+/// The subjects `me` watches and the watchers monitoring `me` in `pairs`,
+/// both in pair-list order, self-pairs dropped.
+fn group(me: ProcessId, pairs: &[(ProcessId, ProcessId)]) -> (Vec<ProcessId>, Vec<ProcessId>) {
+    let others = pairs.iter().filter(|&&(w, s)| w != s);
+    let watch = others.clone().filter(|&&(w, _)| w == me).map(|&(_, s)| s).collect();
+    let watched_by = others.filter(|&&(_, s)| s == me).map(|&(w, _)| w).collect();
+    (watch, watched_by)
 }
 
 impl ReductionNode {
     /// Builds the node for `me` given the full list of ordered monitoring
     /// pairs, the black-box dining factory, and the oracle handle consumed by
-    /// the dining implementations (NOT by the reduction itself — the
-    /// reduction is oracle-free, that is the whole point).
+    /// the dining implementations.
     ///
     /// This scans `pairs` once per call; when constructing many nodes over
     /// one shared pair list, pre-group it and use
@@ -617,13 +528,10 @@ impl ReductionNode {
         me: ProcessId,
         pairs: &[(ProcessId, ProcessId)],
         factory: &DiningFactory<'_>,
-        fd: Arc<dyn FdQuery + Send + Sync>,
+        fd: Oracle,
         strict_seq: bool,
     ) -> Self {
-        let watch: Vec<ProcessId> =
-            pairs.iter().filter(|&&(w, s)| w == me && s != me).map(|&(_, s)| s).collect();
-        let watched_by: Vec<ProcessId> =
-            pairs.iter().filter(|&&(w, s)| s == me && w != me).map(|&(w, _)| w).collect();
+        let (watch, watched_by) = group(me, pairs);
         Self::from_groups(me, &watch, &watched_by, factory, fd, strict_seq)
     }
 
@@ -635,43 +543,61 @@ impl ReductionNode {
         watch: &[ProcessId],
         watched_by: &[ProcessId],
         factory: &DiningFactory<'_>,
-        fd: Arc<dyn FdQuery + Send + Sync>,
+        fd: Oracle,
         strict_seq: bool,
     ) -> Self {
-        let mut witnesses = WitnessBank::new(me);
+        let sides = (WitnessMachine::new(), SubjectMachine::new(strict_seq));
+        Self::with_sides(me, watch, watched_by, factory, fd, sides)
+    }
+}
+
+impl<W: Side<K>, S: Side<K>, const K: usize> PairNode<W, S, K> {
+    /// Builds the node for `me` over `pairs`, every pair starting from a
+    /// copy of `sides`.
+    pub fn over_pairs(
+        me: ProcessId,
+        pairs: &[(ProcessId, ProcessId)],
+        factory: &DiningFactory<'_>,
+        fd: Oracle,
+        sides: (W, S),
+    ) -> Self {
+        let (watch, watched_by) = group(me, pairs);
+        Self::with_sides(me, &watch, &watched_by, factory, fd, sides)
+    }
+
+    fn with_sides(
+        me: ProcessId,
+        watch: &[ProcessId],
+        watched_by: &[ProcessId],
+        factory: &DiningFactory<'_>,
+        fd: Oracle,
+        (witness, subject): (W, S),
+    ) -> Self {
+        let mut witnesses = Bank::new(me);
         for &s in watch {
-            debug_assert_ne!(s, me, "self-pairs must be pre-filtered");
-            witnesses.push(s, factory);
+            witnesses.push(s, witness.clone(), factory);
         }
-        let mut subjects = SubjectBank::new(me);
+        let mut subjects = Bank::new(me);
         for &w in watched_by {
-            debug_assert_ne!(w, me, "self-pairs must be pre-filtered");
-            subjects.push(w, strict_seq, factory);
+            subjects.push(w, subject.clone(), factory);
         }
         // Peer-indexed routing tables, sized by the largest process id the
         // grouped lists name (plus `me` itself).
-        let table_len = watch
-            .iter()
-            .chain(watched_by.iter())
-            .map(|p| p.index())
-            .chain(std::iter::once(me.index()))
-            .max()
-            .unwrap_or(0)
-            + 1;
-        let mut witness_by_subject = vec![NO_COMPONENT; table_len];
-        for (i, s) in witnesses.subjects.iter().enumerate() {
-            witness_by_subject[s.index()] = i as u32;
-        }
-        let mut subject_by_watcher = vec![NO_COMPONENT; table_len];
-        for (i, w) in subjects.watchers.iter().enumerate() {
-            subject_by_watcher[w.index()] = i as u32;
-        }
-        ReductionNode {
+        let table_len =
+            watch.iter().chain(watched_by).map(|p| p.index()).fold(me.index(), usize::max) + 1;
+        let table = |peers: &[ProcessId]| {
+            let mut table = vec![NO_COMPONENT; table_len];
+            for (slot, p) in peers.iter().enumerate() {
+                table[p.index()] = slot as u32;
+            }
+            table
+        };
+        PairNode {
             me,
+            witness_by_subject: table(watch),
+            subject_by_watcher: table(watched_by),
             witnesses,
             subjects,
-            witness_by_subject,
-            subject_by_watcher,
             fd,
             tick_every: 4,
             out_buf: Out::default(),
@@ -690,9 +616,14 @@ impl ReductionNode {
     }
 
     /// The effective self-tick period (post-clamp; see
-    /// [`ReductionNode::set_tick_every`]).
+    /// [`PairNode::set_tick_every`]).
     pub fn tick_every(&self) -> u64 {
         self.tick_every
+    }
+
+    /// The watchers monitoring this process, in slot order.
+    pub(crate) fn watched_by(&self) -> &[ProcessId] {
+        &self.subjects.peers
     }
 
     /// The extracted detector output of this node: does `me` suspect `q`?
@@ -706,10 +637,9 @@ impl ReductionNode {
     /// restricting monitoring to a pair subset must therefore not read
     /// unwatched pairs as detector claims.
     pub fn suspects(&self, q: ProcessId) -> bool {
-        match self.witness_by_subject.get(q.index()) {
-            Some(&i) if i != NO_COMPONENT => self.witnesses.suspects(i as usize),
-            _ => true,
-        }
+        slot_of(&self.witness_by_subject, q)
+            .and_then(|slot| self.witnesses.sides[slot].suspects())
+            .unwrap_or(true)
     }
 
     /// Estimated resident bytes of this node's pair state (both banks plus
@@ -723,71 +653,70 @@ impl ReductionNode {
                 * std::mem::size_of::<u32>()
     }
 
-    fn witness_slot(&self, subject: ProcessId) -> usize {
-        let i = self.witness_by_subject.get(subject.index()).copied().unwrap_or(NO_COMPONENT);
-        assert!(i != NO_COMPONENT, "message for unknown witness pair");
-        i as usize
-    }
-
-    fn subject_slot(&self, watcher: ProcessId) -> usize {
-        let i = self.subject_by_watcher.get(watcher.index()).copied().unwrap_or(NO_COMPONENT);
-        assert!(i != NO_COMPONENT, "message for unknown subject pair");
-        i as usize
-    }
-
     /// Context-free start step (for composition with other layers),
     /// appending effects to a caller-pooled buffer. The caller is
     /// responsible for scheduling the recurring tick.
     pub fn handle_start_into(&mut self, now: Time, out: &mut Out) {
-        let fd = Arc::clone(&self.fd);
         for slot in 0..self.witnesses.len() {
-            self.witnesses.pump(slot, now, &*fd, out);
+            self.witnesses.pump(slot, now, &*self.fd, out);
         }
         for slot in 0..self.subjects.len() {
-            self.subjects.pump(slot, now, &*fd, out);
+            self.subjects.pump(slot, now, &*self.fd, out);
         }
     }
 
     /// Context-free message step, appending effects to a caller-pooled
     /// buffer.
+    ///
+    /// The whole tag is checked before a bank is touched: a frame is for the
+    /// witness side iff this process is its `watcher` and it came from its
+    /// `subject`, for the subject side iff the reverse; pings go to
+    /// witnesses and acks to subjects only; the instance and the peer must
+    /// exist here. Anything else is a foreign frame — a bug in a simulated
+    /// run, bytes off a socket in a live one — and reaches no black box.
     pub fn handle_message_into(&mut self, from: ProcessId, msg: RedMsg, now: Time, out: &mut Out) {
-        let fd = Arc::clone(&self.fd);
-        match msg {
-            RedMsg::Dx { watcher, subject, instance, inner } => {
-                if watcher == self.me {
-                    let slot = self.witness_slot(subject);
-                    self.witnesses.on_dx_message(slot, instance, from, inner, now, &*fd, out);
-                } else {
-                    debug_assert_eq!(subject, self.me);
-                    let slot = self.subject_slot(watcher);
-                    self.subjects.on_dx_message(slot, instance, from, inner, now, &*fd, out);
-                }
+        let (RedMsg::Dx { watcher, subject, instance, .. }
+        | RedMsg::Ping { watcher, subject, instance, .. }
+        | RedMsg::Ack { watcher, subject, instance, .. }) = msg;
+        let i = instance as usize;
+        let for_side = |end: ProcessId, other: ProcessId, table: &[u32]| {
+            if end == self.me && from == other && i < K {
+                slot_of(table, other)
+            } else {
+                None
             }
-            RedMsg::Ping { watcher, subject, instance, seq } => {
-                debug_assert_eq!(watcher, self.me);
-                let slot = self.witness_slot(subject);
-                self.witnesses.on_ping(slot, instance, seq, now, &*fd, out);
+        };
+        let witness_slot = for_side(watcher, subject, &self.witness_by_subject);
+        let subject_slot = for_side(subject, watcher, &self.subject_by_watcher);
+        let fd = &*self.fd;
+        match (msg, witness_slot, subject_slot) {
+            (RedMsg::Dx { inner, .. }, Some(slot), _) => {
+                self.witnesses.on_dx_message(slot, i, from, inner, now, fd, out);
             }
-            RedMsg::Ack { watcher, subject, instance, seq } => {
-                debug_assert_eq!(subject, self.me);
-                let slot = self.subject_slot(watcher);
-                self.subjects.on_ack(slot, instance, seq, now, &*fd, out);
+            (RedMsg::Dx { inner, .. }, None, Some(slot)) => {
+                self.subjects.on_dx_message(slot, i, from, inner, now, fd, out);
             }
+            (RedMsg::Ping { seq, .. }, Some(slot), _) => {
+                self.witnesses.on_control(slot, i, seq, now, fd, out);
+            }
+            (RedMsg::Ack { seq, .. }, _, Some(slot)) => {
+                self.subjects.on_control(slot, i, seq, now, fd, out);
+            }
+            (msg, ..) => debug_assert!(false, "{} got a foreign {msg:?} from {from}", self.me),
         }
     }
 
     /// Context-free tick step, appending effects to a caller-pooled buffer.
     pub fn handle_tick_into(&mut self, now: Time, out: &mut Out) {
-        let fd = Arc::clone(&self.fd);
         for slot in 0..self.witnesses.len() {
-            self.witnesses.on_tick(slot, now, &*fd, out);
+            self.witnesses.on_tick(slot, now, &*self.fd, out);
         }
         for slot in 0..self.subjects.len() {
-            self.subjects.on_tick(slot, now, &*fd, out);
+            self.subjects.on_tick(slot, now, &*self.fd, out);
         }
     }
 
-    /// Convenience wrapper over [`ReductionNode::handle_start_into`]
+    /// Convenience wrapper over [`PairNode::handle_start_into`]
     /// allocating a fresh buffer.
     pub fn handle_start(&mut self, now: Time) -> Out {
         let mut out = Out::default();
@@ -795,7 +724,7 @@ impl ReductionNode {
         out
     }
 
-    /// Convenience wrapper over [`ReductionNode::handle_message_into`]
+    /// Convenience wrapper over [`PairNode::handle_message_into`]
     /// allocating a fresh buffer.
     pub fn handle_message(&mut self, from: ProcessId, msg: RedMsg, now: Time) -> Out {
         let mut out = Out::default();
@@ -803,7 +732,7 @@ impl ReductionNode {
         out
     }
 
-    /// Convenience wrapper over [`ReductionNode::handle_tick_into`]
+    /// Convenience wrapper over [`PairNode::handle_tick_into`]
     /// allocating a fresh buffer.
     pub fn handle_tick(&mut self, now: Time) -> Out {
         let mut out = Out::default();
@@ -811,45 +740,42 @@ impl ReductionNode {
         out
     }
 
-    /// Drains a pooled buffer into the step context.
-    fn flush(out: &mut Out, ctx: &mut Context<'_, RedMsg, RedObs>) {
+    /// Runs one context-free step through the pooled buffer and drains its
+    /// effects into the step context.
+    fn with_pooled_out(
+        &mut self,
+        ctx: &mut Context<'_, RedMsg, RedObs>,
+        handle: impl FnOnce(&mut Self, Time, &mut Out),
+    ) {
+        let mut out = std::mem::take(&mut self.out_buf);
+        out.clear();
+        handle(self, ctx.now(), &mut out);
         for (to, msg) in out.sends.drain(..) {
             ctx.send(to, msg);
         }
         for obs in out.obs.drain(..) {
             ctx.observe(obs);
         }
+        self.out_buf = out;
     }
 }
 
-impl Node for ReductionNode {
+impl<W: Side<K>, S: Side<K>, const K: usize> Node for PairNode<W, S, K> {
     type Msg = RedMsg;
     type Obs = RedObs;
 
     fn on_start(&mut self, ctx: &mut Context<'_, RedMsg, RedObs>) {
-        let mut out = std::mem::take(&mut self.out_buf);
-        out.clear();
-        self.handle_start_into(ctx.now(), &mut out);
-        Self::flush(&mut out, ctx);
-        self.out_buf = out;
+        self.with_pooled_out(ctx, Self::handle_start_into);
         ctx.set_timer(self.tick_every, TICK);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, RedMsg, RedObs>, from: ProcessId, msg: RedMsg) {
-        let mut out = std::mem::take(&mut self.out_buf);
-        out.clear();
-        self.handle_message_into(from, msg, ctx.now(), &mut out);
-        Self::flush(&mut out, ctx);
-        self.out_buf = out;
+        self.with_pooled_out(ctx, |node, now, out| node.handle_message_into(from, msg, now, out));
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, RedMsg, RedObs>, timer: TimerId) {
         debug_assert_eq!(timer, TICK);
-        let mut out = std::mem::take(&mut self.out_buf);
-        out.clear();
-        self.handle_tick_into(ctx.now(), &mut out);
-        Self::flush(&mut out, ctx);
-        self.out_buf = out;
+        self.with_pooled_out(ctx, Self::handle_tick_into);
         ctx.set_timer(self.tick_every, TICK);
     }
 }
@@ -905,14 +831,15 @@ mod tests {
         let node = node_for(2, &pairs);
         assert_eq!(node.witnesses.len(), 2);
         assert_eq!(node.subjects.len(), 2);
-        let w5 = node.witness_slot(ProcessId(5));
-        let w0 = node.witness_slot(ProcessId(0));
-        assert_eq!(node.witnesses.subjects[w5], ProcessId(5));
-        assert_eq!(node.witnesses.subjects[w0], ProcessId(0));
-        let s4 = node.subject_slot(ProcessId(4));
-        let s6 = node.subject_slot(ProcessId(6));
-        assert_eq!(node.subjects.watchers[s4], ProcessId(4));
-        assert_eq!(node.subjects.watchers[s6], ProcessId(6));
+        let slot = |table: &[u32], peer: u32| slot_of(table, ProcessId(peer)).expect("routed");
+        let w5 = slot(&node.witness_by_subject, 5);
+        let w0 = slot(&node.witness_by_subject, 0);
+        assert_eq!(node.witnesses.peers[w5], ProcessId(5));
+        assert_eq!(node.witnesses.peers[w0], ProcessId(0));
+        let s4 = slot(&node.subject_by_watcher, 4);
+        let s6 = slot(&node.subject_by_watcher, 6);
+        assert_eq!(node.subjects.peers[s4], ProcessId(4));
+        assert_eq!(node.subjects.peers[s6], ProcessId(6));
         // Every unwatched peer (including out-of-range ids) reads as
         // pessimistically suspected.
         for q in [1u32, 3, 4, 6, 7, 99] {
@@ -921,10 +848,53 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown witness pair")]
-    fn routing_panics_for_unknown_witness_pair() {
-        let node = node_for(0, &[(ProcessId(0), ProcessId(1))]);
-        node.witness_slot(ProcessId(3));
+    fn a_misaddressed_message_reaches_no_black_box() {
+        use dinefd_dining::wfdx::WxMsg;
+        // p2 watches p0 and p1 and is watched by p0. At start its subject
+        // thread for p0 is hungry without the fork (p2 > p0), so a fork that
+        // reached it would show in the next tick.
+        let p = ProcessId;
+        let pairs = [(p(0), p(2)), (p(2), p(0)), (p(2), p(1))];
+        let fork = || DiningMsg::WfDx(WxMsg::Fork { clock: 1 });
+        let dx =
+            |watcher, subject, instance| RedMsg::Dx { watcher, subject, instance, inner: fork() };
+        let ping = |watcher, subject| RedMsg::Ping { watcher, subject, instance: 0, seq: 1 };
+        let ack = |watcher, subject| RedMsg::Ack { watcher, subject, instance: 0, seq: 1 };
+        let foreign = [
+            ("third-party Dx from a process that watches us", p(0), dx(p(0), p(1), 0)),
+            ("Ping for the pair we are the subject of", p(0), ping(p(0), p(2))),
+            ("Ping naming another watcher", p(1), ping(p(0), p(1))),
+            ("Ack for the pair we are the witness of", p(0), ack(p(2), p(0))),
+            ("Dx of a pair with an unknown peer", p(3), dx(p(2), p(3), 0)),
+            ("Ping from a peer beyond the table", p(9), ping(p(2), p(9))),
+            ("Ack from a watcher we do not have", p(1), ack(p(1), p(2))),
+            ("Dx not from the pair's other end", p(1), dx(p(2), p(0), 0)),
+            ("Dx of an instance the extractor does not run", p(0), dx(p(2), p(0), 2)),
+        ];
+        let ticks = |node: &mut ReductionNode| {
+            let outs: Vec<Out> = (1..=3).map(|t| node.handle_tick(Time(4 * t))).collect();
+            format!("{outs:?}")
+        };
+        for (what, from, msg) in foreign {
+            let (mut node, mut twin) = (node_for(2, &pairs), node_for(2, &pairs));
+            node.handle_start(Time(0));
+            twin.handle_start(Time(0));
+            let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let out = node.handle_message(from, msg, Time(2));
+                (out, ticks(&mut node))
+            }));
+            if cfg!(debug_assertions) {
+                assert!(got.is_err(), "{what}: a debug build must flag it");
+            } else {
+                let (out, after) = got.expect("a release build drops it");
+                assert!(out.sends.is_empty() && out.obs.is_empty(), "{what}: {out:?}");
+                assert_eq!(after, ticks(&mut twin), "{what}: it reached a black box");
+            }
+        }
+        // The same fork, addressed properly, is not dropped.
+        let mut node = node_for(2, &pairs);
+        node.handle_start(Time(0));
+        assert!(!node.handle_message(p(0), dx(p(0), p(2), 0), Time(2)).obs.is_empty());
     }
 
     #[test]

@@ -21,8 +21,11 @@
 //!
 //! * [`machines`] — Alg. 1 (witness) and Alg. 2 (subject) as pure
 //!   guarded-command machines, plus the hardened sequence-tagged variant.
-//! * [`host`] — event-driven components and the [`host::ReductionNode`]
-//!   hosting all pairs a process participates in.
+//! * [`host`] — the one event-driven host every extractor runs on: a
+//!   [`host::Side`] is one side of one pair (what an extractor *is*), a
+//!   [`host::Bank`] holds a process's pairs and calls the black boxes, a
+//!   [`host::PairNode`] is one process; [`host::ReductionNode`] is that node
+//!   over the paper's machines at two instances per pair.
 //! * [`detector`] — trace → [`dinefd_fd::SuspicionHistory`] extraction,
 //!   Fig. 1 pair timelines, and the shared cell that feeds the extracted ◇P
 //!   to other protocols online.
@@ -30,10 +33,12 @@
 //! * [`flawed_cm`] — the earlier contention-manager reduction of the paper's
 //!   reference \[8\], reproduced faithfully so experiment E4 can demonstrate
 //!   the vulnerability the paper identifies (a single dining instance plus
-//!   heartbeats is *not* black-box portable).
+//!   heartbeats is *not* black-box portable): two one-instance sides on the
+//!   same host, plus a heartbeat timer.
 //! * [`single_dx`] — the single-instance ablation (subject exits properly,
 //!   unlike \[8\]) which still fails on a legal-but-unfair black box — the
-//!   experiment that shows why the paper needs TWO instances (E9).
+//!   experiment that shows why the paper needs TWO instances (E9): two more
+//!   one-instance sides on the same host.
 //! * [`fairness`] — the Section 8 corollary: dining + extracted ◇P ⇒
 //!   eventually 2-fair dining.
 //!

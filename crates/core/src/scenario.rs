@@ -16,14 +16,14 @@ use dinefd_dining::unfair::UnfairDining;
 use dinefd_dining::wfdx::WfDxDining;
 use dinefd_dining::DiningParticipant;
 use dinefd_fd::SuspicionHistory as FdHistory;
-use dinefd_fd::{FdQuery, InjectedOracle, SuspicionHistory};
+use dinefd_fd::{InjectedOracle, SuspicionHistory};
 use dinefd_sim::{
-    CrashPlan, DelayModel, MetricMap, ProcessId, Profiler, QueueBackend, ShardedWorld, SplitMix64,
-    Time, Trace, WorkerStats, World, WorldConfig,
+    CrashPlan, DelayModel, MetricMap, Node, ProcessId, Profiler, QueueBackend, ShardedWorld,
+    SplitMix64, Time, Trace, WorkerStats, World, WorldConfig,
 };
 
 use crate::detector::{suspicion_history, HistorySink, PairTimelines};
-use crate::host::{DxEndpoint, RedMsg, RedObs, ReductionNode};
+use crate::host::{DiningFactory, DxEndpoint, Oracle, RedMsg, RedObs, ReductionNode};
 
 /// Which WF-◇WX (or WX) black box the reduction runs against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -324,8 +324,7 @@ pub fn run_extraction(sc: Scenario) -> ExtractionResult {
     } = sc;
     let pairs = if pairs.is_empty() { all_ordered_pairs(n) } else { pairs };
     let mut rng = SplitMix64::new(seed ^ 0xD1CE_F00D);
-    let oracle: Arc<dyn FdQuery + Send + Sync> =
-        Arc::new(oracle.build(n, crashes.clone(), &mut rng));
+    let oracle: Oracle = Arc::new(oracle.build(n, crashes.clone(), &mut rng));
     let factory = factory_for(black_box);
     // Pre-group the pair list once (O(P)) instead of letting every node
     // rescan it (O(n·P) ≈ O(n³) total for all-pairs systems — ruinous at
@@ -439,6 +438,29 @@ pub fn run_extraction(sc: Scenario) -> ExtractionResult {
         profiler,
         worker_stats,
     }
+}
+
+/// The run the two one-instance ablations share: `make`'s nodes for
+/// `(p0, p1)` monitored over `black_box`, whose dining instances read a
+/// perfect detector (lag 20) seeded from `seed ^ oracle_salt`, on the classic
+/// world to `horizon`; returns the extracted suspicion history.
+pub(crate) fn run_one_pair<N: Node<Msg = RedMsg, Obs = RedObs>>(
+    black_box: BlackBox,
+    seed: u64,
+    oracle_salt: u64,
+    crashes: CrashPlan,
+    horizon: Time,
+    make: impl Fn(ProcessId, &[(ProcessId, ProcessId)], &DiningFactory<'_>, Oracle) -> N,
+) -> SuspicionHistory {
+    let pairs = [(ProcessId(0), ProcessId(1))];
+    let mut rng = SplitMix64::new(seed ^ oracle_salt);
+    let oracle: Oracle =
+        Arc::new(OracleSpec::Perfect { lag: 20 }.build(2, crashes.clone(), &mut rng));
+    let factory = factory_for(black_box);
+    let nodes = ProcessId::all(2).map(|me| make(me, &pairs, &factory, Arc::clone(&oracle)));
+    let mut world = World::new(nodes.collect(), WorldConfig::new(seed).crashes(crashes));
+    world.run_until(horizon);
+    suspicion_history(2, &world.into_trace(), &pairs)
 }
 
 /// Where a run's observations become the suspicion history.

@@ -18,210 +18,89 @@
 //! suffix some subject thread is *always eating* (Lemma 8), so exclusion
 //! itself throttles each witness thread between subject meals, no fairness
 //! needed. Experiment E9 measures the separation.
+//!
+//! The file holds the design and nothing else: two [`Side`]s at `K = 1`
+//! (`K` is the number of dining instances per pair), hosted by the same
+//! [`PairNode`] — bank, routing, tick promise, phase reports — that hosts
+//! the paper's two-instance machines, so E9's rows differ in the extractor's
+//! logic only.
 
-use std::rc::Rc;
+use dinefd_dining::DinerPhase;
+use dinefd_sim::{CrashPlan, ProcessId, Time};
 
-use dinefd_dining::{DinerPhase, DiningIo, DiningMsg, DiningParticipant};
-use dinefd_fd::FdQuery;
-use dinefd_sim::{Context, Node, ProcessId, Time, TimerId};
+use crate::host::{DiningFactory, Oracle, PairNode, Role, Side, Step};
+use crate::scenario::{run_one_pair, BlackBox};
 
-use crate::host::{DxEndpoint, RedObs, Role};
-
-/// Messages of the single-instance reduction.
-#[derive(Clone, Debug)]
-pub enum SdMsg {
-    /// Dining traffic of the pair's one instance.
-    Dx {
-        /// The pair's watcher.
-        watcher: ProcessId,
-        /// The pair's subject.
-        subject: ProcessId,
-        /// The black-box dining message.
-        inner: DiningMsg,
-    },
-    /// Subject's in-session ping.
-    Ping {
-        /// The pair's watcher.
-        watcher: ProcessId,
-        /// The pair's subject.
-        subject: ProcessId,
-    },
-    /// Witness's ack.
-    Ack {
-        /// The pair's watcher.
-        watcher: ProcessId,
-        /// The pair's subject.
-        subject: ProcessId,
-    },
-}
-
-struct SingleWitness {
-    watcher: ProcessId,
-    subject: ProcessId,
-    dx: Box<dyn DiningParticipant>,
+/// The lone witness thread: hungry when thinking; when eating, trust iff a
+/// ping was banked since the last meal, then exit.
+#[derive(Clone, Copy, Debug)]
+pub struct SingleWitness {
     haveping: bool,
     suspect: bool,
 }
 
-struct SingleSubject {
-    watcher: ProcessId,
-    subject: ProcessId,
-    dx: Box<dyn DiningParticipant>,
+impl Side<1> for SingleWitness {
+    const ROLE: Role = Role::Witness;
+
+    fn step(&mut self, [phase]: [DinerPhase; 1]) -> Option<Step> {
+        match phase {
+            DinerPhase::Thinking => Some(Step::Hungry(0)),
+            DinerPhase::Eating => {
+                self.suspect = !std::mem::take(&mut self.haveping);
+                Some(Step::Exit(0))
+            }
+            _ => None,
+        }
+    }
+
+    fn on_control(&mut self, i: usize, seq: u64, _phases: [DinerPhase; 1]) -> Option<Step> {
+        self.haveping = true;
+        Some(Step::Send(i, seq))
+    }
+
+    fn suspects(&self) -> Option<bool> {
+        Some(self.suspect)
+    }
+}
+
+/// The lone subject thread: hungry when thinking; one ping per meal; exit on
+/// its ack.
+#[derive(Clone, Copy, Debug)]
+pub struct SingleSubject {
     /// Ping sent this session and ack still pending.
     awaiting_ack: bool,
 }
 
-#[derive(Default)]
-struct Out {
-    sends: Vec<(ProcessId, SdMsg)>,
-    obs: Vec<RedObs>,
-}
+impl Side<1> for SingleSubject {
+    const ROLE: Role = Role::Subject;
 
-const PUMP_BUDGET: usize = 4;
-
-impl SingleWitness {
-    fn invoke(
-        &mut self,
-        now: Time,
-        fd: &dyn FdQuery,
-        out: &mut Out,
-        f: impl FnOnce(&mut dyn DiningParticipant, &mut DiningIo<'_>),
-    ) {
-        let before = self.dx.phase();
-        let mut io = DiningIo::new(self.watcher, now, fd);
-        f(&mut *self.dx, &mut io);
-        for (to, msg) in io.finish().sends {
-            out.sends
-                .push((to, SdMsg::Dx { watcher: self.watcher, subject: self.subject, inner: msg }));
-        }
-        let after = self.dx.phase();
-        if before != after {
-            out.obs.push(RedObs::DxPhase {
-                watcher: self.watcher,
-                subject: self.subject,
-                role: Role::Witness,
-                instance: 0,
-                phase: after,
-            });
-        }
-    }
-
-    fn set_suspect(&mut self, v: bool, out: &mut Out) {
-        if self.suspect != v {
-            self.suspect = v;
-            out.obs.push(RedObs::Suspicion { subject: self.subject, suspected: v });
-        }
-    }
-
-    /// The one-instance witness cycle: hungry when thinking, check+exit when
-    /// eating.
-    fn pump(&mut self, now: Time, fd: &dyn FdQuery, out: &mut Out) {
-        for _ in 0..PUMP_BUDGET {
-            match self.dx.phase() {
-                DinerPhase::Thinking => {
-                    self.invoke(now, fd, out, |p, io| p.hungry(io));
-                    if self.dx.phase() == DinerPhase::Hungry {
-                        break;
-                    }
-                }
-                DinerPhase::Eating => {
-                    let trusted = self.haveping;
-                    self.haveping = false;
-                    self.set_suspect(!trusted, out);
-                    self.invoke(now, fd, out, |p, io| p.exit_eating(io));
-                }
-                _ => break,
+    fn step(&mut self, [phase]: [DinerPhase; 1]) -> Option<Step> {
+        match phase {
+            DinerPhase::Thinking => Some(Step::Hungry(0)),
+            DinerPhase::Eating if !self.awaiting_ack => {
+                self.awaiting_ack = true;
+                Some(Step::Send(0, 0))
             }
+            _ => None,
         }
     }
 
-    fn on_ping(&mut self, now: Time, fd: &dyn FdQuery, out: &mut Out) {
-        self.haveping = true;
-        out.sends.push((self.subject, SdMsg::Ack { watcher: self.watcher, subject: self.subject }));
-        self.pump(now, fd, out);
-    }
-}
-
-impl SingleSubject {
-    fn invoke(
-        &mut self,
-        now: Time,
-        fd: &dyn FdQuery,
-        out: &mut Out,
-        f: impl FnOnce(&mut dyn DiningParticipant, &mut DiningIo<'_>),
-    ) {
-        let before = self.dx.phase();
-        let mut io = DiningIo::new(self.subject, now, fd);
-        f(&mut *self.dx, &mut io);
-        for (to, msg) in io.finish().sends {
-            out.sends
-                .push((to, SdMsg::Dx { watcher: self.watcher, subject: self.subject, inner: msg }));
-        }
-        let after = self.dx.phase();
-        if before != after {
-            out.obs.push(RedObs::DxPhase {
-                watcher: self.watcher,
-                subject: self.subject,
-                role: Role::Subject,
-                instance: 0,
-                phase: after,
-            });
-        }
-    }
-
-    /// The one-instance subject cycle: hungry when thinking; ping when
-    /// eating; exit on ack.
-    fn pump(&mut self, now: Time, fd: &dyn FdQuery, out: &mut Out) {
-        for _ in 0..PUMP_BUDGET {
-            match self.dx.phase() {
-                DinerPhase::Thinking => {
-                    self.invoke(now, fd, out, |p, io| p.hungry(io));
-                    if self.dx.phase() == DinerPhase::Hungry {
-                        break;
-                    }
-                }
-                DinerPhase::Eating if !self.awaiting_ack => {
-                    self.awaiting_ack = true;
-                    out.sends.push((
-                        self.watcher,
-                        SdMsg::Ping { watcher: self.watcher, subject: self.subject },
-                    ));
-                    break;
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn on_ack(&mut self, now: Time, fd: &dyn FdQuery, out: &mut Out) {
-        if self.awaiting_ack && self.dx.phase() == DinerPhase::Eating {
+    fn on_control(&mut self, i: usize, _seq: u64, [phase]: [DinerPhase; 1]) -> Option<Step> {
+        if self.awaiting_ack && phase == DinerPhase::Eating {
             self.awaiting_ack = false;
-            self.invoke(now, fd, out, |p, io| p.exit_eating(io));
+            Some(Step::Exit(i))
+        } else {
+            None
         }
-        self.pump(now, fd, out);
+    }
+
+    fn suspects(&self) -> Option<bool> {
+        None
     }
 }
-
-const TICK: TimerId = TimerId(0);
 
 /// One physical process of the single-instance reduction.
-pub struct SingleDxNode {
-    me: ProcessId,
-    witnesses: Vec<SingleWitness>,
-    subjects: Vec<SingleSubject>,
-    fd: Rc<dyn FdQuery>,
-    tick_every: u64,
-}
-
-impl std::fmt::Debug for SingleDxNode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SingleDxNode")
-            .field("me", &self.me)
-            .field("witnesses", &self.witnesses.len())
-            .field("subjects", &self.subjects.len())
-            .finish()
-    }
-}
+pub type SingleDxNode = PairNode<SingleWitness, SingleSubject, 1>;
 
 impl SingleDxNode {
     /// Builds the node for `me` over the given ordered pairs (one dining
@@ -229,139 +108,26 @@ impl SingleDxNode {
     pub fn new(
         me: ProcessId,
         pairs: &[(ProcessId, ProcessId)],
-        factory: &(dyn Fn(DxEndpoint) -> Box<dyn DiningParticipant> + '_),
-        fd: Rc<dyn FdQuery>,
+        factory: &DiningFactory<'_>,
+        fd: Oracle,
     ) -> Self {
-        let witnesses = pairs
-            .iter()
-            .filter(|&&(w, s)| w == me && s != me)
-            .map(|&(w, s)| SingleWitness {
-                watcher: w,
-                subject: s,
-                dx: factory(DxEndpoint { me: w, peer: s, watcher: w, subject: s, instance: 0 }),
-                haveping: false,
-                suspect: true,
-            })
-            .collect();
-        let subjects = pairs
-            .iter()
-            .filter(|&&(w, s)| s == me && w != me)
-            .map(|&(w, s)| SingleSubject {
-                watcher: w,
-                subject: s,
-                dx: factory(DxEndpoint { me: s, peer: w, watcher: w, subject: s, instance: 0 }),
-                awaiting_ack: false,
-            })
-            .collect();
-        SingleDxNode { me, witnesses, subjects, fd, tick_every: 4 }
-    }
-
-    fn flush(out: Out, ctx: &mut Context<'_, SdMsg, RedObs>) {
-        for (to, msg) in out.sends {
-            ctx.send(to, msg);
-        }
-        for obs in out.obs {
-            ctx.observe(obs);
-        }
-    }
-}
-
-impl Node for SingleDxNode {
-    type Msg = SdMsg;
-    type Obs = RedObs;
-
-    fn on_start(&mut self, ctx: &mut Context<'_, SdMsg, RedObs>) {
-        let mut out = Out::default();
-        let (now, fd) = (ctx.now(), Rc::clone(&self.fd));
-        for w in &mut self.witnesses {
-            w.pump(now, &*fd, &mut out);
-        }
-        for s in &mut self.subjects {
-            s.pump(now, &*fd, &mut out);
-        }
-        Self::flush(out, ctx);
-        ctx.set_timer(self.tick_every, TICK);
-    }
-
-    fn on_message(&mut self, ctx: &mut Context<'_, SdMsg, RedObs>, from: ProcessId, msg: SdMsg) {
-        let mut out = Out::default();
-        let (now, fd) = (ctx.now(), Rc::clone(&self.fd));
-        match msg {
-            SdMsg::Dx { watcher, subject, inner } => {
-                if watcher == self.me {
-                    let w = self
-                        .witnesses
-                        .iter_mut()
-                        .find(|w| w.subject == subject)
-                        .expect("unknown pair");
-                    w.invoke(now, &*fd, &mut out, |p, io| p.on_message(io, from, inner));
-                    w.pump(now, &*fd, &mut out);
-                } else {
-                    let s = self
-                        .subjects
-                        .iter_mut()
-                        .find(|s| s.watcher == watcher)
-                        .expect("unknown pair");
-                    s.invoke(now, &*fd, &mut out, |p, io| p.on_message(io, from, inner));
-                    s.pump(now, &*fd, &mut out);
-                }
-            }
-            SdMsg::Ping { subject, .. } => {
-                let w =
-                    self.witnesses.iter_mut().find(|w| w.subject == subject).expect("unknown pair");
-                w.on_ping(now, &*fd, &mut out);
-            }
-            SdMsg::Ack { watcher, .. } => {
-                let s =
-                    self.subjects.iter_mut().find(|s| s.watcher == watcher).expect("unknown pair");
-                s.on_ack(now, &*fd, &mut out);
-            }
-        }
-        Self::flush(out, ctx);
-    }
-
-    fn on_timer(&mut self, ctx: &mut Context<'_, SdMsg, RedObs>, timer: TimerId) {
-        debug_assert_eq!(timer, TICK);
-        let mut out = Out::default();
-        let (now, fd) = (ctx.now(), Rc::clone(&self.fd));
-        for w in &mut self.witnesses {
-            w.invoke(now, &*fd, &mut out, |p, io| p.on_tick(io));
-            w.pump(now, &*fd, &mut out);
-        }
-        for s in &mut self.subjects {
-            s.invoke(now, &*fd, &mut out, |p, io| p.on_tick(io));
-            s.pump(now, &*fd, &mut out);
-        }
-        Self::flush(out, ctx);
-        ctx.set_timer(self.tick_every, TICK);
+        let sides = (
+            SingleWitness { haveping: false, suspect: true },
+            SingleSubject { awaiting_ack: false },
+        );
+        Self::over_pairs(me, pairs, factory, fd, sides)
     }
 }
 
 /// Runs the single-instance reduction over one monitored pair `(p0, p1)`,
 /// returning the extracted suspicion history.
 pub fn run_single_pair(
-    black_box: crate::scenario::BlackBox,
+    black_box: BlackBox,
     seed: u64,
-    crashes: dinefd_sim::CrashPlan,
+    crashes: CrashPlan,
     horizon: Time,
 ) -> dinefd_fd::SuspicionHistory {
-    use dinefd_sim::{World, WorldConfig};
-    let pairs = vec![(ProcessId(0), ProcessId(1))];
-    let mut rng = dinefd_sim::SplitMix64::new(seed ^ 0x51D);
-    let oracle: Rc<dyn FdQuery> = Rc::new(crate::scenario::OracleSpec::Perfect { lag: 20 }.build(
-        2,
-        crashes.clone(),
-        &mut rng,
-    ));
-    let factory = crate::scenario::factory_for(black_box);
-    let nodes: Vec<SingleDxNode> = ProcessId::all(2)
-        .map(|me| SingleDxNode::new(me, &pairs, &factory, Rc::clone(&oracle)))
-        .collect();
-    let cfg = WorldConfig::new(seed).crashes(crashes);
-    let mut world = World::new(nodes, cfg);
-    world.run_until(horizon);
-    let trace = world.into_trace();
-    crate::detector::suspicion_history(2, &trace, &pairs)
+    run_one_pair(black_box, seed, 0x51D, crashes, horizon, SingleDxNode::new)
 }
 
 #[cfg(test)]

@@ -4,21 +4,26 @@
 //! 1. **The promise is unobservable.** A run whose participants promise and
 //!    the same run with the promise hidden behind an adapter — so the banks
 //!    tick and pump everything, as they did before the promise existed —
-//!    have identical traces and metrics, on both engine families.
+//!    have identical traces and metrics, on both engine families — for the
+//!    paper's reduction and for the two one-instance ablations, which run
+//!    on the same host.
 //! 2. **The skip skips, and keeps what it must.** Counted at the black-box
 //!    boundary: which endpoints a tick reaches, and that a slot whose pump
 //!    ran out of budget is pumped again with nothing ticked.
 
 use std::sync::{Arc, Mutex};
 
+use dinefd_core::host::{DiningFactory, Oracle};
 use dinefd_core::scenario::{all_ordered_pairs, factory_for};
-use dinefd_core::{BlackBox, DxEndpoint, OracleSpec, RedMsg, RedObs, ReductionNode};
+use dinefd_core::{
+    BlackBox, DxEndpoint, FlawedCmNode, OracleSpec, RedMsg, RedObs, ReductionNode, SingleDxNode,
+};
 use dinefd_dining::participant::NoOracle;
 use dinefd_dining::wfdx::WxMsg;
 use dinefd_dining::{DinerPhase, DiningIo, DiningMsg, DiningParticipant};
 use dinefd_fd::FdQuery;
 use dinefd_sim::{
-    CrashPlan, MetricMap, ProcessId, ShardedWorld, SplitMix64, Time, World, WorldConfig,
+    CrashPlan, MetricMap, Node, ProcessId, ShardedWorld, SplitMix64, Time, World, WorldConfig,
 };
 
 /// `(watcher, subject, hosting process, instance)` of one endpoint.
@@ -109,7 +114,12 @@ struct RunRecord {
 
 /// Runs `nodes` to `horizon` on the classic world (`shards == 0`) or the
 /// sharded one, messages recorded.
-fn run(nodes: Vec<ReductionNode>, cfg: WorldConfig, shards: usize, horizon: Time) -> RunRecord {
+fn run<N: Node<Msg = RedMsg, Obs = RedObs> + Send>(
+    nodes: Vec<N>,
+    cfg: WorldConfig,
+    shards: usize,
+    horizon: Time,
+) -> RunRecord {
     let cfg = cfg.record_messages();
     if shards == 0 {
         let mut world = World::new(nodes, cfg);
@@ -124,10 +134,39 @@ fn run(nodes: Vec<ReductionNode>, cfg: WorldConfig, shards: usize, horizon: Time
     }
 }
 
+const N: usize = 4;
+const HORIZON: Time = Time(700);
+
+/// The check every row shares: `make`'s nodes over `black_box`, once with
+/// the promise kept and once with it hidden, leave the same trace, metrics
+/// and step count on the engine `shards` selects — having gone through
+/// different tick loops wherever the box promises, and only there.
+fn assert_the_promise_is_unobservable<N: Node<Msg = RedMsg, Obs = RedObs> + Send>(
+    what: &str,
+    black_box: BlackBox,
+    cfg: &dyn Fn() -> WorldConfig,
+    shards: usize,
+    make: &dyn Fn(&DiningFactory<'_>) -> Vec<N>,
+) {
+    let (kept_ticks, hidden_ticks) = (TickLog::default(), TickLog::default());
+    let kept = probed(factory_for(black_box), |_| true, &kept_ticks);
+    let hidden = probed(factory_for(black_box), |_| false, &hidden_ticks);
+    let kept = run(make(&kept), cfg(), shards, HORIZON);
+    let hidden = run(make(&hidden), cfg(), shards, HORIZON);
+    assert!(kept.steps > 500, "{what}: the run is too short to mean anything");
+    assert_eq!(kept.metrics, hidden.metrics, "{what}");
+    assert!(kept.trace == hidden.trace, "{what}: traces differ");
+    assert_eq!(kept.steps, hidden.steps, "{what}");
+    let (kept, hidden) = (kept_ticks.lock().unwrap().len(), hidden_ticks.lock().unwrap().len());
+    if black_box == BlackBox::WfDx {
+        assert!(kept < hidden, "{what}: {kept} ticks kept, {hidden} hidden");
+    } else {
+        assert_eq!(kept, hidden, "{what}");
+    }
+}
+
 #[test]
 fn hiding_the_promise_changes_nothing_observable() {
-    const N: usize = 4;
-    const HORIZON: Time = Time(700);
     let convergence = Time(300);
     let boxes = [
         BlackBox::WfDx,
@@ -144,48 +183,74 @@ fn hiding_the_promise_changes_nothing_observable() {
     let crash_plans =
         [CrashPlan::none(), CrashPlan::one(p(3), Time::ZERO), CrashPlan::one(p(3), Time(350))];
     let mut case = 0u64;
-    let mut skipped_somewhere = false;
     for black_box in boxes {
         for oracle in oracles {
             for crashes in &crash_plans {
                 for strict_seq in [false, true] {
                     case += 1;
                     let seed = 0x71C4 + case;
-                    let fd: Arc<dyn FdQuery + Send + Sync> =
+                    let fd: Oracle =
                         Arc::new(oracle.build(N, crashes.clone(), &mut SplitMix64::new(seed)));
                     for shards in [0, 1, 4] {
-                        let cfg = || WorldConfig::new(seed).crashes(crashes.clone());
-                        let (kept_ticks, hidden_ticks) = (TickLog::default(), TickLog::default());
-                        let kept = probed(factory_for(black_box), |_| true, &kept_ticks);
-                        let hidden = probed(factory_for(black_box), |_| false, &hidden_ticks);
-                        let kept = run(nodes(N, &kept, &fd, strict_seq), cfg(), shards, HORIZON);
-                        let hidden =
-                            run(nodes(N, &hidden, &fd, strict_seq), cfg(), shards, HORIZON);
                         let what = format!(
                             "{black_box:?} / {oracle:?} / {crashes:?} / strict_seq={strict_seq} / \
                              shards={shards}"
                         );
-                        assert!(kept.steps > 500, "{what}: the run is too short to mean anything");
-                        assert_eq!(kept.metrics, hidden.metrics, "{what}");
-                        assert!(kept.trace == hidden.trace, "{what}: traces differ");
-                        assert_eq!(kept.steps, hidden.steps, "{what}");
-                        // The two runs went through different tick loops
-                        // wherever the box promises, and only there.
-                        let (kept, hidden) =
-                            (kept_ticks.lock().unwrap().len(), hidden_ticks.lock().unwrap().len());
-                        if black_box == BlackBox::WfDx {
-                            assert!(kept < hidden, "{what}: {kept} ticks kept, {hidden} hidden");
-                            skipped_somewhere = true;
-                        } else {
-                            assert_eq!(kept, hidden, "{what}");
-                        }
+                        assert_the_promise_is_unobservable(
+                            &what,
+                            black_box,
+                            &|| WorldConfig::new(seed).crashes(crashes.clone()),
+                            shards,
+                            &|factory| nodes(N, factory, &fd, strict_seq),
+                        );
                     }
                 }
             }
         }
     }
     assert_eq!(case, 72);
-    assert!(skipped_somewhere);
+}
+
+/// The same check with the two one-instance ablations in the reduction's
+/// place: they run on its host, so they keep its promise.
+#[test]
+fn hiding_the_promise_changes_nothing_the_one_instance_extractors_show() {
+    type Make<N> = fn(ProcessId, &[(ProcessId, ProcessId)], &DiningFactory<'_>, Oracle) -> N;
+    fn check<N: Node<Msg = RedMsg, Obs = RedObs> + Send>(extractor: &str, make: Make<N>) {
+        let convergence = Time(300);
+        let pairs = all_ordered_pairs(N);
+        let mut case = 0u64;
+        for black_box in [
+            BlackBox::WfDx,
+            BlackBox::Delayed { convergence },
+            BlackBox::Abstract { convergence },
+            BlackBox::Unfair { convergence },
+        ] {
+            for crashes in [CrashPlan::none(), CrashPlan::one(p(3), Time(350))] {
+                case += 1;
+                let seed = 0x51D0 + case;
+                let fd: Oracle = Arc::new(OracleSpec::Perfect { lag: 10 }.build(
+                    N,
+                    crashes.clone(),
+                    &mut SplitMix64::new(seed),
+                ));
+                for shards in [0, 4] {
+                    assert_the_promise_is_unobservable(
+                        &format!("{extractor} / {black_box:?} / {crashes:?} / shards={shards}"),
+                        black_box,
+                        &|| WorldConfig::new(seed).crashes(crashes.clone()),
+                        shards,
+                        &|factory| {
+                            let node = |me| make(me, &pairs, factory, Arc::clone(&fd));
+                            ProcessId::all(N).map(node).collect()
+                        },
+                    );
+                }
+            }
+        }
+    }
+    check("single_dx", SingleDxNode::new);
+    check("flawed_cm", FlawedCmNode::new);
 }
 
 /// The ticks `ticks` holds for endpoint `id`, as the phases they found.

@@ -7,6 +7,13 @@
 //! *whether* eating may start. Phase changes are recorded as
 //! [`DiningObs`] observations, from which [`collect_history`] rebuilds a
 //! [`DiningHistory`] for the spec checkers.
+//!
+//! The client itself is [`Client`]: the timers it arms, the meals it counts
+//! and the phase walk it observes, generic over the hosting node's message
+//! and observation types. [`DiningDriverNode`] hosts it over a bare
+//! participant; `dinefd-core`'s Section 8 node hosts the same client over a
+//! fair diner fed by the extracted detector, and the root crate's full
+//! stack over a diner fed by a heartbeat detector.
 
 use std::rc::Rc;
 
@@ -44,17 +51,109 @@ impl Workload {
     }
 }
 
+/// A call the client asks its host to make on the participant.
+pub type ClientCall = fn(&mut dyn DiningParticipant, &mut DiningIo<'_>);
+
+/// The think/eat client of one diner: it asks for a meal after a think,
+/// ends the meal after an eat, and records every phase the diner crosses.
+///
+/// The client owns timers [`Client::GET_HUNGRY`] and [`Client::STOP_EATING`];
+/// the hosting node keeps every other id (its periodic tick) for itself and
+/// calls [`Client::sync_phase`] after each call into the participant.
+#[derive(Clone, Copy, Debug)]
+pub struct Client {
+    workload: Workload,
+    meals_eaten: u64,
+    last_phase: DinerPhase,
+}
+
+impl Client {
+    /// Fires when the think is over.
+    pub const GET_HUNGRY: TimerId = TimerId(1);
+    /// Fires when the meal is over.
+    pub const STOP_EATING: TimerId = TimerId(2);
+
+    /// A client that has eaten nothing, over a thinking diner.
+    pub fn new(workload: Workload) -> Self {
+        Client { workload, meals_eaten: 0, last_phase: DinerPhase::Thinking }
+    }
+
+    /// Meals completed.
+    pub fn meals_eaten(&self) -> u64 {
+        self.meals_eaten
+    }
+
+    /// Arms the first think.
+    pub fn on_start<M, O>(&self, ctx: &mut Context<'_, M, O>) {
+        let d = ctx.rng().range(self.workload.think_lo, self.workload.think_hi);
+        ctx.set_timer(d, Self::GET_HUNGRY);
+    }
+
+    /// One of the client's timers fired while the diner is in `phase`: the
+    /// call to make on the participant, if any.
+    pub fn on_timer<M, O>(
+        &self,
+        ctx: &mut Context<'_, M, O>,
+        timer: TimerId,
+        phase: DinerPhase,
+    ) -> Option<ClientCall> {
+        match (timer, phase) {
+            (Self::GET_HUNGRY, DinerPhase::Thinking) => Some(|p, io| p.hungry(io)),
+            // A protocol with a non-immediate exit: try again shortly.
+            (Self::GET_HUNGRY, DinerPhase::Exiting) => {
+                ctx.set_timer(1, Self::GET_HUNGRY);
+                None
+            }
+            (Self::STOP_EATING, DinerPhase::Eating) => Some(|p, io| p.exit_eating(io)),
+            (Self::GET_HUNGRY | Self::STOP_EATING, _) => None,
+            (other, _) => {
+                debug_assert!(false, "unknown timer {other:?}");
+                None
+            }
+        }
+    }
+
+    /// Observes (through `wrap_obs`) each phase the diner crossed since the
+    /// last call — a participant can move several steps within one
+    /// invocation, e.g. hungry→eating or eating→exiting→thinking — and
+    /// schedules the client's next move for the phase it arrived in.
+    pub fn sync_phase<M, O>(
+        &mut self,
+        ctx: &mut Context<'_, M, O>,
+        phase: DinerPhase,
+        wrap_obs: impl Fn(DiningObs) -> O,
+    ) {
+        if phase == self.last_phase {
+            return;
+        }
+        while self.last_phase != phase {
+            self.last_phase = self.last_phase.next();
+            ctx.observe(wrap_obs(DiningObs { instance: 0, phase: self.last_phase }));
+        }
+        match phase {
+            DinerPhase::Eating => {
+                let d = ctx.rng().range(self.workload.eat_lo, self.workload.eat_hi);
+                ctx.set_timer(d, Self::STOP_EATING);
+            }
+            DinerPhase::Thinking => {
+                self.meals_eaten += 1;
+                if self.workload.meals.is_none_or(|m| self.meals_eaten < m) {
+                    let d = ctx.rng().range(self.workload.think_lo, self.workload.think_hi);
+                    ctx.set_timer(d, Self::GET_HUNGRY);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
 const TICK: TimerId = TimerId(0);
-const GET_HUNGRY: TimerId = TimerId(1);
-const STOP_EATING: TimerId = TimerId(2);
 
 /// One process: a dining participant plus its driving client.
 pub struct DiningDriverNode {
     participant: Box<dyn DiningParticipant>,
     fd: Rc<dyn FdQuery>,
-    workload: Workload,
-    meals_eaten: u64,
-    last_phase: DinerPhase,
+    client: Client,
     tick_every: u64,
 }
 
@@ -62,7 +161,7 @@ impl std::fmt::Debug for DiningDriverNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DiningDriverNode")
             .field("participant", &self.participant)
-            .field("meals_eaten", &self.meals_eaten)
+            .field("meals_eaten", &self.client.meals_eaten())
             .finish()
     }
 }
@@ -74,19 +173,12 @@ impl DiningDriverNode {
         fd: Rc<dyn FdQuery>,
         workload: Workload,
     ) -> Self {
-        DiningDriverNode {
-            participant,
-            fd,
-            workload,
-            meals_eaten: 0,
-            last_phase: DinerPhase::Thinking,
-            tick_every: 4,
-        }
+        DiningDriverNode { participant, fd, client: Client::new(workload), tick_every: 4 }
     }
 
     /// Meals completed by this client.
     pub fn meals_eaten(&self) -> u64 {
-        self.meals_eaten
+        self.client.meals_eaten()
     }
 
     /// Read access to the hosted participant.
@@ -95,7 +187,7 @@ impl DiningDriverNode {
     }
 
     /// Runs `f` against the participant with a fresh `DiningIo`, then routes
-    /// the sends and reconciles observed phase changes.
+    /// the sends and lets the client reconcile the phase.
     fn invoke(
         &mut self,
         ctx: &mut Context<'_, DiningMsg, DiningObs>,
@@ -106,44 +198,7 @@ impl DiningDriverNode {
         for (to, msg) in io.finish().sends {
             ctx.send(to, msg);
         }
-        self.sync_phase(ctx);
-    }
-
-    /// Emits observations for the phase steps implied by the difference
-    /// between the last observed phase and the participant's current one,
-    /// and schedules the client's next move.
-    fn sync_phase(&mut self, ctx: &mut Context<'_, DiningMsg, DiningObs>) {
-        let now_phase = self.participant.phase();
-        if now_phase == self.last_phase {
-            return;
-        }
-        // Walk the legal cycle from last_phase to now_phase, observing each
-        // intermediate step (a participant can move several steps within one
-        // invocation, e.g. hungry→eating or eating→exiting→thinking).
-        let cycle =
-            [DinerPhase::Thinking, DinerPhase::Hungry, DinerPhase::Eating, DinerPhase::Exiting];
-        let pos = |ph: DinerPhase| cycle.iter().position(|&c| c == ph).expect("phase in cycle");
-        let mut i = pos(self.last_phase);
-        let target = pos(now_phase);
-        while i != target {
-            i = (i + 1) % cycle.len();
-            ctx.observe(DiningObs { instance: 0, phase: cycle[i] });
-        }
-        match now_phase {
-            DinerPhase::Eating => {
-                let d = ctx.rng().range(self.workload.eat_lo, self.workload.eat_hi);
-                ctx.set_timer(d, STOP_EATING);
-            }
-            DinerPhase::Thinking => {
-                self.meals_eaten += 1;
-                if self.workload.meals.is_none_or(|m| self.meals_eaten < m) {
-                    let d = ctx.rng().range(self.workload.think_lo, self.workload.think_hi);
-                    ctx.set_timer(d, GET_HUNGRY);
-                }
-            }
-            _ => {}
-        }
-        self.last_phase = now_phase;
+        self.client.sync_phase(ctx, self.participant.phase(), |obs| obs);
     }
 }
 
@@ -153,8 +208,7 @@ impl Node for DiningDriverNode {
 
     fn on_start(&mut self, ctx: &mut Context<'_, DiningMsg, DiningObs>) {
         ctx.set_timer(self.tick_every, TICK);
-        let d = ctx.rng().range(self.workload.think_lo, self.workload.think_hi);
-        ctx.set_timer(d, GET_HUNGRY);
+        self.client.on_start(ctx);
     }
 
     fn on_message(
@@ -167,25 +221,11 @@ impl Node for DiningDriverNode {
     }
 
     fn on_timer(&mut self, ctx: &mut Context<'_, DiningMsg, DiningObs>, timer: TimerId) {
-        match timer {
-            TICK => {
-                ctx.set_timer(self.tick_every, TICK);
-                self.invoke(ctx, |p, io| p.on_tick(io));
-            }
-            GET_HUNGRY => {
-                if self.participant.phase() == DinerPhase::Thinking {
-                    self.invoke(ctx, |p, io| p.hungry(io));
-                } else if self.participant.phase() == DinerPhase::Exiting {
-                    // A protocol with a non-immediate exit: try again shortly.
-                    ctx.set_timer(1, GET_HUNGRY);
-                }
-            }
-            STOP_EATING => {
-                if self.participant.phase() == DinerPhase::Eating {
-                    self.invoke(ctx, |p, io| p.exit_eating(io));
-                }
-            }
-            other => debug_assert!(false, "unknown timer {other:?}"),
+        if timer == TICK {
+            ctx.set_timer(self.tick_every, TICK);
+            self.invoke(ctx, |p, io| p.on_tick(io));
+        } else if let Some(call) = self.client.on_timer(ctx, timer, self.participant.phase()) {
+            self.invoke(ctx, call);
         }
     }
 }

@@ -29,6 +29,16 @@ impl DinerPhase {
         )
     }
 
+    /// The phase after this one on the legal cycle.
+    pub fn next(self) -> DinerPhase {
+        match self {
+            DinerPhase::Thinking => DinerPhase::Hungry,
+            DinerPhase::Hungry => DinerPhase::Eating,
+            DinerPhase::Eating => DinerPhase::Exiting,
+            DinerPhase::Exiting => DinerPhase::Thinking,
+        }
+    }
+
     /// Compact single-letter code (used by timeline renderers).
     pub fn code(self) -> char {
         match self {
@@ -75,6 +85,9 @@ mod tests {
         assert!(Hungry.can_transition_to(Eating));
         assert!(Eating.can_transition_to(Exiting));
         assert!(Exiting.can_transition_to(Thinking));
+        for p in [Thinking, Hungry, Eating, Exiting] {
+            assert!(p.can_transition_to(p.next()), "{p} -> {}", p.next());
+        }
     }
 
     #[test]

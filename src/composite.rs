@@ -7,7 +7,7 @@
 //! 1. a [`HeartbeatFd`] module broadcasting `Alive` and adapting timeouts;
 //! 2. a [`SharedSuspicion`] cell mirroring the module's current output;
 //! 3. any [`DiningParticipant`] whose oracle queries read that cell;
-//! 4. a think/eat client driving the participant.
+//! 4. the think/eat [`Client`] driving the participant.
 //!
 //! Run under [`DelayModel::partially_synchronous`], the heartbeat layer is a
 //! genuine ◇P, so the dining layer above it satisfies WF-◇WX — and applying
@@ -16,9 +16,9 @@
 //! demonstrates the chain).
 
 use dinefd_core::SharedSuspicion;
-use dinefd_dining::driver::Workload;
+use dinefd_dining::driver::{Client, Workload};
 use dinefd_dining::{
-    ConflictGraph, DinerPhase, DiningHistory, DiningIo, DiningMsg, DiningObs, DiningParticipant,
+    ConflictGraph, DiningHistory, DiningIo, DiningMsg, DiningObs, DiningParticipant,
 };
 use dinefd_fd::heartbeat::{Alive, HbObs};
 use dinefd_fd::{HeartbeatConfig, HeartbeatFd, SuspicionHistory};
@@ -44,26 +44,23 @@ pub enum FsObs {
     Dine(DiningObs),
 }
 
+// Ids 1 and 2 are the client's.
 const HB_TICK: TimerId = TimerId(0);
-const DINE_TICK: TimerId = TimerId(1);
-const GET_HUNGRY: TimerId = TimerId(2);
-const STOP_EATING: TimerId = TimerId(3);
+const DINE_TICK: TimerId = TimerId(3);
 
 /// One process: heartbeat ◇P + dining participant + client.
 pub struct HeartbeatDiningNode {
     hb: HeartbeatFd,
     cell: SharedSuspicion,
     dining: Box<dyn DiningParticipant>,
-    workload: Workload,
-    last_phase: DinerPhase,
-    meals_eaten: u64,
+    client: Client,
 }
 
 impl std::fmt::Debug for HeartbeatDiningNode {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HeartbeatDiningNode")
             .field("dining", &self.dining)
-            .field("meals_eaten", &self.meals_eaten)
+            .field("meals_eaten", &self.client.meals_eaten())
             .finish()
     }
 }
@@ -86,15 +83,13 @@ impl HeartbeatDiningNode {
             hb: HeartbeatFd::new(hb_cfg),
             cell,
             dining,
-            workload,
-            last_phase: DinerPhase::Thinking,
-            meals_eaten: 0,
+            client: Client::new(workload),
         }
     }
 
     /// Meals completed by the client.
     pub fn meals_eaten(&self) -> u64 {
-        self.meals_eaten
+        self.client.meals_eaten()
     }
 
     /// The heartbeat module (for timeout inspection).
@@ -112,43 +107,12 @@ impl HeartbeatDiningNode {
         ctx: &mut Context<'_, FsMsg, FsObs>,
         f: impl FnOnce(&mut dyn DiningParticipant, &mut DiningIo<'_>),
     ) {
-        let cell = self.cell.clone();
-        let mut io = DiningIo::new(ctx.me(), ctx.now(), &cell);
+        let mut io = DiningIo::new(ctx.me(), ctx.now(), &self.cell);
         f(&mut *self.dining, &mut io);
         for (to, msg) in io.finish().sends {
             ctx.send(to, FsMsg::Dine(msg));
         }
-        self.sync_phase(ctx);
-    }
-
-    fn sync_phase(&mut self, ctx: &mut Context<'_, FsMsg, FsObs>) {
-        let now_phase = self.dining.phase();
-        if now_phase == self.last_phase {
-            return;
-        }
-        let cycle =
-            [DinerPhase::Thinking, DinerPhase::Hungry, DinerPhase::Eating, DinerPhase::Exiting];
-        let pos = |ph: DinerPhase| cycle.iter().position(|&c| c == ph).expect("phase");
-        let (mut i, target) = (pos(self.last_phase), pos(now_phase));
-        while i != target {
-            i = (i + 1) % cycle.len();
-            ctx.observe(FsObs::Dine(DiningObs { instance: 0, phase: cycle[i] }));
-        }
-        match now_phase {
-            DinerPhase::Eating => {
-                let d = ctx.rng().range(self.workload.eat_lo, self.workload.eat_hi);
-                ctx.set_timer(d, STOP_EATING);
-            }
-            DinerPhase::Thinking => {
-                self.meals_eaten += 1;
-                if self.workload.meals.is_none_or(|m| self.meals_eaten < m) {
-                    let d = ctx.rng().range(self.workload.think_lo, self.workload.think_hi);
-                    ctx.set_timer(d, GET_HUNGRY);
-                }
-            }
-            _ => {}
-        }
-        self.last_phase = now_phase;
+        self.client.sync_phase(ctx, self.dining.phase(), FsObs::Dine);
     }
 }
 
@@ -164,8 +128,7 @@ impl Node for HeartbeatDiningNode {
         }
         ctx.set_timer(self.hb.period(), HB_TICK);
         ctx.set_timer(4, DINE_TICK);
-        let d = ctx.rng().range(self.workload.think_lo, self.workload.think_hi);
-        ctx.set_timer(d, GET_HUNGRY);
+        self.client.on_start(ctx);
     }
 
     fn on_message(&mut self, ctx: &mut Context<'_, FsMsg, FsObs>, from: ProcessId, msg: FsMsg) {
@@ -200,19 +163,11 @@ impl Node for HeartbeatDiningNode {
                 self.invoke_dining(ctx, |p, io| p.on_tick(io));
                 ctx.set_timer(4, DINE_TICK);
             }
-            GET_HUNGRY => {
-                if self.dining.phase() == DinerPhase::Thinking {
-                    self.invoke_dining(ctx, |p, io| p.hungry(io));
-                } else if self.dining.phase() == DinerPhase::Exiting {
-                    ctx.set_timer(1, GET_HUNGRY);
+            timer => {
+                if let Some(call) = self.client.on_timer(ctx, timer, self.dining.phase()) {
+                    self.invoke_dining(ctx, call);
                 }
             }
-            STOP_EATING => {
-                if self.dining.phase() == DinerPhase::Eating {
-                    self.invoke_dining(ctx, |p, io| p.exit_eating(io));
-                }
-            }
-            other => debug_assert!(false, "unknown timer {other:?}"),
         }
     }
 }
