@@ -3,7 +3,7 @@
 //! reduction is.
 //!
 //! Both extractors run over the same pathological-but-legal black box
-//! (`DelayedConvergenceDining`). The flawed extractor's monitored process
+//! (`CoordDining` under `GrantRegime::DelayedConvergence`). The flawed extractor's monitored process
 //! enters the critical section during the non-exclusive prefix and never
 //! exits, so the box never reaches its exclusive regime and the watcher's
 //! wrongful suspicions grow without bound; the paper's reduction converges

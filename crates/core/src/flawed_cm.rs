@@ -19,10 +19,10 @@
 //!
 //! The flaw the paper identifies: a legal WF-◇WX service only promises an
 //! exclusive suffix under conditions a never-exiting `q` can defeat. Against
-//! [`dinefd_dining::delayed::DelayedConvergenceDining`] — whose exclusivity
-//! additionally waits for every pre-convergence eater to exit — a correct
-//! `q` that entered during the prefix and never exits keeps the service
-//! non-exclusive forever, `p` keeps being granted, and `p` suspects a
+//! the coordinator under [`GrantRegime::DelayedConvergence`] — whose
+//! exclusivity additionally waits for every pre-convergence eater to exit —
+//! a correct `q` that entered during the prefix and never exits keeps the
+//! service non-exclusive forever, `p` keeps being granted, and `p` suspects a
 //! correct process infinitely often: the extracted oracle is **not** ◇P.
 //! The paper's two-instance reduction is immune (its subjects always exit;
 //! the hand-off is what throttles the witness instead).
@@ -33,6 +33,8 @@
 //! that the host does not — `q`'s free-running heartbeat timer. A heartbeat
 //! travels as `RedMsg::Ping { instance: 0, seq: 0 }`: it is the subject's
 //! control message to the witness, and the witness never acks it.
+//!
+//! [`GrantRegime::DelayedConvergence`]: dinefd_dining::coord::GrantRegime::DelayedConvergence
 
 use dinefd_dining::DinerPhase;
 use dinefd_sim::{Context, CrashPlan, Node, ProcessId, Time, TimerId};

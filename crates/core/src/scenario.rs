@@ -8,11 +8,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
-use dinefd_dining::abstract_dining::AbstractDining;
-use dinefd_dining::delayed::DelayedConvergenceDining;
-use dinefd_dining::ftme::FtmeDining;
+use dinefd_dining::coord::{CoordDining, GrantRegime};
 use dinefd_dining::hygienic::HygienicDining;
-use dinefd_dining::unfair::UnfairDining;
 use dinefd_dining::wfdx::WfDxDining;
 use dinefd_dining::DiningParticipant;
 use dinefd_fd::SuspicionHistory as FdHistory;
@@ -269,23 +266,18 @@ impl ExtractionResult {
 /// The dining-participant factory implementing a [`BlackBox`] choice.
 pub fn factory_for(black_box: BlackBox) -> impl Fn(DxEndpoint) -> Box<dyn DiningParticipant> {
     move |ep: DxEndpoint| -> Box<dyn DiningParticipant> {
-        match black_box {
-            BlackBox::WfDx => Box::new(WfDxDining::new(ep.me, &[ep.peer])),
-            BlackBox::Hygienic => Box::new(HygienicDining::new(ep.me, &[ep.peer])),
-            // Coordinator at the watcher: the pair's output is only consumed
-            // while the watcher lives, so a watcher-side coordinator keeps
-            // every meaningful instance live.
-            BlackBox::Delayed { convergence } => {
-                Box::new(DelayedConvergenceDining::new(ep.me, ep.watcher, convergence))
-            }
-            BlackBox::Abstract { convergence } => {
-                Box::new(AbstractDining::new(ep.me, ep.watcher, convergence))
-            }
-            BlackBox::Ftme => Box::new(FtmeDining::new(ep.me, &[ep.peer])),
-            BlackBox::Unfair { convergence } => {
-                Box::new(UnfairDining::new(ep.me, ep.watcher, convergence))
-            }
-        }
+        let (regime, convergence) = match black_box {
+            BlackBox::WfDx => return Box::new(WfDxDining::new(ep.me, &[ep.peer])),
+            BlackBox::Hygienic => return Box::new(HygienicDining::new(ep.me, &[ep.peer])),
+            BlackBox::Ftme => return Box::new(WfDxDining::trust_gated(ep.me, &[ep.peer])),
+            BlackBox::Delayed { convergence } => (GrantRegime::DelayedConvergence, convergence),
+            BlackBox::Abstract { convergence } => (GrantRegime::SwitchAtConvergence, convergence),
+            BlackBox::Unfair { convergence } => (GrantRegime::SelfBiased, convergence),
+        };
+        // Coordinator at the watcher: the pair's output is only consumed
+        // while the watcher lives, so a watcher-side coordinator keeps every
+        // meaningful instance live.
+        Box::new(CoordDining::new(ep.me, ep.watcher, convergence, regime))
     }
 }
 

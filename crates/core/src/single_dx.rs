@@ -11,9 +11,9 @@
 //!
 //! It is still wrong, for the reason the paper's Section 5.1 spells out:
 //! WF-◇WX guarantees no fairness, so a legal black box may grant the witness
-//! unboundedly many meals between consecutive subject meals (see
-//! [`dinefd_dining::unfair::UnfairDining`]); each extra meal finds no banked
-//! ping and wrongfully suspects the correct subject — infinitely often. The
+//! unboundedly many meals between consecutive subject meals (see the
+//! coordinator under [`GrantRegime::SelfBiased`]); each extra meal finds no
+//! banked ping and wrongfully suspects the correct subject — infinitely often. The
 //! paper's two-instance hand-off closes exactly this hole: in the exclusive
 //! suffix some subject thread is *always eating* (Lemma 8), so exclusion
 //! itself throttles each witness thread between subject meals, no fairness
@@ -24,6 +24,8 @@
 //! [`PairNode`] — bank, routing, tick promise, phase reports — that hosts
 //! the paper's two-instance machines, so E9's rows differ in the extractor's
 //! logic only.
+//!
+//! [`GrantRegime::SelfBiased`]: dinefd_dining::coord::GrantRegime::SelfBiased
 
 use dinefd_dining::DinerPhase;
 use dinefd_sim::{CrashPlan, ProcessId, Time};

@@ -86,6 +86,13 @@ mod tests {
         }
     }
 
+    /// Every queued event and trace entry of a reduction run carries one:
+    /// the 24-byte `DiningMsg` plus the pair tag.
+    #[test]
+    fn a_red_msg_is_40_bytes() {
+        assert_eq!(std::mem::size_of::<RedMsg>(), 40);
+    }
+
     #[test]
     fn bad_input_is_rejected() {
         assert!(RedMsg::from_bytes(&[]).is_err());

@@ -1,20 +1,25 @@
-//! What the two one-instance ablations extract, pinned.
+//! What the reduction and its two one-instance ablations extract, pinned.
 //!
-//! E4 and E9 print what `run_flawed_pair` and `run_single_pair` return, but
-//! emit no deterministic `metrics` key, so nothing else in CI holds these
-//! histories still. The rows below were recorded from the build *before* the
-//! ablations moved onto the shared host (`host::PairNode`), when each still
-//! had a hand-written node of its own: same seeds, same black boxes, same
+//! E2/E4/E5/E6/E9 print what `run_extraction`, `run_flawed_pair`,
+//! `run_single_pair` and `run_fair_over_extraction` return, but emit only
+//! `metric_keys`, so nothing else in CI holds these histories still. The
+//! [`GOLDEN`] rows were recorded from the build *before* the ablations moved
+//! onto the shared host (`host::PairNode`), when each still had a
+//! hand-written node of its own: same seeds, same black boxes, same
 //! extraction.
 
 use std::sync::Arc;
 
 use dinefd_core::scenario::factory_for;
-use dinefd_core::{run_flawed_pair, run_single_pair, BlackBox, RedObs, SingleDxNode};
+use dinefd_core::{
+    run_extraction, run_fair_over_extraction, run_flawed_pair, run_single_pair, BlackBox,
+    OracleSpec, RedObs, Scenario, SingleDxNode,
+};
+use dinefd_dining::driver::Workload;
 use dinefd_dining::participant::NoOracle;
-use dinefd_dining::DiningHistory;
+use dinefd_dining::{ConflictGraph, DiningHistory};
 use dinefd_fd::SuspicionHistory;
-use dinefd_sim::{CrashPlan, ProcessId, Time, World, WorldConfig};
+use dinefd_sim::{CrashPlan, DelayModel, ProcessId, Time, World, WorldConfig};
 
 const HORIZON: Time = Time(40_000);
 
@@ -105,6 +110,120 @@ fn the_ablations_extract_what_they_did_on_their_own_hosts() {
         }
     }
     assert_eq!(golden.next(), None);
+}
+
+/// The paper's own reduction over each of the six boxes, in the row format
+/// of [`GOLDEN`] (`pair` names the two-instance extractor). Recorded from
+/// the build before the dining services shared one coordinator and the
+/// FTME box became the fork diner's trust-gated constructor.
+const PAIR_GOLDEN: &str = "\
+pair wfdx 3 none: 16 2054 true true
+pair wfdx 3 p1@5000: 17 5020 true true
+pair wfdx 4 none: 4 984 true true
+pair wfdx 4 p1@5000: 5 5020 true true
+pair wfdx 5 none: 5 1666 true true
+pair wfdx 5 p1@5000: 6 5020 true true
+pair hygienic 3 none: 1 56 true true
+pair hygienic 3 p1@5000: 1 56 true false
+pair hygienic 4 none: 1 67 true true
+pair hygienic 4 p1@5000: 1 67 true false
+pair hygienic 5 none: 1 46 true true
+pair hygienic 5 p1@5000: 1 46 true false
+pair delayed 3 none: 46 1575 true true
+pair delayed 3 p1@5000: 47 5020 true true
+pair delayed 4 none: 44 1559 true true
+pair delayed 4 p1@5000: 45 5020 true true
+pair delayed 5 none: 46 1584 true true
+pair delayed 5 p1@5000: 47 5020 true true
+pair abstract 3 none: 46 1575 true true
+pair abstract 3 p1@5000: 47 5020 true true
+pair abstract 4 none: 44 1559 true true
+pair abstract 4 p1@5000: 45 5020 true true
+pair abstract 5 none: 46 1584 true true
+pair abstract 5 p1@5000: 47 5020 true true
+pair ftme 3 none: 16 2054 true true
+pair ftme 3 p1@5000: 17 5020 true true
+pair ftme 4 none: 4 984 true true
+pair ftme 4 p1@5000: 5 5020 true true
+pair ftme 5 none: 5 1666 true true
+pair ftme 5 p1@5000: 6 5020 true true
+pair unfair 3 none: 46 1575 true true
+pair unfair 3 p1@5000: 47 5020 true true
+pair unfair 4 none: 44 1559 true true
+pair unfair 4 p1@5000: 45 5020 true true
+pair unfair 5 none: 46 1584 true true
+pair unfair 5 p1@5000: 47 5020 true true
+";
+
+#[test]
+fn the_reduction_extracts_what_it_did_from_every_box() {
+    let convergence = Time(1_500);
+    let boxes = [
+        ("wfdx", BlackBox::WfDx),
+        ("hygienic", BlackBox::Hygienic),
+        ("delayed", BlackBox::Delayed { convergence }),
+        ("abstract", BlackBox::Abstract { convergence }),
+        ("ftme", BlackBox::Ftme),
+        ("unfair", BlackBox::Unfair { convergence }),
+    ];
+    let (p0, p1) = (ProcessId(0), ProcessId(1));
+    let mut rows = String::new();
+    for (bname, black_box) in boxes {
+        for seed in [3u64, 4, 5] {
+            for (cname, plan) in
+                [("none", CrashPlan::none()), ("p1@5000", CrashPlan::one(p1, Time(5_000)))]
+            {
+                let mut sc = Scenario::pair(black_box, seed);
+                sc.crashes = plan.clone();
+                let h = run_extraction(sc).history;
+                let last = h.timeline(p0, p1).changes().last().map_or(0, |&(t, _)| t.0);
+                rows += &format!(
+                    "pair {bname} {seed} {cname}: {} {last} {} {}\n",
+                    h.mistake_intervals(p0, p1),
+                    h.eventual_strong_accuracy(&plan).is_ok(),
+                    h.strong_completeness(&plan).is_ok(),
+                );
+            }
+        }
+    }
+    assert_eq!(rows, PAIR_GOLDEN);
+}
+
+/// `seed: meals of p0..p4 / suffix max overtaking` of the Section 8
+/// pipeline (fair diner over the reduction over the ◇P fork box) on a
+/// 5-ring, recorded alongside [`PAIR_GOLDEN`].
+const FAIR_GOLDEN: &str = "\
+21: 1068 1070 1059 1065 1060 / 3
+22: 1063 1058 1074 1063 1053 / 2
+";
+
+#[test]
+fn the_fair_pipeline_eats_what_it_did() {
+    let graph = ConflictGraph::ring(5);
+    let mut rows = String::new();
+    for seed in [21u64, 22] {
+        let res = run_fair_over_extraction(
+            &graph,
+            BlackBox::WfDx,
+            OracleSpec::DiamondP {
+                lag: 20,
+                convergence: Time(1_500),
+                max_mistakes: 2,
+                max_len: 100,
+            },
+            seed,
+            DelayModel::default_async(),
+            CrashPlan::none(),
+            HORIZON,
+            Workload::busy(),
+        );
+        let meals: Vec<String> =
+            ProcessId::all(5).map(|p| res.dining.session_count(p).to_string()).collect();
+        let from = res.dining.wx_converged_from(&graph, &res.crashes).max(Time(10_000));
+        let k = res.dining.max_overtaking(&graph, &res.crashes, from);
+        rows += &format!("{seed}: {} / {k}\n", meals.join(" "));
+    }
+    assert_eq!(rows, FAIR_GOLDEN);
 }
 
 #[test]

@@ -9,50 +9,32 @@
 //! \[13\]-style construction; this module is that construction's target
 //! algorithm.
 //!
-//! Mechanism: the ◇P fork algorithm of [`crate::wfdx`], plus hunger
-//! bookkeeping. Diners announce `Hungry` on becoming hungry and `Done` when
-//! they exit; a diner also infers hunger from an incoming fork request. A
-//! diner whose *overtake counter* against some announced-hungry, currently
-//! unsuspected neighbor has reached 2 closes its own eating gate until that
-//! neighbor eats (its `Done` resets the counter). Suspected neighbors waive
-//! the gate, preserving wait-freedom; ◇P's eventual accuracy means the gate
-//! is eventually honoured exactly for live neighbors, giving the 2-fair
-//! suffix. Announcement latency can let an extra overtake slip through at a
-//! spell boundary; experiment E6 measures the achieved suffix bound.
+//! Mechanism: the ◇P fork algorithm of [`crate::wfdx`] (its traffic travels
+//! as [`DiningMsg::WfDx`]), plus hunger bookkeeping. Diners announce
+//! `Hungry` on becoming hungry and `Done` when they exit; a diner also infers
+//! hunger from an incoming fork request. A diner whose *overtake counter*
+//! against some announced-hungry, currently unsuspected neighbor has reached
+//! 2 closes its own eating gate until that neighbor eats (its `Done` resets
+//! the counter). Suspected neighbors waive the gate, preserving
+//! wait-freedom; ◇P's eventual accuracy means the gate is eventually
+//! honoured exactly for live neighbors, giving the 2-fair suffix.
+//! Announcement latency can let an extra overtake slip through at a spell
+//! boundary; experiment E6 measures the achieved suffix bound.
 
 use dinefd_sim::ProcessId;
 
 use crate::participant::{DiningIo, DiningMsg, DiningParticipant};
 use crate::state::DinerPhase;
-use crate::wfdx::{ForkCore, SuspicionPolicy, Ts, WxMsg};
+use crate::wfdx::{WfDxDining, WxMsg};
 
-/// Messages of the fair algorithm: fork traffic plus hunger announcements.
+/// Hunger announcements of the fair algorithm (its fork traffic is
+/// [`DiningMsg::WfDx`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FairMsg {
-    /// The request token, stamped with the requester's session timestamp.
-    Request(Ts),
-    /// The fork, carrying the sender's Lamport clock.
-    Fork {
-        /// Sender's clock at yield time.
-        clock: u64,
-    },
-    /// The bare token sent home (see [`crate::wfdx::WxMsg::TokenReturn`]).
-    TokenReturn {
-        /// Sender's clock.
-        clock: u64,
-    },
     /// "I have become hungry."
     Hungry,
     /// "I have eaten and exited."
     Done,
-}
-
-fn wrap(m: WxMsg) -> DiningMsg {
-    DiningMsg::Fair(match m {
-        WxMsg::Request(ts) => FairMsg::Request(ts),
-        WxMsg::Fork { clock } => FairMsg::Fork { clock },
-        WxMsg::TokenReturn { clock } => FairMsg::TokenReturn { clock },
-    })
 }
 
 /// How many consecutive overtakes the gate permits.
@@ -71,7 +53,7 @@ struct PeerFairness {
 /// WF-◇WX dining with an eventual 2-fairness gate.
 #[derive(Clone, Debug)]
 pub struct FairWfDxDining {
-    core: ForkCore,
+    core: WfDxDining,
     peers: Vec<PeerFairness>,
 }
 
@@ -79,7 +61,7 @@ impl FairWfDxDining {
     /// Endpoint for `me` with the given instance neighbors.
     pub fn new(me: ProcessId, neighbors: &[ProcessId]) -> Self {
         FairWfDxDining {
-            core: ForkCore::new(me, neighbors, SuspicionPolicy::Direct),
+            core: WfDxDining::new(me, neighbors),
             peers: neighbors
                 .iter()
                 .map(|&peer| PeerFairness { peer, hungry: false, overtakes: 0 })
@@ -92,20 +74,19 @@ impl FairWfDxDining {
         self.peers.iter().find(|p| p.peer == peer).map_or(0, |p| p.overtakes)
     }
 
-    fn peer_mut(&mut self, peer: ProcessId) -> &mut PeerFairness {
-        self.peers.iter_mut().find(|p| p.peer == peer).expect("message from non-neighbor")
-    }
-
-    /// Recomputes the eating gate from the fairness state.
-    fn refresh_gate(&mut self, io: &DiningIo<'_>) {
+    /// Runs `step` on the fork diner behind a freshly computed eating gate,
+    /// bumping the overtake counters if it started an eating session.
+    fn gated(
+        &mut self,
+        io: &mut DiningIo<'_>,
+        step: impl FnOnce(&mut WfDxDining, &mut DiningIo<'_>),
+    ) {
         self.core.gate_open = !self
             .peers
             .iter()
             .any(|p| p.hungry && p.overtakes >= OVERTAKE_LIMIT && !io.suspected(p.peer));
-    }
-
-    /// Bumps overtake counters if an eating session just started.
-    fn account_eating(&mut self, was: DinerPhase) {
+        let was = self.core.phase();
+        step(&mut self.core, io);
         if was != DinerPhase::Eating && self.core.phase() == DinerPhase::Eating {
             for p in &mut self.peers {
                 if p.hungry {
@@ -125,66 +106,39 @@ impl FairWfDxDining {
 impl DiningParticipant for FairWfDxDining {
     fn hungry(&mut self, io: &mut DiningIo<'_>) {
         self.broadcast(io, FairMsg::Hungry);
-        self.refresh_gate(io);
-        let was = self.core.phase();
-        self.core.hungry(io, wrap);
-        self.account_eating(was);
+        self.gated(io, |core, io| core.hungry(io));
     }
 
     fn exit_eating(&mut self, io: &mut DiningIo<'_>) {
         self.broadcast(io, FairMsg::Done);
-        self.core.exit_eating(io, wrap);
+        self.core.exit_eating(io);
     }
 
     fn on_message(&mut self, io: &mut DiningIo<'_>, from: ProcessId, msg: DiningMsg) {
-        let DiningMsg::Fair(m) = msg else {
-            debug_assert!(false, "foreign message {msg:?}");
+        let Some(peer) = self.peers.iter_mut().find(|p| p.peer == from) else {
+            debug_assert!(false, "message from non-neighbor {from:?}");
             return;
         };
-        match m {
-            FairMsg::Hungry => {
-                let p = self.peer_mut(from);
-                p.hungry = true;
-            }
-            FairMsg::Done => {
-                let p = self.peer_mut(from);
-                p.hungry = false;
-                p.overtakes = 0;
-                self.refresh_gate(io);
-                let was = self.core.phase();
+        match msg {
+            DiningMsg::Fair(FairMsg::Hungry) => peer.hungry = true,
+            DiningMsg::Fair(FairMsg::Done) => {
+                peer.hungry = false;
+                peer.overtakes = 0;
                 // The gate may have just opened; re-evaluate eating.
-                self.core.on_tick(io);
-                self.account_eating(was);
+                self.gated(io, |core, io| core.on_tick(io));
             }
-            FairMsg::Request(ts) => {
+            DiningMsg::WfDx(m) => {
                 // A fork request is hunger evidence — it beats the separate
                 // announcement when channel delays reorder them.
-                self.peer_mut(from).hungry = true;
-                self.refresh_gate(io);
-                let was = self.core.phase();
-                self.core.on_message(io, from, WxMsg::Request(ts), wrap);
-                self.account_eating(was);
+                peer.hungry |= matches!(m, WxMsg::Request(_));
+                self.gated(io, |core, io| core.on_message(io, from, msg));
             }
-            FairMsg::Fork { clock } => {
-                self.refresh_gate(io);
-                let was = self.core.phase();
-                self.core.on_message(io, from, WxMsg::Fork { clock }, wrap);
-                self.account_eating(was);
-            }
-            FairMsg::TokenReturn { clock } => {
-                self.refresh_gate(io);
-                let was = self.core.phase();
-                self.core.on_message(io, from, WxMsg::TokenReturn { clock }, wrap);
-                self.account_eating(was);
-            }
+            _ => debug_assert!(false, "foreign message {msg:?}"),
         }
     }
 
     fn on_tick(&mut self, io: &mut DiningIo<'_>) {
-        self.refresh_gate(io);
-        let was = self.core.phase();
-        self.core.on_tick(io);
-        self.account_eating(was);
+        self.gated(io, |core, io| core.on_tick(io));
     }
 
     fn phase(&self) -> DinerPhase {
@@ -196,6 +150,7 @@ impl DiningParticipant for FairWfDxDining {
 mod tests {
     use super::*;
     use crate::participant::NoOracle;
+    use crate::wfdx::Ts;
     use dinefd_sim::Time;
 
     fn p(i: u32) -> ProcessId {
@@ -275,9 +230,9 @@ mod tests {
         // No Hungry announcement, just a fork request (it carries the token;
         // p0's fork is dirty+thinking so it is yielded immediately).
         let mut io = DiningIo::new(p(0), Time(1), &fd);
-        d0.on_message(&mut io, p(1), DiningMsg::Fair(FairMsg::Request(Ts { clock: 1, id: 1 })));
+        d0.on_message(&mut io, p(1), DiningMsg::WfDx(WxMsg::Request(Ts { clock: 1, id: 1 })));
         let fx = io.finish();
-        assert!(matches!(fx.sends[0], (_, DiningMsg::Fair(FairMsg::Fork { .. }))));
+        assert!(matches!(fx.sends[0], (_, DiningMsg::WfDx(WxMsg::Fork { .. }))));
         assert!(d0.overtakes_against(p(1)) == 0);
         // The hunger flag is set, so subsequent meals are counted.
         let mut io = DiningIo::new(p(0), Time(2), &fd);

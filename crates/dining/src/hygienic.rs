@@ -61,10 +61,6 @@ impl HygienicDining {
         HygienicDining { me, phase: DinerPhase::Thinking, edges }
     }
 
-    fn edge_mut(&mut self, peer: ProcessId) -> &mut Edge {
-        self.edges.iter_mut().find(|e| e.peer == peer).expect("message from non-neighbor")
-    }
-
     /// The diner this endpoint belongs to.
     pub fn id(&self) -> ProcessId {
         self.me
@@ -121,25 +117,25 @@ impl DiningParticipant for HygienicDining {
             debug_assert!(false, "foreign message {msg:?}");
             return;
         };
+        let Some(e) = self.edges.iter_mut().find(|e| e.peer == from) else {
+            debug_assert!(false, "message from non-neighbor {from:?}");
+            return;
+        };
         match msg {
             HyMsg::ForkRequest => {
-                let eating = self.phase == DinerPhase::Eating;
-                let e = self.edge_mut(from);
                 debug_assert!(!e.has_token, "duplicate request token on one edge");
                 e.has_token = true;
-                if e.has_fork && e.dirty && !eating {
+                if e.has_fork && e.dirty && self.phase != DinerPhase::Eating {
                     // Yield the dirty fork; if hungry, immediately re-request.
                     e.has_fork = false;
                     io.send(from, DiningMsg::Hygienic(HyMsg::Fork));
                     if self.phase == DinerPhase::Hungry {
-                        let e = self.edge_mut(from);
                         e.has_token = false;
                         io.send(from, DiningMsg::Hygienic(HyMsg::ForkRequest));
                     }
                 }
             }
             HyMsg::Fork => {
-                let e = self.edge_mut(from);
                 debug_assert!(!e.has_fork, "duplicate fork on one edge");
                 e.has_fork = true;
                 e.dirty = false;

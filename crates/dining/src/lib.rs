@@ -18,13 +18,14 @@
 //!
 //! * the black-box interface [`participant::DiningParticipant`] that the
 //!   necessity reduction in `dinefd-core` quantifies over;
-//! * several interchangeable implementations — a crash-oblivious baseline
-//!   ([`hygienic`]), the ◇P-based wait-free algorithm in the style of the
-//!   paper's reference \[12\] ([`wfdx`]), the §3 pathological-but-legal
-//!   variant ([`delayed`]), a spec-constrained adversarial service
-//!   ([`abstract_dining`]), a legal service with escalating unfairness for
-//!   the §5.1 remark ([`unfair`]), a T-based *perpetual*-exclusion service
-//!   for §9 ([`ftme`]), and an eventually-2-fair upgrade for §8 ([`fair`]);
+//! * one engine per dining protocol — a crash-oblivious baseline
+//!   ([`hygienic`]); the ◇P-based wait-free fork algorithm in the style of
+//!   the paper's reference \[12\] ([`wfdx`]), whose trust-gated
+//!   constructor is the T-based *perpetual*-exclusion (FTME) service for §9;
+//!   one coordinator ([`coord`]) whose three grant regimes are the §3
+//!   pathological-but-legal service, a spec-constrained adversarial service
+//!   and a legal service with escalating unfairness for the §5.1 remark; and
+//!   an eventually-2-fair upgrade for §8 ([`fair`]);
 //! * trace checkers for ◇WX / WX / wait-freedom / eventual k-fairness
 //!   ([`spec`]) and a workload driver ([`driver`]) for standalone dining
 //!   experiments.
@@ -33,17 +34,14 @@
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
 
-pub mod abstract_dining;
-pub mod delayed;
+pub mod coord;
 pub mod driver;
 pub mod fair;
-pub mod ftme;
 pub mod graph;
 pub mod hygienic;
 pub mod participant;
 pub mod spec;
 pub mod state;
-pub mod unfair;
 pub mod wfdx;
 pub mod wire;
 

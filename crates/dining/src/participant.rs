@@ -31,16 +31,14 @@ use std::fmt;
 use dinefd_fd::FdQuery;
 use dinefd_sim::{ProcessId, Time};
 
-use crate::abstract_dining::AbMsg;
-use crate::delayed::DcMsg;
+use crate::coord::CoordMsg;
 use crate::fair::FairMsg;
-use crate::ftme::FtMsg;
 use crate::hygienic::HyMsg;
 use crate::state::DinerPhase;
-use crate::unfair::UfMsg;
 use crate::wfdx::WxMsg;
 
-/// Union of the message types of every dining implementation in this crate.
+/// Union of the message types of every dining protocol in this crate: one
+/// variant per protocol, not per service.
 ///
 /// Using one concrete message enum (rather than an associated type) keeps
 /// participants object-safe, so hosts and the experiment harness can treat a
@@ -49,18 +47,13 @@ use crate::wfdx::WxMsg;
 pub enum DiningMsg {
     /// Chandy–Misra hygienic algorithm traffic.
     Hygienic(HyMsg),
-    /// ◇P-based wait-free ◇WX algorithm traffic.
+    /// Fork traffic of the ◇P-based wait-free ◇WX algorithm, in all its
+    /// uses: plain, trust-gated (FTME) and under the fairness gate.
     WfDx(WxMsg),
-    /// Delayed-convergence (§3 pathological) service traffic.
-    Delayed(DcMsg),
-    /// Abstract spec-constrained service traffic.
-    Abstract(AbMsg),
-    /// T-based perpetual-WX (FTME) traffic.
-    Ftme(FtMsg),
-    /// Eventually-2-fair algorithm traffic.
+    /// Coordinator-protocol traffic (every [`crate::coord::GrantRegime`]).
+    Coord(CoordMsg),
+    /// Hunger announcements of the eventually-2-fair algorithm.
     Fair(FairMsg),
-    /// Escalating-unfairness service traffic.
-    Unfair(UfMsg),
 }
 
 /// Effects collected from one participant invocation.
@@ -211,5 +204,60 @@ mod tests {
         let fd = NoOracle(7);
         assert_eq!(fd.len(), 7);
         assert!(!fd.is_empty());
+    }
+
+    /// Every queued event and trace entry of a reduction run carries one.
+    /// With one variant per protocol no enum nests a second copy of the fork
+    /// messages, so the `Request` stamp alone sets the size.
+    #[test]
+    fn a_dining_msg_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<DiningMsg>(), 24);
+    }
+
+    /// A message from outside the neighbour set is a host bug: it trips a
+    /// `debug_assert!` and, optimized, is dropped without touching the diner.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "message from non-neighbor"))]
+    fn a_message_from_a_non_neighbor_is_dropped() {
+        use crate::fair::FairWfDxDining;
+        use crate::hygienic::HygienicDining;
+        use crate::wfdx::{Ts, WfDxDining};
+
+        let fd = NoOracle(4);
+        let (me, stranger, nbrs) = (ProcessId(1), ProcessId(3), [ProcessId(0), ProcessId(2)]);
+        let request = DiningMsg::WfDx(WxMsg::Request(Ts { clock: 9, id: 3 }));
+        let fork = DiningMsg::WfDx(WxMsg::Fork { clock: 9 });
+        // Hungry first, so a misattributed fork could start a meal.
+        let hungry = |d: &mut dyn DiningParticipant| d.hungry(&mut DiningIo::new(me, Time(1), &fd));
+        let dropped = |d: &mut dyn DiningParticipant, msg: &DiningMsg| {
+            let before = d.phase();
+            let mut io = DiningIo::new(me, Time(5), &fd);
+            d.on_message(&mut io, stranger, msg.clone());
+            assert!(io.finish().sends.is_empty(), "{msg:?} from a stranger sent something");
+            assert_eq!(d.phase(), before, "{msg:?} from a stranger moved the phase");
+        };
+        let packed = |d: &WfDxDining| {
+            let mut out = Vec::new();
+            d.pack_into(&mut out);
+            out
+        };
+        for mut d in [WfDxDining::new(me, &nbrs), WfDxDining::trust_gated(me, &nbrs)] {
+            hungry(&mut d);
+            let before = packed(&d);
+            for msg in [&request, &fork] {
+                dropped(&mut d, msg);
+            }
+            assert_eq!(packed(&d), before, "a stranger's message changed the packed state");
+        }
+        let mut d = HygienicDining::new(me, &nbrs);
+        hungry(&mut d);
+        for msg in [HyMsg::ForkRequest, HyMsg::Fork] {
+            dropped(&mut d, &DiningMsg::Hygienic(msg));
+        }
+        let mut d = FairWfDxDining::new(me, &nbrs);
+        hungry(&mut d);
+        for msg in [&request, &fork, &DiningMsg::Fair(FairMsg::Hungry)] {
+            dropped(&mut d, msg);
+        }
     }
 }

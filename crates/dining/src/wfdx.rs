@@ -34,8 +34,9 @@
 //! fork-uniqueness invariant (at most one endpoint holds each edge's fork)
 //! holds in all runs.
 //!
-//! The same `ForkCore` parameterized with a trust-gated suspicion policy
-//! yields the perpetual-exclusion service of [`crate::ftme`].
+//! The same machinery under a trust-gated suspicion policy
+//! ([`WfDxDining::trust_gated`]) is the perpetual-exclusion (FTME) service
+//! of the paper's Section 9; [`crate::fair`] wraps it in a fairness gate.
 
 use dinefd_sim::{codec, ProcessId};
 
@@ -140,7 +141,7 @@ fn phase_from_bits(b: u8) -> DinerPhase {
 
 /// How suspicion satisfies an edge.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub(crate) enum SuspicionPolicy {
+enum SuspicionPolicy {
     /// `suspected(q)` alone satisfies the edge — correct for ◇P (mistakes
     /// cause only finitely many exclusion violations).
     Direct,
@@ -164,9 +165,10 @@ struct Edge {
     ever_trusted: bool,
 }
 
-/// Shared fork machinery of [`WfDxDining`] and [`crate::ftme::FtmeDining`].
+/// ◇P-based wait-free ◇WX dining (the paper's reference \[12\], in spirit)
+/// or, built by [`WfDxDining::trust_gated`], the perpetual-WX (FTME) service.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub(crate) struct ForkCore {
+pub struct WfDxDining {
     me: ProcessId,
     phase: DinerPhase,
     edges: Vec<Edge>,
@@ -176,16 +178,50 @@ pub(crate) struct ForkCore {
     /// Timestamp of the current hungry/eating session.
     session: Ts,
     /// Count of eating sessions entered while lacking at least one fork
-    /// (i.e. justified by suspicion) — exposed for experiments.
-    pub(crate) suspicion_eats: u64,
+    /// (i.e. justified by suspicion).
+    suspicion_eats: u64,
     /// Fairness gate: when `false`, the diner refrains from starting to eat
     /// even if the resource condition holds (used by [`crate::fair`] to
     /// bound overtaking). Resource state still evolves normally.
     pub(crate) gate_open: bool,
 }
 
-impl ForkCore {
-    pub(crate) fn new(me: ProcessId, neighbors: &[ProcessId], policy: SuspicionPolicy) -> Self {
+impl WfDxDining {
+    /// Endpoint for `me` with the given instance neighbors.
+    pub fn new(me: ProcessId, neighbors: &[ProcessId]) -> Self {
+        Self::with_policy(me, neighbors, SuspicionPolicy::Direct)
+    }
+
+    /// Endpoint of wait-free dining under **perpetual** weak exclusion (WX),
+    /// the Fault-Tolerant Mutual Exclusion setting of Delporte-Gallet et al.
+    /// (the paper's reference \[4\] and its Section 9).
+    ///
+    /// Same fork machinery, but suspicion satisfies an edge only under the
+    /// **trust-gated** policy: a suspicion of `q` counts only after `q` has
+    /// been observed trusted at least once. With a trusting oracle T, a
+    /// trust→suspect transition implies `q` really crashed, so a
+    /// suspicion-eat can never violate exclusion against a live neighbor —
+    /// exclusion is *perpetual*, not merely eventual.
+    ///
+    /// Two model notes, both visible in experiment E5:
+    ///
+    /// * The paper (and \[4\]) show **T alone is insufficient** for wait-free
+    ///   WX: if `q` crashes before the oracle ever trusted it, the gate never
+    ///   opens and a neighbor waiting on `q`'s fork starves. The sufficient
+    ///   oracle is the composition T+S. Experiments therefore drive this
+    ///   service either with an injected *perfect* oracle (P implies T+S, and
+    ///   "suspected ⇒ crashed" holds from time zero) or with an injected T
+    ///   whose initial distrust ends before any crash. What Section 9
+    ///   actually claims — and what E5 checks — is about the *output* of the
+    ///   reduction applied to this black box: it satisfies the trusting
+    ///   accuracy of T.
+    /// * Run on a clique, this service is exactly fault-tolerant mutual
+    ///   exclusion.
+    pub fn trust_gated(me: ProcessId, neighbors: &[ProcessId]) -> Self {
+        Self::with_policy(me, neighbors, SuspicionPolicy::TrustGated)
+    }
+
+    fn with_policy(me: ProcessId, neighbors: &[ProcessId], policy: SuspicionPolicy) -> Self {
         let edges = neighbors
             .iter()
             .map(|&peer| {
@@ -201,7 +237,7 @@ impl ForkCore {
                 }
             })
             .collect();
-        ForkCore {
+        WfDxDining {
             me,
             phase: DinerPhase::Thinking,
             edges,
@@ -213,322 +249,44 @@ impl ForkCore {
         }
     }
 
-    pub(crate) fn phase(&self) -> DinerPhase {
-        self.phase
-    }
-
-    /// The diner this endpoint belongs to.
-    pub(crate) fn id(&self) -> ProcessId {
-        self.me
-    }
-
-    pub(crate) fn holds_fork(&self, peer: ProcessId) -> bool {
-        self.edges.iter().any(|e| e.peer == peer && e.has_fork)
-    }
-
-    pub(crate) fn holds_token(&self, peer: ProcessId) -> bool {
-        self.edges.iter().any(|e| e.peer == peer && e.has_token)
-    }
-
-    /// Current session timestamp (meaningful while hungry/eating).
-    pub(crate) fn session(&self) -> Ts {
-        self.session
-    }
-
-    fn observe_clock(&mut self, c: u64) {
-        self.clock = self.clock.max(c) + 1;
-    }
-
-    /// Whether the oracle's answer about `e.peer` stands in for `e`'s fork.
-    fn suspicion_satisfies(policy: SuspicionPolicy, e: &Edge, suspected: bool) -> bool {
-        match policy {
-            SuspicionPolicy::Direct => suspected,
-            SuspicionPolicy::TrustGated => suspected && e.ever_trusted,
-        }
-    }
-
-    fn refresh_trust(&mut self, io: &DiningIo<'_>) {
-        for e in &mut self.edges {
-            if !io.suspected(e.peer) {
-                e.ever_trusted = true;
-            }
-        }
-    }
-
-    /// Whether this diner currently outranks a request stamped `ts`.
-    fn outranks(&self, ts: Ts) -> bool {
-        self.phase == DinerPhase::Hungry && self.session < ts
-    }
-
-    /// Yields the fork of `edges[k]` to its pending requester if the yield
-    /// rules allow it right now; re-requests immediately when hungry.
-    fn maybe_yield(&mut self, k: usize, io: &mut DiningIo<'_>, wrap: &impl Fn(WxMsg) -> DiningMsg) {
-        let e = &self.edges[k];
-        let Some(ts) = e.pending else { return };
-        if !e.has_fork || self.phase == DinerPhase::Eating || self.outranks(ts) {
-            return;
-        }
-        // Note: we may no longer hold the token here — `hungry()` is allowed
-        // to re-spend a parked token for its own request while the parked
-        // request stays pending. The fork settles the debt either way.
-        let peer = e.peer;
-        let clock = self.clock;
-        let e = &mut self.edges[k];
-        e.has_fork = false;
-        e.pending = None;
-        io.send(peer, wrap(WxMsg::Fork { clock }));
-        if self.phase == DinerPhase::Hungry && self.edges[k].has_token && !self.edges[k].requested {
-            let session = self.session;
-            let e = &mut self.edges[k];
-            e.has_token = false;
-            e.requested = true;
-            io.send(peer, wrap(WxMsg::Request(session)));
-        }
-    }
-
-    fn maybe_yield_all(&mut self, io: &mut DiningIo<'_>, wrap: &impl Fn(WxMsg) -> DiningMsg) {
-        for k in 0..self.edges.len() {
-            self.maybe_yield(k, io, wrap);
-        }
-    }
-
-    /// Restores the "fork here ⇒ token there" resting invariant: a
-    /// non-competing endpoint holding both fork and token with nothing
-    /// pending sends the token home so the peer can request again.
-    fn settle(&mut self, k: usize, io: &mut DiningIo<'_>, wrap: &impl Fn(WxMsg) -> DiningMsg) {
-        let e = &self.edges[k];
-        if (self.phase == DinerPhase::Thinking || self.phase == DinerPhase::Exiting)
-            && e.has_fork
-            && e.has_token
-            && e.pending.is_none()
-        {
-            let peer = e.peer;
-            let clock = self.clock;
-            self.edges[k].has_token = false;
-            io.send(peer, wrap(WxMsg::TokenReturn { clock }));
-        }
-    }
-
-    fn settle_all(&mut self, io: &mut DiningIo<'_>, wrap: &impl Fn(WxMsg) -> DiningMsg) {
-        for k in 0..self.edges.len() {
-            self.settle(k, io, wrap);
-        }
-    }
-
-    fn try_eat(&mut self, io: &mut DiningIo<'_>) {
-        if self.phase != DinerPhase::Hungry || !self.gate_open {
-            return;
-        }
-        let satisfied = |e: &Edge| {
-            e.has_fork || Self::suspicion_satisfies(self.policy, e, io.suspected(e.peer))
-        };
-        if self.edges.iter().all(satisfied) {
-            self.start_eating();
-        }
-    }
-
-    fn start_eating(&mut self) {
-        if self.edges.iter().any(|e| !e.has_fork) {
-            self.suspicion_eats += 1;
-        }
-        self.phase = DinerPhase::Eating;
-    }
-
-    pub(crate) fn hungry(&mut self, io: &mut DiningIo<'_>, wrap: impl Fn(WxMsg) -> DiningMsg) {
-        assert_eq!(self.phase, DinerPhase::Thinking, "hungry() while {}", self.phase);
-        self.refresh_trust(io);
-        self.phase = DinerPhase::Hungry;
-        self.clock += 1;
-        self.session = Ts { clock: self.clock, id: self.me.0 };
-        let session = self.session;
-        for e in &mut self.edges {
-            e.requested = false;
-            if !e.has_fork && e.has_token {
-                e.has_token = false;
-                e.requested = true;
-                io.send(e.peer, wrap(WxMsg::Request(session)));
-            }
-        }
-        self.try_eat(io);
-    }
-
-    pub(crate) fn exit_eating(&mut self, io: &mut DiningIo<'_>, wrap: impl Fn(WxMsg) -> DiningMsg) {
-        assert_eq!(self.phase, DinerPhase::Eating, "exit_eating() while {}", self.phase);
-        self.phase = DinerPhase::Exiting;
-        self.phase = DinerPhase::Thinking;
-        // Serve the requests deferred during the session, then send home any
-        // token resting idly next to a fork.
-        self.maybe_yield_all(io, &wrap);
-        self.settle_all(io, &wrap);
-    }
-
-    pub(crate) fn on_message(
-        &mut self,
-        io: &mut DiningIo<'_>,
-        from: ProcessId,
-        msg: WxMsg,
-        wrap: impl Fn(WxMsg) -> DiningMsg,
-    ) {
-        self.refresh_trust(io);
-        match msg {
-            WxMsg::Request(ts) => {
-                self.observe_clock(ts.clock);
-                let phase = self.phase;
-                let session = self.session;
-                let k = self
-                    .edges
-                    .iter()
-                    .position(|e| e.peer == from)
-                    .expect("message from non-neighbor");
-                let _ = (phase, session);
-                let e = &mut self.edges[k];
-                debug_assert!(!e.has_token, "duplicate request token on one edge");
-                // A leftover pending can exist if the peer's previous session
-                // ended by suspicion-eating before we served it (the newer
-                // stamp supersedes it), and an equal stamp can legitimately
-                // arrive twice when a stale service let the peer yield and
-                // re-request within one session.
-                debug_assert!(
-                    e.pending.is_none_or(|old| old <= ts),
-                    "request stamps regress: pending={:?} incoming={:?} me={:?} from={from:?}",
-                    e.pending,
-                    ts,
-                    self.me
-                );
-                e.has_token = true;
-                // Record the request and serve it when the rules allow —
-                // immediately if we hold the fork and are not entitled to
-                // keep it, or later (fork arrival / our exit) otherwise.
-                e.pending = Some(ts);
-                if !e.has_fork && phase == DinerPhase::Hungry && !e.requested {
-                    // Hungry and fork-less with no request of our own in
-                    // flight (our session began while the token was away):
-                    // spend the token now or we would wait forever. The
-                    // `requested` flag caps this at one Request per session —
-                    // unconditional re-spending duplicates the same stamp,
-                    // and a stale duplicate can hand the peer both fork and
-                    // token permanently (found by property testing).
-                    e.has_token = false;
-                    e.requested = true;
-                    io.send(from, wrap(WxMsg::Request(session)));
-                }
-                self.maybe_yield(k, io, &wrap);
-            }
-            WxMsg::TokenReturn { clock } => {
-                self.observe_clock(clock);
-                let k = self
-                    .edges
-                    .iter()
-                    .position(|e| e.peer == from)
-                    .expect("message from non-neighbor");
-                debug_assert!(!self.edges[k].has_token, "duplicate token on one edge");
-                self.edges[k].has_token = true;
-                let e = &mut self.edges[k];
-                if !e.has_fork && self.phase == DinerPhase::Hungry && !e.requested {
-                    // The returned token lets our stranded hunger signal.
-                    e.has_token = false;
-                    e.requested = true;
-                    let session = self.session;
-                    io.send(from, wrap(WxMsg::Request(session)));
-                } else {
-                    self.settle(k, io, &wrap);
-                }
-            }
-            WxMsg::Fork { clock } => {
-                self.observe_clock(clock);
-                let k = self
-                    .edges
-                    .iter()
-                    .position(|e| e.peer == from)
-                    .expect("message from non-neighbor");
-                debug_assert!(!self.edges[k].has_fork, "duplicate fork on one edge");
-                self.edges[k].has_fork = true;
-                self.edges[k].requested = false;
-                // An outranking (or any, if we are not hungry) parked request
-                // is served before we consider eating: oldest session first.
-                self.maybe_yield(k, io, &wrap);
-                self.try_eat(io);
-                self.settle(k, io, &wrap);
-            }
-        }
-    }
-
-    /// The tick-time `refresh_trust` + `try_eat`, asking the oracle once per
-    /// edge and using the answer for both.
-    ///
-    /// Under [`SuspicionPolicy::Direct`] a diner that is not hungry returns
-    /// before touching the oracle: it cannot start eating, and no transition
-    /// of that policy reads the `ever_trusted` bits the queries would refresh
-    /// (they do show in `==` and the packed state, so two endpoints compare
-    /// equal only if ticked alike — the explorer ticks hungry endpoints only).
-    pub(crate) fn on_tick(&mut self, io: &mut DiningIo<'_>) {
-        let hungry = self.phase == DinerPhase::Hungry;
-        if !hungry && self.policy == SuspicionPolicy::Direct {
-            return;
-        }
-        let mut satisfied = true;
-        for e in &mut self.edges {
-            let suspected = io.suspected(e.peer);
-            e.ever_trusted |= !suspected;
-            satisfied &= e.has_fork || Self::suspicion_satisfies(self.policy, e, suspected);
-        }
-        if hungry && self.gate_open && satisfied {
-            self.start_eating();
-        }
-    }
-}
-
-/// ◇P-based wait-free ◇WX dining (the paper's reference \[12\], in spirit).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct WfDxDining {
-    core: ForkCore,
-}
-
-impl WfDxDining {
-    /// Endpoint for `me` with the given instance neighbors.
-    pub fn new(me: ProcessId, neighbors: &[ProcessId]) -> Self {
-        WfDxDining { core: ForkCore::new(me, neighbors, SuspicionPolicy::Direct) }
-    }
-
     /// Whether this endpoint holds the fork shared with `peer`.
     pub fn holds_fork(&self, peer: ProcessId) -> bool {
-        self.core.holds_fork(peer)
+        self.edges.iter().any(|e| e.peer == peer && e.has_fork)
     }
 
     /// Whether this endpoint holds the request token shared with `peer`.
     pub fn holds_token(&self, peer: ProcessId) -> bool {
-        self.core.holds_token(peer)
+        self.edges.iter().any(|e| e.peer == peer && e.has_token)
     }
 
     /// The diner this endpoint belongs to.
     pub fn id(&self) -> ProcessId {
-        self.core.id()
+        self.me
     }
 
     /// How many eating sessions were justified by suspicion rather than a
     /// full fork set.
     pub fn suspicion_eats(&self) -> u64 {
-        self.core.suspicion_eats
+        self.suspicion_eats
     }
 
     /// The timestamp of the current hungry/eating session.
     pub fn session(&self) -> Ts {
-        self.core.session()
+        self.session
     }
 
     /// Packs the full endpoint state (phase, per-edge fork/token/request
     /// bits, clocks) into a compact byte string for the explorer state
     /// codec. [`WfDxDining::unpack`] is the exact inverse.
     pub fn pack_into(&self, out: &mut Vec<u8>) {
-        let c = &self.core;
-        codec::put_varint(out, u64::from(c.me.0));
-        let policy = matches!(c.policy, SuspicionPolicy::TrustGated) as u8;
-        codec::put_u8(out, phase_bits(c.phase) | policy << 2 | (c.gate_open as u8) << 3);
-        codec::put_varint(out, c.clock);
-        c.session.pack_into(out);
-        codec::put_varint(out, c.suspicion_eats);
-        codec::put_varint(out, c.edges.len() as u64);
-        for e in &c.edges {
+        codec::put_varint(out, u64::from(self.me.0));
+        let policy = matches!(self.policy, SuspicionPolicy::TrustGated) as u8;
+        codec::put_u8(out, phase_bits(self.phase) | policy << 2 | (self.gate_open as u8) << 3);
+        codec::put_varint(out, self.clock);
+        self.session.pack_into(out);
+        codec::put_varint(out, self.suspicion_eats);
+        codec::put_varint(out, self.edges.len() as u64);
+        for e in &self.edges {
             codec::put_varint(out, u64::from(e.peer.0));
             codec::put_u8(
                 out,
@@ -569,53 +327,247 @@ impl WfDxDining {
             });
         }
         Some(WfDxDining {
-            core: ForkCore {
-                me,
-                phase: phase_from_bits(b),
-                edges,
-                policy,
-                clock,
-                session,
-                suspicion_eats,
-                gate_open: b & 0b1000 != 0,
-            },
+            me,
+            phase: phase_from_bits(b),
+            edges,
+            policy,
+            clock,
+            session,
+            suspicion_eats,
+            gate_open: b & 0b1000 != 0,
         })
     }
-}
 
-fn wrap(m: WxMsg) -> DiningMsg {
-    DiningMsg::WfDx(m)
+    fn observe_clock(&mut self, c: u64) {
+        self.clock = self.clock.max(c) + 1;
+    }
+
+    /// Whether the oracle's answer about `e.peer` stands in for `e`'s fork.
+    fn suspicion_satisfies(policy: SuspicionPolicy, e: &Edge, suspected: bool) -> bool {
+        match policy {
+            SuspicionPolicy::Direct => suspected,
+            SuspicionPolicy::TrustGated => suspected && e.ever_trusted,
+        }
+    }
+
+    fn refresh_trust(&mut self, io: &DiningIo<'_>) {
+        for e in &mut self.edges {
+            if !io.suspected(e.peer) {
+                e.ever_trusted = true;
+            }
+        }
+    }
+
+    /// Whether this diner currently outranks a request stamped `ts`.
+    fn outranks(&self, ts: Ts) -> bool {
+        self.phase == DinerPhase::Hungry && self.session < ts
+    }
+
+    /// Yields the fork of `edges[k]` to its pending requester if the yield
+    /// rules allow it right now; re-requests immediately when hungry.
+    fn maybe_yield(&mut self, k: usize, io: &mut DiningIo<'_>) {
+        let e = &self.edges[k];
+        let Some(ts) = e.pending else { return };
+        if !e.has_fork || self.phase == DinerPhase::Eating || self.outranks(ts) {
+            return;
+        }
+        // Note: we may no longer hold the token here — `hungry()` is allowed
+        // to re-spend a parked token for its own request while the parked
+        // request stays pending. The fork settles the debt either way.
+        let peer = e.peer;
+        let clock = self.clock;
+        let e = &mut self.edges[k];
+        e.has_fork = false;
+        e.pending = None;
+        io.send(peer, DiningMsg::WfDx(WxMsg::Fork { clock }));
+        if self.phase == DinerPhase::Hungry && self.edges[k].has_token && !self.edges[k].requested {
+            let session = self.session;
+            let e = &mut self.edges[k];
+            e.has_token = false;
+            e.requested = true;
+            io.send(peer, DiningMsg::WfDx(WxMsg::Request(session)));
+        }
+    }
+
+    /// Restores the "fork here ⇒ token there" resting invariant: a
+    /// non-competing endpoint holding both fork and token with nothing
+    /// pending sends the token home so the peer can request again.
+    fn settle(&mut self, k: usize, io: &mut DiningIo<'_>) {
+        let e = &self.edges[k];
+        if (self.phase == DinerPhase::Thinking || self.phase == DinerPhase::Exiting)
+            && e.has_fork
+            && e.has_token
+            && e.pending.is_none()
+        {
+            let peer = e.peer;
+            let clock = self.clock;
+            self.edges[k].has_token = false;
+            io.send(peer, DiningMsg::WfDx(WxMsg::TokenReturn { clock }));
+        }
+    }
+
+    fn try_eat(&mut self, io: &mut DiningIo<'_>) {
+        if self.phase != DinerPhase::Hungry || !self.gate_open {
+            return;
+        }
+        let satisfied = |e: &Edge| {
+            e.has_fork || Self::suspicion_satisfies(self.policy, e, io.suspected(e.peer))
+        };
+        if self.edges.iter().all(satisfied) {
+            self.start_eating();
+        }
+    }
+
+    fn start_eating(&mut self) {
+        if self.edges.iter().any(|e| !e.has_fork) {
+            self.suspicion_eats += 1;
+        }
+        self.phase = DinerPhase::Eating;
+    }
 }
 
 impl DiningParticipant for WfDxDining {
     fn hungry(&mut self, io: &mut DiningIo<'_>) {
-        self.core.hungry(io, wrap);
+        assert_eq!(self.phase, DinerPhase::Thinking, "hungry() while {}", self.phase);
+        self.refresh_trust(io);
+        self.phase = DinerPhase::Hungry;
+        self.clock += 1;
+        self.session = Ts { clock: self.clock, id: self.me.0 };
+        let session = self.session;
+        for e in &mut self.edges {
+            e.requested = false;
+            if !e.has_fork && e.has_token {
+                e.has_token = false;
+                e.requested = true;
+                io.send(e.peer, DiningMsg::WfDx(WxMsg::Request(session)));
+            }
+        }
+        self.try_eat(io);
     }
 
     fn exit_eating(&mut self, io: &mut DiningIo<'_>) {
-        self.core.exit_eating(io, wrap);
+        assert_eq!(self.phase, DinerPhase::Eating, "exit_eating() while {}", self.phase);
+        self.phase = DinerPhase::Exiting;
+        self.phase = DinerPhase::Thinking;
+        // Serve the requests deferred during the session, then send home any
+        // token resting idly next to a fork.
+        for k in 0..self.edges.len() {
+            self.maybe_yield(k, io);
+        }
+        for k in 0..self.edges.len() {
+            self.settle(k, io);
+        }
     }
 
     fn on_message(&mut self, io: &mut DiningIo<'_>, from: ProcessId, msg: DiningMsg) {
-        let DiningMsg::WfDx(m) = msg else {
+        let DiningMsg::WfDx(msg) = msg else {
             debug_assert!(false, "foreign message {msg:?}");
             return;
         };
-        self.core.on_message(io, from, m, wrap);
+        let Some(k) = self.edges.iter().position(|e| e.peer == from) else {
+            debug_assert!(false, "message from non-neighbor {from:?}");
+            return;
+        };
+        self.refresh_trust(io);
+        match msg {
+            WxMsg::Request(ts) => {
+                self.observe_clock(ts.clock);
+                let phase = self.phase;
+                let session = self.session;
+                let e = &mut self.edges[k];
+                debug_assert!(!e.has_token, "duplicate request token on one edge");
+                // A leftover pending can exist if the peer's previous session
+                // ended by suspicion-eating before we served it (the newer
+                // stamp supersedes it), and an equal stamp can legitimately
+                // arrive twice when a stale service let the peer yield and
+                // re-request within one session.
+                debug_assert!(
+                    e.pending.is_none_or(|old| old <= ts),
+                    "request stamps regress: pending={:?} incoming={:?} me={:?} from={from:?}",
+                    e.pending,
+                    ts,
+                    self.me
+                );
+                e.has_token = true;
+                // Record the request and serve it when the rules allow —
+                // immediately if we hold the fork and are not entitled to
+                // keep it, or later (fork arrival / our exit) otherwise.
+                e.pending = Some(ts);
+                if !e.has_fork && phase == DinerPhase::Hungry && !e.requested {
+                    // Hungry and fork-less with no request of our own in
+                    // flight (our session began while the token was away):
+                    // spend the token now or we would wait forever. The
+                    // `requested` flag caps this at one Request per session —
+                    // unconditional re-spending duplicates the same stamp,
+                    // and a stale duplicate can hand the peer both fork and
+                    // token permanently (found by property testing).
+                    e.has_token = false;
+                    e.requested = true;
+                    io.send(from, DiningMsg::WfDx(WxMsg::Request(session)));
+                }
+                self.maybe_yield(k, io);
+            }
+            WxMsg::TokenReturn { clock } => {
+                self.observe_clock(clock);
+                debug_assert!(!self.edges[k].has_token, "duplicate token on one edge");
+                self.edges[k].has_token = true;
+                let e = &mut self.edges[k];
+                if !e.has_fork && self.phase == DinerPhase::Hungry && !e.requested {
+                    // The returned token lets our stranded hunger signal.
+                    e.has_token = false;
+                    e.requested = true;
+                    let session = self.session;
+                    io.send(from, DiningMsg::WfDx(WxMsg::Request(session)));
+                } else {
+                    self.settle(k, io);
+                }
+            }
+            WxMsg::Fork { clock } => {
+                self.observe_clock(clock);
+                debug_assert!(!self.edges[k].has_fork, "duplicate fork on one edge");
+                self.edges[k].has_fork = true;
+                self.edges[k].requested = false;
+                // An outranking (or any, if we are not hungry) parked request
+                // is served before we consider eating: oldest session first.
+                self.maybe_yield(k, io);
+                self.try_eat(io);
+                self.settle(k, io);
+            }
+        }
     }
 
+    /// The tick-time `refresh_trust` + `try_eat`, asking the oracle once per
+    /// edge and using the answer for both.
+    ///
+    /// Under `SuspicionPolicy::Direct` a diner that is not hungry returns
+    /// before touching the oracle: it cannot start eating, and no transition
+    /// of that policy reads the `ever_trusted` bits the queries would refresh
+    /// (they do show in `==` and the packed state, so two endpoints compare
+    /// equal only if ticked alike — the explorer ticks hungry endpoints only).
     fn on_tick(&mut self, io: &mut DiningIo<'_>) {
-        self.core.on_tick(io);
+        let hungry = self.phase == DinerPhase::Hungry;
+        if !hungry && self.policy == SuspicionPolicy::Direct {
+            return;
+        }
+        let mut satisfied = true;
+        for e in &mut self.edges {
+            let suspected = io.suspected(e.peer);
+            e.ever_trusted |= !suspected;
+            satisfied &= e.has_fork || Self::suspicion_satisfies(self.policy, e, suspected);
+        }
+        if hungry && self.gate_open && satisfied {
+            self.start_eating();
+        }
     }
 
-    // `ForkCore::on_tick` under `SuspicionPolicy::Direct` returns at once
-    // unless hungry.
+    // `on_tick` under `SuspicionPolicy::Direct` returns at once unless
+    // hungry; a trust-gated diner refreshes its trust bits in every phase.
     fn ticks_only_while_hungry(&self) -> bool {
-        true
+        self.policy == SuspicionPolicy::Direct
     }
 
     fn phase(&self) -> DinerPhase {
-        self.core.phase()
+        self.phase
     }
 }
 
@@ -807,9 +759,9 @@ mod tests {
             p(0),
             dinefd_fd::MistakePlan::from_intervals(vec![(Time(0), Time(100))]),
         );
-        let mut core = ForkCore::new(p(1), &[p(0)], SuspicionPolicy::TrustGated);
+        let mut core = WfDxDining::trust_gated(p(1), &[p(0)]);
         let mut io = DiningIo::new(p(1), Time(1), &oracle);
-        core.hungry(&mut io, wrap);
+        core.hungry(&mut io);
         assert_eq!(core.phase(), DinerPhase::Hungry, "pre-trust suspicion must not grant");
         let mut io = DiningIo::new(p(1), Time(150), &oracle);
         core.on_tick(&mut io);
@@ -819,6 +771,60 @@ mod tests {
         let mut io = DiningIo::new(p(1), Time(300), &oracle2);
         core.on_tick(&mut io);
         assert_eq!(core.phase(), DinerPhase::Eating);
+    }
+
+    #[test]
+    fn pre_trust_suspicion_never_grants() {
+        // The oracle suspects p0 from the start (legal for T before first
+        // trust); the trust gate must keep p1 hungry.
+        let mut oracle = InjectedOracle::perfect(2, CrashPlan::none(), 0);
+        oracle.set_mistakes(
+            p(1),
+            p(0),
+            dinefd_fd::MistakePlan::from_intervals(vec![(Time(0), Time(50))]),
+        );
+        let mut d = WfDxDining::trust_gated(p(1), &[p(0)]);
+        let mut io = DiningIo::new(p(1), Time(1), &oracle);
+        d.hungry(&mut io);
+        assert_eq!(d.phase(), DinerPhase::Hungry);
+        let mut io = DiningIo::new(p(1), Time(40), &oracle);
+        d.on_tick(&mut io);
+        assert_eq!(d.phase(), DinerPhase::Hungry);
+    }
+
+    #[test]
+    fn post_trust_crash_suspicion_grants() {
+        let oracle = InjectedOracle::perfect(2, CrashPlan::one(p(0), Time(100)), 10);
+        let mut d = WfDxDining::trust_gated(p(1), &[p(0)]);
+        // Establish trust before the crash.
+        let mut io = DiningIo::new(p(1), Time(5), &oracle);
+        d.hungry(&mut io);
+        assert_eq!(d.phase(), DinerPhase::Hungry);
+        let mut io = DiningIo::new(p(1), Time(50), &oracle);
+        d.on_tick(&mut io);
+        assert_eq!(d.phase(), DinerPhase::Hungry);
+        // After the crash is detected, the gate is open and the edge is
+        // satisfied by (crash-implied) suspicion.
+        let mut io = DiningIo::new(p(1), Time(120), &oracle);
+        d.on_tick(&mut io);
+        assert_eq!(d.phase(), DinerPhase::Eating);
+    }
+
+    #[test]
+    fn fork_flow_matches_wfdx() {
+        let oracle = InjectedOracle::perfect(2, CrashPlan::none(), 0);
+        let mut d = WfDxDining::trust_gated(p(1), &[p(0)]);
+        let mut io = DiningIo::new(p(1), Time(0), &oracle);
+        d.hungry(&mut io);
+        let fx = io.finish();
+        assert!(matches!(fx.sends[0], (_, DiningMsg::WfDx(WxMsg::Request(_)))));
+        let mut io = DiningIo::new(p(1), Time(1), &oracle);
+        d.on_message(&mut io, p(0), fork(3));
+        assert_eq!(d.phase(), DinerPhase::Eating);
+        assert!(d.holds_fork(p(0)));
+        // Only the Direct policy promises tick-skipping.
+        assert!(!d.ticks_only_while_hungry());
+        assert!(WfDxDining::new(p(1), &[p(0)]).ticks_only_while_hungry());
     }
 
     /// Counts the queries it answers (never suspecting).
@@ -839,19 +845,19 @@ mod tests {
     #[test]
     fn a_tick_asks_the_oracle_once_per_edge_and_not_at_all_when_it_cannot_matter() {
         let fd = CountingOracle(std::cell::Cell::new(0));
-        let queries = |core: &mut ForkCore| {
+        let queries = |core: &mut WfDxDining| {
             let before = fd.0.get();
             core.on_tick(&mut DiningIo::new(p(1), Time(1), &fd));
             fd.0.get() - before
         };
-        let mut direct = ForkCore::new(p(1), &[p(0), p(2)], SuspicionPolicy::Direct);
+        let mut direct = WfDxDining::new(p(1), &[p(0), p(2)]);
         assert_eq!(queries(&mut direct), 0, "thinking under Direct: nothing to re-check");
-        direct.hungry(&mut DiningIo::new(p(1), Time(0), &fd), wrap);
+        direct.hungry(&mut DiningIo::new(p(1), Time(0), &fd));
         assert_eq!(direct.phase(), DinerPhase::Hungry);
         assert_eq!(queries(&mut direct), 2, "hungry: one query per edge");
         // A trust-gated diner reads its trust bits later, so it keeps
         // refreshing them in every phase — still once per edge.
-        let mut gated = ForkCore::new(p(1), &[p(0), p(2)], SuspicionPolicy::TrustGated);
+        let mut gated = WfDxDining::trust_gated(p(1), &[p(0), p(2)]);
         assert_eq!(queries(&mut gated), 2);
         assert!(gated.edges.iter().all(|e| e.ever_trusted));
     }
@@ -972,7 +978,7 @@ mod tests {
             let mut io = DiningIo::new(p(0), Time(t * 10), &fd);
             d.hungry(&mut io);
             assert_eq!(d.phase(), DinerPhase::Eating);
-            let s = d.core.session();
+            let s = d.session();
             assert!(s > last, "session ts must increase: {last:?} → {s:?}");
             last = s;
             let mut io = DiningIo::new(p(0), Time(t * 10 + 1), &fd);

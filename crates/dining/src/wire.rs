@@ -10,31 +10,19 @@
 
 use dinefd_sim::{Wire, WireError, WireReader, WireWriter};
 
-use crate::abstract_dining::AbMsg;
-use crate::delayed::DcMsg;
+use crate::coord::CoordMsg;
 use crate::fair::FairMsg;
-use crate::ftme::FtMsg;
 use crate::hygienic::HyMsg;
 use crate::participant::DiningMsg;
-use crate::unfair::UfMsg;
 use crate::wfdx::{Ts, WxMsg};
-
-impl Wire for Ts {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.clock);
-        w.u32(self.id);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Ts { clock: r.u64()?, id: r.u32()? })
-    }
-}
 
 impl Wire for WxMsg {
     fn encode(&self, w: &mut WireWriter) {
         match self {
             WxMsg::Request(ts) => {
                 w.u8(0);
-                ts.encode(w);
+                w.u64(ts.clock);
+                w.u32(ts.id);
             }
             WxMsg::Fork { clock } => {
                 w.u8(1);
@@ -48,7 +36,7 @@ impl Wire for WxMsg {
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
-            0 => Ok(WxMsg::Request(Ts::decode(r)?)),
+            0 => Ok(WxMsg::Request(Ts { clock: r.u64()?, id: r.u32()? })),
             1 => Ok(WxMsg::Fork { clock: r.u64()? }),
             2 => Ok(WxMsg::TokenReturn { clock: r.u64()? }),
             t => Err(WireError::BadTag(t)),
@@ -72,82 +60,19 @@ impl Wire for HyMsg {
     }
 }
 
-impl Wire for DcMsg {
+impl Wire for CoordMsg {
     fn encode(&self, w: &mut WireWriter) {
         w.u8(match self {
-            DcMsg::Request => 0,
-            DcMsg::Grant => 1,
-            DcMsg::Release => 2,
+            CoordMsg::Request => 0,
+            CoordMsg::Grant => 1,
+            CoordMsg::Release => 2,
         });
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
-            0 => Ok(DcMsg::Request),
-            1 => Ok(DcMsg::Grant),
-            2 => Ok(DcMsg::Release),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
-
-impl Wire for AbMsg {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u8(match self {
-            AbMsg::Request => 0,
-            AbMsg::Grant => 1,
-            AbMsg::Release => 2,
-        });
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(AbMsg::Request),
-            1 => Ok(AbMsg::Grant),
-            2 => Ok(AbMsg::Release),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
-
-impl Wire for UfMsg {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u8(match self {
-            UfMsg::Request => 0,
-            UfMsg::Grant => 1,
-            UfMsg::Release => 2,
-        });
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(UfMsg::Request),
-            1 => Ok(UfMsg::Grant),
-            2 => Ok(UfMsg::Release),
-            t => Err(WireError::BadTag(t)),
-        }
-    }
-}
-
-impl Wire for FtMsg {
-    fn encode(&self, w: &mut WireWriter) {
-        match self {
-            FtMsg::Request(ts) => {
-                w.u8(0);
-                ts.encode(w);
-            }
-            FtMsg::Fork { clock } => {
-                w.u8(1);
-                w.u64(*clock);
-            }
-            FtMsg::TokenReturn { clock } => {
-                w.u8(2);
-                w.u64(*clock);
-            }
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match r.u8()? {
-            0 => Ok(FtMsg::Request(Ts::decode(r)?)),
-            1 => Ok(FtMsg::Fork { clock: r.u64()? }),
-            2 => Ok(FtMsg::TokenReturn { clock: r.u64()? }),
+            0 => Ok(CoordMsg::Request),
+            1 => Ok(CoordMsg::Grant),
+            2 => Ok(CoordMsg::Release),
             t => Err(WireError::BadTag(t)),
         }
     }
@@ -155,35 +80,22 @@ impl Wire for FtMsg {
 
 impl Wire for FairMsg {
     fn encode(&self, w: &mut WireWriter) {
-        match self {
-            FairMsg::Request(ts) => {
-                w.u8(0);
-                ts.encode(w);
-            }
-            FairMsg::Fork { clock } => {
-                w.u8(1);
-                w.u64(*clock);
-            }
-            FairMsg::TokenReturn { clock } => {
-                w.u8(2);
-                w.u64(*clock);
-            }
-            FairMsg::Hungry => w.u8(3),
-            FairMsg::Done => w.u8(4),
-        }
+        w.u8(match self {
+            FairMsg::Hungry => 0,
+            FairMsg::Done => 1,
+        });
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         match r.u8()? {
-            0 => Ok(FairMsg::Request(Ts::decode(r)?)),
-            1 => Ok(FairMsg::Fork { clock: r.u64()? }),
-            2 => Ok(FairMsg::TokenReturn { clock: r.u64()? }),
-            3 => Ok(FairMsg::Hungry),
-            4 => Ok(FairMsg::Done),
+            0 => Ok(FairMsg::Hungry),
+            1 => Ok(FairMsg::Done),
             t => Err(WireError::BadTag(t)),
         }
     }
 }
 
+/// One tag byte per protocol, then that protocol's codec. Tags 0/1/2 are
+/// the ones the hygienic, ◇P-fork and coordinator traffic always carried.
 impl Wire for DiningMsg {
     fn encode(&self, w: &mut WireWriter) {
         match self {
@@ -195,24 +107,12 @@ impl Wire for DiningMsg {
                 w.u8(1);
                 m.encode(w);
             }
-            DiningMsg::Delayed(m) => {
+            DiningMsg::Coord(m) => {
                 w.u8(2);
                 m.encode(w);
             }
-            DiningMsg::Abstract(m) => {
-                w.u8(3);
-                m.encode(w);
-            }
-            DiningMsg::Ftme(m) => {
-                w.u8(4);
-                m.encode(w);
-            }
             DiningMsg::Fair(m) => {
-                w.u8(5);
-                m.encode(w);
-            }
-            DiningMsg::Unfair(m) => {
-                w.u8(6);
+                w.u8(3);
                 m.encode(w);
             }
         }
@@ -221,11 +121,8 @@ impl Wire for DiningMsg {
         match r.u8()? {
             0 => Ok(DiningMsg::Hygienic(HyMsg::decode(r)?)),
             1 => Ok(DiningMsg::WfDx(WxMsg::decode(r)?)),
-            2 => Ok(DiningMsg::Delayed(DcMsg::decode(r)?)),
-            3 => Ok(DiningMsg::Abstract(AbMsg::decode(r)?)),
-            4 => Ok(DiningMsg::Ftme(FtMsg::decode(r)?)),
-            5 => Ok(DiningMsg::Fair(FairMsg::decode(r)?)),
-            6 => Ok(DiningMsg::Unfair(UfMsg::decode(r)?)),
+            2 => Ok(DiningMsg::Coord(CoordMsg::decode(r)?)),
+            3 => Ok(DiningMsg::Fair(FairMsg::decode(r)?)),
             t => Err(WireError::BadTag(t)),
         }
     }
@@ -249,32 +146,39 @@ mod tests {
             DiningMsg::WfDx(WxMsg::Request(ts)),
             DiningMsg::WfDx(WxMsg::Fork { clock: 0 }),
             DiningMsg::WfDx(WxMsg::TokenReturn { clock: 9 }),
-            DiningMsg::Delayed(DcMsg::Request),
-            DiningMsg::Delayed(DcMsg::Grant),
-            DiningMsg::Delayed(DcMsg::Release),
-            DiningMsg::Abstract(AbMsg::Request),
-            DiningMsg::Abstract(AbMsg::Grant),
-            DiningMsg::Abstract(AbMsg::Release),
-            DiningMsg::Ftme(FtMsg::Request(ts)),
-            DiningMsg::Ftme(FtMsg::Fork { clock: 77 }),
-            DiningMsg::Ftme(FtMsg::TokenReturn { clock: 78 }),
-            DiningMsg::Fair(FairMsg::Request(ts)),
-            DiningMsg::Fair(FairMsg::Fork { clock: 1 }),
-            DiningMsg::Fair(FairMsg::TokenReturn { clock: 2 }),
+            DiningMsg::Coord(CoordMsg::Request),
+            DiningMsg::Coord(CoordMsg::Grant),
+            DiningMsg::Coord(CoordMsg::Release),
             DiningMsg::Fair(FairMsg::Hungry),
             DiningMsg::Fair(FairMsg::Done),
-            DiningMsg::Unfair(UfMsg::Request),
-            DiningMsg::Unfair(UfMsg::Grant),
-            DiningMsg::Unfair(UfMsg::Release),
         ] {
             roundtrip(msg);
         }
     }
 
+    /// The live transport's tag numbering, stated: one frame per protocol.
+    #[test]
+    fn each_protocol_has_its_golden_frame() {
+        let golden: [(DiningMsg, &[u8]); 4] = [
+            (DiningMsg::Hygienic(HyMsg::Fork), &[0, 1]),
+            (
+                DiningMsg::WfDx(WxMsg::Request(Ts { clock: 0x0102, id: 7 })),
+                &[1, 0, 0x02, 0x01, 0, 0, 0, 0, 0, 0, 7, 0, 0, 0],
+            ),
+            (DiningMsg::Coord(CoordMsg::Release), &[2, 2]),
+            (DiningMsg::Fair(FairMsg::Done), &[3, 1]),
+        ];
+        for (msg, bytes) in golden {
+            assert_eq!(msg.to_bytes(), bytes, "frame of {msg:?}");
+            assert_eq!(DiningMsg::from_bytes(bytes).unwrap(), msg);
+        }
+    }
+
     #[test]
     fn unknown_tags_are_rejected() {
-        assert!(DiningMsg::from_bytes(&[7]).is_err());
+        assert!(DiningMsg::from_bytes(&[4]).is_err());
         assert!(DiningMsg::from_bytes(&[0, 2]).is_err());
+        assert!(DiningMsg::from_bytes(&[3, 2]).is_err());
         assert!(DiningMsg::from_bytes(&[]).is_err());
     }
 
