@@ -3,21 +3,41 @@
 //! Usage: `tables [--quick] [--json] [--bench-json] [e1 e2 …]` — no ids =
 //! run everything; `--json` emits one JSON document with every report
 //! instead of markdown; `--bench-json` additionally writes the
-//! machine-readable perf reports `BENCH_sim.json`, `BENCH_explore.json`,
-//! and `BENCH_experiments.json` to the current directory (schema in
-//! `EXPERIMENTS.md`).
+//! deterministic golden `BENCH_experiments.json` to the current directory,
+//! folded from the reports of this run (schema in `EXPERIMENTS.md`). An
+//! unknown flag or experiment id is a usage error (exit 2) before anything
+//! runs.
 
-use dinefd_bench::experiments::{run_by_id, ALL};
-use dinefd_bench::{perfdump, ExperimentConfig};
+use std::collections::BTreeMap;
+use std::process::ExitCode;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json = args.iter().any(|a| a == "--json");
-    let bench_json = args.iter().any(|a| a == "--bench-json");
+use dinefd_bench::experiments::{by_id, ALL};
+use dinefd_bench::{perfdump, timed, ExperimentConfig};
+
+const USAGE: &str = "usage: tables [--quick] [--json] [--bench-json] [e1 … e13]";
+
+fn main() -> ExitCode {
+    let (mut quick, mut json, mut bench_json) = (false, false, false);
+    let mut runs = Vec::new();
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--json" => json = true,
+            "--bench-json" => bench_json = true,
+            id => match by_id(id) {
+                Some(run) => runs.push((id.to_string(), run)),
+                None => {
+                    let what = if id.starts_with('-') { "flag" } else { "experiment id" };
+                    eprintln!("tables: unknown {what} `{id}`\n{USAGE}");
+                    return ExitCode::from(2);
+                }
+            },
+        }
+    }
+    if runs.is_empty() {
+        runs = ALL.iter().filter_map(|&id| Some((id.to_string(), by_id(id)?))).collect();
+    }
     let cfg = if quick { ExperimentConfig::quick() } else { ExperimentConfig::full() };
-    let ids: Vec<&str> = args.iter().filter(|a| !a.starts_with("--")).map(|s| s.as_str()).collect();
-    let ids: Vec<&str> = if ids.is_empty() { ALL.to_vec() } else { ids };
     if !json {
         println!(
             "# dinefd experiment tables ({} profile, {} seeds/config)\n",
@@ -26,44 +46,28 @@ fn main() {
         );
     }
     let mut reports = Vec::new();
-    let mut bench_entries = Vec::new();
-    for id in ids {
-        let started = std::time::Instant::now();
-        match run_by_id(id, &cfg) {
-            Some(report) => {
-                let secs = started.elapsed().as_secs_f64();
-                if bench_json {
-                    bench_entries.push((id.to_string(), report.metrics.clone(), secs));
-                }
-                if json {
-                    reports.push((id, report));
-                } else {
-                    println!("{report}");
-                }
-                eprintln!("[{id} done in {:.1?}]", started.elapsed());
-            }
-            None => eprintln!("unknown experiment id: {id}"),
+    for (id, run) in runs {
+        let (report, secs) = timed(|| run(&cfg));
+        if !json {
+            println!("{report}");
         }
+        eprintln!("[{id} done in {secs:.1}s]");
+        reports.push((id, report));
     }
     if json {
-        let doc: std::collections::BTreeMap<&str, _> = reports.into_iter().collect();
+        let doc: BTreeMap<&str, _> = reports.iter().map(|(id, r)| (id.as_str(), r)).collect();
         println!("{}", serde_json::to_string_pretty(&doc).expect("serializable"));
     }
     if bench_json {
-        let dir = std::env::current_dir().expect("cwd");
-        let docs = [
-            ("experiments", perfdump::experiments_bench(quick, &bench_entries)),
-            ("sim", perfdump::sim_bench(quick)),
-            ("explore", perfdump::explore_bench(quick)),
-        ];
-        for (stem, doc) in &docs {
-            match perfdump::write_bench(&dir, stem, doc) {
-                Ok(path) => eprintln!("[wrote {}]", path.display()),
-                Err(e) => {
-                    eprintln!("failed to write BENCH_{stem}.json: {e}");
-                    std::process::exit(1);
-                }
-            }
+        let doc = perfdump::experiments_bench(
+            quick,
+            reports.iter().map(|(id, r)| (id.as_str(), &r.metrics)),
+        );
+        if let Err(e) = std::fs::write(perfdump::BENCH_FILE, doc.to_json()) {
+            eprintln!("failed to write {}: {e}", perfdump::BENCH_FILE);
+            return ExitCode::FAILURE;
         }
+        eprintln!("[wrote {}]", perfdump::BENCH_FILE);
     }
+    ExitCode::SUCCESS
 }

@@ -6,7 +6,7 @@ use dinefd_explore::{explore, explore_composed, fair_run, ComposedConfig, Explor
 use dinefd_sim::MetricMap;
 
 use crate::table::{Report, Table};
-use crate::ExperimentConfig;
+use crate::{timed, ExperimentConfig};
 
 /// Worker count of the cross-check column.
 const PAR_THREADS: usize = 4;
@@ -47,7 +47,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                     allow_crash,
                     ..Default::default()
                 };
-                let report = explore(&base);
+                let (report, secs) = timed(|| explore(&base));
                 // Cross-checks: several workers and the POR run must reach
                 // the same verdict on the same configuration.
                 let par = explore(&ExploreConfig { threads: PAR_THREADS, ..base });
@@ -73,7 +73,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                     report.transitions.to_string(),
                     report.violations.len().to_string(),
                     report.deadlocks.to_string(),
-                    format!("{:.0}", report.stats.states_per_sec / 1_000.0),
+                    format!("{:.0}", report.states_visited as f64 / secs / 1_000.0),
                     if agree { "yes".into() } else { "NO".to_string() },
                     if por_agree { "yes".into() } else { "NO".to_string() },
                 ]);
@@ -108,7 +108,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                 strict_seq: false,
                 ..Default::default()
             };
-            let r = explore_composed(&base);
+            let (r, secs) = timed(|| explore_composed(&base));
             let par = explore_composed(&ComposedConfig { threads: PAR_THREADS, ..base });
             let por = explore_composed(&ComposedConfig { por: true, ..base });
             let agree = par.states_visited == r.states_visited
@@ -132,7 +132,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                 r.transitions.to_string(),
                 r.violations.len().to_string(),
                 r.deadlocks.to_string(),
-                format!("{:.0}", r.stats.states_per_sec / 1_000.0),
+                format!("{:.0}", r.states_visited as f64 / secs / 1_000.0),
                 if agree { "yes".into() } else { "NO".to_string() },
                 if por_agree { "yes".into() } else { "NO".to_string() },
                 por.stats.sleep_skips.get().to_string(),

@@ -2,14 +2,12 @@
 //! paper is proof-only). All-ordered-pairs monitoring over `n` processes:
 //! message/step cost and convergence latency as `n` grows.
 
-use std::time::Instant;
-
-use dinefd_core::{run_extraction, BlackBox, OracleSpec, Scenario};
+use dinefd_core::{run_extraction, BlackBox, ExtractionResult, OracleSpec, Scenario};
 use dinefd_explore::{explore, ExploreConfig};
 use dinefd_sim::{CrashPlan, MetricMap, ProcessId, Summary, Time};
 
 use crate::table::{Report, Table};
-use crate::{parallel_map, ExperimentConfig};
+use crate::{parallel_map, timed, ExperimentConfig};
 
 /// Sizes from which the scale sweep switches to the streaming pipeline
 /// (online history sink + envelope batching): beyond here a full trace
@@ -30,14 +28,15 @@ fn frontier_sizes() -> &'static [(usize, u64)] {
     }
 }
 
-/// The parallel frontier: the subset of [`frontier_sizes`] each thread
-/// count re-runs. Dropping the smallest release row keeps the sweep's
-/// wall-clock sane (4 thread counts × every row).
-fn par_frontier_sizes() -> &'static [(usize, u64)] {
+/// The smallest frontier row the parallel frontier re-runs at 2, 4 and 8
+/// threads (its threads = 1 row is the frontier's own streamed run).
+/// Skipping the smallest release row keeps the sweep's wall-clock sane;
+/// debug builds run every miniature row.
+fn par_from() -> usize {
     if cfg!(debug_assertions) {
-        &[(8, 256), (16, 128)]
+        0
     } else {
-        &[(256, 256), (512, 128), (1024, 64)]
+        256
     }
 }
 
@@ -47,8 +46,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
         if cfg.seeds <= 3 { &[2, 4, 8, 32, 64] } else { &[2, 4, 8, 12, 16, 32, 64] };
     let mut metrics = MetricMap::new();
     let table = scale_table(cfg, sizes, STREAM_FROM, &mut metrics);
-    let sharded = frontier_table(frontier_sizes(), 4, &mut metrics);
-    let parallel = parallel_frontier(par_frontier_sizes(), 4, &mut metrics);
+    let (sharded, parallel) = frontier_tables(frontier_sizes(), par_from(), 4, &mut metrics);
     let explorer = explorer_scaling(cfg, &mut metrics);
     let frontier = depth_frontier(cfg, &mut metrics);
 
@@ -67,10 +65,10 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                    worlds (timer-wheel queues, pid-partitioned nodes) and \
                    differentially re-runs every row post-hoc: the streaming \
                    history must match the trace-derived one byte for byte. \
-                   The parallel-frontier table re-runs the sharded worlds on \
-                   the shard-worker pool across thread counts; the fourth table \
-                   sweeps the lemma explorer's search loop over thread \
-                   counts on a fixed state space."
+                   The parallel-frontier table re-runs the larger sharded \
+                   worlds on the shard-worker pool at 2, 4 and 8 threads; the \
+                   fourth table sweeps the lemma explorer's search loop over \
+                   thread counts on a fixed state space."
             .into(),
         tables: vec![table, sharded, parallel, explorer, frontier],
         notes: vec![
@@ -89,10 +87,12 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
              keys."
                 .into(),
             "Parallel-frontier rows run the same sharded world on the shard-worker \
-             pool at each thread count; every parallel row is asserted \
-             byte-identical to its threads=1 reference in-process (steps, \
-             messages, metric export, extracted history) before its throughput \
-             is reported. \"barrier %\" is barrier-wait as a share of total \
+             pool at each thread count; the threads=1 row is the frontier \
+             table's streamed run itself, and every parallel row is asserted \
+             byte-identical to it in-process (steps, messages, metric export, \
+             extracted history) before its throughput is reported. \"ksteps/s\" \
+             and \"speedup\" time the whole extraction call, here and in the \
+             frontier table. \"barrier %\" is barrier-wait as a share of total \
              worker wall-clock — on a single-core host expect speedup < 1x and \
              a high barrier share; the determinism columns are the part that \
              must hold everywhere."
@@ -126,6 +126,8 @@ struct ScaleRun {
     peak_resident: u64,
     envelopes: u64,
     history_changes: u64,
+    /// The simulator's metric export of the run.
+    sim: MetricMap,
 }
 
 /// The all-pairs extraction sweep over `sizes`; rows at `stream_from` and
@@ -171,9 +173,7 @@ fn scale_table(
             sc.streaming = streaming;
             sc.batch_envelopes = streaming;
             let crashes = sc.crashes.clone();
-            let start = Instant::now();
-            let res = run_extraction(sc);
-            let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;
+            let (res, secs) = timed(|| run_extraction(sc));
             let acc = res.history.eventual_strong_accuracy(&crashes);
             let complete = res.history.strong_completeness(&crashes).is_ok();
             let stabilized = acc
@@ -192,10 +192,11 @@ fn scale_table(
                 messages: res.messages_sent,
                 steps: res.steps,
                 stabilized,
-                wall_ms,
+                wall_ms: secs * 1_000.0,
                 peak_resident,
                 envelopes: res.metrics.get("envelopes_sent").copied().unwrap_or(0),
                 history_changes: res.history_changes,
+                sim: res.metrics,
             }
         });
         let pairs = n * (n - 1);
@@ -224,6 +225,7 @@ fn scale_table(
         metrics.insert(format!("n{n}.envelopes_sent_total"), envelopes);
         metrics.insert(format!("n{n}.peak_resident_entries_max"), peak);
         metrics.insert(format!("n{n}.streaming"), streaming as u64);
+        insert_sim(metrics, n, &results[0].sim);
         table.row(vec![
             n.to_string(),
             pairs.to_string(),
@@ -246,13 +248,37 @@ fn scale_table(
     table
 }
 
-/// The n ≥ 128 sharded frontier. One seed per size (each run is expensive
-/// but deterministic), streaming + envelope batching + `shards`-way
-/// [`dinefd_sim::ShardedWorld`]s, and a full streaming-vs-post-hoc
-/// differential at every size: both modes must agree on step and message
-/// counts, the metric export, and the extracted history.
-fn frontier_table(sizes: &[(usize, u64)], shards: usize, metrics: &mut MetricMap) -> Table {
-    let mut table = Table::new(
+/// Records a run's simulator metric export under `n{n}.sim.`.
+fn insert_sim(metrics: &mut MetricMap, n: usize, sim: &MetricMap) {
+    for (k, v) in sim {
+        metrics.insert(format!("n{n}.sim.{k}"), *v);
+    }
+}
+
+/// Whether two extraction runs are the same run: step and message counts,
+/// the metric export, and the extracted history.
+fn same_run(a: &ExtractionResult, b: &ExtractionResult) -> bool {
+    a.steps == b.steps
+        && a.messages_sent == b.messages_sent
+        && a.metrics == b.metrics
+        && format!("{:?}", a.history) == format!("{:?}", b.history)
+}
+
+/// The n ≥ 128 sharded frontier and its thread-scaling table. One seed per
+/// size (each run is expensive but deterministic), streaming + envelope
+/// batching + `shards`-way [`dinefd_sim::ShardedWorld`]s, and a full
+/// streaming-vs-post-hoc differential at every size: both modes must agree
+/// on step and message counts, the metric export, and the extracted
+/// history. Rows from `par_from` up then re-run the streamed world on the
+/// shard-worker pool at 2, 4 and 8 threads, each asserted identical to the
+/// streamed run, which is the parallel table's threads = 1 row.
+fn frontier_tables(
+    sizes: &[(usize, u64)],
+    par_from: usize,
+    shards: usize,
+    metrics: &mut MetricMap,
+) -> (Table, Table) {
+    let mut sharded = Table::new(
         "Sharded scale frontier (4-way sharded worlds, timer-wheel queues)",
         &[
             "n",
@@ -267,8 +293,12 @@ fn frontier_table(sizes: &[(usize, u64)], shards: usize, metrics: &mut MetricMap
             "wall ms",
         ],
     );
+    let mut parallel = Table::new(
+        "Parallel shard-worker frontier (4-way sharded worlds, thread-scaling)",
+        &["n", "threads", "steps", "ksteps/s", "speedup", "barrier %", "identical"],
+    );
     for &(n, horizon) in sizes {
-        let build = |streaming: bool| {
+        let run = |streaming: bool, threads: usize| {
             let mut sc = Scenario::all_pairs(n, BlackBox::WfDx, 8_000);
             sc.oracle = OracleSpec::DiamondP {
                 lag: 20,
@@ -281,20 +311,14 @@ fn frontier_table(sizes: &[(usize, u64)], shards: usize, metrics: &mut MetricMap
             sc.streaming = streaming;
             sc.batch_envelopes = true;
             sc.shards = shards;
-            sc
+            sc.threads = threads;
+            timed(|| run_extraction(sc))
         };
-        let start = Instant::now();
-        let streamed = run_extraction(build(true));
-        let wall_ms = start.elapsed().as_secs_f64() * 1_000.0;
-        let posthoc = run_extraction(build(false));
-        let differential_ok = streamed.steps == posthoc.steps
-            && streamed.messages_sent == posthoc.messages_sent
-            && streamed.metrics == posthoc.metrics
-            && format!("{:?}", streamed.history) == format!("{:?}", posthoc.history);
+        let (streamed, secs) = run(true, 1);
+        let differential_ok = same_run(&streamed, &run(false, 1).0);
         assert!(differential_ok, "n={n}: streaming and post-hoc sharded runs diverged");
         let pairs = (n * (n - 1)) as u64;
         let peak_resident = (n * n) as u64 + streamed.history_changes;
-        let sim_secs = streamed.profiler.report().phase_secs("simulate");
         metrics.insert(format!("n{n}.sim_steps_total"), streamed.steps);
         metrics.insert(format!("n{n}.messages_sent_total"), streamed.messages_sent);
         metrics.insert(
@@ -306,61 +330,28 @@ fn frontier_table(sizes: &[(usize, u64)], shards: usize, metrics: &mut MetricMap
         metrics.insert(format!("n{n}.streaming"), 1);
         metrics.insert(format!("n{n}.shards"), shards as u64);
         metrics.insert(format!("n{n}.differential_ok"), differential_ok as u64);
-        table.row(vec![
+        insert_sim(metrics, n, &streamed.metrics);
+        sharded.row(vec![
             n.to_string(),
             pairs.to_string(),
             horizon.to_string(),
             streamed.steps.to_string(),
             format!("{:.1}", streamed.messages_sent as f64 / pairs as f64),
-            format!("{:.0}", streamed.steps as f64 / sim_secs / 1_000.0),
+            format!("{:.0}", streamed.steps as f64 / secs / 1_000.0),
             format!("{:.0}", streamed.node_resident_bytes as f64 / pairs as f64),
             peak_resident.to_string(),
             if differential_ok { "yes".into() } else { "NO".to_string() },
-            format!("{wall_ms:.0}"),
+            format!("{:.0}", secs * 1_000.0),
         ]);
-    }
-    table
-}
-
-/// Thread-scaling sweep of the parallel shard workers: the same sharded
-/// extraction at each thread count, byte-identical results asserted
-/// in-process, throughput/speedup/barrier-overhead per row. Deterministic
-/// keys land once per size; per-thread throughput is wall-clock only.
-fn parallel_frontier(sizes: &[(usize, u64)], shards: usize, metrics: &mut MetricMap) -> Table {
-    let mut table = Table::new(
-        "Parallel shard-worker frontier (4-way sharded worlds, thread-scaling)",
-        &["n", "threads", "steps", "ksteps/s", "speedup", "barrier %", "identical"],
-    );
-    for &(n, horizon) in sizes {
-        let run = |threads: usize| {
-            let mut sc = Scenario::all_pairs(n, BlackBox::WfDx, 8_000);
-            sc.oracle = OracleSpec::DiamondP {
-                lag: 20,
-                convergence: Time(horizon / 2),
-                max_mistakes: 1,
-                max_len: 16,
-            };
-            sc.horizon = Time(horizon);
-            sc.crashes = CrashPlan::one(ProcessId::from_index(n - 1), Time(horizon / 2));
-            sc.streaming = true;
-            sc.batch_envelopes = true;
-            sc.shards = shards;
-            sc.threads = threads;
-            run_extraction(sc)
-        };
-        let reference = run(1);
-        metrics.insert(format!("par.n{n}.sim_steps_total"), reference.steps);
-        metrics.insert(format!("par.n{n}.messages_sent_total"), reference.messages_sent);
-        let ref_secs = reference.profiler.report().phase_secs("simulate");
+        if n < par_from {
+            continue;
+        }
         for threads in [1usize, 2, 4, 8] {
-            let res = if threads == 1 { &reference } else { &run(threads) };
-            let identical = res.steps == reference.steps
-                && res.messages_sent == reference.messages_sent
-                && res.metrics == reference.metrics
-                && format!("{:?}", res.history) == format!("{:?}", reference.history);
+            let rerun = (threads > 1).then(|| run(true, threads));
+            let (res, res_secs) = rerun.as_ref().map_or((&streamed, secs), |(r, t)| (r, *t));
+            let identical = rerun.is_none() || same_run(res, &streamed);
             assert!(identical, "n={n} threads={threads}: parallel run diverged from sequential");
             metrics.insert(format!("par.t{threads}.n{n}.identical"), identical as u64);
-            let sim_secs = res.profiler.report().phase_secs("simulate");
             let (busy, wait) = res.worker_stats.iter().fold((0u64, 0u64), |(b, w), s| {
                 (b + s.busy_micros.sum(), w + s.barrier_wait_micros.sum())
             });
@@ -369,18 +360,18 @@ fn parallel_frontier(sizes: &[(usize, u64)], shards: usize, metrics: &mut Metric
             } else {
                 "-".into()
             };
-            table.row(vec![
+            parallel.row(vec![
                 n.to_string(),
                 threads.to_string(),
                 res.steps.to_string(),
-                format!("{:.0}", res.steps as f64 / sim_secs / 1_000.0),
-                format!("{:.2}x", ref_secs / sim_secs),
+                format!("{:.0}", res.steps as f64 / res_secs / 1_000.0),
+                format!("{:.2}x", secs / res_secs),
                 barrier_pct,
                 if identical { "yes".into() } else { "NO".to_string() },
             ]);
         }
     }
-    table
+    (sharded, parallel)
 }
 
 /// Thread-scaling sweep of the parallel lemma explorer: same state space,
@@ -409,21 +400,25 @@ fn explorer_scaling(cfg: &ExperimentConfig, metrics: &mut MetricMap) -> Table {
     let mut serial_mean = 0.0;
     for &threads in &[1usize, 2, 4, 8] {
         let runs: Vec<_> =
-            (0..repeats).map(|_| explore(&ExploreConfig { threads, ..base })).collect();
-        let thrpt =
-            Summary::of(&runs.iter().map(|r| r.stats.states_per_sec / 1_000.0).collect::<Vec<_>>())
-                .expect("non-empty sample");
+            (0..repeats).map(|_| timed(|| explore(&ExploreConfig { threads, ..base }))).collect();
+        let thrpt = Summary::of(
+            &runs
+                .iter()
+                .map(|(r, secs)| r.states_visited as f64 / secs / 1_000.0)
+                .collect::<Vec<_>>(),
+        )
+        .expect("non-empty sample");
         let steals =
-            Summary::of_u64(&runs.iter().map(|r| r.stats.steals.get()).collect::<Vec<_>>())
+            Summary::of_u64(&runs.iter().map(|(r, _)| r.stats.steals.get()).collect::<Vec<_>>())
                 .expect("non-empty sample");
         let conflicts = Summary::of_u64(
-            &runs.iter().map(|r| r.stats.shard_conflicts.get()).collect::<Vec<_>>(),
+            &runs.iter().map(|(r, _)| r.stats.shard_conflicts.get()).collect::<Vec<_>>(),
         )
         .expect("non-empty sample");
         if threads == 1 {
             serial_mean = thrpt.mean;
         }
-        let agree = runs.iter().all(|r| {
+        let agree = runs.iter().all(|(r, _)| {
             r.states_visited == serial.states_visited
                 && r.transitions == serial.transitions
                 && r.clean() == serial.clean()
@@ -431,7 +426,7 @@ fn explorer_scaling(cfg: &ExperimentConfig, metrics: &mut MetricMap) -> Table {
         });
         table.row(vec![
             threads.to_string(),
-            runs[0].states_visited.to_string(),
+            runs[0].0.states_visited.to_string(),
             format!("{:.0}", thrpt.mean),
             format!("{:.0}", thrpt.p95),
             format!("{:.2}x", thrpt.mean / serial_mean),
@@ -453,7 +448,8 @@ fn depth_frontier(cfg: &ExperimentConfig, metrics: &mut MetricMap) -> Table {
         &["depth", "states", "transitions", "kstates/s", "arena KiB", "bytes/state"],
     );
     for &depth in depths {
-        let r = explore(&ExploreConfig { max_depth: depth, ..Default::default() });
+        let (r, secs) =
+            timed(|| explore(&ExploreConfig { max_depth: depth, ..Default::default() }));
         assert!(r.clean(), "frontier row at depth {depth} found violations: {:?}", r.violations);
         metrics.insert(format!("frontier.d{depth}.states"), r.states_visited as u64);
         metrics.insert(format!("frontier.d{depth}.transitions"), r.transitions);
@@ -462,7 +458,7 @@ fn depth_frontier(cfg: &ExperimentConfig, metrics: &mut MetricMap) -> Table {
             depth.to_string(),
             r.states_visited.to_string(),
             r.transitions.to_string(),
-            format!("{:.0}", r.stats.states_per_sec / 1_000.0),
+            format!("{:.0}", r.states_visited as f64 / secs / 1_000.0),
             format!("{:.1}", r.stats.arena_bytes as f64 / 1024.0),
             format!("{:.1}", r.stats.arena_bytes as f64 / r.states_visited as f64),
         ]);
@@ -523,44 +519,46 @@ mod tests {
     }
 
     #[test]
-    fn e8_parallel_frontier_is_identical_at_every_thread_count() {
-        // Same machinery as the release-profile parallel frontier, at sizes
-        // a debug test can afford. Every row asserts in-process that the
-        // parallel run reproduces the sequential one byte for byte; here we
-        // also pin the exported keyspace and the table shape.
-        let mut metrics = MetricMap::new();
-        let table = parallel_frontier(&[(8, 256)], 2, &mut metrics);
-        assert_eq!(table.rows.len(), 4, "one row per thread count");
-        for row in &table.rows {
-            assert_eq!(row[6], "yes", "identical column: {row:?}");
-        }
-        assert!(metrics["par.n8.sim_steps_total"] > 0);
-        for t in [1u64, 2, 4, 8] {
-            assert_eq!(metrics[&format!("par.t{t}.n8.identical")], 1);
-        }
-    }
-
-    #[test]
-    fn e8_sharded_frontier_differential_holds_at_debug_sizes() {
+    fn e8_frontier_differential_and_parallel_rows_hold_at_debug_sizes() {
         // Same machinery as the release-profile n≤1024 frontier, at sizes a
-        // debug test can afford. The row asserts internally that streaming
-        // and post-hoc sharded runs are byte-identical; here we also pin
-        // the exported keyspace the CI baseline diff consumes.
+        // debug test can afford. Every row asserts internally that streaming
+        // and post-hoc sharded runs are byte-identical and that each
+        // parallel rerun reproduces the streamed run; here we also pin the
+        // exported keyspace the CI baseline diff consumes, and that the
+        // parallel table's threads = 1 row is the frontier's own run.
         let mut metrics = MetricMap::new();
-        let table = frontier_table(&[(8, 256), (12, 128)], 2, &mut metrics);
-        assert_eq!(table.rows.len(), 2);
-        for row in &table.rows {
+        let (sharded, parallel) = frontier_tables(&[(8, 256), (12, 128)], 12, 2, &mut metrics);
+        assert_eq!(sharded.rows.len(), 2);
+        for row in &sharded.rows {
             assert_eq!(row[8], "yes", "differential column: {row:?}");
         }
         for n in [8usize, 12] {
             assert_eq!(metrics[&format!("n{n}.differential_ok")], 1);
             assert_eq!(metrics[&format!("n{n}.shards")], 2);
             assert_eq!(metrics[&format!("n{n}.streaming")], 1);
+            assert_eq!(
+                metrics[&format!("n{n}.sim.steps")],
+                metrics[&format!("n{n}.sim_steps_total")]
+            );
             assert!(
                 metrics[&format!("n{n}.peak_resident_entries_max")] >= (n * n) as u64,
                 "peak resident must count the n² timelines"
             );
         }
+        // Only the n = 12 row reaches `par_from`: one row per thread count.
+        let threads: Vec<&str> = parallel.rows.iter().map(|r| r[1].as_str()).collect();
+        assert_eq!(threads, ["1", "2", "4", "8"]);
+        for row in &parallel.rows {
+            assert_eq!((row[0].as_str(), row[6].as_str()), ("12", "yes"), "{row:?}");
+            assert_eq!(row[2], sharded.rows[1][3], "steps diverged: {row:?}");
+        }
+        // steps and ksteps/s of the threads = 1 row are the frontier row's.
+        assert_eq!(parallel.rows[0][3], sharded.rows[1][5]);
+        for t in [1u64, 2, 4, 8] {
+            assert_eq!(metrics[&format!("par.t{t}.n12.identical")], 1);
+            assert!(!metrics.contains_key(&format!("par.t{t}.n8.identical")));
+        }
+        assert!(!metrics.keys().any(|k| k.starts_with("par.n")), "no duplicate totals");
     }
 
     #[test]

@@ -18,24 +18,25 @@ pub mod e9_ablation;
 use crate::table::Report;
 use crate::ExperimentConfig;
 
-/// Runs the experiment with the given id ("e1".."e8").
-pub fn run_by_id(id: &str, cfg: &ExperimentConfig) -> Option<Report> {
-    match id {
-        "e1" => Some(e1_completeness::run(cfg)),
-        "e2" => Some(e2_accuracy::run(cfg)),
-        "e3" => Some(e3_handoff::run(cfg)),
-        "e4" => Some(e4_flawed::run(cfg)),
-        "e5" => Some(e5_trusting::run(cfg)),
-        "e6" => Some(e6_fairness::run(cfg)),
-        "e7" => Some(e7_explore::run(cfg)),
-        "e8" => Some(e8_scale::run(cfg)),
-        "e9" => Some(e9_ablation::run(cfg)),
-        "e10" => Some(e10_substrates::run(cfg)),
-        "e11" => Some(e11_induct::run(cfg)),
-        "e12" => Some(e12_fuzz::run(cfg)),
-        "e13" => Some(e13_symbolic::run(cfg)),
-        _ => None,
-    }
+/// The experiment with the given id ("e1".."e13"), or `None` for an
+/// unknown id.
+pub fn by_id(id: &str) -> Option<fn(&ExperimentConfig) -> Report> {
+    Some(match id {
+        "e1" => e1_completeness::run,
+        "e2" => e2_accuracy::run,
+        "e3" => e3_handoff::run,
+        "e4" => e4_flawed::run,
+        "e5" => e5_trusting::run,
+        "e6" => e6_fairness::run,
+        "e7" => e7_explore::run,
+        "e8" => e8_scale::run,
+        "e9" => e9_ablation::run,
+        "e10" => e10_substrates::run,
+        "e11" => e11_induct::run,
+        "e12" => e12_fuzz::run,
+        "e13" => e13_symbolic::run,
+        _ => return None,
+    })
 }
 
 /// All experiment ids in order.

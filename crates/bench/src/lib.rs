@@ -14,6 +14,8 @@ pub mod experiments;
 pub mod perfdump;
 pub mod table;
 
+use std::time::Instant;
+
 use dinefd_sim::pool::{self, WorkerFn};
 
 /// Knobs shared by all experiments.
@@ -33,6 +35,15 @@ impl ExperimentConfig {
     pub fn full() -> Self {
         ExperimentConfig { seeds: 10 }
     }
+}
+
+/// Runs `f`, returning its value and its wall-clock seconds. The libraries
+/// read no clock; an experiment that reports a throughput times its own
+/// call with this.
+pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
+    let started = Instant::now();
+    let out = f();
+    (out, started.elapsed().as_secs_f64())
 }
 
 /// Maps `f` over `items` in parallel (bounded by the machine's parallelism),

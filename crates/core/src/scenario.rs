@@ -15,8 +15,8 @@ use dinefd_dining::DiningParticipant;
 use dinefd_fd::SuspicionHistory as FdHistory;
 use dinefd_fd::{InjectedOracle, SuspicionHistory};
 use dinefd_sim::{
-    CrashPlan, DelayModel, MetricMap, Node, ProcessId, Profiler, QueueBackend, ShardedWorld,
-    SplitMix64, Time, Trace, WorkerStats, World, WorldConfig,
+    CrashPlan, DelayModel, MetricMap, Node, ProcessId, QueueBackend, ShardedWorld, SplitMix64,
+    Time, Trace, WorkerStats, World, WorldConfig,
 };
 
 use crate::detector::{suspicion_history, HistorySink, PairTimelines};
@@ -246,10 +246,6 @@ pub struct ExtractionResult {
     /// Full simulator metric export for the run (counters, queue-depth
     /// high-water, delay histogram), key-sorted and seed-deterministic.
     pub metrics: MetricMap,
-    /// Wall-clock profiler with `simulate` and `extract` phases recorded;
-    /// callers may time further phases (e.g. spec checking) on it before
-    /// calling [`Profiler::report`].
-    pub profiler: Profiler,
     /// Per-worker busy/barrier-wait wall-clock from parallel sharded runs;
     /// empty for classic or single-threaded runs. Wall-clock is inherently
     /// nondeterministic — report it outside any determinism-diffed section.
@@ -369,7 +365,6 @@ pub fn run_extraction(sc: Scenario) -> ExtractionResult {
         // footprint is O(pairs + suspicion changes), not O(run length).
         cfg = cfg.observation_events_off();
     }
-    let mut profiler = Profiler::new();
     let (steps, messages_sent, metrics, trace, worker_stats) = if shards > 0 {
         let mut world = match &fold {
             Fold::PostHoc => ShardedWorld::try_new(nodes, cfg, shards),
@@ -382,7 +377,7 @@ pub fn run_extraction(sc: Scenario) -> ExtractionResult {
             }
         }
         .unwrap_or_else(|e| panic!("{e}"));
-        profiler.time("simulate", || world.run_until(horizon));
+        world.run_until(horizon);
         let stats = world.worker_stats().to_vec();
         (world.steps(), world.messages_sent(), world.metrics_map(), world.into_trace(), stats)
     } else {
@@ -390,10 +385,10 @@ pub fn run_extraction(sc: Scenario) -> ExtractionResult {
             Fold::Online(sink) => World::new_with_sink(nodes, cfg, Box::new(Rc::clone(sink))),
             _ => World::new(nodes, cfg),
         };
-        profiler.time("simulate", || world.run_until(horizon));
+        world.run_until(horizon);
         (world.steps(), world.messages_sent(), world.metrics_map(), world.into_trace(), Vec::new())
     };
-    let history = profiler.time("extract", || match fold {
+    let history = match fold {
         Fold::PostHoc => suspicion_history(n, &trace, &pairs),
         Fold::Online(sink) => {
             Rc::try_unwrap(sink).expect("world dropped its sink handle").into_inner().finish()
@@ -413,7 +408,7 @@ pub fn run_extraction(sc: Scenario) -> ExtractionResult {
             }
             merged
         }
-    });
+    };
     let history_changes = history.change_count();
     ExtractionResult {
         history,
@@ -427,7 +422,6 @@ pub fn run_extraction(sc: Scenario) -> ExtractionResult {
         messages_sent,
         node_resident_bytes,
         metrics,
-        profiler,
         worker_stats,
     }
 }
@@ -492,18 +486,12 @@ mod tests {
     }
 
     #[test]
-    fn extraction_carries_metrics_and_profile() {
+    fn extraction_carries_metrics() {
         let sc = Scenario::pair(BlackBox::WfDx, 19);
-        let mut res = run_extraction(sc);
+        let res = run_extraction(sc);
         assert_eq!(res.metrics["steps"], res.steps);
         assert_eq!(res.metrics["messages_sent"], res.messages_sent);
         assert!(res.metrics.keys().any(|k| k.starts_with("delay_ticks.")));
-        // The caller can attribute its own checking phase, and the closed
-        // profile's phases sum exactly to its total.
-        res.profiler.time("check", || res.history.strong_completeness(&res.crashes).ok());
-        let profile = res.profiler.report();
-        assert!(profile.phase_nanos("simulate") > 0);
-        assert_eq!(profile.phases.iter().map(|(_, ns)| *ns).sum::<u64>(), profile.total_nanos);
     }
 
     #[test]

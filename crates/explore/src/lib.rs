@@ -42,8 +42,9 @@
 //! remaining depth* it has been queued with; that map converges to a
 //! schedule-independent fixpoint, so `states_visited`, `clean()`, and
 //! `deadlocks` are deterministic across thread counts and schedules (when
-//! the state budget does not truncate the run). Throughput and contention
-//! counters come back in [`parallel::SearchStats`].
+//! the state budget does not truncate the run). Contention and codec
+//! counters come back in [`parallel::SearchStats`]; the search reads no
+//! clock, so a caller that wants throughput times the call.
 //!
 //! ## Mutation testing
 //!

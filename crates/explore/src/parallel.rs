@@ -53,18 +53,17 @@
 //!   first expansion — deterministic and thread-count-independent.
 //!
 //! With one worker the expansion order itself is fixed (depth-first, last
-//! successor first), so every figure in [`SearchStats`] except the
-//! wall-clock ones repeats exactly. With more, the *representative path*
-//! attached to each violation (whichever worker reached the state first)
-//! and the [`SearchStats`] figures are schedule-dependent. When the search
+//! successor first), so every figure in [`SearchStats`] repeats exactly.
+//! With more, the *representative path* attached to each violation
+//! (whichever worker reached the state first) and the [`SearchStats`]
+//! figures are schedule-dependent. When the search
 //! *is* truncated, the subset of states visited before the budget tripped
 //! depends on expansion order.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Instant;
 
-use dinefd_sim::metrics::{Counter, MetricMap};
+use dinefd_sim::metrics::Counter;
 use dinefd_sim::pool::{self, WorkerFn};
 
 use crate::codec::{fingerprint, StateCodec};
@@ -137,19 +136,16 @@ pub struct ViolationRecord<L> {
     pub path: Vec<L>,
 }
 
-/// Throughput, contention, and codec figures of one search run, built on
-/// the shared [`dinefd_sim::metrics`] primitives so the explorer reports
-/// through the same observability layer as the simulator.
+/// Contention and codec figures of one search run, built on the shared
+/// [`dinefd_sim::metrics`] primitives so the explorer reports through the
+/// same observability layer as the simulator. The search reads no clock: a
+/// caller that wants its throughput times the call.
 #[derive(Clone, Copy, Debug)]
 pub struct SearchStats {
     /// Workers used (1 = the calling thread alone; nothing is spawned).
     pub threads: usize,
     /// Visited-store stripes (1 with one worker, [`N_SHARDS`] otherwise).
     pub shards: usize,
-    /// Wall-clock duration of the search, in seconds.
-    pub duration_secs: f64,
-    /// Distinct states visited per wall-clock second.
-    pub states_per_sec: f64,
     /// Tasks a worker that ran dry took over from a busy one (through the
     /// shared pool; always 0 with one worker).
     pub steals: Counter,
@@ -170,40 +166,6 @@ pub struct SearchStats {
     /// resident footprint of the state set itself. Deterministic when the
     /// search is not truncated.
     pub arena_bytes: u64,
-}
-
-impl SearchStats {
-    /// Flattens the schedule-dependent counters under `prefix` (the
-    /// wall-clock figures are exported separately by the perf reports, as
-    /// they are never rerun-stable).
-    pub fn export(&self, prefix: &str, out: &mut MetricMap) {
-        out.insert(format!("{prefix}.threads"), self.threads as u64);
-        out.insert(format!("{prefix}.shards"), self.shards as u64);
-        out.insert(format!("{prefix}.steals"), self.steals.get());
-        out.insert(format!("{prefix}.shard_conflicts"), self.shard_conflicts.get());
-        out.insert(format!("{prefix}.fp_confirms"), self.fp_confirms.get());
-        out.insert(format!("{prefix}.fp_collisions"), self.fp_collisions.get());
-        out.insert(format!("{prefix}.sleep_skips"), self.sleep_skips.get());
-        out.insert(format!("{prefix}.arena_bytes"), self.arena_bytes);
-    }
-}
-
-impl std::fmt::Display for SearchStats {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} thread(s), {:.0} states/s, {} steals, {} shard conflicts, \
-             {} fp confirms, {} fp collisions, {} sleep skips, {} arena bytes",
-            self.threads,
-            self.states_per_sec,
-            self.steals.get(),
-            self.shard_conflicts.get(),
-            self.fp_confirms.get(),
-            self.fp_collisions.get(),
-            self.sleep_skips.get(),
-            self.arena_bytes
-        )
-    }
 }
 
 /// Outcome of one exhaustive search, over either model
@@ -230,7 +192,7 @@ pub struct SearchReport<L> {
     /// Whether the search hit its state budget before exhausting the
     /// depth-bounded region.
     pub truncated: bool,
-    /// Throughput, contention, and codec counters of this run.
+    /// Contention and codec counters of this run.
     pub stats: SearchStats,
 }
 
@@ -516,7 +478,6 @@ pub(crate) fn search<M: SearchModel>(
     max_states: usize,
     threads: usize,
 ) -> SearchReport<M::Label> {
-    let started = Instant::now();
     let threads = threads.max(1);
     let frontier: Frontier<M::State> = Frontier {
         pool: Mutex::new(Vec::new()),
@@ -546,7 +507,6 @@ pub(crate) fn search<M: SearchModel>(
     };
 
     let states_visited: usize = stores.iter().map(|s| s.len()).sum();
-    let duration_secs = started.elapsed().as_secs_f64();
     let transitions = tallies.iter().map(|t| t.transitions).sum();
     let deadlocks = tallies.iter().map(|t| t.deadlocks).sum();
     let steals: u64 = tallies.iter().map(|t| t.steals).sum();
@@ -570,12 +530,6 @@ pub(crate) fn search<M: SearchModel>(
         stats: SearchStats {
             threads,
             shards: stores.len(),
-            duration_secs,
-            states_per_sec: if duration_secs > 0.0 {
-                states_visited as f64 / duration_secs
-            } else {
-                0.0
-            },
             steals: Counter::from(steals),
             shard_conflicts: Counter::from(conflicts),
             fp_confirms: Counter::from(stores.iter().map(|s| s.stats().confirms).sum::<u64>()),

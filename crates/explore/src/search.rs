@@ -298,12 +298,10 @@ mod tests {
         let serial = explore(&ExploreConfig { max_depth: 10, ..Default::default() });
         assert_eq!(serial.stats.threads, 1);
         assert_eq!(serial.stats.shards, 1);
-        assert!(serial.stats.states_per_sec > 0.0);
         assert!(serial.stats.fp_confirms.get() > 0, "revisits must be byte-confirmed");
         let par = explore(&ExploreConfig { max_depth: 10, threads: 3, ..Default::default() });
         assert_eq!(par.stats.threads, 3);
         assert_eq!(par.stats.shards, crate::parallel::N_SHARDS);
-        assert!(par.stats.states_per_sec > 0.0);
     }
 
     #[test]

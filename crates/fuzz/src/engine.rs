@@ -106,7 +106,7 @@ pub struct FuzzReport {
 
 impl FuzzReport {
     /// Exports the run's counters as `fuzz.*` keys in a [`MetricMap`] —
-    /// the same shape every other subsystem feeds into perfdump. All
+    /// the same shape every other subsystem feeds into the golden. All
     /// values are deterministic for a fixed [`FuzzConfig`] when no time
     /// budget interferes (`timed_out == false`).
     pub fn metrics(&self) -> MetricMap {

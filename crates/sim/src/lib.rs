@@ -47,8 +47,9 @@
 //!
 //! Observability: every world carries a [`metrics::SimMetrics`] set
 //! (counters, queue-depth gauge, per-delay histogram) updated inline on the
-//! event loop; [`metrics::Profiler`] splits experiment wall-clock into
-//! phases. Both feed the machine-readable `BENCH_*.json` perf reports.
+//! event loop and exported as a seed-deterministic [`metrics::MetricMap`],
+//! which is what the `BENCH_experiments.json` golden records. The simulator
+//! reads no wall clock; callers that want a run's duration time the call.
 //!
 //! Streaming: a [`world::ObsSink`] attached via [`world::World::new_with_sink`]
 //! receives every observation as it is routed, so consumers can fold run
@@ -95,9 +96,7 @@ pub use dinefd_runtime::{
 pub use event::QueueBackend;
 pub use fault::CrashPlan;
 pub use id::ProcessId;
-pub use metrics::{
-    Counter, Gauge, Histogram, MetricMap, Profiler, RunProfile, SimMetrics, WorkerStats,
-};
+pub use metrics::{Counter, Gauge, Histogram, MetricMap, SimMetrics, WorkerStats};
 pub use net::{Adversary, DelayModel};
 pub use node::{Context, Node, TimerId};
 pub use props::{stabilization_time, BoolTimeline};

@@ -1,20 +1,17 @@
-//! Run-level metrics: counters, gauges, fixed-bucket histograms, and a
-//! phase profiler.
+//! Run-level metrics: counters, gauges and fixed-bucket histograms.
 //!
 //! Everything here is a plain struct owned by whatever is being measured —
 //! no globals, no atomics, no allocation on the hot path — so the serial
 //! simulator loop pays one integer update per recorded event and the whole
-//! set can be snapshotted, diffed, and serialized to the `BENCH_*.json`
-//! perf reports (see `EXPERIMENTS.md`).
+//! set can be snapshotted, diffed, and serialized to the
+//! `BENCH_experiments.json` golden (see `EXPERIMENTS.md`).
 //!
-//! Determinism: every type in this module except [`Profiler`] measures
+//! Determinism: every type in this module except [`WorkerStats`] measures
 //! *logical* quantities (event counts, queue depths, virtual-time delays),
-//! so two runs of the same seed produce byte-identical exports. Wall-clock
-//! lives only in [`Profiler`]/[`RunProfile`] and is kept out of
-//! [`MetricMap`] exports by construction.
+//! so two runs of the same seed produce byte-identical exports. This module
+//! reads no clock: a caller that wants a run's wall-clock times the call.
 
 use std::collections::BTreeMap;
-use std::time::Instant;
 
 /// A flattened, key-sorted export of a metric set. Keys are
 /// `dotted.snake_case` paths; values are exact integers, so serializing a
@@ -172,15 +169,6 @@ impl Histogram {
         self.max
     }
 
-    /// Mean sample (0.0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
     /// `(upper_bound, count)` per non-empty bucket; the overflow bucket
     /// reports `u64::MAX` as its bound.
     pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
@@ -188,27 +176,6 @@ impl Histogram {
             let bound = if i < HISTOGRAM_BUCKETS { Histogram::bucket_bound(i) } else { u64::MAX };
             (bound, c)
         })
-    }
-
-    /// Smallest bucket bound at or above quantile `q` (by cumulative
-    /// count) — an upper-bound estimate of the true quantile.
-    pub fn quantile_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut cum = 0;
-        for (i, &c) in self.counts.iter().enumerate() {
-            cum += c;
-            if cum >= target {
-                return if i < HISTOGRAM_BUCKETS {
-                    Histogram::bucket_bound(i).min(self.max)
-                } else {
-                    self.max
-                };
-            }
-        }
-        self.max
     }
 
     /// Merges another histogram into this one — bucket-wise addition, so
@@ -340,9 +307,8 @@ impl SimMetrics {
 ///
 /// **Wall-clock, never deterministic** — this type is deliberately *not*
 /// part of [`SimMetrics`] (whose export is byte-diffed across reruns by the
-/// perf-smoke gate). It feeds the `wall`/`nondet` sections of the
-/// `BENCH_*.json` documents via [`WorkerStats::export`], which is where the
-/// barrier-overhead columns of the E8 parallel-frontier table come from.
+/// perf-smoke gate). Only the engine can see a barrier wait, so it keeps
+/// these; the E8 parallel-frontier table's "barrier %" column reads them.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WorkerStats {
     /// Microseconds spent executing shard instants, one sample per instant.
@@ -365,115 +331,6 @@ impl WorkerStats {
         self.busy_micros.absorb(&other.busy_micros);
         self.barrier_wait_micros.absorb(&other.barrier_wait_micros);
         self.instants.add(other.instants.get());
-    }
-
-    /// Fraction of accounted wall-clock spent at the barrier, in `[0, 1]`
-    /// (0 when no time was accounted).
-    pub fn barrier_overhead(&self) -> f64 {
-        let busy = self.busy_micros.sum() as f64;
-        let wait = self.barrier_wait_micros.sum() as f64;
-        if busy + wait == 0.0 {
-            0.0
-        } else {
-            wait / (busy + wait)
-        }
-    }
-
-    /// Flattens into `prefix.busy_micros.*`, `prefix.barrier_wait_micros.*`
-    /// and `prefix.instants` — destined for a `nondet` section, never for a
-    /// determinism-diffed metric map.
-    pub fn export(&self, prefix: &str, out: &mut MetricMap) {
-        self.busy_micros.export(&format!("{prefix}.busy_micros"), out);
-        self.barrier_wait_micros.export(&format!("{prefix}.barrier_wait_micros"), out);
-        out.insert(format!("{prefix}.instants"), self.instants.get());
-    }
-}
-
-/// Wall-clock phase profiler for one experiment run.
-///
-/// Phases are timed with [`Profiler::time`]; [`Profiler::report`] closes
-/// the books and attributes the remainder to an `other` phase, so the
-/// reported phase durations always sum *exactly* to the reported total.
-#[derive(Debug)]
-pub struct Profiler {
-    origin: Instant,
-    phases: Vec<(&'static str, u64)>,
-}
-
-impl Default for Profiler {
-    fn default() -> Self {
-        Profiler::new()
-    }
-}
-
-impl Profiler {
-    /// Starts the run clock.
-    pub fn new() -> Self {
-        Profiler { origin: Instant::now(), phases: Vec::new() }
-    }
-
-    /// Runs `f`, attributing its wall-clock time to `name`. Repeated
-    /// phases accumulate under one entry.
-    pub fn time<R>(&mut self, name: &'static str, f: impl FnOnce() -> R) -> R {
-        let started = Instant::now();
-        let out = f();
-        self.add(name, started.elapsed().as_nanos() as u64);
-        out
-    }
-
-    /// Attributes `nanos` of already-measured time to `name`.
-    pub fn add(&mut self, name: &'static str, nanos: u64) {
-        match self.phases.iter_mut().find(|(n, _)| *n == name) {
-            Some((_, acc)) => *acc += nanos,
-            None => self.phases.push((name, nanos)),
-        }
-    }
-
-    /// Nanoseconds attributed to `name` so far.
-    pub fn phase_nanos(&self, name: &str) -> u64 {
-        self.phases.iter().find(|(n, _)| *n == name).map_or(0, |(_, ns)| *ns)
-    }
-
-    /// Closes the profile: total = wall-clock since construction, with the
-    /// unattributed remainder reported as the `other` phase.
-    pub fn report(&self) -> RunProfile {
-        let total = self.origin.elapsed().as_nanos() as u64;
-        let mut phases: Vec<(String, u64)> =
-            self.phases.iter().map(|&(n, ns)| (n.to_string(), ns)).collect();
-        let attributed: u64 = phases.iter().map(|(_, ns)| *ns).sum();
-        // Phase clocks and the total clock are read at different instants,
-        // so clamp rather than underflow when they disagree by nanoseconds.
-        let other = total.saturating_sub(attributed);
-        phases.push(("other".to_string(), other));
-        RunProfile { total_nanos: attributed + other, phases }
-    }
-}
-
-/// A closed wall-clock profile: named phase durations that sum exactly to
-/// the total.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct RunProfile {
-    /// Total run duration in nanoseconds.
-    pub total_nanos: u64,
-    /// `(phase, nanoseconds)` in first-recorded order; the final `other`
-    /// entry absorbs unattributed time.
-    pub phases: Vec<(String, u64)>,
-}
-
-impl RunProfile {
-    /// Nanoseconds of one phase (0 if absent).
-    pub fn phase_nanos(&self, name: &str) -> u64 {
-        self.phases.iter().find(|(n, _)| n == name).map_or(0, |(_, ns)| *ns)
-    }
-
-    /// Seconds of one phase (0.0 if absent).
-    pub fn phase_secs(&self, name: &str) -> f64 {
-        self.phase_nanos(name) as f64 / 1e9
-    }
-
-    /// Total seconds.
-    pub fn total_secs(&self) -> f64 {
-        self.total_nanos as f64 / 1e9
     }
 }
 
@@ -527,24 +384,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_quantiles_bound_from_above() {
-        let mut h = Histogram::new();
-        for v in 1..=100u64 {
-            h.record(v);
-        }
-        assert!(h.quantile_bound(0.5) >= 50);
-        assert!(h.quantile_bound(0.5) <= 64);
-        assert_eq!(h.quantile_bound(1.0), 100);
-        assert!((h.mean() - 50.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn empty_histogram_is_inert() {
         let h = Histogram::new();
         assert_eq!(h.count(), 0);
         assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 0);
-        assert_eq!(h.quantile_bound(0.99), 0);
         assert_eq!(h.buckets().count(), 0);
     }
 
@@ -616,27 +460,5 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted, "BTreeMap export must iterate sorted");
-    }
-
-    #[test]
-    fn profiler_phases_sum_to_total() {
-        let mut p = Profiler::new();
-        p.time("simulate", || std::thread::sleep(std::time::Duration::from_millis(2)));
-        p.time("extract", || ());
-        p.time("simulate", || ()); // repeated phases accumulate
-        let r = p.report();
-        let sum: u64 = r.phases.iter().map(|(_, ns)| ns).sum();
-        assert_eq!(sum, r.total_nanos, "phases (incl. `other`) must sum exactly");
-        assert!(r.phase_nanos("simulate") >= 2_000_000);
-        assert_eq!(r.phases.iter().filter(|(n, _)| n == "simulate").count(), 1);
-        assert_eq!(r.phases.last().unwrap().0, "other");
-    }
-
-    #[test]
-    fn profiler_returns_closure_value() {
-        let mut p = Profiler::new();
-        let v = p.time("phase", || 41 + 1);
-        assert_eq!(v, 42);
-        assert!(p.phase_nanos("phase") < 1_000_000_000);
     }
 }

@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use crate::metrics::Histogram;
-
 /// Five-number-ish summary of a sample.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Summary {
@@ -45,23 +43,6 @@ impl Summary {
     pub fn of_u64(values: &[u64]) -> Option<Summary> {
         let f: Vec<f64> = values.iter().map(|&v| v as f64).collect();
         Summary::of(&f)
-    }
-
-    /// Approximate summary of a recorded [`Histogram`]: exact `n`, mean,
-    /// min and max; `p50`/`p95` are bucket upper bounds (conservative
-    /// over-estimates). Returns `None` on an empty histogram.
-    pub fn of_histogram(h: &Histogram) -> Option<Summary> {
-        if h.count() == 0 {
-            return None;
-        }
-        Some(Summary {
-            n: h.count() as usize,
-            min: h.min() as f64,
-            mean: h.mean(),
-            p50: h.quantile_bound(0.50) as f64,
-            p95: h.quantile_bound(0.95) as f64,
-            max: h.max() as f64,
-        })
     }
 }
 
@@ -132,22 +113,6 @@ mod tests {
     fn percentile_interpolates() {
         let v = [0.0, 10.0];
         assert!((percentile(&v, 0.25) - 2.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn summary_of_histogram_bounds_quantiles() {
-        let mut h = Histogram::new();
-        for v in 1..=64u64 {
-            h.record(v);
-        }
-        let s = Summary::of_histogram(&h).unwrap();
-        assert_eq!(s.n, 64);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 64.0);
-        assert!((s.mean - 32.5).abs() < 1e-9);
-        assert!(s.p50 >= 32.0 && s.p50 <= 64.0, "p50 bound {}", s.p50);
-        assert!(s.p95 >= 61.0, "p95 bound {}", s.p95);
-        assert!(Summary::of_histogram(&Histogram::new()).is_none());
     }
 
     #[test]
