@@ -70,31 +70,25 @@
 //! directly). It prints a one-line run summary followed by the
 //! deterministic metric block, and exits `0` on success — the run itself
 //! asserts internal invariants (routing, horizon saturation, cross-shard
-//! merge order) and aborts loudly if any fail. With `--shards K` the run
-//! uses the sharded-world family (shard-count invariant for fixed seed);
+//! merge order) and aborts loudly if any fail. `--shards K` splits the
+//! simulator into K shards, which never changes the run for a fixed seed;
 //! `--threads T` runs the shards on the simulator's worker pool behind its
 //! deterministic barrier merge — *everything printed to stdout is
-//! byte-identical for every thread count* (per-worker busy/barrier-wait
-//! wall-clock, which is inherently nondeterministic, goes to stderr), so
-//! `diff <(dinefd extract --shards 4 --threads 4) <(dinefd extract
-//! --shards 4 --threads 1)` is a direct determinism check; `--queue heap`
-//! switches the classic world's event queue to the reference binary heap,
-//! which must reproduce the timer wheel byte-for-byte (the sharded family
-//! always runs per-shard wheels, so `--shards K --queue heap` is a usage
-//! error).
+//! byte-identical for every shard and thread count* (per-worker
+//! busy/barrier-wait wall-clock, which is inherently nondeterministic, goes
+//! to stderr), so `diff <(dinefd extract --shards 4 --threads 4) <(dinefd
+//! extract)` is a direct determinism check.
 //!
 //! ```text
 //! --n N                     system size             (default 8, min 2)
 //! --seed N                  run seed                (default 42)
 //! --horizon N               ticks to simulate       (default 5000)
-//! --shards K                sharded world, K shards (default 0 = classic)
+//! --shards K                simulator shards, 1..=256 (default 1)
 //! --threads T               worker threads for sharded runs (default 1;
 //!                           needs --shards >= 2 to engage)
 //! --crash PID@TICK          crash PID at TICK (repeatable)
 //! --streaming               extract through the streaming sink
 //! --batch                   coalesce same-instant sends into envelopes
-//! --queue wheel|heap        event queue backend     (default wheel; heap
-//!                           is classic-only: not with --shards)
 //! --strict                  sequence-checked acks (hardened subject)
 //! ```
 //!
@@ -148,8 +142,7 @@ const USAGE: &str = "usage: dinefd analyze [--wire-cap N] [--engine auto|explici
      [--max-steps N] [--corpus-seeds N] [--time-budget-secs N] \
      [--strict] [--no-crash] [--subject-mutation NAME] [--model-mutation NAME]\n\
      \x20      dinefd extract [--n N] [--seed N] [--horizon N] [--shards K] \
-     [--threads T] [--crash PID@TICK] [--streaming] [--batch] \
-     [--queue wheel|heap] [--strict]\n\
+     [--threads T] [--crash PID@TICK] [--streaming] [--batch] [--strict]\n\
      \x20      dinefd live [--n N] [--trials N] [--seed N] [--period-ms N] \
      [--crash-at-ms N] [--horizon-ms N] [--skip-matrix] [--bench-out FILE]";
 
@@ -354,20 +347,18 @@ fn fuzz(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
 
 fn extract(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
     use dinefd_core::{run_extraction, BlackBox};
-    use dinefd_sim::{ProcessId, QueueBackend, Time};
+    use dinefd_sim::{ProcessId, Time};
 
-    let queues = [("wheel", QueueBackend::Wheel), ("heap", QueueBackend::Heap)];
     // No pair list: the run monitors every ordered pair of the final `--n`.
     let defaults = dinefd_core::Scenario::pair(BlackBox::WfDx, 42);
     let mut sc =
         dinefd_core::Scenario { n: 8, pairs: Vec::new(), horizon: Time(5_000), ..defaults };
-    let mut queue = queues[0].0;
     while let Some(flag) = flags.next() {
         match flag {
             "--n" => sc.n = flags.int_in(flag, 2..=4096)? as usize,
             "--seed" => sc.seed = flags.int_in(flag, ANY)?,
             "--horizon" => sc.horizon = Time(flags.int_in(flag, 1..=u64::MAX)?),
-            "--shards" => sc.shards = flags.int_in(flag, 0..=256)? as usize,
+            "--shards" => sc.shards = flags.int_in(flag, 1..=256)? as usize,
             "--threads" => sc.threads = flags.int_in(flag, 1..=64)? as usize,
             "--crash" => {
                 let spec = flags.value(flag, "PID@TICK")?;
@@ -380,10 +371,6 @@ fn extract(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
             }
             "--streaming" => sc.streaming = true,
             "--batch" => sc.batch_envelopes = true,
-            "--queue" => {
-                let what = "a value (wheel | heap)";
-                (queue, sc.queue) = flags.one_of(flag, what, "queue backend", &queues)?;
-            }
             "--strict" => sc.strict_seq = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
@@ -393,18 +380,13 @@ fn extract(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
         return Err("--crash PID must be below --n".into());
     }
     if sc.threads > 1 && shards < 2 {
-        return Err("--threads needs --shards >= 2 (the classic world is single-threaded)".into());
-    }
-    if shards > 0 && sc.queue == QueueBackend::Heap {
-        // The sharded family always runs per-shard wheels; echoing
-        // `queue=heap` over such a run would misreport it.
-        return Err("--queue heap applies to the classic world; omit --shards".into());
+        return Err("--threads needs --shards >= 2 (one shard runs on one thread)".into());
     }
     let res = run_extraction(sc);
 
     outln!(
         out,
-        "extract: n={n} pairs={} horizon={horizon} shards={shards} queue={queue} \
+        "extract: n={n} pairs={} horizon={horizon} shards={shards} \
          streaming={streaming}",
         n * (n - 1),
     );

@@ -99,6 +99,9 @@ pub struct ConsensusNode {
     adopted: u64,
     waiting: Waiting,
     decided: Option<u64>,
+    /// Proposals for rounds this process has not entered yet, taken up on
+    /// entry (a coordinator can gather its majority before it gets there).
+    early: BTreeMap<u64, u64>,
     // Coordinator state, per round this process coordinates.
     estimates: BTreeMap<u64, Vec<(u64, u64)>>,
     proposed: BTreeMap<u64, u64>,
@@ -131,6 +134,7 @@ impl ConsensusNode {
             adopted: 0,
             waiting: Waiting::Proposal,
             decided: None,
+            early: BTreeMap::new(),
             estimates: BTreeMap::new(),
             proposed: BTreeMap::new(),
             acks: BTreeMap::new(),
@@ -155,12 +159,15 @@ impl ConsensusNode {
     fn send_estimate(&mut self, ctx: &mut Context<'_, CMsg, ConsensusObs>) {
         let c = self.coordinator(self.round);
         let msg = CMsg::Estimate { round: self.round, est: self.est, adopted: self.adopted };
+        self.waiting = Waiting::Proposal;
         if c == self.me {
             self.collect_estimate(ctx, self.round, self.est, self.adopted);
         } else {
             ctx.send(c, msg);
         }
-        self.waiting = Waiting::Proposal;
+        if let Some(est) = self.early.remove(&self.round) {
+            self.handle_proposal(ctx, self.round, est);
+        }
     }
 
     fn advance(&mut self, ctx: &mut Context<'_, CMsg, ConsensusObs>) {
@@ -197,6 +204,10 @@ impl ConsensusNode {
 
     /// Participant side: the current round's proposal arrived.
     fn handle_proposal(&mut self, ctx: &mut Context<'_, CMsg, ConsensusObs>, round: u64, est: u64) {
+        if round > self.round {
+            self.early.insert(round, est);
+            return;
+        }
         if self.decided.is_some() || round != self.round || self.waiting != Waiting::Proposal {
             return;
         }
@@ -390,6 +401,49 @@ mod tests {
             let out = run(&inputs, seed, plan.clone(), DelayModel::default_async(), Time(60_000));
             assert_uniform_valid(&out, &inputs, &plan);
         }
+    }
+
+    /// Delivers `msg` from `from` to `node` as one step; returns its sends
+    /// and observations.
+    fn deliver(
+        node: &mut ConsensusNode,
+        from: ProcessId,
+        msg: CMsg,
+    ) -> (Vec<(ProcessId, CMsg)>, Vec<ConsensusObs>) {
+        let (mut sends, mut timers, mut obs) = (Vec::new(), Vec::new(), Vec::new());
+        let mut rng = SplitMix64::new(0);
+        let mut ctx = Context::new(node.me, Time(1), &mut sends, &mut timers, &mut obs, &mut rng);
+        node.on_message(&mut ctx, from, msg);
+        (sends, obs)
+    }
+
+    /// A coordinator that gathers its round-1 majority while still in round
+    /// 0 keeps its own proposal until it enters round 1, then adopts it and
+    /// decides on the first ack from a peer (its own ack is the second).
+    #[test]
+    fn a_proposal_for_a_future_round_is_taken_up_on_entry() {
+        let (p0, p1, p2) = (ProcessId(0), ProcessId(1), ProcessId(2));
+        let oracle = InjectedOracle::diamond_p(
+            3,
+            CrashPlan::none(),
+            40,
+            Time(1_500),
+            2,
+            120,
+            &mut SplitMix64::new(0),
+        );
+        let mut node = ConsensusNode::new(p1, 3, 11, Rc::new(oracle));
+        deliver(&mut node, p0, CMsg::Estimate { round: 1, est: 10, adopted: 0 });
+        let (sends, _) = deliver(&mut node, p2, CMsg::Estimate { round: 1, est: 12, adopted: 0 });
+        assert_eq!(node.round(), 0, "the majority arrived before round 1 began");
+        assert!(sends.contains(&(p0, CMsg::Propose { round: 1, est: 12 })), "{sends:?}");
+        let (sends, _) = deliver(&mut node, p0, CMsg::Propose { round: 0, est: 10 });
+        assert!(sends.contains(&(p0, CMsg::Ack { round: 0 })), "{sends:?}");
+        assert_eq!(node.round(), 2, "entering round 1 took up its own proposal");
+        assert_eq!(node.decision(), None);
+        let (_, obs) = deliver(&mut node, p0, CMsg::Ack { round: 1 });
+        assert_eq!(node.decision(), Some(12));
+        assert_eq!(obs, vec![ConsensusObs { value: 12, round: 2 }]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! End-to-end tests of the `dinefd` binary's flag surface: the
-//! `--queue wheel|heap` backend selector, stdout closed early by the
-//! reader, and the `live` subcommand's soak + bench-report path.
+//! `--shards K` split, stdout closed early by the reader, and the `live`
+//! subcommand's soak + bench-report path.
 
 use std::process::{Command, Output, Stdio};
 
@@ -16,9 +16,9 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// Stdout minus the first summary line, which echoes the selected backend
-/// (`queue=wheel` vs `queue=heap`) and so differs by construction; every
-/// simulation-derived line below it must be byte-identical.
+/// Stdout minus the first summary line, which echoes the shard count and
+/// so differs by construction; every simulation-derived line below it must
+/// be byte-identical.
 fn body(out: &Output) -> String {
     let s = stdout(out);
     s.split_once('\n').map(|(_, rest)| rest.to_owned()).unwrap_or(s)
@@ -27,14 +27,14 @@ fn body(out: &Output) -> String {
 const EXTRACT_BASE: [&str; 6] = ["extract", "--n", "4", "--horizon", "400", "--seed"];
 
 #[test]
-fn queue_heap_reproduces_the_wheel_byte_for_byte() {
-    let wheel = dinefd(&[&EXTRACT_BASE[..], &["7", "--queue", "wheel"]].concat());
-    let heap = dinefd(&[&EXTRACT_BASE[..], &["7", "--queue", "heap"]].concat());
-    assert!(wheel.status.success(), "wheel run failed: {}", stderr(&wheel));
-    assert!(heap.status.success(), "heap run failed: {}", stderr(&heap));
-    assert_eq!(body(&wheel), body(&heap), "queue backends must not diverge");
-    assert!(stdout(&wheel).contains("queue=wheel"));
-    assert!(stdout(&heap).contains("queue=heap"));
+fn shard_count_never_changes_the_run() {
+    let one = dinefd(&[&EXTRACT_BASE[..], &["7"]].concat());
+    let three = dinefd(&[&EXTRACT_BASE[..], &["7", "--shards", "3"]].concat());
+    assert!(one.status.success(), "one-shard run failed: {}", stderr(&one));
+    assert!(three.status.success(), "three-shard run failed: {}", stderr(&three));
+    assert_eq!(body(&one), body(&three), "shard counts must not diverge");
+    assert!(stdout(&one).contains("shards=1"), "one shard is the default");
+    assert!(stdout(&three).contains("shards=3"));
 }
 
 #[test]
@@ -54,29 +54,12 @@ fn a_reader_closing_stdout_early_ends_the_output_quietly() {
 }
 
 #[test]
-fn unknown_queue_backend_is_a_usage_error() {
-    let out = dinefd(&["extract", "--queue", "splay"]);
+fn zero_shards_is_a_usage_error() {
+    let out = dinefd(&["extract", "--n", "4", "--shards", "0"]);
     assert_eq!(out.status.code(), Some(64));
-    assert!(stderr(&out).contains("unknown queue backend"));
-
-    let missing = dinefd(&["extract", "--queue"]);
-    assert_eq!(missing.status.code(), Some(64));
-
-    // The sharded family always runs per-shard wheels, so a heap request
-    // there is refused rather than echoed as `queue=heap` over a wheel run.
-    let sharded = dinefd(&["extract", "--n", "4", "--shards", "2", "--queue", "heap"]);
-    assert_eq!(sharded.status.code(), Some(64));
-    assert!(stdout(&sharded).is_empty(), "no run summary for a refused combination");
-    let want = "error: --queue heap applies to the classic world; omit --shards";
-    assert_eq!(stderr(&sharded).lines().next(), Some(want));
-    let wheel =
-        dinefd(&["extract", "--n", "4", "--shards", "2", "--queue", "wheel", "--horizon", "100"]);
-    assert!(wheel.status.success(), "an explicit wheel is what sharded runs use");
-
-    // The deprecated `--heap` alias is gone: `--queue heap` is the spelling.
-    let alias = dinefd(&["extract", "--heap"]);
-    assert_eq!(alias.status.code(), Some(64));
-    assert!(stderr(&alias).contains("unknown flag `--heap`"));
+    assert!(stdout(&out).is_empty(), "no run summary for a refused shard count");
+    let want = "error: --shards 0 out of range [1, 256]";
+    assert_eq!(stderr(&out).lines().next(), Some(want));
 }
 
 #[test]
@@ -204,7 +187,6 @@ fn bad_invocations_keep_their_error_lines() {
         // Missing values.
         (&["extract", "--n"][..], "--n needs a value"),
         (&["extract", "--crash"][..], "--crash needs PID@TICK"),
-        (&["extract", "--queue"][..], "--queue needs a value (wheel | heap)"),
         (&["fuzz", "--scenario"][..], "--scenario needs a file path"),
         (&["fuzz", "--subject-mutation"][..], "--subject-mutation needs a value"),
         (&["analyze", "--model-mutation"][..], "--model-mutation needs a value"),
@@ -221,7 +203,7 @@ fn bad_invocations_keep_their_error_lines() {
         // Below and above range.
         (&["extract", "--n", "1"][..], "--n 1 out of range [2, 4096]"),
         (&["extract", "--n", "4097"][..], "--n 4097 out of range [2, 4096]"),
-        (&["extract", "--shards", "257"][..], "--shards 257 out of range [0, 256]"),
+        (&["extract", "--shards", "257"][..], "--shards 257 out of range [1, 256]"),
         (&["extract", "--threads", "0"][..], "--threads 0 out of range [1, 64]"),
         (&["extract", "--threads", "65"][..], "--threads 65 out of range [1, 64]"),
         (&["extract", "--horizon", "0"][..], "--horizon must be at least 1"),
@@ -247,13 +229,13 @@ fn bad_invocations_keep_their_error_lines() {
         (&["fuzz", "--subject-mutation", "bogus"][..], "unknown subject mutation `bogus`"),
         (&["fuzz", "--model-mutation", "none"][..], "unknown model mutation `none`"),
         (&["analyze", "--engine", "splay"][..], "unknown engine `splay`"),
-        (&["extract", "--queue", "splay"][..], "unknown queue backend `splay`"),
         (&["extract", "--crash", "3"][..], "--crash `3`: expected PID@TICK"),
         (&["extract", "--crash", "x@y"][..], "--crash `x@y`: expected PID@TICK"),
         (&["extract", "--crash", "9@5"][..], "--crash PID must be below --n"),
         (&["analyze", "--bogus"][..], "unknown flag `--bogus`"),
         (&["fuzz", "--bogus"][..], "unknown flag `--bogus`"),
         (&["extract", "--bogus"][..], "unknown flag `--bogus`"),
+        (&["extract", "--queue", "heap"][..], "unknown flag `--queue`"),
         (&["live", "--bogus"][..], "unknown flag `--bogus`"),
         (&["frobnicate"][..], "unknown subcommand `frobnicate`"),
         (&[][..], "missing subcommand"),

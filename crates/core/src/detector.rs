@@ -33,8 +33,8 @@ pub fn suspicion_history<M>(
 /// the simulator routes it, so extraction needs `O(pairs + changes)` resident
 /// memory instead of a full trace.
 ///
-/// Attach with [`dinefd_sim::World::new_with_sink`] (sinks must be present
-/// from construction — the start steps already emit observations) and call
+/// Attach with [`dinefd_sim::ShardedWorld::new_with_sink`] (sinks must be
+/// present from construction — the start steps already emit observations) and call
 /// [`HistorySink::finish`] once the run is over. By construction the result
 /// is identical to running [`suspicion_history`] over the same run's trace;
 /// `crates/core/tests/streaming_differential.rs` asserts byte-identity.

@@ -127,24 +127,17 @@ pub struct Scenario {
     /// default — it changes delay sampling, hence schedules, under
     /// stochastic delay models.
     pub batch_envelopes: bool,
-    /// Run on a [`ShardedWorld`] partitioned into this many shards instead
-    /// of a classic [`World`]. `0` (the default) means the classic world;
-    /// any `k ≥ 1` selects the sharded family, whose schedules are
-    /// shard-count invariant but differ from the classic world's (the
-    /// sharded family draws per-sender delay streams). Requires a cloneable
-    /// delay model (everything but `Scripted`).
+    /// Shards of the [`ShardedWorld`] the run executes on (default 1; `0`
+    /// counts as 1). The schedule is the same for every shard count.
     pub shards: usize,
-    /// Event-queue backend of the classic world (ignored by the sharded
-    /// family, which always runs per-shard timer wheels). Wheel and heap
-    /// produce byte-identical runs; the knob exists for differential
-    /// assertion.
+    /// The event queue, which is always the timer wheel. Kept because the
+    /// `benchmark/` harness still names it.
     pub queue: QueueBackend,
-    /// Worker threads for the sharded family: with `threads ≥ 2` and
-    /// `shards ≥ 2` the run executes on the simulator's shard-worker pool
-    /// behind its deterministic barrier merge (byte-identical results for
-    /// any thread count), and streaming extraction folds one
-    /// [`HistorySink`] per shard, merged deterministically at the end.
-    /// Ignored by the classic world.
+    /// Worker threads: with `threads ≥ 2` and `shards ≥ 2` the run executes
+    /// on the simulator's shard-worker pool behind its deterministic
+    /// barrier merge (byte-identical results for any thread count), and
+    /// streaming extraction folds one [`HistorySink`] per shard, merged
+    /// deterministically at the end.
     pub threads: usize,
 }
 
@@ -169,7 +162,7 @@ impl Scenario {
             tick_every: 4,
             streaming: false,
             batch_envelopes: false,
-            shards: 0,
+            shards: 1,
             queue: QueueBackend::default(),
             threads: 1,
         }
@@ -246,8 +239,8 @@ pub struct ExtractionResult {
     /// Full simulator metric export for the run (counters, queue-depth
     /// high-water, delay histogram), key-sorted and seed-deterministic.
     pub metrics: MetricMap,
-    /// Per-worker busy/barrier-wait wall-clock from parallel sharded runs;
-    /// empty for classic or single-threaded runs. Wall-clock is inherently
+    /// Per-worker busy/barrier-wait wall-clock from parallel runs; empty
+    /// for sequential ones. Wall-clock is inherently
     /// nondeterministic — report it outside any determinism-diffed section.
     pub worker_stats: Vec<WorkerStats>,
 }
@@ -307,7 +300,7 @@ pub fn run_extraction(sc: Scenario) -> ExtractionResult {
         streaming,
         batch_envelopes,
         shards,
-        queue,
+        queue: _,
         threads,
     } = sc;
     let pairs = if pairs.is_empty() { all_ordered_pairs(n) } else { pairs };
@@ -344,11 +337,7 @@ pub fn run_extraction(sc: Scenario) -> ExtractionResult {
         })
         .collect();
     let node_resident_bytes: u64 = nodes.iter().map(|nd| nd.resident_bytes() as u64).sum();
-    let mut cfg = WorldConfig::new(seed)
-        .delays(delays)
-        .crashes(crashes.clone())
-        .queue_backend(queue)
-        .threads(threads);
+    let mut cfg = WorldConfig::new(seed).delays(delays).crashes(crashes.clone()).threads(threads);
     if batch_envelopes {
         cfg = cfg.batch_envelopes();
     }
@@ -365,29 +354,21 @@ pub fn run_extraction(sc: Scenario) -> ExtractionResult {
         // footprint is O(pairs + suspicion changes), not O(run length).
         cfg = cfg.observation_events_off();
     }
-    let (steps, messages_sent, metrics, trace, worker_stats) = if shards > 0 {
-        let mut world = match &fold {
-            Fold::PostHoc => ShardedWorld::try_new(nodes, cfg, shards),
-            Fold::Online(sink) => {
-                ShardedWorld::try_new_with_sink(nodes, cfg, shards, Box::new(Rc::clone(sink)))
-            }
-            Fold::PerShard(sinks) => {
-                let sinks = sinks.iter().map(|s| Box::new(Arc::clone(s)) as _).collect();
-                ShardedWorld::try_new_with_shard_sinks(nodes, cfg, shards, sinks)
-            }
+    let mut world = match &fold {
+        Fold::PostHoc => ShardedWorld::new(nodes, cfg, shards),
+        Fold::Online(sink) => {
+            ShardedWorld::new_with_sink(nodes, cfg, shards, Box::new(Rc::clone(sink)))
         }
-        .unwrap_or_else(|e| panic!("{e}"));
-        world.run_until(horizon);
-        let stats = world.worker_stats().to_vec();
-        (world.steps(), world.messages_sent(), world.metrics_map(), world.into_trace(), stats)
-    } else {
-        let mut world = match &fold {
-            Fold::Online(sink) => World::new_with_sink(nodes, cfg, Box::new(Rc::clone(sink))),
-            _ => World::new(nodes, cfg),
-        };
-        world.run_until(horizon);
-        (world.steps(), world.messages_sent(), world.metrics_map(), world.into_trace(), Vec::new())
+        Fold::PerShard(sinks) => {
+            let sinks = sinks.iter().map(|s| Box::new(Arc::clone(s)) as _).collect();
+            ShardedWorld::new_with_shard_sinks(nodes, cfg, shards, sinks)
+        }
     };
+    world.run_until(horizon);
+    let worker_stats = world.worker_stats().to_vec();
+    let (steps, messages_sent, metrics) =
+        (world.steps(), world.messages_sent(), world.metrics_map());
+    let trace = world.into_trace();
     let history = match fold {
         Fold::PostHoc => suspicion_history(n, &trace, &pairs),
         Fold::Online(sink) => {
@@ -428,8 +409,8 @@ pub fn run_extraction(sc: Scenario) -> ExtractionResult {
 
 /// The run the two one-instance ablations share: `make`'s nodes for
 /// `(p0, p1)` monitored over `black_box`, whose dining instances read a
-/// perfect detector (lag 20) seeded from `seed ^ oracle_salt`, on the classic
-/// world to `horizon`; returns the extracted suspicion history.
+/// perfect detector (lag 20) seeded from `seed ^ oracle_salt`, on a
+/// one-shard world to `horizon`; returns the extracted suspicion history.
 pub(crate) fn run_one_pair<N: Node<Msg = RedMsg, Obs = RedObs>>(
     black_box: BlackBox,
     seed: u64,
@@ -517,9 +498,9 @@ mod tests {
 
     #[test]
     fn sharded_extraction_is_shard_count_invariant() {
-        // The sharded family's schedule must not depend on the shard count:
-        // 1 shard is the family's reference, and every k must reproduce its
-        // history, step/message counts, and metric export byte-for-byte.
+        // The schedule must not depend on the shard count: 1 shard is the
+        // reference, and every k must reproduce its history, step/message
+        // counts, and metric export byte-for-byte.
         let run = |shards: usize| {
             let mut sc = Scenario::all_pairs(3, BlackBox::WfDx, 23);
             sc.horizon = Time(6_000);
@@ -595,20 +576,6 @@ mod tests {
         let stats = run(4);
         assert_eq!(stats.len(), 4);
         assert!(stats.iter().all(|w| w.instants.get() > 0));
-    }
-
-    #[test]
-    fn heap_queue_reproduces_wheel_runs() {
-        // The classic world's two queue backends are drop-in replacements:
-        // byte-identical histories and metric exports.
-        let run = |queue: QueueBackend| {
-            let mut sc = Scenario::pair(BlackBox::WfDx, 37);
-            sc.horizon = Time(8_000);
-            sc.queue = queue;
-            let res = run_extraction(sc);
-            (res.steps, res.messages_sent, format!("{:?}", res.history), res.metrics)
-        };
-        assert_eq!(run(QueueBackend::Wheel), run(QueueBackend::Heap));
     }
 
     #[test]

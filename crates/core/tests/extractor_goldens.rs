@@ -2,11 +2,9 @@
 //!
 //! E2/E4/E5/E6/E9 print what `run_extraction`, `run_flawed_pair`,
 //! `run_single_pair` and `run_fair_over_extraction` return, but emit only
-//! `metric_keys`, so nothing else in CI holds these histories still. The
-//! [`GOLDEN`] rows were recorded from the build *before* the ablations moved
-//! onto the shared host (`host::PairNode`), when each still had a
-//! hand-written node of its own: same seeds, same black boxes, same
-//! extraction.
+//! `metric_keys`, so nothing else in CI holds these histories still. Every
+//! row was recorded on the one simulator engine (per-sender delay streams,
+//! canonical-key tie-break): same seeds, same black boxes, same extraction.
 
 use std::sync::Arc;
 
@@ -26,54 +24,55 @@ const HORIZON: Time = Time(40_000);
 /// `extractor box seed crash: mistake_intervals(p0, p1), time of the last
 /// output change, eventual strong accuracy holds, strong completeness holds`.
 const GOLDEN: &str = "\
-single abstract 3 none: 633 39966 true true
-single abstract 3 p1@5000: 100 5020 true true
-single abstract 4 none: 604 39973 false true
-single abstract 4 p1@5000: 98 5020 true true
-single abstract 5 none: 617 39988 false true
-single abstract 5 p1@5000: 96 5020 true true
-single delayed 3 none: 633 39966 true true
-single delayed 3 p1@5000: 100 5020 true true
-single delayed 4 none: 604 39973 false true
-single delayed 4 p1@5000: 98 5020 true true
-single delayed 5 none: 617 39988 false true
-single delayed 5 p1@5000: 96 5020 true true
-single unfair 3 none: 192 39821 false true
-single unfair 3 p1@5000: 71 5001 true true
-single unfair 4 none: 191 39919 false true
-single unfair 4 p1@5000: 68 4961 true true
-single unfair 5 none: 191 39621 false true
-single unfair 5 p1@5000: 70 5020 true true
-single wfdx 3 none: 576 39987 false true
-single wfdx 3 p1@5000: 76 5020 true true
-single wfdx 4 none: 618 39966 true true
-single wfdx 4 p1@5000: 85 5020 true true
-single wfdx 5 none: 588 39977 false true
-single wfdx 5 p1@5000: 67 5020 true true
-flawed abstract 3 none: 94 1514 true true
+single abstract 3 none: 600 39954 true true
+single abstract 3 p1@5000: 96 5020 true true
+single abstract 4 none: 605 39957 true true
+single abstract 4 p1@5000: 101 5002 true true
+single abstract 5 none: 621 39987 false true
+single abstract 5 p1@5000: 113 5020 true true
+single delayed 3 none: 602 39993 false true
+single delayed 3 p1@5000: 97 5020 true true
+single delayed 4 none: 605 39957 true true
+single delayed 4 p1@5000: 101 5002 true true
+single delayed 5 none: 621 39987 false true
+single delayed 5 p1@5000: 113 5020 true true
+single unfair 3 none: 191 39729 false true
+single unfair 3 p1@5000: 70 4888 true true
+single unfair 4 none: 191 39647 false true
+single unfair 4 p1@5000: 70 4999 true true
+single unfair 5 none: 193 39905 false true
+single unfair 5 p1@5000: 73 4978 true true
+single wfdx 3 none: 577 39979 false true
+single wfdx 3 p1@5000: 72 5020 true true
+single wfdx 4 none: 597 39971 false true
+single wfdx 4 p1@5000: 67 4999 true true
+single wfdx 5 none: 600 39979 false true
+single wfdx 5 p1@5000: 77 5020 true true
+flawed abstract 3 none: 94 1509 true true
 flawed abstract 3 p1@5000: 95 5020 true true
-flawed abstract 4 none: 94 1518 true true
+flawed abstract 4 none: 94 1511 true true
 flawed abstract 4 p1@5000: 95 5020 true true
-flawed abstract 5 none: 94 1519 true true
-flawed abstract 5 p1@5000: 95 5020 true true
-flawed delayed 3 none: 2500 39995 false true
-flawed delayed 3 p1@5000: 313 5007 true true
-flawed delayed 4 none: 2500 39993 false true
-flawed delayed 4 p1@5000: 313 5008 true true
-flawed delayed 5 none: 2500 39985 false true
-flawed delayed 5 p1@5000: 313 5007 true true
-flawed unfair 3 none: 94 1514 true true
+flawed abstract 5 none: 93 1500 true true
+flawed abstract 5 p1@5000: 94 5020 true true
+flawed delayed 3 none: 2500 39998 false true
+flawed delayed 3 p1@5000: 313 5001 true true
+flawed delayed 4 none: 2500 39997 false true
+flawed delayed 4 p1@5000: 313 5003 true true
+flawed delayed 5 none: 2500 39992 false true
+flawed delayed 5 p1@5000: 313 4999 true true
+flawed unfair 3 none: 94 1509 true true
 flawed unfair 3 p1@5000: 95 5020 true true
-flawed unfair 4 none: 94 1518 true true
+flawed unfair 4 none: 94 1511 true true
 flawed unfair 4 p1@5000: 95 5020 true true
-flawed unfair 5 none: 94 1519 true true
-flawed unfair 5 p1@5000: 95 5020 true true
-flawed wfdx 3 none: 1 23 true true
+flawed unfair 5 none: 93 1500 true true
+flawed unfair 5 p1@5000: 94 5020 true true
+flawed wfdx 3 none: 1 24 true true
 flawed wfdx 3 p1@5000: 2 5020 true true
-flawed wfdx 4 none: 1 26 true true
+flawed wfdx 4 none: 1 31 true true
 flawed wfdx 4 p1@5000: 2 5020 true true
-flawed wfdx 5 none: 1 22 true true
-flawed wfdx 5 p1@5000: 2 5020 true true";
+flawed wfdx 5 none: 1 24 true true
+flawed wfdx 5 p1@5000: 2 5020 true true
+";
 
 type Extractor = fn(BlackBox, u64, CrashPlan, Time) -> SuspicionHistory;
 
@@ -89,7 +88,7 @@ fn the_ablations_extract_what_they_did_on_their_own_hosts() {
         ("wfdx", BlackBox::WfDx),
     ];
     let (p0, p1) = (ProcessId(0), ProcessId(1));
-    let mut golden = GOLDEN.lines();
+    let mut rows = String::new();
     for (ename, extractor) in extractors {
         for (bname, black_box) in boxes {
             for seed in [3u64, 4, 5] {
@@ -98,61 +97,58 @@ fn the_ablations_extract_what_they_did_on_their_own_hosts() {
                 {
                     let h = extractor(black_box, seed, plan.clone(), HORIZON);
                     let last = h.timeline(p0, p1).changes().last().map_or(0, |&(t, _)| t.0);
-                    let row = format!(
-                        "{ename} {bname} {seed} {cname}: {} {last} {} {}",
+                    rows += &format!(
+                        "{ename} {bname} {seed} {cname}: {} {last} {} {}\n",
                         h.mistake_intervals(p0, p1),
                         h.eventual_strong_accuracy(&plan).is_ok(),
                         h.strong_completeness(&plan).is_ok(),
                     );
-                    assert_eq!(Some(row.as_str()), golden.next());
                 }
             }
         }
     }
-    assert_eq!(golden.next(), None);
+    assert_eq!(rows, GOLDEN);
 }
 
 /// The paper's own reduction over each of the six boxes, in the row format
-/// of [`GOLDEN`] (`pair` names the two-instance extractor). Recorded from
-/// the build before the dining services shared one coordinator and the
-/// FTME box became the fork diner's trust-gated constructor.
+/// of [`GOLDEN`] (`pair` names the two-instance extractor).
 const PAIR_GOLDEN: &str = "\
-pair wfdx 3 none: 16 2054 true true
-pair wfdx 3 p1@5000: 17 5020 true true
-pair wfdx 4 none: 4 984 true true
-pair wfdx 4 p1@5000: 5 5020 true true
-pair wfdx 5 none: 5 1666 true true
+pair wfdx 3 none: 14 1638 true true
+pair wfdx 3 p1@5000: 15 5020 true true
+pair wfdx 4 none: 5 987 true true
+pair wfdx 4 p1@5000: 6 5020 true true
+pair wfdx 5 none: 5 1692 true true
 pair wfdx 5 p1@5000: 6 5020 true true
-pair hygienic 3 none: 1 56 true true
-pair hygienic 3 p1@5000: 1 56 true false
+pair hygienic 3 none: 1 41 true true
+pair hygienic 3 p1@5000: 1 41 true false
 pair hygienic 4 none: 1 67 true true
 pair hygienic 4 p1@5000: 1 67 true false
-pair hygienic 5 none: 1 46 true true
-pair hygienic 5 p1@5000: 1 46 true false
-pair delayed 3 none: 46 1575 true true
+pair hygienic 5 none: 1 56 true true
+pair hygienic 5 p1@5000: 1 56 true false
+pair delayed 3 none: 46 1538 true true
 pair delayed 3 p1@5000: 47 5020 true true
-pair delayed 4 none: 44 1559 true true
-pair delayed 4 p1@5000: 45 5020 true true
-pair delayed 5 none: 46 1584 true true
-pair delayed 5 p1@5000: 47 5020 true true
-pair abstract 3 none: 46 1575 true true
+pair delayed 4 none: 45 1631 true true
+pair delayed 4 p1@5000: 46 5020 true true
+pair delayed 5 none: 45 1542 true true
+pair delayed 5 p1@5000: 46 5020 true true
+pair abstract 3 none: 46 1538 true true
 pair abstract 3 p1@5000: 47 5020 true true
-pair abstract 4 none: 44 1559 true true
-pair abstract 4 p1@5000: 45 5020 true true
-pair abstract 5 none: 46 1584 true true
-pair abstract 5 p1@5000: 47 5020 true true
-pair ftme 3 none: 16 2054 true true
-pair ftme 3 p1@5000: 17 5020 true true
-pair ftme 4 none: 4 984 true true
-pair ftme 4 p1@5000: 5 5020 true true
-pair ftme 5 none: 5 1666 true true
+pair abstract 4 none: 43 1532 true true
+pair abstract 4 p1@5000: 44 5020 true true
+pair abstract 5 none: 45 1542 true true
+pair abstract 5 p1@5000: 46 5020 true true
+pair ftme 3 none: 14 1638 true true
+pair ftme 3 p1@5000: 15 5020 true true
+pair ftme 4 none: 5 987 true true
+pair ftme 4 p1@5000: 6 5020 true true
+pair ftme 5 none: 5 1692 true true
 pair ftme 5 p1@5000: 6 5020 true true
-pair unfair 3 none: 46 1575 true true
+pair unfair 3 none: 46 1538 true true
 pair unfair 3 p1@5000: 47 5020 true true
-pair unfair 4 none: 44 1559 true true
-pair unfair 4 p1@5000: 45 5020 true true
-pair unfair 5 none: 46 1584 true true
-pair unfair 5 p1@5000: 47 5020 true true
+pair unfair 4 none: 43 1532 true true
+pair unfair 4 p1@5000: 44 5020 true true
+pair unfair 5 none: 45 1542 true true
+pair unfair 5 p1@5000: 46 5020 true true
 ";
 
 #[test]
@@ -193,8 +189,8 @@ fn the_reduction_extracts_what_it_did_from_every_box() {
 /// pipeline (fair diner over the reduction over the ◇P fork box) on a
 /// 5-ring, recorded alongside [`PAIR_GOLDEN`].
 const FAIR_GOLDEN: &str = "\
-21: 1068 1070 1059 1065 1060 / 3
-22: 1063 1058 1074 1063 1053 / 2
+21: 1071 1057 1066 1052 1051 / 3
+22: 1062 1063 1069 1059 1053 / 3
 ";
 
 #[test]

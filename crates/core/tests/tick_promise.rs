@@ -4,7 +4,7 @@
 //! 1. **The promise is unobservable.** A run whose participants promise and
 //!    the same run with the promise hidden behind an adapter — so the banks
 //!    tick and pump everything, as they did before the promise existed —
-//!    have identical traces and metrics, on both engine families — for the
+//!    have identical traces and metrics, at one shard and at four — for the
 //!    paper's reduction and for the two one-instance ablations, which run
 //!    on the same host.
 //! 2. **The skip skips, and keeps what it must.** Counted at the black-box
@@ -23,7 +23,7 @@ use dinefd_dining::wfdx::WxMsg;
 use dinefd_dining::{DinerPhase, DiningIo, DiningMsg, DiningParticipant};
 use dinefd_fd::FdQuery;
 use dinefd_sim::{
-    CrashPlan, MetricMap, Node, ProcessId, ShardedWorld, SplitMix64, Time, World, WorldConfig,
+    CrashPlan, MetricMap, Node, ProcessId, ShardedWorld, SplitMix64, Time, WorldConfig,
 };
 
 /// `(watcher, subject, hosting process, instance)` of one endpoint.
@@ -112,26 +112,17 @@ struct RunRecord {
     steps: u64,
 }
 
-/// Runs `nodes` to `horizon` on the classic world (`shards == 0`) or the
-/// sharded one, messages recorded.
+/// Runs `nodes` to `horizon` over `shards` shards, messages recorded.
 fn run<N: Node<Msg = RedMsg, Obs = RedObs> + Send>(
     nodes: Vec<N>,
     cfg: WorldConfig,
     shards: usize,
     horizon: Time,
 ) -> RunRecord {
-    let cfg = cfg.record_messages();
-    if shards == 0 {
-        let mut world = World::new(nodes, cfg);
-        world.run_until(horizon);
-        let (metrics, steps) = (world.metrics_map(), world.steps());
-        RunRecord { trace: format!("{:?}", world.into_trace().events()), metrics, steps }
-    } else {
-        let mut world = ShardedWorld::new(nodes, cfg, shards);
-        world.run_until(horizon);
-        let (metrics, steps) = (world.metrics_map(), world.steps());
-        RunRecord { trace: format!("{:?}", world.into_trace().events()), metrics, steps }
-    }
+    let mut world = ShardedWorld::new(nodes, cfg.record_messages(), shards);
+    world.run_until(horizon);
+    let (metrics, steps) = (world.metrics_map(), world.steps());
+    RunRecord { trace: format!("{:?}", world.into_trace().events()), metrics, steps }
 }
 
 const N: usize = 4;
@@ -191,7 +182,7 @@ fn hiding_the_promise_changes_nothing_observable() {
                     let seed = 0x71C4 + case;
                     let fd: Oracle =
                         Arc::new(oracle.build(N, crashes.clone(), &mut SplitMix64::new(seed)));
-                    for shards in [0, 1, 4] {
+                    for shards in [1, 4] {
                         let what = format!(
                             "{black_box:?} / {oracle:?} / {crashes:?} / strict_seq={strict_seq} / \
                              shards={shards}"
@@ -234,7 +225,7 @@ fn hiding_the_promise_changes_nothing_the_one_instance_extractors_show() {
                     crashes.clone(),
                     &mut SplitMix64::new(seed),
                 ));
-                for shards in [0, 4] {
+                for shards in [1, 4] {
                     assert_the_promise_is_unobservable(
                         &format!("{extractor} / {black_box:?} / {crashes:?} / shards={shards}"),
                         black_box,
@@ -402,12 +393,8 @@ fn tick_deliveries_at_the_benchmark_shapes() {
         if dense {
             cfg = cfg.batch_envelopes().observation_events_off();
         }
-        let nodes = nodes(n, &factory, &oracle, false);
-        if dense {
-            ShardedWorld::new(nodes, cfg, 4).run_until(Time(horizon));
-        } else {
-            World::new(nodes, cfg).run_until(Time(horizon));
-        }
+        let shards = if dense { 4 } else { 1 };
+        ShardedWorld::new(nodes(n, &factory, &oracle, false), cfg, shards).run_until(Time(horizon));
         let ticks = counter.lock().unwrap();
         (ticks.len(), ticks.iter().filter(|&&(_, phase)| phase == DinerPhase::Hungry).count())
     };

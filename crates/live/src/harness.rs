@@ -19,6 +19,8 @@
 //! converging on whichever asynchrony it actually measures" means, and
 //! [`DiffReport::assert_converged`] enforces it.
 
+use std::sync::Arc;
+
 use dinefd_fd::{HeartbeatConfig, HeartbeatFd, OracleClass, SuspicionHistory};
 use dinefd_runtime::{ProcessId, Runtime, SplitMix64, Time};
 use dinefd_sim::{Adversary, CrashPlan, DelayModel, World, WorldConfig};
@@ -160,7 +162,7 @@ struct RampAdversary {
 }
 
 impl Adversary for RampAdversary {
-    fn delay(&mut self, _: ProcessId, _: ProcessId, now: Time, rng: &mut SplitMix64) -> u64 {
+    fn delay(&self, _: ProcessId, _: ProcessId, now: Time, rng: &mut SplitMix64) -> u64 {
         if now.0 >= self.gst {
             return 1 + rng.below(POST_GST_BOUND);
         }
@@ -174,7 +176,7 @@ fn delay_model(s: &DiffScenario) -> DelayModel {
         return DelayModel::Fixed(1);
     }
     if s.ramping {
-        DelayModel::Scripted(Box::new(RampAdversary { gst: s.gst, delay: s.delay }))
+        DelayModel::Scripted(Arc::new(RampAdversary { gst: s.gst, delay: s.delay }))
     } else {
         DelayModel::PartialSync {
             gst: Time(s.gst),

@@ -26,9 +26,9 @@
 //!   set of nodes to a horizon and surrender the observation log. The
 //!   differential convergence harness is generic over this trait.
 //!
-//! The deterministic [`World`](https://docs.rs/dinefd-sim) /
-//! `ShardedWorld` family (crate `dinefd-sim`) is one implementation of the
-//! contract; the loopback-TCP cluster of `dinefd-live` is the second.
+//! The deterministic simulator, `ShardedWorld` (crate `dinefd-sim`), is
+//! one implementation of the contract; the loopback-TCP cluster of
+//! `dinefd-live` is the second.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]

@@ -1,15 +1,10 @@
-//! The discrete-event queue driving a [`crate::world::World`].
+//! Scheduled events and a standalone event queue.
 //!
-//! Two interchangeable backends sit behind [`EventQueue`]: a hierarchical
-//! [`TimerWheel`](crate::wheel::TimerWheel) (the default — `O(1)` push/pop
-//! for the near-future scheduling the simulator actually does) and the
-//! original [`BinaryHeap`], retained for differential assertion. Both pop
-//! strictly by `(time, seq)` where `seq` is the queue's scheduling
-//! counter, so a run's trace is byte-identical whichever backend drives it
-//! — `crates/sim` tests pin this.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! [`EventKind`] is what the simulator schedules. [`EventQueue`] is a
+//! [`TimerWheel`] of them popped by `(time, push order)`; the simulator
+//! itself keys its per-shard wheels by a canonical merge key instead
+//! (`crate::shard`), so the queue serves code that wants the wheel with
+//! events in it and nothing else.
 
 use crate::id::ProcessId;
 use crate::node::TimerId;
@@ -54,81 +49,38 @@ pub enum EventKind<M> {
     },
 }
 
-/// A scheduled event.
+/// A popped event.
 #[derive(Clone, Debug)]
 pub struct Event<M> {
     /// When the event occurs.
     pub at: Time,
-    /// Tie-breaking sequence number (assigned in scheduling order).
-    pub seq: u64,
     /// The effect.
     pub kind: EventKind<M>,
 }
 
-// BinaryHeap is a max-heap; invert the ordering to pop the earliest
-// (time, seq) first. Equal times are resolved by scheduling order, which
-// keeps runs fully deterministic.
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
-/// Which data structure backs an [`EventQueue`].
+/// Which data structure backs the event queue: the timer wheel, the only
+/// one. Kept only because the `benchmark/` harness names it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum QueueBackend {
-    /// Hierarchical timer wheel ([`crate::wheel`]) — `O(1)` push/pop for
-    /// near-future events, the default.
+    /// Hierarchical timer wheel ([`crate::wheel`]).
     #[default]
     Wheel,
-    /// The original global `BinaryHeap` — `O(log n)` everything, kept as
-    /// the reference implementation for differential runs.
-    Heap,
 }
 
+/// Event queue over a [`TimerWheel`]: pops strictly by `(time, push order)`.
 #[derive(Debug)]
-enum Backend<M> {
-    Wheel(TimerWheel<(u64, EventKind<M>)>),
-    Heap(BinaryHeap<Event<M>>),
-}
-
-/// Deterministic event queue: pops strictly by `(time, scheduling order)`.
-#[derive(Debug)]
-pub struct EventQueue<M> {
-    backend: Backend<M>,
-    next_seq: u64,
-}
+pub struct EventQueue<M>(TimerWheel<EventKind<M>>);
 
 impl<M> Default for EventQueue<M> {
     fn default() -> Self {
-        Self::with_backend(QueueBackend::default())
+        EventQueue(TimerWheel::new())
     }
 }
 
 impl<M> EventQueue<M> {
-    /// Empty queue on the default backend.
+    /// Empty queue.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Empty queue on an explicit backend.
-    pub fn with_backend(backend: QueueBackend) -> Self {
-        let backend = match backend {
-            QueueBackend::Wheel => Backend::Wheel(TimerWheel::new()),
-            QueueBackend::Heap => Backend::Heap(BinaryHeap::new()),
-        };
-        EventQueue { backend, next_seq: 0 }
     }
 
     /// Schedules `kind` at absolute time `at`.
@@ -136,131 +88,44 @@ impl<M> EventQueue<M> {
     /// # Panics
     ///
     /// If `at` lies before an already-popped instant (the simulation clock
-    /// never runs backwards). The heap backend tolerates such pushes by
-    /// re-sorting, but they are always caller bugs; the wheel rejects them.
+    /// never runs backwards).
     pub fn push(&mut self, at: Time, kind: EventKind<M>) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        match &mut self.backend {
-            // Same-time wheel entries pop in insertion order, and `seq` is
-            // monotone in push order, so (time, seq) order is preserved;
-            // the seq rides along for `Event` reconstruction on pop.
-            Backend::Wheel(w) => w.push(at, (seq, kind)),
-            Backend::Heap(h) => h.push(Event { at, seq, kind }),
-        }
+        self.0.push(at, kind);
     }
 
     /// Removes and returns the earliest event.
     pub fn pop(&mut self) -> Option<Event<M>> {
-        match &mut self.backend {
-            Backend::Wheel(w) => w.pop().map(|(at, (seq, kind))| Event { at, seq, kind }),
-            Backend::Heap(h) => h.pop(),
-        }
-    }
-
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<Time> {
-        match &self.backend {
-            Backend::Wheel(w) => w.peek_time(),
-            Backend::Heap(h) => h.peek().map(|e| e.at),
-        }
+        self.0.pop().map(|(at, kind)| Event { at, kind })
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Wheel(w) => w.len(),
-            Backend::Heap(h) => h.len(),
-        }
+        self.0.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.0.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::SplitMix64;
-
-    const BACKENDS: [QueueBackend; 2] = [QueueBackend::Wheel, QueueBackend::Heap];
 
     #[test]
-    fn pops_in_time_order() {
-        for backend in BACKENDS {
-            let mut q: EventQueue<&'static str> = EventQueue::with_backend(backend);
-            q.push(Time(30), EventKind::Crash { pid: ProcessId(0) });
-            q.push(Time(10), EventKind::Crash { pid: ProcessId(1) });
-            q.push(Time(20), EventKind::Crash { pid: ProcessId(2) });
-            let order: Vec<Time> = std::iter::from_fn(|| q.pop()).map(|e| e.at).collect();
-            assert_eq!(order, vec![Time(10), Time(20), Time(30)], "{backend:?}");
+    fn pops_by_time_then_push_order() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        for (at, pid) in [(30, 0), (10, 1), (20, 2), (10, 3)] {
+            q.push(Time(at), EventKind::Crash { pid: ProcessId(pid) });
         }
-    }
-
-    #[test]
-    fn ties_break_by_scheduling_order() {
-        for backend in BACKENDS {
-            let mut q: EventQueue<()> = EventQueue::with_backend(backend);
-            for i in 0..5 {
-                q.push(Time(7), EventKind::Crash { pid: ProcessId(i) });
-            }
-            let pids: Vec<u32> = std::iter::from_fn(|| q.pop())
-                .map(|e| match e.kind {
-                    EventKind::Crash { pid } => pid.0,
-                    _ => unreachable!(),
-                })
-                .collect();
-            assert_eq!(pids, vec![0, 1, 2, 3, 4], "{backend:?}");
-        }
-    }
-
-    #[test]
-    fn peek_time_matches_pop() {
-        for backend in BACKENDS {
-            let mut q: EventQueue<()> = EventQueue::with_backend(backend);
-            assert_eq!(q.peek_time(), None);
-            q.push(Time(4), EventKind::Crash { pid: ProcessId(0) });
-            q.push(Time(2), EventKind::Crash { pid: ProcessId(1) });
-            assert_eq!(q.peek_time(), Some(Time(2)), "{backend:?}");
-            q.pop();
-            assert_eq!(q.peek_time(), Some(Time(4)), "{backend:?}");
-        }
-    }
-
-    /// The two backends must agree on `(at, seq)` pop order for arbitrary
-    /// monotone-time interleavings of pushes and pops — the property that
-    /// makes the wheel a drop-in replacement for the heap.
-    #[test]
-    fn wheel_and_heap_pop_identically() {
-        let mut rng = SplitMix64::new(0xBEEF);
-        for trial in 0..10 {
-            let mut wheel: EventQueue<u32> = EventQueue::with_backend(QueueBackend::Wheel);
-            let mut heap: EventQueue<u32> = EventQueue::with_backend(QueueBackend::Heap);
-            let mut now = 0u64;
-            for step in 0..3_000 {
-                if rng.chance(3, 5) || wheel.is_empty() {
-                    // Mix near-window delays with rare far-future spikes,
-                    // including same-instant ties.
-                    let delay =
-                        if rng.chance(1, 10) { rng.range(1, 100_000) } else { rng.below(8) };
-                    let at = Time(now + delay);
-                    let pid = ProcessId(step as u32);
-                    wheel.push(at, EventKind::Crash { pid });
-                    heap.push(at, EventKind::Crash { pid });
-                } else {
-                    assert_eq!(wheel.peek_time(), heap.peek_time(), "trial {trial} peek");
-                    let (w, h) = (wheel.pop().unwrap(), heap.pop().unwrap());
-                    assert_eq!((w.at, w.seq), (h.at, h.seq), "trial {trial} pop order");
-                    now = w.at.ticks();
-                }
-            }
-            while let Some(h) = heap.pop() {
-                let w = wheel.pop().expect("wheel drained early");
-                assert_eq!((w.at, w.seq), (h.at, h.seq), "trial {trial} drain");
-            }
-            assert!(wheel.is_empty());
-        }
+        let order: Vec<(u64, u32)> = std::iter::from_fn(|| q.pop())
+            .map(|e| match e.kind {
+                EventKind::Crash { pid } => (e.at.ticks(), pid.0),
+                _ => unreachable!(),
+            })
+            .collect();
+        assert_eq!(order, [(10, 1), (10, 3), (20, 2), (30, 0)]);
+        assert!(q.is_empty());
     }
 }

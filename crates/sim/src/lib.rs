@@ -19,16 +19,14 @@
 //! The simulator implements exactly these axioms as a deterministic
 //! discrete-event machine:
 //!
-//! * [`world::World`] owns a set of [`node::Node`]s and an event queue keyed
-//!   by virtual [`time::Time`] (the paper's clock `T`);
-//!   [`shard::ShardedWorld`] is the second family, the same semantics over
-//!   `k` shards with a shard-count-invariant schedule;
+//! * [`shard::ShardedWorld`] owns a set of [`node::Node`]s, partitioned
+//!   into `k` shards, and their pending events keyed by virtual
+//!   [`time::Time`] (the paper's clock `T`); its schedule is the same for
+//!   every `k`, and [`world::World`] is the engine at `k = 1`;
 //! * the atomic step itself — crash discard, the node's `Context`, every
 //!   per-step counter, send-target and clock-horizon checks, effect routing
-//!   — is stated once, in the crate-private `step` module, and driven by
-//!   both families, which differ only in where a process's state lives,
-//!   where emissions go, which random stream prices a channel and in what
-//!   order scheduled events come back;
+//!   — is stated once, in the crate-private `step` module, and every shard
+//!   drives it;
 //! * sends are assigned delivery delays by a pluggable [`net::DelayModel`]
 //!   (uniform, heavy-tailed, partially synchronous with a global
 //!   stabilization time, or a scripted adversary) — varying delays make the
@@ -51,9 +49,10 @@
 //! which is what the `BENCH_experiments.json` golden records. The simulator
 //! reads no wall clock; callers that want a run's duration time the call.
 //!
-//! Streaming: a [`world::ObsSink`] attached via [`world::World::new_with_sink`]
-//! receives every observation as it is routed, so consumers can fold run
-//! output online instead of materializing the full trace; combined with
+//! Streaming: a [`world::ObsSink`] attached via
+//! [`shard::ShardedWorld::new_with_sink`] receives every observation as it
+//! is routed, so consumers can fold run output online instead of
+//! materializing the full trace; combined with
 //! [`world::WorldConfig::observation_events_off`] the run's resident
 //! footprint no longer grows with its length. Optional *envelope batching*
 //! ([`world::WorldConfig::batch_envelopes`], off by default) coalesces all
@@ -102,7 +101,7 @@ pub use node::{Context, Node, TimerId};
 pub use props::{stabilization_time, BoolTimeline};
 pub use rng::SplitMix64;
 pub use scenario_dsl::{Scenario as ScenarioDoc, ScenarioError};
-pub use shard::{ShardBuildError, ShardedWorld};
+pub use shard::ShardedWorld;
 pub use stats::Summary;
 pub use time::Time;
 pub use trace::{Trace, TraceEvent};

@@ -215,11 +215,11 @@ impl Histogram {
     }
 }
 
-/// Everything one simulated [`crate::world::World`] run counts.
+/// Everything one simulated run counts.
 ///
-/// Owned by the world and updated inline on the serial event loop; read it
-/// through [`crate::world::World::metrics`]. All fields are logical
-/// quantities, so equal seeds produce equal metric sets.
+/// Each shard's step executor owns one, updated inline on its event loop;
+/// read the merged set through [`crate::shard::ShardedWorld::metrics`]. All
+/// fields are logical quantities, so equal seeds produce equal metric sets.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SimMetrics {
     /// Atomic steps dispatched (start + message + timer steps).

@@ -15,6 +15,7 @@
 //! style environments "are often partially synchronous".
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::id::ProcessId;
 use crate::rng::SplitMix64;
@@ -26,13 +27,13 @@ use crate::time::Time;
 /// reorder aggressively, or correlate delays across channels — anything goes
 /// as long as the returned delay is finite, which the trait cannot violate.
 ///
-/// `Send` is a supertrait so that a [`DelayModel`] (which may box an
-/// adversary) can move into the shard-worker threads of
-/// [`crate::shard::ShardedWorld`]; adversaries are plain state machines, so
-/// this costs implementations nothing.
-pub trait Adversary: std::fmt::Debug + Send {
+/// An adversary is a pure function of the send and the sender's random
+/// stream (`&self`), so one instance is shared by every sender's copy of
+/// the [`DelayModel`]; `Send + Sync` lets those copies move into the
+/// shard-worker threads of [`crate::shard::ShardedWorld`].
+pub trait Adversary: std::fmt::Debug + Send + Sync {
     /// Delay, in ticks, for a message sent `from → to` at time `now`.
-    fn delay(&mut self, from: ProcessId, to: ProcessId, now: Time, rng: &mut SplitMix64) -> u64;
+    fn delay(&self, from: ProcessId, to: ProcessId, now: Time, rng: &mut SplitMix64) -> u64;
 }
 
 /// Per-message delivery-delay policy.
@@ -72,7 +73,7 @@ pub enum DelayModel {
         bound: u64,
     },
     /// Fully scripted adversary.
-    Scripted(Box<dyn Adversary>),
+    Scripted(Arc<dyn Adversary>),
     /// Per-channel FIFO discipline on top of any inner model: a message
     /// never overtakes an earlier message on the same ordered channel.
     ///
@@ -146,17 +147,23 @@ impl DelayModel {
         }
     }
 
-    /// A fresh, state-independent copy of this model, or `None` for
-    /// [`DelayModel::Scripted`] (a boxed adversary has no generic clone).
+    /// [`DelayModel::fresh`], which never fails. Kept because the
+    /// `benchmark/` harness still calls it.
+    pub fn try_clone(&self) -> Option<DelayModel> {
+        Some(self.fresh())
+    }
+
+    /// A fresh, state-independent copy of this model; a scripted model
+    /// shares its adversary.
     ///
     /// "Fresh" matters for [`DelayModel::Fifo`]: the copy starts with empty
     /// per-channel floors, so it is only equivalent to the original *before
-    /// any sample is drawn*. [`crate::shard::ShardedWorld`] clones the
+    /// any sample is drawn*. [`crate::shard::ShardedWorld`] copies the
     /// configured model once per process at construction — giving every
     /// sender its own delay state is what makes the schedule independent of
     /// the shard count.
-    pub fn try_clone(&self) -> Option<DelayModel> {
-        Some(match self {
+    pub fn fresh(&self) -> DelayModel {
+        match self {
             DelayModel::Fixed(d) => DelayModel::Fixed(*d),
             DelayModel::Uniform { lo, hi } => DelayModel::Uniform { lo: *lo, hi: *hi },
             DelayModel::HeavyTail { lo, hi, spike_num, spike_den, spike_hi } => {
@@ -168,16 +175,14 @@ impl DelayModel {
                     spike_hi: *spike_hi,
                 }
             }
-            DelayModel::PartialSync { gst, pre, bound } => DelayModel::PartialSync {
-                gst: *gst,
-                pre: Box::new(pre.try_clone()?),
-                bound: *bound,
-            },
-            DelayModel::Scripted(_) => return None,
-            DelayModel::Fifo { inner, .. } => {
-                DelayModel::Fifo { inner: Box::new(inner.try_clone()?), floors: HashMap::new() }
+            DelayModel::PartialSync { gst, pre, bound } => {
+                DelayModel::PartialSync { gst: *gst, pre: Box::new(pre.fresh()), bound: *bound }
             }
-        })
+            DelayModel::Scripted(adv) => DelayModel::Scripted(Arc::clone(adv)),
+            DelayModel::Fifo { inner, .. } => {
+                DelayModel::Fifo { inner: Box::new(inner.fresh()), floors: HashMap::new() }
+            }
+        }
     }
 
     /// Samples a delay for one message. Always at least 1 tick.
@@ -250,7 +255,7 @@ pub struct ChannelStaller {
 }
 
 impl Adversary for ChannelStaller {
-    fn delay(&mut self, from: ProcessId, to: ProcessId, now: Time, rng: &mut SplitMix64) -> u64 {
+    fn delay(&self, from: ProcessId, to: ProcessId, now: Time, rng: &mut SplitMix64) -> u64 {
         if now < self.release_at && self.stalled.contains(&(from, to)) {
             // Hold until just past the release point, with jitter so that
             // simultaneously-stalled messages arrive in a scrambled order.
@@ -401,20 +406,25 @@ mod tests {
     }
 
     #[test]
-    fn try_clone_copies_everything_but_scripted() {
+    fn fresh_copies_sample_like_the_original() {
         let models = [
             DelayModel::Fixed(3),
             DelayModel::default_async(),
             DelayModel::harsh(),
             DelayModel::partially_synchronous(Time(100), 5),
             DelayModel::fifo(DelayModel::harsh()),
+            DelayModel::Scripted(Arc::new(ChannelStaller {
+                stalled: vec![(p(0), p(1))],
+                release_at: Time(300),
+                benign_hi: 9,
+            })),
         ];
         for m in models {
-            let mut clone = m.try_clone().expect("stateless models clone");
+            let mut clone = m.fresh();
             assert_eq!(clone.kind(), m.kind());
-            // A fresh clone samples identically to the original under the
+            // A fresh copy samples identically to the original under the
             // same RNG stream (no hidden state carried over).
-            let mut orig = m.try_clone().unwrap();
+            let mut orig = m.fresh();
             let (mut r1, mut r2) = (SplitMix64::new(9), SplitMix64::new(9));
             for t in 0..200u64 {
                 assert_eq!(
@@ -425,13 +435,11 @@ mod tests {
                 );
             }
         }
-        let staller = ChannelStaller { stalled: vec![], release_at: Time(1), benign_hi: 1 };
-        assert!(DelayModel::Scripted(Box::new(staller)).try_clone().is_none());
     }
 
     #[test]
     fn staller_holds_selected_channel() {
-        let mut adv =
+        let adv =
             ChannelStaller { stalled: vec![(p(0), p(1))], release_at: Time(500), benign_hi: 4 };
         let mut rng = SplitMix64::new(5);
         let d = adv.delay(p(0), p(1), Time(10), &mut rng);

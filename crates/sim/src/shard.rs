@@ -1,19 +1,18 @@
-//! Sharded worlds: pair partitions with a deterministic cross-shard merge,
+//! The simulator: pair partitions with a deterministic cross-shard merge,
 //! runnable sequentially or on a pool of shard-worker threads.
 //!
-//! A [`ShardedWorld`] runs the same discrete-event semantics as
-//! [`crate::world::World`] over `k` shards, each owning the processes with
-//! `pid.index() % k == shard` and a private [`TimerWheel`] of their pending
-//! events. Shards exchange only cross-shard messages; everything else
+//! A [`ShardedWorld`] runs its processes over `k` shards, each owning the
+//! processes with `pid.index() % k == shard` and a private [`TimerWheel`]
+//! of their pending events; [`crate::world::World`] is the same engine at
+//! `k = 1`. Shards exchange only cross-shard messages; everything else
 //! (timers, same-shard sends) stays local. The extraction host partitions
 //! pairs by the `witness_by_subject` index key — the witness pid — so
 //! `pid % k` is exactly a pair partition there.
 //!
 //! ## The cross-shard `seq` merge rule
 //!
-//! A single `World` tie-breaks same-instant events by its global scheduling
-//! counter `seq` — meaningless across shards, where each queue counts
-//! alone. Instead every event carries a **canonical key**
+//! A global scheduling counter would be meaningless across shards, where
+//! each queue counts alone. Instead every event carries a **canonical key**
 //! `(time, class, source pid, source seq)`:
 //!
 //! * `class 0` — crash-plan events; `source seq` is the plan index;
@@ -31,18 +30,17 @@
 //!
 //! Shard-count independence also requires the *randomness* to be
 //! per-process rather than global: each process gets its own delay-model
-//! clone ([`crate::net::DelayModel::try_clone`]) and its own forked
+//! copy ([`crate::net::DelayModel::fresh`]) and its own forked
 //! delay-RNG, so the draws a sender makes never depend on how senders are
 //! interleaved across shards.
 //!
 //! ## One engine, two drivers
 //!
 //! What an event does — the atomic step — is the step executor in
-//! `step.rs`, the same one [`crate::world::World`] drives; a shard is that
-//! executor over its slice of the processes plus the wiring this module
-//! adds (per-sender delay streams, canonical-key stamping, the wheel and
-//! the outbox). The dead-from-birth rule for crashes at `Time::ZERO` is
-//! documented there too.
+//! `step.rs`; a shard is that executor over its slice of the processes plus
+//! the wiring this module adds (per-sender delay streams, canonical-key
+//! stamping, the wheel and the outbox). The dead-from-birth rule for
+//! crashes at `Time::ZERO` is documented there too.
 //!
 //! Every event's *state effects* are confined to the shard that executes it
 //! (a delivery steps the destination, a timer or crash its owner, and all
@@ -59,7 +57,8 @@
 //!
 //! Both the sequential [`ShardedWorld::step_instant`] and the parallel
 //! runner drive this *same* engine, so parallel determinism is structural
-//! rather than a discipline over duplicated code.
+//! rather than a discipline over duplicated code. Only the parallel runner
+//! asks the node type to be `Send`.
 //!
 //! ## The instant-barrier protocol
 //!
@@ -144,41 +143,16 @@ type OutboxEntry<M> = (usize, Time, Pending<M>);
 /// Cross-shard effects the coordinator holds for one destination shard.
 type Inbox<M> = Vec<(Time, Pending<M>)>;
 
-/// Why a [`ShardedWorld`] could not be constructed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardBuildError {
-    /// `shards == 0` was requested.
-    NoShards,
-    /// The configured delay model has no per-process clone
-    /// ([`DelayModel::try_clone`] returned `None` — it is
-    /// [`DelayModel::Scripted`]).
-    UncloneableDelayModel,
-}
-
-impl std::fmt::Display for ShardBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ShardBuildError::NoShards => f.write_str("a sharded world needs at least one shard"),
-            ShardBuildError::UncloneableDelayModel => f.write_str(
-                "sharded worlds need a cloneable delay model (Scripted is not; \
-                 use a World or a deterministic model instead)",
-            ),
-        }
-    }
-}
-
-impl std::error::Error for ShardBuildError {}
-
 /// One shard's complete execution state — the unit a worker thread owns:
 /// the step executor over its slice of the processes (slot
-/// `pid.index() / k`) and the sharded family's wiring around it.
+/// `pid.index() / k`) and the wiring around it.
 struct ShardState<N: Node> {
     exec: Executor<N>,
     wire: Wiring<N>,
     batch_buf: Vec<Pending<N::Msg>>,
 }
 
-/// What the sharded family decides around the shared step: per-sender delay
+/// What the engine decides around the shared step: per-sender delay
 /// streams and effect counters, the shard's event wheel, and its optional
 /// streaming sink.
 struct Wiring<N: Node> {
@@ -374,14 +348,14 @@ fn worker_loop<N: Node>(
     (owned, stats)
 }
 
-/// A sharded simulated world. Construction, stepping, and observation
-/// mirror [`crate::world::World`]; see the module docs for what sharding
-/// changes (and what it provably doesn't: the schedule).
+/// The simulated world, partitioned into shards; see the module docs for
+/// what sharding changes (and what it provably doesn't: the schedule).
 pub struct ShardedWorld<N: Node> {
     shards: Vec<ShardState<N>>,
     n: usize,
     now: Time,
-    /// Worker threads `run_until` may use (from [`WorldConfig::threads`]).
+    /// Worker threads `run_until` may use (from
+    /// [`WorldConfig::threads`]).
     threads: usize,
     /// Variant label of the configured delay model, for metric export.
     delay_kind: &'static str,
@@ -414,50 +388,21 @@ impl<N: Node> std::fmt::Debug for ShardedWorld<N> {
 }
 
 impl<N: Node> ShardedWorld<N> {
-    /// Builds a `k`-shard world over `nodes` and delivers every node's
-    /// `on_start` step at time zero.
-    ///
-    /// # Panics
-    ///
-    /// On any [`ShardBuildError`]; use [`ShardedWorld::try_new`] to handle
-    /// those as values.
+    /// Builds a `k`-shard world over `nodes` (`k` is clamped to at least 1)
+    /// and delivers every node's `on_start` step at time zero.
     pub fn new(nodes: Vec<N>, cfg: WorldConfig, shards: usize) -> Self {
-        Self::try_new(nodes, cfg, shards).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`ShardedWorld::new`]: rejects `shards == 0` and delay
-    /// models without a per-process clone instead of panicking.
-    pub fn try_new(
-        nodes: Vec<N>,
-        cfg: WorldConfig,
-        shards: usize,
-    ) -> Result<Self, ShardBuildError> {
         Self::build(nodes, cfg, shards, None, None)
     }
 
-    /// Builds a sharded world with a streaming [`ObsSink`] attached (the
-    /// `on_start` observations stream through it, as in
-    /// [`crate::world::World::new_with_sink`]).
-    ///
-    /// # Panics
-    ///
-    /// On any [`ShardBuildError`]; see [`ShardedWorld::try_new_with_sink`].
+    /// Builds a world with a streaming [`ObsSink`] attached. The sink must
+    /// be present from construction because the `on_start` steps run inside
+    /// it — attaching a sink after `new` would miss their observations.
     pub fn new_with_sink(
         nodes: Vec<N>,
         cfg: WorldConfig,
         shards: usize,
         sink: Box<dyn ObsSink<N::Obs>>,
     ) -> Self {
-        Self::try_new_with_sink(nodes, cfg, shards, sink).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible [`ShardedWorld::new_with_sink`].
-    pub fn try_new_with_sink(
-        nodes: Vec<N>,
-        cfg: WorldConfig,
-        shards: usize,
-        sink: Box<dyn ObsSink<N::Obs>>,
-    ) -> Result<Self, ShardBuildError> {
         Self::build(nodes, cfg, shards, Some(sink), None)
     }
 
@@ -467,12 +412,12 @@ impl<N: Node> ShardedWorld<N> {
     /// in that shard's execution order — which is the sequential stream's
     /// projection onto those processes. This is the parallel-extraction
     /// hook: per-shard folds merged deterministically afterwards.
-    pub fn try_new_with_shard_sinks(
+    pub fn new_with_shard_sinks(
         nodes: Vec<N>,
         cfg: WorldConfig,
         shards: usize,
         sinks: Vec<Box<dyn ObsSink<N::Obs> + Send>>,
-    ) -> Result<Self, ShardBuildError> {
+    ) -> Self {
         assert_eq!(sinks.len(), shards, "one shard sink per shard");
         Self::build(nodes, cfg, shards, None, Some(sinks))
     }
@@ -483,19 +428,13 @@ impl<N: Node> ShardedWorld<N> {
         shards: usize,
         obs_sink: Option<Box<dyn ObsSink<N::Obs>>>,
         shard_sinks: Option<Vec<Box<dyn ObsSink<N::Obs> + Send>>>,
-    ) -> Result<Self, ShardBuildError> {
-        if shards == 0 {
-            return Err(ShardBuildError::NoShards);
-        }
-        if cfg.delays.try_clone().is_none() {
-            return Err(ShardBuildError::UncloneableDelayModel);
-        }
+    ) -> Self {
         let n = nodes.len();
-        let k = shards;
+        let k = shards.max(1);
         let mut rng = SplitMix64::new(cfg.seed);
-        // Fork order is load-bearing: node RNGs first (matching `World`),
-        // then one delay RNG per process, all in pid order — then
-        // distributed round-robin so the streams are shard-count invariant.
+        // Fork order is load-bearing: node RNGs first, then one delay RNG
+        // per process, all in pid order — then distributed round-robin so
+        // the streams are shard-count invariant.
         let node_rngs: Vec<SplitMix64> = (0..n).map(|_| rng.fork()).collect();
         let send_rngs: Vec<SplitMix64> = (0..n).map(|_| rng.fork()).collect();
         let log_obs = cfg.record_observations || obs_sink.is_some();
@@ -523,7 +462,7 @@ impl<N: Node> ShardedWorld<N> {
             let st = &mut states[i % k];
             st.exec.push(node, nr);
             st.wire.send_rngs.push(sr);
-            st.wire.send_delays.push(cfg.delays.try_clone().expect("cloneability checked above"));
+            st.wire.send_delays.push(cfg.delays.fresh());
             st.wire.effect_seq.push(0);
         }
         let mut world = ShardedWorld {
@@ -559,7 +498,7 @@ impl<N: Node> ShardedWorld<N> {
             let pid = ProcessId::from_index(i);
             world.run_at_zero(pid, |exec, lane| exec.start(pid, lane));
         }
-        Ok(world)
+        world
     }
 
     /// Runs one construction-time step of `pid`'s shard at `Time::ZERO`
@@ -685,17 +624,23 @@ impl<N: Node> ShardedWorld<N> {
         self.clock = clock;
     }
 
-    /// Merged metric export. Counters and histograms are exact sums over
-    /// shards; `queue_depth_high_water` / `queue_depth_final` come from
-    /// the global gauge, so the whole map is byte-identical across shard
-    /// counts — and thread counts — for a fixed seed.
-    pub fn metrics_map(&self) -> MetricMap {
+    /// The run's metric set (counters, queue-depth gauge, delay histogram):
+    /// counters and histograms are exact sums over shards, and the queue
+    /// depth is the global gauge, so the whole set is byte-identical across
+    /// shard counts — and thread counts — for a fixed seed.
+    pub fn metrics(&self) -> SimMetrics {
         let mut merged = SimMetrics::new();
         for s in &self.shards {
             merged.absorb(&s.exec.metrics);
         }
         merged.queue_depth = self.global_depth;
-        merged.export(self.delay_kind)
+        merged
+    }
+
+    /// Flattened, key-sorted [`ShardedWorld::metrics`]; the delay histogram
+    /// is labeled with the configured [`crate::net::DelayModel`] variant.
+    pub fn metrics_map(&self) -> MetricMap {
+        self.metrics().export(self.delay_kind)
     }
 
     fn update_depth_gauges(&mut self) {
@@ -738,6 +683,8 @@ impl<N: Node> ShardedWorld<N> {
     /// instants execute on the shard-worker pool (byte-identical results;
     /// see the module docs), which is why this — unlike
     /// [`ShardedWorld::step_instant`] — asks the node type to be `Send`.
+    /// Nodes that are not `Send` run through [`crate::World`], whose
+    /// drivers are sequential.
     pub fn run_until(&mut self, deadline: Time)
     where
         N: Send,
@@ -746,17 +693,8 @@ impl<N: Node> ShardedWorld<N> {
     {
         if self.threads >= 2 && self.shards.len() >= 2 {
             self.run_parallel(deadline);
-        } else {
-            while let Some(t) = self.peek_time() {
-                if t > deadline {
-                    break;
-                }
-                self.step_instant();
-            }
         }
-        if self.now < deadline {
-            self.now = deadline;
-        }
+        self.run_sequential(deadline);
     }
 
     /// Runs for `d` more ticks of virtual time (see [`ShardedWorld::run_until`]).
@@ -768,6 +706,15 @@ impl<N: Node> ShardedWorld<N> {
     {
         let deadline = self.now + d;
         self.run_until(deadline);
+    }
+
+    /// Runs one instant at a time on the calling thread until all queues
+    /// are empty or global time exceeds `deadline`.
+    pub(crate) fn run_sequential(&mut self, deadline: Time) {
+        while self.peek_time().is_some_and(|t| t <= deadline) {
+            self.step_instant();
+        }
+        self.now = self.now.max(deadline);
     }
 
     /// The parallel driver: moves the shard states onto pool workers and
@@ -909,7 +856,54 @@ impl<N: Node> ShardedWorld<N> {
 mod tests {
     use super::*;
     use crate::fault::CrashPlan;
-    use crate::world::tests::{ring, FoldSink};
+    use crate::net::ChannelStaller;
+    use crate::node::{Context, TimerId};
+    use crate::world::World;
+
+    /// A node that floods a token around a ring `k` times.
+    #[derive(Debug)]
+    struct RingNode {
+        n: usize,
+        hops_left: u32,
+        received: u32,
+    }
+
+    impl Node for RingNode {
+        type Msg = u32;
+        type Obs = u32;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, u32, u32>) {
+            if ctx.me() == ProcessId(0) {
+                let next = ProcessId::from_index((ctx.me().index() + 1) % self.n);
+                ctx.send(next, self.hops_left);
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut Context<'_, u32, u32>, _from: ProcessId, msg: u32) {
+            self.received += 1;
+            ctx.observe(msg);
+            if msg > 0 {
+                let next = ProcessId::from_index((ctx.me().index() + 1) % self.n);
+                ctx.send(next, msg - 1);
+            }
+        }
+    }
+
+    fn ring(n: usize, hops: u32) -> Vec<RingNode> {
+        (0..n).map(|_| RingNode { n, hops_left: hops, received: 0 }).collect()
+    }
+
+    /// A sink that keeps every observation it is shown.
+    #[derive(Debug, Default)]
+    struct FoldSink {
+        seen: Vec<(Time, ProcessId, u32)>,
+    }
+
+    impl ObsSink<u32> for FoldSink {
+        fn on_obs(&mut self, at: Time, pid: ProcessId, obs: &u32) {
+            self.seen.push((at, pid, *obs));
+        }
+    }
 
     fn cfg(seed: u64, n: usize, batch: bool) -> WorldConfig {
         let cfg = WorldConfig::new(seed)
@@ -983,13 +977,13 @@ mod tests {
 
     /// Deadline-bounded parallel runs resume exactly like sequential ones:
     /// pending cross-shard inbox entries are flushed back into the wheels
-    /// at shutdown, so a later `run_for` continues the same schedule.
+    /// at shutdown, so a later run continues the same schedule.
     #[test]
     fn parallel_resume_matches_sequential() {
         let drive = |threads: usize| {
             let mut w = ShardedWorld::new(ring(6, 300), cfg(11, 6, false).threads(threads), 4);
             w.run_until(Time(120));
-            w.run_for(600);
+            w.run_until(Time(720));
             (w.now(), format!("{:?}", w.trace().events()), w.metrics_map())
         };
         assert_eq!(drive(4), drive(1));
@@ -1006,6 +1000,10 @@ mod tests {
         let mut seq = ShardedWorld::new(ring(6, 300), cfg(90, 6, false), 4);
         seq.run_until(Time(1_000_000));
         assert!(seq.worker_stats().is_empty());
+        // Nor does the one-shard `World`, whatever the thread budget.
+        let mut one = World::new(ring(6, 300), cfg(90, 6, false).threads(4));
+        one.run_until(Time(1_000_000));
+        assert!(one.worker_stats().is_empty());
     }
 
     /// More threads than shards: `run_until` clamps the worker pool to the
@@ -1079,29 +1077,29 @@ mod tests {
         assert!(w.trace().observations().count() > before);
     }
 
+    /// A scripted adversary is shared by every sender's copy of the delay
+    /// model, so a stalled-channel run is one run at any shard count.
     #[test]
-    #[should_panic(expected = "cloneable delay model")]
-    fn scripted_delays_are_rejected() {
-        use crate::net::ChannelStaller;
-        let staller = ChannelStaller { stalled: vec![], release_at: Time(1), benign_hi: 1 };
-        let cfg = WorldConfig::new(1).delays(DelayModel::Scripted(Box::new(staller)));
-        ShardedWorld::new(ring(2, 1), cfg, 2);
-    }
-
-    /// The fallible constructors surface the same conditions as values.
-    #[test]
-    fn try_new_reports_build_errors() {
-        use crate::net::ChannelStaller;
-        assert_eq!(
-            ShardedWorld::try_new(ring(2, 1), WorldConfig::new(1), 0).err(),
-            Some(ShardBuildError::NoShards)
-        );
-        let staller = ChannelStaller { stalled: vec![], release_at: Time(1), benign_hi: 1 };
-        let cfg = WorldConfig::new(1).delays(DelayModel::Scripted(Box::new(staller)));
-        assert_eq!(
-            ShardedWorld::try_new(ring(2, 1), cfg, 2).err(),
-            Some(ShardBuildError::UncloneableDelayModel)
-        );
+    fn a_channel_staller_run_is_shard_count_invariant() {
+        let run = |shards: usize| {
+            let staller = ChannelStaller {
+                stalled: vec![(ProcessId(1), ProcessId(2)), (ProcessId(3), ProcessId(4))],
+                release_at: Time(200),
+                benign_hi: 8,
+            };
+            let cfg = WorldConfig::new(17)
+                .delays(DelayModel::Scripted(Arc::new(staller)))
+                .crashes(CrashPlan::one(ProcessId(5), Time(300)))
+                .record_messages();
+            let mut w = ShardedWorld::new(ring(6, 120), cfg, shards);
+            w.run_until(Time(1_000_000));
+            (w.now(), format!("{:?}", w.trace().events()), w.metrics_map())
+        };
+        let reference = run(1);
+        assert!(reference.2["delay_ticks.scripted.max"] >= 190, "the stall must bite");
+        for shards in [2, 4] {
+            assert_eq!(run(shards), reference, "shards={shards}");
+        }
     }
 
     /// Per-shard sinks riding worker threads each see exactly the
@@ -1116,13 +1114,12 @@ mod tests {
             .iter()
             .map(|h| Box::new(Arc::clone(h)) as Box<dyn ObsSink<u32> + Send>)
             .collect();
-        let mut w = ShardedWorld::try_new_with_shard_sinks(
+        let mut w = ShardedWorld::new_with_shard_sinks(
             ring(4, 23),
             WorldConfig::new(9).threads(2),
             shards,
             sinks,
-        )
-        .expect("buildable");
+        );
         w.run_until(Time(1_000_000));
         let mut total = 0;
         for (s, handle) in handles.iter().enumerate() {
@@ -1137,5 +1134,176 @@ mod tests {
             total += seen.len();
         }
         assert!(total > 0, "the workload must observe something");
+    }
+
+    #[test]
+    fn token_circulates_until_exhausted() {
+        let mut w = World::new(ring(4, 11), WorldConfig::new(3).record_messages());
+        while w.step_instant() {}
+        // 12 deliveries total (hops 11..=0).
+        assert_eq!(w.trace().delivered_count(), 12);
+        let total: u32 = (0..4).map(|i| w.node(ProcessId(i)).received).sum();
+        assert_eq!(total, 12);
+    }
+
+    #[test]
+    fn crashed_process_stops_participating() {
+        let cfg = WorldConfig::new(5)
+            .crashes(CrashPlan::one(ProcessId(1), Time(1)))
+            .delays(DelayModel::Fixed(10))
+            .record_messages();
+        let mut w = World::new(ring(3, 30), cfg);
+        while w.step_instant() {}
+        // p1 crashes at t=1 before the token (sent at t=0, arriving t=10)
+        // reaches it, so the token dies at p1: only p0's initial send exists.
+        assert_eq!(w.trace().sent_count(), 1);
+        assert_eq!(w.trace().delivered_count(), 0);
+        assert!(w.is_crashed(ProcessId(1)));
+        assert!(!w.is_crashed(ProcessId(0)));
+    }
+
+    #[test]
+    fn metrics_mirror_the_accessors() {
+        let mut w = World::new(ring(4, 25), WorldConfig::new(3).record_messages());
+        while w.step_instant() {}
+        let m = w.metrics();
+        assert_eq!(m.steps.get(), w.steps());
+        assert_eq!(m.messages_sent.get(), w.messages_sent());
+        assert_eq!(m.messages_delivered.get(), w.trace().delivered_count() as u64);
+        assert_eq!(m.delay_ticks.count(), w.messages_sent(), "every send samples one delay");
+        assert!(m.queue_depth.high_water() >= 1);
+        assert_eq!(m.queue_depth.get(), 0, "drained world has an empty queue");
+        let map = w.metrics_map();
+        assert_eq!(map["steps"], w.steps());
+        assert!(map.contains_key("delay_ticks.uniform.count"), "histogram labeled by model");
+    }
+
+    #[test]
+    fn observations_are_chronological() {
+        let mut w = World::new(ring(3, 100), WorldConfig::new(11));
+        while w.step_instant() {}
+        let times: Vec<Time> = w.trace().observations().map(|(t, _, _)| t).collect();
+        assert!(times.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    /// A node that re-arms a timer a fixed number of times.
+    #[derive(Debug)]
+    struct TimerNode {
+        fired: u32,
+        limit: u32,
+    }
+
+    impl Node for TimerNode {
+        type Msg = ();
+        type Obs = u32;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, (), u32>) {
+            ctx.set_timer(5, TimerId(0));
+        }
+
+        fn on_message(&mut self, _ctx: &mut Context<'_, (), u32>, _from: ProcessId, _msg: ()) {}
+
+        fn on_timer(&mut self, ctx: &mut Context<'_, (), u32>, id: TimerId) {
+            assert_eq!(id, TimerId(0));
+            self.fired += 1;
+            ctx.observe(self.fired);
+            if self.fired < self.limit {
+                ctx.set_timer(5, TimerId(0));
+            }
+        }
+    }
+
+    #[test]
+    fn timers_fire_and_rearm() {
+        let mut w = World::new(vec![TimerNode { fired: 0, limit: 7 }], WorldConfig::new(1));
+        while w.step_instant() {}
+        assert_eq!(w.node(ProcessId(0)).fired, 7);
+        assert_eq!(w.now(), Time(35));
+    }
+
+    #[test]
+    fn obs_sink_attachment_does_not_change_the_schedule() {
+        let bare = {
+            let mut w = World::new(ring(5, 40), WorldConfig::new(77));
+            while w.step_instant() {}
+            (w.now(), w.steps(), w.messages_sent())
+        };
+        let sunk = {
+            let sink = std::rc::Rc::new(std::cell::RefCell::new(FoldSink::default()));
+            let mut w =
+                ShardedWorld::new_with_sink(ring(5, 40), WorldConfig::new(77), 1, Box::new(sink));
+            while w.step_instant() {}
+            (w.now(), w.steps(), w.messages_sent())
+        };
+        assert_eq!(bare, sunk);
+    }
+
+    /// A node that sends a burst of messages to one peer per timer fire —
+    /// the shape envelope batching coalesces.
+    #[derive(Debug)]
+    struct Burst {
+        rounds_left: u32,
+        burst: u32,
+        received: Vec<u32>,
+    }
+
+    impl Node for Burst {
+        type Msg = u32;
+        type Obs = u32;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, u32, u32>) {
+            if ctx.me() == ProcessId(0) {
+                ctx.set_timer(5, TimerId(0));
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut Context<'_, u32, u32>, _from: ProcessId, msg: u32) {
+            self.received.push(msg);
+            ctx.observe(msg);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_, u32, u32>, _id: TimerId) {
+            for k in 0..self.burst {
+                ctx.send(ProcessId(1), self.rounds_left * 100 + k);
+            }
+            if self.rounds_left > 0 {
+                self.rounds_left -= 1;
+                ctx.set_timer(5, TimerId(0));
+            }
+        }
+    }
+
+    fn burst_nodes(rounds: u32, burst: u32) -> Vec<Burst> {
+        (0..2).map(|_| Burst { rounds_left: rounds, burst, received: Vec::new() }).collect()
+    }
+
+    #[test]
+    fn envelope_batching_coalesces_per_step_sends_with_one_delay_draw() {
+        let cfg = WorldConfig::new(3).batch_envelopes();
+        let mut w = World::new(burst_nodes(9, 4), cfg);
+        while w.step_instant() {}
+        let m = w.metrics();
+        assert_eq!(m.messages_sent.get(), 40, "10 timer fires x 4 msgs");
+        assert_eq!(m.envelopes_sent.get(), 10, "one envelope per bursting step");
+        assert_eq!(m.delay_ticks.count(), 10, "one delay draw per envelope");
+        assert_eq!(m.envelope_occupancy.count(), 10);
+        assert_eq!(m.envelope_occupancy.max(), 4);
+        assert_eq!(m.envelope_occupancy.sum(), m.messages_sent.get());
+        assert_eq!(m.messages_delivered.get(), 40, "every message still delivered");
+    }
+
+    #[test]
+    fn envelope_batching_off_matches_on_under_fixed_delays() {
+        // With a deterministic delay model the single envelope draw equals
+        // every per-message draw, so for a single destination the two
+        // schedules must agree exactly.
+        let run = |batch: bool| {
+            let cfg = WorldConfig::new(8).delays(DelayModel::Fixed(7));
+            let cfg = if batch { cfg.batch_envelopes() } else { cfg };
+            let mut w = World::new(burst_nodes(7, 3), cfg);
+            while w.step_instant() {}
+            (w.now(), w.node(ProcessId(1)).received.clone())
+        };
+        assert_eq!(run(false), run(true));
     }
 }

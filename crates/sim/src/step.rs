@@ -4,20 +4,19 @@
 //! process receives a message (or a timer it set fires), makes a state
 //! transition, and sends messages. [`Executor`] is that step — crash
 //! discard, the [`Context`] handed to the node, every per-step counter, the
-//! send-target and clock-horizon checks, envelope grouping — and both
-//! simulator families drive it: [`crate::world::World`] owns one executor
-//! over all processes, every [`crate::shard::ShardedWorld`] shard owns one
-//! over its slice. What the families decide differently is named by
+//! send-target and clock-horizon checks, envelope grouping — and every
+//! [`crate::shard::ShardedWorld`] shard owns one executor over its slice of
+//! the processes. What the shard decides around the step is named by
 //! [`Fabric`] and nothing else: where a pid's state lives, where trace
 //! events and observations go, which random stream prices a channel, and
-//! in what order scheduled events come back.
+//! where a scheduled event is queued.
 //!
 //! ## Crash semantics at time zero
 //!
 //! A process whose crash is scheduled at `Time::ZERO` is *dead from
 //! birth*: it takes no steps at all — in particular its `on_start` step is
-//! suppressed, so it can neither send messages nor arm timers. Both
-//! families therefore execute the t=0 entries of the crash plan *before*
+//! suppressed, so it can neither send messages nor arm timers. The engine
+//! therefore executes the t=0 entries of the crash plan *before*
 //! calling [`Executor::start`], which skips crashed processes (a t=0 crash
 //! left in the event queue would pop only after the start steps, letting a
 //! dead process speak). This matches the paper's model, where a faulty
@@ -32,7 +31,7 @@ use crate::rng::SplitMix64;
 use crate::time::Time;
 use crate::trace::TraceEvent;
 
-/// The decisions a simulator family makes around the shared step.
+/// The decisions a shard makes around the shared step.
 pub(crate) trait Fabric<N: Node> {
     /// Index of `pid`'s state in the executor driving this fabric.
     fn slot(&self, pid: ProcessId) -> usize;

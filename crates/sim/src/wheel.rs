@@ -1,12 +1,11 @@
-//! A hierarchical timer wheel — the event queue's scale backend.
+//! A hierarchical timer wheel — the simulator's event queue.
 //!
 //! A simulated run schedules almost everything *near* the current instant:
 //! message delays are small (the delay models top out at a few hundred
-//! ticks) and node self-ticks are single digits, so the global
-//! `BinaryHeap`'s `O(log n)` per operation — with its cache-hostile
-//! percolation over a million pending events at `n = 1024` — buys
-//! generality the workload never uses. The wheel splits the horizon into
-//! two levels:
+//! ticks) and node self-ticks are single digits, so a binary heap's
+//! `O(log n)` per operation — with its cache-hostile percolation over a
+//! million pending events at `n = 1024` — buys generality the workload
+//! never uses. The wheel splits the horizon into two levels:
 //!
 //! * **near**: a fixed ring of [`NEAR_SLOTS`] one-tick slots covering the
 //!   window `[window_start, window_start + NEAR_SLOTS)`, with a bitmap of
@@ -20,14 +19,11 @@
 //! ## Ordering contract
 //!
 //! [`TimerWheel::pop`] yields items in ascending `(time, insertion order)`
-//! — exactly the `(time, seq)` order of the heap-backed
-//! [`crate::event::EventQueue`], *provided same-time items are pushed in
-//! ascending order of their intended tie-break* (the event queue's `seq` is
-//! a monotone push counter, so this holds by construction). Within a slot
-//! the wheel appends on push and pops from the front; far buckets preserve
-//! append order and whole buckets move into the ring at window roll, so
-//! insertion order survives every path. `crates/sim` pins wheel ≡ heap with
-//! randomized differential tests.
+//! — the order of a binary heap keyed by `(time, push counter)`. Within a
+//! slot the wheel appends on push and pops from the front; far buckets
+//! preserve append order and whole buckets move into the ring at window
+//! roll, so insertion order survives every path. The tests below pin the
+//! wheel against exactly such a heap.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -110,8 +106,7 @@ impl<V> TimerWheel<V> {
     /// # Panics
     ///
     /// If `at` lies before an already-popped instant — the simulation clock
-    /// never runs backwards, so such a push is a caller bug the heap would
-    /// have masked by re-sorting.
+    /// never runs backwards, so such a push is a caller bug.
     pub fn push(&mut self, at: Time, v: V) {
         let t = at.ticks();
         assert!(t >= self.cursor, "wheel push at t{t} behind the cursor t{}", self.cursor);
@@ -309,50 +304,43 @@ mod tests {
         assert_eq!(w.pop(), None);
     }
 
-    /// Randomized differential: the wheel must agree with a sorted-vector
-    /// reference on `(time, insertion order)` for interleaved push/pop
-    /// workloads whose delays mix near and far scales.
+    /// Randomized differential against the reference queue, a
+    /// `BinaryHeap` keyed by `(time, push counter)`: interleaved push/pop
+    /// workloads whose delays mix same-instant ties, the near window and
+    /// far spikes must pop identically.
     #[test]
-    fn differential_against_stable_sort_reference() {
+    fn wheel_and_heap_pop_identically() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
         let mut rng = SplitMix64::new(0xD1FF);
         for trial in 0..20 {
             let mut w: TimerWheel<u64> = TimerWheel::new();
-            let mut reference: Vec<(u64, u64)> = Vec::new(); // (time, id)
+            let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
             let mut now = 0u64;
-            let mut next_id = 0u64;
-            let mut popped_wheel = Vec::new();
-            let mut popped_ref = Vec::new();
-            for _ in 0..2_000 {
-                if rng.chance(3, 5) || reference.is_empty() {
-                    let delay = match rng.below(4) {
-                        0 => rng.range(1, 16),
-                        1 => rng.range(1, 2 * NEAR_SLOTS as u64),
-                        2 => rng.range(1, 50_000),
+            for id in 0..2_000u64 {
+                if rng.chance(3, 5) || heap.is_empty() {
+                    let delay = match rng.below(5) {
+                        0 => rng.below(8),
+                        1 => rng.range(1, 16),
+                        2 => rng.range(1, 2 * NEAR_SLOTS as u64),
+                        3 => rng.range(1, 50_000),
                         _ => rng.range(1, 5_000_000),
                     };
-                    w.push(Time(now + delay), next_id);
-                    reference.push((now + delay, next_id));
-                    next_id += 1;
+                    w.push(Time(now + delay), id);
+                    heap.push(Reverse((now + delay, id)));
                 } else {
-                    let (t, v) = w.pop().expect("reference non-empty");
-                    let min = reference
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(i, &(rt, _))| (rt, i))
-                        .map(|(i, _)| i)
-                        .expect("non-empty");
-                    let (rt, rv) = reference.remove(min);
-                    popped_wheel.push((t.ticks(), v));
-                    popped_ref.push((rt, rv));
+                    assert_eq!(w.peek_time(), heap.peek().map(|r| Time(r.0 .0)), "trial {trial}");
+                    let (t, v) = w.pop().expect("heap non-empty");
+                    let Reverse((ht, hv)) = heap.pop().expect("heap non-empty");
+                    assert_eq!((t.ticks(), v), (ht, hv), "trial {trial} pop order");
                     now = t.ticks();
                 }
             }
-            while let Some((t, v)) = w.pop() {
-                popped_wheel.push((t.ticks(), v));
+            while let Some(Reverse((ht, hv))) = heap.pop() {
+                assert_eq!(w.pop().map(|(t, v)| (t.ticks(), v)), Some((ht, hv)), "trial {trial}");
             }
-            reference.sort_by_key(|&(t, id)| (t, id));
-            popped_ref.extend(reference);
-            assert_eq!(popped_wheel, popped_ref, "trial {trial} diverged");
+            assert!(w.is_empty());
         }
     }
 }

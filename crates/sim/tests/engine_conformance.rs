@@ -1,100 +1,48 @@
-//! One conformance table over both simulator families.
+//! One conformance table over the simulator's engine rows.
 //!
 //! Every behaviour here is *schedule-independent* — it follows from the
 //! model (crash discard, envelope FIFO, the clock horizon, the sink
-//! contract), not from which family orders the events or prices the
-//! channels — so it must hold verbatim on each engine row: the classic
-//! `World` on either queue backend, and `ShardedWorld` at one and three
-//! shards, sequential and on the worker pool. Public API only: the table
-//! sees the engines exactly as downstream crates do.
+//! contract), not from how the events are ordered or the channels priced —
+//! so it must hold verbatim on each engine row: `ShardedWorld` at one and
+//! three shards, sequential and on the worker pool. Public API only: the
+//! table sees the engine exactly as downstream crates do.
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
 use dinefd_sim::{
-    Context, CrashPlan, DelayModel, MetricMap, Node, ObsSink, ProcessId, QueueBackend,
-    ShardedWorld, Time, TimerId, Trace, TraceEvent, World, WorldConfig,
+    Context, CrashPlan, DelayModel, Node, ObsSink, ProcessId, ShardedWorld, Time, TimerId,
+    TraceEvent, WorldConfig,
 };
 
 /// One engine configuration of the table.
 #[derive(Clone, Copy, Debug)]
-enum Row {
-    Classic(QueueBackend),
-    Sharded { shards: usize, threads: usize },
+struct Row {
+    shards: usize,
+    threads: usize,
 }
 
-const ROWS: [Row; 6] = [
-    Row::Classic(QueueBackend::Wheel),
-    Row::Classic(QueueBackend::Heap),
-    Row::Sharded { shards: 1, threads: 1 },
-    Row::Sharded { shards: 1, threads: 2 },
-    Row::Sharded { shards: 3, threads: 1 },
-    Row::Sharded { shards: 3, threads: 2 },
+const ROWS: [Row; 4] = [
+    Row { shards: 1, threads: 1 },
+    Row { shards: 1, threads: 2 },
+    Row { shards: 3, threads: 1 },
+    Row { shards: 3, threads: 2 },
 ];
-
-/// What the table needs of an engine, whichever family it is.
-trait Sim<N: Node> {
-    fn run_until(&mut self, deadline: Time);
-    fn node(&self, pid: ProcessId) -> &N;
-    fn is_crashed(&self, pid: ProcessId) -> bool;
-    fn trace(&self) -> &Trace<N::Msg, N::Obs>;
-    fn metrics(&self) -> MetricMap;
-    fn pending_events(&self) -> usize;
-}
-
-macro_rules! impl_sim {
-    ($engine:ident) => {
-        impl<N> Sim<N> for $engine<N>
-        where
-            N: Node + Send,
-            N::Msg: Send,
-            N::Obs: Send,
-        {
-            fn run_until(&mut self, deadline: Time) {
-                $engine::run_until(self, deadline);
-            }
-            fn node(&self, pid: ProcessId) -> &N {
-                $engine::node(self, pid)
-            }
-            fn is_crashed(&self, pid: ProcessId) -> bool {
-                $engine::is_crashed(self, pid)
-            }
-            fn trace(&self) -> &Trace<N::Msg, N::Obs> {
-                $engine::trace(self)
-            }
-            fn metrics(&self) -> MetricMap {
-                $engine::metrics_map(self)
-            }
-            fn pending_events(&self) -> usize {
-                $engine::pending_events(self)
-            }
-        }
-    };
-}
-impl_sim!(World);
-impl_sim!(ShardedWorld);
 
 type Sink<O> = Option<Box<dyn ObsSink<O>>>;
 
 /// Builds `row`'s engine over `nodes` (which runs the start steps).
-fn build<N>(row: Row, nodes: Vec<N>, cfg: WorldConfig, sink: Sink<N::Obs>) -> Box<dyn Sim<N>>
-where
-    N: Node + Send + 'static,
-    N::Msg: Send,
-    N::Obs: Send,
-{
-    match (row, sink) {
-        (Row::Classic(queue), None) => Box::new(World::new(nodes, cfg.queue_backend(queue))),
-        (Row::Classic(queue), Some(sink)) => {
-            Box::new(World::new_with_sink(nodes, cfg.queue_backend(queue), sink))
-        }
-        (Row::Sharded { shards, threads }, None) => {
-            Box::new(ShardedWorld::new(nodes, cfg.threads(threads), shards))
-        }
-        (Row::Sharded { shards, threads }, Some(sink)) => {
-            Box::new(ShardedWorld::new_with_sink(nodes, cfg.threads(threads), shards, sink))
-        }
+fn build<N: Node>(
+    row: Row,
+    nodes: Vec<N>,
+    cfg: WorldConfig,
+    sink: Sink<N::Obs>,
+) -> ShardedWorld<N> {
+    let cfg = cfg.threads(row.threads);
+    match sink {
+        None => ShardedWorld::new(nodes, cfg, row.shards),
+        Some(sink) => ShardedWorld::new_with_sink(nodes, cfg, row.shards, sink),
     }
 }
 
@@ -216,7 +164,7 @@ fn a_crash_at_time_zero_suppresses_the_start_step_and_its_timers() {
         assert!(w.is_crashed(ProcessId(0)), "{row:?}: effective before the starts");
         w.run_until(DRAINED);
         assert_eq!(w.trace().sent_count(), 0, "{row:?}: a dead process must not send");
-        assert_eq!(w.metrics()["steps"], 2, "{row:?}: only the two live processes start");
+        assert_eq!(w.metrics_map()["steps"], 2, "{row:?}: only the two live processes start");
         let is_the_crash = |e: &TraceEvent<u32, u32>| {
             matches!(e, TraceEvent::Crash { at: Time::ZERO, pid: ProcessId(0) })
         };
@@ -228,7 +176,7 @@ fn a_crash_at_time_zero_suppresses_the_start_step_and_its_timers() {
         w.run_until(DRAINED);
         assert_eq!(w.node(ProcessId(0)).fired, 0, "{row:?}");
         assert_eq!(w.pending_events(), 0, "{row:?}: the start timer was never armed");
-        assert_eq!(w.metrics()["timers_set"], 0, "{row:?}");
+        assert_eq!(w.metrics_map()["timers_set"], 0, "{row:?}");
     }
 }
 
@@ -243,7 +191,7 @@ fn an_envelope_to_a_crashed_receiver_is_dropped_whole() {
             .crashes(CrashPlan::one(ProcessId(1), Time(1)));
         let mut w = build(row, burst_nodes(2, 5), cfg, None);
         w.run_until(DRAINED);
-        let m = w.metrics();
+        let m = w.metrics_map();
         assert_eq!(m["envelopes_sent"], 3, "{row:?}: one envelope per bursting step");
         assert_eq!(m["messages_delivered"], 0, "{row:?}");
         assert_eq!(m["messages_dropped"], m["envelope_occupancy.sum"], "{row:?}");
@@ -265,7 +213,7 @@ fn messages_inside_an_envelope_are_received_in_send_order() {
             let ks: Vec<u32> = chunk.iter().map(|m| m % 100).collect();
             assert_eq!(ks, [0, 1, 2, 3, 4, 5], "{row:?}: envelope order broken: {received:?}");
         }
-        assert_eq!(w.metrics()["envelope_occupancy.max"], 6, "{row:?}");
+        assert_eq!(w.metrics_map()["envelope_occupancy.max"], 6, "{row:?}");
     }
 }
 
@@ -277,7 +225,7 @@ fn timers_of_a_crashed_process_never_fire() {
         w.run_until(DRAINED);
         // Fires at t=5 and t=10; the crash at t=12 silences the rest.
         assert_eq!(w.node(ProcessId(0)).fired, 2, "{row:?}");
-        assert_eq!(w.metrics()["timer_fires"], 2, "{row:?}");
+        assert_eq!(w.metrics_map()["timer_fires"], 2, "{row:?}");
         assert_eq!(w.pending_events(), 0, "{row:?}: the t=15 timer was discarded, not kept");
     }
 }
@@ -369,7 +317,7 @@ fn the_sink_stream_equals_the_traces_observations() {
             w.trace().observations().map(|(t, p, &o)| (t, p, o)).collect();
         assert_eq!(from_trace.len(), 24, "{row:?}: hops 23..=0");
         assert_eq!(sink.borrow().seen, from_trace, "{row:?}: sink must mirror the trace");
-        assert_eq!(w.metrics()["observations"], 24, "{row:?}");
+        assert_eq!(w.metrics_map()["observations"], 24, "{row:?}");
     }
 }
 
@@ -383,6 +331,6 @@ fn observation_events_off_keeps_the_sink_fed_and_the_trace_lean() {
         w.run_until(DRAINED);
         assert_eq!(w.trace().len(), 0, "{row:?}: no observations, and messages are off too");
         assert_eq!(sink.borrow().seen.len(), 24, "{row:?}");
-        assert_eq!(w.metrics()["observations"], 24, "{row:?}");
+        assert_eq!(w.metrics_map()["observations"], 24, "{row:?}");
     }
 }

@@ -45,7 +45,7 @@ fn gossip_world(seed: u64, crashes: CrashPlan) -> World<Gossip> {
 #[test]
 fn messages_sent_equals_recorded_send_events() {
     let mut w = gossip_world(11, CrashPlan::none());
-    while w.step() {}
+    while w.step_instant() {}
     let sends = w.trace().sent_count() as u64;
     assert_eq!(w.metrics().messages_sent.get(), sends);
     assert_eq!(w.messages_sent(), sends);
@@ -54,7 +54,7 @@ fn messages_sent_equals_recorded_send_events() {
 #[test]
 fn delivers_never_exceed_sends_and_drops_close_the_gap() {
     let mut w = gossip_world(13, CrashPlan::one(ProcessId(2), Time(60)));
-    while w.step() {}
+    while w.step_instant() {}
     let m = w.metrics();
     assert!(m.messages_delivered.get() <= m.messages_sent.get());
     // A drained queue means every send was either delivered or dropped at
@@ -75,7 +75,7 @@ fn queue_high_water_bounds_pending_at_every_observation() {
     let m = w.metrics();
     assert!(m.queue_depth.high_water() >= m.queue_depth.get());
     assert!(m.queue_depth.high_water() >= w.pending_events() as u64);
-    while w.step() {}
+    while w.step_instant() {}
     assert_eq!(w.metrics().queue_depth.get(), 0);
 }
 
@@ -83,7 +83,7 @@ fn queue_high_water_bounds_pending_at_every_observation() {
 fn crash_and_timer_counters_match_trace() {
     let plan = CrashPlan::one(ProcessId(0), Time(50)).and(ProcessId(1), Time(70));
     let mut w = gossip_world(19, plan);
-    while w.step() {}
+    while w.step_instant() {}
     let m = w.metrics();
     assert_eq!(m.crash_events.get(), w.trace().crashes().count() as u64);
     assert_eq!(m.crash_events.get(), 2);
@@ -100,7 +100,7 @@ fn crash_and_timer_counters_match_trace() {
 fn metrics_are_identical_across_reruns_of_the_same_seed() {
     let run = |seed: u64| {
         let mut w = gossip_world(seed, CrashPlan::one(ProcessId(3), Time(55)));
-        while w.step() {}
+        while w.step_instant() {}
         w.metrics_map()
     };
     let a = run(23);

@@ -175,7 +175,7 @@ proptest! {
                 .crashes(CrashPlan::one(ProcessId(0), Time(crash)));
             let mut w = World::new(nodes, cfg);
             w.run_until(Time(5_000));
-            (w.steps(), w.messages_sent(), w.messages_delivered(), w.trace().len())
+            (w.steps(), w.messages_sent(), w.metrics().messages_delivered.get(), w.trace().len())
         };
         prop_assert_eq!(run(), run());
     }
@@ -185,7 +185,7 @@ proptest! {
         let nodes: Vec<Gossip> = (0..n).map(|_| Gossip { n, budget: 30 }).collect();
         let mut w = World::new(nodes, WorldConfig::new(seed));
         w.run_until(Time(5_000));
-        prop_assert!(w.messages_delivered() <= w.messages_sent());
+        prop_assert!(w.metrics().messages_delivered.get() <= w.messages_sent());
     }
 }
 

@@ -3,6 +3,7 @@
 
 use dinefd::prelude::*;
 use dinefd::sim::net::ChannelStaller;
+use std::sync::Arc;
 
 #[test]
 fn stalled_ping_channel_only_delays_convergence() {
@@ -10,7 +11,7 @@ fn stalled_ping_channel_only_delays_convergence() {
     // subject) until t=6000. The extracted detector may suspect q throughout
     // the stall — all mistakes — but must converge afterwards.
     let mut sc = Scenario::pair(BlackBox::WfDx, 71);
-    sc.delays = DelayModel::Scripted(Box::new(ChannelStaller {
+    sc.delays = DelayModel::Scripted(Arc::new(ChannelStaller {
         stalled: vec![(ProcessId(1), ProcessId(0))],
         release_at: Time(6_000),
         benign_hi: 8,
@@ -32,7 +33,7 @@ fn stalled_ack_channel_is_symmetric() {
     // Holding p→q instead starves the subject's hand-off (no acks), which
     // stalls the subjects — the witness legitimately suspects until release.
     let mut sc = Scenario::pair(BlackBox::WfDx, 73);
-    sc.delays = DelayModel::Scripted(Box::new(ChannelStaller {
+    sc.delays = DelayModel::Scripted(Arc::new(ChannelStaller {
         stalled: vec![(ProcessId(0), ProcessId(1))],
         release_at: Time(6_000),
         benign_hi: 8,
@@ -46,7 +47,7 @@ fn stalled_ack_channel_is_symmetric() {
 #[test]
 fn crash_during_the_stall_is_still_detected() {
     let mut sc = Scenario::pair(BlackBox::WfDx, 79);
-    sc.delays = DelayModel::Scripted(Box::new(ChannelStaller {
+    sc.delays = DelayModel::Scripted(Arc::new(ChannelStaller {
         stalled: vec![(ProcessId(1), ProcessId(0))],
         release_at: Time(6_000),
         benign_hi: 8,
