@@ -32,13 +32,20 @@ done
 #    (`for_each_label`, then `apply_into` on the chosen one). A call that
 #    builds every successor state to keep one is the enumerate-then-index
 #    walk re-grown, and costs 4-6 state clones per step: fail here rather
-#    than wait for a benchmark run.
+#    than wait for a benchmark run. The search loop walks labels too: it
+#    builds each successor in one scratch state and clones only the ones
+#    the visited store keeps, so `successors_into(` there is every
+#    successor cloned again, the two thirds it prunes included.
 for f in crates/fuzz/src/*.rs; do
   if product_lines "$f" | grep -nE 'successors(_into)?\('; then
     echo "structure guard: $f enumerates successors; walk labels and apply one (see schedule.rs)"
     fail=1
   fi
 done
+if product_lines crates/explore/src/parallel.rs | grep -nF 'successors_into('; then
+  echo "structure guard: crates/explore/src/parallel.rs enumerates successors; build each in the scratch state (see expand_task)"
+  fail=1
+fi
 
 # 3. Panic-site ratchet (ROADMAP 3(d)): lines of library and binary code
 #    that can abort the process. Turn one into a `Result` or a proved

@@ -165,13 +165,68 @@ struct Edge {
     ever_trusted: bool,
 }
 
+impl Edge {
+    fn new(me: ProcessId, peer: ProcessId) -> Self {
+        debug_assert_ne!(peer, me);
+        let holds_fork = me < peer;
+        Edge {
+            peer,
+            has_fork: holds_fork,
+            has_token: !holds_fork,
+            requested: false,
+            pending: None,
+            ever_trusted: false,
+        }
+    }
+}
+
+/// An endpoint's edges, read as a slice. Every reduction endpoint and every
+/// explorer endpoint has exactly one peer, so that edge is held inline and
+/// cloning the endpoint allocates nothing; two or more neighbours (or none)
+/// live in a `Vec`. One edge is always `One`, so derived equality and
+/// hashing see one representation per edge set.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+enum Edges {
+    One(Edge),
+    Many(Vec<Edge>),
+}
+
+impl From<Vec<Edge>> for Edges {
+    fn from(edges: Vec<Edge>) -> Self {
+        match <[Edge; 1]>::try_from(edges) {
+            Ok([e]) => Edges::One(e),
+            Err(edges) => Edges::Many(edges),
+        }
+    }
+}
+
+impl std::ops::Deref for Edges {
+    type Target = [Edge];
+
+    fn deref(&self) -> &[Edge] {
+        match self {
+            Edges::One(e) => std::slice::from_ref(e),
+            Edges::Many(v) => v,
+        }
+    }
+}
+
+impl std::ops::DerefMut for Edges {
+    fn deref_mut(&mut self) -> &mut [Edge] {
+        match self {
+            Edges::One(e) => std::slice::from_mut(e),
+            Edges::Many(v) => v,
+        }
+    }
+}
+
 /// ◇P-based wait-free ◇WX dining (the paper's reference \[12\], in spirit)
 /// or, built by [`WfDxDining::trust_gated`], the perpetual-WX (FTME) service.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct WfDxDining {
     me: ProcessId,
     phase: DinerPhase,
-    edges: Vec<Edge>,
+    edges: Edges,
     policy: SuspicionPolicy,
     /// Lamport clock (bumped on session start and on message receipt).
     clock: u64,
@@ -222,25 +277,11 @@ impl WfDxDining {
     }
 
     fn with_policy(me: ProcessId, neighbors: &[ProcessId], policy: SuspicionPolicy) -> Self {
-        let edges = neighbors
-            .iter()
-            .map(|&peer| {
-                debug_assert_ne!(peer, me);
-                let holds_fork = me < peer;
-                Edge {
-                    peer,
-                    has_fork: holds_fork,
-                    has_token: !holds_fork,
-                    requested: false,
-                    pending: None,
-                    ever_trusted: false,
-                }
-            })
-            .collect();
+        let edges = neighbors.iter().map(|&peer| Edge::new(me, peer)).collect::<Vec<_>>();
         WfDxDining {
             me,
             phase: DinerPhase::Thinking,
-            edges,
+            edges: Edges::from(edges),
             policy,
             clock: 0,
             session: Ts { clock: 0, id: me.0 },
@@ -286,7 +327,7 @@ impl WfDxDining {
         self.session.pack_into(out);
         codec::put_varint(out, self.suspicion_eats);
         codec::put_varint(out, self.edges.len() as u64);
-        for e in &self.edges {
+        for e in self.edges.iter() {
             codec::put_varint(out, u64::from(e.peer.0));
             codec::put_u8(
                 out,
@@ -329,7 +370,7 @@ impl WfDxDining {
         Some(WfDxDining {
             me,
             phase: phase_from_bits(b),
-            edges,
+            edges: Edges::from(edges),
             policy,
             clock,
             session,
@@ -351,7 +392,7 @@ impl WfDxDining {
     }
 
     fn refresh_trust(&mut self, io: &DiningIo<'_>) {
-        for e in &mut self.edges {
+        for e in self.edges.iter_mut() {
             if !io.suspected(e.peer) {
                 e.ever_trusted = true;
             }
@@ -434,7 +475,7 @@ impl DiningParticipant for WfDxDining {
         self.clock += 1;
         self.session = Ts { clock: self.clock, id: self.me.0 };
         let session = self.session;
-        for e in &mut self.edges {
+        for e in self.edges.iter_mut() {
             e.requested = false;
             if !e.has_fork && e.has_token {
                 e.has_token = false;
@@ -550,7 +591,7 @@ impl DiningParticipant for WfDxDining {
             return;
         }
         let mut satisfied = true;
-        for e in &mut self.edges {
+        for e in self.edges.iter_mut() {
             let suspected = io.suspected(e.peer);
             e.ever_trusted |= !suspected;
             satisfied &= e.has_fork || Self::suspicion_satisfies(self.policy, e, suspected);
@@ -615,6 +656,12 @@ mod tests {
         d.on_message(&mut io, p(0), request(9, 0));
         let _ = io.finish();
         assert_rt(&d);
+        // A one-peer endpoint holds its edge inline, a two-peer one in a
+        // `Vec`; both encode the same way and decode to the same variant.
+        assert!(matches!(d.edges, Edges::One(_)));
+        let two = WfDxDining::new(p(1), &[p(0), p(2)]);
+        assert!(matches!(two.edges, Edges::Many(_)));
+        assert_rt(&two);
     }
 
     #[test]

@@ -73,6 +73,19 @@ impl FdQuery for ModelFd {
     }
 }
 
+/// The `n`-th action `for_each` yields: the one a `WitnessAct(n)` or
+/// `SubjectAct(n)` label fires.
+fn nth_action<A>(n: usize, for_each: impl FnOnce(&mut dyn FnMut(A))) -> Option<A> {
+    let (mut seen, mut hit) = (0, None);
+    for_each(&mut |a| {
+        if seen == n {
+            hit = Some(a);
+        }
+        seen += 1;
+    });
+    hit
+}
+
 /// Parameters of a composed exploration.
 #[derive(Clone, Copy, Debug)]
 pub struct ComposedConfig {
@@ -140,9 +153,9 @@ pub struct ComposedState {
 /// Explorer transition labels (diagnostics).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ComposedLabel {
-    /// Fire the witness machine's first enabled action.
+    /// Fire the witness machine's `n`-th enabled action.
     WitnessAct(usize),
-    /// Fire the subject machine's first enabled action.
+    /// Fire the subject machine's `n`-th enabled action.
     SubjectAct(usize),
     /// Deliver `dx_wire[k]`.
     DeliverDx(usize),
@@ -234,78 +247,29 @@ impl ComposedState {
         }
     }
 
-    /// Enumerates successors into `out` (the allocation-free form the search
-    /// engines drive with a reused scratch buffer). Eat-start overlap
-    /// legality is checked by the caller comparing phases across the
-    /// transition.
-    pub fn successors_into(
-        &self,
-        cfg: &ComposedConfig,
-        out: &mut Vec<(ComposedLabel, ComposedState)>,
-    ) {
-        let start = out.len();
-        // Witness machine actions.
-        let mut idx = 0;
-        self.witness.for_each_enabled(self.w_phases(), |a| {
-            let mut s = self.clone();
-            match s.witness.fire(a, s.w_phases()) {
-                WitnessCmd::BecomeHungry(i) => s.invoke_dx(true, i, |c, io| c.hungry(io)),
-                WitnessCmd::Exit(i) => s.invoke_dx(true, i, |c, io| c.exit_eating(io)),
-                WitnessCmd::SendAck(..) => unreachable!(),
-            }
-            out.push((ComposedLabel::WitnessAct(idx), s));
-            idx += 1;
+    /// Yields every enabled transition label, in the model's canonical
+    /// order (the order [`ComposedState::successors`] lists them in). Builds
+    /// no state: the search engine applies each label into one scratch
+    /// state with [`ComposedState::apply_into`].
+    pub fn for_each_label(&self, cfg: &ComposedConfig, mut push: impl FnMut(ComposedLabel)) {
+        // Machine actions, numbered in enabled order.
+        let mut n = 0;
+        self.witness.for_each_enabled(self.w_phases(), |_| {
+            push(ComposedLabel::WitnessAct(n));
+            n += 1;
         });
-        // Subject machine actions.
         if !self.crashed {
-            let mut idx = 0;
-            self.subject.for_each_enabled(self.s_phases(), |a| {
-                let mut s = self.clone();
-                match s.subject.fire(a, s.s_phases()) {
-                    SubjectCmd::BecomeHungry(i) => s.invoke_dx(false, i, |c, io| c.hungry(io)),
-                    SubjectCmd::Exit(i) => s.invoke_dx(false, i, |c, io| c.exit_eating(io)),
-                    SubjectCmd::SendPing(i, seq) => s.pings.push((i as u8, seq)),
-                }
-                out.push((ComposedLabel::SubjectAct(idx), s));
-                idx += 1;
+            let mut n = 0;
+            self.subject.for_each_enabled(self.s_phases(), |_| {
+                push(ComposedLabel::SubjectAct(n));
+                n += 1;
             });
         }
-        // Dining-message deliveries (non-FIFO: any index).
-        for k in 0..self.dx_wire.len() {
-            let (i, to_subject, ref msg) = self.dx_wire[k];
-            if to_subject && self.crashed {
-                // Message to the corpse: it vanishes.
-                let mut s = self.clone();
-                s.dx_wire.remove(k);
-                out.push((ComposedLabel::DeliverDx(k), s));
-                continue;
-            }
-            let mut s = self.clone();
-            let msg = msg.clone();
-            s.dx_wire.remove(k);
-            let from = if to_subject { P } else { Q };
-            s.invoke_dx(!to_subject, i as usize, |c, io| c.on_message(io, from, msg));
-            out.push((ComposedLabel::DeliverDx(k), s));
-        }
-        // Reduction-layer deliveries.
-        for k in 0..self.pings.len() {
-            let mut s = self.clone();
-            let (i, seq) = s.pings.remove(k);
-            let WitnessCmd::SendAck(i2, s2) = s.witness.on_ping(i as usize, seq) else {
-                unreachable!()
-            };
-            if !s.crashed {
-                s.acks.push((i2 as u8, s2));
-            }
-            out.push((ComposedLabel::DeliverPing(k), s));
-        }
+        // Deliveries, non-FIFO: any index. Acks to a crashed q are gone.
+        (0..self.dx_wire.len()).for_each(|k| push(ComposedLabel::DeliverDx(k)));
+        (0..self.pings.len()).for_each(|k| push(ComposedLabel::DeliverPing(k)));
         if !self.crashed {
-            for k in 0..self.acks.len() {
-                let mut s = self.clone();
-                let (i, seq) = s.acks.remove(k);
-                s.subject.on_ack(i as usize, seq);
-                out.push((ComposedLabel::DeliverAck(k), s));
-            }
+            (0..self.acks.len()).for_each(|k| push(ComposedLabel::DeliverAck(k)));
         }
         // Ticks: only useful for hungry endpoints (suspicion re-check).
         for slot in 0..4usize {
@@ -315,52 +279,142 @@ impl ComposedState {
             }
             let phase = if witness_side { self.w_dx[i].phase() } else { self.s_dx[i].phase() };
             if phase == DinerPhase::Hungry {
-                let mut s = self.clone();
-                s.invoke_dx(witness_side, i, |c, io| c.on_tick(io));
-                out.push((ComposedLabel::Tick(slot), s));
+                push(ComposedLabel::Tick(slot));
             }
         }
         // Environment: crash and mistake flags.
         if cfg.allow_crash && !self.crashed {
-            let mut s = self.clone();
-            s.crashed = true;
-            s.acks.clear();
-            // In-flight q-bound dining messages stay queued; delivery drops
-            // them (handled above).
-            out.push((ComposedLabel::Crash, s));
+            push(ComposedLabel::Crash);
         }
         if cfg.allow_mistakes {
             for (pq, state) in [(true, self.mistake_pq), (false, self.mistake_qp)] {
                 match state {
-                    Mistake::Fresh => {
-                        let mut s = self.clone();
-                        if pq {
-                            s.mistake_pq = Mistake::Active;
-                        } else {
-                            s.mistake_qp = Mistake::Active;
-                        }
-                        out.push((ComposedLabel::Flag(pq, true), s));
-                    }
-                    Mistake::Active => {
-                        let mut s = self.clone();
-                        if pq {
-                            s.mistake_pq = Mistake::Spent;
-                        } else {
-                            s.mistake_qp = Mistake::Spent;
-                        }
-                        out.push((ComposedLabel::Flag(pq, false), s));
-                    }
+                    Mistake::Fresh => push(ComposedLabel::Flag(pq, true)),
+                    Mistake::Active => push(ComposedLabel::Flag(pq, false)),
                     Mistake::Spent => {}
                 }
             }
         }
-        for (_, next) in out[start..].iter_mut() {
-            Self::update_taints(self, next);
+    }
+
+    /// Applies one labelled transition, returning the successor. The label
+    /// must be enabled here ([`ComposedState::for_each_label`] yields it).
+    pub fn apply(&self, label: ComposedLabel) -> ComposedState {
+        let mut next = self.clone();
+        next.fire(label);
+        Self::update_taints(self, &mut next);
+        next
+    }
+
+    /// [`ComposedState::apply`] into a caller-owned state: `next` is
+    /// overwritten field by field — the wires through `Vec::clone_from`,
+    /// which keeps their storage — and the transition then fires in place.
+    /// The search engine builds every successor this way in one scratch
+    /// state and copies out only those its visited store keeps.
+    pub fn apply_into(&self, label: ComposedLabel, next: &mut ComposedState) {
+        let ComposedState {
+            witness,
+            subject,
+            w_dx,
+            s_dx,
+            dx_wire,
+            pings,
+            acks,
+            crashed,
+            mistake_pq,
+            mistake_qp,
+            w_taint,
+            s_taint,
+        } = self;
+        next.witness = witness.clone();
+        next.subject = subject.clone();
+        next.w_dx.clone_from(w_dx);
+        next.s_dx.clone_from(s_dx);
+        next.dx_wire.clone_from(dx_wire);
+        next.pings.clone_from(pings);
+        next.acks.clone_from(acks);
+        (next.crashed, next.mistake_pq, next.mistake_qp) = (*crashed, *mistake_pq, *mistake_qp);
+        (next.w_taint, next.s_taint) = (*w_taint, *s_taint);
+        next.fire(label);
+        Self::update_taints(self, next);
+    }
+
+    /// The transition itself, in place; the caller then settles the session
+    /// taints against the state it started from.
+    fn fire(&mut self, label: ComposedLabel) {
+        let s = self;
+        match label {
+            ComposedLabel::WitnessAct(n) => {
+                let phases = s.w_phases();
+                let Some(a) = nth_action(n, |f| s.witness.for_each_enabled(phases, f)) else {
+                    unreachable!("WitnessAct({n}) is not enabled");
+                };
+                match s.witness.fire(a, phases) {
+                    WitnessCmd::BecomeHungry(i) => s.invoke_dx(true, i, |c, io| c.hungry(io)),
+                    WitnessCmd::Exit(i) => s.invoke_dx(true, i, |c, io| c.exit_eating(io)),
+                    WitnessCmd::SendAck(..) => unreachable!(),
+                }
+            }
+            ComposedLabel::SubjectAct(n) => {
+                let phases = s.s_phases();
+                let Some(a) = nth_action(n, |f| s.subject.for_each_enabled(phases, f)) else {
+                    unreachable!("SubjectAct({n}) is not enabled");
+                };
+                match s.subject.fire(a, phases) {
+                    SubjectCmd::BecomeHungry(i) => s.invoke_dx(false, i, |c, io| c.hungry(io)),
+                    SubjectCmd::Exit(i) => s.invoke_dx(false, i, |c, io| c.exit_eating(io)),
+                    SubjectCmd::SendPing(i, seq) => s.pings.push((i as u8, seq)),
+                }
+            }
+            ComposedLabel::DeliverDx(k) => {
+                let (i, to_subject, msg) = s.dx_wire.remove(k);
+                // A message to the corpse vanishes.
+                if !(to_subject && s.crashed) {
+                    let from = if to_subject { P } else { Q };
+                    s.invoke_dx(!to_subject, i as usize, |c, io| c.on_message(io, from, msg));
+                }
+            }
+            ComposedLabel::DeliverPing(k) => {
+                let (i, seq) = s.pings.remove(k);
+                let WitnessCmd::SendAck(i2, s2) = s.witness.on_ping(i as usize, seq) else {
+                    unreachable!()
+                };
+                if !s.crashed {
+                    s.acks.push((i2 as u8, s2));
+                }
+            }
+            ComposedLabel::DeliverAck(k) => {
+                let (i, seq) = s.acks.remove(k);
+                s.subject.on_ack(i as usize, seq);
+            }
+            ComposedLabel::Tick(slot) => s.invoke_dx(slot < 2, slot % 2, |c, io| c.on_tick(io)),
+            ComposedLabel::Crash => {
+                // In-flight q-bound dining messages stay queued; delivery
+                // drops them.
+                s.crashed = true;
+                s.acks.clear();
+            }
+            ComposedLabel::Flag(pq, raise) => {
+                let m = if pq { &mut s.mistake_pq } else { &mut s.mistake_qp };
+                *m = if raise { Mistake::Active } else { Mistake::Spent };
+            }
         }
     }
 
+    /// Enumerates successors into `out`: every label of
+    /// [`ComposedState::for_each_label`], applied. Eat-start overlap
+    /// legality is checked by the caller comparing phases across the
+    /// transition.
+    pub fn successors_into(
+        &self,
+        cfg: &ComposedConfig,
+        out: &mut Vec<(ComposedLabel, ComposedState)>,
+    ) {
+        self.for_each_label(cfg, |l| out.push((l, self.apply(l))));
+    }
+
     /// Enumerates successors as a fresh vector (trace replay and property
-    /// tests; the engines use [`ComposedState::successors_into`]).
+    /// tests; the search engine walks labels instead).
     pub fn successors(&self, cfg: &ComposedConfig) -> Vec<(ComposedLabel, ComposedState)> {
         let mut out = Vec::new();
         self.successors_into(cfg, &mut out);
@@ -582,8 +636,12 @@ impl SearchModel for ComposedSearch<'_> {
     type State = ComposedState;
     type Label = ComposedLabel;
 
-    fn successors_into(&self, s: &ComposedState, out: &mut Vec<(ComposedLabel, ComposedState)>) {
-        s.successors_into(self.0, out);
+    fn for_each_label(&self, s: &ComposedState, push: impl FnMut(ComposedLabel)) {
+        s.for_each_label(self.0, push);
+    }
+
+    fn apply_into(&self, s: &ComposedState, label: ComposedLabel, next: &mut ComposedState) {
+        s.apply_into(label, next);
     }
 
     fn state_violations(&self, s: &ComposedState) -> Vec<String> {

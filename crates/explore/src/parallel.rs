@@ -5,15 +5,25 @@
 //! One engine serves both models through the [`SearchModel`] trait. The
 //! design:
 //!
+//! * **Probe before copying** — a model is searched as a label walk:
+//!   `SearchModel::for_each_label` lists a state's transitions and
+//!   `SearchModel::apply_into` builds one successor into a state the caller
+//!   owns. A worker builds every successor in one reused scratch state,
+//!   runs the step checks on it, encodes it and probes the store with it;
+//!   only a child the store keeps (fresh, or re-queued with more depth or a
+//!   smaller sleep mask) is cloned into a task. On the composed model about
+//!   two thirds of all successors are pruned, and none of those is copied.
 //! * **Fingerprinted visited store** — states are never used as hash-map
 //!   keys. Each state is encoded once ([`crate::codec::StateCodec`]) into a
 //!   per-worker scratch buffer, fingerprinted, and interned in an
-//!   open-addressing arena store ([`crate::visited`]); fingerprint hits are
-//!   confirmed by exact byte comparison, so the search stays exhaustive.
-//!   With two or more workers the store is striped across [`N_SHARDS`]
-//!   mutexes selected by the top fingerprint bits; workers `try_lock` first
-//!   and count the misses ([`SearchStats::shard_conflicts`]). One worker
-//!   uses a single store and no lock.
+//!   open-addressing arena store ([`crate::visited`]) whose index slots
+//!   carry fingerprint tags, so most probes for a fresh state never leave
+//!   the index; fingerprint hits are confirmed by exact byte comparison, so
+//!   the search stays exhaustive. With two or more workers the store is
+//!   striped across [`N_SHARDS`] mutexes selected by the low fingerprint
+//!   bits; workers `try_lock` first and count the misses
+//!   ([`SearchStats::shard_conflicts`]). One worker uses a single store and
+//!   no lock.
 //! * **Parent-chain paths** — tasks carry no path vector. The store records,
 //!   per state, the tree edge that first interned it; violations are held as
 //!   entry references during the search and resolved to label paths once,
@@ -28,7 +38,9 @@
 //!   the empty pool. A worker that unwinds is counted as waiting for good
 //!   and tells the others to stop expanding, so a panic in a model or a
 //!   codec ends the search and is re-raised by [`dinefd_sim::pool`] instead
-//!   of leaving the other workers waiting for it.
+//!   of leaving the other workers waiting for it. A store that can intern
+//!   no more states (its `u32` entry ids or arena offsets are used up) ends
+//!   the search as the state budget does: truncated.
 //! * **Optional sleep-set POR** ([`crate::por`]) — when the model opts in,
 //!   deliveries whose commuted order was already explored skip the
 //!   encode/probe/queue work ([`SearchStats::sleep_skips`]). Successor
@@ -70,7 +82,8 @@ use crate::codec::{fingerprint, StateCodec};
 use crate::por::{child_sleep, DeliveryClass};
 use crate::search::fmt_path;
 use crate::visited::{
-    path_through, Probe, ProbeOutcome, ShardedVisitedStore, StoreAccess, VisitedStore, NO_PARENT,
+    path_through, Probe, ProbeOutcome, ShardedVisitedStore, StoreAccess, StoreFull, VisitedStore,
+    NO_PARENT,
 };
 
 /// Number of lock stripes in the visited store that two or more workers
@@ -87,10 +100,13 @@ pub(crate) trait SearchModel: Sync {
     /// Transition label (small and copyable).
     type Label: Copy + Send + std::fmt::Debug;
 
-    /// Appends all enabled transitions out of `s` (with their successors)
-    /// to `out`. The engine clears and reuses `out` across expansions, so
-    /// implementations must only push.
-    fn successors_into(&self, s: &Self::State, out: &mut Vec<(Self::Label, Self::State)>);
+    /// Yields every transition enabled in `s`, in the model's canonical
+    /// order. Builds no state.
+    fn for_each_label(&self, s: &Self::State, push: impl FnMut(Self::Label));
+    /// Overwrites `next` with the successor of `s` under `label` (one that
+    /// `for_each_label` yielded). `next` still holds whatever successor was
+    /// built into it last, so implementations must overwrite every field.
+    fn apply_into(&self, s: &Self::State, label: Self::Label, next: &mut Self::State);
     /// State-level invariant violations (core messages, no path suffix).
     fn state_violations(&self, s: &Self::State) -> Vec<String>;
     /// Transition-level violations for `s --label--> next`.
@@ -237,6 +253,15 @@ impl<L> Tally<L> {
     }
 }
 
+/// A worker's reusable buffers: the labels of the state being expanded, the
+/// successor being built (a clone of the first state expanded, then always
+/// the last successor built), and that successor's encoding.
+struct Scratch<S, L> {
+    labels: Vec<L>,
+    next: Option<S>,
+    buf: Vec<u8>,
+}
+
 /// Interns and checks the initial state, returning its root task.
 fn seed_root<M: SearchModel>(
     model: &M,
@@ -245,11 +270,11 @@ fn seed_root<M: SearchModel>(
     store: &mut impl StoreAccess<M::Label>,
     buf: &mut Vec<u8>,
     tally: &mut Tally<M::Label>,
-) -> Task<M::State> {
+) -> Result<Task<M::State>, StoreFull> {
     buf.clear();
     initial.encode_into(buf);
     let Probe { outcome, entry, .. } =
-        store.probe(fingerprint(buf), buf, max_depth, 0, NO_PARENT, None);
+        store.probe(fingerprint(buf), buf, max_depth, 0, NO_PARENT, None)?;
     debug_assert_eq!(outcome, ProbeOutcome::Fresh, "seeding into a non-empty store");
     for message in model.state_violations(&initial) {
         tally.pending.push(PendingViolation {
@@ -259,46 +284,49 @@ fn seed_root<M: SearchModel>(
             extra: None,
         });
     }
-    Task { state: initial, entry, remaining: max_depth, sleep: 0 }
+    Ok(Task { state: initial, entry, remaining: max_depth, sleep: 0 })
 }
 
-/// Expands one task: enumerates successors into the reusable `succ` scratch,
-/// runs the once-per-state checks, probes each child, and hands fresh or
-/// upgraded children to `push`. This single function defines the expansion
-/// semantics — the once-per-state `transitions`/`deadlocks` figures, the
-/// once-per-state closure checks, the once-per-insertion invariant checks,
-/// and the POR skip rule.
+/// Expands one task: lists its labels, builds each child in the worker's
+/// scratch state, runs the once-per-state checks, probes the child, and
+/// hands a clone of each fresh or upgraded child to `push`. This single
+/// function defines the expansion semantics — the once-per-state
+/// `transitions`/`deadlocks` figures, the once-per-state closure checks, the
+/// once-per-insertion invariant checks, and the POR skip rule. Fails only
+/// when the store cannot intern a fresh child.
 fn expand_task<M: SearchModel>(
     model: &M,
     task: &Task<M::State>,
     store: &mut impl StoreAccess<M::Label>,
-    succ: &mut Vec<(M::Label, M::State)>,
-    buf: &mut Vec<u8>,
+    scratch: &mut Scratch<M::State, M::Label>,
     tally: &mut Tally<M::Label>,
     mut push: impl FnMut(Task<M::State>),
-) {
+) -> Result<(), StoreFull> {
     let first_expansion = store.mark_expanded(task.entry);
-    succ.clear();
-    model.successors_into(&task.state, succ);
-    if succ.is_empty() {
+    let Scratch { labels, next, buf } = scratch;
+    labels.clear();
+    model.for_each_label(&task.state, |l| labels.push(l));
+    if labels.is_empty() {
         if first_expansion {
             tally.deadlocks += 1;
         }
-        return;
+        return Ok(());
     }
     if first_expansion {
         // Out-degree is counted in full even under POR — enumeration (and
         // with it every check below) is never reduced, only probe work is.
-        tally.transitions += succ.len() as u64;
+        tally.transitions += labels.len() as u64;
     }
+    let next = next.get_or_insert_with(|| task.state.clone());
     let remaining = task.remaining - 1;
     let por = model.por();
     // Sleep bits of delivery labels already probed at *this* expansion;
     // later independent siblings inherit them (the sleep-set recurrence).
     let mut earlier = 0u32;
-    for (label, next) in succ.drain(..) {
+    for &label in labels.iter() {
+        model.apply_into(&task.state, label, next);
         if first_expansion {
-            for message in model.step_violations(&task.state, label, &next) {
+            for message in model.step_violations(&task.state, label, next) {
                 tally.pending.push(PendingViolation {
                     kind: ViolationKind::ClosureStep,
                     message,
@@ -324,17 +352,17 @@ fn expand_task<M: SearchModel>(
             earlier |= c.bit();
         }
         let Probe { outcome, entry, remaining: up_remaining, sleep: up_sleep } =
-            store.probe(fingerprint(buf), buf, remaining, sleep, task.entry, Some(label));
+            store.probe(fingerprint(buf), buf, remaining, sleep, task.entry, Some(label))?;
         match outcome {
             ProbeOutcome::Pruned => continue,
             ProbeOutcome::Requeue => {}
             ProbeOutcome::Fresh => {
                 debug_assert_eq!(
                     M::State::decode(buf).as_ref(),
-                    Some(&next),
+                    Some(&*next),
                     "codec round-trip failed on a fresh insertion"
                 );
-                for message in model.state_violations(&next) {
+                for message in model.state_violations(next) {
                     tally.pending.push(PendingViolation {
                         kind: ViolationKind::StateInvariant,
                         message,
@@ -344,8 +372,9 @@ fn expand_task<M: SearchModel>(
                 }
             }
         }
-        push(Task { state: next, entry, remaining: up_remaining, sleep: up_sleep });
+        push(Task { state: next.clone(), entry, remaining: up_remaining, sleep: up_sleep });
     }
+    Ok(())
 }
 
 /// What the workers of one search share: the pool through which a busy
@@ -367,6 +396,16 @@ struct Frontier<S> {
 }
 
 impl<S> Frontier<S> {
+    fn new(workers: usize) -> Self {
+        Frontier {
+            pool: Mutex::new(Vec::new()),
+            wake: Condvar::new(),
+            waiting: AtomicUsize::new(0),
+            halt: AtomicBool::new(false),
+            workers,
+        }
+    }
+
     /// The pool is poisoned only by a worker that died holding it; `halt`
     /// is set by then and whatever the pool holds is dropped unexpanded, so
     /// the guard is recovered rather than unwrapped.
@@ -433,11 +472,13 @@ fn worker<M: SearchModel>(
 ) -> Tally<M::Label> {
     let unwinding = Unwinding(frontier);
     let mut tally: Tally<M::Label> = Tally::new();
-    let mut buf: Vec<u8> = Vec::with_capacity(64);
-    let mut succ: Vec<(M::Label, M::State)> = Vec::new();
+    let mut scratch = Scratch { labels: Vec::new(), next: None, buf: Vec::with_capacity(64) };
     let mut stack: Vec<Task<M::State>> = Vec::new();
     if let Some(initial) = root {
-        stack.push(seed_root(model, initial, max_depth, store, &mut buf, &mut tally));
+        match seed_root(model, initial, max_depth, store, &mut scratch.buf, &mut tally) {
+            Ok(task) => stack.push(task),
+            Err(StoreFull) => frontier.halt.store(true, Ordering::SeqCst),
+        }
     }
     loop {
         let Some(task) = stack.pop() else {
@@ -462,7 +503,12 @@ fn worker<M: SearchModel>(
         if frontier.waiting.load(Ordering::Relaxed) > 0 && !stack.is_empty() {
             frontier.set_aside(&mut stack);
         }
-        expand_task(model, &task, store, &mut succ, &mut buf, &mut tally, |t| stack.push(t));
+        let expanded =
+            expand_task(model, &task, store, &mut scratch, &mut tally, |t| stack.push(t));
+        if expanded.is_err() {
+            // The store can intern no more states: stop as the budget does.
+            frontier.halt.store(true, Ordering::SeqCst);
+        }
     }
     std::mem::forget(unwinding);
     tally
@@ -479,13 +525,7 @@ pub(crate) fn search<M: SearchModel>(
     threads: usize,
 ) -> SearchReport<M::Label> {
     let threads = threads.max(1);
-    let frontier: Frontier<M::State> = Frontier {
-        pool: Mutex::new(Vec::new()),
-        wake: Condvar::new(),
-        waiting: AtomicUsize::new(0),
-        halt: AtomicBool::new(false),
-        workers: threads,
-    };
+    let frontier: Frontier<M::State> = Frontier::new(threads);
     let (tallies, stores, conflicts) = if threads == 1 {
         let mut store: VisitedStore<M::Label> = VisitedStore::new();
         let tally = worker(model, Some(initial), max_depth, max_states, &mut store, &frontier);
@@ -602,14 +642,18 @@ mod tests {
         type State = u32;
         type Label = u8;
 
-        fn successors_into(&self, s: &u32, out: &mut Vec<(u8, u32)>) {
+        fn for_each_label(&self, s: &u32, push: impl FnMut(u8)) {
             if self.poison == Some(*s) {
                 panic!("toy model poisoned at {s}");
             }
             if let Some(n) = self.expansions.get(*s as usize) {
                 n.fetch_add(1, Ordering::Relaxed);
             }
-            out.extend((self.edges)(*s).into_iter().enumerate().map(|(i, t)| (i as u8, t)));
+            (0..(self.edges)(*s).len() as u8).for_each(push);
+        }
+
+        fn apply_into(&self, s: &u32, label: u8, next: &mut u32) {
+            *next = (self.edges)(*s)[label as usize];
         }
 
         fn state_violations(&self, _: &u32) -> Vec<String> {
@@ -695,6 +739,16 @@ mod tests {
             assert_eq!((budget1.states_visited, budget1.transitions), (1, 0), "threads={threads}");
             assert!(budget1.truncated, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn a_store_that_cannot_intern_another_state_truncates_the_search() {
+        let model = Toy::new(tree);
+        let frontier = Frontier::new(1);
+        let mut store = VisitedStore::with_limits(100, u32::MAX);
+        worker(&model, Some(0), 50, usize::MAX, &mut store, &frontier);
+        assert!(frontier.halt.load(Ordering::SeqCst), "a full store ends the search as truncated");
+        assert_eq!(store.len(), 100);
     }
 
     #[test]

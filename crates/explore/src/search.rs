@@ -23,8 +23,12 @@ impl SearchModel for PairSearch<'_> {
     type State = PairState;
     type Label = TransitionLabel;
 
-    fn successors_into(&self, s: &PairState, out: &mut Vec<(TransitionLabel, PairState)>) {
-        s.successors_into(self.0, out);
+    fn for_each_label(&self, s: &PairState, push: impl FnMut(TransitionLabel)) {
+        s.for_each_label(self.0, push);
+    }
+
+    fn apply_into(&self, s: &PairState, label: TransitionLabel, next: &mut PairState) {
+        s.apply_into(label, self.0, next);
     }
 
     fn state_violations(&self, s: &PairState) -> Vec<String> {

@@ -7,16 +7,31 @@
 //!
 //! * its compact encoding ([`crate::codec::StateCodec`]), interned once in a
 //!   per-store byte **arena**;
-//! * a 64-bit **fingerprint** of that encoding, which drives an
-//!   open-addressing (linear-probe) index table.
+//! * a 64-bit **fingerprint** of that encoding, kept whole in the state's
+//!   entry and, as a 32-bit tag, in an open-addressing (linear-probe) index.
 //!
-//! A probe walks the index by fingerprint; on a fingerprint match the
-//! interned bytes are compared exactly before the entry is trusted
-//! ([`StoreStats::confirms`] counts the comparisons,
-//! [`StoreStats::collisions`] the fingerprint matches whose bytes differed).
-//! A collision therefore costs one extra probe step — it can never produce a
-//! false "seen" verdict, so the search remains exhaustive rather than a
-//! bitstate approximation.
+//! ## The index
+//!
+//! An index slot is one `u64`: a **tag** — the fingerprint's top 32 bits —
+//! above a 32-bit entry id. A table of `2^b` slots homes a fingerprint at
+//! its top `b` bits, which are the top of its own tag, and probes linearly
+//! from there. A slot whose tag differs is passed over without reading the
+//! entries or the arena, so a probe for a fresh state usually ends in the
+//! index's own cache line (an id-only index costs three dependent misses —
+//! index, entry, arena — for every occupied slot it passes). A tag match is
+//! confirmed by the entry's full fingerprint, and a fingerprint match by
+//! exact byte comparison against the interned encoding
+//! ([`StoreStats::confirms`] counts the comparisons that matched,
+//! [`StoreStats::collisions`] the 64-bit fingerprint matches whose bytes
+//! differed). A collision therefore costs one extra probe step — it can
+//! never produce a false "seen" verdict, so the search remains exhaustive
+//! rather than a bitstate approximation.
+//!
+//! The table doubles before an insertion would take it past 3/4 load.
+//! Because a slot's home is read off its own tag, growth re-places the old
+//! slots from the old index alone, without reading an entry.
+//!
+//! ## Entries
 //!
 //! Each entry also carries the search metadata the engine needs:
 //!
@@ -31,11 +46,13 @@
 //! * `expanded` — whether some expansion already counted this state's
 //!   out-degree/deadlock contribution (the once-per-state figures).
 //!
-//! Entries are append-only and identified by dense indices, so a parent
-//! reference is stable across table growth. Two or more workers share
-//! [`N_SHARDS`] of these stores, selecting a shard by the *top* fingerprint
-//! bits (the index table uses the low bits — independent, so shard striping
-//! does not correlate with probe clustering).
+//! Entries are append-only and identified by dense `u32` ids, so a parent
+//! reference is stable across table growth. A fresh state whose id or arena
+//! span would not fit in `u32` is not interned: the probe answers
+//! [`StoreFull`] and the search ends as truncated, as it does at its state
+//! budget. Two or more workers share [`N_SHARDS`] of these stores, selecting
+//! a stripe by the *low* fingerprint bits, which neither a tag nor a home
+//! slot reads, so striping does not correlate with probe clustering.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
@@ -45,8 +62,23 @@ use crate::parallel::N_SHARDS;
 /// Sentinel parent reference of the root state.
 pub(crate) const NO_PARENT: u64 = u64::MAX;
 
-/// Empty index-table slot.
-const EMPTY: u32 = u32::MAX;
+/// Empty index slot. No filled slot equals it: entry ids stay below
+/// `u32::MAX`.
+const EMPTY: u64 = u64::MAX;
+
+/// The index stops growing at `2^32` slots, the most a 32-bit tag can home.
+const MAX_INDEX_BITS: u32 = 32;
+
+/// The fingerprint bits an index slot keeps: the top 32. Applied to a slot,
+/// it reads the slot's tag back.
+fn tag_of(fp: u64) -> u32 {
+    (fp >> 32) as u32
+}
+
+/// Home slot of `tag` in an index of `2^bits` slots: the tag's top `bits`.
+fn home(tag: u32, bits: u32) -> usize {
+    (u64::from(tag) >> (32 - bits)) as usize
+}
 
 /// Codec observability counters of one store (summed across shards;
 /// exported through `SearchStats`).
@@ -57,6 +89,11 @@ pub(crate) struct StoreStats {
     /// Fingerprint hits whose interned bytes differed (true collisions).
     pub collisions: u64,
 }
+
+/// A fresh state the store could not intern: its entry id or its arena span
+/// would not fit in `u32`. The search stops there, as truncated.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct StoreFull;
 
 struct Entry<L> {
     fp: u64,
@@ -101,8 +138,8 @@ pub(crate) trait StoreAccess<L: Copy> {
 
     /// Looks up `bytes` (pre-fingerprinted as `fp`), arriving with
     /// `remaining` depth and POR mask `sleep` via `parent --label-->`.
-    /// Interns on miss; upgrades `remaining` (max) and `sleep`
-    /// (intersection) on hit.
+    /// Interns on miss, or answers [`StoreFull`] when it cannot; upgrades
+    /// `remaining` (max) and `sleep` (intersection) on hit.
     fn probe(
         &mut self,
         fp: u64,
@@ -111,7 +148,7 @@ pub(crate) trait StoreAccess<L: Copy> {
         sleep: u32,
         parent: u64,
         label: Option<L>,
-    ) -> Probe;
+    ) -> Result<Probe, StoreFull>;
 
     /// Marks `entry` expanded; true iff this is the first expansion.
     fn mark_expanded(&mut self, entry: u64) -> bool;
@@ -120,10 +157,16 @@ pub(crate) trait StoreAccess<L: Copy> {
 /// One open-addressing visited store (one worker uses one; several share
 /// [`N_SHARDS`] of them, striped).
 pub(crate) struct VisitedStore<L> {
-    /// Linear-probe index: slot → entry index (or [`EMPTY`]).
-    index: Vec<u32>,
+    /// Linear-probe index of `2^b` slots: `tag << 32 | entry id`, or
+    /// [`EMPTY`].
+    index: Vec<u64>,
     entries: Vec<Entry<L>>,
     arena: Vec<u8>,
+    /// Entry ids stay below this: `u32::MAX`, which keeps every filled slot
+    /// distinct from [`EMPTY`].
+    max_entries: u32,
+    /// Arena bytes the `u32` offsets address.
+    max_arena: u32,
     stats: StoreStats,
 }
 
@@ -133,8 +176,17 @@ impl<L: Copy> VisitedStore<L> {
             index: vec![EMPTY; 1024],
             entries: Vec::new(),
             arena: Vec::new(),
+            max_entries: u32::MAX,
+            max_arena: u32::MAX,
             stats: StoreStats::default(),
         }
+    }
+
+    /// A store that interns at most `max_entries` states and `max_arena`
+    /// bytes, so that a test can fill it.
+    #[cfg(test)]
+    pub(crate) fn with_limits(max_entries: u32, max_arena: u32) -> Self {
+        VisitedStore { max_entries, max_arena, ..Self::new() }
     }
 
     /// Bytes interned in the arena (a memory figure, not a state count).
@@ -152,18 +204,44 @@ impl<L: Copy> VisitedStore<L> {
         (e.parent, e.label)
     }
 
+    /// log2 of the index length.
+    fn bits(&self) -> u32 {
+        self.index.len().trailing_zeros()
+    }
+
+    /// Doubles the index, re-placing each slot at its tag's new home.
     fn grow(&mut self) {
         let new_len = self.index.len() * 2;
-        let mask = new_len - 1;
+        let (bits, mask) = (new_len.trailing_zeros(), new_len - 1);
         let mut index = vec![EMPTY; new_len];
-        for (id, e) in self.entries.iter().enumerate() {
-            let mut slot = (e.fp as usize) & mask;
-            while index[slot] != EMPTY {
-                slot = (slot + 1) & mask;
+        for &slot in self.index.iter().filter(|&&slot| slot != EMPTY) {
+            let mut pos = home(tag_of(slot), bits);
+            while index[pos] != EMPTY {
+                pos = (pos + 1) & mask;
             }
-            index[slot] = id as u32;
+            index[pos] = slot;
         }
         self.index = index;
+    }
+
+    /// Appends an entry for `bytes` and returns its id, or `None` when the
+    /// id or the arena span would not fit.
+    fn intern(
+        &mut self,
+        fp: u64,
+        bytes: &[u8],
+        remaining: u32,
+        sleep: u32,
+        parent: u64,
+        label: Option<L>,
+    ) -> Option<u32> {
+        let id = u32::try_from(self.entries.len()).ok().filter(|&id| id < self.max_entries)?;
+        let off = u32::try_from(self.arena.len()).ok()?;
+        let len = u32::try_from(bytes.len()).ok()?;
+        off.checked_add(len).filter(|&end| end <= self.max_arena)?;
+        self.arena.extend_from_slice(bytes);
+        self.entries.push(Entry { fp, off, len, remaining, sleep, parent, label, expanded: false });
+        Some(id)
     }
 }
 
@@ -180,59 +258,48 @@ impl<L: Copy> StoreAccess<L> for VisitedStore<L> {
         sleep: u32,
         parent: u64,
         label: Option<L>,
-    ) -> Probe {
-        if (self.entries.len() + 1) * 2 > self.index.len() {
+    ) -> Result<Probe, StoreFull> {
+        if (self.entries.len() + 1) * 4 > self.index.len() * 3 && self.bits() < MAX_INDEX_BITS {
             self.grow();
         }
-        let mask = self.index.len() - 1;
-        let mut slot = (fp as usize) & mask;
+        let (tag, mask) = (tag_of(fp), self.index.len() - 1);
+        let mut pos = home(tag, self.bits());
         loop {
-            match self.index[slot] {
-                EMPTY => {
-                    let index = self.entries.len() as u32;
-                    let off = self.arena.len() as u32;
-                    self.arena.extend_from_slice(bytes);
-                    self.entries.push(Entry {
-                        fp,
-                        off,
-                        len: bytes.len() as u32,
-                        remaining,
-                        sleep,
-                        parent,
-                        label,
-                        expanded: false,
-                    });
-                    self.index[slot] = index;
-                    let entry = entry_ref(0, index);
-                    return Probe { outcome: ProbeOutcome::Fresh, entry, remaining, sleep };
-                }
-                id => {
-                    let e = &mut self.entries[id as usize];
-                    if e.fp == fp {
-                        let interned = &self.arena[e.off as usize..(e.off + e.len) as usize];
-                        if interned == bytes {
-                            self.stats.confirms += 1;
-                            let up_remaining = e.remaining.max(remaining);
-                            let up_sleep = e.sleep & sleep;
-                            let outcome = if up_remaining == e.remaining && up_sleep == e.sleep {
-                                ProbeOutcome::Pruned
-                            } else {
-                                e.remaining = up_remaining;
-                                e.sleep = up_sleep;
-                                ProbeOutcome::Requeue
-                            };
-                            return Probe {
-                                outcome,
-                                entry: entry_ref(0, id),
-                                remaining: up_remaining,
-                                sleep: up_sleep,
-                            };
-                        }
-                        self.stats.collisions += 1;
+            let slot = self.index[pos];
+            if slot == EMPTY {
+                let id =
+                    self.intern(fp, bytes, remaining, sleep, parent, label).ok_or(StoreFull)?;
+                self.index[pos] = (u64::from(tag) << 32) | u64::from(id);
+                let entry = entry_ref(0, id);
+                return Ok(Probe { outcome: ProbeOutcome::Fresh, entry, remaining, sleep });
+            }
+            if tag_of(slot) == tag {
+                let id = slot as u32;
+                let e = &mut self.entries[id as usize];
+                if e.fp == fp {
+                    let interned = &self.arena[e.off as usize..][..e.len as usize];
+                    if interned == bytes {
+                        self.stats.confirms += 1;
+                        let up_remaining = e.remaining.max(remaining);
+                        let up_sleep = e.sleep & sleep;
+                        let outcome = if up_remaining == e.remaining && up_sleep == e.sleep {
+                            ProbeOutcome::Pruned
+                        } else {
+                            e.remaining = up_remaining;
+                            e.sleep = up_sleep;
+                            ProbeOutcome::Requeue
+                        };
+                        return Ok(Probe {
+                            outcome,
+                            entry: entry_ref(0, id),
+                            remaining: up_remaining,
+                            sleep: up_sleep,
+                        });
                     }
-                    slot = (slot + 1) & mask;
+                    self.stats.collisions += 1;
                 }
             }
+            pos = (pos + 1) & mask;
         }
     }
 
@@ -253,9 +320,10 @@ fn split_ref(r: u64) -> (usize, u32) {
     ((r >> 32) as usize, r as u32)
 }
 
-/// The stripe a fingerprint lives in: its top bits.
+/// The stripe a fingerprint lives in: its low bits, which neither an index
+/// tag nor a home slot reads.
 fn shard_of(fp: u64) -> usize {
-    (fp >> 56) as usize & (N_SHARDS - 1)
+    fp as usize & (N_SHARDS - 1)
 }
 
 /// Reconstructs the label path from the root to entry `r` by walking parent
@@ -280,7 +348,7 @@ pub(crate) fn path_through<'a, L: Copy + 'a>(
 }
 
 /// The lock-striped wrapper several workers share: [`N_SHARDS`] independent
-/// stores, selected by the top fingerprint bits. `try_lock` misses are
+/// stores, selected by the low fingerprint bits. `try_lock` misses are
 /// counted as shard conflicts.
 pub(crate) struct ShardedVisitedStore<L> {
     shards: Vec<Mutex<VisitedStore<L>>>,
@@ -341,13 +409,13 @@ impl<L: Copy> StoreAccess<L> for &ShardedVisitedStore<L> {
         sleep: u32,
         parent: u64,
         label: Option<L>,
-    ) -> Probe {
+    ) -> Result<Probe, StoreFull> {
         let shard = shard_of(fp);
-        let p = self.lock_counting(shard).probe(fp, bytes, remaining, sleep, parent, label);
+        let p = self.lock_counting(shard).probe(fp, bytes, remaining, sleep, parent, label)?;
         if p.outcome == ProbeOutcome::Fresh {
             self.len.fetch_add(1, Ordering::Relaxed);
         }
-        Probe { entry: entry_ref(shard, split_ref(p.entry).1), ..p }
+        Ok(Probe { entry: entry_ref(shard, split_ref(p.entry).1), ..p })
     }
 
     fn mark_expanded(&mut self, entry: u64) -> bool {
@@ -360,19 +428,34 @@ mod tests {
     use super::*;
     use dinefd_sim::codec::hash64;
 
+    /// Probes `bytes` under its own fingerprint, from the root.
+    fn probe(store: &mut impl StoreAccess<u8>, bytes: &[u8], remaining: u32, sleep: u32) -> Probe {
+        store.probe(hash64(bytes), bytes, remaining, sleep, NO_PARENT, None).unwrap()
+    }
+
+    /// Mean probe length of a lookup that finds its entry: each filled
+    /// slot's distance from its home, plus one, averaged.
+    fn mean_probe_len<L>(store: &VisitedStore<L>) -> f64 {
+        let (len, bits) = (store.index.len(), store.index.len().trailing_zeros());
+        let lengths: Vec<usize> = (0..len)
+            .filter(|&pos| store.index[pos] != EMPTY)
+            .map(|pos| (pos + len - home(tag_of(store.index[pos]), bits)) % len + 1)
+            .collect();
+        lengths.iter().sum::<usize>() as f64 / lengths.len() as f64
+    }
+
     #[test]
     fn fresh_then_pruned_then_requeued_on_deeper_arrival() {
         let mut store: VisitedStore<u8> = VisitedStore::new();
         let bytes = b"state-a";
-        let fp = hash64(bytes);
-        let p = store.probe(fp, bytes, 5, 0, NO_PARENT, None);
+        let p = probe(&mut store, bytes, 5, 0);
         assert_eq!(p.outcome, ProbeOutcome::Fresh);
         assert_eq!(store.len(), 1);
         // Same depth or shallower: pruned; store remembers the max.
-        assert_eq!(store.probe(fp, bytes, 5, 0, NO_PARENT, None).outcome, ProbeOutcome::Pruned);
-        assert_eq!(store.probe(fp, bytes, 3, 0, NO_PARENT, None).outcome, ProbeOutcome::Pruned);
+        assert_eq!(probe(&mut store, bytes, 5, 0).outcome, ProbeOutcome::Pruned);
+        assert_eq!(probe(&mut store, bytes, 3, 0).outcome, ProbeOutcome::Pruned);
         // Deeper: requeue with the upgraded budget.
-        let p = store.probe(fp, bytes, 9, 0, NO_PARENT, None);
+        let p = probe(&mut store, bytes, 9, 0);
         assert_eq!(p.outcome, ProbeOutcome::Requeue);
         assert_eq!(p.remaining, 9);
         assert_eq!(store.len(), 1, "no duplicate interning");
@@ -383,14 +466,13 @@ mod tests {
     fn sleep_masks_converge_by_intersection() {
         let mut store: VisitedStore<u8> = VisitedStore::new();
         let bytes = b"state-b";
-        let fp = hash64(bytes);
-        store.probe(fp, bytes, 4, 0b1100, NO_PARENT, None);
+        probe(&mut store, bytes, 4, 0b1100);
         // Same depth, overlapping mask: shrinks to the intersection.
-        let p = store.probe(fp, bytes, 4, 0b0110, NO_PARENT, None);
+        let p = probe(&mut store, bytes, 4, 0b0110);
         assert_eq!(p.outcome, ProbeOutcome::Requeue);
         assert_eq!(p.sleep, 0b0100);
         // Arriving with a superset mask adds nothing.
-        let p = store.probe(fp, bytes, 4, 0b1110, NO_PARENT, None);
+        let p = probe(&mut store, bytes, 4, 0b1110);
         assert_eq!(p.outcome, ProbeOutcome::Pruned);
         assert_eq!(p.sleep, 0b0100);
     }
@@ -401,13 +483,30 @@ mod tests {
         // Force a collision by probing two different byte strings under the
         // same fingerprint (the store trusts the caller's fp).
         let fp = 0x42;
-        assert_eq!(store.probe(fp, b"first", 3, 0, NO_PARENT, None).outcome, ProbeOutcome::Fresh);
-        assert_eq!(store.probe(fp, b"second", 3, 0, NO_PARENT, None).outcome, ProbeOutcome::Fresh);
-        assert_eq!(store.len(), 2, "colliding states must both be interned");
-        assert_eq!(store.stats().collisions, 1);
+        let mut at = |bytes: &[u8], remaining| {
+            store.probe(fp, bytes, remaining, 0, NO_PARENT, None).unwrap().outcome
+        };
+        assert_eq!(at(b"first", 3), ProbeOutcome::Fresh);
+        assert_eq!(at(b"second", 3), ProbeOutcome::Fresh);
         // Each still resolves to its own entry.
-        assert_eq!(store.probe(fp, b"first", 3, 0, NO_PARENT, None).outcome, ProbeOutcome::Pruned);
-        assert_eq!(store.probe(fp, b"second", 2, 0, NO_PARENT, None).outcome, ProbeOutcome::Pruned);
+        assert_eq!(at(b"first", 3), ProbeOutcome::Pruned);
+        assert_eq!(at(b"second", 2), ProbeOutcome::Pruned);
+        assert_eq!(store.len(), 2, "colliding states must both be interned");
+        // "second" passed "first" on its way in and on its way back.
+        assert_eq!(store.stats().collisions, 2);
+    }
+
+    #[test]
+    fn a_shared_tag_with_another_fingerprint_is_no_collision() {
+        let mut store: VisitedStore<u8> = VisitedStore::new();
+        // Equal top halves: one tag, one home slot, two fingerprints.
+        let (a, b) = (0xABCD_1234_0000_0001, 0xABCD_1234_0000_0002);
+        for fp in [a, b, a, b] {
+            store.probe(fp, &fp.to_le_bytes(), 1, 0, NO_PARENT, None).unwrap();
+        }
+        assert_eq!(store.len(), 2);
+        let stats = store.stats();
+        assert_eq!((stats.confirms, stats.collisions), (2, 0), "a tag match alone is no collision");
     }
 
     #[test]
@@ -415,29 +514,71 @@ mod tests {
         let mut store: VisitedStore<u8> = VisitedStore::new();
         let n = 5_000u64; // forces several grow() rehashes past the 1024 seed
         for i in 0..n {
-            let bytes = i.to_le_bytes();
-            let p = store.probe(hash64(&bytes), &bytes, 1, 0, NO_PARENT, None);
-            assert_eq!(p.outcome, ProbeOutcome::Fresh);
+            assert_eq!(probe(&mut store, &i.to_le_bytes(), 1, 0).outcome, ProbeOutcome::Fresh);
         }
         assert_eq!(store.len(), n as usize);
         assert_eq!(store.arena_bytes(), n as usize * 8, "one 8-byte encoding per entry");
+        assert_eq!(store.index.len(), 8192, "5,000 entries fit 8,192 slots at 3/4 load");
         for i in 0..n {
-            let bytes = i.to_le_bytes();
-            let p = store.probe(hash64(&bytes), &bytes, 1, 0, NO_PARENT, None);
+            let p = probe(&mut store, &i.to_le_bytes(), 1, 0);
             assert_eq!(p.outcome, ProbeOutcome::Pruned, "entry {i} lost in growth");
         }
     }
 
     #[test]
+    fn a_full_store_refuses_a_fresh_state_instead_of_wrapping() {
+        let fresh = |store: &mut VisitedStore<u8>, i: u64| {
+            let bytes = i.to_le_bytes();
+            store.probe(hash64(&bytes), &bytes, 1, 0, NO_PARENT, None).map(|p| p.outcome)
+        };
+        // Out of entry ids: three states fit, the fourth does not.
+        let mut store = VisitedStore::with_limits(3, u32::MAX);
+        for i in 0..3 {
+            assert_eq!(fresh(&mut store, i), Ok(ProbeOutcome::Fresh));
+        }
+        assert_eq!(fresh(&mut store, 3), Err(StoreFull));
+        assert_eq!(store.len(), 3, "nothing interned for the refused state");
+        // A seen state still resolves.
+        assert_eq!(fresh(&mut store, 0), Ok(ProbeOutcome::Pruned));
+        // Out of arena: two 8-byte states fit in 20 bytes, a third does not.
+        let mut store = VisitedStore::with_limits(u32::MAX, 20);
+        assert!(fresh(&mut store, 0).is_ok() && fresh(&mut store, 1).is_ok());
+        assert_eq!(fresh(&mut store, 2), Err(StoreFull));
+        assert_eq!((store.len(), store.arena_bytes()), (2, 16));
+    }
+
+    #[test]
     fn parent_links_reconstruct_paths() {
         let mut store: VisitedStore<char> = VisitedStore::new();
-        let root = store.probe(hash64(b"r"), b"r", 9, 0, NO_PARENT, None);
-        let a = store.probe(hash64(b"a"), b"a", 8, 0, root.entry, Some('a'));
-        let b = store.probe(hash64(b"b"), b"b", 7, 0, a.entry, Some('b'));
-        let path = path_through(b.entry, Some('c'), |_| &store);
+        let mut at = |bytes: &[u8], parent, label| {
+            store.probe(hash64(bytes), bytes, 9, 0, parent, label).unwrap().entry
+        };
+        let root = at(b"r", NO_PARENT, None);
+        let a = at(b"a", root, Some('a'));
+        let b = at(b"b", a, Some('b'));
+        let path = path_through(b, Some('c'), |_| &store);
         assert_eq!(path, vec!['a', 'b', 'c']);
-        let root_path = path_through(root.entry, None, |_| &store);
+        let root_path = path_through(root, None, |_| &store);
         assert!(root_path.is_empty());
+    }
+
+    #[test]
+    fn stripes_probe_as_short_as_one_store() {
+        // A stripe selector that shared bits with the home slot would crowd
+        // each stripe's states into a sliver of its table.
+        let n = 100_000u64;
+        let mut single: VisitedStore<u8> = VisitedStore::new();
+        let sharded: ShardedVisitedStore<u8> = ShardedVisitedStore::new();
+        let mut striped = &sharded;
+        for i in 0..n {
+            probe(&mut single, &i.to_le_bytes(), 1, 0);
+            probe(&mut striped, &i.to_le_bytes(), 1, 0);
+        }
+        let one = mean_probe_len(&single);
+        for (k, stripe) in sharded.into_stores().iter().enumerate() {
+            let mean = mean_probe_len(stripe);
+            assert!(mean <= 2.0 * one, "stripe {k}: mean probe {mean:.2} vs one store's {one:.2}");
+        }
     }
 
     #[test]
@@ -445,13 +586,10 @@ mod tests {
         let sharded: ShardedVisitedStore<u8> = ShardedVisitedStore::new();
         let mut store = &sharded;
         for i in 0..500u64 {
-            let bytes = i.to_le_bytes();
-            let p = store.probe(hash64(&bytes), &bytes, 2, 0, NO_PARENT, None);
-            assert_eq!(p.outcome, ProbeOutcome::Fresh);
+            assert_eq!(probe(&mut store, &i.to_le_bytes(), 2, 0).outcome, ProbeOutcome::Fresh);
         }
         assert_eq!(store.len(), 500);
-        let p =
-            store.probe(hash64(&0u64.to_le_bytes()), &0u64.to_le_bytes(), 2, 0, NO_PARENT, None);
+        let p = probe(&mut store, &0u64.to_le_bytes(), 2, 0);
         assert_eq!(p.outcome, ProbeOutcome::Pruned);
         assert!(store.mark_expanded(p.entry));
         assert!(!store.mark_expanded(p.entry), "second expansion is not first");

@@ -136,16 +136,19 @@ mod tests {
     }
 
     #[test]
-    fn hash64_spreads_low_bits() {
-        // The visited store indexes slots by the low fingerprint bits; a
-        // counter-like input family must not collapse onto few slots.
+    fn hash64_spreads_low_and_high_bits() {
+        // The visited store homes index slots by the top fingerprint bits
+        // and picks lock stripes by the low ones; a counter-like input
+        // family must not collapse onto few patterns at either end.
         use std::collections::HashSet;
-        let mut low: HashSet<u64> = HashSet::new();
+        let (mut low, mut high): (HashSet<u64>, HashSet<u64>) = Default::default();
         for i in 0u64..1024 {
             let mut buf = Vec::new();
             put_varint(&mut buf, i);
             low.insert(hash64(&buf) & 1023);
+            high.insert(hash64(&buf) >> 54);
         }
         assert!(low.len() > 600, "only {} distinct low-bit patterns", low.len());
+        assert!(high.len() > 600, "only {} distinct high-bit patterns", high.len());
     }
 }
