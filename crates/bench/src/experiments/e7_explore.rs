@@ -8,9 +8,6 @@ use dinefd_sim::MetricMap;
 use crate::table::{Report, Table};
 use crate::{timed, ExperimentConfig};
 
-/// Worker count of the cross-check column.
-const PAR_THREADS: usize = 4;
-
 /// Runs E7 and returns the report.
 pub fn run(cfg: &ExperimentConfig) -> Report {
     // The deepest rows are the depth frontier the fingerprinted store
@@ -27,7 +24,6 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
             "violations",
             "deadlocks",
             "kstates/s",
-            "par agree",
             "por agree",
         ],
     );
@@ -35,7 +31,6 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
     let mut states_total = 0u64;
     let mut transitions_total = 0u64;
     let mut rows_total = 0u64;
-    let mut agree_total = 0u64;
     let mut por_agree_total = 0u64;
     for &strict in &[false, true] {
         for &allow_crash in &[true, false] {
@@ -48,14 +43,9 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                     ..Default::default()
                 };
                 let (report, secs) = timed(|| explore(&base));
-                // Cross-checks: several workers and the POR run must reach
-                // the same verdict on the same configuration.
-                let par = explore(&ExploreConfig { threads: PAR_THREADS, ..base });
+                // Cross-check: the POR run must reach the same verdict on the
+                // same configuration.
                 let por = explore(&ExploreConfig { por: true, ..base });
-                let agree = par.states_visited == report.states_visited
-                    && par.transitions == report.transitions
-                    && par.clean() == report.clean()
-                    && par.deadlocks == report.deadlocks;
                 let por_agree = por.states_visited == report.states_visited
                     && por.transitions == report.transitions
                     && por.clean() == report.clean()
@@ -63,7 +53,6 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                 states_total += report.states_visited as u64;
                 transitions_total += report.transitions;
                 rows_total += 1;
-                agree_total += agree as u64;
                 por_agree_total += por_agree as u64;
                 safety.row(vec![
                     if strict { "hardened".into() } else { "paper".to_string() },
@@ -74,7 +63,6 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                     report.violations.len().to_string(),
                     report.deadlocks.to_string(),
                     format!("{:.0}", report.states_visited as f64 / secs / 1_000.0),
-                    if agree { "yes".into() } else { "NO".to_string() },
                     if por_agree { "yes".into() } else { "NO".to_string() },
                 ]);
             }
@@ -93,7 +81,6 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
             "violations",
             "deadlocks",
             "kstates/s",
-            "par agree",
             "por agree",
             "por skips",
         ],
@@ -109,12 +96,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                 ..Default::default()
             };
             let (r, secs) = timed(|| explore_composed(&base));
-            let par = explore_composed(&ComposedConfig { threads: PAR_THREADS, ..base });
             let por = explore_composed(&ComposedConfig { por: true, ..base });
-            let agree = par.states_visited == r.states_visited
-                && par.transitions == r.transitions
-                && par.clean() == r.clean()
-                && par.deadlocks == r.deadlocks;
             let por_agree = por.states_visited == r.states_visited
                 && por.transitions == r.transitions
                 && por.clean() == r.clean()
@@ -122,7 +104,6 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
             states_total += r.states_visited as u64;
             transitions_total += r.transitions;
             rows_total += 1;
-            agree_total += agree as u64;
             por_agree_total += por_agree as u64;
             composed.row(vec![
                 if allow_crash { "yes".into() } else { "no".to_string() },
@@ -133,7 +114,6 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                 r.violations.len().to_string(),
                 r.deadlocks.to_string(),
                 format!("{:.0}", r.states_visited as f64 / secs / 1_000.0),
-                if agree { "yes".into() } else { "NO".to_string() },
                 if por_agree { "yes".into() } else { "NO".to_string() },
                 por.stats.sleep_skips.get().to_string(),
             ]);
@@ -178,7 +158,6 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
     metrics.insert("states_total".into(), states_total);
     metrics.insert("transitions_total".into(), transitions_total);
     metrics.insert("exhaustive_rows".into(), rows_total);
-    metrics.insert("par_agree_rows".into(), agree_total);
     metrics.insert("por_agree_rows".into(), por_agree_total);
     Report {
         title: "E7 — mechanical lemma checking (exhaustive + fair runs)".into(),
@@ -191,16 +170,13 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                    are checked on weakly-fair schedules."
             .into(),
         tables: vec![safety, composed, liveness],
-        notes: vec![format!(
-            "\"par agree\" re-runs each exhaustive row at {PAR_THREADS} workers \
-             (sharded visited table) and \"por \
-             agree\" with sleep-set POR, comparing states/transitions/clean/\
-             deadlocks; \"kstates/s\" is the one-worker throughput. The \
-             faithful pair wire is strictly sequential, so POR only finds \
-             skippable interleavings on the composed model's fork traffic \
-             (\"por skips\"). See E8 for the thread-scaling sweep and the \
-             depth frontier."
-        )],
+        notes: vec!["\"por agree\" re-runs each exhaustive row with sleep-set POR, \
+                     comparing states/transitions/clean/deadlocks; \"kstates/s\" is \
+                     the search's throughput on the calling thread. The faithful \
+                     pair wire is strictly sequential, so POR only finds skippable \
+                     interleavings on the composed model's fork traffic (\"por \
+                     skips\"). See E8 for the depth frontier."
+            .into()],
         metrics,
     }
 }
@@ -216,24 +192,21 @@ mod tests {
         for row in &report.tables[0].rows {
             assert_eq!(row[5], "0", "safety violations: {row:?}");
             assert_eq!(row[6], "0", "deadlocks: {row:?}");
-            assert_eq!(row[8], "yes", "parallel disagreed with serial: {row:?}");
-            assert_eq!(row[9], "yes", "POR disagreed with full exploration: {row:?}");
+            assert_eq!(row[8], "yes", "POR disagreed with full exploration: {row:?}");
         }
         for row in &report.tables[1].rows {
             assert_eq!(row[5], "0", "composed violations: {row:?}");
             assert_eq!(row[6], "0", "composed deadlocks: {row:?}");
-            assert_eq!(row[8], "yes", "parallel disagreed with serial: {row:?}");
-            assert_eq!(row[9], "yes", "POR disagreed with full exploration: {row:?}");
+            assert_eq!(row[8], "yes", "POR disagreed with full exploration: {row:?}");
         }
         for row in &report.tables[2].rows {
             assert_eq!(row[5], "true", "witnesses must alternate: {row:?}");
         }
-        assert_eq!(report.metrics["par_agree_rows"], report.metrics["exhaustive_rows"]);
         assert_eq!(report.metrics["por_agree_rows"], report.metrics["exhaustive_rows"]);
         assert!(report.metrics["states_total"] > 0);
         // POR must actually fire somewhere in the composed sweep.
         assert!(
-            report.tables[1].rows.iter().any(|r| r[10] != "0"),
+            report.tables[1].rows.iter().any(|r| r[9] != "0"),
             "composed POR never skipped anything"
         );
     }

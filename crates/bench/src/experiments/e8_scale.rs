@@ -4,7 +4,7 @@
 
 use dinefd_core::{run_extraction, BlackBox, ExtractionResult, OracleSpec, Scenario};
 use dinefd_explore::{explore, ExploreConfig};
-use dinefd_sim::{CrashPlan, MetricMap, ProcessId, Summary, Time};
+use dinefd_sim::{CrashPlan, MetricMap, ProcessId, Time};
 
 use crate::table::{Report, Table};
 use crate::{parallel_map, timed, ExperimentConfig};
@@ -47,7 +47,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
     let mut metrics = MetricMap::new();
     let table = scale_table(cfg, sizes, STREAM_FROM, &mut metrics);
     let (sharded, parallel) = frontier_tables(frontier_sizes(), par_from(), 4, &mut metrics);
-    let explorer = explorer_scaling(cfg, &mut metrics);
+    explorer_figures(cfg, &mut metrics);
     let frontier = depth_frontier(cfg, &mut metrics);
 
     Report {
@@ -67,10 +67,10 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                    history must match the trace-derived one byte for byte. \
                    The parallel-frontier table re-runs the larger sharded \
                    worlds on the shard-worker pool at 2, 4 and 8 threads; the \
-                   fourth table sweeps the lemma explorer's search loop over \
-                   thread counts on a fixed state space."
+                   last table pushes the lemma explorer's search to deeper \
+                   bounds."
             .into(),
-        tables: vec![table, sharded, parallel, explorer, frontier],
+        tables: vec![table, sharded, parallel, frontier],
         notes: vec![
             "\"peak resident (entries)\" counts the extraction-side state the run \
              must hold: trace events for post-hoc rows, n² timelines + recorded \
@@ -97,13 +97,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
              a high barrier share; the determinism columns are the part that \
              must hold everywhere."
                 .into(),
-            "Explorer speedup is relative to the serial (threads=1) mean and is \
-             bounded by the machine's core count — on a single-core host extra \
-             workers only add coordination overhead (expect < 1x), and the sweep \
-             degenerates into a determinism check: states and verdict must stay \
-             identical at every thread count."
-                .into(),
-            "The depth frontier sweeps the one-worker search to increasing bounds; \
+            "The depth frontier sweeps the explorer's search to increasing bounds; \
              \"arena KiB\" is the resident footprint of the entire visited state \
              set under the compact codec (the figure that used to be a cloned \
              struct per HashMap key)."
@@ -374,71 +368,17 @@ fn frontier_tables(
     (sharded, parallel)
 }
 
-/// Thread-scaling sweep of the parallel lemma explorer: same state space,
-/// increasing worker counts, verdicts cross-checked against serial. The
-/// seed-deterministic exploration counters land in `metrics`.
-fn explorer_scaling(cfg: &ExperimentConfig, metrics: &mut MetricMap) -> Table {
+/// One search of the pair model at a fixed depth; its state and transition
+/// counts land in `metrics`.
+fn explorer_figures(cfg: &ExperimentConfig, metrics: &mut MetricMap) {
     let depth: u32 = if cfg.seeds <= 3 { 40 } else { 60 };
-    let repeats: usize = if cfg.seeds <= 3 { 3 } else { 5 };
-    let mut table = Table::new(
-        "Parallel lemma-explorer scaling (pair model, fixed depth)",
-        &[
-            "threads",
-            "states",
-            "kstates/s (mean)",
-            "kstates/s (p95)",
-            "speedup",
-            "steals (mean)",
-            "shard conflicts (mean)",
-            "agree",
-        ],
-    );
-    let base = ExploreConfig { max_depth: depth, ..Default::default() };
-    let serial = explore(&base);
-    metrics.insert("explorer.states".into(), serial.states_visited as u64);
-    metrics.insert("explorer.transitions".into(), serial.transitions as u64);
-    let mut serial_mean = 0.0;
-    for &threads in &[1usize, 2, 4, 8] {
-        let runs: Vec<_> =
-            (0..repeats).map(|_| timed(|| explore(&ExploreConfig { threads, ..base }))).collect();
-        let thrpt = Summary::of(
-            &runs
-                .iter()
-                .map(|(r, secs)| r.states_visited as f64 / secs / 1_000.0)
-                .collect::<Vec<_>>(),
-        )
-        .expect("non-empty sample");
-        let steals =
-            Summary::of_u64(&runs.iter().map(|(r, _)| r.stats.steals.get()).collect::<Vec<_>>())
-                .expect("non-empty sample");
-        let conflicts = Summary::of_u64(
-            &runs.iter().map(|(r, _)| r.stats.shard_conflicts.get()).collect::<Vec<_>>(),
-        )
-        .expect("non-empty sample");
-        if threads == 1 {
-            serial_mean = thrpt.mean;
-        }
-        let agree = runs.iter().all(|(r, _)| {
-            r.states_visited == serial.states_visited
-                && r.transitions == serial.transitions
-                && r.clean() == serial.clean()
-                && r.deadlocks == serial.deadlocks
-        });
-        table.row(vec![
-            threads.to_string(),
-            runs[0].0.states_visited.to_string(),
-            format!("{:.0}", thrpt.mean),
-            format!("{:.0}", thrpt.p95),
-            format!("{:.2}x", thrpt.mean / serial_mean),
-            format!("{:.0}", steals.mean),
-            format!("{:.0}", conflicts.mean),
-            if agree { "yes".into() } else { "NO".to_string() },
-        ]);
-    }
-    table
+    let r = explore(&ExploreConfig { max_depth: depth, ..Default::default() });
+    assert!(r.clean(), "pair model at depth {depth} found violations: {:?}", r.violations);
+    metrics.insert("explorer.states".into(), r.states_visited as u64);
+    metrics.insert("explorer.transitions".into(), r.transitions);
 }
 
-/// Depth-frontier sweep: how deep the one-worker search pushes the pair model
+/// Depth-frontier sweep: how deep the search pushes the pair model
 /// and what the visited set costs, row per depth bound. States, transitions,
 /// and arena bytes are deterministic; throughput is wall-clock.
 fn depth_frontier(cfg: &ExperimentConfig, metrics: &mut MetricMap) -> Table {
@@ -569,16 +509,5 @@ mod tests {
         let states: Vec<u64> = table.rows.iter().map(|r| r[1].parse().unwrap()).collect();
         assert!(states.windows(2).all(|w| w[0] < w[1]), "deeper must see more: {states:?}");
         assert!(metrics.keys().any(|k| k.ends_with(".arena_bytes")));
-    }
-
-    #[test]
-    fn e8_explorer_sweep_is_deterministic_across_threads() {
-        let table = explorer_scaling(&ExperimentConfig { seeds: 2 }, &mut MetricMap::new());
-        assert_eq!(table.rows.len(), 4);
-        let states = &table.rows[0][1];
-        for row in &table.rows {
-            assert_eq!(&row[1], states, "state count diverged: {row:?}");
-            assert_eq!(row[7], "yes", "verdict diverged from serial: {row:?}");
-        }
     }
 }

@@ -352,7 +352,9 @@ impl WfDxDining {
         let clock = codec::take_varint(input)?;
         let session = Ts::unpack(input)?;
         let suspicion_eats = codec::take_varint(input)?;
-        let n = usize::try_from(codec::take_varint(input)?).ok()?;
+        // Every edge takes at least one byte: a longer length is malformed,
+        // and refused before anything is allocated for it.
+        let n = usize::try_from(codec::take_varint(input)?).ok().filter(|&n| n <= input.len())?;
         let mut edges = Vec::with_capacity(n);
         for _ in 0..n {
             let peer = ProcessId(u32::try_from(codec::take_varint(input)?).ok()?);
@@ -662,6 +664,21 @@ mod tests {
         let two = WfDxDining::new(p(1), &[p(0), p(2)]);
         assert!(matches!(two.edges, Edges::Many(_)));
         assert_rt(&two);
+    }
+
+    #[test]
+    fn an_edge_count_past_the_end_of_the_buffer_is_malformed() {
+        // A one-peer endpoint ends in its edge list: count 1, the peer, one
+        // flag byte. Claim 2^35 and then 2^60 edges with no bytes behind
+        // them: allocating for the claim first would abort or panic.
+        let mut buf = Vec::new();
+        WfDxDining::new(p(1), &[p(0)]).pack_into(&mut buf);
+        assert_eq!(buf[buf.len() - 3..buf.len() - 1], [1, 0]);
+        for n in [1u64 << 35, 1 << 60] {
+            let mut crafted = buf[..buf.len() - 3].to_vec();
+            codec::put_varint(&mut crafted, n);
+            assert_eq!(WfDxDining::unpack(&mut crafted.as_slice()), None, "{n} edges claimed");
+        }
     }
 
     #[test]

@@ -90,9 +90,11 @@ pub(crate) fn put_wire_queue(out: &mut Vec<u8>, queue: &[(u8, u64)]) {
     }
 }
 
-/// Inverse of [`put_wire_queue`].
+/// Inverse of [`put_wire_queue`]. A length longer than the bytes left is
+/// malformed (every message takes at least one byte), so it is refused
+/// before anything is allocated for it.
 pub(crate) fn take_wire_queue(input: &mut &[u8]) -> Option<Vec<(u8, u64)>> {
-    let n = usize::try_from(take_varint(input)?).ok()?;
+    let n = usize::try_from(take_varint(input)?).ok().filter(|&n| n <= input.len())?;
     let mut queue = Vec::with_capacity(n);
     for _ in 0..n {
         queue.push(take_wire_msg(input)?);
@@ -158,6 +160,20 @@ mod tests {
         let mut long = bytes.clone();
         long.push(0);
         assert_eq!(PairState::decode(&long), None, "trailing bytes");
+    }
+
+    #[test]
+    fn a_queue_length_past_the_end_of_the_buffer_is_malformed() {
+        // The initial state ends in two empty wire queues. Claim 2^35 and
+        // then 2^60 pings with no bytes behind them: allocating for the
+        // claim first would abort (512 GiB) or panic (capacity overflow).
+        let bytes = PairState::initial(&ExploreConfig::default()).encode();
+        assert!(bytes.ends_with(&[0, 0]));
+        for n in [1u64 << 35, 1 << 60] {
+            let mut crafted = bytes[..bytes.len() - 2].to_vec();
+            put_varint(&mut crafted, n);
+            assert_eq!(PairState::decode(&crafted), None, "{n} pings claimed");
+        }
     }
 
     #[test]

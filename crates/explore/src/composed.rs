@@ -30,7 +30,7 @@ use dinefd_dining::{DinerPhase, DiningIo, DiningMsg, DiningParticipant};
 use dinefd_fd::FdQuery;
 use dinefd_sim::{ProcessId, Time};
 
-use crate::parallel::{search, SearchModel, SearchReport};
+use crate::engine::{search, SearchModel, SearchReport};
 use crate::por::DeliveryClass;
 
 const P: ProcessId = ProcessId(0); // watcher
@@ -99,9 +99,8 @@ pub struct ComposedConfig {
     pub allow_mistakes: bool,
     /// Harden the subject machine (sequence-checked acks).
     pub strict_seq: bool,
-    /// Workers running the search loop: `1` (default) is the calling thread
-    /// alone, in a fixed depth-first order; `>= 2` spawns that many, which
-    /// hand each other work. Verdicts are schedule-independent.
+    /// Ignored: the search runs on the calling thread. Kept only because
+    /// `benchmark/` names it.
     pub threads: usize,
     /// Enable sleep-set partial-order reduction over commuting
     /// dx/ping/ack deliveries ([`crate::por`]). Off by default; every
@@ -571,7 +570,9 @@ impl crate::codec::StateCodec for ComposedState {
             *slot = Some(WfDxDining::unpack(input)?);
         }
         let [w0, w1, s0, s1] = dx;
-        let n = usize::try_from(take_varint(input)?).ok()?;
+        // Every wire message takes at least one byte: a longer length is
+        // malformed, and refused before anything is allocated for it.
+        let n = usize::try_from(take_varint(input)?).ok().filter(|&n| n <= input.len())?;
         let mut dx_wire = Vec::with_capacity(n);
         for _ in 0..n {
             let tag = take_u8(input)?;
@@ -681,7 +682,7 @@ impl SearchModel for ComposedSearch<'_> {
 /// [`crate::explore`].
 pub fn explore_composed(cfg: &ComposedConfig) -> ComposedReport {
     let initial = ComposedState::initial(cfg);
-    search(&ComposedSearch(cfg), initial, cfg.max_depth, cfg.max_states, cfg.threads)
+    search(&ComposedSearch(cfg), initial, cfg.max_depth, cfg.max_states)
 }
 
 #[cfg(test)]
@@ -727,24 +728,6 @@ mod tests {
     }
 
     #[test]
-    fn composed_parallel_agrees_with_serial() {
-        let base = ComposedConfig {
-            max_depth: 9,
-            allow_crash: true,
-            allow_mistakes: true,
-            ..Default::default()
-        };
-        let serial = explore_composed(&base);
-        let parallel = explore_composed(&ComposedConfig { threads: 4, ..base });
-        assert_eq!(serial.states_visited, parallel.states_visited);
-        assert_eq!(serial.transitions, parallel.transitions);
-        assert_eq!(serial.clean(), parallel.clean());
-        assert_eq!(serial.deadlocks, parallel.deadlocks);
-        assert!(!parallel.truncated);
-        assert_eq!(parallel.stats.threads, 4);
-    }
-
-    #[test]
     fn composed_por_agrees_with_full_exploration() {
         let base = ComposedConfig { max_depth: 9, ..Default::default() };
         let full = explore_composed(&base);
@@ -768,6 +751,20 @@ mod tests {
             let bytes = next.encode();
             assert_eq!(ComposedState::decode(&bytes).as_ref(), Some(&next), "after {label:?}");
             s = next;
+        }
+    }
+
+    #[test]
+    fn a_wire_length_past_the_end_of_the_buffer_is_malformed() {
+        use crate::codec::StateCodec;
+        // The initial state ends in three empty wires and two flag bytes.
+        // Claim 2^35 and then 2^60 fork messages with no bytes behind them.
+        let bytes = ComposedState::initial(&ComposedConfig::default()).encode();
+        assert!(bytes.ends_with(&[0; 5]));
+        for n in [1u64 << 35, 1 << 60] {
+            let mut crafted = bytes[..bytes.len() - 5].to_vec();
+            dinefd_sim::codec::put_varint(&mut crafted, n);
+            assert_eq!(ComposedState::decode(&crafted), None, "{n} messages claimed");
         }
     }
 

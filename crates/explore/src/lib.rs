@@ -30,21 +30,15 @@
 //! [`mod@fair_run`] module drives the same model under a weakly-fair deterministic
 //! schedule and checks the progress counters instead.
 //!
-//! ## Parallel search
+//! ## The search
 //!
-//! Both explorers accept a `threads` knob ([`ExploreConfig::threads`],
-//! [`ComposedConfig::threads`]) and run on the one engine in
-//! [`mod@parallel`], a worker loop over a LIFO stack. `threads: 1` (the
-//! default) runs it on the calling thread, depth-first in a fixed order,
-//! over one unlocked visited store; `threads >= 2` runs that many copies on
-//! scoped threads that hand each other work, over a store striped across
-//! [`parallel::N_SHARDS`] mutexes. The store keeps, per state, the *maximum
-//! remaining depth* it has been queued with; that map converges to a
-//! schedule-independent fixpoint, so `states_visited`, `clean()`, and
-//! `deadlocks` are deterministic across thread counts and schedules (when
-//! the state budget does not truncate the run). Contention and codec
-//! counters come back in [`parallel::SearchStats`]; the search reads no
-//! clock, so a caller that wants throughput times the call.
+//! Both explorers run on the one engine in [`mod@engine`]: a loop over a
+//! LIFO stack on the calling thread, depth-first in one fixed order, over
+//! one fingerprinted visited store, so every figure repeats. The store
+//! keeps, per state, the *maximum remaining depth* it has been queued with,
+//! so a state re-entered with less budget is pruned soundly. Codec and
+//! reduction counters come back in [`engine::SearchStats`]; the search
+//! reads no clock, so a caller that wants throughput times the call.
 //!
 //! ## Mutation testing
 //!
@@ -55,7 +49,7 @@
 //! trigger guard, drop a ping send, replay a stale ack…); the
 //! `seeded_bugs` integration suite asserts the lemma checks actually catch
 //! them, with lemma-attributed, replayable counterexample traces
-//! ([`parallel::ViolationRecord`]).
+//! ([`engine::ViolationRecord`]).
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -63,10 +57,10 @@
 
 pub mod codec;
 pub mod composed;
+pub mod engine;
 pub mod fair_run;
 pub mod invariants;
 pub mod pair_model;
-pub mod parallel;
 pub mod por;
 pub mod search;
 pub(crate) mod visited;
@@ -75,13 +69,13 @@ pub use codec::{fingerprint, StateCodec};
 pub use composed::{
     explore_composed, ComposedConfig, ComposedLabel, ComposedReport, ComposedState,
 };
+pub use engine::{SearchReport, SearchStats, ViolationKind, ViolationRecord};
 pub use fair_run::{fair_run, fair_run_mutated, FairRunReport};
 pub use invariants::{
     check_closure_step, check_state, exclusion_holds, in_completeness_closure, lemma2_holds,
     lemma3_holds, lemma4_holds, lemma9_holds, InvariantView,
 };
 pub use pair_model::{ExploreConfig, ModelMutation, PairState, TransitionLabel};
-pub use parallel::{SearchReport, SearchStats, ViolationKind, ViolationRecord, N_SHARDS};
 pub use por::DeliveryClass;
 pub use search::{explore, explore_seeded, find_reachable, fmt_path, ExploreReport};
 

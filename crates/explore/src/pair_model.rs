@@ -37,10 +37,6 @@ pub struct ExploreConfig {
     pub allow_crash: bool,
     /// Start in the exclusive regime (convergence already reached).
     pub start_converged: bool,
-    /// Workers running [`crate::explore`]'s search loop: `1` (the default)
-    /// is the calling thread alone, in a fixed depth-first order; `≥ 2`
-    /// spawns that many, which hand each other work.
-    pub threads: usize,
     /// Enable sleep-set partial-order reduction over commuting ping/ack
     /// deliveries ([`crate::por`]). Off by default. Sound: every reported
     /// figure (`states_visited`, `transitions`, `deadlocks`, violations) is
@@ -60,7 +56,6 @@ impl Default for ExploreConfig {
             strict_seq: false,
             allow_crash: true,
             start_converged: false,
-            threads: 1,
             por: false,
             subject_mutation: SubjectMutation::None,
             model_mutation: ModelMutation::None,
@@ -72,9 +67,8 @@ impl ExploreConfig {
     /// Builds an exploration config from the `[model]` section of a
     /// [`dinefd_sim::scenario_dsl::Scenario`], mapping the DSL's
     /// engine-neutral mutation names onto the explorer's enums. The
-    /// execution-strategy knobs (`threads`, `por`) are not scenario data —
-    /// they describe *how* to search, not *what* to search — and keep
-    /// their defaults.
+    /// execution-strategy knob `por` is not scenario data — it describes
+    /// *how* to search, not *what* to search — and keeps its default.
     pub fn from_scenario(sc: &dinefd_sim::scenario_dsl::Scenario) -> Self {
         use dinefd_sim::scenario_dsl::{ModelMutationSpec, SubjectMutationSpec};
         ExploreConfig {
@@ -83,7 +77,6 @@ impl ExploreConfig {
             strict_seq: sc.model.strict_seq,
             allow_crash: sc.model.allow_crash,
             start_converged: sc.model.start_converged,
-            threads: 1,
             por: false,
             subject_mutation: match sc.model.subject_mutation {
                 SubjectMutationSpec::None => SubjectMutation::None,

@@ -1,15 +1,13 @@
 //! Depth-bounded exhaustive search over the pair model.
 //!
-//! [`explore`] hands the pair model to the one engine in
-//! [`crate::parallel`]; [`ExploreConfig::threads`] is how many workers run
-//! its loop (`1`: the calling thread alone). All deterministic figures
-//! (`states_visited`, `transitions`, `clean()`, `deadlocks`, the violation
-//! message set) agree across thread counts and [`ExploreConfig::por`]
-//! whenever the search is not truncated (see the determinism notes on
-//! [`crate::parallel`]).
+//! [`explore`] hands the pair model to the one engine in [`crate::engine`],
+//! which runs on the calling thread in one fixed depth-first order: every
+//! figure repeats. `states_visited`, `transitions`, `clean()`, `deadlocks`
+//! and the violation message set are also equal with [`ExploreConfig::por`]
+//! on or off whenever the search is not truncated.
 
+use crate::engine::{search, SearchModel, SearchReport};
 use crate::pair_model::{ExploreConfig, PairState, TransitionLabel};
-use crate::parallel::{search, SearchModel, SearchReport};
 use crate::por::DeliveryClass;
 
 /// Outcome of one exhaustive exploration of the pair model (replay
@@ -68,9 +66,6 @@ impl SearchModel for PairSearch<'_> {
 ///
 /// The visited store remembers the largest remaining depth each state was
 /// expanded with, so re-entering a state with less budget is pruned soundly.
-/// With `cfg.threads >= 2` that many workers share the search; the verdict
-/// (`clean()`, `states_visited`, `transitions`, `deadlocks`) is
-/// schedule-independent.
 ///
 /// ```
 /// use dinefd_explore::{explore, ExploreConfig};
@@ -93,7 +88,7 @@ pub fn explore(cfg: &ExploreConfig) -> ExploreReport {
 /// All engine guarantees (determinism, exhaustiveness up to the depth bound,
 /// budget semantics) are unchanged; only the root differs.
 pub fn explore_seeded(seed: PairState, cfg: &ExploreConfig) -> ExploreReport {
-    search(&PairSearch(cfg), seed, cfg.max_depth, cfg.max_states, cfg.threads)
+    search(&PairSearch(cfg), seed, cfg.max_depth, cfg.max_states)
 }
 
 /// Breadth-first reachability probe: searches from the model's initial
@@ -226,46 +221,14 @@ mod tests {
     }
 
     #[test]
-    fn minimal_state_budget_is_enforced_in_both_engines() {
-        // `max_states: 1` must truncate before the first expansion at one
-        // worker and at several — the budget is checked when a state comes
-        // up for expansion, not after its successors have been interned.
-        for threads in [1, 4] {
-            let cfg = ExploreConfig { max_depth: 50, max_states: 1, threads, ..Default::default() };
-            let report = explore(&cfg);
-            assert!(report.truncated, "threads={threads}");
-            assert_eq!(report.states_visited, 1, "threads={threads}");
-            assert_eq!(report.transitions, 0, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_agrees_with_serial_on_all_variants() {
-        for (strict, crash, converged) in
-            [(false, true, false), (true, true, false), (false, false, false), (false, true, true)]
-        {
-            let base = ExploreConfig {
-                max_depth: 12,
-                strict_seq: strict,
-                allow_crash: crash,
-                start_converged: converged,
-                ..Default::default()
-            };
-            let serial = explore(&base);
-            let parallel = explore(&ExploreConfig { threads: 4, ..base });
-            assert_eq!(
-                serial.states_visited, parallel.states_visited,
-                "state count diverged (strict={strict} crash={crash} conv={converged})"
-            );
-            assert_eq!(
-                serial.transitions, parallel.transitions,
-                "transition count diverged (strict={strict} crash={crash} conv={converged})"
-            );
-            assert_eq!(serial.clean(), parallel.clean());
-            assert_eq!(serial.deadlocks, parallel.deadlocks);
-            assert!(!parallel.truncated);
-            assert_eq!(parallel.stats.threads, 4);
-        }
+    fn minimal_state_budget_is_enforced() {
+        // `max_states: 1` must truncate before the first expansion — the
+        // budget is checked when a state comes up for expansion, not after
+        // its successors have been interned.
+        let report = explore(&ExploreConfig { max_depth: 50, max_states: 1, ..Default::default() });
+        assert!(report.truncated);
+        assert_eq!(report.states_visited, 1);
+        assert_eq!(report.transitions, 0);
     }
 
     #[test]
@@ -289,23 +252,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_budget_truncates_gracefully() {
-        let cfg =
-            ExploreConfig { max_depth: 200, max_states: 2_000, threads: 4, ..Default::default() };
-        let report = explore(&cfg);
-        assert!(report.truncated);
-        assert!(report.violations.is_empty());
-    }
-
-    #[test]
-    fn stats_are_populated_in_both_modes() {
-        let serial = explore(&ExploreConfig { max_depth: 10, ..Default::default() });
-        assert_eq!(serial.stats.threads, 1);
-        assert_eq!(serial.stats.shards, 1);
-        assert!(serial.stats.fp_confirms.get() > 0, "revisits must be byte-confirmed");
-        let par = explore(&ExploreConfig { max_depth: 10, threads: 3, ..Default::default() });
-        assert_eq!(par.stats.threads, 3);
-        assert_eq!(par.stats.shards, crate::parallel::N_SHARDS);
+    fn stats_are_populated() {
+        let r = explore(&ExploreConfig { max_depth: 10, ..Default::default() });
+        assert!(r.stats.fp_confirms.get() > 0, "revisits must be byte-confirmed");
+        assert!(r.stats.arena_bytes > 0);
+        assert_eq!((r.stats.steals.get(), r.stats.shard_conflicts.get()), (0, 0));
     }
 
     #[test]

@@ -39,7 +39,7 @@
 //!   (the classic pruning rule: re-entering with less budget is redundant);
 //! * `sleep` — the partial-order-reduction sleep mask ([`crate::por`]);
 //!   entries converge by *intersection*, mirroring how `remaining` converges
-//!   by maximum, so the POR fixpoint is schedule-independent too;
+//!   by maximum, so the POR fixpoint is order-independent too;
 //! * `parent` + `label` — the tree edge that first inserted the state.
 //!   Violation paths are reconstructed by walking parent links, which frees
 //!   the hot loop from cloning a path `Vec` into every queued task;
@@ -47,20 +47,15 @@
 //!   out-degree/deadlock contribution (the once-per-state figures).
 //!
 //! Entries are append-only and identified by dense `u32` ids, so a parent
-//! reference is stable across table growth. A fresh state whose id or arena
-//! span would not fit in `u32` is not interned: the probe answers
-//! [`StoreFull`] and the search ends as truncated, as it does at its state
-//! budget. Two or more workers share [`N_SHARDS`] of these stores, selecting
-//! a stripe by the *low* fingerprint bits, which neither a tag nor a home
-//! slot reads, so striping does not correlate with probe clustering.
+//! reference is stable across table growth. Ids stay below `u32::MAX`,
+//! which is therefore free to mark the root's missing parent
+//! ([`NO_PARENT`]). A fresh state whose id or arena span would not fit in
+//! `u32` is not interned: the probe answers [`StoreFull`] and the search
+//! ends as truncated, as it does at its state budget.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError, TryLockError};
-
-use crate::parallel::N_SHARDS;
-
-/// Sentinel parent reference of the root state.
-pub(crate) const NO_PARENT: u64 = u64::MAX;
+/// Sentinel parent id of the root state. No entry has it: ids stay below
+/// `u32::MAX`.
+pub(crate) const NO_PARENT: u32 = u32::MAX;
 
 /// Empty index slot. No filled slot equals it: entry ids stay below
 /// `u32::MAX`.
@@ -80,8 +75,8 @@ fn home(tag: u32, bits: u32) -> usize {
     (u64::from(tag) >> (32 - bits)) as usize
 }
 
-/// Codec observability counters of one store (summed across shards;
-/// exported through `SearchStats`).
+/// Codec observability counters of the store (exported through
+/// `SearchStats`).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct StoreStats {
     /// Fingerprint hits confirmed equal by exact byte comparison.
@@ -101,7 +96,7 @@ struct Entry<L> {
     len: u32,
     remaining: u32,
     sleep: u32,
-    parent: u64,
+    parent: u32,
     label: Option<L>,
     expanded: bool,
 }
@@ -123,39 +118,13 @@ pub(crate) enum ProbeOutcome {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Probe {
     pub outcome: ProbeOutcome,
-    /// The entry, as an [`entry_ref`].
-    pub entry: u64,
+    /// The entry's id.
+    pub entry: u32,
     pub remaining: u32,
     pub sleep: u32,
 }
 
-/// What the search loop asks of its visited store: the single
-/// [`VisitedStore`] (one worker; its entry references are shard 0) or the
-/// striped [`ShardedVisitedStore`] (several).
-pub(crate) trait StoreAccess<L: Copy> {
-    /// Distinct states interned so far (what `max_states` bounds).
-    fn len(&self) -> usize;
-
-    /// Looks up `bytes` (pre-fingerprinted as `fp`), arriving with
-    /// `remaining` depth and POR mask `sleep` via `parent --label-->`.
-    /// Interns on miss, or answers [`StoreFull`] when it cannot; upgrades
-    /// `remaining` (max) and `sleep` (intersection) on hit.
-    fn probe(
-        &mut self,
-        fp: u64,
-        bytes: &[u8],
-        remaining: u32,
-        sleep: u32,
-        parent: u64,
-        label: Option<L>,
-    ) -> Result<Probe, StoreFull>;
-
-    /// Marks `entry` expanded; true iff this is the first expansion.
-    fn mark_expanded(&mut self, entry: u64) -> bool;
-}
-
-/// One open-addressing visited store (one worker uses one; several share
-/// [`N_SHARDS`] of them, striped).
+/// The open-addressing visited store of one search.
 pub(crate) struct VisitedStore<L> {
     /// Linear-probe index of `2^b` slots: `tag << 32 | entry id`, or
     /// [`EMPTY`].
@@ -189,6 +158,11 @@ impl<L: Copy> VisitedStore<L> {
         VisitedStore { max_entries, max_arena, ..Self::new() }
     }
 
+    /// Distinct states interned so far (what `max_states` bounds).
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
     /// Bytes interned in the arena (a memory figure, not a state count).
     pub fn arena_bytes(&self) -> usize {
         self.arena.len()
@@ -196,12 +170,6 @@ impl<L: Copy> VisitedStore<L> {
 
     pub fn stats(&self) -> StoreStats {
         self.stats
-    }
-
-    /// The tree edge that first interned entry `index`.
-    pub fn parent_of(&self, index: u32) -> (u64, Option<L>) {
-        let e = &self.entries[index as usize];
-        (e.parent, e.label)
     }
 
     /// log2 of the index length.
@@ -232,7 +200,7 @@ impl<L: Copy> VisitedStore<L> {
         bytes: &[u8],
         remaining: u32,
         sleep: u32,
-        parent: u64,
+        parent: u32,
         label: Option<L>,
     ) -> Option<u32> {
         let id = u32::try_from(self.entries.len()).ok().filter(|&id| id < self.max_entries)?;
@@ -243,20 +211,18 @@ impl<L: Copy> VisitedStore<L> {
         self.entries.push(Entry { fp, off, len, remaining, sleep, parent, label, expanded: false });
         Some(id)
     }
-}
 
-impl<L: Copy> StoreAccess<L> for VisitedStore<L> {
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn probe(
+    /// Looks up `bytes` (pre-fingerprinted as `fp`), arriving with
+    /// `remaining` depth and POR mask `sleep` via `parent --label-->`.
+    /// Interns on miss, or answers [`StoreFull`] when it cannot; upgrades
+    /// `remaining` (max) and `sleep` (intersection) on hit.
+    pub fn probe(
         &mut self,
         fp: u64,
         bytes: &[u8],
         remaining: u32,
         sleep: u32,
-        parent: u64,
+        parent: u32,
         label: Option<L>,
     ) -> Result<Probe, StoreFull> {
         if (self.entries.len() + 1) * 4 > self.index.len() * 3 && self.bits() < MAX_INDEX_BITS {
@@ -270,8 +236,7 @@ impl<L: Copy> StoreAccess<L> for VisitedStore<L> {
                 let id =
                     self.intern(fp, bytes, remaining, sleep, parent, label).ok_or(StoreFull)?;
                 self.index[pos] = (u64::from(tag) << 32) | u64::from(id);
-                let entry = entry_ref(0, id);
-                return Ok(Probe { outcome: ProbeOutcome::Fresh, entry, remaining, sleep });
+                return Ok(Probe { outcome: ProbeOutcome::Fresh, entry: id, remaining, sleep });
             }
             if tag_of(slot) == tag {
                 let id = slot as u32;
@@ -291,7 +256,7 @@ impl<L: Copy> StoreAccess<L> for VisitedStore<L> {
                         };
                         return Ok(Probe {
                             outcome,
-                            entry: entry_ref(0, id),
+                            entry: id,
                             remaining: up_remaining,
                             sleep: up_sleep,
                         });
@@ -303,123 +268,23 @@ impl<L: Copy> StoreAccess<L> for VisitedStore<L> {
         }
     }
 
-    fn mark_expanded(&mut self, entry: u64) -> bool {
-        let index = split_ref(entry).1 as usize;
-        !std::mem::replace(&mut self.entries[index].expanded, true)
+    /// Marks `entry` expanded; true iff this is the first expansion.
+    pub fn mark_expanded(&mut self, entry: u32) -> bool {
+        !std::mem::replace(&mut self.entries[entry as usize].expanded, true)
     }
-}
 
-/// Packs a (shard, entry-index) pair into the engine's 64-bit entry
-/// reference. The single store is always shard 0.
-pub(crate) fn entry_ref(shard: usize, index: u32) -> u64 {
-    debug_assert!(shard < N_SHARDS);
-    ((shard as u64) << 32) | u64::from(index)
-}
-
-fn split_ref(r: u64) -> (usize, u32) {
-    ((r >> 32) as usize, r as u32)
-}
-
-/// The stripe a fingerprint lives in: its low bits, which neither an index
-/// tag nor a home slot reads.
-fn shard_of(fp: u64) -> usize {
-    fp as usize & (N_SHARDS - 1)
-}
-
-/// Reconstructs the label path from the root to entry `r` by walking parent
-/// links through `store_of(shard)`; `extra` appends a final (step) label.
-pub(crate) fn path_through<'a, L: Copy + 'a>(
-    mut r: u64,
-    extra: Option<L>,
-    store_of: impl Fn(usize) -> &'a VisitedStore<L>,
-) -> Vec<L> {
-    let mut path: Vec<L> = Vec::new();
-    while r != NO_PARENT {
-        let (shard, index) = split_ref(r);
-        let (parent, label) = store_of(shard).parent_of(index);
-        if let Some(l) = label {
-            path.push(l);
+    /// The label path from the root to `entry`, read off the parent links;
+    /// `extra` appends a final (step) label.
+    pub fn path_through(&self, mut entry: u32, extra: Option<L>) -> Vec<L> {
+        let mut path: Vec<L> = Vec::new();
+        while entry != NO_PARENT {
+            let e = &self.entries[entry as usize];
+            path.extend(e.label);
+            entry = e.parent;
         }
-        r = parent;
-    }
-    path.reverse();
-    path.extend(extra);
-    path
-}
-
-/// The lock-striped wrapper several workers share: [`N_SHARDS`] independent
-/// stores, selected by the low fingerprint bits. `try_lock` misses are
-/// counted as shard conflicts.
-pub(crate) struct ShardedVisitedStore<L> {
-    shards: Vec<Mutex<VisitedStore<L>>>,
-    /// Distinct states interned across all shards (a statistic the budget
-    /// test reads without taking 64 locks; it publishes nothing).
-    len: AtomicUsize,
-    conflicts: AtomicU64,
-}
-
-impl<L: Copy> ShardedVisitedStore<L> {
-    pub fn new() -> Self {
-        ShardedVisitedStore {
-            shards: (0..N_SHARDS).map(|_| Mutex::new(VisitedStore::new())).collect(),
-            len: AtomicUsize::new(0),
-            conflicts: AtomicU64::new(0),
-        }
-    }
-
-    /// A shard is poisoned only by a worker that panicked inside it. That
-    /// search builds no report (the panic is re-raised once the others have
-    /// drained), so the guard is recovered for them rather than unwrapped.
-    fn lock_counting(&self, shard: usize) -> MutexGuard<'_, VisitedStore<L>> {
-        let m = &self.shards[shard];
-        match m.try_lock() {
-            Ok(g) => g,
-            Err(TryLockError::Poisoned(e)) => e.into_inner(),
-            Err(TryLockError::WouldBlock) => {
-                self.conflicts.fetch_add(1, Ordering::Relaxed);
-                m.lock().unwrap_or_else(PoisonError::into_inner)
-            }
-        }
-    }
-
-    pub fn conflicts(&self) -> u64 {
-        self.conflicts.load(Ordering::Relaxed)
-    }
-
-    /// The shards, in entry-reference order, once the workers are done with
-    /// the locks: what [`path_through`] and the final figures read.
-    pub fn into_stores(self) -> Vec<VisitedStore<L>> {
-        self.shards
-            .into_iter()
-            .map(|m| m.into_inner().unwrap_or_else(PoisonError::into_inner))
-            .collect()
-    }
-}
-
-impl<L: Copy> StoreAccess<L> for &ShardedVisitedStore<L> {
-    fn len(&self) -> usize {
-        self.len.load(Ordering::Relaxed)
-    }
-
-    fn probe(
-        &mut self,
-        fp: u64,
-        bytes: &[u8],
-        remaining: u32,
-        sleep: u32,
-        parent: u64,
-        label: Option<L>,
-    ) -> Result<Probe, StoreFull> {
-        let shard = shard_of(fp);
-        let p = self.lock_counting(shard).probe(fp, bytes, remaining, sleep, parent, label)?;
-        if p.outcome == ProbeOutcome::Fresh {
-            self.len.fetch_add(1, Ordering::Relaxed);
-        }
-        Ok(Probe { entry: entry_ref(shard, split_ref(p.entry).1), ..p })
-    }
-
-    fn mark_expanded(&mut self, entry: u64) -> bool {
-        self.lock_counting(split_ref(entry).0).mark_expanded(entry)
+        path.reverse();
+        path.extend(extra);
+        path
     }
 }
 
@@ -429,19 +294,8 @@ mod tests {
     use dinefd_sim::codec::hash64;
 
     /// Probes `bytes` under its own fingerprint, from the root.
-    fn probe(store: &mut impl StoreAccess<u8>, bytes: &[u8], remaining: u32, sleep: u32) -> Probe {
+    fn probe(store: &mut VisitedStore<u8>, bytes: &[u8], remaining: u32, sleep: u32) -> Probe {
         store.probe(hash64(bytes), bytes, remaining, sleep, NO_PARENT, None).unwrap()
-    }
-
-    /// Mean probe length of a lookup that finds its entry: each filled
-    /// slot's distance from its home, plus one, averaged.
-    fn mean_probe_len<L>(store: &VisitedStore<L>) -> f64 {
-        let (len, bits) = (store.index.len(), store.index.len().trailing_zeros());
-        let lengths: Vec<usize> = (0..len)
-            .filter(|&pos| store.index[pos] != EMPTY)
-            .map(|pos| (pos + len - home(tag_of(store.index[pos]), bits)) % len + 1)
-            .collect();
-        lengths.iter().sum::<usize>() as f64 / lengths.len() as f64
     }
 
     #[test]
@@ -556,47 +410,19 @@ mod tests {
         let root = at(b"r", NO_PARENT, None);
         let a = at(b"a", root, Some('a'));
         let b = at(b"b", a, Some('b'));
-        let path = path_through(b, Some('c'), |_| &store);
-        assert_eq!(path, vec!['a', 'b', 'c']);
-        let root_path = path_through(root, None, |_| &store);
-        assert!(root_path.is_empty());
+        assert_eq!(store.path_through(b, Some('c')), vec!['a', 'b', 'c']);
+        assert!(store.path_through(root, None).is_empty());
     }
 
     #[test]
-    fn stripes_probe_as_short_as_one_store() {
-        // A stripe selector that shared bits with the home slot would crowd
-        // each stripe's states into a sliver of its table.
-        let n = 100_000u64;
-        let mut single: VisitedStore<u8> = VisitedStore::new();
-        let sharded: ShardedVisitedStore<u8> = ShardedVisitedStore::new();
-        let mut striped = &sharded;
-        for i in 0..n {
-            probe(&mut single, &i.to_le_bytes(), 1, 0);
-            probe(&mut striped, &i.to_le_bytes(), 1, 0);
-        }
-        let one = mean_probe_len(&single);
-        for (k, stripe) in sharded.into_stores().iter().enumerate() {
-            let mean = mean_probe_len(stripe);
-            assert!(mean <= 2.0 * one, "stripe {k}: mean probe {mean:.2} vs one store's {one:.2}");
-        }
-    }
-
-    #[test]
-    fn sharded_store_routes_and_counts() {
-        let sharded: ShardedVisitedStore<u8> = ShardedVisitedStore::new();
-        let mut store = &sharded;
-        for i in 0..500u64 {
-            assert_eq!(probe(&mut store, &i.to_le_bytes(), 2, 0).outcome, ProbeOutcome::Fresh);
-        }
-        assert_eq!(store.len(), 500);
-        let p = probe(&mut store, &0u64.to_le_bytes(), 2, 0);
-        assert_eq!(p.outcome, ProbeOutcome::Pruned);
+    fn only_the_first_expansion_counts() {
+        let mut store: VisitedStore<u8> = VisitedStore::new();
+        let p = probe(&mut store, b"state-c", 2, 0);
         assert!(store.mark_expanded(p.entry));
         assert!(!store.mark_expanded(p.entry), "second expansion is not first");
-        assert_eq!(store.len(), 500, "a pruned probe interns nothing");
-        let stores = sharded.into_stores();
-        assert_eq!(stores.len(), N_SHARDS);
-        assert_eq!(stores.iter().map(|s| s.len()).sum::<usize>(), 500);
-        assert!(stores.iter().map(|s| s.stats().confirms).sum::<u64>() >= 1);
+        let p = probe(&mut store, b"state-c", 2, 0);
+        assert_eq!(p.outcome, ProbeOutcome::Pruned);
+        assert!(!store.mark_expanded(p.entry), "a re-probe does not reset the flag");
+        assert_eq!(store.len(), 1, "a pruned probe interns nothing");
     }
 }

@@ -126,16 +126,3 @@ fn composed_por_matches_full_exploration_across_service_modes() {
     // reduction must fire across the sweep.
     assert!(total_skips > 0, "POR never fired on the composed model");
 }
-
-#[test]
-fn por_equivalence_holds_in_the_parallel_engine_too() {
-    // POR metadata (sleep masks) converges by intersection in the shared
-    // visited store; the claim must survive work-stealing schedules.
-    let base = ComposedConfig { max_depth: 8, threads: 4, ..Default::default() };
-    let full = explore_composed(&base);
-    let por = explore_composed(&ComposedConfig { por: true, ..base });
-    assert_eq!(full.states_visited, por.states_visited);
-    assert_eq!(full.transitions, por.transitions);
-    assert_eq!(full.deadlocks, por.deadlocks);
-    assert_eq!(message_set(&full.records), message_set(&por.records));
-}

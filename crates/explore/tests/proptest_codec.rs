@@ -134,8 +134,7 @@ proptest! {
             allow_crash,
             allow_mistakes,
             strict_seq: strict,
-            threads: 1,
-            por: false,
+            ..Default::default()
         };
         let mut state = ComposedState::initial(&cfg);
         // fingerprint → encoding, across every state on the walk: equal

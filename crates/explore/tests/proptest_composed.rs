@@ -58,8 +58,7 @@ proptest! {
             allow_crash,
             allow_mistakes,
             strict_seq: strict,
-            threads: 1,
-            por: false,
+            ..Default::default()
         };
         let r = walk(&cfg, &choices);
         prop_assert!(r.is_ok(), "{}", r.err().unwrap());

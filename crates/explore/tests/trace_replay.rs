@@ -57,19 +57,17 @@ fn assert_replays(cfg: &ExploreConfig, r: &ViolationRecord<TransitionLabel>) {
 }
 
 fn replay_all(cfg: &ExploreConfig, expect_lemma: &str) {
-    for threads in [1usize, 4] {
-        let report = explore(&ExploreConfig { threads, ..*cfg });
-        assert!(
-            report.records.iter().any(|r| r.message.contains(expect_lemma)),
-            "no {expect_lemma} record to replay ({threads} threads)"
-        );
-        assert_eq!(report.records.len(), report.violations.len());
-        for r in &report.records {
-            // The mutated models only violate lemmas away from the initial
-            // state, so every record here must have a real trace.
-            assert!(!r.path.is_empty(), "empty path on {r:?}");
-            assert_replays(cfg, r);
-        }
+    let report = explore(cfg);
+    assert!(
+        report.records.iter().any(|r| r.message.contains(expect_lemma)),
+        "no {expect_lemma} record to replay"
+    );
+    assert_eq!(report.records.len(), report.violations.len());
+    for r in &report.records {
+        // The mutated models only violate lemmas away from the initial
+        // state, so every record here must have a real trace.
+        assert!(!r.path.is_empty(), "empty path on {r:?}");
+        assert_replays(cfg, r);
     }
 }
 
@@ -111,11 +109,9 @@ fn stale_ack_counterexamples_replay() {
 
 #[test]
 fn clean_model_produces_no_records() {
-    for threads in [1usize, 4] {
-        let report = explore(&ExploreConfig { max_depth: 14, threads, ..Default::default() });
-        assert!(report.records.is_empty());
-        assert!(report.violations.is_empty());
-    }
+    let report = explore(&ExploreConfig { max_depth: 14, ..Default::default() });
+    assert!(report.records.is_empty());
+    assert!(report.violations.is_empty());
 }
 
 /// The rendered string and the structured record must describe the same

@@ -1,12 +1,11 @@
 //! Shared scoped-thread runner: one place for worker-count policy and
 //! panic propagation.
 //!
-//! Three subsystems fan work out over OS threads — the lemma explorer's
-//! search workers (`dinefd-explore`), the experiment harness's
-//! `parallel_map` sweep driver (`dinefd-bench`), and the parallel
-//! shard-worker loop of [`crate::shard::ShardedWorld`]. They used to spawn
-//! threads three different ways with three panic-handling policies; this
-//! module is the single spawning site they all go through.
+//! Three subsystems fan work out over OS threads — the live loopback
+//! cluster (`dinefd-live`), the experiment harness's `parallel_map` sweep
+//! driver (`dinefd-bench`), and the parallel shard-worker loop of
+//! [`crate::shard::ShardedWorld`]. This module is the single spawning site
+//! they all go through, with one panic-handling policy.
 //!
 //! The model is deliberately minimal: every call spawns *scoped* threads
 //! (std [`std::thread::scope`]), so workers may borrow the caller's stack
@@ -20,8 +19,8 @@ use std::thread;
 
 /// A boxed per-worker closure: the unit [`run_each`] and
 /// [`run_with_coordinator`] spawn. Boxing (rather than a shared `Fn`)
-/// lets each worker *move-capture* its own state — a search's root state,
-/// a channel receiver — which a uniform `Fn(usize)` cannot express.
+/// lets each worker *move-capture* its own state — a shard's inbox, a
+/// channel receiver — which a uniform `Fn(usize)` cannot express.
 pub type WorkerFn<'env, R> = Box<dyn FnOnce() -> R + Send + 'env>;
 
 /// How many workers to spawn for `jobs` independent jobs: the machine's
