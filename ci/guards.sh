@@ -52,7 +52,7 @@ fi
 # 3. Panic-site ratchet (ROADMAP 3(d)): lines of library and binary code
 #    that can abort the process. Turn one into a `Result` or a proved
 #    invariant and lower the ceiling to the new count; it never goes up.
-CEILING=42
+CEILING=41
 total=0
 report=""
 for crate in crates/*/; do
@@ -205,5 +205,19 @@ for f in crates/explore/src/*.rs; do
     fail=1
   fi
 done
+
+# 11. One merge. The sequential `step_instant` runs an instant's events as one
+#     k-way merge in key order and writes the trace and the global sink as
+#     it goes; only the parallel coordinator, whose workers cannot share the
+#     trace, logs emissions and stable-sorts the merged log. So shard.rs
+#     sorts twice: an instant's gathered events (keys are unique, so
+#     unstably) and that one log (stably, as one event's emissions share a
+#     key). Another sort is the sequential staging log growing back.
+sorts=$(product_lines crates/sim/src/shard.rs | grep -cE '\.sort(_unstable)?(_by(_key|_cached_key)?)?\(' || true)
+stable=$(product_lines crates/sim/src/shard.rs | grep -cE '\.sort(_by(_key|_cached_key)?)?\(' || true)
+if [ "$sorts" -ne 2 ] || [ "$stable" -ne 1 ]; then
+  echo "structure guard: crates/sim/src/shard.rs sorts $sorts times, $stable stably (want 2 and 1); only the parallel coordinator sorts an emission log"
+  fail=1
+fi
 
 exit "$fail"

@@ -86,11 +86,22 @@ mod tests {
         }
     }
 
-    /// Every queued event and trace entry of a reduction run carries one:
-    /// the 24-byte `DiningMsg` plus the pair tag.
+    /// Every queued event of a reduction run carries one: the 24-byte
+    /// `DiningMsg` plus the pair tag.
     #[test]
     fn a_red_msg_is_40_bytes() {
         assert_eq!(std::mem::size_of::<RedMsg>(), 40);
+    }
+
+    /// A post-hoc run keeps one trace event per observation. `Send` and
+    /// `Deliver` box their `RedMsg`: inline, its 40 bytes would make every
+    /// event 64 bytes wide, observations included, for message events that
+    /// only tests record.
+    #[test]
+    fn a_reduction_trace_event_is_32_bytes() {
+        use crate::host::RedObs;
+        use dinefd_sim::TraceEvent;
+        assert_eq!(std::mem::size_of::<TraceEvent<RedMsg, RedObs>>(), 32);
     }
 
     #[test]

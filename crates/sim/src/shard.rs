@@ -34,7 +34,7 @@
 //! delay-RNG, so the draws a sender makes never depend on how senders are
 //! interleaved across shards.
 //!
-//! ## One engine, two drivers
+//! ## One step, two drivers
 //!
 //! What an event does — the atomic step — is the step executor in
 //! `step.rs`; a shard is that executor over its slice of the processes plus
@@ -46,19 +46,27 @@
 //! (a delivery steps the destination, a timer or crash its owner, and all
 //! of a step's metrics, RNG draws, and effect counters belong to that same
 //! pid), so a shard can execute its slice of an instant **locally, in local
-//! key order**, without observing any other shard. The only globally
-//! ordered artifacts — trace events and streamed observations — are not
-//! emitted inline but appended to a per-shard **emission log** tagged with
-//! the executing event's canonical key. After every instant the coordinator
-//! concatenates the shard logs (in shard order), stably sorts by key, and
-//! replays: because keys are unique per event and one event's emissions are
-//! contiguous in a single shard's log, the replay reproduces exactly the
-//! order a single global key-sorted execution would have produced.
+//! key order**, without observing any other shard. What two drivers do
+//! differently is how the globally ordered artifacts — trace events and
+//! global-sink observations — reach the record:
 //!
-//! Both the sequential [`ShardedWorld::step_instant`] and the parallel
-//! runner drive this *same* engine, so parallel determinism is structural
-//! rather than a discipline over duplicated code. Only the parallel runner
-//! asks the node type to be `Send`.
+//! * the sequential [`ShardedWorld::step_instant`] gathers each due shard's
+//!   slice of the instant in key order and executes the slices as one
+//!   k-way merge, in global key order, so every emission goes straight to
+//!   the trace and the sink as it happens;
+//! * the parallel runner's workers cannot share the trace, so each appends
+//!   its shard's emissions to an **emission log** tagged with the executing
+//!   event's canonical key. After every instant the coordinator
+//!   concatenates the shard logs (in shard order), stably sorts by key, and
+//!   replays: because keys are unique per event and one event's emissions
+//!   are contiguous in a single shard's log, the replay is exactly the
+//!   sequential record.
+//!
+//! Both drive the same step through the same `Fabric` impl, whose
+//! emission target is the one thing that differs. Byte-identity across
+//! shard and thread counts is pinned by the determinism matrix tests
+//! below, on a workload with several shards due in most instants. Only the
+//! parallel runner asks the node type to be `Send`.
 //!
 //! ## The instant-barrier protocol
 //!
@@ -76,7 +84,8 @@
 //!    per-destination outboxes, emissions to the per-shard log — and reply
 //!    with logs, outboxes, and new queue minima;
 //! 4. the coordinator routes outboxes into inboxes, merges and replays the
-//!    logs exactly as in the sequential path, and updates the depth gauges.
+//!    logs into the record `step_instant` writes directly, and
+//!    updates the depth gauges.
 //!
 //! Dropping the step channels shuts the workers down; each returns its
 //! shard states (reinstalled in the world) and a [`WorkerStats`] of
@@ -149,6 +158,8 @@ type Inbox<M> = Vec<(Time, Pending<M>)>;
 struct ShardState<N: Node> {
     exec: Executor<N>,
     wire: Wiring<N>,
+    /// The due events of the instant being executed, in *descending* key
+    /// order, so `pop` yields the next one.
     batch_buf: Vec<Pending<N::Msg>>,
 }
 
@@ -169,15 +180,43 @@ struct Wiring<N: Node> {
     /// Whether observations must be logged for coordinator replay (trace
     /// recording or a global sink is active).
     log_obs: bool,
-    /// Canonical key of the event currently executing; tags log entries.
-    cur_key: MergeKey,
 }
 
-/// A shard's [`Fabric`] for the span of one event: its wiring plus the
-/// coordinator's emission log and cross-shard outbox.
+/// The run's globally ordered record: its trace and its global sink.
+struct Record<'a, M, O> {
+    trace: &'a mut Trace<M, O>,
+    sink: &'a mut Option<Box<dyn ObsSink<O>>>,
+    record_observations: bool,
+}
+
+impl<M, O> Record<'_, M, O> {
+    /// The global sink first, then (if recorded) the trace.
+    #[inline]
+    fn obs(&mut self, at: Time, pid: ProcessId, obs: O) {
+        if let Some(sink) = self.sink.as_mut() {
+            sink.on_obs(at, pid, &obs);
+        }
+        if self.record_observations {
+            self.trace.push(TraceEvent::Obs { at, pid, obs });
+        }
+    }
+}
+
+/// Where a [`Lane`] sends trace events and global-sink observations.
+enum Target<'a, M, O> {
+    /// Straight into the record: `step_instant` executes in global
+    /// key order, so emission order already is record order.
+    Direct(Record<'a, M, O>),
+    /// Into a shard's emission log, tagged with the executing event's key,
+    /// for the parallel coordinator to merge.
+    Log(MergeKey, &'a mut Vec<LogEntry<M, O>>),
+}
+
+/// A shard's [`Fabric`] for the span of one event: its wiring, the
+/// emission target, and the cross-shard outbox.
 struct Lane<'a, N: Node> {
     wire: &'a mut Wiring<N>,
-    log: &'a mut Vec<LogEntry<N::Msg, N::Obs>>,
+    target: Target<'a, N::Msg, N::Obs>,
     outbox: &'a mut Vec<OutboxEntry<N::Msg>>,
 }
 
@@ -191,7 +230,10 @@ impl<N: Node> Fabric<N> for Lane<'_, N> {
 
     #[inline]
     fn emit(&mut self, ev: TraceEvent<N::Msg, N::Obs>) {
-        self.log.push((self.wire.cur_key, Emit::Trace(ev)));
+        match &mut self.target {
+            Target::Direct(rec) => rec.trace.push(ev),
+            Target::Log(key, log) => log.push((*key, Emit::Trace(ev))),
+        }
     }
 
     #[inline]
@@ -199,8 +241,10 @@ impl<N: Node> Fabric<N> for Lane<'_, N> {
         if let Some(sink) = self.wire.sink.as_mut() {
             sink.on_obs(at, pid, &obs);
         }
-        if self.wire.log_obs {
-            self.log.push((self.wire.cur_key, Emit::Obs(pid, obs)));
+        match &mut self.target {
+            Target::Direct(rec) => rec.obs(at, pid, obs),
+            Target::Log(key, log) if self.wire.log_obs => log.push((*key, Emit::Obs(pid, obs))),
+            Target::Log(..) => {}
         }
     }
 
@@ -234,52 +278,50 @@ impl<N: Node> Fabric<N> for Lane<'_, N> {
     }
 }
 
+/// The merge key of a pending event.
+#[inline]
+fn key<M>(p: &Pending<M>) -> MergeKey {
+    (p.0, p.1, p.2)
+}
+
 impl<N: Node> ShardState<N> {
-    /// Executes every owned event due at instant `t`, in canonical-key
-    /// order, appending emissions to `log` and cross-shard effects to
-    /// `outbox`. The caller guarantees `t` is this shard's wheel minimum.
+    /// Moves the owned events due at `t` into `batch_buf`, sorted so that
+    /// `pop` yields them in key order. Keys are unique, so the sort need
+    /// not be stable. A shard with nothing due at `t` gathers nothing.
+    fn gather(&mut self, t: Time) {
+        debug_assert!(self.batch_buf.is_empty());
+        self.wire.queue.pop_instant(t, &mut self.batch_buf);
+        self.batch_buf.sort_unstable_by_key(|p| std::cmp::Reverse(key(p)));
+    }
+
+    /// The worker side of an instant: executes every owned event due at
+    /// `t` in key order, logging emissions and routing cross-shard effects
+    /// to `outbox`. Shard-local key order is a slice of the global one, so
+    /// the coordinator's merge of the logs is the sequential record.
     fn run_instant(
         &mut self,
         t: Time,
         log: &mut Vec<LogEntry<N::Msg, N::Obs>>,
         outbox: &mut Vec<OutboxEntry<N::Msg>>,
     ) {
-        debug_assert!(self.batch_buf.is_empty());
-        while self.wire.queue.peek_time() == Some(t) {
-            self.batch_buf.push(self.wire.queue.pop().expect("peeked event exists").1);
-        }
-        // Local slice of the deterministic merge: keys are unique, so
-        // shard-by-shard key order composes to the global key order.
-        self.batch_buf.sort_by_key(|a| (a.0, a.1, a.2));
-        let mut lane = Lane { wire: &mut self.wire, log, outbox };
-        for (class, source, seq, kind) in self.batch_buf.drain(..) {
-            lane.wire.cur_key = (class, source, seq);
+        self.gather(t);
+        while let Some((class, source, seq, kind)) = self.batch_buf.pop() {
+            let target = Target::Log((class, source, seq), &mut *log);
+            let mut lane = Lane { wire: &mut self.wire, target, outbox: &mut *outbox };
             self.exec.execute(t, kind, &mut lane);
         }
     }
 }
 
-/// Replays one merged emission on the coordinator: trace events verbatim,
-/// observations through the global sink first and then (if recorded) into
-/// the trace — the exact order the sequential inline path used.
-fn replay_entry<M, O>(
-    trace: &mut Trace<M, O>,
-    obs_sink: &mut Option<Box<dyn ObsSink<O>>>,
-    record_observations: bool,
-    at: Time,
-    e: Emit<M, O>,
-) {
-    match e {
-        Emit::Trace(ev) => trace.push(ev),
-        Emit::Obs(pid, obs) => {
-            if let Some(sink) = obs_sink.as_mut() {
-                sink.on_obs(at, pid, &obs);
-            }
-            if record_observations {
-                trace.push(TraceEvent::Obs { at, pid, obs });
-            }
-        }
-    }
+/// The shard holding the least-keyed gathered event, if any is left.
+#[inline]
+fn next_due<N: Node>(shards: &[ShardState<N>]) -> Option<usize> {
+    shards
+        .iter()
+        .enumerate()
+        .filter_map(|(s, st)| st.batch_buf.last().map(|p| (key(p), s)))
+        .min()
+        .map(|(_, s)| s)
 }
 
 /// One instant's marching orders for a worker: the instant to execute and
@@ -328,9 +370,7 @@ fn worker_loop<N: Node>(
         for (s, st) in owned.iter_mut() {
             let mut log = Vec::new();
             let mut outbox = Vec::new();
-            if st.wire.queue.peek_time() == Some(t) {
-                st.run_instant(t, &mut log, &mut outbox);
-            }
+            st.run_instant(t, &mut log, &mut outbox);
             reports.push(ShardReport {
                 shard: *s,
                 qlen: st.wire.queue.len(),
@@ -370,8 +410,7 @@ pub struct ShardedWorld<N: Node> {
     /// Wall-clock source for worker accounting; injectable for tests so the
     /// simulator itself contains no ad-hoc `Instant::now()` reads.
     clock: Arc<dyn Clock>,
-    // Reusable merge buffers for the sequential path.
-    log_buf: Vec<LogEntry<N::Msg, N::Obs>>,
+    /// Reusable cross-shard outbox of the sequential path.
     outbox_buf: Vec<OutboxEntry<N::Msg>>,
 }
 
@@ -451,7 +490,6 @@ impl<N: Node> ShardedWorld<N> {
                     queue: TimerWheel::new(),
                     sink: sinks.as_mut().and_then(Iterator::next),
                     log_obs,
-                    cur_key: (CLASS_EFFECT, 0, 0),
                 },
                 batch_buf: Vec::new(),
             })
@@ -477,7 +515,6 @@ impl<N: Node> ShardedWorld<N> {
             global_depth: Gauge::new(),
             worker_stats: Vec::new(),
             clock: Arc::new(MonotonicClock::new()),
-            log_buf: Vec::new(),
             outbox_buf: Vec::new(),
         };
         for (plan_idx, &(pid, at)) in cfg.crashes.crashes().iter().enumerate() {
@@ -492,8 +529,7 @@ impl<N: Node> ShardedWorld<N> {
             }
         }
         world.update_depth_gauges();
-        // Start steps in pid order, each settled at once, reproducing
-        // exactly the emissions of a sequential inline run.
+        // Start steps in pid order, each routed at once.
         for i in 0..n {
             let pid = ProcessId::from_index(i);
             world.run_at_zero(pid, |exec, lane| exec.start(pid, lane));
@@ -502,30 +538,27 @@ impl<N: Node> ShardedWorld<N> {
     }
 
     /// Runs one construction-time step of `pid`'s shard at `Time::ZERO`
-    /// (a dead-from-birth crash or a start step) and settles it at once.
+    /// (a dead-from-birth crash or a start step), recording its emissions
+    /// directly and routing its cross-shard effects at once.
     fn run_at_zero(&mut self, pid: ProcessId, f: impl FnOnce(&mut Executor<N>, &mut Lane<'_, N>)) {
         let k = self.shards.len();
         let st = &mut self.shards[pid.index() % k];
-        st.wire.cur_key = (CLASS_EFFECT, pid.0, 0);
-        let mut lane =
-            Lane { wire: &mut st.wire, log: &mut self.log_buf, outbox: &mut self.outbox_buf };
+        let target = Target::Direct(Record {
+            trace: &mut self.trace,
+            sink: &mut self.obs_sink,
+            record_observations: self.record_observations,
+        });
+        let mut lane = Lane { wire: &mut st.wire, target, outbox: &mut self.outbox_buf };
         f(&mut st.exec, &mut lane);
-        self.settle(Time::ZERO);
+        self.route_outbox();
     }
 
-    /// Closes the instant `t` whose shard slices just ran: routes the
-    /// outbox into the destination wheels, then merges and replays the
-    /// emission log.
-    fn settle(&mut self, t: Time) {
+    /// Moves the sequential path's cross-shard effects into their
+    /// destination wheels; each is due strictly after the instant that
+    /// made it.
+    fn route_outbox(&mut self) {
         for (dest, at, p) in self.outbox_buf.drain(..) {
             self.shards[dest].wire.queue.push(at, p);
-        }
-        // The deterministic merge: stable-sorting the shard-ordered log
-        // concatenation by the unique canonical keys reproduces the order
-        // a single global key-sorted execution would emit.
-        self.log_buf.sort_by_key(|e| e.0);
-        for (_, e) in self.log_buf.drain(..) {
-            replay_entry(&mut self.trace, &mut self.obs_sink, self.record_observations, t, e);
         }
     }
 
@@ -655,19 +688,34 @@ impl<N: Node> ShardedWorld<N> {
 
     /// Executes every event due at the earliest pending instant, in
     /// canonical-key order. Returns `false` when all queues are empty.
+    ///
+    /// Each due shard gathers its slice of the instant in key order; the
+    /// slices then run as one k-way merge, so execution order is global key
+    /// order and every trace event and global-sink observation goes
+    /// straight to the record.
     pub fn step_instant(&mut self) -> bool {
         let Some(t) = self.peek_time() else {
             return false;
         };
         debug_assert!(t >= self.now, "time must not run backwards");
         self.now = t;
-        debug_assert!(self.log_buf.is_empty() && self.outbox_buf.is_empty());
+        debug_assert!(self.outbox_buf.is_empty());
         for s in &mut self.shards {
-            if s.wire.queue.peek_time() == Some(t) {
-                s.run_instant(t, &mut self.log_buf, &mut self.outbox_buf);
-            }
+            s.gather(t);
         }
-        self.settle(t);
+        let ShardedWorld { shards, trace, obs_sink, record_observations, outbox_buf, .. } = self;
+        while let Some(s) = next_due(shards) {
+            let st = &mut shards[s];
+            let Some((_, _, _, kind)) = st.batch_buf.pop() else { break };
+            let target = Target::Direct(Record {
+                trace: &mut *trace,
+                sink: &mut *obs_sink,
+                record_observations: *record_observations,
+            });
+            let mut lane = Lane { wire: &mut st.wire, target, outbox: &mut *outbox_buf };
+            st.exec.execute(t, kind, &mut lane);
+        }
+        self.route_outbox();
         self.update_depth_gauges();
         true
     }
@@ -808,12 +856,21 @@ impl<N: Node> ShardedWorld<N> {
                             }
                         }
                     }
+                    // The one merge: stable-sorting the shard-ordered log
+                    // concatenation by the unique event keys keeps each
+                    // event's emissions together and in order, which is
+                    // the record `step_instant` writes directly.
                     for shard_log in &mut logs_by_shard {
                         merged.append(shard_log);
                     }
                     merged.sort_by_key(|e| e.0);
+                    let mut rec =
+                        Record { trace: &mut *trace, sink: &mut *obs_sink, record_observations };
                     for (_, e) in merged.drain(..) {
-                        replay_entry(trace, obs_sink, record_observations, t, e);
+                        match e {
+                            Emit::Trace(ev) => rec.trace.push(ev),
+                            Emit::Obs(pid, obs) => rec.obs(t, pid, obs),
+                        }
                     }
                     // Depth accounting identical to the sequential path: a
                     // shard's undelivered inbox entries are part of its
@@ -917,6 +974,62 @@ mod tests {
         }
     }
 
+    /// A node that, each round, sends one message to every other process
+    /// and observes every receipt: most instants have several shards due,
+    /// so their slices must interleave by key.
+    #[derive(Debug)]
+    struct AllToAll {
+        n: usize,
+        rounds_left: u32,
+    }
+
+    impl Node for AllToAll {
+        type Msg = u32;
+        type Obs = u32;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, u32, u32>) {
+            ctx.set_timer(1 + ctx.me().index() as u64 % 3, TimerId(0));
+        }
+
+        fn on_message(&mut self, ctx: &mut Context<'_, u32, u32>, from: ProcessId, msg: u32) {
+            ctx.observe(from.0 * 1000 + msg);
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_, u32, u32>, _id: TimerId) {
+            let me = ctx.me().index();
+            for p in (0..self.n).filter(|&p| p != me) {
+                ctx.send(ProcessId::from_index(p), self.rounds_left);
+            }
+            if self.rounds_left > 0 {
+                self.rounds_left -= 1;
+                ctx.set_timer(2, TimerId(0));
+            }
+        }
+    }
+
+    /// What an all-to-all run must reproduce at every shard and thread
+    /// count: clock, trace, the global sink's stream and the metric export.
+    type AllToAllRun = (Time, String, Vec<(Time, ProcessId, u32)>, MetricMap);
+
+    /// A drained all-to-all run of 7 processes, recording messages and
+    /// observations, with a global sink attached and one mid-run crash.
+    fn all_to_all(seed: u64, shards: usize, threads: usize, batch: bool) -> AllToAllRun {
+        let n = 7;
+        let nodes = (0..n).map(|_| AllToAll { n, rounds_left: 12 }).collect();
+        let cfg = cfg(seed, n, batch).crashes(CrashPlan::one(ProcessId(4), Time(20)));
+        let sink = std::rc::Rc::new(std::cell::RefCell::new(FoldSink::default()));
+        let mut w = ShardedWorld::new_with_sink(
+            nodes,
+            cfg.threads(threads),
+            shards,
+            Box::new(std::rc::Rc::clone(&sink)),
+        );
+        w.run_until(Time(1_000_000));
+        let seen = std::mem::take(&mut sink.borrow_mut().seen);
+        assert!(!seen.is_empty(), "the workload must observe something");
+        (w.now(), format!("{:?}", w.trace().events()), seen, w.metrics_map())
+    }
+
     fn run(seed: u64, shards: usize, batch: bool) -> (Time, String, MetricMap) {
         let n = 6;
         let mut w = ShardedWorld::new(ring(n, 300), cfg(seed, n, batch), shards);
@@ -924,9 +1037,11 @@ mod tests {
         (w.now(), format!("{:?}", w.trace().events()), w.metrics_map())
     }
 
-    /// The ISSUE 7 determinism matrix: same seed ⇒ byte-identical trace
-    /// and metrics for shards ∈ {1, 2, 4, 8}, including the exported
-    /// `queue_depth_high_water`.
+    /// The shard-count determinism matrix: same seed ⇒ byte-identical
+    /// trace and metrics for shards ∈ {1, 2, 4, 8}, including the exported
+    /// `queue_depth_high_water`. The ring has one token, so one shard is
+    /// due per instant; the all-to-all rows put several shards in most
+    /// instants, which is what `step_instant`'s merge must order.
     #[test]
     fn shard_count_never_changes_the_run() {
         for batch in [false, true] {
@@ -934,6 +1049,11 @@ mod tests {
             for shards in [2, 4, 8] {
                 let got = run(90, shards, batch);
                 assert_eq!(got, reference, "shards={shards} batch={batch} diverged");
+            }
+            let reference = all_to_all(90, 1, 1, batch);
+            for shards in 2..=4 {
+                let got = all_to_all(90, shards, 1, batch);
+                assert!(got == reference, "all-to-all shards={shards} batch={batch} diverged");
             }
         }
     }
@@ -958,10 +1078,12 @@ mod tests {
         (w.now(), format!("{:?}", w.trace().events()), w.metrics_map())
     }
 
-    /// The ISSUE 8 determinism matrix: the parallel instant-barrier run is
-    /// byte-identical to the sequential one — trace, metrics, and the
-    /// exported depth gauges — for every thread × shard combination,
-    /// including a mid-run crash (t=150) and envelope batching.
+    /// The thread-count determinism matrix: the parallel instant-barrier
+    /// run is byte-identical to the sequential one — trace, metrics, and
+    /// the exported depth gauges — for every thread × shard combination,
+    /// including a mid-run crash and envelope batching. The all-to-all rows
+    /// also compare the global sink's stream, across shards 1..=4
+    /// sequential and threads 2 and 4.
     #[test]
     fn parallel_run_is_byte_identical_to_sequential() {
         for batch in [false, true] {
@@ -971,6 +1093,16 @@ mod tests {
                     let got = run_threaded(90, shards, threads, batch);
                     assert_eq!(got, reference, "threads={threads} shards={shards} batch={batch}");
                 }
+            }
+            let reference = all_to_all(90, 1, 1, batch);
+            for (shards, threads) in
+                (1..=4).map(|s| (s, 1)).chain([2, 3, 4].into_iter().flat_map(|s| [(s, 2), (s, 4)]))
+            {
+                let got = all_to_all(90, shards, threads, batch);
+                assert!(
+                    got == reference,
+                    "all-to-all threads={threads} shards={shards} batch={batch} diverged"
+                );
             }
         }
     }

@@ -182,7 +182,7 @@ impl<N: Node> Executor<N> {
     ) {
         self.metrics.messages_delivered.inc();
         if self.record_messages {
-            fabric.emit(TraceEvent::Deliver { at: now, from, to, msg: msg.clone() });
+            fabric.emit(TraceEvent::Deliver { at: now, from, to, msg: msg.clone().into() });
         }
         self.step(now, to, fabric, |node, ctx| node.on_message(ctx, from, msg));
     }
@@ -219,7 +219,12 @@ impl<N: Node> Executor<N> {
                 self.metrics.messages_sent.inc();
                 self.metrics.envelopes_sent.inc();
                 if self.record_messages {
-                    fabric.emit(TraceEvent::Send { at: now, from: pid, to, msg: msg.clone() });
+                    fabric.emit(TraceEvent::Send {
+                        at: now,
+                        from: pid,
+                        to,
+                        msg: msg.clone().into(),
+                    });
                 }
                 let d = fabric.delay(slot, pid, to, now);
                 self.metrics.delay_ticks.record(d);
@@ -251,7 +256,7 @@ impl<N: Node> Executor<N> {
             assert!(to.index() < self.n_total, "send to unknown process {to}");
             self.metrics.messages_sent.inc();
             if self.record_messages {
-                fabric.emit(TraceEvent::Send { at: now, from: pid, to, msg: msg.clone() });
+                fabric.emit(TraceEvent::Send { at: now, from: pid, to, msg: msg.clone().into() });
             }
             match self.groups_buf.iter_mut().find(|(t, _)| *t == to) {
                 Some((_, msgs)) => msgs.push(msg),

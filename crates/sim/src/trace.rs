@@ -1,9 +1,18 @@
 //! Run traces: the raw material for every property checker and experiment.
+//!
+//! A post-hoc run keeps one [`TraceEvent`] per observation, so the event's
+//! size is most of the trace's memory. Message events box their payload:
+//! a protocol message is often wider than everything else in an event
+//! (the reduction's is 40 bytes), and only tests record messages, so a
+//! payload stored inline would size every observation for a variant that
+//! product runs never write.
 
 use crate::id::ProcessId;
 use crate::time::Time;
 
-/// One recorded occurrence in a run.
+/// One recorded occurrence in a run. `Send`/`Deliver` box their payload
+/// (see the module docs), so an event is as wide as its observation
+/// variant.
 #[derive(Clone, Debug)]
 pub enum TraceEvent<M, O> {
     /// A message left `from` bound for `to`.
@@ -14,8 +23,8 @@ pub enum TraceEvent<M, O> {
         from: ProcessId,
         /// Receiver.
         to: ProcessId,
-        /// Payload.
-        msg: M,
+        /// Payload, boxed (see the module docs).
+        msg: Box<M>,
     },
     /// A message was delivered (the receiver's step consumed it).
     Deliver {
@@ -25,8 +34,8 @@ pub enum TraceEvent<M, O> {
         from: ProcessId,
         /// Receiver.
         to: ProcessId,
-        /// Payload.
-        msg: M,
+        /// Payload, boxed (see the module docs).
+        msg: Box<M>,
     },
     /// A process crashed.
     Crash {
@@ -133,8 +142,18 @@ mod tests {
     #[test]
     fn push_and_filter() {
         let mut t: T = Trace::new(true);
-        t.push(TraceEvent::Send { at: Time(1), from: ProcessId(0), to: ProcessId(1), msg: "m" });
-        t.push(TraceEvent::Deliver { at: Time(3), from: ProcessId(0), to: ProcessId(1), msg: "m" });
+        t.push(TraceEvent::Send {
+            at: Time(1),
+            from: ProcessId(0),
+            to: ProcessId(1),
+            msg: "m".into(),
+        });
+        t.push(TraceEvent::Deliver {
+            at: Time(3),
+            from: ProcessId(0),
+            to: ProcessId(1),
+            msg: "m".into(),
+        });
         t.push(TraceEvent::Obs { at: Time(4), pid: ProcessId(1), obs: 42 });
         t.push(TraceEvent::Crash { at: Time(9), pid: ProcessId(0) });
         assert_eq!(t.len(), 4);

@@ -22,7 +22,8 @@
 //! — the order of a binary heap keyed by `(time, push counter)`. Within a
 //! slot the wheel appends on push and pops from the front; far buckets
 //! preserve append order and whole buckets move into the ring at window
-//! roll, so insertion order survives every path. The tests below pin the
+//! roll, so insertion order survives every path. [`TimerWheel::pop_instant`]
+//! hands over a whole instant in the same order. The tests below pin the
 //! wheel against exactly such a heap.
 
 use std::collections::{BTreeMap, VecDeque};
@@ -204,6 +205,28 @@ impl<V> TimerWheel<V> {
         self.far.keys().next().map(|&t| Time(t))
     }
 
+    /// Moves every item due at `t` onto the end of `out`, in insertion
+    /// order, when `t` is the earliest pending instant; otherwise does
+    /// nothing. One scan for the whole instant, where a `peek_time`/`pop`
+    /// loop scans twice per item. A miss leaves the cursor where it was, so
+    /// a caller coordinating several wheels may ask each for the global
+    /// minimum instant and still push later items into every one of them.
+    pub fn pop_instant(&mut self, t: Time, out: &mut Vec<V>) {
+        if self.peek_time() != Some(t) {
+            return;
+        }
+        if self.window_end().is_some_and(|end| t.ticks() >= end) {
+            // `t` is the minimum yet beyond the window: the ring is empty
+            // and `t` is the first far key, so the roll lands on it.
+            self.roll();
+        }
+        self.cursor = t.ticks();
+        let slot = (t.ticks() % NEAR_SLOTS as u64) as usize;
+        self.len -= self.slots[slot].len();
+        out.extend(self.slots[slot].drain(..));
+        self.unmark(slot);
+    }
+
     /// Removes and returns the earliest item with its instant.
     pub fn pop(&mut self) -> Option<(Time, V)> {
         if self.len == 0 {
@@ -342,5 +365,70 @@ mod tests {
             }
             assert!(w.is_empty());
         }
+    }
+
+    /// `pop_instant` against the same heap oracle: each round takes the
+    /// heap's whole earliest instant and must get it from the wheel, in
+    /// insertion order, while far spikes force window rolls.
+    #[test]
+    fn pop_instant_matches_the_heap_across_rolls() {
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+
+        let mut rng = SplitMix64::new(0x1257);
+        let mut rolled = 0;
+        for trial in 0..20 {
+            let mut w: TimerWheel<u64> = TimerWheel::new();
+            let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+            let mut now = 0u64;
+            let mut next_id = 0u64;
+            let mut got = Vec::new();
+            for _ in 0..400 {
+                for _ in 0..rng.range(1, 6) {
+                    let delay = match rng.below(4) {
+                        0 => rng.range(1, 4),
+                        1 => rng.range(1, 16),
+                        2 => rng.range(1, 2 * NEAR_SLOTS as u64),
+                        _ => rng.range(1, 50_000),
+                    };
+                    // Same-instant ties from several pushes per round.
+                    w.push(Time(now + delay), next_id);
+                    heap.push(Reverse((now + delay, next_id)));
+                    next_id += 1;
+                }
+                let Some(&Reverse((t, _))) = heap.peek() else { break };
+                let mut want = Vec::new();
+                while heap.peek().is_some_and(|r| r.0 .0 == t) {
+                    want.extend(heap.pop().map(|r| r.0 .1));
+                }
+                if t >= (now / NEAR_SLOTS as u64 + 1) * NEAR_SLOTS as u64 {
+                    rolled += 1;
+                }
+                got.clear();
+                w.pop_instant(Time(t), &mut got);
+                assert_eq!(got, want, "trial {trial} instant t{t}");
+                assert_eq!(w.len(), heap.len(), "trial {trial}");
+                now = t;
+            }
+        }
+        assert!(rolled > 0, "the workload must cross window boundaries");
+    }
+
+    /// Asking for an instant before the wheel's minimum takes nothing and
+    /// keeps the cursor, so items may still be pushed between the two.
+    #[test]
+    fn pop_instant_before_the_minimum_is_a_no_op() {
+        let mut w: TimerWheel<u32> = TimerWheel::new();
+        let far = 3 * NEAR_SLOTS as u64;
+        w.push(Time(far), 0);
+        let mut got = Vec::new();
+        w.pop_instant(Time(5), &mut got);
+        assert!(got.is_empty());
+        w.push(Time(6), 1);
+        w.pop_instant(Time(6), &mut got);
+        assert_eq!(got, vec![1]);
+        w.pop_instant(Time(far), &mut got);
+        assert_eq!(got, vec![1, 0]);
+        assert!(w.is_empty());
     }
 }
