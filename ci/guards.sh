@@ -52,7 +52,7 @@ fi
 # 3. Panic-site ratchet (ROADMAP 3(d)): lines of library and binary code
 #    that can abort the process. Turn one into a `Result` or a proved
 #    invariant and lower the ceiling to the new count; it never goes up.
-CEILING=41
+CEILING=39
 total=0
 report=""
 for crate in crates/*/; do
@@ -217,6 +217,27 @@ sorts=$(product_lines crates/sim/src/shard.rs | grep -cE '\.sort(_unstable)?(_by
 stable=$(product_lines crates/sim/src/shard.rs | grep -cE '\.sort(_by(_key|_cached_key)?)?\(' || true)
 if [ "$sorts" -ne 2 ] || [ "$stable" -ne 1 ]; then
   echo "structure guard: crates/sim/src/shard.rs sorts $sorts times, $stable stably (want 2 and 1); only the parallel coordinator sorts an emission log"
+  fail=1
+fi
+
+# 12. One loop per process. The live runtime fed each process from n-1 link
+#     reader threads through an `mpsc` inbox, a wake-up and a futex hop per
+#     frame; each process is one event loop over its own non-blocking
+#     sockets now (crates/live/src/cluster.rs). A channel or a `BufReader` in
+#     crates/live/src is that hop growing back, and a `thread::sleep` beyond
+#     the loop's idle wait and the accept poll is a loop stalling on one
+#     link, such as a per-frame delay slept instead of queued.
+for f in crates/live/src/*.rs; do
+  if product_lines "$f" | grep -nE 'mpsc|BufReader'; then
+    echo "structure guard: $f holds a channel or a BufReader; a process reads its own sockets"
+    fail=1
+  fi
+done
+sleeps=$(for f in crates/live/src/*.rs; do
+  product_lines "$f" | grep -cF 'thread::sleep' || true
+done | awk '{ s += $1 } END { print s + 0 }')
+if [ "$sleeps" -gt 2 ]; then
+  echo "structure guard: crates/live/src calls thread::sleep $sleeps times (at most 2: the idle wait and the accept poll)"
   fail=1
 fi
 

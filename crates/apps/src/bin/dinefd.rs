@@ -93,7 +93,8 @@
 //! ```
 //!
 //! `dinefd live` runs the identical heartbeat-◇P logic core on the live
-//! loopback-TCP runtime (`dinefd-live`): first the sim-vs-live
+//! loopback-TCP runtime (`dinefd-live`: one event loop per process over
+//! one connection per pair of processes): first the sim-vs-live
 //! differential matrix (crash × delay × GST; every cell must reach the
 //! same timing-free verdict on both substrates), then the sustained-load
 //! soak, which measures msgs/sec and the p99 crash-detection latency and
@@ -104,7 +105,7 @@
 //! values live in the `nondet`/`wall` sections — wall-clock figures,
 //! excluded from determinism diffs by construction — and whose `metrics`
 //! section carries the gates and the transport's topology
-//! (`soak.listeners`, `soak.worker_threads`).
+//! (`soak.listeners` and `soak.worker_threads`, both n).
 //!
 //! ```text
 //! --n N                     system size per trial   (default 4, min 2)

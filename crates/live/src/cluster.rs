@@ -1,64 +1,52 @@
-//! The live cluster: one OS thread per process, one loopback TCP connection
-//! per ordered link, wall timers, and a fault filter in every link's reader.
+//! The live cluster: one OS thread per process, each an event loop over its
+//! own non-blocking loopback TCP connections, with wall timers and a fault
+//! filter on every link's receiving end.
 //!
 //! ## Topology
 //!
-//! For `n` processes the cluster opens `n` listeners, one per process.
-//! Process `i`'s outbound channel to `j` is a TCP connection straight to
-//! `j`'s listener; the first frame on it is a hello naming the sender, so
-//! receivers demultiplex anonymous loopback connections into `(from, msg)`
-//! deliveries. The reader thread that owns the link on `j`'s side applies
-//! the link's [`LinkFault`] schedule (drop, hold-back reorder, fixed or
-//! ramping delay — all until the link's GST, clean afterwards) between the
-//! socket and `j`'s inbox: one hop per frame, and a serial per-link delay
-//! line, because the reader handles one frame at a time.
-//!
-//! A handler invocation's frames leave with one `write` per destination:
-//! they are encoded into that link's buffer and flushed together when the
-//! handler returns.
+//! `n` listeners and one connection per unordered pair: the lower id
+//! connects and its first frame, a hello, names it. A connection whose
+//! hello names no lower peer still missing is closed, and only it.
 //!
 //! ## Threads
 //!
-//! Everything runs on scoped threads from [`dinefd_sim::pool`]: `n` process
-//! workers (the event loops) and `n·(n-1)` reader workers (one per inbound
-//! link, filtering and decoding frames into the owner's inbox channel).
-//! All of them drain naturally at the horizon: processes exit, their
-//! sockets close, readers see end-of-stream, and the pool joins every
-//! thread before [`LiveCluster::run_to_horizon`] returns — no detached
-//! state survives a run. [`LiveStats::listeners`] and
-//! [`LiveStats::worker_threads`] count what a run actually bound and joined.
+//! `n` scoped threads from [`dinefd_sim::pool`], joined before
+//! [`LiveCluster::run_to_horizon`] returns. A pass of a loop fires the due
+//! timers, runs the self-sends, reads every stream until it would block,
+//! passes the complete frames through their link's [`LinkFault`] filter and
+//! hands the node what the filters release, then writes the pass's frames
+//! per destination without blocking (what a full socket refuses waits). A
+//! pass that handled anything is followed by another; an idle one sleeps to
+//! the next tick boundary, as every timer, release, crash and horizon falls
+//! on a whole tick.
 //!
 //! ## Time
 //!
-//! One virtual tick = one millisecond of wall clock, measured on a shared
-//! [`MonotonicClock`] whose origin is the moment the run starts. Nodes
-//! never read the wall clock directly: exactly as under the simulator they
-//! see only their own timer firings and the `now` stamped into their
-//! [`Context`] — which is what lets the identical logic core run on both
-//! substrates.
+//! One virtual tick = one millisecond of wall clock on a shared
+//! [`MonotonicClock`]. As under the simulator, nodes see only their timer
+//! firings and the `now` in their [`Context`] (their pass's tick), which
+//! lets the identical logic core run on both substrates.
 //!
 //! ## Crashes
 //!
-//! A crash schedule entry `(p, t)` makes `p`'s event loop return at wall
-//! time `t` ms: its streams drop, peers observe end-of-stream, and `p`
-//! takes no further steps — fail-stop, no recovery, exactly the paper's
-//! fault model.
+//! A crash `(p, t)` makes `p`'s loop return at `t` ms and drop its streams;
+//! peers see end of stream or a write error and close the link — fail-stop,
+//! no recovery, exactly the paper's fault model.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::io::{BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::thread;
 use std::time::Duration;
 
 use dinefd_runtime::{
-    Clock, Context, MonotonicClock, Node, ObsRecord, ProcessId, Runtime, SplitMix64, Time, Wire,
+    Clock, Context, MonotonicClock, Node, ObsRecord, ProcessId, Runtime, SplitMix64, Time, TimerId,
+    Wire,
 };
 use dinefd_sim::pool::{self, WorkerFn};
 
-use crate::fault::LinkFault;
+use crate::fault::{LinkFault, LinkFilter};
 use crate::frame;
 
 /// Configuration of one live run.
@@ -94,11 +82,13 @@ impl LiveConfig {
 /// Transport-level counters from one live run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LiveStats {
-    /// Messages decoded and handed to inboxes (past the fault filter).
+    /// Frames handed to a live node's `on_message` (self-sends are not
+    /// frames).
     pub frames_delivered: u64,
-    /// Frames the link readers' fault filters let through.
+    /// Frames the fault filters let through, a held frame released at end
+    /// of stream or of run included.
     pub frames_forwarded: u64,
-    /// Frames the link readers' fault filters dropped (pre-GST loss).
+    /// Frames the fault filters dropped (pre-GST loss).
     pub frames_dropped: u64,
     /// Messages the process event loops emitted.
     pub messages_sent: u64,
@@ -106,8 +96,7 @@ pub struct LiveStats {
     pub wall: Duration,
     /// TCP listeners the run bound: one per process.
     pub listeners: usize,
-    /// Worker threads the run spawned and joined: `n` processes plus
-    /// `n·(n-1)` link readers.
+    /// Worker threads the run spawned and joined: one loop per process.
     pub worker_threads: usize,
 }
 
@@ -150,300 +139,265 @@ where
 {
     fn run_to_horizon(&mut self, horizon: Time) -> Vec<ObsRecord<N::Obs>> {
         let nodes = self.nodes.take().expect("live cluster can only be mid-run on its own thread");
-        let (nodes, obs, stats) = run_live(nodes, &self.cfg, horizon.0);
+        let bind = || TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback listener");
+        let listeners = nodes.iter().map(|_| bind()).collect();
+        let (nodes, obs, stats) = run_live(listeners, nodes, &self.cfg, horizon.0);
         self.nodes = Some(nodes);
         self.stats = stats;
         obs
     }
 }
 
-/// What one worker thread hands back at join time.
-enum LiveOut<N: Node> {
-    Proc { slot: usize, node: N, obs: Vec<ObsRecord<N::Obs>>, sent: u64 },
-    Reader { delivered: u64, forwarded: u64, dropped: u64 },
+/// What the process loops of a run share (`i` accepts on `listeners[i]`).
+struct Run<'a> {
+    listeners: Vec<TcpListener>,
+    cfg: &'a LiveConfig,
+    clock: MonotonicClock,
+    horizon_ms: u64,
 }
 
-/// Polls `accept` without blocking forever: gives up once the shared clock
-/// passes `deadline_ms`. A worker stranded by a peer that never connects
-/// (its process crashed at t=0, or an earlier setup step failed) must not
-/// hang the join.
-fn accept_with_deadline(
-    listener: &TcpListener,
-    clock: &dyn Clock,
-    deadline_ms: u64,
-) -> Option<TcpStream> {
-    listener.set_nonblocking(true).ok()?;
-    loop {
-        match listener.accept() {
-            Ok((s, _)) => {
-                s.set_nonblocking(false).ok()?;
-                return Some(s);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if clock.elapsed_millis() > deadline_ms {
-                    return None;
-                }
-                thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => return None,
-        }
-    }
-}
-
-fn run_live<N>(
+/// Runs `nodes` to `horizon_ms`, process `i` accepting on `listeners[i]`.
+fn run_live<N: Node<Msg: Wire + Send, Obs: Send> + Send>(
+    listeners: Vec<TcpListener>,
     nodes: Vec<N>,
     cfg: &LiveConfig,
     horizon_ms: u64,
-) -> (Vec<N>, Vec<ObsRecord<N::Obs>>, LiveStats)
-where
-    N: Node + Send,
-    N::Msg: Wire + Send,
-    N::Obs: Send,
-{
+) -> (Vec<N>, Vec<ObsRecord<N::Obs>>, LiveStats) {
     let n = nodes.len();
     assert!(n >= 1, "a cluster needs at least one process");
-    // Setup grace on top of the horizon before accept loops give up.
-    let accept_deadline = horizon_ms + 5_000;
-
-    // Bind every listener up front so all ports are known before any
-    // thread starts connecting.
-    let bind = || TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback listener");
-    let proc_listeners: Vec<TcpListener> = (0..n).map(|_| bind()).collect();
-    let proc_ports: Vec<u16> =
-        proc_listeners.iter().map(|l| l.local_addr().expect("local addr").port()).collect();
-
-    // One inbox per process; readers clone the sender, the process keeps
-    // one clone for self-sends (so the receiver never disconnects).
-    let mut inbox_txs = Vec::with_capacity(n);
-    let mut inbox_rxs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = mpsc::channel::<(ProcessId, N::Msg)>();
-        inbox_txs.push(tx);
-        inbox_rxs.push(rx);
+    assert!(cfg.crashes.iter().all(|(p, _)| p.index() < n), "crash of an unknown process");
+    let mut stats = LiveStats { listeners: listeners.len(), ..LiveStats::default() };
+    // The shared run clock: Time(t) on this runtime means t ms since now.
+    let run = &Run { listeners, cfg, clock: MonotonicClock::new(), horizon_ms };
+    let workers: Vec<WorkerFn<'_, _>> = (nodes.into_iter().enumerate())
+        .map(|(i, node)| Box::new(move || run_process(ProcessId::from_index(i), node, run)) as _)
+        .collect();
+    stats.worker_threads = workers.len();
+    let (mut nodes, mut obs) = (Vec::with_capacity(n), Vec::<ObsRecord<N::Obs>>::new());
+    // `run_each` returns in input order: process order.
+    for (node, o, s) in pool::run_each::<ProcOut<N>>(workers) {
+        nodes.push(node);
+        obs.extend(o);
+        stats.frames_delivered += s.frames_delivered;
+        stats.frames_forwarded += s.frames_forwarded;
+        stats.frames_dropped += s.frames_dropped;
+        stats.messages_sent += s.messages_sent;
     }
-
-    let mut crash_at: Vec<Option<u64>> = vec![None; n];
-    for &(pid, at) in &cfg.crashes {
-        assert!(pid.index() < n, "crash schedule names unknown process {pid}");
-        let slot = &mut crash_at[pid.index()];
-        *slot = Some(slot.map_or(at, |prev| prev.min(at)));
-    }
-
-    // The shared run clock: origin = now. Everything downstream measures
-    // ms since this instant; Time(t) on this runtime means t ms.
-    let clock: Arc<dyn Clock> = Arc::new(MonotonicClock::new());
-
-    let mut workers: Vec<WorkerFn<'_, LiveOut<N>>> = Vec::new();
-
-    // Process event loops.
-    for (slot, mut node) in nodes.into_iter().enumerate() {
-        let me = ProcessId::from_index(slot);
-        let rx = inbox_rxs.remove(0);
-        let self_tx = inbox_txs[slot].clone();
-        let clock = Arc::clone(&clock);
-        let proc_ports = &proc_ports;
-        let crash = crash_at[slot];
-        let mut rng = SplitMix64::new(cfg.seed ^ 0x9E37_79B9).fork_nth(slot);
-        workers.push(Box::new(move || {
-            // Connect every outbound link and say hello. Connections are
-            // established even for a t=0 crash so peers' accept loops are
-            // never stranded. Each link carries the buffer its frames are
-            // batched in between flushes.
-            let mut outs: Vec<Option<(TcpStream, Vec<u8>)>> = (0..n).map(|_| None).collect();
-            for (j, &port) in proc_ports.iter().enumerate() {
-                if j == slot {
-                    continue;
-                }
-                if let Ok(mut s) = TcpStream::connect(("127.0.0.1", port)) {
-                    let _ = s.set_nodelay(true);
-                    if frame::write_hello(&mut s, me).is_ok() {
-                        outs[j] = Some((s, Vec::new()));
-                    }
-                }
-            }
-            let mut heap: BinaryHeap<Reverse<(u64, u64, dinefd_runtime::TimerId)>> =
-                BinaryHeap::new();
-            let mut timer_seq = 0u64;
-            let mut sends: Vec<(ProcessId, N::Msg)> = Vec::new();
-            let mut timers: Vec<(u64, dinefd_runtime::TimerId)> = Vec::new();
-            let mut obs_buf: Vec<N::Obs> = Vec::new();
-            let mut obs_out: Vec<ObsRecord<N::Obs>> = Vec::new();
-            let mut sent = 0u64;
-            let dead = |now: u64| crash.is_some_and(|c| now >= c);
-
-            // One macro instead of a closure: the effect routing borrows
-            // `outs`/`heap`/`obs_out` mutably alongside `node`, which a
-            // closure could not hold across the handler call.
-            macro_rules! dispatch {
-                (|$ctx:ident| $body:expr) => {{
-                    let t = Time(clock.elapsed_millis());
-                    {
-                        let mut $ctx =
-                            Context::new(me, t, &mut sends, &mut timers, &mut obs_buf, &mut rng);
-                        $body;
-                    }
-                    for (to, msg) in sends.drain(..) {
-                        sent += 1;
-                        if to == me {
-                            let _ = self_tx.send((me, msg));
-                            continue;
-                        }
-                        if let Some((_, buf)) = outs[to.index()].as_mut() {
-                            if frame::push_frame(buf, &msg.to_bytes()).is_err() {
-                                // Unencodable: close the link, as a failed
-                                // write does.
-                                outs[to.index()] = None;
-                            }
-                        }
-                    }
-                    // One write per destination this step touched.
-                    for out in outs.iter_mut() {
-                        let Some((s, buf)) = out else { continue };
-                        if buf.is_empty() {
-                            continue;
-                        }
-                        if s.write_all(buf).is_err() {
-                            // Peer is gone; stop writing.
-                            *out = None;
-                        } else {
-                            buf.clear();
-                        }
-                    }
-                    for (delay, id) in timers.drain(..) {
-                        timer_seq += 1;
-                        heap.push(Reverse((t.0 + delay, timer_seq, id)));
-                    }
-                    for obs in obs_buf.drain(..) {
-                        obs_out.push(ObsRecord { at: t, who: me, obs });
-                    }
-                }};
-            }
-
-            if !dead(clock.elapsed_millis()) {
-                dispatch!(|ctx| node.on_start(&mut ctx));
-            }
-            loop {
-                let now = clock.elapsed_millis();
-                if dead(now) || now >= horizon_ms {
-                    break;
-                }
-                // Fire every due timer before sleeping again.
-                if let Some(&Reverse((deadline, _, id))) = heap.peek() {
-                    if deadline <= now {
-                        heap.pop();
-                        dispatch!(|ctx| node.on_timer(&mut ctx, id));
-                        continue;
-                    }
-                }
-                let mut wake = horizon_ms.min(crash.unwrap_or(u64::MAX));
-                if let Some(&Reverse((deadline, _, _))) = heap.peek() {
-                    wake = wake.min(deadline);
-                }
-                match rx.recv_timeout(Duration::from_millis(wake.saturating_sub(now).max(1))) {
-                    Ok((from, msg)) => {
-                        if !dead(clock.elapsed_millis()) {
-                            dispatch!(|ctx| node.on_message(&mut ctx, from, msg));
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {}
-                    // Unreachable while `self_tx` lives, but harmless.
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            LiveOut::Proc { slot, node, obs: obs_out, sent }
-        }));
-    }
-
-    // Readers: one per inbound link of each process. Any reader of `j` can
-    // serve any peer — the hello says who connected, and with it which
-    // link's fault stream to draw from.
-    for j in 0..n {
-        for _ in 0..n.saturating_sub(1) {
-            let listener = &proc_listeners[j];
-            let tx = inbox_txs[j].clone();
-            let clock = Arc::clone(&clock);
-            let fault = cfg.fault;
-            workers.push(Box::new(move || {
-                let (mut delivered, mut forwarded, mut dropped) = (0u64, 0u64, 0u64);
-                let Some(conn) = accept_with_deadline(listener, clock.as_ref(), accept_deadline)
-                else {
-                    return LiveOut::Reader { delivered, forwarded, dropped };
-                };
-                let mut r = BufReader::new(conn);
-                // The hello is exempt from the fault schedule: it must
-                // arrive first, intact, and promptly.
-                let from = match frame::read_hello(&mut r) {
-                    Ok(from) if from.index() < n && from.index() != j => from,
-                    _ => return LiveOut::Reader { delivered, forwarded, dropped },
-                };
-                let mut rng =
-                    SplitMix64::new(cfg.seed).fork_nth(n + link_index(n, from.index(), j));
-                let mut deliver = |payload: Vec<u8>| {
-                    forwarded += 1;
-                    if let Ok(msg) = N::Msg::from_bytes(&payload) {
-                        delivered += 1;
-                        // A dead receiver means the owner crashed; keep
-                        // draining so the remote writer is never blocked
-                        // by backpressure.
-                        let _ = tx.send((from, msg));
-                    }
-                };
-                let mut held: Option<Vec<u8>> = None;
-                while let Ok(Some(payload)) = frame::read_frame(&mut r) {
-                    let now = clock.elapsed_millis();
-                    if fault.drops(now, &mut rng) {
-                        dropped += 1;
-                        continue;
-                    }
-                    if held.is_none() && fault.reorders(now, &mut rng) {
-                        held = Some(payload);
-                        continue;
-                    }
-                    let delay = fault.delay_at(now);
-                    if !delay.is_zero() {
-                        thread::sleep(delay);
-                    }
-                    deliver(payload);
-                    // Release the held-back frame after its successor: a
-                    // one-slot reordering.
-                    if let Some(h) = held.take() {
-                        deliver(h);
-                    }
-                }
-                if let Some(h) = held {
-                    deliver(h);
-                }
-                LiveOut::Reader { delivered, forwarded, dropped }
-            }));
-        }
-    }
-
-    let (listeners, worker_threads) = (proc_listeners.len(), workers.len());
-    let results = pool::run_each(workers);
-    let wall = clock.elapsed();
-
-    let mut stats = LiveStats { wall, listeners, worker_threads, ..LiveStats::default() };
-    let mut slots: Vec<Option<N>> = (0..n).map(|_| None).collect();
-    let mut obs: Vec<ObsRecord<N::Obs>> = Vec::new();
-    for out in results {
-        match out {
-            LiveOut::Proc { slot, node, obs: o, sent } => {
-                slots[slot] = Some(node);
-                obs.extend(o);
-                stats.messages_sent += sent;
-            }
-            LiveOut::Reader { delivered, forwarded, dropped } => {
-                stats.frames_delivered += delivered;
-                stats.frames_forwarded += forwarded;
-                stats.frames_dropped += dropped;
-            }
-        }
-    }
+    stats.wall = run.clock.elapsed();
     // Stable sort: ties keep per-process emission order.
     obs.sort_by_key(|r| (r.at, r.who));
-    let nodes: Vec<N> =
-        slots.into_iter().map(|s| s.expect("every process worker returns its node")).collect();
     (nodes, obs, stats)
+}
+
+/// What a process loop hands back: its node, observations and counters.
+type ProcOut<N> = (N, Vec<ObsRecord<<N as Node>::Obs>>, LiveStats);
+
+/// One peer's end of a pair connection as a process loop holds it: the
+/// stream (`None` once closed), bytes read but not yet cut into frames,
+/// frames waiting to be written, and the filter of the link from the peer.
+struct Link<M> {
+    stream: Option<TcpStream>,
+    inbuf: Vec<u8>,
+    out: Vec<u8>,
+    filter: LinkFilter<M>,
+}
+
+impl<M: Wire> Link<M> {
+    /// Reads until the stream would block (a blocking one: until it ends)
+    /// and admits every complete frame at `now`. End of stream, an error or
+    /// a frame that does not parse closes the link.
+    fn read(&mut self, now: u64) {
+        let Some(s) = self.stream.as_mut() else { return };
+        let read = s.read_to_end(&mut self.inbuf);
+        let open = matches!(read, Err(e) if e.kind() == ErrorKind::WouldBlock);
+        let mut rest = &self.inbuf[..];
+        let intact = loop {
+            match frame::split_frame(rest).map(|f| f.map(|(p, tail)| (M::from_bytes(p), tail))) {
+                Ok(None) => break true,
+                Ok(Some((Ok(msg), tail))) => {
+                    self.filter.admit(now, msg);
+                    rest = tail;
+                }
+                _ => break false,
+            }
+        };
+        self.inbuf.drain(..self.inbuf.len() - rest.len());
+        if !(open && intact) {
+            self.close(now);
+        }
+    }
+
+    /// Writes what is pending without blocking, keeping what the socket
+    /// refuses; a write error closes the link.
+    fn flush(&mut self, now: u64) {
+        let Some(s) = self.stream.as_mut() else { return self.out.clear() };
+        while !self.out.is_empty() {
+            match s.write(&self.out) {
+                Ok(k) if k > 0 => drop(self.out.drain(..k)),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                _ => return self.close(now),
+            }
+        }
+    }
+
+    fn close(&mut self, now: u64) {
+        self.stream = None;
+        self.filter.end(now);
+    }
+}
+
+/// Opens `me`'s end of every pair: connects to each higher id and says
+/// hello, then accepts one connection from each lower id, which its hello
+/// names. Accepting, and waiting for a hello, give up at `deadline_ms`, so
+/// a peer that never connects cannot hang the run.
+fn open_links(me: ProcessId, run: &Run<'_>) -> Vec<Option<TcpStream>> {
+    let (clock, deadline_ms) = (&run.clock, run.horizon_ms + 5_000);
+    let mut streams: Vec<Option<TcpStream>> = run.listeners.iter().map(|_| None).collect();
+    for (j, peer) in run.listeners.iter().enumerate().skip(me.index() + 1) {
+        let s = peer.local_addr().and_then(TcpStream::connect);
+        streams[j] = s.ok().filter(|mut s| frame::write_hello(&mut s, me).is_ok());
+    }
+    let listener = &run.listeners[me.index()];
+    let mut missing = me.index();
+    let _ = listener.set_nonblocking(true);
+    while missing > 0 && clock.elapsed_millis() <= deadline_ms {
+        let mut s = match listener.accept() {
+            Ok((s, _)) => s,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                thread::sleep(Duration::from_millis(1));
+                continue;
+            }
+            Err(_) => break,
+        };
+        let left = Duration::from_millis(deadline_ms.saturating_sub(clock.elapsed_millis()) + 1);
+        if s.set_nonblocking(false).and_then(|()| s.set_read_timeout(Some(left))).is_err() {
+            continue;
+        }
+        // The hello is exempt from the fault schedule. Any other connection
+        // is dropped here, which closes it and nothing else.
+        match frame::read_hello(&mut s) {
+            Ok(from) if from < me && streams[from.index()].is_none() => {
+                streams[from.index()] = Some(s);
+                missing -= 1;
+            }
+            _ => {}
+        }
+    }
+    streams
+}
+
+/// Process `me`'s event loop, from opening its links to its horizon or crash.
+fn run_process<N: Node<Msg: Wire>>(me: ProcessId, mut node: N, run: &Run<'_>) -> ProcOut<N> {
+    let (n, cfg, clock, horizon_ms) = (run.listeners.len(), run.cfg, &run.clock, run.horizon_ms);
+    let crash = cfg.crashes.iter().filter(|(p, _)| *p == me).map(|&(_, at)| at).min();
+    let dead = |now: u64| crash.is_some_and(|c| now >= c);
+    // Links open even for a t=0 crash, so no peer waits on them.
+    let mut links: Vec<Option<Link<N::Msg>>> = open_links(me, run)
+        .into_iter()
+        .enumerate()
+        .map(|(j, s)| {
+            let s = s.filter(|s| s.set_nodelay(true).and(s.set_nonblocking(true)).is_ok())?;
+            let rng = fork_nth(SplitMix64::new(cfg.seed), n + link_index(n, j, me.index()));
+            let filter = LinkFilter::new(cfg.fault, rng);
+            Some(Link { stream: Some(s), inbuf: Vec::new(), out: Vec::new(), filter })
+        })
+        .collect();
+
+    let mut heap: BinaryHeap<Reverse<(u64, u64, TimerId)>> = BinaryHeap::new();
+    // Timers fire in deadline order, ties in the order they were set.
+    let (mut timer_seq, mut handled) = (0u64, 0u64);
+    let (mut sends, mut timers, mut obs_buf) = (Vec::new(), Vec::new(), Vec::new());
+    let (mut self_sends, mut obs_out) = (Vec::new(), Vec::new());
+    let mut stats = LiveStats::default();
+    let mut rng = fork_nth(SplitMix64::new(cfg.seed ^ 0x9E37_79B9), me.index());
+
+    // A macro, as a closure could not borrow `links`, `heap` and `obs_out`
+    // alongside `node` across the handler call. Frames are only queued here.
+    macro_rules! dispatch {
+        ($now:expr, |$ctx:ident| $body:expr) => {{
+            let t = Time($now);
+            handled += 1;
+            {
+                let mut $ctx = Context::new(me, t, &mut sends, &mut timers, &mut obs_buf, &mut rng);
+                $body;
+            }
+            for (to, msg) in sends.drain(..) {
+                stats.messages_sent += 1;
+                if to == me {
+                    self_sends.push(msg);
+                } else if let Some(link) = links.get_mut(to.index()).and_then(Option::as_mut) {
+                    // Unencodable: close the link, as a failed write does.
+                    if frame::push_frame(&mut link.out, &msg.to_bytes()).is_err() {
+                        link.close(t.0);
+                    }
+                }
+            }
+            for (delay, id) in timers.drain(..) {
+                timer_seq += 1;
+                heap.push(Reverse((t.0 + delay, timer_seq, id)));
+            }
+            obs_out.extend(obs_buf.drain(..).map(|obs| ObsRecord { at: t, who: me, obs }));
+        }};
+    }
+
+    let start = clock.elapsed_millis();
+    if !dead(start) {
+        dispatch!(start, |ctx| node.on_start(&mut ctx));
+    }
+    loop {
+        let now = clock.elapsed_millis();
+        if dead(now) {
+            break;
+        }
+        // The pass that finds the horizon reached is the last. It runs in
+        // the run's last tick, whose arrivals no pass has seen yet.
+        let (last, now) = (now >= horizon_ms, now.min(horizon_ms.saturating_sub(1)));
+        let idle = handled;
+        while let Some(&Reverse((_, _, id))) = heap.peek().filter(|&&Reverse((at, ..))| at <= now) {
+            heap.pop();
+            dispatch!(now, |ctx| node.on_timer(&mut ctx, id));
+        }
+        // The self-sends queued before this pass; theirs wait for the next.
+        for msg in std::mem::take(&mut self_sends) {
+            dispatch!(now, |ctx| node.on_message(&mut ctx, me, msg));
+        }
+        links.iter_mut().flatten().for_each(|link| link.read(now));
+        for j in 0..n {
+            while let Some(msg) = links[j].as_mut().and_then(|l| l.filter.release(now)) {
+                stats.frames_delivered += 1;
+                dispatch!(now, |ctx| node.on_message(&mut ctx, ProcessId::from_index(j), msg));
+            }
+        }
+        links.iter_mut().flatten().for_each(|link| link.flush(now));
+        if last {
+            drain(&mut links, now);
+            break;
+        }
+        if handled == idle {
+            let now = clock.elapsed();
+            thread::sleep(Duration::from_millis(now.as_millis() as u64 + 1) - now);
+        }
+    }
+    for link in links.iter().flatten() {
+        stats.frames_forwarded += link.filter.forwarded;
+        stats.frames_dropped += link.filter.dropped;
+    }
+    (node, obs_out, stats)
+}
+
+/// The horizon: writes what the sockets take and ends every outbound
+/// stream, then reads every inbound one to its end (blocking, without the
+/// hello's timeout) through its filter, so each frame still in flight
+/// counts as forwarded or dropped.
+fn drain<M: Wire>(links: &mut [Option<Link<M>>], now: u64) {
+    for link in links.iter_mut().flatten() {
+        link.flush(now);
+        if let Some(s) = &link.stream {
+            let _ = s.shutdown(Shutdown::Write).and(s.set_nonblocking(false));
+            let _ = s.set_read_timeout(None);
+        }
+    }
+    links.iter_mut().flatten().for_each(|link| link.read(now));
 }
 
 /// Position of the ordered link `(i → j)`, `i ≠ j`, in row-major order:
@@ -452,19 +406,9 @@ fn link_index(n: usize, i: usize, j: usize) -> usize {
     i * (n - 1) + if j > i { j - 1 } else { j }
 }
 
-/// Deterministically forks the `k`-th substream of a generator.
-trait ForkNth {
-    fn fork_nth(self, k: usize) -> SplitMix64;
-}
-
-impl ForkNth for SplitMix64 {
-    fn fork_nth(mut self, k: usize) -> SplitMix64 {
-        let mut child = self.fork();
-        for _ in 0..k {
-            child = self.fork();
-        }
-        child
-    }
+/// The `k`-th substream forked off `rng`.
+fn fork_nth(mut rng: SplitMix64, k: usize) -> SplitMix64 {
+    (0..k).fold(rng.fork(), |_, _| rng.fork())
 }
 
 #[cfg(test)]
@@ -485,13 +429,13 @@ mod tests {
         Got(ProcessId, u64),
     }
 
-    /// One of a pair: sends its peer a counter every `period` ms, `limit`
-    /// times, and records every firing and every arrival — the transport
-    /// seen from a node.
+    /// Sends `to` a counter every `period` ms, `limit` times, and records
+    /// every firing and every arrival — the transport seen from a node.
     struct Probe {
         period: u64,
         limit: u64,
         sent: u64,
+        to: ProcessId,
     }
 
     impl Node for Probe {
@@ -512,7 +456,7 @@ mod tests {
             }
             self.sent += 1;
             ctx.observe(Seen::Tick);
-            ctx.send(ProcessId(1 - ctx.me().0), self.sent);
+            ctx.send(self.to, self.sent);
             ctx.set_timer(self.period, id);
         }
     }
@@ -524,7 +468,8 @@ mod tests {
         limit: u64,
         horizon: u64,
     ) -> (Vec<ObsRecord<Seen>>, LiveStats) {
-        let nodes = (0..2).map(|_| Probe { period, limit, sent: 0 }).collect();
+        let nodes =
+            (0..2).map(|i| Probe { period, limit, sent: 0, to: ProcessId(1 - i) }).collect();
         let mut cluster = LiveCluster::new(nodes, LiveConfig::new(5).fault(fault));
         let obs = cluster.run_to_horizon(Time(horizon));
         (obs, *cluster.stats())
@@ -564,11 +509,11 @@ mod tests {
             obs.iter().any(|r| r.obs.subject == ProcessId(2) && r.obs.suspected),
             "the suspicion must appear in the observation stream"
         );
-        // One hop: a listener per process, a thread per process and per
-        // ordered link, and nothing else.
+        // One loop per process: a listener and a thread per process, and
+        // nothing else.
         let stats = cluster.stats();
         assert_eq!(stats.listeners, 3, "{stats:?}");
-        assert_eq!(stats.worker_threads, 3 + 3 * 2, "{stats:?}");
+        assert_eq!(stats.worker_threads, 3, "{stats:?}");
     }
 
     #[test]
@@ -619,7 +564,7 @@ mod tests {
         let (obs, stats) = probe_pair(fault, 5, 3, 150);
         assert_eq!(stats.messages_sent, 6, "{stats:?}");
         assert_eq!(stats.frames_forwarded + stats.frames_dropped, 6, "a frame was lost: {stats:?}");
-        assert_eq!(stats.frames_delivered, 6, "{stats:?}");
+        assert_eq!(stats.frames_delivered as usize, arrivals(&obs).count(), "{stats:?}");
         for me in [ProcessId(0), ProcessId(1)] {
             let got: Vec<Seen> = arrivals(&obs).filter(|r| r.who == me).map(|r| r.obs).collect();
             let peer = ProcessId(1 - me.0);
@@ -651,5 +596,74 @@ mod tests {
             stats.frames_delivered > gst / delay * 2,
             "the backlog drains after GST: {stats:?}"
         );
+    }
+
+    #[test]
+    fn one_links_delay_line_does_not_hold_another() {
+        // Two senders, one receiver, 40 ms per frame on each link until GST:
+        // each link is its own delay line, so each delivers a frame every
+        // 40 ms. A loop that slept per frame would serve them in turn.
+        let (gst, delay) = (200, 40);
+        let limit = |i| if i < 2 { u64::MAX } else { 0 };
+        let nodes = (0..3)
+            .map(|i| Probe { period: 5, limit: limit(i), sent: 0, to: ProcessId(2) })
+            .collect();
+        let cfg = LiveConfig::new(6).fault(LinkFault::fixed_delay(gst, delay));
+        let obs = LiveCluster::new(nodes, cfg).run_to_horizon(Time(260));
+        for from in [ProcessId(0), ProcessId(1)] {
+            let early = arrivals(&obs)
+                .filter(|r| matches!(r.obs, Seen::Got(f, _) if f == from) && r.at.0 < gst)
+                .count();
+            assert!(early >= 4, "{from}'s link delivered {early} frames before GST");
+        }
+    }
+
+    #[test]
+    fn frames_delivered_counts_only_what_a_live_node_handled() {
+        // Process 1 crashes at 50 ms; process 0 goes on sending to it.
+        let nodes =
+            (0..2).map(|i| Probe { period: 5, limit: u64::MAX, sent: 0, to: ProcessId(1 - i) });
+        let cfg = LiveConfig::new(7).crash(ProcessId(1), 50);
+        let mut cluster = LiveCluster::new(nodes.collect(), cfg);
+        let obs = cluster.run_to_horizon(Time(200));
+        let stats = cluster.stats();
+        assert_eq!(stats.frames_delivered as usize, arrivals(&obs).count(), "{stats:?}");
+        assert!(
+            stats.frames_delivered < stats.messages_sent / 2,
+            "frames sent to the crashed process were counted: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn a_bad_peer_closes_only_its_own_connection() {
+        let n = 3;
+        let listeners: Vec<TcpListener> =
+            (0..n).map(|_| TcpListener::bind(("127.0.0.1", 0)).unwrap()).collect();
+        let port = listeners[2].local_addr().unwrap().port();
+        // Ahead of the real peers in process 2's accept queue: garbage, and
+        // hellos naming an unknown process, process 2 itself and a higher
+        // id — none of which may connect.
+        let hello = |payload: &[u8]| {
+            let mut s = TcpStream::connect(("127.0.0.1", port)).unwrap();
+            frame::write_frame(&mut s, payload).unwrap();
+            s
+        };
+        let bad = [
+            hello(b"garbage"),
+            hello(&ProcessId(9).to_bytes()),
+            hello(&ProcessId(2).to_bytes()),
+            hello(&ProcessId(3).to_bytes()),
+        ];
+        let (nodes, _, stats) = run_live(listeners, heartbeat_nodes(n), &LiveConfig::new(8), 300);
+        for w in ProcessId::all(n) {
+            for q in ProcessId::all(n).filter(|&q| q != w) {
+                assert!(!nodes[w.index()].suspects(q), "{w} suspects {q}: a link stayed down");
+            }
+        }
+        assert!(stats.frames_delivered > 0, "{stats:?}");
+        for mut s in bad {
+            let mut byte = [0u8; 1];
+            assert!(matches!(s.read(&mut byte), Ok(0) | Err(_)), "a bad peer's connection is open");
+        }
     }
 }

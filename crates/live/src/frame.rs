@@ -3,9 +3,13 @@
 //! Every message on the live transport travels as one frame: a `u32`
 //! little-endian payload length followed by that many payload bytes (the
 //! [`Wire`](dinefd_runtime::Wire) encoding of the message). The first frame
-//! on every link is a *hello* carrying the sender's [`ProcessId`], so the
-//! accepting side learns who is on the other end of an otherwise anonymous
-//! loopback connection.
+//! on every connection is a *hello* carrying the connecting process's
+//! [`ProcessId`], so the accepting side learns who is on the other end of an
+//! otherwise anonymous loopback connection.
+//!
+//! The cluster's event loops read whatever a socket holds and cut frames out
+//! of their buffer with [`split_frame`]; [`read_frame`] reads one frame from
+//! a blocking reader.
 
 use std::io::{self, Read, Write};
 
@@ -37,22 +41,37 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
+/// The payload length a frame header claims, checked against
+/// [`MAX_FRAME_LEN`] before anything is allocated for it.
+fn payload_len(header: [u8; 4]) -> io::Result<usize> {
+    let len = u32::from_le_bytes(header);
+    if len > MAX_FRAME_LEN {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame length out of range"));
+    }
+    Ok(len as usize)
+}
+
 /// Reads one length-prefixed frame. Returns `None` on clean end-of-stream
 /// (the peer closed between frames — its crash or horizon exit).
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
+    let mut header = [0u8; 4];
+    match r.read_exact(&mut header) {
         Ok(()) => {}
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
-    let len = u32::from_le_bytes(len_buf);
-    if len > MAX_FRAME_LEN {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "frame length out of range"));
-    }
-    let mut payload = vec![0u8; len as usize];
+    let mut payload = vec![0u8; payload_len(header)?];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
+}
+
+/// Cuts the first frame off the front of `buf`: its payload and the bytes
+/// after it. `Ok(None)` while the header or the payload is still short of
+/// bytes; an error for a length past [`MAX_FRAME_LEN`].
+pub fn split_frame(buf: &[u8]) -> io::Result<Option<(&[u8], &[u8])>> {
+    let Some((header, rest)) = buf.split_first_chunk::<4>() else { return Ok(None) };
+    let len = payload_len(*header)?;
+    Ok((rest.len() >= len).then(|| rest.split_at(len)))
 }
 
 /// Writes the link-opening hello frame identifying `who`.
@@ -140,6 +159,66 @@ mod tests {
         for cut in 0..link.len() {
             assert!(frames_read(&link[..cut]) < 4, "prefix of {cut} bytes read as a whole link");
         }
+    }
+
+    /// Every frame `split_frame` cuts out of `buf`, and the bytes left over.
+    fn split_all(mut buf: &[u8]) -> io::Result<(Vec<Vec<u8>>, usize)> {
+        let mut frames = Vec::new();
+        while let Some((payload, rest)) = split_frame(buf)? {
+            frames.push(payload.to_vec());
+            buf = rest;
+        }
+        Ok((frames, buf.len()))
+    }
+
+    #[test]
+    fn split_frame_agrees_on_any_feed() {
+        let mut link = Vec::new();
+        for payload in [&b"alpha"[..], b"", b"omega", b"\x00\x01"] {
+            push_frame(&mut link, payload).unwrap();
+        }
+        let (whole, left) = split_all(&link).unwrap();
+        assert_eq!(whole, [&b"alpha"[..], b"", b"omega", b"\x00\x01"]);
+        assert_eq!(left, 0);
+        // Byte at a time, cutting frames out whenever one is complete, as an
+        // event loop does with whatever a read returned.
+        let (mut buf, mut fed) = (Vec::new(), Vec::new());
+        for &b in &link {
+            buf.push(b);
+            let (frames, left) = split_all(&buf).unwrap();
+            fed.extend(frames);
+            buf.drain(..buf.len() - left);
+        }
+        assert_eq!(fed, whole);
+        assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn split_frame_waits_for_a_short_header_or_payload() {
+        let mut buf = Vec::new();
+        push_frame(&mut buf, b"abcdef").unwrap();
+        for cut in 0..buf.len() {
+            assert!(split_frame(&buf[..cut]).unwrap().is_none(), "{cut} bytes made a frame");
+        }
+        let (payload, rest) = split_frame(&buf).unwrap().unwrap();
+        assert_eq!((payload, rest), (&b"abcdef"[..], &b""[..]));
+    }
+
+    #[test]
+    fn split_frame_rejects_a_length_past_the_limit_without_its_bytes() {
+        // Only the header is there: the claimed length is checked, never
+        // waited for or allocated.
+        assert!(split_frame(&(MAX_FRAME_LEN + 1).to_le_bytes()).is_err());
+        assert!(split_frame(&u32::MAX.to_le_bytes()).is_err());
+        let at_limit = MAX_FRAME_LEN.to_le_bytes();
+        assert!(split_frame(&at_limit).unwrap().is_none(), "the limit itself is legal");
+    }
+
+    #[test]
+    fn split_frame_takes_a_zero_length_payload() {
+        let (payload, rest) = split_frame(&[0, 0, 0, 0, 9]).unwrap().unwrap();
+        assert!(payload.is_empty());
+        assert_eq!(rest, [9]);
     }
 
     #[test]

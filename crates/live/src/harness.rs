@@ -9,7 +9,7 @@
 //! * deterministic discrete-event [`World`] with a mirrored
 //!   [`DelayModel`] (fixed or ramping pre-GST delay, bounded after), and
 //! * [`LiveCluster`] over loopback TCP with the matching [`LinkFault`]
-//!   schedule in every link's reader,
+//!   schedule on every link's receiving end,
 //!
 //! then reduces each run to a timing-free [`Verdict`]: the final suspicion
 //! set of every correct watcher plus the extraction checks (eventual

@@ -3,18 +3,21 @@
 //! The second implementation of the runtime-neutral node boundary from
 //! `dinefd-runtime`: where `dinefd-sim` schedules a [`Node`] inside a
 //! deterministic discrete-event world, this crate runs the *identical*
-//! node on real OS threads with one loopback-TCP connection per ordered
-//! link, wall-clock timers, and a fault filter in each link's reader —
-//! crash, fixed or ramping delay-until-GST, reorder, and drop, the live
-//! analogue of the simulator's `DelayModel`/`CrashPlan`.
+//! node as one event loop per OS thread over its own non-blocking
+//! loopback-TCP connections (one per pair of processes), with wall-clock
+//! timers and a fault filter on each link's receiving end — crash, fixed
+//! or ramping delay-until-GST, reorder, and drop, the live analogue of the
+//! simulator's `DelayModel`/`CrashPlan`.
 //!
 //! Offline-safe by construction: every socket is `127.0.0.1`, every port
 //! ephemeral, every thread scoped and joined before a run returns.
 //!
-//! * [`frame`] — length-prefixed framing (one `write` per frame) and the
-//!   link-opening hello.
+//! * [`frame`] — length-prefixed framing (one `write` per frame, a pure
+//!   splitter for frames in a read buffer) and the connection-opening
+//!   hello.
 //! * [`fault`] — per-link fault schedules ([`LinkFault`]), applied by the
-//!   link's reader between the socket and the receiver's inbox.
+//!   receiving event loop between the socket and the node; the delay line
+//!   is a series of release instants, never a sleep.
 //! * [`cluster`] — [`LiveCluster`], the [`Runtime`] implementation
 //!   (1 virtual tick = 1 ms of wall clock).
 //! * [`harness`] — the differential convergence harness: one scenario run

@@ -53,7 +53,8 @@ impl SoakConfig {
 pub struct SoakReport {
     /// Trials executed.
     pub trials: usize,
-    /// Messages decoded and delivered per wall-clock second, across trials.
+    /// Frames handed to a live node's `on_message` per wall-clock second,
+    /// across trials (frames sent to a crashed process are not counted).
     pub msgs_per_sec: f64,
     /// 99th percentile of crash-detection latency (ms): time from the crash
     /// instant to the watcher's *permanent* suspicion of the crashed peer.
@@ -70,7 +71,7 @@ pub struct SoakReport {
     pub missed_detections: usize,
     /// Transient wrongful-suspicion intervals (informational, not gated).
     pub transient_mistakes: usize,
-    /// Frames delivered across all trials.
+    /// Frames handed to live nodes across all trials.
     pub frames_delivered: u64,
     /// Total wall-clock time spent inside trials, ms.
     pub wall_ms: u64,
