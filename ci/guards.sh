@@ -52,7 +52,7 @@ fi
 # 3. Panic-site ratchet (ROADMAP 3(d)): lines of library and binary code
 #    that can abort the process. Turn one into a `Result` or a proved
 #    invariant and lower the ceiling to the new count; it never goes up.
-CEILING=39
+CEILING=38
 total=0
 report=""
 for crate in crates/*/; do

@@ -7,16 +7,31 @@
 //! over the encoding of [`crate::cnf`], so the cost scales with formula
 //! size (a few thousand variables) instead of domain size:
 //!
-//! * **Base case** (bounded model check): unroll `Init ∧ T^d ∧ ¬P(s_d)`
-//!   for `d < k`. SAT ⇒ an abstract-level reachable violation, decoded
-//!   back to a concrete trace prefix depth.
-//! * **Step case**: `P(s_0) ∧ … ∧ P(s_{k−1}) ∧ T^k ∧ distinct(s_i) ∧
-//!   ¬P(s_k)`. UNSAT ⇒ the cluster is k-inductive, hence an invariant at
+//! * **Step case**, first: `P(s_0) ∧ … ∧ P(s_{k−1}) ∧ T^k ∧ distinct(s_i)
+//!   ∧ ¬P(s_k)`. UNSAT ⇒ the cluster is k-inductive, hence an invariant at
 //!   any depth (the simple-path constraint keeps `k > 1` from being
 //!   defeated by the abstraction's stay-at-cap self-loops). The default
 //!   `max_k = 1` makes the verdict *definitionally* the same "is this
 //!   conjunction 1-inductive" question the enumerator answers, which is
-//!   what the cap-2 byte-for-byte agreement gate checks.
+//!   what the cap-2 byte-for-byte agreement gate checks. All obligations
+//!   share **one unrolling** on one incremental solver (Eén & Sörensson,
+//!   *Temporal induction by incremental SAT solving*): level `k` adds frame
+//!   `k`, one transition and the distinctness clauses, then poses each
+//!   still-open obligation as one solve whose hypotheses `P(s_0) …
+//!   P(s_{k−1})` and goal `¬P(s_k)` are *assumption literals*, never hard
+//!   clauses. A frame's conjunction bits for the other obligations are
+//!   definitional Tseitin outputs, so they constrain nothing, and every
+//!   clause learned on the shared transition relation serves every later
+//!   query. The Theorem-1 closure query (`in_closure(s_0) ∧ (escaped ∨
+//!   regressed)`) is posed on level 1's two frames the same way.
+//! * **Base case** (bounded model check), second: unroll `Init ∧ T^d ∧
+//!   ¬P(s_d)` on an Init-pinned solver of its own, querying obligation `i`
+//!   only at depths `d < proved_k(i)` (`max_k` when unproved). That bound
+//!   loses nothing: the shortest path from Init to a violation repeats no
+//!   state, and every state on it before the last satisfies `P`, so if it
+//!   had `n ≥ proved_k` steps its last `proved_k + 1` states would satisfy
+//!   the step query just shown UNSAT. The shallowest violation, if any,
+//!   therefore lies below `proved_k` and is found there.
 //! * **CTI enumeration**: when step(1) is SAT the engine enumerates
 //!   counterexamples-to-induction *stratified by the enumerator's
 //!   simplicity key* — assumption literals pin the [`wire_sum`] /
@@ -26,7 +41,11 @@
 //!   Strata are visited smallest-first, so once `keep_ctis` CTIs have been
 //!   collected and the current stratum is drained, the retained set equals
 //!   the explicit enumerator's `insert_capped` result exactly — same
-//!   triples, same order.
+//!   triples, same order. The drain runs in a short-lived k = 1 solver of
+//!   its own (two frames, one step, the key circuits), dropped when done:
+//!   a mutated configuration at a large cap blocks thousands of triples,
+//!   and keeping those clauses in the shared solver would carry them, and
+//!   their memory, through every deeper level.
 //!
 //! Real/spurious classification of the retained CTIs reuses the explicit
 //! checker's [`classify_cti`] replay machinery (via the deduplicating
@@ -38,9 +57,7 @@ use crate::cnf::{
     busy_count, deviation_count, encode_step, pin_bv, wire_sum, Bit, Bv, CnfBuilder, SymState,
     SymStep,
 };
-use crate::induct::{
-    clause_mask, insert_capped, Cti, CtiClassifier, InductOptions, LemmaSpec, LEMMA_SPECS,
-};
+use crate::induct::{clause_mask, insert_capped, Cti, CtiClassifier, InductOptions, LEMMA_SPECS};
 use crate::ir::{AbsState, Ir, IrConfig};
 use crate::protocol;
 use crate::sat::{Lit, SatStats, SolveOutcome};
@@ -82,9 +99,10 @@ pub struct SymbolicLemmaVerdict {
     pub lemma: &'static str,
     /// Clause names in the conjunction.
     pub clauses: Vec<&'static str>,
-    /// Initiation/base: no violation within `max_k − 1` steps of the
-    /// initial state (for `max_k = 1` this is exactly "the initial state
-    /// satisfies the conjunction").
+    /// Initiation/base: no violation within `proved_k − 1` steps of the
+    /// initial state (`max_k − 1` when unproved), the same answer as
+    /// checking every depth below `max_k` (for `max_k = 1` this is exactly
+    /// "the initial state satisfies the conjunction").
     pub base_ok: bool,
     /// Depth of the shallowest base-case violation found, if any.
     pub cex_depth: Option<u32>,
@@ -112,6 +130,10 @@ impl SymbolicLemmaVerdict {
 pub struct KinductRun {
     /// The configuration analyzed.
     pub cfg: IrConfig,
+    /// The induction depth attempted ([`KinductOptions::max_k`], at least
+    /// 1). The base case reaches depth `max_k − 1` for every obligation the
+    /// step case leaves unproved.
+    pub max_k: u32,
     /// One verdict per entry of [`LEMMA_SPECS`], same order.
     pub lemmas: Vec<SymbolicLemmaVerdict>,
     /// Whether the Theorem-1 closure step obligation is UNSAT (closed and
@@ -183,170 +205,186 @@ fn assert_distinct_from_last(b: &mut CnfBuilder, frames: &[Frame]) {
 pub fn run_kinduction(cfg: &IrConfig, opts: &KinductOptions) -> KinductRun {
     let ir = Ir::new(*cfg);
     let max_k = opts.max_k.max(1);
-    let mut stats = SatStats::default();
-    let mut vars = 0u64;
-    let mut clauses = 0u64;
-
-    // ---- base case: one incremental BMC solver for all obligations -----
-    let mut base_ok = vec![true; LEMMA_SPECS.len()];
-    let mut cex_depth: Vec<Option<u32>> = vec![None; LEMMA_SPECS.len()];
-    {
-        let mut b = CnfBuilder::new();
-        let mut frame = build_frame(&mut b, cfg.wire_cap);
-        let init = AbsState::initial();
-        let mut assumptions = Vec::new();
-        frame.state.assumptions_for(&init, &mut assumptions);
-        for l in assumptions {
-            b.solver.add_clause(&[l]);
-        }
-        for d in 0..max_k {
-            for (k, prop) in frame.props.iter().enumerate() {
-                let viol = b.not(*prop);
-                let outcome = match viol {
-                    Bit::Const(false) => SolveOutcome::Unsat,
-                    Bit::Const(true) => SolveOutcome::Sat,
-                    Bit::Is(l) => b.solver.solve(&[l]),
-                };
-                if outcome == SolveOutcome::Sat && base_ok[k] {
-                    base_ok[k] = false;
-                    cex_depth[k] = Some(d);
-                }
-            }
-            if d + 1 < max_k {
-                let next = build_frame(&mut b, cfg.wire_cap);
-                encode_step(&mut b, &ir, &frame.state, &next.state);
-                frame = next;
-            }
-        }
-        stats = add_stats(stats, b.solver.stats);
-        vars += b.solver.num_vars() as u64;
-        clauses += b.solver.num_clauses() as u64;
-    }
-
-    // ---- step case per obligation --------------------------------------
-    let mut classifier = CtiClassifier::default();
-    let mut verdicts = Vec::with_capacity(LEMMA_SPECS.len());
-    for (k_spec, spec) in LEMMA_SPECS.iter().enumerate() {
-        let mut verdict = SymbolicLemmaVerdict {
+    let mut tally = Tally::default();
+    let mut verdicts: Vec<SymbolicLemmaVerdict> = LEMMA_SPECS
+        .iter()
+        .map(|spec| SymbolicLemmaVerdict {
             lemma: spec.name,
             clauses: spec.clauses.iter().map(|c| c.name()).collect(),
-            base_ok: base_ok[k_spec],
-            cex_depth: cex_depth[k_spec],
+            base_ok: true,
+            cex_depth: None,
             proved_k: None,
             ctis: Vec::new(),
             ctis_enumerated: 0,
             enum_complete: true,
-        };
+        })
+        .collect();
+
+    // ---- step case: one unrolling, every obligation under assumptions ---
+    let mut closure = (true, None);
+    {
         let mut b = CnfBuilder::new();
         let mut frames = vec![build_frame(&mut b, cfg.wire_cap)];
-        let mut steps: Vec<SymStep> = Vec::new();
-        for k in 1..=max_k {
+        for k in 1..=max_k as usize {
             let next = build_frame(&mut b, cfg.wire_cap);
-            steps.push(encode_step(&mut b, &ir, &frames[k as usize - 1].state, &next.state));
+            let step = encode_step(&mut b, &ir, &frames[k - 1].state, &next.state);
             frames.push(next);
-            // P on every frame but the last, as hard clauses for frames
-            // 0..k−1 (they stay valid as k grows).
-            let hyp = frames[k as usize - 1].props[k_spec];
-            b.assert_true(hyp);
             // Distinctness is vacuous at k = 1 (P(s₀) ∧ ¬P(s₁) already
             // separates the states) but asserting it uniformly keeps every
             // pair covered as the unrolling deepens.
             assert_distinct_from_last(&mut b, &frames);
-            let goal = frames[k as usize].props[k_spec];
-            let neg_goal = b.not(goal);
-            let outcome = match neg_goal {
-                Bit::Const(false) => SolveOutcome::Unsat,
-                Bit::Const(true) => SolveOutcome::Sat,
-                Bit::Is(l) => b.solver.solve(&[l]),
-            };
-            if outcome == SolveOutcome::Unsat {
-                verdict.proved_k = Some(k);
+            for (i, verdict) in verdicts.iter_mut().enumerate() {
+                if verdict.proved_k.is_some() {
+                    continue;
+                }
+                let mut query: Vec<Bit> = frames[..k].iter().map(|f| f.props[i]).collect();
+                query.push(b.not(frames[k].props[i]));
+                if solve_under(&mut b, &query) == SolveOutcome::Unsat {
+                    verdict.proved_k = Some(k as u32);
+                } else if k == 1 && opts.keep_ctis > 0 {
+                    tally.add(&drain_ctis(&ir, i, opts, verdict));
+                }
+            }
+            if k == 1 {
+                closure = closure_step(&mut b, &ir, &frames[0].state, &frames[1].state, &step);
+            }
+            if verdicts.iter().all(|v| v.proved_k.is_some()) {
                 break;
             }
-            if k == 1 && opts.keep_ctis > 0 {
-                // 1-step CTIs: enumerate in the explicit checker's order.
-                enumerate_ctis(&mut b, &ir, spec, &frames, &steps[0], opts, &mut verdict);
+        }
+        tally.add(&b);
+    }
+
+    // ---- base case: Init-pinned BMC, each obligation to its proof depth -
+    // (an obligation leaves at its first failure: the verdict reports the
+    // shallowest depth only).
+    {
+        let mut b = CnfBuilder::new();
+        let mut frame = build_frame(&mut b, cfg.wire_cap);
+        let mut init = Vec::new();
+        frame.state.assumptions_for(&AbsState::initial(), &mut init);
+        for l in init {
+            b.solver.add_clause(&[l]);
+        }
+        for d in 0.. {
+            let open: Vec<usize> = (0..verdicts.len())
+                .filter(|&i| verdicts[i].base_ok && d < verdicts[i].proved_k.unwrap_or(max_k))
+                .collect();
+            if open.is_empty() {
+                break;
+            }
+            if d > 0 {
+                let next = build_frame(&mut b, cfg.wire_cap);
+                encode_step(&mut b, &ir, &frame.state, &next.state);
+                frame = next;
+            }
+            for i in open {
+                let viol = b.not(frame.props[i]);
+                if solve_under(&mut b, &[viol]) == SolveOutcome::Sat {
+                    verdicts[i].base_ok = false;
+                    verdicts[i].cex_depth = Some(d);
+                }
             }
         }
-        stats = add_stats(stats, b.solver.stats);
-        vars += b.solver.num_vars() as u64;
-        clauses += b.solver.num_clauses() as u64;
-        if opts.classify.classify > 0 {
+        tally.add(&b);
+    }
+
+    if opts.classify.classify > 0 {
+        let mut classifier = CtiClassifier::default();
+        for verdict in &mut verdicts {
             for cti in verdict.ctis.iter_mut().take(opts.classify.classify) {
                 cti.class = Some(classifier.classify(cfg, cti, &opts.classify));
             }
         }
-        verdicts.push(verdict);
     }
 
-    // ---- Theorem-1 closure step -----------------------------------------
-    let (closure_ok, closure_cex) = {
-        let mut b = CnfBuilder::new();
-        let pre = SymState::fresh(&mut b, cfg.wire_cap);
-        let post = SymState::fresh(&mut b, cfg.wire_cap);
-        let step = encode_step(&mut b, &ir, &pre, &post);
-        let pre_in = protocol::in_closure(&mut b, &pre);
-        b.assert_true(pre_in);
-        // Violation: post leaves the closure, or suspicion regresses.
-        let [escaped, regressed] = protocol::closure_step_faults(&mut b, &pre, &post);
-        let bad = b.or(escaped, regressed);
-        let outcome = match bad {
-            Bit::Const(false) => SolveOutcome::Unsat,
-            Bit::Const(true) => SolveOutcome::Sat,
-            Bit::Is(l) => b.solver.solve(&[l]),
-        };
-        let cex = if outcome == SolveOutcome::Sat {
-            let id = step.selected(&b.solver);
-            Some((pre.decode(&b.solver), ir.name_of(id), post.decode(&b.solver)))
-        } else {
-            None
-        };
-        stats = add_stats(stats, b.solver.stats);
-        vars += b.solver.num_vars() as u64;
-        clauses += b.solver.num_clauses() as u64;
-        (outcome == SolveOutcome::Unsat, cex)
-    };
-
-    KinductRun { cfg: *cfg, lemmas: verdicts, closure_ok, closure_cex, stats, vars, clauses }
+    let (closure_ok, closure_cex) = closure;
+    KinductRun {
+        cfg: *cfg,
+        max_k,
+        lemmas: verdicts,
+        closure_ok,
+        closure_cex,
+        stats: tally.stats,
+        vars: tally.vars,
+        clauses: tally.clauses,
+    }
 }
 
-/// Drains the SAT models of the failed 1-step case, stratified by the
-/// enumerator's simplicity key so the retained set is byte-identical to
-/// the explicit engine's.
-fn enumerate_ctis(
+/// Solves under `assumptions`, each a circuit output. A constant-false one
+/// makes the query UNSAT without a solve; a constant-true one is dropped.
+fn solve_under(b: &mut CnfBuilder, assumptions: &[Bit]) -> SolveOutcome {
+    let mut lits = Vec::with_capacity(assumptions.len());
+    for &a in assumptions {
+        match a {
+            Bit::Const(false) => return SolveOutcome::Unsat,
+            Bit::Const(true) => {}
+            Bit::Is(l) => lits.push(l),
+        }
+    }
+    b.solver.solve(&lits)
+}
+
+/// The Theorem-1 closure query on the first step of the shared unrolling:
+/// `in_closure(pre) ∧ (escaped ∨ regressed)`, both as assumptions. Either
+/// fault makes `pre ≠ post`, so the unrolling's distinctness constraint
+/// excludes no violation.
+fn closure_step(
     b: &mut CnfBuilder,
     ir: &Ir,
-    spec: &LemmaSpec,
-    frames: &[Frame],
+    pre: &SymState,
+    post: &SymState,
     step: &SymStep,
+) -> (bool, Option<(AbsState, &'static str, AbsState)>) {
+    let pre_in = protocol::in_closure(b, pre);
+    let [escaped, regressed] = protocol::closure_step_faults(b, pre, post);
+    let bad = b.or(escaped, regressed);
+    if solve_under(b, &[pre_in, bad]) == SolveOutcome::Unsat {
+        return (true, None);
+    }
+    let id = step.selected(&b.solver);
+    (false, Some((pre.decode(&b.solver), ir.name_of(id), post.decode(&b.solver))))
+}
+
+/// Drains the SAT models of obligation `k_spec`'s failed 1-step case in a
+/// solver of its own, stratified by the enumerator's simplicity key so the
+/// retained set is byte-identical to the explicit engine's. Returns the
+/// solver so its work is counted before it is dropped.
+fn drain_ctis(
+    ir: &Ir,
+    k_spec: usize,
     opts: &KinductOptions,
     verdict: &mut SymbolicLemmaVerdict,
-) {
-    let k_spec = LEMMA_SPECS.iter().position(|s| s.name == spec.name).expect("spec in table");
-    let pre = frames[0].state.clone();
-    let post = frames[1].state.clone();
-    let neg_goal = {
-        let g = frames[1].props[k_spec];
-        b.not(g)
-    };
+) -> CnfBuilder {
+    let spec = &LEMMA_SPECS[k_spec];
+    let mut b = CnfBuilder::new();
+    let frames = [build_frame(&mut b, ir.cfg.wire_cap), build_frame(&mut b, ir.cfg.wire_cap)];
+    let step = encode_step(&mut b, ir, &frames[0].state, &frames[1].state);
+    b.assert_true(frames[0].props[k_spec]);
+    assert_distinct_from_last(&mut b, &frames);
+    let neg_goal = b.not(frames[1].props[k_spec]);
     let neg_goal_lit = match neg_goal {
-        Bit::Const(false) => return, // step already UNSAT
+        Bit::Const(false) => return b, // step already UNSAT
         Bit::Const(true) => None,
         Bit::Is(l) => Some(l),
     };
+    // One unpinned solve before the strata: the phases it saves are where
+    // every later search starts, so it fixes the order models are drained
+    // in, and with it the retained set when `enum_limit` trips mid-stratum.
+    if let Some(l) = neg_goal_lit {
+        b.solver.solve(&[l]);
+    }
+    let [pre, post] = frames.map(|f| f.state);
     // The simplicity-key circuits over the *pre* state.
-    let wire: Bv = wire_sum(b, &pre);
-    let busy: Bv = busy_count(b, &pre);
-    let dev: Bv = deviation_count(b, &pre);
+    let wire: Bv = wire_sum(&mut b, &pre);
+    let busy: Bv = busy_count(&mut b, &pre);
+    let dev: Bv = deviation_count(&mut b, &pre);
     let cap = u64::from(ir.cfg.wire_cap);
     let mut collected: Vec<Cti> = Vec::new();
     'strata: for w in 0..=4 * cap {
         for bz in 0..=4u64 {
             for d in 0..=9u64 {
-                let mut assumptions: Vec<Lit> = Vec::new();
-                if let Some(l) = neg_goal_lit {
-                    assumptions.push(l);
-                }
+                let mut assumptions: Vec<Lit> = Vec::from_iter(neg_goal_lit);
                 if !pin_bv(&wire, w, &mut assumptions)
                     || !pin_bv(&busy, bz, &mut assumptions)
                     || !pin_bv(&dev, d, &mut assumptions)
@@ -401,28 +439,48 @@ fn enumerate_ctis(
         }
     }
     verdict.ctis = collected;
+    b
 }
 
-fn add_stats(a: SatStats, b: SatStats) -> SatStats {
-    SatStats {
-        solves: a.solves + b.solves,
-        decisions: a.decisions + b.decisions,
-        propagations: a.propagations + b.propagations,
-        conflicts: a.conflicts + b.conflicts,
-        learned: a.learned + b.learned,
-        restarts: a.restarts + b.restarts,
+/// Solver work pooled across every solver of one run.
+#[derive(Default)]
+struct Tally {
+    stats: SatStats,
+    vars: u64,
+    clauses: u64,
+}
+
+impl Tally {
+    fn add(&mut self, b: &CnfBuilder) {
+        let (a, s) = (&mut self.stats, &b.solver.stats);
+        a.solves += s.solves;
+        a.decisions += s.decisions;
+        a.propagations += s.propagations;
+        a.conflicts += s.conflicts;
+        a.learned += s.learned;
+        a.restarts += s.restarts;
+        self.vars += b.solver.num_vars() as u64;
+        self.clauses += b.solver.num_clauses() as u64;
     }
 }
 
 /// Compares a symbolic run against an explicit run of the same
 /// configuration and options. Returns `Err` with a human-readable
 /// difference report on the first disagreement. Comparable only when the
-/// symbolic run used `max_k = 1` and both used the same `keep_ctis` /
-/// `classify` settings.
+/// symbolic run used `max_k = 1` (an `Err` otherwise) and both used the
+/// same `keep_ctis` / `classify` settings.
 pub fn agrees_with_explicit(
     sym: &KinductRun,
     exp: &crate::induct::InductionRun,
 ) -> Result<(), String> {
+    if sym.max_k != 1 {
+        return Err(format!(
+            "symbolic run used max_k = {}: its base case reaches depth {}, the \
+             enumerator's checks depth 0 only (comparable at max_k = 1)",
+            sym.max_k,
+            sym.max_k - 1
+        ));
+    }
     if sym.cfg != exp.cfg {
         return Err(format!("config mismatch: {:?} vs {:?}", sym.cfg, exp.cfg));
     }
@@ -586,5 +644,53 @@ mod tests {
         assert!(l4.proved_k.is_none());
         assert!(!l4.ctis.is_empty());
         assert!(l4.enum_complete);
+    }
+
+    /// Cap 8 at the deepest `max_k`, unclassified (the bound and the base
+    /// results do not depend on classification).
+    fn deep_opts() -> KinductOptions {
+        KinductOptions {
+            max_k: 8,
+            keep_ctis: 4,
+            classify: InductOptions { classify: 0, ..InductOptions::default() },
+            ..KinductOptions::default()
+        }
+    }
+
+    #[test]
+    fn obligations_proved_at_k1_stop_the_base_case_at_depth_0() {
+        let cfg = IrConfig { wire_cap: 8, ..IrConfig::faithful() };
+        let run = run_kinduction(&cfg, &deep_opts());
+        assert!(run.all_proved(), "{}", render_kinduct_summary(&run));
+        for v in &run.lemmas {
+            assert_eq!(v.proved_k, Some(1), "{} needed k > 1", v.lemma);
+            assert!(v.base_ok, "{}", v.lemma);
+        }
+        // Five level-1 step queries, the closure query, and five base
+        // queries at depth 0 — none at depths 1..7, which k-induction
+        // already rules out.
+        assert_eq!(run.stats.solves, 11, "{}", render_kinduct_summary(&run));
+    }
+
+    #[test]
+    fn unproved_obligations_keep_the_full_depth_base_case() {
+        use dinefd_core::machines::SubjectMutation;
+        use dinefd_explore::ModelMutation;
+        let faithful = IrConfig { wire_cap: 8, ..IrConfig::faithful() };
+        for (cfg, depth) in [
+            (IrConfig { subject_mutation: SubjectMutation::SkipPingDisable, ..faithful }, 3),
+            (IrConfig { subject_mutation: SubjectMutation::IgnoreTriggerGuard, ..faithful }, 1),
+            (IrConfig { model_mutation: ModelMutation::StaleAckReplay, ..faithful }, 5),
+        ] {
+            let run = run_kinduction(&cfg, &deep_opts());
+            for name in ["lemma3", "lemma4"] {
+                let v = run.lemma(name);
+                let ctx = || format!("{cfg:?} {name}:\n{}", render_kinduct_summary(&run));
+                assert_eq!(v.proved_k, None, "{}", ctx());
+                assert!(!v.base_ok, "{}", ctx());
+                assert_eq!(v.cex_depth, Some(depth), "{}", ctx());
+                assert_eq!(v.ctis_enumerated, 64, "{}", ctx());
+            }
+        }
     }
 }

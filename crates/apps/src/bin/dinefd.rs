@@ -30,7 +30,8 @@
 //! --engine NAME             auto | explicit | symbolic | both (default
 //!                           auto: explicit at cap 2, symbolic above;
 //!                           explicit is refused above cap 4)
-//! --max-k N                 symbolic induction depth, 1..=8 (default 1)
+//! --max-k N                 symbolic induction depth, 1..=8 (default 1;
+//!                           above 1 needs --engine symbolic)
 //! --emit-tla FILE           write the TLA+ module for this configuration
 //! --strict                  sequence-checked acks (hardened subject)
 //! --no-crash                forbid the subject crash transition
@@ -569,8 +570,9 @@ enum Engine {
     Explicit,
     /// SAT-based k-induction only.
     Symbolic,
-    /// Run both and assert they agree (cap 2 only — the agreement contract
-    /// compares retained CTI sets, which are enumeration-order-defined).
+    /// Run both and assert they agree (cap 2 and `--max-k 1` only — the
+    /// agreement contract compares retained CTI sets, which are
+    /// enumeration-order-defined, and the enumerator's depth-0 base case).
     Both,
 }
 
@@ -623,8 +625,11 @@ fn analyze(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
     if resolved == Engine::Both && cfg.wire_cap != MIN_WIRE_CAP {
         return Err("--engine both compares retained CTI sets, defined at --wire-cap 2 only".into());
     }
-    if max_k > 1 && matches!(resolved, Engine::Explicit) {
-        return Err("--max-k applies to the symbolic engine (use --engine symbolic or both)".into());
+    if max_k > 1 && resolved == Engine::Explicit {
+        return Err("--max-k applies to the symbolic engine (use --engine symbolic)".into());
+    }
+    if max_k > 1 && resolved == Engine::Both {
+        return Err("--engine both compares one-step induction, defined at --max-k 1 only".into());
     }
 
     if let Some(path) = emit_tla {

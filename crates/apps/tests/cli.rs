@@ -119,6 +119,7 @@ fn analyze_rejects_bad_engine_and_cap_combinations() {
         (&["analyze", "--engine", "explicit", "--wire-cap", "8"][..], "impractical"),
         (&["analyze", "--engine", "both", "--wire-cap", "4"][..], "--wire-cap 2 only"),
         (&["analyze", "--engine", "explicit", "--max-k", "2"][..], "--max-k applies"),
+        (&["analyze", "--engine", "both", "--max-k", "2"][..], "--max-k 1 only"),
         (&["analyze", "--max-k", "9"][..], "out of range"),
         (&["analyze", "--emit-tla"][..], "needs a file path"),
     ] {

@@ -163,7 +163,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                    counterexamples-to-induction the enumerator retains. At cap 2 the two \
                    engines are byte-for-byte interchangeable — verdicts, retained CTI \
                    sets, and replay classifications; at caps 4 and 8 the symbolic engine \
-                   proves the same lemmas over typed domains of up to 1.7e8 states in \
+                   proves the same lemmas over typed domains of up to 2.7e8 states in \
                    milliseconds. Solver statistics are deterministic and serve as \
                    perf-regression baselines."
             .into(),
