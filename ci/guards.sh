@@ -52,7 +52,7 @@ fi
 # 3. Panic-site ratchet (ROADMAP 3(d)): lines of library and binary code
 #    that can abort the process. Turn one into a `Result` or a proved
 #    invariant and lower the ceiling to the new count; it never goes up.
-CEILING=38
+CEILING=37
 total=0
 report=""
 for crate in crates/*/; do
@@ -111,16 +111,18 @@ fi
 # 6. One host. "Call a `DiningParticipant` with a `DiningIo`, tag and
 #    forward what it sent, report the phases it crossed" was written once
 #    per extractor and had drifted; it is `Bank::invoke_dx` in host.rs now,
-#    and the Section 8 node's own diner (fairness.rs) is the one other place
-#    crates/core builds a `DiningIo`. A third constructor call is a private
-#    host growing back; so is a phase walk or a routing scan that ends in
+#    the one place crates/core builds a `DiningIo`. A diner with a think/eat
+#    client is hosted once too, by `DiningDriverNode::invoke` in
+#    crates/dining/src/driver.rs over whichever detector layer feeds it, and
+#    the root crate builds none. Another constructor call is a private host
+#    growing back; so is a phase walk or a routing scan that ends in
 #    `.expect(` where `DinerPhase::next()` and the slot tables are total.
-hits=$(for f in crates/core/src/*.rs; do
+hits=$(for f in crates/core/src/*.rs crates/dining/src/driver.rs src/*.rs; do
   c=$(product_lines "$f" | grep -cF 'DiningIo::' || true)
   if [ "$c" -gt 0 ]; then echo "$f:$c"; fi
 done | tr '\n' ' ')
-if [ "$hits" != "crates/core/src/fairness.rs:1 crates/core/src/host.rs:1 " ]; then
-  echo "structure guard: crates/core/src must build a DiningIo once in host.rs and once in fairness.rs, found: ${hits:-nowhere}"
+if [ "$hits" != "crates/core/src/host.rs:1 crates/dining/src/driver.rs:1 " ]; then
+  echo "structure guard: a DiningIo must be built once in crates/core/src/host.rs and once in crates/dining/src/driver.rs (none in src/), found: ${hits:-nowhere}"
   fail=1
 fi
 for f in crates/core/src/*.rs crates/dining/src/*.rs; do
@@ -238,6 +240,26 @@ sleeps=$(for f in crates/live/src/*.rs; do
 done | awk '{ s += $1 } END { print s + 0 }')
 if [ "$sleeps" -gt 2 ]; then
   echo "structure guard: crates/live/src calls thread::sleep $sleeps times (at most 2: the idle wait and the accept poll)"
+  fail=1
+fi
+
+# 13. One diner host. The think/eat node was written three times, once per
+#     detector beneath the diner (an injected oracle, the reduction's
+#     extracted ◇P, a heartbeat ◇P); it is `DiningDriverNode` over a
+#     `DetectorLayer` now, whose constructor is the one place a `Client` is
+#     built. A second `Client::new(` is a second host, and a file in src/
+#     beside lib.rs is the root crate holding code of its own again instead
+#     of being the facade.
+clients=$(find crates/*/src src -name '*.rs' | sort | while IFS= read -r f; do
+  product_lines "$f" | grep -F 'Client::new(' || true
+done | wc -l)
+if [ "$clients" -ne 1 ]; then
+  echo "structure guard: Client::new( occurs in $clients product lines under crates/*/src and src/ (want 1); one diner host"
+  fail=1
+fi
+extra=$(find src -type f ! -path src/lib.rs | sort | tr '\n' ' ')
+if [ -n "$extra" ]; then
+  echo "structure guard: src/ must hold only lib.rs (the root crate is a facade), also holds: $extra"
   fail=1
 fi
 

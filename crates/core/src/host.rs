@@ -741,22 +741,36 @@ impl<W: Side<K>, S: Side<K>, const K: usize> PairNode<W, S, K> {
     }
 
     /// Runs one context-free step through the pooled buffer and drains its
-    /// effects into the step context.
-    fn with_pooled_out(
+    /// effects into the step context, which may be a composed node's.
+    pub(crate) fn with_pooled_out<M: From<RedMsg>, O: From<RedObs>>(
         &mut self,
-        ctx: &mut Context<'_, RedMsg, RedObs>,
+        ctx: &mut Context<'_, M, O>,
         handle: impl FnOnce(&mut Self, Time, &mut Out),
     ) {
         let mut out = std::mem::take(&mut self.out_buf);
         out.clear();
         handle(self, ctx.now(), &mut out);
         for (to, msg) in out.sends.drain(..) {
-            ctx.send(to, msg);
+            ctx.send(to, msg.into());
         }
         for obs in out.obs.drain(..) {
-            ctx.observe(obs);
+            ctx.observe(obs.into());
         }
         self.out_buf = out;
+    }
+}
+
+/// The extracted detector as an oracle another protocol in this process
+/// can read (`watcher` is by construction `me`), answering as
+/// [`PairNode::suspects`] does. Its size is the span of the routing tables:
+/// `n` for a node over all ordered pairs of `n` processes.
+impl<W: Side<K>, S: Side<K>, const K: usize> FdQuery for PairNode<W, S, K> {
+    fn suspected(&self, _watcher: ProcessId, subject: ProcessId, _now: Time) -> bool {
+        self.suspects(subject)
+    }
+
+    fn len(&self) -> usize {
+        self.witness_by_subject.len()
     }
 }
 

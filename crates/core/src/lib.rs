@@ -60,7 +60,7 @@ pub mod single_dx;
 pub mod wire;
 
 pub use detector::{suspicion_history, HistorySink, PairTimelines, SharedSuspicion};
-pub use fairness::{run_fair_over_extraction, FairOverExtractionNode, FairnessResult};
+pub use fairness::{run_fair_over_extraction, FairnessResult};
 pub use flawed_cm::{run_flawed_pair, FlawedCmNode};
 pub use host::{DxEndpoint, RedMsg, RedObs, ReductionNode, Role};
 pub use machines::{SubjectMachine, WitnessMachine};

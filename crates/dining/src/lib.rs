@@ -27,8 +27,10 @@
 //!   and a legal service with escalating unfairness for the §5.1 remark; and
 //!   an eventually-2-fair upgrade for §8 ([`fair`]);
 //! * trace checkers for ◇WX / WX / wait-freedom / eventual k-fairness
-//!   ([`spec`]) and a workload driver ([`driver`]) for standalone dining
-//!   experiments.
+//!   ([`spec`]), and the one diner host ([`driver`]): a participant and its
+//!   think/eat client over whichever failure-detector layer feeds it — an
+//!   injected oracle, a heartbeat ◇P (the full stack), or `dinefd-core`'s
+//!   extracted ◇P (the §8 pipeline).
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]

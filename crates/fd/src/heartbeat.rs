@@ -22,7 +22,11 @@
 //! The node never reads global time: it counts its *own* timer firings,
 //! which is legitimate local step-counting.
 
-use dinefd_sim::{Context, Node, ProcessId, TimerId, Wire, WireError, WireReader, WireWriter};
+use dinefd_sim::{
+    Context, Node, ProcessId, Time, TimerId, Wire, WireError, WireReader, WireWriter,
+};
+
+use crate::injected::FdQuery;
 
 /// Message type: a heartbeat.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -178,6 +182,18 @@ impl HeartbeatFd {
         for q in self.peers(me) {
             ctx.send(q, Alive);
         }
+    }
+}
+
+/// The module's current output as an oracle another protocol in the same
+/// process can read: `watcher` is by construction the host.
+impl FdQuery for HeartbeatFd {
+    fn suspected(&self, _watcher: ProcessId, subject: ProcessId, _now: Time) -> bool {
+        self.suspects(subject)
+    }
+
+    fn len(&self) -> usize {
+        self.cfg.n
     }
 }
 

@@ -26,7 +26,8 @@ impl Summary {
             return None;
         }
         let mut sorted: Vec<f64> = values.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN in samples"));
+        // Total order: a NaN sorts after every number instead of aborting.
+        sorted.sort_by(f64::total_cmp);
         let n = sorted.len();
         let mean = sorted.iter().sum::<f64>() / n as f64;
         Some(Summary {
@@ -81,6 +82,14 @@ mod tests {
     #[test]
     fn summary_of_empty_is_none() {
         assert!(Summary::of(&[]).is_none());
+    }
+
+    #[test]
+    fn summary_of_a_sample_with_nan_does_not_panic() {
+        let s = Summary::of(&[2.0, f64::NAN, 1.0]).expect("non-empty sample");
+        assert_eq!(s.n, 3);
+        assert_eq!(s.min, 1.0);
+        assert!(s.max.is_nan() && s.mean.is_nan(), "the NaN sorts last and poisons the mean");
     }
 
     #[test]

@@ -8,8 +8,7 @@
 //! cargo run --example full_stack
 //! ```
 
-use dinefd::composite::run_full_stack;
-use dinefd::dining::driver::Workload;
+use dinefd::dining::driver::{run_full_stack, Workload};
 use dinefd::dining::wfdx::WfDxDining;
 use dinefd::prelude::*;
 

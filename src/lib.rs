@@ -33,10 +33,14 @@
 //!   over every interleaving of the pair model, plus weakly-fair liveness
 //!   runs;
 //! * [`apps`] — what the extracted oracle is *for*: stable leader election
-//!   and Chandra–Toueg consensus, runnable over the reduction's output;
-//! * [`composite`] — full-stack assemblies defined here: a real heartbeat
-//!   ◇P feeding the dining layer, closing the loop the paper describes
-//!   (partial synchrony ⇒ ◇P ⇒ WF-◇WX ⇒ ◇P).
+//!   and Chandra–Toueg consensus, runnable over the reduction's output.
+//!
+//! This crate defines nothing of its own. The one dining host,
+//! [`dining::driver::DiningDriverNode`], runs a diner over any failure
+//! detector layer: an injected oracle, the reduction's extracted ◇P (§8),
+//! or a real heartbeat ◇P under partial synchrony —
+//! [`dining::driver::run_full_stack`] closes the loop the paper describes
+//! (partial synchrony ⇒ ◇P ⇒ WF-◇WX ⇒ ◇P).
 //!
 //! ## Quickstart
 //!
@@ -68,8 +72,6 @@ pub use dinefd_explore as explore;
 pub use dinefd_fd as fd;
 pub use dinefd_sim as sim;
 
-pub mod composite;
-
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use dinefd_apps::{ConsensusNode, LeaderElection, ReplayOracle};
@@ -77,6 +79,7 @@ pub mod prelude {
         all_ordered_pairs, run_extraction, run_fair_over_extraction, run_flawed_pair, BlackBox,
         ExtractionResult, OracleSpec, PairTimelines, ReductionNode, Scenario, SharedSuspicion,
     };
+    pub use dinefd_dining::driver::{run_full_stack, DiningDriverNode, Workload};
     pub use dinefd_dining::{
         ConflictGraph, DinerPhase, DiningHistory, DiningIo, DiningMsg, DiningParticipant,
     };

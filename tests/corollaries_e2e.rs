@@ -1,9 +1,10 @@
 //! End-to-end tests of the paper's secondary results: the Section 3
-//! separation, the Section 8 fairness corollary, and the Section 9
-//! T-extraction.
+//! separation, the Section 8 fairness corollary, the Section 9
+//! T-extraction, and the full stack (a heartbeat ◇P feeding the diner).
 
 use dinefd::core::fairness::run_fair_over_extraction;
-use dinefd::dining::driver::Workload;
+use dinefd::dining::driver::{run_full_stack, Workload};
+use dinefd::dining::wfdx::WfDxDining;
 use dinefd::dining::ConflictGraph;
 use dinefd::prelude::*;
 
@@ -120,4 +121,68 @@ fn section9_t_oracle_under_ftme_also_works() {
     let res = run_extraction(sc);
     assert!(res.history.trusting_accuracy(&crashes).is_ok());
     assert!(res.history.strong_completeness(&crashes).is_ok());
+}
+
+// ---------------- Full stack ----------------
+
+#[test]
+fn full_stack_ring_with_crash() {
+    let graph = ConflictGraph::ring(4);
+    let res = run_full_stack(
+        &graph,
+        |p, nbrs| Box::new(WfDxDining::new(p, nbrs)),
+        31,
+        Time(3_000),
+        CrashPlan::one(ProcessId(2), Time(8_000)),
+        Time(80_000),
+        Workload::relaxed(),
+    );
+    // The heartbeat layer is a genuine ◇P in this run…
+    let classes = res.fd.classify(&res.crashes);
+    assert!(classes.contains(&OracleClass::EventuallyPerfect), "fd classes: {classes:?}");
+    // …so the dining layer above it is wait-free and eventually exclusive.
+    assert!(res.dining.legal_transitions().is_ok());
+    assert!(res.dining.wait_freedom(&res.crashes, 15_000).is_ok());
+    let converged = res.dining.wx_converged_from(&graph, &res.crashes);
+    assert!(converged < Time(60_000), "exclusion violations persist: {converged:?}");
+    for p in res.crashes.correct(4) {
+        assert!(res.dining.session_count(p) > 10, "{p} barely ate");
+    }
+}
+
+/// `seed: meals / sessions of p0..p3 / heartbeat changes` of the full stack
+/// (the ◇P fork diner over a heartbeat ◇P, GST at t = 15000) on a 4-ring
+/// whose p2 crashes at t = 8000. A meal is a session the diner finished (a
+/// return to thinking); a session is one it started. The late GST makes the
+/// heartbeat err and repent before it stabilises, so the diner's re-check on
+/// a cleared suspicion runs too.
+const FULL_STACK_GOLDEN: &str = "\
+31: 1404 1567 55 1494 / 1405 1567 56 1494 / 7
+32: 1411 1550 53 1543 / 1412 1550 53 1543 / 7
+";
+
+#[test]
+fn full_stack_eats_and_suspects_what_it_did() {
+    let graph = ConflictGraph::ring(4);
+    let mut rows = String::new();
+    for seed in [31u64, 32] {
+        let res = run_full_stack(
+            &graph,
+            |p, nbrs| Box::new(WfDxDining::new(p, nbrs)),
+            seed,
+            Time(15_000),
+            CrashPlan::one(ProcessId(2), Time(8_000)),
+            Time(40_000),
+            Workload::busy(),
+        );
+        let per_process = |count: &dyn Fn(ProcessId) -> usize| {
+            ProcessId::all(4).map(|p| count(p).to_string()).collect::<Vec<_>>().join(" ")
+        };
+        let meals = per_process(&|p| {
+            res.dining.phase_intervals(p, DinerPhase::Thinking, &res.crashes).len()
+        });
+        let sessions = per_process(&|p| res.dining.session_count(p));
+        rows += &format!("{seed}: {meals} / {sessions} / {}\n", res.fd.change_count());
+    }
+    assert_eq!(rows, FULL_STACK_GOLDEN);
 }
