@@ -256,12 +256,18 @@ const PUMP_BUDGET: usize = 4;
 /// per-pair structs, and one scratch buffer serves every slot.
 ///
 /// A tick polls what can move, not every pair. While every participant
-/// promises [`DiningParticipant::ticks_only_while_hungry`], only the
-/// endpoints `last_phase` shows hungry get `on_tick`, and a slot is pumped
-/// only if one of them was ticked or its last pump is still pending: every
-/// handler that touches a slot ends in `pump`, so nothing else can have
-/// become enabled since. One participant that does not promise puts the
-/// whole bank back on ticking and pumping everything.
+/// promises [`DiningParticipant::ticks_only_while_suspecting`], `on_tick`
+/// reaches only the endpoints `last_phase` shows hungry, and only while the
+/// detector suspects their slot's peer, the one instance neighbour. A slot
+/// is pumped only if one of them was ticked or its last pump is still
+/// pending: every handler that touches a slot ends in `pump`, so nothing
+/// else can have become enabled since. Each slot remembers until when
+/// [`FdQuery::unsuspected_until`] said its peer stays trusted and is not
+/// asked again before then, and the bank remembers the earliest instant any
+/// of that can change — a hungry slot's peer may be suspected, or a pump is
+/// pending — so a tick before it returns at once. One participant that does
+/// not promise puts the whole bank back on ticking and pumping everything.
+/// Ticks must come in time order.
 pub struct Bank<S, const K: usize> {
     me: ProcessId,
     /// The other end of each slot's pair.
@@ -274,7 +280,16 @@ pub struct Bank<S, const K: usize> {
     /// Whether the slot's last pump stopped on [`PUMP_BUDGET`] instead of on
     /// "nothing enabled" (or has yet to run), so the next tick must pump.
     pump_pending: Vec<bool>,
-    /// AND of the participants' `ticks_only_while_hungry`, taken at `push`.
+    /// Before this instant the detector trusts the slot's peer
+    /// ([`Time::ZERO`] until first asked).
+    trusted_until: Vec<Time>,
+    /// No tick before this instant can move anything: the earliest
+    /// `trusted_until` of a slot with a hungry endpoint, [`Time::ZERO`] while
+    /// a pump is pending. Lowered as slots change, recomputed by each tick
+    /// that walks the bank.
+    quiet_until: Time,
+    /// AND of the participants' `ticks_only_while_suspecting`, taken at
+    /// `push`.
     skip_idle_ticks: bool,
     // One reused DiningIo send buffer for the whole bank (hot-loop
     // allocation hygiene).
@@ -296,6 +311,8 @@ impl<S: Side<K>, const K: usize> Bank<S, K> {
             dx: Vec::new(),
             last_phase: Vec::new(),
             pump_pending: Vec::new(),
+            trusted_until: Vec::new(),
+            quiet_until: Time::ZERO,
             skip_idle_ticks: true,
             scratch: Vec::new(),
         }
@@ -315,12 +332,13 @@ impl<S: Side<K>, const K: usize> Bank<S, K> {
         let dx: [Box<dyn DiningParticipant>; K] = std::array::from_fn(|i| {
             factory(DxEndpoint { me, peer, watcher, subject, instance: i as u8 })
         });
-        self.skip_idle_ticks &= dx.iter().all(|p| p.ticks_only_while_hungry());
+        self.skip_idle_ticks &= dx.iter().all(|p| p.ticks_only_while_suspecting());
         self.peers.push(peer);
         self.sides.push(side);
         self.dx.push(dx);
         self.last_phase.push([DinerPhase::Thinking; K]);
         self.pump_pending.push(true);
+        self.trusted_until.push(Time::ZERO);
     }
 
     /// Number of pairs in the bank.
@@ -337,7 +355,8 @@ impl<S: Side<K>, const K: usize> Bank<S, K> {
                 + size_of::<S>()
                 + size_of::<[Box<dyn DiningParticipant>; K]>()
                 + size_of::<[DinerPhase; K]>()
-                + size_of::<bool>())
+                + size_of::<bool>()
+                + size_of::<Time>())
             + self.dx.iter().flatten().map(|p| size_of_val(&**p)).sum::<usize>()
     }
 
@@ -368,6 +387,9 @@ impl<S: Side<K>, const K: usize> Bank<S, K> {
         while *last != now_phase {
             *last = last.next();
             out.obs.push(RedObs::DxPhase { watcher, subject, role, instance, phase: *last });
+        }
+        if now_phase == DinerPhase::Hungry {
+            self.quiet_until = self.quiet_until.min(self.trusted_until[slot]);
         }
     }
 
@@ -411,9 +433,10 @@ impl<S: Side<K>, const K: usize> Bank<S, K> {
         for _ in 0..PUMP_BUDGET {
             if !self.fire(slot, now, fd, out, S::step) {
                 self.pump_pending[slot] = false;
-                break;
+                return;
             }
         }
+        self.quiet_until = Time::ZERO;
     }
 
     #[allow(clippy::too_many_arguments)] // slot-addressed bank entry point
@@ -444,16 +467,56 @@ impl<S: Side<K>, const K: usize> Bank<S, K> {
         self.pump(slot, now, fd, out);
     }
 
-    fn on_tick(&mut self, slot: usize, now: Time, fd: &dyn FdQuery, out: &mut Out) {
-        let mut pump = self.pump_pending[slot];
-        for i in 0..K {
-            if !self.skip_idle_ticks || self.last_phase[slot][i] == DinerPhase::Hungry {
-                self.invoke_dx(slot, i, now, fd, out, |p, io| p.on_tick(io));
+    fn hungry(&self, slot: usize) -> bool {
+        self.last_phase[slot].contains(&DinerPhase::Hungry)
+    }
+
+    /// Whether the detector suspects the slot's peer now, asked only once
+    /// the last answer's [`FdQuery::unsuspected_until`] has passed.
+    fn peer_suspected(&mut self, slot: usize, now: Time, fd: &dyn FdQuery) -> bool {
+        if now < self.trusted_until[slot] {
+            return false;
+        }
+        let (me, peer) = (self.me, self.peers[slot]);
+        let suspected = fd.suspected(me, peer, now);
+        if !suspected {
+            self.trusted_until[slot] = fd.unsuspected_until(me, peer, now);
+        }
+        suspected
+    }
+
+    /// The bank's periodic step: ticks what the promise leaves to tick and
+    /// pumps the slots that may have moved.
+    fn on_tick(&mut self, now: Time, fd: &dyn FdQuery, out: &mut Out) {
+        if !self.skip_idle_ticks {
+            for slot in 0..self.len() {
+                for i in 0..K {
+                    self.invoke_dx(slot, i, now, fd, out, |p, io| p.on_tick(io));
+                }
+                self.pump(slot, now, fd, out);
+            }
+            return;
+        }
+        if now < self.quiet_until {
+            return;
+        }
+        self.quiet_until = Time::INFINITY;
+        for slot in 0..self.len() {
+            let mut pump = self.pump_pending[slot];
+            if self.hungry(slot) && self.peer_suspected(slot, now, fd) {
+                for i in 0..K {
+                    if self.last_phase[slot][i] == DinerPhase::Hungry {
+                        self.invoke_dx(slot, i, now, fd, out, |p, io| p.on_tick(io));
+                    }
+                }
                 pump = true;
             }
-        }
-        if pump {
-            self.pump(slot, now, fd, out);
+            if pump {
+                self.pump(slot, now, fd, out);
+            }
+            if self.hungry(slot) {
+                self.quiet_until = self.quiet_until.min(self.trusted_until[slot]);
+            }
         }
     }
 }
@@ -708,12 +771,8 @@ impl<W: Side<K>, S: Side<K>, const K: usize> PairNode<W, S, K> {
 
     /// Context-free tick step, appending effects to a caller-pooled buffer.
     pub fn handle_tick_into(&mut self, now: Time, out: &mut Out) {
-        for slot in 0..self.witnesses.len() {
-            self.witnesses.on_tick(slot, now, &*self.fd, out);
-        }
-        for slot in 0..self.subjects.len() {
-            self.subjects.on_tick(slot, now, &*self.fd, out);
-        }
+        self.witnesses.on_tick(now, &*self.fd, out);
+        self.subjects.on_tick(now, &*self.fd, out);
     }
 
     /// Convenience wrapper over [`PairNode::handle_start_into`]

@@ -144,6 +144,11 @@ impl DiningParticipant for HygienicDining {
         }
     }
 
+    // The tick is the trait's no-op: it acts in no phase at all.
+    fn ticks_only_while_suspecting(&self) -> bool {
+        true
+    }
+
     fn phase(&self) -> DinerPhase {
         self.phase
     }

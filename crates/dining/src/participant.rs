@@ -19,9 +19,11 @@
 //! * `on_tick` must be invoked infinitely often for every live participant
 //!   that has not promised otherwise (it is where suspicion-driven protocols
 //!   re-evaluate their failure detector). For a participant whose
-//!   [`DiningParticipant::ticks_only_while_hungry`] is `true`, infinitely
-//!   often *while its phase is `Hungry`* suffices: a host may skip its ticks
-//!   in every other phase.
+//!   [`DiningParticipant::ticks_only_while_suspecting`] is `true`,
+//!   infinitely often *while its phase is `Hungry` and the detector suspects
+//!   an instance neighbour* suffices: a host may skip every other tick. A
+//!   host that knows from [`FdQuery::unsuspected_until`] that no neighbour
+//!   can be suspected before some instant need not even ask until then.
 //!
 //! Phase changes are the protocol's own doing; hosts detect them by
 //! comparing `phase()` before and after each call.
@@ -151,12 +153,14 @@ pub trait DiningParticipant: fmt::Debug + Send {
     /// Periodic re-evaluation hook (failure-detector polling).
     fn on_tick(&mut self, _io: &mut DiningIo<'_>) {}
 
-    /// A promise to the host: `on_tick` in any phase other than `Hungry`
-    /// changes nothing a later call or the host can observe — no message, no
-    /// phase change, no state another method reads — so those ticks may be
-    /// skipped. `false` (the default) promises nothing; an adapter that does
-    /// not forward this method therefore stays correct, only unskipped.
-    fn ticks_only_while_hungry(&self) -> bool {
+    /// A promise to the host: `on_tick` changes nothing a later call or the
+    /// host can observe — no message, no phase change, no state another
+    /// method reads — unless the phase is `Hungry` *and* the detector
+    /// suspects an instance neighbour at that instant, so every other tick
+    /// may be skipped. `false` (the default) promises nothing; an adapter
+    /// that does not forward this method therefore stays correct, only
+    /// unskipped.
+    fn ticks_only_while_suspecting(&self) -> bool {
         false
     }
 

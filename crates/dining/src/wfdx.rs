@@ -603,9 +603,13 @@ impl DiningParticipant for WfDxDining {
         }
     }
 
-    // `on_tick` under `SuspicionPolicy::Direct` returns at once unless
-    // hungry; a trust-gated diner refreshes its trust bits in every phase.
-    fn ticks_only_while_hungry(&self) -> bool {
+    // Under `SuspicionPolicy::Direct`, `on_tick` returns at once unless
+    // hungry, and a hungry diner whose gate is open lacks a fork after every
+    // call (one that holds them all eats inside the call that brought the
+    // last), so only a suspicion can let a tick start a meal. The trust bits
+    // the tick refreshes are read by `TrustGated` only, which refreshes them
+    // in every phase and promises nothing.
+    fn ticks_only_while_suspecting(&self) -> bool {
         self.policy == SuspicionPolicy::Direct
     }
 
@@ -619,7 +623,7 @@ mod tests {
     use super::*;
     use crate::participant::NoOracle;
     use dinefd_fd::{FdQuery, InjectedOracle};
-    use dinefd_sim::{CrashPlan, Time};
+    use dinefd_sim::{CrashPlan, SplitMix64, Time};
 
     fn p(i: u32) -> ProcessId {
         ProcessId(i)
@@ -887,8 +891,8 @@ mod tests {
         assert_eq!(d.phase(), DinerPhase::Eating);
         assert!(d.holds_fork(p(0)));
         // Only the Direct policy promises tick-skipping.
-        assert!(!d.ticks_only_while_hungry());
-        assert!(WfDxDining::new(p(1), &[p(0)]).ticks_only_while_hungry());
+        assert!(!d.ticks_only_while_suspecting());
+        assert!(WfDxDining::new(p(1), &[p(0)]).ticks_only_while_suspecting());
     }
 
     /// Counts the queries it answers (never suspecting).
@@ -1048,5 +1052,69 @@ mod tests {
             let mut io = DiningIo::new(p(0), Time(t * 10 + 1), &fd);
             d.exit_eating(&mut io);
         }
+    }
+
+    /// Answers every query with a fresh coin flip.
+    #[derive(Debug)]
+    struct CoinOracle(std::cell::RefCell<SplitMix64>);
+
+    impl FdQuery for CoinOracle {
+        fn suspected(&self, _watcher: ProcessId, _subject: ProcessId, _now: Time) -> bool {
+            self.0.borrow_mut().below(2) == 0
+        }
+
+        fn len(&self) -> usize {
+            3
+        }
+    }
+
+    /// What `ticks_only_while_suspecting` rests on: whatever the schedule
+    /// and whatever the oracle answers, a `Direct` diner that a call leaves
+    /// hungry with its gate open lacks a fork — one that holds them all has
+    /// eaten inside the call — so its tick can start a meal only through a
+    /// suspicion.
+    #[test]
+    fn a_hungry_direct_diner_with_its_gate_open_lacks_a_fork_after_every_call() {
+        let ids = [p(0), p(1), p(2)];
+        let mut checked = 0;
+        for seed in 0..64 {
+            let mut rng = SplitMix64::new(seed);
+            let fd = CoinOracle(std::cell::RefCell::new(SplitMix64::new(!seed)));
+            let mut diners: Vec<WfDxDining> = ids
+                .iter()
+                .map(|&me| {
+                    let nbrs: Vec<ProcessId> = ids.into_iter().filter(|&q| q != me).collect();
+                    WfDxDining::new(me, &nbrs)
+                })
+                .collect();
+            // In flight, delivered in any order: (from, to, message).
+            let mut wire: Vec<(ProcessId, ProcessId, DiningMsg)> = Vec::new();
+            for step in 0..400 {
+                let k = if !wire.is_empty() && rng.below(2) == 0 {
+                    let (from, to, msg) = wire.swap_remove(rng.below(wire.len() as u64) as usize);
+                    let mut io = DiningIo::new(to, Time(step), &fd);
+                    diners[to.index()].on_message(&mut io, from, msg);
+                    wire.extend(io.finish().sends.into_iter().map(|(q, m)| (to, q, m)));
+                    to.index()
+                } else {
+                    let k = rng.below(3) as usize;
+                    let (d, mut io) = (&mut diners[k], DiningIo::new(ids[k], Time(step), &fd));
+                    match d.phase() {
+                        _ if rng.below(4) == 0 => d.on_tick(&mut io),
+                        DinerPhase::Thinking => d.hungry(&mut io),
+                        DinerPhase::Eating => d.exit_eating(&mut io),
+                        _ => d.on_tick(&mut io),
+                    }
+                    wire.extend(io.finish().sends.into_iter().map(|(q, m)| (ids[k], q, m)));
+                    k
+                };
+                let d = &diners[k];
+                if d.phase() == DinerPhase::Hungry && d.gate_open {
+                    checked += 1;
+                    assert!(d.edges.iter().any(|e| !e.has_fork), "seed {seed}, step {step}: {d:?}");
+                }
+            }
+        }
+        assert!(checked > 1_000, "only {checked} calls left a diner hungry");
     }
 }

@@ -26,6 +26,15 @@ pub trait FdQuery: fmt::Debug {
     /// Does `watcher`'s module currently suspect `subject`?
     fn suspected(&self, watcher: ProcessId, subject: ProcessId, now: Time) -> bool;
 
+    /// Once [`FdQuery::suspected`] has answered `false` for this pair at
+    /// `now`: an instant after `now` before which it keeps answering `false`,
+    /// so a caller polling the pair may skip the queries until then. The
+    /// default, `now + 1`, promises nothing past `now`; an adapter that does
+    /// not forward this method therefore stays correct, only unhinted.
+    fn unsuspected_until(&self, _watcher: ProcessId, _subject: ProcessId, now: Time) -> Time {
+        now + 1
+    }
+
     /// System size.
     fn len(&self) -> usize;
 
@@ -93,6 +102,12 @@ impl MistakePlan {
     /// The scheduled intervals.
     pub fn intervals(&self) -> &[(Time, Time)] {
         &self.intervals
+    }
+
+    /// The start of the first interval not over by `t` ([`Time::INFINITY`]
+    /// if none): the plan says "trust" from `t` until then.
+    fn next_mistake(&self, t: Time) -> Time {
+        self.intervals.iter().find(|&&(_, e)| t < e).map_or(Time::INFINITY, |&(s, _)| s)
     }
 
     /// The end of the last mistake interval ([`Time::ZERO`] if none).
@@ -200,6 +215,17 @@ impl FdQuery for InjectedOracle {
         self.mistakes[watcher.index() * self.n + subject.index()].active_at(now)
     }
 
+    /// The earlier of the subject's detection (crash plus lag) and the start
+    /// of the pair's next mistake.
+    fn unsuspected_until(&self, watcher: ProcessId, subject: ProcessId, now: Time) -> Time {
+        if watcher == subject {
+            return Time::INFINITY;
+        }
+        let detected =
+            self.crashes.crash_time(subject).map_or(Time::INFINITY, |t| t + self.detection_lag);
+        detected.min(self.mistakes[watcher.index() * self.n + subject.index()].next_mistake(now))
+    }
+
     fn len(&self) -> usize {
         self.n
     }
@@ -299,5 +325,39 @@ mod tests {
             assert!(iv.iter().all(|&(s, e)| s < e && e <= Time(300)));
             assert!(iv.windows(2).all(|w| w[0].1 <= w[1].0));
         }
+    }
+
+    /// Wherever `suspected` answers `false`, `unsuspected_until` lies after
+    /// `now` and every instant before it answers `false` too; for these
+    /// oracles it is exact, the first instant answering `true`. Covers
+    /// `watcher == subject` and a subject that crashes.
+    #[test]
+    fn unsuspected_until_is_after_now_and_no_suspicion_comes_before_it() {
+        const END: u64 = 700;
+        let crashes = CrashPlan::one(p(2), Time(300));
+        let mut rng = SplitMix64::new(13);
+        let oracles = [
+            ("P", InjectedOracle::perfect(4, crashes.clone(), 10)),
+            ("◇P", InjectedOracle::diamond_p(4, crashes.clone(), 10, Time(400), 6, 40, &mut rng)),
+            ("T", InjectedOracle::trusting(4, crashes, 10, Time(200), &mut rng)),
+        ];
+        let (mut hinted, mut open_ended) = (0, 0);
+        for (name, o) in &oracles {
+            for (w, s) in (0..4).flat_map(|w| (0..4).map(move |s| (p(w), p(s)))) {
+                let answers: Vec<bool> = (0..END).map(|t| o.suspected(w, s, Time(t))).collect();
+                for now in (0..END).filter(|&t| !answers[t as usize]) {
+                    let until = o.unsuspected_until(w, s, Time(now));
+                    let what = format!("{name} {w}->{s} at {now}: {until:?}");
+                    assert!(until > Time(now), "{what}");
+                    match (now..END).find(|&t| answers[t as usize]) {
+                        Some(first) => assert_eq!(until, Time(first), "{what}"),
+                        None => assert!(until >= Time(END), "{what}"),
+                    }
+                    hinted += 1;
+                    open_ended += usize::from(until == Time::INFINITY);
+                }
+            }
+        }
+        assert!(hinted > 10_000 && open_ended > 1_000, "{hinted} hints, {open_ended} open-ended");
     }
 }

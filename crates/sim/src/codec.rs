@@ -69,11 +69,10 @@ pub fn take_varint(input: &mut &[u8]) -> Option<u64> {
 #[inline]
 pub fn hash64(bytes: &[u8]) -> u64 {
     let mut h = 0x9e37_79b9_7f4a_7c15u64 ^ (bytes.len() as u64).wrapping_mul(0xff51_afd7_ed55_8ccd);
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        h = mix64(h ^ u64::from_le_bytes(c.try_into().expect("exact chunk")));
+    let (chunks, rem) = bytes.as_chunks::<8>();
+    for &c in chunks {
+        h = mix64(h ^ u64::from_le_bytes(c));
     }
-    let rem = chunks.remainder();
     if !rem.is_empty() {
         let mut tail = [0u8; 8];
         tail[..rem.len()].copy_from_slice(rem);
@@ -133,6 +132,26 @@ mod tests {
         assert_ne!(hash64(b"abcdefgh"), hash64(b"abcdefgh\0"));
         // Deterministic.
         assert_eq!(hash64(b"dinefd"), hash64(b"dinefd"));
+    }
+
+    /// The explorer's visited store and the fuzz corpus digests are keyed by
+    /// these fingerprints, so a rewrite of the chunk loop must leave every
+    /// value where it is.
+    #[test]
+    fn hash64_values_are_pinned() {
+        let long: Vec<u8> = (0u8..=40).collect();
+        let pins: [(&[u8], u64); 7] = [
+            (b"", 0x6e78_9e6a_a1b9_65f4),
+            (b"\0", 0x8b3f_3b8e_38ca_4444),
+            (b"dinefd", 0x17af_5112_904c_9419),
+            (b"abcdefgh", 0x1501_b283_fca5_90c6),
+            (b"abcdefgh\0", 0x425f_955f_d03c_270e),
+            (b"dining philosophers", 0x3483_44dc_19eb_ea49),
+            (&long, 0x8bed_389b_58e2_2cb1),
+        ];
+        for (bytes, pin) in pins {
+            assert_eq!(hash64(bytes), pin, "{bytes:?}");
+        }
     }
 
     #[test]
