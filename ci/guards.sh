@@ -263,4 +263,36 @@ if [ -n "$extra" ]; then
   fail=1
 fi
 
+# 14. One scenario document. The DSL lived in crates/sim, whose engine never
+#     reads it, and spelled each seeded mutant a third time (`…MutationSpec`
+#     mirrors) behind translators back to the real enums
+#     (`ExploreConfig::from_scenario`, `FuzzConfig::from_scenario`). It is
+#     crates/fuzz/src/scenario_dsl.rs now: `[model]` and `[fuzz]` parse
+#     straight into `FuzzConfig`, the mutants' spellings are tables on their
+#     own enums, and the extraction builder sits beside the parser. A DSL
+#     file back in sim, a mirror or translator, the DSL or its builder named
+#     in sim/core/explore, or a second parser is that copy growing back.
+if [ -e crates/sim/src/scenario_dsl.rs ]; then
+  echo "structure guard: crates/sim/src/scenario_dsl.rs exists; the scenario DSL lives in crates/fuzz/src"
+  fail=1
+fi
+for f in $(find crates/*/src -name '*.rs' | sort); do
+  if product_lines "$f" | grep -nE 'MutationSpec|from_scenario'; then
+    echo "structure guard: $f mirrors a mutation enum or translates a scenario; parse into the engines' own types"
+    fail=1
+  fi
+done
+for f in $(find crates/sim/src crates/core/src crates/explore/src -name '*.rs' | sort); do
+  if product_lines "$f" | grep -nE 'scenario_dsl|from_dsl'; then
+    echo "structure guard: $f names the scenario DSL; it and its extraction builder belong to crates/fuzz"
+    fail=1
+  fi
+done
+for f in $(find crates/*/src src -name '*.rs' -not -path 'crates/fuzz/src/*' | sort); do
+  if product_lines "$f" | grep -nF 'fn parse(text: &str) -> Result<Scenario'; then
+    echo "structure guard: $f holds a scenario parser; the one parser is in crates/fuzz/src"
+    fail=1
+  fi
+done
+
 exit "$fail"

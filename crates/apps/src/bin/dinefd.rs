@@ -125,8 +125,9 @@ use dinefd_analyze::kinduct::{
     agrees_with_explicit, render_kinduct_summary, run_kinduction, KinductOptions,
 };
 use dinefd_analyze::lints::{render_lints, run_lints};
-use dinefd_fuzz::{FuzzConfig, Fuzzer};
-use dinefd_sim::scenario_dsl::{ModelMutationSpec, ModelSection, Scenario, SubjectMutationSpec};
+use dinefd_explore::{ExploreConfig, ModelMutation, SubjectMutation};
+use dinefd_fuzz::scenario_dsl::Scenario;
+use dinefd_fuzz::Fuzzer;
 use std::fmt::Display;
 use std::io::Write as _;
 use std::ops::RangeInclusive;
@@ -258,22 +259,25 @@ impl<'a> Flags<'a> {
     }
 }
 
-/// The model flags `analyze` and `fuzz` share, parsed into the scenario
-/// DSL's `[model]` section (whose mutation spellings these are; `none` is
-/// the absence of the flag, not a value of it). `Ok(false)`: not one of them.
-fn model_flag(flag: &str, flags: &mut Flags<'_>, model: &mut ModelSection) -> Result<bool, String> {
-    use {ModelMutationSpec as M, SubjectMutationSpec as S};
+/// The model flags `analyze` and `fuzz` share, written into the explorer's
+/// config. The mutation spellings are the enums' own, as in the scenario
+/// DSL; `none` (each table's first entry) is the absence of the flag, not a
+/// value of it. `Ok(false)`: not one of them.
+fn model_flag(
+    flag: &str,
+    flags: &mut Flags<'_>,
+    model: &mut ExploreConfig,
+) -> Result<bool, String> {
     match flag {
         "--strict" => model.strict_seq = true,
         "--no-crash" => model.allow_crash = false,
         "--subject-mutation" => {
-            let table = [S::SkipPingDisable, S::IgnoreTriggerGuard, S::SkipTriggerUpdate];
-            let table = table.map(|m| (m.name(), m));
-            model.subject_mutation = flags.one_of(flag, "a value", "subject mutation", &table)?.1;
+            let table = &SubjectMutation::SPELLINGS[1..];
+            model.subject_mutation = flags.one_of(flag, "a value", "subject mutation", table)?.1;
         }
         "--model-mutation" => {
-            let table = [M::DropPingSend, M::StaleAckReplay].map(|m| (m.name(), m));
-            model.model_mutation = flags.one_of(flag, "a value", "model mutation", &table)?.1;
+            let table = &ModelMutation::SPELLINGS[1..];
+            model.model_mutation = flags.one_of(flag, "a value", "model mutation", table)?.1;
         }
         _ => return Ok(false),
     }
@@ -299,12 +303,12 @@ fn fuzz(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
                 v => return Err(format!("--corpus-seeds {v} out of range")),
             },
             "--time-budget-secs" => time_budget = Some(flags.int_in(flag, ANY)?),
-            _ if model_flag(flag, &mut flags, &mut doc.model)? => {}
+            _ if model_flag(flag, &mut flags, &mut doc.fuzz.explore)? => {}
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
 
-    let mut fuzzer = Fuzzer::new(FuzzConfig::from_scenario(&doc));
+    let mut fuzzer = Fuzzer::new(doc.fuzz);
     if let Some(secs) = time_budget {
         fuzzer = fuzzer.with_time_budget(Duration::from_secs(secs));
     }
@@ -348,7 +352,7 @@ fn fuzz(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
 }
 
 fn extract(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
-    use dinefd_core::{run_extraction, BlackBox};
+    use dinefd_core::{run_extraction, BlackBox, MAX_N};
     use dinefd_sim::{ProcessId, Time};
 
     // No pair list: the run monitors every ordered pair of the final `--n`.
@@ -357,7 +361,7 @@ fn extract(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
         dinefd_core::Scenario { n: 8, pairs: Vec::new(), horizon: Time(5_000), ..defaults };
     while let Some(flag) = flags.next() {
         match flag {
-            "--n" => sc.n = flags.int_in(flag, 2..=4096)? as usize,
+            "--n" => sc.n = flags.int_in(flag, 2..=MAX_N as u64)? as usize,
             "--seed" => sc.seed = flags.int_in(flag, ANY)?,
             "--horizon" => sc.horizon = Time(flags.int_in(flag, 1..=u64::MAX)?),
             "--shards" => sc.shards = flags.int_in(flag, 1..=256)? as usize,
@@ -583,7 +587,7 @@ fn analyze(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
         ("symbolic", Engine::Symbolic),
         ("both", Engine::Both),
     ];
-    let mut doc = Scenario::default();
+    let mut model = ExploreConfig::default();
     let mut cfg = IrConfig::faithful();
     let mut classify = true;
     let mut do_lints = true;
@@ -600,12 +604,10 @@ fn analyze(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
             "--engine" => engine = flags.one_of(flag, "a value", "engine", &engines)?.1,
             "--max-k" => max_k = flags.quoted_in(flag, 1..=8)?,
             "--emit-tla" => emit_tla = Some(flags.value(flag, "a file path")?),
-            _ if model_flag(flag, &mut flags, &mut doc.model)? => {}
+            _ if model_flag(flag, &mut flags, &mut model)? => {}
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    // The engine-side spelling of the model flags is the explorer's.
-    let model = dinefd_explore::ExploreConfig::from_scenario(&doc);
     (cfg.strict_seq, cfg.allow_crash) = (model.strict_seq, model.allow_crash);
     (cfg.subject_mutation, cfg.model_mutation) = (model.subject_mutation, model.model_mutation);
     // Engine/cap compatibility: the explicit sweep is O((cap+1)^4) states

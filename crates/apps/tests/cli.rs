@@ -100,6 +100,21 @@ fn live_rejects_a_crash_outside_the_trial() {
 }
 
 #[test]
+fn fuzz_scenario_rejects_the_sim_threads_key() {
+    let path = std::env::temp_dir().join(format!("dinefd_cli_threads_{}.scn", std::process::id()));
+    std::fs::write(&path, "[sim]\nthreads = 2\n").expect("write scenario");
+    let out = dinefd(&["fuzz", "--scenario", path.to_str().expect("utf-8 temp path")]);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(out.status.code(), Some(64), "a removed key is a usage error");
+    let first = stderr(&out).lines().next().unwrap_or_default().to_owned();
+    assert!(
+        first.ends_with(": scenario line 2: unknown [sim] key `threads`"),
+        "unexpected error line: {first}"
+    );
+    assert!(stdout(&out).is_empty(), "no campaign runs on a refused scenario");
+}
+
+#[test]
 fn help_prints_usage_on_stdout_and_exits_zero() {
     for args in [&["--help"][..], &["analyze", "--help"][..], &["-h"][..]] {
         let out = dinefd(args);

@@ -6,9 +6,8 @@
 //! metrics across reruns — every `e12.*` key below is diffed against the
 //! committed baseline in CI.
 
-use dinefd_explore::ExploreConfig;
-use dinefd_fuzz::{fuzz_scenario, replay, FuzzReport};
-use dinefd_sim::scenario_dsl::Scenario;
+use dinefd_fuzz::scenario_dsl::Scenario;
+use dinefd_fuzz::{replay, FuzzReport, Fuzzer};
 use dinefd_sim::MetricMap;
 
 use crate::table::{Report, Table};
@@ -35,7 +34,7 @@ fn scenario_for(model_body: &str, iterations: u64) -> Scenario {
 }
 
 fn campaign(model_body: &str, iterations: u64) -> FuzzReport {
-    fuzz_scenario(&scenario_for(model_body, iterations))
+    Fuzzer::new(scenario_for(model_body, iterations).fuzz).run()
 }
 
 /// Runs E12 and returns the report.
@@ -79,7 +78,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
 
         // Replay-confirm every minimized prefix against the same scenario's
         // model — a finding that does not reproduce does not count.
-        let explore_cfg = ExploreConfig::from_scenario(&scenario_for(model_body, iterations));
+        let explore_cfg = scenario_for(model_body, iterations).fuzz.explore;
         let mut confirmed = 0u64;
         for f in &report.findings {
             let out = replay(&explore_cfg, &f.minimized)

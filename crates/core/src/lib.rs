@@ -65,6 +65,6 @@ pub use flawed_cm::{run_flawed_pair, FlawedCmNode};
 pub use host::{DxEndpoint, RedMsg, RedObs, ReductionNode, Role};
 pub use machines::{SubjectMachine, WitnessMachine};
 pub use scenario::{
-    all_ordered_pairs, run_extraction, BlackBox, ExtractionResult, OracleSpec, Scenario,
+    all_ordered_pairs, run_extraction, BlackBox, ExtractionResult, OracleSpec, Scenario, MAX_N,
 };
 pub use single_dx::{run_single_pair, SingleDxNode};

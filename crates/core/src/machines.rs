@@ -237,6 +237,22 @@ pub enum SubjectMutation {
     SkipTriggerUpdate,
 }
 
+impl SubjectMutation {
+    /// Each variant's spelling in `dinefd --subject-mutation` and the
+    /// scenario DSL's `subject_mutation` key, in declaration order.
+    pub const SPELLINGS: [(&'static str, SubjectMutation); 4] = [
+        ("none", SubjectMutation::None),
+        ("skip-ping-disable", SubjectMutation::SkipPingDisable),
+        ("ignore-trigger-guard", SubjectMutation::IgnoreTriggerGuard),
+        ("skip-trigger-update", SubjectMutation::SkipTriggerUpdate),
+    ];
+
+    /// This variant's entry in [`Self::SPELLINGS`].
+    pub fn name(self) -> &'static str {
+        Self::SPELLINGS[self as usize].0
+    }
+}
+
 /// Commands a subject machine issues to its host.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubjectCmd {
@@ -449,6 +465,28 @@ mod tests {
     use DinerPhase::*;
 
     const TT: [DinerPhase; 2] = [Thinking, Thinking];
+
+    #[test]
+    fn subject_mutation_spellings_are_total_and_injective() {
+        use SubjectMutation as M;
+        // Walks every variant; the match is exhaustive, so a new variant
+        // does not compile until it is listed here.
+        let next = |m: M| match m {
+            M::None => Some(M::SkipPingDisable),
+            M::SkipPingDisable => Some(M::IgnoreTriggerGuard),
+            M::IgnoreTriggerGuard => Some(M::SkipTriggerUpdate),
+            M::SkipTriggerUpdate => None,
+        };
+        let variants: Vec<M> = std::iter::successors(Some(M::None), |&m| next(m)).collect();
+        assert_eq!(M::SPELLINGS.len(), variants.len());
+        for m in variants {
+            let spelled: Vec<&str> =
+                M::SPELLINGS.iter().filter(|(_, v)| *v == m).map(|(s, _)| *s).collect();
+            assert_eq!(spelled, [m.name()], "{m:?} needs exactly one spelling");
+            let found = M::SPELLINGS.iter().find(|(s, _)| *s == m.name()).map(|(_, v)| *v);
+            assert_eq!(found, Some(m), "`{}` looks up another variant", m.name());
+        }
+    }
 
     #[test]
     fn witness_initially_enables_only_w0_hungry() {

@@ -94,6 +94,10 @@ impl OracleSpec {
     }
 }
 
+/// The largest system size an all-pairs extraction is built for: its
+/// n(n−1) monitored pairs are about 16.8 million here.
+pub const MAX_N: usize = 4096;
+
 /// Full description of one extraction run.
 #[derive(Debug)]
 pub struct Scenario {
@@ -173,22 +177,6 @@ impl Scenario {
         let mut sc = Scenario::pair(black_box, seed);
         sc.n = n;
         sc.pairs = all_ordered_pairs(n);
-        sc
-    }
-
-    /// Builds the extraction run a scenario-DSL document describes: the
-    /// `[sim]` section supplies size, seed, horizon, delay model and crash
-    /// plan; `[model]` contributes the `strict_seq` hardening knob (the
-    /// other `[model]` keys parameterize the explorer/fuzzer engines, which
-    /// read the same document through
-    /// `dinefd_explore::ExploreConfig::from_scenario`).
-    pub fn from_dsl(doc: &dinefd_sim::scenario_dsl::Scenario, black_box: BlackBox) -> Self {
-        let mut sc = Scenario::all_pairs(doc.sim.n as usize, black_box, doc.sim.seed);
-        sc.delays = doc.sim.delay_model();
-        sc.crashes = doc.sim.crash_plan();
-        sc.horizon = Time(doc.sim.horizon);
-        sc.strict_seq = doc.model.strict_seq;
-        sc.threads = doc.sim.threads as usize;
         sc
     }
 }

@@ -24,8 +24,23 @@ pub enum ModelMutation {
     StaleAckReplay,
 }
 
+impl ModelMutation {
+    /// Each variant's spelling in `dinefd --model-mutation` and the
+    /// scenario DSL's `model_mutation` key, in declaration order.
+    pub const SPELLINGS: [(&'static str, ModelMutation); 3] = [
+        ("none", ModelMutation::None),
+        ("drop-ping-send", ModelMutation::DropPingSend),
+        ("stale-ack-replay", ModelMutation::StaleAckReplay),
+    ];
+
+    /// This variant's entry in [`Self::SPELLINGS`].
+    pub fn name(self) -> &'static str {
+        Self::SPELLINGS[self as usize].0
+    }
+}
+
 /// Exploration parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExploreConfig {
     /// Maximum interleaving depth.
     pub max_depth: u32,
@@ -59,36 +74,6 @@ impl Default for ExploreConfig {
             por: false,
             subject_mutation: SubjectMutation::None,
             model_mutation: ModelMutation::None,
-        }
-    }
-}
-
-impl ExploreConfig {
-    /// Builds an exploration config from the `[model]` section of a
-    /// [`dinefd_sim::scenario_dsl::Scenario`], mapping the DSL's
-    /// engine-neutral mutation names onto the explorer's enums. The
-    /// execution-strategy knob `por` is not scenario data — it describes
-    /// *how* to search, not *what* to search — and keeps its default.
-    pub fn from_scenario(sc: &dinefd_sim::scenario_dsl::Scenario) -> Self {
-        use dinefd_sim::scenario_dsl::{ModelMutationSpec, SubjectMutationSpec};
-        ExploreConfig {
-            max_depth: sc.model.max_depth,
-            max_states: usize::try_from(sc.model.max_states).unwrap_or(usize::MAX),
-            strict_seq: sc.model.strict_seq,
-            allow_crash: sc.model.allow_crash,
-            start_converged: sc.model.start_converged,
-            por: false,
-            subject_mutation: match sc.model.subject_mutation {
-                SubjectMutationSpec::None => SubjectMutation::None,
-                SubjectMutationSpec::SkipPingDisable => SubjectMutation::SkipPingDisable,
-                SubjectMutationSpec::IgnoreTriggerGuard => SubjectMutation::IgnoreTriggerGuard,
-                SubjectMutationSpec::SkipTriggerUpdate => SubjectMutation::SkipTriggerUpdate,
-            },
-            model_mutation: match sc.model.model_mutation {
-                ModelMutationSpec::None => ModelMutation::None,
-                ModelMutationSpec::DropPingSend => ModelMutation::DropPingSend,
-                ModelMutationSpec::StaleAckReplay => ModelMutation::StaleAckReplay,
-            },
         }
     }
 }
@@ -408,6 +393,27 @@ mod tests {
         let s = PairState::initial(&cfg);
         assert!(s.check_invariants().is_empty());
         assert!(!s.in_completeness_closure());
+    }
+
+    #[test]
+    fn model_mutation_spellings_are_total_and_injective() {
+        use ModelMutation as M;
+        // Walks every variant; the match is exhaustive, so a new variant
+        // does not compile until it is listed here.
+        let next = |m: M| match m {
+            M::None => Some(M::DropPingSend),
+            M::DropPingSend => Some(M::StaleAckReplay),
+            M::StaleAckReplay => None,
+        };
+        let variants: Vec<M> = std::iter::successors(Some(M::None), |&m| next(m)).collect();
+        assert_eq!(M::SPELLINGS.len(), variants.len());
+        for m in variants {
+            let spelled: Vec<&str> =
+                M::SPELLINGS.iter().filter(|(_, v)| *v == m).map(|(s, _)| *s).collect();
+            assert_eq!(spelled, [m.name()], "{m:?} needs exactly one spelling");
+            let found = M::SPELLINGS.iter().find(|(s, _)| *s == m.name()).map(|(_, v)| *v);
+            assert_eq!(found, Some(m), "`{}` looks up another variant", m.name());
+        }
     }
 
     #[test]

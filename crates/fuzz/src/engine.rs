@@ -15,15 +15,15 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dinefd_explore::{ExploreConfig, TransitionLabel};
-use dinefd_sim::scenario_dsl::Scenario;
 use dinefd_sim::{Clock, MetricMap, MonotonicClock, SplitMix64};
 
 use crate::corpus::Corpus;
 use crate::minimize::{lemma_key, shrink};
 use crate::schedule::{execute, Schedule};
 
-/// Everything one fuzzing run depends on.
-#[derive(Clone, Debug)]
+/// Everything one fuzzing run depends on: the `[model]` and `[fuzz]`
+/// sections of a [`crate::scenario_dsl::Scenario`].
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FuzzConfig {
     /// The pair-model configuration (mutations, depth knobs…).
     pub explore: ExploreConfig,
@@ -37,30 +37,14 @@ pub struct FuzzConfig {
     pub corpus_seeds: u32,
 }
 
-impl FuzzConfig {
-    /// Builds the fuzzing run a [`Scenario`] document describes: the
-    /// `[model]` section becomes the [`ExploreConfig`], the `[fuzz]`
-    /// section the budgets.
-    pub fn from_scenario(sc: &Scenario) -> Self {
-        FuzzConfig {
-            explore: ExploreConfig::from_scenario(sc),
-            seed: sc.fuzz.seed,
-            iterations: sc.fuzz.iterations,
-            max_steps: sc.fuzz.max_steps,
-            corpus_seeds: sc.fuzz.corpus_seeds,
-        }
-    }
-}
-
 impl Default for FuzzConfig {
     fn default() -> Self {
-        let sc = Scenario::default();
         FuzzConfig {
             explore: ExploreConfig::default(),
-            seed: sc.fuzz.seed,
-            iterations: sc.fuzz.iterations,
-            max_steps: sc.fuzz.max_steps,
-            corpus_seeds: sc.fuzz.corpus_seeds,
+            seed: 1,
+            iterations: 2_000,
+            max_steps: 40,
+            corpus_seeds: 16,
         }
     }
 }
@@ -129,7 +113,7 @@ impl FuzzReport {
 }
 
 /// The coverage-guided fuzzer. Construct with [`Fuzzer::new`], run with
-/// [`Fuzzer::run`]; or use the [`fuzz_scenario`] one-shot.
+/// [`Fuzzer::run`].
 #[derive(Debug)]
 pub struct Fuzzer {
     cfg: FuzzConfig,
@@ -237,11 +221,6 @@ impl Fuzzer {
         report.corpus_digest = corpus.digest();
         report
     }
-}
-
-/// One-shot: run the fuzzing campaign a [`Scenario`] describes.
-pub fn fuzz_scenario(sc: &Scenario) -> FuzzReport {
-    Fuzzer::new(FuzzConfig::from_scenario(sc)).run()
 }
 
 #[cfg(test)]

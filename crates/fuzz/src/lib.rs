@@ -52,8 +52,10 @@
 //! [`corpus::Corpus::digest`]) and identical `fuzz.*` metrics.
 //!
 //! The fuzzer, the simulator, and the explorer all read the same
-//! [`dinefd_sim::scenario_dsl::Scenario`] document; see
-//! [`engine::FuzzConfig::from_scenario`].
+//! [`scenario_dsl::Scenario`] document: its `[model]` and `[fuzz]`
+//! sections parse straight into a [`FuzzConfig`] (whose `explore` is the
+//! explorer's [`dinefd_explore::ExploreConfig`]), and its `[sim]` section
+//! builds the simulator's extraction run.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -62,9 +64,10 @@
 pub mod corpus;
 pub mod engine;
 pub mod minimize;
+pub mod scenario_dsl;
 pub mod schedule;
 
 pub use corpus::{Corpus, CorpusEntry};
-pub use engine::{fuzz_scenario, Finding, FuzzConfig, FuzzReport, Fuzzer};
+pub use engine::{Finding, FuzzConfig, FuzzReport, Fuzzer};
 pub use minimize::{lemma_key, minimize, replay, MinimizeResult, ReplayOutcome};
 pub use schedule::{execute, ExecOutcome, Schedule};

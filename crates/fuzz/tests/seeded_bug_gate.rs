@@ -11,8 +11,8 @@
 //! exercises the DSL → engine plumbing end to end.
 
 use dinefd_explore::{ExploreConfig, PairState, TransitionLabel};
-use dinefd_fuzz::{fuzz_scenario, lemma_key, FuzzReport};
-use dinefd_sim::scenario_dsl::Scenario;
+use dinefd_fuzz::scenario_dsl::Scenario;
+use dinefd_fuzz::{lemma_key, FuzzReport, Fuzzer};
 
 /// The fixed gate budget. Empirically the slowest find (stale-ack-replay,
 /// seed 1) lands around iteration 525; 4000 leaves an order-of-magnitude
@@ -22,7 +22,7 @@ const GATE: &str = "\n[fuzz]\nseed = 1\niterations = 4000\nmax_steps = 40\ncorpu
 fn run_gate(mutation_key: &str, mutation: &str) -> FuzzReport {
     let text = format!("[model]\n{mutation_key} = {mutation}\n{GATE}");
     let doc = Scenario::parse(&text).expect("gate scenario parses");
-    fuzz_scenario(&doc)
+    Fuzzer::new(doc.fuzz).run()
 }
 
 /// Independent replay harness (the `trace_replay` discipline): walk the
@@ -47,7 +47,7 @@ fn replay_violation(cfg: &ExploreConfig, path: &[TransitionLabel]) -> Option<Str
 fn assert_finds(mutation_key: &str, mutation: &str, expect_lemma: &str) {
     let text = format!("[model]\n{mutation_key} = {mutation}\n{GATE}");
     let doc = Scenario::parse(&text).expect("gate scenario parses");
-    let report = fuzz_scenario(&doc);
+    let report = Fuzzer::new(doc.fuzz.clone()).run();
     assert!(
         report.findings.iter().any(|f| f.lemma.starts_with(expect_lemma)),
         "{mutation}: expected a {expect_lemma} finding, got {:?}",
@@ -55,7 +55,7 @@ fn assert_finds(mutation_key: &str, mutation: &str, expect_lemma: &str) {
     );
     assert!(report.first_find_iter.is_some(), "{mutation}: no find iteration recorded");
 
-    let cfg = ExploreConfig::from_scenario(&doc);
+    let cfg = doc.fuzz.explore;
     for f in &report.findings {
         assert!(!f.minimized.is_empty(), "{mutation}: empty minimized prefix");
         assert!(f.minimized.len() <= f.path.len(), "{mutation}: minimizer grew the trace");

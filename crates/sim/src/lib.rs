@@ -60,10 +60,9 @@
 //! envelope with a single delay draw, FIFO-preserved within the envelope;
 //! occupancy lands in [`metrics::SimMetrics::envelope_occupancy`].
 //!
-//! Scenarios: [`scenario_dsl::Scenario`] is a serializable description of
-//! one adversarial setup — delay model, crash schedule, seeded mutation,
-//! fuzz budgets — shared verbatim by the simulator, the bounded explorer,
-//! and the `dinefd-fuzz` schedule fuzzer.
+//! The scenario DSL that describes a run's delay model and crash schedule
+//! as text lives in `dinefd-fuzz` (`dinefd_fuzz::scenario_dsl`), beside
+//! the fuzzer and explorer configurations it also fills.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -76,7 +75,6 @@ pub mod metrics;
 pub mod net;
 pub mod pool;
 pub mod props;
-pub mod scenario_dsl;
 pub mod shard;
 pub mod stats;
 mod step;
@@ -100,7 +98,6 @@ pub use net::{Adversary, DelayModel};
 pub use node::{Context, Node, TimerId};
 pub use props::{stabilization_time, BoolTimeline};
 pub use rng::SplitMix64;
-pub use scenario_dsl::{Scenario as ScenarioDoc, ScenarioError};
 pub use shard::ShardedWorld;
 pub use stats::Summary;
 pub use time::Time;
