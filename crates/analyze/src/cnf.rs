@@ -231,17 +231,6 @@ impl CnfBuilder {
         acc
     }
 
-    /// `a = b` (widths must match).
-    pub fn bv_eq(&mut self, a: &Bv, b: &Bv) -> Bit {
-        assert_eq!(a.len(), b.len());
-        let mut acc = TRUE;
-        for (&x, &y) in a.iter().zip(b) {
-            let e = self.iff(x, y);
-            acc = self.and(acc, e);
-        }
-        acc
-    }
-
     /// `a ≠ 0`.
     pub fn bv_nonzero(&mut self, a: &Bv) -> Bit {
         let bits: Vec<Bit> = a.clone();

@@ -571,7 +571,7 @@ impl CtiClassifier {
 }
 
 /// Renders `run` as a deterministic human-readable summary (one line per
-/// obligation, then the closure), used by the CLI.
+/// obligation, then the closure), used by the test suites' failure messages.
 pub fn render_summary(run: &InductionRun) -> String {
     let mut out = String::new();
     out.push_str(&format!("induction over {} typed states ({:?})\n", run.states_total, run.cfg));

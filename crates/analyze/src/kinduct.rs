@@ -48,10 +48,11 @@
 //!   their memory, through every deeper level.
 //!
 //! Real/spurious classification of the retained CTIs reuses the explicit
-//! checker's [`classify_cti`] replay machinery (via the deduplicating
-//! [`CtiClassifier`]), so a "REAL (confirmed)" verdict means the same
-//! thing under both engines: the pre-state is concretely reachable and the
-//! seeded explorer reproduces a genuine violation from it.
+//! checker's [`classify_cti`](crate::induct::classify_cti) replay machinery
+//! (via the deduplicating [`CtiClassifier`]), so a "REAL (confirmed)"
+//! verdict means the same thing under both engines: the pre-state is
+//! concretely reachable and the seeded explorer reproduces a genuine
+//! violation from it.
 
 use crate::cnf::{
     busy_count, deviation_count, encode_step, pin_bv, wire_sum, Bit, Bv, CnfBuilder, SymState,

@@ -36,7 +36,7 @@
 //!
 //! Entry points: [`run_induction`], [`run_kinduction`], [`run_lints`], and
 //! [`tla::render_tla`]; the `dinefd analyze` CLI subcommand (`crates/apps`)
-//! and bench experiments E11/E13 wrap them.
+//! wraps all but the enumerator, and bench experiments E11/E13 wrap them.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]

@@ -8,30 +8,23 @@
 //! ```
 //!
 //! `dinefd analyze` runs the `dinefd-analyze` pipeline on one model
-//! configuration: the five IR lint passes, then the invariant checker —
-//! the explicit enumerator over the full typed abstract domain and/or the
-//! symbolic k-induction engine (SAT over the bit-blasted IR), classifying
-//! any counterexamples-to-induction against the concrete explorer. At the
-//! default wire cap both engines are byte-for-byte interchangeable;
-//! `--engine both` asserts that on every run. `--emit-tla` additionally
+//! configuration: the five IR lint passes, then symbolic k-induction (SAT
+//! over the bit-blasted IR) on the five lemmas and the closure check,
+//! classifying any counterexamples-to-induction against the concrete
+//! explorer. One engine serves every wire cap. `--emit-tla` additionally
 //! writes the configuration's transition system as a TLA+ module.
 //!
 //! Exit status: `0` when every checked obligation holds and every lint is
-//! clean, `2` when any lemma fails, any lint is red, or `--engine both`
-//! disagrees, `64` for bad usage (unknown flag, out-of-range value). So
-//! the faithful configuration doubles as a CI gate, and a mutated
-//! configuration's exit 2 is the expected demonstration.
+//! clean, `2` when any lemma fails or any lint is red, `64` for bad usage
+//! (unknown flag, out-of-range value). So the faithful configuration
+//! doubles as a CI gate, and a mutated configuration's exit 2 is the
+//! expected demonstration.
 //!
 //! Flags (all optional):
 //!
 //! ```text
-//! --wire-cap N              wire-counter saturation cap, 2..=8 (default 2;
-//!                           the typed domain grows as (N+1)^4)
-//! --engine NAME             auto | explicit | symbolic | both (default
-//!                           auto: explicit at cap 2, symbolic above;
-//!                           explicit is refused above cap 4)
-//! --max-k N                 symbolic induction depth, 1..=8 (default 1;
-//!                           above 1 needs --engine symbolic)
+//! --wire-cap N              wire-counter saturation cap, 2..=8 (default 2)
+//! --max-k N                 induction depth, 1..=8 (default 1)
 //! --emit-tla FILE           write the TLA+ module for this configuration
 //! --strict                  sequence-checked acks (hardened subject)
 //! --no-crash                forbid the subject crash transition
@@ -119,11 +112,9 @@
 //! --bench-out FILE          write BENCH_live.json-style report to FILE
 //! ```
 
-use dinefd_analyze::induct::{render_summary, run_induction, InductOptions};
+use dinefd_analyze::induct::InductOptions;
 use dinefd_analyze::ir::{IrConfig, MAX_WIRE_CAP, MIN_WIRE_CAP};
-use dinefd_analyze::kinduct::{
-    agrees_with_explicit, render_kinduct_summary, run_kinduction, KinductOptions,
-};
+use dinefd_analyze::kinduct::{render_kinduct_summary, run_kinduction, KinductOptions};
 use dinefd_analyze::lints::{render_lints, run_lints};
 use dinefd_explore::{ExploreConfig, ModelMutation, SubjectMutation};
 use dinefd_fuzz::scenario_dsl::Scenario;
@@ -137,9 +128,8 @@ use std::time::Duration;
 
 /// The full usage text, shared by `--help` (stdout, exit 0) and usage
 /// errors (stderr, exit 64) so the two can never drift apart.
-const USAGE: &str = "usage: dinefd analyze [--wire-cap N] [--engine auto|explicit|symbolic|both] \
-     [--max-k N] [--emit-tla FILE] [--strict] [--no-crash] \
-     [--subject-mutation NAME] [--model-mutation NAME] \
+const USAGE: &str = "usage: dinefd analyze [--wire-cap N] [--max-k N] [--emit-tla FILE] \
+     [--strict] [--no-crash] [--subject-mutation NAME] [--model-mutation NAME] \
      [--no-classify] [--skip-lints] [--skip-induction]\n\
      \x20      dinefd fuzz [--scenario FILE] [--seed N] [--iterations N] \
      [--max-steps N] [--corpus-seeds N] [--time-budget-secs N] \
@@ -565,34 +555,12 @@ fn live(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
     Ok(ExitCode::from(if clean { 0 } else { 2 }))
 }
 
-/// Which invariant-checking engine(s) an `analyze` run uses.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Engine {
-    /// Explicit at the default cap, symbolic above it.
-    Auto,
-    /// Typed-domain enumeration only.
-    Explicit,
-    /// SAT-based k-induction only.
-    Symbolic,
-    /// Run both and assert they agree (cap 2 and `--max-k 1` only — the
-    /// agreement contract compares retained CTI sets, which are
-    /// enumeration-order-defined, and the enumerator's depth-0 base case).
-    Both,
-}
-
 fn analyze(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
-    let engines = [
-        ("auto", Engine::Auto),
-        ("explicit", Engine::Explicit),
-        ("symbolic", Engine::Symbolic),
-        ("both", Engine::Both),
-    ];
     let mut model = ExploreConfig::default();
     let mut cfg = IrConfig::faithful();
     let mut classify = true;
     let mut do_lints = true;
     let mut do_induction = true;
-    let mut engine = Engine::Auto;
     let mut max_k: u32 = 1;
     let mut emit_tla: Option<&str> = None;
     while let Some(flag) = flags.next() {
@@ -601,7 +569,6 @@ fn analyze(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
             "--skip-lints" => do_lints = false,
             "--skip-induction" => do_induction = false,
             "--wire-cap" => cfg.wire_cap = flags.quoted_in(flag, MIN_WIRE_CAP..=MAX_WIRE_CAP)?,
-            "--engine" => engine = flags.one_of(flag, "a value", "engine", &engines)?.1,
             "--max-k" => max_k = flags.quoted_in(flag, 1..=8)?,
             "--emit-tla" => emit_tla = Some(flags.value(flag, "a file path")?),
             _ if model_flag(flag, &mut flags, &mut model)? => {}
@@ -610,29 +577,6 @@ fn analyze(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
     }
     (cfg.strict_seq, cfg.allow_crash) = (model.strict_seq, model.allow_crash);
     (cfg.subject_mutation, cfg.model_mutation) = (model.subject_mutation, model.model_mutation);
-    // Engine/cap compatibility: the explicit sweep is O((cap+1)^4) states
-    // and the both-engines agreement contract is defined at the default cap.
-    let resolved = match engine {
-        Engine::Auto if cfg.wire_cap == MIN_WIRE_CAP => Engine::Explicit,
-        Engine::Auto => Engine::Symbolic,
-        e => e,
-    };
-    if matches!(resolved, Engine::Explicit | Engine::Both) && cfg.wire_cap > 4 {
-        return Err(format!(
-            "--engine {} is impractical above --wire-cap 4 (the typed domain has \
-             41472*(cap+1)^4 states); use --engine symbolic",
-            if resolved == Engine::Both { "both" } else { "explicit" },
-        ));
-    }
-    if resolved == Engine::Both && cfg.wire_cap != MIN_WIRE_CAP {
-        return Err("--engine both compares retained CTI sets, defined at --wire-cap 2 only".into());
-    }
-    if max_k > 1 && resolved == Engine::Explicit {
-        return Err("--max-k applies to the symbolic engine (use --engine symbolic)".into());
-    }
-    if max_k > 1 && resolved == Engine::Both {
-        return Err("--engine both compares one-step induction, defined at --max-k 1 only".into());
-    }
 
     if let Some(path) = emit_tla {
         let module = dinefd_analyze::tla::render_tla(&cfg);
@@ -650,33 +594,12 @@ fn analyze(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
         clean &= report.clean();
     }
     if do_induction {
-        let opts =
+        let replay =
             InductOptions { classify: if classify { 2 } else { 0 }, ..InductOptions::default() };
-        let explicit_run = if matches!(resolved, Engine::Explicit | Engine::Both) {
-            let run = run_induction(&cfg, &opts);
-            out.write(format_args!("{}", render_summary(&run)));
-            clean &= run.all_inductive();
-            Some(run)
-        } else {
-            None
-        };
-        if matches!(resolved, Engine::Symbolic | Engine::Both) {
-            let kopts = KinductOptions { max_k, classify: opts, ..KinductOptions::default() };
-            let run = run_kinduction(&cfg, &kopts);
-            out.write(format_args!("{}", render_kinduct_summary(&run)));
-            clean &= run.all_proved();
-            if let Some(exp) = &explicit_run {
-                match agrees_with_explicit(&run, exp) {
-                    Ok(()) => {
-                        outln!(out, "analyze: engines agree (verdicts, CTIs, classifications)")
-                    }
-                    Err(diff) => {
-                        eprintln!("error: engine disagreement: {diff}");
-                        clean = false;
-                    }
-                }
-            }
-        }
+        let opts = KinductOptions { max_k, classify: replay, ..KinductOptions::default() };
+        let run = run_kinduction(&cfg, &opts);
+        out.write(format_args!("{}", render_kinduct_summary(&run)));
+        clean &= run.all_proved();
     }
     Ok(ExitCode::from(if clean { 0 } else { 2 }))
 }

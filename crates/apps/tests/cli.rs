@@ -120,21 +120,18 @@ fn help_prints_usage_on_stdout_and_exits_zero() {
         let out = dinefd(args);
         assert_eq!(out.status.code(), Some(0), "{args:?} must exit 0");
         assert!(stdout(&out).contains("usage: dinefd"), "{args:?}: usage on stdout");
-        assert!(stdout(&out).contains("--engine"), "{args:?}: analyze flags documented");
+        assert!(stdout(&out).contains("--max-k"), "{args:?}: analyze flags documented");
+        assert!(!stdout(&out).contains("--engine"), "{args:?}: one invariant engine, no choice");
         assert!(stderr(&out).is_empty(), "{args:?}: stderr must stay empty");
     }
 }
 
 #[test]
-fn analyze_rejects_bad_engine_and_cap_combinations() {
+fn analyze_rejects_bad_values_and_the_removed_engine_flag() {
     for (args, needle) in [
         (&["analyze", "--wire-cap", "9"][..], "out of range"),
         (&["analyze", "--wire-cap", "1"][..], "out of range"),
-        (&["analyze", "--engine", "splay"][..], "unknown engine"),
-        (&["analyze", "--engine", "explicit", "--wire-cap", "8"][..], "impractical"),
-        (&["analyze", "--engine", "both", "--wire-cap", "4"][..], "--wire-cap 2 only"),
-        (&["analyze", "--engine", "explicit", "--max-k", "2"][..], "--max-k applies"),
-        (&["analyze", "--engine", "both", "--max-k", "2"][..], "--max-k 1 only"),
+        (&["analyze", "--engine", "symbolic"][..], "unknown flag `--engine`"),
         (&["analyze", "--max-k", "9"][..], "out of range"),
         (&["analyze", "--emit-tla"][..], "needs a file path"),
     ] {
@@ -147,7 +144,7 @@ fn analyze_rejects_bad_engine_and_cap_combinations() {
 
 #[test]
 fn analyze_symbolic_proves_the_faithful_model_beyond_the_enumerable_cap() {
-    let out = dinefd(&["analyze", "--skip-lints", "--engine", "symbolic", "--wire-cap", "6"]);
+    let out = dinefd(&["analyze", "--skip-lints", "--wire-cap", "6"]);
     assert_eq!(out.status.code(), Some(0), "faithful symbolic run: {}", stderr(&out));
     let text = stdout(&out);
     assert!(text.contains("PROVED k=1"), "lemma verdicts missing: {text}");
@@ -157,14 +154,7 @@ fn analyze_symbolic_proves_the_faithful_model_beyond_the_enumerable_cap() {
 
 #[test]
 fn analyze_symbolic_reports_real_ctis_for_a_seeded_bug() {
-    let out = dinefd(&[
-        "analyze",
-        "--skip-lints",
-        "--engine",
-        "symbolic",
-        "--subject-mutation",
-        "ignore-trigger-guard",
-    ]);
+    let out = dinefd(&["analyze", "--skip-lints", "--subject-mutation", "ignore-trigger-guard"]);
     assert_eq!(out.status.code(), Some(2), "seeded bug must fail the run");
     let text = stdout(&out);
     assert!(text.contains("FAILS"), "mutated lemma must fail: {text}");
@@ -172,14 +162,20 @@ fn analyze_symbolic_reports_real_ctis_for_a_seeded_bug() {
 }
 
 #[test]
-fn analyze_engines_agree_when_asked_to_cross_check() {
-    let out = dinefd(&["analyze", "--skip-lints", "--engine", "both", "--no-classify"]);
-    assert_eq!(out.status.code(), Some(0), "both-engine run: {}", stderr(&out));
-    assert!(
-        stdout(&out).contains("analyze: engines agree"),
-        "agreement line missing: {}",
-        stdout(&out)
-    );
+fn analyze_runs_k_induction_at_the_default_cap() {
+    let out = dinefd(&["analyze"]);
+    assert_eq!(out.status.code(), Some(0), "faithful run: {}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.contains("k-induction at wire cap 2"), "engine header missing: {text}");
+    assert!(!text.contains("FAILS"), "nothing may fail on the faithful model: {text}");
+}
+
+#[test]
+fn analyze_proves_every_lemma_at_cap_8_and_depth_8() {
+    let out = dinefd(&["analyze", "--skip-lints", "--wire-cap", "8", "--max-k", "8"]);
+    assert_eq!(out.status.code(), Some(0), "cap-8 depth-8 run: {}", stderr(&out));
+    let text = stdout(&out);
+    assert_eq!(text.matches("PROVED k=1").count(), 5, "five lemmas, each 1-inductive: {text}");
 }
 
 #[test]
@@ -207,7 +203,6 @@ fn bad_invocations_keep_their_error_lines() {
         (&["fuzz", "--subject-mutation"][..], "--subject-mutation needs a value"),
         (&["analyze", "--model-mutation"][..], "--model-mutation needs a value"),
         (&["analyze", "--max-k"][..], "--max-k needs a value"),
-        (&["analyze", "--engine"][..], "--engine needs a value"),
         (&["live", "--bench-out"][..], "--bench-out needs a file path"),
         // Non-integers.
         (&["extract", "--n", "eight"][..], "--n: `eight` is not an integer"),
@@ -244,7 +239,7 @@ fn bad_invocations_keep_their_error_lines() {
         (&["analyze", "--model-mutation", "bogus"][..], "unknown model mutation `bogus`"),
         (&["fuzz", "--subject-mutation", "bogus"][..], "unknown subject mutation `bogus`"),
         (&["fuzz", "--model-mutation", "none"][..], "unknown model mutation `none`"),
-        (&["analyze", "--engine", "splay"][..], "unknown engine `splay`"),
+        (&["analyze", "--engine", "both"][..], "unknown flag `--engine`"),
         (&["extract", "--crash", "3"][..], "--crash `3`: expected PID@TICK"),
         (&["extract", "--crash", "x@y"][..], "--crash `x@y`: expected PID@TICK"),
         (&["extract", "--crash", "9@5"][..], "--crash PID must be below --n"),

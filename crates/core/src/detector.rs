@@ -1,11 +1,7 @@
-//! Turning reduction traces into failure-detector histories, plus the shared
-//! suspicion cell that lets other protocols consume the extracted ◇P online.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! Turning reduction traces into failure-detector histories.
 
 use dinefd_dining::DiningHistory;
-use dinefd_fd::{FdQuery, SuspicionHistory};
+use dinefd_fd::SuspicionHistory;
 use dinefd_sim::{ObsSink, ProcessId, Time, Trace};
 
 use crate::host::{RedObs, Role};
@@ -233,62 +229,10 @@ impl PairTimelines {
     }
 }
 
-/// A per-node suspicion table shared between the reduction (writer) and a
-/// consumer protocol (reader) hosted on the same process — how the Section 8
-/// fairness construction consumes the extracted ◇P *online*.
-#[derive(Clone, Debug)]
-pub struct SharedSuspicion {
-    inner: Rc<RefCell<Vec<bool>>>,
-}
-
-impl SharedSuspicion {
-    /// A table over `n` processes, initially suspecting everyone (matching
-    /// the reduction's initialization).
-    pub fn new(n: usize) -> Self {
-        SharedSuspicion { inner: Rc::new(RefCell::new(vec![true; n])) }
-    }
-
-    /// Updates the local view about `subject`.
-    pub fn set(&self, subject: ProcessId, suspected: bool) {
-        self.inner.borrow_mut()[subject.index()] = suspected;
-    }
-
-    /// Reads the local view about `subject`.
-    pub fn get(&self, subject: ProcessId) -> bool {
-        self.inner.borrow()[subject.index()]
-    }
-}
-
-impl FdQuery for SharedSuspicion {
-    fn suspected(&self, _watcher: ProcessId, subject: ProcessId, _now: Time) -> bool {
-        // The table is node-local: `watcher` is by construction the host.
-        self.get(subject)
-    }
-
-    fn len(&self) -> usize {
-        self.inner.borrow().len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dinefd_dining::DinerPhase;
-
-    #[test]
-    fn shared_suspicion_roundtrip() {
-        let cell = SharedSuspicion::new(3);
-        assert!(cell.get(ProcessId(1)), "initially suspected");
-        cell.set(ProcessId(1), false);
-        assert!(!cell.get(ProcessId(1)));
-        assert!(!cell.suspected(ProcessId(0), ProcessId(1), Time(5)));
-        assert!(cell.suspected(ProcessId(0), ProcessId(2), Time(5)));
-        assert_eq!(cell.len(), 3);
-        // Clones share the table.
-        let view = cell.clone();
-        cell.set(ProcessId(2), false);
-        assert!(!view.get(ProcessId(2)));
-    }
 
     #[test]
     fn pair_timelines_handoff_check_flags_gap() {

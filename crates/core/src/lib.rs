@@ -26,9 +26,8 @@
 //!   [`host::Bank`] holds a process's pairs and calls the black boxes, a
 //!   [`host::PairNode`] is one process; [`host::ReductionNode`] is that node
 //!   over the paper's machines at two instances per pair.
-//! * [`detector`] — trace → [`dinefd_fd::SuspicionHistory`] extraction,
-//!   Fig. 1 pair timelines, and the shared cell that feeds the extracted ◇P
-//!   to other protocols online.
+//! * [`detector`] — trace → [`dinefd_fd::SuspicionHistory`] extraction and
+//!   Fig. 1 pair timelines.
 //! * [`scenario`] — one-call assembly of extraction runs over any black box.
 //! * [`flawed_cm`] — the earlier contention-manager reduction of the paper's
 //!   reference \[8\], reproduced faithfully so experiment E4 can demonstrate
@@ -59,7 +58,7 @@ pub mod scenario;
 pub mod single_dx;
 pub mod wire;
 
-pub use detector::{suspicion_history, HistorySink, PairTimelines, SharedSuspicion};
+pub use detector::{suspicion_history, HistorySink, PairTimelines};
 pub use fairness::{run_fair_over_extraction, FairnessResult};
 pub use flawed_cm::{run_flawed_pair, FlawedCmNode};
 pub use host::{DxEndpoint, RedMsg, RedObs, ReductionNode, Role};

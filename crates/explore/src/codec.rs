@@ -5,10 +5,10 @@
 //! byte encoding plus its exact inverse. The search engine never keys a hash
 //! map by a cloned state struct; it encodes each state once into a scratch
 //! buffer, fingerprints the bytes with [`fingerprint`], and interns the bytes
-//! in the visited store's arena ([`crate::visited`]). A fingerprint match is
-//! only trusted after a byte-for-byte comparison against the interned
-//! encoding, so the search stays **exhaustive** — this is compact hashing in
-//! the SPIN tradition, not lossy bitstate hashing.
+//! in the visited store's arena (the private `visited` module). A
+//! fingerprint match is only trusted after a byte-for-byte comparison
+//! against the interned encoding, so the search stays **exhaustive** — this
+//! is compact hashing in the SPIN tradition, not lossy bitstate hashing.
 //!
 //! Encodings pack the enum-like fields (dining phases, machine flags,
 //! mistake lifecycles) into single bytes and use LEB128 varints for the

@@ -2,7 +2,7 @@
 //! [`crate::explore_composed`]: one depth-first loop, on the calling thread,
 //! over a fingerprinted visited store.
 //!
-//! One engine serves both models through the [`SearchModel`] trait. The
+//! One engine serves both models through the private `SearchModel` trait. The
 //! design:
 //!
 //! * **Probe before copying** — a model is searched as a label walk:
@@ -16,8 +16,8 @@
 //! * **Fingerprinted visited store** — states are never used as hash-map
 //!   keys. Each state is encoded once ([`crate::codec::StateCodec`]) into a
 //!   scratch buffer, fingerprinted, and interned in an open-addressing
-//!   arena store ([`crate::visited`]) whose index slots carry fingerprint
-//!   tags, so most probes for a fresh state never leave the index;
+//!   arena store (the private `visited` module) whose index slots carry
+//!   fingerprint tags, so most probes for a fresh state never leave the index;
 //!   fingerprint hits are confirmed by exact byte comparison, so the search
 //!   stays exhaustive.
 //! * **Parent-chain paths** — tasks carry no path vector. The store records,

@@ -16,7 +16,7 @@ pub enum ModelMutation {
     None,
     /// `S_p`'s ping is silently lost in transit (the machine still believes
     /// it sent one). Safety lemmas survive; the hand-off starves — only
-    /// liveness checking ([`crate::fair_run`]) catches it.
+    /// liveness checking ([`crate::fair_run()`]) catches it.
     DropPingSend,
     /// The wire may duplicate an in-flight ack, so a stale ack can survive
     /// into a later epoch and flip the trigger out of turn (breaks Lemma 4;

@@ -58,8 +58,8 @@
 //!
 //! Because independent permutations preserve path *length*, and the visited
 //! store re-queues a state whenever it arrives with more remaining depth or
-//! a strictly smaller sleep mask (intersection convergence, see
-//! [`crate::visited`]), the POR-on search visits **exactly** the same state
+//! a strictly smaller sleep mask (intersection convergence, see the private
+//! `visited` module), the POR-on search visits **exactly** the same state
 //! set, transition count, deadlock set, and verdicts as the full search —
 //! equivalence is asserted test-for-test across every seeded mutation in
 //! `tests/por_equivalence.rs`. The savings show up as skipped

@@ -45,4 +45,4 @@ pub mod spec;
 pub use class::OracleClass;
 pub use heartbeat::{HeartbeatConfig, HeartbeatFd};
 pub use injected::{FdQuery, InjectedOracle, MistakePlan};
-pub use spec::{FdEvent, SuspicionHistory};
+pub use spec::SuspicionHistory;

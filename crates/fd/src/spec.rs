@@ -17,19 +17,6 @@ use dinefd_sim::{BoolTimeline, CrashPlan, ProcessId, Time};
 
 use crate::class::OracleClass;
 
-/// One change of a watcher's suspicion of a subject.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FdEvent {
-    /// When the output changed.
-    pub at: Time,
-    /// The process whose local detector module changed.
-    pub watcher: ProcessId,
-    /// The process being monitored.
-    pub subject: ProcessId,
-    /// The new output: `true` = suspected.
-    pub suspected: bool,
-}
-
 /// The complete suspicion history of a run: one boolean timeline per ordered
 /// `(watcher, subject)` pair.
 ///
@@ -177,19 +164,6 @@ impl SuspicionHistory {
     /// Whether the checkers consider the ordered pair `(w, s)`.
     pub fn is_monitored(&self, w: ProcessId, s: ProcessId) -> bool {
         w != s && self.monitored[w.index() * self.n + s.index()]
-    }
-
-    /// Builds a history from a stream of output changes (chronological).
-    pub fn from_events(
-        n: usize,
-        initially_suspected: bool,
-        events: impl IntoIterator<Item = FdEvent>,
-    ) -> Self {
-        let mut h = SuspicionHistory::new(n, initially_suspected);
-        for e in events {
-            h.record(e.at, e.watcher, e.subject, e.suspected);
-        }
-        h
     }
 
     /// Records an output change.

@@ -1,15 +1,15 @@
 //! The fuzzing loop: seed, mutate, execute, keep what's novel.
 //!
-//! The engine is deliberately boring — every interesting decision lives
-//! in [`crate::schedule`] (what a schedule is), [`crate::corpus`] (what
-//! to keep), and [`crate::minimize`] (what to report). What the engine
-//! guarantees is **determinism**: the entire run is a pure function of
-//! the [`FuzzConfig`], so CI can assert equality of corpus digests and
-//! `fuzz.*` metrics across reruns, and any finding can be re-derived
-//! from the scenario file alone. The optional wall-clock budget (used by
-//! `dinefd fuzz` and the CI job) only ever *truncates* the iteration
-//! space — a run that completes its iteration budget inside the time
-//! budget is unaffected by it.
+//! The engine is deliberately boring — every interesting decision lives in
+//! [`crate::schedule`] (what a schedule is), [`crate::corpus`] (what to
+//! keep), and [`crate::minimize`](mod@crate::minimize) (what to report).
+//! What the engine guarantees is **determinism**: the entire run is a pure
+//! function of the [`FuzzConfig`], so CI can assert equality of corpus
+//! digests and `fuzz.*` metrics across reruns, and any finding can be
+//! re-derived from the scenario file alone. The optional wall-clock budget
+//! (used by `dinefd fuzz` and the CI job) only ever *truncates* the
+//! iteration space — a run that completes its iteration budget inside the
+//! time budget is unaffected by it.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -20,7 +20,7 @@
 //!   completeness-closure check, so a finding carries the same
 //!   `"Lemma N violated: …"` message the explorer would report;
 //! * every lemma-violating schedule is shrunk by the delta-debugging
-//!   [`minimize`] pass to a locally-minimal **replayable label prefix**
+//!   [`minimize()`] pass to a locally-minimal **replayable label prefix**
 //!   that the `trace_replay` harness (and `PairState::successors` walking
 //!   in general) reproduces.
 //!

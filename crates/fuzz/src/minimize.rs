@@ -42,7 +42,7 @@ pub struct ReplayOutcome {
     pub violation: Option<(usize, String)>,
 }
 
-/// Replays `path` label-by-label along the crate's one [`Walk`]. Returns
+/// Replays `path` label-by-label along the crate's one `schedule::Walk`. Returns
 /// `None` if some label is not enabled where the path says it fired (the
 /// sequence is not a real trace of the model). Stops early at the first
 /// invariant or closure violation.

@@ -2,10 +2,10 @@
 //!
 //! Every message on the live transport travels as one frame: a `u32`
 //! little-endian payload length followed by that many payload bytes (the
-//! [`Wire`](dinefd_runtime::Wire) encoding of the message). The first frame
-//! on every connection is a *hello* carrying the connecting process's
-//! [`ProcessId`], so the accepting side learns who is on the other end of an
-//! otherwise anonymous loopback connection.
+//! [`Wire`] encoding of the message). The first frame on every connection
+//! is a *hello* carrying the connecting process's [`ProcessId`], so the
+//! accepting side learns who is on the other end of an otherwise anonymous
+//! loopback connection.
 //!
 //! The cluster's event loops read whatever a socket holds and cut frames out
 //! of their buffer with [`split_frame`]; [`read_frame`] reads one frame from

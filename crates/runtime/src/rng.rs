@@ -97,13 +97,6 @@ impl SplitMix64 {
             xs.swap(i, j);
         }
     }
-
-    /// Picks a uniformly random element index of a nonempty slice.
-    #[inline]
-    pub fn pick_index<T>(&mut self, xs: &[T]) -> usize {
-        debug_assert!(!xs.is_empty());
-        self.below(xs.len() as u64) as usize
-    }
 }
 
 #[cfg(test)]

@@ -1,11 +1,11 @@
 //! The contract every transport backend implements.
 //!
-//! A runtime owns a set of [`Node`](crate::node::Node) instances, delivers
-//! their messages and timers, and records the observations they emit. The
-//! deterministic simulator (`dinefd-sim`) advances a virtual clock and
-//! replays delay draws from a seed; the live cluster (`dinefd-live`) runs
-//! one OS thread per process over loopback TCP and maps one virtual tick to
-//! one millisecond of wall time. Code that only needs "run these nodes to a
+//! A runtime owns a set of [`Node`] instances, delivers their messages and
+//! timers, and records the observations they emit. The deterministic
+//! simulator (`dinefd-sim`) advances a virtual clock and replays delay
+//! draws from a seed; the live cluster (`dinefd-live`) runs one OS thread
+//! per process over loopback TCP and maps one virtual tick to one
+//! millisecond of wall time. Code that only needs "run these nodes to a
 //! horizon and give me the observation log" — the differential convergence
 //! harness above all — is generic over this trait and cannot tell the two
 //! apart except by timing.

@@ -619,11 +619,6 @@ impl<N: Node> ShardedWorld<N> {
         self.trace
     }
 
-    /// Detaches and returns the streaming sink, if one was attached.
-    pub fn take_obs_sink(&mut self) -> Option<Box<dyn ObsSink<N::Obs>>> {
-        self.obs_sink.take()
-    }
-
     /// Events still pending, summed across shards.
     pub fn pending_events(&self) -> usize {
         self.shards.iter().map(|s| s.wire.queue.len()).sum()

@@ -31,9 +31,10 @@
 //!   eventual-2-fairness pipeline (§8);
 //! * [`explore`] — bounded exhaustive checking of the paper's safety lemmas
 //!   over every interleaving of the pair model, plus weakly-fair liveness
-//!   runs;
-//! * [`apps`] — what the extracted oracle is *for*: stable leader election
-//!   and Chandra–Toueg consensus, runnable over the reduction's output.
+//!   runs.
+//!
+//! The `dinefd` command-line tool (`analyze`, `fuzz`, `extract`, `live`) is
+//! the binary of the `dinefd-apps` package, not part of this facade.
 //!
 //! This crate defines nothing of its own. The one dining host,
 //! [`dining::driver::DiningDriverNode`], runs a diner over any failure
@@ -65,7 +66,6 @@
 #![deny(missing_debug_implementations)]
 #![warn(missing_docs)]
 
-pub use dinefd_apps as apps;
 pub use dinefd_core as core;
 pub use dinefd_dining as dining;
 pub use dinefd_explore as explore;
@@ -74,10 +74,9 @@ pub use dinefd_sim as sim;
 
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
-    pub use dinefd_apps::{ConsensusNode, LeaderElection, ReplayOracle};
     pub use dinefd_core::{
         all_ordered_pairs, run_extraction, run_fair_over_extraction, run_flawed_pair, BlackBox,
-        ExtractionResult, OracleSpec, PairTimelines, ReductionNode, Scenario, SharedSuspicion,
+        ExtractionResult, OracleSpec, PairTimelines, ReductionNode, Scenario,
     };
     pub use dinefd_dining::driver::{run_full_stack, DiningDriverNode, Workload};
     pub use dinefd_dining::{
