@@ -164,7 +164,7 @@ done
 #    clock: a caller that wants a duration times its own call, and
 #    crates/runtime/src/clock.rs is the one clock the engines may hold.
 while IFS= read -r f; do
-  if product_lines "$f" | grep -nE '\b(run_extraction|explore|explore_composed)\('; then
+  if product_lines "$f" | grep -nE '\b(run_extraction(_over)?|explore|explore_composed)\('; then
     echo "structure guard: $f runs a scenario; only crates/bench/src/experiments/ produces figures"
     fail=1
   fi
@@ -311,6 +311,19 @@ if [ -n "$extra" ]; then
 fi
 if product_lines crates/apps/src/bin/dinefd.rs | grep -nE 'run_induction\(|--engine'; then
   echo "structure guard: crates/apps/src/bin/dinefd.rs runs the explicit enumerator or offers --engine; analyze has one engine, k-induction"
+  fail=1
+fi
+
+# 16. One slot record, inline diners. A bank held each pair's side, phases
+#     and tick bookkeeping in parallel vectors, and its two diners in a
+#     vector of boxed arrays, so one message touched six arrays and followed
+#     a pointer to the heap. Each pair is one `Slot` record now, its diners
+#     inline when the engine is known (`Bank<S, D, K>`). A per-slot vector
+#     field or a vector of boxed diner arrays in host.rs is that layout
+#     growing back.
+if product_lines crates/core/src/host.rs |
+  grep -nE '\b(sides|last_phase|pump_pending|trusted_until):[[:space:]]*Vec<|Vec<\[Box<dyn DiningParticipant>'; then
+  echo "structure guard: crates/core/src/host.rs declares a per-slot Vec field or boxed diner arrays; keep one Slot record per pair"
   fail=1
 fi
 

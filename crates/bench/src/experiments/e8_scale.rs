@@ -82,7 +82,8 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
              down to 64 at n=1024): the quantity under test is per-tick cost \
              and memory at scale, not convergence latency. \"bytes/pair\" is \
              the construction-time resident estimate of the reduction nodes' \
-             pair state (SoA banks + boxed dining participants) — \
+             pair state (one slot record per pair side, its two WF-◇WX diners \
+             inline) — \
              layout-dependent, so it stays out of the deterministic metric \
              keys."
                 .into(),

@@ -36,7 +36,7 @@
 //!
 //! [`GrantRegime::DelayedConvergence`]: dinefd_dining::coord::GrantRegime::DelayedConvergence
 
-use dinefd_dining::DinerPhase;
+use dinefd_dining::{DinerPhase, DiningParticipant};
 use dinefd_sim::{Context, CrashPlan, Node, ProcessId, Time, TimerId};
 
 use crate::host::{DiningFactory, Oracle, PairNode, RedMsg, RedObs, Role, Side, Step};
@@ -100,7 +100,7 @@ const HEARTBEAT_EVERY: u64 = 16;
 /// One physical process of the flawed construction: the shared host plus
 /// the heartbeat timer of every pair this process is the subject of.
 #[derive(Debug)]
-pub struct FlawedCmNode(PairNode<FlawedWitness, FlawedSubject, 1>);
+pub struct FlawedCmNode(PairNode<FlawedWitness, FlawedSubject, Box<dyn DiningParticipant>, 1>);
 
 impl FlawedCmNode {
     /// Builds the node for `me` over the given ordered pairs and CM factory

@@ -17,10 +17,14 @@
 //! output changes of the side, and keeps the tick promise. A [`PairNode`]
 //! is one physical process — a witness bank, a subject bank and the routing
 //! between them; [`ReductionNode`] is that node over the paper's machines.
-//! `K` is fixed by the extractor's type; nothing sets it at run time.
+//! `K` is fixed by the extractor's type; nothing sets it at run time. So is
+//! `D`, how a bank stores its black boxes: `Box<dyn DiningParticipant>`
+//! holds any of them, one engine's own type sits inline in the slot record
+//! ([`Resident`]); either way the bank calls only [`DiningParticipant`].
 
 use std::sync::Arc;
 
+use dinefd_dining::wfdx::WfDxDining;
 use dinefd_dining::{DinerPhase, DiningIo, DiningMsg, DiningParticipant};
 use dinefd_fd::FdQuery;
 use dinefd_sim::{Context, Node, ProcessId, Time, TimerId};
@@ -115,8 +119,30 @@ pub struct DxEndpoint {
 }
 
 /// Builds the local participant of one dining instance — this closure *is*
-/// the black box the reduction quantifies over.
-pub type DiningFactory<'a> = dyn Fn(DxEndpoint) -> Box<dyn DiningParticipant> + 'a;
+/// the black box the reduction quantifies over. `D` is how a bank stores
+/// it: boxed (any black box, the default), or one engine's type inline.
+pub type DiningFactory<'a, D = Box<dyn DiningParticipant>> = dyn Fn(DxEndpoint) -> D + 'a;
+
+/// A dining endpoint as a [`Bank`] stores it, inline in the slot record or
+/// behind a pointer. The reduction calls it only through
+/// [`DiningParticipant`]; this trait adds what
+/// [`PairNode::resident_bytes`] counts besides the record.
+pub trait Resident: DiningParticipant {
+    /// Bytes the endpoint holds outside the slot record it sits in.
+    fn out_of_line_bytes(&self) -> usize {
+        0
+    }
+}
+
+/// Any black box, behind its pointer.
+impl Resident for Box<dyn DiningParticipant> {
+    fn out_of_line_bytes(&self) -> usize {
+        std::mem::size_of_val(&**self)
+    }
+}
+
+/// The WF-◇WX engine (`WfDx` and `Ftme`), inline.
+impl Resident for WfDxDining {}
 
 /// The oracle handle a node passes to its black boxes (NOT to the extractor
 /// itself — the reduction is oracle-free, that is the whole point).
@@ -250,10 +276,33 @@ impl Side<2> for SubjectMachine {
 /// interleaving semantics intend.
 const PUMP_BUDGET: usize = 4;
 
-/// Every pair one process takes side `S` of, laid out struct-of-arrays:
-/// parallel vectors indexed by a dense pair slot, so the tick loop walking
-/// every pair streams each field contiguously instead of hopping across
-/// per-pair structs, and one scratch buffer serves every slot.
+/// One pair's slot in a [`Bank`]: the side, its `K` diners and the tick
+/// bookkeeping in one record, so a message to the slot reads one record
+/// instead of one array per field and a diner behind a pointer.
+struct Slot<S, D, const K: usize> {
+    side: S,
+    dx: [D; K],
+    /// Each endpoint's phase as of its last call; a diner changes phase
+    /// nowhere else.
+    last_phase: [DinerPhase; K],
+    /// Whether the slot's last pump stopped on [`PUMP_BUDGET`] instead of on
+    /// "nothing enabled" (or has yet to run), so the next tick must pump.
+    pump_pending: bool,
+    /// Before this instant the detector trusts the slot's peer
+    /// ([`Time::ZERO`] until first asked).
+    trusted_until: Time,
+}
+
+impl<S, D, const K: usize> Slot<S, D, K> {
+    fn hungry(&self) -> bool {
+        self.last_phase.contains(&DinerPhase::Hungry)
+    }
+}
+
+/// Every pair one process takes side `S` of, with dining endpoints stored
+/// as `D`: one `Slot` record per pair, indexed by a dense pair slot, the
+/// slot's peer in a vector beside them for routing, and one scratch buffer
+/// serving every slot.
 ///
 /// A tick polls what can move, not every pair. While every participant
 /// promises [`DiningParticipant::ticks_only_while_suspecting`], `on_tick`
@@ -268,21 +317,11 @@ const PUMP_BUDGET: usize = 4;
 /// pending — so a tick before it returns at once. One participant that does
 /// not promise puts the whole bank back on ticking and pumping everything.
 /// Ticks must come in time order.
-pub struct Bank<S, const K: usize> {
+pub struct Bank<S, D, const K: usize> {
     me: ProcessId,
     /// The other end of each slot's pair.
     peers: Vec<ProcessId>,
-    sides: Vec<S>,
-    dx: Vec<[Box<dyn DiningParticipant>; K]>,
-    /// Each endpoint's phase as of its last call; a box changes phase
-    /// nowhere else.
-    last_phase: Vec<[DinerPhase; K]>,
-    /// Whether the slot's last pump stopped on [`PUMP_BUDGET`] instead of on
-    /// "nothing enabled" (or has yet to run), so the next tick must pump.
-    pump_pending: Vec<bool>,
-    /// Before this instant the detector trusts the slot's peer
-    /// ([`Time::ZERO`] until first asked).
-    trusted_until: Vec<Time>,
+    slots: Vec<Slot<S, D, K>>,
     /// No tick before this instant can move anything: the earliest
     /// `trusted_until` of a slot with a hungry endpoint, [`Time::ZERO`] while
     /// a pump is pending. Lowered as slots change, recomputed by each tick
@@ -296,22 +335,18 @@ pub struct Bank<S, const K: usize> {
     scratch: Vec<(ProcessId, DiningMsg)>,
 }
 
-impl<S, const K: usize> std::fmt::Debug for Bank<S, K> {
+impl<S, D, const K: usize> std::fmt::Debug for Bank<S, D, K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Bank").field("me", &self.me).field("pairs", &self.peers.len()).finish()
     }
 }
 
-impl<S: Side<K>, const K: usize> Bank<S, K> {
+impl<S: Side<K>, D: Resident, const K: usize> Bank<S, D, K> {
     fn new(me: ProcessId) -> Self {
         Bank {
             me,
             peers: Vec::new(),
-            sides: Vec::new(),
-            dx: Vec::new(),
-            last_phase: Vec::new(),
-            pump_pending: Vec::new(),
-            trusted_until: Vec::new(),
+            slots: Vec::new(),
             quiet_until: Time::ZERO,
             skip_idle_ticks: true,
             scratch: Vec::new(),
@@ -326,19 +361,21 @@ impl<S: Side<K>, const K: usize> Bank<S, K> {
         }
     }
 
-    fn push(&mut self, peer: ProcessId, side: S, factory: &DiningFactory<'_>) {
+    fn push(&mut self, peer: ProcessId, side: S, factory: &DiningFactory<'_, D>) {
         debug_assert_ne!(peer, self.me, "self-pairs must be pre-filtered");
         let (me, (watcher, subject)) = (self.me, self.pair(peer));
-        let dx: [Box<dyn DiningParticipant>; K] = std::array::from_fn(|i| {
+        let dx: [D; K] = std::array::from_fn(|i| {
             factory(DxEndpoint { me, peer, watcher, subject, instance: i as u8 })
         });
         self.skip_idle_ticks &= dx.iter().all(|p| p.ticks_only_while_suspecting());
         self.peers.push(peer);
-        self.sides.push(side);
-        self.dx.push(dx);
-        self.last_phase.push([DinerPhase::Thinking; K]);
-        self.pump_pending.push(true);
-        self.trusted_until.push(Time::ZERO);
+        self.slots.push(Slot {
+            side,
+            dx,
+            last_phase: [DinerPhase::Thinking; K],
+            pump_pending: true,
+            trusted_until: Time::ZERO,
+        });
     }
 
     /// Number of pairs in the bank.
@@ -346,18 +383,13 @@ impl<S: Side<K>, const K: usize> Bank<S, K> {
         self.peers.len()
     }
 
-    /// Estimated resident bytes of this bank's pair state (SoA vectors +
-    /// the boxed dining participants behind them).
+    /// Estimated resident bytes of this bank's pair state: the slot
+    /// records, the peers beside them, and whatever the endpoints hold
+    /// outside their records (a boxed participant's heap value).
     fn resident_bytes(&self) -> usize {
-        use std::mem::{size_of, size_of_val};
-        self.peers.len()
-            * (size_of::<ProcessId>()
-                + size_of::<S>()
-                + size_of::<[Box<dyn DiningParticipant>; K]>()
-                + size_of::<[DinerPhase; K]>()
-                + size_of::<bool>()
-                + size_of::<Time>())
-            + self.dx.iter().flatten().map(|p| size_of_val(&**p)).sum::<usize>()
+        use std::mem::size_of;
+        self.slots.len() * (size_of::<ProcessId>() + size_of::<Slot<S, D, K>>())
+            + self.slots.iter().flat_map(|s| &s.dx).map(D::out_of_line_bytes).sum::<usize>()
     }
 
     /// The one place a black box is called: runs `f` on endpoint `i` of
@@ -370,10 +402,11 @@ impl<S: Side<K>, const K: usize> Bank<S, K> {
         now: Time,
         fd: &dyn FdQuery,
         out: &mut Out,
-        f: impl FnOnce(&mut dyn DiningParticipant, &mut DiningIo<'_>),
+        f: impl FnOnce(&mut D, &mut DiningIo<'_>),
     ) {
         let mut io = DiningIo::with_scratch(self.me, now, fd, std::mem::take(&mut self.scratch));
-        f(&mut *self.dx[slot][i], &mut io);
+        let rec = &mut self.slots[slot];
+        f(&mut rec.dx[i], &mut io);
         let peer = self.peers[slot];
         let ((watcher, subject), instance) = (self.pair(peer), i as u8);
         let mut fx = io.finish();
@@ -382,14 +415,15 @@ impl<S: Side<K>, const K: usize> Bank<S, K> {
             out.sends.push((to, RedMsg::Dx { watcher, subject, instance, inner }));
         }
         self.scratch = fx.sends;
-        let (role, now_phase) = (S::ROLE, self.dx[slot][i].phase());
-        let last = &mut self.last_phase[slot][i];
+        let rec = &mut self.slots[slot];
+        let (role, now_phase) = (S::ROLE, rec.dx[i].phase());
+        let last = &mut rec.last_phase[i];
         while *last != now_phase {
             *last = last.next();
             out.obs.push(RedObs::DxPhase { watcher, subject, role, instance, phase: *last });
         }
         if now_phase == DinerPhase::Hungry {
-            self.quiet_until = self.quiet_until.min(self.trusted_until[slot]);
+            self.quiet_until = self.quiet_until.min(rec.trusted_until);
         }
     }
 
@@ -403,10 +437,10 @@ impl<S: Side<K>, const K: usize> Bank<S, K> {
         out: &mut Out,
         call: impl FnOnce(&mut S, [DinerPhase; K]) -> Option<Step>,
     ) -> bool {
-        let side = &mut self.sides[slot];
-        let before = side.suspects();
-        let step = call(side, self.last_phase[slot]);
-        let after = side.suspects();
+        let rec = &mut self.slots[slot];
+        let before = rec.side.suspects();
+        let step = call(&mut rec.side, rec.last_phase);
+        let after = rec.side.suspects();
         let peer = self.peers[slot];
         match step {
             Some(Step::Hungry(i)) => self.invoke_dx(slot, i, now, fd, out, |p, io| p.hungry(io)),
@@ -429,10 +463,10 @@ impl<S: Side<K>, const K: usize> Bank<S, K> {
 
     /// Fires enabled actions of the slot's side (bounded).
     fn pump(&mut self, slot: usize, now: Time, fd: &dyn FdQuery, out: &mut Out) {
-        self.pump_pending[slot] = true;
+        self.slots[slot].pump_pending = true;
         for _ in 0..PUMP_BUDGET {
             if !self.fire(slot, now, fd, out, S::step) {
-                self.pump_pending[slot] = false;
+                self.slots[slot].pump_pending = false;
                 return;
             }
         }
@@ -467,20 +501,16 @@ impl<S: Side<K>, const K: usize> Bank<S, K> {
         self.pump(slot, now, fd, out);
     }
 
-    fn hungry(&self, slot: usize) -> bool {
-        self.last_phase[slot].contains(&DinerPhase::Hungry)
-    }
-
     /// Whether the detector suspects the slot's peer now, asked only once
     /// the last answer's [`FdQuery::unsuspected_until`] has passed.
     fn peer_suspected(&mut self, slot: usize, now: Time, fd: &dyn FdQuery) -> bool {
-        if now < self.trusted_until[slot] {
+        if now < self.slots[slot].trusted_until {
             return false;
         }
         let (me, peer) = (self.me, self.peers[slot]);
         let suspected = fd.suspected(me, peer, now);
         if !suspected {
-            self.trusted_until[slot] = fd.unsuspected_until(me, peer, now);
+            self.slots[slot].trusted_until = fd.unsuspected_until(me, peer, now);
         }
         suspected
     }
@@ -502,10 +532,10 @@ impl<S: Side<K>, const K: usize> Bank<S, K> {
         }
         self.quiet_until = Time::INFINITY;
         for slot in 0..self.len() {
-            let mut pump = self.pump_pending[slot];
-            if self.hungry(slot) && self.peer_suspected(slot, now, fd) {
+            let mut pump = self.slots[slot].pump_pending;
+            if self.slots[slot].hungry() && self.peer_suspected(slot, now, fd) {
                 for i in 0..K {
-                    if self.last_phase[slot][i] == DinerPhase::Hungry {
+                    if self.slots[slot].last_phase[i] == DinerPhase::Hungry {
                         self.invoke_dx(slot, i, now, fd, out, |p, io| p.on_tick(io));
                     }
                 }
@@ -514,8 +544,9 @@ impl<S: Side<K>, const K: usize> Bank<S, K> {
             if pump {
                 self.pump(slot, now, fd, out);
             }
-            if self.hungry(slot) {
-                self.quiet_until = self.quiet_until.min(self.trusted_until[slot]);
+            let rec = &self.slots[slot];
+            if rec.hungry() {
+                self.quiet_until = self.quiet_until.min(rec.trusted_until);
             }
         }
     }
@@ -532,17 +563,17 @@ fn slot_of(table: &[u32], peer: ProcessId) -> Option<usize> {
 }
 
 /// One physical process of an extractor with witness side `W`, subject side
-/// `S` and `K` dining instances per pair: all of its pair state (two
-/// struct-of-arrays banks) plus message routing.
+/// `S`, dining endpoints stored as `D` and `K` dining instances per pair:
+/// all of its pair state (two banks of slot records) plus message routing.
 ///
 /// Routing is O(1) per message: two peer-indexed tables map a message's
 /// pair tag straight to the owning bank slot, so a node watching (or being
 /// watched by) hundreds of peers never scans its pair lists on the hot
 /// path.
-pub struct PairNode<W, S, const K: usize> {
+pub struct PairNode<W, S, D, const K: usize> {
     me: ProcessId,
-    witnesses: Bank<W, K>,
-    subjects: Bank<S, K>,
+    witnesses: Bank<W, D, K>,
+    subjects: Bank<S, D, K>,
     /// `witness_by_subject[q]` = slot in `witnesses` of the pair watching
     /// `q`, or [`NO_COMPONENT`].
     witness_by_subject: Vec<u32>,
@@ -556,10 +587,12 @@ pub struct PairNode<W, S, const K: usize> {
 }
 
 /// One physical process of the paper's reduction: Alg. 1 and Alg. 2 over
-/// two dining instances per pair.
-pub type ReductionNode = PairNode<WitnessMachine, SubjectMachine, 2>;
+/// two dining instances per pair, with endpoints stored as `D` — boxed by
+/// default, so any black box fits.
+pub type ReductionNode<D = Box<dyn DiningParticipant>> =
+    PairNode<WitnessMachine, SubjectMachine, D, 2>;
 
-impl<W, S, const K: usize> std::fmt::Debug for PairNode<W, S, K> {
+impl<W, S, D, const K: usize> std::fmt::Debug for PairNode<W, S, D, K> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PairNode")
             .field("me", &self.me)
@@ -578,7 +611,7 @@ fn group(me: ProcessId, pairs: &[(ProcessId, ProcessId)]) -> (Vec<ProcessId>, Ve
     (watch, watched_by)
 }
 
-impl ReductionNode {
+impl<D: Resident> ReductionNode<D> {
     /// Builds the node for `me` given the full list of ordered monitoring
     /// pairs, the black-box dining factory, and the oracle handle consumed by
     /// the dining implementations.
@@ -590,7 +623,7 @@ impl ReductionNode {
     pub fn new(
         me: ProcessId,
         pairs: &[(ProcessId, ProcessId)],
-        factory: &DiningFactory<'_>,
+        factory: &DiningFactory<'_, D>,
         fd: Oracle,
         strict_seq: bool,
     ) -> Self {
@@ -605,7 +638,7 @@ impl ReductionNode {
         me: ProcessId,
         watch: &[ProcessId],
         watched_by: &[ProcessId],
-        factory: &DiningFactory<'_>,
+        factory: &DiningFactory<'_, D>,
         fd: Oracle,
         strict_seq: bool,
     ) -> Self {
@@ -614,13 +647,13 @@ impl ReductionNode {
     }
 }
 
-impl<W: Side<K>, S: Side<K>, const K: usize> PairNode<W, S, K> {
+impl<W: Side<K>, S: Side<K>, D: Resident, const K: usize> PairNode<W, S, D, K> {
     /// Builds the node for `me` over `pairs`, every pair starting from a
     /// copy of `sides`.
     pub fn over_pairs(
         me: ProcessId,
         pairs: &[(ProcessId, ProcessId)],
-        factory: &DiningFactory<'_>,
+        factory: &DiningFactory<'_, D>,
         fd: Oracle,
         sides: (W, S),
     ) -> Self {
@@ -632,7 +665,7 @@ impl<W: Side<K>, S: Side<K>, const K: usize> PairNode<W, S, K> {
         me: ProcessId,
         watch: &[ProcessId],
         watched_by: &[ProcessId],
-        factory: &DiningFactory<'_>,
+        factory: &DiningFactory<'_, D>,
         fd: Oracle,
         (witness, subject): (W, S),
     ) -> Self {
@@ -701,14 +734,15 @@ impl<W: Side<K>, S: Side<K>, const K: usize> PairNode<W, S, K> {
     /// unwatched pairs as detector claims.
     pub fn suspects(&self, q: ProcessId) -> bool {
         slot_of(&self.witness_by_subject, q)
-            .and_then(|slot| self.witnesses.sides[slot].suspects())
+            .and_then(|slot| self.witnesses.slots[slot].side.suspects())
             .unwrap_or(true)
     }
 
     /// Estimated resident bytes of this node's pair state (both banks plus
     /// the routing tables). A deliberately coarse footprint figure for the
-    /// bytes/pair scaling curves — it counts the SoA vectors and the boxed
-    /// dining participants, not allocator slack.
+    /// bytes/pair scaling curves — it counts the slot records, the peers
+    /// beside them and the heap value of each boxed participant, not what a
+    /// participant allocates itself nor allocator slack.
     pub fn resident_bytes(&self) -> usize {
         self.witnesses.resident_bytes()
             + self.subjects.resident_bytes()
@@ -823,7 +857,7 @@ impl<W: Side<K>, S: Side<K>, const K: usize> PairNode<W, S, K> {
 /// can read (`watcher` is by construction `me`), answering as
 /// [`PairNode::suspects`] does. Its size is the span of the routing tables:
 /// `n` for a node over all ordered pairs of `n` processes.
-impl<W: Side<K>, S: Side<K>, const K: usize> FdQuery for PairNode<W, S, K> {
+impl<W: Side<K>, S: Side<K>, D: Resident, const K: usize> FdQuery for PairNode<W, S, D, K> {
     fn suspected(&self, _watcher: ProcessId, subject: ProcessId, _now: Time) -> bool {
         self.suspects(subject)
     }
@@ -833,7 +867,7 @@ impl<W: Side<K>, S: Side<K>, const K: usize> FdQuery for PairNode<W, S, K> {
     }
 }
 
-impl<W: Side<K>, S: Side<K>, const K: usize> Node for PairNode<W, S, K> {
+impl<W: Side<K>, S: Side<K>, D: Resident, const K: usize> Node for PairNode<W, S, D, K> {
     type Msg = RedMsg;
     type Obs = RedObs;
 

@@ -20,7 +20,7 @@ use dinefd_sim::{
 };
 
 use crate::detector::{suspicion_history, HistorySink, PairTimelines};
-use crate::host::{DiningFactory, DxEndpoint, Oracle, RedMsg, RedObs, ReductionNode};
+use crate::host::{DiningFactory, DxEndpoint, Oracle, RedMsg, RedObs, ReductionNode, Resident};
 
 /// Which WF-◇WX (or WX) black box the reduction runs against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -260,6 +260,10 @@ pub fn factory_for(black_box: BlackBox) -> impl Fn(DxEndpoint) -> Box<dyn Dining
 
 /// Runs one extraction scenario to its horizon.
 ///
+/// The banks hold the WF-◇WX engine of `WfDx` and `Ftme` inline, as the
+/// same endpoints [`factory_for`] boxes, and every other black box boxed;
+/// the reduction sees [`DiningParticipant`] either way.
+///
 /// ```
 /// use dinefd_core::{run_extraction, BlackBox, Scenario};
 /// use dinefd_sim::{CrashPlan, ProcessId, Time};
@@ -274,10 +278,26 @@ pub fn factory_for(black_box: BlackBox) -> impl Fn(DxEndpoint) -> Box<dyn Dining
 /// assert!(res.history.mistake_intervals(ProcessId(0), ProcessId(1)) >= 1);
 /// ```
 pub fn run_extraction(sc: Scenario) -> ExtractionResult {
+    match sc.black_box {
+        BlackBox::WfDx => {
+            run_extraction_over(sc, &|ep: DxEndpoint| WfDxDining::new(ep.me, &[ep.peer]))
+        }
+        BlackBox::Ftme => {
+            run_extraction_over(sc, &|ep: DxEndpoint| WfDxDining::trust_gated(ep.me, &[ep.peer]))
+        }
+        other => run_extraction_over(sc, &factory_for(other)),
+    }
+}
+
+/// [`run_extraction`] over `factory`'s endpoints, stored as `D`.
+pub fn run_extraction_over<D: Resident>(
+    sc: Scenario,
+    factory: &DiningFactory<'_, D>,
+) -> ExtractionResult {
     let Scenario {
         n,
         pairs,
-        black_box,
+        black_box: _,
         oracle,
         seed,
         delays,
@@ -294,7 +314,6 @@ pub fn run_extraction(sc: Scenario) -> ExtractionResult {
     let pairs = if pairs.is_empty() { all_ordered_pairs(n) } else { pairs };
     let mut rng = SplitMix64::new(seed ^ 0xD1CE_F00D);
     let oracle: Oracle = Arc::new(oracle.build(n, crashes.clone(), &mut rng));
-    let factory = factory_for(black_box);
     // Pre-group the pair list once (O(P)) instead of letting every node
     // rescan it (O(n·P) ≈ O(n³) total for all-pairs systems — ruinous at
     // n ≥ 1024).
@@ -310,13 +329,13 @@ pub fn run_extraction(sc: Scenario) -> ExtractionResult {
             }
         }
     }
-    let nodes: Vec<ReductionNode> = ProcessId::all(n)
+    let nodes: Vec<ReductionNode<D>> = ProcessId::all(n)
         .map(|me| {
             let mut node = ReductionNode::from_groups(
                 me,
                 &watch[me.index()],
                 &watched_by[me.index()],
-                &factory,
+                factory,
                 Arc::clone(&oracle),
                 strict_seq,
             );

@@ -27,7 +27,7 @@
 //!
 //! [`GrantRegime::SelfBiased`]: dinefd_dining::coord::GrantRegime::SelfBiased
 
-use dinefd_dining::DinerPhase;
+use dinefd_dining::{DinerPhase, DiningParticipant};
 use dinefd_sim::{CrashPlan, ProcessId, Time};
 
 use crate::host::{DiningFactory, Oracle, PairNode, Role, Side, Step};
@@ -102,7 +102,7 @@ impl Side<1> for SingleSubject {
 }
 
 /// One physical process of the single-instance reduction.
-pub type SingleDxNode = PairNode<SingleWitness, SingleSubject, 1>;
+pub type SingleDxNode = PairNode<SingleWitness, SingleSubject, Box<dyn DiningParticipant>, 1>;
 
 impl SingleDxNode {
     /// Builds the node for `me` over the given ordered pairs (one dining

@@ -168,6 +168,35 @@ pub trait DiningParticipant: fmt::Debug + Send {
     fn phase(&self) -> DinerPhase;
 }
 
+/// A boxed participant is the participant it holds. Every method forwards,
+/// the tick promise included, so a host may keep its diners boxed or
+/// inline and sees the same black box either way.
+impl<P: DiningParticipant + ?Sized> DiningParticipant for Box<P> {
+    fn hungry(&mut self, io: &mut DiningIo<'_>) {
+        (**self).hungry(io);
+    }
+
+    fn exit_eating(&mut self, io: &mut DiningIo<'_>) {
+        (**self).exit_eating(io);
+    }
+
+    fn on_message(&mut self, io: &mut DiningIo<'_>, from: ProcessId, msg: DiningMsg) {
+        (**self).on_message(io, from, msg);
+    }
+
+    fn on_tick(&mut self, io: &mut DiningIo<'_>) {
+        (**self).on_tick(io);
+    }
+
+    fn ticks_only_while_suspecting(&self) -> bool {
+        (**self).ticks_only_while_suspecting()
+    }
+
+    fn phase(&self) -> DinerPhase {
+        (**self).phase()
+    }
+}
+
 /// A failure detector that never suspects anyone — for protocols that do not
 /// consult an oracle (the crash-oblivious baseline) and for tests.
 #[derive(Clone, Copy, Debug)]
@@ -189,6 +218,8 @@ impl FdQuery for NoOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn io_buffers_sends_and_queries_fd() {
@@ -208,6 +239,75 @@ mod tests {
         let fd = NoOracle(7);
         assert_eq!(fd.len(), 7);
         assert!(!fd.is_empty());
+    }
+
+    /// Counts each call it gets, in a tally the test keeps, and promises
+    /// what it is told to.
+    #[derive(Debug)]
+    struct Probe {
+        calls: Arc<[AtomicU32; 6]>,
+        promise: bool,
+    }
+
+    impl Probe {
+        fn count(&self, method: usize) {
+            self.calls[method].fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    impl DiningParticipant for Probe {
+        fn hungry(&mut self, _io: &mut DiningIo<'_>) {
+            self.count(0);
+        }
+
+        fn exit_eating(&mut self, _io: &mut DiningIo<'_>) {
+            self.count(1);
+        }
+
+        fn on_message(&mut self, io: &mut DiningIo<'_>, from: ProcessId, msg: DiningMsg) {
+            self.count(2);
+            io.send(from, msg);
+        }
+
+        fn on_tick(&mut self, _io: &mut DiningIo<'_>) {
+            self.count(3);
+        }
+
+        fn ticks_only_while_suspecting(&self) -> bool {
+            self.count(4);
+            self.promise
+        }
+
+        fn phase(&self) -> DinerPhase {
+            self.count(5);
+            DinerPhase::Eating
+        }
+    }
+
+    /// Every call through the box reaches the value inside, and a boxed
+    /// participant keeps its tick promise: a forwarding impl that fell back
+    /// on the trait's default `false` would put every bank holding boxes
+    /// back on ticking everything.
+    #[test]
+    fn a_box_forwards_every_method_to_its_participant() {
+        let fd = NoOracle(2);
+        let fork = DiningMsg::Hygienic(HyMsg::Fork);
+        for promise in [false, true] {
+            let calls = Arc::new(std::array::from_fn(|_| AtomicU32::new(0)));
+            let probe = Probe { calls: Arc::clone(&calls), promise };
+            // Twice boxed too, as a host holding `Box<dyn …>` values sees them.
+            let mut boxed: Box<Box<dyn DiningParticipant>> = Box::new(Box::new(probe));
+            let mut io = DiningIo::new(ProcessId(0), Time(3), &fd);
+            boxed.hungry(&mut io);
+            boxed.exit_eating(&mut io);
+            boxed.on_message(&mut io, ProcessId(1), fork.clone());
+            boxed.on_tick(&mut io);
+            assert_eq!(boxed.ticks_only_while_suspecting(), promise);
+            assert_eq!(boxed.phase(), DinerPhase::Eating);
+            assert_eq!(io.finish().sends, vec![(ProcessId(1), fork.clone())]);
+            let tally: Vec<u32> = calls.iter().map(|c| c.load(Ordering::Relaxed)).collect();
+            assert_eq!(tally, [1; 6], "calls per method, promise {promise}");
+        }
     }
 
     /// Every queued event and trace entry of a reduction run carries one.

@@ -25,6 +25,15 @@
 //! roll, so insertion order survives every path. [`TimerWheel::pop_instant`]
 //! hands over a whole instant in the same order. The tests below pin the
 //! wheel against exactly such a heap.
+//!
+//! ## Memory
+//!
+//! A drained slot gives its buffer back: both pops move it out of the ring
+//! onto a spare list of at most `SPARE_SLOTS` buffers, and a push into a
+//! slot without one takes a spare before it allocates. So the ring holds
+//! buffers only for the instants that are live, however long the run: a
+//! run shorter than the ring would otherwise leave one grown buffer behind
+//! per instant it ever used, and a longer one one per slot.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -36,6 +45,15 @@ use crate::time::Time;
 pub const NEAR_SLOTS: usize = 512;
 
 const WORDS: usize = NEAR_SLOTS / 64;
+
+/// Most drained slot buffers the wheel keeps for reuse. Over a run pops
+/// drain as many slots as pushes open, but not instant by instant: the
+/// spare count wanders, and each time it hits zero a push grows a buffer
+/// from empty, each time it hits the cap a drained buffer is freed. At 2
+/// that churn cost the benchmark's `extract_long` (n = 8, horizon 50k)
+/// about 2 % of its throughput on a 2-vCPU host; a cap of 16 makes it
+/// rare.
+const SPARE_SLOTS: usize = 16;
 
 /// A two-level timer wheel holding values of type `V`, popped in ascending
 /// `(time, insertion order)`. See the module docs for the ordering contract.
@@ -54,6 +72,8 @@ pub struct TimerWheel<V> {
     /// Events beyond the near window, keyed by exact instant; bucket order
     /// is append order.
     far: BTreeMap<u64, Vec<V>>,
+    /// Empty buffers of drained slots, at most `SPARE_SLOTS`.
+    spare: Vec<VecDeque<V>>,
     len: usize,
 }
 
@@ -65,6 +85,7 @@ impl<V> Default for TimerWheel<V> {
             window_start: 0,
             cursor: 0,
             far: BTreeMap::new(),
+            spare: Vec::new(),
             len: 0,
         }
     }
@@ -102,6 +123,29 @@ impl<V> TimerWheel<V> {
         self.occupied[slot / 64] &= !(1 << (slot % 64));
     }
 
+    /// The buffer of `slot`, given a spare first if it holds none.
+    #[inline]
+    fn fill(&mut self, slot: usize) -> &mut VecDeque<V> {
+        if self.slots[slot].capacity() == 0 {
+            if let Some(spare) = self.spare.pop() {
+                self.slots[slot] = spare;
+            }
+        }
+        &mut self.slots[slot]
+    }
+
+    /// Marks the drained `slot` empty and moves its buffer out of the ring,
+    /// onto the spare list while that has room.
+    #[inline]
+    fn release(&mut self, slot: usize) {
+        debug_assert!(self.slots[slot].is_empty());
+        self.unmark(slot);
+        let buf = std::mem::take(&mut self.slots[slot]);
+        if self.spare.len() < SPARE_SLOTS {
+            self.spare.push(buf);
+        }
+    }
+
     /// Schedules `v` at absolute instant `at`.
     ///
     /// # Panics
@@ -113,7 +157,7 @@ impl<V> TimerWheel<V> {
         assert!(t >= self.cursor, "wheel push at t{t} behind the cursor t{}", self.cursor);
         if self.window_end().is_some_and(|end| t < end) {
             let slot = (t % NEAR_SLOTS as u64) as usize;
-            self.slots[slot].push_back(v);
+            self.fill(slot).push_back(v);
             self.mark(slot);
         } else {
             self.far.entry(t).or_default().push(v);
@@ -151,7 +195,7 @@ impl<V> TimerWheel<V> {
                 let within = std::mem::replace(&mut self.far, beyond);
                 for (t, bucket) in within {
                     let slot = (t % NEAR_SLOTS as u64) as usize;
-                    self.slots[slot].extend(bucket);
+                    self.fill(slot).extend(bucket);
                     self.mark(slot);
                 }
             }
@@ -159,7 +203,7 @@ impl<V> TimerWheel<V> {
                 // The window touches the horizon: everything left fits.
                 for (t, bucket) in std::mem::take(&mut self.far) {
                     let slot = (t % NEAR_SLOTS as u64) as usize;
-                    self.slots[slot].extend(bucket);
+                    self.fill(slot).extend(bucket);
                     self.mark(slot);
                 }
             }
@@ -224,7 +268,7 @@ impl<V> TimerWheel<V> {
         let slot = (t.ticks() % NEAR_SLOTS as u64) as usize;
         self.len -= self.slots[slot].len();
         out.extend(self.slots[slot].drain(..));
-        self.unmark(slot);
+        self.release(slot);
     }
 
     /// Removes and returns the earliest item with its instant.
@@ -235,7 +279,7 @@ impl<V> TimerWheel<V> {
         let slot = self.seek();
         let v = self.slots[slot].pop_front().expect("seek found an occupied slot");
         if self.slots[slot].is_empty() {
-            self.unmark(slot);
+            self.release(slot);
         }
         self.len -= 1;
         Some((Time(self.cursor), v))
@@ -412,6 +456,51 @@ mod tests {
             }
         }
         assert!(rolled > 0, "the workload must cross window boundaries");
+    }
+
+    impl<V> TimerWheel<V> {
+        /// Slot buffers holding an allocation, in the ring or spare.
+        fn buffers_held(&self) -> usize {
+            self.slots.iter().chain(&self.spare).filter(|q| q.capacity() > 0).count()
+        }
+    }
+
+    /// At constant depth the wheel holds a buffer for each instant of the
+    /// live window and at most [`SPARE_SLOTS`] more, through both pops, for
+    /// several laps of the ring. A wheel whose drained slots keep their
+    /// buffers holds one per slot it ever used: all of them after one lap.
+    #[test]
+    fn drained_slot_buffers_are_recycled() {
+        const MAX_DELAY: u64 = 16;
+        for whole_instants in [true, false] {
+            let mut rng = SplitMix64::new(0xB0F);
+            let mut w: TimerWheel<u64> = TimerWheel::new();
+            for id in 0..64 {
+                w.push(Time(rng.range(1, MAX_DELAY)), id);
+            }
+            let mut got = Vec::new();
+            for _ in 0..4 * NEAR_SLOTS {
+                let t = w.peek_time().expect("the depth stays constant");
+                got.clear();
+                if whole_instants {
+                    w.pop_instant(t, &mut got);
+                } else {
+                    while w.peek_time() == Some(t) {
+                        got.extend(w.pop().map(|(_, v)| v));
+                    }
+                }
+                for &id in &got {
+                    w.push(Time(t.ticks() + rng.range(1, MAX_DELAY)), id);
+                }
+                assert_eq!(w.len(), 64);
+                let held = w.buffers_held();
+                assert!(
+                    held <= MAX_DELAY as usize + SPARE_SLOTS,
+                    "{held} buffers held at t{} (pop_instant: {whole_instants})",
+                    t.ticks()
+                );
+            }
+        }
     }
 
     /// Asking for an instant before the wheel's minimum takes nothing and
