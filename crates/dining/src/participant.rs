@@ -340,18 +340,13 @@ mod tests {
             assert!(io.finish().sends.is_empty(), "{msg:?} from a stranger sent something");
             assert_eq!(d.phase(), before, "{msg:?} from a stranger moved the phase");
         };
-        let packed = |d: &WfDxDining| {
-            let mut out = Vec::new();
-            d.pack_into(&mut out);
-            out
-        };
         for mut d in [WfDxDining::new(me, &nbrs), WfDxDining::trust_gated(me, &nbrs)] {
             hungry(&mut d);
-            let before = packed(&d);
+            let before = d.clone();
             for msg in [&request, &fork] {
                 dropped(&mut d, msg);
             }
-            assert_eq!(packed(&d), before, "a stranger's message changed the packed state");
+            assert_eq!(d, before, "a stranger's message changed the endpoint");
         }
         let mut d = HygienicDining::new(me, &nbrs);
         hungry(&mut d);

@@ -75,48 +75,36 @@ pub enum WxMsg {
     },
 }
 
-impl Ts {
-    fn pack_into(&self, out: &mut Vec<u8>) {
-        codec::put_varint(out, self.clock);
-        codec::put_varint(out, u64::from(self.id));
-    }
-
-    fn unpack(input: &mut &[u8]) -> Option<Ts> {
-        Some(Ts {
-            clock: codec::take_varint(input)?,
-            id: u32::try_from(codec::take_varint(input)?).ok()?,
-        })
-    }
-}
-
 impl WxMsg {
-    /// Packs the message for the explorer state codec: a tag byte followed
-    /// by the payload varints.
-    pub fn pack_into(&self, out: &mut Vec<u8>) {
-        match *self {
-            WxMsg::Request(ts) => {
-                codec::put_u8(out, 0);
-                ts.pack_into(out);
-            }
-            WxMsg::Fork { clock } => {
-                codec::put_u8(out, 1);
-                codec::put_varint(out, clock);
-            }
-            WxMsg::TokenReturn { clock } => {
-                codec::put_u8(out, 2);
-                codec::put_varint(out, clock);
-            }
-        }
+    /// Packs a message on a one-peer wire, whose sender the reader knows:
+    /// one byte holding `head` (up to six bits the caller places there, such
+    /// as which instance and direction the message travels) above the
+    /// two-bit kind, then the clock. A `Request` carries its sender's own
+    /// session stamp, so its id is not written; [`WxMsg::unpack_pair`]
+    /// takes it from the sender.
+    pub fn pack_pair_into(&self, head: u8, out: &mut Vec<u8>) {
+        debug_assert!(head < 64, "head {head} does not fit six bits");
+        let (kind, clock) = match *self {
+            WxMsg::Request(ts) => (0, ts.clock),
+            WxMsg::Fork { clock } => (1, clock),
+            WxMsg::TokenReturn { clock } => (2, clock),
+        };
+        codec::put_u8(out, head << 2 | kind);
+        codec::put_varint(out, clock);
     }
 
-    /// Inverse of [`WxMsg::pack_into`]; `None` on a malformed buffer.
-    pub fn unpack(input: &mut &[u8]) -> Option<WxMsg> {
-        match codec::take_u8(input)? {
-            0 => Some(WxMsg::Request(Ts::unpack(input)?)),
-            1 => Some(WxMsg::Fork { clock: codec::take_varint(input)? }),
-            2 => Some(WxMsg::TokenReturn { clock: codec::take_varint(input)? }),
-            _ => None,
-        }
+    /// Inverse of [`WxMsg::pack_pair_into`] for a message `sender` sent:
+    /// the caller's head and the message, or `None` on a malformed buffer.
+    pub fn unpack_pair(sender: ProcessId, input: &mut &[u8]) -> Option<(u8, WxMsg)> {
+        let b = codec::take_u8(input)?;
+        let clock = codec::take_varint(input)?;
+        let msg = match b & 0b11 {
+            0 => WxMsg::Request(Ts { clock, id: sender.0 }),
+            1 => WxMsg::Fork { clock },
+            2 => WxMsg::TokenReturn { clock },
+            _ => return None,
+        };
+        Some((b >> 2, msg))
     }
 }
 
@@ -300,6 +288,11 @@ impl WfDxDining {
         self.edges.iter().any(|e| e.peer == peer && e.has_token)
     }
 
+    /// The request `peer` is waiting on this endpoint to serve, if any.
+    pub fn pending_request(&self, peer: ProcessId) -> Option<Ts> {
+        self.edges.iter().find(|e| e.peer == peer)?.pending
+    }
+
     /// The diner this endpoint belongs to.
     pub fn id(&self) -> ProcessId {
         self.me
@@ -316,66 +309,70 @@ impl WfDxDining {
         self.session
     }
 
-    /// Packs the full endpoint state (phase, per-edge fork/token/request
-    /// bits, clocks) into a compact byte string for the explorer state
-    /// codec. [`WfDxDining::unpack`] is the exact inverse.
-    pub fn pack_into(&self, out: &mut Vec<u8>) {
-        codec::put_varint(out, u64::from(self.me.0));
+    /// Packs a one-peer endpoint for a reader that knows its position, so
+    /// that `me`, the edge count and the peer, and the ids of the session
+    /// stamp (always `me`) and of a pending request (always the peer) go
+    /// unwritten: one flag byte (phase, policy, gate, and the edge's fork,
+    /// token, requested and trusted bits), the clock, the session clock
+    /// shifted above a has-pending bit, the suspicion-eat count and, when
+    /// present, the pending request's clock. [`WfDxDining::unpack_pair`] is
+    /// the exact inverse.
+    pub fn pack_pair_into(&self, out: &mut Vec<u8>) {
+        let e = &self.edges[0];
+        debug_assert!(
+            self.edges.len() == 1
+                && self.session.id == self.me.0
+                && e.pending.is_none_or(|ts| ts.id == e.peer.0),
+            "not a one-peer endpoint whose stamps its position fixes: {self:?}"
+        );
+        debug_assert!(self.session.clock <= u64::MAX >> 1, "session clock too large to tag");
         let policy = matches!(self.policy, SuspicionPolicy::TrustGated) as u8;
-        codec::put_u8(out, phase_bits(self.phase) | policy << 2 | (self.gate_open as u8) << 3);
+        codec::put_u8(
+            out,
+            phase_bits(self.phase)
+                | policy << 2
+                | (self.gate_open as u8) << 3
+                | (e.has_fork as u8) << 4
+                | (e.has_token as u8) << 5
+                | (e.requested as u8) << 6
+                | (e.ever_trusted as u8) << 7,
+        );
         codec::put_varint(out, self.clock);
-        self.session.pack_into(out);
+        codec::put_varint(out, self.session.clock << 1 | e.pending.is_some() as u64);
         codec::put_varint(out, self.suspicion_eats);
-        codec::put_varint(out, self.edges.len() as u64);
-        for e in self.edges.iter() {
-            codec::put_varint(out, u64::from(e.peer.0));
-            codec::put_u8(
-                out,
-                e.has_fork as u8
-                    | (e.has_token as u8) << 1
-                    | (e.requested as u8) << 2
-                    | (e.ever_trusted as u8) << 3
-                    | (e.pending.is_some() as u8) << 4,
-            );
-            if let Some(ts) = e.pending {
-                ts.pack_into(out);
-            }
+        if let Some(ts) = e.pending {
+            codec::put_varint(out, ts.clock);
         }
     }
 
-    /// Inverse of [`WfDxDining::pack_into`]; `None` on a malformed buffer.
-    pub fn unpack(input: &mut &[u8]) -> Option<Self> {
-        let me = ProcessId(u32::try_from(codec::take_varint(input)?).ok()?);
+    /// Inverse of [`WfDxDining::pack_pair_into`] for the endpoint of `me`
+    /// whose one edge leads to `peer`; `None` on a malformed buffer.
+    pub fn unpack_pair(me: ProcessId, peer: ProcessId, input: &mut &[u8]) -> Option<Self> {
         let b = codec::take_u8(input)?;
+        let clock = codec::take_varint(input)?;
+        let session = codec::take_varint(input)?;
+        let suspicion_eats = codec::take_varint(input)?;
+        let pending = if session & 1 != 0 {
+            Some(Ts { clock: codec::take_varint(input)?, id: peer.0 })
+        } else {
+            None
+        };
         let policy =
             if b & 0b100 != 0 { SuspicionPolicy::TrustGated } else { SuspicionPolicy::Direct };
-        let clock = codec::take_varint(input)?;
-        let session = Ts::unpack(input)?;
-        let suspicion_eats = codec::take_varint(input)?;
-        // Every edge takes at least one byte: a longer length is malformed,
-        // and refused before anything is allocated for it.
-        let n = usize::try_from(codec::take_varint(input)?).ok().filter(|&n| n <= input.len())?;
-        let mut edges = Vec::with_capacity(n);
-        for _ in 0..n {
-            let peer = ProcessId(u32::try_from(codec::take_varint(input)?).ok()?);
-            let f = codec::take_u8(input)?;
-            let pending = if f & 0b1_0000 != 0 { Some(Ts::unpack(input)?) } else { None };
-            edges.push(Edge {
-                peer,
-                has_fork: f & 1 != 0,
-                has_token: f & 0b10 != 0,
-                requested: f & 0b100 != 0,
-                pending,
-                ever_trusted: f & 0b1000 != 0,
-            });
-        }
         Some(WfDxDining {
             me,
             phase: phase_from_bits(b),
-            edges: Edges::from(edges),
+            edges: Edges::One(Edge {
+                peer,
+                has_fork: b & 0b1_0000 != 0,
+                has_token: b & 0b10_0000 != 0,
+                requested: b & 0b100_0000 != 0,
+                pending,
+                ever_trusted: b & 0b1000_0000 != 0,
+            }),
             policy,
             clock,
-            session,
+            session: Ts { clock: session >> 1, id: me.0 },
             suspicion_eats,
             gate_open: b & 0b1000 != 0,
         })
@@ -638,68 +635,52 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_pack_round_trips_through_a_session() {
+    fn pair_packs_round_trip_through_a_session() {
         let fd = NoOracle(2);
         let mut d = WfDxDining::new(p(1), &[p(0)]);
-        let assert_rt = |d: &WfDxDining| {
+        let pair_rt = |d: &WfDxDining| {
             let mut buf = Vec::new();
-            d.pack_into(&mut buf);
+            d.pack_pair_into(&mut buf);
             let mut cursor = buf.as_slice();
-            assert_eq!(WfDxDining::unpack(&mut cursor).as_ref(), Some(d));
+            assert_eq!(WfDxDining::unpack_pair(p(1), p(0), &mut cursor).as_ref(), Some(d));
             assert!(cursor.is_empty(), "trailing bytes after decode");
+            buf.len()
         };
-        assert_rt(&d);
+        // Flags, clock, session clock and suspicion eats: no id is written.
+        assert_eq!(pair_rt(&d), 4);
         let mut io = DiningIo::new(p(1), Time(0), &fd);
         d.hungry(&mut io); // requested = true, session stamped
         let _ = io.finish();
-        assert_rt(&d);
+        pair_rt(&d);
         let mut io = DiningIo::new(p(1), Time(1), &fd);
         d.on_message(&mut io, p(0), fork(3)); // eating, clocks advanced
         let _ = io.finish();
-        assert_rt(&d);
-        // A deferred peer request exercises the `pending` branch.
+        pair_rt(&d);
+        // A deferred peer request, whose stamp's id is the peer's: one more
+        // byte, its clock.
         let mut io = DiningIo::new(p(1), Time(2), &fd);
         d.on_message(&mut io, p(0), request(9, 0));
         let _ = io.finish();
-        assert_rt(&d);
-        // A one-peer endpoint holds its edge inline, a two-peer one in a
-        // `Vec`; both encode the same way and decode to the same variant.
-        assert!(matches!(d.edges, Edges::One(_)));
-        let two = WfDxDining::new(p(1), &[p(0), p(2)]);
-        assert!(matches!(two.edges, Edges::Many(_)));
-        assert_rt(&two);
+        assert!(d.pending_request(p(0)).is_some());
+        assert_eq!(pair_rt(&d), 5);
+        pair_rt(&WfDxDining::trust_gated(p(1), &[p(0)]));
     }
 
     #[test]
-    fn an_edge_count_past_the_end_of_the_buffer_is_malformed() {
-        // A one-peer endpoint ends in its edge list: count 1, the peer, one
-        // flag byte. Claim 2^35 and then 2^60 edges with no bytes behind
-        // them: allocating for the claim first would abort or panic.
-        let mut buf = Vec::new();
-        WfDxDining::new(p(1), &[p(0)]).pack_into(&mut buf);
-        assert_eq!(buf[buf.len() - 3..buf.len() - 1], [1, 0]);
-        for n in [1u64 << 35, 1 << 60] {
-            let mut crafted = buf[..buf.len() - 3].to_vec();
-            codec::put_varint(&mut crafted, n);
-            assert_eq!(WfDxDining::unpack(&mut crafted.as_slice()), None, "{n} edges claimed");
-        }
-    }
-
-    #[test]
-    fn wx_msg_pack_round_trips() {
-        for m in [
-            WxMsg::Request(Ts { clock: 300, id: 7 }),
-            WxMsg::Fork { clock: 0 },
-            WxMsg::TokenReturn { clock: 129 },
+    fn wx_msg_pair_packs_round_trip_with_the_senders_id() {
+        for (head, m) in [
+            (0, WxMsg::Request(Ts { clock: 300, id: 7 })),
+            (63, WxMsg::Fork { clock: 0 }),
+            (2, WxMsg::TokenReturn { clock: 129 }),
         ] {
             let mut buf = Vec::new();
-            m.pack_into(&mut buf);
+            m.pack_pair_into(head, &mut buf);
             let mut cursor = buf.as_slice();
-            assert_eq!(WxMsg::unpack(&mut cursor), Some(m));
+            assert_eq!(WxMsg::unpack_pair(p(7), &mut cursor), Some((head, m)));
             assert!(cursor.is_empty());
         }
-        let mut bad: &[u8] = &[9];
-        assert_eq!(WxMsg::unpack(&mut bad), None, "unknown tag must fail loudly");
+        let mut bad: &[u8] = &[3, 0];
+        assert_eq!(WxMsg::unpack_pair(p(0), &mut bad), None, "kind 3 is no message");
     }
 
     #[test]

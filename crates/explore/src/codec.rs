@@ -4,18 +4,29 @@
 //! [`crate::composed`]) implement [`StateCodec`]: a bit-packed, varint-backed
 //! byte encoding plus its exact inverse. The search engine never keys a hash
 //! map by a cloned state struct; it encodes each state once into a scratch
-//! buffer, fingerprints the bytes with [`fingerprint`], and interns the bytes
-//! in the visited store's arena (the private `visited` module). A
-//! fingerprint match is only trusted after a byte-for-byte comparison
-//! against the interned encoding, so the search stays **exhaustive** — this
-//! is compact hashing in the SPIN tradition, not lossy bitstate hashing.
+//! buffer and hands the bytes to the visited store (the private `visited`
+//! module), which fingerprints them with [`fingerprint`] and interns them in
+//! its arena. A fingerprint tag match is only trusted after a byte-for-byte
+//! comparison against the interned encoding, so the search stays
+//! **exhaustive** — this is compact hashing in the SPIN tradition, not lossy
+//! bitstate hashing.
 //!
 //! Encodings pack the enum-like fields (dining phases, machine flags,
 //! mistake lifecycles) into single bytes and use LEB128 varints for the
 //! unbounded counters, so a typical [`PairState`] costs ~10 bytes against
-//! several hundred for the in-memory struct. `decode(encode(s)) == s` holds
-//! exactly (property-tested in `tests/proptest_codec.rs`, and debug-asserted
-//! on every fresh insertion by the engine).
+//! several hundred for the in-memory struct. The composed encoding writes
+//! only what varies: a fork endpoint's own id, its peer and edge count, the
+//! ids in its session stamp and in a pending request, and the sender id of a
+//! wire `Request` all follow from the slot the value sits in, so none is
+//! written (28.5 bytes a state over the depth-18 search, from 51.1).
+//!
+//! `decode(encode(s)) == s` holds exactly (property-tested in
+//! `tests/proptest_codec.rs`, and debug-asserted on every fresh insertion by
+//! the engine), and decoding is strict: any byte string decodes to `None` or
+//! to a state whose encoding is that byte string (`tests/decode_robustness.rs`
+//! feeds it arbitrary, truncated, extended and mutated encodings). Unused
+//! flag bits, unknown tags, non-minimal varints and trailing bytes are all
+//! refused.
 
 use dinefd_dining::DinerPhase;
 use dinefd_sim::codec::{hash64, put_u8, put_varint, take_u8, take_varint};
@@ -72,7 +83,7 @@ pub(crate) fn phase_from_bits(b: u8) -> DinerPhase {
 /// depth, so the shift cannot overflow in any reachable state.
 pub(crate) fn put_wire_msg(out: &mut Vec<u8>, (i, seq): (u8, u64)) {
     debug_assert!(i < 2, "instance index is 0 or 1");
-    debug_assert!(seq < u64::MAX / 2, "seq too large to tag");
+    debug_assert!(seq <= u64::MAX >> 1, "seq too large to tag");
     put_varint(out, seq << 1 | u64::from(i));
 }
 
@@ -124,6 +135,9 @@ impl StateCodec for PairState {
         let input = &mut input;
         let phases = take_u8(input)?;
         let flags = take_u8(input)?;
+        if flags & !0b11 != 0 {
+            return None;
+        }
         let state = PairState {
             w_phase: [phase_from_bits(phases), phase_from_bits(phases >> 2)],
             s_phase: [phase_from_bits(phases >> 4), phase_from_bits(phases >> 6)],

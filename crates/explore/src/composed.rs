@@ -25,7 +25,7 @@
 //! blowing up the state space).
 
 use dinefd_core::machines::{SubjectCmd, SubjectMachine, WitnessCmd, WitnessMachine};
-use dinefd_dining::wfdx::WfDxDining;
+use dinefd_dining::wfdx::{WfDxDining, WxMsg};
 use dinefd_dining::{DinerPhase, DiningIo, DiningMsg, DiningParticipant};
 use dinefd_fd::FdQuery;
 use dinefd_sim::{ProcessId, Time};
@@ -453,8 +453,7 @@ impl ComposedState {
                 .iter()
                 .filter(|&&(j, _to_s, ref m)| {
                     // Forks bound for a corpse still "exist" until dropped.
-                    j as usize == i
-                        && matches!(m, DiningMsg::WfDx(dinefd_dining::wfdx::WxMsg::Fork { .. }))
+                    j as usize == i && matches!(m, DiningMsg::WfDx(WxMsg::Fork { .. }))
                 })
                 .count();
             let w_has = self.w_dx[i].holds_fork(Q) as usize;
@@ -478,8 +477,8 @@ impl ComposedState {
                     j as usize == i
                         && matches!(
                             m,
-                            DiningMsg::WfDx(dinefd_dining::wfdx::WxMsg::Request(_))
-                                | DiningMsg::WfDx(dinefd_dining::wfdx::WxMsg::TokenReturn { .. })
+                            DiningMsg::WfDx(WxMsg::Request(_))
+                                | DiningMsg::WfDx(WxMsg::TokenReturn { .. })
                         )
                 })
                 .count();
@@ -522,19 +521,23 @@ impl ComposedState {
     }
 }
 
+/// The codec writes what a slot's position leaves open and nothing else:
+/// each fork endpoint through [`WfDxDining::pack_pair_into`] (its `me` and
+/// peer follow from its side), and each wire message through
+/// [`WxMsg::pack_pair_into`] with its instance and direction as the head (the
+/// direction names the sender of a `Request`).
 impl crate::codec::StateCodec for ComposedState {
     fn encode_into(&self, out: &mut Vec<u8>) {
         use dinefd_sim::codec::{put_u8, put_varint};
         put_u8(out, self.witness.pack());
         self.subject.pack_into(out);
         for dx in self.w_dx.iter().chain(self.s_dx.iter()) {
-            dx.pack_into(out);
+            dx.pack_pair_into(out);
         }
         put_varint(out, self.dx_wire.len() as u64);
         for &(i, to_subject, ref msg) in &self.dx_wire {
-            put_u8(out, i | (to_subject as u8) << 1);
             match msg {
-                DiningMsg::WfDx(m) => m.pack_into(out),
+                DiningMsg::WfDx(m) => m.pack_pair_into(i | (to_subject as u8) << 1, out),
                 other => unreachable!("composed wire carries only WfDx traffic, got {other:?}"),
             }
         }
@@ -565,19 +568,24 @@ impl crate::codec::StateCodec for ComposedState {
         let input = &mut input;
         let witness = WitnessMachine::unpack(take_u8(input)?)?;
         let subject = SubjectMachine::unpack(input)?;
-        let mut dx = [None, None, None, None];
-        for slot in dx.iter_mut() {
-            *slot = Some(WfDxDining::unpack(input)?);
-        }
-        let [w0, w1, s0, s1] = dx;
+        let w0 = WfDxDining::unpack_pair(P, Q, input)?;
+        let w1 = WfDxDining::unpack_pair(P, Q, input)?;
+        let s0 = WfDxDining::unpack_pair(Q, P, input)?;
+        let s1 = WfDxDining::unpack_pair(Q, P, input)?;
         // Every wire message takes at least one byte: a longer length is
         // malformed, and refused before anything is allocated for it.
         let n = usize::try_from(take_varint(input)?).ok().filter(|&n| n <= input.len())?;
         let mut dx_wire = Vec::with_capacity(n);
         for _ in 0..n {
-            let tag = take_u8(input)?;
-            let msg = dinefd_dining::wfdx::WxMsg::unpack(input)?;
-            dx_wire.push((tag & 1, tag & 0b10 != 0, DiningMsg::WfDx(msg)));
+            // The sender's side is the one the message travels away from,
+            // which `head`'s direction bit names; peek it before decoding.
+            let head = *input.first()? >> 2;
+            let to_subject = head & 0b10 != 0;
+            let (head, msg) = WxMsg::unpack_pair(if to_subject { P } else { Q }, input)?;
+            if head > 0b11 {
+                return None;
+            }
+            dx_wire.push((head & 1, to_subject, DiningMsg::WfDx(msg)));
         }
         let pings = crate::codec::take_wire_queue(input)?;
         let acks = crate::codec::take_wire_queue(input)?;
@@ -589,11 +597,14 @@ impl crate::codec::StateCodec for ComposedState {
             _ => None,
         };
         let taints = take_u8(input)?;
+        if flags & 0b1110_0000 != 0 || taints & 0b1111_0000 != 0 {
+            return None;
+        }
         let state = ComposedState {
             witness,
             subject,
-            w_dx: [w0?, w1?],
-            s_dx: [s0?, s1?],
+            w_dx: [w0, w1],
+            s_dx: [s0, s1],
             dx_wire,
             pings,
             acks,
@@ -752,6 +763,40 @@ mod tests {
             assert_eq!(ComposedState::decode(&bytes).as_ref(), Some(&next), "after {label:?}");
             s = next;
         }
+    }
+
+    #[test]
+    fn deep_walks_round_trip_through_pending_and_wire_requests() {
+        // The states where the codec's dropped ids matter: a request parked
+        // at either side, a `Request` on the wire either way, and clocks
+        // past one varint byte.
+        use crate::codec::StateCodec;
+        let cfg = ComposedConfig::default();
+        let mut rng = dinefd_sim::SplitMix64::new(3);
+        let mut seen = [0usize; 4];
+        let mut max_clock = 0;
+        for _ in 0..48 {
+            let mut s = ComposedState::initial(&cfg);
+            for _ in 0..400 {
+                let bytes = s.encode();
+                assert_eq!(ComposedState::decode(&bytes).as_ref(), Some(&s), "{bytes:?}");
+                seen[0] += s.w_dx.iter().any(|d| d.pending_request(Q).is_some()) as usize;
+                seen[1] += s.s_dx.iter().any(|d| d.pending_request(P).is_some()) as usize;
+                for &(_, to_subject, ref msg) in &s.dx_wire {
+                    if let DiningMsg::WfDx(WxMsg::Request(_)) = msg {
+                        seen[2 + to_subject as usize] += 1;
+                    }
+                }
+                for d in s.w_dx.iter().chain(&s.s_dx) {
+                    max_clock = max_clock.max(d.session().clock);
+                }
+                let mut succ = s.successors(&cfg);
+                let pick = rng.next_u64() as usize % succ.len();
+                s = succ.swap_remove(pick).1;
+            }
+        }
+        assert!(seen.iter().all(|&n| n > 0), "walks missed a kind of request: {seen:?}");
+        assert!(max_clock >= 64, "session clocks stayed below two varint bytes: {max_clock}");
     }
 
     #[test]

@@ -15,21 +15,25 @@
 //!   two thirds of all successors are pruned, and none of those is copied.
 //! * **Fingerprinted visited store** — states are never used as hash-map
 //!   keys. Each state is encoded once ([`crate::codec::StateCodec`]) into a
-//!   scratch buffer, fingerprinted, and interned in an open-addressing
-//!   arena store (the private `visited` module) whose index slots carry
-//!   fingerprint tags, so most probes for a fresh state never leave the index;
-//!   fingerprint hits are confirmed by exact byte comparison, so the search
-//!   stays exhaustive.
+//!   scratch buffer and handed to an open-addressing arena store (the
+//!   private `visited` module), which fingerprints it and whose index slots
+//!   carry fingerprint tags, so most probes for a fresh state never leave
+//!   the index; tag hits are confirmed by exact byte comparison, so the
+//!   search stays exhaustive.
 //! * **Parent-chain paths** — tasks carry no path vector. The store records,
-//!   per state, the tree edge that first interned it; violations are held as
-//!   entry ids during the search and resolved to label paths once, at the
-//!   end, by walking parent links.
+//!   per state, the tree edge that first interned it, as the parent's id and
+//!   the edge label's ordinal among the parent's labels. Violations are held
+//!   as entry ids during the search; once it ends, the shortest per message
+//!   is picked by parent-chain depth, and only those paths are rebuilt, by
+//!   replaying the ordinals forward from the root through
+//!   `SearchModel::for_each_label` and `SearchModel::apply_into`.
 //! * **One LIFO stack** — a plain `Vec` (LIFO keeps the search depth-first
 //!   and the frontier small).
 //! * **Termination** — the search is over when the stack is empty. A store
 //!   that can intern no more states (its `u32` entry ids or arena offsets
-//!   are used up) ends the search as the state budget does: truncated. A
-//!   panic in a model or a codec unwinds to the caller.
+//!   are used up), or a state with more edges than a `u16` ordinal numbers,
+//!   ends the search as the state budget does: truncated. A panic in a
+//!   model or a codec unwinds to the caller.
 //! * **Optional sleep-set POR** ([`crate::por`]) — when the model opts in,
 //!   deliveries whose commuted order was already explored skip the
 //!   encode/probe/queue work ([`SearchStats::sleep_skips`]). Successor
@@ -49,7 +53,7 @@
 
 use dinefd_sim::metrics::Counter;
 
-use crate::codec::{fingerprint, StateCodec};
+use crate::codec::StateCodec;
 use crate::por::{child_sleep, DeliveryClass};
 use crate::search::fmt_path;
 use crate::visited::{Probe, ProbeOutcome, StoreFull, VisitedStore, NO_PARENT};
@@ -126,12 +130,15 @@ pub struct SearchStats {
     /// Always 0: the visited store has no locks to contend for. Kept only
     /// because `benchmark/` reads it.
     pub shard_conflicts: Counter,
-    /// Fingerprint hits confirmed equal by exact byte comparison (every
+    /// Index tag hits confirmed equal by exact byte comparison (every
     /// re-visit of a seen state costs exactly one).
     pub fp_confirms: Counter,
-    /// Fingerprint hits whose interned bytes differed — true 64-bit
-    /// collisions, resolved exactly by further probing (expected ≈ 0 at
-    /// explorable state counts).
+    /// Tag hits whose bytes differed although their whole 64-bit
+    /// fingerprints are equal — true 64-bit collisions, resolved exactly by
+    /// further probing (expected ≈ 0 at explorable state counts). The store
+    /// keeps no fingerprint; it re-fingerprints the interned bytes only on a
+    /// tag hit whose bytes differ, and a match on the 32-bit tag alone is
+    /// not counted.
     pub fp_collisions: Counter,
     /// Successor edges skipped by sleep-set POR (0 unless the model opts
     /// in). Skips save probe work only; they never hide a state or a check.
@@ -185,8 +192,8 @@ struct Task<S> {
     sleep: u32,
 }
 
-/// A violation captured mid-search: the path is reconstructed from `entry`'s
-/// parent chain only once the search has finished.
+/// A violation captured mid-search: the path is rebuilt from `entry`'s parent
+/// chain only once the search has finished.
 struct PendingViolation<L> {
     kind: ViolationKind,
     message: String,
@@ -216,14 +223,13 @@ fn seed_root<M: SearchModel>(
     model: &M,
     initial: M::State,
     max_depth: u32,
-    store: &mut VisitedStore<M::Label>,
+    store: &mut VisitedStore,
     buf: &mut Vec<u8>,
     tally: &mut Tally<M::Label>,
 ) -> Result<Task<M::State>, StoreFull> {
     buf.clear();
     initial.encode_into(buf);
-    let Probe { outcome, entry, .. } =
-        store.probe(fingerprint(buf), buf, max_depth, 0, NO_PARENT, None)?;
+    let Probe { outcome, entry, .. } = store.probe(buf, max_depth, 0, NO_PARENT, 0)?;
     debug_assert_eq!(outcome, ProbeOutcome::Fresh, "seeding into a non-empty store");
     for message in model.state_violations(&initial) {
         tally.pending.push(PendingViolation {
@@ -242,11 +248,12 @@ fn seed_root<M: SearchModel>(
 /// defines the expansion semantics — the once-per-state
 /// `transitions`/`deadlocks` figures, the once-per-state closure checks, the
 /// once-per-insertion invariant checks, and the POR skip rule. Fails only
-/// when the store cannot intern a fresh child.
+/// when the store cannot intern a fresh child, or cannot number the task's
+/// edges with `u16` ordinals.
 fn expand_task<M: SearchModel>(
     model: &M,
     task: &Task<M::State>,
-    store: &mut VisitedStore<M::Label>,
+    store: &mut VisitedStore,
     scratch: &mut Scratch<M::State, M::Label>,
     tally: &mut Tally<M::Label>,
     mut push: impl FnMut(Task<M::State>),
@@ -261,6 +268,9 @@ fn expand_task<M: SearchModel>(
         }
         return Ok(());
     }
+    if labels.len() > usize::from(u16::MAX) + 1 {
+        return Err(StoreFull);
+    }
     if first_expansion {
         // Out-degree is counted in full even under POR — enumeration (and
         // with it every check below) is never reduced, only probe work is.
@@ -272,7 +282,7 @@ fn expand_task<M: SearchModel>(
     // Sleep bits of delivery labels already probed at *this* expansion;
     // later independent siblings inherit them (the sleep-set recurrence).
     let mut earlier = 0u32;
-    for &label in labels.iter() {
+    for (ordinal, &label) in (0..=u16::MAX).zip(labels.iter()) {
         model.apply_into(&task.state, label, next);
         if first_expansion {
             for message in model.step_violations(&task.state, label, next) {
@@ -301,7 +311,7 @@ fn expand_task<M: SearchModel>(
             earlier |= c.bit();
         }
         let Probe { outcome, entry, remaining: up_remaining, sleep: up_sleep } =
-            store.probe(fingerprint(buf), buf, remaining, sleep, task.entry, Some(label))?;
+            store.probe(buf, remaining, sleep, task.entry, ordinal)?;
         match outcome {
             ProbeOutcome::Pruned => continue,
             ProbeOutcome::Requeue => {}
@@ -336,6 +346,31 @@ pub(crate) fn search<M: SearchModel>(
     search_in(model, initial, max_depth, max_states, VisitedStore::new())
 }
 
+/// Rebuilds the labels of a tree path from the root: at each step, the
+/// `ordinal`-th label the model lists for the state reached so far, applied.
+/// The model is deterministic, so this retraces the edges the search took.
+fn replay<M: SearchModel>(model: &M, root: &M::State, ordinals: &[u16]) -> Vec<M::Label> {
+    let mut path = Vec::with_capacity(ordinals.len() + 1);
+    let (mut state, mut next) = (root.clone(), root.clone());
+    for &ordinal in ordinals {
+        let (mut k, mut hit) = (0, None);
+        model.for_each_label(&state, |l| {
+            if k == usize::from(ordinal) {
+                hit = Some(l);
+            }
+            k += 1;
+        });
+        let Some(label) = hit else {
+            debug_assert!(false, "ordinal {ordinal} of {k} labels: the model is not deterministic");
+            break;
+        };
+        model.apply_into(&state, label, &mut next);
+        std::mem::swap(&mut state, &mut next);
+        path.push(label);
+    }
+    path
+}
+
 /// [`search`] over a caller-supplied (empty) store: the loop pops a task,
 /// tests the budget, expands it and pushes its children.
 fn search_in<M: SearchModel>(
@@ -343,8 +378,9 @@ fn search_in<M: SearchModel>(
     initial: M::State,
     max_depth: u32,
     max_states: usize,
-    mut store: VisitedStore<M::Label>,
+    mut store: VisitedStore,
 ) -> SearchReport<M::Label> {
+    let root = initial.clone();
     let mut tally = Tally { transitions: 0, deadlocks: 0, sleep_skips: 0, pending: Vec::new() };
     let mut scratch = Scratch { labels: Vec::new(), next: None, buf: Vec::with_capacity(64) };
     let mut stack: Vec<Task<M::State>> = Vec::new();
@@ -373,11 +409,16 @@ fn search_in<M: SearchModel>(
         }
     }
 
-    let records = merge_violations(tally.pending.into_iter().map(|p| ViolationRecord {
-        kind: p.kind,
-        message: p.message,
-        path: store.path_through(p.entry, p.extra),
-    }));
+    let records = shortest_per_message(tally.pending, |p| {
+        store.ordinals_to(p.entry).len() + usize::from(p.extra.is_some())
+    })
+    .into_iter()
+    .map(|p| {
+        let mut path = replay(model, &root, &store.ordinals_to(p.entry));
+        path.extend(p.extra);
+        ViolationRecord { kind: p.kind, message: p.message, path }
+    })
+    .collect::<Vec<_>>();
     let store_stats = store.stats();
     SearchReport {
         states_visited: store.len(),
@@ -400,28 +441,30 @@ fn search_in<M: SearchModel>(
     }
 }
 
-/// Dedups by `(kind, message)`, keeping the shortest representative path
-/// (the first one found among equals), and sorts.
-fn merge_violations<L>(
-    records: impl Iterator<Item = ViolationRecord<L>>,
-) -> Vec<ViolationRecord<L>> {
-    let mut by_key: std::collections::BTreeMap<(ViolationKind, String), ViolationRecord<L>> =
+/// Dedups by `(kind, message)`, keeping the one with the shortest path (the
+/// first one found among equals), and sorts.
+fn shortest_per_message<L>(
+    pending: Vec<PendingViolation<L>>,
+    path_len: impl Fn(&PendingViolation<L>) -> usize,
+) -> Vec<PendingViolation<L>> {
+    let mut by_key: std::collections::BTreeMap<(ViolationKind, String), (usize, _)> =
         std::collections::BTreeMap::new();
-    for r in records {
-        match by_key.entry((r.kind, r.message.clone())) {
+    for p in pending {
+        let len = path_len(&p);
+        match by_key.entry((p.kind, p.message.clone())) {
             std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert(r);
+                e.insert((len, p));
             }
             std::collections::btree_map::Entry::Occupied(mut e) => {
                 // Prefer the shortest representative path — nicer
                 // counterexamples.
-                if r.path.len() < e.get().path.len() {
-                    e.insert(r);
+                if len < e.get().0 {
+                    e.insert((len, p));
                 }
             }
         }
     }
-    by_key.into_values().collect()
+    by_key.into_values().map(|(_, p)| p).collect()
 }
 
 #[cfg(test)]
@@ -443,33 +486,35 @@ mod tests {
     /// A graph over `u32` states given by its successor function (a label is
     /// the successor's position). Counts the expansions of states 0..8 and
     /// panics when asked to expand `poison`.
+    /// Flags the step `violation` as a closure violation.
     struct Toy {
         edges: fn(u32) -> Vec<u32>,
         poison: Option<u32>,
+        violation: Option<(u32, u32)>,
         expansions: [Cell<usize>; 8],
     }
 
     impl Toy {
         fn new(edges: fn(u32) -> Vec<u32>) -> Self {
-            Toy { edges, poison: None, expansions: Default::default() }
+            Toy { edges, poison: None, violation: None, expansions: Default::default() }
         }
     }
 
     impl SearchModel for Toy {
         type State = u32;
-        type Label = u8;
+        type Label = u32;
 
-        fn for_each_label(&self, s: &u32, push: impl FnMut(u8)) {
+        fn for_each_label(&self, s: &u32, push: impl FnMut(u32)) {
             if self.poison == Some(*s) {
                 panic!("toy model poisoned at {s}");
             }
             if let Some(n) = self.expansions.get(*s as usize) {
                 n.set(n.get() + 1);
             }
-            (0..(self.edges)(*s).len() as u8).for_each(push);
+            (0..(self.edges)(*s).len() as u32).for_each(push);
         }
 
-        fn apply_into(&self, s: &u32, label: u8, next: &mut u32) {
+        fn apply_into(&self, s: &u32, label: u32, next: &mut u32) {
             *next = (self.edges)(*s)[label as usize];
         }
 
@@ -477,8 +522,11 @@ mod tests {
             Vec::new()
         }
 
-        fn step_violations(&self, _: &u32, _: u8, _: &u32) -> Vec<String> {
-            Vec::new()
+        fn step_violations(&self, s: &u32, _: u32, next: &u32) -> Vec<String> {
+            match self.violation {
+                Some((from, to)) if (*s, *next) == (from, to) => vec![format!("{from} → {to}")],
+                _ => Vec::new(),
+            }
         }
     }
 
@@ -537,6 +585,33 @@ mod tests {
             search_in(&Toy::new(tree), 0, 50, usize::MAX, VisitedStore::with_limits(100, u32::MAX));
         assert!(r.truncated, "a full store ends the search as truncated");
         assert_eq!(r.states_visited, 100);
+    }
+
+    #[test]
+    fn an_out_degree_past_u16_ordinals_truncates_the_search() {
+        // The root has 2^16 + 1 successors: the last one has no `u16`
+        // ordinal, so the root cannot be expanded at all.
+        let wide = |n: u32| if n == 0 { (1..=65_537).collect() } else { Vec::new() };
+        let r = search(&Toy::new(wide), 0, 3, usize::MAX);
+        assert!(r.truncated, "an edge the store cannot number ends the search");
+        assert_eq!(r.states_visited, 1);
+        // 2^16 successors number 0..=u16::MAX and are all searched.
+        let widest = |n: u32| if n == 0 { (1..=65_536).collect() } else { Vec::new() };
+        let r = search(&Toy::new(widest), 0, 3, usize::MAX);
+        assert!(!r.truncated);
+        assert_eq!((r.states_visited, r.deadlocks), (65_537, 65_536));
+    }
+
+    #[test]
+    fn paths_are_replayed_from_the_ordinals() {
+        // Over the diamond, 4 is first reached over 2 and 3 (last successor
+        // first): the edge 4 → 5 is found at the end of 0 → 2 → 3 → 4, and
+        // the tree path to 4 replays as labels 1, 0, 0.
+        let model = Toy { violation: Some((4, 5)), ..Toy::new(diamond) };
+        let r = search(&model, 0, 5, usize::MAX);
+        assert_eq!(r.records.len(), 1);
+        assert_eq!(r.records[0].path, vec![1, 0, 0, 0]);
+        assert_eq!(r.violations, vec!["4 → 5 (after 1 → 0 → 0 → 0)".to_string()]);
     }
 
     #[test]

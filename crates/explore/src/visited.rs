@@ -7,25 +7,26 @@
 //!
 //! * its compact encoding ([`crate::codec::StateCodec`]), interned once in a
 //!   per-store byte **arena**;
-//! * a 64-bit **fingerprint** of that encoding, kept whole in the state's
-//!   entry and, as a 32-bit tag, in an open-addressing (linear-probe) index.
+//! * a 32-bit **tag** — the top half of the encoding's 64-bit fingerprint —
+//!   in an open-addressing (linear-probe) index. The entry keeps no
+//!   fingerprint: the tag picks candidates, and the bytes decide.
 //!
 //! ## The index
 //!
-//! An index slot is one `u64`: a **tag** — the fingerprint's top 32 bits —
-//! above a 32-bit entry id. A table of `2^b` slots homes a fingerprint at
-//! its top `b` bits, which are the top of its own tag, and probes linearly
-//! from there. A slot whose tag differs is passed over without reading the
-//! entries or the arena, so a probe for a fresh state usually ends in the
-//! index's own cache line (an id-only index costs three dependent misses —
-//! index, entry, arena — for every occupied slot it passes). A tag match is
-//! confirmed by the entry's full fingerprint, and a fingerprint match by
-//! exact byte comparison against the interned encoding
-//! ([`StoreStats::confirms`] counts the comparisons that matched,
-//! [`StoreStats::collisions`] the 64-bit fingerprint matches whose bytes
-//! differed). A collision therefore costs one extra probe step — it can
-//! never produce a false "seen" verdict, so the search remains exhaustive
-//! rather than a bitstate approximation.
+//! An index slot is one `u64`: the tag above a 32-bit entry id. A table of
+//! `2^b` slots homes a fingerprint at its top `b` bits, which are the top of
+//! its own tag, and probes linearly from there. A slot whose tag differs is
+//! passed over without reading the entries or the arena, so a probe for a
+//! fresh state usually ends in the index's own cache line (an id-only index
+//! costs three dependent misses — index, entry, arena — for every occupied
+//! slot it passes). A tag match is settled by exact byte comparison against
+//! the interned encoding ([`StoreStats::confirms`] counts the comparisons
+//! that matched). When the bytes differ, the store fingerprints the interned
+//! ones again to tell a true 64-bit collision ([`StoreStats::collisions`])
+//! from a mere tag match; that costs a hash only on the rare tag-only
+//! match. Either way it costs one extra probe step and can never produce a
+//! false "seen" verdict, so the search remains exhaustive rather than a
+//! bitstate approximation.
 //!
 //! The table doubles before an insertion would take it past 3/4 load.
 //! Because a slot's home is read off its own tag, growth re-places the old
@@ -33,25 +34,39 @@
 //!
 //! ## Entries
 //!
-//! Each entry also carries the search metadata the engine needs:
+//! An entry is 24 bytes: where its encoding lies in the arena, plus the
+//! search metadata the engine needs:
 //!
 //! * `remaining` — the largest remaining depth the state was queued with
 //!   (the classic pruning rule: re-entering with less budget is redundant);
 //! * `sleep` — the partial-order-reduction sleep mask ([`crate::por`]);
 //!   entries converge by *intersection*, mirroring how `remaining` converges
 //!   by maximum, so the POR fixpoint is order-independent too;
-//! * `parent` + `label` — the tree edge that first inserted the state.
-//!   Violation paths are reconstructed by walking parent links, which frees
-//!   the hot loop from cloning a path `Vec` into every queued task;
+//! * `parent` + `ordinal` — the tree edge that first inserted the state: the
+//!   parent's id, and the position of the edge's label among the labels the
+//!   model lists for the parent. The engine rebuilds a violation's path once,
+//!   at the end, by replaying the ordinals forward from the root, which
+//!   frees the hot loop from cloning a path `Vec` into every queued task and
+//!   the entry from holding a label;
 //! * `expanded` — whether some expansion already counted this state's
 //!   out-degree/deadlock contribution (the once-per-state figures).
 //!
 //! Entries are append-only and identified by dense `u32` ids, so a parent
 //! reference is stable across table growth. Ids stay below `u32::MAX`,
 //! which is therefore free to mark the root's missing parent
-//! ([`NO_PARENT`]). A fresh state whose id or arena span would not fit in
-//! `u32` is not interned: the probe answers [`StoreFull`] and the search
-//! ends as truncated, as it does at its state budget.
+//! ([`NO_PARENT`]).
+//!
+//! ## Pages
+//!
+//! The entries and the arena grow by whole pages ([`ENTRY_PAGE`] entries,
+//! [`ARENA_PAGE`] bytes), each allocated once at full capacity and never
+//! moved, so growth copies nothing and never holds an old and a new buffer
+//! at once. An encoding never straddles two arena pages. A fresh state whose
+//! id, arena span or length (`u16`) does not fit is not interned: the probe
+//! answers [`StoreFull`] and the search ends as truncated, as it does at its
+//! state budget.
+
+use crate::codec::fingerprint;
 
 /// Sentinel parent id of the root state. No entry has it: ids stay below
 /// `u32::MAX`.
@@ -63,6 +78,15 @@ const EMPTY: u64 = u64::MAX;
 
 /// The index stops growing at `2^32` slots, the most a 32-bit tag can home.
 const MAX_INDEX_BITS: u32 = 32;
+
+/// log2 of [`ENTRY_PAGE`].
+const ENTRY_PAGE_BITS: u32 = 16;
+
+/// Entries per entry page (64 Ki, 1.5 MiB).
+const ENTRY_PAGE: usize = 1 << ENTRY_PAGE_BITS;
+
+/// Bytes per arena page (1 MiB).
+const ARENA_PAGE: usize = 1 << 20;
 
 /// The fingerprint bits an index slot keeps: the top 32. Applied to a slot,
 /// it reads the slot's tag back.
@@ -79,27 +103,35 @@ fn home(tag: u32, bits: u32) -> usize {
 /// `SearchStats`).
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct StoreStats {
-    /// Fingerprint hits confirmed equal by exact byte comparison.
+    /// Tag matches confirmed equal by exact byte comparison.
     pub confirms: u64,
-    /// Fingerprint hits whose interned bytes differed (true collisions).
+    /// Tag matches whose bytes differed although their whole 64-bit
+    /// fingerprints are equal (true collisions). A match on the tag alone
+    /// is not counted.
     pub collisions: u64,
 }
 
-/// A fresh state the store could not intern: its entry id or its arena span
-/// would not fit in `u32`. The search stops there, as truncated.
+/// The store could not record a state: a fresh state's entry id, arena span
+/// or length would not fit, or an expanded state has more edges than a `u16`
+/// ordinal can number. The search stops there, as truncated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct StoreFull;
 
-struct Entry<L> {
-    fp: u64,
+/// One interned state (24 bytes).
+struct Entry {
+    /// Arena offset: page index times [`ARENA_PAGE`], plus the offset in the
+    /// page.
     off: u32,
-    len: u32,
     remaining: u32,
     sleep: u32,
     parent: u32,
-    label: Option<L>,
+    /// Position of the tree edge's label among the parent's labels.
+    ordinal: u16,
+    len: u16,
     expanded: bool,
 }
+
+const _: () = assert!(std::mem::size_of::<Entry>() <= 24, "an entry outgrew 24 bytes");
 
 /// What a [`VisitedStore::probe`] concluded.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,34 +157,42 @@ pub(crate) struct Probe {
 }
 
 /// The open-addressing visited store of one search.
-pub(crate) struct VisitedStore<L> {
+pub(crate) struct VisitedStore {
     /// Linear-probe index of `2^b` slots: `tag << 32 | entry id`, or
     /// [`EMPTY`].
     index: Vec<u64>,
-    entries: Vec<Entry<L>>,
-    arena: Vec<u8>,
+    /// Entry pages; entry `id` is `entries[id >> 16][id & 0xffff]`.
+    entries: Vec<Vec<Entry>>,
+    /// Arena pages; every page but the last is closed.
+    arena: Vec<Vec<u8>>,
+    /// Bytes of encoding interned (the pages' unused tails not counted).
+    arena_bytes: usize,
     /// Entry ids stay below this: `u32::MAX`, which keeps every filled slot
     /// distinct from [`EMPTY`].
     max_entries: u32,
-    /// Arena bytes the `u32` offsets address.
+    /// Arena offsets (interned span ends) stay within this.
     max_arena: u32,
+    /// The probe key of an encoding: [`fingerprint`], or a test's stand-in.
+    hash: fn(&[u8]) -> u64,
     stats: StoreStats,
 }
 
-impl<L: Copy> VisitedStore<L> {
+impl VisitedStore {
     pub fn new() -> Self {
         VisitedStore {
             index: vec![EMPTY; 1024],
             entries: Vec::new(),
             arena: Vec::new(),
+            arena_bytes: 0,
             max_entries: u32::MAX,
             max_arena: u32::MAX,
+            hash: fingerprint,
             stats: StoreStats::default(),
         }
     }
 
     /// A store that interns at most `max_entries` states and `max_arena`
-    /// bytes, so that a test can fill it.
+    /// bytes of arena span, so that a test can fill it.
     #[cfg(test)]
     pub(crate) fn with_limits(max_entries: u32, max_arena: u32) -> Self {
         VisitedStore { max_entries, max_arena, ..Self::new() }
@@ -160,12 +200,13 @@ impl<L: Copy> VisitedStore<L> {
 
     /// Distinct states interned so far (what `max_states` bounds).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.last().map_or(0, |page| (self.entries.len() - 1) * ENTRY_PAGE + page.len())
     }
 
-    /// Bytes interned in the arena (a memory figure, not a state count).
+    /// Bytes of encoding interned in the arena (a memory figure, not a
+    /// state count).
     pub fn arena_bytes(&self) -> usize {
-        self.arena.len()
+        self.arena_bytes
     }
 
     pub fn stats(&self) -> StoreStats {
@@ -175,6 +216,14 @@ impl<L: Copy> VisitedStore<L> {
     /// log2 of the index length.
     fn bits(&self) -> u32 {
         self.index.len().trailing_zeros()
+    }
+
+    fn entry(&self, id: u32) -> &Entry {
+        &self.entries[(id >> ENTRY_PAGE_BITS) as usize][id as usize & (ENTRY_PAGE - 1)]
+    }
+
+    fn entry_mut(&mut self, id: u32) -> &mut Entry {
+        &mut self.entries[(id >> ENTRY_PAGE_BITS) as usize][id as usize & (ENTRY_PAGE - 1)]
     }
 
     /// Doubles the index, re-placing each slot at its tag's new home.
@@ -193,74 +242,90 @@ impl<L: Copy> VisitedStore<L> {
     }
 
     /// Appends an entry for `bytes` and returns its id, or `None` when the
-    /// id or the arena span would not fit.
+    /// id, the length or the arena span would not fit. Opens a new page
+    /// when the last one is full.
     fn intern(
         &mut self,
-        fp: u64,
         bytes: &[u8],
         remaining: u32,
         sleep: u32,
         parent: u32,
-        label: Option<L>,
+        ordinal: u16,
     ) -> Option<u32> {
-        let id = u32::try_from(self.entries.len()).ok().filter(|&id| id < self.max_entries)?;
-        let off = u32::try_from(self.arena.len()).ok()?;
-        let len = u32::try_from(bytes.len()).ok()?;
-        off.checked_add(len).filter(|&end| end <= self.max_arena)?;
-        self.arena.extend_from_slice(bytes);
-        self.entries.push(Entry { fp, off, len, remaining, sleep, parent, label, expanded: false });
+        let id = u32::try_from(self.len()).ok().filter(|&id| id < self.max_entries)?;
+        let len = u16::try_from(bytes.len()).ok()?;
+        // The last page takes the encoding if it has room, a new one if not.
+        let (page, in_page) = match self.arena.last() {
+            Some(last) if last.len() + bytes.len() <= ARENA_PAGE => {
+                (self.arena.len() - 1, last.len())
+            }
+            _ => (self.arena.len(), 0),
+        };
+        let off = u32::try_from(page * ARENA_PAGE + in_page).ok()?;
+        off.checked_add(u32::from(len)).filter(|&end| end <= self.max_arena)?;
+        if page == self.arena.len() {
+            self.arena.push(Vec::with_capacity(ARENA_PAGE));
+        }
+        self.arena[page].extend_from_slice(bytes);
+        self.arena_bytes += bytes.len();
+        if self.entries.last().is_none_or(|page| page.len() == ENTRY_PAGE) {
+            self.entries.push(Vec::with_capacity(ENTRY_PAGE));
+        }
+        let entry = Entry { off, remaining, sleep, parent, ordinal, len, expanded: false };
+        self.entries.last_mut()?.push(entry);
         Some(id)
     }
 
-    /// Looks up `bytes` (pre-fingerprinted as `fp`), arriving with
-    /// `remaining` depth and POR mask `sleep` via `parent --label-->`.
-    /// Interns on miss, or answers [`StoreFull`] when it cannot; upgrades
-    /// `remaining` (max) and `sleep` (intersection) on hit.
+    /// Looks up `bytes`, arriving with `remaining` depth and POR mask `sleep`
+    /// over the `ordinal`-th edge out of `parent`. Interns on miss, or
+    /// answers [`StoreFull`] when it cannot; upgrades `remaining` (max) and
+    /// `sleep` (intersection) on hit.
     pub fn probe(
         &mut self,
-        fp: u64,
         bytes: &[u8],
         remaining: u32,
         sleep: u32,
         parent: u32,
-        label: Option<L>,
+        ordinal: u16,
     ) -> Result<Probe, StoreFull> {
-        if (self.entries.len() + 1) * 4 > self.index.len() * 3 && self.bits() < MAX_INDEX_BITS {
+        if (self.len() + 1) * 4 > self.index.len() * 3 && self.bits() < MAX_INDEX_BITS {
             self.grow();
         }
+        let fp = (self.hash)(bytes);
         let (tag, mask) = (tag_of(fp), self.index.len() - 1);
         let mut pos = home(tag, self.bits());
         loop {
             let slot = self.index[pos];
             if slot == EMPTY {
-                let id =
-                    self.intern(fp, bytes, remaining, sleep, parent, label).ok_or(StoreFull)?;
+                let id = self.intern(bytes, remaining, sleep, parent, ordinal).ok_or(StoreFull)?;
                 self.index[pos] = (u64::from(tag) << 32) | u64::from(id);
                 return Ok(Probe { outcome: ProbeOutcome::Fresh, entry: id, remaining, sleep });
             }
             if tag_of(slot) == tag {
                 let id = slot as u32;
-                let e = &mut self.entries[id as usize];
-                if e.fp == fp {
-                    let interned = &self.arena[e.off as usize..][..e.len as usize];
-                    if interned == bytes {
-                        self.stats.confirms += 1;
-                        let up_remaining = e.remaining.max(remaining);
-                        let up_sleep = e.sleep & sleep;
-                        let outcome = if up_remaining == e.remaining && up_sleep == e.sleep {
-                            ProbeOutcome::Pruned
-                        } else {
-                            e.remaining = up_remaining;
-                            e.sleep = up_sleep;
-                            ProbeOutcome::Requeue
-                        };
-                        return Ok(Probe {
-                            outcome,
-                            entry: id,
-                            remaining: up_remaining,
-                            sleep: up_sleep,
-                        });
-                    }
+                let e = self.entry(id);
+                let page = &self.arena[e.off as usize / ARENA_PAGE];
+                let interned = &page[e.off as usize % ARENA_PAGE..][..usize::from(e.len)];
+                if interned == bytes {
+                    self.stats.confirms += 1;
+                    let e = self.entry_mut(id);
+                    let up_remaining = e.remaining.max(remaining);
+                    let up_sleep = e.sleep & sleep;
+                    let outcome = if up_remaining == e.remaining && up_sleep == e.sleep {
+                        ProbeOutcome::Pruned
+                    } else {
+                        e.remaining = up_remaining;
+                        e.sleep = up_sleep;
+                        ProbeOutcome::Requeue
+                    };
+                    return Ok(Probe {
+                        outcome,
+                        entry: id,
+                        remaining: up_remaining,
+                        sleep: up_sleep,
+                    });
+                }
+                if (self.hash)(interned) == fp {
                     self.stats.collisions += 1;
                 }
             }
@@ -270,37 +335,42 @@ impl<L: Copy> VisitedStore<L> {
 
     /// Marks `entry` expanded; true iff this is the first expansion.
     pub fn mark_expanded(&mut self, entry: u32) -> bool {
-        !std::mem::replace(&mut self.entries[entry as usize].expanded, true)
+        !std::mem::replace(&mut self.entry_mut(entry).expanded, true)
     }
 
-    /// The label path from the root to `entry`, read off the parent links;
-    /// `extra` appends a final (step) label.
-    pub fn path_through(&self, mut entry: u32, extra: Option<L>) -> Vec<L> {
-        let mut path: Vec<L> = Vec::new();
+    /// The tree path from the root to `entry`, as label ordinals read off
+    /// the parent links.
+    pub fn ordinals_to(&self, mut entry: u32) -> Vec<u16> {
+        let mut ordinals = Vec::new();
         while entry != NO_PARENT {
-            let e = &self.entries[entry as usize];
-            path.extend(e.label);
+            let e = self.entry(entry);
+            if e.parent != NO_PARENT {
+                ordinals.push(e.ordinal);
+            }
             entry = e.parent;
         }
-        path.reverse();
-        path.extend(extra);
-        path
+        ordinals.reverse();
+        ordinals
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dinefd_sim::codec::hash64;
 
-    /// Probes `bytes` under its own fingerprint, from the root.
-    fn probe(store: &mut VisitedStore<u8>, bytes: &[u8], remaining: u32, sleep: u32) -> Probe {
-        store.probe(hash64(bytes), bytes, remaining, sleep, NO_PARENT, None).unwrap()
+    /// Probes `bytes` from the root.
+    fn probe(store: &mut VisitedStore, bytes: &[u8], remaining: u32, sleep: u32) -> Probe {
+        store.probe(bytes, remaining, sleep, NO_PARENT, 0).unwrap()
+    }
+
+    #[test]
+    fn an_entry_takes_at_most_24_bytes() {
+        assert!(std::mem::size_of::<Entry>() <= 24, "{} B", std::mem::size_of::<Entry>());
     }
 
     #[test]
     fn fresh_then_pruned_then_requeued_on_deeper_arrival() {
-        let mut store: VisitedStore<u8> = VisitedStore::new();
+        let mut store = VisitedStore::new();
         let bytes = b"state-a";
         let p = probe(&mut store, bytes, 5, 0);
         assert_eq!(p.outcome, ProbeOutcome::Fresh);
@@ -318,7 +388,7 @@ mod tests {
 
     #[test]
     fn sleep_masks_converge_by_intersection() {
-        let mut store: VisitedStore<u8> = VisitedStore::new();
+        let mut store = VisitedStore::new();
         let bytes = b"state-b";
         probe(&mut store, bytes, 4, 0b1100);
         // Same depth, overlapping mask: shrinks to the intersection.
@@ -333,13 +403,9 @@ mod tests {
 
     #[test]
     fn fingerprint_collisions_are_resolved_exactly() {
-        let mut store: VisitedStore<u8> = VisitedStore::new();
-        // Force a collision by probing two different byte strings under the
-        // same fingerprint (the store trusts the caller's fp).
-        let fp = 0x42;
-        let mut at = |bytes: &[u8], remaining| {
-            store.probe(fp, bytes, remaining, 0, NO_PARENT, None).unwrap().outcome
-        };
+        // Force a collision: a store whose fingerprint is constant.
+        let mut store = VisitedStore { hash: |_| 0x42, ..VisitedStore::new() };
+        let mut at = |bytes: &[u8], remaining| probe(&mut store, bytes, remaining, 0).outcome;
         assert_eq!(at(b"first", 3), ProbeOutcome::Fresh);
         assert_eq!(at(b"second", 3), ProbeOutcome::Fresh);
         // Each still resolves to its own entry.
@@ -352,11 +418,11 @@ mod tests {
 
     #[test]
     fn a_shared_tag_with_another_fingerprint_is_no_collision() {
-        let mut store: VisitedStore<u8> = VisitedStore::new();
         // Equal top halves: one tag, one home slot, two fingerprints.
-        let (a, b) = (0xABCD_1234_0000_0001, 0xABCD_1234_0000_0002);
-        for fp in [a, b, a, b] {
-            store.probe(fp, &fp.to_le_bytes(), 1, 0, NO_PARENT, None).unwrap();
+        let hash = |bytes: &[u8]| 0xABCD_1234_0000_0000 | u64::from(bytes[0]);
+        let mut store = VisitedStore { hash, ..VisitedStore::new() };
+        for bytes in [b"a", b"b", b"a", b"b"] {
+            probe(&mut store, bytes, 1, 0);
         }
         assert_eq!(store.len(), 2);
         let stats = store.stats();
@@ -365,7 +431,7 @@ mod tests {
 
     #[test]
     fn growth_preserves_every_entry() {
-        let mut store: VisitedStore<u8> = VisitedStore::new();
+        let mut store = VisitedStore::new();
         let n = 5_000u64; // forces several grow() rehashes past the 1024 seed
         for i in 0..n {
             assert_eq!(probe(&mut store, &i.to_le_bytes(), 1, 0).outcome, ProbeOutcome::Fresh);
@@ -380,10 +446,43 @@ mod tests {
     }
 
     #[test]
+    fn pages_are_allocated_once_and_never_move() {
+        // 200,000 entries of 12 bytes: four entry pages and three arena
+        // pages, with encodings that do not divide a page evenly.
+        let mut store = VisitedStore::new();
+        let pages = |store: &VisitedStore| {
+            let entries = store.entries.iter().map(|p| (p.as_ptr() as usize, p.capacity()));
+            let arena = store.arena.iter().map(|p| (p.as_ptr() as usize, p.capacity()));
+            (entries.collect::<Vec<_>>(), arena.collect::<Vec<_>>())
+        };
+        let mut seen = (Vec::new(), Vec::new());
+        let n = 200_000u32;
+        for i in 0..n {
+            let bytes = [&i.to_le_bytes()[..], &[7; 8]].concat();
+            assert_eq!(probe(&mut store, &bytes, 1, 0).outcome, ProbeOutcome::Fresh);
+            let now = pages(&store);
+            // Every page seen before is where it was, at the size it had.
+            assert!(now.0.starts_with(&seen.0) && now.1.starts_with(&seen.1), "entry {i}");
+            seen = now;
+        }
+        assert_eq!((seen.0.len(), seen.1.len()), (4, 3));
+        assert!(seen.0.iter().all(|&(_, cap)| cap == ENTRY_PAGE));
+        assert!(seen.1.iter().all(|&(_, cap)| cap == ARENA_PAGE));
+        // No encoding straddles a page: each closed page holds a whole
+        // number of them, and every state still resolves.
+        let per_page = ARENA_PAGE / 12;
+        assert!(store.arena[..2].iter().all(|p| p.len() == per_page * 12));
+        assert_eq!(store.arena_bytes(), n as usize * 12);
+        for i in (0..n).step_by(997) {
+            let bytes = [&i.to_le_bytes()[..], &[7; 8]].concat();
+            assert_eq!(probe(&mut store, &bytes, 1, 0).outcome, ProbeOutcome::Pruned);
+        }
+    }
+
+    #[test]
     fn a_full_store_refuses_a_fresh_state_instead_of_wrapping() {
-        let fresh = |store: &mut VisitedStore<u8>, i: u64| {
-            let bytes = i.to_le_bytes();
-            store.probe(hash64(&bytes), &bytes, 1, 0, NO_PARENT, None).map(|p| p.outcome)
+        let fresh = |store: &mut VisitedStore, i: u64| -> Result<ProbeOutcome, StoreFull> {
+            Ok(store.probe(&i.to_le_bytes(), 1, 0, NO_PARENT, 0)?.outcome)
         };
         // Out of entry ids: three states fit, the fourth does not.
         let mut store = VisitedStore::with_limits(3, u32::MAX);
@@ -399,24 +498,29 @@ mod tests {
         assert!(fresh(&mut store, 0).is_ok() && fresh(&mut store, 1).is_ok());
         assert_eq!(fresh(&mut store, 2), Err(StoreFull));
         assert_eq!((store.len(), store.arena_bytes()), (2, 16));
+        // An encoding whose length does not fit a `u16`.
+        let mut store = VisitedStore::new();
+        let long = vec![0; usize::from(u16::MAX) + 1];
+        assert!(store.probe(&long, 1, 0, NO_PARENT, 0).is_err());
+        assert_eq!((store.len(), store.arena_bytes()), (0, 0));
     }
 
     #[test]
-    fn parent_links_reconstruct_paths() {
-        let mut store: VisitedStore<char> = VisitedStore::new();
-        let mut at = |bytes: &[u8], parent, label| {
-            store.probe(hash64(bytes), bytes, 9, 0, parent, label).unwrap().entry
+    fn parent_links_give_the_ordinal_path() {
+        let mut store = VisitedStore::new();
+        let mut at = |bytes: &[u8], parent, ordinal| {
+            store.probe(bytes, 9, 0, parent, ordinal).unwrap().entry
         };
-        let root = at(b"r", NO_PARENT, None);
-        let a = at(b"a", root, Some('a'));
-        let b = at(b"b", a, Some('b'));
-        assert_eq!(store.path_through(b, Some('c')), vec!['a', 'b', 'c']);
-        assert!(store.path_through(root, None).is_empty());
+        let root = at(b"r", NO_PARENT, 0);
+        let a = at(b"a", root, 3);
+        let b = at(b"b", a, 0);
+        assert_eq!(store.ordinals_to(b), vec![3, 0]);
+        assert!(store.ordinals_to(root).is_empty());
     }
 
     #[test]
     fn only_the_first_expansion_counts() {
-        let mut store: VisitedStore<u8> = VisitedStore::new();
+        let mut store = VisitedStore::new();
         let p = probe(&mut store, b"state-c", 2, 0);
         assert!(store.mark_expanded(p.entry));
         assert!(!store.mark_expanded(p.entry), "second expansion is not first");

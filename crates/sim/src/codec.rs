@@ -43,8 +43,10 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     out.push(v as u8);
 }
 
-/// Consumes one LEB128 varint from the cursor. `None` on truncation or on a
-/// varint longer than a `u64` can hold.
+/// Consumes one LEB128 varint from the cursor. `None` on truncation, on a
+/// varint longer than a `u64` can hold, and on a non-minimal one (a zero
+/// last group after the first byte) that [`put_varint`] never writes: a
+/// varint this accepts re-encodes to exactly the bytes it was read from.
 #[inline]
 pub fn take_varint(input: &mut &[u8]) -> Option<u64> {
     let mut v: u64 = 0;
@@ -52,7 +54,9 @@ pub fn take_varint(input: &mut &[u8]) -> Option<u64> {
         let b = take_u8(input)?;
         v |= u64::from(b & 0x7f) << shift;
         if b & 0x80 == 0 {
-            return Some(v);
+            let minimal = b != 0 || shift == 0;
+            let fits = shift < 63 || b <= 1;
+            return (minimal && fits).then_some(v);
         }
     }
     None
@@ -124,6 +128,30 @@ mod tests {
     }
 
     #[test]
+    fn take_varint_accepts_only_what_put_varint_writes() {
+        // A zero last group pads 0 and 1 to two bytes; a tenth byte above 1
+        // carries bits past 64.
+        let mut padded = [0x80, 0x00].as_slice();
+        assert_eq!(take_varint(&mut padded), None);
+        let mut padded = [0x81, 0x80, 0x00].as_slice();
+        assert_eq!(take_varint(&mut padded), None);
+        let mut wide = [0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02].as_slice();
+        assert_eq!(take_varint(&mut wide), None);
+        // Every two-byte string either fails or re-encodes to itself.
+        for hi in 0..=255u8 {
+            for lo in 0..=255u8 {
+                let bytes = [lo, hi];
+                let mut cursor = bytes.as_slice();
+                if let Some(v) = take_varint(&mut cursor) {
+                    let mut again = Vec::new();
+                    put_varint(&mut again, v);
+                    assert_eq!(again, bytes[..2 - cursor.len()], "{bytes:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn hash64_separates_length_and_content() {
         assert_ne!(hash64(b""), hash64(b"\0"));
         assert_ne!(hash64(b"\0"), hash64(b"\0\0"));
@@ -156,9 +184,10 @@ mod tests {
 
     #[test]
     fn hash64_spreads_low_and_high_bits() {
-        // The visited store homes index slots by the top fingerprint bits
-        // and picks lock stripes by the low ones; a counter-like input
-        // family must not collapse onto few patterns at either end.
+        // The visited store homes and tags index slots by the top
+        // fingerprint bits, and a table keyed by the low ones must spread
+        // as well; a counter-like input family must not collapse onto few
+        // patterns at either end.
         use std::collections::HashSet;
         let (mut low, mut high): (HashSet<u64>, HashSet<u64>) = Default::default();
         for i in 0u64..1024 {
