@@ -35,9 +35,9 @@ done
 #    builds every successor state to keep one is the enumerate-then-index
 #    walk re-grown, and costs 4-6 state clones per step: fail here rather
 #    than wait for a benchmark run. The search loop walks labels too: it
-#    builds each successor in one scratch state and clones only the ones
-#    the visited store keeps, so `successors_into(` there is every
-#    successor cloned again, the two thirds it prunes included.
+#    builds each successor in one scratch state and keeps only the encoding
+#    of the ones the visited store interns, so `successors_into(` there is
+#    every successor cloned, the two thirds it prunes included.
 for f in crates/fuzz/src/*.rs; do
   if product_lines "$f" | grep -nE 'successors(_into)?\('; then
     echo "structure guard: $f enumerates successors; walk labels and apply one (see schedule.rs)"
@@ -45,7 +45,7 @@ for f in crates/fuzz/src/*.rs; do
   fi
 done
 if product_lines crates/explore/src/engine.rs | grep -nF 'successors_into('; then
-  echo "structure guard: crates/explore/src/engine.rs enumerates successors; build each in the scratch state (see expand_task)"
+  echo "structure guard: crates/explore/src/engine.rs enumerates successors; build each in the scratch state (see expand_entry)"
   fail=1
 fi
 
@@ -87,7 +87,7 @@ fi
 #    over stand-ins for `crossbeam` and `parking_lot`; it is one loop on one
 #    thread now (crates/explore/src/engine.rs, and guard 10). A manifest
 #    naming either crate, a fifth directory under vendor/, or a second call
-#    of `expand_task(` is that pair growing back.
+#    of `expand_entry(` is that pair growing back.
 hits=$(find . -name Cargo.toml -not -path '*/target/*' -not -path './.bench_build/*' \
   -exec grep -lE 'crossbeam|parking_lot' {} + || true)
 if [ -n "$hits" ]; then
@@ -101,10 +101,10 @@ if [ "$vendored" != "proptest serde serde_derive serde_json " ]; then
   fail=1
 fi
 calls=$(for f in crates/explore/src/*.rs; do
-  product_lines "$f" | grep -F 'expand_task(' || true
+  product_lines "$f" | grep -F 'expand_entry(' || true
 done | wc -l)
 if [ "$calls" -ne 1 ]; then
-  echo "structure guard: expand_task( is called from $calls product lines under crates/explore/src; one search loop calls it once"
+  echo "structure guard: expand_entry( is called from $calls product lines under crates/explore/src; one search loop calls it once"
   fail=1
 fi
 
@@ -324,6 +324,26 @@ fi
 if product_lines crates/core/src/host.rs |
   grep -nE '\b(sides|last_phase|pump_pending|trusted_until):[[:space:]]*Vec<|Vec<\[Box<dyn DiningParticipant>'; then
   echo "structure guard: crates/core/src/host.rs declares a per-slot Vec field or boxed diner arrays; keep one Slot record per pair"
+  fail=1
+fi
+
+# 17. One search order. The explorer searched depth-first, re-queued a state
+#     that came back with more depth to spend, could skip commuting
+#     deliveries by sleep-set partial-order reduction (por.rs), and
+#     `find_reachable` ran its own breadth-first loop over a map of full
+#     states. One breadth-first loop whose queue is the visited store does
+#     all of it now (crates/explore/src/engine.rs): each state is expanded
+#     once, at its shortest distance. A sleep mask, a re-queue, a delivery
+#     class, a second queue or a hash map of states in the explorer's product
+#     lines, or a por.rs, is one of those growing back.
+for f in crates/explore/src/*.rs; do
+  if product_lines "$f" | grep -nE 'sleep|Requeue|DeliveryClass|VecDeque|HashMap'; then
+    echo "structure guard: $f names a sleep set, a re-queue, a delivery class, a VecDeque or a HashMap; the engine's one breadth-first loop over the visited store is the search"
+    fail=1
+  fi
+done
+if [ -e crates/explore/src/por.rs ]; then
+  echo "structure guard: crates/explore/src/por.rs exists; the search has no partial-order reduction"
   fail=1
 fi
 

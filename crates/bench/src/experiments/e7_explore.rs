@@ -24,14 +24,12 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
             "violations",
             "deadlocks",
             "kstates/s",
-            "por agree",
         ],
     );
     let mut metrics = MetricMap::new();
     let mut states_total = 0u64;
     let mut transitions_total = 0u64;
     let mut rows_total = 0u64;
-    let mut por_agree_total = 0u64;
     for &strict in &[false, true] {
         for &allow_crash in &[true, false] {
             for &depth in depths {
@@ -43,17 +41,9 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                     ..Default::default()
                 };
                 let (report, secs) = timed(|| explore(&base));
-                // Cross-check: the POR run must reach the same verdict on the
-                // same configuration.
-                let por = explore(&ExploreConfig { por: true, ..base });
-                let por_agree = por.states_visited == report.states_visited
-                    && por.transitions == report.transitions
-                    && por.clean() == report.clean()
-                    && por.deadlocks == report.deadlocks;
                 states_total += report.states_visited as u64;
                 transitions_total += report.transitions;
                 rows_total += 1;
-                por_agree_total += por_agree as u64;
                 safety.row(vec![
                     if strict { "hardened".into() } else { "paper".to_string() },
                     if allow_crash { "yes".into() } else { "no".to_string() },
@@ -63,7 +53,6 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                     report.violations.len().to_string(),
                     report.deadlocks.to_string(),
                     format!("{:.0}", report.states_visited as f64 / secs / 1_000.0),
-                    if por_agree { "yes".into() } else { "NO".to_string() },
                 ]);
             }
         }
@@ -81,8 +70,6 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
             "violations",
             "deadlocks",
             "kstates/s",
-            "por agree",
-            "por skips",
         ],
     );
     for &(allow_crash, allow_mistakes) in &[(false, false), (true, false), (true, true)] {
@@ -96,15 +83,9 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                 ..Default::default()
             };
             let (r, secs) = timed(|| explore_composed(&base));
-            let por = explore_composed(&ComposedConfig { por: true, ..base });
-            let por_agree = por.states_visited == r.states_visited
-                && por.transitions == r.transitions
-                && por.clean() == r.clean()
-                && por.deadlocks == r.deadlocks;
             states_total += r.states_visited as u64;
             transitions_total += r.transitions;
             rows_total += 1;
-            por_agree_total += por_agree as u64;
             composed.row(vec![
                 if allow_crash { "yes".into() } else { "no".to_string() },
                 if allow_mistakes { "yes".into() } else { "no".to_string() },
@@ -114,8 +95,6 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                 r.violations.len().to_string(),
                 r.deadlocks.to_string(),
                 format!("{:.0}", r.states_visited as f64 / secs / 1_000.0),
-                if por_agree { "yes".into() } else { "NO".to_string() },
-                por.stats.sleep_skips.get().to_string(),
             ]);
         }
     }
@@ -158,7 +137,6 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
     metrics.insert("states_total".into(), states_total);
     metrics.insert("transitions_total".into(), transitions_total);
     metrics.insert("exhaustive_rows".into(), rows_total);
-    metrics.insert("por_agree_rows".into(), por_agree_total);
     Report {
         title: "E7 — mechanical lemma checking (exhaustive + fair runs)".into(),
         preamble: "The corrigendum to this paper exists because message-regime proofs \
@@ -170,12 +148,10 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                    are checked on weakly-fair schedules."
             .into(),
         tables: vec![safety, composed, liveness],
-        notes: vec!["\"por agree\" re-runs each exhaustive row with sleep-set POR, \
-                     comparing states/transitions/clean/deadlocks; \"kstates/s\" is \
-                     the search's throughput on the calling thread. The faithful \
-                     pair wire is strictly sequential, so POR only finds skippable \
-                     interleavings on the composed model's fork traffic (\"por \
-                     skips\"). See E8 for the depth frontier."
+        notes: vec!["\"kstates/s\" is the breadth-first search's throughput on the \
+                     calling thread; tests/reference_bfs.rs in crates/explore holds \
+                     its figures to an independent reference search. See E8 for the \
+                     depth frontier."
             .into()],
         metrics,
     }
@@ -192,22 +168,15 @@ mod tests {
         for row in &report.tables[0].rows {
             assert_eq!(row[5], "0", "safety violations: {row:?}");
             assert_eq!(row[6], "0", "deadlocks: {row:?}");
-            assert_eq!(row[8], "yes", "POR disagreed with full exploration: {row:?}");
         }
         for row in &report.tables[1].rows {
             assert_eq!(row[5], "0", "composed violations: {row:?}");
             assert_eq!(row[6], "0", "composed deadlocks: {row:?}");
-            assert_eq!(row[8], "yes", "POR disagreed with full exploration: {row:?}");
         }
         for row in &report.tables[2].rows {
             assert_eq!(row[5], "true", "witnesses must alternate: {row:?}");
         }
-        assert_eq!(report.metrics["por_agree_rows"], report.metrics["exhaustive_rows"]);
+        assert_eq!(report.metrics["exhaustive_rows"], 18, "12 pair rows and 6 composed rows");
         assert!(report.metrics["states_total"] > 0);
-        // POR must actually fire somewhere in the composed sweep.
-        assert!(
-            report.tables[1].rows.iter().any(|r| r[9] != "0"),
-            "composed POR never skipped anything"
-        );
     }
 }

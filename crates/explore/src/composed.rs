@@ -31,7 +31,6 @@ use dinefd_fd::FdQuery;
 use dinefd_sim::{ProcessId, Time};
 
 use crate::engine::{search, SearchModel, SearchReport};
-use crate::por::DeliveryClass;
 
 const P: ProcessId = ProcessId(0); // watcher
 const Q: ProcessId = ProcessId(1); // subject
@@ -102,9 +101,8 @@ pub struct ComposedConfig {
     /// Ignored: the search runs on the calling thread. Kept only because
     /// `benchmark/` names it.
     pub threads: usize,
-    /// Enable sleep-set partial-order reduction over commuting
-    /// dx/ping/ack deliveries ([`crate::por`]). Off by default; every
-    /// reported figure is identical with POR on or off.
+    /// Ignored: the search has no partial-order reduction. Kept only because
+    /// `benchmark/` names it.
     pub por: bool,
 }
 
@@ -668,24 +666,6 @@ impl SearchModel for ComposedSearch<'_> {
     ) -> Vec<String> {
         exclusion_step_violations(s, next)
     }
-
-    fn delivery_class(&self, label: ComposedLabel) -> Option<DeliveryClass> {
-        // The three delivery labels each consume one message from one pool
-        // and step disjoint components (fork endpoints vs witness vs
-        // subject); see `crate::por` for the independence argument.
-        // Machine actions, ticks, crashes, and mistake flags stay
-        // unclassified and are never slept.
-        match label {
-            ComposedLabel::DeliverDx(d) => Some(DeliveryClass::Dx(d)),
-            ComposedLabel::DeliverPing(k) => Some(DeliveryClass::Ping(k)),
-            ComposedLabel::DeliverAck(j) => Some(DeliveryClass::Ack(j)),
-            _ => None,
-        }
-    }
-
-    fn por(&self) -> bool {
-        self.0.por
-    }
 }
 
 /// Depth-bounded exhaustive exploration of the composed model, through the
@@ -736,18 +716,6 @@ mod tests {
         };
         let r = explore_composed(&cfg);
         assert!(r.clean(), "violations: {:#?}", r.violations);
-    }
-
-    #[test]
-    fn composed_por_agrees_with_full_exploration() {
-        let base = ComposedConfig { max_depth: 9, ..Default::default() };
-        let full = explore_composed(&base);
-        let por = explore_composed(&ComposedConfig { por: true, ..base });
-        assert_eq!(full.states_visited, por.states_visited);
-        assert_eq!(full.transitions, por.transitions);
-        assert_eq!(full.deadlocks, por.deadlocks);
-        assert_eq!(full.violations, por.violations);
-        assert!(por.stats.sleep_skips.get() > 0, "POR never fired at depth 9");
     }
 
     #[test]

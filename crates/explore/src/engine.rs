@@ -1,18 +1,24 @@
-//! The search engine behind [`crate::explore`] and
-//! [`crate::explore_composed`]: one depth-first loop, on the calling thread,
-//! over a fingerprinted visited store.
+//! The search engine behind [`crate::explore`], [`crate::explore_composed`]
+//! and [`crate::find_reachable`]: one breadth-first loop, on the calling
+//! thread, whose queue is the fingerprinted visited store itself.
 //!
-//! One engine serves both models through the private `SearchModel` trait. The
-//! design:
+//! One engine serves every model through the private `SearchModel` trait.
+//! The design:
 //!
+//! * **The store is the queue** — the visited store hands out entry ids in
+//!   discovery order, so the states of one breadth-first layer hold one run
+//!   of consecutive ids. The loop expands ids 0, 1, 2, … in turn: it decodes
+//!   each state from the store's arena (the codec round-trips exactly, which
+//!   every fresh insertion debug-asserts) and counts depth at the layer
+//!   boundaries. Each state is expanded exactly once, at its shortest
+//!   distance from the root, and nothing besides the store is queued.
 //! * **Probe before copying** — a model is searched as a label walk:
 //!   `SearchModel::for_each_label` lists a state's transitions and
 //!   `SearchModel::apply_into` builds one successor into a state the caller
 //!   owns. The loop builds every successor in one reused scratch state,
 //!   runs the step checks on it, encodes it and probes the store with it;
-//!   only a child the store keeps (fresh, or re-queued with more depth or a
-//!   smaller sleep mask) is cloned into a task. On the composed model about
-//!   two thirds of all successors are pruned, and none of those is copied.
+//!   a successor is never cloned, and a fresh one lives on only as its
+//!   encoding.
 //! * **Fingerprinted visited store** — states are never used as hash-map
 //!   keys. Each state is encoded once ([`crate::codec::StateCodec`]) into a
 //!   scratch buffer and handed to an open-addressing arena store (the
@@ -20,43 +26,40 @@
 //!   carry fingerprint tags, so most probes for a fresh state never leave
 //!   the index; tag hits are confirmed by exact byte comparison, so the
 //!   search stays exhaustive.
-//! * **Parent-chain paths** — tasks carry no path vector. The store records,
-//!   per state, the tree edge that first interned it, as the parent's id and
-//!   the edge label's ordinal among the parent's labels. Violations are held
-//!   as entry ids during the search; once it ends, the shortest per message
-//!   is picked by parent-chain depth, and only those paths are rebuilt, by
-//!   replaying the ordinals forward from the root through
-//!   `SearchModel::for_each_label` and `SearchModel::apply_into`.
-//! * **One LIFO stack** — a plain `Vec` (LIFO keeps the search depth-first
-//!   and the frontier small).
-//! * **Termination** — the search is over when the stack is empty. A store
-//!   that can intern no more states (its `u32` entry ids or arena offsets
-//!   are used up), or a state with more edges than a `u16` ordinal numbers,
-//!   ends the search as the state budget does: truncated. A panic in a
+//! * **Parent-chain paths** — the store records, per state, the tree edge
+//!   that first interned it, as the parent's id and the edge label's ordinal
+//!   among the parent's labels. Violations are held as entry ids during the
+//!   search; once it ends, the first one found per message is kept, and only
+//!   those paths are rebuilt, by replaying the ordinals forward from the
+//!   root through `SearchModel::for_each_label` and
+//!   `SearchModel::apply_into`. A breadth-first tree path is a shortest
+//!   path, and violations are found in order of path length, so every
+//!   counterexample is a shortest one.
+//! * **Termination** — the search is over when every state within the depth
+//!   bound has been expanded. A store that can intern no more states (its
+//!   `u32` entry ids or arena offsets are used up), a state with more edges
+//!   than a `u16` ordinal numbers, or an interned encoding that does not
+//!   decode ends the search as the state budget does: truncated. A model
+//!   that asks a reachability question (`SearchModel::FIRST_HIT`) ends it
+//!   after the expansion that records its first violation. A panic in a
 //!   model or a codec unwinds to the caller.
-//! * **Optional sleep-set POR** ([`crate::por`]) — when the model opts in,
-//!   deliveries whose commuted order was already explored skip the
-//!   encode/probe/queue work ([`SearchStats::sleep_skips`]). Successor
-//!   *enumeration* and every invariant/closure check remain exhaustive, so
-//!   all reported figures are identical with POR on or off.
 //!
 //! ## Determinism
 //!
-//! The expansion order is fixed (depth-first, last successor first), so
-//! every figure repeats: the report, the representative path of each
-//! violation, and every counter in [`SearchStats`]. When the search is not
-//! truncated by `max_states`, the figures are also properties of the graph:
-//! the depth stored for a state only increases and its sleep mask only
-//! shrinks, so `states_visited`, `transitions` (each state's out-degree,
-//! counted on its first expansion), `deadlocks` (distinct dead states) and
-//! the violation message set are equal with POR on or off.
+//! The expansion order is fixed (breadth-first, successors in the model's
+//! label order), so every figure repeats: the report, the representative
+//! path of each violation, and every counter in [`SearchStats`]. When the
+//! search is not truncated by `max_states`, the figures are also properties
+//! of the graph: `states_visited` is the states within `max_depth` steps,
+//! `transitions` the out-degree summed over those within fewer steps,
+//! `deadlocks` the latter with no successor, and every violation path is as
+//! short as the violation allows.
 
 use dinefd_sim::metrics::Counter;
 
 use crate::codec::StateCodec;
-use crate::por::{child_sleep, DeliveryClass};
 use crate::search::fmt_path;
-use crate::visited::{Probe, ProbeOutcome, StoreFull, VisitedStore, NO_PARENT};
+use crate::visited::{StoreFull, VisitedStore, NO_PARENT};
 
 /// A state graph the engine can search.
 pub(crate) trait SearchModel {
@@ -65,6 +68,10 @@ pub(crate) trait SearchModel {
     type State: Clone + PartialEq + std::fmt::Debug + StateCodec;
     /// Transition label (small and copyable).
     type Label: Copy + std::fmt::Debug;
+    /// Whether the model asks a reachability question: the search ends after
+    /// the expansion that records its first violation (a hit of the root
+    /// ends it before any expansion).
+    const FIRST_HIT: bool = false;
 
     /// Yields every transition enabled in `s`, in the model's canonical
     /// order. Builds no state.
@@ -82,16 +89,6 @@ pub(crate) trait SearchModel {
         label: Self::Label,
         next: &Self::State,
     ) -> Vec<String>;
-    /// POR classification of `label`: which wire pool it consumes from, or
-    /// `None` for everything that must never be slept. The default opts
-    /// every label out.
-    fn delivery_class(&self, _label: Self::Label) -> Option<DeliveryClass> {
-        None
-    }
-    /// Whether sleep-set POR is enabled for this run (default off).
-    fn por(&self) -> bool {
-        false
-    }
 }
 
 /// Which check produced a violation.
@@ -118,7 +115,7 @@ pub struct ViolationRecord<L> {
     pub path: Vec<L>,
 }
 
-/// Codec and reduction figures of one search run, built on the shared
+/// Codec figures of one search run, built on the shared
 /// [`dinefd_sim::metrics`] primitives so the explorer reports through the
 /// same observability layer as the simulator. The search reads no clock: a
 /// caller that wants its throughput times the call.
@@ -130,8 +127,9 @@ pub struct SearchStats {
     /// Always 0: the visited store has no locks to contend for. Kept only
     /// because `benchmark/` reads it.
     pub shard_conflicts: Counter,
-    /// Index tag hits confirmed equal by exact byte comparison (every
-    /// re-visit of a seen state costs exactly one).
+    /// Index tag hits confirmed equal by exact byte comparison: one per
+    /// probed edge that leads to a seen state, so an untruncated search
+    /// reads `transitions + 1 - states_visited`.
     pub fp_confirms: Counter,
     /// Tag hits whose bytes differed although their whole 64-bit
     /// fingerprints are equal — true 64-bit collisions, resolved exactly by
@@ -140,9 +138,6 @@ pub struct SearchStats {
     /// tag hit whose bytes differ, and a match on the 32-bit tag alone is
     /// not counted.
     pub fp_collisions: Counter,
-    /// Successor edges skipped by sleep-set POR (0 unless the model opts
-    /// in). Skips save probe work only; they never hide a state or a check.
-    pub sleep_skips: Counter,
     /// Bytes of encoded state interned in the visited-store arena — the
     /// resident footprint of the state set itself.
     pub arena_bytes: u64,
@@ -155,9 +150,8 @@ pub struct SearchStats {
 pub struct SearchReport<L> {
     /// Distinct states visited.
     pub states_visited: usize,
-    /// Transitions traversed: each visited state's out-degree, counted
-    /// exactly once on the state's first expansion. Equal with POR on or
-    /// off.
+    /// Transitions traversed: the out-degree of every expanded state (each
+    /// state is expanded once).
     pub transitions: u64,
     /// Violations found (empty = every check held in the explored region),
     /// one line each: the message and the path that leads to it.
@@ -171,7 +165,7 @@ pub struct SearchReport<L> {
     /// Whether the search hit its state budget before exhausting the
     /// depth-bounded region.
     pub truncated: bool,
-    /// Codec and reduction counters of this run.
+    /// Codec counters of this run.
     pub stats: SearchStats,
 }
 
@@ -180,16 +174,6 @@ impl<L> SearchReport<L> {
     pub fn clean(&self) -> bool {
         self.violations.is_empty() && self.deadlocks == 0
     }
-}
-
-/// A queued unit of work: the state itself (kept decoded so expansion never
-/// re-decodes), its store entry id (for parent links and the expanded
-/// flag), and the depth/sleep metadata it was queued with.
-struct Task<S> {
-    state: S,
-    entry: u32,
-    remaining: u32,
-    sleep: u32,
 }
 
 /// A violation captured mid-search: the path is rebuilt from `entry`'s parent
@@ -205,33 +189,26 @@ struct PendingViolation<L> {
 struct Tally<L> {
     transitions: u64,
     deadlocks: usize,
-    sleep_skips: u64,
     pending: Vec<PendingViolation<L>>,
 }
 
 /// The loop's reusable buffers: the labels of the state being expanded, the
-/// successor being built (a clone of the first state expanded, then always
-/// the last successor built), and that successor's encoding.
+/// successor being built (the last one built, or the root before the first),
+/// and that successor's encoding.
 struct Scratch<S, L> {
     labels: Vec<L>,
-    next: Option<S>,
+    next: S,
     buf: Vec<u8>,
 }
 
-/// Interns and checks the initial state, returning its root task.
-fn seed_root<M: SearchModel>(
+/// Records `state`'s invariant violations against its store entry.
+fn check_state<M: SearchModel>(
     model: &M,
-    initial: M::State,
-    max_depth: u32,
-    store: &mut VisitedStore,
-    buf: &mut Vec<u8>,
+    state: &M::State,
+    entry: u32,
     tally: &mut Tally<M::Label>,
-) -> Result<Task<M::State>, StoreFull> {
-    buf.clear();
-    initial.encode_into(buf);
-    let Probe { outcome, entry, .. } = store.probe(buf, max_depth, 0, NO_PARENT, 0)?;
-    debug_assert_eq!(outcome, ProbeOutcome::Fresh, "seeding into a non-empty store");
-    for message in model.state_violations(&initial) {
+) {
+    for message in model.state_violations(state) {
         tally.pending.push(PendingViolation {
             kind: ViolationKind::StateInvariant,
             message,
@@ -239,99 +216,54 @@ fn seed_root<M: SearchModel>(
             extra: None,
         });
     }
-    Ok(Task { state: initial, entry, remaining: max_depth, sleep: 0 })
 }
 
-/// Expands one task: lists its labels, builds each child in the scratch
-/// state, runs the once-per-state checks, probes the child, and hands a
-/// clone of each fresh or upgraded child to `push`. This single function
-/// defines the expansion semantics — the once-per-state
-/// `transitions`/`deadlocks` figures, the once-per-state closure checks, the
-/// once-per-insertion invariant checks, and the POR skip rule. Fails only
-/// when the store cannot intern a fresh child, or cannot number the task's
-/// edges with `u16` ordinals.
-fn expand_task<M: SearchModel>(
+/// Expands store entry `id`, decoded as `state`: lists its labels, builds
+/// each child in the scratch state, runs the step checks, probes the child,
+/// and checks the invariants of each fresh one. This single function defines
+/// the expansion semantics — the `transitions`/`deadlocks` figures and the
+/// once-per-edge and once-per-state checks. Fails only when the store cannot
+/// intern a fresh child, or cannot number the state's edges with `u16`
+/// ordinals.
+fn expand_entry<M: SearchModel>(
     model: &M,
-    task: &Task<M::State>,
+    id: u32,
+    state: &M::State,
     store: &mut VisitedStore,
     scratch: &mut Scratch<M::State, M::Label>,
     tally: &mut Tally<M::Label>,
-    mut push: impl FnMut(Task<M::State>),
 ) -> Result<(), StoreFull> {
-    let first_expansion = store.mark_expanded(task.entry);
     let Scratch { labels, next, buf } = scratch;
     labels.clear();
-    model.for_each_label(&task.state, |l| labels.push(l));
+    model.for_each_label(state, |l| labels.push(l));
     if labels.is_empty() {
-        if first_expansion {
-            tally.deadlocks += 1;
-        }
+        tally.deadlocks += 1;
         return Ok(());
     }
     if labels.len() > usize::from(u16::MAX) + 1 {
         return Err(StoreFull);
     }
-    if first_expansion {
-        // Out-degree is counted in full even under POR — enumeration (and
-        // with it every check below) is never reduced, only probe work is.
-        tally.transitions += labels.len() as u64;
-    }
-    let next = next.get_or_insert_with(|| task.state.clone());
-    let remaining = task.remaining - 1;
-    let por = model.por();
-    // Sleep bits of delivery labels already probed at *this* expansion;
-    // later independent siblings inherit them (the sleep-set recurrence).
-    let mut earlier = 0u32;
+    tally.transitions += labels.len() as u64;
     for (ordinal, &label) in (0..=u16::MAX).zip(labels.iter()) {
-        model.apply_into(&task.state, label, next);
-        if first_expansion {
-            for message in model.step_violations(&task.state, label, next) {
-                tally.pending.push(PendingViolation {
-                    kind: ViolationKind::ClosureStep,
-                    message,
-                    entry: task.entry,
-                    extra: Some(label),
-                });
-            }
-        }
-        let class = if por { model.delivery_class(label) } else { None };
-        if let Some(c) = class {
-            let bit = c.bit();
-            if bit != 0 && task.sleep & bit != 0 {
-                // A commuted order through an earlier-explored independent
-                // delivery reaches the same child; skip the probe.
-                tally.sleep_skips += 1;
-                continue;
-            }
+        model.apply_into(state, label, next);
+        for message in model.step_violations(state, label, next) {
+            tally.pending.push(PendingViolation {
+                kind: ViolationKind::ClosureStep,
+                message,
+                entry: id,
+                extra: Some(label),
+            });
         }
         buf.clear();
         next.encode_into(buf);
-        let sleep = if por { child_sleep(task.sleep, earlier, class) } else { 0 };
-        if let Some(c) = class {
-            earlier |= c.bit();
+        if let Some(entry) = store.probe(buf, id, ordinal)? {
+            debug_assert_eq!(
+                M::State::decode(buf).as_ref(),
+                Some(&*next),
+                "codec round-trip failed on a fresh insertion"
+            );
+            check_state(model, next, entry, tally);
         }
-        let Probe { outcome, entry, remaining: up_remaining, sleep: up_sleep } =
-            store.probe(buf, remaining, sleep, task.entry, ordinal)?;
-        match outcome {
-            ProbeOutcome::Pruned => continue,
-            ProbeOutcome::Requeue => {}
-            ProbeOutcome::Fresh => {
-                debug_assert_eq!(
-                    M::State::decode(buf).as_ref(),
-                    Some(&*next),
-                    "codec round-trip failed on a fresh insertion"
-                );
-                for message in model.state_violations(next) {
-                    tally.pending.push(PendingViolation {
-                        kind: ViolationKind::StateInvariant,
-                        message,
-                        entry,
-                        extra: None,
-                    });
-                }
-            }
-        }
-        push(Task { state: next.clone(), entry, remaining: up_remaining, sleep: up_sleep });
     }
     Ok(())
 }
@@ -371,8 +303,9 @@ fn replay<M: SearchModel>(model: &M, root: &M::State, ordinals: &[u16]) -> Vec<M
     path
 }
 
-/// [`search`] over a caller-supplied (empty) store: the loop pops a task,
-/// tests the budget, expands it and pushes its children.
+/// [`search`] over a caller-supplied (empty) store: the loop walks the
+/// store's entries in id order, testing the budget and the depth before
+/// expanding each.
 fn search_in<M: SearchModel>(
     model: &M,
     initial: M::State,
@@ -380,45 +313,58 @@ fn search_in<M: SearchModel>(
     max_states: usize,
     mut store: VisitedStore,
 ) -> SearchReport<M::Label> {
-    let root = initial.clone();
-    let mut tally = Tally { transitions: 0, deadlocks: 0, sleep_skips: 0, pending: Vec::new() };
-    let mut scratch = Scratch { labels: Vec::new(), next: None, buf: Vec::with_capacity(64) };
-    let mut stack: Vec<Task<M::State>> = Vec::new();
+    let mut tally = Tally { transitions: 0, deadlocks: 0, pending: Vec::new() };
+    let mut scratch =
+        Scratch { labels: Vec::new(), next: initial.clone(), buf: Vec::with_capacity(64) };
+    initial.encode_into(&mut scratch.buf);
     let mut truncated = false;
-    match seed_root(model, initial, max_depth, &mut store, &mut scratch.buf, &mut tally) {
-        Ok(task) => stack.push(task),
-        Err(StoreFull) => truncated = true,
+    match store.probe(&scratch.buf, NO_PARENT, 0) {
+        Ok(Some(root)) => check_state(model, &initial, root, &mut tally),
+        _ => truncated = true,
     }
-    while let Some(task) = stack.pop() {
+    // Entry `id` lies `depth` steps from the root; that layer's ids end
+    // before `layer_end`.
+    let (mut id, mut depth, mut layer_end) = (0u32, 0u32, 1u32);
+    while (id as usize) < store.len() {
+        if M::FIRST_HIT && !tally.pending.is_empty() {
+            break;
+        }
         // The budget is tested when a state comes up for expansion, so the
         // store may overshoot `max_states` by at most one expansion's
-        // successors. Once it trips, the queued tasks are dropped unexpanded.
+        // successors.
         if store.len() >= max_states {
             truncated = true;
             break;
         }
-        if task.remaining == 0 {
-            continue;
+        if id == layer_end {
+            // The layer before is expanded, so this one is fully interned.
+            depth += 1;
+            layer_end = store.len() as u32;
         }
-        if expand_task(model, &task, &mut store, &mut scratch, &mut tally, |t| stack.push(t))
-            .is_err()
-        {
+        if depth >= max_depth {
+            break;
+        }
+        let Some(state) = M::State::decode(store.bytes(id)) else {
+            debug_assert!(false, "entry {id} does not decode");
+            truncated = true;
+            break;
+        };
+        if expand_entry(model, id, &state, &mut store, &mut scratch, &mut tally).is_err() {
             // The store can intern no more states: stop as the budget does.
             truncated = true;
             break;
         }
+        id += 1;
     }
 
-    let records = shortest_per_message(tally.pending, |p| {
-        store.ordinals_to(p.entry).len() + usize::from(p.extra.is_some())
-    })
-    .into_iter()
-    .map(|p| {
-        let mut path = replay(model, &root, &store.ordinals_to(p.entry));
-        path.extend(p.extra);
-        ViolationRecord { kind: p.kind, message: p.message, path }
-    })
-    .collect::<Vec<_>>();
+    let records = first_per_message(tally.pending)
+        .into_iter()
+        .map(|p| {
+            let mut path = replay(model, &initial, &store.ordinals_to(p.entry));
+            path.extend(p.extra);
+            ViolationRecord { kind: p.kind, message: p.message, path }
+        })
+        .collect::<Vec<_>>();
     let store_stats = store.stats();
     SearchReport {
         states_visited: store.len(),
@@ -435,42 +381,25 @@ fn search_in<M: SearchModel>(
             shard_conflicts: Counter::new(),
             fp_confirms: Counter::from(store_stats.confirms),
             fp_collisions: Counter::from(store_stats.collisions),
-            sleep_skips: Counter::from(tally.sleep_skips),
             arena_bytes: store.arena_bytes() as u64,
         },
     }
 }
 
-/// Dedups by `(kind, message)`, keeping the one with the shortest path (the
-/// first one found among equals), and sorts.
-fn shortest_per_message<L>(
-    pending: Vec<PendingViolation<L>>,
-    path_len: impl Fn(&PendingViolation<L>) -> usize,
-) -> Vec<PendingViolation<L>> {
-    let mut by_key: std::collections::BTreeMap<(ViolationKind, String), (usize, _)> =
-        std::collections::BTreeMap::new();
+/// Dedups by `(kind, message)`, keeping the first one found (in breadth-first
+/// order, one with a shortest path), and sorts.
+fn first_per_message<L>(pending: Vec<PendingViolation<L>>) -> Vec<PendingViolation<L>> {
+    let mut by_key = std::collections::BTreeMap::new();
     for p in pending {
-        let len = path_len(&p);
-        match by_key.entry((p.kind, p.message.clone())) {
-            std::collections::btree_map::Entry::Vacant(e) => {
-                e.insert((len, p));
-            }
-            std::collections::btree_map::Entry::Occupied(mut e) => {
-                // Prefer the shortest representative path — nicer
-                // counterexamples.
-                if len < e.get().0 {
-                    e.insert((len, p));
-                }
-            }
-        }
+        by_key.entry((p.kind, p.message.clone())).or_insert(p);
     }
-    by_key.into_values().map(|(_, p)| p).collect()
+    by_key.into_values().collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::Cell;
+    use std::cell::{Cell, RefCell};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     impl StateCodec for u32 {
@@ -484,25 +413,44 @@ mod tests {
     }
 
     /// A graph over `u32` states given by its successor function (a label is
-    /// the successor's position). Counts the expansions of states 0..8 and
-    /// panics when asked to expand `poison`.
-    /// Flags the step `violation` as a closure violation.
-    struct Toy {
+    /// the successor's position). Counts the expansions of states 0..8,
+    /// panics when asked to expand `poison`, flags the step `violation` as a
+    /// closure violation and the state `bad` as an invariant violation. With
+    /// `HIT`, it asks whether `bad` is reachable.
+    struct Toy<const HIT: bool = false> {
         edges: fn(u32) -> Vec<u32>,
         poison: Option<u32>,
         violation: Option<(u32, u32)>,
+        bad: Option<u32>,
         expansions: [Cell<usize>; 8],
+        /// The state whose labels were listed last, with its successors, so
+        /// that applying its labels does not rebuild them one edge at a time.
+        listed: RefCell<(u32, Vec<u32>)>,
     }
 
     impl Toy {
         fn new(edges: fn(u32) -> Vec<u32>) -> Self {
-            Toy { edges, poison: None, violation: None, expansions: Default::default() }
+            Toy {
+                edges,
+                poison: None,
+                violation: None,
+                bad: None,
+                expansions: Default::default(),
+                listed: RefCell::new((u32::MAX, Vec::new())),
+            }
         }
     }
 
-    impl SearchModel for Toy {
+    /// Asks whether `bad` is reachable over `edges`.
+    fn reach(edges: fn(u32) -> Vec<u32>, bad: u32) -> Toy<true> {
+        let Toy { poison, violation, expansions, listed, .. } = Toy::new(edges);
+        Toy { edges, poison, violation, bad: Some(bad), expansions, listed }
+    }
+
+    impl<const HIT: bool> SearchModel for Toy<HIT> {
         type State = u32;
         type Label = u32;
+        const FIRST_HIT: bool = HIT;
 
         fn for_each_label(&self, s: &u32, push: impl FnMut(u32)) {
             if self.poison == Some(*s) {
@@ -511,15 +459,26 @@ mod tests {
             if let Some(n) = self.expansions.get(*s as usize) {
                 n.set(n.get() + 1);
             }
-            (0..(self.edges)(*s).len() as u32).for_each(push);
+            let successors = (self.edges)(*s);
+            (0..successors.len() as u32).for_each(push);
+            *self.listed.borrow_mut() = (*s, successors);
         }
 
         fn apply_into(&self, s: &u32, label: u32, next: &mut u32) {
-            *next = (self.edges)(*s)[label as usize];
+            let listed = self.listed.borrow();
+            *next = if listed.0 == *s {
+                listed.1[label as usize]
+            } else {
+                (self.edges)(*s)[label as usize]
+            };
         }
 
-        fn state_violations(&self, _: &u32) -> Vec<String> {
-            Vec::new()
+        fn state_violations(&self, s: &u32) -> Vec<String> {
+            if self.bad == Some(*s) {
+                vec![format!("bad {s}")]
+            } else {
+                Vec::new()
+            }
         }
 
         fn step_violations(&self, s: &u32, _: u32, next: &u32) -> Vec<String> {
@@ -539,11 +498,11 @@ mod tests {
         }
     }
 
-    /// 0 → {1, 2}, 1 → 4, 2 → 3 → 4, 4 → 5, 5 dead: the search takes the last
-    /// successor first, so it reaches 4 over the long side first.
+    /// 0 → {2, 1}, 2 → 3 → 4, 1 → 4, 4 → 5, 5 dead: 4 is first reached from
+    /// 1, the second successor of the root, and lies two steps from it.
     fn diamond(n: u32) -> Vec<u32> {
         match n {
-            0 => vec![1, 2],
+            0 => vec![2, 1],
             1 | 3 => vec![4],
             2 => vec![3],
             4 => vec![5],
@@ -580,6 +539,19 @@ mod tests {
     }
 
     #[test]
+    fn the_depth_bound_counts_layers() {
+        // Depth 3 over the binary tree: 1 + 2 + 4 + 8 states, the 7 within
+        // two steps expanded.
+        let r = search(&Toy::new(tree), 0, 3, usize::MAX);
+        assert_eq!((r.states_visited, r.transitions, r.stats.fp_confirms.get()), (15, 14, 0));
+        assert!(r.clean() && !r.truncated);
+        // A budget reached exactly by the last layer truncates, as when the
+        // state that fills it comes up for expansion.
+        assert!(search(&Toy::new(tree), 0, 3, 15).truncated);
+        assert!(!search(&Toy::new(tree), 0, 3, 16).truncated);
+    }
+
+    #[test]
     fn a_store_that_cannot_intern_another_state_truncates_the_search() {
         let r =
             search_in(&Toy::new(tree), 0, 50, usize::MAX, VisitedStore::with_limits(100, u32::MAX));
@@ -603,25 +575,91 @@ mod tests {
     }
 
     #[test]
-    fn paths_are_replayed_from_the_ordinals() {
-        // Over the diamond, 4 is first reached over 2 and 3 (last successor
-        // first): the edge 4 → 5 is found at the end of 0 → 2 → 3 → 4, and
-        // the tree path to 4 replays as labels 1, 0, 0.
-        let model = Toy { violation: Some((4, 5)), ..Toy::new(diamond) };
+    fn paths_are_shortest_and_replayed_from_the_ordinals() {
+        // 4 is first interned as the child of 1 (ordinal 0), and 1 is the
+        // root's second child (ordinal 1): the edge 4 → 5 is found at the end
+        // of 0 → 1 → 4, not of the longer 0 → 2 → 3 → 4.
+        let model = Toy { violation: Some((4, 5)), bad: Some(5), ..Toy::new(diamond) };
         let r = search(&model, 0, 5, usize::MAX);
-        assert_eq!(r.records.len(), 1);
-        assert_eq!(r.records[0].path, vec![1, 0, 0, 0]);
-        assert_eq!(r.violations, vec!["4 → 5 (after 1 → 0 → 0 → 0)".to_string()]);
+        let paths: Vec<_> = r.records.iter().map(|r| (r.kind, r.path.clone())).collect();
+        assert_eq!(
+            paths,
+            [
+                (ViolationKind::StateInvariant, vec![1, 0, 0]),
+                (ViolationKind::ClosureStep, vec![1, 0, 0])
+            ]
+        );
+        assert_eq!(r.violations[1], "4 → 5 (after 1 → 0 → 0)");
     }
 
     #[test]
-    fn a_state_reached_again_with_more_depth_is_re_expanded_but_counted_once() {
+    fn every_state_is_expanded_once() {
         let model = Toy::new(diamond);
         let r = search(&model, 0, 5, usize::MAX);
         assert_eq!((r.states_visited, r.transitions, r.deadlocks), (6, 6, 1));
         assert!(r.violations.is_empty() && !r.truncated);
-        // Over 2 and 3, states 4 and 5 come up with 2 and 1 steps left; over
-        // 1 they come up again with 3 and 2.
-        assert_eq!((model.expansions[4].get(), model.expansions[5].get()), (2, 2));
+        assert!(model.expansions.iter().take(6).all(|n| n.get() == 1));
+        // Every edge into a seen state is confirmed once: 4 over 3.
+        assert_eq!(r.stats.fp_confirms.get(), r.transitions + 1 - r.states_visited as u64);
+    }
+
+    #[test]
+    fn a_reachability_model_stops_after_its_first_hit() {
+        // Node 5 is the third state of layer 2. The search finishes the
+        // expansion of 2 that finds it, and goes no further.
+        let r = search(&reach(tree, 5), 0, 40, usize::MAX);
+        assert_eq!(r.records.len(), 1);
+        assert_eq!(r.records[0].path, vec![1, 0]);
+        assert_eq!(r.states_visited, 7, "the root, 1 and 2 expanded");
+        assert!(!r.truncated);
+        // A hit at the root expands nothing.
+        let r = search(&reach(tree, 0), 0, 40, usize::MAX);
+        assert_eq!((r.states_visited, r.records[0].path.len()), (1, 0));
+    }
+
+    #[test]
+    fn an_entry_that_does_not_decode_ends_the_search() {
+        // A state whose encoding decodes to nothing: release builds end the
+        // search as truncated, debug builds stop at the round-trip assert.
+        #[derive(Clone, Debug, PartialEq)]
+        struct Lossy(u32);
+        impl StateCodec for Lossy {
+            fn encode_into(&self, out: &mut Vec<u8>) {
+                self.0.encode_into(out);
+            }
+
+            fn decode(input: &[u8]) -> Option<Self> {
+                u32::decode(input).filter(|&n| n != 2).map(Lossy)
+            }
+        }
+        struct LossyTree;
+        impl SearchModel for LossyTree {
+            type State = Lossy;
+            type Label = u32;
+
+            fn for_each_label(&self, s: &Lossy, push: impl FnMut(u32)) {
+                (0..tree(s.0).len() as u32).for_each(push);
+            }
+
+            fn apply_into(&self, s: &Lossy, label: u32, next: &mut Lossy) {
+                next.0 = tree(s.0)[label as usize];
+            }
+
+            fn state_violations(&self, _: &Lossy) -> Vec<String> {
+                Vec::new()
+            }
+
+            fn step_violations(&self, _: &Lossy, _: u32, _: &Lossy) -> Vec<String> {
+                Vec::new()
+            }
+        }
+        let run = catch_unwind(|| search(&LossyTree, Lossy(0), 5, usize::MAX));
+        if cfg!(debug_assertions) {
+            assert!(run.is_err(), "the round-trip assert stops a debug build");
+        } else {
+            let r = run.expect("a release build ends the search");
+            assert!(r.truncated);
+            assert_eq!(r.states_visited, 5, "0, 1, 2 and 1's children; 2 never expands");
+        }
     }
 }

@@ -98,7 +98,6 @@ pub fn fair_run_mutated(
         strict_seq,
         allow_crash: true,
         start_converged: false,
-        por: false,
         subject_mutation,
         model_mutation,
     };

@@ -32,13 +32,13 @@
 //!
 //! ## The search
 //!
-//! Both explorers run on the one engine in [`mod@engine`]: a loop over a
-//! LIFO stack on the calling thread, depth-first in one fixed order, over
-//! one fingerprinted visited store, so every figure repeats. The store
-//! keeps, per state, the *maximum remaining depth* it has been queued with,
-//! so a state re-entered with less budget is pruned soundly. Codec and
-//! reduction counters come back in [`engine::SearchStats`]; the search
-//! reads no clock, so a caller that wants throughput times the call.
+//! Both explorers, and the reachability probe [`find_reachable`], run on
+//! the one engine in [`mod@engine`]: a breadth-first loop on the calling
+//! thread whose queue is one fingerprinted visited store, in one fixed
+//! order, so every figure repeats. Each state is expanded once, at its
+//! shortest distance from the root, so every counterexample path is a
+//! shortest one. Codec counters come back in [`engine::SearchStats`]; the
+//! search reads no clock, so a caller that wants throughput times the call.
 //!
 //! ## Mutation testing
 //!
@@ -61,7 +61,6 @@ pub mod engine;
 pub mod fair_run;
 pub mod invariants;
 pub mod pair_model;
-pub mod por;
 pub mod search;
 pub(crate) mod visited;
 
@@ -76,7 +75,6 @@ pub use invariants::{
     lemma3_holds, lemma4_holds, lemma9_holds, InvariantView,
 };
 pub use pair_model::{ExploreConfig, ModelMutation, PairState, TransitionLabel};
-pub use por::DeliveryClass;
 pub use search::{explore, explore_seeded, find_reachable, fmt_path, ExploreReport};
 
 /// Re-export: machine-level seeded bugs live next to the machines.

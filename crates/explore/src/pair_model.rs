@@ -52,11 +52,6 @@ pub struct ExploreConfig {
     pub allow_crash: bool,
     /// Start in the exclusive regime (convergence already reached).
     pub start_converged: bool,
-    /// Enable sleep-set partial-order reduction over commuting ping/ack
-    /// deliveries ([`crate::por`]). Off by default. Sound: every reported
-    /// figure (`states_visited`, `transitions`, `deadlocks`, violations) is
-    /// identical with POR on or off; only redundant probe work is skipped.
-    pub por: bool,
     /// Seeded machine-level bug (mutation testing; `None` = faithful).
     pub subject_mutation: SubjectMutation,
     /// Seeded wire-level bug (mutation testing; `None` = faithful).
@@ -71,7 +66,6 @@ impl Default for ExploreConfig {
             strict_seq: false,
             allow_crash: true,
             start_converged: false,
-            por: false,
             subject_mutation: SubjectMutation::None,
             model_mutation: ModelMutation::None,
         }
@@ -304,11 +298,11 @@ impl PairState {
         hit
     }
 
-    /// All enabled transitions with their successors, appended to `out` —
-    /// what the search engines drive with a reused scratch buffer. The
-    /// buffer's own storage is reused; each successor is still a fresh
+    /// All enabled transitions with their successors, appended to `out`.
+    /// The buffer's own storage is reused; each successor is still a fresh
     /// `PairState` clone (two `Vec`s), which is the right cost when every
-    /// successor is kept and the wrong one when only one is.
+    /// successor is kept and the wrong one when only one is (the search
+    /// engine and the fuzzer walk labels instead).
     pub fn successors_into(
         &self,
         cfg: &ExploreConfig,
@@ -318,8 +312,7 @@ impl PairState {
     }
 
     /// All enabled transitions with their successors, as a fresh vector
-    /// (trace replay and property tests; the engines use
-    /// [`PairState::successors_into`]).
+    /// (trace replay and property tests).
     pub fn successors(&self, cfg: &ExploreConfig) -> Vec<(TransitionLabel, PairState)> {
         let mut out = Vec::new();
         self.successors_into(cfg, &mut out);

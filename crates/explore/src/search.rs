@@ -1,14 +1,12 @@
 //! Depth-bounded exhaustive search over the pair model.
 //!
 //! [`explore`] hands the pair model to the one engine in [`crate::engine`],
-//! which runs on the calling thread in one fixed depth-first order: every
-//! figure repeats. `states_visited`, `transitions`, `clean()`, `deadlocks`
-//! and the violation message set are also equal with [`ExploreConfig::por`]
-//! on or off whenever the search is not truncated.
+//! which runs on the calling thread in one fixed breadth-first order: every
+//! figure repeats, and every counterexample path is a shortest one.
+//! [`find_reachable`] asks the same engine a reachability question instead.
 
 use crate::engine::{search, SearchModel, SearchReport};
 use crate::pair_model::{ExploreConfig, PairState, TransitionLabel};
-use crate::por::DeliveryClass;
 
 /// Outcome of one exhaustive exploration of the pair model (replay
 /// `records` with [`PairState::successors`]).
@@ -41,31 +39,14 @@ impl SearchModel for PairSearch<'_> {
     ) -> Vec<String> {
         s.check_closure_step(next).into_iter().collect()
     }
-
-    fn delivery_class(&self, label: TransitionLabel) -> Option<DeliveryClass> {
-        // Only the two plain delivery labels are classified: they consume
-        // one message from one pool and step disjoint machines, the
-        // independence proven in `crate::por`. `DuplicateAck` (the seeded
-        // wire bug) and every machine/service action stay unclassified and
-        // are never slept.
-        match label {
-            TransitionLabel::DeliverPing(k) => Some(DeliveryClass::Ping(k)),
-            TransitionLabel::DeliverAck(k) => Some(DeliveryClass::Ack(k)),
-            _ => None,
-        }
-    }
-
-    fn por(&self) -> bool {
-        self.0.por
-    }
 }
 
 /// Exhaustively explores all interleavings up to `cfg.max_depth`, checking
 /// the paper's safety lemmas at every state and the Theorem-1 closure across
 /// every transition.
 ///
-/// The visited store remembers the largest remaining depth each state was
-/// expanded with, so re-entering a state with less budget is pruned soundly.
+/// Each state is expanded once, at its shortest distance from the initial
+/// state, so each violation comes back with a shortest path to it.
 ///
 /// ```
 /// use dinefd_explore::{explore, ExploreConfig};
@@ -91,11 +72,41 @@ pub fn explore_seeded(seed: PairState, cfg: &ExploreConfig) -> ExploreReport {
     search(&PairSearch(cfg), seed, cfg.max_depth, cfg.max_states)
 }
 
+/// The pair model asking whether a state satisfying `pred` is reachable: its
+/// one check is the predicate, and the engine stops at the first hit.
+struct Reach<'a, F>(&'a ExploreConfig, F);
+
+impl<F: Fn(&PairState) -> bool> SearchModel for Reach<'_, F> {
+    type State = PairState;
+    type Label = TransitionLabel;
+    const FIRST_HIT: bool = true;
+
+    fn for_each_label(&self, s: &PairState, push: impl FnMut(TransitionLabel)) {
+        s.for_each_label(self.0, push);
+    }
+
+    fn apply_into(&self, s: &PairState, label: TransitionLabel, next: &mut PairState) {
+        s.apply_into(label, self.0, next);
+    }
+
+    fn state_violations(&self, s: &PairState) -> Vec<String> {
+        if (self.1)(s) {
+            vec![String::new()]
+        } else {
+            Vec::new()
+        }
+    }
+
+    fn step_violations(&self, _: &PairState, _: TransitionLabel, _: &PairState) -> Vec<String> {
+        Vec::new()
+    }
+}
+
 /// Breadth-first reachability probe: searches from the model's initial
 /// state for any state satisfying `pred`, returning a **shortest** label
-/// path to the first hit (deterministic: BFS over the deterministic
-/// successor order). `None` when no matching state exists within
-/// `cfg.max_depth` / `cfg.max_states`.
+/// path to the first hit (deterministic: the engine's breadth-first order
+/// over the model's label order). `None` when no matching state exists
+/// within `cfg.max_depth` / `cfg.max_states`.
 ///
 /// This is the classification oracle for counterexamples-to-induction: a
 /// CTI whose pre-state is reachable is a *real* bug witness, one that is
@@ -105,57 +116,8 @@ pub fn find_reachable(
     cfg: &ExploreConfig,
     pred: impl Fn(&PairState) -> bool,
 ) -> Option<Vec<TransitionLabel>> {
-    use std::collections::HashMap;
-    use std::collections::VecDeque;
-
-    use crate::codec::StateCodec;
-
-    let initial = PairState::initial(cfg);
-    // nodes[i] = (state, parent index + incoming label); parent chain
-    // reconstructs the path without storing one per node.
-    let mut nodes: Vec<(PairState, Option<(usize, TransitionLabel)>)> = Vec::new();
-    let mut seen: HashMap<Vec<u8>, usize> = HashMap::new();
-    let mut queue: VecDeque<(usize, u32)> = VecDeque::new();
-
-    let path_to = |nodes: &[(PairState, Option<(usize, TransitionLabel)>)], mut at: usize| {
-        let mut labels = Vec::new();
-        while let Some((parent, label)) = nodes[at].1 {
-            labels.push(label);
-            at = parent;
-        }
-        labels.reverse();
-        labels
-    };
-
-    seen.insert(initial.encode(), 0);
-    nodes.push((initial, None));
-    if pred(&nodes[0].0) {
-        return Some(Vec::new());
-    }
-    queue.push_back((0, 0));
-    let mut succ = Vec::new();
-    while let Some((at, depth)) = queue.pop_front() {
-        if depth >= cfg.max_depth || nodes.len() >= cfg.max_states {
-            continue;
-        }
-        succ.clear();
-        nodes[at].0.successors_into(cfg, &mut succ);
-        for (label, next) in succ.drain(..) {
-            let key = next.encode();
-            if seen.contains_key(&key) {
-                continue;
-            }
-            let idx = nodes.len();
-            seen.insert(key, idx);
-            let hit = pred(&next);
-            nodes.push((next, Some((at, label))));
-            if hit {
-                return Some(path_to(&nodes, idx));
-            }
-            queue.push_back((idx, depth + 1));
-        }
-    }
-    None
+    let report = search(&Reach(cfg, pred), PairState::initial(cfg), cfg.max_depth, cfg.max_states);
+    report.records.into_iter().next().map(|r| r.path)
 }
 
 /// Renders a transition path for diagnostics (`"initial state"` when empty).
@@ -229,26 +191,6 @@ mod tests {
         assert!(report.truncated);
         assert_eq!(report.states_visited, 1);
         assert_eq!(report.transitions, 0);
-    }
-
-    #[test]
-    fn por_agrees_with_full_exploration() {
-        // POR must change no reported figure — it only skips probe work
-        // (visible in `sleep_skips`). In the *faithful* pair model the
-        // ping/ack handshake is strictly sequential (no reachable state has
-        // a ping and an ack in flight together), so cross-class sleeps have
-        // zero opportunities and the skip counter stays 0 — POR earns its
-        // keep on the composed model's fork traffic and on mutated wires
-        // (see `tests/por_equivalence.rs`).
-        let base = ExploreConfig { max_depth: 16, ..Default::default() };
-        let full = explore(&base);
-        let por = explore(&ExploreConfig { por: true, ..base });
-        assert_eq!(full.states_visited, por.states_visited);
-        assert_eq!(full.transitions, por.transitions);
-        assert_eq!(full.deadlocks, por.deadlocks);
-        assert_eq!(full.violations, por.violations);
-        assert_eq!(full.stats.sleep_skips.get(), 0);
-        assert_eq!(por.stats.sleep_skips.get(), 0, "the faithful pair wire is sequential");
     }
 
     #[test]

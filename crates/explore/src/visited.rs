@@ -34,25 +34,18 @@
 //!
 //! ## Entries
 //!
-//! An entry is 24 bytes: where its encoding lies in the arena, plus the
-//! search metadata the engine needs:
+//! An entry is 12 bytes: where its encoding lies in the arena (`off`,
+//! `len`), and the tree edge that first interned the state — the parent's id
+//! and the position (`ordinal`) of the edge's label among the labels the
+//! model lists for the parent. The engine rebuilds a violation's path once,
+//! at the end, by replaying the ordinals forward from the root, which frees
+//! the hot loop from cloning a path `Vec` per state and the entry from
+//! holding a label.
 //!
-//! * `remaining` — the largest remaining depth the state was queued with
-//!   (the classic pruning rule: re-entering with less budget is redundant);
-//! * `sleep` — the partial-order-reduction sleep mask ([`crate::por`]);
-//!   entries converge by *intersection*, mirroring how `remaining` converges
-//!   by maximum, so the POR fixpoint is order-independent too;
-//! * `parent` + `ordinal` — the tree edge that first inserted the state: the
-//!   parent's id, and the position of the edge's label among the labels the
-//!   model lists for the parent. The engine rebuilds a violation's path once,
-//!   at the end, by replaying the ordinals forward from the root, which
-//!   frees the hot loop from cloning a path `Vec` into every queued task and
-//!   the entry from holding a label;
-//! * `expanded` — whether some expansion already counted this state's
-//!   out-degree/deadlock contribution (the once-per-state figures).
-//!
-//! Entries are append-only and identified by dense `u32` ids, so a parent
-//! reference is stable across table growth. Ids stay below `u32::MAX`,
+//! Entries are append-only and identified by dense `u32` ids handed out in
+//! discovery order, so a parent reference is stable across table growth and
+//! the engine can walk the entries as its breadth-first queue
+//! ([`VisitedStore::bytes`] reads a state back). Ids stay below `u32::MAX`,
 //! which is therefore free to mark the root's missing parent
 //! ([`NO_PARENT`]).
 //!
@@ -82,7 +75,7 @@ const MAX_INDEX_BITS: u32 = 32;
 /// log2 of [`ENTRY_PAGE`].
 const ENTRY_PAGE_BITS: u32 = 16;
 
-/// Entries per entry page (64 Ki, 1.5 MiB).
+/// Entries per entry page (64 Ki, 768 KiB).
 const ENTRY_PAGE: usize = 1 << ENTRY_PAGE_BITS;
 
 /// Bytes per arena page (1 MiB).
@@ -117,44 +110,18 @@ pub(crate) struct StoreStats {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct StoreFull;
 
-/// One interned state (24 bytes).
+/// One interned state (12 bytes).
 struct Entry {
     /// Arena offset: page index times [`ARENA_PAGE`], plus the offset in the
     /// page.
     off: u32,
-    remaining: u32,
-    sleep: u32,
     parent: u32,
     /// Position of the tree edge's label among the parent's labels.
     ordinal: u16,
     len: u16,
-    expanded: bool,
 }
 
-const _: () = assert!(std::mem::size_of::<Entry>() <= 24, "an entry outgrew 24 bytes");
-
-/// What a [`VisitedStore::probe`] concluded.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum ProbeOutcome {
-    /// Never seen: interned, must be checked and queued.
-    Fresh,
-    /// Seen, but this arrival carries more depth or a smaller sleep mask:
-    /// the stored entry was upgraded and the state must be re-queued.
-    Requeue,
-    /// Seen with at least this much depth and no sleep shrink: redundant.
-    Pruned,
-}
-
-/// Result of one probe: the verdict plus the entry's post-update metadata
-/// (the values a re-queued task should run with).
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct Probe {
-    pub outcome: ProbeOutcome,
-    /// The entry's id.
-    pub entry: u32,
-    pub remaining: u32,
-    pub sleep: u32,
-}
+const _: () = assert!(std::mem::size_of::<Entry>() <= 12, "an entry outgrew 12 bytes");
 
 /// The open-addressing visited store of one search.
 pub(crate) struct VisitedStore {
@@ -222,10 +189,6 @@ impl VisitedStore {
         &self.entries[(id >> ENTRY_PAGE_BITS) as usize][id as usize & (ENTRY_PAGE - 1)]
     }
 
-    fn entry_mut(&mut self, id: u32) -> &mut Entry {
-        &mut self.entries[(id >> ENTRY_PAGE_BITS) as usize][id as usize & (ENTRY_PAGE - 1)]
-    }
-
     /// Doubles the index, re-placing each slot at its tag's new home.
     fn grow(&mut self) {
         let new_len = self.index.len() * 2;
@@ -244,14 +207,7 @@ impl VisitedStore {
     /// Appends an entry for `bytes` and returns its id, or `None` when the
     /// id, the length or the arena span would not fit. Opens a new page
     /// when the last one is full.
-    fn intern(
-        &mut self,
-        bytes: &[u8],
-        remaining: u32,
-        sleep: u32,
-        parent: u32,
-        ordinal: u16,
-    ) -> Option<u32> {
+    fn intern(&mut self, bytes: &[u8], parent: u32, ordinal: u16) -> Option<u32> {
         let id = u32::try_from(self.len()).ok().filter(|&id| id < self.max_entries)?;
         let len = u16::try_from(bytes.len()).ok()?;
         // The last page takes the encoding if it has room, a new one if not.
@@ -271,23 +227,26 @@ impl VisitedStore {
         if self.entries.last().is_none_or(|page| page.len() == ENTRY_PAGE) {
             self.entries.push(Vec::with_capacity(ENTRY_PAGE));
         }
-        let entry = Entry { off, remaining, sleep, parent, ordinal, len, expanded: false };
-        self.entries.last_mut()?.push(entry);
+        self.entries.last_mut()?.push(Entry { off, parent, ordinal, len });
         Some(id)
     }
 
-    /// Looks up `bytes`, arriving with `remaining` depth and POR mask `sleep`
-    /// over the `ordinal`-th edge out of `parent`. Interns on miss, or
-    /// answers [`StoreFull`] when it cannot; upgrades `remaining` (max) and
-    /// `sleep` (intersection) on hit.
+    /// The interned encoding of entry `id`.
+    pub fn bytes(&self, id: u32) -> &[u8] {
+        let e = self.entry(id);
+        &self.arena[e.off as usize / ARENA_PAGE][e.off as usize % ARENA_PAGE..]
+            [..usize::from(e.len)]
+    }
+
+    /// Looks up `bytes`, reached over the `ordinal`-th edge out of `parent`:
+    /// the id of the entry it interned when the state is fresh, `None` when
+    /// it was seen before, or [`StoreFull`] when a fresh state does not fit.
     pub fn probe(
         &mut self,
         bytes: &[u8],
-        remaining: u32,
-        sleep: u32,
         parent: u32,
         ordinal: u16,
-    ) -> Result<Probe, StoreFull> {
+    ) -> Result<Option<u32>, StoreFull> {
         if (self.len() + 1) * 4 > self.index.len() * 3 && self.bits() < MAX_INDEX_BITS {
             self.grow();
         }
@@ -297,33 +256,15 @@ impl VisitedStore {
         loop {
             let slot = self.index[pos];
             if slot == EMPTY {
-                let id = self.intern(bytes, remaining, sleep, parent, ordinal).ok_or(StoreFull)?;
+                let id = self.intern(bytes, parent, ordinal).ok_or(StoreFull)?;
                 self.index[pos] = (u64::from(tag) << 32) | u64::from(id);
-                return Ok(Probe { outcome: ProbeOutcome::Fresh, entry: id, remaining, sleep });
+                return Ok(Some(id));
             }
             if tag_of(slot) == tag {
-                let id = slot as u32;
-                let e = self.entry(id);
-                let page = &self.arena[e.off as usize / ARENA_PAGE];
-                let interned = &page[e.off as usize % ARENA_PAGE..][..usize::from(e.len)];
+                let interned = self.bytes(slot as u32);
                 if interned == bytes {
                     self.stats.confirms += 1;
-                    let e = self.entry_mut(id);
-                    let up_remaining = e.remaining.max(remaining);
-                    let up_sleep = e.sleep & sleep;
-                    let outcome = if up_remaining == e.remaining && up_sleep == e.sleep {
-                        ProbeOutcome::Pruned
-                    } else {
-                        e.remaining = up_remaining;
-                        e.sleep = up_sleep;
-                        ProbeOutcome::Requeue
-                    };
-                    return Ok(Probe {
-                        outcome,
-                        entry: id,
-                        remaining: up_remaining,
-                        sleep: up_sleep,
-                    });
+                    return Ok(None);
                 }
                 if (self.hash)(interned) == fp {
                     self.stats.collisions += 1;
@@ -331,11 +272,6 @@ impl VisitedStore {
             }
             pos = (pos + 1) & mask;
         }
-    }
-
-    /// Marks `entry` expanded; true iff this is the first expansion.
-    pub fn mark_expanded(&mut self, entry: u32) -> bool {
-        !std::mem::replace(&mut self.entry_mut(entry).expanded, true)
     }
 
     /// The tree path from the root to `entry`, as label ordinals read off
@@ -358,59 +294,36 @@ impl VisitedStore {
 mod tests {
     use super::*;
 
-    /// Probes `bytes` from the root.
-    fn probe(store: &mut VisitedStore, bytes: &[u8], remaining: u32, sleep: u32) -> Probe {
-        store.probe(bytes, remaining, sleep, NO_PARENT, 0).unwrap()
+    /// Probes `bytes` from the root: true when it was fresh.
+    fn fresh(store: &mut VisitedStore, bytes: &[u8]) -> bool {
+        store.probe(bytes, NO_PARENT, 0).unwrap().is_some()
     }
 
     #[test]
-    fn an_entry_takes_at_most_24_bytes() {
-        assert!(std::mem::size_of::<Entry>() <= 24, "{} B", std::mem::size_of::<Entry>());
+    fn an_entry_takes_at_most_12_bytes() {
+        assert!(std::mem::size_of::<Entry>() <= 12, "{} B", std::mem::size_of::<Entry>());
     }
 
     #[test]
-    fn fresh_then_pruned_then_requeued_on_deeper_arrival() {
+    fn fresh_then_seen_and_read_back() {
         let mut store = VisitedStore::new();
-        let bytes = b"state-a";
-        let p = probe(&mut store, bytes, 5, 0);
-        assert_eq!(p.outcome, ProbeOutcome::Fresh);
-        assert_eq!(store.len(), 1);
-        // Same depth or shallower: pruned; store remembers the max.
-        assert_eq!(probe(&mut store, bytes, 5, 0).outcome, ProbeOutcome::Pruned);
-        assert_eq!(probe(&mut store, bytes, 3, 0).outcome, ProbeOutcome::Pruned);
-        // Deeper: requeue with the upgraded budget.
-        let p = probe(&mut store, bytes, 9, 0);
-        assert_eq!(p.outcome, ProbeOutcome::Requeue);
-        assert_eq!(p.remaining, 9);
-        assert_eq!(store.len(), 1, "no duplicate interning");
-        assert!(store.stats().confirms >= 3);
-    }
-
-    #[test]
-    fn sleep_masks_converge_by_intersection() {
-        let mut store = VisitedStore::new();
-        let bytes = b"state-b";
-        probe(&mut store, bytes, 4, 0b1100);
-        // Same depth, overlapping mask: shrinks to the intersection.
-        let p = probe(&mut store, bytes, 4, 0b0110);
-        assert_eq!(p.outcome, ProbeOutcome::Requeue);
-        assert_eq!(p.sleep, 0b0100);
-        // Arriving with a superset mask adds nothing.
-        let p = probe(&mut store, bytes, 4, 0b1110);
-        assert_eq!(p.outcome, ProbeOutcome::Pruned);
-        assert_eq!(p.sleep, 0b0100);
+        assert_eq!(store.probe(b"state-a", NO_PARENT, 0), Ok(Some(0)));
+        assert_eq!(store.probe(b"state-b", 0, 4), Ok(Some(1)));
+        assert_eq!(store.probe(b"state-a", 1, 0), Ok(None), "a seen state is not re-interned");
+        assert_eq!(store.len(), 2);
+        assert_eq!((store.bytes(0), store.bytes(1)), (&b"state-a"[..], &b"state-b"[..]));
+        assert_eq!(store.stats().confirms, 1);
     }
 
     #[test]
     fn fingerprint_collisions_are_resolved_exactly() {
         // Force a collision: a store whose fingerprint is constant.
         let mut store = VisitedStore { hash: |_| 0x42, ..VisitedStore::new() };
-        let mut at = |bytes: &[u8], remaining| probe(&mut store, bytes, remaining, 0).outcome;
-        assert_eq!(at(b"first", 3), ProbeOutcome::Fresh);
-        assert_eq!(at(b"second", 3), ProbeOutcome::Fresh);
+        assert!(fresh(&mut store, b"first"));
+        assert!(fresh(&mut store, b"second"));
         // Each still resolves to its own entry.
-        assert_eq!(at(b"first", 3), ProbeOutcome::Pruned);
-        assert_eq!(at(b"second", 2), ProbeOutcome::Pruned);
+        assert!(!fresh(&mut store, b"first"));
+        assert!(!fresh(&mut store, b"second"));
         assert_eq!(store.len(), 2, "colliding states must both be interned");
         // "second" passed "first" on its way in and on its way back.
         assert_eq!(store.stats().collisions, 2);
@@ -422,7 +335,7 @@ mod tests {
         let hash = |bytes: &[u8]| 0xABCD_1234_0000_0000 | u64::from(bytes[0]);
         let mut store = VisitedStore { hash, ..VisitedStore::new() };
         for bytes in [b"a", b"b", b"a", b"b"] {
-            probe(&mut store, bytes, 1, 0);
+            fresh(&mut store, bytes);
         }
         assert_eq!(store.len(), 2);
         let stats = store.stats();
@@ -434,14 +347,13 @@ mod tests {
         let mut store = VisitedStore::new();
         let n = 5_000u64; // forces several grow() rehashes past the 1024 seed
         for i in 0..n {
-            assert_eq!(probe(&mut store, &i.to_le_bytes(), 1, 0).outcome, ProbeOutcome::Fresh);
+            assert!(fresh(&mut store, &i.to_le_bytes()));
         }
         assert_eq!(store.len(), n as usize);
         assert_eq!(store.arena_bytes(), n as usize * 8, "one 8-byte encoding per entry");
         assert_eq!(store.index.len(), 8192, "5,000 entries fit 8,192 slots at 3/4 load");
         for i in 0..n {
-            let p = probe(&mut store, &i.to_le_bytes(), 1, 0);
-            assert_eq!(p.outcome, ProbeOutcome::Pruned, "entry {i} lost in growth");
+            assert!(!fresh(&mut store, &i.to_le_bytes()), "entry {i} lost in growth");
         }
     }
 
@@ -457,9 +369,9 @@ mod tests {
         };
         let mut seen = (Vec::new(), Vec::new());
         let n = 200_000u32;
+        let bytes = |i: u32| [&i.to_le_bytes()[..], &[7; 8]].concat();
         for i in 0..n {
-            let bytes = [&i.to_le_bytes()[..], &[7; 8]].concat();
-            assert_eq!(probe(&mut store, &bytes, 1, 0).outcome, ProbeOutcome::Fresh);
+            assert!(fresh(&mut store, &bytes(i)));
             let now = pages(&store);
             // Every page seen before is where it was, at the size it had.
             assert!(now.0.starts_with(&seen.0) && now.1.starts_with(&seen.1), "entry {i}");
@@ -469,64 +381,49 @@ mod tests {
         assert!(seen.0.iter().all(|&(_, cap)| cap == ENTRY_PAGE));
         assert!(seen.1.iter().all(|&(_, cap)| cap == ARENA_PAGE));
         // No encoding straddles a page: each closed page holds a whole
-        // number of them, and every state still resolves.
+        // number of them, and every state still resolves and reads back.
         let per_page = ARENA_PAGE / 12;
         assert!(store.arena[..2].iter().all(|p| p.len() == per_page * 12));
         assert_eq!(store.arena_bytes(), n as usize * 12);
         for i in (0..n).step_by(997) {
-            let bytes = [&i.to_le_bytes()[..], &[7; 8]].concat();
-            assert_eq!(probe(&mut store, &bytes, 1, 0).outcome, ProbeOutcome::Pruned);
+            assert!(!fresh(&mut store, &bytes(i)));
+            assert_eq!(store.bytes(i), bytes(i));
         }
     }
 
     #[test]
     fn a_full_store_refuses_a_fresh_state_instead_of_wrapping() {
-        let fresh = |store: &mut VisitedStore, i: u64| -> Result<ProbeOutcome, StoreFull> {
-            Ok(store.probe(&i.to_le_bytes(), 1, 0, NO_PARENT, 0)?.outcome)
-        };
+        let probe = |store: &mut VisitedStore, i: u64| store.probe(&i.to_le_bytes(), NO_PARENT, 0);
         // Out of entry ids: three states fit, the fourth does not.
         let mut store = VisitedStore::with_limits(3, u32::MAX);
         for i in 0..3 {
-            assert_eq!(fresh(&mut store, i), Ok(ProbeOutcome::Fresh));
+            assert_eq!(probe(&mut store, i), Ok(Some(i as u32)));
         }
-        assert_eq!(fresh(&mut store, 3), Err(StoreFull));
+        assert_eq!(probe(&mut store, 3), Err(StoreFull));
         assert_eq!(store.len(), 3, "nothing interned for the refused state");
         // A seen state still resolves.
-        assert_eq!(fresh(&mut store, 0), Ok(ProbeOutcome::Pruned));
+        assert_eq!(probe(&mut store, 0), Ok(None));
         // Out of arena: two 8-byte states fit in 20 bytes, a third does not.
         let mut store = VisitedStore::with_limits(u32::MAX, 20);
-        assert!(fresh(&mut store, 0).is_ok() && fresh(&mut store, 1).is_ok());
-        assert_eq!(fresh(&mut store, 2), Err(StoreFull));
+        assert!(probe(&mut store, 0).is_ok() && probe(&mut store, 1).is_ok());
+        assert_eq!(probe(&mut store, 2), Err(StoreFull));
         assert_eq!((store.len(), store.arena_bytes()), (2, 16));
         // An encoding whose length does not fit a `u16`.
         let mut store = VisitedStore::new();
         let long = vec![0; usize::from(u16::MAX) + 1];
-        assert!(store.probe(&long, 1, 0, NO_PARENT, 0).is_err());
+        assert!(store.probe(&long, NO_PARENT, 0).is_err());
         assert_eq!((store.len(), store.arena_bytes()), (0, 0));
     }
 
     #[test]
     fn parent_links_give_the_ordinal_path() {
         let mut store = VisitedStore::new();
-        let mut at = |bytes: &[u8], parent, ordinal| {
-            store.probe(bytes, 9, 0, parent, ordinal).unwrap().entry
-        };
-        let root = at(b"r", NO_PARENT, 0);
-        let a = at(b"a", root, 3);
-        let b = at(b"b", a, 0);
+        let mut at = |bytes: &[u8], parent, ordinal| store.probe(bytes, parent, ordinal).unwrap();
+        let root = at(b"r", NO_PARENT, 0).unwrap();
+        let a = at(b"a", root, 3).unwrap();
+        let b = at(b"b", a, 0).unwrap();
+        assert_eq!(at(b"a", b, 1), None, "a later edge does not re-parent a seen state");
         assert_eq!(store.ordinals_to(b), vec![3, 0]);
         assert!(store.ordinals_to(root).is_empty());
-    }
-
-    #[test]
-    fn only_the_first_expansion_counts() {
-        let mut store = VisitedStore::new();
-        let p = probe(&mut store, b"state-c", 2, 0);
-        assert!(store.mark_expanded(p.entry));
-        assert!(!store.mark_expanded(p.entry), "second expansion is not first");
-        let p = probe(&mut store, b"state-c", 2, 0);
-        assert_eq!(p.outcome, ProbeOutcome::Pruned);
-        assert!(!store.mark_expanded(p.entry), "a re-probe does not reset the flag");
-        assert_eq!(store.len(), 1, "a pruned probe interns nothing");
     }
 }

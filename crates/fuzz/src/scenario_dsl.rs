@@ -18,9 +18,7 @@
 //! and reports failures as [`ScenarioError`]s carrying the **1-based line
 //! number**; [`Scenario::render`] writes the canonical form (every key,
 //! fixed order), so `parse(render(s)) == s` holds exactly for every valid
-//! scenario (property-tested in `crates/fuzz/tests/proptest_dsl.rs`). The
-//! explorer's `por` is how to search, not what, so no key sets it and a
-//! parsed document leaves it off.
+//! scenario (property-tested in `crates/fuzz/tests/proptest_dsl.rs`).
 //!
 //! ```
 //! use dinefd_fuzz::scenario_dsl::Scenario;
@@ -500,7 +498,6 @@ mod tests {
                     strict_seq: true,
                     allow_crash: false,
                     start_converged: true,
-                    por: false,
                     subject_mutation: SubjectMutation::SkipPingDisable,
                     model_mutation: ModelMutation::StaleAckReplay,
                 },

@@ -51,7 +51,6 @@ fn explore_config() -> BoxedStrategy<ExploreConfig> {
                 strict_seq,
                 allow_crash,
                 start_converged,
-                por: false,
                 subject_mutation,
                 model_mutation,
             },
