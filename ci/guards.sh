@@ -18,10 +18,12 @@ fail=0
 #    These two strings mark a step body (the node's context is built; an
 #    effect is placed on the clock), so a second file holding either is a
 #    re-grown copy of the step: fail here rather than wait for a
-#    differential test.
+#    differential test. (grep reads all of its input: with `-q` it would
+#    exit at the first hit, and under pipefail the writer's SIGPIPE would
+#    turn a hit into a miss whenever awk had more to write.)
 for needle in 'Context::new(' 'scheduled past the clock horizon'; do
   hits=$(for f in crates/sim/src/*.rs; do
-    if product_lines "$f" | grep -qF -- "$needle"; then echo "$f"; fi
+    if product_lines "$f" | grep -F -- "$needle" >/dev/null; then echo "$f"; fi
   done)
   if [ "$hits" != "crates/sim/src/step.rs" ]; then
     echo "structure guard: \`$needle\` must occur in crates/sim/src/step.rs only, found in:"
@@ -52,7 +54,7 @@ fi
 # 3. Panic-site ratchet (ROADMAP 3(d)): lines of library and binary code
 #    that can abort the process. Turn one into a `Result` or a proved
 #    invariant and lower the ceiling to the new count; it never goes up.
-CEILING=34
+CEILING=31
 total=0
 report=""
 for crate in crates/*/; do
@@ -208,17 +210,18 @@ for f in crates/explore/src/*.rs; do
   fi
 done
 
-# 11. One merge. The sequential `step_instant` runs an instant's events as one
-#     k-way merge in key order and writes the trace and the global sink as
-#     it goes; only the parallel coordinator, whose workers cannot share the
-#     trace, logs emissions and stable-sorts the merged log. So shard.rs
-#     sorts twice: an instant's gathered events (keys are unique, so
-#     unstably) and that one log (stably, as one event's emissions share a
-#     key). Another sort is the sequential staging log growing back.
+# 11. One merge. A one-shard world executes an instant's gathered events in
+#     key order and writes the trace and the global sink as it goes. A
+#     multi-shard world, stepped by hand or by the parallel coordinator, logs
+#     each shard's emissions and merges the logs in one function,
+#     `Record::replay`, by a stable sort. So shard.rs sorts twice: a shard's
+#     gathered events (keys are unique, so unstably) and that one log
+#     (stably, as one event's emissions share a key). Another sort is a
+#     second merge growing back.
 sorts=$(product_lines crates/sim/src/shard.rs | grep -cE '\.sort(_unstable)?(_by(_key|_cached_key)?)?\(' || true)
 stable=$(product_lines crates/sim/src/shard.rs | grep -cE '\.sort(_by(_key|_cached_key)?)?\(' || true)
 if [ "$sorts" -ne 2 ] || [ "$stable" -ne 1 ]; then
-  echo "structure guard: crates/sim/src/shard.rs sorts $sorts times, $stable stably (want 2 and 1); only the parallel coordinator sorts an emission log"
+  echo "structure guard: crates/sim/src/shard.rs sorts $sorts times, $stable stably (want 2 and 1); only Record::replay sorts an emission log"
   fail=1
 fi
 
@@ -346,5 +349,20 @@ if [ -e crates/explore/src/por.rs ]; then
   echo "structure guard: crates/explore/src/por.rs exists; the search has no partial-order reduction"
   fail=1
 fi
+
+# 18. One delivery event, one sequential order. A batched step's messages
+#     to one destination travelled as an `Envelope` event whose payload sat
+#     in a pooled heap vector, and a one-thread world of k shards ran every
+#     instant as a k-way merge (`next_due`). Each message is its own
+#     delivery now, at its destination's one instant with consecutive effect
+#     seqs, and a world that runs on one thread holds one shard. Any of the
+#     three names in crates/sim/src's product lines is one of those growing
+#     back.
+for f in crates/sim/src/*.rs; do
+  if product_lines "$f" | grep -nE 'Envelope \{|envelope_pool|next_due'; then
+    echo "structure guard: $f names an Envelope event, the envelope pool or next_due; a batched message is a plain delivery and a sequential world runs one shard"
+    fail=1
+  fi
+done
 
 exit "$fail"

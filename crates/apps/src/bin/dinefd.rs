@@ -65,8 +65,11 @@
 //! deterministic metric block, and exits `0` on success — the run itself
 //! asserts internal invariants (routing, horizon saturation, cross-shard
 //! merge order) and aborts loudly if any fail. `--shards K` splits the
-//! simulator into K shards, which never changes the run for a fixed seed;
-//! `--threads T` runs the shards on the simulator's worker pool behind its
+//! simulator into K shards, which never changes the run for a fixed seed
+//! and matters only with `--threads` (on one thread the simulator holds
+//! one shard; the summary line's `shards=K` echoes the count asked for,
+//! not the count held); `--threads T` runs the shards on the simulator's worker
+//! pool behind its
 //! deterministic barrier merge — *everything printed to stdout is
 //! byte-identical for every shard and thread count* (per-worker
 //! busy/barrier-wait wall-clock, which is inherently nondeterministic, goes
@@ -77,12 +80,13 @@
 //! --n N                     system size             (default 8, min 2)
 //! --seed N                  run seed                (default 42)
 //! --horizon N               ticks to simulate       (default 5000)
-//! --shards K                simulator shards, 1..=256 (default 1)
+//! --shards K                simulator shards for --threads, 1..=256
+//!                           (default 1; one thread runs one shard)
 //! --threads T               worker threads for sharded runs (default 1;
 //!                           needs --shards >= 2 to engage)
 //! --crash PID@TICK          crash PID at TICK (repeatable)
 //! --streaming               extract through the streaming sink
-//! --batch                   coalesce same-instant sends into envelopes
+//! --batch                   one delay draw per destination of a step
 //! --strict                  sequence-checked acks (hardened subject)
 //! ```
 //!

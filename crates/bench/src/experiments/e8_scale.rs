@@ -61,12 +61,13 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                    simulation. Rows at n ≥ 32 run the streaming pipeline \
                    (online history sink + envelope batching), so their resident \
                    state is O(pairs) history entries instead of a full trace. \
-                   The frontier table pushes to n = 1024 on 4-way sharded \
-                   worlds (timer-wheel queues, pid-partitioned nodes) and \
-                   differentially re-runs every row post-hoc: the streaming \
-                   history must match the trace-derived one byte for byte. \
-                   The parallel-frontier table re-runs the larger sharded \
-                   worlds on the shard-worker pool at 2, 4 and 8 threads; the \
+                   The frontier table pushes to n = 1024 with 4 shards asked \
+                   for (timer-wheel queues, pid-partitioned nodes; a run on \
+                   one thread holds one shard) and differentially re-runs \
+                   every row post-hoc: the streaming history must match the \
+                   trace-derived one byte for byte. The parallel-frontier \
+                   table re-runs the larger rows as 4-way sharded worlds on \
+                   the shard-worker pool at 2, 4 and 8 threads; the \
                    last table pushes the lemma explorer's search to deeper \
                    bounds."
             .into(),
@@ -87,9 +88,10 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
              layout-dependent, so it stays out of the deterministic metric \
              keys."
                 .into(),
-            "Parallel-frontier rows run the same sharded world on the shard-worker \
-             pool at each thread count; the threads=1 row is the frontier \
-             table's streamed run itself, and every parallel row is asserted \
+            "Parallel-frontier rows run the same scenario as a 4-way sharded \
+             world on the shard-worker pool at each thread count; the \
+             threads=1 row is the frontier table's streamed run itself (one \
+             shard, since it runs on one thread), and every parallel row is asserted \
              byte-identical to it in-process (steps, messages, metric export, \
              extracted history) before its throughput is reported. \"ksteps/s\" \
              and \"speedup\" time the whole extraction call, here and in the \
@@ -261,7 +263,8 @@ fn same_run(a: &ExtractionResult, b: &ExtractionResult) -> bool {
 
 /// The n ≥ 128 sharded frontier and its thread-scaling table. One seed per
 /// size (each run is expensive but deterministic), streaming + envelope
-/// batching + `shards`-way [`dinefd_sim::ShardedWorld`]s, and a full
+/// batching + [`dinefd_sim::ShardedWorld`]s asked for `shards` shards (one
+/// on one thread), and a full
 /// streaming-vs-post-hoc differential at every size: both modes must agree
 /// on step and message counts, the metric export, and the extracted
 /// history. Rows from `par_from` up then re-run the streamed world on the
@@ -274,7 +277,7 @@ fn frontier_tables(
     metrics: &mut MetricMap,
 ) -> (Table, Table) {
     let mut sharded = Table::new(
-        "Sharded scale frontier (4-way sharded worlds, timer-wheel queues)",
+        "Scale frontier (4 shards asked, one on one thread; timer-wheel queues)",
         &[
             "n",
             "pairs",
@@ -323,6 +326,8 @@ fn frontier_tables(
         metrics.insert(format!("n{n}.history_changes_total"), streamed.history_changes);
         metrics.insert(format!("n{n}.peak_resident_entries_max"), peak_resident);
         metrics.insert(format!("n{n}.streaming"), 1);
+        // The count asked for: the streamed and post-hoc runs are on one
+        // thread, so each holds one shard.
         metrics.insert(format!("n{n}.shards"), shards as u64);
         metrics.insert(format!("n{n}.differential_ok"), differential_ok as u64);
         insert_sim(metrics, n, &streamed.metrics);

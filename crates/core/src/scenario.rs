@@ -126,13 +126,15 @@ pub struct Scenario {
     /// observation events in the trace: `O(pairs + changes)` resident
     /// memory, but [`ExtractionResult::pair_timelines`] becomes empty.
     pub streaming: bool,
-    /// Coalesce each step's per-destination sends into single wire
-    /// envelopes (one delay draw per envelope; FIFO within). Off by
-    /// default — it changes delay sampling, hence schedules, under
-    /// stochastic delay models.
+    /// Give each step's messages to one destination a single delay draw,
+    /// as one envelope: they arrive at one instant, as adjacent steps of
+    /// the receiver in send order. Off by default — it changes delay
+    /// sampling, hence schedules, under stochastic delay models.
     pub batch_envelopes: bool,
     /// Shards of the [`ShardedWorld`] the run executes on (default 1; `0`
-    /// counts as 1). The schedule is the same for every shard count.
+    /// counts as 1). The schedule is the same for every shard count, and
+    /// shards only partition processes among `threads` workers: with fewer
+    /// than two threads the world holds one.
     pub shards: usize,
     /// The event queue, which is always the timer wheel. Kept because the
     /// `benchmark/` harness still names it.
@@ -507,18 +509,25 @@ mod tests {
     fn sharded_extraction_is_shard_count_invariant() {
         // The schedule must not depend on the shard count: 1 shard is the
         // reference, and every k must reproduce its history, step/message
-        // counts, and metric export byte-for-byte.
+        // counts, and metric export byte-for-byte. Two threads, so that a
+        // world asked for k ≥ 2 shards holds them; the two workers it
+        // reports show that it did.
         let run = |shards: usize| {
             let mut sc = Scenario::all_pairs(3, BlackBox::WfDx, 23);
             sc.horizon = Time(6_000);
             sc.crashes = CrashPlan::one(ProcessId(2), Time(3_000));
             sc.shards = shards;
+            sc.threads = 2;
             let res = run_extraction(sc);
-            (res.steps, res.messages_sent, format!("{:?}", res.history), res.metrics)
+            let workers = res.worker_stats.len();
+            (workers, (res.steps, res.messages_sent, format!("{:?}", res.history), res.metrics))
         };
-        let reference = run(1);
+        let (workers, reference) = run(1);
+        assert_eq!(workers, 0, "one shard runs sequentially");
         for shards in [2, 4] {
-            assert_eq!(run(shards), reference, "shards={shards}");
+            let (workers, run) = run(shards);
+            assert_eq!(workers, 2, "shards={shards} must run on the pool");
+            assert_eq!(run, reference, "shards={shards}");
         }
     }
 
@@ -526,14 +535,16 @@ mod tests {
     fn sharded_streaming_matches_sharded_post_hoc() {
         // Streaming folds the same observation stream the post-hoc trace
         // carries, so the extracted histories must agree exactly — also on
-        // sharded worlds.
+        // sharded worlds, which hold two shards only on two threads.
         let run = |streaming: bool| {
             let mut sc = Scenario::all_pairs(3, BlackBox::WfDx, 29);
             sc.horizon = Time(6_000);
             sc.crashes = CrashPlan::one(ProcessId(1), Time(3_000));
             sc.shards = 2;
+            sc.threads = 2;
             sc.streaming = streaming;
             let res = run_extraction(sc);
+            assert_eq!(res.worker_stats.len(), 2, "streaming={streaming}: two shards on the pool");
             (res.steps, res.messages_sent, format!("{:?}", res.history))
         };
         assert_eq!(run(true), run(false));

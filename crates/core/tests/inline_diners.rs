@@ -15,8 +15,9 @@ use dinefd_core::scenario::{factory_for, run_extraction_over};
 use dinefd_core::{run_extraction, BlackBox, ExtractionResult, OracleSpec, Scenario};
 use dinefd_sim::{CrashPlan, ProcessId, Time};
 
-/// `extract_dense`: all pairs on four shards, streaming, batched, under a
-/// ◇P oracle that errs once per pair before half time.
+/// `extract_dense`: all pairs, four shards asked for (one held, on one
+/// thread), streaming, batched, under a ◇P oracle that errs once per pair
+/// before half time.
 fn dense(black_box: BlackBox, seed: u64) -> Scenario {
     let (n, horizon) = (12, 96);
     let mut sc = Scenario::all_pairs(n, black_box, seed);

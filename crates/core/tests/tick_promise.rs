@@ -161,14 +161,18 @@ struct RunRecord {
     steps: u64,
 }
 
-/// Runs `nodes` to `horizon` over `shards` shards, messages recorded.
+/// Runs `nodes` to `horizon` over `shards` shards, messages recorded. A
+/// world holds more than one shard only on the worker pool, so a multi-shard
+/// run gets two threads.
 fn run<N: Node<Msg = RedMsg, Obs = RedObs> + Send>(
     nodes: Vec<N>,
     cfg: WorldConfig,
     shards: usize,
     horizon: Time,
 ) -> RunRecord {
-    let mut world = ShardedWorld::new(nodes, cfg.record_messages(), shards);
+    let threads = if shards > 1 { 2 } else { 1 };
+    let mut world = ShardedWorld::new(nodes, cfg.record_messages().threads(threads), shards);
+    assert_eq!(world.shards(), shards, "the world holds the shards asked for");
     world.run_until(horizon);
     let (metrics, steps) = (world.metrics_map(), world.steps());
     RunRecord { trace: format!("{:?}", world.into_trace().events()), metrics, steps }
@@ -195,7 +199,12 @@ fn assert_the_promise_is_unobservable<N: Node<Msg = RedMsg, Obs = RedObs> + Send
         let (ticks, fd) = (TickLog::default(), Counted::new(fd, forward_hint));
         let factory = probed(factory_for(black_box), |_| forward_promise, &ticks);
         let record = run(make(&factory, fd.clone()), cfg(), shards, HORIZON);
-        let ticks = ticks.lock().unwrap().clone();
+        let mut ticks = ticks.lock().unwrap().clone();
+        if shards > 1 {
+            // The workers append concurrently, so only each endpoint's own
+            // ticks — all on its process, hence on one shard — keep an order.
+            ticks.sort_by_key(|t| t.at);
+        }
         (record, ticks, fd.queries.load(Ordering::Relaxed))
     };
     let (hidden, hidden_ticks, _) = variant(false, false);

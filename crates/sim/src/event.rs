@@ -14,7 +14,8 @@ use crate::wheel::TimerWheel;
 /// What happens at a scheduled instant.
 #[derive(Clone, Debug)]
 pub enum EventKind<M> {
-    /// Delivery of a message on the channel `from → to`.
+    /// Delivery of a message on the channel `from → to`. A batched step's
+    /// messages to one destination are as many deliveries at one instant.
     Deliver {
         /// Sender.
         from: ProcessId,
@@ -22,18 +23,6 @@ pub enum EventKind<M> {
         to: ProcessId,
         /// Payload.
         msg: M,
-    },
-    /// Delivery of a batched envelope on the channel `from → to`: every
-    /// message some step flushed toward `to`, coalesced under one delay
-    /// draw. Messages are dispatched in send order (FIFO within the
-    /// envelope), each as its own atomic step of the receiver.
-    Envelope {
-        /// Sender.
-        from: ProcessId,
-        /// Receiver.
-        to: ProcessId,
-        /// Payloads, in send order.
-        msgs: Vec<M>,
     },
     /// A local timer of `pid` fires.
     Timer {

@@ -22,7 +22,8 @@
 //! * [`shard::ShardedWorld`] owns a set of [`node::Node`]s, partitioned
 //!   into `k` shards, and their pending events keyed by virtual
 //!   [`time::Time`] (the paper's clock `T`); its schedule is the same for
-//!   every `k`, and [`world::World`] is the engine at `k = 1`;
+//!   every `k`, a world that runs on one thread holds one shard, and
+//!   [`world::World`] is the engine at `k = 1`;
 //! * the atomic step itself — crash discard, the node's `Context`, every
 //!   per-step counter, send-target and clock-horizon checks, effect routing
 //!   — is stated once, in the crate-private `step` module, and every shard
@@ -55,10 +56,11 @@
 //! materializing the full trace; combined with
 //! [`world::WorldConfig::observation_events_off`] the run's resident
 //! footprint no longer grows with its length. Optional *envelope batching*
-//! ([`world::WorldConfig::batch_envelopes`], off by default) coalesces all
-//! messages one step sends to the same destination into a single wire
-//! envelope with a single delay draw, FIFO-preserved within the envelope;
-//! occupancy lands in [`metrics::SimMetrics::envelope_occupancy`].
+//! ([`world::WorldConfig::batch_envelopes`], off by default) gives all
+//! messages one step sends to the same destination a single delay draw:
+//! each is still its own delivery, and they arrive at one instant as
+//! adjacent steps of the receiver, in send order; occupancy lands in
+//! [`metrics::SimMetrics::envelope_occupancy`].
 //!
 //! The scenario DSL that describes a run's delay model and crash schedule
 //! as text lives in `dinefd-fuzz` (`dinefd_fuzz::scenario_dsl`), beside

@@ -239,14 +239,16 @@ pub struct SimMetrics {
     /// Application-level observations emitted by nodes (counted whether or
     /// not the trace records them — streaming sinks rely on this).
     pub observations: Counter,
-    /// Wire envelopes handed to the network (equals `messages_sent` when
-    /// envelope batching is off: every message rides alone).
+    /// Wire envelopes: one per destination of a batched step (its messages
+    /// share one delay draw), one per message otherwise (then equal to
+    /// `messages_sent`: every message rides alone).
     pub envelopes_sent: Counter,
     /// Messages per envelope. Only populated when envelope batching is on;
     /// with batching off the histogram stays empty (occupancy is trivially
     /// 1 and recording it would cost the default hot path).
     pub envelope_occupancy: Histogram,
-    /// Event-queue depth (high-water mark is the backlog measure).
+    /// Event-queue depth, one entry per pending crash, timer or message
+    /// (high-water mark is the backlog measure).
     pub queue_depth: Gauge,
     /// Sampled delivery delays, in virtual ticks — one sample per delay
     /// draw, i.e. per message without batching and per envelope with it.

@@ -4,7 +4,10 @@
 //! A [`ShardedWorld`] runs its processes over `k` shards, each owning the
 //! processes with `pid.index() % k == shard` and a private [`TimerWheel`]
 //! of their pending events; [`crate::world::World`] is the same engine at
-//! `k = 1`. Shards exchange only cross-shard messages; everything else
+//! `k = 1`. Shards only partition the processes among worker threads, so a
+//! world that runs on one thread ([`crate::world::WorldConfig::threads`]
+//! below 2, no per-shard sinks) is built with one, whatever `k` it was
+//! asked for. Shards exchange only cross-shard messages; everything else
 //! (timers, same-shard sends) stays local. The extraction host partitions
 //! pairs by the `witness_by_subject` index key — the witness pid — so
 //! `pid % k` is exactly a pair partition there.
@@ -16,8 +19,10 @@
 //! `(time, class, source pid, source seq)`:
 //!
 //! * `class 0` — crash-plan events; `source seq` is the plan index;
-//! * `class 1` — node effects (sends, envelopes, timers); `source seq` is a
-//!   per-source-pid monotone effect counter.
+//! * `class 1` — node effects (deliveries, timers); `source seq` is a
+//!   per-source-pid monotone effect counter. A batched step schedules its
+//!   messages to one destination at one instant with consecutive seqs, so
+//!   they run as adjacent steps of the receiver, in send order.
 //!
 //! Keys are unique (per-source counters never repeat), so ordering by key
 //! is a total order — and because it never mentions shards, the schedule is
@@ -46,21 +51,21 @@
 //! (a delivery steps the destination, a timer or crash its owner, and all
 //! of a step's metrics, RNG draws, and effect counters belong to that same
 //! pid), so a shard can execute its slice of an instant **locally, in local
-//! key order**, without observing any other shard. What two drivers do
-//! differently is how the globally ordered artifacts — trace events and
-//! global-sink observations — reach the record:
+//! key order**, without observing any other shard. What the two shapes of
+//! world do differently is how the globally ordered artifacts — trace
+//! events and global-sink observations — reach the record:
 //!
-//! * the sequential [`ShardedWorld::step_instant`] gathers each due shard's
-//!   slice of the instant in key order and executes the slices as one
-//!   k-way merge, in global key order, so every emission goes straight to
-//!   the trace and the sink as it happens;
-//! * the parallel runner's workers cannot share the trace, so each appends
-//!   its shard's emissions to an **emission log** tagged with the executing
-//!   event's canonical key. After every instant the coordinator
-//!   concatenates the shard logs (in shard order), stably sorts by key, and
-//!   replays: because keys are unique per event and one event's emissions
-//!   are contiguous in a single shard's log, the replay is exactly the
-//!   sequential record.
+//! * a one-shard world's [`ShardedWorld::step_instant`] gathers the instant
+//!   and executes it in key order, which is global key order, so every
+//!   emission goes straight to the trace and the sink as it happens;
+//! * a multi-shard world's shards cannot share the trace, so each appends
+//!   its emissions to an **emission log** tagged with the executing
+//!   event's canonical key. After every instant the shard logs are
+//!   concatenated, stably sorted by key and replayed, in one function for
+//!   both of its drivers (`step_instant` by hand and the parallel
+//!   coordinator): because keys are unique per event and one event's
+//!   emissions are contiguous in a single shard's log, the replay is
+//!   exactly the one-shard record, whatever order the logs came in.
 //!
 //! Both drive the same step through the same `Fabric` impl, whose
 //! emission target is the one thing that differs. Byte-identity across
@@ -84,8 +89,7 @@
 //!    per-destination outboxes, emissions to the per-shard log — and reply
 //!    with logs, outboxes, and new queue minima;
 //! 4. the coordinator routes outboxes into inboxes, merges and replays the
-//!    logs into the record `step_instant` writes directly, and
-//!    updates the depth gauges.
+//!    logs into the record, and updates the depth gauges.
 //!
 //! Dropping the step channels shuts the workers down; each returns its
 //! shard states (reinstalled in the world) and a [`WorkerStats`] of
@@ -95,17 +99,18 @@
 //!
 //! ## Queue-depth accounting
 //!
-//! Per-shard `queue_depth` gauges meter each shard's own backlog, but the
-//! *sum of their high-water marks* is not shard-count invariant (the peaks
-//! need not coincide in time). The coordinator therefore also tracks a
-//! global gauge of the instantaneous total backlog across shards, updated
-//! every instant; its high water is what [`ShardedWorld::metrics_map`]
-//! exports as `queue_depth_high_water`, and it is byte-identical across
-//! shard counts. It never exceeds the summed per-shard marks — a pinned
-//! test invariant. In parallel runs the coordinator maintains shadow
-//! gauges (a shard's depth is its wheel length plus its undelivered inbox
-//! entries — exactly its sequential wheel length) and writes them back on
-//! shutdown.
+//! The backlog counts pending events: crashes, timers and deliveries, one
+//! per message, batched or not. Per-shard `queue_depth` gauges meter each
+//! shard's own backlog, but the *sum of their high-water marks* is not
+//! shard-count invariant (the peaks need not coincide in time). The world
+//! therefore also tracks a global gauge of the instantaneous total backlog
+//! across shards, updated every instant; its high water is what
+//! [`ShardedWorld::metrics_map`] exports as `queue_depth_high_water`, and
+//! it is byte-identical across shard counts. It never exceeds the summed
+//! per-shard marks — a pinned test invariant. In parallel runs the
+//! coordinator maintains shadow gauges (a shard's depth is its wheel length
+//! plus its undelivered inbox entries — exactly its sequential wheel
+//! length) and writes them back on shutdown.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -126,7 +131,7 @@ use crate::world::{ObsSink, WorldConfig};
 
 /// Crash-plan events sort before node effects at the same instant.
 const CLASS_CRASH: u8 = 0;
-/// Node effects (sends, envelopes, timers).
+/// Node effects (deliveries, timers).
 const CLASS_EFFECT: u8 = 1;
 
 /// The canonical merge key minus the time (which the wheels key).
@@ -200,15 +205,31 @@ impl<M, O> Record<'_, M, O> {
             self.trace.push(TraceEvent::Obs { at, pid, obs });
         }
     }
+
+    /// The one merge of an instant's emission logs, concatenated in any
+    /// shard order: keys are unique per event and one event's emissions
+    /// sit together in one shard's log, so a stable sort by key keeps them
+    /// together and in order, and the replay is the record a one-shard
+    /// world writes directly.
+    fn replay(&mut self, t: Time, log: &mut Vec<LogEntry<M, O>>) {
+        log.sort_by_key(|e| e.0);
+        for (_, e) in log.drain(..) {
+            match e {
+                Emit::Trace(ev) => self.trace.push(ev),
+                Emit::Obs(pid, obs) => self.obs(t, pid, obs),
+            }
+        }
+    }
 }
 
 /// Where a [`Lane`] sends trace events and global-sink observations.
 enum Target<'a, M, O> {
-    /// Straight into the record: `step_instant` executes in global
-    /// key order, so emission order already is record order.
+    /// Straight into the record: a one-shard instant, and a construction
+    /// step, execute in global key order, so emission order already is
+    /// record order.
     Direct(Record<'a, M, O>),
     /// Into a shard's emission log, tagged with the executing event's key,
-    /// for the parallel coordinator to merge.
+    /// for [`Record::replay`] to merge.
     Log(MergeKey, &'a mut Vec<LogEntry<M, O>>),
 }
 
@@ -294,10 +315,10 @@ impl<N: Node> ShardState<N> {
         self.batch_buf.sort_unstable_by_key(|p| std::cmp::Reverse(key(p)));
     }
 
-    /// The worker side of an instant: executes every owned event due at
-    /// `t` in key order, logging emissions and routing cross-shard effects
-    /// to `outbox`. Shard-local key order is a slice of the global one, so
-    /// the coordinator's merge of the logs is the sequential record.
+    /// A multi-shard world's side of an instant: executes every owned event
+    /// due at `t` in key order, logging emissions and routing cross-shard
+    /// effects to `outbox`. Shard-local key order is a slice of the global
+    /// one, so [`Record::replay`] of the logs is the one-shard record.
     fn run_instant(
         &mut self,
         t: Time,
@@ -311,17 +332,6 @@ impl<N: Node> ShardState<N> {
             self.exec.execute(t, kind, &mut lane);
         }
     }
-}
-
-/// The shard holding the least-keyed gathered event, if any is left.
-#[inline]
-fn next_due<N: Node>(shards: &[ShardState<N>]) -> Option<usize> {
-    shards
-        .iter()
-        .enumerate()
-        .filter_map(|(s, st)| st.batch_buf.last().map(|p| (key(p), s)))
-        .min()
-        .map(|(_, s)| s)
 }
 
 /// One instant's marching orders for a worker: the instant to execute and
@@ -345,10 +355,13 @@ struct ShardReport<M, O> {
 type WorkerReturn<N> = (Vec<(usize, ShardState<N>)>, WorkerStats);
 
 /// The worker side of the instant barrier: fold handed-over inbox entries
-/// into the owned wheels, execute due shards, report. Exits when the step
-/// channel closes (coordinator shutdown) and returns its shard states.
+/// into the owned wheels, execute due shards, report. Worker `w` of
+/// `workers` owns shards `s % workers == w`, shard `s` at `s / workers`.
+/// Exits when the step channel closes (coordinator shutdown) and returns
+/// its shard states.
 fn worker_loop<N: Node>(
     mut owned: Vec<(usize, ShardState<N>)>,
+    workers: usize,
     step_rx: mpsc::Receiver<StepMsg<N::Msg>>,
     done_tx: mpsc::Sender<Vec<ShardReport<N::Msg, N::Obs>>>,
     clock: Arc<dyn Clock>,
@@ -360,8 +373,7 @@ fn worker_loop<N: Node>(
         stats.barrier_wait_micros.record(clock.elapsed_micros().saturating_sub(waiting));
         let busy = clock.elapsed_micros();
         for (s, entries) in inboxes {
-            let st =
-                &mut owned.iter_mut().find(|(i, _)| *i == s).expect("inbox for an owned shard").1;
+            let st = &mut owned[s / workers].1;
             for (at, p) in entries {
                 st.wire.queue.push(at, p);
             }
@@ -412,6 +424,8 @@ pub struct ShardedWorld<N: Node> {
     clock: Arc<dyn Clock>,
     /// Reusable cross-shard outbox of the sequential path.
     outbox_buf: Vec<OutboxEntry<N::Msg>>,
+    /// Reusable emission log of a multi-shard world stepped by hand.
+    log_buf: Vec<LogEntry<N::Msg, N::Obs>>,
 }
 
 impl<N: Node> std::fmt::Debug for ShardedWorld<N> {
@@ -427,8 +441,9 @@ impl<N: Node> std::fmt::Debug for ShardedWorld<N> {
 }
 
 impl<N: Node> ShardedWorld<N> {
-    /// Builds a `k`-shard world over `nodes` (`k` is clamped to at least 1)
-    /// and delivers every node's `on_start` step at time zero.
+    /// Builds a `k`-shard world over `nodes` and delivers every node's
+    /// `on_start` step at time zero. `k` is clamped to at least 1, and is 1
+    /// when `cfg.threads` is below 2 (see the module docs).
     pub fn new(nodes: Vec<N>, cfg: WorldConfig, shards: usize) -> Self {
         Self::build(nodes, cfg, shards, None, None)
     }
@@ -469,7 +484,9 @@ impl<N: Node> ShardedWorld<N> {
         shard_sinks: Option<Vec<Box<dyn ObsSink<N::Obs> + Send>>>,
     ) -> Self {
         let n = nodes.len();
-        let k = shards.max(1);
+        // Shards only partition processes among workers: a world that runs
+        // on one thread, with no per-shard sink to feed, holds one.
+        let k = if cfg.threads < 2 && shard_sinks.is_none() { 1 } else { shards.max(1) };
         let mut rng = SplitMix64::new(cfg.seed);
         // Fork order is load-bearing: node RNGs first, then one delay RNG
         // per process, all in pid order — then distributed round-robin so
@@ -516,6 +533,7 @@ impl<N: Node> ShardedWorld<N> {
             worker_stats: Vec::new(),
             clock: Arc::new(MonotonicClock::new()),
             outbox_buf: Vec::new(),
+            log_buf: Vec::new(),
         };
         for (plan_idx, &(pid, at)) in cfg.crashes.crashes().iter().enumerate() {
             assert!(pid.index() < n, "crash plan names unknown process {pid}");
@@ -572,7 +590,8 @@ impl<N: Node> ShardedWorld<N> {
         self.n == 0
     }
 
-    /// Number of shards.
+    /// Number of shards: the count asked for, or 1 for a world built to
+    /// run on one thread.
     pub fn shards(&self) -> usize {
         self.shards.len()
     }
@@ -684,10 +703,10 @@ impl<N: Node> ShardedWorld<N> {
     /// Executes every event due at the earliest pending instant, in
     /// canonical-key order. Returns `false` when all queues are empty.
     ///
-    /// Each due shard gathers its slice of the instant in key order; the
-    /// slices then run as one k-way merge, so execution order is global key
-    /// order and every trace event and global-sink observation goes
-    /// straight to the record.
+    /// A one-shard world executes its gathered slice in key order, so every
+    /// trace event and global-sink observation goes straight to the record.
+    /// A multi-shard world runs each shard's slice as a worker would and
+    /// merges their emission logs exactly as the parallel coordinator does.
     pub fn step_instant(&mut self) -> bool {
         let Some(t) = self.peek_time() else {
             return false;
@@ -695,20 +714,22 @@ impl<N: Node> ShardedWorld<N> {
         debug_assert!(t >= self.now, "time must not run backwards");
         self.now = t;
         debug_assert!(self.outbox_buf.is_empty());
-        for s in &mut self.shards {
-            s.gather(t);
-        }
-        let ShardedWorld { shards, trace, obs_sink, record_observations, outbox_buf, .. } = self;
-        while let Some(s) = next_due(shards) {
-            let st = &mut shards[s];
-            let Some((_, _, _, kind)) = st.batch_buf.pop() else { break };
-            let target = Target::Direct(Record {
-                trace: &mut *trace,
-                sink: &mut *obs_sink,
-                record_observations: *record_observations,
-            });
-            let mut lane = Lane { wire: &mut st.wire, target, outbox: &mut *outbox_buf };
-            st.exec.execute(t, kind, &mut lane);
+        let ShardedWorld {
+            shards, trace, obs_sink, record_observations, outbox_buf, log_buf, ..
+        } = self;
+        let record_observations = *record_observations;
+        if let [st] = shards.as_mut_slice() {
+            st.gather(t);
+            let target = Target::Direct(Record { trace, sink: obs_sink, record_observations });
+            let mut lane = Lane { wire: &mut st.wire, target, outbox: outbox_buf };
+            while let Some((_, _, _, kind)) = st.batch_buf.pop() {
+                st.exec.execute(t, kind, &mut lane);
+            }
+        } else {
+            for st in shards.iter_mut() {
+                st.run_instant(t, log_buf, outbox_buf);
+            }
+            Record { trace, sink: obs_sink, record_observations }.replay(t, log_buf);
         }
         self.route_outbox();
         self.update_depth_gauges();
@@ -778,27 +799,24 @@ impl<N: Node> ShardedWorld<N> {
         let mut qmin: Vec<Option<Time>> = Vec::with_capacity(k);
         let mut qlen: Vec<usize> = Vec::with_capacity(k);
         let mut depth_shadow: Vec<Gauge> = Vec::with_capacity(k);
-        let mut states: Vec<Option<ShardState<N>>> = Vec::with_capacity(k);
-        for s in self.shards.drain(..) {
-            qmin.push(s.wire.queue.peek_time());
-            qlen.push(s.wire.queue.len());
-            depth_shadow.push(s.exec.metrics.queue_depth);
-            states.push(Some(s));
+        let mut owned: Vec<Vec<(usize, ShardState<N>)>> =
+            (0..workers).map(|_| Vec::new()).collect();
+        for (s, st) in self.shards.drain(..).enumerate() {
+            qmin.push(st.wire.queue.peek_time());
+            qlen.push(st.wire.queue.len());
+            depth_shadow.push(st.exec.metrics.queue_depth);
+            owned[s % workers].push((s, st));
         }
         let mut step_txs = Vec::with_capacity(workers);
         let mut done_rxs = Vec::with_capacity(workers);
         let mut tasks: Vec<pool::WorkerFn<'_, WorkerReturn<N>>> = Vec::with_capacity(workers);
-        for w in 0..workers {
+        for owned in owned {
             let (step_tx, step_rx) = mpsc::channel::<StepMsg<N::Msg>>();
             let (done_tx, done_rx) = mpsc::channel::<Vec<ShardReport<N::Msg, N::Obs>>>();
             step_txs.push(step_tx);
             done_rxs.push(done_rx);
-            let owned: Vec<(usize, ShardState<N>)> = (w..k)
-                .step_by(workers)
-                .map(|s| (s, states[s].take().expect("each shard assigned to one worker")))
-                .collect();
             let clock = Arc::clone(&self.clock);
-            tasks.push(Box::new(move || worker_loop(owned, step_rx, done_tx, clock)));
+            tasks.push(Box::new(move || worker_loop(owned, workers, step_rx, done_tx, clock)));
         }
         let mut inbox: Vec<Inbox<N::Msg>> = (0..k).map(|_| Vec::new()).collect();
         let mut global_shadow = self.global_depth;
@@ -808,8 +826,6 @@ impl<N: Node> ShardedWorld<N> {
         let record_observations = self.record_observations;
         let (results, (inbox, depth_shadow, global_shadow)) =
             pool::run_with_coordinator(tasks, move || {
-                let mut logs_by_shard: Vec<Vec<LogEntry<N::Msg, N::Obs>>> =
-                    (0..k).map(|_| Vec::new()).collect();
                 let mut merged: Vec<LogEntry<N::Msg, N::Obs>> = Vec::new();
                 'run: loop {
                     // The effective shard minimum counts undelivered inbox
@@ -842,31 +858,17 @@ impl<N: Node> ShardedWorld<N> {
                     }
                     for rx in &done_rxs {
                         let Ok(reports) = rx.recv() else { break 'run };
-                        for rep in reports {
+                        for mut rep in reports {
                             qmin[rep.shard] = rep.qmin;
                             qlen[rep.shard] = rep.qlen;
-                            logs_by_shard[rep.shard] = rep.log;
+                            merged.append(&mut rep.log);
                             for (dest, at, p) in rep.outbox {
                                 inbox[dest].push((at, p));
                             }
                         }
                     }
-                    // The one merge: stable-sorting the shard-ordered log
-                    // concatenation by the unique event keys keeps each
-                    // event's emissions together and in order, which is
-                    // the record `step_instant` writes directly.
-                    for shard_log in &mut logs_by_shard {
-                        merged.append(shard_log);
-                    }
-                    merged.sort_by_key(|e| e.0);
-                    let mut rec =
-                        Record { trace: &mut *trace, sink: &mut *obs_sink, record_observations };
-                    for (_, e) in merged.drain(..) {
-                        match e {
-                            Emit::Trace(ev) => rec.trace.push(ev),
-                            Emit::Obs(pid, obs) => rec.obs(t, pid, obs),
-                        }
-                    }
+                    Record { trace: &mut *trace, sink: &mut *obs_sink, record_observations }
+                        .replay(t, &mut merged);
                     // Depth accounting identical to the sequential path: a
                     // shard's undelivered inbox entries are part of its
                     // backlog.
@@ -891,7 +893,8 @@ impl<N: Node> ShardedWorld<N> {
                 slots[s] = Some(st);
             }
         }
-        self.shards = slots.into_iter().map(|s| s.expect("workers returned every shard")).collect();
+        self.shards = slots.into_iter().flatten().collect();
+        debug_assert_eq!(self.shards.len(), k, "workers return every shard");
         for (s, entries) in inbox.into_iter().enumerate() {
             for (at, p) in entries {
                 self.shards[s].wire.queue.push(at, p);
@@ -969,13 +972,15 @@ mod tests {
         }
     }
 
-    /// A node that, each round, sends one message to every other process
-    /// and observes every receipt: most instants have several shards due,
-    /// so their slices must interleave by key.
+    /// A node that, each round, sends `copies` messages to every other
+    /// process (peer by peer, copy after copy) and observes every receipt:
+    /// most instants have several shards due, so their slices must
+    /// interleave by key.
     #[derive(Debug)]
     struct AllToAll {
         n: usize,
         rounds_left: u32,
+        copies: u32,
     }
 
     impl Node for AllToAll {
@@ -992,8 +997,10 @@ mod tests {
 
         fn on_timer(&mut self, ctx: &mut Context<'_, u32, u32>, _id: TimerId) {
             let me = ctx.me().index();
-            for p in (0..self.n).filter(|&p| p != me) {
-                ctx.send(ProcessId::from_index(p), self.rounds_left);
+            for c in 0..self.copies {
+                for p in (0..self.n).filter(|&p| p != me) {
+                    ctx.send(ProcessId::from_index(p), self.rounds_left * 10 + c);
+                }
             }
             if self.rounds_left > 0 {
                 self.rounds_left -= 1;
@@ -1007,10 +1014,18 @@ mod tests {
     type AllToAllRun = (Time, String, Vec<(Time, ProcessId, u32)>, MetricMap);
 
     /// A drained all-to-all run of 7 processes, recording messages and
-    /// observations, with a global sink attached and one mid-run crash.
-    fn all_to_all(seed: u64, shards: usize, threads: usize, batch: bool) -> AllToAllRun {
+    /// observations, with a global sink attached and one mid-run crash:
+    /// drained by hand or through `run_until` (on the worker pool when
+    /// `threads` ≥ 2 and `shards` ≥ 2), then run to the same deadline.
+    fn all_to_all(
+        seed: u64,
+        shards: usize,
+        threads: usize,
+        batch: bool,
+        by_hand: bool,
+    ) -> AllToAllRun {
         let n = 7;
-        let nodes = (0..n).map(|_| AllToAll { n, rounds_left: 12 }).collect();
+        let nodes = (0..n).map(|_| AllToAll { n, rounds_left: 12, copies: 1 }).collect();
         let cfg = cfg(seed, n, batch).crashes(CrashPlan::one(ProcessId(4), Time(20)));
         let sink = std::rc::Rc::new(std::cell::RefCell::new(FoldSink::default()));
         let mut w = ShardedWorld::new_with_sink(
@@ -1019,24 +1034,31 @@ mod tests {
             shards,
             Box::new(std::rc::Rc::clone(&sink)),
         );
+        if by_hand {
+            while w.step_instant() {}
+        }
         w.run_until(Time(1_000_000));
         let seen = std::mem::take(&mut sink.borrow_mut().seen);
         assert!(!seen.is_empty(), "the workload must observe something");
         (w.now(), format!("{:?}", w.trace().events()), seen, w.metrics_map())
     }
 
+    /// A ring run stepped by hand. Two threads keep every requested shard,
+    /// so `step_instant` merges the shards' emission logs.
     fn run(seed: u64, shards: usize, batch: bool) -> (Time, String, MetricMap) {
         let n = 6;
-        let mut w = ShardedWorld::new(ring(n, 300), cfg(seed, n, batch), shards);
+        let mut w = ShardedWorld::new(ring(n, 300), cfg(seed, n, batch).threads(2), shards);
+        assert_eq!(w.shards(), shards);
         while w.step_instant() {}
         (w.now(), format!("{:?}", w.trace().events()), w.metrics_map())
     }
 
     /// The shard-count determinism matrix: same seed ⇒ byte-identical
     /// trace and metrics for shards ∈ {1, 2, 4, 8}, including the exported
-    /// `queue_depth_high_water`. The ring has one token, so one shard is
-    /// due per instant; the all-to-all rows put several shards in most
-    /// instants, which is what `step_instant`'s merge must order.
+    /// `queue_depth_high_water`, each world stepped by hand. The ring has
+    /// one token, so one shard is due per instant; the all-to-all rows put
+    /// several shards in most instants, which is what the log merge of a
+    /// multi-shard `step_instant` must order.
     #[test]
     fn shard_count_never_changes_the_run() {
         for batch in [false, true] {
@@ -1045,12 +1067,57 @@ mod tests {
                 let got = run(90, shards, batch);
                 assert_eq!(got, reference, "shards={shards} batch={batch} diverged");
             }
-            let reference = all_to_all(90, 1, 1, batch);
+            let reference = all_to_all(90, 1, 1, batch, true);
             for shards in 2..=4 {
-                let got = all_to_all(90, shards, 1, batch);
+                let got = all_to_all(90, shards, 2, batch, true);
                 assert!(got == reference, "all-to-all shards={shards} batch={batch} diverged");
             }
         }
+    }
+
+    /// Shards only partition processes among workers: a world that runs on
+    /// one thread holds one, whatever it asks for, unless per-shard sinks
+    /// need feeding.
+    #[test]
+    fn a_sequential_world_runs_one_shard() {
+        let w = ShardedWorld::new(ring(6, 10), WorldConfig::new(1), 4);
+        assert_eq!(w.shards(), 1);
+        let w = ShardedWorld::new(ring(6, 10), WorldConfig::new(1).threads(2), 4);
+        assert_eq!(w.shards(), 4);
+        let sinks: Vec<Box<dyn ObsSink<u32> + Send>> =
+            (0..4).map(|_| Box::new(FoldSink::default()) as _).collect();
+        let w = ShardedWorld::new_with_shard_sinks(ring(6, 10), WorldConfig::new(1), 4, sinks);
+        assert_eq!(w.shards(), 4);
+    }
+
+    /// The batched schedule, pinned. Every step sends each peer two
+    /// messages, peer by peer, so grouping decides it: one delay draw per
+    /// destination in first-occurrence order, and a destination's messages
+    /// delivered as adjacent steps in send order. The digest of the run's
+    /// `Send`/`Deliver` records was taken when a destination's messages
+    /// still travelled as one envelope event; drawing a delay per message,
+    /// or scheduling in send order across destinations, moves it.
+    #[test]
+    fn batched_schedule_is_pinned() {
+        let n = 5;
+        let nodes = (0..n).map(|_| AllToAll { n, rounds_left: 6, copies: 2 }).collect();
+        let cfg = cfg(41, n, true).crashes(CrashPlan::one(ProcessId(3), Time(6)));
+        let mut w = World::new(nodes, cfg);
+        while w.step_instant() {}
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut records = 0;
+        for ev in w.trace().events() {
+            if matches!(ev, TraceEvent::Send { .. } | TraceEvent::Deliver { .. }) {
+                for b in format!("{ev:?}").bytes() {
+                    digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+                records += 1;
+            }
+        }
+        assert_eq!((records, digest), (440, 0x0f03_42cc_755b_8ef9));
+        let m = w.metrics();
+        assert_eq!((m.messages_sent.get(), m.envelopes_sent.get()), (248, 124));
+        assert_eq!(m.delay_ticks.count(), 124, "one delay draw per destination");
     }
 
     #[test]
@@ -1077,8 +1144,8 @@ mod tests {
     /// run is byte-identical to the sequential one — trace, metrics, and
     /// the exported depth gauges — for every thread × shard combination,
     /// including a mid-run crash and envelope batching. The all-to-all rows
-    /// also compare the global sink's stream, across shards 1..=4
-    /// sequential and threads 2 and 4.
+    /// also compare the global sink's stream: shards 1..=4 at two threads
+    /// stepped by hand, and shards 2..=4 on two and four workers.
     #[test]
     fn parallel_run_is_byte_identical_to_sequential() {
         for batch in [false, true] {
@@ -1089,14 +1156,14 @@ mod tests {
                     assert_eq!(got, reference, "threads={threads} shards={shards} batch={batch}");
                 }
             }
-            let reference = all_to_all(90, 1, 1, batch);
-            for (shards, threads) in
-                (1..=4).map(|s| (s, 1)).chain([2, 3, 4].into_iter().flat_map(|s| [(s, 2), (s, 4)]))
-            {
-                let got = all_to_all(90, shards, threads, batch);
+            let reference = all_to_all(90, 1, 1, batch, false);
+            let by_hand = (1..=4).map(|s| (s, 2, true));
+            let pooled = [2, 3, 4].into_iter().flat_map(|s| [(s, 2, false), (s, 4, false)]);
+            for (shards, threads, by_hand) in by_hand.chain(pooled) {
+                let got = all_to_all(90, shards, threads, batch, by_hand);
                 assert!(
                     got == reference,
-                    "all-to-all threads={threads} shards={shards} batch={batch} diverged"
+                    "all-to-all threads={threads} shards={shards} by_hand={by_hand} batch={batch} diverged"
                 );
             }
         }
@@ -1165,7 +1232,8 @@ mod tests {
     #[test]
     fn global_high_water_is_bounded_by_summed_shard_marks() {
         let n = 6;
-        let mut w = ShardedWorld::new(ring(n, 300), cfg(5, n, false), 4);
+        let mut w = ShardedWorld::new(ring(n, 300), cfg(5, n, false).threads(2), 4);
+        assert_eq!(w.shards(), 4);
         while w.step_instant() {}
         let summed: u64 =
             (0..w.shards()).map(|s| w.shard_metrics(s).queue_depth.high_water()).sum();
@@ -1182,7 +1250,8 @@ mod tests {
     #[test]
     fn counters_sum_exactly_across_shards() {
         let n = 6;
-        let mut w = ShardedWorld::new(ring(n, 200), cfg(7, n, false), 4);
+        let mut w = ShardedWorld::new(ring(n, 200), cfg(7, n, false).threads(2), 4);
+        assert_eq!(w.shards(), 4);
         while w.step_instant() {}
         let m = w.metrics_map();
         assert_eq!(m["messages_sent"], w.messages_sent());
@@ -1217,7 +1286,8 @@ mod tests {
             let cfg = WorldConfig::new(17)
                 .delays(DelayModel::Scripted(Arc::new(staller)))
                 .crashes(CrashPlan::one(ProcessId(5), Time(300)))
-                .record_messages();
+                .record_messages()
+                .threads(2);
             let mut w = ShardedWorld::new(ring(6, 120), cfg, shards);
             w.run_until(Time(1_000_000));
             (w.now(), format!("{:?}", w.trace().events()), w.metrics_map())

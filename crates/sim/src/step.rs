@@ -4,12 +4,12 @@
 //! process receives a message (or a timer it set fires), makes a state
 //! transition, and sends messages. [`Executor`] is that step — crash
 //! discard, the [`Context`] handed to the node, every per-step counter, the
-//! send-target and clock-horizon checks, envelope grouping — and every
-//! [`crate::shard::ShardedWorld`] shard owns one executor over its slice of
-//! the processes. What the shard decides around the step is named by
-//! [`Fabric`] and nothing else: where a pid's state lives, where trace
-//! events and observations go, which random stream prices a channel, and
-//! where a scheduled event is queued.
+//! send-target and clock-horizon checks, the destination grouping of a
+//! batched step's sends — and every [`crate::shard::ShardedWorld`] shard
+//! owns one executor over its slice of the processes. What the shard
+//! decides around the step is named by [`Fabric`] and nothing else: where a
+//! pid's state lives, where trace events and observations go, which random
+//! stream prices a channel, and where a scheduled event is queued.
 //!
 //! ## Crash semantics at time zero
 //!
@@ -72,11 +72,9 @@ pub(crate) struct Executor<N: Node> {
     sends_buf: Vec<(ProcessId, N::Msg)>,
     timers_buf: Vec<(u64, TimerId)>,
     obs_buf: Vec<N::Obs>,
-    // Envelope pooling: payload vectors cycle executor → event → executor
-    // instead of being allocated per envelope, and the batching group list
-    // keeps its capacity across steps.
-    envelope_pool: Vec<Vec<N::Msg>>,
-    groups_buf: Vec<(ProcessId, Vec<N::Msg>)>,
+    /// A batched step's destinations in first-occurrence order, each with
+    /// its one delivery instant and its message count.
+    dests_buf: Vec<(ProcessId, Time, u64)>,
 }
 
 impl<N: Node> Executor<N> {
@@ -93,8 +91,7 @@ impl<N: Node> Executor<N> {
             sends_buf: Vec::new(),
             timers_buf: Vec::new(),
             obs_buf: Vec::new(),
-            envelope_pool: Vec::new(),
-            groups_buf: Vec::new(),
+            dests_buf: Vec::new(),
         }
     }
 
@@ -154,21 +151,6 @@ impl<N: Node> Executor<N> {
                     self.metrics.messages_dropped.inc();
                 }
             }
-            EventKind::Envelope { from, to, mut msgs } => {
-                if !self.crashed[fabric.slot(to)] {
-                    // FIFO within the envelope: dispatch in send order, one
-                    // atomic step per message (delivering k messages is
-                    // equivalent to k consecutive steps in the model).
-                    for msg in msgs.drain(..) {
-                        self.deliver(now, from, to, msg, fabric);
-                    }
-                } else {
-                    self.metrics.messages_dropped.add(msgs.len() as u64);
-                    msgs.clear();
-                }
-                // Recycle the payload vector for a future envelope.
-                self.envelope_pool.push(msgs);
-            }
         }
     }
 
@@ -212,7 +194,7 @@ impl<N: Node> Executor<N> {
             fabric.observe(now, pid, obs);
         }
         if self.batch_envelopes {
-            self.send_envelopes(now, slot, pid, fabric);
+            self.send_batched(now, slot, pid, fabric);
         } else {
             for (to, msg) in self.sends_buf.drain(..) {
                 assert!(to.index() < self.n_total, "send to unknown process {to}");
@@ -239,41 +221,48 @@ impl<N: Node> Executor<N> {
         }
     }
 
-    /// Envelope batching: coalesce this step's sends by destination —
-    /// first-occurrence destination order, send order within a destination
-    /// (FIFO inside the envelope) — and give each envelope one delay draw.
-    /// The destination count per step is small, so the grouping is a linear
-    /// scan, not a map. Payload vectors come from the envelope pool and
-    /// return to it when the envelope is dispatched.
-    fn send_envelopes(
+    /// Envelope batching: this step's sends grouped by destination —
+    /// first-occurrence order, one delay draw per destination, counted as
+    /// one envelope of however many messages went there. Each message is
+    /// still its own delivery, due at its destination's instant. They are
+    /// scheduled destination by destination, in send order within one, so
+    /// their effect seqs are consecutive and the receiver takes them as
+    /// adjacent steps: delivering k messages is k consecutive steps in the
+    /// model. A step names few destinations, so grouping is a linear scan.
+    fn send_batched(
         &mut self,
         now: Time,
         slot: usize,
         pid: ProcessId,
         fabric: &mut impl Fabric<N>,
     ) {
-        for (to, msg) in self.sends_buf.drain(..) {
+        for &(to, ref msg) in &self.sends_buf {
             assert!(to.index() < self.n_total, "send to unknown process {to}");
             self.metrics.messages_sent.inc();
             if self.record_messages {
                 fabric.emit(TraceEvent::Send { at: now, from: pid, to, msg: msg.clone().into() });
             }
-            match self.groups_buf.iter_mut().find(|(t, _)| *t == to) {
-                Some((_, msgs)) => msgs.push(msg),
+            match self.dests_buf.iter_mut().find(|(t, _, _)| *t == to) {
+                Some((_, _, count)) => *count += 1,
                 None => {
-                    let mut msgs = self.envelope_pool.pop().unwrap_or_default();
-                    msgs.push(msg);
-                    self.groups_buf.push((to, msgs));
+                    let d = fabric.delay(slot, pid, to, now);
+                    self.metrics.delay_ticks.record(d);
+                    self.dests_buf.push((to, due(now, d, "envelope"), 1));
                 }
             }
         }
-        for (to, msgs) in self.groups_buf.drain(..) {
+        if self.dests_buf.len() > 1 {
+            // Stable: send order survives within each destination.
+            let dests = &self.dests_buf;
+            self.sends_buf.sort_by_key(|(to, _)| dests.iter().position(|(t, _, _)| t == to));
+        }
+        let mut sends = self.sends_buf.drain(..);
+        for (to, at, count) in self.dests_buf.drain(..) {
             self.metrics.envelopes_sent.inc();
-            self.metrics.envelope_occupancy.record(msgs.len() as u64);
-            let d = fabric.delay(slot, pid, to, now);
-            self.metrics.delay_ticks.record(d);
-            let at = due(now, d, "envelope");
-            fabric.schedule(slot, pid, to, at, EventKind::Envelope { from: pid, to, msgs });
+            self.metrics.envelope_occupancy.record(count);
+            for (_, msg) in sends.by_ref().take(count as usize) {
+                fabric.schedule(slot, pid, to, at, EventKind::Deliver { from: pid, to, msg });
+            }
         }
     }
 }

@@ -68,17 +68,20 @@ pub struct WorldConfig {
     /// turn it off and attach an [`ObsSink`] instead, so the trace no longer
     /// grows with the observation count.
     pub record_observations: bool,
-    /// Coalesce all messages one atomic step sends to the same destination
-    /// into a single wire envelope with a single delay draw (FIFO within
-    /// the envelope). Off by default — the paper's model puts every message
-    /// on the wire alone; batching is a throughput knob whose occupancy is
-    /// measured by [`crate::SimMetrics::envelope_occupancy`].
+    /// Give all messages one atomic step sends to the same destination a
+    /// single delay draw, as one envelope: they are delivered at one
+    /// instant, as adjacent steps of the receiver in send order. Off by
+    /// default — the paper's model puts every message on the wire alone;
+    /// batching is a throughput knob whose occupancy is measured by
+    /// [`crate::SimMetrics::envelope_occupancy`].
     pub batch_envelopes: bool,
     /// Worker threads for [`ShardedWorld::run_until`]: with
     /// `threads ≥ 2` *and* at least two shards, instants execute on a
     /// persistent shard-worker pool behind a deterministic barrier merge —
     /// byte-identical to the sequential run, so this knob only buys
-    /// wall-clock. `1` (the default) means fully sequential.
+    /// wall-clock. `1` (the default) means fully sequential, and a
+    /// [`ShardedWorld`] built so holds one shard whatever count it is
+    /// given (unless it feeds per-shard sinks).
     pub threads: usize,
 }
 

@@ -3,9 +3,10 @@
 //! Every behaviour here is *schedule-independent* — it follows from the
 //! model (crash discard, envelope FIFO, the clock horizon, the sink
 //! contract), not from how the events are ordered or the channels priced —
-//! so it must hold verbatim on each engine row: `ShardedWorld` at one and
-//! three shards, sequential and on the worker pool. Public API only: the
-//! table sees the engine exactly as downstream crates do.
+//! so it must hold verbatim on each engine row: `ShardedWorld` at one
+//! shard (built for one thread or two), and at three shards, stepped by
+//! hand or run on the worker pool. Public API only: the table sees the
+//! engine exactly as downstream crates do.
 
 use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -21,13 +22,15 @@ use dinefd_sim::{
 struct Row {
     shards: usize,
     threads: usize,
+    /// Step instant by instant instead of calling `run_until`.
+    by_hand: bool,
 }
 
 const ROWS: [Row; 4] = [
-    Row { shards: 1, threads: 1 },
-    Row { shards: 1, threads: 2 },
-    Row { shards: 3, threads: 1 },
-    Row { shards: 3, threads: 2 },
+    Row { shards: 1, threads: 1, by_hand: false },
+    Row { shards: 1, threads: 2, by_hand: false },
+    Row { shards: 3, threads: 2, by_hand: true },
+    Row { shards: 3, threads: 2, by_hand: false },
 ];
 
 type Sink<O> = Option<Box<dyn ObsSink<O>>>;
@@ -44,6 +47,20 @@ fn build<N: Node>(
         None => ShardedWorld::new(nodes, cfg, row.shards),
         Some(sink) => ShardedWorld::new_with_sink(nodes, cfg, row.shards, sink),
     }
+}
+
+/// Runs `w` to `deadline` the way `row` drives it.
+fn run_to<N: Node + Send>(row: Row, w: &mut ShardedWorld<N>, deadline: Time)
+where
+    N::Msg: Send,
+    N::Obs: Send,
+{
+    if row.by_hand {
+        while w.peek_time().is_some_and(|t| t <= deadline) {
+            w.step_instant();
+        }
+    }
+    w.run_until(deadline);
 }
 
 /// Far past the end of every finite workload below.
@@ -162,7 +179,7 @@ fn a_crash_at_time_zero_suppresses_the_start_step_and_its_timers() {
             WorldConfig::new(3).crashes(CrashPlan::one(ProcessId(0), Time::ZERO)).record_messages();
         let mut w = build(row, ring(3, 10), cfg, None);
         assert!(w.is_crashed(ProcessId(0)), "{row:?}: effective before the starts");
-        w.run_until(DRAINED);
+        run_to(row, &mut w, DRAINED);
         assert_eq!(w.trace().sent_count(), 0, "{row:?}: a dead process must not send");
         assert_eq!(w.metrics_map()["steps"], 2, "{row:?}: only the two live processes start");
         let is_the_crash = |e: &TraceEvent<u32, u32>| {
@@ -173,15 +190,15 @@ fn a_crash_at_time_zero_suppresses_the_start_step_and_its_timers() {
 
         let cfg = WorldConfig::new(2).crashes(CrashPlan::one(ProcessId(0), Time::ZERO));
         let mut w = build(row, vec![TimerNode { fired: 0, limit: 5 }], cfg, None);
-        w.run_until(DRAINED);
+        run_to(row, &mut w, DRAINED);
         assert_eq!(w.node(ProcessId(0)).fired, 0, "{row:?}");
         assert_eq!(w.pending_events(), 0, "{row:?}: the start timer was never armed");
         assert_eq!(w.metrics_map()["timers_set"], 0, "{row:?}");
     }
 }
 
-/// An envelope addressed to a crashed receiver vanishes whole: nothing in
-/// it is delivered and `messages_dropped` grows by its occupancy.
+/// An envelope addressed to a crashed receiver vanishes whole: none of its
+/// messages is delivered and `messages_dropped` grows by its occupancy.
 #[test]
 fn an_envelope_to_a_crashed_receiver_is_dropped_whole() {
     for row in ROWS {
@@ -190,7 +207,7 @@ fn an_envelope_to_a_crashed_receiver_is_dropped_whole() {
             .delays(DelayModel::Fixed(10))
             .crashes(CrashPlan::one(ProcessId(1), Time(1)));
         let mut w = build(row, burst_nodes(2, 5), cfg, None);
-        w.run_until(DRAINED);
+        run_to(row, &mut w, DRAINED);
         let m = w.metrics_map();
         assert_eq!(m["envelopes_sent"], 3, "{row:?}: one envelope per bursting step");
         assert_eq!(m["messages_delivered"], 0, "{row:?}");
@@ -200,13 +217,14 @@ fn an_envelope_to_a_crashed_receiver_is_dropped_whole() {
     }
 }
 
-/// Messages of one step to one destination share an envelope, so they are
-/// received in send order whatever the delay model draws.
+/// Messages of one step to one destination share an envelope's delay
+/// draw and run as adjacent steps of the receiver, so they are received in
+/// send order whatever the delay model draws.
 #[test]
 fn messages_inside_an_envelope_are_received_in_send_order() {
     for row in ROWS {
         let mut w = build(row, burst_nodes(5, 6), WorldConfig::new(5).batch_envelopes(), None);
-        w.run_until(DRAINED);
+        run_to(row, &mut w, DRAINED);
         let received = &w.node(ProcessId(1)).received;
         assert_eq!(received.len(), 36, "{row:?}");
         for chunk in received.chunks(6) {
@@ -222,7 +240,7 @@ fn timers_of_a_crashed_process_never_fire() {
     for row in ROWS {
         let cfg = WorldConfig::new(1).crashes(CrashPlan::one(ProcessId(0), Time(12)));
         let mut w = build(row, vec![TimerNode { fired: 0, limit: 100 }], cfg, None);
-        w.run_until(DRAINED);
+        run_to(row, &mut w, DRAINED);
         // Fires at t=5 and t=10; the crash at t=12 silences the rest.
         assert_eq!(w.node(ProcessId(0)).fired, 2, "{row:?}");
         assert_eq!(w.metrics_map()["timer_fires"], 2, "{row:?}");
@@ -257,7 +275,7 @@ impl Node for HorizonNode {
 fn rearming_past_the_clock_horizon_panics_instead_of_livelocking() {
     for row in ROWS {
         let mut w = build(row, vec![HorizonNode], WorldConfig::new(1), None);
-        let message = panic_message(|| w.run_until(Time::INFINITY));
+        let message = panic_message(|| run_to(row, &mut w, Time::INFINITY));
         assert!(message.contains("timer scheduled past the clock horizon"), "{row:?}: {message}");
     }
 }
@@ -312,7 +330,7 @@ fn the_sink_stream_equals_the_traces_observations() {
         let sink = Rc::new(RefCell::new(FoldSink::default()));
         let handle: Sink<u32> = Some(Box::new(Rc::clone(&sink)));
         let mut w = build(row, ring(4, 23), WorldConfig::new(9), handle);
-        w.run_until(DRAINED);
+        run_to(row, &mut w, DRAINED);
         let from_trace: Vec<(Time, ProcessId, u32)> =
             w.trace().observations().map(|(t, p, &o)| (t, p, o)).collect();
         assert_eq!(from_trace.len(), 24, "{row:?}: hops 23..=0");
@@ -328,7 +346,7 @@ fn observation_events_off_keeps_the_sink_fed_and_the_trace_lean() {
         let handle: Sink<u32> = Some(Box::new(Rc::clone(&sink)));
         let cfg = WorldConfig::new(9).observation_events_off();
         let mut w = build(row, ring(4, 23), cfg, handle);
-        w.run_until(DRAINED);
+        run_to(row, &mut w, DRAINED);
         assert_eq!(w.trace().len(), 0, "{row:?}: no observations, and messages are off too");
         assert_eq!(sink.borrow().seen.len(), 24, "{row:?}");
         assert_eq!(w.metrics_map()["observations"], 24, "{row:?}");
