@@ -317,8 +317,19 @@ pub fn counter_width(cap: u8) -> usize {
 
 /// One symbolic [`AbsState`]: every field of the explicit struct as bits
 /// (phases and counters little-endian, `switch`/`trigger` one bit each,
-/// `true` = instance 1).
-pub type SymState = AbsState<Bit, Bv, Bit, Bv>;
+/// `true` = instance 1). A newtype so the circuit-side constructor and
+/// readers below can be its methods; it dereferences to the record the
+/// protocol's definitions take.
+#[derive(Clone, Debug)]
+pub struct SymState(pub AbsState<Bit, Bv, Bit, Bv>);
+
+impl std::ops::Deref for SymState {
+    type Target = AbsState<Bit, Bv, Bit, Bv>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
 
 impl SymState {
     /// Allocates a fresh symbolic state and asserts its typed-domain
@@ -343,7 +354,7 @@ impl SymState {
         };
         let pings = [counter(b), counter(b)];
         let acks = [counter(b), counter(b)];
-        SymState {
+        SymState(AbsState {
             w_phase,
             s_phase,
             switch: b.fresh(),
@@ -355,7 +366,7 @@ impl SymState {
             crashed: b.fresh(),
             pings,
             acks,
-        }
+        })
     }
 
     /// Reads the concrete state out of a satisfying assignment.

@@ -45,7 +45,9 @@
 //! seeded mutation produces a real, confirmed CTI (the mutation-detection
 //! gate in `tests/induction.rs`).
 
-use crate::ir::{AbsState, ActionId, Ir, IrConfig, WIRE_CAP};
+use crate::ir::{
+    abstract_of_with_cap, concretize, explore_config, AbsState, ActionId, Ir, IrConfig, WIRE_CAP,
+};
 use crate::protocol::{self, Concrete};
 use dinefd_dining::DinerPhase;
 use dinefd_explore::{explore_seeded, find_reachable};
@@ -107,8 +109,10 @@ impl Clause {
         }
     }
 
+    /// The clause's bit: its position in [`ALL_CLAUSES`], which lists the
+    /// clauses in declaration order.
     pub(crate) fn bit(self) -> u16 {
-        1 << ALL_CLAUSES.iter().position(|&c| c == self).expect("clause in table")
+        1 << self as u16
     }
 
     /// Whether the clause holds in `s`: the concrete reading of
@@ -525,14 +529,14 @@ pub(crate) fn insert_capped(ctis: &mut Vec<Cti>, cti: Cti, cap: usize) {
 /// state for a concrete state abstracting to the CTI's pre-state, then (if
 /// found) seed the bounded explorer there and look for a genuine violation.
 pub fn classify_cti(cfg: &IrConfig, cti: &Cti, opts: &InductOptions) -> CtiClass {
-    let ecfg = cfg.explore_config(opts.reach_depth, opts.reach_states);
+    let ecfg = explore_config(cfg, opts.reach_depth, opts.reach_states);
     let target = cti.pre;
-    match find_reachable(&ecfg, |s| AbsState::abstract_of_with_cap(s, cfg.wire_cap) == target) {
+    match find_reachable(&ecfg, |s| abstract_of_with_cap(s, cfg.wire_cap) == target) {
         None => CtiClass::Spurious,
         Some(path) => {
-            let mut replay_cfg = cfg.explore_config(opts.confirm_depth, opts.reach_states);
+            let mut replay_cfg = explore_config(cfg, opts.confirm_depth, opts.reach_states);
             replay_cfg.start_converged = cti.pre.converged;
-            let seed = cti.pre.concretize(cfg);
+            let seed = concretize(&cti.pre, cfg);
             let report = explore_seeded(seed, &replay_cfg);
             CtiClass::Real { path_len: path.len(), confirmed: !report.violations.is_empty() }
         }
@@ -613,6 +617,14 @@ pub fn render_summary(run: &InductionRun) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn all_clauses_are_in_declaration_order() {
+        for (k, &c) in ALL_CLAUSES.iter().enumerate() {
+            assert_eq!(c as usize, k, "{c:?} is listed out of declaration order");
+            assert_eq!(c.bit(), 1 << k);
+        }
+    }
 
     #[test]
     fn typed_domain_has_the_documented_cardinality() {

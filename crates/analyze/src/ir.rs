@@ -1,18 +1,22 @@
 //! The guarded-command intermediate representation of one monitoring pair.
 //!
 //! Every behavior of the closed pair model — the witness machine (Alg. 1),
-//! the subject machine (Alg. 2, any [`SubjectMutation`]), the dining
+//! the subject machine (Alg. 2, any
+//! [`SubjectMutation`](dinefd_core::machines::SubjectMutation)), the dining
 //! service, convergence, crash, and the wire — is expressed as a **named
 //! action**: a guard predicate plus an update function over [`AbsState`].
-//! This module holds the state, the configuration and the per-config
-//! action table; the guards and updates themselves are written once, from
-//! the paper's pseudocode, in [`crate::protocol`], and [`Ir::enabled`] /
-//! [`Ir::fire`] are their concrete reading. They are written independently
-//! of the executable machines in `dinefd_core::machines`; the conformance
-//! suite (`tests/ir_conformance.rs`) then proves the two agree bit-for-bit
-//! on the machines' packed state bytes. That independence is the point: an
-//! IR that merely called the machines could never catch a transcription bug
-//! in either.
+//! The state, the configuration and the guards and updates themselves are
+//! written once, from the paper's pseudocode, in
+//! [`dinefd_core::protocol`]; this module holds the per-config action
+//! table, whose [`Ir::enabled`] / [`Ir::fire`] are the analyzer's concrete
+//! reading of that text, and the maps between the explorer's concrete
+//! states and the abstract ones ([`abstract_of`], [`concretize`],
+//! [`explore_config`]). The executable machines in
+//! `dinefd_core::machines` read the same text, so the IR and the machines
+//! agree by construction. What stays a claim is the abstraction itself —
+//! that the saturating wire over-approximates the explorer's concrete one
+//! — and the conformance suite (`tests/ir_conformance.rs`) tests that along
+//! random concrete walks.
 //!
 //! ## The abstract wire
 //!
@@ -37,257 +41,86 @@
 //! invariant strengthening.
 
 use crate::protocol::{self, Concrete};
-use dinefd_core::machines::SubjectMutation;
-use dinefd_dining::DinerPhase;
+use dinefd_core::machines::{SubjectMachine, WitnessMachine};
 use dinefd_explore::{ExploreConfig, ModelMutation, PairState};
 
-/// Default saturation cap of the abstract wire counters: the value
-/// `WIRE_CAP` denotes "at least `WIRE_CAP` messages in flight". `2`
-/// distinguishes exactly the counts the lemma invariants and the
-/// duplicate-suppression regime talk about: none, exactly one, more than
-/// one. [`IrConfig::wire_cap`] lifts the cap to a per-run parameter
-/// (validated range [`MIN_WIRE_CAP`]..=[`MAX_WIRE_CAP`]); this constant is
-/// its default and the cap the explicit enumerator is tuned for.
-pub const WIRE_CAP: u8 = 2;
+pub use dinefd_core::protocol::{
+    AbsState, ActionId, IrConfig, MAX_WIRE_CAP, MIN_WIRE_CAP, WIRE_CAP,
+};
 
-/// Smallest admissible [`IrConfig::wire_cap`]: below 2 the abstraction
-/// cannot distinguish "exactly one" from "more than one" in flight, which
-/// the strengthening clauses rely on.
-pub const MIN_WIRE_CAP: u8 = 2;
-
-/// Largest admissible [`IrConfig::wire_cap`]: keeps counters within 4 bits
-/// for the bit-blasted encoding ([`crate::cnf`]) and the packed
-/// [`AbsState::pack_key`].
-pub const MAX_WIRE_CAP: u8 = 8;
-
-/// Configuration of the IR: which machine variant and which seeded bugs the
-/// action system models. Mirrors the knobs of
-/// [`dinefd_explore::ExploreConfig`], plus the abstract wire depth.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct IrConfig {
-    /// Harden the subject with sequence-checked acks (ack deliveries gain a
-    /// nondeterministic "stale, ignored" branch).
-    pub strict_seq: bool,
-    /// Allow the subject process `q` to crash.
-    pub allow_crash: bool,
-    /// Seeded machine-level bug (`None` = the faithful Alg. 2).
-    pub subject_mutation: SubjectMutation,
-    /// Seeded wire-level bug (`None` = the faithful wire).
-    pub model_mutation: ModelMutation,
-    /// Saturation cap of the abstract wire counters
-    /// ([`MIN_WIRE_CAP`]..=[`MAX_WIRE_CAP`]). The typed domain grows as
-    /// `(cap + 1)⁴`, so caps above [`WIRE_CAP`] are practical only through
-    /// the symbolic engine ([`crate::kinduct`]).
-    pub wire_cap: u8,
-}
-
-impl Default for IrConfig {
-    fn default() -> Self {
-        IrConfig {
-            strict_seq: false,
-            allow_crash: false,
-            subject_mutation: SubjectMutation::default(),
-            model_mutation: ModelMutation::default(),
-            wire_cap: WIRE_CAP,
-        }
+/// The bounded-explorer configuration corresponding to `cfg` (for
+/// classifying counterexamples-to-induction via reachability).
+pub fn explore_config(cfg: &IrConfig, max_depth: u32, max_states: usize) -> ExploreConfig {
+    ExploreConfig {
+        max_depth,
+        max_states,
+        strict_seq: cfg.strict_seq,
+        allow_crash: cfg.allow_crash,
+        subject_mutation: cfg.subject_mutation,
+        model_mutation: cfg.model_mutation,
+        ..Default::default()
     }
 }
 
-impl IrConfig {
-    /// The faithful paper configuration (crash allowed, lenient acks).
-    pub fn faithful() -> Self {
-        IrConfig { allow_crash: true, ..Default::default() }
-    }
+/// The abstraction function at the default cap: forgets message
+/// identities/sequence numbers, keeps per-class counts (saturated at
+/// [`WIRE_CAP`]).
+pub fn abstract_of(s: &PairState) -> AbsState {
+    abstract_of_with_cap(s, WIRE_CAP)
+}
 
-    /// The corresponding bounded-explorer configuration (for classifying
-    /// counterexamples-to-induction via reachability).
-    pub fn explore_config(&self, max_depth: u32, max_states: usize) -> ExploreConfig {
-        ExploreConfig {
-            max_depth,
-            max_states,
-            strict_seq: self.strict_seq,
-            allow_crash: self.allow_crash,
-            subject_mutation: self.subject_mutation,
-            model_mutation: self.model_mutation,
-            ..Default::default()
-        }
+/// The abstraction function at an explicit saturation cap.
+pub fn abstract_of_with_cap(s: &PairState, cap: u8) -> AbsState {
+    let count = |queue: &[(u8, u64)], i: u8| {
+        (queue.iter().filter(|&&(j, _)| j == i).count() as u64).min(cap as u64) as u8
+    };
+    AbsState {
+        w_phase: s.w_phase,
+        s_phase: s.s_phase,
+        switch: s.witness.switch() as u8,
+        haveping: [s.witness.haveping(0), s.witness.haveping(1)],
+        suspect: s.witness.suspects(),
+        trigger: s.subject.trigger() as u8,
+        ping_enabled: [s.subject.ping_enabled(0), s.subject.ping_enabled(1)],
+        converged: s.converged,
+        crashed: s.crashed,
+        pings: [count(&s.pings, 0), count(&s.pings, 1)],
+        acks: [count(&s.acks, 0), count(&s.acks, 1)],
     }
 }
 
-/// One abstract pair state: the two machines' packed-domain bits, the four
-/// dining phases, the model flags, and the abstract wire. The type
-/// parameters are the value types of one [`crate::protocol::Algebra`]
-/// (booleans, phases, selectors, counters); the defaults are the concrete
-/// ones, so plain `AbsState` is the `Copy`, small state the typed domain is
-/// enumerated in by value ([`crate::induct`]), and
-/// [`crate::cnf::SymState`] is the same record over circuit values.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct AbsState<B = bool, P = DinerPhase, S = u8, C = u8> {
-    /// Phases of `p.w_0`, `p.w_1` (never `Exiting` in the typed domain).
-    pub w_phase: [P; 2],
-    /// Phases of `q.s_0`, `q.s_1`.
-    pub s_phase: [P; 2],
-    /// Alg. 1 `switch` (whose turn it is).
-    pub switch: S,
-    /// Alg. 1 `haveping_i`.
-    pub haveping: [B; 2],
-    /// Alg. 1 `suspect_q` — the witness's output.
-    pub suspect: B,
-    /// Alg. 2 `trigger`.
-    pub trigger: S,
-    /// Alg. 2 `ping_i`.
-    pub ping_enabled: [B; 2],
-    /// Whether ◇WX's exclusive suffix has begun.
-    pub converged: B,
-    /// Whether `q` has crashed.
-    pub crashed: B,
-    /// In-flight `DX_i` pings, saturating at the wire cap.
-    pub pings: [C; 2],
-    /// In-flight `DX_i` acks, saturating at the wire cap.
-    pub acks: [C; 2],
-}
-
-impl AbsState {
-    /// The abstract image of the model's initial state.
-    pub fn initial() -> Self {
-        AbsState {
-            w_phase: [DinerPhase::Thinking; 2],
-            s_phase: [DinerPhase::Thinking; 2],
-            switch: 0,
-            haveping: [false, false],
-            suspect: true,
-            trigger: 0,
-            ping_enabled: [true, true],
-            converged: false,
-            crashed: false,
-            pings: [0, 0],
-            acks: [0, 0],
+/// One concrete representative of `s` (sequence numbers synthesized),
+/// suitable for seeding the bounded explorer
+/// ([`dinefd_explore::explore_seeded`]) — the state-level lemma checks
+/// ignore sequence numbers, so any representative reproduces a
+/// state-invariant violation.
+pub fn concretize(s: &AbsState, cfg: &IrConfig) -> PairState {
+    let mut pings = Vec::new();
+    let mut acks = Vec::new();
+    for i in 0..2u8 {
+        for k in 0..s.pings[i as usize] {
+            pings.push((i, 1 + k as u64));
+        }
+        for k in 0..s.acks[i as usize] {
+            acks.push((i, 1 + k as u64));
         }
     }
-
-    /// The abstraction function at the default cap: forgets message
-    /// identities/sequence numbers, keeps per-class counts (saturated at
-    /// [`WIRE_CAP`]).
-    pub fn abstract_of(s: &PairState) -> Self {
-        Self::abstract_of_with_cap(s, WIRE_CAP)
+    PairState {
+        witness: WitnessMachine::from_parts(s.switch as usize, s.haveping, s.suspect),
+        subject: SubjectMachine::from_parts(
+            s.trigger as usize,
+            s.ping_enabled,
+            [s.pings[0].max(s.acks[0]) as u64, s.pings[1].max(s.acks[1]) as u64],
+            cfg.strict_seq,
+            cfg.subject_mutation,
+        ),
+        w_phase: s.w_phase,
+        s_phase: s.s_phase,
+        pings,
+        acks,
+        converged: s.converged,
+        crashed: s.crashed,
     }
-
-    /// The abstraction function at an explicit saturation cap.
-    pub fn abstract_of_with_cap(s: &PairState, cap: u8) -> Self {
-        let count = |queue: &[(u8, u64)], i: u8| {
-            (queue.iter().filter(|&&(j, _)| j == i).count() as u64).min(cap as u64) as u8
-        };
-        AbsState {
-            w_phase: s.w_phase,
-            s_phase: s.s_phase,
-            switch: s.witness.switch() as u8,
-            haveping: [s.witness.haveping(0), s.witness.haveping(1)],
-            suspect: s.witness.suspects(),
-            trigger: s.subject.trigger() as u8,
-            ping_enabled: [s.subject.ping_enabled(0), s.subject.ping_enabled(1)],
-            converged: s.converged,
-            crashed: s.crashed,
-            pings: [count(&s.pings, 0), count(&s.pings, 1)],
-            acks: [count(&s.acks, 0), count(&s.acks, 1)],
-        }
-    }
-
-    /// One concrete representative of this abstract state (sequence numbers
-    /// synthesized), suitable for seeding the bounded explorer
-    /// ([`dinefd_explore::explore_seeded`]) — the state-level lemma checks
-    /// ignore sequence numbers, so any representative reproduces a
-    /// state-invariant violation.
-    pub fn concretize(&self, cfg: &IrConfig) -> PairState {
-        use dinefd_core::machines::{SubjectMachine, WitnessMachine};
-        let mut pings = Vec::new();
-        let mut acks = Vec::new();
-        for i in 0..2u8 {
-            for k in 0..self.pings[i as usize] {
-                pings.push((i, 1 + k as u64));
-            }
-            for k in 0..self.acks[i as usize] {
-                acks.push((i, 1 + k as u64));
-            }
-        }
-        PairState {
-            witness: WitnessMachine::from_parts(self.switch as usize, self.haveping, self.suspect),
-            subject: SubjectMachine::from_parts(
-                self.trigger as usize,
-                self.ping_enabled,
-                [self.pings[0].max(self.acks[0]) as u64, self.pings[1].max(self.acks[1]) as u64],
-                cfg.strict_seq,
-                cfg.subject_mutation,
-            ),
-            w_phase: self.w_phase,
-            s_phase: self.s_phase,
-            pings,
-            acks,
-            converged: self.converged,
-            crashed: self.crashed,
-        }
-    }
-
-    /// Packs the state into one `u64` key, injective for wire caps up to
-    /// [`MAX_WIRE_CAP`] (counters occupy 4 bits each). Used as the exact
-    /// fingerprint for deduplicating CTI replay classification — in the
-    /// spirit of the explorer's `StateCodec`, but lossless by construction
-    /// so cache hits can never conflate two distinct pre-states.
-    pub fn pack_key(&self) -> u64 {
-        let phase = |p: DinerPhase| p as u64 & 0x3;
-        let mut k = 0u64;
-        for i in 0..2 {
-            k = k << 2 | phase(self.w_phase[i]);
-            k = k << 2 | phase(self.s_phase[i]);
-        }
-        k = k << 1 | u64::from(self.switch & 1);
-        k = k << 1 | u64::from(self.haveping[0]);
-        k = k << 1 | u64::from(self.haveping[1]);
-        k = k << 1 | u64::from(self.suspect);
-        k = k << 1 | u64::from(self.trigger & 1);
-        k = k << 1 | u64::from(self.ping_enabled[0]);
-        k = k << 1 | u64::from(self.ping_enabled[1]);
-        k = k << 1 | u64::from(self.converged);
-        k = k << 1 | u64::from(self.crashed);
-        for i in 0..2 {
-            k = k << 4 | u64::from(self.pings[i] & 0xf);
-            k = k << 4 | u64::from(self.acks[i] & 0xf);
-        }
-        k
-    }
-}
-
-/// Identifier of one guarded action. `usize` operands are instance indices.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ActionId {
-    /// `W_h(i)` — Alg. 1 line 2.
-    WitnessHungry(usize),
-    /// `W_x(i)` — Alg. 1 lines 3–7 (the exit check, the output step).
-    WitnessExit(usize),
-    /// `S_h(i)` — Alg. 2 line 2.
-    SubjectHungry(usize),
-    /// `S_p(i)` — Alg. 2 lines 3–5.
-    SubjectPing(usize),
-    /// `S_x(i)` — Alg. 2 lines 8–10.
-    SubjectExit(usize),
-    /// Deliver one in-flight `DX_i` ping: the witness's `W_p(i)` handler
-    /// (bank it, emit an ack unless the sender has crashed).
-    DeliverPing(usize),
-    /// Deliver one in-flight `DX_i` ack that the subject accepts: `S_a(i)`.
-    DeliverAck(usize),
-    /// Deliver one in-flight `DX_i` ack that a **strict** subject rejects
-    /// (sequence mismatch): the ack is consumed, nothing else changes.
-    DeliverStaleAck(usize),
-    /// Seeded wire bug [`ModelMutation::StaleAckReplay`]: duplicate an
-    /// in-flight `DX_i` ack.
-    DuplicateAck(usize),
-    /// The dining service grants the witness endpoint of `DX_i`.
-    GrantWitness(usize),
-    /// The dining service grants the subject endpoint of `DX_i`.
-    GrantSubject(usize),
-    /// ◇WX convergence occurs now.
-    Converge,
-    /// `q` crashes now.
-    CrashSubject,
 }
 
 /// Static metadata of one action (for lints, CTIs, and docs).
@@ -459,6 +292,7 @@ impl Ir {
 /// interpretation tests sweep.
 #[cfg(test)]
 pub(crate) fn config_matrix() -> [IrConfig; 8] {
+    use dinefd_core::machines::SubjectMutation;
     let f = IrConfig::faithful();
     [
         f,
@@ -475,12 +309,13 @@ pub(crate) fn config_matrix() -> [IrConfig; 8] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dinefd_dining::DinerPhase;
 
     #[test]
     fn initial_abstract_state_matches_concrete_initial() {
         let cfg = IrConfig::faithful();
-        let concrete = PairState::initial(&cfg.explore_config(10, 1000));
-        assert_eq!(AbsState::abstract_of(&concrete), AbsState::initial());
+        let concrete = PairState::initial(&explore_config(&cfg, 10, 1000));
+        assert_eq!(abstract_of(&concrete), AbsState::initial());
     }
 
     #[test]
@@ -516,8 +351,8 @@ mod tests {
         s.s_phase[0] = DinerPhase::Eating;
         s.ping_enabled[0] = false;
         s.pings[0] = 1;
-        let concrete = s.concretize(&cfg);
-        assert_eq!(AbsState::abstract_of(&concrete), s);
+        let concrete = concretize(&s, &cfg);
+        assert_eq!(abstract_of(&concrete), s);
     }
 
     #[test]

@@ -551,8 +551,8 @@ pub fn render_kinduct_summary(run: &KinductRun) -> String {
     let mut out = String::new();
     out.push_str(&format!("k-induction at wire cap {} ({:?})\n", run.cfg.wire_cap, run.cfg));
     for v in &run.lemmas {
-        let status = if v.proved() {
-            format!("PROVED k={}", v.proved_k.expect("proved"))
+        let status = if let Some(k) = v.proved_k.filter(|_| v.proved()) {
+            format!("PROVED k={k}")
         } else if !v.base_ok {
             format!("BASE FAILS at depth {}", v.cex_depth.unwrap_or(0))
         } else {

@@ -4,11 +4,13 @@
 //! depth bound; this crate removes the bound. It re-expresses the whole
 //! closed pair model as a **guarded-command IR** ([`ir`]) over a finite
 //! abstract domain (machine bits + phases + a saturating-counter wire) —
-//! its guards, updates and invariant clauses written once, generically
-//! ([`protocol`]), and read three ways: executed, bit-blasted, printed —
-//! proves the IR equivalent to the executable machines by differential
-//! property testing (`tests/ir_conformance.rs`), and then checks each lemma
-//! **inductively** ([`induct`]): every action fired from every
+//! its guards and updates the one protocol text of
+//! [`dinefd_core::protocol`], which the executable machines run too, its
+//! invariant clauses written beside them ([`protocol`]), all read three
+//! ways here: executed, bit-blasted, printed — tests that the abstract wire
+//! simulates the explorer's concrete one (`tests/ir_conformance.rs`), and
+//! then checks each lemma **inductively** ([`induct`]): every action fired
+//! from every
 //! invariant-satisfying typed state must land back inside the invariant.
 //! What passes holds at *any* depth, for *any* schedule.
 //!

@@ -285,7 +285,8 @@ fn idempotence_lint(cfg: &IrConfig) -> Vec<IdempotenceFinding> {
     // W_p(i): haveping_i ← true. Ack emission is a wire effect, out of
     // scope here (the wire is audited by the inductive checker instead).
     for b in 0u8..16 {
-        let w = WitnessMachine::unpack(b).expect("4-bit codomain");
+        let w =
+            WitnessMachine::from_parts(usize::from(b & 1), [b & 2 != 0, b & 4 != 0], b & 8 != 0);
         for i in 0..2usize {
             let mut once = w.clone();
             let _ = once.on_ping(i, 1);

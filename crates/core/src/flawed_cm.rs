@@ -39,7 +39,8 @@
 use dinefd_dining::{DinerPhase, DiningParticipant};
 use dinefd_sim::{Context, CrashPlan, Node, ProcessId, Time, TimerId};
 
-use crate::host::{DiningFactory, Oracle, PairNode, RedMsg, RedObs, Role, Side, Step};
+use crate::host::{DiningFactory, Oracle, PairNode, RedMsg, RedObs, Role, Side};
+use crate::machines::Step;
 use crate::scenario::{run_one_pair, BlackBox};
 
 /// `p`'s side: a heartbeat means trust, and a request for the critical

@@ -29,7 +29,7 @@ use dinefd_dining::{DinerPhase, DiningIo, DiningMsg, DiningParticipant};
 use dinefd_fd::FdQuery;
 use dinefd_sim::{Context, Node, ProcessId, Time, TimerId};
 
-use crate::machines::{SubjectAction, SubjectCmd, SubjectMachine, WitnessCmd, WitnessMachine};
+use crate::machines::{Step, SubjectAction, SubjectMachine, WitnessMachine};
 
 /// Which side of a monitoring pair a dining endpoint belongs to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -172,19 +172,6 @@ impl Out {
     }
 }
 
-/// What a [`Side`] has its host do: one call on the black box of instance
-/// `i`, or one control message to the pair's other side.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Step {
-    /// Thread `i` becomes hungry in `DX_i`.
-    Hungry(usize),
-    /// Thread `i` exits its eating session in `DX_i`.
-    Exit(usize),
-    /// Thread `i` sends the other side its control message — a subject's
-    /// ping, a witness's ack — carrying `seq`.
-    Send(usize, u64),
-}
-
 /// One side of one monitoring pair: the `K` threads an extractor runs at the
 /// watcher (or at the subject), as a state machine over their dining phases.
 /// A side changes state only inside these calls, and its enabledness depends
@@ -205,26 +192,6 @@ pub trait Side<const K: usize>: Clone {
     fn suspects(&self) -> Option<bool>;
 }
 
-impl From<WitnessCmd> for Step {
-    fn from(cmd: WitnessCmd) -> Step {
-        match cmd {
-            WitnessCmd::BecomeHungry(i) => Step::Hungry(i),
-            WitnessCmd::Exit(i) => Step::Exit(i),
-            WitnessCmd::SendAck(i, seq) => Step::Send(i, seq),
-        }
-    }
-}
-
-impl From<SubjectCmd> for Step {
-    fn from(cmd: SubjectCmd) -> Step {
-        match cmd {
-            SubjectCmd::BecomeHungry(i) => Step::Hungry(i),
-            SubjectCmd::Exit(i) => Step::Exit(i),
-            SubjectCmd::SendPing(i, seq) => Step::Send(i, seq),
-        }
-    }
-}
-
 /// Alg. 1: the first enabled action; a ping is acked at once.
 impl Side<2> for WitnessMachine {
     const ROLE: Role = Role::Witness;
@@ -232,11 +199,11 @@ impl Side<2> for WitnessMachine {
     fn step(&mut self, phases: [DinerPhase; 2]) -> Option<Step> {
         let mut first = None;
         self.for_each_enabled(phases, |a| first = first.or(Some(a)));
-        Some(self.fire(first?, phases).into())
+        Some(self.fire(first?, phases))
     }
 
     fn on_control(&mut self, i: usize, seq: u64, _phases: [DinerPhase; 2]) -> Option<Step> {
-        Some(self.on_ping(i, seq).into())
+        Some(self.on_ping(i, seq))
     }
 
     fn suspects(&self) -> Option<bool> {
@@ -257,7 +224,7 @@ impl Side<2> for SubjectMachine {
             }
             first = first.or(Some(a));
         });
-        Some(self.fire(ping.or(first)?, phases).into())
+        Some(self.fire(ping.or(first)?, phases))
     }
 
     fn on_control(&mut self, i: usize, seq: u64, _phases: [DinerPhase; 2]) -> Option<Step> {

@@ -54,6 +54,7 @@ pub mod fairness;
 pub mod flawed_cm;
 pub mod host;
 pub mod machines;
+pub mod protocol;
 pub mod scenario;
 pub mod single_dx;
 pub mod wire;

@@ -1,8 +1,19 @@
 //! The witness and subject action systems — the paper's Alg. 1 and Alg. 2 —
 //! as *pure* guarded-command machines.
 //!
+//! A machine states no guard and no update of its own: it is one more
+//! reading of the protocol text in [`crate::protocol`]. Each call builds a
+//! [`Concrete`] view of the pair state from the machine's fields and the
+//! phases it is handed (every field it does not own at its initial value,
+//! one message in flight when one is being delivered), evaluates
+//! [`protocol::guard`] or [`protocol::update`] on it, and copies back the
+//! fields the update set. Only the hardened variant's sequence bookkeeping
+//! is written here: counting pings, and telling a current ack from a stale
+//! one. So the code that `dinefd extract`, the live runtime, the explorer
+//! and the fuzzer run is the text the analyzer proves.
+//!
 //! Keeping the machines pure (no I/O, no simulator types beyond
-//! [`DinerPhase`]) lets three different drivers share one source of truth:
+//! [`DinerPhase`]) lets three different drivers share them:
 //!
 //! * the event-driven hosts in [`crate::host`] pump actions to fixpoint after
 //!   every delivery;
@@ -46,24 +57,42 @@
 use dinefd_dining::DinerPhase;
 use dinefd_sim::codec;
 
+use crate::protocol::{self, AbsState, ActionId, Concrete, IrConfig};
+
 /// Index of a dining instance within a monitoring pair (`DX_0` / `DX_1`).
 pub type Dx = usize;
 
-/// The other instance.
-#[inline]
-pub fn other(i: Dx) -> Dx {
-    1 - i
+/// What a machine — or any [`Side`](crate::host::Side) — has its host do:
+/// one call on the black box of instance `i`, or one control message to the
+/// pair's other side.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Step {
+    /// Thread `i` becomes hungry in `DX_i`.
+    Hungry(Dx),
+    /// Thread `i` exits its eating session in `DX_i`.
+    Exit(Dx),
+    /// Thread `i` sends the other side its control message — a subject's
+    /// ping, a witness's ack — carrying `seq`.
+    Send(Dx, u64),
 }
 
-/// Commands a witness machine issues to its host.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WitnessCmd {
-    /// Make witness thread `w_i` hungry in `DX_i`.
-    BecomeHungry(Dx),
-    /// Exit `w_i`'s eating session in `DX_i`.
-    Exit(Dx),
-    /// Send an ack (echoing `seq`) to the subject thread of `DX_i`.
-    SendAck(Dx, u64),
+/// The state after firing the action `at(i)` names in the view it builds:
+/// the machines' reading of [`protocol::update`]. A view holds at most one
+/// message per class, so no counter is saturated and the choice is never
+/// consulted.
+///
+/// `at` gets the instance as a constant in each arm. Indexed by a run-time
+/// `i`, the update's one-byte write into a two-element array of the view,
+/// and the copy-back's read of the whole array, are a store the load
+/// cannot be forwarded from: it stalls for longer than the rest of the
+/// call takes.
+#[inline(always)]
+fn fired(cfg: &IrConfig, i: Dx, at: impl Fn(Dx) -> (AbsState, ActionId)) -> AbsState {
+    let update = |(s, id)| protocol::update(&mut Concrete::default(), cfg, &s, id, &false);
+    match i {
+        0 => update(at(0)),
+        _ => update(at(1)),
+    }
 }
 
 /// Identifiers of the witness's guarded actions (for the explorer).
@@ -75,17 +104,26 @@ pub enum WitnessAction {
     ExitCheck(Dx),
 }
 
+impl WitnessAction {
+    /// The protocol action of this kind at instance `i`.
+    fn at(self, i: Dx) -> ActionId {
+        match self {
+            WitnessAction::Hungry(_) => ActionId::WitnessHungry(i),
+            WitnessAction::ExitCheck(_) => ActionId::WitnessExit(i),
+        }
+    }
+}
+
 /// Alg. 1: the two witness threads of one ordered monitoring pair.
 ///
 /// ```
-/// use dinefd_core::machines::{WitnessAction, WitnessCmd, WitnessMachine};
+/// use dinefd_core::machines::{Step, WitnessAction, WitnessMachine};
 /// use dinefd_dining::DinerPhase::{Eating, Thinking};
 ///
 /// let mut w = WitnessMachine::new();
 /// assert!(w.suspects()); // initially suspect q
 /// // w_0's turn: become hungry in DX_0; suppose the box grants it.
-/// assert_eq!(w.fire(WitnessAction::Hungry(0), [Thinking, Thinking]),
-///            WitnessCmd::BecomeHungry(0));
+/// assert_eq!(w.fire(WitnessAction::Hungry(0), [Thinking, Thinking]), Step::Hungry(0));
 /// // A ping from q.s_0 arrives and is banked before w_0 exits…
 /// w.on_ping(0, 1);
 /// w.fire(WitnessAction::ExitCheck(0), [Eating, Thinking]);
@@ -113,8 +151,8 @@ impl WitnessMachine {
     }
 
     /// Constructs an arbitrary machine state from its components — the
-    /// introspection hook the guarded-command IR (`dinefd-analyze`) and its
-    /// conformance suite use to sweep the whole 4-bit state domain.
+    /// introspection hook the guarded-command IR (`dinefd-analyze`) and the
+    /// lints use to sweep the whole 4-bit state domain.
     pub fn from_parts(switch: Dx, haveping: [bool; 2], suspect: bool) -> Self {
         debug_assert!(switch < 2, "switch is a thread index");
         WitnessMachine { switch: switch as u8, haveping, suspect }
@@ -135,6 +173,19 @@ impl WitnessMachine {
         self.haveping[i]
     }
 
+    /// The pair state this machine stands for, its threads in `w_phase`.
+    fn view(&self, w_phase: [DinerPhase; 2]) -> AbsState {
+        let (switch, haveping, suspect) = (self.switch, self.haveping, self.suspect);
+        AbsState { w_phase, switch, haveping, suspect, ..AbsState::initial() }
+    }
+
+    /// Copies back the witness's fields of `t`.
+    fn absorb(&mut self, t: AbsState) {
+        self.switch = t.switch;
+        self.haveping = t.haveping;
+        self.suspect = t.suspect;
+    }
+
     /// Guarded actions currently enabled, given the witness threads' dining
     /// phases (`phases[i]` is `w_i`'s phase in `DX_i`).
     pub fn enabled(&self, phases: [DinerPhase; 2]) -> Vec<WitnessAction> {
@@ -146,17 +197,12 @@ impl WitnessMachine {
     /// Allocation-free form of [`WitnessMachine::enabled`]: invokes `f` for
     /// each enabled action, in the same order (the explorers' hot path).
     pub fn for_each_enabled(&self, phases: [DinerPhase; 2], mut f: impl FnMut(WitnessAction)) {
+        let (cfg, s) = (IrConfig::default(), self.view(phases));
         for i in 0..2 {
-            // W_h(i): both witnesses thinking and it is i's turn.
-            if phases[i] == DinerPhase::Thinking
-                && phases[other(i)] == DinerPhase::Thinking
-                && self.switch as usize == i
-            {
-                f(WitnessAction::Hungry(i));
-            }
-            // W_x(i): w_i is eating.
-            if phases[i] == DinerPhase::Eating {
-                f(WitnessAction::ExitCheck(i));
+            for a in [WitnessAction::Hungry(i), WitnessAction::ExitCheck(i)] {
+                if protocol::guard(&mut Concrete::default(), &cfg, &s, a.at(i)) {
+                    f(a);
+                }
             }
         }
     }
@@ -165,24 +211,27 @@ impl WitnessMachine {
     ///
     /// The host must apply the command (and any resulting dining-phase
     /// change) before evaluating guards again.
-    pub fn fire(&mut self, action: WitnessAction, phases: [DinerPhase; 2]) -> WitnessCmd {
+    #[inline]
+    pub fn fire(&mut self, action: WitnessAction, phases: [DinerPhase; 2]) -> Step {
         debug_assert!(self.enabled(phases).contains(&action), "firing disabled {action:?}");
+        let (WitnessAction::Hungry(i) | WitnessAction::ExitCheck(i)) = action;
+        let s = self.view(phases);
+        self.absorb(fired(&IrConfig::default(), i, |i| (s, action.at(i))));
         match action {
-            WitnessAction::Hungry(i) => WitnessCmd::BecomeHungry(i),
-            WitnessAction::ExitCheck(i) => {
-                // Trust q iff a ping arrived since w_i last ate (Alg.1 l.4-7).
-                self.suspect = !self.haveping[i];
-                self.haveping[i] = false;
-                self.switch = other(i) as u8;
-                WitnessCmd::Exit(i)
-            }
+            WitnessAction::Hungry(_) => Step::Hungry(i),
+            WitnessAction::ExitCheck(_) => Step::Exit(i),
         }
     }
 
     /// `W_p(i)`: a ping from `q.s_i` arrived (message-triggered action).
-    pub fn on_ping(&mut self, i: Dx, seq: u64) -> WitnessCmd {
-        self.haveping[i] = true;
-        WitnessCmd::SendAck(i, seq)
+    #[inline]
+    pub fn on_ping(&mut self, i: Dx, seq: u64) -> Step {
+        self.absorb(fired(&IrConfig::default(), i, |i| {
+            let mut s = self.view([DinerPhase::Thinking; 2]);
+            s.pings[i] = 1;
+            (s, ActionId::DeliverPing(i))
+        }));
+        Step::Send(i, seq)
     }
 
     /// Bit-packs the whole machine into one byte (explorer state codec):
@@ -218,7 +267,8 @@ impl WitnessMachine {
 ///
 /// The mutations live here (rather than in the explorer) so that the flaw is
 /// injected at the machine level — the explorer then finds the consequences
-/// without knowing where the bug is.
+/// without knowing where the bug is. Each is one `if` in
+/// [`protocol::guard`] or [`protocol::update`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum SubjectMutation {
     /// The faithful Alg. 2.
@@ -253,17 +303,6 @@ impl SubjectMutation {
     }
 }
 
-/// Commands a subject machine issues to its host.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SubjectCmd {
-    /// Make subject thread `s_i` hungry in `DX_i`.
-    BecomeHungry(Dx),
-    /// Send a ping (tagged `seq`) to the witness thread of `DX_i`.
-    SendPing(Dx, u64),
-    /// Exit `s_i`'s eating session in `DX_i`.
-    Exit(Dx),
-}
-
 /// Identifiers of the subject's guarded actions (for the explorer).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SubjectAction {
@@ -273,6 +312,17 @@ pub enum SubjectAction {
     Ping(Dx),
     /// `S_x(i)`.
     Exit(Dx),
+}
+
+impl SubjectAction {
+    /// The protocol action of this kind at instance `i`.
+    fn at(self, i: Dx) -> ActionId {
+        match self {
+            SubjectAction::Hungry(_) => ActionId::SubjectHungry(i),
+            SubjectAction::Ping(_) => ActionId::SubjectPing(i),
+            SubjectAction::Exit(_) => ActionId::SubjectExit(i),
+        }
+    }
 }
 
 /// Alg. 2: the two subject threads of one ordered monitoring pair.
@@ -302,7 +352,7 @@ impl SubjectMachine {
 
     /// Constructs an arbitrary machine state from its components — the
     /// introspection hook for the guarded-command IR (`dinefd-analyze`) and
-    /// its conformance suite.
+    /// the lints.
     pub fn from_parts(
         trigger: Dx,
         ping_enabled: [bool; 2],
@@ -314,17 +364,6 @@ impl SubjectMachine {
         SubjectMachine { trigger: trigger as u8, ping_enabled, seq, strict_seq, mutation }
     }
 
-    /// Whether this machine ignores acks that do not echo the outstanding
-    /// ping's sequence number (the hardened variant).
-    pub fn strict_seq(&self) -> bool {
-        self.strict_seq
-    }
-
-    /// The seeded bug this machine carries (`None` = the faithful Alg. 2).
-    pub fn mutation(&self) -> SubjectMutation {
-        self.mutation
-    }
-
     /// Sequence number of the most recent ping sent for `DX_i`.
     pub fn seq(&self, i: Dx) -> u64 {
         self.seq[i]
@@ -333,19 +372,14 @@ impl SubjectMachine {
     /// The machine's packed flag byte (the first byte of
     /// [`SubjectMachine::pack_into`]): bit 0 = `trigger`, bits 1–2 =
     /// `ping_enabled`, bit 3 = `strict_seq`, bits 4–5 = the seeded
-    /// mutation. Bits 6–7 are outside the codomain and always zero.
+    /// mutation's index in [`SubjectMutation::SPELLINGS`]. Bits 6–7 are
+    /// outside the codomain and always zero.
     pub fn flag_bits(&self) -> u8 {
-        let m = match self.mutation {
-            SubjectMutation::None => 0u8,
-            SubjectMutation::SkipPingDisable => 1,
-            SubjectMutation::IgnoreTriggerGuard => 2,
-            SubjectMutation::SkipTriggerUpdate => 3,
-        };
         self.trigger
             | (self.ping_enabled[0] as u8) << 1
             | (self.ping_enabled[1] as u8) << 2
             | (self.strict_seq as u8) << 3
-            | m << 4
+            | (self.mutation as u8) << 4
     }
 
     /// Which instance's subject is scheduled to become hungry next.
@@ -358,6 +392,24 @@ impl SubjectMachine {
         self.ping_enabled[i]
     }
 
+    /// The configuration this machine's variant and seeded bug stand for.
+    fn config(&self) -> IrConfig {
+        let (strict_seq, subject_mutation) = (self.strict_seq, self.mutation);
+        IrConfig { strict_seq, subject_mutation, ..IrConfig::default() }
+    }
+
+    /// The pair state this machine stands for, its threads in `s_phase`.
+    fn view(&self, s_phase: [DinerPhase; 2]) -> AbsState {
+        let (trigger, ping_enabled) = (self.trigger, self.ping_enabled);
+        AbsState { s_phase, trigger, ping_enabled, ..AbsState::initial() }
+    }
+
+    /// Copies back the subject's fields of `t`.
+    fn absorb(&mut self, t: AbsState) {
+        self.trigger = t.trigger;
+        self.ping_enabled = t.ping_enabled;
+    }
+
     /// Guarded actions currently enabled, given the subject threads' phases.
     pub fn enabled(&self, phases: [DinerPhase; 2]) -> Vec<SubjectAction> {
         let mut out = Vec::with_capacity(2);
@@ -368,65 +420,50 @@ impl SubjectMachine {
     /// Allocation-free form of [`SubjectMachine::enabled`]: invokes `f` for
     /// each enabled action, in the same order (the explorers' hot path).
     pub fn for_each_enabled(&self, phases: [DinerPhase; 2], mut f: impl FnMut(SubjectAction)) {
+        let (cfg, s) = (self.config(), self.view(phases));
         for i in 0..2 {
-            // S_h(i): s_i thinking and trigger = i.
-            if phases[i] == DinerPhase::Thinking
-                && (self.trigger as usize == i
-                    || self.mutation == SubjectMutation::IgnoreTriggerGuard)
-            {
-                f(SubjectAction::Hungry(i));
-            }
-            // S_p(i): s_i eating, s_{1-i} not eating, ping enabled.
-            if phases[i] == DinerPhase::Eating
-                && phases[other(i)] != DinerPhase::Eating
-                && self.ping_enabled[i]
-            {
-                f(SubjectAction::Ping(i));
-            }
-            // S_x(i): both eating and trigger = 1-i.
-            if phases[i] == DinerPhase::Eating
-                && phases[other(i)] == DinerPhase::Eating
-                && self.trigger as usize == other(i)
-            {
-                f(SubjectAction::Exit(i));
-            }
-        }
-    }
-
-    /// Fires one enabled action, returning the host command.
-    pub fn fire(&mut self, action: SubjectAction, phases: [DinerPhase; 2]) -> SubjectCmd {
-        debug_assert!(self.enabled(phases).contains(&action), "firing disabled {action:?}");
-        match action {
-            SubjectAction::Hungry(i) => SubjectCmd::BecomeHungry(i),
-            SubjectAction::Ping(i) => {
-                if self.mutation != SubjectMutation::SkipPingDisable {
-                    self.ping_enabled[i] = false;
+            for a in [SubjectAction::Hungry(i), SubjectAction::Ping(i), SubjectAction::Exit(i)] {
+                if protocol::guard(&mut Concrete::default(), &cfg, &s, a.at(i)) {
+                    f(a);
                 }
-                self.seq[i] = self.seq[i].wrapping_add(1);
-                SubjectCmd::SendPing(i, self.seq[i])
-            }
-            SubjectAction::Exit(i) => {
-                self.ping_enabled[i] = true;
-                SubjectCmd::Exit(i)
             }
         }
     }
 
-    /// `S_a(i)`: an ack from `p.w_i` arrived. In strict mode, stale acks
-    /// (wrong sequence) are ignored.
+    /// Fires one enabled action, returning the host command. A ping carries
+    /// the instance's next sequence number.
+    #[inline]
+    pub fn fire(&mut self, action: SubjectAction, phases: [DinerPhase; 2]) -> Step {
+        debug_assert!(self.enabled(phases).contains(&action), "firing disabled {action:?}");
+        use SubjectAction::{Exit, Hungry, Ping};
+        let (Hungry(i) | Ping(i) | Exit(i)) = action;
+        let s = self.view(phases);
+        self.absorb(fired(&self.config(), i, |i| (s, action.at(i))));
+        match action {
+            Hungry(_) => Step::Hungry(i),
+            Ping(_) => {
+                self.seq[i] = self.seq[i].wrapping_add(1);
+                Step::Send(i, self.seq[i])
+            }
+            Exit(_) => Step::Exit(i),
+        }
+    }
+
+    /// `S_a(i)`: an ack from `p.w_i` arrived. In strict mode an ack that
+    /// does not echo the outstanding sequence number is stale: consumed,
+    /// ignored.
+    #[inline]
     pub fn on_ack(&mut self, i: Dx, seq: u64) {
-        if self.strict_seq && seq != self.seq[i] {
-            return;
-        }
-        if self.mutation == SubjectMutation::SkipTriggerUpdate {
-            return;
-        }
-        self.trigger = other(i) as u8;
+        let stale = self.strict_seq && seq != self.seq[i];
+        self.absorb(fired(&self.config(), i, |i| {
+            let mut s = self.view([DinerPhase::Thinking; 2]);
+            s.acks[i] = 1;
+            (s, if stale { ActionId::DeliverStaleAck(i) } else { ActionId::DeliverAck(i) })
+        }));
     }
 
     /// Bit-packs the machine for the explorer state codec: one flag byte
-    /// (bit 0 = `trigger`, bits 1–2 = `ping_enabled`, bit 3 = `strict_seq`,
-    /// bits 4–5 = the seeded mutation) followed by the two per-instance ping
+    /// ([`SubjectMachine::flag_bits`]) followed by the two per-instance ping
     /// sequence counters as varints.
     pub fn pack_into(&self, out: &mut Vec<u8>) {
         codec::put_u8(out, self.flag_bits());
@@ -443,18 +480,12 @@ impl SubjectMachine {
         if b & 0b1100_0000 != 0 {
             return None;
         }
-        let mutation = match (b >> 4) & 0b11 {
-            0 => SubjectMutation::None,
-            1 => SubjectMutation::SkipPingDisable,
-            2 => SubjectMutation::IgnoreTriggerGuard,
-            _ => SubjectMutation::SkipTriggerUpdate,
-        };
         Some(SubjectMachine {
             trigger: b & 1,
             ping_enabled: [b & 0b10 != 0, b & 0b100 != 0],
             seq: [codec::take_varint(input)?, codec::take_varint(input)?],
             strict_seq: b & 0b1000 != 0,
-            mutation,
+            mutation: SubjectMutation::SPELLINGS[usize::from(b >> 4)].1,
         })
     }
 }
@@ -499,12 +530,12 @@ mod tests {
     fn witness_turn_taking() {
         let mut w = WitnessMachine::new();
         let cmd = w.fire(WitnessAction::Hungry(0), TT);
-        assert_eq!(cmd, WitnessCmd::BecomeHungry(0));
+        assert_eq!(cmd, Step::Hungry(0));
         // w0 now eating (granted by DX_0): only W_x(0) enabled.
         let ph = [Eating, Thinking];
         assert_eq!(w.enabled(ph), vec![WitnessAction::ExitCheck(0)]);
         let cmd = w.fire(WitnessAction::ExitCheck(0), ph);
-        assert_eq!(cmd, WitnessCmd::Exit(0));
+        assert_eq!(cmd, Step::Exit(0));
         // No ping was banked: suspect.
         assert!(w.suspects());
         // Turn passes to w1.
@@ -516,7 +547,7 @@ mod tests {
         let mut w = WitnessMachine::new();
         w.fire(WitnessAction::Hungry(0), TT);
         let ack = w.on_ping(0, 7);
-        assert_eq!(ack, WitnessCmd::SendAck(0, 7));
+        assert_eq!(ack, Step::Send(0, 7));
         assert!(w.haveping(0));
         w.fire(WitnessAction::ExitCheck(0), [Eating, Thinking]);
         assert!(!w.suspects(), "banked ping ⇒ trust");
@@ -550,7 +581,7 @@ mod tests {
         let ph = [Eating, Thinking];
         assert_eq!(s.enabled(ph), vec![SubjectAction::Ping(0)]);
         let cmd = s.fire(SubjectAction::Ping(0), ph);
-        assert_eq!(cmd, SubjectCmd::SendPing(0, 1));
+        assert_eq!(cmd, Step::Send(0, 1));
         // Ping disabled until exit; nothing enabled while awaiting ack.
         assert!(s.enabled(ph).is_empty());
     }
@@ -569,12 +600,12 @@ mod tests {
         let both = [Eating, Eating];
         assert_eq!(s.enabled(both), vec![SubjectAction::Exit(0)]);
         let cmd = s.fire(SubjectAction::Exit(0), both);
-        assert_eq!(cmd, SubjectCmd::Exit(0));
+        assert_eq!(cmd, Step::Exit(0));
         assert!(s.ping_enabled(0), "ping re-enabled at exit");
         // Now s1 eats alone: it pings with seq 1 of its own counter.
         let ph = [Thinking, Eating];
         assert_eq!(s.enabled(ph), vec![SubjectAction::Ping(1)]);
-        assert_eq!(s.fire(SubjectAction::Ping(1), ph), SubjectCmd::SendPing(1, 1));
+        assert_eq!(s.fire(SubjectAction::Ping(1), ph), Step::Send(1, 1));
         s.on_ack(1, 1);
         assert_eq!(s.trigger(), 0);
     }
@@ -612,15 +643,15 @@ mod tests {
     fn ping_sequence_increments_per_session() {
         let mut s = SubjectMachine::new(true);
         s.fire(SubjectAction::Hungry(0), TT);
-        assert_eq!(s.fire(SubjectAction::Ping(0), [Eating, Thinking]), SubjectCmd::SendPing(0, 1));
+        assert_eq!(s.fire(SubjectAction::Ping(0), [Eating, Thinking]), Step::Send(0, 1));
         s.on_ack(0, 1);
         s.fire(SubjectAction::Hungry(1), [Eating, Thinking]);
         s.fire(SubjectAction::Exit(0), [Eating, Eating]);
-        assert_eq!(s.fire(SubjectAction::Ping(1), [Thinking, Eating]), SubjectCmd::SendPing(1, 1));
+        assert_eq!(s.fire(SubjectAction::Ping(1), [Thinking, Eating]), Step::Send(1, 1));
         s.on_ack(1, 1);
         s.fire(SubjectAction::Hungry(0), [Thinking, Eating]);
         s.fire(SubjectAction::Exit(1), [Eating, Eating]);
-        assert_eq!(s.fire(SubjectAction::Ping(0), [Eating, Thinking]), SubjectCmd::SendPing(0, 2));
+        assert_eq!(s.fire(SubjectAction::Ping(0), [Eating, Thinking]), Step::Send(0, 2));
     }
 
     #[test]
@@ -628,10 +659,10 @@ mod tests {
         let mut s = SubjectMachine::with_mutation(false, SubjectMutation::SkipPingDisable);
         s.fire(SubjectAction::Hungry(0), TT);
         let ph = [Eating, Thinking];
-        assert_eq!(s.fire(SubjectAction::Ping(0), ph), SubjectCmd::SendPing(0, 1));
+        assert_eq!(s.fire(SubjectAction::Ping(0), ph), Step::Send(0, 1));
         // The faithful machine disables S_p until exit; the mutant re-arms.
         assert_eq!(s.enabled(ph), vec![SubjectAction::Ping(0)]);
-        assert_eq!(s.fire(SubjectAction::Ping(0), ph), SubjectCmd::SendPing(0, 2));
+        assert_eq!(s.fire(SubjectAction::Ping(0), ph), Step::Send(0, 2));
     }
 
     #[test]
@@ -712,7 +743,7 @@ mod tests {
         let s = SubjectMachine::from_parts(1, [false, true], [3, 7], true, SubjectMutation::None);
         assert_eq!(s.trigger(), 1);
         assert!(!s.ping_enabled(0) && s.ping_enabled(1));
-        assert!(s.strict_seq());
+        assert_eq!(s.flag_bits() & 0b1000, 0b1000, "strict");
         assert_eq!((s.seq(0), s.seq(1)), (3, 7));
         let mut buf = Vec::new();
         s.pack_into(&mut buf);

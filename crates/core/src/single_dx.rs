@@ -30,7 +30,8 @@
 use dinefd_dining::{DinerPhase, DiningParticipant};
 use dinefd_sim::{CrashPlan, ProcessId, Time};
 
-use crate::host::{DiningFactory, Oracle, PairNode, Role, Side, Step};
+use crate::host::{DiningFactory, Oracle, PairNode, Role, Side};
+use crate::machines::Step;
 use crate::scenario::{run_one_pair, BlackBox};
 
 /// The lone witness thread: hungry when thinking; when eating, trust iff a

@@ -3,7 +3,7 @@
 //! generated trajectory. These complement the exhaustive explorer in
 //! `dinefd-explore`: random walks go much deeper than the bounded DFS.
 
-use dinefd_core::machines::{SubjectCmd, SubjectMachine, WitnessCmd, WitnessMachine};
+use dinefd_core::machines::{Step, SubjectMachine, WitnessMachine};
 use dinefd_dining::DinerPhase;
 use proptest::prelude::*;
 
@@ -82,24 +82,22 @@ impl Harness {
             0..=99 => {
                 let a = w_enabled[pick as usize];
                 match self.witness.fire(a, self.w_phase) {
-                    WitnessCmd::BecomeHungry(i) => self.w_phase[i] = DinerPhase::Hungry,
-                    WitnessCmd::Exit(i) => self.w_phase[i] = DinerPhase::Thinking,
-                    WitnessCmd::SendAck(..) => unreachable!(),
+                    Step::Hungry(i) => self.w_phase[i] = DinerPhase::Hungry,
+                    Step::Exit(i) => self.w_phase[i] = DinerPhase::Thinking,
+                    Step::Send(..) => unreachable!(),
                 }
             }
             100..=199 => {
                 let a = s_enabled[(pick - 100) as usize];
                 match self.subject.fire(a, self.s_phase) {
-                    SubjectCmd::BecomeHungry(i) => self.s_phase[i] = DinerPhase::Hungry,
-                    SubjectCmd::Exit(i) => self.s_phase[i] = DinerPhase::Thinking,
-                    SubjectCmd::SendPing(i, seq) => self.pings.push((i, seq)),
+                    Step::Hungry(i) => self.s_phase[i] = DinerPhase::Hungry,
+                    Step::Exit(i) => self.s_phase[i] = DinerPhase::Thinking,
+                    Step::Send(i, seq) => self.pings.push((i, seq)),
                 }
             }
             200..=299 => {
                 let (i, seq) = self.pings.remove((pick - 200) as usize);
-                let WitnessCmd::SendAck(i2, s2) = self.witness.on_ping(i, seq) else {
-                    unreachable!()
-                };
+                let Step::Send(i2, s2) = self.witness.on_ping(i, seq) else { unreachable!() };
                 self.acks.push((i2, s2));
             }
             300..=399 => {

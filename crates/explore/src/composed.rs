@@ -24,7 +24,7 @@
 //! mistakes" adversary — enough to exercise the mistake paths without
 //! blowing up the state space).
 
-use dinefd_core::machines::{SubjectCmd, SubjectMachine, WitnessCmd, WitnessMachine};
+use dinefd_core::machines::{Step, SubjectMachine, WitnessMachine};
 use dinefd_dining::wfdx::{WfDxDining, WxMsg};
 use dinefd_dining::{DinerPhase, DiningIo, DiningMsg, DiningParticipant};
 use dinefd_fd::FdQuery;
@@ -347,9 +347,9 @@ impl ComposedState {
                     unreachable!("WitnessAct({n}) is not enabled");
                 };
                 match s.witness.fire(a, phases) {
-                    WitnessCmd::BecomeHungry(i) => s.invoke_dx(true, i, |c, io| c.hungry(io)),
-                    WitnessCmd::Exit(i) => s.invoke_dx(true, i, |c, io| c.exit_eating(io)),
-                    WitnessCmd::SendAck(..) => unreachable!(),
+                    Step::Hungry(i) => s.invoke_dx(true, i, |c, io| c.hungry(io)),
+                    Step::Exit(i) => s.invoke_dx(true, i, |c, io| c.exit_eating(io)),
+                    Step::Send(..) => unreachable!(),
                 }
             }
             ComposedLabel::SubjectAct(n) => {
@@ -358,9 +358,9 @@ impl ComposedState {
                     unreachable!("SubjectAct({n}) is not enabled");
                 };
                 match s.subject.fire(a, phases) {
-                    SubjectCmd::BecomeHungry(i) => s.invoke_dx(false, i, |c, io| c.hungry(io)),
-                    SubjectCmd::Exit(i) => s.invoke_dx(false, i, |c, io| c.exit_eating(io)),
-                    SubjectCmd::SendPing(i, seq) => s.pings.push((i as u8, seq)),
+                    Step::Hungry(i) => s.invoke_dx(false, i, |c, io| c.hungry(io)),
+                    Step::Exit(i) => s.invoke_dx(false, i, |c, io| c.exit_eating(io)),
+                    Step::Send(i, seq) => s.pings.push((i as u8, seq)),
                 }
             }
             ComposedLabel::DeliverDx(k) => {
@@ -373,9 +373,7 @@ impl ComposedState {
             }
             ComposedLabel::DeliverPing(k) => {
                 let (i, seq) = s.pings.remove(k);
-                let WitnessCmd::SendAck(i2, s2) = s.witness.on_ping(i as usize, seq) else {
-                    unreachable!()
-                };
+                let Step::Send(i2, s2) = s.witness.on_ping(i as usize, seq) else { unreachable!() };
                 if !s.crashed {
                     s.acks.push((i2 as u8, s2));
                 }

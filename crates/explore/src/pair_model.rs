@@ -1,43 +1,10 @@
 //! The closed nondeterministic model of one monitoring pair.
 
 use dinefd_core::machines::{
-    SubjectAction, SubjectCmd, SubjectMachine, SubjectMutation, WitnessAction, WitnessCmd,
-    WitnessMachine,
+    Step, SubjectAction, SubjectMachine, SubjectMutation, WitnessAction, WitnessMachine,
 };
+pub use dinefd_core::protocol::ModelMutation;
 use dinefd_dining::DinerPhase;
-
-/// Seeded bugs injected at the *model* level — the wire between the
-/// machines — complementing the machine-level [`SubjectMutation`]s. Used by
-/// the seeded-bug test suite to prove the checkers can see.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ModelMutation {
-    /// The faithful wire.
-    #[default]
-    None,
-    /// `S_p`'s ping is silently lost in transit (the machine still believes
-    /// it sent one). Safety lemmas survive; the hand-off starves — only
-    /// liveness checking ([`crate::fair_run()`]) catches it.
-    DropPingSend,
-    /// The wire may duplicate an in-flight ack, so a stale ack can survive
-    /// into a later epoch and flip the trigger out of turn (breaks Lemma 4;
-    /// the in-flight duplicate also breaks Lemma 3).
-    StaleAckReplay,
-}
-
-impl ModelMutation {
-    /// Each variant's spelling in `dinefd --model-mutation` and the
-    /// scenario DSL's `model_mutation` key, in declaration order.
-    pub const SPELLINGS: [(&'static str, ModelMutation); 3] = [
-        ("none", ModelMutation::None),
-        ("drop-ping-send", ModelMutation::DropPingSend),
-        ("stale-ack-replay", ModelMutation::StaleAckReplay),
-    ];
-
-    /// This variant's entry in [`Self::SPELLINGS`].
-    pub fn name(self) -> &'static str {
-        Self::SPELLINGS[self as usize].0
-    }
-}
 
 /// Exploration parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -166,32 +133,26 @@ impl PairState {
     fn fire(&mut self, label: TransitionLabel, cfg: &ExploreConfig) {
         let s = self;
         match label {
-            TransitionLabel::Witness(a) => {
-                let cmd = s.witness.fire(a, s.w_phase);
-                match cmd {
-                    WitnessCmd::BecomeHungry(i) => s.w_phase[i] = DinerPhase::Hungry,
-                    WitnessCmd::Exit(i) => s.w_phase[i] = DinerPhase::Thinking,
-                    WitnessCmd::SendAck(..) => unreachable!("ack is message-triggered"),
-                }
-            }
-            TransitionLabel::Subject(a) => {
-                let cmd = s.subject.fire(a, s.s_phase);
-                match cmd {
-                    SubjectCmd::BecomeHungry(i) => s.s_phase[i] = DinerPhase::Hungry,
-                    SubjectCmd::Exit(i) => s.s_phase[i] = DinerPhase::Thinking,
-                    SubjectCmd::SendPing(i, seq) => {
-                        // Seeded wire bug: the send is silently lost (the
-                        // machine still believes it pinged).
-                        if cfg.model_mutation != ModelMutation::DropPingSend {
-                            s.pings.push((i as u8, seq));
-                        }
+            TransitionLabel::Witness(a) => match s.witness.fire(a, s.w_phase) {
+                Step::Hungry(i) => s.w_phase[i] = DinerPhase::Hungry,
+                Step::Exit(i) => s.w_phase[i] = DinerPhase::Thinking,
+                Step::Send(..) => unreachable!("ack is message-triggered"),
+            },
+            TransitionLabel::Subject(a) => match s.subject.fire(a, s.s_phase) {
+                Step::Hungry(i) => s.s_phase[i] = DinerPhase::Hungry,
+                Step::Exit(i) => s.s_phase[i] = DinerPhase::Thinking,
+                // Seeded wire bug: the send is silently lost (the machine
+                // still believes it pinged).
+                Step::Send(i, seq) => {
+                    if cfg.model_mutation != ModelMutation::DropPingSend {
+                        s.pings.push((i as u8, seq));
                     }
                 }
-            }
+            },
             TransitionLabel::DeliverPing(k) => {
                 let (i, seq) = s.pings.remove(k);
                 // Witness handles the ping: bank it and emit an ack.
-                let WitnessCmd::SendAck(i2, seq2) = s.witness.on_ping(i as usize, seq) else {
+                let Step::Send(i2, seq2) = s.witness.on_ping(i as usize, seq) else {
                     unreachable!()
                 };
                 if s.crashed {
