@@ -45,82 +45,13 @@
 //! seeded mutation produces a real, confirmed CTI (the mutation-detection
 //! gate in `tests/induction.rs`).
 
-use crate::ir::{
-    abstract_of_with_cap, concretize, explore_config, AbsState, ActionId, Ir, IrConfig, WIRE_CAP,
-};
+use crate::ir::{concretize, explore_config, AbsState, ActionId, Ir, IrConfig, WIRE_CAP};
 use crate::protocol::{self, Concrete};
 use dinefd_dining::DinerPhase;
-use dinefd_explore::{explore_seeded, find_reachable};
+use dinefd_explore::{abstract_of_with_cap, explore_seeded, find_reachable};
 use std::collections::HashMap;
 
-/// One atomic clause of a candidate invariant.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Clause {
-    /// Lemma 2: `s_i` not eating ⇒ `ping_i`.
-    L2,
-    /// Lemma 3: `s_i` not eating ∧ `ping_i` ⇒ no `DX_i` message in transit.
-    L3,
-    /// Lemma 4: `s_i` hungry ⇒ `trigger = i`.
-    L4,
-    /// Lemma 9: some witness thread is thinking.
-    L9,
-    /// Exclusion soundness: after convergence, live endpoints never overlap.
-    Excl,
-    /// Strengthening: `w_{1-switch}` is thinking (witness alternation).
-    WTurn,
-    /// Strengthening: at most one `DX_i` message in flight, per instance.
-    R1,
-    /// Strengthening: a `DX_i` message in flight ⇒ `¬ping_i`.
-    R2,
-    /// Strengthening: a `DX_i` message in flight ⇒ `trigger = i`.
-    RegimeTrig,
-    /// Strengthening: live ∧ `ping_i` ∧ `s_i` eating ⇒ `trigger = i`.
-    R6,
-}
-
-/// Every clause, in bit order (the order is part of the metric surface).
-pub const ALL_CLAUSES: [Clause; 10] = [
-    Clause::L2,
-    Clause::L3,
-    Clause::L4,
-    Clause::L9,
-    Clause::Excl,
-    Clause::WTurn,
-    Clause::R1,
-    Clause::R2,
-    Clause::RegimeTrig,
-    Clause::R6,
-];
-
-impl Clause {
-    /// Stable display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Clause::L2 => "L2",
-            Clause::L3 => "L3",
-            Clause::L4 => "L4",
-            Clause::L9 => "L9",
-            Clause::Excl => "EXCL",
-            Clause::WTurn => "W_TURN",
-            Clause::R1 => "R1",
-            Clause::R2 => "R2",
-            Clause::RegimeTrig => "REGIME_TRIG",
-            Clause::R6 => "R6",
-        }
-    }
-
-    /// The clause's bit: its position in [`ALL_CLAUSES`], which lists the
-    /// clauses in declaration order.
-    pub(crate) fn bit(self) -> u16 {
-        1 << self as u16
-    }
-
-    /// Whether the clause holds in `s`: the concrete reading of
-    /// [`protocol::clause`].
-    pub fn holds(self, s: &AbsState) -> bool {
-        protocol::clause(&mut Concrete::default(), s, self)
-    }
-}
+pub use crate::protocol::{Clause, ALL_CLAUSES};
 
 /// Bitmask of the clauses of `ALL_CLAUSES` that hold in `s`.
 pub fn clause_mask(s: &AbsState) -> u16 {
@@ -299,11 +230,6 @@ impl InductionRun {
     /// Whether every obligation is inductive and the closure holds.
     pub fn all_inductive(&self) -> bool {
         self.lemmas.iter().all(LemmaVerdict::inductive) && self.closure.ok()
-    }
-
-    /// The verdict for obligation `name`.
-    pub fn lemma(&self, name: &str) -> &LemmaVerdict {
-        self.lemmas.iter().find(|v| v.lemma == name).expect("known lemma name")
     }
 }
 
@@ -578,7 +504,11 @@ impl CtiClassifier {
 /// obligation, then the closure), used by the test suites' failure messages.
 pub fn render_summary(run: &InductionRun) -> String {
     let mut out = String::new();
-    out.push_str(&format!("induction over {} typed states ({:?})\n", run.states_total, run.cfg));
+    out.push_str(&format!(
+        "induction over {} typed states ({})\n",
+        run.states_total,
+        crate::ir::spell_config(&run.cfg)
+    ));
     for v in &run.lemmas {
         out.push_str(&format!(
             "  {:<10} {}  inv-states={} steps={} ctis={}\n",

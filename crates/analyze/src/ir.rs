@@ -47,6 +47,7 @@ use dinefd_explore::{ExploreConfig, ModelMutation, PairState};
 pub use dinefd_core::protocol::{
     AbsState, ActionId, IrConfig, MAX_WIRE_CAP, MIN_WIRE_CAP, WIRE_CAP,
 };
+pub use dinefd_explore::{abstract_of, abstract_of_with_cap};
 
 /// The bounded-explorer configuration corresponding to `cfg` (for
 /// classifying counterexamples-to-induction via reachability).
@@ -59,33 +60,6 @@ pub fn explore_config(cfg: &IrConfig, max_depth: u32, max_states: usize) -> Expl
         subject_mutation: cfg.subject_mutation,
         model_mutation: cfg.model_mutation,
         ..Default::default()
-    }
-}
-
-/// The abstraction function at the default cap: forgets message
-/// identities/sequence numbers, keeps per-class counts (saturated at
-/// [`WIRE_CAP`]).
-pub fn abstract_of(s: &PairState) -> AbsState {
-    abstract_of_with_cap(s, WIRE_CAP)
-}
-
-/// The abstraction function at an explicit saturation cap.
-pub fn abstract_of_with_cap(s: &PairState, cap: u8) -> AbsState {
-    let count = |queue: &[(u8, u64)], i: u8| {
-        (queue.iter().filter(|&&(j, _)| j == i).count() as u64).min(cap as u64) as u8
-    };
-    AbsState {
-        w_phase: s.w_phase,
-        s_phase: s.s_phase,
-        switch: s.witness.switch() as u8,
-        haveping: [s.witness.haveping(0), s.witness.haveping(1)],
-        suspect: s.witness.suspects(),
-        trigger: s.subject.trigger() as u8,
-        ping_enabled: [s.subject.ping_enabled(0), s.subject.ping_enabled(1)],
-        converged: s.converged,
-        crashed: s.crashed,
-        pings: [count(&s.pings, 0), count(&s.pings, 1)],
-        acks: [count(&s.acks, 0), count(&s.acks, 1)],
     }
 }
 
@@ -121,6 +95,18 @@ pub fn concretize(s: &AbsState, cfg: &IrConfig) -> PairState {
         converged: s.converged,
         crashed: s.crashed,
     }
+}
+
+/// `cfg` written out field by field, as the analyzer's summaries print it
+/// (`dinefd analyze`'s stdout and E13's tables carry it, so it is spelled
+/// here rather than left to the derived `Debug`).
+pub(crate) fn spell_config(cfg: &IrConfig) -> String {
+    let IrConfig { strict_seq, allow_crash, subject_mutation, model_mutation, wire_cap } = cfg;
+    format!(
+        "IrConfig {{ strict_seq: {strict_seq}, allow_crash: {allow_crash}, \
+         subject_mutation: {subject_mutation:?}, model_mutation: {model_mutation:?}, \
+         wire_cap: {wire_cap} }}"
+    )
 }
 
 /// Static metadata of one action (for lints, CTIs, and docs).

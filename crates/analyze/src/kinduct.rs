@@ -155,11 +155,6 @@ impl KinductRun {
     pub fn all_proved(&self) -> bool {
         self.lemmas.iter().all(SymbolicLemmaVerdict::proved) && self.closure_ok
     }
-
-    /// The verdict for obligation `name`.
-    pub fn lemma(&self, name: &str) -> &SymbolicLemmaVerdict {
-        self.lemmas.iter().find(|v| v.lemma == name).expect("known lemma name")
-    }
 }
 
 /// One unrolled frame: a symbolic state plus its per-spec conjunction bits.
@@ -549,7 +544,11 @@ pub fn agrees_with_explicit(
 pub fn render_kinduct_summary(run: &KinductRun) -> String {
     use crate::induct::CtiClass;
     let mut out = String::new();
-    out.push_str(&format!("k-induction at wire cap {} ({:?})\n", run.cfg.wire_cap, run.cfg));
+    out.push_str(&format!(
+        "k-induction at wire cap {} ({})\n",
+        run.cfg.wire_cap,
+        crate::ir::spell_config(&run.cfg)
+    ));
     for v in &run.lemmas {
         let status = if let Some(k) = v.proved_k.filter(|_| v.proved()) {
             format!("PROVED k={k}")
@@ -611,6 +610,37 @@ mod tests {
     }
 
     #[test]
+    fn summary_spells_the_config_field_by_field() {
+        use dinefd_core::machines::SubjectMutation;
+        use dinefd_explore::ModelMutation;
+        let opts = KinductOptions {
+            classify: InductOptions { classify: 0, ..InductOptions::default() },
+            ..KinductOptions::default()
+        };
+        let head = |cfg: IrConfig| {
+            let summary = render_kinduct_summary(&run_kinduction(&cfg, &opts));
+            summary.lines().next().unwrap_or_default().to_string()
+        };
+        assert_eq!(
+            head(IrConfig::faithful()),
+            "k-induction at wire cap 2 (IrConfig { strict_seq: false, allow_crash: true, \
+             subject_mutation: None, model_mutation: None, wire_cap: 2 })"
+        );
+        let mutant = IrConfig {
+            strict_seq: true,
+            subject_mutation: SubjectMutation::IgnoreTriggerGuard,
+            model_mutation: ModelMutation::StaleAckReplay,
+            wire_cap: 8,
+            ..IrConfig::faithful()
+        };
+        assert_eq!(
+            head(mutant),
+            "k-induction at wire cap 8 (IrConfig { strict_seq: true, allow_crash: true, \
+             subject_mutation: IgnoreTriggerGuard, model_mutation: StaleAckReplay, wire_cap: 8 })"
+        );
+    }
+
+    #[test]
     fn faithful_scales_to_cap_8() {
         let cfg = IrConfig { wire_cap: 8, ..IrConfig::faithful() };
         let run = run_kinduction(&cfg, &KinductOptions::default());
@@ -641,7 +671,8 @@ mod tests {
         };
         let run = run_kinduction(&cfg, &opts);
         assert!(!run.all_proved());
-        let l4 = run.lemma("lemma4");
+        let l4 = &run.lemmas[2];
+        assert_eq!(l4.lemma, "lemma4");
         assert!(l4.proved_k.is_none());
         assert!(!l4.ctis.is_empty());
         assert!(l4.enum_complete);
@@ -684,8 +715,8 @@ mod tests {
             (IrConfig { model_mutation: ModelMutation::StaleAckReplay, ..faithful }, 5),
         ] {
             let run = run_kinduction(&cfg, &deep_opts());
-            for name in ["lemma3", "lemma4"] {
-                let v = run.lemma(name);
+            for v in &run.lemmas[1..3] {
+                let name = v.lemma;
                 let ctx = || format!("{cfg:?} {name}:\n{}", render_kinduct_summary(&run));
                 assert_eq!(v.proved_k, None, "{}", ctx());
                 assert!(!v.base_ok, "{}", ctx());

@@ -49,10 +49,10 @@ pub mod induct;
 pub mod ir;
 pub mod kinduct;
 pub mod lints;
-pub mod protocol;
 pub mod sat;
 pub mod tla;
 
+pub use dinefd_core::protocol;
 pub use induct::{
     clause_mask, run_induction, Clause, ClosureVerdict, Cti, CtiClass, CtiClassifier,
     InductOptions, InductionRun, LemmaSpec, LemmaVerdict, ALL_CLAUSES, LEMMA_SPECS,

@@ -9,10 +9,15 @@
 //! concrete explorer can actually reach — a *real* counterexample with a
 //! replayable path, not an abstraction artifact.
 
-use dinefd_analyze::induct::{run_induction, CtiClass, InductOptions};
+use dinefd_analyze::induct::{run_induction, CtiClass, InductOptions, LEMMA_SPECS};
 use dinefd_analyze::ir::IrConfig;
 use dinefd_core::machines::SubjectMutation;
 use dinefd_explore::ModelMutation;
+
+/// Positions of the message-regime obligations in [`LEMMA_SPECS`], the
+/// order a run's verdicts come in.
+const LEMMA3: usize = 1;
+const LEMMA4: usize = 2;
 
 fn opts() -> InductOptions {
     InductOptions { keep_ctis: 4, classify: 1, ..InductOptions::default() }
@@ -60,11 +65,12 @@ fn safety_silent_mutations_pass_induction() {
     }
 }
 
-/// Asserts that `cfg` fails induction for `lemma` with a simplest CTI that
-/// classification proves **real** (reachable pre-state).
-fn assert_real_cti(cfg: IrConfig, lemma: &str) {
+/// Asserts that `cfg` fails induction for obligation `k` of [`LEMMA_SPECS`]
+/// with a simplest CTI that classification proves **real** (reachable
+/// pre-state).
+fn assert_real_cti(cfg: IrConfig, k: usize) {
     let run = run_induction(&cfg, &opts());
-    let v = run.lemma(lemma);
+    let (lemma, v) = (LEMMA_SPECS[k].name, &run.lemmas[k]);
     assert!(v.cti_count > 0, "{cfg:?}: expected {lemma} CTIs, got none");
     let cti = &v.ctis[0];
     match &cti.class {
@@ -87,7 +93,7 @@ fn skip_ping_disable_yields_a_real_cti() {
     // exchange is in flight: the R2 clause of the Lemma-3 cluster breaks.
     let cfg =
         IrConfig { subject_mutation: SubjectMutation::SkipPingDisable, ..IrConfig::faithful() };
-    assert_real_cti(cfg, "lemma3");
+    assert_real_cti(cfg, LEMMA3);
 }
 
 #[test]
@@ -96,7 +102,7 @@ fn ignore_trigger_guard_yields_a_real_cti() {
     // wrong regime: Lemma 4 breaks directly.
     let cfg =
         IrConfig { subject_mutation: SubjectMutation::IgnoreTriggerGuard, ..IrConfig::faithful() };
-    assert_real_cti(cfg, "lemma4");
+    assert_real_cti(cfg, LEMMA4);
 }
 
 #[test]
@@ -104,5 +110,5 @@ fn stale_ack_replay_yields_a_real_cti() {
     // A replayed ack makes two DX_i messages coexist: the R1
     // (single-message-regime) clause breaks.
     let cfg = IrConfig { model_mutation: ModelMutation::StaleAckReplay, ..IrConfig::faithful() };
-    assert_real_cti(cfg, "lemma3");
+    assert_real_cti(cfg, LEMMA3);
 }

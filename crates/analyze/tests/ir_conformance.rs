@@ -16,14 +16,62 @@
 //!   rules, every transition is matched by an IR action reproducing the
 //!   abstracted post-state: the saturating wire really over-approximates
 //!   the system, so inductive invariants transfer to all reachable concrete
-//!   states. Along the same walks, the explorer's lemma predicates on the
-//!   concrete state equal the IR's clauses on its abstraction.
+//!   states. Along the same walks, the protocol's lemma clauses on the
+//!   abstraction equal the hand-written predicates below on the concrete
+//!   state.
 
 use dinefd_analyze::induct::Clause;
 use dinefd_analyze::ir::{abstract_of, explore_config, AbsState, ActionId, Ir, IrConfig, WIRE_CAP};
+use dinefd_analyze::protocol::{self, Concrete};
 use dinefd_core::machines::{SubjectAction, SubjectMachine, SubjectMutation, WitnessAction};
+use dinefd_dining::DinerPhase;
 use dinefd_explore::{ModelMutation, PairState, TransitionLabel};
 use proptest::prelude::*;
+
+// The reference oracle: the safety lemmas written by hand over the
+// concrete explorer state, independently of the protocol text the
+// checkers all read.
+
+/// Whether any ping *or* ack of `DX_i` is in transit.
+fn dx_in_transit(v: &PairState, i: usize) -> bool {
+    v.pings.iter().any(|&(j, _)| j as usize == i) || v.acks.iter().any(|&(j, _)| j as usize == i)
+}
+
+/// Lemma 2: `(s_i.state ≠ eating) ⇒ ping_i` (vacuous once `q` crashed —
+/// the corpse's frozen local state is no longer constrained).
+fn lemma2_holds(v: &PairState) -> bool {
+    (0..2).all(|i| v.crashed || v.s_phase[i] == DinerPhase::Eating || v.subject.ping_enabled(i))
+}
+
+/// Lemma 3: `(s_i ≠ eating ∧ ping_i) ⇒ no DX_i message in transit`.
+fn lemma3_holds(v: &PairState) -> bool {
+    (0..2).all(|i| {
+        v.crashed
+            || v.s_phase[i] == DinerPhase::Eating
+            || !v.subject.ping_enabled(i)
+            || !dx_in_transit(v, i)
+    })
+}
+
+/// Lemma 4: `(s_i.state = hungry) ⇒ trigger = i`.
+fn lemma4_holds(v: &PairState) -> bool {
+    (0..2).all(|i| v.crashed || v.s_phase[i] != DinerPhase::Hungry || v.subject.trigger() == i)
+}
+
+/// Lemma 9: some witness thread is thinking.
+fn lemma9_holds(v: &PairState) -> bool {
+    v.w_phase[0] == DinerPhase::Thinking || v.w_phase[1] == DinerPhase::Thinking
+}
+
+/// Model soundness: after convergence the two *live* endpoints of an
+/// instance never eat simultaneously (◇WX's exclusive suffix).
+fn exclusion_holds(v: &PairState) -> bool {
+    (0..2).all(|i| {
+        !v.converged
+            || v.crashed
+            || !(v.w_phase[i] == DinerPhase::Eating && v.s_phase[i] == DinerPhase::Eating)
+    })
+}
 
 fn arb_cfg() -> impl Strategy<Value = IrConfig> {
     (0usize..4, 0usize..3, any::<bool>(), any::<bool>()).prop_map(
@@ -99,16 +147,18 @@ proptest! {
             let pre_abs = abstract_of(&state);
             let post_abs = abstract_of(post);
 
-            // The explorer's own lemma oracle on the concrete state and the
-            // IR's clauses on its abstraction are independent definitions.
+            // The protocol's clauses on the abstraction, which every checker
+            // reads, against the reference predicates on the concrete state:
+            // two independent definitions of the lemmas.
             for (clause, concrete) in [
-                (Clause::L2, dinefd_explore::lemma2_holds(&state)),
-                (Clause::L3, dinefd_explore::lemma3_holds(&state)),
-                (Clause::L4, dinefd_explore::lemma4_holds(&state)),
-                (Clause::L9, dinefd_explore::lemma9_holds(&state)),
-                (Clause::Excl, dinefd_explore::exclusion_holds(&state)),
+                (Clause::L2, lemma2_holds(&state)),
+                (Clause::L3, lemma3_holds(&state)),
+                (Clause::L4, lemma4_holds(&state)),
+                (Clause::L9, lemma9_holds(&state)),
+                (Clause::Excl, exclusion_holds(&state)),
             ] {
-                prop_assert_eq!(clause.holds(&pre_abs), concrete, "{:?} at {:?}", clause, state);
+                let text = protocol::clause(&mut Concrete::default(), &pre_abs, clause);
+                prop_assert_eq!(text, concrete, "{:?} at {:?}", clause, state);
             }
 
             // The IR action(s) that may simulate this concrete label.

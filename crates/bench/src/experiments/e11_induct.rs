@@ -4,7 +4,7 @@
 //! *real* (reachable, explorer-confirmed) counterexample-to-induction, and
 //! the safety-silent mutations must not be flagged.
 
-use dinefd_analyze::induct::{run_induction, CtiClass, InductOptions, LEMMA_SPECS};
+use dinefd_analyze::induct::{run_induction, CtiClass, InductOptions};
 use dinefd_analyze::ir::IrConfig;
 use dinefd_analyze::lints::run_lints;
 use dinefd_core::machines::SubjectMutation;
@@ -88,32 +88,29 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
         let matches = ok == expect_inductive;
         as_expected += matches as u64;
 
-        let cell = |name: &str| {
-            let v = run.lemma(name);
+        // One cell per obligation, in LEMMA_SPECS order (the header's).
+        let mut row = vec![
+            key.to_string(),
+            if expect_inductive { "inductive".into() } else { "CTI".to_string() },
+        ];
+        row.extend(run.lemmas.iter().map(|v| {
             if v.inductive() {
                 "inductive".to_string()
             } else {
                 format!("{} CTIs", v.cti_count)
             }
-        };
-        table.row(vec![
-            key.to_string(),
-            if expect_inductive { "inductive".into() } else { "CTI".to_string() },
-            cell("lemma2"),
-            cell("lemma3"),
-            cell("lemma4"),
-            cell("lemma9"),
-            cell("exclusion"),
+        }));
+        row.extend([
             if run.closure.ok() { "inductive".into() } else { "FAILS".to_string() },
             lints.finding_count().to_string(),
             if matches { "as expected".into() } else { "UNEXPECTED".to_string() },
         ]);
+        table.row(row);
 
-        for spec in &LEMMA_SPECS {
-            let v = run.lemma(spec.name);
-            metrics.insert(format!("{key}_{}_ctis", spec.name), v.cti_count);
-            metrics.insert(format!("{key}_{}_inv_states", spec.name), v.states_in_inv);
-            metrics.insert(format!("{key}_{}_steps", spec.name), v.steps_checked);
+        for v in &run.lemmas {
+            metrics.insert(format!("{key}_{}_ctis", v.lemma), v.cti_count);
+            metrics.insert(format!("{key}_{}_inv_states", v.lemma), v.states_in_inv);
+            metrics.insert(format!("{key}_{}_steps", v.lemma), v.steps_checked);
         }
         metrics.insert(format!("{key}_closure_states"), run.closure.closure_states);
         metrics.insert(format!("{key}_lint_findings"), lints.finding_count());

@@ -5,7 +5,7 @@
 //! obligation at caps the enumerator cannot touch, with deterministic solver
 //! statistics that double as perf-regression baselines.
 
-use dinefd_analyze::induct::{run_induction, InductOptions, LEMMA_SPECS};
+use dinefd_analyze::induct::{run_induction, InductOptions};
 use dinefd_analyze::ir::{IrConfig, MAX_WIRE_CAP, MIN_WIRE_CAP};
 use dinefd_analyze::kinduct::{agrees_with_explicit, run_kinduction, KinductOptions};
 use dinefd_core::machines::SubjectMutation;
@@ -107,10 +107,9 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
         metrics.insert(format!("cap{cap}_decisions"), run.stats.decisions);
         metrics.insert(format!("cap{cap}_conflicts"), run.stats.conflicts);
         metrics.insert(format!("cap{cap}_learned"), run.stats.learned);
-        for spec in &LEMMA_SPECS {
-            let v = run.lemma(spec.name);
+        for v in &run.lemmas {
             metrics.insert(
-                format!("cap{cap}_{}_proved_k", spec.name),
+                format!("cap{cap}_{}_proved_k", v.lemma),
                 u64::from(v.proved_k.unwrap_or(0)),
             );
         }

@@ -5,8 +5,12 @@
 //! convergence and crash — is defined here exactly once, from the paper's
 //! pseudocode, generic over a small value [`Algebra`]: booleans, dining
 //! phases, binary selectors (`switch`, `trigger`) and saturating wire
-//! counters. Four interpretations of that algebra turn the one definition
-//! into everything the workspace runs and proves:
+//! counters. So is the safety argument: every invariant [`clause`] — Lemmas
+//! 2, 3, 4 and 9, exclusion soundness and the inductive checker's
+//! strengthening clauses — and Theorem 1's completeness closure
+//! ([`in_closure`], [`closure_step_faults`]). Four interpretations of that
+//! algebra turn the one definition into everything the workspace runs and
+//! proves:
 //!
 //! * **machines** ([`crate::machines`]) — [`WitnessMachine`] and
 //!   [`SubjectMachine`] read [`guard`] and [`update`] through [`Concrete`]
@@ -14,16 +18,19 @@
 //!   live runtime, the explorer and the fuzzer execute;
 //! * **concrete** ([`Concrete`]: `bool` / [`DinerPhase`] / `u8`) — the
 //!   guarded-command IR of `dinefd-analyze` (`Ir::enabled`, `Ir::fire`),
-//!   and through it the explicit enumerator and the lints;
+//!   and through it the explicit enumerator and the lints; and the lemma
+//!   checks of the explorer's models and the fuzzer, which evaluate
+//!   [`clause_at`] on an [`AbsState`] view of their states;
 //! * **circuit** (`dinefd-analyze`'s `CnfBuilder`) — the bit-blasted
-//!   transition relation the k-induction engine solves;
+//!   transition relation and invariant the k-induction engine solves;
 //! * **printer** (`dinefd-analyze`'s `tla` module) — TLA+ text: guards,
-//!   primed updates and `UNCHANGED` frames.
+//!   primed updates, `UNCHANGED` frames and the `Inv` conjunction.
 //!
 //! Definitions are uniform in the dining instance: they mention instances
 //! only as `i`, `1 - i`, or under [`Algebra::for_all`] / [`Algebra::exists`].
 //! That is what lets the printer render instance 0 of a family with the
 //! symbolic names `i` / `1 - i` and obtain the parametric TLA+ definition.
+//! (The closure alone names both instances; it is never printed.)
 //!
 //! [`WitnessMachine`]: crate::machines::WitnessMachine
 //! [`SubjectMachine`]: crate::machines::SubjectMachine
@@ -463,6 +470,182 @@ pub fn update<A: Algebra>(
         }
     }
     t
+}
+
+/// One atomic clause of the safety argument: a lemma of the paper, the
+/// exclusion soundness clause, or a strengthening clause the inductive
+/// checker conjoins to make a lemma inductive (`dinefd-analyze`'s `induct`
+/// module says why each one exists).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Clause {
+    /// Lemma 2: `s_i` not eating ⇒ `ping_i`.
+    L2,
+    /// Lemma 3: `s_i` not eating ∧ `ping_i` ⇒ no `DX_i` message in transit.
+    L3,
+    /// Lemma 4: `s_i` hungry ⇒ `trigger = i`.
+    L4,
+    /// Lemma 9: some witness thread is thinking.
+    L9,
+    /// Exclusion soundness: after convergence, live endpoints never overlap.
+    Excl,
+    /// Strengthening: `w_{1-switch}` is thinking (witness alternation).
+    WTurn,
+    /// Strengthening: at most one `DX_i` message in flight, per instance.
+    R1,
+    /// Strengthening: a `DX_i` message in flight ⇒ `¬ping_i`.
+    R2,
+    /// Strengthening: a `DX_i` message in flight ⇒ `trigger = i`.
+    RegimeTrig,
+    /// Strengthening: live ∧ `ping_i` ∧ `s_i` eating ⇒ `trigger = i`.
+    R6,
+}
+
+/// Every clause, in bit order (the order is part of the metric surface).
+pub const ALL_CLAUSES: [Clause; 10] = [
+    Clause::L2,
+    Clause::L3,
+    Clause::L4,
+    Clause::L9,
+    Clause::Excl,
+    Clause::WTurn,
+    Clause::R1,
+    Clause::R2,
+    Clause::RegimeTrig,
+    Clause::R6,
+];
+
+impl Clause {
+    /// Stable display name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Clause::L2 => "L2",
+            Clause::L3 => "L3",
+            Clause::L4 => "L4",
+            Clause::L9 => "L9",
+            Clause::Excl => "EXCL",
+            Clause::WTurn => "W_TURN",
+            Clause::R1 => "R1",
+            Clause::R2 => "R2",
+            Clause::RegimeTrig => "REGIME_TRIG",
+            Clause::R6 => "R6",
+        }
+    }
+
+    /// The clause's bit: its position in [`ALL_CLAUSES`], which lists the
+    /// clauses in declaration order.
+    #[inline]
+    pub fn bit(self) -> u16 {
+        1 << self as u16
+    }
+
+    /// Whether the clause holds in `s`: the concrete reading of [`clause`].
+    #[inline]
+    pub fn holds(self, s: &AbsState) -> bool {
+        clause(&mut Concrete::default(), s, self)
+    }
+}
+
+/// Some `DX_i` message (ping or ack) is in flight.
+fn in_flight<A: Algebra>(a: &mut A, s: &StateOf<A>, i: usize) -> A::Bool {
+    let ping = a.nonzero(&s.pings[i]);
+    let ack = a.nonzero(&s.acks[i]);
+    a.any(&[&ping, &ack])
+}
+
+/// Clause `c` at dining instance `i`: [`clause`] is this body under
+/// [`Algebra::exists`] for `L9` and `W_TURN` and under [`Algebra::for_all`]
+/// for the rest, so a checker that reports per instance reads the same text.
+#[inline(always)]
+pub fn clause_at<A: Algebra>(a: &mut A, s: &StateOf<A>, c: Clause, i: usize) -> A::Bool {
+    match c {
+        // Vacuous once q crashed: the corpse's frozen state is unconstrained.
+        Clause::L2 => {
+            let eating = a.phase_is(&s.s_phase[i], Eating);
+            a.any(&[&s.crashed, &eating, &s.ping_enabled[i]])
+        }
+        Clause::L3 => {
+            let eating = a.phase_is(&s.s_phase[i], Eating);
+            let spent = a.not(&s.ping_enabled[i]);
+            let flying = in_flight(a, s, i);
+            let quiet = a.not(&flying);
+            a.any(&[&s.crashed, &eating, &spent, &quiet])
+        }
+        Clause::L4 => {
+            let hungry = a.phase_is(&s.s_phase[i], Hungry);
+            let not_hungry = a.not(&hungry);
+            let regime = a.sel_is(&s.trigger, i);
+            a.any(&[&s.crashed, &not_hungry, &regime])
+        }
+        // w_i thinking; some instance's suffices.
+        Clause::L9 => a.phase_is(&s.w_phase[i], Thinking),
+        Clause::Excl => {
+            let w_eating = a.phase_is(&s.w_phase[i], Eating);
+            let s_eating = a.phase_is(&s.s_phase[i], Eating);
+            let overlap = a.all(&[&w_eating, &s_eating]);
+            let disjoint = a.not(&overlap);
+            let early = a.not(&s.converged);
+            a.any(&[&early, &s.crashed, &disjoint])
+        }
+        // w_{1-switch} thinking: the instance whose turn it is not, idles.
+        Clause::WTurn => {
+            let others_turn = a.sel_is(&s.switch, 1 - i);
+            let thinking = a.phase_is(&s.w_phase[i], Thinking);
+            a.all(&[&others_turn, &thinking])
+        }
+        Clause::R1 => a.sum_le(&s.pings[i], &s.acks[i], 1),
+        Clause::R2 => {
+            let flying = in_flight(a, s, i);
+            let quiet = a.not(&flying);
+            let spent = a.not(&s.ping_enabled[i]);
+            a.any(&[&quiet, &spent])
+        }
+        Clause::RegimeTrig => {
+            let flying = in_flight(a, s, i);
+            let quiet = a.not(&flying);
+            let regime = a.sel_is(&s.trigger, i);
+            a.any(&[&quiet, &regime])
+        }
+        Clause::R6 => {
+            let spent = a.not(&s.ping_enabled[i]);
+            let eating = a.phase_is(&s.s_phase[i], Eating);
+            let not_eating = a.not(&eating);
+            let regime = a.sel_is(&s.trigger, i);
+            a.any(&[&s.crashed, &spent, &not_eating, &regime])
+        }
+    }
+}
+
+/// The value of invariant clause `c` on `s`: [`clause_at`] quantified over
+/// both dining instances.
+#[inline]
+pub fn clause<A: Algebra>(a: &mut A, s: &StateOf<A>, c: Clause) -> A::Bool {
+    match c {
+        Clause::L9 | Clause::WTurn => a.exists(|a, i| clause_at(a, s, c, i)),
+        _ => a.for_all(|a, i| clause_at(a, s, c, i)),
+    }
+}
+
+/// Membership in the Theorem-1 completeness closure: `q` crashed, no pings
+/// in flight, no banked ping. (Never printed, so it may name instances.)
+pub fn in_closure<A: Algebra>(a: &mut A, s: &StateOf<A>) -> A::Bool {
+    let flying = [a.nonzero(&s.pings[0]), a.nonzero(&s.pings[1])];
+    let quiet = [a.not(&flying[0]), a.not(&flying[1])];
+    let unbanked = [a.not(&s.haveping[0]), a.not(&s.haveping[1])];
+    a.all(&[&s.crashed, &quiet[0], &quiet[1], &unbanked[0], &unbanked[1]])
+}
+
+/// The two ways a step out of a closure state can break Theorem 1's
+/// completeness argument: `[escaped, regressed]` — the successor leaves the
+/// closure, or suspicion of the crashed `q` falls back to trust.
+pub fn closure_step_faults<A: Algebra>(
+    a: &mut A,
+    pre: &StateOf<A>,
+    post: &StateOf<A>,
+) -> [A::Bool; 2] {
+    let inside = in_closure(a, post);
+    let escaped = a.not(&inside);
+    let trusting = a.not(&post.suspect);
+    [escaped, a.all(&[&pre.suspect, &trusting])]
 }
 
 /// The concrete interpretation: plain values, statically dispatched. The

@@ -16,8 +16,9 @@
 //!   suspicion active), the two endpoints of an instance never *start*
 //!   overlapping eating sessions; with `allow_mistakes`, overlaps may begin
 //!   only while a wrongful-suspicion flag is raised;
-//! * the reduction's own safety lemmas (2, 3, 4, 9), exactly as in the
-//!   abstract model.
+//! * the reduction's own safety lemmas (2, 3, 4, 9): the protocol's
+//!   clauses, read on the same view of the machines and the wire as in the
+//!   abstract model, with the same messages.
 //!
 //! Wrongful suspicions are modeled as explorer-controlled flags, one per
 //! direction, each allowed to rise and fall once (a minimal "finitely many
@@ -25,12 +26,14 @@
 //! blowing up the state space).
 
 use dinefd_core::machines::{Step, SubjectMachine, WitnessMachine};
+use dinefd_core::protocol::{AbsState, WIRE_CAP};
 use dinefd_dining::wfdx::{WfDxDining, WxMsg};
 use dinefd_dining::{DinerPhase, DiningIo, DiningMsg, DiningParticipant};
 use dinefd_fd::FdQuery;
 use dinefd_sim::{ProcessId, Time};
 
 use crate::engine::{search, SearchModel, SearchReport};
+use crate::pair_model::machine_view;
 
 const P: ProcessId = ProcessId(0); // watcher
 const Q: ProcessId = ProcessId(1); // subject
@@ -439,7 +442,6 @@ impl ComposedState {
     }
 
     /// State-level invariants.
-    #[allow(clippy::needless_range_loop)] // indices address parallel arrays
     pub fn check_invariants(&self) -> Vec<String> {
         let mut v = Vec::new();
         for i in 0..2 {
@@ -489,31 +491,24 @@ impl ComposedState {
                 ));
             }
         }
-        // Reduction lemmas (as in the abstract model).
-        let s_ph = self.s_phases();
-        for i in 0..2 {
-            if !self.crashed && s_ph[i] != DinerPhase::Eating && !self.subject.ping_enabled(i) {
-                v.push(format!("Lemma 2 violated: s_{i} not eating but ping_{i} = false"));
-            }
-            if !self.crashed && s_ph[i] == DinerPhase::Hungry && self.subject.trigger() != i {
-                v.push(format!(
-                    "Lemma 4 violated: s_{i} hungry, trigger {}",
-                    self.subject.trigger()
-                ));
-            }
-            if !self.crashed && s_ph[i] != DinerPhase::Eating && self.subject.ping_enabled(i) {
-                let transit = self.pings.iter().any(|&(j, _)| j as usize == i)
-                    || self.acks.iter().any(|&(j, _)| j as usize == i);
-                if transit {
-                    v.push(format!("Lemma 3 violated: DX_{i} ping/ack in transit"));
-                }
-            }
-        }
-        let w_ph = self.w_phases();
-        if w_ph[0] != DinerPhase::Thinking && w_ph[1] != DinerPhase::Thinking {
-            v.push(format!("Lemma 9 violated: w_0={}, w_1={}", w_ph[0], w_ph[1]));
-        }
+        // The reduction's lemmas, as in the abstract model.
+        v.extend(crate::invariants::state_violations(
+            &self.view(),
+            crate::invariants::COMPOSED_CLAUSES,
+        ));
         v
+    }
+
+    /// The protocol's view of this state: the machines, the four threads'
+    /// phases and the ping/ack wire. There is no convergence point here, so
+    /// `converged` stays false (no exclusion clause is checked on it).
+    fn view(&self) -> AbsState {
+        AbsState {
+            w_phase: self.w_phases(),
+            s_phase: self.s_phases(),
+            crashed: self.crashed,
+            ..machine_view(&self.witness, &self.subject, &self.pings, &self.acks, WIRE_CAP)
+        }
     }
 }
 

@@ -20,6 +20,11 @@
 //!   never eat simultaneously;
 //! * absence of deadlock states.
 //!
+//! The lemmas and the soundness clause are not restated here: each is a
+//! clause of the one protocol text ([`dinefd_core::protocol::clause_at`]),
+//! evaluated on the state's [`abstract_of`] view, the map the analyzer
+//! reads too.
+//!
 //! Checked across every transition (the inductive crux of Theorem 1):
 //! once `q` has crashed with no pings in flight and no banked ping, that
 //! condition is closed under all transitions and the suspicion output is
@@ -59,7 +64,7 @@ pub mod codec;
 pub mod composed;
 pub mod engine;
 pub mod fair_run;
-pub mod invariants;
+pub(crate) mod invariants;
 pub mod pair_model;
 pub mod search;
 pub(crate) mod visited;
@@ -70,11 +75,9 @@ pub use composed::{
 };
 pub use engine::{SearchReport, SearchStats, ViolationKind, ViolationRecord};
 pub use fair_run::{fair_run, fair_run_mutated, FairRunReport};
-pub use invariants::{
-    check_closure_step, check_state, exclusion_holds, in_completeness_closure, lemma2_holds,
-    lemma3_holds, lemma4_holds, lemma9_holds, InvariantView,
+pub use pair_model::{
+    abstract_of, abstract_of_with_cap, ExploreConfig, ModelMutation, PairState, TransitionLabel,
 };
-pub use pair_model::{ExploreConfig, ModelMutation, PairState, TransitionLabel};
 pub use search::{explore, explore_seeded, find_reachable, fmt_path, ExploreReport};
 
 /// Re-export: machine-level seeded bugs live next to the machines.

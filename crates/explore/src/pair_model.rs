@@ -4,6 +4,7 @@ use dinefd_core::machines::{
     Step, SubjectAction, SubjectMachine, SubjectMutation, WitnessAction, WitnessMachine,
 };
 pub use dinefd_core::protocol::ModelMutation;
+use dinefd_core::protocol::{in_closure, AbsState, Concrete, WIRE_CAP};
 use dinefd_dining::DinerPhase;
 
 /// Exploration parameters.
@@ -280,60 +281,72 @@ impl PairState {
         out
     }
 
-    /// State-level invariant checks (the paper's safety lemmas). Returns
-    /// human-readable violation descriptions. The predicates themselves live
-    /// in [`crate::invariants`], shared with the inductive checker in
-    /// `dinefd-analyze`.
+    /// State-level invariant checks (the paper's safety lemmas): the
+    /// protocol's clauses on [`abstract_of`] of this state, one message per
+    /// violation: per instance Lemma 2, Lemma 4, Lemma 3 and exclusion
+    /// soundness, then Lemma 9.
     pub fn check_invariants(&self) -> Vec<String> {
-        let mut v = Vec::new();
-        crate::invariants::check_state(self, &mut v);
-        v
+        crate::invariants::state_violations(&abstract_of(self), crate::invariants::PAIR_CLAUSES)
     }
 
     /// Membership in the Theorem-1 closure set: `q` crashed, no pings in
     /// flight, no banked ping.
     pub fn in_completeness_closure(&self) -> bool {
-        crate::invariants::in_completeness_closure(self)
+        in_closure(&mut Concrete::default(), &abstract_of(self))
     }
 
     /// Transition-level check for the Theorem-1 closure: from a closure
     /// state, every successor stays in the closure and suspicion is monotone.
     pub fn check_closure_step(&self, succ: &PairState) -> Option<String> {
-        crate::invariants::check_closure_step(self, succ)
+        crate::invariants::closure_step_violation(&abstract_of(self), &abstract_of(succ))
     }
 }
 
-impl crate::invariants::InvariantView for PairState {
-    fn w_phase(&self, i: usize) -> DinerPhase {
-        self.w_phase[i]
+/// The fields of an [`AbsState`] that the two machines and the wire hold,
+/// counters saturated at `cap`; phases thinking and flags clear, for the
+/// caller to fill from its own model.
+#[inline]
+pub(crate) fn machine_view(
+    witness: &WitnessMachine,
+    subject: &SubjectMachine,
+    pings: &[(u8, u64)],
+    acks: &[(u8, u64)],
+    cap: u8,
+) -> AbsState {
+    let count = |queue: &[(u8, u64)], i: u8| {
+        (queue.iter().filter(|&&(j, _)| j == i).count() as u64).min(cap as u64) as u8
+    };
+    AbsState {
+        switch: witness.switch() as u8,
+        haveping: [witness.haveping(0), witness.haveping(1)],
+        suspect: witness.suspects(),
+        trigger: subject.trigger() as u8,
+        ping_enabled: [subject.ping_enabled(0), subject.ping_enabled(1)],
+        pings: [count(pings, 0), count(pings, 1)],
+        acks: [count(acks, 0), count(acks, 1)],
+        ..AbsState::initial()
     }
-    fn s_phase(&self, i: usize) -> DinerPhase {
-        self.s_phase[i]
-    }
-    fn ping_enabled(&self, i: usize) -> bool {
-        self.subject.ping_enabled(i)
-    }
-    fn trigger(&self) -> usize {
-        self.subject.trigger()
-    }
-    fn crashed(&self) -> bool {
-        self.crashed
-    }
-    fn converged(&self) -> bool {
-        self.converged
-    }
-    fn dx_in_transit(&self, i: usize) -> bool {
-        self.pings.iter().any(|&(j, _)| j as usize == i)
-            || self.acks.iter().any(|&(j, _)| j as usize == i)
-    }
-    fn pings_in_transit(&self) -> bool {
-        !self.pings.is_empty()
-    }
-    fn haveping(&self, i: usize) -> bool {
-        self.witness.haveping(i)
-    }
-    fn suspects(&self) -> bool {
-        self.witness.suspects()
+}
+
+/// The abstraction function at the default cap: forgets message
+/// identities/sequence numbers, keeps per-class counts (saturated at
+/// [`WIRE_CAP`]). It is the one map from the explorer's states to the
+/// protocol's: the lemma checks read it, and so do the analyzer's
+/// conformance suite and its CTI classification.
+#[inline]
+pub fn abstract_of(s: &PairState) -> AbsState {
+    abstract_of_with_cap(s, WIRE_CAP)
+}
+
+/// The abstraction function at an explicit saturation cap.
+#[inline]
+pub fn abstract_of_with_cap(s: &PairState, cap: u8) -> AbsState {
+    AbsState {
+        w_phase: s.w_phase,
+        s_phase: s.s_phase,
+        converged: s.converged,
+        crashed: s.crashed,
+        ..machine_view(&s.witness, &s.subject, &s.pings, &s.acks, cap)
     }
 }
 

@@ -15,10 +15,12 @@
 //!   state fingerprints a run visits — a schedule earns a place in the
 //!   [`corpus::Corpus`] exactly when it reaches a state no earlier
 //!   schedule reached;
-//! * the **oracle** is the paper's safety lemmas: every visited state runs
-//!   through `PairState::check_invariants`, every transition through the
-//!   completeness-closure check, so a finding carries the same
-//!   `"Lemma N violated: …"` message the explorer would report;
+//! * the **oracle** is the paper's safety lemmas, the clauses of
+//!   `dinefd_core::protocol` on each state's `abstract_of` view: every
+//!   visited state runs through the lemma check `PairState::check_invariants`
+//!   makes, every transition through the completeness-closure check, so a
+//!   finding carries the same `"Lemma N violated: …"` message the explorer
+//!   would report;
 //! * every lemma-violating schedule is shrunk by the delta-debugging
 //!   [`minimize()`] pass to a locally-minimal **replayable label prefix**
 //!   that the `trace_replay` harness (and `PairState::successors` walking

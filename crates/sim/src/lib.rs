@@ -98,7 +98,7 @@ pub use id::ProcessId;
 pub use metrics::{Counter, Gauge, Histogram, MetricMap, SimMetrics, WorkerStats};
 pub use net::{Adversary, DelayModel};
 pub use node::{Context, Node, TimerId};
-pub use props::{stabilization_time, BoolTimeline};
+pub use props::BoolTimeline;
 pub use rng::SplitMix64;
 pub use shard::ShardedWorld;
 pub use stats::Summary;

@@ -98,31 +98,6 @@ impl BoolTimeline {
     }
 }
 
-/// The instant from which a recorded value sequence permanently equals
-/// `target`: the earliest time `t` such that every sample at or after `t`
-/// equals `target` and the final sample exists. `None` if the sequence is
-/// empty or ends on a different value.
-pub fn stabilization_time<T: PartialEq>(events: &[(Time, T)], target: &T) -> Option<Time> {
-    let last = events.last()?;
-    if last.1 != *target {
-        return None;
-    }
-    let mut from = last.0;
-    for (t, v) in events.iter().rev() {
-        if v == target {
-            from = *t;
-        } else {
-            break;
-        }
-    }
-    Some(from)
-}
-
-/// Counts events at or after `t`.
-pub fn count_at_or_after<T>(events: &[(Time, T)], t: Time) -> usize {
-    events.iter().filter(|&&(et, _)| et >= t).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,28 +132,5 @@ mod tests {
         tl.set(Time(3), false);
         assert_eq!(tl.true_from(), None);
         assert_eq!(tl.false_intervals(), 1);
-    }
-
-    #[test]
-    fn stabilization_basic() {
-        let evs = vec![(Time(1), 'a'), (Time(2), 'b'), (Time(3), 'b'), (Time(4), 'b')];
-        assert_eq!(stabilization_time(&evs, &'b'), Some(Time(2)));
-        assert_eq!(stabilization_time(&evs, &'a'), None);
-        let empty: Vec<(Time, char)> = vec![];
-        assert_eq!(stabilization_time(&empty, &'a'), None);
-    }
-
-    #[test]
-    fn stabilization_of_constant_sequence_is_first_sample() {
-        let evs = vec![(Time(7), 1u32), (Time(9), 1)];
-        assert_eq!(stabilization_time(&evs, &1), Some(Time(7)));
-    }
-
-    #[test]
-    fn count_after_counts_inclusive() {
-        let evs = vec![(Time(1), ()), (Time(5), ()), (Time(5), ()), (Time(9), ())];
-        assert_eq!(count_at_or_after(&evs, Time(5)), 3);
-        assert_eq!(count_at_or_after(&evs, Time(10)), 0);
-        assert_eq!(count_at_or_after(&evs, Time::ZERO), 4);
     }
 }

@@ -1,8 +1,8 @@
 //! Property-based tests for the simulation substrate.
 
 use dinefd_sim::{
-    stabilization_time, BoolTimeline, Context, CrashPlan, DelayModel, Node, ProcessId, SplitMix64,
-    Summary, Time, World, WorldConfig,
+    BoolTimeline, Context, CrashPlan, DelayModel, Node, ProcessId, SplitMix64, Summary, Time,
+    World, WorldConfig,
 };
 use proptest::prelude::*;
 
@@ -90,27 +90,6 @@ proptest! {
         }
         let expect = compressed.windows(2).filter(|w| w[0] && !w[1]).count();
         prop_assert_eq!(tl.false_intervals(), expect);
-    }
-
-    #[test]
-    fn stabilization_time_is_sound(
-        values in prop::collection::vec(0u8..3, 1..30),
-    ) {
-        let events: Vec<(Time, u8)> =
-            values.iter().enumerate().map(|(i, &v)| (Time(i as u64), v)).collect();
-        let last = *values.last().unwrap();
-        let t = stabilization_time(&events, &last).expect("ends on target");
-        // Every sample at or after t equals the target…
-        for &(at, v) in &events {
-            if at >= t {
-                prop_assert_eq!(v, last);
-            }
-        }
-        // …and t is tight: the sample just before t (if any) differs.
-        if t > Time::ZERO {
-            let before = events.iter().rev().find(|&&(at, _)| at < t).unwrap();
-            prop_assert_ne!(before.1, last);
-        }
     }
 
     // ---------------- Summary ----------------
