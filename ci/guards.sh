@@ -271,10 +271,10 @@ fi
 #     mirrors) behind translators back to the real enums
 #     (`ExploreConfig::from_scenario`, `FuzzConfig::from_scenario`). It is
 #     crates/fuzz/src/scenario_dsl.rs now: `[model]` and `[fuzz]` parse
-#     straight into `FuzzConfig`, the mutants' spellings are tables on their
-#     own enums, and the extraction builder sits beside the parser. A DSL
-#     file back in sim, a mirror or translator, the DSL or its builder named
-#     in sim/core/explore, or a second parser is that copy growing back.
+#     straight into `FuzzConfig`, and the mutants' spellings are tables on
+#     their own enums. A DSL file back in sim, a mirror or translator, the
+#     DSL named in sim/core/explore, or a second parser is that copy growing
+#     back (guard 21 keeps the simulator out of the document).
 if [ -e crates/sim/src/scenario_dsl.rs ]; then
   echo "structure guard: crates/sim/src/scenario_dsl.rs exists; the scenario DSL lives in crates/fuzz/src"
   fail=1
@@ -287,7 +287,7 @@ for f in $(find crates/*/src -name '*.rs' | sort); do
 done
 for f in $(find crates/sim/src crates/core/src crates/explore/src -name '*.rs' | sort); do
   if product_lines "$f" | grep -nE 'scenario_dsl|from_dsl'; then
-    echo "structure guard: $f names the scenario DSL; it and its extraction builder belong to crates/fuzz"
+    echo "structure guard: $f names the scenario DSL; it belongs to crates/fuzz"
     fail=1
   fi
 done
@@ -421,6 +421,26 @@ for f in $(find crates/*/src src -name '*.rs' | sort); do
 done
 if [ "${#lemma_files[@]}" -gt 1 ]; then
   echo "structure guard: lemma messages are spelled in ${lemma_files[*]}; crates/explore/src/invariants.rs is the one message table"
+  fail=1
+fi
+
+# 21. Every setting changes the run. The simulator took a shard count
+#     beside its thread count, yet shards only partition processes among
+#     worker threads, so on one thread the count was dropped without a
+#     word; and the scenario DSL's `[sim]` section was parsed, validated and
+#     then read by no binary. A world holds one shard per worker thread now,
+#     and the document holds only `[model]` and `[fuzz]`. A `SimSection`, a
+#     `DelaySpec` or a `"sim" =>` section arm in crates/fuzz/src is that
+#     section growing back; a `step_by(workers)` or a `/ workers` in
+#     crates/sim/src/shard.rs is a worker owning several shards again.
+for f in crates/fuzz/src/*.rs; do
+  if product_lines "$f" | grep -nE 'SimSection|DelaySpec|"sim" =>'; then
+    echo "structure guard: $f describes the simulator; the scenario DSL holds [model] and [fuzz] only"
+    fail=1
+  fi
+done
+if product_lines crates/sim/src/shard.rs | grep -nE 'step_by\(workers\)|/ workers'; then
+  echo "structure guard: crates/sim/src/shard.rs gives a worker several shards; one shard per worker thread"
   fail=1
 fi
 

@@ -64,26 +64,20 @@
 //! directly). It prints a one-line run summary followed by the
 //! deterministic metric block, and exits `0` on success — the run itself
 //! asserts internal invariants (routing, horizon saturation, cross-shard
-//! merge order) and aborts loudly if any fail. `--shards K` splits the
-//! simulator into K shards, which never changes the run for a fixed seed
-//! and matters only with `--threads` (on one thread the simulator holds
-//! one shard; the summary line's `shards=K` echoes the count asked for,
-//! not the count held); `--threads T` runs the shards on the simulator's worker
-//! pool behind its
+//! merge order) and aborts loudly if any fail. `--threads T` splits the
+//! simulator into T shards, one per thread of its worker pool, behind its
 //! deterministic barrier merge — *everything printed to stdout is
-//! byte-identical for every shard and thread count* (per-worker
-//! busy/barrier-wait wall-clock, which is inherently nondeterministic, goes
-//! to stderr), so `diff <(dinefd extract --shards 4 --threads 4) <(dinefd
-//! extract)` is a direct determinism check.
+//! byte-identical for every thread count* (per-worker busy/barrier-wait
+//! wall-clock, which is inherently nondeterministic, goes to stderr), so
+//! `diff <(dinefd extract --threads 4) <(dinefd extract)` is a direct
+//! determinism check.
 //!
 //! ```text
 //! --n N                     system size             (default 8, min 2)
 //! --seed N                  run seed                (default 42)
 //! --horizon N               ticks to simulate       (default 5000)
-//! --shards K                simulator shards for --threads, 1..=256
-//!                           (default 1; one thread runs one shard)
-//! --threads T               worker threads for sharded runs (default 1;
-//!                           needs --shards >= 2 to engage)
+//! --threads T               simulator worker threads, one shard each
+//!                           (default 1)
 //! --crash PID@TICK          crash PID at TICK (repeatable)
 //! --streaming               extract through the streaming sink
 //! --batch                   one delay draw per destination of a step
@@ -121,8 +115,7 @@ use dinefd_analyze::ir::{IrConfig, MAX_WIRE_CAP, MIN_WIRE_CAP};
 use dinefd_analyze::kinduct::{render_kinduct_summary, run_kinduction, KinductOptions};
 use dinefd_analyze::lints::{render_lints, run_lints};
 use dinefd_explore::{ExploreConfig, ModelMutation, SubjectMutation};
-use dinefd_fuzz::scenario_dsl::Scenario;
-use dinefd_fuzz::Fuzzer;
+use dinefd_fuzz::{scenario_dsl, FuzzConfig, Fuzzer};
 use std::fmt::Display;
 use std::io::Write as _;
 use std::ops::RangeInclusive;
@@ -138,7 +131,7 @@ const USAGE: &str = "usage: dinefd analyze [--wire-cap N] [--max-k N] [--emit-tl
      \x20      dinefd fuzz [--scenario FILE] [--seed N] [--iterations N] \
      [--max-steps N] [--corpus-seeds N] [--time-budget-secs N] \
      [--strict] [--no-crash] [--subject-mutation NAME] [--model-mutation NAME]\n\
-     \x20      dinefd extract [--n N] [--seed N] [--horizon N] [--shards K] \
+     \x20      dinefd extract [--n N] [--seed N] [--horizon N] \
      [--threads T] [--crash PID@TICK] [--streaming] [--batch] [--strict]\n\
      \x20      dinefd live [--n N] [--trials N] [--seed N] [--period-ms N] \
      [--crash-at-ms N] [--horizon-ms N] [--skip-matrix] [--bench-out FILE]";
@@ -279,7 +272,7 @@ fn model_flag(
 }
 
 fn fuzz(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
-    let mut doc = Scenario::default();
+    let mut cfg = FuzzConfig::default();
     let mut time_budget: Option<u64> = None;
     while let Some(flag) = flags.next() {
         match flag {
@@ -287,22 +280,22 @@ fn fuzz(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
                 let path = flags.value(flag, "a file path")?;
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("cannot read {path}: {e}"))?;
-                doc = Scenario::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+                cfg = scenario_dsl::parse(&text).map_err(|e| format!("{path}: {e}"))?;
             }
-            "--seed" => doc.fuzz.seed = flags.int_in(flag, ANY)?,
-            "--iterations" => doc.fuzz.iterations = flags.int_in(flag, 1..=u64::MAX)?,
-            "--max-steps" => doc.fuzz.max_steps = flags.int_in(flag, 1..=100_000)? as u32,
+            "--seed" => cfg.seed = flags.int_in(flag, ANY)?,
+            "--iterations" => cfg.iterations = flags.int_in(flag, 1..=u64::MAX)?,
+            "--max-steps" => cfg.max_steps = flags.int_in(flag, 1..=100_000)? as u32,
             "--corpus-seeds" => match flags.int_in(flag, ANY)? {
-                v @ 0..=1_000_000 => doc.fuzz.corpus_seeds = v as u32,
+                v @ 0..=1_000_000 => cfg.corpus_seeds = v as u32,
                 v => return Err(format!("--corpus-seeds {v} out of range")),
             },
             "--time-budget-secs" => time_budget = Some(flags.int_in(flag, ANY)?),
-            _ if model_flag(flag, &mut flags, &mut doc.fuzz.explore)? => {}
+            _ if model_flag(flag, &mut flags, &mut cfg.explore)? => {}
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
 
-    let mut fuzzer = Fuzzer::new(doc.fuzz);
+    let mut fuzzer = Fuzzer::new(cfg);
     if let Some(secs) = time_budget {
         fuzzer = fuzzer.with_time_budget(Duration::from_secs(secs));
     }
@@ -358,7 +351,6 @@ fn extract(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
             "--n" => sc.n = flags.int_in(flag, 2..=MAX_N as u64)? as usize,
             "--seed" => sc.seed = flags.int_in(flag, ANY)?,
             "--horizon" => sc.horizon = Time(flags.int_in(flag, 1..=u64::MAX)?),
-            "--shards" => sc.shards = flags.int_in(flag, 1..=256)? as usize,
             "--threads" => sc.threads = flags.int_in(flag, 1..=64)? as usize,
             "--crash" => {
                 let spec = flags.value(flag, "PID@TICK")?;
@@ -375,21 +367,13 @@ fn extract(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    let (n, horizon, shards, streaming) = (sc.n, sc.horizon.0, sc.shards, sc.streaming);
+    let (n, horizon, streaming) = (sc.n, sc.horizon.0, sc.streaming);
     if sc.crashes.crashes().iter().any(|&(p, _)| p.index() >= n) {
         return Err("--crash PID must be below --n".into());
     }
-    if sc.threads > 1 && shards < 2 {
-        return Err("--threads needs --shards >= 2 (one shard runs on one thread)".into());
-    }
     let res = run_extraction(sc);
 
-    outln!(
-        out,
-        "extract: n={n} pairs={} horizon={horizon} shards={shards} \
-         streaming={streaming}",
-        n * (n - 1),
-    );
+    outln!(out, "extract: n={n} pairs={} horizon={horizon} streaming={streaming}", n * (n - 1));
     outln!(
         out,
         "extract: {} steps, {} messages, {} history changes, {} node-resident bytes",

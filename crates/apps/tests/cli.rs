@@ -1,5 +1,5 @@
 //! End-to-end tests of the `dinefd` binary's flag surface: the
-//! `--shards K` split, stdout closed early by the reader, and the `live`
+//! `--threads T` split, stdout closed early by the reader, and the `live`
 //! subcommand's soak + bench-report path.
 
 use std::process::{Command, Output, Stdio};
@@ -16,25 +16,22 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// Stdout minus the first summary line, which echoes the shard count and
-/// so differs by construction; every simulation-derived line below it must
-/// be byte-identical.
-fn body(out: &Output) -> String {
-    let s = stdout(out);
-    s.split_once('\n').map(|(_, rest)| rest.to_owned()).unwrap_or(s)
-}
-
 const EXTRACT_BASE: [&str; 6] = ["extract", "--n", "4", "--horizon", "400", "--seed"];
 
+/// `--threads T` runs T shards on the worker pool, and stdout is the same
+/// bytes for every T: the summary, the counters and the metric export.
 #[test]
-fn shard_count_never_changes_the_run() {
-    let one = dinefd(&[&EXTRACT_BASE[..], &["7"]].concat());
-    let three = dinefd(&[&EXTRACT_BASE[..], &["7", "--shards", "3"]].concat());
-    assert!(one.status.success(), "one-shard run failed: {}", stderr(&one));
-    assert!(three.status.success(), "three-shard run failed: {}", stderr(&three));
-    assert_eq!(body(&one), body(&three), "shard counts must not diverge");
-    assert!(stdout(&one).contains("shards=1"), "one shard is the default");
-    assert!(stdout(&three).contains("shards=3"));
+fn thread_count_never_changes_the_run() {
+    let one = dinefd(&[&EXTRACT_BASE[..], &["7", "--threads", "1"]].concat());
+    assert!(one.status.success(), "one-thread run failed: {}", stderr(&one));
+    assert!(stdout(&one).contains("steps"), "no run summary: {}", stdout(&one));
+    for threads in ["2", "3"] {
+        let many = dinefd(&[&EXTRACT_BASE[..], &["7", "--threads", threads]].concat());
+        assert!(many.status.success(), "--threads {threads} failed: {}", stderr(&many));
+        assert_eq!(stdout(&one), stdout(&many), "--threads {threads} diverged");
+        let workers = stderr(&many).lines().filter(|l| l.starts_with("worker ")).count();
+        assert_eq!(workers.to_string(), threads, "one worker per shard");
+    }
 }
 
 #[test]
@@ -53,13 +50,13 @@ fn a_reader_closing_stdout_early_ends_the_output_quietly() {
     assert_eq!(out.status.code(), Some(0), "a closed stdout is a successful end of output");
 }
 
+/// The shard count follows `--threads`; `--shards` is not a flag.
 #[test]
-fn zero_shards_is_a_usage_error() {
-    let out = dinefd(&["extract", "--n", "4", "--shards", "0"]);
+fn the_shards_flag_is_unknown() {
+    let out = dinefd(&["extract", "--n", "4", "--shards", "4"]);
     assert_eq!(out.status.code(), Some(64));
-    assert!(stdout(&out).is_empty(), "no run summary for a refused shard count");
-    let want = "error: --shards 0 out of range [1, 256]";
-    assert_eq!(stderr(&out).lines().next(), Some(want));
+    assert!(stdout(&out).is_empty(), "no run summary for a refused flag");
+    assert_eq!(stderr(&out).lines().next(), Some("error: unknown flag `--shards`"));
 }
 
 #[test]
@@ -99,19 +96,24 @@ fn live_rejects_a_crash_outside_the_trial() {
     assert!(stderr(&out).contains("--crash-at-ms must be below --horizon-ms"));
 }
 
+/// A scenario file's removed section and unknown keys are usage errors
+/// that name their line.
 #[test]
-fn fuzz_scenario_rejects_the_sim_threads_key() {
-    let path = std::env::temp_dir().join(format!("dinefd_cli_threads_{}.scn", std::process::id()));
-    std::fs::write(&path, "[sim]\nthreads = 2\n").expect("write scenario");
-    let out = dinefd(&["fuzz", "--scenario", path.to_str().expect("utf-8 temp path")]);
-    let _ = std::fs::remove_file(&path);
-    assert_eq!(out.status.code(), Some(64), "a removed key is a usage error");
-    let first = stderr(&out).lines().next().unwrap_or_default().to_owned();
-    assert!(
-        first.ends_with(": scenario line 2: unknown [sim] key `threads`"),
-        "unexpected error line: {first}"
-    );
-    assert!(stdout(&out).is_empty(), "no campaign runs on a refused scenario");
+fn fuzz_scenario_rejects_the_sim_section_and_unknown_keys() {
+    for (text, want) in [
+        ("[sim]\nthreads = 2\n", ": scenario line 1: unknown section `[sim]`"),
+        ("[model]\nthreads = 2\n", ": scenario line 2: unknown [model] key `threads`"),
+    ] {
+        let path =
+            std::env::temp_dir().join(format!("dinefd_cli_threads_{}.scn", std::process::id()));
+        std::fs::write(&path, text).expect("write scenario");
+        let out = dinefd(&["fuzz", "--scenario", path.to_str().expect("utf-8 temp path")]);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(out.status.code(), Some(64), "{text:?} must be a usage error");
+        let first = stderr(&out).lines().next().unwrap_or_default().to_owned();
+        assert!(first.ends_with(want), "{text:?}: unexpected error line: {first}");
+        assert!(stdout(&out).is_empty(), "no campaign runs on a refused scenario");
+    }
 }
 
 #[test]
@@ -214,7 +216,6 @@ fn bad_invocations_keep_their_error_lines() {
         // Below and above range.
         (&["extract", "--n", "1"][..], "--n 1 out of range [2, 4096]"),
         (&["extract", "--n", "4097"][..], "--n 4097 out of range [2, 4096]"),
-        (&["extract", "--shards", "257"][..], "--shards 257 out of range [1, 256]"),
         (&["extract", "--threads", "0"][..], "--threads 0 out of range [1, 64]"),
         (&["extract", "--threads", "65"][..], "--threads 65 out of range [1, 64]"),
         (&["extract", "--horizon", "0"][..], "--horizon must be at least 1"),
@@ -247,6 +248,7 @@ fn bad_invocations_keep_their_error_lines() {
         (&["fuzz", "--bogus"][..], "unknown flag `--bogus`"),
         (&["extract", "--bogus"][..], "unknown flag `--bogus`"),
         (&["extract", "--queue", "heap"][..], "unknown flag `--queue`"),
+        (&["extract", "--shards", "2"][..], "unknown flag `--shards`"),
         (&["live", "--bogus"][..], "unknown flag `--bogus`"),
         (&["frobnicate"][..], "unknown subcommand `frobnicate`"),
         (&[][..], "missing subcommand"),

@@ -6,8 +6,7 @@
 //! metrics across reruns — every `e12.*` key below is diffed against the
 //! committed baseline in CI.
 
-use dinefd_fuzz::scenario_dsl::Scenario;
-use dinefd_fuzz::{replay, FuzzReport, Fuzzer};
+use dinefd_fuzz::{replay, scenario_dsl, FuzzConfig, FuzzReport, Fuzzer};
 use dinefd_sim::MetricMap;
 
 use crate::table::{Report, Table};
@@ -25,16 +24,16 @@ fn configs() -> Vec<(&'static str, bool, &'static str)> {
     ]
 }
 
-fn scenario_for(model_body: &str, iterations: u64) -> Scenario {
+fn scenario_for(model_body: &str, iterations: u64) -> FuzzConfig {
     let text = format!(
         "[model]\n{model_body}\n\n[fuzz]\nseed = 1\niterations = {iterations}\n\
          max_steps = 40\ncorpus_seeds = 16\n"
     );
-    Scenario::parse(&text).expect("e12 scenario matrix parses")
+    scenario_dsl::parse(&text).expect("e12 scenario matrix parses")
 }
 
 fn campaign(model_body: &str, iterations: u64) -> FuzzReport {
-    Fuzzer::new(scenario_for(model_body, iterations).fuzz).run()
+    Fuzzer::new(scenario_for(model_body, iterations)).run()
 }
 
 /// Runs E12 and returns the report.
@@ -78,7 +77,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
 
         // Replay-confirm every minimized prefix against the same scenario's
         // model — a finding that does not reproduce does not count.
-        let explore_cfg = scenario_for(model_body, iterations).fuzz.explore;
+        let explore_cfg = scenario_for(model_body, iterations).explore;
         let mut confirmed = 0u64;
         for f in &report.findings {
             let out = replay(&explore_cfg, &f.minimized)

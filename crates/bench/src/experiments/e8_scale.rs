@@ -14,7 +14,7 @@ use crate::{parallel_map, timed, ExperimentConfig};
 /// would dominate memory, which is exactly what the pipeline removes.
 const STREAM_FROM: usize = 32;
 
-/// The sharded scale frontier: `(n, horizon)` rows. Horizons shrink as n²
+/// The scale frontier: `(n, horizon)` rows. Horizons shrink as n²
 /// pair machinery grows so every row stays inside the sweep's time box;
 /// the per-tick cost curves are what the frontier measures, not
 /// convergence (which the main table already certifies at smaller n).
@@ -46,7 +46,7 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
         if cfg.seeds <= 3 { &[2, 4, 8, 32, 64] } else { &[2, 4, 8, 12, 16, 32, 64] };
     let mut metrics = MetricMap::new();
     let table = scale_table(cfg, sizes, STREAM_FROM, &mut metrics);
-    let (sharded, parallel) = frontier_tables(frontier_sizes(), par_from(), 4, &mut metrics);
+    let (sharded, parallel) = frontier_tables(frontier_sizes(), par_from(), &mut metrics);
     explorer_figures(cfg, &mut metrics);
     let frontier = depth_frontier(cfg, &mut metrics);
 
@@ -61,13 +61,12 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                    simulation. Rows at n ≥ 32 run the streaming pipeline \
                    (online history sink + envelope batching), so their resident \
                    state is O(pairs) history entries instead of a full trace. \
-                   The frontier table pushes to n = 1024 with 4 shards asked \
-                   for (timer-wheel queues, pid-partitioned nodes; a run on \
-                   one thread holds one shard) and differentially re-runs \
+                   The frontier table pushes to n = 1024 on one thread (one \
+                   shard, timer-wheel queue) and differentially re-runs \
                    every row post-hoc: the streaming history must match the \
                    trace-derived one byte for byte. The parallel-frontier \
-                   table re-runs the larger rows as 4-way sharded worlds on \
-                   the shard-worker pool at 2, 4 and 8 threads; the \
+                   table re-runs the larger rows on the shard-worker pool \
+                   at 2, 4 and 8 threads, one shard per worker; the \
                    last table pushes the lemma explorer's search to deeper \
                    bounds."
             .into(),
@@ -88,11 +87,10 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
              layout-dependent, so it stays out of the deterministic metric \
              keys."
                 .into(),
-            "Parallel-frontier rows run the same scenario as a 4-way sharded \
-             world on the shard-worker pool at each thread count; the \
-             threads=1 row is the frontier table's streamed run itself (one \
-             shard, since it runs on one thread), and every parallel row is asserted \
-             byte-identical to it in-process (steps, messages, metric export, \
+            "Parallel-frontier rows run the same scenario on the shard-worker \
+             pool with one shard per worker thread; the threads=1 row is the \
+             frontier table's streamed run itself (one shard), and every \
+             parallel row is asserted byte-identical to it in-process (steps, messages, metric export, \
              extracted history) before its throughput is reported. \"ksteps/s\" \
              and \"speedup\" time the whole extraction call, here and in the \
              frontier table. \"barrier %\" is barrier-wait as a share of total \
@@ -261,23 +259,21 @@ fn same_run(a: &ExtractionResult, b: &ExtractionResult) -> bool {
         && format!("{:?}", a.history) == format!("{:?}", b.history)
 }
 
-/// The n ≥ 128 sharded frontier and its thread-scaling table. One seed per
-/// size (each run is expensive but deterministic), streaming + envelope
-/// batching + [`dinefd_sim::ShardedWorld`]s asked for `shards` shards (one
-/// on one thread), and a full
-/// streaming-vs-post-hoc differential at every size: both modes must agree
-/// on step and message counts, the metric export, and the extracted
-/// history. Rows from `par_from` up then re-run the streamed world on the
-/// shard-worker pool at 2, 4 and 8 threads, each asserted identical to the
-/// streamed run, which is the parallel table's threads = 1 row.
+/// The n ≥ 128 frontier and its thread-scaling table. One seed per size
+/// (each run is expensive but deterministic), streaming + envelope
+/// batching on one thread, and a full streaming-vs-post-hoc differential
+/// at every size: both modes must agree on step and message counts, the
+/// metric export, and the extracted history. Rows from `par_from` up then
+/// re-run the streamed world on the shard-worker pool at 2, 4 and 8
+/// threads, one shard per worker, each asserted identical to the streamed
+/// run, which is the parallel table's threads = 1 row.
 fn frontier_tables(
     sizes: &[(usize, u64)],
     par_from: usize,
-    shards: usize,
     metrics: &mut MetricMap,
 ) -> (Table, Table) {
     let mut sharded = Table::new(
-        "Scale frontier (4 shards asked, one on one thread; timer-wheel queues)",
+        "Scale frontier (one thread, one shard; timer-wheel queue)",
         &[
             "n",
             "pairs",
@@ -292,7 +288,7 @@ fn frontier_tables(
         ],
     );
     let mut parallel = Table::new(
-        "Parallel shard-worker frontier (4-way sharded worlds, thread-scaling)",
+        "Parallel shard-worker frontier (one shard per worker, thread-scaling)",
         &["n", "threads", "steps", "ksteps/s", "speedup", "barrier %", "identical"],
     );
     for &(n, horizon) in sizes {
@@ -308,13 +304,12 @@ fn frontier_tables(
             sc.crashes = CrashPlan::one(ProcessId::from_index(n - 1), Time(horizon / 2));
             sc.streaming = streaming;
             sc.batch_envelopes = true;
-            sc.shards = shards;
             sc.threads = threads;
             timed(|| run_extraction(sc))
         };
         let (streamed, secs) = run(true, 1);
         let differential_ok = same_run(&streamed, &run(false, 1).0);
-        assert!(differential_ok, "n={n}: streaming and post-hoc sharded runs diverged");
+        assert!(differential_ok, "n={n}: streaming and post-hoc runs diverged");
         let pairs = (n * (n - 1)) as u64;
         let peak_resident = (n * n) as u64 + streamed.history_changes;
         metrics.insert(format!("n{n}.sim_steps_total"), streamed.steps);
@@ -326,9 +321,6 @@ fn frontier_tables(
         metrics.insert(format!("n{n}.history_changes_total"), streamed.history_changes);
         metrics.insert(format!("n{n}.peak_resident_entries_max"), peak_resident);
         metrics.insert(format!("n{n}.streaming"), 1);
-        // The count asked for: the streamed and post-hoc runs are on one
-        // thread, so each holds one shard.
-        metrics.insert(format!("n{n}.shards"), shards as u64);
         metrics.insert(format!("n{n}.differential_ok"), differential_ok as u64);
         insert_sim(metrics, n, &streamed.metrics);
         sharded.row(vec![
@@ -468,19 +460,18 @@ mod tests {
     fn e8_frontier_differential_and_parallel_rows_hold_at_debug_sizes() {
         // Same machinery as the release-profile n≤1024 frontier, at sizes a
         // debug test can afford. Every row asserts internally that streaming
-        // and post-hoc sharded runs are byte-identical and that each
+        // and post-hoc runs are byte-identical and that each
         // parallel rerun reproduces the streamed run; here we also pin the
         // exported keyspace the CI baseline diff consumes, and that the
         // parallel table's threads = 1 row is the frontier's own run.
         let mut metrics = MetricMap::new();
-        let (sharded, parallel) = frontier_tables(&[(8, 256), (12, 128)], 12, 2, &mut metrics);
+        let (sharded, parallel) = frontier_tables(&[(8, 256), (12, 128)], 12, &mut metrics);
         assert_eq!(sharded.rows.len(), 2);
         for row in &sharded.rows {
             assert_eq!(row[8], "yes", "differential column: {row:?}");
         }
         for n in [8usize, 12] {
             assert_eq!(metrics[&format!("n{n}.differential_ok")], 1);
-            assert_eq!(metrics[&format!("n{n}.shards")], 2);
             assert_eq!(metrics[&format!("n{n}.streaming")], 1);
             assert_eq!(
                 metrics[&format!("n{n}.sim.steps")],

@@ -14,6 +14,7 @@ use dinefd_dining::wfdx::WfDxDining;
 use dinefd_dining::DiningParticipant;
 use dinefd_fd::SuspicionHistory as FdHistory;
 use dinefd_fd::{InjectedOracle, SuspicionHistory};
+use dinefd_sim::shard::shard_count;
 use dinefd_sim::{
     CrashPlan, DelayModel, MetricMap, Node, ProcessId, QueueBackend, ShardedWorld, SplitMix64,
     Time, Trace, WorkerStats, World, WorldConfig,
@@ -131,19 +132,18 @@ pub struct Scenario {
     /// the receiver in send order. Off by default — it changes delay
     /// sampling, hence schedules, under stochastic delay models.
     pub batch_envelopes: bool,
-    /// Shards of the [`ShardedWorld`] the run executes on (default 1; `0`
-    /// counts as 1). The schedule is the same for every shard count, and
-    /// shards only partition processes among `threads` workers: with fewer
-    /// than two threads the world holds one.
+    /// Ignored: the world holds one shard per worker thread
+    /// ([`Scenario::threads`]). Kept because the `benchmark/` harness still
+    /// names it.
     pub shards: usize,
     /// The event queue, which is always the timer wheel. Kept because the
     /// `benchmark/` harness still names it.
     pub queue: QueueBackend,
-    /// Worker threads: with `threads ≥ 2` and `shards ≥ 2` the run executes
-    /// on the simulator's shard-worker pool behind its deterministic
-    /// barrier merge (byte-identical results for any thread count), and
-    /// streaming extraction folds one [`HistorySink`] per shard, merged
-    /// deterministically at the end.
+    /// Worker threads, one shard each ([`dinefd_sim::shard::shard_count`]):
+    /// with `threads ≥ 2` the run executes on the simulator's shard-worker
+    /// pool behind its deterministic barrier merge (byte-identical results
+    /// for any thread count), and streaming extraction folds one
+    /// [`HistorySink`] per shard, merged deterministically at the end.
     pub threads: usize,
 }
 
@@ -309,7 +309,7 @@ pub fn run_extraction_over<D: Resident>(
         tick_every,
         streaming,
         batch_envelopes,
-        shards,
+        shards: _,
         queue: _,
         threads,
     } = sc;
@@ -351,9 +351,10 @@ pub fn run_extraction_over<D: Resident>(
         cfg = cfg.batch_envelopes();
     }
     let new_sink = || HistorySink::new(n, &pairs);
+    let shards = shard_count(threads, n);
     let fold = if !streaming {
         Fold::PostHoc
-    } else if shards >= 2 && threads >= 2 {
+    } else if shards >= 2 {
         Fold::PerShard((0..shards).map(|_| Arc::new(Mutex::new(new_sink()))).collect())
     } else {
         Fold::Online(Rc::new(RefCell::new(new_sink())))
@@ -370,7 +371,7 @@ pub fn run_extraction_over<D: Resident>(
         }
         Fold::PerShard(sinks) => {
             let sinks = sinks.iter().map(|s| Box::new(Arc::clone(s)) as _).collect();
-            ShardedWorld::new_with_shard_sinks(nodes, cfg, shards, sinks)
+            ShardedWorld::new_with_shard_sinks(nodes, cfg, sinks)
         }
     };
     world.run_until(horizon);
@@ -445,8 +446,8 @@ enum Fold {
     PostHoc,
     /// Online, as the simulator routes them, through one sink on the world.
     Online(Rc<RefCell<HistorySink>>),
-    /// Online in a parallel sharded run: one sink per shard travels with
-    /// its worker thread and folds that shard's watcher rows; the merge
+    /// Online in a parallel run: one sink per shard travels with its
+    /// worker thread and folds that shard's watcher rows; the merge
     /// afterwards reassembles the sequential history row for row (see
     /// `SuspicionHistory::adopt_watcher_rows`).
     PerShard(Vec<Arc<Mutex<HistorySink>>>),
@@ -506,41 +507,14 @@ mod tests {
     }
 
     #[test]
-    fn sharded_extraction_is_shard_count_invariant() {
-        // The schedule must not depend on the shard count: 1 shard is the
-        // reference, and every k must reproduce its history, step/message
-        // counts, and metric export byte-for-byte. Two threads, so that a
-        // world asked for k ≥ 2 shards holds them; the two workers it
-        // reports show that it did.
-        let run = |shards: usize| {
-            let mut sc = Scenario::all_pairs(3, BlackBox::WfDx, 23);
-            sc.horizon = Time(6_000);
-            sc.crashes = CrashPlan::one(ProcessId(2), Time(3_000));
-            sc.shards = shards;
-            sc.threads = 2;
-            let res = run_extraction(sc);
-            let workers = res.worker_stats.len();
-            (workers, (res.steps, res.messages_sent, format!("{:?}", res.history), res.metrics))
-        };
-        let (workers, reference) = run(1);
-        assert_eq!(workers, 0, "one shard runs sequentially");
-        for shards in [2, 4] {
-            let (workers, run) = run(shards);
-            assert_eq!(workers, 2, "shards={shards} must run on the pool");
-            assert_eq!(run, reference, "shards={shards}");
-        }
-    }
-
-    #[test]
     fn sharded_streaming_matches_sharded_post_hoc() {
         // Streaming folds the same observation stream the post-hoc trace
         // carries, so the extracted histories must agree exactly — also on
-        // sharded worlds, which hold two shards only on two threads.
+        // a two-shard world, which runs on two threads.
         let run = |streaming: bool| {
             let mut sc = Scenario::all_pairs(3, BlackBox::WfDx, 29);
             sc.horizon = Time(6_000);
             sc.crashes = CrashPlan::one(ProcessId(1), Time(3_000));
-            sc.shards = 2;
             sc.threads = 2;
             sc.streaming = streaming;
             let res = run_extraction(sc);
@@ -555,10 +529,10 @@ mod tests {
         // The shard-worker pool's barrier merge must make thread count
         // unobservable end to end: history, counters, and the exported
         // metric map of a parallel extraction reproduce the sequential
-        // sharded run byte-for-byte — on both extraction paths, including
-        // the per-shard streaming sinks.
+        // one-shard run byte-for-byte — on both extraction paths, including
+        // the per-shard streaming sinks. `Scenario::shards` is ignored.
         for streaming in [false, true] {
-            let run = |shards: usize, threads: usize| {
+            let run = |threads: usize, shards: usize| {
                 let mut sc = Scenario::all_pairs(4, BlackBox::WfDx, 47);
                 sc.horizon = Time(6_000);
                 sc.crashes = CrashPlan::one(ProcessId(3), Time(3_000));
@@ -566,17 +540,18 @@ mod tests {
                 sc.threads = threads;
                 sc.streaming = streaming;
                 let res = run_extraction(sc);
-                (res.steps, res.messages_sent, format!("{:?}", res.history), res.metrics)
+                let workers = res.worker_stats.len();
+                (workers, (res.steps, res.messages_sent, format!("{:?}", res.history), res.metrics))
             };
-            for shards in [2, 4] {
-                let reference = run(shards, 1);
-                for threads in [2, 4] {
-                    assert_eq!(
-                        run(shards, threads),
-                        reference,
-                        "streaming={streaming} shards={shards} threads={threads}"
-                    );
-                }
+            let (workers, reference) = run(1, 1);
+            assert_eq!(workers, 0, "one thread runs sequentially");
+            assert_eq!(run(1, 4), (0, reference.clone()), "streaming={streaming}: shards=4");
+            for (threads, workers) in [(2, 2), (4, 4), (8, 4)] {
+                assert_eq!(
+                    run(threads, 1),
+                    (workers, reference.clone()),
+                    "streaming={streaming} threads={threads}"
+                );
             }
         }
     }
@@ -586,7 +561,6 @@ mod tests {
         let run = |threads: usize| {
             let mut sc = Scenario::all_pairs(4, BlackBox::WfDx, 53);
             sc.horizon = Time(4_000);
-            sc.shards = 4;
             sc.threads = threads;
             run_extraction(sc).worker_stats
         };

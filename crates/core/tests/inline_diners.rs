@@ -15,8 +15,8 @@ use dinefd_core::scenario::{factory_for, run_extraction_over};
 use dinefd_core::{run_extraction, BlackBox, ExtractionResult, OracleSpec, Scenario};
 use dinefd_sim::{CrashPlan, ProcessId, Time};
 
-/// `extract_dense`: all pairs, four shards asked for (one held, on one
-/// thread), streaming, batched, under a ◇P oracle that errs once per pair
+/// `extract_dense`: all pairs on one thread (one shard), streaming,
+/// batched, under a ◇P oracle that errs once per pair
 /// before half time.
 fn dense(black_box: BlackBox, seed: u64) -> Scenario {
     let (n, horizon) = (12, 96);
@@ -31,7 +31,6 @@ fn dense(black_box: BlackBox, seed: u64) -> Scenario {
     };
     sc.streaming = true;
     sc.batch_envelopes = true;
-    sc.shards = 4;
     sc
 }
 

@@ -26,7 +26,7 @@ use dinefd_dining::participant::NoOracle;
 use dinefd_dining::{DinerPhase, DiningIo, DiningMsg, DiningParticipant};
 use dinefd_fd::{FdQuery, InjectedOracle, MistakePlan};
 use dinefd_sim::{
-    CrashPlan, MetricMap, Node, ProcessId, ShardedWorld, SplitMix64, Time, WorldConfig,
+    CrashPlan, MetricMap, Node, ProcessId, ShardedWorld, SplitMix64, Time, World, WorldConfig,
 };
 
 /// `(watcher, subject, hosting process, instance)` of one endpoint.
@@ -161,18 +161,16 @@ struct RunRecord {
     steps: u64,
 }
 
-/// Runs `nodes` to `horizon` over `shards` shards, messages recorded. A
-/// world holds more than one shard only on the worker pool, so a multi-shard
-/// run gets two threads.
+/// Runs `nodes` to `horizon` over `shards` shards, one per worker thread,
+/// messages recorded.
 fn run<N: Node<Msg = RedMsg, Obs = RedObs> + Send>(
     nodes: Vec<N>,
     cfg: WorldConfig,
     shards: usize,
     horizon: Time,
 ) -> RunRecord {
-    let threads = if shards > 1 { 2 } else { 1 };
-    let mut world = ShardedWorld::new(nodes, cfg.record_messages().threads(threads), shards);
-    assert_eq!(world.shards(), shards, "the world holds the shards asked for");
+    let mut world = ShardedWorld::new(nodes, cfg.record_messages().threads(shards), shards);
+    assert_eq!(world.shards(), shards, "one shard per worker thread");
     world.run_until(horizon);
     let (metrics, steps) = (world.metrics_map(), world.steps());
     RunRecord { trace: format!("{:?}", world.into_trace().events()), metrics, steps }
@@ -480,8 +478,7 @@ fn tick_deliveries_at_the_benchmark_shapes() {
         if dense {
             cfg = cfg.batch_envelopes().observation_events_off();
         }
-        let shards = if dense { 4 } else { 1 };
-        ShardedWorld::new(nodes(n, &factory, &oracle, false), cfg, shards).run_until(Time(horizon));
+        World::new(nodes(n, &factory, &oracle, false), cfg).run_until(Time(horizon));
         let ticks = log.lock().unwrap().clone();
         ticks
     };

@@ -297,7 +297,12 @@ impl PairState {
 
     /// Transition-level check for the Theorem-1 closure: from a closure
     /// state, every successor stays in the closure and suspicion is monotone.
+    /// The closure requires `q` crashed, which [`abstract_of`] copies, so a
+    /// pre-state with a live `q` is answered without building either view.
     pub fn check_closure_step(&self, succ: &PairState) -> Option<String> {
+        if !self.crashed {
+            return None;
+        }
         crate::invariants::closure_step_violation(&abstract_of(self), &abstract_of(succ))
     }
 }

@@ -22,7 +22,7 @@ use crate::minimize::{lemma_key, shrink};
 use crate::schedule::{execute, Schedule};
 
 /// Everything one fuzzing run depends on: the `[model]` and `[fuzz]`
-/// sections of a [`crate::scenario_dsl::Scenario`].
+/// sections of a scenario document ([`crate::scenario_dsl::parse`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FuzzConfig {
     /// The pair-model configuration (mutations, depth knobs…).

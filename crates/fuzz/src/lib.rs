@@ -53,11 +53,10 @@
 //! seeds produce byte-identical corpora (checked via
 //! [`corpus::Corpus::digest`]) and identical `fuzz.*` metrics.
 //!
-//! The fuzzer, the simulator, and the explorer all read the same
-//! [`scenario_dsl::Scenario`] document: its `[model]` and `[fuzz]`
-//! sections parse straight into a [`FuzzConfig`] (whose `explore` is the
-//! explorer's [`dinefd_explore::ExploreConfig`]), and its `[sim]` section
-//! builds the simulator's extraction run.
+//! The fuzzer and the explorer read the same scenario document
+//! ([`scenario_dsl`]): its `[model]` and `[fuzz]` sections parse straight
+//! into a [`FuzzConfig`], whose `explore` is the explorer's
+//! [`dinefd_explore::ExploreConfig`].
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]

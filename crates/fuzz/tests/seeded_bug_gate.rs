@@ -11,8 +11,7 @@
 //! exercises the DSL → engine plumbing end to end.
 
 use dinefd_explore::{ExploreConfig, PairState, TransitionLabel};
-use dinefd_fuzz::scenario_dsl::Scenario;
-use dinefd_fuzz::{lemma_key, FuzzReport, Fuzzer};
+use dinefd_fuzz::{lemma_key, scenario_dsl, FuzzReport, Fuzzer};
 
 /// The fixed gate budget. Empirically the slowest find (stale-ack-replay,
 /// seed 1) lands around iteration 525; 4000 leaves an order-of-magnitude
@@ -21,8 +20,8 @@ const GATE: &str = "\n[fuzz]\nseed = 1\niterations = 4000\nmax_steps = 40\ncorpu
 
 fn run_gate(mutation_key: &str, mutation: &str) -> FuzzReport {
     let text = format!("[model]\n{mutation_key} = {mutation}\n{GATE}");
-    let doc = Scenario::parse(&text).expect("gate scenario parses");
-    Fuzzer::new(doc.fuzz).run()
+    let doc = scenario_dsl::parse(&text).expect("gate scenario parses");
+    Fuzzer::new(doc).run()
 }
 
 /// Independent replay harness (the `trace_replay` discipline): walk the
@@ -46,8 +45,8 @@ fn replay_violation(cfg: &ExploreConfig, path: &[TransitionLabel]) -> Option<Str
 
 fn assert_finds(mutation_key: &str, mutation: &str, expect_lemma: &str) {
     let text = format!("[model]\n{mutation_key} = {mutation}\n{GATE}");
-    let doc = Scenario::parse(&text).expect("gate scenario parses");
-    let report = Fuzzer::new(doc.fuzz.clone()).run();
+    let doc = scenario_dsl::parse(&text).expect("gate scenario parses");
+    let report = Fuzzer::new(doc.clone()).run();
     assert!(
         report.findings.iter().any(|f| f.lemma.starts_with(expect_lemma)),
         "{mutation}: expected a {expect_lemma} finding, got {:?}",
@@ -55,7 +54,7 @@ fn assert_finds(mutation_key: &str, mutation: &str, expect_lemma: &str) {
     );
     assert!(report.first_find_iter.is_some(), "{mutation}: no find iteration recorded");
 
-    let cfg = doc.fuzz.explore;
+    let cfg = doc.explore;
     for f in &report.findings {
         assert!(!f.minimized.is_empty(), "{mutation}: empty minimized prefix");
         assert!(f.minimized.len() <= f.path.len(), "{mutation}: minimizer grew the trace");

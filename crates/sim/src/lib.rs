@@ -20,10 +20,10 @@
 //! discrete-event machine:
 //!
 //! * [`shard::ShardedWorld`] owns a set of [`node::Node`]s, partitioned
-//!   into `k` shards, and their pending events keyed by virtual
-//!   [`time::Time`] (the paper's clock `T`); its schedule is the same for
-//!   every `k`, a world that runs on one thread holds one shard, and
-//!   [`world::World`] is the engine at `k = 1`;
+//!   into `k` shards, one per worker thread
+//!   ([`world::WorldConfig::threads`]), and their pending events keyed by
+//!   virtual [`time::Time`] (the paper's clock `T`); its schedule is the
+//!   same for every `k`, and [`world::World`] is the engine at `k = 1`;
 //! * the atomic step itself — crash discard, the node's `Context`, every
 //!   per-step counter, send-target and clock-horizon checks, effect routing
 //!   — is stated once, in the crate-private `step` module, and every shard
@@ -62,9 +62,9 @@
 //! adjacent steps of the receiver, in send order; occupancy lands in
 //! [`metrics::SimMetrics::envelope_occupancy`].
 //!
-//! The scenario DSL that describes a run's delay model and crash schedule
-//! as text lives in `dinefd-fuzz` (`dinefd_fuzz::scenario_dsl`), beside
-//! the fuzzer and explorer configurations it also fills.
+//! A run is configured in code, through [`world::WorldConfig`]; the
+//! scenario document of `dinefd-fuzz` describes the fuzzer's and the
+//! explorer's runs, not the simulator's.
 
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]

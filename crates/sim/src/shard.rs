@@ -1,16 +1,15 @@
 //! The simulator: pair partitions with a deterministic cross-shard merge,
 //! runnable sequentially or on a pool of shard-worker threads.
 //!
-//! A [`ShardedWorld`] runs its processes over `k` shards, each owning the
-//! processes with `pid.index() % k == shard` and a private [`TimerWheel`]
-//! of their pending events; [`crate::world::World`] is the same engine at
-//! `k = 1`. Shards only partition the processes among worker threads, so a
-//! world that runs on one thread ([`crate::world::WorldConfig::threads`]
-//! below 2, no per-shard sinks) is built with one, whatever `k` it was
-//! asked for. Shards exchange only cross-shard messages; everything else
-//! (timers, same-shard sends) stays local. The extraction host partitions
-//! pairs by the `witness_by_subject` index key — the witness pid — so
-//! `pid % k` is exactly a pair partition there.
+//! A [`ShardedWorld`] runs its processes over `k` shards, one per worker
+//! thread ([`shard_count`]: `k` is [`crate::world::WorldConfig::threads`]
+//! clamped to `1..=n`). Shard `s` owns the processes with
+//! `pid.index() % k == s` and a private [`TimerWheel`] of their pending
+//! events; [`crate::world::World`] is the same engine at `k = 1`, whatever
+//! its thread count. Shards exchange only cross-shard messages; everything
+//! else (timers, same-shard sends) stays local. The extraction host
+//! partitions pairs by the `witness_by_subject` index key — the witness
+//! pid — so `pid % k` is exactly a pair partition there.
 //!
 //! ## The cross-shard `seq` merge rule
 //!
@@ -27,9 +26,9 @@
 //! Keys are unique (per-source counters never repeat), so ordering by key
 //! is a total order — and because it never mentions shards, the schedule is
 //! **independent of the shard count**: the same seed produces a
-//! byte-identical trace and metric set for any `k`. The per-instant barrier
-//! is sound because every delay and timer is at least one tick
-//! ([`crate::net::DelayModel::sample`] and
+//! byte-identical trace and metric set for any `k`, hence for any thread
+//! count. The per-instant barrier is sound because every delay and timer
+//! is at least one tick ([`crate::net::DelayModel::sample`] and
 //! [`crate::node::Context::set_timer`] both clamp), so executing an instant
 //! can only create strictly-later events.
 //!
@@ -75,24 +74,23 @@
 //!
 //! ## The instant-barrier protocol
 //!
-//! With [`crate::world::WorldConfig::threads`] ≥ 2 (and ≥ 2 shards),
-//! [`ShardedWorld::run_until`] moves the shard states onto a pool of
-//! scoped worker threads ([`crate::pool`]); worker `w` owns shards
-//! `s % workers == w`. Per simulated instant the coordinator:
+//! With two or more shards, [`ShardedWorld::run_until`] moves each shard's
+//! state onto its own scoped worker thread ([`crate::pool`]): worker `s`
+//! owns shard `s`. Per simulated instant the coordinator:
 //!
 //! 1. computes the global minimum pending time over every shard's reported
 //!    wheel minimum *and* the not-yet-delivered cross-shard inbox entries;
-//! 2. sends each worker a step message carrying that instant plus all
-//!    pending inbox entries for its shards (whatever their delivery time —
-//!    the worker folds them into its wheels);
-//! 3. workers execute due shards concurrently — cross-shard effects go to
-//!    per-destination outboxes, emissions to the per-shard log — and reply
-//!    with logs, outboxes, and new queue minima;
+//! 2. sends each worker a step message carrying that instant plus its
+//!    shard's pending inbox entries (whatever their delivery time — the
+//!    worker folds them into its wheel);
+//! 3. workers execute their shards concurrently — cross-shard effects go
+//!    to per-destination outboxes, emissions to the shard's log — and reply
+//!    with the log, the outbox, and the wheel's new minimum;
 //! 4. the coordinator routes outboxes into inboxes, merges and replays the
 //!    logs into the record, and updates the depth gauges.
 //!
 //! Dropping the step channels shuts the workers down; each returns its
-//! shard states (reinstalled in the world) and a [`WorkerStats`] of
+//! shard state (reinstalled in the world) and a [`WorkerStats`] of
 //! busy/barrier-wait wall-clock. Those stats are *deliberately not* part of
 //! [`ShardedWorld::metrics_map`], which stays byte-identical across thread
 //! counts; read them via [`ShardedWorld::worker_stats`].
@@ -335,69 +333,57 @@ impl<N: Node> ShardState<N> {
 }
 
 /// One instant's marching orders for a worker: the instant to execute and
-/// every pending cross-shard delivery for its shards (any delivery time).
+/// every pending cross-shard delivery for its shard (any delivery time).
 struct StepMsg<M> {
     t: Time,
-    inboxes: Vec<(usize, Inbox<M>)>,
+    inbox: Inbox<M>,
 }
 
-/// One shard's report back to the coordinator after an instant.
+/// A worker's report back to the coordinator after an instant.
 struct ShardReport<M, O> {
-    shard: usize,
     qlen: usize,
     qmin: Option<Time>,
     log: Vec<LogEntry<M, O>>,
     outbox: Vec<OutboxEntry<M>>,
 }
 
-/// What a worker hands back on shutdown: the shard states it owned
-/// (slot-tagged) and its wall-clock accounting.
-type WorkerReturn<N> = (Vec<(usize, ShardState<N>)>, WorkerStats);
-
-/// The worker side of the instant barrier: fold handed-over inbox entries
-/// into the owned wheels, execute due shards, report. Worker `w` of
-/// `workers` owns shards `s % workers == w`, shard `s` at `s / workers`.
-/// Exits when the step channel closes (coordinator shutdown) and returns
-/// its shard states.
+/// The worker side of the instant barrier: fold the handed-over inbox
+/// entries into the shard's wheel, execute the shard's slice of the
+/// instant, report. Exits when the step channel closes (coordinator
+/// shutdown) and returns the shard state with its wall-clock accounting.
 fn worker_loop<N: Node>(
-    mut owned: Vec<(usize, ShardState<N>)>,
-    workers: usize,
+    mut st: ShardState<N>,
     step_rx: mpsc::Receiver<StepMsg<N::Msg>>,
-    done_tx: mpsc::Sender<Vec<ShardReport<N::Msg, N::Obs>>>,
+    done_tx: mpsc::Sender<ShardReport<N::Msg, N::Obs>>,
     clock: Arc<dyn Clock>,
-) -> WorkerReturn<N> {
+) -> (ShardState<N>, WorkerStats) {
     let mut stats = WorkerStats::new();
     loop {
         let waiting = clock.elapsed_micros();
-        let Ok(StepMsg { t, inboxes }) = step_rx.recv() else { break };
+        let Ok(StepMsg { t, inbox }) = step_rx.recv() else { break };
         stats.barrier_wait_micros.record(clock.elapsed_micros().saturating_sub(waiting));
         let busy = clock.elapsed_micros();
-        for (s, entries) in inboxes {
-            let st = &mut owned[s / workers].1;
-            for (at, p) in entries {
-                st.wire.queue.push(at, p);
-            }
+        for (at, p) in inbox {
+            st.wire.queue.push(at, p);
         }
-        let mut reports = Vec::with_capacity(owned.len());
-        for (s, st) in owned.iter_mut() {
-            let mut log = Vec::new();
-            let mut outbox = Vec::new();
-            st.run_instant(t, &mut log, &mut outbox);
-            reports.push(ShardReport {
-                shard: *s,
-                qlen: st.wire.queue.len(),
-                qmin: st.wire.queue.peek_time(),
-                log,
-                outbox,
-            });
-        }
+        let (mut log, mut outbox) = (Vec::new(), Vec::new());
+        st.run_instant(t, &mut log, &mut outbox);
+        let report =
+            ShardReport { qlen: st.wire.queue.len(), qmin: st.wire.queue.peek_time(), log, outbox };
         stats.instants.inc();
         stats.busy_micros.record(clock.elapsed_micros().saturating_sub(busy));
-        if done_tx.send(reports).is_err() {
+        if done_tx.send(report).is_err() {
             break;
         }
     }
-    (owned, stats)
+    (st, stats)
+}
+
+/// The shard count of a world of `n` processes run on `threads` worker
+/// threads: one shard per worker, at least one, and no more shards than
+/// processes.
+pub fn shard_count(threads: usize, n: usize) -> usize {
+    threads.min(n).max(1)
 }
 
 /// The simulated world, partitioned into shards; see the module docs for
@@ -406,9 +392,6 @@ pub struct ShardedWorld<N: Node> {
     shards: Vec<ShardState<N>>,
     n: usize,
     now: Time,
-    /// Worker threads `run_until` may use (from
-    /// [`WorldConfig::threads`]).
-    threads: usize,
     /// Variant label of the configured delay model, for metric export.
     delay_kind: &'static str,
     trace: Trace<N::Msg, N::Obs>,
@@ -433,7 +416,6 @@ impl<N: Node> std::fmt::Debug for ShardedWorld<N> {
         f.debug_struct("ShardedWorld")
             .field("nodes", &self.n)
             .field("shards", &self.shards.len())
-            .field("threads", &self.threads)
             .field("now", &self.now)
             .field("pending", &self.pending_events())
             .finish_non_exhaustive()
@@ -441,52 +423,55 @@ impl<N: Node> std::fmt::Debug for ShardedWorld<N> {
 }
 
 impl<N: Node> ShardedWorld<N> {
-    /// Builds a `k`-shard world over `nodes` and delivers every node's
-    /// `on_start` step at time zero. `k` is clamped to at least 1, and is 1
-    /// when `cfg.threads` is below 2 (see the module docs).
-    pub fn new(nodes: Vec<N>, cfg: WorldConfig, shards: usize) -> Self {
-        Self::build(nodes, cfg, shards, None, None)
+    /// Builds a world of one shard per worker thread ([`shard_count`] of
+    /// `cfg.threads`) over `nodes` and delivers every node's `on_start`
+    /// step at time zero. `_shards` is ignored: the `benchmark/` harness
+    /// still passes a count.
+    pub fn new(nodes: Vec<N>, cfg: WorldConfig, _shards: usize) -> Self {
+        let k = shard_count(cfg.threads, nodes.len());
+        Self::build(nodes, cfg, k, None, None)
     }
 
     /// Builds a world with a streaming [`ObsSink`] attached. The sink must
     /// be present from construction because the `on_start` steps run inside
     /// it — attaching a sink after `new` would miss their observations.
+    /// `_shards` is ignored, as in [`ShardedWorld::new`].
     pub fn new_with_sink(
         nodes: Vec<N>,
         cfg: WorldConfig,
-        shards: usize,
+        _shards: usize,
         sink: Box<dyn ObsSink<N::Obs>>,
     ) -> Self {
-        Self::build(nodes, cfg, shards, Some(sink), None)
+        let k = shard_count(cfg.threads, nodes.len());
+        Self::build(nodes, cfg, k, Some(sink), None)
     }
 
-    /// Builds a sharded world with one `Send` streaming sink *per shard*:
-    /// `sinks[s]` travels with shard `s` onto its worker thread and
-    /// receives exactly the observations of processes `pid % shards == s`,
-    /// in that shard's execution order — which is the sequential stream's
-    /// projection onto those processes. This is the parallel-extraction
-    /// hook: per-shard folds merged deterministically afterwards.
+    /// Builds a world with one `Send` streaming sink *per shard*, one
+    /// [`shard_count`] of them: `sinks[s]` travels with shard `s` onto its
+    /// worker thread and receives exactly the observations of processes
+    /// `pid % k == s`, in that shard's execution order — which is the
+    /// sequential stream's projection onto those processes. This is the
+    /// parallel-extraction hook: per-shard folds merged deterministically
+    /// afterwards.
     pub fn new_with_shard_sinks(
         nodes: Vec<N>,
         cfg: WorldConfig,
-        shards: usize,
         sinks: Vec<Box<dyn ObsSink<N::Obs> + Send>>,
     ) -> Self {
-        assert_eq!(sinks.len(), shards, "one shard sink per shard");
-        Self::build(nodes, cfg, shards, None, Some(sinks))
+        let k = shard_count(cfg.threads, nodes.len());
+        assert_eq!(sinks.len(), k, "one shard sink per worker thread");
+        Self::build(nodes, cfg, k, None, Some(sinks))
     }
 
-    fn build(
+    /// A `k`-shard world; [`crate::world::World`] builds it at `k = 1`.
+    pub(crate) fn build(
         nodes: Vec<N>,
         cfg: WorldConfig,
-        shards: usize,
+        k: usize,
         obs_sink: Option<Box<dyn ObsSink<N::Obs>>>,
         shard_sinks: Option<Vec<Box<dyn ObsSink<N::Obs> + Send>>>,
     ) -> Self {
         let n = nodes.len();
-        // Shards only partition processes among workers: a world that runs
-        // on one thread, with no per-shard sink to feed, holds one.
-        let k = if cfg.threads < 2 && shard_sinks.is_none() { 1 } else { shards.max(1) };
         let mut rng = SplitMix64::new(cfg.seed);
         // Fork order is load-bearing: node RNGs first, then one delay RNG
         // per process, all in pid order — then distributed round-robin so
@@ -524,7 +509,6 @@ impl<N: Node> ShardedWorld<N> {
             shards: states,
             n,
             now: Time::ZERO,
-            threads: cfg.threads.max(1),
             delay_kind: cfg.delays.kind(),
             trace: Trace::new(cfg.record_messages),
             record_observations: cfg.record_observations,
@@ -590,15 +574,10 @@ impl<N: Node> ShardedWorld<N> {
         self.n == 0
     }
 
-    /// Number of shards: the count asked for, or 1 for a world built to
-    /// run on one thread.
+    /// Number of shards, which is the number of worker threads
+    /// [`ShardedWorld::run_until`] runs them on.
     pub fn shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Worker-thread budget for [`ShardedWorld::run_until`].
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Current global time.
@@ -743,9 +722,9 @@ impl<N: Node> ShardedWorld<N> {
 
     /// Runs until all queues are empty or global time exceeds `deadline`.
     ///
-    /// With [`WorldConfig::threads`] ≥ 2 and at least two shards the
-    /// instants execute on the shard-worker pool (byte-identical results;
-    /// see the module docs), which is why this — unlike
+    /// With two or more shards the instants execute on the shard-worker
+    /// pool (byte-identical results; see the module docs), which is why
+    /// this — unlike
     /// [`ShardedWorld::step_instant`] — asks the node type to be `Send`.
     /// Nodes that are not `Send` run through [`crate::World`], whose
     /// drivers are sequential.
@@ -755,7 +734,7 @@ impl<N: Node> ShardedWorld<N> {
         N::Msg: Send,
         N::Obs: Send,
     {
-        if self.threads >= 2 && self.shards.len() >= 2 {
+        if self.shards.len() >= 2 {
             self.run_parallel(deadline);
         }
         self.run_sequential(deadline);
@@ -781,8 +760,8 @@ impl<N: Node> ShardedWorld<N> {
         self.now = self.now.max(deadline);
     }
 
-    /// The parallel driver: moves the shard states onto pool workers and
-    /// runs the instant-barrier protocol from the module docs until the
+    /// The parallel driver: moves each shard's state onto its own pool
+    /// worker and runs the instant-barrier protocol from the module docs until the
     /// deadline passes or the system drains, then reinstalls the states.
     fn run_parallel(&mut self, deadline: Time)
     where
@@ -795,28 +774,23 @@ impl<N: Node> ShardedWorld<N> {
             _ => return,
         }
         let k = self.shards.len();
-        let workers = self.threads.min(k);
         let mut qmin: Vec<Option<Time>> = Vec::with_capacity(k);
         let mut qlen: Vec<usize> = Vec::with_capacity(k);
         let mut depth_shadow: Vec<Gauge> = Vec::with_capacity(k);
-        let mut owned: Vec<Vec<(usize, ShardState<N>)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (s, st) in self.shards.drain(..).enumerate() {
+        let mut step_txs = Vec::with_capacity(k);
+        let mut done_rxs = Vec::with_capacity(k);
+        let mut tasks: Vec<pool::WorkerFn<'_, (ShardState<N>, WorkerStats)>> =
+            Vec::with_capacity(k);
+        for st in self.shards.drain(..) {
             qmin.push(st.wire.queue.peek_time());
             qlen.push(st.wire.queue.len());
             depth_shadow.push(st.exec.metrics.queue_depth);
-            owned[s % workers].push((s, st));
-        }
-        let mut step_txs = Vec::with_capacity(workers);
-        let mut done_rxs = Vec::with_capacity(workers);
-        let mut tasks: Vec<pool::WorkerFn<'_, WorkerReturn<N>>> = Vec::with_capacity(workers);
-        for owned in owned {
             let (step_tx, step_rx) = mpsc::channel::<StepMsg<N::Msg>>();
-            let (done_tx, done_rx) = mpsc::channel::<Vec<ShardReport<N::Msg, N::Obs>>>();
+            let (done_tx, done_rx) = mpsc::channel::<ShardReport<N::Msg, N::Obs>>();
             step_txs.push(step_tx);
             done_rxs.push(done_rx);
             let clock = Arc::clone(&self.clock);
-            tasks.push(Box::new(move || worker_loop(owned, workers, step_rx, done_tx, clock)));
+            tasks.push(Box::new(move || worker_loop(st, step_rx, done_tx, clock)));
         }
         let mut inbox: Vec<Inbox<N::Msg>> = (0..k).map(|_| Vec::new()).collect();
         let mut global_shadow = self.global_depth;
@@ -845,26 +819,19 @@ impl<N: Node> ShardedWorld<N> {
                         break;
                     }
                     *now = t;
-                    for (w, tx) in step_txs.iter().enumerate() {
-                        let mut inboxes = Vec::new();
-                        for s in (w..k).step_by(workers) {
-                            if !inbox[s].is_empty() {
-                                inboxes.push((s, std::mem::take(&mut inbox[s])));
-                            }
-                        }
-                        if tx.send(StepMsg { t, inboxes }).is_err() {
+                    for (s, tx) in step_txs.iter().enumerate() {
+                        let inbox = std::mem::take(&mut inbox[s]);
+                        if tx.send(StepMsg { t, inbox }).is_err() {
                             break 'run;
                         }
                     }
-                    for rx in &done_rxs {
-                        let Ok(reports) = rx.recv() else { break 'run };
-                        for mut rep in reports {
-                            qmin[rep.shard] = rep.qmin;
-                            qlen[rep.shard] = rep.qlen;
-                            merged.append(&mut rep.log);
-                            for (dest, at, p) in rep.outbox {
-                                inbox[dest].push((at, p));
-                            }
+                    for (s, rx) in done_rxs.iter().enumerate() {
+                        let Ok(mut rep) = rx.recv() else { break 'run };
+                        qmin[s] = rep.qmin;
+                        qlen[s] = rep.qlen;
+                        merged.append(&mut rep.log);
+                        for (dest, at, p) in rep.outbox {
+                            inbox[dest].push((at, p));
                         }
                     }
                     Record { trace: &mut *trace, sink: &mut *obs_sink, record_observations }
@@ -883,23 +850,17 @@ impl<N: Node> ShardedWorld<N> {
                 drop(step_txs);
                 (inbox, depth_shadow, global_shadow)
             });
-        let mut slots: Vec<Option<ShardState<N>>> = (0..k).map(|_| None).collect();
-        for (w, (owned, stats)) in results.into_iter().enumerate() {
-            if self.worker_stats.len() <= w {
-                self.worker_stats.resize_with(w + 1, WorkerStats::new);
-            }
-            self.worker_stats[w].absorb(&stats);
-            for (s, st) in owned {
-                slots[s] = Some(st);
-            }
+        if self.worker_stats.len() < k {
+            self.worker_stats.resize_with(k, WorkerStats::new);
         }
-        self.shards = slots.into_iter().flatten().collect();
-        debug_assert_eq!(self.shards.len(), k, "workers return every shard");
-        for (s, entries) in inbox.into_iter().enumerate() {
+        for (s, ((st, stats), entries)) in results.into_iter().zip(inbox).enumerate() {
+            self.worker_stats[s].absorb(&stats);
+            self.shards.push(st);
             for (at, p) in entries {
                 self.shards[s].wire.queue.push(at, p);
             }
         }
+        debug_assert_eq!(self.shards.len(), k, "workers return every shard");
         for (s, g) in depth_shadow.into_iter().enumerate() {
             self.shards[s].exec.metrics.queue_depth = g;
         }
@@ -1009,21 +970,15 @@ mod tests {
         }
     }
 
-    /// What an all-to-all run must reproduce at every shard and thread
-    /// count: clock, trace, the global sink's stream and the metric export.
+    /// What an all-to-all run must reproduce at every thread count: clock,
+    /// trace, the global sink's stream and the metric export.
     type AllToAllRun = (Time, String, Vec<(Time, ProcessId, u32)>, MetricMap);
 
-    /// A drained all-to-all run of 7 processes, recording messages and
-    /// observations, with a global sink attached and one mid-run crash:
-    /// drained by hand or through `run_until` (on the worker pool when
-    /// `threads` ≥ 2 and `shards` ≥ 2), then run to the same deadline.
-    fn all_to_all(
-        seed: u64,
-        shards: usize,
-        threads: usize,
-        batch: bool,
-        by_hand: bool,
-    ) -> AllToAllRun {
+    /// A drained all-to-all run of 7 processes on `threads` shards,
+    /// recording messages and observations, with a global sink attached and
+    /// one mid-run crash: drained by hand or through `run_until` (on the
+    /// worker pool when `threads` ≥ 2), then run to the same deadline.
+    fn all_to_all(seed: u64, threads: usize, batch: bool, by_hand: bool) -> AllToAllRun {
         let n = 7;
         let nodes = (0..n).map(|_| AllToAll { n, rounds_left: 12, copies: 1 }).collect();
         let cfg = cfg(seed, n, batch).crashes(CrashPlan::one(ProcessId(4), Time(20)));
@@ -1031,9 +986,10 @@ mod tests {
         let mut w = ShardedWorld::new_with_sink(
             nodes,
             cfg.threads(threads),
-            shards,
+            threads,
             Box::new(std::rc::Rc::clone(&sink)),
         );
+        assert_eq!(w.shards(), threads);
         if by_hand {
             while w.step_instant() {}
         }
@@ -1043,18 +999,18 @@ mod tests {
         (w.now(), format!("{:?}", w.trace().events()), seen, w.metrics_map())
     }
 
-    /// A ring run stepped by hand. Two threads keep every requested shard,
-    /// so `step_instant` merges the shards' emission logs.
-    fn run(seed: u64, shards: usize, batch: bool) -> (Time, String, MetricMap) {
+    /// A ring run of 6 processes on `threads` shards, stepped by hand, so
+    /// that a multi-shard `step_instant` merges the shards' emission logs.
+    fn run(seed: u64, threads: usize, batch: bool) -> (Time, String, MetricMap) {
         let n = 6;
-        let mut w = ShardedWorld::new(ring(n, 300), cfg(seed, n, batch).threads(2), shards);
-        assert_eq!(w.shards(), shards);
+        let mut w = ShardedWorld::new(ring(n, 300), cfg(seed, n, batch).threads(threads), threads);
+        assert_eq!(w.shards(), threads);
         while w.step_instant() {}
         (w.now(), format!("{:?}", w.trace().events()), w.metrics_map())
     }
 
     /// The shard-count determinism matrix: same seed ⇒ byte-identical
-    /// trace and metrics for shards ∈ {1, 2, 4, 8}, including the exported
+    /// trace and metrics for 1, 2, 4 and 6 shards, including the exported
     /// `queue_depth_high_water`, each world stepped by hand. The ring has
     /// one token, so one shard is due per instant; the all-to-all rows put
     /// several shards in most instants, which is what the log merge of a
@@ -1063,31 +1019,30 @@ mod tests {
     fn shard_count_never_changes_the_run() {
         for batch in [false, true] {
             let reference = run(90, 1, batch);
-            for shards in [2, 4, 8] {
+            for shards in [2, 4, 6] {
                 let got = run(90, shards, batch);
                 assert_eq!(got, reference, "shards={shards} batch={batch} diverged");
             }
-            let reference = all_to_all(90, 1, 1, batch, true);
+            let reference = all_to_all(90, 1, batch, true);
             for shards in 2..=4 {
-                let got = all_to_all(90, shards, 2, batch, true);
+                let got = all_to_all(90, shards, batch, true);
                 assert!(got == reference, "all-to-all shards={shards} batch={batch} diverged");
             }
         }
     }
 
-    /// Shards only partition processes among workers: a world that runs on
-    /// one thread holds one, whatever it asks for, unless per-shard sinks
-    /// need feeding.
+    /// One shard per worker thread, at most one per process; `World` is
+    /// one shard whatever its thread count, and the count passed to `new`
+    /// is ignored.
     #[test]
-    fn a_sequential_world_runs_one_shard() {
-        let w = ShardedWorld::new(ring(6, 10), WorldConfig::new(1), 4);
-        assert_eq!(w.shards(), 1);
-        let w = ShardedWorld::new(ring(6, 10), WorldConfig::new(1).threads(2), 4);
-        assert_eq!(w.shards(), 4);
-        let sinks: Vec<Box<dyn ObsSink<u32> + Send>> =
-            (0..4).map(|_| Box::new(FoldSink::default()) as _).collect();
-        let w = ShardedWorld::new_with_shard_sinks(ring(6, 10), WorldConfig::new(1), 4, sinks);
-        assert_eq!(w.shards(), 4);
+    fn a_world_runs_one_shard_per_worker_thread() {
+        for (threads, shards) in [(1, 1), (2, 2), (4, 4), (16, 6)] {
+            let w = ShardedWorld::new(ring(6, 10), WorldConfig::new(1).threads(threads), 3);
+            assert_eq!(w.shards(), shards, "threads={threads}");
+        }
+        assert_eq!(World::new(ring(6, 10), WorldConfig::new(1).threads(4)).shards(), 1);
+        assert_eq!(shard_count(0, 5), 1);
+        assert_eq!(shard_count(3, 0), 1);
     }
 
     /// The batched schedule, pinned. Every step sends each peer two
@@ -1125,45 +1080,38 @@ mod tests {
         assert_ne!(run(90, 4, false).1, run(91, 4, false).1);
     }
 
-    /// Drives the run through `run_until` with a thread budget; the
-    /// deadline drains the ring workload completely, so the artifacts are
-    /// comparable across shard *and* thread counts.
-    fn run_threaded(
-        seed: u64,
-        shards: usize,
-        threads: usize,
-        batch: bool,
-    ) -> (Time, String, MetricMap) {
+    /// Drives the ring run through `run_until` on `threads` workers; the
+    /// deadline drains the workload completely, so the artifacts are
+    /// comparable across thread counts.
+    fn run_threaded(seed: u64, threads: usize, batch: bool) -> (Time, String, MetricMap) {
         let n = 6;
-        let mut w = ShardedWorld::new(ring(n, 300), cfg(seed, n, batch).threads(threads), shards);
+        let mut w = ShardedWorld::new(ring(n, 300), cfg(seed, n, batch).threads(threads), threads);
         w.run_until(Time(1_000_000));
         (w.now(), format!("{:?}", w.trace().events()), w.metrics_map())
     }
 
     /// The thread-count determinism matrix: the parallel instant-barrier
     /// run is byte-identical to the sequential one — trace, metrics, and
-    /// the exported depth gauges — for every thread × shard combination,
-    /// including a mid-run crash and envelope batching. The all-to-all rows
-    /// also compare the global sink's stream: shards 1..=4 at two threads
-    /// stepped by hand, and shards 2..=4 on two and four workers.
+    /// the exported depth gauges — at 2, 4 and 8 threads (8 clamps to the
+    /// ring's 6 processes), including a mid-run crash and envelope
+    /// batching. The all-to-all rows also compare the global sink's stream:
+    /// 1 to 4 shards stepped by hand, and 2 to 4 on the worker pool.
     #[test]
     fn parallel_run_is_byte_identical_to_sequential() {
         for batch in [false, true] {
-            let reference = run_threaded(90, 4, 1, batch);
+            let reference = run_threaded(90, 1, batch);
             for threads in [2, 4, 8] {
-                for shards in [2, 4, 8] {
-                    let got = run_threaded(90, shards, threads, batch);
-                    assert_eq!(got, reference, "threads={threads} shards={shards} batch={batch}");
-                }
+                let got = run_threaded(90, threads, batch);
+                assert_eq!(got, reference, "threads={threads} batch={batch}");
             }
-            let reference = all_to_all(90, 1, 1, batch, false);
-            let by_hand = (1..=4).map(|s| (s, 2, true));
-            let pooled = [2, 3, 4].into_iter().flat_map(|s| [(s, 2, false), (s, 4, false)]);
-            for (shards, threads, by_hand) in by_hand.chain(pooled) {
-                let got = all_to_all(90, shards, threads, batch, by_hand);
+            let reference = all_to_all(90, 1, batch, false);
+            let by_hand = (1..=4).map(|t| (t, true));
+            let pooled = (2..=4).map(|t| (t, false));
+            for (threads, by_hand) in by_hand.chain(pooled) {
+                let got = all_to_all(90, threads, batch, by_hand);
                 assert!(
                     got == reference,
-                    "all-to-all threads={threads} shards={shards} by_hand={by_hand} batch={batch} diverged"
+                    "all-to-all threads={threads} by_hand={by_hand} batch={batch} diverged"
                 );
             }
         }
@@ -1175,7 +1123,8 @@ mod tests {
     #[test]
     fn parallel_resume_matches_sequential() {
         let drive = |threads: usize| {
-            let mut w = ShardedWorld::new(ring(6, 300), cfg(11, 6, false).threads(threads), 4);
+            let cfg = cfg(11, 6, false).threads(threads);
+            let mut w = ShardedWorld::new(ring(6, 300), cfg, threads);
             w.run_until(Time(120));
             w.run_until(Time(720));
             (w.now(), format!("{:?}", w.trace().events()), w.metrics_map())
@@ -1191,7 +1140,7 @@ mod tests {
         let instants: u64 = w.worker_stats().iter().map(|s| s.instants.get()).sum();
         assert!(instants > 0, "workers must have stepped instants");
         // Sequential runs leave no worker stats.
-        let mut seq = ShardedWorld::new(ring(6, 300), cfg(90, 6, false), 4);
+        let mut seq = ShardedWorld::new(ring(6, 300), cfg(90, 6, false), 1);
         seq.run_until(Time(1_000_000));
         assert!(seq.worker_stats().is_empty());
         // Nor does the one-shard `World`, whatever the thread budget.
@@ -1200,16 +1149,16 @@ mod tests {
         assert!(one.worker_stats().is_empty());
     }
 
-    /// More threads than shards: `run_until` clamps the worker pool to the
-    /// shard count (a shard is never split across workers), the run still
-    /// drains, and the artifacts stay byte-identical to sequential.
+    /// More threads than processes: the world clamps to one shard (and one
+    /// worker) per process, the run still drains, and the artifacts stay
+    /// byte-identical to sequential.
     #[test]
-    fn more_threads_than_shards_clamps_to_shard_count() {
-        let mut w = ShardedWorld::new(ring(6, 300), cfg(90, 6, false).threads(16), 2);
+    fn more_threads_than_processes_clamps_to_one_shard_each() {
+        let mut w = ShardedWorld::new(ring(6, 300), cfg(90, 6, false).threads(16), 16);
         w.run_until(Time(1_000_000));
-        assert_eq!(w.worker_stats().len(), 2, "worker pool must clamp to shard count");
+        assert_eq!(w.worker_stats().len(), 6, "worker pool must clamp to the process count");
         let got = (w.now(), format!("{:?}", w.trace().events()), w.metrics_map());
-        assert_eq!(got, run_threaded(90, 2, 1, false));
+        assert_eq!(got, run_threaded(90, 1, false));
     }
 
     /// The worker wall-clock accounting reads the injected [`Clock`]: with
@@ -1232,7 +1181,7 @@ mod tests {
     #[test]
     fn global_high_water_is_bounded_by_summed_shard_marks() {
         let n = 6;
-        let mut w = ShardedWorld::new(ring(n, 300), cfg(5, n, false).threads(2), 4);
+        let mut w = ShardedWorld::new(ring(n, 300), cfg(5, n, false).threads(4), 4);
         assert_eq!(w.shards(), 4);
         while w.step_instant() {}
         let summed: u64 =
@@ -1250,7 +1199,7 @@ mod tests {
     #[test]
     fn counters_sum_exactly_across_shards() {
         let n = 6;
-        let mut w = ShardedWorld::new(ring(n, 200), cfg(7, n, false).threads(2), 4);
+        let mut w = ShardedWorld::new(ring(n, 200), cfg(7, n, false).threads(4), 4);
         assert_eq!(w.shards(), 4);
         while w.step_instant() {}
         let m = w.metrics_map();
@@ -1265,7 +1214,7 @@ mod tests {
 
     #[test]
     fn run_until_respects_deadline() {
-        let mut w = ShardedWorld::new(ring(4, 1000), WorldConfig::new(9), 2);
+        let mut w = ShardedWorld::new(ring(4, 1000), WorldConfig::new(9).threads(2), 2);
         w.run_until(Time(50));
         assert!(w.now() >= Time(50));
         let before = w.trace().observations().count();
@@ -1277,7 +1226,7 @@ mod tests {
     /// model, so a stalled-channel run is one run at any shard count.
     #[test]
     fn a_channel_staller_run_is_shard_count_invariant() {
-        let run = |shards: usize| {
+        let run = |threads: usize| {
             let staller = ChannelStaller {
                 stalled: vec![(ProcessId(1), ProcessId(2)), (ProcessId(3), ProcessId(4))],
                 release_at: Time(200),
@@ -1287,15 +1236,15 @@ mod tests {
                 .delays(DelayModel::Scripted(Arc::new(staller)))
                 .crashes(CrashPlan::one(ProcessId(5), Time(300)))
                 .record_messages()
-                .threads(2);
-            let mut w = ShardedWorld::new(ring(6, 120), cfg, shards);
+                .threads(threads);
+            let mut w = ShardedWorld::new(ring(6, 120), cfg, threads);
             w.run_until(Time(1_000_000));
             (w.now(), format!("{:?}", w.trace().events()), w.metrics_map())
         };
         let reference = run(1);
         assert!(reference.2["delay_ticks.scripted.max"] >= 190, "the stall must bite");
-        for shards in [2, 4] {
-            assert_eq!(run(shards), reference, "shards={shards}");
+        for threads in [2, 4] {
+            assert_eq!(run(threads), reference, "threads={threads}");
         }
     }
 
@@ -1313,8 +1262,7 @@ mod tests {
             .collect();
         let mut w = ShardedWorld::new_with_shard_sinks(
             ring(4, 23),
-            WorldConfig::new(9).threads(2),
-            shards,
+            WorldConfig::new(9).threads(shards),
             sinks,
         );
         w.run_until(Time(1_000_000));

@@ -75,13 +75,13 @@ pub struct WorldConfig {
     /// batching is a throughput knob whose occupancy is measured by
     /// [`crate::SimMetrics::envelope_occupancy`].
     pub batch_envelopes: bool,
-    /// Worker threads for [`ShardedWorld::run_until`]: with
-    /// `threads ≥ 2` *and* at least two shards, instants execute on a
-    /// persistent shard-worker pool behind a deterministic barrier merge —
+    /// Worker threads of a [`ShardedWorld`], which holds one shard per
+    /// thread (at most one per process): with `threads ≥ 2`,
+    /// [`ShardedWorld::run_until`] executes instants on a persistent
+    /// shard-worker pool behind a deterministic barrier merge —
     /// byte-identical to the sequential run, so this knob only buys
-    /// wall-clock. `1` (the default) means fully sequential, and a
-    /// [`ShardedWorld`] built so holds one shard whatever count it is
-    /// given (unless it feeds per-shard sinks).
+    /// wall-clock. `1` (the default) means one shard, fully sequential;
+    /// [`World`] is one shard whatever this says.
     pub threads: usize,
 }
 
@@ -144,19 +144,20 @@ impl WorldConfig {
     }
 }
 
-/// The simulator at one shard: a [`ShardedWorld`] with `k = 1`, which it
-/// dereferences to for stepping and reading the run. A wrapper rather than
-/// a type alias because the two names' `new`s differ in arity, and because
-/// its drivers are sequential: one shard never uses the worker pool, so
-/// [`World::run_until`] does not ask the node type to be `Send` (nodes that
-/// share state through `Rc` run here).
+/// The simulator at one shard: a [`ShardedWorld`] with `k = 1` whatever
+/// [`WorldConfig::threads`] says, which it dereferences to for stepping and
+/// reading the run. A wrapper rather than a type alias because the two
+/// names' `new`s differ in arity, and because its drivers are sequential:
+/// one shard never uses the worker pool, so [`World::run_until`] does not
+/// ask the node type to be `Send` (nodes that share state through `Rc` run
+/// here).
 pub struct World<N: Node>(ShardedWorld<N>);
 
 impl<N: Node> World<N> {
     /// Builds a one-shard world over `nodes` and delivers every node's
     /// `on_start` step at time zero.
     pub fn new(nodes: Vec<N>, cfg: WorldConfig) -> Self {
-        World(ShardedWorld::new(nodes, cfg, 1))
+        World(ShardedWorld::build(nodes, cfg, 1, None, None))
     }
 
     /// Runs until the queue is empty or global time exceeds `deadline`.

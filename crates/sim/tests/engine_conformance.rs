@@ -3,9 +3,9 @@
 //! Every behaviour here is *schedule-independent* — it follows from the
 //! model (crash discard, envelope FIFO, the clock horizon, the sink
 //! contract), not from how the events are ordered or the channels priced —
-//! so it must hold verbatim on each engine row: `ShardedWorld` at one
-//! shard (built for one thread or two), and at three shards, stepped by
-//! hand or run on the worker pool. Public API only: the table sees the
+//! so it must hold verbatim on each engine row: `ShardedWorld` on one
+//! thread (one shard), on two, and on three, stepped by hand or run on the
+//! worker pool (one shard per thread). Public API only: the table sees the
 //! engine exactly as downstream crates do.
 
 use std::cell::RefCell;
@@ -20,17 +20,16 @@ use dinefd_sim::{
 /// One engine configuration of the table.
 #[derive(Clone, Copy, Debug)]
 struct Row {
-    shards: usize,
     threads: usize,
     /// Step instant by instant instead of calling `run_until`.
     by_hand: bool,
 }
 
 const ROWS: [Row; 4] = [
-    Row { shards: 1, threads: 1, by_hand: false },
-    Row { shards: 1, threads: 2, by_hand: false },
-    Row { shards: 3, threads: 2, by_hand: true },
-    Row { shards: 3, threads: 2, by_hand: false },
+    Row { threads: 1, by_hand: false },
+    Row { threads: 2, by_hand: false },
+    Row { threads: 3, by_hand: true },
+    Row { threads: 3, by_hand: false },
 ];
 
 type Sink<O> = Option<Box<dyn ObsSink<O>>>;
@@ -44,8 +43,8 @@ fn build<N: Node>(
 ) -> ShardedWorld<N> {
     let cfg = cfg.threads(row.threads);
     match sink {
-        None => ShardedWorld::new(nodes, cfg, row.shards),
-        Some(sink) => ShardedWorld::new_with_sink(nodes, cfg, row.shards, sink),
+        None => ShardedWorld::new(nodes, cfg, row.threads),
+        Some(sink) => ShardedWorld::new_with_sink(nodes, cfg, row.threads, sink),
     }
 }
 

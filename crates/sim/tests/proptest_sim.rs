@@ -227,13 +227,15 @@ fn delay_for(choice: u8) -> DelayModel {
     }
 }
 
-/// One sharded run folded to comparable bytes: final clock, the full debug
-/// trace, the streamed observation fold, and the exported metric map.
+/// One run on `threads` shards folded to comparable bytes: final clock, the
+/// full debug trace, the streamed observation fold, and the exported metric
+/// map. Stepped by hand, a multi-shard world merges its shards' emission
+/// logs on the calling thread; through `run_until`, on the worker pool.
 fn sharded_fingerprint(
     seed: u64,
     n: usize,
-    shards: usize,
     threads: usize,
+    by_hand: bool,
     delay: u8,
     batch: bool,
     crash: u64,
@@ -258,7 +260,12 @@ fn sharded_fingerprint(
         cfg = cfg.batch_envelopes();
     }
     let mut w =
-        dinefd_sim::ShardedWorld::new_with_sink(nodes, cfg, shards, Box::new(Arc::clone(&sink)));
+        dinefd_sim::ShardedWorld::new_with_sink(nodes, cfg, threads, Box::new(Arc::clone(&sink)));
+    if by_hand {
+        while w.peek_time().is_some_and(|t| t <= Time(3_000)) {
+            w.step_instant();
+        }
+    }
     w.run_until(Time(3_000));
     let metrics: Vec<(String, u64)> = w.metrics_map().into_iter().collect();
     let now = w.now();
@@ -270,10 +277,11 @@ fn sharded_fingerprint(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The tentpole's contract: for any seed, shard count, delay model,
-    /// batching mode, and mid-run crash, a parallel run (t ∈ {2, 4, 8}) is
-    /// byte-identical to the sequential run of the same sharded world —
-    /// clock, trace, streamed observation fold, and metric export.
+    /// The sharded simulator's contract: for any seed, shard count, delay
+    /// model, batching mode, and mid-run crash, a world of `shards` shards
+    /// stepped by hand and a parallel run (t ∈ {2, 4, 8}) are byte-identical
+    /// to the one-shard sequential run — clock, trace, streamed observation
+    /// fold, and metric export.
     #[test]
     fn parallel_shard_runs_match_sequential(
         seed in any::<u64>(),
@@ -283,9 +291,11 @@ proptest! {
         batch in any::<bool>(),
         crash in 1u64..2_500,
     ) {
-        let reference = sharded_fingerprint(seed, n, shards, 1, delay, batch, crash);
+        let reference = sharded_fingerprint(seed, n, 1, false, delay, batch, crash);
+        let by_hand = sharded_fingerprint(seed, n, shards, true, delay, batch, crash);
+        prop_assert_eq!(&by_hand, &reference, "shards={} by hand", shards);
         for threads in [2usize, 4, 8] {
-            let par = sharded_fingerprint(seed, n, shards, threads, delay, batch, crash);
+            let par = sharded_fingerprint(seed, n, threads, false, delay, batch, crash);
             prop_assert_eq!(&par, &reference, "threads={}", threads);
         }
     }
