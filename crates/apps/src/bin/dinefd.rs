@@ -79,7 +79,6 @@
 //! --threads T               simulator worker threads, one shard each
 //!                           (default 1)
 //! --crash PID@TICK          crash PID at TICK (repeatable)
-//! --streaming               extract through the streaming sink
 //! --batch                   one delay draw per destination of a step
 //! --strict                  sequence-checked acks (hardened subject)
 //! ```
@@ -132,7 +131,7 @@ const USAGE: &str = "usage: dinefd analyze [--wire-cap N] [--max-k N] [--emit-tl
      [--max-steps N] [--corpus-seeds N] [--time-budget-secs N] \
      [--strict] [--no-crash] [--subject-mutation NAME] [--model-mutation NAME]\n\
      \x20      dinefd extract [--n N] [--seed N] [--horizon N] \
-     [--threads T] [--crash PID@TICK] [--streaming] [--batch] [--strict]\n\
+     [--threads T] [--crash PID@TICK] [--batch] [--strict]\n\
      \x20      dinefd live [--n N] [--trials N] [--seed N] [--period-ms N] \
      [--crash-at-ms N] [--horizon-ms N] [--skip-matrix] [--bench-out FILE]";
 
@@ -361,19 +360,18 @@ fn extract(mut flags: Flags<'_>, out: &mut Out) -> Result<ExitCode, String> {
                     parsed.ok_or_else(|| format!("--crash `{spec}`: expected PID@TICK"))?;
                 sc.crashes.add(pid, at);
             }
-            "--streaming" => sc.streaming = true,
             "--batch" => sc.batch_envelopes = true,
             "--strict" => sc.strict_seq = true,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    let (n, horizon, streaming) = (sc.n, sc.horizon.0, sc.streaming);
+    let (n, horizon) = (sc.n, sc.horizon.0);
     if sc.crashes.crashes().iter().any(|&(p, _)| p.index() >= n) {
         return Err("--crash PID must be below --n".into());
     }
     let res = run_extraction(sc);
 
-    outln!(out, "extract: n={n} pairs={} horizon={horizon} streaming={streaming}", n * (n - 1));
+    outln!(out, "extract: n={n} pairs={} horizon={horizon}", n * (n - 1));
     outln!(
         out,
         "extract: {} steps, {} messages, {} history changes, {} node-resident bytes",

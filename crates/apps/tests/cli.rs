@@ -249,6 +249,7 @@ fn bad_invocations_keep_their_error_lines() {
         (&["extract", "--bogus"][..], "unknown flag `--bogus`"),
         (&["extract", "--queue", "heap"][..], "unknown flag `--queue`"),
         (&["extract", "--shards", "2"][..], "unknown flag `--shards`"),
+        (&["extract", "--streaming"][..], "unknown flag `--streaming`"),
         (&["live", "--bogus"][..], "unknown flag `--bogus`"),
         (&["frobnicate"][..], "unknown subcommand `frobnicate`"),
         (&[][..], "missing subcommand"),

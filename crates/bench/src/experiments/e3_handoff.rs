@@ -2,7 +2,7 @@
 //! suffix. Reproduces the figure as an ASCII Gantt chart and checks its two
 //! structural properties programmatically.
 
-use dinefd_core::{run_extraction, BlackBox, OracleSpec, Scenario};
+use dinefd_core::{record_extraction, BlackBox, OracleSpec, PairTimelines, Scenario};
 use dinefd_sim::{ProcessId, Time};
 
 use crate::table::{Report, Table};
@@ -21,8 +21,8 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
         sc.oracle =
             OracleSpec::DiamondP { lag: 20, convergence: t_wx, max_mistakes: 3, max_len: 150 };
         sc.horizon = Time(40_000);
-        let res = run_extraction(sc);
-        let tl = res.pair_timelines(ProcessId(0), ProcessId(1));
+        let (res, trace) = record_extraction(sc);
+        let tl = PairTimelines::collect(&trace, ProcessId(0), ProcessId(1), res.horizon);
         let w = tl.witness_session_count();
         let s = tl.subject_session_count();
         let violations = tl.handoff_violations(suffix_from);

@@ -2,16 +2,20 @@
 //! paper is proof-only). All-ordered-pairs monitoring over `n` processes:
 //! message/step cost and convergence latency as `n` grows.
 
-use dinefd_core::{run_extraction, BlackBox, ExtractionResult, OracleSpec, Scenario};
+use dinefd_core::{
+    record_extraction, run_extraction, suspicion_history, BlackBox, ExtractionResult, OracleSpec,
+    Scenario,
+};
 use dinefd_explore::{explore, ExploreConfig};
 use dinefd_sim::{CrashPlan, MetricMap, ProcessId, Time};
 
 use crate::table::{Report, Table};
 use crate::{parallel_map, timed, ExperimentConfig};
 
-/// Sizes from which the scale sweep switches to the streaming pipeline
-/// (online history sink + envelope batching): beyond here a full trace
-/// would dominate memory, which is exactly what the pipeline removes.
+/// Sizes from which the scale sweep stops recording the trace and runs the
+/// online fold alone, with envelope batching: beyond here a full trace
+/// would dominate memory, which is exactly what the online fold removes.
+/// Rows below it read a recording, as post-hoc analysis does.
 const STREAM_FROM: usize = 32;
 
 /// The scale frontier: `(n, horizon)` rows. Horizons shrink as n²
@@ -58,13 +62,15 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                    per-pair message rate (≈ constant — each pair's machinery is \
                    independent), correctness at every size, convergence latency, \
                    peak resident extraction state, and wall-clock cost of the \
-                   simulation. Rows at n ≥ 32 run the streaming pipeline \
-                   (online history sink + envelope batching), so their resident \
-                   state is O(pairs) history entries instead of a full trace. \
+                   simulation. Every run folds the history online, one history \
+                   sink per shard; rows below n = 32 also record the trace, \
+                   as post-hoc analysis reads it, while rows at n ≥ 32 record \
+                   nothing and batch envelopes, so their resident state is \
+                   O(pairs) history entries instead of a full trace. \
                    The frontier table pushes to n = 1024 on one thread (one \
                    shard, timer-wheel queue) and differentially re-runs \
-                   every row post-hoc: the streaming history must match the \
-                   trace-derived one byte for byte. The parallel-frontier \
+                   every row recorded: replaying the recording through the \
+                   fold must give the online history byte for byte. The parallel-frontier \
                    table re-runs the larger rows on the shard-worker pool \
                    at 2, 4 and 8 threads, one shard per worker; the \
                    last table pushes the lemma explorer's search to deeper \
@@ -73,8 +79,8 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
         tables: vec![table, sharded, parallel, frontier],
         notes: vec![
             "\"peak resident (entries)\" counts the extraction-side state the run \
-             must hold: trace events for post-hoc rows, n² timelines + recorded \
-             suspicion changes for streaming rows. \"env occ (mean)\" is \
+             must hold: trace events for post-hoc (recorded) rows, n² timelines + \
+             recorded suspicion changes for streaming (online-only) rows. \"env occ (mean)\" is \
              messages per wire envelope (streamed rows batch each step's sends \
              per destination under one delay draw); \"-\" = batching off."
                 .into(),
@@ -117,7 +123,7 @@ struct ScaleRun {
     stabilized: Time,
     wall_ms: f64,
     /// Extraction-side resident state in logical entries: trace events for
-    /// post-hoc runs, n² timelines + suspicion changes for streaming runs.
+    /// recorded runs, n² timelines + suspicion changes for online-only runs.
     peak_resident: u64,
     envelopes: u64,
     history_changes: u64,
@@ -125,9 +131,10 @@ struct ScaleRun {
     sim: MetricMap,
 }
 
-/// The all-pairs extraction sweep over `sizes`; rows at `stream_from` and
-/// beyond use the streaming pipeline (online sink + envelope batching) and
-/// fewer seeds (they are per-run expensive but per-run deterministic).
+/// The all-pairs extraction sweep over `sizes`; rows below `stream_from`
+/// record the trace (their resident state is its length), rows at and
+/// beyond it record nothing, batch envelopes and run fewer seeds (they are
+/// per-run expensive but per-run deterministic).
 fn scale_table(
     cfg: &ExperimentConfig,
     sizes: &[usize],
@@ -165,10 +172,16 @@ fn scale_table(
             };
             sc.horizon = horizon;
             sc.crashes = CrashPlan::one(ProcessId::from_index(n - 1), Time(4_000));
-            sc.streaming = streaming;
             sc.batch_envelopes = streaming;
             let crashes = sc.crashes.clone();
-            let (res, secs) = timed(|| run_extraction(sc));
+            let ((res, recording), secs) = timed(|| {
+                if streaming {
+                    (run_extraction(sc), None)
+                } else {
+                    let (res, trace) = record_extraction(sc);
+                    (res, Some(trace.len() as u64))
+                }
+            });
             let acc = res.history.eventual_strong_accuracy(&crashes);
             let complete = res.history.strong_completeness(&crashes).is_ok();
             let stabilized = acc
@@ -176,11 +189,7 @@ fn scale_table(
                 .ok()
                 .and_then(|rows| rows.iter().map(|r| r.trusted_from).max())
                 .unwrap_or(Time::INFINITY);
-            let peak_resident = if res.streaming {
-                (res.n * res.n) as u64 + res.history_changes
-            } else {
-                res.trace.len() as u64
-            };
+            let peak_resident = recording.unwrap_or((res.n * res.n) as u64 + res.history_changes);
             ScaleRun {
                 accurate: acc.is_ok(),
                 complete,
@@ -260,10 +269,11 @@ fn same_run(a: &ExtractionResult, b: &ExtractionResult) -> bool {
 }
 
 /// The n ≥ 128 frontier and its thread-scaling table. One seed per size
-/// (each run is expensive but deterministic), streaming + envelope
-/// batching on one thread, and a full streaming-vs-post-hoc differential
-/// at every size: both modes must agree on step and message counts, the
-/// metric export, and the extracted history. Rows from `par_from` up then
+/// (each run is expensive but deterministic), the online fold with
+/// envelope batching on one thread, and a full differential at every size
+/// against a recorded re-run: the two runs must agree on step and message
+/// counts and the metric export, and replaying the recording through the
+/// fold must give the online history. Rows from `par_from` up then
 /// re-run the streamed world on the shard-worker pool at 2, 4 and 8
 /// threads, one shard per worker, each asserted identical to the streamed
 /// run, which is the parallel table's threads = 1 row.
@@ -292,7 +302,7 @@ fn frontier_tables(
         &["n", "threads", "steps", "ksteps/s", "speedup", "barrier %", "identical"],
     );
     for &(n, horizon) in sizes {
-        let run = |streaming: bool, threads: usize| {
+        let scenario = |threads: usize| {
             let mut sc = Scenario::all_pairs(n, BlackBox::WfDx, 8_000);
             sc.oracle = OracleSpec::DiamondP {
                 lag: 20,
@@ -302,14 +312,26 @@ fn frontier_tables(
             };
             sc.horizon = Time(horizon);
             sc.crashes = CrashPlan::one(ProcessId::from_index(n - 1), Time(horizon / 2));
-            sc.streaming = streaming;
             sc.batch_envelopes = true;
             sc.threads = threads;
-            timed(|| run_extraction(sc))
+            sc
         };
-        let (streamed, secs) = run(true, 1);
-        let differential_ok = same_run(&streamed, &run(false, 1).0);
-        assert!(differential_ok, "n={n}: streaming and post-hoc runs diverged");
+        let run = |threads: usize| timed(|| run_extraction(scenario(threads)));
+        let (streamed, secs) = run(1);
+        // The recorded run's history, its recording and the replay are each
+        // dropped once read, so the re-run holds at most one recording and
+        // one history beside the streamed run, as a post-hoc fold does.
+        let differential_ok = {
+            let sc = scenario(1);
+            let pairs = sc.pairs.clone();
+            let (recorded, trace) = record_extraction(sc);
+            let same = same_run(&streamed, &recorded);
+            drop(recorded);
+            let replayed = suspicion_history(n, &trace, &pairs);
+            drop(trace);
+            same && format!("{:?}", streamed.history) == format!("{replayed:?}")
+        };
+        assert!(differential_ok, "n={n}: the online fold and the recording's replay diverged");
         let pairs = (n * (n - 1)) as u64;
         let peak_resident = (n * n) as u64 + streamed.history_changes;
         metrics.insert(format!("n{n}.sim_steps_total"), streamed.steps);
@@ -339,7 +361,7 @@ fn frontier_tables(
             continue;
         }
         for threads in [1usize, 2, 4, 8] {
-            let rerun = (threads > 1).then(|| run(true, threads));
+            let rerun = (threads > 1).then(|| run(threads));
             let (res, res_secs) = rerun.as_ref().map_or((&streamed, secs), |(r, t)| (r, *t));
             let identical = rerun.is_none() || same_run(res, &streamed);
             assert!(identical, "n={n} threads={threads}: parallel run diverged from sequential");
@@ -411,9 +433,10 @@ mod tests {
 
     #[test]
     fn e8_small_sizes_correct() {
-        // Exercise both pipeline modes at debug-friendly sizes: post-hoc
-        // below the threshold, streaming+batching at and above it (the
-        // release-profile sweep raises the threshold to n=32/64).
+        // Exercise both row modes at debug-friendly sizes: recorded
+        // (post-hoc) below the threshold, online-only with batching at and
+        // above it (the release-profile sweep raises the threshold to
+        // n=32/64).
         let cfg = ExperimentConfig { seeds: 2 };
         let mut metrics = MetricMap::new();
         let table = scale_table(&cfg, &[2, 4, 8], 8, &mut metrics);
@@ -459,8 +482,8 @@ mod tests {
     #[test]
     fn e8_frontier_differential_and_parallel_rows_hold_at_debug_sizes() {
         // Same machinery as the release-profile n≤1024 frontier, at sizes a
-        // debug test can afford. Every row asserts internally that streaming
-        // and post-hoc runs are byte-identical and that each
+        // debug test can afford. Every row asserts internally that the online
+        // fold equals the replay of a recorded re-run and that each
         // parallel rerun reproduces the streamed run; here we also pin the
         // exported keyspace the CI baseline diff consumes, and that the
         // parallel table's threads = 1 row is the frontier's own run.

@@ -6,39 +6,18 @@ use dinefd_sim::{ObsSink, ProcessId, Time, Trace};
 
 use crate::host::{RedObs, Role};
 
-/// Builds the extracted detector's [`SuspicionHistory`] from a reduction
-/// trace. The initial output is "suspected" (Alg. 1 initializes
-/// `suspect_q ← true`).
-pub fn suspicion_history<M>(
-    n: usize,
-    trace: &Trace<M, RedObs>,
-    pairs: &[(ProcessId, ProcessId)],
-) -> SuspicionHistory {
-    let mut h = SuspicionHistory::new(n, true);
-    h.restrict_to(pairs);
-    for (at, pid, obs) in trace.observations() {
-        if let RedObs::Suspicion { subject, suspected } = obs {
-            h.record(at, pid, *subject, *suspected);
-        }
-    }
-    h
-}
-
-/// Streaming twin of [`suspicion_history`]: an [`ObsSink`] that folds each
-/// [`RedObs::Suspicion`] observation into a [`SuspicionHistory`] the moment
-/// the simulator routes it, so extraction needs `O(pairs + changes)` resident
-/// memory instead of a full trace.
+/// The one fold from Alg. 1's outputs to the extracted detector: an
+/// [`ObsSink`] that records each [`RedObs::Suspicion`] observation into a
+/// [`SuspicionHistory`] as it arrives. The initial output is "suspected"
+/// (Alg. 1 initializes `suspect_q ← true`).
 ///
-/// Attach with [`dinefd_sim::ShardedWorld::new_with_sink`] (sinks must be
-/// present from construction — the start steps already emit observations) and call
-/// [`HistorySink::finish`] once the run is over. By construction the result
-/// is identical to running [`suspicion_history`] over the same run's trace;
-/// `crates/core/tests/streaming_differential.rs` asserts byte-identity.
+/// Extraction runs one per simulator shard, fed live
+/// ([`dinefd_sim::ShardedWorld::new_with_shard_sinks`]), so it needs
+/// `O(pairs + changes)` resident memory instead of a full trace; a recorded
+/// trace is replayed through the same fold by [`suspicion_history`].
 #[derive(Clone, Debug)]
 pub struct HistorySink {
     history: SuspicionHistory,
-    observations_folded: u64,
-    suspicion_changes: u64,
 }
 
 impl HistorySink {
@@ -47,23 +26,7 @@ impl HistorySink {
     pub fn new(n: usize, pairs: &[(ProcessId, ProcessId)]) -> Self {
         let mut history = SuspicionHistory::new(n, true);
         history.restrict_to(pairs);
-        HistorySink { history, observations_folded: 0, suspicion_changes: 0 }
-    }
-
-    /// The history folded so far (readable mid-run through the shared
-    /// `Rc<RefCell<..>>` handle).
-    pub fn history(&self) -> &SuspicionHistory {
-        &self.history
-    }
-
-    /// Total observations seen (all kinds, including `DxPhase`).
-    pub fn observations_folded(&self) -> u64 {
-        self.observations_folded
-    }
-
-    /// How many of them were suspicion-output changes.
-    pub fn suspicion_changes(&self) -> u64 {
-        self.suspicion_changes
+        HistorySink { history }
     }
 
     /// Consumes the sink, yielding the finished history.
@@ -73,13 +36,27 @@ impl HistorySink {
 }
 
 impl ObsSink<RedObs> for HistorySink {
+    #[inline]
     fn on_obs(&mut self, at: Time, pid: ProcessId, obs: &RedObs) {
-        self.observations_folded += 1;
         if let RedObs::Suspicion { subject, suspected } = *obs {
-            self.suspicion_changes += 1;
             self.history.record(at, pid, subject, suspected);
         }
     }
+}
+
+/// Builds the extracted detector's [`SuspicionHistory`] from a recorded
+/// reduction trace: a replay of its observations, in trace order, through
+/// [`HistorySink`].
+pub fn suspicion_history<M>(
+    n: usize,
+    trace: &Trace<M, RedObs>,
+    pairs: &[(ProcessId, ProcessId)],
+) -> SuspicionHistory {
+    let mut sink = HistorySink::new(n, pairs);
+    for (at, pid, obs) in trace.observations() {
+        sink.on_obs(at, pid, obs);
+    }
+    sink.finish()
 }
 
 /// The four threads of one monitoring pair, as phase timelines — the raw

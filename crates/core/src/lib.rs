@@ -26,8 +26,9 @@
 //!   [`host::Bank`] holds a process's pairs and calls the black boxes, a
 //!   [`host::PairNode`] is one process; [`host::ReductionNode`] is that node
 //!   over the paper's machines at two instances per pair.
-//! * [`detector`] — trace → [`dinefd_fd::SuspicionHistory`] extraction and
-//!   Fig. 1 pair timelines.
+//! * [`detector`] — the one fold from Alg. 1's outputs to a
+//!   [`dinefd_fd::SuspicionHistory`] (fed live, or replaying a recorded
+//!   trace) and Fig. 1 pair timelines.
 //! * [`scenario`] — one-call assembly of extraction runs over any black box.
 //! * [`flawed_cm`] — the earlier contention-manager reduction of the paper's
 //!   reference \[8\], reproduced faithfully so experiment E4 can demonstrate
@@ -65,6 +66,7 @@ pub use flawed_cm::{run_flawed_pair, FlawedCmNode};
 pub use host::{DxEndpoint, RedMsg, RedObs, ReductionNode, Role};
 pub use machines::{SubjectMachine, WitnessMachine};
 pub use scenario::{
-    all_ordered_pairs, run_extraction, BlackBox, ExtractionResult, OracleSpec, Scenario, MAX_N,
+    all_ordered_pairs, record_extraction, run_extraction, BlackBox, ExtractionResult, OracleSpec,
+    Scenario, MAX_N,
 };
 pub use single_dx::{run_single_pair, SingleDxNode};

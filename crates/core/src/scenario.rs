@@ -4,15 +4,12 @@
 //! This is the API the examples, integration tests, and the experiment
 //! harness (`dinefd-bench`) all drive.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use dinefd_dining::coord::{CoordDining, GrantRegime};
 use dinefd_dining::hygienic::HygienicDining;
 use dinefd_dining::wfdx::WfDxDining;
 use dinefd_dining::DiningParticipant;
-use dinefd_fd::SuspicionHistory as FdHistory;
 use dinefd_fd::{InjectedOracle, SuspicionHistory};
 use dinefd_sim::shard::shard_count;
 use dinefd_sim::{
@@ -20,7 +17,7 @@ use dinefd_sim::{
     Time, Trace, WorkerStats, World, WorldConfig,
 };
 
-use crate::detector::{suspicion_history, HistorySink, PairTimelines};
+use crate::detector::{suspicion_history, HistorySink};
 use crate::host::{DiningFactory, DxEndpoint, Oracle, RedMsg, RedObs, ReductionNode, Resident};
 
 /// Which WF-◇WX (or WX) black box the reduction runs against.
@@ -122,10 +119,10 @@ pub struct Scenario {
     pub strict_seq: bool,
     /// Self-tick period of the reduction nodes (scheduling granularity).
     pub tick_every: u64,
-    /// Fold the suspicion history online through a
-    /// [`crate::detector::HistorySink`] instead of materializing
-    /// observation events in the trace: `O(pairs + changes)` resident
-    /// memory, but [`ExtractionResult::pair_timelines`] becomes empty.
+    /// Ignored: extraction always folds the suspicion history online, one
+    /// [`HistorySink`] per shard, and [`record_extraction`] is the run that
+    /// also records the trace. Kept because the `benchmark/` harness still
+    /// sets it.
     pub streaming: bool,
     /// Give each step's messages to one destination a single delay draw,
     /// as one envelope: they arrive at one instant, as adjacent steps of
@@ -142,8 +139,8 @@ pub struct Scenario {
     /// Worker threads, one shard each ([`dinefd_sim::shard::shard_count`]):
     /// with `threads ≥ 2` the run executes on the simulator's shard-worker
     /// pool behind its deterministic barrier merge (byte-identical results
-    /// for any thread count), and streaming extraction folds one
-    /// [`HistorySink`] per shard, merged deterministically at the end.
+    /// for any thread count), and extraction folds one [`HistorySink`] per
+    /// shard, merged deterministically at the end.
     pub threads: usize,
 }
 
@@ -201,15 +198,9 @@ pub fn all_ordered_pairs(n: usize) -> Vec<(ProcessId, ProcessId)> {
 pub struct ExtractionResult {
     /// The extracted detector's suspicion history.
     pub history: SuspicionHistory,
-    /// The raw trace. In post-hoc mode observations are always present; in
-    /// streaming mode they are folded into `history` as they happen and the
-    /// trace carries none (so [`ExtractionResult::pair_timelines`] is empty).
-    pub trace: Trace<RedMsg, RedObs>,
-    /// Whether the history was folded online (see [`Scenario::streaming`]).
-    pub streaming: bool,
     /// Logical resident size of the extracted history in timeline entries
     /// ([`SuspicionHistory::change_count`]); with `n²` initial outputs this
-    /// is the whole streaming-mode memory footprint of extraction.
+    /// is the whole memory footprint of extraction.
     pub history_changes: u64,
     /// The run's crash plan (for the spec checkers).
     pub crashes: CrashPlan,
@@ -235,13 +226,6 @@ pub struct ExtractionResult {
     pub worker_stats: Vec<WorkerStats>,
 }
 
-impl ExtractionResult {
-    /// Thread timelines of one pair (Fig. 1 material).
-    pub fn pair_timelines(&self, watcher: ProcessId, subject: ProcessId) -> PairTimelines {
-        PairTimelines::collect(&self.trace, watcher, subject, self.horizon)
-    }
-}
-
 /// The dining-participant factory implementing a [`BlackBox`] choice.
 pub fn factory_for(black_box: BlackBox) -> impl Fn(DxEndpoint) -> Box<dyn DiningParticipant> {
     move |ep: DxEndpoint| -> Box<dyn DiningParticipant> {
@@ -260,7 +244,9 @@ pub fn factory_for(black_box: BlackBox) -> impl Fn(DxEndpoint) -> Box<dyn Dining
     }
 }
 
-/// Runs one extraction scenario to its horizon.
+/// Runs one extraction scenario to its horizon, folding the extracted
+/// detector's history online: one [`HistorySink`] per simulator shard, with
+/// no observation recorded in the trace.
 ///
 /// The banks hold the WF-◇WX engine of `WfDx` and `Ftme` inline, as the
 /// same endpoints [`factory_for`] boxes, and every other black box boxed;
@@ -280,14 +266,39 @@ pub fn factory_for(black_box: BlackBox) -> impl Fn(DxEndpoint) -> Box<dyn Dining
 /// assert!(res.history.mistake_intervals(ProcessId(0), ProcessId(1)) >= 1);
 /// ```
 pub fn run_extraction(sc: Scenario) -> ExtractionResult {
+    extract(sc, false).0
+}
+
+/// [`run_extraction`] with every observation also recorded in the returned
+/// trace — the material of [`crate::PairTimelines::collect`], and of
+/// [`suspicion_history`]'s replay, which reproduces the result's history.
+/// The run, and its history, are the same run as [`run_extraction`]'s.
+///
+/// ```
+/// use dinefd_core::{record_extraction, suspicion_history, BlackBox, Scenario};
+///
+/// let sc = Scenario::pair(BlackBox::WfDx, 7);
+/// let pairs = sc.pairs.clone();
+/// let (res, trace) = record_extraction(sc);
+/// let replayed = suspicion_history(res.n, &trace, &pairs);
+/// assert_eq!(format!("{:?}", res.history), format!("{replayed:?}"));
+/// ```
+pub fn record_extraction(sc: Scenario) -> (ExtractionResult, Trace<RedMsg, RedObs>) {
+    extract(sc, true)
+}
+
+/// The one extraction run behind [`run_extraction`] and
+/// [`record_extraction`], recording observations in the trace when `record`
+/// says so.
+fn extract(sc: Scenario, record: bool) -> (ExtractionResult, Trace<RedMsg, RedObs>) {
     match sc.black_box {
         BlackBox::WfDx => {
-            run_extraction_over(sc, &|ep: DxEndpoint| WfDxDining::new(ep.me, &[ep.peer]))
+            extract_over(sc, &|ep: DxEndpoint| WfDxDining::new(ep.me, &[ep.peer]), record)
         }
         BlackBox::Ftme => {
-            run_extraction_over(sc, &|ep: DxEndpoint| WfDxDining::trust_gated(ep.me, &[ep.peer]))
+            extract_over(sc, &|ep: DxEndpoint| WfDxDining::trust_gated(ep.me, &[ep.peer]), record)
         }
-        other => run_extraction_over(sc, &factory_for(other)),
+        other => extract_over(sc, &factory_for(other), record),
     }
 }
 
@@ -296,6 +307,15 @@ pub fn run_extraction_over<D: Resident>(
     sc: Scenario,
     factory: &DiningFactory<'_, D>,
 ) -> ExtractionResult {
+    extract_over(sc, factory, false).0
+}
+
+/// [`extract`] over `factory`'s endpoints, stored as `D`.
+fn extract_over<D: Resident>(
+    sc: Scenario,
+    factory: &DiningFactory<'_, D>,
+    record: bool,
+) -> (ExtractionResult, Trace<RedMsg, RedObs>) {
     let Scenario {
         n,
         pairs,
@@ -307,7 +327,7 @@ pub fn run_extraction_over<D: Resident>(
         horizon,
         strict_seq,
         tick_every,
-        streaming,
+        streaming: _,
         batch_envelopes,
         shards: _,
         queue: _,
@@ -350,61 +370,31 @@ pub fn run_extraction_over<D: Resident>(
     if batch_envelopes {
         cfg = cfg.batch_envelopes();
     }
-    let new_sink = || HistorySink::new(n, &pairs);
-    let shards = shard_count(threads, n);
-    let fold = if !streaming {
-        Fold::PostHoc
-    } else if shards >= 2 {
-        Fold::PerShard((0..shards).map(|_| Arc::new(Mutex::new(new_sink()))).collect())
-    } else {
-        Fold::Online(Rc::new(RefCell::new(new_sink())))
-    };
-    if streaming {
+    if !record {
         // Keep the trace free of observation events so the run's resident
         // footprint is O(pairs + suspicion changes), not O(run length).
         cfg = cfg.observation_events_off();
     }
-    let mut world = match &fold {
-        Fold::PostHoc => ShardedWorld::new(nodes, cfg, shards),
-        Fold::Online(sink) => {
-            ShardedWorld::new_with_sink(nodes, cfg, shards, Box::new(Rc::clone(sink)))
-        }
-        Fold::PerShard(sinks) => {
-            let sinks = sinks.iter().map(|s| Box::new(Arc::clone(s)) as _).collect();
-            ShardedWorld::new_with_shard_sinks(nodes, cfg, sinks)
-        }
-    };
+    let sinks = (0..shard_count(threads, n)).map(|_| HistorySink::new(n, &pairs)).collect();
+    let mut world = ShardedWorld::new_with_shard_sinks(nodes, cfg, sinks);
     world.run_until(horizon);
     let worker_stats = world.worker_stats().to_vec();
     let (steps, messages_sent, metrics) =
         (world.steps(), world.messages_sent(), world.metrics_map());
-    let trace = world.into_trace();
-    let history = match fold {
-        Fold::PostHoc => suspicion_history(n, &trace, &pairs),
-        Fold::Online(sink) => {
-            Rc::try_unwrap(sink).expect("world dropped its sink handle").into_inner().finish()
-        }
-        Fold::PerShard(sinks) => {
-            let mut merged = FdHistory::new(n, true);
-            merged.restrict_to(&pairs);
-            for (s, sink) in sinks.into_iter().enumerate() {
-                let sink = Arc::try_unwrap(sink)
-                    .expect("world dropped its sink handles")
-                    .into_inner()
-                    .expect("sink lock poisoned");
-                merged.adopt_watcher_rows(
-                    &sink.finish(),
-                    (s..n).step_by(shards).map(ProcessId::from_index),
-                );
-            }
-            merged
-        }
-    };
+    let (sinks, trace) = world.into_parts();
+    // Shard `s` folded exactly the watchers `pid % k == s`, so adopting
+    // each later shard's watcher rows into shard 0's history reassembles
+    // the sequential history row for row (see
+    // `SuspicionHistory::adopt_watcher_rows`).
+    let k = sinks.len();
+    let mut parts = sinks.into_iter().map(HistorySink::finish);
+    let mut history = parts.next().unwrap_or_else(|| HistorySink::new(n, &pairs).finish());
+    for (s, part) in (1..k).zip(parts) {
+        history.adopt_watcher_rows(&part, (s..n).step_by(k).map(ProcessId::from_index));
+    }
     let history_changes = history.change_count();
-    ExtractionResult {
+    let res = ExtractionResult {
         history,
-        trace,
-        streaming,
         history_changes,
         crashes,
         n,
@@ -414,7 +404,8 @@ pub fn run_extraction_over<D: Resident>(
         node_resident_bytes,
         metrics,
         worker_stats,
-    }
+    };
+    (res, trace)
 }
 
 /// The run the two one-instance ablations share: `make`'s nodes for
@@ -438,19 +429,6 @@ pub(crate) fn run_one_pair<N: Node<Msg = RedMsg, Obs = RedObs>>(
     let mut world = World::new(nodes.collect(), WorldConfig::new(seed).crashes(crashes));
     world.run_until(horizon);
     suspicion_history(2, &world.into_trace(), &pairs)
-}
-
-/// Where a run's observations become the suspicion history.
-enum Fold {
-    /// After the run, from the observation events the trace recorded.
-    PostHoc,
-    /// Online, as the simulator routes them, through one sink on the world.
-    Online(Rc<RefCell<HistorySink>>),
-    /// Online in a parallel run: one sink per shard travels with its
-    /// worker thread and folds that shard's watcher rows; the merge
-    /// afterwards reassembles the sequential history row for row (see
-    /// `SuspicionHistory::adopt_watcher_rows`).
-    PerShard(Vec<Arc<Mutex<HistorySink>>>),
 }
 
 #[cfg(test)]
@@ -507,21 +485,23 @@ mod tests {
     }
 
     #[test]
-    fn sharded_streaming_matches_sharded_post_hoc() {
-        // Streaming folds the same observation stream the post-hoc trace
-        // carries, so the extracted histories must agree exactly — also on
-        // a two-shard world, which runs on two threads.
-        let run = |streaming: bool| {
+    fn sharded_fold_matches_the_replay_of_its_recording() {
+        // The per-shard folds merge into the history a replay of the
+        // recorded observation stream through one fold builds — on one
+        // shard, and on two and three, which run on the pool.
+        for threads in [1, 2, 3] {
             let mut sc = Scenario::all_pairs(3, BlackBox::WfDx, 29);
             sc.horizon = Time(6_000);
             sc.crashes = CrashPlan::one(ProcessId(1), Time(3_000));
-            sc.threads = 2;
-            sc.streaming = streaming;
-            let res = run_extraction(sc);
-            assert_eq!(res.worker_stats.len(), 2, "streaming={streaming}: two shards on the pool");
-            (res.steps, res.messages_sent, format!("{:?}", res.history))
-        };
-        assert_eq!(run(true), run(false));
+            sc.threads = threads;
+            let pairs = sc.pairs.clone();
+            let (res, trace) = record_extraction(sc);
+            let workers = if threads == 1 { 0 } else { threads };
+            assert_eq!(res.worker_stats.len(), workers, "threads={threads}: shards on the pool");
+            assert!(trace.observations().count() > 0, "threads={threads}: nothing recorded");
+            let replayed = suspicion_history(3, &trace, &pairs);
+            assert_eq!(format!("{:?}", res.history), format!("{replayed:?}"), "threads={threads}");
+        }
     }
 
     #[test]
@@ -529,28 +509,29 @@ mod tests {
         // The shard-worker pool's barrier merge must make thread count
         // unobservable end to end: history, counters, and the exported
         // metric map of a parallel extraction reproduce the sequential
-        // one-shard run byte-for-byte — on both extraction paths, including
-        // the per-shard streaming sinks. `Scenario::shards` is ignored.
-        for streaming in [false, true] {
-            let run = |threads: usize, shards: usize| {
+        // one-shard run byte-for-byte, through the per-shard sinks, whether
+        // or not the run records its observations. `Scenario::shards` and
+        // `Scenario::streaming` are ignored.
+        for record in [false, true] {
+            let run = |threads: usize, shards: usize, streaming: bool| {
                 let mut sc = Scenario::all_pairs(4, BlackBox::WfDx, 47);
                 sc.horizon = Time(6_000);
                 sc.crashes = CrashPlan::one(ProcessId(3), Time(3_000));
                 sc.shards = shards;
                 sc.threads = threads;
                 sc.streaming = streaming;
-                let res = run_extraction(sc);
+                let res = if record { record_extraction(sc).0 } else { run_extraction(sc) };
                 let workers = res.worker_stats.len();
                 (workers, (res.steps, res.messages_sent, format!("{:?}", res.history), res.metrics))
             };
-            let (workers, reference) = run(1, 1);
+            let (workers, reference) = run(1, 1, false);
             assert_eq!(workers, 0, "one thread runs sequentially");
-            assert_eq!(run(1, 4), (0, reference.clone()), "streaming={streaming}: shards=4");
+            assert_eq!(run(1, 4, true), (0, reference.clone()), "record={record}: shards=4");
             for (threads, workers) in [(2, 2), (4, 4), (8, 4)] {
                 assert_eq!(
-                    run(threads, 1),
+                    run(threads, 1, false),
                     (workers, reference.clone()),
-                    "streaming={streaming} threads={threads}"
+                    "record={record} threads={threads}"
                 );
             }
         }

@@ -1,10 +1,11 @@
-//! Differential guarantees of the streaming extraction pipeline.
+//! Differential guarantees of extraction's one fold.
 //!
-//! 1. **Streaming ≡ post-hoc**: folding observations online through a
-//!    [`dinefd_core::HistorySink`] must produce a [`SuspicionHistory`]
-//!    byte-identical (serde_json) to building it from the full trace after
-//!    the run — across a seed × black-box × delay-model matrix and under
-//!    random scenarios (proptest).
+//! 1. **The online fold ≡ its replay**: the per-shard
+//!    [`dinefd_core::HistorySink`]s of [`run_extraction`], merged, must
+//!    produce a [`SuspicionHistory`] byte-identical (serde_json) to
+//!    replaying [`record_extraction`]'s recorded observations through one
+//!    fold ([`suspicion_history`]) — at 1, 2 and 4 threads, across a seed ×
+//!    black-box × delay-model matrix and under random scenarios (proptest).
 //! 2. **Envelope batching is an encoding, not a semantics change**: with a
 //!    fixed delay model (the only regime where batching draws the same
 //!    delays as unbatched sends), batching on/off yields identical per-pair
@@ -13,9 +14,11 @@
 //!    legitimately differ; the deterministic metrics still account for
 //!    every message.
 
-use dinefd_core::{run_extraction, BlackBox, RedObs, Scenario};
+use dinefd_core::{
+    record_extraction, run_extraction, suspicion_history, BlackBox, RedMsg, RedObs, Scenario,
+};
 use dinefd_fd::SuspicionHistory;
-use dinefd_sim::{CrashPlan, DelayModel, ProcessId, Time};
+use dinefd_sim::{CrashPlan, DelayModel, ProcessId, Time, Trace};
 use proptest::prelude::*;
 
 fn json(h: &SuspicionHistory) -> String {
@@ -39,64 +42,74 @@ fn black_box(kind: u8) -> BlackBox {
     }
 }
 
-/// One scenario, built twice identically except for the toggles.
-fn scenario(bb: u8, delays: u8, seed: u64, crash: bool, streaming: bool, batch: bool) -> Scenario {
+/// One scenario, built twice identically except for the toggle.
+fn scenario(bb: u8, delays: u8, seed: u64, crash: bool, batch: bool) -> Scenario {
     let mut sc = Scenario::pair(black_box(bb), seed);
     sc.delays = delay_model(delays);
     if crash {
         sc.crashes = CrashPlan::one(ProcessId(1), Time(9_000));
     }
     sc.horizon = Time(25_000);
-    sc.streaming = streaming;
     sc.batch_envelopes = batch;
     sc
 }
 
+/// Runs `make`'s scenario recorded once and online at 1, 2 and 4 threads,
+/// and checks that every online fold is the recording's replay: the same
+/// history byte for byte, the same schedule (a sink never perturbs it),
+/// and a trace that records observations only when asked to.
+fn assert_online_fold_is_the_replay(make: impl Fn() -> Scenario, what: &str) {
+    let pairs = make().pairs;
+    let (recorded, trace) = record_extraction(make());
+    assert!(trace.observations().count() > 0, "{what}: the recording holds observations");
+    let replayed = json(&suspicion_history(recorded.n, &trace, &pairs));
+    assert_eq!(json(&recorded.history), replayed, "{what}: the recorded run's own fold");
+    for threads in [1, 2, 4] {
+        let mut sc = make();
+        sc.threads = threads;
+        let online = run_extraction(sc);
+        assert_eq!(json(&online.history), replayed, "{what} threads={threads}");
+        assert_eq!(online.metrics, recorded.metrics, "{what} threads={threads}");
+        assert_eq!(online.steps, recorded.steps, "{what} threads={threads}");
+        assert_eq!(online.history_changes, recorded.history_changes);
+    }
+}
+
 #[test]
-fn streaming_matches_posthoc_across_matrix() {
+fn online_fold_matches_the_replay_of_its_recording_across_matrix() {
     for bb in 0..3u8 {
         for delays in 0..4u8 {
             for (seed, crash) in [(11u64, false), (42, true)] {
-                let posthoc = run_extraction(scenario(bb, delays, seed, crash, false, false));
-                let streamed = run_extraction(scenario(bb, delays, seed, crash, true, false));
-                assert_eq!(
-                    json(&posthoc.history),
-                    json(&streamed.history),
-                    "bb={bb} delays={delays} seed={seed} crash={crash}"
+                let what = format!("bb={bb} delays={delays} seed={seed} crash={crash}");
+                assert_online_fold_is_the_replay(
+                    || scenario(bb, delays, seed, crash, false),
+                    &what,
                 );
-                // The sink must not perturb the schedule: every deterministic
-                // metric agrees between the two modes.
-                assert_eq!(posthoc.metrics, streamed.metrics);
-                assert_eq!(posthoc.steps, streamed.steps);
-                // Streaming really did skip trace materialization.
-                assert!(streamed.streaming);
-                assert_eq!(streamed.trace.observations().count(), 0);
-                assert!(posthoc.trace.observations().count() > 0);
-                assert_eq!(streamed.history_changes, posthoc.history.change_count());
             }
         }
     }
 }
 
-/// Per-pair observation sequences `(watcher, obs)` in routing order.
-fn obs_sequences(res: &dinefd_core::ExtractionResult) -> Vec<(Time, ProcessId, RedObs)> {
-    res.trace.observations().map(|(at, pid, obs)| (at, pid, *obs)).collect()
+/// Observation sequences `(at, watcher, obs)` of a recording, in routing
+/// order.
+fn obs_sequences(trace: &Trace<RedMsg, RedObs>) -> Vec<(Time, ProcessId, RedObs)> {
+    trace.observations().map(|(at, pid, obs)| (at, pid, *obs)).collect()
 }
 
 #[test]
 fn envelope_batching_preserves_observation_sequences_under_fixed_delays() {
     for bb in 0..3u8 {
         for (seed, crash) in [(7u64, false), (23, true)] {
-            let mut plain = scenario(bb, 2, seed, crash, false, false);
-            let mut batched = scenario(bb, 2, seed, crash, false, true);
+            let mut plain = scenario(bb, 2, seed, crash, false);
+            let mut batched = scenario(bb, 2, seed, crash, true);
             assert!(matches!(plain.delays, DelayModel::Fixed(_)));
             plain.horizon = Time(20_000);
             batched.horizon = Time(20_000);
-            let plain = run_extraction(plain);
-            let batched = run_extraction(batched);
+            let (plain, plain_trace) = record_extraction(plain);
+            let (batched, batched_trace) = record_extraction(batched);
             assert_eq!(
-                obs_sequences(&plain),
-                obs_sequences(&batched),
+                obs_sequences(&plain_trace),
+                obs_sequences(&batched_trace),
                 "bb={bb} seed={seed} crash={crash}"
             );
             assert_eq!(json(&plain.history), json(&batched.history));
@@ -117,7 +130,7 @@ fn envelope_batching_accounts_for_all_messages_under_stochastic_delays() {
     // Schedules differ under stochastic models (fewer delay draws), but the
     // envelope accounting invariants must still hold, and extraction must
     // still converge to a well-formed history.
-    let res = run_extraction(scenario(0, 0, 99, false, true, true));
+    let res = run_extraction(scenario(0, 0, 99, false, true));
     assert!(res.metrics["envelopes_sent"] > 0);
     assert!(res.metrics["envelopes_sent"] <= res.metrics["messages_sent"]);
     assert_eq!(res.metrics["envelope_occupancy.count"], res.metrics["envelopes_sent"]);
@@ -127,26 +140,23 @@ fn envelope_batching_accounts_for_all_messages_under_stochastic_delays() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Satellite: `HistorySink` output equals `suspicion_history` on random
-    /// scenarios.
+    /// The online per-shard fold equals the replay of the recording on
+    /// random scenarios, at 1, 2 and 4 threads.
     #[test]
-    fn streaming_equals_posthoc_on_random_scenarios(
+    fn online_fold_equals_the_replay_on_random_scenarios(
         bb in 0u8..3,
         delays in 0u8..4,
         seed in any::<u64>(),
         crash in any::<bool>(),
         strict in any::<bool>(),
     ) {
-        let mut a = scenario(bb, delays, seed, crash, false, false);
-        let mut b = scenario(bb, delays, seed, crash, true, false);
-        a.strict_seq = strict;
-        b.strict_seq = strict;
-        a.horizon = Time(12_000);
-        b.horizon = Time(12_000);
-        let posthoc = run_extraction(a);
-        let streamed = run_extraction(b);
-        prop_assert_eq!(json(&posthoc.history), json(&streamed.history));
-        prop_assert_eq!(posthoc.metrics, streamed.metrics);
+        let make = || {
+            let mut sc = scenario(bb, delays, seed, crash, false);
+            sc.strict_seq = strict;
+            sc.horizon = Time(12_000);
+            sc
+        };
+        assert_online_fold_is_the_replay(make, "random scenario");
     }
 
     /// Satellite: batching on/off yields identical per-pair observation
@@ -157,13 +167,13 @@ proptest! {
         seed in any::<u64>(),
         crash in any::<bool>(),
     ) {
-        let mut a = scenario(bb, 2, seed, crash, false, false);
-        let mut b = scenario(bb, 2, seed, crash, false, true);
+        let mut a = scenario(bb, 2, seed, crash, false);
+        let mut b = scenario(bb, 2, seed, crash, true);
         a.horizon = Time(12_000);
         b.horizon = Time(12_000);
-        let plain = run_extraction(a);
-        let batched = run_extraction(b);
-        prop_assert_eq!(obs_sequences(&plain), obs_sequences(&batched));
+        let (plain, plain_trace) = record_extraction(a);
+        let (batched, batched_trace) = record_extraction(b);
+        prop_assert_eq!(obs_sequences(&plain_trace), obs_sequences(&batched_trace));
         prop_assert_eq!(json(&plain.history), json(&batched.history));
     }
 }

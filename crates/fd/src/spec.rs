@@ -176,9 +176,10 @@ impl SuspicionHistory {
     /// untouched — they describe the query restriction, not the data).
     ///
     /// This is the deterministic merge for *partitioned* folds: when each
-    /// partition has recorded exactly its own watchers' outputs (e.g. one
-    /// `HistorySink` per simulation shard, where a watcher's observations
-    /// all surface on its own shard), adopting each partition's watcher
+    /// partition has recorded exactly its own watchers' outputs (every
+    /// extraction: one `HistorySink` per simulation shard, where a
+    /// watcher's observations all surface on its own shard), adopting each
+    /// partition's watcher
     /// rows reassembles the sequential history row for row — rows a
     /// partition never recorded are still at their initial state on both
     /// sides, so wholesale replacement is exact.

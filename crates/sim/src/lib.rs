@@ -50,11 +50,12 @@
 //! which is what the `BENCH_experiments.json` golden records. The simulator
 //! reads no wall clock; callers that want a run's duration time the call.
 //!
-//! Streaming: a [`world::ObsSink`] attached via
-//! [`shard::ShardedWorld::new_with_sink`] receives every observation as it
-//! is routed, so consumers can fold run output online instead of
-//! materializing the full trace; combined with
-//! [`world::WorldConfig::observation_events_off`] the run's resident
+//! Sinks: each shard owns one [`world::ObsSink`]
+//! ([`shard::ShardedWorld::new_with_shard_sinks`]) that receives its
+//! processes' observations as they happen, and the world hands the sinks
+//! back in shard order ([`shard::ShardedWorld::into_parts`]), so consumers
+//! fold run output online instead of materializing the full trace; combined
+//! with [`world::WorldConfig::observation_events_off`] the run's resident
 //! footprint no longer grows with its length. Optional *envelope batching*
 //! ([`world::WorldConfig::batch_envelopes`], off by default) gives all
 //! messages one step sends to the same destination a single delay draw:

@@ -237,7 +237,8 @@ pub struct SimMetrics {
     /// Timers armed by nodes.
     pub timers_set: Counter,
     /// Application-level observations emitted by nodes (counted whether or
-    /// not the trace records them — streaming sinks rely on this).
+    /// not the trace records them — a run whose shard sinks fold them
+    /// records none).
     pub observations: Counter,
     /// Wire envelopes: one per destination of a batched step (its messages
     /// share one delay draw), one per message otherwise (then equal to

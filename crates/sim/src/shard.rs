@@ -51,14 +51,14 @@
 //! of a step's metrics, RNG draws, and effect counters belong to that same
 //! pid), so a shard can execute its slice of an instant **locally, in local
 //! key order**, without observing any other shard. What the two shapes of
-//! world do differently is how the globally ordered artifacts — trace
-//! events and global-sink observations — reach the record:
+//! world do differently is how the one globally ordered artifact — the
+//! trace — is written:
 //!
 //! * a one-shard world's [`ShardedWorld::step_instant`] gathers the instant
 //!   and executes it in key order, which is global key order, so every
-//!   emission goes straight to the trace and the sink as it happens;
+//!   trace event goes straight to the trace as it happens;
 //! * a multi-shard world's shards cannot share the trace, so each appends
-//!   its emissions to an **emission log** tagged with the executing
+//!   its trace events to an **emission log** tagged with the executing
 //!   event's canonical key. After every instant the shard logs are
 //!   concatenated, stably sorted by key and replayed, in one function for
 //!   both of its drivers (`step_instant` by hand and the parallel
@@ -67,7 +67,11 @@
 //!   exactly the one-shard record, whatever order the logs came in.
 //!
 //! Both drive the same step through the same `Fabric` impl, whose
-//! emission target is the one thing that differs. Byte-identity across
+//! emission target is the one thing that differs. Observations also go to
+//! the executing shard's own [`ObsSink`] as they happen, in local key
+//! order — the sequential stream's projection onto the shard's processes —
+//! so no sink ever waits for a merge; [`ShardedWorld::into_parts`] hands
+//! the sinks back in shard order. Byte-identity across
 //! shard and thread counts is pinned by the determinism matrix tests
 //! below, on a workload with several shards due in most instants. Only the
 //! parallel runner asks the node type to be `Send`.
@@ -84,7 +88,8 @@
 //!    shard's pending inbox entries (whatever their delivery time — the
 //!    worker folds them into its wheel);
 //! 3. workers execute their shards concurrently — cross-shard effects go
-//!    to per-destination outboxes, emissions to the shard's log — and reply
+//!    to per-destination outboxes, trace events to the shard's log,
+//!    observations to the shard's sink as well — and reply
 //!    with the log, the outbox, and the wheel's new minimum;
 //! 4. the coordinator routes outboxes into inboxes, merges and replays the
 //!    logs into the record, and updates the depth gauges.
@@ -138,16 +143,9 @@ type MergeKey = (u8, u32, u64);
 /// One pending event with its canonical merge key (minus the time).
 type Pending<M> = (u8, u32, u64, EventKind<M>);
 
-/// A globally ordered emission produced while executing one event: a trace
-/// record, or an observation bound for the coordinator-side sink.
-#[derive(Debug)]
-enum Emit<M, O> {
-    Trace(TraceEvent<M, O>),
-    Obs(ProcessId, O),
-}
-
-/// One emission-log entry: the executing event's key plus the emission.
-type LogEntry<M, O> = (MergeKey, Emit<M, O>);
+/// One emission-log entry: the executing event's key plus the trace event
+/// it produced.
+type LogEntry<M, O> = (MergeKey, TraceEvent<M, O>);
 
 /// A cross-shard effect: destination shard, delivery instant, event.
 type OutboxEntry<M> = (usize, Time, Pending<M>);
@@ -158,18 +156,17 @@ type Inbox<M> = Vec<(Time, Pending<M>)>;
 /// One shard's complete execution state — the unit a worker thread owns:
 /// the step executor over its slice of the processes (slot
 /// `pid.index() / k`) and the wiring around it.
-struct ShardState<N: Node> {
+struct ShardState<N: Node, S> {
     exec: Executor<N>,
-    wire: Wiring<N>,
+    wire: Wiring<N, S>,
     /// The due events of the instant being executed, in *descending* key
     /// order, so `pop` yields the next one.
     batch_buf: Vec<Pending<N::Msg>>,
 }
 
 /// What the engine decides around the shared step: per-sender delay
-/// streams and effect counters, the shard's event wheel, and its optional
-/// streaming sink.
-struct Wiring<N: Node> {
+/// streams and effect counters, the shard's event wheel, and its sink.
+struct Wiring<N: Node, S> {
     idx: usize,
     k: usize,
     send_rngs: Vec<SplitMix64>,
@@ -177,69 +174,46 @@ struct Wiring<N: Node> {
     /// Per-process monotone effect counters (the canonical-key `seq`).
     effect_seq: Vec<u64>,
     queue: TimerWheel<Pending<N::Msg>>,
-    /// Per-shard streaming sink; sees this shard's observations in local
-    /// execution order (the sequential stream's projection onto the shard).
-    sink: Option<Box<dyn ObsSink<N::Obs> + Send>>,
-    /// Whether observations must be logged for coordinator replay (trace
-    /// recording or a global sink is active).
-    log_obs: bool,
+    /// The shard's sink; sees this shard's observations in local execution
+    /// order (the sequential stream's projection onto the shard).
+    sink: S,
+    /// Whether observations enter the trace
+    /// ([`WorldConfig::record_observations`]).
+    record_obs: bool,
 }
 
-/// The run's globally ordered record: its trace and its global sink.
-struct Record<'a, M, O> {
-    trace: &'a mut Trace<M, O>,
-    sink: &'a mut Option<Box<dyn ObsSink<O>>>,
-    record_observations: bool,
-}
-
-impl<M, O> Record<'_, M, O> {
-    /// The global sink first, then (if recorded) the trace.
-    #[inline]
-    fn obs(&mut self, at: Time, pid: ProcessId, obs: O) {
-        if let Some(sink) = self.sink.as_mut() {
-            sink.on_obs(at, pid, &obs);
-        }
-        if self.record_observations {
-            self.trace.push(TraceEvent::Obs { at, pid, obs });
-        }
-    }
-
-    /// The one merge of an instant's emission logs, concatenated in any
-    /// shard order: keys are unique per event and one event's emissions
-    /// sit together in one shard's log, so a stable sort by key keeps them
-    /// together and in order, and the replay is the record a one-shard
-    /// world writes directly.
-    fn replay(&mut self, t: Time, log: &mut Vec<LogEntry<M, O>>) {
-        log.sort_by_key(|e| e.0);
-        for (_, e) in log.drain(..) {
-            match e {
-                Emit::Trace(ev) => self.trace.push(ev),
-                Emit::Obs(pid, obs) => self.obs(t, pid, obs),
-            }
-        }
+/// The one merge of an instant's emission logs, concatenated in any shard
+/// order: keys are unique per event and one event's trace events sit
+/// together in one shard's log, so a stable sort by key keeps them together
+/// and in order, and the replay is the trace a one-shard world writes
+/// directly.
+fn replay<M, O>(trace: &mut Trace<M, O>, log: &mut Vec<LogEntry<M, O>>) {
+    log.sort_by_key(|e| e.0);
+    for (_, ev) in log.drain(..) {
+        trace.push(ev);
     }
 }
 
-/// Where a [`Lane`] sends trace events and global-sink observations.
+/// Where a [`Lane`] sends trace events.
 enum Target<'a, M, O> {
-    /// Straight into the record: a one-shard instant, and a construction
+    /// Straight into the trace: a one-shard instant, and a construction
     /// step, execute in global key order, so emission order already is
-    /// record order.
-    Direct(Record<'a, M, O>),
+    /// trace order.
+    Direct(&'a mut Trace<M, O>),
     /// Into a shard's emission log, tagged with the executing event's key,
-    /// for [`Record::replay`] to merge.
+    /// for [`replay`] to merge.
     Log(MergeKey, &'a mut Vec<LogEntry<M, O>>),
 }
 
 /// A shard's [`Fabric`] for the span of one event: its wiring, the
 /// emission target, and the cross-shard outbox.
-struct Lane<'a, N: Node> {
-    wire: &'a mut Wiring<N>,
+struct Lane<'a, N: Node, S> {
+    wire: &'a mut Wiring<N, S>,
     target: Target<'a, N::Msg, N::Obs>,
     outbox: &'a mut Vec<OutboxEntry<N::Msg>>,
 }
 
-impl<N: Node> Fabric<N> for Lane<'_, N> {
+impl<N: Node, S: ObsSink<N::Obs>> Fabric<N> for Lane<'_, N, S> {
     #[inline]
     fn slot(&self, pid: ProcessId) -> usize {
         let Wiring { idx, k, .. } = *self.wire;
@@ -250,20 +224,17 @@ impl<N: Node> Fabric<N> for Lane<'_, N> {
     #[inline]
     fn emit(&mut self, ev: TraceEvent<N::Msg, N::Obs>) {
         match &mut self.target {
-            Target::Direct(rec) => rec.trace.push(ev),
-            Target::Log(key, log) => log.push((*key, Emit::Trace(ev))),
+            Target::Direct(trace) => trace.push(ev),
+            Target::Log(key, log) => log.push((*key, ev)),
         }
     }
 
+    /// The shard's sink first, then (if recorded) the trace.
     #[inline]
     fn observe(&mut self, at: Time, pid: ProcessId, obs: N::Obs) {
-        if let Some(sink) = self.wire.sink.as_mut() {
-            sink.on_obs(at, pid, &obs);
-        }
-        match &mut self.target {
-            Target::Direct(rec) => rec.obs(at, pid, obs),
-            Target::Log(key, log) if self.wire.log_obs => log.push((*key, Emit::Obs(pid, obs))),
-            Target::Log(..) => {}
+        self.wire.sink.on_obs(at, pid, &obs);
+        if self.wire.record_obs {
+            self.emit(TraceEvent::Obs { at, pid, obs });
         }
     }
 
@@ -303,7 +274,7 @@ fn key<M>(p: &Pending<M>) -> MergeKey {
     (p.0, p.1, p.2)
 }
 
-impl<N: Node> ShardState<N> {
+impl<N: Node, S: ObsSink<N::Obs>> ShardState<N, S> {
     /// Moves the owned events due at `t` into `batch_buf`, sorted so that
     /// `pop` yields them in key order. Keys are unique, so the sort need
     /// not be stable. A shard with nothing due at `t` gathers nothing.
@@ -316,7 +287,7 @@ impl<N: Node> ShardState<N> {
     /// A multi-shard world's side of an instant: executes every owned event
     /// due at `t` in key order, logging emissions and routing cross-shard
     /// effects to `outbox`. Shard-local key order is a slice of the global
-    /// one, so [`Record::replay`] of the logs is the one-shard record.
+    /// one, so [`replay`] of the logs is the one-shard trace.
     fn run_instant(
         &mut self,
         t: Time,
@@ -351,12 +322,12 @@ struct ShardReport<M, O> {
 /// entries into the shard's wheel, execute the shard's slice of the
 /// instant, report. Exits when the step channel closes (coordinator
 /// shutdown) and returns the shard state with its wall-clock accounting.
-fn worker_loop<N: Node>(
-    mut st: ShardState<N>,
+fn worker_loop<N: Node, S: ObsSink<N::Obs>>(
+    mut st: ShardState<N, S>,
     step_rx: mpsc::Receiver<StepMsg<N::Msg>>,
     done_tx: mpsc::Sender<ShardReport<N::Msg, N::Obs>>,
     clock: Arc<dyn Clock>,
-) -> (ShardState<N>, WorkerStats) {
+) -> (ShardState<N, S>, WorkerStats) {
     let mut stats = WorkerStats::new();
     loop {
         let waiting = clock.elapsed_micros();
@@ -388,15 +359,18 @@ pub fn shard_count(threads: usize, n: usize) -> usize {
 
 /// The simulated world, partitioned into shards; see the module docs for
 /// what sharding changes (and what it provably doesn't: the schedule).
-pub struct ShardedWorld<N: Node> {
-    shards: Vec<ShardState<N>>,
+///
+/// Each shard owns one sink of type `S`, which sees that shard's
+/// observations as they happen. [`ShardedWorld::new`] attaches none (the
+/// no-op `()`); the default `S` is the boxed sink of
+/// [`ShardedWorld::new_with_sink`].
+pub struct ShardedWorld<N: Node, S = Box<dyn ObsSink<<N as Node>::Obs>>> {
+    shards: Vec<ShardState<N, S>>,
     n: usize,
     now: Time,
     /// Variant label of the configured delay model, for metric export.
     delay_kind: &'static str,
     trace: Trace<N::Msg, N::Obs>,
-    record_observations: bool,
-    obs_sink: Option<Box<dyn ObsSink<N::Obs>>>,
     /// Instantaneous total backlog across all shards (the shard-count
     /// invariant depth gauge; see the module docs).
     global_depth: Gauge,
@@ -411,7 +385,7 @@ pub struct ShardedWorld<N: Node> {
     log_buf: Vec<LogEntry<N::Msg, N::Obs>>,
 }
 
-impl<N: Node> std::fmt::Debug for ShardedWorld<N> {
+impl<N: Node, S: ObsSink<N::Obs>> std::fmt::Debug for ShardedWorld<N, S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedWorld")
             .field("nodes", &self.n)
@@ -422,66 +396,55 @@ impl<N: Node> std::fmt::Debug for ShardedWorld<N> {
     }
 }
 
-impl<N: Node> ShardedWorld<N> {
+impl<N: Node> ShardedWorld<N, ()> {
     /// Builds a world of one shard per worker thread ([`shard_count`] of
-    /// `cfg.threads`) over `nodes` and delivers every node's `on_start`
-    /// step at time zero. `_shards` is ignored: the `benchmark/` harness
-    /// still passes a count.
+    /// `cfg.threads`) and no sink over `nodes`, and delivers every node's
+    /// `on_start` step at time zero. `_shards` is ignored: the `benchmark/`
+    /// harness still passes a count.
     pub fn new(nodes: Vec<N>, cfg: WorldConfig, _shards: usize) -> Self {
         let k = shard_count(cfg.threads, nodes.len());
-        Self::build(nodes, cfg, k, None, None)
+        Self::build(nodes, cfg, vec![(); k])
+    }
+}
+
+impl<N: Node, S: ObsSink<N::Obs>> ShardedWorld<N, S> {
+    /// Builds a one-shard world whose shard owns `sink`, which therefore
+    /// sees the whole observation stream in trace order, whatever
+    /// `cfg.threads` says. Kept because the `benchmark/` harness names it
+    /// (and passes one thread); `_shards` is ignored, as in
+    /// [`ShardedWorld::new`]. Per-shard sinks are
+    /// [`ShardedWorld::new_with_shard_sinks`].
+    pub fn new_with_sink(nodes: Vec<N>, cfg: WorldConfig, _shards: usize, sink: S) -> Self {
+        Self::build(nodes, cfg, vec![sink])
     }
 
-    /// Builds a world with a streaming [`ObsSink`] attached. The sink must
-    /// be present from construction because the `on_start` steps run inside
-    /// it — attaching a sink after `new` would miss their observations.
-    /// `_shards` is ignored, as in [`ShardedWorld::new`].
-    pub fn new_with_sink(
-        nodes: Vec<N>,
-        cfg: WorldConfig,
-        _shards: usize,
-        sink: Box<dyn ObsSink<N::Obs>>,
-    ) -> Self {
-        let k = shard_count(cfg.threads, nodes.len());
-        Self::build(nodes, cfg, k, Some(sink), None)
-    }
-
-    /// Builds a world with one `Send` streaming sink *per shard*, one
-    /// [`shard_count`] of them: `sinks[s]` travels with shard `s` onto its
-    /// worker thread and receives exactly the observations of processes
-    /// `pid % k == s`, in that shard's execution order — which is the
-    /// sequential stream's projection onto those processes. This is the
-    /// parallel-extraction hook: per-shard folds merged deterministically
-    /// afterwards.
-    pub fn new_with_shard_sinks(
-        nodes: Vec<N>,
-        cfg: WorldConfig,
-        sinks: Vec<Box<dyn ObsSink<N::Obs> + Send>>,
-    ) -> Self {
+    /// Builds a world with one sink *per shard*, [`shard_count`] of them:
+    /// `sinks[s]` travels with shard `s` onto its worker thread and
+    /// receives exactly the observations of processes `pid % k == s`, in
+    /// that shard's execution order — which is the sequential stream's
+    /// projection onto those processes. Sinks must be present from
+    /// construction because the `on_start` steps already observe;
+    /// [`ShardedWorld::into_parts`] hands them back after the run.
+    pub fn new_with_shard_sinks(nodes: Vec<N>, cfg: WorldConfig, sinks: Vec<S>) -> Self {
         let k = shard_count(cfg.threads, nodes.len());
         assert_eq!(sinks.len(), k, "one shard sink per worker thread");
-        Self::build(nodes, cfg, k, None, Some(sinks))
+        Self::build(nodes, cfg, sinks)
     }
 
-    /// A `k`-shard world; [`crate::world::World`] builds it at `k = 1`.
-    pub(crate) fn build(
-        nodes: Vec<N>,
-        cfg: WorldConfig,
-        k: usize,
-        obs_sink: Option<Box<dyn ObsSink<N::Obs>>>,
-        shard_sinks: Option<Vec<Box<dyn ObsSink<N::Obs> + Send>>>,
-    ) -> Self {
-        let n = nodes.len();
+    /// A world of one shard per sink; [`crate::world::World`] builds it with
+    /// one.
+    pub(crate) fn build(nodes: Vec<N>, cfg: WorldConfig, sinks: Vec<S>) -> Self {
+        let (n, k) = (nodes.len(), sinks.len());
         let mut rng = SplitMix64::new(cfg.seed);
         // Fork order is load-bearing: node RNGs first, then one delay RNG
         // per process, all in pid order — then distributed round-robin so
         // the streams are shard-count invariant.
         let node_rngs: Vec<SplitMix64> = (0..n).map(|_| rng.fork()).collect();
         let send_rngs: Vec<SplitMix64> = (0..n).map(|_| rng.fork()).collect();
-        let log_obs = cfg.record_observations || obs_sink.is_some();
-        let mut sinks = shard_sinks.map(Vec::into_iter);
-        let mut states: Vec<ShardState<N>> = (0..k)
-            .map(|idx| ShardState {
+        let mut states: Vec<ShardState<N, S>> = sinks
+            .into_iter()
+            .enumerate()
+            .map(|(idx, sink)| ShardState {
                 exec: Executor::new(n, cfg.record_messages, cfg.batch_envelopes),
                 wire: Wiring {
                     idx,
@@ -490,8 +453,8 @@ impl<N: Node> ShardedWorld<N> {
                     send_delays: Vec::new(),
                     effect_seq: Vec::new(),
                     queue: TimerWheel::new(),
-                    sink: sinks.as_mut().and_then(Iterator::next),
-                    log_obs,
+                    sink,
+                    record_obs: cfg.record_observations,
                 },
                 batch_buf: Vec::new(),
             })
@@ -511,8 +474,6 @@ impl<N: Node> ShardedWorld<N> {
             now: Time::ZERO,
             delay_kind: cfg.delays.kind(),
             trace: Trace::new(cfg.record_messages),
-            record_observations: cfg.record_observations,
-            obs_sink,
             global_depth: Gauge::new(),
             worker_stats: Vec::new(),
             clock: Arc::new(MonotonicClock::new()),
@@ -542,14 +503,14 @@ impl<N: Node> ShardedWorld<N> {
     /// Runs one construction-time step of `pid`'s shard at `Time::ZERO`
     /// (a dead-from-birth crash or a start step), recording its emissions
     /// directly and routing its cross-shard effects at once.
-    fn run_at_zero(&mut self, pid: ProcessId, f: impl FnOnce(&mut Executor<N>, &mut Lane<'_, N>)) {
+    fn run_at_zero(
+        &mut self,
+        pid: ProcessId,
+        f: impl FnOnce(&mut Executor<N>, &mut Lane<'_, N, S>),
+    ) {
         let k = self.shards.len();
         let st = &mut self.shards[pid.index() % k];
-        let target = Target::Direct(Record {
-            trace: &mut self.trace,
-            sink: &mut self.obs_sink,
-            record_observations: self.record_observations,
-        });
+        let target = Target::Direct(&mut self.trace);
         let mut lane = Lane { wire: &mut st.wire, target, outbox: &mut self.outbox_buf };
         f(&mut st.exec, &mut lane);
         self.route_outbox();
@@ -615,6 +576,12 @@ impl<N: Node> ShardedWorld<N> {
     /// Consumes the world, returning the trace.
     pub fn into_trace(self) -> Trace<N::Msg, N::Obs> {
         self.trace
+    }
+
+    /// Consumes the world, returning its sinks in shard order (shard `s`
+    /// folded the processes `pid % k == s`) and the trace.
+    pub fn into_parts(self) -> (Vec<S>, Trace<N::Msg, N::Obs>) {
+        (self.shards.into_iter().map(|st| st.wire.sink).collect(), self.trace)
     }
 
     /// Events still pending, summed across shards.
@@ -683,9 +650,9 @@ impl<N: Node> ShardedWorld<N> {
     /// canonical-key order. Returns `false` when all queues are empty.
     ///
     /// A one-shard world executes its gathered slice in key order, so every
-    /// trace event and global-sink observation goes straight to the record.
-    /// A multi-shard world runs each shard's slice as a worker would and
-    /// merges their emission logs exactly as the parallel coordinator does.
+    /// trace event goes straight to the trace. A multi-shard world runs each
+    /// shard's slice as a worker would and merges their emission logs
+    /// exactly as the parallel coordinator does.
     pub fn step_instant(&mut self) -> bool {
         let Some(t) = self.peek_time() else {
             return false;
@@ -693,13 +660,10 @@ impl<N: Node> ShardedWorld<N> {
         debug_assert!(t >= self.now, "time must not run backwards");
         self.now = t;
         debug_assert!(self.outbox_buf.is_empty());
-        let ShardedWorld {
-            shards, trace, obs_sink, record_observations, outbox_buf, log_buf, ..
-        } = self;
-        let record_observations = *record_observations;
+        let ShardedWorld { shards, trace, outbox_buf, log_buf, .. } = self;
         if let [st] = shards.as_mut_slice() {
             st.gather(t);
-            let target = Target::Direct(Record { trace, sink: obs_sink, record_observations });
+            let target = Target::Direct(trace);
             let mut lane = Lane { wire: &mut st.wire, target, outbox: outbox_buf };
             while let Some((_, _, _, kind)) = st.batch_buf.pop() {
                 st.exec.execute(t, kind, &mut lane);
@@ -708,7 +672,7 @@ impl<N: Node> ShardedWorld<N> {
             for st in shards.iter_mut() {
                 st.run_instant(t, log_buf, outbox_buf);
             }
-            Record { trace, sink: obs_sink, record_observations }.replay(t, log_buf);
+            replay(trace, log_buf);
         }
         self.route_outbox();
         self.update_depth_gauges();
@@ -733,6 +697,7 @@ impl<N: Node> ShardedWorld<N> {
         N: Send,
         N::Msg: Send,
         N::Obs: Send,
+        S: Send,
     {
         if self.shards.len() >= 2 {
             self.run_parallel(deadline);
@@ -746,6 +711,7 @@ impl<N: Node> ShardedWorld<N> {
         N: Send,
         N::Msg: Send,
         N::Obs: Send,
+        S: Send,
     {
         let deadline = self.now + d;
         self.run_until(deadline);
@@ -768,6 +734,7 @@ impl<N: Node> ShardedWorld<N> {
         N: Send,
         N::Msg: Send,
         N::Obs: Send,
+        S: Send,
     {
         match self.peek_time() {
             Some(t) if t <= deadline => {}
@@ -779,7 +746,7 @@ impl<N: Node> ShardedWorld<N> {
         let mut depth_shadow: Vec<Gauge> = Vec::with_capacity(k);
         let mut step_txs = Vec::with_capacity(k);
         let mut done_rxs = Vec::with_capacity(k);
-        let mut tasks: Vec<pool::WorkerFn<'_, (ShardState<N>, WorkerStats)>> =
+        let mut tasks: Vec<pool::WorkerFn<'_, (ShardState<N, S>, WorkerStats)>> =
             Vec::with_capacity(k);
         for st in self.shards.drain(..) {
             qmin.push(st.wire.queue.peek_time());
@@ -796,8 +763,6 @@ impl<N: Node> ShardedWorld<N> {
         let mut global_shadow = self.global_depth;
         let now = &mut self.now;
         let trace = &mut self.trace;
-        let obs_sink = &mut self.obs_sink;
-        let record_observations = self.record_observations;
         let (results, (inbox, depth_shadow, global_shadow)) =
             pool::run_with_coordinator(tasks, move || {
                 let mut merged: Vec<LogEntry<N::Msg, N::Obs>> = Vec::new();
@@ -834,8 +799,7 @@ impl<N: Node> ShardedWorld<N> {
                             inbox[dest].push((at, p));
                         }
                     }
-                    Record { trace: &mut *trace, sink: &mut *obs_sink, record_observations }
-                        .replay(t, &mut merged);
+                    replay(trace, &mut merged);
                     // Depth accounting identical to the sequential path: a
                     // shard's undelivered inbox entries are part of its
                     // backlog.
@@ -971,32 +935,39 @@ mod tests {
     }
 
     /// What an all-to-all run must reproduce at every thread count: clock,
-    /// trace, the global sink's stream and the metric export.
+    /// trace, the shard sinks' streams regrouped per process, and the
+    /// metric export.
     type AllToAllRun = (Time, String, Vec<(Time, ProcessId, u32)>, MetricMap);
 
+    /// The shard sinks' streams, concatenated and stably regrouped by
+    /// process: each process's observations in the order its shard saw
+    /// them, which the shard count must not change.
+    fn per_process(sinks: Vec<FoldSink>) -> Vec<(Time, ProcessId, u32)> {
+        let mut seen: Vec<_> = sinks.into_iter().flat_map(|s| s.seen).collect();
+        seen.sort_by_key(|&(_, pid, _)| pid);
+        seen
+    }
+
     /// A drained all-to-all run of 7 processes on `threads` shards,
-    /// recording messages and observations, with a global sink attached and
+    /// recording messages and observations, with a sink on every shard and
     /// one mid-run crash: drained by hand or through `run_until` (on the
     /// worker pool when `threads` ≥ 2), then run to the same deadline.
     fn all_to_all(seed: u64, threads: usize, batch: bool, by_hand: bool) -> AllToAllRun {
         let n = 7;
         let nodes = (0..n).map(|_| AllToAll { n, rounds_left: 12, copies: 1 }).collect();
         let cfg = cfg(seed, n, batch).crashes(CrashPlan::one(ProcessId(4), Time(20)));
-        let sink = std::rc::Rc::new(std::cell::RefCell::new(FoldSink::default()));
-        let mut w = ShardedWorld::new_with_sink(
-            nodes,
-            cfg.threads(threads),
-            threads,
-            Box::new(std::rc::Rc::clone(&sink)),
-        );
+        let sinks = (0..threads).map(|_| FoldSink::default()).collect();
+        let mut w = ShardedWorld::new_with_shard_sinks(nodes, cfg.threads(threads), sinks);
         assert_eq!(w.shards(), threads);
         if by_hand {
             while w.step_instant() {}
         }
         w.run_until(Time(1_000_000));
-        let seen = std::mem::take(&mut sink.borrow_mut().seen);
+        let (now, metrics) = (w.now(), w.metrics_map());
+        let (sinks, trace) = w.into_parts();
+        let seen = per_process(sinks);
         assert!(!seen.is_empty(), "the workload must observe something");
-        (w.now(), format!("{:?}", w.trace().events()), seen, w.metrics_map())
+        (now, format!("{:?}", trace.events()), seen, metrics)
     }
 
     /// A ring run of 6 processes on `threads` shards, stepped by hand, so
@@ -1094,7 +1065,7 @@ mod tests {
     /// run is byte-identical to the sequential one — trace, metrics, and
     /// the exported depth gauges — at 2, 4 and 8 threads (8 clamps to the
     /// ring's 6 processes), including a mid-run crash and envelope
-    /// batching. The all-to-all rows also compare the global sink's stream:
+    /// batching. The all-to-all rows also compare the shard sinks' streams:
     /// 1 to 4 shards stepped by hand, and 2 to 4 on the worker pool.
     #[test]
     fn parallel_run_is_byte_identical_to_sequential() {
@@ -1249,34 +1220,26 @@ mod tests {
     }
 
     /// Per-shard sinks riding worker threads each see exactly the
-    /// sequential observation stream's projection onto their shard's pids.
+    /// sequential observation stream's projection onto their shard's pids,
+    /// and come back in shard order.
     #[test]
     fn shard_sinks_see_their_pids_in_trace_order() {
-        use std::sync::{Arc, Mutex};
         let shards = 3;
-        let handles: Vec<Arc<Mutex<FoldSink>>> =
-            (0..shards).map(|_| Arc::new(Mutex::new(FoldSink::default()))).collect();
-        let sinks: Vec<Box<dyn ObsSink<u32> + Send>> = handles
-            .iter()
-            .map(|h| Box::new(Arc::clone(h)) as Box<dyn ObsSink<u32> + Send>)
-            .collect();
-        let mut w = ShardedWorld::new_with_shard_sinks(
-            ring(4, 23),
-            WorldConfig::new(9).threads(shards),
-            sinks,
-        );
+        let sinks = (0..shards).map(|_| FoldSink::default()).collect();
+        let cfg = WorldConfig::new(9).threads(shards);
+        let mut w = ShardedWorld::new_with_shard_sinks(ring(4, 23), cfg, sinks);
         w.run_until(Time(1_000_000));
+        let (sinks, trace) = w.into_parts();
+        assert_eq!(sinks.len(), shards);
         let mut total = 0;
-        for (s, handle) in handles.iter().enumerate() {
-            let expect: Vec<(Time, ProcessId, u32)> = w
-                .trace()
+        for (s, sink) in sinks.iter().enumerate() {
+            let expect: Vec<(Time, ProcessId, u32)> = trace
                 .observations()
                 .filter(|(_, p, _)| p.index() % shards == s)
                 .map(|(t, p, &o)| (t, p, o))
                 .collect();
-            let seen = &handle.lock().expect("sink").seen;
-            assert_eq!(seen, &expect, "shard {s} projection diverged");
-            total += seen.len();
+            assert_eq!(sink.seen, expect, "shard {s} projection diverged");
+            total += sink.seen.len();
         }
         assert!(total > 0, "the workload must observe something");
     }
@@ -1374,9 +1337,12 @@ mod tests {
             (w.now(), w.steps(), w.messages_sent())
         };
         let sunk = {
-            let sink = std::rc::Rc::new(std::cell::RefCell::new(FoldSink::default()));
-            let mut w =
-                ShardedWorld::new_with_sink(ring(5, 40), WorldConfig::new(77), 1, Box::new(sink));
+            let mut w = ShardedWorld::new_with_sink(
+                ring(5, 40),
+                WorldConfig::new(77),
+                1,
+                FoldSink::default(),
+            );
             while w.step_instant() {}
             (w.now(), w.steps(), w.messages_sent())
         };

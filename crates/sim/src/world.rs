@@ -15,15 +15,16 @@ use crate::shard::ShardedWorld;
 use crate::time::Time;
 use crate::trace::Trace;
 
-/// A streaming consumer of observations.
+/// An online consumer of one shard's observations.
 ///
-/// Attached via [`ShardedWorld::new_with_sink`], the sink sees every
-/// observation *as its emitting step's effects are routed* — in exactly the
-/// order the trace would record them — so consumers can fold run output
-/// online instead of materializing the full event log and replaying it
-/// through [`ShardedWorld::into_trace`]. Combined with
-/// [`WorldConfig::observation_events_off`], a run's resident footprint
-/// becomes whatever the sink keeps, independent of run length.
+/// Each shard of a [`ShardedWorld`] owns one sink
+/// ([`ShardedWorld::new_with_shard_sinks`]), which sees every observation
+/// of the shard's processes *as its emitting step runs* — in the order the
+/// trace records them, projected onto those processes — so consumers fold
+/// run output online instead of materializing the full event log; the
+/// world hands the sinks back by value ([`ShardedWorld::into_parts`]).
+/// Combined with [`WorldConfig::observation_events_off`], a run's resident
+/// footprint becomes whatever the sinks keep, independent of run length.
 ///
 /// Sinks are observers only: they cannot influence the run, and attaching
 /// one never changes the schedule (no RNG draws, no event reordering).
@@ -32,23 +33,24 @@ pub trait ObsSink<O> {
     fn on_obs(&mut self, at: Time, pid: ProcessId, obs: &O);
 }
 
-/// Shared-handle convenience: a `Rc<RefCell<S>>` sink lets the caller keep
-/// a handle while the world owns the boxed clone (the usual pattern for
-/// recovering the folded state after the run).
-impl<O, S: ObsSink<O>> ObsSink<O> for std::rc::Rc<std::cell::RefCell<S>> {
+/// The absent sink, of a world built by [`ShardedWorld::new`].
+impl<O> ObsSink<O> for () {
+    #[inline]
+    fn on_obs(&mut self, _at: Time, _pid: ProcessId, _obs: &O) {}
+}
+
+/// A boxed sink, [`ShardedWorld`]'s default sink type.
+impl<O, S: ObsSink<O> + ?Sized> ObsSink<O> for Box<S> {
     fn on_obs(&mut self, at: Time, pid: ProcessId, obs: &O) {
-        self.borrow_mut().on_obs(at, pid, obs);
+        (**self).on_obs(at, pid, obs);
     }
 }
 
-/// `Send`-able shared-handle convenience, for sinks that cross a thread
-/// boundary (the per-shard sinks of a parallel
-/// [`crate::shard::ShardedWorld`]). Each such sink is owned by exactly one
-/// shard worker, so the mutex is uncontended; it exists only to let the
-/// caller keep a recovery handle.
-impl<O, S: ObsSink<O>> ObsSink<O> for std::sync::Arc<std::sync::Mutex<S>> {
+/// Shared-handle convenience: a `Rc<RefCell<S>>` sink lets the caller keep
+/// a handle while the world owns the boxed clone.
+impl<O, S: ObsSink<O>> ObsSink<O> for std::rc::Rc<std::cell::RefCell<S>> {
     fn on_obs(&mut self, at: Time, pid: ProcessId, obs: &O) {
-        self.lock().expect("sink poisoned").on_obs(at, pid, obs);
+        self.borrow_mut().on_obs(at, pid, obs);
     }
 }
 
@@ -64,9 +66,9 @@ pub struct WorldConfig {
     /// Record `Send`/`Deliver` events in the trace. Off by default: long
     /// sweeps only need observations.
     pub record_messages: bool,
-    /// Record `Obs` events in the trace. On by default; streaming consumers
-    /// turn it off and attach an [`ObsSink`] instead, so the trace no longer
-    /// grows with the observation count.
+    /// Record `Obs` events in the trace. On by default; a run whose sinks
+    /// fold the observations turns it off, so the trace no longer grows with
+    /// the observation count.
     pub record_observations: bool,
     /// Give all messages one atomic step sends to the same destination a
     /// single delay draw, as one envelope: they are delivered at one
@@ -118,7 +120,7 @@ impl WorldConfig {
     }
 
     /// Disables observation recording in the trace (builder style) — for
-    /// streaming runs where an [`ObsSink`] consumes observations online.
+    /// runs whose [`ObsSink`]s consume observations online.
     pub fn observation_events_off(mut self) -> Self {
         self.record_observations = false;
         self
@@ -151,13 +153,13 @@ impl WorldConfig {
 /// one shard never uses the worker pool, so [`World::run_until`] does not
 /// ask the node type to be `Send` (nodes that share state through `Rc` run
 /// here).
-pub struct World<N: Node>(ShardedWorld<N>);
+pub struct World<N: Node>(ShardedWorld<N, ()>);
 
 impl<N: Node> World<N> {
     /// Builds a one-shard world over `nodes` and delivers every node's
     /// `on_start` step at time zero.
     pub fn new(nodes: Vec<N>, cfg: WorldConfig) -> Self {
-        World(ShardedWorld::build(nodes, cfg, 1, None, None))
+        World(ShardedWorld::build(nodes, cfg, vec![()]))
     }
 
     /// Runs until the queue is empty or global time exceeds `deadline`.
@@ -193,15 +195,15 @@ impl<N: Node> dinefd_runtime::Runtime<N> for World<N> {
 }
 
 impl<N: Node> Deref for World<N> {
-    type Target = ShardedWorld<N>;
+    type Target = ShardedWorld<N, ()>;
 
-    fn deref(&self) -> &ShardedWorld<N> {
+    fn deref(&self) -> &ShardedWorld<N, ()> {
         &self.0
     }
 }
 
 impl<N: Node> DerefMut for World<N> {
-    fn deref_mut(&mut self) -> &mut ShardedWorld<N> {
+    fn deref_mut(&mut self) -> &mut ShardedWorld<N, ()> {
         &mut self.0
     }
 }

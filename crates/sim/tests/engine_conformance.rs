@@ -8,10 +8,9 @@
 //! worker pool (one shard per thread). Public API only: the table sees the
 //! engine exactly as downstream crates do.
 
-use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::rc::Rc;
 
+use dinefd_sim::shard::shard_count;
 use dinefd_sim::{
     Context, CrashPlan, DelayModel, Node, ObsSink, ProcessId, ShardedWorld, Time, TimerId,
     TraceEvent, WorldConfig,
@@ -32,25 +31,29 @@ const ROWS: [Row; 4] = [
     Row { threads: 3, by_hand: false },
 ];
 
-type Sink<O> = Option<Box<dyn ObsSink<O>>>;
+/// Builds `row`'s engine over `nodes` (which runs the start steps), with
+/// no sink.
+fn build<N: Node>(row: Row, nodes: Vec<N>, cfg: WorldConfig) -> ShardedWorld<N, ()> {
+    ShardedWorld::new(nodes, cfg.threads(row.threads), row.threads)
+}
 
-/// Builds `row`'s engine over `nodes` (which runs the start steps).
-fn build<N: Node>(
+/// Builds `row`'s engine with a fresh `S` on every shard.
+fn build_with_sinks<N: Node, S: ObsSink<N::Obs>>(
     row: Row,
     nodes: Vec<N>,
     cfg: WorldConfig,
-    sink: Sink<N::Obs>,
-) -> ShardedWorld<N> {
-    let cfg = cfg.threads(row.threads);
-    match sink {
-        None => ShardedWorld::new(nodes, cfg, row.threads),
-        Some(sink) => ShardedWorld::new_with_sink(nodes, cfg, row.threads, sink),
-    }
+    sink: impl Fn() -> S,
+) -> ShardedWorld<N, S> {
+    let sinks = (0..shard_count(row.threads, nodes.len())).map(|_| sink()).collect();
+    ShardedWorld::new_with_shard_sinks(nodes, cfg.threads(row.threads), sinks)
 }
 
 /// Runs `w` to `deadline` the way `row` drives it.
-fn run_to<N: Node + Send>(row: Row, w: &mut ShardedWorld<N>, deadline: Time)
-where
+fn run_to<N: Node + Send, S: ObsSink<N::Obs> + Send>(
+    row: Row,
+    w: &mut ShardedWorld<N, S>,
+    deadline: Time,
+) where
     N::Msg: Send,
     N::Obs: Send,
 {
@@ -176,7 +179,7 @@ fn a_crash_at_time_zero_suppresses_the_start_step_and_its_timers() {
         // p0 is the ring initiator: without its start step no message exists.
         let cfg =
             WorldConfig::new(3).crashes(CrashPlan::one(ProcessId(0), Time::ZERO)).record_messages();
-        let mut w = build(row, ring(3, 10), cfg, None);
+        let mut w = build(row, ring(3, 10), cfg);
         assert!(w.is_crashed(ProcessId(0)), "{row:?}: effective before the starts");
         run_to(row, &mut w, DRAINED);
         assert_eq!(w.trace().sent_count(), 0, "{row:?}: a dead process must not send");
@@ -188,7 +191,7 @@ fn a_crash_at_time_zero_suppresses_the_start_step_and_its_timers() {
         assert!(traced, "{row:?}: the crash stays visible to the spec checkers");
 
         let cfg = WorldConfig::new(2).crashes(CrashPlan::one(ProcessId(0), Time::ZERO));
-        let mut w = build(row, vec![TimerNode { fired: 0, limit: 5 }], cfg, None);
+        let mut w = build(row, vec![TimerNode { fired: 0, limit: 5 }], cfg);
         run_to(row, &mut w, DRAINED);
         assert_eq!(w.node(ProcessId(0)).fired, 0, "{row:?}");
         assert_eq!(w.pending_events(), 0, "{row:?}: the start timer was never armed");
@@ -205,7 +208,7 @@ fn an_envelope_to_a_crashed_receiver_is_dropped_whole() {
             .batch_envelopes()
             .delays(DelayModel::Fixed(10))
             .crashes(CrashPlan::one(ProcessId(1), Time(1)));
-        let mut w = build(row, burst_nodes(2, 5), cfg, None);
+        let mut w = build(row, burst_nodes(2, 5), cfg);
         run_to(row, &mut w, DRAINED);
         let m = w.metrics_map();
         assert_eq!(m["envelopes_sent"], 3, "{row:?}: one envelope per bursting step");
@@ -222,7 +225,7 @@ fn an_envelope_to_a_crashed_receiver_is_dropped_whole() {
 #[test]
 fn messages_inside_an_envelope_are_received_in_send_order() {
     for row in ROWS {
-        let mut w = build(row, burst_nodes(5, 6), WorldConfig::new(5).batch_envelopes(), None);
+        let mut w = build(row, burst_nodes(5, 6), WorldConfig::new(5).batch_envelopes());
         run_to(row, &mut w, DRAINED);
         let received = &w.node(ProcessId(1)).received;
         assert_eq!(received.len(), 36, "{row:?}");
@@ -238,7 +241,7 @@ fn messages_inside_an_envelope_are_received_in_send_order() {
 fn timers_of_a_crashed_process_never_fire() {
     for row in ROWS {
         let cfg = WorldConfig::new(1).crashes(CrashPlan::one(ProcessId(0), Time(12)));
-        let mut w = build(row, vec![TimerNode { fired: 0, limit: 100 }], cfg, None);
+        let mut w = build(row, vec![TimerNode { fired: 0, limit: 100 }], cfg);
         run_to(row, &mut w, DRAINED);
         // Fires at t=5 and t=10; the crash at t=12 silences the rest.
         assert_eq!(w.node(ProcessId(0)).fired, 2, "{row:?}");
@@ -273,7 +276,7 @@ impl Node for HorizonNode {
 #[test]
 fn rearming_past_the_clock_horizon_panics_instead_of_livelocking() {
     for row in ROWS {
-        let mut w = build(row, vec![HorizonNode], WorldConfig::new(1), None);
+        let mut w = build(row, vec![HorizonNode], WorldConfig::new(1));
         let message = panic_message(|| run_to(row, &mut w, Time::INFINITY));
         assert!(message.contains("timer scheduled past the clock horizon"), "{row:?}: {message}");
     }
@@ -303,7 +306,7 @@ fn a_send_to_an_unknown_process_panics_batched_and_unbatched() {
         for batch in [false, true] {
             let cfg = WorldConfig::new(1);
             let cfg = if batch { cfg.batch_envelopes() } else { cfg };
-            let message = panic_message(|| drop(build(row, vec![StraySender], cfg, None)));
+            let message = panic_message(|| drop(build(row, vec![StraySender], cfg)));
             assert!(message.contains("send to unknown process p99"), "{row:?} {batch}: {message}");
         }
     }
@@ -321,33 +324,55 @@ impl ObsSink<u32> for FoldSink {
     }
 }
 
-/// The sink sees exactly the trace's observation stream, start steps
-/// included, in the trace's order.
+/// Each shard's sink sees exactly the trace's observation stream projected
+/// onto the shard's processes, start steps included, in the trace's order.
 #[test]
 fn the_sink_stream_equals_the_traces_observations() {
     for row in ROWS {
-        let sink = Rc::new(RefCell::new(FoldSink::default()));
-        let handle: Sink<u32> = Some(Box::new(Rc::clone(&sink)));
-        let mut w = build(row, ring(4, 23), WorldConfig::new(9), handle);
+        let mut w = build_with_sinks(row, ring(4, 23), WorldConfig::new(9), FoldSink::default);
         run_to(row, &mut w, DRAINED);
-        let from_trace: Vec<(Time, ProcessId, u32)> =
-            w.trace().observations().map(|(t, p, &o)| (t, p, o)).collect();
-        assert_eq!(from_trace.len(), 24, "{row:?}: hops 23..=0");
-        assert_eq!(sink.borrow().seen, from_trace, "{row:?}: sink must mirror the trace");
         assert_eq!(w.metrics_map()["observations"], 24, "{row:?}");
+        let (sinks, trace) = w.into_parts();
+        let from_trace: Vec<(Time, ProcessId, u32)> =
+            trace.observations().map(|(t, p, &o)| (t, p, o)).collect();
+        assert_eq!(from_trace.len(), 24, "{row:?}: hops 23..=0");
+        let k = sinks.len();
+        assert_eq!(k, shard_count(row.threads, 4), "{row:?}: one sink per shard, handed back");
+        for (s, sink) in sinks.iter().enumerate() {
+            let projection: Vec<_> =
+                from_trace.iter().copied().filter(|&(_, p, _)| p.index() % k == s).collect();
+            assert_eq!(sink.seen, projection, "{row:?}: shard {s}'s sink must mirror the trace");
+        }
+    }
+}
+
+/// `new_with_sink` builds one shard whatever the thread count, so its one
+/// sink sees the whole sequential stream.
+#[test]
+fn new_with_sink_feeds_its_one_sink_the_whole_stream() {
+    for row in ROWS {
+        let cfg = WorldConfig::new(9).threads(row.threads);
+        let mut w = ShardedWorld::new_with_sink(ring(4, 23), cfg, row.threads, FoldSink::default());
+        assert_eq!(w.shards(), 1, "{row:?}");
+        run_to(row, &mut w, DRAINED);
+        let (sinks, trace) = w.into_parts();
+        let from_trace: Vec<(Time, ProcessId, u32)> =
+            trace.observations().map(|(t, p, &o)| (t, p, o)).collect();
+        assert_eq!(from_trace.len(), 24, "{row:?}");
+        assert_eq!(sinks.len(), 1, "{row:?}");
+        assert_eq!(sinks[0].seen, from_trace, "{row:?}: the one sink sees every observation");
     }
 }
 
 #[test]
 fn observation_events_off_keeps_the_sink_fed_and_the_trace_lean() {
     for row in ROWS {
-        let sink = Rc::new(RefCell::new(FoldSink::default()));
-        let handle: Sink<u32> = Some(Box::new(Rc::clone(&sink)));
         let cfg = WorldConfig::new(9).observation_events_off();
-        let mut w = build(row, ring(4, 23), cfg, handle);
+        let mut w = build_with_sinks(row, ring(4, 23), cfg, FoldSink::default);
         run_to(row, &mut w, DRAINED);
         assert_eq!(w.trace().len(), 0, "{row:?}: no observations, and messages are off too");
-        assert_eq!(sink.borrow().seen.len(), 24, "{row:?}");
         assert_eq!(w.metrics_map()["observations"], 24, "{row:?}");
+        let (sinks, _) = w.into_parts();
+        assert_eq!(sinks.iter().map(|s| s.seen.len()).sum::<usize>(), 24, "{row:?}");
     }
 }

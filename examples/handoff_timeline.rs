@@ -13,8 +13,8 @@ fn main() {
     sc.oracle =
         OracleSpec::DiamondP { lag: 20, convergence: Time(2_000), max_mistakes: 3, max_len: 150 };
     sc.horizon = Time(40_000);
-    let res = run_extraction(sc);
-    let tl: PairTimelines = res.pair_timelines(ProcessId(0), ProcessId(1));
+    let (res, trace) = record_extraction(sc);
+    let tl = PairTimelines::collect(&trace, ProcessId(0), ProcessId(1), res.horizon);
 
     let (t0, t1) = (Time(20_000), Time(21_600));
     println!("Fig. 1 — witness and subject threads in the exclusive suffix");

@@ -75,8 +75,9 @@ pub use dinefd_sim as sim;
 /// The most commonly used items, re-exported flat.
 pub mod prelude {
     pub use dinefd_core::{
-        all_ordered_pairs, run_extraction, run_fair_over_extraction, run_flawed_pair, BlackBox,
-        ExtractionResult, OracleSpec, PairTimelines, ReductionNode, Scenario,
+        all_ordered_pairs, record_extraction, run_extraction, run_fair_over_extraction,
+        run_flawed_pair, suspicion_history, BlackBox, ExtractionResult, OracleSpec, PairTimelines,
+        ReductionNode, Scenario,
     };
     pub use dinefd_dining::driver::{run_full_stack, DiningDriverNode, Workload};
     pub use dinefd_dining::{

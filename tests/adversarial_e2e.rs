@@ -99,8 +99,8 @@ fn pair_timelines_stay_sane_under_harsh_delays() {
     let mut sc = Scenario::pair(BlackBox::WfDx, 97);
     sc.delays = DelayModel::harsh();
     sc.horizon = Time(40_000);
-    let res = run_extraction(sc);
-    let tl = res.pair_timelines(ProcessId(0), ProcessId(1));
+    let (res, trace) = record_extraction(sc);
+    let tl = PairTimelines::collect(&trace, ProcessId(0), ProcessId(1), res.horizon);
     let w = tl.witness_session_count();
     let s = tl.subject_session_count();
     assert!(w[0] > 10 && w[1] > 10, "witness sessions: {w:?}");
