@@ -54,7 +54,7 @@ fi
 # 3. Panic-site ratchet (ROADMAP 3(d)): lines of library and binary code
 #    that can abort the process. Turn one into a `Result` or a proved
 #    invariant and lower the ceiling to the new count; it never goes up.
-CEILING=22
+CEILING=20
 total=0
 report=""
 for crate in crates/*/; do
@@ -210,18 +210,23 @@ for f in crates/explore/src/*.rs; do
   fi
 done
 
-# 11. One merge. A one-shard world executes an instant's gathered events in
-#     key order and writes the trace as it goes. A multi-shard world,
-#     stepped by hand or by the parallel coordinator, logs each shard's
-#     trace events and merges the logs in one function, `replay`, by a
-#     stable sort. So shard.rs sorts twice: a shard's
-#     gathered events (keys are unique, so unstably) and that one log
-#     (stably, as one event's emissions share a key). Another sort is a
-#     second merge growing back.
+# 11. One merge. The world keeps no record of its own: a run's crashes and
+#     observations leave the engine only through each shard's sink, so
+#     shard.rs sorts once, its gathered events (keys are unique, so
+#     unstably), and the one recording merge is `Trace::merge` in
+#     trace.rs, one stable sort by `(at, pid)`. A second sort in shard.rs
+#     is an emission-log merge growing back; another sort in trace.rs is a
+#     second merge.
 sorts=$(product_lines crates/sim/src/shard.rs | grep -cE '\.sort(_unstable)?(_by(_key|_cached_key)?)?\(' || true)
 stable=$(product_lines crates/sim/src/shard.rs | grep -cE '\.sort(_by(_key|_cached_key)?)?\(' || true)
-if [ "$sorts" -ne 2 ] || [ "$stable" -ne 1 ]; then
-  echo "structure guard: crates/sim/src/shard.rs sorts $sorts times, $stable stably (want 2 and 1); only replay sorts an emission log"
+if [ "$sorts" -ne 1 ] || [ "$stable" -ne 0 ]; then
+  echo "structure guard: crates/sim/src/shard.rs sorts $sorts times, $stable stably (want 1 and 0); only the gathered events are sorted"
+  fail=1
+fi
+sorts=$(product_lines crates/sim/src/trace.rs | grep -cE '\.sort(_unstable)?(_by(_key|_cached_key)?)?\(' || true)
+stable=$(product_lines crates/sim/src/trace.rs | grep -cE '\.sort(_by(_key|_cached_key)?)?\(' || true)
+if [ "$sorts" -ne 1 ] || [ "$stable" -ne 1 ]; then
+  echo "structure guard: crates/sim/src/trace.rs sorts $sorts times, $stable stably (want 1 and 1); Trace::merge is the one recording merge"
   fail=1
 fi
 
@@ -455,13 +460,27 @@ fi
 #     `SuspicionHistory`) in crates/core/src outside `impl HistorySink` is a
 #     second fold body.
 if product_lines crates/core/src/scenario.rs | grep -nE '\b(Mutex|RefCell)\b|try_unwrap'; then
-  echo "structure guard: crates/core/src/scenario.rs shares a sink through a handle; take the shards' sinks back with into_parts"
+  echo "structure guard: crates/core/src/scenario.rs shares a sink through a handle; take the shards' sinks back with into_sinks"
   fail=1
 fi
 for f in crates/core/src/*.rs; do
   if product_lines "$f" | awk '/^impl HistorySink \{/ { inside = 1 } inside && /^\}/ { inside = 0; next }
       !inside && /SuspicionHistory::new\(|SuspicionHistory as / { print NR ": " $0 }' | grep .; then
     echo "structure guard: $f builds a SuspicionHistory outside HistorySink::new; fold through HistorySink (replay a recording with suspicion_history)"
+    fail=1
+  fi
+done
+
+# 23. One recording path. The paper's properties are read from what
+#     processes output, so a simulated run's output leaves the engine only
+#     through its shards' sinks, and a recording is a `Trace` sink. A
+#     message-recording knob, a `Send`/`Deliver` trace event, an emission
+#     log or a `Fabric::emit` in crates/sim/src is the world's own trace
+#     growing back; tests record wire traffic with the test-side
+#     `Recorded` wrapper (crates/sim/tests/support/recorded.rs).
+for f in crates/sim/src/*.rs; do
+  if product_lines "$f" | grep -nE 'record_messages|TraceEvent::(Send|Deliver)|LogEntry|fn emit\b'; then
+    echo "structure guard: $f records beside the sinks; a run's output leaves the engine through its shards' sinks only"
     fail=1
   fi
 done

@@ -3,8 +3,7 @@
 //! message/step cost and convergence latency as `n` grows.
 
 use dinefd_core::{
-    record_extraction, run_extraction, suspicion_history, BlackBox, ExtractionResult, OracleSpec,
-    Scenario,
+    record_extraction, run_extraction, BlackBox, ExtractionResult, OracleSpec, Scenario,
 };
 use dinefd_explore::{explore, ExploreConfig};
 use dinefd_sim::{CrashPlan, MetricMap, ProcessId, Time};
@@ -12,10 +11,10 @@ use dinefd_sim::{CrashPlan, MetricMap, ProcessId, Time};
 use crate::table::{Report, Table};
 use crate::{parallel_map, timed, ExperimentConfig};
 
-/// Sizes from which the scale sweep stops recording the trace and runs the
-/// online fold alone, with envelope batching: beyond here a full trace
-/// would dominate memory, which is exactly what the online fold removes.
-/// Rows below it read a recording, as post-hoc analysis does.
+/// Sizes from which the scale sweep stops recording and folds the history
+/// online, with envelope batching: beyond here a full recording would
+/// dominate memory, which is exactly what the online fold removes. Rows
+/// below it replay a recording, as post-hoc analysis does.
 const STREAM_FROM: usize = 32;
 
 /// The scale frontier: `(n, horizon)` rows. Horizons shrink as n²
@@ -62,11 +61,13 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
                    per-pair message rate (≈ constant — each pair's machinery is \
                    independent), correctness at every size, convergence latency, \
                    peak resident extraction state, and wall-clock cost of the \
-                   simulation. Every run folds the history online, one history \
-                   sink per shard; rows below n = 32 also record the trace, \
-                   as post-hoc analysis reads it, while rows at n ≥ 32 record \
-                   nothing and batch envelopes, so their resident state is \
-                   O(pairs) history entries instead of a full trace. \
+                   simulation. Rows at n ≥ 32 fold the history online, one \
+                   history sink per shard, record nothing and batch \
+                   envelopes, so their resident state is O(pairs) history \
+                   entries; rows below n = 32 record every observation and \
+                   crash, one recording sink per shard, and replay the \
+                   recording through the same fold, as post-hoc analysis \
+                   does. \
                    The frontier table pushes to n = 1024 on one thread (one \
                    shard, timer-wheel queue) and differentially re-runs \
                    every row recorded: replaying the recording through the \
@@ -79,7 +80,8 @@ pub fn run(cfg: &ExperimentConfig) -> Report {
         tables: vec![table, sharded, parallel, frontier],
         notes: vec![
             "\"peak resident (entries)\" counts the extraction-side state the run \
-             must hold: trace events for post-hoc (recorded) rows, n² timelines + \
+             must hold: recorded events (observations and crashes) for post-hoc \
+             rows, n² timelines + \
              recorded suspicion changes for streaming (online-only) rows. \"env occ (mean)\" is \
              messages per wire envelope (streamed rows batch each step's sends \
              per destination under one delay draw); \"-\" = batching off."
@@ -318,19 +320,12 @@ fn frontier_tables(
         };
         let run = |threads: usize| timed(|| run_extraction(scenario(threads)));
         let (streamed, secs) = run(1);
-        // The recorded run's history, its recording and the replay are each
-        // dropped once read, so the re-run holds at most one recording and
-        // one history beside the streamed run, as a post-hoc fold does.
-        let differential_ok = {
-            let sc = scenario(1);
-            let pairs = sc.pairs.clone();
-            let (recorded, trace) = record_extraction(sc);
-            let same = same_run(&streamed, &recorded);
-            drop(recorded);
-            let replayed = suspicion_history(n, &trace, &pairs);
-            drop(trace);
-            same && format!("{:?}", streamed.history) == format!("{replayed:?}")
-        };
+        // The recorded run's history is its recording's replay, made after
+        // its world is dropped; the recording itself is dropped unread,
+        // before `same_run` compares that history with the online fold's.
+        let recorded = record_extraction(scenario(1)).0;
+        let differential_ok = same_run(&streamed, &recorded);
+        drop(recorded);
         assert!(differential_ok, "n={n}: the online fold and the recording's replay diverged");
         let pairs = (n * (n - 1)) as u64;
         let peak_resident = (n * n) as u64 + streamed.history_changes;

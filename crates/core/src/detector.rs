@@ -13,8 +13,8 @@ use crate::host::{RedObs, Role};
 ///
 /// Extraction runs one per simulator shard, fed live
 /// ([`dinefd_sim::ShardedWorld::new_with_shard_sinks`]), so it needs
-/// `O(pairs + changes)` resident memory instead of a full trace; a recorded
-/// trace is replayed through the same fold by [`suspicion_history`].
+/// `O(pairs + changes)` resident memory instead of a full recording; a
+/// recording is replayed through the same fold by [`suspicion_history`].
 #[derive(Clone, Debug)]
 pub struct HistorySink {
     history: SuspicionHistory,
@@ -45,11 +45,11 @@ impl ObsSink<RedObs> for HistorySink {
 }
 
 /// Builds the extracted detector's [`SuspicionHistory`] from a recorded
-/// reduction trace: a replay of its observations, in trace order, through
-/// [`HistorySink`].
-pub fn suspicion_history<M>(
+/// reduction run: a replay of its observations, in recording order,
+/// through [`HistorySink`].
+pub fn suspicion_history(
     n: usize,
-    trace: &Trace<M, RedObs>,
+    trace: &Trace<RedObs>,
     pairs: &[(ProcessId, ProcessId)],
 ) -> SuspicionHistory {
     let mut sink = HistorySink::new(n, pairs);
@@ -73,8 +73,8 @@ pub struct PairTimelines {
 
 impl PairTimelines {
     /// Collects the thread timelines of pair `(watcher, subject)`.
-    pub fn collect<M>(
-        trace: &Trace<M, RedObs>,
+    pub fn collect(
+        trace: &Trace<RedObs>,
         watcher: ProcessId,
         subject: ProcessId,
         horizon: Time,

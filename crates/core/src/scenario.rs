@@ -13,8 +13,8 @@ use dinefd_dining::DiningParticipant;
 use dinefd_fd::{InjectedOracle, SuspicionHistory};
 use dinefd_sim::shard::shard_count;
 use dinefd_sim::{
-    CrashPlan, DelayModel, MetricMap, Node, ProcessId, QueueBackend, ShardedWorld, SplitMix64,
-    Time, Trace, WorkerStats, World, WorldConfig,
+    CrashPlan, DelayModel, MetricMap, Node, ObsSink, ProcessId, QueueBackend, ShardedWorld,
+    SplitMix64, Time, Trace, WorkerStats, World, WorldConfig,
 };
 
 use crate::detector::{suspicion_history, HistorySink};
@@ -121,8 +121,8 @@ pub struct Scenario {
     pub tick_every: u64,
     /// Ignored: extraction always folds the suspicion history online, one
     /// [`HistorySink`] per shard, and [`record_extraction`] is the run that
-    /// also records the trace. Kept because the `benchmark/` harness still
-    /// sets it.
+    /// records instead and replays the recording. Kept because the
+    /// `benchmark/` harness still sets it.
     pub streaming: bool,
     /// Give each step's messages to one destination a single delay draw,
     /// as one envelope: they arrive at one instant, as adjacent steps of
@@ -245,8 +245,8 @@ pub fn factory_for(black_box: BlackBox) -> impl Fn(DxEndpoint) -> Box<dyn Dining
 }
 
 /// Runs one extraction scenario to its horizon, folding the extracted
-/// detector's history online: one [`HistorySink`] per simulator shard, with
-/// no observation recorded in the trace.
+/// detector's history online: one [`HistorySink`] per simulator shard, and
+/// nothing recorded.
 ///
 /// The banks hold the WF-◇WX engine of `WfDx` and `Ftme` inline, as the
 /// same endpoints [`factory_for`] boxes, and every other black box boxed;
@@ -266,39 +266,68 @@ pub fn factory_for(black_box: BlackBox) -> impl Fn(DxEndpoint) -> Box<dyn Dining
 /// assert!(res.history.mistake_intervals(ProcessId(0), ProcessId(1)) >= 1);
 /// ```
 pub fn run_extraction(sc: Scenario) -> ExtractionResult {
-    extract(sc, false).0
+    extract(sc, HistorySink::new, fold_shards).0
 }
 
-/// [`run_extraction`] with every observation also recorded in the returned
-/// trace — the material of [`crate::PairTimelines::collect`], and of
-/// [`suspicion_history`]'s replay, which reproduces the result's history.
-/// The run, and its history, are the same run as [`run_extraction`]'s.
+/// [`run_extraction`] with every observation and crash recorded in the
+/// returned trace — the material of [`crate::PairTimelines::collect`]. The
+/// run is the same run as [`run_extraction`]'s; its history is the
+/// recording's replay through [`suspicion_history`], made after the
+/// world and its nodes are dropped, so no online fold is held beside the
+/// recording.
 ///
 /// ```
-/// use dinefd_core::{record_extraction, suspicion_history, BlackBox, Scenario};
+/// use dinefd_core::{record_extraction, run_extraction, BlackBox, Scenario};
 ///
-/// let sc = Scenario::pair(BlackBox::WfDx, 7);
-/// let pairs = sc.pairs.clone();
-/// let (res, trace) = record_extraction(sc);
-/// let replayed = suspicion_history(res.n, &trace, &pairs);
-/// assert_eq!(format!("{:?}", res.history), format!("{replayed:?}"));
+/// let (recorded, trace) = record_extraction(Scenario::pair(BlackBox::WfDx, 7));
+/// let streamed = run_extraction(Scenario::pair(BlackBox::WfDx, 7));
+/// assert_eq!(format!("{:?}", recorded.history), format!("{:?}", streamed.history));
+/// assert!(trace.observations().count() > 0);
 /// ```
-pub fn record_extraction(sc: Scenario) -> (ExtractionResult, Trace<RedMsg, RedObs>) {
-    extract(sc, true)
+pub fn record_extraction(sc: Scenario) -> (ExtractionResult, Trace<RedObs>) {
+    extract(
+        sc,
+        |_, _| Trace::default(),
+        |parts, n, pairs| {
+            let trace = Trace::merge(parts);
+            (suspicion_history(n, &trace, pairs), trace)
+        },
+    )
+}
+
+/// Reassembles the per-shard folds of a run. Shard `s` folded exactly the
+/// watchers `pid % k == s`, so adopting each later shard's watcher rows
+/// into shard 0's history reassembles the sequential history row for row
+/// (see `SuspicionHistory::adopt_watcher_rows`).
+fn fold_shards(
+    sinks: Vec<HistorySink>,
+    n: usize,
+    pairs: &[(ProcessId, ProcessId)],
+) -> (SuspicionHistory, ()) {
+    let k = sinks.len();
+    let mut parts = sinks.into_iter().map(HistorySink::finish);
+    let mut history = parts.next().unwrap_or_else(|| HistorySink::new(n, pairs).finish());
+    for (s, part) in (1..k).zip(parts) {
+        history.adopt_watcher_rows(&part, (s..n).step_by(k).map(ProcessId::from_index));
+    }
+    (history, ())
 }
 
 /// The one extraction run behind [`run_extraction`] and
-/// [`record_extraction`], recording observations in the trace when `record`
-/// says so.
-fn extract(sc: Scenario, record: bool) -> (ExtractionResult, Trace<RedMsg, RedObs>) {
+/// [`record_extraction`]: `sink(n, pairs)` on every shard, and `fold` to
+/// turn the sinks, handed back once the world is dropped, into the history
+/// and whatever else the caller keeps.
+fn extract<S: ObsSink<RedObs> + Send, R>(
+    sc: Scenario,
+    sink: impl Fn(usize, &[(ProcessId, ProcessId)]) -> S,
+    fold: impl FnOnce(Vec<S>, usize, &[(ProcessId, ProcessId)]) -> (SuspicionHistory, R),
+) -> (ExtractionResult, R) {
     match sc.black_box {
-        BlackBox::WfDx => {
-            extract_over(sc, &|ep: DxEndpoint| WfDxDining::new(ep.me, &[ep.peer]), record)
-        }
+        BlackBox::WfDx => extract_over(sc, &|ep| WfDxDining::new(ep.me, &[ep.peer]), sink, fold),
         BlackBox::Ftme => {
-            extract_over(sc, &|ep: DxEndpoint| WfDxDining::trust_gated(ep.me, &[ep.peer]), record)
+            extract_over(sc, &|ep| WfDxDining::trust_gated(ep.me, &[ep.peer]), sink, fold)
         }
-        other => extract_over(sc, &factory_for(other), record),
+        other => extract_over(sc, &factory_for(other), sink, fold),
     }
 }
 
@@ -307,15 +336,16 @@ pub fn run_extraction_over<D: Resident>(
     sc: Scenario,
     factory: &DiningFactory<'_, D>,
 ) -> ExtractionResult {
-    extract_over(sc, factory, false).0
+    extract_over(sc, factory, HistorySink::new, fold_shards).0
 }
 
 /// [`extract`] over `factory`'s endpoints, stored as `D`.
-fn extract_over<D: Resident>(
+fn extract_over<D: Resident, S: ObsSink<RedObs> + Send, R>(
     sc: Scenario,
     factory: &DiningFactory<'_, D>,
-    record: bool,
-) -> (ExtractionResult, Trace<RedMsg, RedObs>) {
+    sink: impl Fn(usize, &[(ProcessId, ProcessId)]) -> S,
+    fold: impl FnOnce(Vec<S>, usize, &[(ProcessId, ProcessId)]) -> (SuspicionHistory, R),
+) -> (ExtractionResult, R) {
     let Scenario {
         n,
         pairs,
@@ -370,28 +400,13 @@ fn extract_over<D: Resident>(
     if batch_envelopes {
         cfg = cfg.batch_envelopes();
     }
-    if !record {
-        // Keep the trace free of observation events so the run's resident
-        // footprint is O(pairs + suspicion changes), not O(run length).
-        cfg = cfg.observation_events_off();
-    }
-    let sinks = (0..shard_count(threads, n)).map(|_| HistorySink::new(n, &pairs)).collect();
+    let sinks = (0..shard_count(threads, n)).map(|_| sink(n, &pairs)).collect();
     let mut world = ShardedWorld::new_with_shard_sinks(nodes, cfg, sinks);
     world.run_until(horizon);
     let worker_stats = world.worker_stats().to_vec();
     let (steps, messages_sent, metrics) =
         (world.steps(), world.messages_sent(), world.metrics_map());
-    let (sinks, trace) = world.into_parts();
-    // Shard `s` folded exactly the watchers `pid % k == s`, so adopting
-    // each later shard's watcher rows into shard 0's history reassembles
-    // the sequential history row for row (see
-    // `SuspicionHistory::adopt_watcher_rows`).
-    let k = sinks.len();
-    let mut parts = sinks.into_iter().map(HistorySink::finish);
-    let mut history = parts.next().unwrap_or_else(|| HistorySink::new(n, &pairs).finish());
-    for (s, part) in (1..k).zip(parts) {
-        history.adopt_watcher_rows(&part, (s..n).step_by(k).map(ProcessId::from_index));
-    }
+    let (history, kept) = fold(world.into_sinks(), n, &pairs);
     let history_changes = history.change_count();
     let res = ExtractionResult {
         history,
@@ -405,7 +420,7 @@ fn extract_over<D: Resident>(
         metrics,
         worker_stats,
     };
-    (res, trace)
+    (res, kept)
 }
 
 /// The run the two one-instance ablations share: `make`'s nodes for
@@ -486,21 +501,29 @@ mod tests {
 
     #[test]
     fn sharded_fold_matches_the_replay_of_its_recording() {
-        // The per-shard folds merge into the history a replay of the
-        // recorded observation stream through one fold builds — on one
-        // shard, and on two and three, which run on the pool.
+        // The online per-shard folds merge into the history a replay of the
+        // same run's recorded observation stream through one fold builds —
+        // on one shard, and on two and three, which run on the pool.
         for threads in [1, 2, 3] {
-            let mut sc = Scenario::all_pairs(3, BlackBox::WfDx, 29);
-            sc.horizon = Time(6_000);
-            sc.crashes = CrashPlan::one(ProcessId(1), Time(3_000));
-            sc.threads = threads;
-            let pairs = sc.pairs.clone();
-            let (res, trace) = record_extraction(sc);
+            let make = || {
+                let mut sc = Scenario::all_pairs(3, BlackBox::WfDx, 29);
+                sc.horizon = Time(6_000);
+                sc.crashes = CrashPlan::one(ProcessId(1), Time(3_000));
+                sc.threads = threads;
+                sc
+            };
+            let pairs = make().pairs;
+            let online = run_extraction(make());
             let workers = if threads == 1 { 0 } else { threads };
-            assert_eq!(res.worker_stats.len(), workers, "threads={threads}: shards on the pool");
+            assert_eq!(online.worker_stats.len(), workers, "threads={threads}: shards on the pool");
+            let (_, trace) = record_extraction(make());
             assert!(trace.observations().count() > 0, "threads={threads}: nothing recorded");
             let replayed = suspicion_history(3, &trace, &pairs);
-            assert_eq!(format!("{:?}", res.history), format!("{replayed:?}"), "threads={threads}");
+            assert_eq!(
+                format!("{:?}", online.history),
+                format!("{replayed:?}"),
+                "threads={threads}"
+            );
         }
     }
 

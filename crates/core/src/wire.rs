@@ -93,15 +93,13 @@ mod tests {
         assert_eq!(std::mem::size_of::<RedMsg>(), 40);
     }
 
-    /// A post-hoc run keeps one trace event per observation. `Send` and
-    /// `Deliver` box their `RedMsg`: inline, its 40 bytes would make every
-    /// event 64 bytes wide, observations included, for message events that
-    /// only tests record.
+    /// A recorded run keeps one trace event per observation, so the
+    /// event's width is most of a recording's memory.
     #[test]
     fn a_reduction_trace_event_is_32_bytes() {
         use crate::host::RedObs;
         use dinefd_sim::TraceEvent;
-        assert_eq!(std::mem::size_of::<TraceEvent<RedMsg, RedObs>>(), 32);
+        assert_eq!(std::mem::size_of::<TraceEvent<RedObs>>(), 32);
     }
 
     #[test]

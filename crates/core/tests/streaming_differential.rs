@@ -15,7 +15,7 @@
 //!    every message.
 
 use dinefd_core::{
-    record_extraction, run_extraction, suspicion_history, BlackBox, RedMsg, RedObs, Scenario,
+    record_extraction, run_extraction, suspicion_history, BlackBox, RedObs, Scenario,
 };
 use dinefd_fd::SuspicionHistory;
 use dinefd_sim::{CrashPlan, DelayModel, ProcessId, Time, Trace};
@@ -56,14 +56,15 @@ fn scenario(bb: u8, delays: u8, seed: u64, crash: bool, batch: bool) -> Scenario
 
 /// Runs `make`'s scenario recorded once and online at 1, 2 and 4 threads,
 /// and checks that every online fold is the recording's replay: the same
-/// history byte for byte, the same schedule (a sink never perturbs it),
-/// and a trace that records observations only when asked to.
+/// history byte for byte and the same schedule (a sink never perturbs it).
+/// Recorded at 2 and 4 threads too, the shards' recordings joined by
+/// `Trace::merge` are the one-thread recording, event for event.
 fn assert_online_fold_is_the_replay(make: impl Fn() -> Scenario, what: &str) {
     let pairs = make().pairs;
     let (recorded, trace) = record_extraction(make());
     assert!(trace.observations().count() > 0, "{what}: the recording holds observations");
     let replayed = json(&suspicion_history(recorded.n, &trace, &pairs));
-    assert_eq!(json(&recorded.history), replayed, "{what}: the recorded run's own fold");
+    let events = format!("{:?}", trace.events());
     for threads in [1, 2, 4] {
         let mut sc = make();
         sc.threads = threads;
@@ -72,6 +73,14 @@ fn assert_online_fold_is_the_replay(make: impl Fn() -> Scenario, what: &str) {
         assert_eq!(online.metrics, recorded.metrics, "{what} threads={threads}");
         assert_eq!(online.steps, recorded.steps, "{what} threads={threads}");
         assert_eq!(online.history_changes, recorded.history_changes);
+        if threads > 1 {
+            let mut sc = make();
+            sc.threads = threads;
+            let (merged, merged_trace) = record_extraction(sc);
+            assert_eq!(json(&merged.history), replayed, "{what} recorded threads={threads}");
+            let merged_events = format!("{:?}", merged_trace.events());
+            assert_eq!(merged_events, events, "{what} recorded threads={threads}");
+        }
     }
 }
 
@@ -90,9 +99,9 @@ fn online_fold_matches_the_replay_of_its_recording_across_matrix() {
     }
 }
 
-/// Observation sequences `(at, watcher, obs)` of a recording, in routing
-/// order.
-fn obs_sequences(trace: &Trace<RedMsg, RedObs>) -> Vec<(Time, ProcessId, RedObs)> {
+/// Observation sequences `(at, watcher, obs)` of a recording, in the merged
+/// recording's `(at, pid)` order.
+fn obs_sequences(trace: &Trace<RedObs>) -> Vec<(Time, ProcessId, RedObs)> {
     trace.observations().map(|(at, pid, obs)| (at, pid, *obs)).collect()
 }
 

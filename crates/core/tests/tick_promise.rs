@@ -25,9 +25,15 @@ use dinefd_core::{
 use dinefd_dining::participant::NoOracle;
 use dinefd_dining::{DinerPhase, DiningIo, DiningMsg, DiningParticipant};
 use dinefd_fd::{FdQuery, InjectedOracle, MistakePlan};
+use dinefd_sim::shard::shard_count;
 use dinefd_sim::{
-    CrashPlan, MetricMap, Node, ProcessId, ShardedWorld, SplitMix64, Time, World, WorldConfig,
+    Context, CrashPlan, MetricMap, Node, ProcessId, ShardedWorld, SplitMix64, Time, TimerId, Trace,
+    WorldConfig,
 };
+
+#[path = "../../sim/tests/support/recorded.rs"]
+mod recorded;
+use recorded::Recorded;
 
 /// `(watcher, subject, hosting process, instance)` of one endpoint.
 type EndpointId = (ProcessId, ProcessId, ProcessId, u8);
@@ -162,18 +168,22 @@ struct RunRecord {
 }
 
 /// Runs `nodes` to `horizon` over `shards` shards, one per worker thread,
-/// messages recorded.
+/// each shard recording its processes' sends, deliveries, observations and
+/// crashes.
 fn run<N: Node<Msg = RedMsg, Obs = RedObs> + Send>(
     nodes: Vec<N>,
     cfg: WorldConfig,
     shards: usize,
     horizon: Time,
 ) -> RunRecord {
-    let mut world = ShardedWorld::new(nodes, cfg.record_messages().threads(shards), shards);
+    let sinks = (0..shard_count(shards, nodes.len())).map(|_| Trace::default()).collect();
+    let mut world =
+        ShardedWorld::new_with_shard_sinks(Recorded::all(nodes), cfg.threads(shards), sinks);
     assert_eq!(world.shards(), shards, "one shard per worker thread");
     world.run_until(horizon);
     let (metrics, steps) = (world.metrics_map(), world.steps());
-    RunRecord { trace: format!("{:?}", world.into_trace().events()), metrics, steps }
+    let trace = Trace::merge(world.into_sinks());
+    RunRecord { trace: format!("{:?}", trace.events()), metrics, steps }
 }
 
 const N: usize = 4;
@@ -476,9 +486,9 @@ fn tick_deliveries_at_the_benchmark_shapes() {
         let factory = probed(factory_for(BlackBox::WfDx), |_| forward_promise, &log);
         let mut cfg = WorldConfig::new(42).crashes(crashes);
         if dense {
-            cfg = cfg.batch_envelopes().observation_events_off();
+            cfg = cfg.batch_envelopes();
         }
-        World::new(nodes(n, &factory, &oracle, false), cfg).run_until(Time(horizon));
+        ShardedWorld::new(nodes(n, &factory, &oracle, false), cfg, 1).run_until(Time(horizon));
         let ticks = log.lock().unwrap().clone();
         ticks
     };

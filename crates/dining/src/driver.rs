@@ -372,12 +372,8 @@ impl<L: DetectorLayer> Node for DiningDriverNode<L> {
 }
 
 /// Rebuilds the dining history of instance `instance` from a hosted run's
-/// trace.
-pub fn collect_history<M, O>(
-    n: usize,
-    trace: &Trace<HostMsg<M>, HostObs<O>>,
-    instance: u32,
-) -> DiningHistory {
+/// recording.
+pub fn collect_history<O>(n: usize, trace: &Trace<HostObs<O>>, instance: u32) -> DiningHistory {
     let mut h = DiningHistory::new(n);
     for (at, pid, obs) in trace.observations() {
         if let Layered::Dine(d) = obs {

@@ -108,7 +108,7 @@ pub struct LiveStats {
 /// [`LiveCluster::stats`].
 #[derive(Debug)]
 pub struct LiveCluster<N: Node> {
-    nodes: Option<Vec<N>>,
+    nodes: Vec<N>,
     cfg: LiveConfig,
     stats: LiveStats,
 }
@@ -116,13 +116,13 @@ pub struct LiveCluster<N: Node> {
 impl<N: Node> LiveCluster<N> {
     /// A cluster over `nodes` (process `i` is `nodes[i]`).
     pub fn new(nodes: Vec<N>, cfg: LiveConfig) -> Self {
-        LiveCluster { nodes: Some(nodes), cfg, stats: LiveStats::default() }
+        LiveCluster { nodes, cfg, stats: LiveStats::default() }
     }
 
     /// Final state of process `pid` (valid after a run; crashed processes
     /// are frozen at their crash instant).
     pub fn node(&self, pid: ProcessId) -> &N {
-        &self.nodes.as_ref().expect("cluster is between runs")[pid.index()]
+        &self.nodes[pid.index()]
     }
 
     /// Transport counters of the last run.
@@ -138,11 +138,11 @@ where
     N::Obs: Send,
 {
     fn run_to_horizon(&mut self, horizon: Time) -> Vec<ObsRecord<N::Obs>> {
-        let nodes = self.nodes.take().expect("live cluster can only be mid-run on its own thread");
+        let nodes = std::mem::take(&mut self.nodes);
         let bind = || TcpListener::bind(("127.0.0.1", 0)).expect("bind loopback listener");
         let listeners = nodes.iter().map(|_| bind()).collect();
         let (nodes, obs, stats) = run_live(listeners, nodes, &self.cfg, horizon.0);
-        self.nodes = Some(nodes);
+        self.nodes = nodes;
         self.stats = stats;
         obs
     }

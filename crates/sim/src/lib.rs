@@ -35,10 +35,13 @@
 //! * [`fault::CrashPlan`] injects crash faults at chosen instants; events of
 //!   a crashed process are discarded, so it "ceases execution without
 //!   warning";
-//! * every run records a [`trace::Trace`] of sends, deliveries, crashes and
-//!   application-level observations, over which the temporal property
-//!   checkers in [`props`] (and in the `dinefd-fd` / `dinefd-dining` crates)
-//!   evaluate the paper's specifications.
+//! * a run's output — its crashes and application-level observations —
+//!   leaves the engine only through the shards' sinks; a [`trace::Trace`]
+//!   sink records it ([`world::World`] is one shard recording into one),
+//!   and the temporal property checkers in [`props`] (and in the
+//!   `dinefd-fd` / `dinefd-dining` crates) evaluate the paper's
+//!   specifications over the recording. Messages are never recorded: the
+//!   properties are read from what processes output, not from the wire.
 //!
 //! Determinism: all randomness flows from a single [`rng::SplitMix64`] seed,
 //! so every run is exactly reproducible — a necessity for the experiment
@@ -52,11 +55,12 @@
 //!
 //! Sinks: each shard owns one [`world::ObsSink`]
 //! ([`shard::ShardedWorld::new_with_shard_sinks`]) that receives its
-//! processes' observations as they happen, and the world hands the sinks
-//! back in shard order ([`shard::ShardedWorld::into_parts`]), so consumers
-//! fold run output online instead of materializing the full trace; combined
-//! with [`world::WorldConfig::observation_events_off`] the run's resident
-//! footprint no longer grows with its length. Optional *envelope batching*
+//! processes' crashes and observations as they happen, and the world hands
+//! the sinks back in shard order ([`shard::ShardedWorld::into_sinks`]), so
+//! consumers fold run output online, and a run that records nothing keeps
+//! a resident footprint that does not grow with its length; a recording is
+//! one [`trace::Trace`] sink per shard, joined by [`trace::Trace::merge`].
+//! Optional *envelope batching*
 //! ([`world::WorldConfig::batch_envelopes`], off by default) gives all
 //! messages one step sends to the same destination a single delay draw:
 //! each is still its own delivery, and they arrive at one instant as
@@ -106,3 +110,7 @@ pub use stats::Summary;
 pub use time::Time;
 pub use trace::{Trace, TraceEvent};
 pub use world::{ObsSink, World, WorldConfig};
+
+#[cfg(test)]
+#[path = "../tests/support/recorded.rs"]
+mod recorded;

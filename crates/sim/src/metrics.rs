@@ -236,9 +236,8 @@ pub struct SimMetrics {
     pub timer_fires: Counter,
     /// Timers armed by nodes.
     pub timers_set: Counter,
-    /// Application-level observations emitted by nodes (counted whether or
-    /// not the trace records them — a run whose shard sinks fold them
-    /// records none).
+    /// Application-level observations emitted by nodes (counted whatever
+    /// the shards' sinks do with them).
     pub observations: Counter,
     /// Wire envelopes: one per destination of a batched step (its messages
     /// share one delay draw), one per message otherwise (then equal to

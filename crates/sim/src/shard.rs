@@ -1,5 +1,5 @@
-//! The simulator: pair partitions with a deterministic cross-shard merge,
-//! runnable sequentially or on a pool of shard-worker threads.
+//! The simulator: pair partitions with a deterministic cross-shard
+//! schedule, runnable sequentially or on a pool of shard-worker threads.
 //!
 //! A [`ShardedWorld`] runs its processes over `k` shards, one per worker
 //! thread ([`shard_count`]: `k` is [`crate::world::WorldConfig::threads`]
@@ -25,9 +25,9 @@
 //!
 //! Keys are unique (per-source counters never repeat), so ordering by key
 //! is a total order — and because it never mentions shards, the schedule is
-//! **independent of the shard count**: the same seed produces a
-//! byte-identical trace and metric set for any `k`, hence for any thread
-//! count. The per-instant barrier is sound because every delay and timer
+//! **independent of the shard count**: the same seed produces the same
+//! steps of every process and a byte-identical metric set for any `k`,
+//! hence for any thread count. The per-instant barrier is sound because every delay and timer
 //! is at least one tick ([`crate::net::DelayModel::sample`] and
 //! [`crate::node::Context::set_timer`] both clamp), so executing an instant
 //! can only create strictly-later events.
@@ -38,43 +38,29 @@
 //! delay-RNG, so the draws a sender makes never depend on how senders are
 //! interleaved across shards.
 //!
-//! ## One step, two drivers
+//! ## One step, one output
 //!
 //! What an event does — the atomic step — is the step executor in
 //! `step.rs`; a shard is that executor over its slice of the processes plus
 //! the wiring this module adds (per-sender delay streams, canonical-key
-//! stamping, the wheel and the outbox). The dead-from-birth rule for
-//! crashes at `Time::ZERO` is documented there too.
+//! stamping, the wheel, the outbox and the sink). The dead-from-birth rule
+//! for crashes at `Time::ZERO` is documented there too.
 //!
-//! Every event's *state effects* are confined to the shard that executes it
-//! (a delivery steps the destination, a timer or crash its owner, and all
-//! of a step's metrics, RNG draws, and effect counters belong to that same
-//! pid), so a shard can execute its slice of an instant **locally, in local
-//! key order**, without observing any other shard. What the two shapes of
-//! world do differently is how the one globally ordered artifact — the
-//! trace — is written:
-//!
-//! * a one-shard world's [`ShardedWorld::step_instant`] gathers the instant
-//!   and executes it in key order, which is global key order, so every
-//!   trace event goes straight to the trace as it happens;
-//! * a multi-shard world's shards cannot share the trace, so each appends
-//!   its trace events to an **emission log** tagged with the executing
-//!   event's canonical key. After every instant the shard logs are
-//!   concatenated, stably sorted by key and replayed, in one function for
-//!   both of its drivers (`step_instant` by hand and the parallel
-//!   coordinator): because keys are unique per event and one event's
-//!   emissions are contiguous in a single shard's log, the replay is
-//!   exactly the one-shard record, whatever order the logs came in.
-//!
-//! Both drive the same step through the same `Fabric` impl, whose
-//! emission target is the one thing that differs. Observations also go to
-//! the executing shard's own [`ObsSink`] as they happen, in local key
-//! order — the sequential stream's projection onto the shard's processes —
-//! so no sink ever waits for a merge; [`ShardedWorld::into_parts`] hands
-//! the sinks back in shard order. Byte-identity across
-//! shard and thread counts is pinned by the determinism matrix tests
-//! below, on a workload with several shards due in most instants. Only the
-//! parallel runner asks the node type to be `Send`.
+//! Every event's *effects* are confined to the shard that executes it (a
+//! delivery steps the destination, a timer or crash its owner, and all of
+//! a step's metrics, RNG draws, effect counters and outputs belong to that
+//! same pid), so a shard executes its slice of an instant **locally, in
+//! local key order**, without observing any other shard — one loop over
+//! the shards by hand, one worker per shard in parallel. The world keeps no
+//! record of its own: a run's crashes and observations leave the engine
+//! only through the executing shard's own [`ObsSink`], as they happen, in
+//! local key order — the sequential stream's projection onto the shard's
+//! processes — and [`ShardedWorld::into_sinks`] hands the sinks back in
+//! shard order. A recording is a [`crate::Trace`] sink per shard, joined
+//! by [`crate::Trace::merge`]. Sameness across shard and thread counts is
+//! pinned by the determinism matrix tests below, on a workload with several
+//! shards due in most instants. Only the parallel runner asks the node
+//! type to be `Send`.
 //!
 //! ## The instant-barrier protocol
 //!
@@ -88,11 +74,10 @@
 //!    shard's pending inbox entries (whatever their delivery time — the
 //!    worker folds them into its wheel);
 //! 3. workers execute their shards concurrently — cross-shard effects go
-//!    to per-destination outboxes, trace events to the shard's log,
-//!    observations to the shard's sink as well — and reply
-//!    with the log, the outbox, and the wheel's new minimum;
-//! 4. the coordinator routes outboxes into inboxes, merges and replays the
-//!    logs into the record, and updates the depth gauges.
+//!    to per-destination outboxes, crashes and observations to the shard's
+//!    sink — and reply with the outbox and the wheel's new minimum;
+//! 4. the coordinator routes outboxes into inboxes and updates the depth
+//!    gauges.
 //!
 //! Dropping the step channels shuts the workers down; each returns its
 //! shard state (reinstalled in the world) and a [`WorkerStats`] of
@@ -128,7 +113,6 @@ use crate::pool;
 use crate::rng::SplitMix64;
 use crate::step::{Executor, Fabric};
 use crate::time::Time;
-use crate::trace::{Trace, TraceEvent};
 use crate::wheel::TimerWheel;
 use crate::world::{ObsSink, WorldConfig};
 
@@ -137,15 +121,9 @@ const CLASS_CRASH: u8 = 0;
 /// Node effects (deliveries, timers).
 const CLASS_EFFECT: u8 = 1;
 
-/// The canonical merge key minus the time (which the wheels key).
-type MergeKey = (u8, u32, u64);
-
-/// One pending event with its canonical merge key (minus the time).
+/// One pending event with its canonical merge key minus the time (which
+/// the wheels key).
 type Pending<M> = (u8, u32, u64, EventKind<M>);
-
-/// One emission-log entry: the executing event's key plus the trace event
-/// it produced.
-type LogEntry<M, O> = (MergeKey, TraceEvent<M, O>);
 
 /// A cross-shard effect: destination shard, delivery instant, event.
 type OutboxEntry<M> = (usize, Time, Pending<M>);
@@ -174,42 +152,15 @@ struct Wiring<N: Node, S> {
     /// Per-process monotone effect counters (the canonical-key `seq`).
     effect_seq: Vec<u64>,
     queue: TimerWheel<Pending<N::Msg>>,
-    /// The shard's sink; sees this shard's observations in local execution
-    /// order (the sequential stream's projection onto the shard).
+    /// The shard's sink, the only output of its steps: sees this shard's
+    /// crashes and observations in local execution order (the sequential
+    /// stream's projection onto the shard).
     sink: S,
-    /// Whether observations enter the trace
-    /// ([`WorldConfig::record_observations`]).
-    record_obs: bool,
 }
 
-/// The one merge of an instant's emission logs, concatenated in any shard
-/// order: keys are unique per event and one event's trace events sit
-/// together in one shard's log, so a stable sort by key keeps them together
-/// and in order, and the replay is the trace a one-shard world writes
-/// directly.
-fn replay<M, O>(trace: &mut Trace<M, O>, log: &mut Vec<LogEntry<M, O>>) {
-    log.sort_by_key(|e| e.0);
-    for (_, ev) in log.drain(..) {
-        trace.push(ev);
-    }
-}
-
-/// Where a [`Lane`] sends trace events.
-enum Target<'a, M, O> {
-    /// Straight into the trace: a one-shard instant, and a construction
-    /// step, execute in global key order, so emission order already is
-    /// trace order.
-    Direct(&'a mut Trace<M, O>),
-    /// Into a shard's emission log, tagged with the executing event's key,
-    /// for [`replay`] to merge.
-    Log(MergeKey, &'a mut Vec<LogEntry<M, O>>),
-}
-
-/// A shard's [`Fabric`] for the span of one event: its wiring, the
-/// emission target, and the cross-shard outbox.
+/// A shard's [`Fabric`]: its wiring and the cross-shard outbox.
 struct Lane<'a, N: Node, S> {
     wire: &'a mut Wiring<N, S>,
-    target: Target<'a, N::Msg, N::Obs>,
     outbox: &'a mut Vec<OutboxEntry<N::Msg>>,
 }
 
@@ -222,20 +173,8 @@ impl<N: Node, S: ObsSink<N::Obs>> Fabric<N> for Lane<'_, N, S> {
     }
 
     #[inline]
-    fn emit(&mut self, ev: TraceEvent<N::Msg, N::Obs>) {
-        match &mut self.target {
-            Target::Direct(trace) => trace.push(ev),
-            Target::Log(key, log) => log.push((*key, ev)),
-        }
-    }
-
-    /// The shard's sink first, then (if recorded) the trace.
-    #[inline]
-    fn observe(&mut self, at: Time, pid: ProcessId, obs: N::Obs) {
-        self.wire.sink.on_obs(at, pid, &obs);
-        if self.wire.record_obs {
-            self.emit(TraceEvent::Obs { at, pid, obs });
-        }
+    fn sink(&mut self) -> &mut impl ObsSink<N::Obs> {
+        &mut self.wire.sink
     }
 
     /// The sender's own delay model and stream, so its draws never depend
@@ -268,36 +207,18 @@ impl<N: Node, S: ObsSink<N::Obs>> Fabric<N> for Lane<'_, N, S> {
     }
 }
 
-/// The merge key of a pending event.
-#[inline]
-fn key<M>(p: &Pending<M>) -> MergeKey {
-    (p.0, p.1, p.2)
-}
-
 impl<N: Node, S: ObsSink<N::Obs>> ShardState<N, S> {
-    /// Moves the owned events due at `t` into `batch_buf`, sorted so that
-    /// `pop` yields them in key order. Keys are unique, so the sort need
-    /// not be stable. A shard with nothing due at `t` gathers nothing.
-    fn gather(&mut self, t: Time) {
+    /// A shard's side of an instant: moves the owned events due at `t` into
+    /// `batch_buf`, sorted so that `pop` yields them in key order (keys are
+    /// unique, so the sort need not be stable), and executes them, routing
+    /// cross-shard effects to `outbox`. Shard-local key order is a slice of
+    /// the global one. A shard with nothing due at `t` runs nothing.
+    fn run_instant(&mut self, t: Time, outbox: &mut Vec<OutboxEntry<N::Msg>>) {
         debug_assert!(self.batch_buf.is_empty());
         self.wire.queue.pop_instant(t, &mut self.batch_buf);
-        self.batch_buf.sort_unstable_by_key(|p| std::cmp::Reverse(key(p)));
-    }
-
-    /// A multi-shard world's side of an instant: executes every owned event
-    /// due at `t` in key order, logging emissions and routing cross-shard
-    /// effects to `outbox`. Shard-local key order is a slice of the global
-    /// one, so [`replay`] of the logs is the one-shard trace.
-    fn run_instant(
-        &mut self,
-        t: Time,
-        log: &mut Vec<LogEntry<N::Msg, N::Obs>>,
-        outbox: &mut Vec<OutboxEntry<N::Msg>>,
-    ) {
-        self.gather(t);
-        while let Some((class, source, seq, kind)) = self.batch_buf.pop() {
-            let target = Target::Log((class, source, seq), &mut *log);
-            let mut lane = Lane { wire: &mut self.wire, target, outbox: &mut *outbox };
+        self.batch_buf.sort_unstable_by_key(|p| std::cmp::Reverse((p.0, p.1, p.2)));
+        let mut lane = Lane { wire: &mut self.wire, outbox };
+        while let Some((_, _, _, kind)) = self.batch_buf.pop() {
             self.exec.execute(t, kind, &mut lane);
         }
     }
@@ -311,10 +232,9 @@ struct StepMsg<M> {
 }
 
 /// A worker's report back to the coordinator after an instant.
-struct ShardReport<M, O> {
+struct ShardReport<M> {
     qlen: usize,
     qmin: Option<Time>,
-    log: Vec<LogEntry<M, O>>,
     outbox: Vec<OutboxEntry<M>>,
 }
 
@@ -325,7 +245,7 @@ struct ShardReport<M, O> {
 fn worker_loop<N: Node, S: ObsSink<N::Obs>>(
     mut st: ShardState<N, S>,
     step_rx: mpsc::Receiver<StepMsg<N::Msg>>,
-    done_tx: mpsc::Sender<ShardReport<N::Msg, N::Obs>>,
+    done_tx: mpsc::Sender<ShardReport<N::Msg>>,
     clock: Arc<dyn Clock>,
 ) -> (ShardState<N, S>, WorkerStats) {
     let mut stats = WorkerStats::new();
@@ -337,10 +257,10 @@ fn worker_loop<N: Node, S: ObsSink<N::Obs>>(
         for (at, p) in inbox {
             st.wire.queue.push(at, p);
         }
-        let (mut log, mut outbox) = (Vec::new(), Vec::new());
-        st.run_instant(t, &mut log, &mut outbox);
+        let mut outbox = Vec::new();
+        st.run_instant(t, &mut outbox);
         let report =
-            ShardReport { qlen: st.wire.queue.len(), qmin: st.wire.queue.peek_time(), log, outbox };
+            ShardReport { qlen: st.wire.queue.len(), qmin: st.wire.queue.peek_time(), outbox };
         stats.instants.inc();
         stats.busy_micros.record(clock.elapsed_micros().saturating_sub(busy));
         if done_tx.send(report).is_err() {
@@ -360,17 +280,16 @@ pub fn shard_count(threads: usize, n: usize) -> usize {
 /// The simulated world, partitioned into shards; see the module docs for
 /// what sharding changes (and what it provably doesn't: the schedule).
 ///
-/// Each shard owns one sink of type `S`, which sees that shard's
-/// observations as they happen. [`ShardedWorld::new`] attaches none (the
-/// no-op `()`); the default `S` is the boxed sink of
-/// [`ShardedWorld::new_with_sink`].
+/// Each shard owns one sink of type `S`, which sees that shard's crashes
+/// and observations as they happen and is the run's only output.
+/// [`ShardedWorld::new`] attaches none (the no-op `()`); the default `S` is
+/// the boxed sink of [`ShardedWorld::new_with_sink`].
 pub struct ShardedWorld<N: Node, S = Box<dyn ObsSink<<N as Node>::Obs>>> {
     shards: Vec<ShardState<N, S>>,
     n: usize,
     now: Time,
     /// Variant label of the configured delay model, for metric export.
     delay_kind: &'static str,
-    trace: Trace<N::Msg, N::Obs>,
     /// Instantaneous total backlog across all shards (the shard-count
     /// invariant depth gauge; see the module docs).
     global_depth: Gauge,
@@ -381,8 +300,6 @@ pub struct ShardedWorld<N: Node, S = Box<dyn ObsSink<<N as Node>::Obs>>> {
     clock: Arc<dyn Clock>,
     /// Reusable cross-shard outbox of the sequential path.
     outbox_buf: Vec<OutboxEntry<N::Msg>>,
-    /// Reusable emission log of a multi-shard world stepped by hand.
-    log_buf: Vec<LogEntry<N::Msg, N::Obs>>,
 }
 
 impl<N: Node, S: ObsSink<N::Obs>> std::fmt::Debug for ShardedWorld<N, S> {
@@ -409,7 +326,7 @@ impl<N: Node> ShardedWorld<N, ()> {
 
 impl<N: Node, S: ObsSink<N::Obs>> ShardedWorld<N, S> {
     /// Builds a one-shard world whose shard owns `sink`, which therefore
-    /// sees the whole observation stream in trace order, whatever
+    /// sees the whole output stream in execution order, whatever
     /// `cfg.threads` says. Kept because the `benchmark/` harness names it
     /// (and passes one thread); `_shards` is ignored, as in
     /// [`ShardedWorld::new`]. Per-shard sinks are
@@ -420,11 +337,11 @@ impl<N: Node, S: ObsSink<N::Obs>> ShardedWorld<N, S> {
 
     /// Builds a world with one sink *per shard*, [`shard_count`] of them:
     /// `sinks[s]` travels with shard `s` onto its worker thread and
-    /// receives exactly the observations of processes `pid % k == s`, in
-    /// that shard's execution order — which is the sequential stream's
-    /// projection onto those processes. Sinks must be present from
-    /// construction because the `on_start` steps already observe;
-    /// [`ShardedWorld::into_parts`] hands them back after the run.
+    /// receives exactly the crashes and observations of processes
+    /// `pid % k == s`, in that shard's execution order — which is the
+    /// sequential stream's projection onto those processes. Sinks must be
+    /// present from construction because the `on_start` steps already
+    /// observe; [`ShardedWorld::into_sinks`] hands them back after the run.
     pub fn new_with_shard_sinks(nodes: Vec<N>, cfg: WorldConfig, sinks: Vec<S>) -> Self {
         let k = shard_count(cfg.threads, nodes.len());
         assert_eq!(sinks.len(), k, "one shard sink per worker thread");
@@ -445,7 +362,7 @@ impl<N: Node, S: ObsSink<N::Obs>> ShardedWorld<N, S> {
             .into_iter()
             .enumerate()
             .map(|(idx, sink)| ShardState {
-                exec: Executor::new(n, cfg.record_messages, cfg.batch_envelopes),
+                exec: Executor::new(n, cfg.batch_envelopes),
                 wire: Wiring {
                     idx,
                     k,
@@ -454,7 +371,6 @@ impl<N: Node, S: ObsSink<N::Obs>> ShardedWorld<N, S> {
                     effect_seq: Vec::new(),
                     queue: TimerWheel::new(),
                     sink,
-                    record_obs: cfg.record_observations,
                 },
                 batch_buf: Vec::new(),
             })
@@ -473,12 +389,10 @@ impl<N: Node, S: ObsSink<N::Obs>> ShardedWorld<N, S> {
             n,
             now: Time::ZERO,
             delay_kind: cfg.delays.kind(),
-            trace: Trace::new(cfg.record_messages),
             global_depth: Gauge::new(),
             worker_stats: Vec::new(),
             clock: Arc::new(MonotonicClock::new()),
             outbox_buf: Vec::new(),
-            log_buf: Vec::new(),
         };
         for (plan_idx, &(pid, at)) in cfg.crashes.crashes().iter().enumerate() {
             assert!(pid.index() < n, "crash plan names unknown process {pid}");
@@ -501,8 +415,8 @@ impl<N: Node, S: ObsSink<N::Obs>> ShardedWorld<N, S> {
     }
 
     /// Runs one construction-time step of `pid`'s shard at `Time::ZERO`
-    /// (a dead-from-birth crash or a start step), recording its emissions
-    /// directly and routing its cross-shard effects at once.
+    /// (a dead-from-birth crash or a start step), routing its cross-shard
+    /// effects at once.
     fn run_at_zero(
         &mut self,
         pid: ProcessId,
@@ -510,8 +424,7 @@ impl<N: Node, S: ObsSink<N::Obs>> ShardedWorld<N, S> {
     ) {
         let k = self.shards.len();
         let st = &mut self.shards[pid.index() % k];
-        let target = Target::Direct(&mut self.trace);
-        let mut lane = Lane { wire: &mut st.wire, target, outbox: &mut self.outbox_buf };
+        let mut lane = Lane { wire: &mut st.wire, outbox: &mut self.outbox_buf };
         f(&mut st.exec, &mut lane);
         self.route_outbox();
     }
@@ -568,20 +481,15 @@ impl<N: Node, S: ObsSink<N::Obs>> ShardedWorld<N, S> {
         self.shards[pid.index() % k].exec.crashed()[pid.index() / k]
     }
 
-    /// The recorded trace so far.
-    pub fn trace(&self) -> &Trace<N::Msg, N::Obs> {
-        &self.trace
-    }
-
-    /// Consumes the world, returning the trace.
-    pub fn into_trace(self) -> Trace<N::Msg, N::Obs> {
-        self.trace
+    /// Shard `s`'s sink, as the run has fed it so far.
+    pub(crate) fn sink(&self, s: usize) -> &S {
+        &self.shards[s].wire.sink
     }
 
     /// Consumes the world, returning its sinks in shard order (shard `s`
-    /// folded the processes `pid % k == s`) and the trace.
-    pub fn into_parts(self) -> (Vec<S>, Trace<N::Msg, N::Obs>) {
-        (self.shards.into_iter().map(|st| st.wire.sink).collect(), self.trace)
+    /// saw the processes `pid % k == s`).
+    pub fn into_sinks(self) -> Vec<S> {
+        self.shards.into_iter().map(|st| st.wire.sink).collect()
     }
 
     /// Events still pending, summed across shards.
@@ -646,13 +554,9 @@ impl<N: Node, S: ObsSink<N::Obs>> ShardedWorld<N, S> {
         self.global_depth.set(total);
     }
 
-    /// Executes every event due at the earliest pending instant, in
-    /// canonical-key order. Returns `false` when all queues are empty.
-    ///
-    /// A one-shard world executes its gathered slice in key order, so every
-    /// trace event goes straight to the trace. A multi-shard world runs each
-    /// shard's slice as a worker would and merges their emission logs
-    /// exactly as the parallel coordinator does.
+    /// Executes every event due at the earliest pending instant, each
+    /// shard's slice in canonical-key order, one shard after another, as
+    /// the workers would. Returns `false` when all queues are empty.
     pub fn step_instant(&mut self) -> bool {
         let Some(t) = self.peek_time() else {
             return false;
@@ -660,19 +564,8 @@ impl<N: Node, S: ObsSink<N::Obs>> ShardedWorld<N, S> {
         debug_assert!(t >= self.now, "time must not run backwards");
         self.now = t;
         debug_assert!(self.outbox_buf.is_empty());
-        let ShardedWorld { shards, trace, outbox_buf, log_buf, .. } = self;
-        if let [st] = shards.as_mut_slice() {
-            st.gather(t);
-            let target = Target::Direct(trace);
-            let mut lane = Lane { wire: &mut st.wire, target, outbox: outbox_buf };
-            while let Some((_, _, _, kind)) = st.batch_buf.pop() {
-                st.exec.execute(t, kind, &mut lane);
-            }
-        } else {
-            for st in shards.iter_mut() {
-                st.run_instant(t, log_buf, outbox_buf);
-            }
-            replay(trace, log_buf);
+        for st in &mut self.shards {
+            st.run_instant(t, &mut self.outbox_buf);
         }
         self.route_outbox();
         self.update_depth_gauges();
@@ -753,7 +646,7 @@ impl<N: Node, S: ObsSink<N::Obs>> ShardedWorld<N, S> {
             qlen.push(st.wire.queue.len());
             depth_shadow.push(st.exec.metrics.queue_depth);
             let (step_tx, step_rx) = mpsc::channel::<StepMsg<N::Msg>>();
-            let (done_tx, done_rx) = mpsc::channel::<ShardReport<N::Msg, N::Obs>>();
+            let (done_tx, done_rx) = mpsc::channel::<ShardReport<N::Msg>>();
             step_txs.push(step_tx);
             done_rxs.push(done_rx);
             let clock = Arc::clone(&self.clock);
@@ -762,10 +655,8 @@ impl<N: Node, S: ObsSink<N::Obs>> ShardedWorld<N, S> {
         let mut inbox: Vec<Inbox<N::Msg>> = (0..k).map(|_| Vec::new()).collect();
         let mut global_shadow = self.global_depth;
         let now = &mut self.now;
-        let trace = &mut self.trace;
         let (results, (inbox, depth_shadow, global_shadow)) =
             pool::run_with_coordinator(tasks, move || {
-                let mut merged: Vec<LogEntry<N::Msg, N::Obs>> = Vec::new();
                 'run: loop {
                     // The effective shard minimum counts undelivered inbox
                     // entries — they are wheel entries the worker just has
@@ -791,15 +682,13 @@ impl<N: Node, S: ObsSink<N::Obs>> ShardedWorld<N, S> {
                         }
                     }
                     for (s, rx) in done_rxs.iter().enumerate() {
-                        let Ok(mut rep) = rx.recv() else { break 'run };
+                        let Ok(rep) = rx.recv() else { break 'run };
                         qmin[s] = rep.qmin;
                         qlen[s] = rep.qlen;
-                        merged.append(&mut rep.log);
                         for (dest, at, p) in rep.outbox {
                             inbox[dest].push((at, p));
                         }
                     }
-                    replay(trace, &mut merged);
                     // Depth accounting identical to the sequential path: a
                     // shard's undelivered inbox entries are part of its
                     // backlog.
@@ -838,6 +727,8 @@ mod tests {
     use crate::fault::CrashPlan;
     use crate::net::ChannelStaller;
     use crate::node::{Context, TimerId};
+    use crate::recorded::{self, Rec, Recorded};
+    use crate::trace::Trace;
     use crate::world::World;
 
     /// A node that floods a token around a ring `k` times.
@@ -888,8 +779,7 @@ mod tests {
     fn cfg(seed: u64, n: usize, batch: bool) -> WorldConfig {
         let cfg = WorldConfig::new(seed)
             .delays(DelayModel::harsh())
-            .crashes(CrashPlan::one(ProcessId((n - 1) as u32), Time(150)))
-            .record_messages();
+            .crashes(CrashPlan::one(ProcessId((n - 1) as u32), Time(150)));
         if batch {
             cfg.batch_envelopes()
         } else {
@@ -934,58 +824,57 @@ mod tests {
         }
     }
 
-    /// What an all-to-all run must reproduce at every thread count: clock,
-    /// trace, the shard sinks' streams regrouped per process, and the
-    /// metric export.
-    type AllToAllRun = (Time, String, Vec<(Time, ProcessId, u32)>, MetricMap);
+    /// A world of `nodes`, wrapped to record their sends and deliveries,
+    /// with a recording sink on each of its `threads` shards.
+    type Recording<N> = ShardedWorld<Recorded<N>, Trace<Rec<u32, u32>>>;
 
-    /// The shard sinks' streams, concatenated and stably regrouped by
-    /// process: each process's observations in the order its shard saw
-    /// them, which the shard count must not change.
-    fn per_process(sinks: Vec<FoldSink>) -> Vec<(Time, ProcessId, u32)> {
-        let mut seen: Vec<_> = sinks.into_iter().flat_map(|s| s.seen).collect();
-        seen.sort_by_key(|&(_, pid, _)| pid);
-        seen
+    fn recording<N: Node<Msg = u32, Obs = u32>>(nodes: Vec<N>, cfg: WorldConfig) -> Recording<N> {
+        let sinks = (0..shard_count(cfg.threads, nodes.len())).map(|_| Trace::default()).collect();
+        ShardedWorld::new_with_shard_sinks(Recorded::all(nodes), cfg, sinks)
     }
 
+    /// The shards' recordings joined by [`Trace::merge`]: every process's
+    /// crash, sends, deliveries and observations in the order its shard
+    /// recorded them, which the shard count must not change.
+    fn merged<N: Node<Msg = u32, Obs = u32>>(w: Recording<N>) -> String {
+        format!("{:?}", Trace::merge(w.into_sinks()).events())
+    }
+
+    /// What a run must reproduce at every shard and thread count: clock,
+    /// the merged recording, and the metric export.
+    type Run = (Time, MetricMap, String);
+
     /// A drained all-to-all run of 7 processes on `threads` shards,
-    /// recording messages and observations, with a sink on every shard and
-    /// one mid-run crash: drained by hand or through `run_until` (on the
-    /// worker pool when `threads` ≥ 2), then run to the same deadline.
-    fn all_to_all(seed: u64, threads: usize, batch: bool, by_hand: bool) -> AllToAllRun {
+    /// recording sends, deliveries, observations and one mid-run crash:
+    /// drained by hand or through `run_until` (on the worker pool when
+    /// `threads` ≥ 2), then run to the same deadline.
+    fn all_to_all(seed: u64, threads: usize, batch: bool, by_hand: bool) -> Run {
         let n = 7;
         let nodes = (0..n).map(|_| AllToAll { n, rounds_left: 12, copies: 1 }).collect();
         let cfg = cfg(seed, n, batch).crashes(CrashPlan::one(ProcessId(4), Time(20)));
-        let sinks = (0..threads).map(|_| FoldSink::default()).collect();
-        let mut w = ShardedWorld::new_with_shard_sinks(nodes, cfg.threads(threads), sinks);
+        let mut w = recording(nodes, cfg.threads(threads));
         assert_eq!(w.shards(), threads);
         if by_hand {
             while w.step_instant() {}
         }
         w.run_until(Time(1_000_000));
-        let (now, metrics) = (w.now(), w.metrics_map());
-        let (sinks, trace) = w.into_parts();
-        let seen = per_process(sinks);
-        assert!(!seen.is_empty(), "the workload must observe something");
-        (now, format!("{:?}", trace.events()), seen, metrics)
+        (w.now(), w.metrics_map(), merged(w))
     }
 
-    /// A ring run of 6 processes on `threads` shards, stepped by hand, so
-    /// that a multi-shard `step_instant` merges the shards' emission logs.
-    fn run(seed: u64, threads: usize, batch: bool) -> (Time, String, MetricMap) {
+    /// A ring run of 6 processes on `threads` shards, stepped by hand.
+    fn run(seed: u64, threads: usize, batch: bool) -> Run {
         let n = 6;
-        let mut w = ShardedWorld::new(ring(n, 300), cfg(seed, n, batch).threads(threads), threads);
+        let mut w = recording(ring(n, 300), cfg(seed, n, batch).threads(threads));
         assert_eq!(w.shards(), threads);
         while w.step_instant() {}
-        (w.now(), format!("{:?}", w.trace().events()), w.metrics_map())
+        (w.now(), w.metrics_map(), merged(w))
     }
 
-    /// The shard-count determinism matrix: same seed ⇒ byte-identical
-    /// trace and metrics for 1, 2, 4 and 6 shards, including the exported
-    /// `queue_depth_high_water`, each world stepped by hand. The ring has
-    /// one token, so one shard is due per instant; the all-to-all rows put
-    /// several shards in most instants, which is what the log merge of a
-    /// multi-shard `step_instant` must order.
+    /// The shard-count determinism matrix: same seed ⇒ the same merged
+    /// recording and byte-identical metrics for 1, 2, 4 and 6 shards,
+    /// including the exported `queue_depth_high_water`, each world stepped
+    /// by hand. The ring has one token, so one shard is due per instant;
+    /// the all-to-all rows put several shards in most instants.
     #[test]
     fn shard_count_never_changes_the_run() {
         for batch in [false, true] {
@@ -1026,15 +915,15 @@ mod tests {
     #[test]
     fn batched_schedule_is_pinned() {
         let n = 5;
-        let nodes = (0..n).map(|_| AllToAll { n, rounds_left: 6, copies: 2 }).collect();
+        let nodes = (0..n).map(|_| AllToAll { n, rounds_left: 6, copies: 2 });
         let cfg = cfg(41, n, true).crashes(CrashPlan::one(ProcessId(3), Time(6)));
-        let mut w = World::new(nodes, cfg);
+        let mut w = World::new(Recorded::all(nodes), cfg);
         while w.step_instant() {}
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
         let mut records = 0;
-        for ev in w.trace().events() {
-            if matches!(ev, TraceEvent::Send { .. } | TraceEvent::Deliver { .. }) {
-                for b in format!("{ev:?}").bytes() {
+        for (_, _, rec) in w.trace().observations() {
+            if rec.is_wire() {
+                for b in format!("{rec:?}").bytes() {
                     digest = (digest ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
                 }
                 records += 1;
@@ -1048,25 +937,25 @@ mod tests {
 
     #[test]
     fn different_seeds_still_diverge() {
-        assert_ne!(run(90, 4, false).1, run(91, 4, false).1);
+        assert_ne!(run(90, 4, false).2, run(91, 4, false).2);
     }
 
     /// Drives the ring run through `run_until` on `threads` workers; the
     /// deadline drains the workload completely, so the artifacts are
     /// comparable across thread counts.
-    fn run_threaded(seed: u64, threads: usize, batch: bool) -> (Time, String, MetricMap) {
+    fn run_threaded(seed: u64, threads: usize, batch: bool) -> Run {
         let n = 6;
-        let mut w = ShardedWorld::new(ring(n, 300), cfg(seed, n, batch).threads(threads), threads);
+        let mut w = recording(ring(n, 300), cfg(seed, n, batch).threads(threads));
         w.run_until(Time(1_000_000));
-        (w.now(), format!("{:?}", w.trace().events()), w.metrics_map())
+        (w.now(), w.metrics_map(), merged(w))
     }
 
     /// The thread-count determinism matrix: the parallel instant-barrier
-    /// run is byte-identical to the sequential one — trace, metrics, and
-    /// the exported depth gauges — at 2, 4 and 8 threads (8 clamps to the
-    /// ring's 6 processes), including a mid-run crash and envelope
-    /// batching. The all-to-all rows also compare the shard sinks' streams:
-    /// 1 to 4 shards stepped by hand, and 2 to 4 on the worker pool.
+    /// run equals the sequential one — the merged recording, metrics,
+    /// and the exported depth gauges — at 2, 4 and 8 threads (8 clamps to
+    /// the ring's 6 processes), including a mid-run crash and envelope
+    /// batching. The all-to-all rows run 1 to 4 shards stepped by hand, and
+    /// 2 to 4 on the worker pool.
     #[test]
     fn parallel_run_is_byte_identical_to_sequential() {
         for batch in [false, true] {
@@ -1094,11 +983,10 @@ mod tests {
     #[test]
     fn parallel_resume_matches_sequential() {
         let drive = |threads: usize| {
-            let cfg = cfg(11, 6, false).threads(threads);
-            let mut w = ShardedWorld::new(ring(6, 300), cfg, threads);
+            let mut w = recording(ring(6, 300), cfg(11, 6, false).threads(threads));
             w.run_until(Time(120));
             w.run_until(Time(720));
-            (w.now(), format!("{:?}", w.trace().events()), w.metrics_map())
+            (w.now(), w.metrics_map(), merged(w))
         };
         assert_eq!(drive(4), drive(1));
     }
@@ -1125,10 +1013,10 @@ mod tests {
     /// byte-identical to sequential.
     #[test]
     fn more_threads_than_processes_clamps_to_one_shard_each() {
-        let mut w = ShardedWorld::new(ring(6, 300), cfg(90, 6, false).threads(16), 16);
+        let mut w = recording(ring(6, 300), cfg(90, 6, false).threads(16));
         w.run_until(Time(1_000_000));
         assert_eq!(w.worker_stats().len(), 6, "worker pool must clamp to the process count");
-        let got = (w.now(), format!("{:?}", w.trace().events()), w.metrics_map());
+        let got = (w.now(), w.metrics_map(), merged(w));
         assert_eq!(got, run_threaded(90, 1, false));
     }
 
@@ -1188,9 +1076,9 @@ mod tests {
         let mut w = ShardedWorld::new(ring(4, 1000), WorldConfig::new(9).threads(2), 2);
         w.run_until(Time(50));
         assert!(w.now() >= Time(50));
-        let before = w.trace().observations().count();
+        let before = w.steps();
         w.run_for(400);
-        assert!(w.trace().observations().count() > before);
+        assert!(w.steps() > before);
     }
 
     /// A scripted adversary is shared by every sender's copy of the delay
@@ -1206,14 +1094,13 @@ mod tests {
             let cfg = WorldConfig::new(17)
                 .delays(DelayModel::Scripted(Arc::new(staller)))
                 .crashes(CrashPlan::one(ProcessId(5), Time(300)))
-                .record_messages()
                 .threads(threads);
-            let mut w = ShardedWorld::new(ring(6, 120), cfg, threads);
+            let mut w = recording(ring(6, 120), cfg);
             w.run_until(Time(1_000_000));
-            (w.now(), format!("{:?}", w.trace().events()), w.metrics_map())
+            (w.now(), w.metrics_map(), merged(w))
         };
         let reference = run(1);
-        assert!(reference.2["delay_ticks.scripted.max"] >= 190, "the stall must bite");
+        assert!(reference.1["delay_ticks.scripted.max"] >= 190, "the stall must bite");
         for threads in [2, 4] {
             assert_eq!(run(threads), reference, "threads={threads}");
         }
@@ -1229,8 +1116,11 @@ mod tests {
         let cfg = WorldConfig::new(9).threads(shards);
         let mut w = ShardedWorld::new_with_shard_sinks(ring(4, 23), cfg, sinks);
         w.run_until(Time(1_000_000));
-        let (sinks, trace) = w.into_parts();
+        let sinks = w.into_sinks();
         assert_eq!(sinks.len(), shards);
+        let mut one = World::new(ring(4, 23), WorldConfig::new(9));
+        one.run_until(Time(1_000_000));
+        let trace = one.into_trace();
         let mut total = 0;
         for (s, sink) in sinks.iter().enumerate() {
             let expect: Vec<(Time, ProcessId, u32)> = trace
@@ -1246,11 +1136,11 @@ mod tests {
 
     #[test]
     fn token_circulates_until_exhausted() {
-        let mut w = World::new(ring(4, 11), WorldConfig::new(3).record_messages());
+        let mut w = World::new(Recorded::all(ring(4, 11)), WorldConfig::new(3));
         while w.step_instant() {}
         // 12 deliveries total (hops 11..=0).
-        assert_eq!(w.trace().delivered_count(), 12);
-        let total: u32 = (0..4).map(|i| w.node(ProcessId(i)).received).sum();
+        assert_eq!(recorded::delivered(w.trace()), 12);
+        let total: u32 = (0..4).map(|i| w.node(ProcessId(i)).inner().received).sum();
         assert_eq!(total, 12);
     }
 
@@ -1258,26 +1148,27 @@ mod tests {
     fn crashed_process_stops_participating() {
         let cfg = WorldConfig::new(5)
             .crashes(CrashPlan::one(ProcessId(1), Time(1)))
-            .delays(DelayModel::Fixed(10))
-            .record_messages();
-        let mut w = World::new(ring(3, 30), cfg);
+            .delays(DelayModel::Fixed(10));
+        let mut w = World::new(Recorded::all(ring(3, 30)), cfg);
         while w.step_instant() {}
         // p1 crashes at t=1 before the token (sent at t=0, arriving t=10)
         // reaches it, so the token dies at p1: only p0's initial send exists.
-        assert_eq!(w.trace().sent_count(), 1);
-        assert_eq!(w.trace().delivered_count(), 0);
+        assert_eq!(recorded::sent(w.trace()), 1);
+        assert_eq!(recorded::delivered(w.trace()), 0);
+        assert_eq!(w.trace().crashes().collect::<Vec<_>>(), [(Time(1), ProcessId(1))]);
         assert!(w.is_crashed(ProcessId(1)));
         assert!(!w.is_crashed(ProcessId(0)));
     }
 
     #[test]
     fn metrics_mirror_the_accessors() {
-        let mut w = World::new(ring(4, 25), WorldConfig::new(3).record_messages());
+        let mut w = World::new(Recorded::all(ring(4, 25)), WorldConfig::new(3));
         while w.step_instant() {}
         let m = w.metrics();
         assert_eq!(m.steps.get(), w.steps());
         assert_eq!(m.messages_sent.get(), w.messages_sent());
-        assert_eq!(m.messages_delivered.get(), w.trace().delivered_count() as u64);
+        assert_eq!(m.messages_sent.get(), recorded::sent(w.trace()) as u64);
+        assert_eq!(m.messages_delivered.get(), recorded::delivered(w.trace()) as u64);
         assert_eq!(m.delay_ticks.count(), w.messages_sent(), "every send samples one delay");
         assert!(m.queue_depth.high_water() >= 1);
         assert_eq!(m.queue_depth.get(), 0, "drained world has an empty queue");

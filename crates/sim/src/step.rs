@@ -8,7 +8,7 @@
 //! batched step's sends — and every [`crate::shard::ShardedWorld`] shard
 //! owns one executor over its slice of the processes. What the shard
 //! decides around the step is named by [`Fabric`] and nothing else: where a
-//! pid's state lives, where trace events and observations go, which random
+//! pid's state lives, where crashes and observations go, which random
 //! stream prices a channel, and where a scheduled event is queued.
 //!
 //! ## Crash semantics at time zero
@@ -29,18 +29,16 @@ use crate::metrics::SimMetrics;
 use crate::node::{Context, Node, TimerId};
 use crate::rng::SplitMix64;
 use crate::time::Time;
-use crate::trace::TraceEvent;
+use crate::world::ObsSink;
 
 /// The decisions a shard makes around the shared step.
 pub(crate) trait Fabric<N: Node> {
     /// Index of `pid`'s state in the executor driving this fabric.
     fn slot(&self, pid: ProcessId) -> usize;
 
-    /// Records a crash, send or delivery for the run's trace.
-    fn emit(&mut self, ev: TraceEvent<N::Msg, N::Obs>);
-
-    /// Streams one observation of `pid`'s step at `at` to sink and trace.
-    fn observe(&mut self, at: Time, pid: ProcessId, obs: N::Obs);
+    /// The shard's sink, the only output of an event: its crash, or the
+    /// observations of its step.
+    fn sink(&mut self) -> &mut impl ObsSink<N::Obs>;
 
     /// Draws the channel delay of one wire item `from → to` sent at `now`;
     /// `slot` is the sender's.
@@ -66,7 +64,6 @@ pub(crate) struct Executor<N: Node> {
     pub(crate) metrics: SimMetrics,
     /// Process count of the whole run; send targets are checked against it.
     n_total: usize,
-    record_messages: bool,
     batch_envelopes: bool,
     // Reusable effect buffers (avoid per-step allocation).
     sends_buf: Vec<(ProcessId, N::Msg)>,
@@ -79,14 +76,13 @@ pub(crate) struct Executor<N: Node> {
 
 impl<N: Node> Executor<N> {
     /// An executor owning no process yet, for a run of `n_total` processes.
-    pub(crate) fn new(n_total: usize, record_messages: bool, batch_envelopes: bool) -> Self {
+    pub(crate) fn new(n_total: usize, batch_envelopes: bool) -> Self {
         Executor {
             nodes: Vec::new(),
             crashed: Vec::new(),
             node_rngs: Vec::new(),
             metrics: SimMetrics::new(),
             n_total,
-            record_messages,
             batch_envelopes,
             sends_buf: Vec::new(),
             timers_buf: Vec::new(),
@@ -133,7 +129,7 @@ impl<N: Node> Executor<N> {
                 if !self.crashed[slot] {
                     self.crashed[slot] = true;
                     self.metrics.crash_events.inc();
-                    fabric.emit(TraceEvent::Crash { at: now, pid });
+                    fabric.sink().on_crash(now, pid);
                 }
             }
             EventKind::Timer { pid, id } => {
@@ -144,7 +140,8 @@ impl<N: Node> Executor<N> {
             }
             EventKind::Deliver { from, to, msg } => {
                 if !self.crashed[fabric.slot(to)] {
-                    self.deliver(now, from, to, msg, fabric);
+                    self.metrics.messages_delivered.inc();
+                    self.step(now, to, fabric, |node, ctx| node.on_message(ctx, from, msg));
                 } else {
                     // Messages to crashed processes vanish: the reliability
                     // axiom only covers messages sent to correct processes.
@@ -152,21 +149,6 @@ impl<N: Node> Executor<N> {
                 }
             }
         }
-    }
-
-    fn deliver(
-        &mut self,
-        now: Time,
-        from: ProcessId,
-        to: ProcessId,
-        msg: N::Msg,
-        fabric: &mut impl Fabric<N>,
-    ) {
-        self.metrics.messages_delivered.inc();
-        if self.record_messages {
-            fabric.emit(TraceEvent::Deliver { at: now, from, to, msg: msg.clone().into() });
-        }
-        self.step(now, to, fabric, |node, ctx| node.on_message(ctx, from, msg));
     }
 
     /// One atomic step of `pid`: run `handler` against buffered effects,
@@ -191,7 +173,7 @@ impl<N: Node> Executor<N> {
         self.metrics.steps.inc();
         for obs in self.obs_buf.drain(..) {
             self.metrics.observations.inc();
-            fabric.observe(now, pid, obs);
+            fabric.sink().on_obs(now, pid, &obs);
         }
         if self.batch_envelopes {
             self.send_batched(now, slot, pid, fabric);
@@ -200,14 +182,6 @@ impl<N: Node> Executor<N> {
                 assert!(to.index() < self.n_total, "send to unknown process {to}");
                 self.metrics.messages_sent.inc();
                 self.metrics.envelopes_sent.inc();
-                if self.record_messages {
-                    fabric.emit(TraceEvent::Send {
-                        at: now,
-                        from: pid,
-                        to,
-                        msg: msg.clone().into(),
-                    });
-                }
                 let d = fabric.delay(slot, pid, to, now);
                 self.metrics.delay_ticks.record(d);
                 let at = due(now, d, "delivery");
@@ -236,12 +210,9 @@ impl<N: Node> Executor<N> {
         pid: ProcessId,
         fabric: &mut impl Fabric<N>,
     ) {
-        for &(to, ref msg) in &self.sends_buf {
+        for &(to, _) in &self.sends_buf {
             assert!(to.index() < self.n_total, "send to unknown process {to}");
             self.metrics.messages_sent.inc();
-            if self.record_messages {
-                fabric.emit(TraceEvent::Send { at: now, from: pid, to, msg: msg.clone().into() });
-            }
             match self.dests_buf.iter_mut().find(|(t, _, _)| *t == to) {
                 Some((_, _, count)) => *count += 1,
                 None => {

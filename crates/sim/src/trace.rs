@@ -1,42 +1,22 @@
-//! Run traces: the raw material for every property checker and experiment.
+//! Run recordings: the raw material for every property checker and
+//! experiment.
 //!
-//! A post-hoc run keeps one [`TraceEvent`] per observation, so the event's
-//! size is most of the trace's memory. Message events box their payload:
-//! a protocol message is often wider than everything else in an event
-//! (the reduction's is 40 bytes), and only tests record messages, so a
-//! payload stored inline would size every observation for a variant that
-//! product runs never write.
+//! A [`Trace`] is a recording sink: attached to a shard, it keeps every
+//! crash and observation of the shard's processes as they happen, in the
+//! shard's execution order. [`crate::World`]'s one shard records into one,
+//! so its recording is chronological and in global execution order; the
+//! recordings of a world's shards are joined by [`Trace::merge`] into one
+//! that does not depend on the shard count. Messages
+//! are not recorded: the paper's properties are read from what processes
+//! output, never from the wire.
 
 use crate::id::ProcessId;
 use crate::time::Time;
+use crate::world::ObsSink;
 
-/// One recorded occurrence in a run. `Send`/`Deliver` box their payload
-/// (see the module docs), so an event is as wide as its observation
-/// variant.
+/// One recorded occurrence in a run.
 #[derive(Clone, Debug)]
-pub enum TraceEvent<M, O> {
-    /// A message left `from` bound for `to`.
-    Send {
-        /// Instant of the send.
-        at: Time,
-        /// Sender.
-        from: ProcessId,
-        /// Receiver.
-        to: ProcessId,
-        /// Payload, boxed (see the module docs).
-        msg: Box<M>,
-    },
-    /// A message was delivered (the receiver's step consumed it).
-    Deliver {
-        /// Instant of the delivery.
-        at: Time,
-        /// Sender.
-        from: ProcessId,
-        /// Receiver.
-        to: ProcessId,
-        /// Payload, boxed (see the module docs).
-        msg: Box<M>,
-    },
+pub enum TraceEvent<O> {
     /// A process crashed.
     Crash {
         /// Instant of the crash.
@@ -56,34 +36,38 @@ pub enum TraceEvent<M, O> {
     },
 }
 
-impl<M, O> TraceEvent<M, O> {
+impl<O> TraceEvent<O> {
     /// The instant of the event.
     pub fn at(&self) -> Time {
         match self {
-            TraceEvent::Send { at, .. }
-            | TraceEvent::Deliver { at, .. }
-            | TraceEvent::Crash { at, .. }
-            | TraceEvent::Obs { at, .. } => *at,
+            TraceEvent::Crash { at, .. } | TraceEvent::Obs { at, .. } => *at,
+        }
+    }
+
+    /// The process the event happened at.
+    pub fn pid(&self) -> ProcessId {
+        match self {
+            TraceEvent::Crash { pid, .. } | TraceEvent::Obs { pid, .. } => *pid,
         }
     }
 }
 
-/// The full recorded history of one run, in chronological order.
+/// The recorded crashes and observations of one run (or of one shard of
+/// it), in chronological order.
 #[derive(Clone, Debug)]
-pub struct Trace<M, O> {
-    events: Vec<TraceEvent<M, O>>,
-    /// Whether `Send`/`Deliver` events were recorded (they can be voluminous;
-    /// observation-only tracing is the default for long experiment sweeps).
-    pub records_messages: bool,
+pub struct Trace<O> {
+    events: Vec<TraceEvent<O>>,
 }
 
-impl<M, O> Trace<M, O> {
-    /// Empty trace.
-    pub fn new(records_messages: bool) -> Self {
-        Trace { events: Vec::new(), records_messages }
+/// The empty trace.
+impl<O> Default for Trace<O> {
+    fn default() -> Self {
+        Trace { events: Vec::new() }
     }
+}
 
-    pub(crate) fn push(&mut self, e: TraceEvent<M, O>) {
+impl<O> Trace<O> {
+    fn push(&mut self, e: TraceEvent<O>) {
         debug_assert!(
             self.events.last().is_none_or(|last| last.at() <= e.at()),
             "trace must be chronological"
@@ -91,8 +75,19 @@ impl<M, O> Trace<M, O> {
         self.events.push(e);
     }
 
+    /// Joins the recordings of a world's shards into one, stably sorted by
+    /// `(at, pid)`: each process's events keep the order its shard recorded
+    /// them (a process lives on one shard), so the join is the same for any
+    /// shard count — and is the order the live runtime gives its
+    /// observation log.
+    pub fn merge(parts: Vec<Trace<O>>) -> Trace<O> {
+        let mut events: Vec<TraceEvent<O>> = parts.into_iter().flat_map(|t| t.events).collect();
+        events.sort_by_key(|e| (e.at(), e.pid()));
+        Trace { events }
+    }
+
     /// All events, chronological.
-    pub fn events(&self) -> &[TraceEvent<M, O>] {
+    pub fn events(&self) -> &[TraceEvent<O>] {
         &self.events
     }
 
@@ -110,7 +105,7 @@ impl<M, O> Trace<M, O> {
     pub fn observations(&self) -> impl Iterator<Item = (Time, ProcessId, &O)> {
         self.events.iter().filter_map(|e| match e {
             TraceEvent::Obs { at, pid, obs } => Some((*at, *pid, obs)),
-            _ => None,
+            TraceEvent::Crash { .. } => None,
         })
     }
 
@@ -118,18 +113,21 @@ impl<M, O> Trace<M, O> {
     pub fn crashes(&self) -> impl Iterator<Item = (Time, ProcessId)> + '_ {
         self.events.iter().filter_map(|e| match e {
             TraceEvent::Crash { at, pid } => Some((*at, *pid)),
-            _ => None,
+            TraceEvent::Obs { .. } => None,
         })
     }
+}
 
-    /// Count of messages delivered (0 unless message recording is on).
-    pub fn delivered_count(&self) -> usize {
-        self.events.iter().filter(|e| matches!(e, TraceEvent::Deliver { .. })).count()
+/// The recording sink: keeps a copy of every observation and every crash.
+impl<O: Clone> ObsSink<O> for Trace<O> {
+    #[inline]
+    fn on_obs(&mut self, at: Time, pid: ProcessId, obs: &O) {
+        self.push(TraceEvent::Obs { at, pid, obs: obs.clone() });
     }
 
-    /// Count of messages sent (0 unless message recording is on).
-    pub fn sent_count(&self) -> usize {
-        self.events.iter().filter(|e| matches!(e, TraceEvent::Send { .. })).count()
+    #[inline]
+    fn on_crash(&mut self, at: Time, pid: ProcessId) {
+        self.push(TraceEvent::Crash { at, pid });
     }
 }
 
@@ -137,40 +135,56 @@ impl<M, O> Trace<M, O> {
 mod tests {
     use super::*;
 
-    type T = Trace<&'static str, u32>;
+    type T = Trace<u32>;
 
     #[test]
-    fn push_and_filter() {
-        let mut t: T = Trace::new(true);
-        t.push(TraceEvent::Send {
-            at: Time(1),
-            from: ProcessId(0),
-            to: ProcessId(1),
-            msg: "m".into(),
-        });
-        t.push(TraceEvent::Deliver {
-            at: Time(3),
-            from: ProcessId(0),
-            to: ProcessId(1),
-            msg: "m".into(),
-        });
-        t.push(TraceEvent::Obs { at: Time(4), pid: ProcessId(1), obs: 42 });
-        t.push(TraceEvent::Crash { at: Time(9), pid: ProcessId(0) });
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.sent_count(), 1);
-        assert_eq!(t.delivered_count(), 1);
+    fn record_and_filter() {
+        let mut t: T = Trace::default();
+        t.on_obs(Time(4), ProcessId(1), &42);
+        t.on_crash(Time(9), ProcessId(0));
+        assert_eq!(t.len(), 2);
         let obs: Vec<_> = t.observations().collect();
         assert_eq!(obs, vec![(Time(4), ProcessId(1), &42)]);
         let crashes: Vec<_> = t.crashes().collect();
         assert_eq!(crashes, vec![(Time(9), ProcessId(0))]);
     }
 
+    /// Parts interleave by `(at, pid)`, each process's events in their
+    /// recorded order; one part is ordered the same way, so the join does
+    /// not depend on how processes were split into parts.
+    #[test]
+    fn merge_orders_by_instant_then_process_and_keeps_each_process_in_order() {
+        let mut a: T = Trace::default();
+        a.on_obs(Time(1), ProcessId(2), &1);
+        a.on_crash(Time(3), ProcessId(2));
+        a.on_obs(Time(3), ProcessId(0), &2);
+        a.on_obs(Time(3), ProcessId(0), &3);
+        let mut b: T = Trace::default();
+        b.on_obs(Time(1), ProcessId(1), &4);
+        b.on_obs(Time(3), ProcessId(1), &5);
+        let keys = |t: &T| t.events().iter().map(|e| (e.at().0, e.pid().0)).collect::<Vec<_>>();
+        let merged = Trace::merge(vec![a, b]);
+        assert_eq!(keys(&merged), [(1, 1), (1, 2), (3, 0), (3, 0), (3, 1), (3, 2)]);
+        let zero: Vec<u32> = merged.observations().filter(|e| e.1 .0 == 0).map(|e| *e.2).collect();
+        assert_eq!(zero, [2, 3]);
+        // The same run recorded on one shard, in its execution order.
+        let mut one: T = Trace::default();
+        one.on_obs(Time(1), ProcessId(2), &1);
+        one.on_obs(Time(1), ProcessId(1), &4);
+        one.on_crash(Time(3), ProcessId(2));
+        one.on_obs(Time(3), ProcessId(1), &5);
+        one.on_obs(Time(3), ProcessId(0), &2);
+        one.on_obs(Time(3), ProcessId(0), &3);
+        let one = Trace::merge(vec![one]);
+        assert_eq!(format!("{:?}", one.events()), format!("{:?}", merged.events()));
+    }
+
     #[test]
     #[should_panic]
     #[cfg(debug_assertions)]
-    fn non_chronological_push_is_rejected() {
-        let mut t: T = Trace::new(false);
-        t.push(TraceEvent::Crash { at: Time(5), pid: ProcessId(0) });
-        t.push(TraceEvent::Crash { at: Time(4), pid: ProcessId(1) });
+    fn non_chronological_recording_is_rejected() {
+        let mut t: T = Trace::default();
+        t.on_crash(Time(5), ProcessId(0));
+        t.on_crash(Time(4), ProcessId(1));
     }
 }

@@ -2,7 +2,8 @@
 //!
 //! There is one simulator, [`crate::shard::ShardedWorld`]; this module holds
 //! what configures and observes a run of it ([`WorldConfig`], [`ObsSink`])
-//! and [`World`], the engine at one shard under the name most callers use.
+//! and [`World`], the engine at one shard recording into a [`Trace`], under
+//! the name most callers use.
 
 use std::ops::{Deref, DerefMut};
 
@@ -15,22 +16,26 @@ use crate::shard::ShardedWorld;
 use crate::time::Time;
 use crate::trace::Trace;
 
-/// An online consumer of one shard's observations.
+/// An online consumer of one shard's output.
 ///
 /// Each shard of a [`ShardedWorld`] owns one sink
-/// ([`ShardedWorld::new_with_shard_sinks`]), which sees every observation
-/// of the shard's processes *as its emitting step runs* — in the order the
-/// trace records them, projected onto those processes — so consumers fold
-/// run output online instead of materializing the full event log; the
-/// world hands the sinks back by value ([`ShardedWorld::into_parts`]).
-/// Combined with [`WorldConfig::observation_events_off`], a run's resident
-/// footprint becomes whatever the sinks keep, independent of run length.
+/// ([`ShardedWorld::new_with_shard_sinks`]), which sees every crash and
+/// observation of the shard's processes *as its step runs*, in the shard's
+/// execution order — the sequential stream's projection onto those
+/// processes. A shard's sink is the only way a run's output leaves the
+/// engine: consumers fold it online ([`ObsSink::on_obs`]), or record it
+/// with a [`Trace`], and the world hands the sinks back by value
+/// ([`ShardedWorld::into_sinks`]).
 ///
 /// Sinks are observers only: they cannot influence the run, and attaching
 /// one never changes the schedule (no RNG draws, no event reordering).
 pub trait ObsSink<O> {
     /// Called once per observation, in dispatch order.
     fn on_obs(&mut self, at: Time, pid: ProcessId, obs: &O);
+
+    /// Called when `pid` crashes at `at`; ignored unless the sink records.
+    #[inline]
+    fn on_crash(&mut self, _at: Time, _pid: ProcessId) {}
 }
 
 /// The absent sink, of a world built by [`ShardedWorld::new`].
@@ -44,6 +49,10 @@ impl<O, S: ObsSink<O> + ?Sized> ObsSink<O> for Box<S> {
     fn on_obs(&mut self, at: Time, pid: ProcessId, obs: &O) {
         (**self).on_obs(at, pid, obs);
     }
+
+    fn on_crash(&mut self, at: Time, pid: ProcessId) {
+        (**self).on_crash(at, pid);
+    }
 }
 
 /// Shared-handle convenience: a `Rc<RefCell<S>>` sink lets the caller keep
@@ -51,6 +60,10 @@ impl<O, S: ObsSink<O> + ?Sized> ObsSink<O> for Box<S> {
 impl<O, S: ObsSink<O>> ObsSink<O> for std::rc::Rc<std::cell::RefCell<S>> {
     fn on_obs(&mut self, at: Time, pid: ProcessId, obs: &O) {
         self.borrow_mut().on_obs(at, pid, obs);
+    }
+
+    fn on_crash(&mut self, at: Time, pid: ProcessId) {
+        self.borrow_mut().on_crash(at, pid);
     }
 }
 
@@ -63,13 +76,6 @@ pub struct WorldConfig {
     pub delays: DelayModel,
     /// Crash schedule.
     pub crashes: CrashPlan,
-    /// Record `Send`/`Deliver` events in the trace. Off by default: long
-    /// sweeps only need observations.
-    pub record_messages: bool,
-    /// Record `Obs` events in the trace. On by default; a run whose sinks
-    /// fold the observations turns it off, so the trace no longer grows with
-    /// the observation count.
-    pub record_observations: bool,
     /// Give all messages one atomic step sends to the same destination a
     /// single delay draw, as one envelope: they are delivered at one
     /// instant, as adjacent steps of the receiver in send order. Off by
@@ -94,8 +100,6 @@ impl WorldConfig {
             seed,
             delays: DelayModel::default_async(),
             crashes: CrashPlan::none(),
-            record_messages: false,
-            record_observations: true,
             batch_envelopes: false,
             threads: 1,
         }
@@ -113,16 +117,10 @@ impl WorldConfig {
         self
     }
 
-    /// Enables message recording (builder style).
-    pub fn record_messages(mut self) -> Self {
-        self.record_messages = true;
-        self
-    }
-
-    /// Disables observation recording in the trace (builder style) — for
-    /// runs whose [`ObsSink`]s consume observations online.
-    pub fn observation_events_off(mut self) -> Self {
-        self.record_observations = false;
+    /// A no-op: the world records nothing of its own, so there is no
+    /// observation recording to switch off. Kept only because the
+    /// `benchmark/` harness names it.
+    pub fn observation_events_off(self) -> Self {
         self
     }
 
@@ -146,20 +144,20 @@ impl WorldConfig {
     }
 }
 
-/// The simulator at one shard: a [`ShardedWorld`] with `k = 1` whatever
-/// [`WorldConfig::threads`] says, which it dereferences to for stepping and
-/// reading the run. A wrapper rather than a type alias because the two
-/// names' `new`s differ in arity, and because its drivers are sequential:
-/// one shard never uses the worker pool, so [`World::run_until`] does not
-/// ask the node type to be `Send` (nodes that share state through `Rc` run
-/// here).
-pub struct World<N: Node>(ShardedWorld<N, ()>);
+/// The simulator at one shard, recording: a [`ShardedWorld`] with `k = 1`
+/// whatever [`WorldConfig::threads`] says, whose one sink is a [`Trace`],
+/// and which it dereferences to for stepping and reading the run. A
+/// wrapper rather than a type alias because the two names' `new`s differ in
+/// arity, and because its drivers are sequential: one shard never uses the
+/// worker pool, so [`World::run_until`] does not ask the node type to be
+/// `Send` (nodes that share state through `Rc` run here).
+pub struct World<N: Node>(ShardedWorld<N, Trace<N::Obs>>);
 
 impl<N: Node> World<N> {
     /// Builds a one-shard world over `nodes` and delivers every node's
     /// `on_start` step at time zero.
     pub fn new(nodes: Vec<N>, cfg: WorldConfig) -> Self {
-        World(ShardedWorld::build(nodes, cfg, vec![()]))
+        World(ShardedWorld::build(nodes, cfg, vec![Trace::default()]))
     }
 
     /// Runs until the queue is empty or global time exceeds `deadline`.
@@ -173,9 +171,15 @@ impl<N: Node> World<N> {
         self.run_until(deadline);
     }
 
-    /// Consumes the world, returning the trace.
-    pub fn into_trace(self) -> Trace<N::Msg, N::Obs> {
-        self.0.into_trace()
+    /// The recording so far: every crash and observation, in execution
+    /// order.
+    pub fn trace(&self) -> &Trace<N::Obs> {
+        self.0.sink(0)
+    }
+
+    /// Consumes the world, returning its recording.
+    pub fn into_trace(self) -> Trace<N::Obs> {
+        self.0.into_sinks().pop().unwrap_or_default()
     }
 }
 
@@ -183,8 +187,7 @@ impl<N: Node> dinefd_runtime::Runtime<N> for World<N> {
     /// The simulated backend of the runtime contract: `on_start` steps were
     /// already dispatched at construction, so this drains the event queue
     /// to `horizon` (virtual ticks) and projects the observation events out
-    /// of the recorded trace. Requires observation recording to be on (the
-    /// [`WorldConfig`] default).
+    /// of the recording.
     fn run_to_horizon(&mut self, horizon: Time) -> Vec<dinefd_runtime::ObsRecord<N::Obs>> {
         self.run_until(horizon);
         self.trace()
@@ -195,15 +198,15 @@ impl<N: Node> dinefd_runtime::Runtime<N> for World<N> {
 }
 
 impl<N: Node> Deref for World<N> {
-    type Target = ShardedWorld<N, ()>;
+    type Target = ShardedWorld<N, Trace<N::Obs>>;
 
-    fn deref(&self) -> &ShardedWorld<N, ()> {
+    fn deref(&self) -> &ShardedWorld<N, Trace<N::Obs>> {
         &self.0
     }
 }
 
 impl<N: Node> DerefMut for World<N> {
-    fn deref_mut(&mut self) -> &mut ShardedWorld<N, ()> {
+    fn deref_mut(&mut self) -> &mut ShardedWorld<N, Trace<N::Obs>> {
         &mut self.0
     }
 }

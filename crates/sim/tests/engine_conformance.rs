@@ -12,9 +12,13 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dinefd_sim::shard::shard_count;
 use dinefd_sim::{
-    Context, CrashPlan, DelayModel, Node, ObsSink, ProcessId, ShardedWorld, Time, TimerId,
-    TraceEvent, WorldConfig,
+    Context, CrashPlan, DelayModel, Node, ObsSink, ProcessId, ShardedWorld, Time, TimerId, Trace,
+    World, WorldConfig,
 };
+
+#[path = "support/recorded.rs"]
+mod recorded;
+use recorded::Recorded;
 
 /// One engine configuration of the table.
 #[derive(Clone, Copy, Debug)]
@@ -172,23 +176,20 @@ fn burst_nodes(rounds: u32, burst: u32) -> Vec<Burst> {
 }
 
 /// A process whose crash is planned at t = 0 is dead from birth: no start
-/// step, so no send and no timer, yet the crash itself is in the trace.
+/// step, so no send and no timer, yet the crash itself is recorded.
 #[test]
 fn a_crash_at_time_zero_suppresses_the_start_step_and_its_timers() {
     for row in ROWS {
         // p0 is the ring initiator: without its start step no message exists.
-        let cfg =
-            WorldConfig::new(3).crashes(CrashPlan::one(ProcessId(0), Time::ZERO)).record_messages();
-        let mut w = build(row, ring(3, 10), cfg);
+        let cfg = WorldConfig::new(3).crashes(CrashPlan::one(ProcessId(0), Time::ZERO));
+        let mut w = build_with_sinks(row, Recorded::all(ring(3, 10)), cfg, Trace::default);
         assert!(w.is_crashed(ProcessId(0)), "{row:?}: effective before the starts");
         run_to(row, &mut w, DRAINED);
-        assert_eq!(w.trace().sent_count(), 0, "{row:?}: a dead process must not send");
         assert_eq!(w.metrics_map()["steps"], 2, "{row:?}: only the two live processes start");
-        let is_the_crash = |e: &TraceEvent<u32, u32>| {
-            matches!(e, TraceEvent::Crash { at: Time::ZERO, pid: ProcessId(0) })
-        };
-        let traced = w.trace().events().iter().any(is_the_crash);
-        assert!(traced, "{row:?}: the crash stays visible to the spec checkers");
+        let trace = Trace::merge(w.into_sinks());
+        assert_eq!(recorded::sent(&trace), 0, "{row:?}: a dead process must not send");
+        let crashes: Vec<_> = trace.crashes().collect();
+        assert_eq!(crashes, [(Time::ZERO, ProcessId(0))], "{row:?}: the crash stays visible");
 
         let cfg = WorldConfig::new(2).crashes(CrashPlan::one(ProcessId(0), Time::ZERO));
         let mut w = build(row, vec![TimerNode { fired: 0, limit: 5 }], cfg);
@@ -324,18 +325,25 @@ impl ObsSink<u32> for FoldSink {
     }
 }
 
-/// Each shard's sink sees exactly the trace's observation stream projected
-/// onto the shard's processes, start steps included, in the trace's order.
+/// The observations of the one-shard recording of the ring run below.
+fn recorded_ring_observations() -> Vec<(Time, ProcessId, u32)> {
+    let mut w = World::new(ring(4, 23), WorldConfig::new(9));
+    w.run_until(DRAINED);
+    w.trace().observations().map(|(t, p, &o)| (t, p, o)).collect()
+}
+
+/// Each shard's sink sees exactly the one-shard recording's observation
+/// stream projected onto the shard's processes, start steps included, in
+/// the recording's order.
 #[test]
 fn the_sink_stream_equals_the_traces_observations() {
+    let from_trace = recorded_ring_observations();
+    assert_eq!(from_trace.len(), 24, "hops 23..=0");
     for row in ROWS {
         let mut w = build_with_sinks(row, ring(4, 23), WorldConfig::new(9), FoldSink::default);
         run_to(row, &mut w, DRAINED);
         assert_eq!(w.metrics_map()["observations"], 24, "{row:?}");
-        let (sinks, trace) = w.into_parts();
-        let from_trace: Vec<(Time, ProcessId, u32)> =
-            trace.observations().map(|(t, p, &o)| (t, p, o)).collect();
-        assert_eq!(from_trace.len(), 24, "{row:?}: hops 23..=0");
+        let sinks = w.into_sinks();
         let k = sinks.len();
         assert_eq!(k, shard_count(row.threads, 4), "{row:?}: one sink per shard, handed back");
         for (s, sink) in sinks.iter().enumerate() {
@@ -350,29 +358,14 @@ fn the_sink_stream_equals_the_traces_observations() {
 /// sink sees the whole sequential stream.
 #[test]
 fn new_with_sink_feeds_its_one_sink_the_whole_stream() {
+    let from_trace = recorded_ring_observations();
     for row in ROWS {
         let cfg = WorldConfig::new(9).threads(row.threads);
         let mut w = ShardedWorld::new_with_sink(ring(4, 23), cfg, row.threads, FoldSink::default());
         assert_eq!(w.shards(), 1, "{row:?}");
         run_to(row, &mut w, DRAINED);
-        let (sinks, trace) = w.into_parts();
-        let from_trace: Vec<(Time, ProcessId, u32)> =
-            trace.observations().map(|(t, p, &o)| (t, p, o)).collect();
-        assert_eq!(from_trace.len(), 24, "{row:?}");
+        let sinks = w.into_sinks();
         assert_eq!(sinks.len(), 1, "{row:?}");
         assert_eq!(sinks[0].seen, from_trace, "{row:?}: the one sink sees every observation");
-    }
-}
-
-#[test]
-fn observation_events_off_keeps_the_sink_fed_and_the_trace_lean() {
-    for row in ROWS {
-        let cfg = WorldConfig::new(9).observation_events_off();
-        let mut w = build_with_sinks(row, ring(4, 23), cfg, FoldSink::default);
-        run_to(row, &mut w, DRAINED);
-        assert_eq!(w.trace().len(), 0, "{row:?}: no observations, and messages are off too");
-        assert_eq!(w.metrics_map()["observations"], 24, "{row:?}");
-        let (sinks, _) = w.into_parts();
-        assert_eq!(sinks.iter().map(|s| s.seen.len()).sum::<usize>(), 24, "{row:?}");
     }
 }

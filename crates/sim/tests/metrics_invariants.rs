@@ -1,9 +1,14 @@
-//! Invariant tests tying the run metrics to the recorded trace, plus
-//! determinism of the metric export (ISSUE 2 satellite).
+//! Invariant tests tying the run metrics to the recording (the sends and
+//! deliveries of nodes wrapped in `Recorded`, the world's crashes), plus
+//! determinism of the metric export.
 
 use dinefd_sim::{
-    Context, CrashPlan, DelayModel, Node, ProcessId, Time, TimerId, TraceEvent, World, WorldConfig,
+    Context, CrashPlan, DelayModel, Node, ProcessId, Time, TimerId, Trace, World, WorldConfig,
 };
+
+#[path = "support/recorded.rs"]
+mod recorded;
+use recorded::Recorded;
 
 /// A chatty node: gossips to a random peer on every timer tick.
 #[derive(Debug)]
@@ -35,18 +40,18 @@ impl Node for Gossip {
     }
 }
 
-fn gossip_world(seed: u64, crashes: CrashPlan) -> World<Gossip> {
+fn gossip_world(seed: u64, crashes: CrashPlan) -> World<Recorded<Gossip>> {
     let n = 5;
-    let nodes = (0..n).map(|_| Gossip { n, rounds_left: 40 }).collect();
-    let cfg = WorldConfig::new(seed).delays(DelayModel::harsh()).crashes(crashes).record_messages();
-    World::new(nodes, cfg)
+    let nodes = (0..n).map(|_| Gossip { n, rounds_left: 40 });
+    let cfg = WorldConfig::new(seed).delays(DelayModel::harsh()).crashes(crashes);
+    World::new(Recorded::all(nodes), cfg)
 }
 
 #[test]
 fn messages_sent_equals_recorded_send_events() {
     let mut w = gossip_world(11, CrashPlan::none());
     while w.step_instant() {}
-    let sends = w.trace().sent_count() as u64;
+    let sends = recorded::sent(w.trace()) as u64;
     assert_eq!(w.metrics().messages_sent.get(), sends);
     assert_eq!(w.messages_sent(), sends);
 }
@@ -64,7 +69,7 @@ fn delivers_never_exceed_sends_and_drops_close_the_gap() {
         m.messages_sent.get(),
         "drained world must account for every send"
     );
-    assert_eq!(m.messages_delivered.get(), w.trace().delivered_count() as u64);
+    assert_eq!(m.messages_delivered.get(), recorded::delivered(w.trace()) as u64);
 }
 
 #[test]
@@ -90,10 +95,7 @@ fn crash_and_timer_counters_match_trace() {
     assert!(m.timer_fires.get() <= m.timers_set.get(), "crashes may silence armed timers");
     // Every delay sample came from exactly one send.
     assert_eq!(m.delay_ticks.count(), m.messages_sent.get());
-    assert_eq!(
-        w.trace().events().iter().filter(|e| matches!(e, TraceEvent::Send { .. })).count() as u64,
-        m.messages_sent.get()
-    );
+    assert_eq!(recorded::sent(w.trace()) as u64, m.messages_sent.get());
 }
 
 #[test]

@@ -2,7 +2,7 @@
 
 use dinefd_sim::{
     BoolTimeline, Context, CrashPlan, DelayModel, Node, ProcessId, SplitMix64, Summary, Time,
-    World, WorldConfig,
+    Trace, World, WorldConfig,
 };
 use proptest::prelude::*;
 
@@ -227,12 +227,11 @@ fn delay_for(choice: u8) -> DelayModel {
     }
 }
 
-/// One run on `threads` shards folded to comparable bytes: final clock, the
-/// full debug trace, the shard sinks' folds regrouped per process, and the
-/// exported metric map. Each shard's sink must have seen the trace's
-/// observations projected onto its processes. Stepped by hand, a
-/// multi-shard world merges its shards' emission logs on the calling
-/// thread; through `run_until`, on the worker pool.
+/// One run on `threads` shards folded to comparable bytes: final clock,
+/// the shards' recordings joined by `Trace::merge`, and the exported
+/// metric map. Stepped by hand, a multi-shard
+/// world runs its shards one after another on the calling thread; through
+/// `run_until`, on the worker pool.
 fn sharded_fingerprint(
     seed: u64,
     n: usize,
@@ -241,15 +240,7 @@ fn sharded_fingerprint(
     delay: u8,
     batch: bool,
     crash: u64,
-) -> (Time, String, String, Vec<(String, u64)>) {
-    #[derive(Debug, Default)]
-    struct FoldSink(Vec<(Time, ProcessId, u64)>);
-    impl dinefd_sim::ObsSink<u64> for FoldSink {
-        fn on_obs(&mut self, at: Time, pid: ProcessId, obs: &u64) {
-            self.0.push((at, pid, *obs));
-        }
-    }
-
+) -> (Time, String, Vec<(String, u64)>) {
     let nodes: Vec<TimedGossip> = (0..n).map(|_| TimedGossip { n, budget: 40 }).collect();
     let mut cfg = WorldConfig::new(seed)
         .delays(delay_for(delay))
@@ -258,7 +249,7 @@ fn sharded_fingerprint(
     if batch {
         cfg = cfg.batch_envelopes();
     }
-    let sinks = (0..dinefd_sim::shard::shard_count(threads, n)).map(|_| FoldSink::default());
+    let sinks = (0..dinefd_sim::shard::shard_count(threads, n)).map(|_| Trace::default());
     let mut w = dinefd_sim::ShardedWorld::new_with_shard_sinks(nodes, cfg, sinks.collect());
     if by_hand {
         while w.peek_time().is_some_and(|t| t <= Time(3_000)) {
@@ -268,19 +259,7 @@ fn sharded_fingerprint(
     w.run_until(Time(3_000));
     let metrics: Vec<(String, u64)> = w.metrics_map().into_iter().collect();
     let now = w.now();
-    let (sinks, trace) = w.into_parts();
-    let k = sinks.len();
-    for (s, sink) in sinks.iter().enumerate() {
-        let projection: Vec<_> = trace
-            .observations()
-            .filter(|(_, p, _)| p.index() % k == s)
-            .map(|(t, p, &o)| (t, p, o))
-            .collect();
-        assert_eq!(sink.0, projection, "shard {s} of {k}: the sink is not the trace's projection");
-    }
-    let mut folded: Vec<_> = sinks.into_iter().flat_map(|s| s.0).collect();
-    folded.sort_by_key(|&(_, pid, _)| pid);
-    (now, format!("{trace:?}"), format!("{folded:?}"), metrics)
+    (now, format!("{:?}", Trace::merge(w.into_sinks()).events()), metrics)
 }
 
 proptest! {
@@ -288,9 +267,9 @@ proptest! {
 
     /// The sharded simulator's contract: for any seed, shard count, delay
     /// model, batching mode, and mid-run crash, a world of `shards` shards
-    /// stepped by hand and a parallel run (t ∈ {2, 4, 8}) are byte-identical
-    /// to the one-shard sequential run — clock, trace, the shard sinks' observation
-    /// folds, and metric export.
+    /// stepped by hand and a parallel run (t ∈ {2, 4, 8}) equal the
+    /// one-shard sequential run — clock, the merged recording, and metric
+    /// export.
     #[test]
     fn parallel_shard_runs_match_sequential(
         seed in any::<u64>(),
